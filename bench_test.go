@@ -895,6 +895,48 @@ func BenchmarkShardFanout64R2(b *testing.B) {
 	b.ReportMetric(allocsR2/allocsR1, "fanout-r2-over-r1")
 }
 
+// BenchmarkRouterGET measures one routed GET /suggest: the router hop (hash,
+// ring lookup, breaker, per-attempt context, spans, exchange) over three
+// loopback shards at R=2 with a 2 s shard timeout and no hedge — cmd/serve's
+// default router — on warm shard caches. The shard path allocates nothing,
+// so allocs/op is the hop's own; CI gates it.
+func BenchmarkRouterGET(b *testing.B) {
+	rec, ctxs := serveBenchSetup(b)
+	handlers := make([]http.Handler, 3)
+	for i := range handlers {
+		handlers[i] = serve.NewHandler(rec, 5)
+	}
+	router, err := fleet.NewShardRouterOpts(fleet.NewRing(3, 0), fleet.NewLoopbackTransport(handlers...),
+		fleet.RouterOptions{Replicas: 2, ShardTimeout: 2 * time.Second})
+	if err != nil {
+		b.Fatal(err)
+	}
+	reqs := make([]*http.Request, 0, 16)
+	for i := 0; i < 16 && i < len(ctxs); i++ {
+		reqs = append(reqs, httptest.NewRequest(http.MethodGet, "/suggest?q="+url.QueryEscape(ctxs[i][0]), nil))
+	}
+	// Warm past every trace retention ring on the path (256 traces on the
+	// router and on each shard, see BenchmarkServeHTTPCached): 1024 requests
+	// put at least 300 through each shard however the ring splits 16 contexts.
+	rr := &benchRecorder{header: make(http.Header, 8)}
+	for i := 0; i < 1024*len(reqs); i++ {
+		rr.reset()
+		router.ServeHTTP(rr, reqs[i%len(reqs)])
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rr.reset()
+		router.ServeHTTP(rr, reqs[i%len(reqs)])
+		if rr.code != http.StatusOK {
+			b.Fatalf("status %d: %s", rr.code, rr.body)
+		}
+	}
+	if rr.Header().Get("X-Serve-Shard") == "" {
+		b.Fatal("request was not routed")
+	}
+}
+
 // BenchmarkServeHTTPBatch measures POST /suggest/batch end to end with
 // 64-context requests: JSON decode, cache front, one batched trie descent
 // for the misses, append-encoded response. ns/op is per batch.

@@ -14,7 +14,7 @@
 //     serving metrics — plus shadow arms (weight 0) that are scored
 //     asynchronously against the champion's answer to measure divergence
 //     (top-1 mismatch rate, rank overlap) without touching serving latency.
-//   - Ring + transports (ring.go, shard.go): a consistent-hash ring with
+//   - Ring + transports (ring.go, shard.go, suggest.go): a consistent-hash ring with
 //     virtual nodes that fans /suggest and /suggest/batch traffic out to N
 //     backend replicas, either in-process (loopback) or over HTTP.
 //

@@ -29,7 +29,9 @@ type Transport interface {
 	// and hedging machinery. body may be nil (GETs). The response body is
 	// appended to respBuf (which may be a recycled pooled buffer, possibly
 	// nil) and returned; the caller owns it and the transport must not
-	// retain or reuse it after returning.
+	// retain or reuse it after returning. The same holds for the trace
+	// header ctx carries (obs.TraceHeaderFromContext): it may alias pooled
+	// storage that is rewritten once Exchange has returned.
 	Exchange(ctx context.Context, shard int, method, path string, body, respBuf []byte) (status int, resp []byte, err error)
 	// Shards returns the number of replicas the transport can reach.
 	Shards() int
@@ -227,8 +229,11 @@ func (t *HTTPTransport) Exchange(ctx context.Context, shard int, method, path st
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	if hv := obs.TraceHeaderFromContext(ctx); hv != nil {
-		req.Header["X-Trace-Id"] = hv
+	if hv := obs.TraceHeaderFromContext(ctx); len(hv) == 1 {
+		// The propagated value is only good until Exchange returns, and a
+		// cancelled round trip can return while net/http's write loop is
+		// still sending the request headers: hand it a copy.
+		req.Header["X-Trace-Id"] = []string{strings.Clone(hv[0])}
 	}
 	resp, err := t.client.Do(req)
 	if err != nil {
@@ -363,6 +368,7 @@ type ShardRouter struct {
 	failovers atomic.Uint64 // requests/items answered by a non-primary replica
 	hedges    atomic.Uint64 // hedge attempts fired
 	hedgesWon atomic.Uint64 // hedge attempts whose answer was served
+	cancelled atomic.Uint64 // requests abandoned because the client went away first
 	perShard  []atomic.Uint64
 
 	reg        *obs.Registry
@@ -430,6 +436,7 @@ func NewShardRouterOpts(ring *Ring, tr Transport, opts RouterOptions) (*ShardRou
 	s.reg.CounterFunc("router_failovers_total", s.failovers.Load)
 	s.reg.CounterFunc("router_hedges_total", s.hedges.Load)
 	s.reg.CounterFunc("router_hedges_won_total", s.hedgesWon.Load)
+	s.reg.CounterFunc("router_client_cancelled_total", s.cancelled.Load)
 	return s, nil
 }
 
@@ -552,23 +559,6 @@ func (s *ShardRouter) reload(w http.ResponseWriter, r *http.Request) {
 	_ = json.NewEncoder(w).Encode(resp)
 }
 
-// getBuf leases a pooled GET-path response buffer.
-func (s *ShardRouter) getBuf() []byte {
-	if p, _ := s.bufs.Get().(*[]byte); p != nil {
-		return (*p)[:0]
-	}
-	return make([]byte, 0, 1024)
-}
-
-// putBuf returns a GET-path response buffer to the pool.
-func (s *ShardRouter) putBuf(b []byte) {
-	if cap(b) == 0 {
-		return
-	}
-	b = b[:0]
-	s.bufs.Put(&b)
-}
-
 // attemptContext derives the per-attempt context: a ShardTimeout deadline
 // when configured, always cancellable so hedge losers stop early.
 func (s *ShardRouter) attemptContext(parent context.Context) (context.Context, context.CancelFunc) {
@@ -591,35 +581,6 @@ func (s *ShardRouter) backoffSleep(k int) {
 	time.Sleep(d)
 }
 
-// hedgeRefreshEvery is how many auto-mode hedgeDelay resolutions share one
-// cached p99 scan of the attempt-latency histogram.
-const hedgeRefreshEvery = 64
-
-// hedgeDelay resolves the live hedging delay: the configured fixed value, or
-// the attempt-latency p99 clamped to [200µs, 50ms] in auto mode (negative
-// HedgeAfter). The auto value is cached and refreshed every
-// hedgeRefreshEvery resolutions, so the hot path reads one atomic instead
-// of scanning histogram buckets per request. 0 means hedging is off.
-func (s *ShardRouter) hedgeDelay() time.Duration {
-	ha := s.opts.HedgeAfter
-	if ha >= 0 {
-		return ha
-	}
-	if cached := s.hedgeCache.Load(); cached != 0 && s.hedgeTick.Add(1)%hedgeRefreshEvery != 0 {
-		return time.Duration(cached)
-	}
-	d := time.Duration(s.attemptLat.Quantile(0.99)) * time.Microsecond
-	const lo, hi = 200 * time.Microsecond, 50 * time.Millisecond
-	if d < lo {
-		d = lo
-	}
-	if d > hi {
-		d = hi
-	}
-	s.hedgeCache.Store(int64(d))
-	return d
-}
-
 // retryable reports whether an attempt outcome should fail over to the next
 // replica: transport errors and shard-side 5xx. Sub-5xx statuses are the
 // shard's deterministic answer (including 4xx) — retrying cannot change
@@ -628,225 +589,21 @@ func retryable(status int, err error) bool {
 	return err != nil || status >= http.StatusInternalServerError
 }
 
-// getAttempt is one in-flight GET attempt's result.
-type getAttempt struct {
-	pref   int // index into the preference list
-	li     int // launch index: keys the attempt's cancel func and trace span
-	shard  int
-	status int
-	body   []byte
-	err    error
-	hedge  bool
+// failAttempt books a failed attempt (GET or sub-batch) against its shard's
+// breaker — unless the request's own context is done. A failure seen after
+// that says nothing about the shard: a disconnected client makes every
+// attempt fail with context.Canceled, and three of those would eject a
+// healthy shard. Such a failure is not counted; the half-open probe claim the
+// attempt may have carried is handed back instead, so the breaker cannot
+// strand at "probing". It reports whether the failure counted.
+func (s *ShardRouter) failAttempt(parent context.Context, shard int) bool {
+	if parent.Err() != nil {
+		s.health[shard].releaseProbe()
+		return false
+	}
+	s.health[shard].recordFailure(s.hcfg, time.Now())
+	return true
 }
-
-// suggest forwards the GET to the owning shard, walking the preference list
-// on failure. The shard key is the FNV-1a hash of the percent-decoded q
-// values (decoded streaming, no buffer), so it agrees with the batch path's
-// hash of the same context strings. Responses carry X-Serve-Shard (the
-// replica that answered), X-Serve-Attempts, X-Serve-Hedge (won when a
-// hedged attempt's answer was served) and X-Trace-Id.
-//
-// Every attempt is a child span on the request trace: opened in launch (on
-// the request goroutine — Trace is single-goroutine by contract), closed
-// when its result is consumed, and closed as "cancelled" at finish for
-// attempts whose results were abandoned to the drain goroutine. Breaker
-// skips and hedge firings appear as point events, so a retained trace
-// reconstructs the whole failover story: which replicas were tried, in what
-// order, and why.
-func (s *ShardRouter) suggest(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeErrorJSON(w, http.StatusMethodNotAllowed, "method_not_allowed", "use GET")
-		return
-	}
-	s.requests.Add(1)
-	tr := s.tracer.Start()
-	if id := r.Header.Get("X-Trace-Id"); id != "" {
-		tr.SetID(id)
-	}
-	w.Header()["X-Trace-Id"] = tr.HeaderValue()
-	// The propagated header value is cloned: hedge losers may still sit in a
-	// transport after this trace is finished and its pooled storage reused.
-	ctx := obs.ContextWithTraceHeader(r.Context(), []string{strings.Clone(tr.ID())})
-	var prefArr [MaxReplicas]int
-	prefs := s.ring.LookupN(hashRawQueryContext(r.URL.RawQuery), s.opts.Replicas, prefArr[:0])
-	s.perShard[prefs[0]].Add(1)
-
-	uri := r.URL.RequestURI()
-	resCh := make(chan getAttempt, len(prefs)+1)
-	var cancels [MaxReplicas + 1]context.CancelFunc
-	var spanIdx [MaxReplicas + 1]int
-	var spanOpen [MaxReplicas + 1]bool
-	var tried, skipNoted [MaxReplicas]bool
-	launched, inflight := 0, 0
-
-	// pick chooses the next untried preference, healthy shards first and
-	// failing open to ejected ones when nothing healthy remains (an answer
-	// from a sick replica beats a guaranteed 502). Returns -1 when the whole
-	// list has been tried. A shard passed over because its breaker is open
-	// is annotated once on the trace.
-	pick := func() int {
-		now := time.Now()
-		for i, sh := range prefs {
-			if tried[i] {
-				continue
-			}
-			if s.health[sh].available(s.hcfg, now) {
-				tried[i] = true
-				return i
-			}
-			if !skipNoted[i] {
-				skipNoted[i] = true
-				tr.Event("breaker-skip", sh, "skipped")
-			}
-		}
-		for i := range prefs {
-			if !tried[i] {
-				tried[i] = true
-				return i
-			}
-		}
-		return -1
-	}
-	launch := func(pref int, hedge bool) {
-		actx, cancel := s.attemptContext(ctx)
-		li := launched
-		cancels[li] = cancel
-		spanIdx[li] = tr.Begin("shard")
-		spanOpen[li] = true
-		tr.SetShard(spanIdx[li], prefs[pref])
-		launched++
-		inflight++
-		shard := prefs[pref]
-		go func() {
-			start := time.Now()
-			status, body, err := s.tr.Exchange(actx, shard, http.MethodGet, uri, nil, s.getBuf())
-			if !retryable(status, err) {
-				s.attemptLat.Record(time.Since(start).Microseconds())
-			}
-			resCh <- getAttempt{pref: pref, li: li, shard: shard, status: status, body: body, err: err, hedge: hedge}
-		}()
-	}
-	// closeSpan closes the attempt span for a consumed result; finish closes
-	// the rest as cancelled. Both run on the request goroutine.
-	closeSpan := func(li int, outcome string) {
-		if spanOpen[li] {
-			spanOpen[li] = false
-			tr.End(spanIdx[li], outcome)
-		}
-	}
-	finish := func() {
-		for i := 0; i < launched; i++ {
-			cancels[i]()
-			closeSpan(i, "cancelled")
-		}
-		if inflight > 0 {
-			// Drain attempts still landing (hedge losers). A loser that
-			// genuinely answered still closes its shard's breaker; a
-			// cancelled or failed loser may be carrying the shard's
-			// half-open probe claim, which must be handed back — otherwise
-			// the breaker strands in "probing" and the shard never sees
-			// traffic again. The drain goroutine never touches the trace:
-			// its spans were already closed above, on the request goroutine.
-			n := inflight
-			go func() {
-				for i := 0; i < n; i++ {
-					res := <-resCh
-					if !retryable(res.status, res.err) {
-						s.health[res.shard].recordSuccess()
-					} else {
-						s.health[res.shard].releaseProbe()
-					}
-					s.putBuf(res.body)
-				}
-			}()
-		}
-	}
-
-	hedge := s.hedgeDelay()
-	if len(prefs) < 2 {
-		hedge = 0
-	}
-	launch(pick(), false)
-	var lastErr getAttempt
-	for inflight > 0 {
-		var res getAttempt
-		if hedge > 0 && launched == 1 {
-			t := time.NewTimer(hedge)
-			select {
-			case res = <-resCh:
-				t.Stop()
-			case <-t.C:
-				if next := pick(); next >= 0 {
-					s.hedges.Add(1)
-					s.hedgeWait.Record(hedge.Microseconds())
-					tr.Event("hedge-fire", prefs[next], "fired")
-					launch(next, true)
-				} else {
-					hedge = 0
-				}
-				continue
-			}
-		} else {
-			res = <-resCh
-		}
-		inflight--
-		if !retryable(res.status, res.err) {
-			if res.hedge {
-				closeSpan(res.li, "hedge-won")
-			} else {
-				closeSpan(res.li, "ok")
-			}
-			s.health[res.shard].recordSuccess()
-			if res.pref > 0 {
-				s.failovers.Add(1)
-			}
-			if res.hedge {
-				s.hedgesWon.Add(1)
-			}
-			finish()
-			w.Header()["X-Serve-Shard"] = s.shardHeader[res.shard]
-			w.Header()["X-Serve-Attempts"] = s.attemptHeader[min(launched, MaxReplicas)-1]
-			if res.hedge {
-				w.Header()["X-Serve-Hedge"] = hedgeWonHeaderValue
-			}
-			w.Header()["Content-Type"] = jsonHeaderValue
-			w.WriteHeader(res.status)
-			w.Write(res.body)
-			s.putBuf(res.body)
-			s.reqLat.Record(time.Since(tr.Start()).Microseconds())
-			s.tracer.Finish(tr, false)
-			return
-		}
-		if res.err != nil {
-			closeSpan(res.li, "error")
-		} else {
-			closeSpan(res.li, "upstream-5xx")
-		}
-		s.health[res.shard].recordFailure(s.hcfg, time.Now())
-		lastErr = res
-		s.putBuf(res.body)
-		if inflight == 0 {
-			if next := pick(); next >= 0 {
-				s.retries.Add(1)
-				s.backoffSleep(launched)
-				launch(next, false)
-			}
-		}
-	}
-	finish()
-	msg := fmt.Sprintf("all %d replica(s) failed; shard %d last: ", launched, lastErr.shard)
-	if lastErr.err != nil {
-		msg += lastErr.err.Error()
-	} else {
-		msg += fmt.Sprintf("status %d", lastErr.status)
-	}
-	writeErrorJSON(w, http.StatusBadGateway, "bad_gateway", msg)
-	s.reqLat.Record(time.Since(tr.Start()).Microseconds())
-	s.tracer.Finish(tr, true)
-}
-
-// hedgeWonHeaderValue is the shared X-Serve-Hedge slice.
-var hedgeWonHeaderValue = []string{"won"}
 
 // batchScratch is the pooled working state of one batch fan-out: the raw
 // body, the item spans, the per-item preference lists and attempt masks, the
@@ -1035,11 +792,21 @@ func (s *ShardRouter) batch(w http.ResponseWriter, r *http.Request) {
 	sc.results = sc.results[:len(sc.spans)]
 
 	var failMsg string
-	for round := 0; len(sc.pending) > 0 && round < R; round++ {
+	for round := 0; len(sc.pending) > 0 && round < R && ctx.Err() == nil; round++ {
 		if round > 0 {
 			s.backoffSleep(round)
 		}
 		failMsg = s.fanoutRound(ctx, w, sc, tr, R, stream, &streamMu, flusher)
+	}
+	if len(sc.pending) > 0 && ctx.Err() != nil {
+		// The client went away with items unserved: nobody is left to read a
+		// 502 or error lines, and nothing was learned about the shards.
+		s.cancelled.Add(1)
+		errored = false
+		if !stream {
+			writeErrorJSON(w, statusClientClosedRequest, "client_closed_request", "client went away before the shards answered")
+		}
+		return
 	}
 	for _, i := range sc.pending {
 		sc.failed = append(sc.failed, i)
@@ -1211,7 +978,7 @@ func (s *ShardRouter) fanoutRound(ctx context.Context, w http.ResponseWriter, sc
 					streamMu.Unlock()
 				}
 			} else {
-				s.health[call.shard].recordFailure(s.hcfg, time.Now())
+				s.failAttempt(ctx, call.shard)
 			}
 		}(call)
 	}
@@ -1229,10 +996,14 @@ func (s *ShardRouter) fanoutRound(ctx context.Context, w http.ResponseWriter, sc
 	for _, call := range sc.calls[callsBefore:] {
 		off := call.start.Sub(tr.Start()).Microseconds()
 		if call.err != nil {
+			sc.next = append(sc.next, call.items...)
+			if ctx.Err() != nil {
+				tr.Record("shard-batch", off, call.durMicros, call.shard, "cancelled")
+				continue
+			}
 			tr.Record("shard-batch", off, call.durMicros, call.shard, "error")
 			failMsg = fmt.Sprintf("shard %d: %v", call.shard, call.err)
 			s.retries.Add(uint64(len(call.items)))
-			sc.next = append(sc.next, call.items...)
 			continue
 		}
 		tr.Record("shard-batch", off, call.durMicros, call.shard, "ok")
@@ -1423,6 +1194,9 @@ type ShardRouterMetrics struct {
 	Failovers     uint64 `json:"failovers"`
 	Hedges        uint64 `json:"hedges"`
 	HedgesWon     uint64 `json:"hedges_won"`
+	// Cancelled counts requests whose client went away before the shards
+	// answered; their failed attempts are not held against the breakers.
+	Cancelled uint64 `json:"client_cancelled"`
 	// Request* summarise end-to-end routed request latency (GET and batch);
 	// Attempt* summarise successful individual shard attempts, the
 	// distribution that drives the auto hedge delay.
@@ -1451,6 +1225,7 @@ func (s *ShardRouter) metrics(w http.ResponseWriter) {
 		Failovers:     s.failovers.Load(),
 		Hedges:        s.hedges.Load(),
 		HedgesWon:     s.hedgesWon.Load(),
+		Cancelled:     s.cancelled.Load(),
 	}
 	if s.reqLat.Count() > 0 {
 		m.RequestP50Micros = s.reqLat.Quantile(0.50)
@@ -1552,81 +1327,4 @@ func (s *ShardRouter) traces(w http.ResponseWriter, r *http.Request) {
 		resp.SlowThresholdMicros = th
 	}
 	writeJSON(w, resp)
-}
-
-// hashRawQueryContext hashes the q values of a raw query string: each value
-// is percent-decoded ('+' is space) streaming into the hash — no buffer —
-// and terminated with a 0xFF separator so value boundaries cannot alias.
-// Undecodable escapes hash the raw bytes instead (still deterministic).
-// The result matches hashStringContext of the decoded values, so GET and
-// batch traffic for the same context agree on the owning shard.
-func hashRawQueryContext(raw string) uint64 {
-	h := uint64(fnvOffset64)
-	mix := func(c byte) {
-		h ^= uint64(c)
-		h *= fnvPrime64
-	}
-	for len(raw) > 0 {
-		var seg string
-		if i := strings.IndexByte(raw, '&'); i >= 0 {
-			seg, raw = raw[:i], raw[i+1:]
-		} else {
-			seg, raw = raw, ""
-		}
-		key, val := seg, ""
-		if i := strings.IndexByte(seg, '='); i >= 0 {
-			key, val = seg[:i], seg[i+1:]
-		}
-		if key != "q" {
-			continue
-		}
-		for i := 0; i < len(val); i++ {
-			switch c := val[i]; c {
-			case '+':
-				mix(' ')
-			case '%':
-				if i+2 < len(val) {
-					hi, okHi := unhexDigit(val[i+1])
-					lo, okLo := unhexDigit(val[i+2])
-					if okHi && okLo {
-						mix(hi<<4 | lo)
-						i += 2
-						continue
-					}
-				}
-				mix(c)
-			default:
-				mix(c)
-			}
-		}
-		mix(0xFF)
-	}
-	return h
-}
-
-// hashStringContext hashes a decoded context — the GET path's
-// hashRawQueryContext counterpart for contexts already held as strings.
-func hashStringContext(context []string) uint64 {
-	h := uint64(fnvOffset64)
-	for _, q := range context {
-		for i := 0; i < len(q); i++ {
-			h ^= uint64(q[i])
-			h *= fnvPrime64
-		}
-		h ^= 0xFF
-		h *= fnvPrime64
-	}
-	return h
-}
-
-func unhexDigit(c byte) (byte, bool) {
-	switch {
-	case '0' <= c && c <= '9':
-		return c - '0', true
-	case 'a' <= c && c <= 'f':
-		return c - 'a' + 10, true
-	case 'A' <= c && c <= 'F':
-		return c - 'A' + 10, true
-	}
-	return 0, false
 }

@@ -1,0 +1,286 @@
+package fleet_test
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"runtime"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/fleet"
+)
+
+// goroutineID reads the calling goroutine's ID off its stack header
+// ("goroutine 42 [running]:").
+func goroutineID() string {
+	var buf [64]byte
+	fields := bytes.Fields(buf[:runtime.Stack(buf[:], false)])
+	return string(fields[1])
+}
+
+// goidTransport records the goroutine every exchange runs on.
+type goidTransport struct {
+	fleet.Transport
+	mu   sync.Mutex
+	seen []string
+}
+
+func (t *goidTransport) Exchange(ctx context.Context, shard int, method, path string, body, respBuf []byte) (int, []byte, error) {
+	t.mu.Lock()
+	t.seen = append(t.seen, goroutineID())
+	t.mu.Unlock()
+	return t.Transport.Exchange(ctx, shard, method, path, body, respBuf)
+}
+
+// TestSuggestUnhedgedRunsOnCallerGoroutine pins the inline mode: with no
+// hedge armed every GET attempt — the failover attempt included — runs on
+// the goroutine that called ServeHTTP; with a hedge armed the raced attempts
+// run on goroutines of their own.
+func TestSuggestUnhedgedRunsOnCallerGoroutine(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		hedgeAfter time.Duration
+		inline     bool
+	}{
+		{"unhedged", 0, true},
+		{"hedged", time.Second, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// Only the ring's chaos transport is wanted: the router under
+			// test is built over a tap on it.
+			_, chaos := newChaosRing(t, 3, fleet.RouterOptions{Replicas: 2})
+			tap := &goidTransport{Transport: chaos}
+			router, err := fleet.NewShardRouterOpts(fleet.NewRing(3, 0), tap, fleet.RouterOptions{
+				Replicas: 2, ShardTimeout: 2 * time.Second, HedgeAfter: tc.hedgeAfter, RetryBackoff: -1,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			serve := func() {
+				rr := httptest.NewRecorder()
+				router.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/suggest?q=o2", nil))
+				if rr.Code != http.StatusOK {
+					t.Fatalf("status %d: %s", rr.Code, rr.Body)
+				}
+			}
+			serve()
+			chaos.failNext(routeOf(t, router, "q=o2").Shard, 1) // second request fails over
+			serve()
+			if len(tap.seen) != 3 {
+				t.Fatalf("saw %d exchanges, want 3 (one clean, one failed over)", len(tap.seen))
+			}
+			self := goroutineID()
+			// The raced attempt is the first of a request; a failover attempt
+			// after a lost race is walked inline again in both modes.
+			for i, id := range tap.seen {
+				raced := !tc.inline && i != 2
+				if (id == self) == raced {
+					t.Errorf("exchange %d ran on goroutine %s, caller is %s (hedge %v)", i, id, self, tc.hedgeAfter)
+				}
+			}
+		})
+	}
+}
+
+// routeOf asks the router where a query string's context lives.
+func routeOf(t *testing.T, router http.Handler, qs string) fleet.RouteResponse {
+	t.Helper()
+	rr := httptest.NewRecorder()
+	router.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/v1/route?"+qs, nil))
+	var ri fleet.RouteResponse
+	if err := json.Unmarshal(rr.Body.Bytes(), &ri); err != nil {
+		t.Fatal(err)
+	}
+	return ri
+}
+
+// spansOf returns "name:shard:outcome" for every span of the retained trace
+// with the given ID.
+func spansOf(t *testing.T, router *fleet.ShardRouter, id string) []string {
+	t.Helper()
+	for _, v := range router.Tracer().Snapshot(0, false, 0) {
+		if v.ID != id {
+			continue
+		}
+		var out []string
+		for _, s := range v.Spans {
+			out = append(out, fmt.Sprintf("%s:%d:%s", s.Name, s.Shard, s.Outcome))
+		}
+		return out
+	}
+	t.Fatalf("trace %s not retained", id)
+	return nil
+}
+
+// TestSuggestUnhedgedFailoverR2 walks the inline failover at R=2 with the
+// primary down: the body is byte-identical to the fault-free run, the
+// response says two attempts, the trace holds exactly the two attempt spans
+// (error, ok) — and once the breaker has ejected the primary, one attempt
+// and exactly one breaker-skip.
+func TestSuggestUnhedgedFailoverR2(t *testing.T) {
+	router, chaos := newChaosRing(t, 3, fleet.RouterOptions{Replicas: 2, ShardTimeout: 2 * time.Second})
+	get := func() *httptest.ResponseRecorder {
+		rr := httptest.NewRecorder()
+		router.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/suggest?q=o2&q=o2+mobile", nil))
+		if rr.Code != http.StatusOK {
+			t.Fatalf("status %d: %s", rr.Code, rr.Body)
+		}
+		return rr
+	}
+	want := stripTook(get().Body.Bytes())
+	ri := routeOf(t, router, "q=o2&q=o2+mobile")
+	primary, backup := ri.Shard, ri.Replicas[1]
+
+	chaos.setDown(primary, true)
+	for i := 0; i < fleet.DefaultFailThreshold; i++ {
+		rr := get()
+		if got := stripTook(rr.Body.Bytes()); got != want {
+			t.Fatalf("failed-over body changed:\ngot:  %s\nwant: %s", got, want)
+		}
+		if got := rr.Header().Get("X-Serve-Attempts"); got != "2" {
+			t.Fatalf("X-Serve-Attempts = %q, want 2", got)
+		}
+		if got := rr.Header().Get("X-Serve-Shard"); got != fmt.Sprint(backup) {
+			t.Fatalf("served by shard %s, want backup %d", got, backup)
+		}
+		wantSpans := []string{fmt.Sprintf("shard:%d:error", primary), fmt.Sprintf("shard:%d:ok", backup)}
+		if got := spansOf(t, router, rr.Header().Get("X-Trace-Id")); strings.Join(got, " ") != strings.Join(wantSpans, " ") {
+			t.Fatalf("failed-over spans = %v, want %v", got, wantSpans)
+		}
+	}
+
+	// FailThreshold failures in a row: the primary is ejected and skipped.
+	rr := get()
+	if got := stripTook(rr.Body.Bytes()); got != want {
+		t.Fatalf("breaker-skipped body changed:\ngot:  %s\nwant: %s", got, want)
+	}
+	if got := rr.Header().Get("X-Serve-Attempts"); got != "1" {
+		t.Fatalf("X-Serve-Attempts = %q after ejection, want 1", got)
+	}
+	wantSpans := []string{fmt.Sprintf("breaker-skip:%d:skipped", primary), fmt.Sprintf("shard:%d:ok", backup)}
+	if got := spansOf(t, router, rr.Header().Get("X-Trace-Id")); strings.Join(got, " ") != strings.Join(wantSpans, " ") {
+		t.Fatalf("breaker-skipped spans = %v, want %v", got, wantSpans)
+	}
+}
+
+// TestClientCancelDoesNotPoisonBreakers is the regression test for the
+// client-disconnect bug: requests whose own context is already cancelled make
+// every attempt fail with context.Canceled, which used to count against
+// healthy shards (three aborted clients ejected one). They must leave every
+// breaker healthy with zero failures, hand back a half-open probe claim they
+// were carrying, and show up in client_cancelled — on the inline GET walk,
+// the hedged race and the batch fan-out alike.
+func TestClientCancelDoesNotPoisonBreakers(t *testing.T) {
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	get := func() *http.Request { return httptest.NewRequest(http.MethodGet, "/suggest?q=o2", nil) }
+	batch := func() *http.Request {
+		return httptest.NewRequest(http.MethodPost, "/suggest/batch", strings.NewReader(chaosBatchBody))
+	}
+	for _, tc := range []struct {
+		name string
+		opts fleet.RouterOptions
+		req  func() *http.Request
+	}{
+		{"get-inline", fleet.RouterOptions{Replicas: 2}, get},
+		{"get-hedged", fleet.RouterOptions{Replicas: 2, HedgeAfter: time.Second}, get},
+		{"batch", fleet.RouterOptions{Replicas: 2}, batch},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.opts.FailThreshold, tc.opts.ProbeAfter = 1, time.Millisecond
+			router, chaos := newChaosRing(t, 3, tc.opts)
+			metrics := func() fleet.ShardRouterMetrics {
+				rr := httptest.NewRecorder()
+				router.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/v1/metrics", nil))
+				var m fleet.ShardRouterMetrics
+				if err := json.Unmarshal(rr.Body.Bytes(), &m); err != nil {
+					t.Fatal(err)
+				}
+				return m
+			}
+			const n = 2 * fleet.DefaultFailThreshold
+			for i := 0; i < n; i++ {
+				rr := httptest.NewRecorder()
+				router.ServeHTTP(rr, tc.req().WithContext(cancelled))
+				if rr.Code != 499 {
+					t.Fatalf("cancelled request answered %d, want 499: %s", rr.Code, rr.Body)
+				}
+			}
+			m := metrics()
+			for _, h := range m.ShardHealth {
+				if h.State != "healthy" || h.Failures != 0 {
+					t.Fatalf("cancelled clients poisoned a breaker: %+v", m.ShardHealth)
+				}
+			}
+			if m.Cancelled != n || m.Retries != 0 {
+				t.Fatalf("client_cancelled = %d (want %d), retries = %d (want 0)", m.Cancelled, n, m.Retries)
+			}
+			var prom bytes.Buffer
+			if err := router.Obs().WritePrometheus(&prom); err != nil {
+				t.Fatal(err)
+			}
+			if want := fmt.Sprintf("router_client_cancelled_total %d\n", n); !strings.Contains(prom.String(), want) {
+				t.Fatalf("Prometheus exposition lacks %q", want)
+			}
+
+			// Eject the primary for real, wait out its cool-down, then let a
+			// cancelled request claim the half-open probe: the claim must come
+			// back ("ejected"), not strand the breaker at "probing".
+			primary := routeOf(t, router, "q=o2").Shard
+			chaos.setDown(primary, true)
+			rr := httptest.NewRecorder()
+			router.ServeHTTP(rr, tc.req())
+			if rr.Code != http.StatusOK {
+				t.Fatalf("live request with the primary down: status %d: %s", rr.Code, rr.Body)
+			}
+			if st := metrics().ShardHealth[primary].State; st != "ejected" {
+				t.Fatalf("primary is %s after a real failure, want ejected", st)
+			}
+			time.Sleep(2 * time.Millisecond)
+			router.ServeHTTP(httptest.NewRecorder(), tc.req().WithContext(cancelled))
+			if st := metrics().ShardHealth[primary].State; st != "ejected" {
+				t.Fatalf("primary is %s after a cancelled probe, want ejected (claim released)", st)
+			}
+		})
+	}
+}
+
+// TestSuggestUnhedgedAllocs is tier-1's allocation gate on the routed GET
+// (make bench-json gates BenchmarkRouterGET at the same figure): the inline
+// hop costs the per-attempt timeout context, the trace-header context and the
+// request URI — 7 allocations — and nothing per goroutine, channel or closure.
+func TestSuggestUnhedgedAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	router, _ := newChaosRing(t, 3, fleet.RouterOptions{Replicas: 2, ShardTimeout: 2 * time.Second})
+	req := httptest.NewRequest(http.MethodGet, "/suggest?q=o2&q=o2+mobile", nil)
+	rr := &discardResponse{header: make(http.Header, 8)}
+	// Warm past the 256-trace retention rings of the router and the shard:
+	// while a ring fills, every finish pins its pooled trace.
+	for i := 0; i < 600; i++ {
+		router.ServeHTTP(rr, req)
+	}
+	if rr.code != http.StatusOK {
+		t.Fatalf("status %d", rr.code)
+	}
+	if allocs := testing.AllocsPerRun(500, func() { router.ServeHTTP(rr, req) }); allocs > 7 {
+		t.Fatalf("unhedged routed GET allocates %.0f times per request, want <= 7", allocs)
+	}
+}
+
+// discardResponse is an allocation-free http.ResponseWriter.
+type discardResponse struct {
+	header http.Header
+	code   int
+}
+
+func (r *discardResponse) Header() http.Header         { return r.header }
+func (r *discardResponse) WriteHeader(code int)        { r.code = code }
+func (r *discardResponse) Write(p []byte) (int, error) { return len(p), nil }

@@ -383,16 +383,18 @@ func TraceFromContext(ctx context.Context) *Trace {
 	return tr
 }
 
-// headerKey keys the context value carrying a pre-cloned X-Trace-Id header
-// value (see ContextWithTraceHeader).
+// headerKey keys the context value carrying the X-Trace-Id header value to
+// propagate (see ContextWithTraceHeader).
 type headerKey struct{}
 
 // ContextWithTraceHeader returns a context carrying hv, a single-element
-// X-Trace-Id header value. Unlike Trace.HeaderValue, hv must be built from
-// an owned copy of the ID (strings.Clone) by the caller: hedge losers and
-// drained failover attempts can still be inside a transport after the
-// originating trace has been finished and recycled, so the propagated value
-// must not alias pooled trace storage.
+// X-Trace-Id header value, for transports to propagate. hv may be
+// Trace.HeaderValue itself only when everything that reads it is done before
+// the trace is finished: the router's inline GET attempts, which all return
+// before the request does. Hedge losers and drained failover attempts can
+// still be inside a transport after the originating trace has been finished
+// and recycled, so a request that races attempts must pass an owned copy of
+// the ID (strings.Clone) instead.
 func ContextWithTraceHeader(ctx context.Context, hv []string) context.Context {
 	return context.WithValue(ctx, headerKey{}, hv)
 }

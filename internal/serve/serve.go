@@ -489,33 +489,17 @@ func appendQueryUnescaped(dst []byte, s string) ([]byte, bool) {
 		case '+':
 			dst = append(dst, ' ')
 		case '%':
-			if i+2 >= len(s) {
+			b, ok := fleet.UnescapeByte(s, i)
+			if !ok {
 				return dst, false
 			}
-			hi, okHi := unhex(s[i+1])
-			lo, okLo := unhex(s[i+2])
-			if !okHi || !okLo {
-				return dst, false
-			}
-			dst = append(dst, hi<<4|lo)
+			dst = append(dst, b)
 			i += 2
 		default:
 			dst = append(dst, c)
 		}
 	}
 	return dst, true
-}
-
-func unhex(c byte) (byte, bool) {
-	switch {
-	case '0' <= c && c <= '9':
-		return c - '0', true
-	case 'a' <= c && c <= 'f':
-		return c - 'a' + 10, true
-	case 'A' <= c && c <= 'F':
-		return c - 'A' + 10, true
-	}
-	return 0, false
 }
 
 // suggest is the zero-allocation single-context path: pooled parse buffers,
