@@ -28,7 +28,7 @@ BENCHTIME ?= 1s
 # means a goroutine, channel or closure crept back onto the unhedged path.
 BENCH_GATES = -gate BenchmarkServeHTTPCached=2 -gate BenchmarkRouteAB=0 -gate BenchmarkServeHTTPCachedTraced=0 -gate BenchmarkHistogramRecord=0 -gate BenchmarkShardFanout64=200 -gate BenchmarkRouterGET=7 -gate BenchmarkShardFanout64R2:fanout-r2-over-r1=1.5 -gate BenchmarkPredictQuantised=0 -gate BenchmarkPredictCPS5=0 -gate BenchmarkPredictHMM=0 -gate BenchmarkRerankPairwise=0 -gate BenchmarkCompiledBlobSize:cps4-over-cps3=0.6 -gate BenchmarkCompiledBlobSizeV5:cps5-over-cps4=0.8 -gate BenchmarkIngestSegment=6000
 
-.PHONY: all build test race bench bench-json bench-e2e chaos ingest-test obs-test fmt fmt-check vet check-docs check-api ci serve loadgen clean
+.PHONY: all build test race race-repeat bench bench-json bench-e2e bench-pairs chaos ingest-test obs-test fmt fmt-check vet check-docs check-api ci serve loadgen clean
 
 all: build test
 
@@ -41,6 +41,20 @@ test:
 race:
 	$(GO) test -race ./...
 
+# Flake hunt: the named packages' tests N times under the race detector. A
+# race between a request and whatever outlives it (the response header write
+# after the handler returned, a hedge loser) shows in a fraction of runs, so
+# one pass of `race` can miss it; ci repeats the two packages that serve
+# requests.
+PKG ?= ./internal/serve ./internal/fleet
+N ?= 10
+race-repeat:
+	$(GO) test -race -count=$(N) $(PKG)
+
+# chaos, ingest-test and obs-test are local shortcuts: each re-runs, by -run
+# filter, a slice of what `race` already runs, for working on that subsystem.
+# ci does not depend on them.
+#
 # Fault-injection harness: the replicated ring's chaos scenarios (shard
 # killed mid-batch, reload storm during fan-out, flapping shard, hedged
 # GETs) under the race detector — the availability claims, enforced.
@@ -87,11 +101,24 @@ SEED ?= 1
 bench-e2e:
 	bash bench/run.sh $(WORKLOAD) $(SEED)
 
+# The comparison every performance entry in CHANGES.md needs: N alternating
+# parent/change pairs of the benchmark on one workload (seeds FIRST..FIRST+N-1,
+# odd seeds parent first), the parent exported under .bench_build/, and a table
+# of per-metric medians, quartiles, the change of the median and pairs won.
+# ~45 s a pair.
+#   make bench-pairs PARENT=HEAD~1 WORKLOAD=ring_batch N=10
+PARENT ?= HEAD
+FIRST ?= 1
+bench-pairs:
+	$(GO) run ./cmd/benchpairs -parent $(PARENT) -workload $(WORKLOAD) -n $(N) -first $(FIRST)
+
 fmt:
 	gofmt -w .
 
+# A parent checkout exported under .bench_build/ by bench-pairs is not this
+# tree's to format.
 fmt-check:
-	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
+	@out="$$(gofmt -l . | grep -v '^\.bench_build/' || true)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 vet:
@@ -110,7 +137,7 @@ check-api: vet
 
 # test runs beside race because the allocation-count tests (the routed GET's
 # among them) skip themselves under the race detector.
-ci: check-api fmt-check check-docs build test race chaos ingest-test obs-test bench
+ci: check-api fmt-check check-docs build test race race-repeat bench
 
 # Convenience: train a small model if absent, then serve it.
 model.bin:
@@ -125,3 +152,4 @@ loadgen:
 
 clean:
 	rm -f model.bin BENCH_serving.tmp
+	rm -rf .bench_build

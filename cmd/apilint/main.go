@@ -49,7 +49,10 @@ func main() {
 		}
 		if d.IsDir() {
 			name := d.Name()
-			if name == "testdata" || name == ".git" || strings.HasPrefix(name, "_") {
+			// Like the go tool's ./..., skip testdata and anything starting
+			// with "_" or "." (.git, and .bench_build with its exported
+			// parent checkouts) — but not the root itself when it is ".".
+			if name == "testdata" || strings.HasPrefix(name, "_") || (strings.HasPrefix(name, ".") && path != root) {
 				return filepath.SkipDir
 			}
 			return nil

@@ -5,24 +5,40 @@
 // cache absorbs most of the head).
 //
 // The generic Cache[V] is the mechanism; SuggestCache is the policy that
-// fronts core.Recommender.Recommend with interned-context keys.
+// fronts core.Recommender.Recommend with interned-context keys and keeps
+// each answer's wire form next to it.
 //
 // Invariants the serving layer relies on:
 //
 //   - Keys embed the model generation (and suggestion count), so a hot
 //     reload can never serve results computed against an old model; Purge
 //     on swap only releases memory early.
-//   - Cached suggestion slices are shared across callers and must be
-//     treated as immutable.
+//   - Cached suggestion slices and wire bytes are shared across callers and
+//     must be treated as immutable.
+//   - An entry is one intrusive node (links, key, value) on its shard's
+//     recency ring. An insert allocates the node and the key string, and
+//     into a full shard only the key string: the evicted entry's node is
+//     recycled.
+//   - A SuggestCache entry's wire form — the encoded `"suggestions":[...]`
+//     member — is filled lazily, on the entry's first hit, never on insert:
+//     a miss pays nothing for it, the first hit encodes once with
+//     core.AppendSuggestionsJSON and stores the bytes back, every later hit
+//     copies them. Both forms live under one (slot, gen, n, ctx) key, so a
+//     reload invalidates them together and the stored bytes always equal the
+//     core encoder's output for the stored suggestions.
 //   - The hit path allocates nothing: GetBytes looks up by a pooled byte
 //     key without materialising a string, which is what keeps the cached
 //     /suggest path at 0 allocs/op.
 //   - Shards are independently locked; concurrent readers of different
 //     contexts never contend on one mutex.
+//
+// Memory: capacity bounds the entry count, not bytes. One SuggestCache entry
+// holds an 80-byte node, its 16+4·len(ctx)-byte key, up to n suggestions
+// (16 B each; the query strings belong to the model's dictionary) and, once
+// hit, at most n × (query length + ~40 B) of wire bytes.
 package cache
 
 import (
-	"container/list"
 	"sync"
 	"sync/atomic"
 )
@@ -61,16 +77,41 @@ type Cache[V any] struct {
 	evictions atomic.Uint64
 }
 
+// node is one cache entry and its place in the shard's recency order.
+type node[V any] struct {
+	next, prev *node[V]
+	key        string
+	val        V
+}
+
+// shard is one lock stripe: the key index plus a ring of nodes through the
+// sentinel root, root.next the most and root.prev the least recently used.
 type shard[V any] struct {
 	mu    sync.Mutex
-	items map[string]*list.Element
-	order *list.List // front = most recently used
+	items map[string]*node[V]
+	root  node[V]
 	cap   int
 }
 
-type entry[V any] struct {
-	key string
-	val V
+func (s *shard[V]) reset() {
+	s.items = make(map[string]*node[V])
+	s.root.next, s.root.prev = &s.root, &s.root
+}
+
+func (s *shard[V]) unlink(n *node[V]) {
+	n.prev.next, n.next.prev = n.next, n.prev
+}
+
+func (s *shard[V]) pushFront(n *node[V]) {
+	n.prev, n.next = &s.root, s.root.next
+	n.prev.next, n.next.prev = n, n
+}
+
+func (s *shard[V]) moveToFront(n *node[V]) {
+	if s.root.next != n {
+		s.unlink(n)
+		s.pushFront(n)
+	}
 }
 
 // New returns a Cache holding at most capacity entries overall (rounded up
@@ -82,11 +123,8 @@ func New[V any](capacity int) *Cache[V] {
 	}
 	c := &Cache[V]{capacity: perShard * shardCount}
 	for i := range c.shards {
-		c.shards[i] = shard[V]{
-			items: make(map[string]*list.Element),
-			order: list.New(),
-			cap:   perShard,
-		}
+		c.shards[i].cap = perShard
+		c.shards[i].reset()
 	}
 	return c
 }
@@ -134,15 +172,15 @@ func (c *Cache[V]) shardBytes(key []byte) *shard[V] {
 func (c *Cache[V]) Get(key string) (V, bool) {
 	s := c.shard(key)
 	s.mu.Lock()
-	el, ok := s.items[key]
+	n, ok := s.items[key]
 	if !ok {
 		s.mu.Unlock()
 		c.misses.Add(1)
 		var zero V
 		return zero, false
 	}
-	s.order.MoveToFront(el)
-	v := el.Value.(*entry[V]).val
+	s.moveToFront(n)
+	v := n.val
 	s.mu.Unlock()
 	c.hits.Add(1)
 	return v, true
@@ -155,18 +193,33 @@ func (c *Cache[V]) Get(key string) (V, bool) {
 func (c *Cache[V]) GetBytes(key []byte) (V, bool) {
 	s := c.shardBytes(key)
 	s.mu.Lock()
-	el, ok := s.items[string(key)]
+	n, ok := s.items[string(key)]
 	if !ok {
 		s.mu.Unlock()
 		c.misses.Add(1)
 		var zero V
 		return zero, false
 	}
-	s.order.MoveToFront(el)
-	v := el.Value.(*entry[V]).val
+	s.moveToFront(n)
+	v := n.val
 	s.mu.Unlock()
 	c.hits.Add(1)
 	return v, true
+}
+
+// ReplaceBytes stores v under key only if key is still cached, and reports
+// whether it was: an entry evicted or purged since the caller looked it up
+// is not resurrected. It is not a lookup — neither the recency order nor the
+// counters move — and, like GetBytes, it neither allocates nor retains key.
+func (c *Cache[V]) ReplaceBytes(key []byte, v V) bool {
+	s := c.shardBytes(key)
+	s.mu.Lock()
+	n, ok := s.items[string(key)]
+	if ok {
+		n.val = v
+	}
+	s.mu.Unlock()
+	return ok
 }
 
 // Put stores key -> v, evicting the shard's least recently used entry when
@@ -175,22 +228,27 @@ func (c *Cache[V]) GetBytes(key []byte) (V, bool) {
 func (c *Cache[V]) Put(key string, v V) {
 	s := c.shard(key)
 	s.mu.Lock()
-	if el, ok := s.items[key]; ok {
-		el.Value.(*entry[V]).val = v
-		s.order.MoveToFront(el)
+	if n, ok := s.items[key]; ok {
+		n.val = v
+		s.moveToFront(n)
 		s.mu.Unlock()
 		return
 	}
-	evicted := false
-	if s.order.Len() >= s.cap {
-		back := s.order.Back()
-		if back != nil {
-			delete(s.items, back.Value.(*entry[V]).key)
-			s.order.Remove(back)
-			evicted = true
-		}
+	// A full shard recycles its least recently used node for the new entry
+	// (nothing outside the shard holds a node: lookups return values), so at
+	// steady state an insert allocates no node at all.
+	var n *node[V]
+	evicted := len(s.items) >= s.cap
+	if evicted {
+		n = s.root.prev
+		delete(s.items, n.key)
+		s.unlink(n)
+		n.key, n.val = key, v
+	} else {
+		n = &node[V]{key: key, val: v}
 	}
-	s.items[key] = s.order.PushFront(&entry[V]{key: key, val: v})
+	s.pushFront(n)
+	s.items[key] = n
 	s.mu.Unlock()
 	if evicted {
 		c.evictions.Add(1)
@@ -203,7 +261,7 @@ func (c *Cache[V]) Len() int {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		n += s.order.Len()
+		n += len(s.items)
 		s.mu.Unlock()
 	}
 	return n
@@ -215,8 +273,7 @@ func (c *Cache[V]) Purge() {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		s.items = make(map[string]*list.Element)
-		s.order.Init()
+		s.reset()
 		s.mu.Unlock()
 	}
 }

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"bytes"
 	"sync"
 
 	"repro/internal/core"
@@ -22,18 +23,52 @@ import (
 // proportion to actual per-model traffic instead of being statically split.
 // Single-model callers use the slot-less methods, which serve slot 0.
 //
+// Two families of entry points share the entries. The Answer* forms serve
+// the HTTP handlers: they return an Answer, which carries the entry's wire
+// form once a hit has built it (see the package comment). The Recommend*
+// forms return the suggestions alone and never build a wire form — the
+// shadow scorer and the benchmark's probes have no use for one.
+//
 // Cached suggestion slices are shared between callers and must be treated
 // as immutable.
 type SuggestCache struct {
-	lru *Cache[[]core.Suggestion]
+	lru *Cache[Answer]
 	// bufs pools the per-request context/key scratch so the hot (hit) path
 	// does not allocate.
 	bufs sync.Pool
 }
 
+// Answer is one cached result: the ranked suggestions and, once a hit has
+// built it, their encoded `"suggestions":[...]` response member. The zero
+// Answer is the empty answer. Both forms are shared between callers and must
+// be treated as immutable.
+type Answer struct {
+	// Recs holds the ranked suggestions, nil when the context is empty or
+	// not covered by the model.
+	Recs []core.Suggestion
+	// wire is core.AppendSuggestionsJSON(nil, Recs), or nil while unfilled.
+	wire []byte
+}
+
+// AppendSuggestionsJSON appends the answer's `"suggestions":[...]` member to
+// dst: a copy of the stored wire form when the answer has one, a fresh
+// core.AppendSuggestionsJSON of Recs otherwise (a miss, an answer built by
+// the caller from a reranked copy). The bytes are the same either way.
+func (a Answer) AppendSuggestionsJSON(dst []byte) []byte {
+	if a.wire != nil {
+		return append(dst, a.wire...)
+	}
+	return core.AppendSuggestionsJSON(dst, a.Recs)
+}
+
+// emptyWire is the wire form every empty or uncovered answer shares.
+var emptyWire = core.AppendSuggestionsJSON(nil, nil)
+
 type suggestBuf struct {
-	ctx query.Seq
-	key []byte
+	ctx     query.Seq
+	key     []byte
+	wire    []byte   // encode scratch of a first hit; the entry keeps a copy
+	answers []Answer // RecommendBatch*'s view of a batch before Recs are copied out
 }
 
 // DefaultCapacity is the cache size used when callers pass a non-positive
@@ -47,7 +82,7 @@ func NewSuggestCache(capacity int) *SuggestCache {
 		capacity = DefaultCapacity
 	}
 	return &SuggestCache{
-		lru: New[[]core.Suggestion](capacity),
+		lru: New[Answer](capacity),
 		bufs: sync.Pool{New: func() any {
 			return &suggestBuf{ctx: make(query.Seq, 0, 16), key: make([]byte, 0, 64)}
 		}},
@@ -66,23 +101,14 @@ func (sc *SuggestCache) Recommend(gen uint64, rec core.Recommender, context []st
 	if len(buf.ctx) == 0 {
 		return nil
 	}
-	out, _ := sc.recommendKeyed(0, gen, rec, buf, buf.ctx, n)
-	return out
+	a, _ := sc.answerKeyed(0, gen, rec, buf, buf.ctx, n, false)
+	return a.Recs
 }
 
-// RecommendInterned is Recommend for an already-interned context — the HTTP
-// fast path, which interns once per request and reuses the IDs for both the
-// cache key and the prediction.
+// RecommendInterned is Recommend for an already-interned context.
 func (sc *SuggestCache) RecommendInterned(gen uint64, rec core.Recommender, ctx query.Seq, n int) []core.Suggestion {
 	out, _ := sc.RecommendSlotHit(0, gen, rec, ctx, n)
 	return out
-}
-
-// RecommendInternedHit is RecommendInterned plus a hit flag, so the serving
-// layer can attribute the request's latency to the cache-lookup stage (hit)
-// or the predict-descent stage (miss) without a second key probe.
-func (sc *SuggestCache) RecommendInternedHit(gen uint64, rec core.Recommender, ctx query.Seq, n int) ([]core.Suggestion, bool) {
-	return sc.RecommendSlotHit(0, gen, rec, ctx, n)
 }
 
 // RecommendSlot is RecommendInterned inside a named registry slot: the slot
@@ -93,34 +119,80 @@ func (sc *SuggestCache) RecommendSlot(slot uint32, gen uint64, rec core.Recommen
 	return out
 }
 
-// RecommendSlotHit is RecommendSlot plus a hit flag (see
-// RecommendInternedHit).
+// RecommendSlotHit is RecommendSlot plus a hit flag: whether the answer came
+// from the cache.
 func (sc *SuggestCache) RecommendSlotHit(slot uint32, gen uint64, rec core.Recommender, ctx query.Seq, n int) ([]core.Suggestion, bool) {
+	a, hit := sc.answerSlot(slot, gen, rec, ctx, n, false)
+	return a.Recs, hit
+}
+
+// AnswerSlot is RecommendSlotHit for the HTTP handlers — the fast path, which
+// interns once per request and reuses the IDs for both the cache key and the
+// prediction. The hit flag lets the serving layer attribute the request's
+// latency to the cache-lookup stage (hit) or the predict-descent stage
+// (miss) without a second key probe. A hit returns the entry's wire form
+// with the suggestions, building and storing it if this is the entry's first
+// hit; a miss returns the suggestions alone.
+func (sc *SuggestCache) AnswerSlot(slot uint32, gen uint64, rec core.Recommender, ctx query.Seq, n int) (Answer, bool) {
+	return sc.answerSlot(slot, gen, rec, ctx, n, true)
+}
+
+func (sc *SuggestCache) answerSlot(slot uint32, gen uint64, rec core.Recommender, ctx query.Seq, n int, wire bool) (Answer, bool) {
 	if len(ctx) == 0 {
-		return nil, false
+		return Answer{}, false
 	}
 	buf := sc.bufs.Get().(*suggestBuf)
 	defer sc.putBuf(buf)
-	return sc.recommendKeyed(slot, gen, rec, buf, ctx, n)
+	return sc.answerKeyed(slot, gen, rec, buf, ctx, n, wire)
 }
 
 func (sc *SuggestCache) putBuf(buf *suggestBuf) {
 	buf.ctx = buf.ctx[:0]
 	buf.key = buf.key[:0]
+	buf.wire = buf.wire[:0]
+	clear(buf.answers) // do not retain cached slices in the pool
+	buf.answers = buf.answers[:0]
 	sc.bufs.Put(buf)
 }
 
-// recommendKeyed runs the keyed lookup-or-compute, reporting whether the
+// answerKeyed runs the keyed lookup-or-compute, reporting whether the
 // answer came from the cache. The key string is only allocated on a miss,
-// where it is retained by the LRU.
-func (sc *SuggestCache) recommendKeyed(slot uint32, gen uint64, rec core.Recommender, buf *suggestBuf, ctx query.Seq, n int) ([]core.Suggestion, bool) {
+// where it is retained by the LRU. wire selects the Answer* behaviour (see
+// lookup).
+func (sc *SuggestCache) answerKeyed(slot uint32, gen uint64, rec core.Recommender, buf *suggestBuf, ctx query.Seq, n int, wire bool) (Answer, bool) {
 	buf.key = appendSuggestKey(buf.key[:0], slot, gen, ctx, n)
-	if v, ok := sc.lru.GetBytes(buf.key); ok {
-		return v, true
+	if a, ok := sc.lookup(buf, wire); ok {
+		return a, true
 	}
-	out := core.RecommendIDs(rec, ctx, n)
-	sc.lru.Put(string(buf.key), out)
-	return out, false
+	a := Answer{Recs: core.RecommendIDs(rec, ctx, n)}
+	sc.lru.Put(string(buf.key), a)
+	return a, false
+}
+
+// lookup probes the LRU for buf.key; with wire set, a hit on an entry that
+// has no wire form yet fills it.
+func (sc *SuggestCache) lookup(buf *suggestBuf, wire bool) (Answer, bool) {
+	a, ok := sc.lru.GetBytes(buf.key)
+	if ok && wire && a.wire == nil {
+		a = sc.fillWire(buf, a)
+	}
+	return a, ok
+}
+
+// fillWire builds the wire form of a, the entry just found under buf.key,
+// and stores the pair back if the entry is still cached. The encode runs
+// outside the shard lock, into pooled scratch; the entry keeps an exact-size
+// copy. Racing first hits each store their own copy of the same bytes and
+// the last one stays.
+func (sc *SuggestCache) fillWire(buf *suggestBuf, a Answer) Answer {
+	if len(a.Recs) == 0 {
+		a.wire = emptyWire
+	} else {
+		buf.wire = core.AppendSuggestionsJSON(buf.wire[:0], a.Recs)
+		a.wire = bytes.Clone(buf.wire)
+	}
+	sc.lru.ReplaceBytes(buf.key, a)
+	return a
 }
 
 // RecommendBatch answers every (contexts[i], ns[i]) pair into out[i] (which
@@ -128,50 +200,49 @@ func (sc *SuggestCache) recommendKeyed(slot uint32, gen uint64, rec core.Recomme
 // cache exactly like Recommend; all misses are then scored through one
 // shared-scratch batched trie descent (core.RecommendBatchIDs) and inserted.
 func (sc *SuggestCache) RecommendBatch(gen uint64, rec core.Recommender, contexts [][]string, ns []int, out [][]core.Suggestion) {
-	buf := sc.bufs.Get().(*suggestBuf)
-	defer sc.putBuf(buf)
-	var (
-		missCtx []query.Seq
-		missKey []string
-		missN   []int
-		missIdx []int
-	)
-	for i, context := range contexts {
-		out[i] = nil
-		buf.ctx = core.AppendContext(rec.Dict(), buf.ctx[:0], context)
-		if len(buf.ctx) == 0 {
-			continue
-		}
-		buf.key = appendSuggestKey(buf.key[:0], 0, gen, buf.ctx, ns[i])
-		if v, ok := sc.lru.GetBytes(buf.key); ok {
-			out[i] = v
-			continue
-		}
-		missCtx = append(missCtx, buf.ctx.Clone())
-		missKey = append(missKey, string(buf.key))
-		missN = append(missN, ns[i])
-		missIdx = append(missIdx, i)
+	var ids query.Seq
+	off := make([]int, 1, len(contexts)+1)
+	for _, context := range contexts {
+		ids = core.AppendContext(rec.Dict(), ids, context)
+		off = append(off, len(ids))
 	}
-	if len(missCtx) == 0 {
-		return
+	ctxs := make([]query.Seq, len(contexts))
+	for i := range ctxs {
+		ctxs[i] = ids[off[i]:off[i+1]]
 	}
-	res := rec.RecommendBatchIDs(missCtx, missN)
-	for j, i := range missIdx {
-		out[i] = res[j]
-		sc.lru.Put(missKey[j], res[j])
-	}
+	sc.RecommendBatchSlot(0, gen, rec, ctxs, ns, out)
 }
 
 // RecommendBatchSlot answers every (ctxs[i], ns[i]) pair into out[i] (which
 // must be len(ctxs) long) inside one registry slot, for contexts that are
-// already interned — the fleet batch path, which interns once with the
-// router's shared base dictionary before routing each item to its arm. Hits
-// come from the shared LRU under the slot's key space; all misses are scored
-// through one batched trie descent against rec and inserted. ctxs entries
-// may live in recycled buffers: the miss path clones before retaining.
+// already interned. Hits come from the shared LRU under the slot's key
+// space; all misses are scored through one batched trie descent against rec
+// and inserted. ctxs entries may live in recycled buffers: the miss path
+// clones before retaining.
 func (sc *SuggestCache) RecommendBatchSlot(slot uint32, gen uint64, rec core.Recommender, ctxs []query.Seq, ns []int, out [][]core.Suggestion) {
 	buf := sc.bufs.Get().(*suggestBuf)
 	defer sc.putBuf(buf)
+	buf.answers = append(buf.answers, make([]Answer, len(ctxs))...)
+	sc.answerBatch(slot, gen, rec, buf, ctxs, ns, buf.answers, false)
+	for i, a := range buf.answers {
+		out[i] = a.Recs
+	}
+}
+
+// AnswerBatchSlot is RecommendBatchSlot for the HTTP batch handlers — in
+// fleet mode the batch path interns once with the router's shared base
+// dictionary before routing each item to its arm. out[i] receives each
+// answer; hits carry their wire form as in AnswerSlot.
+func (sc *SuggestCache) AnswerBatchSlot(slot uint32, gen uint64, rec core.Recommender, ctxs []query.Seq, ns []int, out []Answer) {
+	buf := sc.bufs.Get().(*suggestBuf)
+	defer sc.putBuf(buf)
+	sc.answerBatch(slot, gen, rec, buf, ctxs, ns, out, true)
+}
+
+// answerBatch is the batch twin of answerKeyed: out[i] is resolved from the
+// cache where it can be, and every miss goes through one
+// rec.RecommendBatchIDs call and is inserted.
+func (sc *SuggestCache) answerBatch(slot uint32, gen uint64, rec core.Recommender, buf *suggestBuf, ctxs []query.Seq, ns []int, out []Answer, wire bool) {
 	var (
 		missCtx []query.Seq
 		missKey []string
@@ -179,13 +250,13 @@ func (sc *SuggestCache) RecommendBatchSlot(slot uint32, gen uint64, rec core.Rec
 		missIdx []int
 	)
 	for i, ctx := range ctxs {
-		out[i] = nil
+		out[i] = Answer{}
 		if len(ctx) == 0 {
 			continue
 		}
 		buf.key = appendSuggestKey(buf.key[:0], slot, gen, ctx, ns[i])
-		if v, ok := sc.lru.GetBytes(buf.key); ok {
-			out[i] = v
+		if a, ok := sc.lookup(buf, wire); ok {
+			out[i] = a
 			continue
 		}
 		missCtx = append(missCtx, ctx.Clone())
@@ -198,8 +269,8 @@ func (sc *SuggestCache) RecommendBatchSlot(slot uint32, gen uint64, rec core.Rec
 	}
 	res := rec.RecommendBatchIDs(missCtx, missN)
 	for j, i := range missIdx {
-		out[i] = res[j]
-		sc.lru.Put(missKey[j], res[j])
+		out[i] = Answer{Recs: res[j]}
+		sc.lru.Put(missKey[j], out[i])
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/query"
 )
 
 // TestSuggestCacheHitZeroAllocs pins the satellite property: a warm cache
@@ -33,6 +34,49 @@ func TestSuggestCacheHitZeroAllocs(t *testing.T) {
 	})
 	if allocs > 0.05 {
 		t.Fatalf("interned cache hit allocates %.2f times per op, want 0", allocs)
+	}
+}
+
+// TestSuggestCacheMissAllocs pins the miss path: one miss through a full
+// cache — descent, insert, eviction — allocates twice: the suggestion slice
+// the entry retains and the key string. The entry's node (links, key and
+// value in one object) is the evicted entry's, recycled. A third would be a
+// node or list element per insert, or a wire form built on insert.
+func TestSuggestCacheMissAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; counts are meaningless")
+	}
+	rec := testRecommender(t)
+	sc := NewSuggestCache(shardCount) // one entry per shard
+	base := core.InternContext(rec.Dict(), []string{"o2", "o2 mobile"})
+	// A cycle of distinct covered contexts, many per shard: every lookup
+	// misses, inserts and (once the shards are full) evicts.
+	var ctxs []query.Seq
+	for i := 0; i < 16*shardCount; i++ {
+		ctx := make(query.Seq, 9) // i in binary, spelled with two known queries
+		for bit := range ctx {
+			ctx[bit] = base[(i>>bit)&1]
+		}
+		ctxs = append(ctxs, ctx)
+	}
+	next := 0
+	lookup := func() {
+		if _, hit := sc.AnswerSlot(0, 1, rec, ctxs[next%len(ctxs)], 5); hit {
+			t.Fatal("the distinct cycle hit")
+		}
+		next++
+	}
+	for i := 0; i < len(ctxs); i++ { // fill every shard, warm the pools
+		lookup()
+	}
+	before := sc.Stats()
+	allocs := testing.AllocsPerRun(len(ctxs), lookup)
+	after := sc.Stats()
+	if runs := after.Misses - before.Misses; after.Evictions-before.Evictions != runs {
+		t.Fatalf("%d misses evicted %d entries, want one each", runs, after.Evictions-before.Evictions)
+	}
+	if allocs != 2 {
+		t.Fatalf("miss + insert + evict allocates %.2f times, want 2", allocs)
 	}
 }
 

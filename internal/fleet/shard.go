@@ -29,9 +29,9 @@ type Transport interface {
 	// and hedging machinery. body may be nil (GETs). The response body is
 	// appended to respBuf (which may be a recycled pooled buffer, possibly
 	// nil) and returned; the caller owns it and the transport must not
-	// retain or reuse it after returning. The same holds for the trace
-	// header ctx carries (obs.TraceHeaderFromContext): it may alias pooled
-	// storage that is rewritten once Exchange has returned.
+	// retain or reuse it after returning. The trace header ctx carries
+	// (obs.TraceHeaderFromContext) is immutable and may be held for as long
+	// as the transport needs it.
 	Exchange(ctx context.Context, shard int, method, path string, body, respBuf []byte) (status int, resp []byte, err error)
 	// Shards returns the number of replicas the transport can reach.
 	Shards() int
@@ -229,11 +229,8 @@ func (t *HTTPTransport) Exchange(ctx context.Context, shard int, method, path st
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	if hv := obs.TraceHeaderFromContext(ctx); len(hv) == 1 {
-		// The propagated value is only good until Exchange returns, and a
-		// cancelled round trip can return while net/http's write loop is
-		// still sending the request headers: hand it a copy.
-		req.Header["X-Trace-Id"] = []string{strings.Clone(hv[0])}
+	if hv := obs.TraceHeaderFromContext(ctx); hv != nil {
+		req.Header["X-Trace-Id"] = hv
 	}
 	resp, err := t.client.Do(req)
 	if err != nil {
@@ -724,11 +721,9 @@ func (s *ShardRouter) batch(w http.ResponseWriter, r *http.Request) {
 	sc := s.getScratch()
 	defer s.putScratch(sc)
 	tr := s.tracer.Start()
-	if id := r.Header.Get("X-Trace-Id"); id != "" {
-		tr.SetID(id)
-	}
+	tr.Adopt(r.Header["X-Trace-Id"])
 	w.Header()["X-Trace-Id"] = tr.HeaderValue()
-	ctx := obs.ContextWithTraceHeader(r.Context(), []string{strings.Clone(tr.ID())})
+	ctx := obs.ContextWithTraceHeader(r.Context(), tr.HeaderValue())
 	// Assume the worst until a success path flips it; the deferred finish
 	// then tail-samples error traces without per-return bookkeeping.
 	errored := true

@@ -18,12 +18,11 @@ import (
 // The machine runs in one of two modes. With no hedge armed — hedging off,
 // or fewer than two replicas to race — every attempt, sequential failover
 // included, runs inline on the request goroutine: no attempt can outlive the
-// request, so there is no goroutine, no channel and no owned copy of the
-// trace ID. Only when a hedge timer is armed does the first attempt run on
-// its own goroutine, raced against the timer and then against the hedge
-// (race); whatever is left of the list after that race is walked inline
-// again. Both modes go through the same pick/begin/exchangeGET/settle/respond
-// steps.
+// request, so there is no goroutine and no channel. Only when a hedge timer
+// is armed does the first attempt run on its own goroutine, raced against
+// the timer and then against the hedge (race); whatever is left of the list
+// after that race is walked inline again. Both modes go through the same
+// pick/begin/exchangeGET/settle/respond steps.
 
 // statusClientClosedRequest answers a request whose client went away before
 // a replica did (nginx's 499; net/http has no name for it). The client never
@@ -99,9 +98,7 @@ func (s *ShardRouter) suggest(w http.ResponseWriter, r *http.Request) {
 	}
 	s.requests.Add(1)
 	tr := s.tracer.Start()
-	if id := r.Header.Get("X-Trace-Id"); id != "" {
-		tr.SetID(id)
-	}
+	tr.Adopt(r.Header["X-Trace-Id"])
 	w.Header()["X-Trace-Id"] = tr.HeaderValue()
 	g := getWalk{s: s, tr: tr, uri: r.URL.RequestURI()}
 	g.n = len(s.ring.LookupN(hashRawQueryContext(r.URL.RawQuery), s.opts.Replicas, g.prefs[:0]))
@@ -111,17 +108,11 @@ func (s *ShardRouter) suggest(w http.ResponseWriter, r *http.Request) {
 	if g.n < 2 {
 		hedge = 0
 	}
-	if hedge == 0 {
-		// Every attempt returns before this function does, so transports can
-		// be handed the trace's own pooled header value.
-		g.ctx = obs.ContextWithTraceHeader(r.Context(), tr.HeaderValue())
-	} else {
-		// A hedge loser may still sit in a transport after this trace is
-		// finished and its pooled storage reused: it gets an owned copy.
-		g.ctx = obs.ContextWithTraceHeader(r.Context(), []string{strings.Clone(tr.ID())})
-		if g.race(w, hedge) {
-			return
-		}
+	// The header value is immutable, so a hedge loser that still sits in a
+	// transport after this trace is finished reads the same ID.
+	g.ctx = obs.ContextWithTraceHeader(r.Context(), tr.HeaderValue())
+	if hedge > 0 && g.race(w, hedge) {
+		return
 	}
 	g.walk(w)
 }

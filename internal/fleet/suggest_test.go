@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/fleet"
+	"repro/internal/obs"
 )
 
 // goroutineID reads the calling goroutine's ID off its stack header
@@ -284,3 +285,64 @@ type discardResponse struct {
 func (r *discardResponse) Header() http.Header         { return r.header }
 func (r *discardResponse) WriteHeader(code int)        { r.code = code }
 func (r *discardResponse) Write(p []byte) (int, error) { return len(p), nil }
+
+// TestRouterTraceHeaderSurvivesTraceRecycle: the router's X-Trace-Id response
+// header — GET and batch — is written after the handler returned and its
+// pooled trace was restarted for later requests; held until then (the
+// recorder keeps the handler's header values by reference, as net/http does)
+// it must still read this request's ID, generated or adopted.
+func TestRouterTraceHeaderSurvivesTraceRecycle(t *testing.T) {
+	_, chaos := newChaosRing(t, 3, fleet.RouterOptions{Replicas: 2})
+	router, err := fleet.NewShardRouterOpts(fleet.NewRing(3, 0), chaos, fleet.RouterOptions{
+		Replicas: 2, ShardTimeout: 2 * time.Second, RetryBackoff: -1,
+		Tracer: obs.NewTracer(16, nil), // fills at once: every later trace is recycled on finish
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	do := func(method, target, body, inbound string) *discardResponse {
+		w := &discardResponse{header: make(http.Header)}
+		req := httptest.NewRequest(method, target, strings.NewReader(body))
+		if inbound != "" {
+			req.Header["X-Trace-Id"] = []string{inbound}
+		}
+		router.ServeHTTP(w, req)
+		if w.code != 0 && w.code != http.StatusOK {
+			t.Fatalf("%s %s: status %d", method, target, w.code)
+		}
+		return w
+	}
+	traceID := func(w *discardResponse) string { return strings.Join(w.header["X-Trace-Id"], ",") }
+	churn := func(n int) {
+		for i := 0; i < n; i++ {
+			do(http.MethodGet, "/suggest?q=o2", "", "")
+			do(http.MethodPost, "/suggest/batch", chaosBatchBody, "")
+		}
+	}
+	churn(16)
+	type held struct {
+		name string
+		w    *discardResponse
+		want string
+	}
+	var helds []held
+	for _, tc := range []struct{ name, method, target, body, inbound string }{
+		{"GET", http.MethodGet, "/suggest?q=o2", "", ""},
+		{"GET adopted", http.MethodGet, "/suggest?q=o2", "", "feedfacecafebeef"},
+		{"batch", http.MethodPost, "/suggest/batch", chaosBatchBody, ""},
+		{"batch adopted", http.MethodPost, "/suggest/batch", chaosBatchBody, "0123456789abcdef"},
+	} {
+		w := do(tc.method, tc.target, tc.body, tc.inbound)
+		want := strings.Clone(traceID(w)) // owned: the header's own bytes are under test
+		if len(want) != 16 || (tc.inbound != "" && want != tc.inbound) {
+			t.Fatalf("%s: X-Trace-Id %q at handler return (inbound %q)", tc.name, want, tc.inbound)
+		}
+		helds = append(helds, held{tc.name, w, want})
+	}
+	churn(32)
+	for _, h := range helds {
+		if got := traceID(h.w); got != h.want {
+			t.Errorf("%s: X-Trace-Id read %q at flush, was %q when the handler returned", h.name, got, h.want)
+		}
+	}
+}

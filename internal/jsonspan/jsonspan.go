@@ -78,6 +78,12 @@ func SkipValue(b []byte, i int) (int, error) {
 		for j := i; j < len(b); j++ {
 			switch b[j] {
 			case ',', '}', ']', ' ', '\t', '\n', '\r':
+				if j == i {
+					// A delimiter where a value must start. Reporting an
+					// empty value would let a caller that loops over values
+					// (AppendArraySpans on `[}`) spin without advancing.
+					return 0, fmt.Errorf("missing value at offset %d", i)
+				}
 				return j, nil
 			}
 		}

@@ -45,17 +45,19 @@ type Span struct {
 // a single goroutine — the request goroutine — which is what makes the
 // recorder lock-free; concurrent shard attempts report their outcomes back
 // over the request goroutine's result channel and are recorded there. The
-// trace ID lives in a pool-owned buffer whose header slice is built once,
-// so propagating it via HTTP headers allocates nothing.
+// trace ID is not part of the pooled storage: it is carved from an immutable
+// block (see idBlock), so the ID string and its header slice stay valid —
+// and unchanged — after the trace has been finished and recycled.
 type Trace struct {
 	tracer *Tracer
 	start  time.Time
-	// idBuf backs the trace ID; hv aliases it via unsafe.String, built once
-	// when the Trace is allocated. Regenerating the ID rewrites idBuf in
-	// place, so callers must treat HeaderValue/ID as valid only until the
-	// trace is recycled.
-	idBuf [traceIDLen]byte
-	hv    [1]string
+	// hv is the one-element X-Trace-Id header value: a slot of an idBlock,
+	// or the inbound request's own header slice after Adopt. It is never
+	// written through.
+	hv []string
+	// kept is the ID of a retained trace, copied out of hv on retention so a
+	// trace sitting in the ring does not pin a whole block.
+	kept [traceIDLen]byte
 
 	spans [MaxSpans]Span
 	n     int
@@ -67,28 +69,45 @@ type Trace struct {
 	forced bool
 }
 
-// newTrace allocates a Trace with its aliased header value wired up.
-func newTrace(t *Tracer) *Trace {
-	tr := &Trace{tracer: t}
-	tr.hv[0] = unsafe.String(&tr.idBuf[0], traceIDLen)
-	return tr
+// idBlockLen is the number of trace IDs carved from one idBlock: 255 slots
+// of 32 bytes plus the block's header fill the 8 KiB allocation size class.
+const idBlockLen = 255
+
+// idBlock is a batch of trace IDs together with the header values that carry
+// them. A slot is written exactly once, by the Start that claimed it, before
+// anything else can see it, and never again: net/http writes response
+// headers after the handler has returned (and a hedge loser may hold the
+// propagated value later than that), so an ID that lived in the pooled Trace
+// could be rewritten by the next request's Start while the previous response
+// was still being written. Carving slots from a block costs one allocation
+// per idBlockLen traces; the block is freed once no header references it.
+type idBlock struct {
+	base uint64        // sequence number of slot 0
+	next atomic.Uint32 // slots handed out; runs past idBlockLen once the block is spent
+	ids  [idBlockLen][traceIDLen]byte
+	hv   [idBlockLen][1]string // hv[i][0] aliases ids[i]
 }
 
-// ID returns the 16-hex-character trace ID. The string aliases pooled
-// storage: it is stable until the trace is finished or abandoned.
+// ID returns the 16-hex-character trace ID. The string is immutable: it
+// stays valid after the trace is finished.
 func (tr *Trace) ID() string { return tr.hv[0] }
 
 // HeaderValue returns a single-element header value slice carrying the
-// trace ID, suitable for direct assignment into an http.Header without
-// allocating. The same aliasing caveat as ID applies.
-func (tr *Trace) HeaderValue() []string { return tr.hv[:] }
+// trace ID, suitable for direct assignment into an http.Header (or for
+// propagation via ContextWithTraceHeader) without allocating. Like ID it
+// stays valid, and unchanged, after the trace is finished; callers must not
+// write through it.
+func (tr *Trace) HeaderValue() []string { return tr.hv }
 
-// SetID adopts an inbound trace ID (from X-Trace-Id) by copying it into
-// the pooled buffer. IDs that are not exactly 16 bytes are ignored and the
-// generated ID is kept.
-func (tr *Trace) SetID(id string) {
-	if len(id) == traceIDLen {
-		copy(tr.idBuf[:], id)
+// Adopt takes over an inbound trace ID — the request's X-Trace-Id header
+// values — so a shard's trace shares the router's ID. The trace keeps the
+// caller's slice instead of copying it, the way X-Request-Id is echoed: the
+// slice must not be rewritten while the ID can still be read, which holds
+// for a request's header. Anything but a leading 16-byte ID is ignored and
+// the generated ID is kept.
+func (tr *Trace) Adopt(hv []string) {
+	if len(hv) > 0 && len(hv[0]) == traceIDLen {
+		tr.hv = hv[:1]
 	}
 }
 
@@ -187,8 +206,9 @@ type Tracer struct {
 	pool sync.Pool
 	slow *Histogram
 
-	seq      atomic.Uint64
+	seq      atomic.Uint64 // trace sequence numbers, reserved a block at a time
 	seed     uint64
+	ids      atomic.Pointer[idBlock] // the block IDs are being carved from
 	finishes atomic.Uint64
 	thresh   atomic.Int64
 
@@ -196,6 +216,10 @@ type Tracer struct {
 	ring []*Trace
 	next int
 	size int
+	// full is set once the ring has filled (it never empties again): from
+	// then on a trace that is neither errored, forced nor slow is certain
+	// not to be retained, and Finish recycles it without taking mu.
+	full atomic.Bool
 }
 
 // NewTracer returns a Tracer retaining up to capacity completed traces
@@ -212,7 +236,7 @@ func NewTracer(capacity int, slow *Histogram) *Tracer {
 		seed: uint64(time.Now().UnixNano()),
 	}
 	t.thresh.Store(math.MaxInt64)
-	t.pool.New = func() any { return newTrace(t) }
+	t.pool.New = func() any { return &Trace{tracer: t} }
 	return t
 }
 
@@ -240,12 +264,31 @@ func (t *Tracer) Start() *Trace {
 	tr.total = 0
 	tr.err = false
 	tr.forced = false
-	id := mix64(t.seed + t.seq.Add(1))
-	for i := 0; i < traceIDLen; i++ {
-		tr.idBuf[i] = hexDigits[id&0xf]
-		id >>= 4
-	}
+	tr.hv = t.nextID()
 	return tr
+}
+
+// nextID carves the next trace ID out of the current block and returns its
+// header value, starting a new block when this one is spent.
+func (t *Tracer) nextID() []string {
+	for {
+		blk := t.ids.Load()
+		if blk != nil {
+			if i := blk.next.Add(1) - 1; i < idBlockLen {
+				id := mix64(t.seed + blk.base + uint64(i))
+				buf := &blk.ids[i]
+				for k := range buf {
+					buf[k] = hexDigits[id&0xf]
+					id >>= 4
+				}
+				blk.hv[i][0] = unsafe.String(&buf[0], traceIDLen)
+				return blk.hv[i][:]
+			}
+		}
+		// Losing the swap wastes one block and its sequence range; IDs stay
+		// unique.
+		t.ids.CompareAndSwap(blk, &idBlock{base: t.seq.Add(idBlockLen)})
+	}
 }
 
 // Finish stamps the trace's total duration, applies the tail-sampling
@@ -262,13 +305,19 @@ func (t *Tracer) Finish(tr *Trace, errored bool) {
 			t.thresh.Store(p99)
 		}
 	}
+	keep := tr.err || tr.forced || tr.total >= t.thresh.Load()
+	if !keep && t.full.Load() {
+		t.pool.Put(tr)
+		return
+	}
 	t.mu.Lock()
-	retain := tr.err || tr.forced || tr.total >= t.thresh.Load() || t.size < len(t.ring)
-	if !retain {
+	if !keep && t.size == len(t.ring) {
 		t.mu.Unlock()
 		t.pool.Put(tr)
 		return
 	}
+	copy(tr.kept[:], tr.hv[0])
+	tr.hv = nil
 	evicted := t.ring[t.next]
 	t.ring[t.next] = tr
 	t.next++
@@ -277,6 +326,7 @@ func (t *Tracer) Finish(tr *Trace, errored bool) {
 	}
 	if t.size < len(t.ring) {
 		t.size++
+		t.full.Store(t.size == len(t.ring))
 	}
 	t.mu.Unlock()
 	if evicted != nil {
@@ -339,9 +389,7 @@ func (t *Tracer) Snapshot(minMicros int64, onlyErrors bool, limit int) []TraceVi
 			continue
 		}
 		tv := TraceView{
-			// Copy the ID out of pooled storage: string(...) of the byte
-			// array makes an owned copy.
-			ID:          string(tr.idBuf[:]),
+			ID:          string(tr.kept[:]),
 			TotalMicros: tr.total,
 			Err:         tr.err,
 			Dropped:     tr.Dropped,
@@ -388,13 +436,9 @@ func TraceFromContext(ctx context.Context) *Trace {
 type headerKey struct{}
 
 // ContextWithTraceHeader returns a context carrying hv, a single-element
-// X-Trace-Id header value, for transports to propagate. hv may be
-// Trace.HeaderValue itself only when everything that reads it is done before
-// the trace is finished: the router's inline GET attempts, which all return
-// before the request does. Hedge losers and drained failover attempts can
-// still be inside a transport after the originating trace has been finished
-// and recycled, so a request that races attempts must pass an owned copy of
-// the ID (strings.Clone) instead.
+// X-Trace-Id header value, for transports to propagate. Trace.HeaderValue is
+// immutable, so it can be passed as is even when an attempt (a hedge loser, a
+// drained failover) may outlive the request and its trace.
 func ContextWithTraceHeader(ctx context.Context, hv []string) context.Context {
 	return context.WithValue(ctx, headerKey{}, hv)
 }

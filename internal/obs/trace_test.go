@@ -2,6 +2,7 @@ package obs
 
 import (
 	"context"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -12,7 +13,7 @@ func TestTraceIDsUniqueAndHex(t *testing.T) {
 	seen := make(map[string]bool)
 	for i := 0; i < 1000; i++ {
 		x := tr.Start()
-		id := string(x.idBuf[:]) // owned copy before recycling
+		id := x.ID()
 		if len(id) != traceIDLen {
 			t.Fatalf("id length %d", len(id))
 		}
@@ -25,8 +26,8 @@ func TestTraceIDsUniqueAndHex(t *testing.T) {
 			t.Fatalf("duplicate id %q after %d traces", id, i)
 		}
 		seen[id] = true
-		if x.ID() != id || x.HeaderValue()[0] != id {
-			t.Fatalf("ID/HeaderValue disagree with buffer")
+		if hv := x.HeaderValue(); len(hv) != 1 || hv[0] != id {
+			t.Fatalf("HeaderValue %q disagrees with ID %q", hv, id)
 		}
 		tr.Abandon(x)
 	}
@@ -35,16 +36,92 @@ func TestTraceIDsUniqueAndHex(t *testing.T) {
 func TestTraceSetIDAdoptsInbound(t *testing.T) {
 	tr := NewTracer(16, nil)
 	x := tr.Start()
-	x.SetID("0123456789abcdef")
+	inbound := []string{"0123456789abcdef", "second value ignored"}
+	x.Adopt(inbound)
 	if x.ID() != "0123456789abcdef" {
-		t.Fatalf("SetID not adopted: %q", x.ID())
+		t.Fatalf("inbound ID not adopted: %q", x.ID())
+	}
+	if hv := x.HeaderValue(); len(hv) != 1 || &hv[0] != &inbound[0] {
+		t.Fatalf("adopted header value %q is not the inbound slice's first element", hv)
 	}
 	before := x.ID()
-	x.SetID("short") // wrong length: ignored
+	x.Adopt([]string{"short"}) // wrong length: ignored
+	x.Adopt(nil)
 	if x.ID() != before {
-		t.Fatalf("bad-length SetID mutated id")
+		t.Fatalf("bad-length Adopt changed the id")
 	}
-	tr.Abandon(x)
+	// A retained adopted trace renders the adopted ID.
+	tr.Finish(x, true)
+	if views := tr.Snapshot(0, false, 0); len(views) != 1 || views[0].ID != "0123456789abcdef" {
+		t.Fatalf("snapshot of adopted trace: %+v", views)
+	}
+}
+
+// TestTraceIDSurvivesRecycle is the use-after-recycle regression: a header
+// value taken from a trace must read the same after the trace has been
+// finished and the pool has handed its storage to later requests — net/http
+// writes response headers only after the handler (and its Finish) returned.
+// IDs used to live in the pooled Trace and were rewritten by the next Start.
+func TestTraceIDSurvivesRecycle(t *testing.T) {
+	tr := NewTracer(16, nil)
+	// Fill the retention ring first: until then every trace is retained and
+	// nothing goes back to the pool.
+	for i := 0; i < 16; i++ {
+		tr.Finish(tr.Start(), false)
+	}
+	type held struct {
+		hv   []string
+		id   string // aliases the trace's storage, like a header value does
+		want string // owned copy taken while the trace was live
+	}
+	var helds []held
+	seen := make(map[string]bool)
+	// More traces than one ID block holds, so the check spans a block change.
+	for i := 0; i < 3*idBlockLen; i++ {
+		x := tr.Start()
+		h := held{hv: x.HeaderValue(), id: x.ID(), want: strings.Clone(x.ID())}
+		if seen[h.want] {
+			t.Fatalf("trace %d: duplicate id %q", i, h.want)
+		}
+		seen[h.want] = true
+		helds = append(helds, h)
+		tr.Finish(x, false) // recycled: the next Start reuses this Trace
+	}
+	for i, h := range helds {
+		if h.hv[0] != h.want || h.id != h.want {
+			t.Fatalf("trace %d: id changed after recycle: header %q, string %q, want %q", i, h.hv[0], h.id, h.want)
+		}
+	}
+}
+
+// TestTracerConcurrentStartUniqueIDs hammers the block carve from several
+// goroutines: every ID is handed out once, across block changes.
+func TestTracerConcurrentStartUniqueIDs(t *testing.T) {
+	tr := NewTracer(16, nil)
+	const workers, per = 8, 2 * idBlockLen
+	ids := make([][]string, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				x := tr.Start()
+				ids[w] = append(ids[w], x.ID())
+				tr.Finish(x, false)
+			}
+		}(w)
+	}
+	wg.Wait()
+	seen := make(map[string]bool, workers*per)
+	for _, list := range ids {
+		for _, id := range list {
+			if len(id) != traceIDLen || seen[id] {
+				t.Fatalf("id %q is malformed or was handed out twice", id)
+			}
+			seen[id] = true
+		}
+	}
 }
 
 func TestTraceSpansAndSnapshot(t *testing.T) {
@@ -131,7 +208,7 @@ func TestTailSamplingRetainsErroredAndSlow(t *testing.T) {
 	}
 	forced := tr.Start()
 	forced.Force()
-	id := string(forced.idBuf[:])
+	id := forced.ID()
 	tr.Finish(forced, false)
 	found := false
 	for _, v := range tr.Snapshot(0, false, 0) {

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/jsonspan"
 	"repro/internal/query"
@@ -43,7 +44,7 @@ type batchScratch struct {
 	idOff []int32    // per-item offsets into ids (len(items)+1)
 	ctxs  []query.Seq
 	ns    []int
-	out   [][]core.Suggestion
+	out   []cache.Answer
 	resp  []byte
 }
 
@@ -335,13 +336,13 @@ func (h *Handler) suggestBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	for i := range bb.items {
 		bb.ctxs = append(bb.ctxs, bb.ids[bb.idOff[i]:bb.idOff[i+1]])
-		bb.out = append(bb.out, nil)
+		bb.out = append(bb.out, cache.Answer{})
 	}
 	batchStart := time.Now()
 	if h.fleet != nil {
 		h.recommendBatchFleet(bb)
 	} else {
-		h.cache.RecommendBatchSlot(0, st.gen, st.rec, bb.ctxs, bb.ns, bb.out)
+		h.cache.AnswerBatchSlot(0, st.gen, st.rec, bb.ctxs, bb.ns, bb.out)
 	}
 	elapsed := time.Since(batchStart).Microseconds()
 	h.recordStage(traceOf(w), h.histBatchDescent, stageBatch, batchStart, elapsed, "ok")
@@ -387,15 +388,15 @@ func (h *Handler) suggestBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 // appendBatchItem encodes one batch result object — the context echoed
-// verbatim from the request body, the pooled suggestion encoding and the
-// per-context latency — shared by the buffered array and the NDJSON lines
+// verbatim from the request body, the answer's suggestions member (the
+// cache's stored bytes on a hit) and the per-context latency — shared by the buffered array and the NDJSON lines
 // so the two response modes carry identical item bytes.
 func (bb *batchScratch) appendBatchItem(dst []byte, i int, perCtx int64) []byte {
 	dst = append(dst, `{"context":`...)
 	sp := bb.items[i].ctxSpan
 	dst = append(dst, bb.body[sp[0]:sp[1]]...)
 	dst = append(dst, ',')
-	dst = appendSuggestions(dst, bb.out[i])
+	dst = bb.out[i].AppendSuggestionsJSON(dst)
 	dst = append(dst, `,"took_us":`...)
 	dst = strconv.AppendInt(dst, perCtx, 10)
 	dst = append(dst, '}')

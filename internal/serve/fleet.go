@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"time"
 
+	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/fleet"
 	"repro/internal/query"
@@ -35,21 +36,19 @@ func (h *Handler) suggestFleet(w http.ResponseWriter, b *reqScratch, n int) {
 	arm := rt.Arm(armIdx)
 	slot := arm.Slot()
 	st := slot.State()
-	var recs []core.Suggestion
-	hit := false
-	if len(b.ctx) > 0 {
-		recs, hit = h.cache.RecommendSlotHit(slot.ID(), st.Gen, st.Rec, b.ctx, n)
-	}
+	ans, hit := h.cache.AnswerSlot(slot.ID(), st.Gen, st.Rec, b.ctx, n)
 	lookupTook := time.Since(start).Microseconds()
 	if hit {
 		h.recordStage(tr, h.histCache, stageCache, start, lookupTook, "hit")
 	} else {
 		h.recordStage(tr, h.histDescent, stageDescent, start, lookupTook, "miss")
 	}
-	if rk := arm.Reranker(); rk != nil && len(recs) > 1 {
+	if rk := arm.Reranker(); rk != nil && len(ans.Recs) > 1 {
 		rerankStart := time.Now()
-		b.rerank = rk.Rerank(b.ctx, recs, b.rerank[:0])
-		recs = b.rerank
+		b.rerank = rk.Rerank(b.ctx, ans.Recs, b.rerank[:0])
+		// The stored wire form is the cached order's: the reranked copy is
+		// an answer of its own, encoded from its suggestions.
+		ans = cache.Answer{Recs: b.rerank}
 		h.recordStage(tr, h.histRerank, stageRerank, rerankStart,
 			time.Since(rerankStart).Microseconds(), "ok")
 	}
@@ -61,10 +60,10 @@ func (h *Handler) suggestFleet(w http.ResponseWriter, b *reqScratch, n int) {
 	// "challenger vs champion", and once a challenger ramps to live weight its
 	// own answers must not pollute its comparison baseline.
 	if len(b.ctx) > 0 && armIdx == 0 {
-		rt.Shadow(b.ctx, n, recs)
+		rt.Shadow(b.ctx, n, ans.Recs)
 	}
 	w.Header()["X-Serve-Arm"] = arm.HeaderValue()
-	b.body = appendSuggestResponseBytes(b.body[:0], b.raw, recs, took)
+	b.body = appendSuggestResponse(b.body[:0], b.raw, ans, took)
 	setJSONContentType(w)
 	w.Write(b.body)
 }
@@ -97,8 +96,8 @@ func (h *Handler) recommendBatchFleet(bb *batchScratch) {
 		}
 		slot := arms[armIdx].Slot()
 		st := slot.State()
-		out := make([][]core.Suggestion, len(g.idx))
-		h.cache.RecommendBatchSlot(slot.ID(), st.Gen, st.Rec, g.ctxs, g.ns, out)
+		out := make([]cache.Answer, len(g.idx))
+		h.cache.AnswerBatchSlot(slot.ID(), st.Gen, st.Rec, g.ctxs, g.ns, out)
 		for j, i := range g.idx {
 			bb.out[i] = out[j]
 		}

@@ -1,19 +1,22 @@
 package serve
 
 import (
-	"math"
 	"net/http"
 	"strconv"
 
+	"repro/internal/cache"
 	"repro/internal/core"
 )
 
 // Append-style JSON encoding for the hot serving paths. encoding/json's
 // Marshal walks reflection metadata and allocates its output buffer on every
-// call; the handlers below instead append the response bytes directly into a
+// call; the handlers instead append the response bytes directly into a
 // pooled buffer, so a cache-hit request performs no encoding allocations at
-// all. Cold endpoints (/healthz, /metrics, /reload, errors) keep the stdlib
-// encoder — clarity wins where latency does not matter.
+// all. The suggestion and string encoders themselves live in internal/core
+// (AppendSuggestionsJSON, AppendJSONString), shared with the result cache;
+// this file holds the response envelope around them. Cold endpoints
+// (/healthz, /metrics, /reload, errors) keep the stdlib encoder — clarity
+// wins where latency does not matter.
 
 // jsonContentType is assigned directly into the response header map.
 // (http.Header.Set allocates a fresh []string per call; sharing one slice
@@ -24,130 +27,20 @@ func setJSONContentType(w http.ResponseWriter) {
 	w.Header()["Content-Type"] = jsonContentType
 }
 
-// appendJSONString appends s as a JSON string literal. Quotes, backslashes
-// and control characters are escaped; valid UTF-8 passes through verbatim.
-// (Unlike encoding/json it does not HTML-escape <, >, & or sanitise invalid
-// UTF-8 — both re-encode the same JSON value, and query strings are data,
-// not markup.)
-func appendJSONString(dst []byte, s string) []byte {
-	dst = append(dst, '"')
-	start := 0
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if c != '"' && c != '\\' && c >= 0x20 {
-			continue
-		}
-		dst = append(dst, s[start:i]...)
-		dst = appendEscapedByte(dst, c)
-		start = i + 1
-	}
-	dst = append(dst, s[start:]...)
-	return append(dst, '"')
-}
-
-// appendJSONStringBytes is appendJSONString for byte slices (the /suggest
-// context echo, which never materialises strings).
-func appendJSONStringBytes(dst []byte, s []byte) []byte {
-	dst = append(dst, '"')
-	start := 0
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if c != '"' && c != '\\' && c >= 0x20 {
-			continue
-		}
-		dst = append(dst, s[start:i]...)
-		dst = appendEscapedByte(dst, c)
-		start = i + 1
-	}
-	dst = append(dst, s[start:]...)
-	return append(dst, '"')
-}
-
-const hexDigits = "0123456789abcdef"
-
-func appendEscapedByte(dst []byte, c byte) []byte {
-	switch c {
-	case '"':
-		return append(dst, '\\', '"')
-	case '\\':
-		return append(dst, '\\', '\\')
-	case '\n':
-		return append(dst, '\\', 'n')
-	case '\r':
-		return append(dst, '\\', 'r')
-	case '\t':
-		return append(dst, '\\', 't')
-	default:
-		return append(dst, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xf])
-	}
-}
-
-// appendJSONFloat appends f in encoding/json's float format (shortest
-// round-trip, 'f' form within [1e-6, 1e21), cleaned-up 'e' form outside),
-// so responses are byte-identical to the stdlib encoder's. Scores are finite
-// by construction; NaN/Inf cannot reach here.
-func appendJSONFloat(dst []byte, f float64) []byte {
-	abs := math.Abs(f)
-	format := byte('f')
-	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	dst = strconv.AppendFloat(dst, f, format, -1, 64)
-	if format == 'e' {
-		// 1e+07 -> 1e+7, matching encoding/json.
-		if n := len(dst); n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
-			dst[n-2] = dst[n-1]
-			dst = dst[:n-1]
-		}
-	}
-	return dst
-}
-
-// appendSuggestions appends the `"suggestions":[...]` member.
-func appendSuggestions(dst []byte, recs []core.Suggestion) []byte {
-	dst = append(dst, `"suggestions":[`...)
-	for i, s := range recs {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		dst = append(dst, `{"query":`...)
-		dst = appendJSONString(dst, s.Query)
-		dst = append(dst, `,"score":`...)
-		dst = appendJSONFloat(dst, s.Score)
-		dst = append(dst, '}')
-	}
-	return append(dst, ']')
-}
-
-// appendSuggestResponseBytes encodes a SuggestResponse whose context is held
-// as raw decoded bytes — the GET /suggest hot path.
-func appendSuggestResponseBytes(dst []byte, context [][]byte, recs []core.Suggestion, tookMicros int64) []byte {
+// appendSuggestResponse encodes a SuggestResponse whose context is held as
+// raw decoded bytes — the GET /suggest hot path. The suggestions member comes
+// from the answer: the cache's stored wire bytes on a hit, the core encoder
+// otherwise.
+func appendSuggestResponse(dst []byte, context [][]byte, ans cache.Answer, tookMicros int64) []byte {
 	dst = append(dst, `{"context":[`...)
 	for i, q := range context {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
-		dst = appendJSONStringBytes(dst, q)
+		dst = core.AppendJSONString(dst, q)
 	}
 	dst = append(dst, `],`...)
-	dst = appendSuggestions(dst, recs)
-	dst = append(dst, `,"took_us":`...)
-	dst = strconv.AppendInt(dst, tookMicros, 10)
-	return append(dst, '}')
-}
-
-// appendSuggestResponse encodes a SuggestResponse from string context — one
-// element of the batch response.
-func appendSuggestResponse(dst []byte, context []string, recs []core.Suggestion, tookMicros int64) []byte {
-	dst = append(dst, `{"context":[`...)
-	for i, q := range context {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		dst = appendJSONString(dst, q)
-	}
-	dst = append(dst, `],`...)
-	dst = appendSuggestions(dst, recs)
+	dst = ans.AppendSuggestionsJSON(dst)
 	dst = append(dst, `,"took_us":`...)
 	dst = strconv.AppendInt(dst, tookMicros, 10)
 	return append(dst, '}')

@@ -87,8 +87,7 @@ func (w *statusWriter) finish() {
 		h.histRouteAdmin.Record(took)
 	}
 	if h.opts.Logger != nil {
-		// Log before Finish: the trace ID string aliases pooled storage that
-		// Finish may recycle.
+		// Log before Finish: the trace must not be touched afterwards.
 		h.opts.Logger.Printf("%s %s -> %d (%s) rid=%s trace=%s",
 			w.method, w.path, w.status(), time.Since(w.start), w.rid, w.tr.ID())
 	}
@@ -104,8 +103,8 @@ func (w *statusWriter) finish() {
 // start (adopting an inbound X-Trace-Id so shard-side traces share the
 // router's ID), X-Trace-Id/X-Request-Id response headers, panic recovery,
 // error counting, and optional request logging. Header propagation reuses
-// pooled or inbound slices — the middleware allocates nothing at steady
-// state.
+// the trace's immutable ID slice or the inbound one — the middleware
+// allocates nothing at steady state.
 func (h *Handler) instrument(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		h.m.requests.Add(1)
@@ -114,10 +113,13 @@ func (h *Handler) instrument(next http.Handler) http.Handler {
 		sw.code, sw.wrote = 0, false
 		sw.h, sw.method, sw.path, sw.start = h, r.Method, r.URL.Path, time.Now()
 		tr := h.tracer.Start()
-		if id := r.Header.Get("X-Trace-Id"); id != "" {
-			tr.SetID(id)
-		}
+		// Direct map index: the key is canonical, and Header.Get would
+		// canonicalise it again on every request.
+		tr.Adopt(r.Header["X-Trace-Id"])
 		sw.tr = tr
+		// The header values outlive the pooled trace — net/http writes them
+		// after this handler has returned and the trace has been recycled —
+		// which is safe because HeaderValue is immutable (obs.Trace).
 		hdr := w.Header()
 		hdr["X-Trace-Id"] = tr.HeaderValue()
 		if rid := r.Header["X-Request-Id"]; len(rid) > 0 && rid[0] != "" {

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 
@@ -292,5 +293,55 @@ func TestObsEndpointsUnderReloadStorm(t *testing.T) {
 	}
 	if m.Errors != 0 {
 		t.Fatalf("errors = %d during the storm", m.Errors)
+	}
+}
+
+// TestTraceHeadersSurviveTraceRecycle is the deterministic form of the race
+// TestObsEndpointsUnderReloadStorm used to lose one run in two under -race:
+// the X-Trace-Id / X-Request-Id response headers are written after the
+// handler returned, by which time its pooled trace has been finished and
+// restarted for other requests. Held until then (reusableRecorder keeps the
+// handler's header values by reference, as net/http does), they must still
+// carry this request's ID, not a later request's.
+func TestTraceHeadersSurviveTraceRecycle(t *testing.T) {
+	// A 16-trace ring fills at once; from then on every finished trace goes
+	// straight back to the pool and the next request restarts it.
+	h := New(testRecommender(t), Options{Tracer: obs.NewTracer(16, nil)})
+	get := func(hdr http.Header) http.Header {
+		w := newReusableRecorder()
+		req := httptest.NewRequest(http.MethodGet, "/suggest?q=o2", nil)
+		for k, v := range hdr {
+			req.Header[k] = v
+		}
+		h.ServeHTTP(w, req)
+		return w.header
+	}
+	flush := func(hdr http.Header, key string) string { return strings.Join(hdr[key], ",") }
+	for i := 0; i < 32; i++ {
+		get(nil)
+	}
+
+	held := get(nil)
+	wantID := strings.Clone(flush(held, "X-Trace-Id")) // owned: the header's own bytes are what is under test
+	if len(wantID) != 16 || flush(held, "X-Request-Id") != wantID {
+		t.Fatalf("headers at handler return: X-Trace-Id %q, X-Request-Id %q", wantID, flush(held, "X-Request-Id"))
+	}
+	adopted := get(http.Header{"X-Trace-Id": {"feedfacecafebeef"}})
+	seen := map[string]bool{wantID: true}
+	for i := 0; i < 64; i++ { // finish and restart the pooled trace, many times over
+		id := strings.Clone(flush(get(nil), "X-Trace-Id"))
+		if seen[id] {
+			t.Fatalf("request %d reuses trace ID %q", i, id)
+		}
+		seen[id] = true
+	}
+	if got := flush(held, "X-Trace-Id"); got != wantID {
+		t.Errorf("X-Trace-Id read %q at flush, was %q when the handler returned", got, wantID)
+	}
+	if got := flush(held, "X-Request-Id"); got != wantID {
+		t.Errorf("X-Request-Id read %q at flush, was %q when the handler returned", got, wantID)
+	}
+	if got := flush(adopted, "X-Trace-Id"); got != "feedfacecafebeef" {
+		t.Errorf("adopted X-Trace-Id read %q at flush", got)
 	}
 }

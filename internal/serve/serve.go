@@ -503,9 +503,10 @@ func appendQueryUnescaped(dst []byte, s string) ([]byte, bool) {
 }
 
 // suggest is the zero-allocation single-context path: pooled parse buffers,
-// byte-level interning, an allocation-free cache hit, and an append-style
-// JSON encoder into a pooled body. Steady-state cache hits allocate nothing
-// in the handler itself.
+// byte-level interning, an allocation-free cache hit whose suggestions are
+// copied into the pooled body as the bytes the cache stored, and an
+// append-style JSON encoder for the rest. Steady-state cache hits allocate
+// nothing in the handler itself.
 func (h *Handler) suggest(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "use GET")
@@ -531,11 +532,7 @@ func (h *Handler) suggest(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	h.recordQueue(tr, start)
 	b.ctx = core.AppendContextBytes(st.rec.Dict(), b.ctx[:0], b.raw)
-	var recs []core.Suggestion
-	hit := false
-	if len(b.ctx) > 0 {
-		recs, hit = h.cache.RecommendInternedHit(st.gen, st.rec, b.ctx, n)
-	}
+	ans, hit := h.cache.AnswerSlot(0, st.gen, st.rec, b.ctx, n)
 	took := time.Since(start).Microseconds()
 	// The timed interval covers interning + lookup (+ descent on a miss);
 	// attribute it to the cache stage on a hit and the descent stage on a
@@ -547,7 +544,7 @@ func (h *Handler) suggest(w http.ResponseWriter, r *http.Request) {
 	}
 	h.m.suggests.Add(1)
 	h.histServe.Record(took)
-	b.body = appendSuggestResponseBytes(b.body[:0], b.raw, recs, took)
+	b.body = appendSuggestResponse(b.body[:0], b.raw, ans, took)
 	setJSONContentType(w)
 	w.Write(b.body)
 }
