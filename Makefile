@@ -13,11 +13,14 @@ BENCHTIME ?= 1s
 # their allocation budgets, the quantised CPS4 blob must stay >= 40% smaller
 # than the exact CPS3 blob and the compact-edge CPS5 blob >= 20% smaller than
 # CPS4 on the benchmark model, and the 3-shard batch fan-out must hold the
-# pooled span-forwarding path (~25 allocs/batch today, dominated by the
-# benchmark's own request construction; the 200 ceiling leaves headroom for
-# JSON noise, not for a per-item allocation, which would cost >= 64). The
-# replicated fan-out's allocation cost must stay within 1.5x the unreplicated
-# path (it is 1.0x today: preference lists and attempt masks are pooled).
+# pooled span-forwarding path: 23 allocs/batch at steady state (the
+# benchmark's own request 10, a body limiter per handler 4, the round's one
+# attempt context and two call goroutines 7, the trace-header context 2), 27
+# while the tracers' retention rings fill, 29 on a cold first iteration. The
+# 60 ceiling leaves room for that spread and not for a per-item allocation,
+# which costs >= 64 (23 + 64 = 87). The replicated fan-out's allocation cost
+# must stay within 1.5x the unreplicated path (it is 1.0x today: preference
+# lists and attempt masks are pooled).
 # The ingestion loop drains a fixed ~3000-record log per op (~4000 allocs
 # today, ~1.3/record: segmenter growth + WAL frames + count-map inserts);
 # the 6000 ceiling flags a per-record allocation regression, not JSON noise.
@@ -26,9 +29,9 @@ BENCHTIME ?= 1s
 # gated at the 7 allocations of its inline hop (per-attempt timeout context 4,
 # trace-header context 2, request URI 1; the shard path adds none): one more
 # means a goroutine, channel or closure crept back onto the unhedged path.
-BENCH_GATES = -gate BenchmarkServeHTTPCached=2 -gate BenchmarkRouteAB=0 -gate BenchmarkServeHTTPCachedTraced=0 -gate BenchmarkHistogramRecord=0 -gate BenchmarkShardFanout64=200 -gate BenchmarkRouterGET=7 -gate BenchmarkShardFanout64R2:fanout-r2-over-r1=1.5 -gate BenchmarkPredictQuantised=0 -gate BenchmarkPredictCPS5=0 -gate BenchmarkPredictHMM=0 -gate BenchmarkRerankPairwise=0 -gate BenchmarkCompiledBlobSize:cps4-over-cps3=0.6 -gate BenchmarkCompiledBlobSizeV5:cps5-over-cps4=0.8 -gate BenchmarkIngestSegment=6000
+BENCH_GATES = -gate BenchmarkServeHTTPCached=2 -gate BenchmarkRouteAB=0 -gate BenchmarkServeHTTPCachedTraced=0 -gate BenchmarkHistogramRecord=0 -gate BenchmarkShardFanout64=60 -gate BenchmarkRouterGET=7 -gate BenchmarkShardFanout64R2:fanout-r2-over-r1=1.5 -gate BenchmarkPredictQuantised=0 -gate BenchmarkPredictCPS5=0 -gate BenchmarkPredictHMM=0 -gate BenchmarkRerankPairwise=0 -gate BenchmarkCompiledBlobSize:cps4-over-cps3=0.6 -gate BenchmarkCompiledBlobSizeV5:cps5-over-cps4=0.8 -gate BenchmarkIngestSegment=6000
 
-.PHONY: all build test race race-repeat bench bench-json bench-e2e bench-pairs chaos ingest-test obs-test fmt fmt-check vet check-docs check-api ci serve loadgen clean
+.PHONY: all build test race race-repeat fuzz-smoke bench bench-json bench-e2e bench-pairs chaos ingest-test obs-test fmt fmt-check vet check-docs check-api ci serve loadgen clean
 
 all: build test
 
@@ -50,6 +53,20 @@ PKG ?= ./internal/serve ./internal/fleet
 N ?= 10
 race-repeat:
 	$(GO) test -race -count=$(N) $(PKG)
+
+# Fuzz smoke: every Fuzz* target in the module, one after the other (go test
+# takes one -fuzz target and one package at a time), FUZZTIME each. A local
+# target, not part of ci: `test` already runs every target over its seed
+# corpus, this looks for inputs nobody wrote down.
+#   make fuzz-smoke FUZZTIME=10s
+FUZZTIME ?= 10s
+fuzz-smoke:
+	@for pkg in $$($(GO) list ./...); do \
+		for target in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz'); do \
+			echo "== $$pkg $$target"; \
+			$(GO) test -run=NONE -fuzz="^$$target\$$" -fuzztime=$(FUZZTIME) $$pkg || exit 1; \
+		done; \
+	done
 
 # chaos, ingest-test and obs-test are local shortcuts: each re-runs, by -run
 # filter, a slice of what `race` already runs, for working on that subsystem.

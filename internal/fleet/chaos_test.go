@@ -1,6 +1,7 @@
 package fleet_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -20,27 +21,30 @@ import (
 
 // chaosTransport wraps a fleet.Transport with fault injection: shards can be
 // killed outright (down), made to fail their next N exchanges (failN — the
-// "killed mid-batch" primitive), or slowed (delay, cancellable via ctx so
-// hedged losers stop early). Faults flip at runtime under the mutex, so a
+// "killed mid-batch" primitive), slowed (delay, cancellable via ctx so
+// hedged losers stop early), or made to answer their next exchange with a
+// damaged body (garble). Faults flip at runtime under the mutex, so a
 // test can kill a shard between a baseline run and a failover run, or
 // mid-stream from another goroutine.
 type chaosTransport struct {
 	inner fleet.Transport
 
-	mu    sync.Mutex
-	down  map[int]bool
-	failN map[int]int
-	delay map[int]time.Duration
-	calls map[int]int
+	mu     sync.Mutex
+	down   map[int]bool
+	failN  map[int]int
+	delay  map[int]time.Duration
+	garble map[int]func(body []byte) []byte
+	calls  map[int]int
 }
 
 func newChaosTransport(inner fleet.Transport) *chaosTransport {
 	return &chaosTransport{
-		inner: inner,
-		down:  make(map[int]bool),
-		failN: make(map[int]int),
-		delay: make(map[int]time.Duration),
-		calls: make(map[int]int),
+		inner:  inner,
+		down:   make(map[int]bool),
+		failN:  make(map[int]int),
+		delay:  make(map[int]time.Duration),
+		garble: make(map[int]func([]byte) []byte),
+		calls:  make(map[int]int),
 	}
 }
 
@@ -67,6 +71,13 @@ func (c *chaosTransport) setDelay(shard int, d time.Duration) {
 	c.mu.Unlock()
 }
 
+// garbleNext passes the body of the shard's next answer through damage.
+func (c *chaosTransport) garbleNext(shard int, damage func(body []byte) []byte) {
+	c.mu.Lock()
+	c.garble[shard] = damage
+	c.mu.Unlock()
+}
+
 func (c *chaosTransport) callCount(shard int) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -83,6 +94,8 @@ func (c *chaosTransport) Exchange(ctx context.Context, shard int, method, path s
 		fail = true
 	}
 	d := c.delay[shard]
+	damage := c.garble[shard]
+	delete(c.garble, shard)
 	c.mu.Unlock()
 	if down || fail {
 		return 0, respBuf, fmt.Errorf("chaos: shard %d connection refused", shard)
@@ -96,7 +109,11 @@ func (c *chaosTransport) Exchange(ctx context.Context, shard int, method, path s
 			return 0, respBuf, ctx.Err()
 		}
 	}
-	return c.inner.Exchange(ctx, shard, method, path, body, respBuf)
+	status, resp, err := c.inner.Exchange(ctx, shard, method, path, body, respBuf)
+	if damage != nil && err == nil {
+		resp = append(resp[:len(respBuf)], damage(bytes.Clone(resp[len(respBuf):]))...)
+	}
+	return status, resp, err
 }
 
 // newChaosRing builds an R-replicated loopback ring behind a chaos transport.
@@ -151,7 +168,8 @@ func TestRingLookupN(t *testing.T) {
 	}
 }
 
-// chaosBatchBody spans all three shards of the test ring.
+// chaosBatchBody spans two of the test ring's three shards: four items hash to
+// shard 1, two to shard 0.
 const chaosBatchBody = `{"requests":[{"context":["o2"]},{"context":["nokia n73"],"n":1},{"context":["o2","o2 mobile"]},{"context":["never seen"]},{"context":["nokia n73"]},{"context":["o2 mobile phones","o2"]}]}`
 
 var chaosGETQueries = []string{
@@ -357,6 +375,73 @@ func TestChaosStreamFailoverByteIdentical(t *testing.T) {
 	}
 	if !sawError {
 		t.Fatal("R=1 mid-stream kill produced no error lines — fault was not injected")
+	}
+}
+
+// TestChaosMalformedAnswerFailsOver damages one shard's answer to a sub-batch
+// every way the line check must catch — cut short inside a line, at a line
+// boundary, without its final newline, lines reordered, repeated or foreign,
+// the buffered form instead of lines — at R=2: each time the replica's answer
+// is served, buffered and streamed, byte-identical to the healthy run, and
+// the failure is booked against the shard that sent the bad answer.
+func TestChaosMalformedAnswerFailsOver(t *testing.T) {
+	router, chaos := newChaosRing(t, 3, fleet.RouterOptions{Replicas: 2, FailThreshold: 100})
+	bufWant := postTo(router, "/suggest/batch", chaosBatchBody)
+	streamWant := postTo(router, "/suggest/batch?stream=1", chaosBatchBody)
+	if bufWant.Code != http.StatusOK || streamWant.Code != http.StatusOK {
+		t.Fatalf("healthy run: buffered %d, streamed %d", bufWant.Code, streamWant.Code)
+	}
+	wantLines := readRingNDJSON(t, streamWant.Body, 6)
+	victim := routeOf(t, router, "q=o2").Shard // carries four of the six items
+
+	lines := func(body []byte) [][]byte {
+		return bytes.SplitAfter(bytes.TrimSuffix(body, []byte("\n")), []byte("\n"))
+	}
+	damages := []struct {
+		name   string
+		damage func(body []byte) []byte
+	}{
+		{"cut inside the last line", func(b []byte) []byte { return b[:len(b)-7] }},
+		{"cut at a line boundary", func(b []byte) []byte { l := lines(b); return bytes.Join(l[:len(l)-1], nil) }},
+		{"final newline missing", func(b []byte) []byte { return b[:len(b)-1] }},
+		{"two lines swapped", func(b []byte) []byte {
+			l := lines(b)
+			l[len(l)-1] = append(l[len(l)-1], '\n')
+			l[0], l[len(l)-1] = l[len(l)-1], l[0]
+			return bytes.Join(l, nil)
+		}},
+		{"first line repeated", func(b []byte) []byte { return bytes.Join([][]byte{lines(b)[0], b}, nil) }},
+		{"a foreign line", func(b []byte) []byte { return append([]byte("{\"index\":0,\"error\":{}}\n"), b...) }},
+		{"the buffered form", func([]byte) []byte { return []byte(`{"results":[{},{},{},{}],"took_us":0}`) }},
+		{"nothing", func([]byte) []byte { return nil }},
+	}
+	for i, d := range damages {
+		for _, stream := range []bool{false, true} {
+			chaos.garbleNext(victim, d.damage)
+			if !stream {
+				rr := postTo(router, "/suggest/batch", chaosBatchBody)
+				if rr.Code != http.StatusOK || stripTook(rr.Body.Bytes()) != stripTook(bufWant.Body.Bytes()) {
+					t.Fatalf("%s: buffered answer %d\ngot:  %s\nwant: %s", d.name, rr.Code, rr.Body, bufWant.Body)
+				}
+				if rr.Header().Get("X-Serve-Failovers") != "4" {
+					t.Fatalf("%s: X-Serve-Failovers = %q, want 4", d.name, rr.Header().Get("X-Serve-Failovers"))
+				}
+			} else {
+				rr := postTo(router, "/suggest/batch?stream=1", chaosBatchBody)
+				for j, ln := range readRingNDJSON(t, rr.Body, 6) {
+					if ln.Error != nil || stripTook(ln.Result) != stripTook(wantLines[j].Result) {
+						t.Fatalf("%s: streamed item %d = %s / %s, want %s", d.name, j, ln.Result, ln.Error, wantLines[j].Result)
+					}
+				}
+			}
+		}
+		m := routerMetrics(t, router)
+		if got, want := m.ShardHealth[victim].Failures, uint64(2*(i+1)); got != want || breakerFailures(m) != want {
+			t.Fatalf("%s: victim has %d failures booked, want %d: %+v", d.name, got, want, m.ShardHealth)
+		}
+		if want := uint64(8 * (i + 1)); m.Retries != want {
+			t.Fatalf("%s: retries = %d, want %d (four items, twice)", d.name, m.Retries, want)
+		}
 	}
 }
 

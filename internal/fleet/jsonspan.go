@@ -6,11 +6,13 @@ import (
 	"repro/internal/jsonspan"
 )
 
-// The batch fan-out never decodes batch items: it splits the "requests" and
-// "results" arrays into raw byte spans with internal/jsonspan and forwards
-// them verbatim. The one semantic piece it needs — hashing each item's
-// context strings for ring lookup — streams the unescaped bytes straight
-// into the FNV state below, so routing a 64-item batch allocates nothing.
+// The batch fan-out never decodes batch items: it splits the client's
+// "requests" array into raw byte spans with internal/jsonspan and forwards
+// them verbatim (the shards' answers come back line-framed and are split by
+// newline, see parseResults). The one semantic piece it needs — hashing each
+// item's context strings for ring lookup — streams the unescaped bytes
+// straight into the FNV state below, so routing a 64-item batch allocates
+// nothing.
 
 // hashJSONContext returns hashStringContext of the "context" array inside the
 // batch item span without decoding it. Items without a context hash as empty

@@ -586,27 +586,57 @@ func retryable(status int, err error) bool {
 	return err != nil || status >= http.StatusInternalServerError
 }
 
-// failAttempt books a failed attempt (GET or sub-batch) against its shard's
-// breaker — unless the request's own context is done. A failure seen after
-// that says nothing about the shard: a disconnected client makes every
+// attemptOutcome is the verdict on one finished shard attempt, GET or
+// sub-batch alike: what it does to the shard's breaker, whether the walk moves
+// on to the next replica, and the outcome its trace span is closed with.
+type attemptOutcome uint8
+
+const (
+	attemptAnswered    attemptOutcome = iota // the shard answered, with any sub-5xx status: pass it on
+	attemptCancelled                         // failed after the client went away: nothing learned
+	attemptError                             // transport error or unusable answer: fail over
+	attemptUpstream5xx                       // shard-side 5xx: fail over
+)
+
+// attemptOutcomeNames maps outcomes to what their trace spans are closed with.
+var attemptOutcomeNames = [...]string{"ok", "cancelled", "error", "upstream-5xx"}
+
+// String names the outcome on the attempt's trace span.
+func (o attemptOutcome) String() string { return attemptOutcomeNames[o] }
+
+// failedOver reports a failure that counted against the shard: the walk moves
+// the work to the next replica.
+func (o attemptOutcome) failedOver() bool { return o >= attemptError }
+
+// settleAttempt classifies a finished attempt by the retryable rule and books
+// it against its shard's breaker. An answer closes the breaker. A failure
+// counts — unless the request's own context is done: a failure seen after
+// that says nothing about the shard (a disconnected client makes every
 // attempt fail with context.Canceled, and three of those would eject a
-// healthy shard. Such a failure is not counted; the half-open probe claim the
-// attempt may have carried is handed back instead, so the breaker cannot
-// strand at "probing". It reports whether the failure counted.
-func (s *ShardRouter) failAttempt(parent context.Context, shard int) bool {
-	if parent.Err() != nil {
+// healthy shard), so it is not counted and the half-open probe claim the
+// attempt may have carried is handed back, or the breaker would strand at
+// "probing".
+func (s *ShardRouter) settleAttempt(parent context.Context, shard, status int, err error) attemptOutcome {
+	switch {
+	case !retryable(status, err):
+		s.health[shard].recordSuccess()
+		return attemptAnswered
+	case parent.Err() != nil:
 		s.health[shard].releaseProbe()
-		return false
+		return attemptCancelled
 	}
 	s.health[shard].recordFailure(s.hcfg, time.Now())
-	return true
+	if err != nil {
+		return attemptError
+	}
+	return attemptUpstream5xx
 }
 
 // batchScratch is the pooled working state of one batch fan-out: the raw
 // body, the item spans, the per-item preference lists and attempt masks, the
 // per-round scatter targets and the merged response builder. Everything is
-// recycled, so a steady-state fan-out allocates only the per-shard
-// goroutines.
+// recycled, so a steady-state fan-out allocates only each round's attempt
+// context and call goroutines.
 type batchScratch struct {
 	body    []byte
 	spans   [][2]int // item spans within body
@@ -621,25 +651,37 @@ type batchScratch struct {
 	probes  []bool   // per-shard: availability was a half-open probe claim
 	results [][]byte // per-item result bytes, aliasing the shardCall buffers
 	calls   []*shardCall
-	out     []byte // merged response body
+	refused *shardCall // the first sub-batch a shard refused (see shardCall.served)
+	out     []byte     // merged response body
 	wg      sync.WaitGroup
 }
 
 // shardCall is one pooled sub-batch exchange: the items it carries, the
-// sub-body sent to a shard, the shard's raw response, and the response's
-// parsed result spans. The response buffer stays alive until the merge
-// completes — results are scattered zero-copy. start/durMicros time the
-// exchange; they are written by the call goroutine and read after wg.Wait
-// on the request goroutine, which records the trace span retroactively.
+// sub-body sent to a shard, the shard's status and raw answer, and the
+// answer's result spans. The response buffer stays alive until the merge
+// completes — results are scattered zero-copy. start, durMicros and outcome
+// are written by the goroutine that runs the call (exchangeSubBatch) and read
+// after the round's wait on the request goroutine, which records the trace
+// span retroactively.
 type shardCall struct {
 	shard     int
 	items     []int // item indices, request order
 	sub       []byte
 	resp      []byte
 	spans     [][2]int
+	status    int
 	err       error
+	outcome   attemptOutcome
 	start     time.Time
 	durMicros int64
+}
+
+// served reports that the shard answered the sub-batch with results. The
+// other answer (outcome attemptAnswered, any sub-5xx status but 200) is a
+// refusal: the shard's deterministic verdict on what the client sent, which
+// no replica would answer differently.
+func (c *shardCall) served() bool {
+	return c.outcome == attemptAnswered && c.status == http.StatusOK
 }
 
 func (s *ShardRouter) getScratch() *batchScratch {
@@ -671,6 +713,7 @@ func (s *ShardRouter) putScratch(b *batchScratch) {
 	for i := range b.results {
 		b.results[i] = nil
 	}
+	b.refused = nil
 	s.putCalls(b)
 	s.scratch.Put(b)
 }
@@ -705,6 +748,12 @@ func (s *ShardRouter) putCalls(b *batchScratch) {
 // 502) or degrade to error lines (streaming) — a single shard down at
 // R >= 2 is absorbed invisibly, with byte-identical results, because every
 // replica serves the same compiled blob.
+//
+// A sub-batch a shard refuses with a sub-5xx status is the client's error,
+// exactly as on the GET path (retryable): it is not retried and counts
+// against no breaker. The buffered batch answers the shard's status and
+// error envelope; the streamed one turns it into error lines for the
+// sub-batch's items.
 //
 // With ?stream=1 (or Accept: application/x-ndjson) the merge is skipped:
 // each shard's sub-batch is written the moment it completes, one NDJSON
@@ -772,11 +821,10 @@ func (s *ShardRouter) batch(w http.ResponseWriter, r *http.Request) {
 		sc.pending = append(sc.pending, i)
 	}
 
-	stream := wantsNDJSONStream(r)
-	var streamMu sync.Mutex
-	var flusher http.Flusher
-	if stream {
-		flusher, _ = w.(http.Flusher)
+	var out *streamOut // nil: buffered
+	if wantsNDJSONStream(r) {
+		out = &streamOut{w: w}
+		out.flusher, _ = w.(http.Flusher)
 		w.Header()["Content-Type"] = ndjsonHeaderValue
 		w.WriteHeader(http.StatusOK)
 	}
@@ -791,42 +839,42 @@ func (s *ShardRouter) batch(w http.ResponseWriter, r *http.Request) {
 		if round > 0 {
 			s.backoffSleep(round)
 		}
-		failMsg = s.fanoutRound(ctx, w, sc, tr, R, stream, &streamMu, flusher)
+		failMsg = s.fanoutRound(ctx, sc, tr, R, out)
+		if sc.refused != nil && out == nil {
+			// No merged answer can come of this batch any more: pass the
+			// shard's verdict on, as the GET path passes a 4xx on.
+			w.Header()["Content-Type"] = jsonHeaderValue
+			w.WriteHeader(sc.refused.status)
+			w.Write(sc.refused.resp)
+			return
+		}
 	}
 	if len(sc.pending) > 0 && ctx.Err() != nil {
 		// The client went away with items unserved: nobody is left to read a
 		// 502 or error lines, and nothing was learned about the shards.
 		s.cancelled.Add(1)
 		errored = false
-		if !stream {
+		if out == nil {
 			writeErrorJSON(w, statusClientClosedRequest, "client_closed_request", "client went away before the shards answered")
 		}
 		return
 	}
-	for _, i := range sc.pending {
-		sc.failed = append(sc.failed, i)
+	sc.failed = append(sc.failed, sc.pending...)
+	if len(sc.failed) > 0 && failMsg == "" {
+		failMsg = "all replicas failed"
 	}
 
-	if stream {
+	if out != nil {
 		if len(sc.failed) > 0 {
 			// The 200 is already on the wire: per-item error lines are the
 			// only way left to report items whose every replica failed.
-			streamMu.Lock()
-			s.writeFailedLines(w, sc, failMsg)
-			if flusher != nil {
-				flusher.Flush()
-			}
-			streamMu.Unlock()
-		} else {
-			errored = false
+			out.writeErrors(sc, sc.failed, "bad_gateway", failMsg)
 		}
+		errored = len(sc.failed) > 0 || sc.refused != nil
 		s.batches.Add(1)
 		return
 	}
 	if len(sc.failed) > 0 {
-		if failMsg == "" {
-			failMsg = "all replicas failed"
-		}
 		writeErrorJSON(w, http.StatusBadGateway, "bad_gateway",
 			fmt.Sprintf("%d item(s) failed on every replica: %s", len(sc.failed), failMsg))
 		return
@@ -857,7 +905,7 @@ func (s *ShardRouter) failoversOf(sc *batchScratch, R int) int {
 	}
 	n := 0
 	for _, c := range sc.calls {
-		if c.err != nil {
+		if !c.served() {
 			continue
 		}
 		for _, i := range c.items {
@@ -871,13 +919,20 @@ func (s *ShardRouter) failoversOf(sc *batchScratch, R int) int {
 
 // fanoutRound serves one failover round: pending items are grouped by their
 // next untried preference (healthy shards first, failing open when none
-// are), the groups fan out concurrently, successful calls scatter results
-// (or stream their lines), and failed calls push their items into the next
-// round's pending list. Each completed call is recorded retroactively as a
-// "shard-batch" span on tr (after wg.Wait, on the request goroutine — the
-// call goroutines only stamp timings into their own shardCall). Returns the
+// are), the groups are exchanged concurrently, served calls scatter results
+// (or have streamed their lines), refused calls answer their items with the
+// shard's error, and failed calls push their items into the next round's
+// pending list.
+//
+// The sub-batches of a round start together, so they share one attempt
+// context — one ShardTimeout deadline — cancelled once all are back. All but
+// the last run on goroutines of their own; the last runs here, on the
+// request goroutine, which would otherwise only wait for the others. Each
+// completed call is recorded retroactively as a "shard-batch" span on tr
+// after the wait, on the request goroutine: whichever goroutine ran a call
+// only stamped timings and the outcome into its own shardCall. Returns the
 // last failed call's message, for the final error report.
-func (s *ShardRouter) fanoutRound(ctx context.Context, w http.ResponseWriter, sc *batchScratch, tr *obs.Trace, R int, stream bool, streamMu *sync.Mutex, flusher http.Flusher) string {
+func (s *ShardRouter) fanoutRound(ctx context.Context, sc *batchScratch, tr *obs.Trace, R int, out *streamOut) string {
 	// Evaluate availability once per shard per round; remember half-open
 	// probe claims so unclaimed ones (no traffic grouped onto them) can be
 	// released instead of stranding the breaker.
@@ -923,9 +978,8 @@ func (s *ShardRouter) fanoutRound(ctx context.Context, w http.ResponseWriter, sc
 		}
 	}
 
-	// Build and fan out this round's calls. Recycled calls from the previous
-	// round were already returned to the pool by the caller's classification
-	// pass — see below.
+	// Build this round's calls; earlier rounds' calls stay in sc.calls, their
+	// buffers still backing scattered results.
 	callsBefore := len(sc.calls)
 	for sh, count := range sc.counts {
 		if count == 0 {
@@ -953,34 +1007,22 @@ func (s *ShardRouter) fanoutRound(ctx context.Context, w http.ResponseWriter, sc
 		}
 		call.sub = append(call.sub, `]}`...)
 		sc.calls = append(sc.calls, call)
-		sc.wg.Add(1)
-		go func(call *shardCall) {
-			defer sc.wg.Done()
-			call.start = time.Now()
-			call.err = s.exchangeSubBatch(ctx, call)
-			call.durMicros = time.Since(call.start).Microseconds()
-			if call.err == nil {
-				s.health[call.shard].recordSuccess()
-				if stream {
-					// Write this sub-batch's lines as soon as it lands; the
-					// mutex serialises writers, the flush pushes the lines to
-					// the client while slower shards are still descending.
-					streamMu.Lock()
-					s.writeCallLines(w, sc, call)
-					if flusher != nil {
-						flusher.Flush()
-					}
-					streamMu.Unlock()
-				}
-			} else {
-				s.failAttempt(ctx, call.shard)
-			}
-		}(call)
 	}
-	sc.wg.Wait()
+	round := sc.calls[callsBefore:]
+	if len(round) > 0 {
+		actx, cancel := s.attemptContext(ctx)
+		for _, call := range round[:len(round)-1] {
+			sc.wg.Add(1)
+			go func(call *shardCall) {
+				defer sc.wg.Done()
+				s.exchangeSubBatch(ctx, actx, sc, call, out)
+			}(call)
+		}
+		s.exchangeSubBatch(ctx, actx, sc, round[len(round)-1], out)
+		sc.wg.Wait()
+		cancel()
+	}
 
-	// Classify: successes scatter (buffered mode), failures re-queue their
-	// items for the next round.
 	failMsg := ""
 	sc.next = sc.next[:0]
 	for j, i := range sc.pending {
@@ -988,24 +1030,29 @@ func (s *ShardRouter) fanoutRound(ctx context.Context, w http.ResponseWriter, sc
 			sc.next = append(sc.next, i) // exhausted; caller moves it to failed
 		}
 	}
-	for _, call := range sc.calls[callsBefore:] {
-		off := call.start.Sub(tr.Start()).Microseconds()
-		if call.err != nil {
-			sc.next = append(sc.next, call.items...)
-			if ctx.Err() != nil {
-				tr.Record("shard-batch", off, call.durMicros, call.shard, "cancelled")
-				continue
+	for _, call := range round {
+		tr.Record("shard-batch", call.start.Sub(tr.Start()).Microseconds(), call.durMicros, call.shard, call.outcome.String())
+		switch {
+		case call.served():
+			if out == nil {
+				for j, i := range call.items {
+					sp := call.spans[j]
+					sc.results[i] = call.resp[sp[0]:sp[1]]
+				}
 			}
-			tr.Record("shard-batch", off, call.durMicros, call.shard, "error")
-			failMsg = fmt.Sprintf("shard %d: %v", call.shard, call.err)
-			s.retries.Add(uint64(len(call.items)))
-			continue
-		}
-		tr.Record("shard-batch", off, call.durMicros, call.shard, "ok")
-		if !stream {
-			for j, i := range call.items {
-				sp := call.spans[j]
-				sc.results[i] = call.resp[sp[0]:sp[1]]
+		case call.outcome == attemptAnswered:
+			if sc.refused == nil {
+				sc.refused = call
+			}
+			if out != nil {
+				code, msg := call.refusal()
+				out.writeErrors(sc, call.items, code, msg)
+			}
+		default:
+			sc.next = append(sc.next, call.items...)
+			if call.outcome.failedOver() {
+				failMsg = call.failure()
+				s.retries.Add(uint64(len(call.items)))
 			}
 		}
 	}
@@ -1015,48 +1062,105 @@ func (s *ShardRouter) fanoutRound(ctx context.Context, w http.ResponseWriter, sc
 	return failMsg
 }
 
-// parseResults splits the shard response's "results" array into element
-// spans inside the call's recycled span buffer.
+// subBatchPath is what the router asks of every shard: the batch endpoint's
+// NDJSON form, whose one line per item parseResults takes apart by newline.
+const subBatchPath = "/suggest/batch?stream=1"
+
+// exchangeSubBatch runs one sub-batch to its verdict on the calling
+// goroutine: post it under the round's attempt context, split a 200 into
+// result spans (all into the call's recycled buffers), settle the outcome
+// against the shard's breaker, and in streamed mode write served lines the
+// moment they land, while slower shards are still descending. It touches
+// only its own call and, under its mutex, the stream.
+func (s *ShardRouter) exchangeSubBatch(ctx, actx context.Context, sc *batchScratch, call *shardCall, out *streamOut) {
+	call.start = time.Now()
+	call.status, call.resp, call.err = s.tr.Exchange(actx, call.shard, http.MethodPost, subBatchPath, call.sub, call.resp)
+	if call.err == nil && call.status == http.StatusOK {
+		call.err = call.parseResults()
+	}
+	call.durMicros = time.Since(call.start).Microseconds()
+	call.outcome = s.settleAttempt(ctx, call.shard, call.status, call.err)
+	if out != nil && call.served() {
+		out.writeCall(sc, call)
+	}
+}
+
+// parseResults takes the shard's line-framed answer apart into the call's
+// recycled span buffer, one result-object span per item. The shard knew every
+// item boundary when it wrote the lines, so the split is a newline search,
+// not a JSON scan — but each line's frame is still checked: line j must read
+// {"index":j,"result":{ ... }} and end in '\n', and there must be exactly one
+// line per item sent. A truncated, reordered, short, long or foreign answer
+// is therefore an error — a retryable shard failure — and never a result
+// scattered to the wrong item.
 func (c *shardCall) parseResults() error {
-	arr, err := jsonspan.FindKey(c.resp, 0, "results")
-	if err == nil && arr < 0 {
-		err = fmt.Errorf(`missing "results" array`)
-	}
-	if err == nil {
-		c.spans, err = jsonspan.AppendArraySpans(c.spans[:0], c.resp, arr)
-	}
-	if err != nil {
-		return fmt.Errorf("decoding shard response: %w", err)
+	c.spans = c.spans[:0]
+	var frame [32]byte
+	for off := 0; off < len(c.resp); {
+		j := len(c.spans)
+		if j == len(c.items) {
+			return fmt.Errorf("shard answered more than the %d lines asked for", j)
+		}
+		nl := bytes.IndexByte(c.resp[off:], '\n')
+		if nl < 0 {
+			return fmt.Errorf("shard answer ends inside line %d", j)
+		}
+		line := c.resp[off : off+nl]
+		pre := append(strconv.AppendInt(append(frame[:0], `{"index":`...), int64(j), 10), `,"result":{`...)
+		if len(line) < len(pre)+2 || !bytes.HasPrefix(line, pre) || string(line[len(line)-2:]) != "}}" {
+			return fmt.Errorf("shard answer line %d is not a framed result: %.80q", j, line)
+		}
+		c.spans = append(c.spans, [2]int{off + len(pre) - 1, off + nl - 1})
+		off += nl + 1
 	}
 	if len(c.spans) != len(c.items) {
-		return fmt.Errorf("shard answered %d results for %d items", len(c.spans), len(c.items))
+		return fmt.Errorf("shard answered %d lines for %d items", len(c.spans), len(c.items))
 	}
 	return nil
 }
 
-// exchangeSubBatch posts one shard's sub-batch and parses the result spans
-// out of its response, all into the call's recycled buffers.
-func (s *ShardRouter) exchangeSubBatch(ctx context.Context, call *shardCall) error {
-	actx, cancel := s.attemptContext(ctx)
-	defer cancel()
-	status, resp, err := s.tr.Exchange(actx, call.shard, http.MethodPost, "/suggest/batch", call.sub, call.resp)
-	call.resp = resp
-	if err != nil {
-		return err
+// failure words a failed call for the batch's final error report.
+func (c *shardCall) failure() string {
+	if c.err != nil {
+		return fmt.Sprintf("shard %d: %v", c.shard, c.err)
 	}
-	if status != http.StatusOK {
-		return fmt.Errorf("status %d: %s", status, bytes.TrimSpace(resp))
-	}
-	return call.parseResults()
+	return fmt.Sprintf("shard %d: status %d: %s", c.shard, c.status, bytes.TrimSpace(c.resp))
 }
 
-// writeCallLines writes one completed sub-batch as NDJSON lines, one per
-// item the call carried, each tagged with the item's index in the original
-// request. Result bytes are the shard's item spans verbatim — the same
-// bytes the buffered merge scatters — so streamed and buffered responses
-// agree item for item, whichever replica answered. Callers hold the stream
-// mutex, so reusing sc.out as the line builder is race-free.
-func (s *ShardRouter) writeCallLines(w io.Writer, sc *batchScratch, call *shardCall) {
+// refusal reads the code and message out of the error envelope a shard
+// refused its sub-batch with, for the streamed batch's per-item error lines.
+// The message is the shard's own: an item position in it counts within the
+// sub-batch. An answer that is no envelope is quoted whole.
+func (c *shardCall) refusal() (code, msg string) {
+	var env struct {
+		Error struct {
+			Code    string `json:"code"`
+			Message string `json:"message"`
+		} `json:"error"`
+	}
+	if json.Unmarshal(c.resp, &env) == nil && env.Error.Code != "" {
+		return env.Error.Code, fmt.Sprintf("shard %d: %s", c.shard, env.Error.Message)
+	}
+	return "shard_refused", c.failure()
+}
+
+// streamOut is the client side of a streamed (NDJSON) batch. Sub-batches
+// complete on different goroutines; mu serialises their writes and guards
+// the scratch's line builder (sc.out), which the writers share.
+type streamOut struct {
+	mu      sync.Mutex
+	w       http.ResponseWriter
+	flusher http.Flusher
+}
+
+// writeCall writes one served sub-batch as NDJSON lines, one per item the
+// call carried, each tagged with the item's index in the original request,
+// and flushes them to the client. Result bytes are the shard's result spans
+// verbatim — the same bytes the buffered merge scatters — so streamed and
+// buffered responses agree item for item, whichever replica answered.
+func (o *streamOut) writeCall(sc *batchScratch, call *shardCall) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
 	sc.out = sc.out[:0]
 	for j, i := range call.items {
 		sp := call.spans[j]
@@ -1066,26 +1170,29 @@ func (s *ShardRouter) writeCallLines(w io.Writer, sc *batchScratch, call *shardC
 		sc.out = append(sc.out, call.resp[sp[0]:sp[1]]...)
 		sc.out = append(sc.out, '}', '\n')
 	}
-	w.Write(sc.out)
+	o.flush(sc.out)
 }
 
-// writeFailedLines reports items whose every replica failed as NDJSON error
-// lines — the stream's 200 is already committed, so per-item errors are the
-// only channel left. Callers hold the stream mutex.
-func (s *ShardRouter) writeFailedLines(w io.Writer, sc *batchScratch, failMsg string) {
-	if failMsg == "" {
-		failMsg = "all replicas failed"
-	}
+// writeErrors answers items with NDJSON error lines — the stream's 200 is
+// already committed, so per-item errors are the only channel left.
+func (o *streamOut) writeErrors(sc *batchScratch, items []int, code, msg string) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
 	sc.out = sc.out[:0]
-	for _, i := range sc.failed {
+	for _, i := range items {
 		sc.out = append(sc.out, `{"index":`...)
 		sc.out = strconv.AppendInt(sc.out, int64(i), 10)
-		sc.out = append(sc.out, `,"error":{"code":"bad_gateway","message":`...)
-		sc.out = strconv.AppendQuote(sc.out, failMsg)
-		sc.out = append(sc.out, `}}`...)
-		sc.out = append(sc.out, '\n')
+		sc.out = appendErrorMember(append(sc.out, ','), code, msg)
 	}
-	w.Write(sc.out)
+	o.flush(sc.out)
+}
+
+// flush pushes built lines to the client. Callers hold mu.
+func (o *streamOut) flush(lines []byte) {
+	o.w.Write(lines)
+	if o.flusher != nil {
+		o.flusher.Flush()
+	}
 }
 
 // wantsNDJSONStream reports whether a batch request opted into the
@@ -1132,13 +1239,18 @@ func writeErrorJSON(w http.ResponseWriter, status int, code, msg string) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	var buf [256]byte
-	b := append(buf[:0], `{"error":{"code":`...)
+	w.Write(appendErrorMember(append(buf[:0], '{'), code, msg))
+}
+
+// appendErrorMember appends the envelope's "error":{"code","message"} member
+// and closes the object and the line around it — the error envelope after
+// its '{', a streamed batch's error line after its index.
+func appendErrorMember(b []byte, code, msg string) []byte {
+	b = append(b, `"error":{"code":`...)
 	b = strconv.AppendQuote(b, code)
 	b = append(b, `,"message":`...)
 	b = strconv.AppendQuote(b, msg)
-	b = append(b, `}}`...)
-	b = append(b, '\n')
-	w.Write(b)
+	return append(b, "}}\n"...)
 }
 
 // ShardRouterHealth is the shard router's /healthz payload: liveness plus

@@ -56,7 +56,7 @@ func getBody(t *testing.T, url string) ([]byte, http.Header, int) {
 
 // newLoopbackRing builds a 3-shard loopback ring over handlers sharing one
 // model — the in-process deployment of the consistent-hash fan-out.
-func newLoopbackRing(t *testing.T, rec core.Recommender, shards int) *fleet.ShardRouter {
+func newLoopbackRing(t testing.TB, rec core.Recommender, shards int) *fleet.ShardRouter {
 	t.Helper()
 	handlers := make([]http.Handler, shards)
 	for i := range handlers {

@@ -50,15 +50,6 @@ type getResult struct {
 	err    error
 }
 
-// getOutcome is settle's verdict on one attempt.
-type getOutcome int
-
-const (
-	getFailed    getOutcome = iota // retryable failure: walk on
-	getServed                      // the replica answered: respond
-	getAbandoned                   // the client went away: stop the walk
-)
-
 // getWalk is the state of one GET's walk over its preference list. It lives
 // on the request goroutine's stack: nothing that runs on another goroutine
 // may hold a pointer to it.
@@ -130,10 +121,10 @@ func (g *getWalk) walk(w http.ResponseWriter) {
 		res := g.s.exchangeGET(actx, g.prefs[pref], g.uri)
 		at.cancel()
 		switch g.settle(&at, res) {
-		case getServed:
+		case attemptAnswered:
 			g.respond(w, &at, res)
 			return
-		case getAbandoned:
+		case attemptCancelled:
 			g.abandon(w)
 			return
 		}
@@ -172,7 +163,7 @@ func (g *getWalk) race(w http.ResponseWriter, delay time.Duration) bool {
 		at := &atts[res.slot]
 		at.cancel()
 		out := g.settle(at, res)
-		if out == getFailed {
+		if out.failedOver() {
 			continue
 		}
 		if inflight > 0 {
@@ -184,7 +175,7 @@ func (g *getWalk) race(w http.ResponseWriter, delay time.Duration) bool {
 			g.tr.End(loser.span, "cancelled")
 			go s.drainLoser(resCh)
 		}
-		if out == getServed {
+		if out == attemptAnswered {
 			g.respond(w, at, res)
 		} else {
 			g.abandon(w)
@@ -278,36 +269,31 @@ func (s *ShardRouter) exchangeGET(ctx context.Context, shard int, uri string) ge
 	return getResult{shard: shard, status: status, body: buf, err: err}
 }
 
-// settle records a consumed attempt's outcome on the trace, the breaker and
-// the counters, on the request goroutine. A failure the client's departure
-// explains (see failAttempt) closes the span as cancelled and stops the walk.
-func (g *getWalk) settle(at *getAttempt, res getResult) getOutcome {
+// settle books a consumed attempt's outcome (settleAttempt) and records it on
+// the trace and the counters, on the request goroutine. An answer is served,
+// a failure the client's departure explains stops the walk, any other
+// failure walks on.
+func (g *getWalk) settle(at *getAttempt, res getResult) attemptOutcome {
 	s := g.s
-	if !retryable(res.status, res.err) {
+	out := s.settleAttempt(g.ctx, res.shard, res.status, res.err)
+	if out == attemptAnswered {
 		if at.hedge {
 			g.tr.End(at.span, "hedge-won")
 			s.hedgesWon.Add(1)
 		} else {
-			g.tr.End(at.span, "ok")
+			g.tr.End(at.span, out.String())
 		}
-		s.health[res.shard].recordSuccess()
 		if at.pref > 0 {
 			s.failovers.Add(1)
 		}
-		return getServed
+		return out
 	}
+	g.tr.End(at.span, out.String())
 	s.putBuf(res.body)
-	if !s.failAttempt(g.ctx, res.shard) {
-		g.tr.End(at.span, "cancelled")
-		return getAbandoned
+	if out != attemptCancelled {
+		g.last = res
 	}
-	if res.err != nil {
-		g.tr.End(at.span, "error")
-	} else {
-		g.tr.End(at.span, "upstream-5xx")
-	}
-	g.last = res
-	return getFailed
+	return out
 }
 
 // respond writes the winning attempt's answer.

@@ -71,19 +71,28 @@ func bucketUpper(idx int) int64 {
 // Record adds one sample. Negative samples are clamped to zero so clock
 // skew can never corrupt the bucket array. Safe for concurrent use and
 // allocation-free.
-func (h *Histogram) Record(v int64) {
+func (h *Histogram) Record(v int64) { h.RecordN(v, 1) }
+
+// RecordN adds n samples of the same value v — a batch's per-context share,
+// say — in one update of the count, the sum, the maximum and v's bucket: what
+// n calls of Record(v) leave behind, at the cost of one. n <= 0 records
+// nothing.
+func (h *Histogram) RecordN(v int64, n int) {
+	if n <= 0 {
+		return
+	}
 	if v < 0 {
 		v = 0
 	}
-	h.count.Add(1)
-	h.sum.Add(v)
+	h.count.Add(uint64(n))
+	h.sum.Add(v * int64(n))
 	for {
 		cur := h.max.Load()
 		if v <= cur || h.max.CompareAndSwap(cur, v) {
 			break
 		}
 	}
-	h.buckets[bucketIndex(uint64(v))].Add(1)
+	h.buckets[bucketIndex(uint64(v))].Add(uint64(n))
 }
 
 // Count returns the number of recorded samples.

@@ -110,6 +110,34 @@ func TestHistogramNegativeClamped(t *testing.T) {
 	}
 }
 
+// TestHistogramRecordN: RecordN(v, n) leaves exactly what n calls of
+// Record(v) leave — count, sum, max and every bucket — negative samples clamp
+// the same way, and n <= 0 records nothing.
+func TestHistogramRecordN(t *testing.T) {
+	var batched, single Histogram
+	for _, tc := range []struct {
+		v int64
+		n int
+	}{{0, 3}, {7, 1}, {31, 64}, {32, 2}, {1000, 64}, {-5, 4}, {1 << 40, 5}, {9, 0}, {9, -2}} {
+		batched.RecordN(tc.v, tc.n)
+		for i := 0; i < tc.n; i++ {
+			single.Record(tc.v)
+		}
+	}
+	if batched.Count() != single.Count() || batched.Sum() != single.Sum() || batched.Max() != single.Max() {
+		t.Fatalf("scalars: %d/%d/%d batched vs %d/%d/%d single",
+			batched.Count(), batched.Sum(), batched.Max(), single.Count(), single.Sum(), single.Max())
+	}
+	for i := range single.buckets {
+		if got, want := batched.buckets[i].Load(), single.buckets[i].Load(); got != want {
+			t.Fatalf("bucket %d: %d batched vs %d single", i, got, want)
+		}
+	}
+	if batched.Count() != 3+1+64+2+64+4+5 {
+		t.Fatalf("count = %d: n <= 0 must record nothing", batched.Count())
+	}
+}
+
 func TestHistogramMerge(t *testing.T) {
 	var a, b, both Histogram
 	for i := int64(0); i < 1000; i++ {

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"net/http"
@@ -234,7 +235,9 @@ func (bb *batchScratch) parseItem(i int) (int, error) {
 }
 
 // parseContext parses the item's context string array, unescaping each
-// element into flat and recording its token span.
+// element into flat and recording its token span. A raw control byte inside a
+// string is refused, as encoding/json refuses it: the array is echoed into the
+// response as it came, and a raw LF there would break an NDJSON line in two.
 func (bb *batchScratch) parseContext(i int, item *batchItemSpan) (int, error) {
 	b := bb.body
 	if i >= len(b) || b[i] != '[' {
@@ -256,7 +259,7 @@ func (bb *batchScratch) parseContext(i int, item *batchItemSpan) (int, error) {
 		if b[i] != '"' {
 			return 0, fmt.Errorf("context must be an array of strings")
 		}
-		end, err := jsonspan.SkipString(b, i)
+		end, err := skipContextString(b, i)
 		if err != nil {
 			return 0, err
 		}
@@ -266,6 +269,26 @@ func (bb *batchScratch) parseContext(i int, item *batchItemSpan) (int, error) {
 		item.tokHi = int32(len(bb.spans))
 		i = end
 	}
+}
+
+// skipContextString is jsonspan.SkipString for a context string: it advances
+// past the string whose opening quote is at b[i], and in the same pass refuses
+// a raw control byte inside it (see parseContext).
+func skipContextString(b []byte, i int) (int, error) {
+	escaped := false
+	for j := i + 1; j < len(b); j++ {
+		switch c := b[j]; {
+		case c < 0x20: // also right after a backslash
+			return 0, fmt.Errorf("control character in string at offset %d", j)
+		case escaped:
+			escaped = false
+		case c == '\\':
+			escaped = true
+		case c == '"':
+			return j + 1, nil
+		}
+	}
+	return 0, fmt.Errorf("unterminated string at offset %d", i)
 }
 
 // suggestBatch scores a whole batch through one shared-scratch batched trie
@@ -347,9 +370,7 @@ func (h *Handler) suggestBatch(w http.ResponseWriter, r *http.Request) {
 	elapsed := time.Since(batchStart).Microseconds()
 	h.recordStage(traceOf(w), h.histBatchDescent, stageBatch, batchStart, elapsed, "ok")
 	perCtx := elapsed / int64(len(bb.items))
-	for range bb.items {
-		h.histServe.Record(perCtx)
-	}
+	h.histServe.RecordN(perCtx, len(bb.items))
 	h.m.batches.Add(1)
 	h.m.batchContexts.Add(uint64(len(bb.items)))
 	if wantsNDJSONStream(r) {
@@ -387,19 +408,50 @@ func (h *Handler) suggestBatch(w http.ResponseWriter, r *http.Request) {
 	w.Write(bb.resp)
 }
 
-// appendBatchItem encodes one batch result object — the context echoed
-// verbatim from the request body, the answer's suggestions member (the
-// cache's stored bytes on a hit) and the per-context latency — shared by the buffered array and the NDJSON lines
-// so the two response modes carry identical item bytes.
+// appendBatchItem encodes one batch result object — the context echoed from
+// the request body, the answer's suggestions member (the cache's stored
+// bytes on a hit) and the per-context latency — shared by the buffered array
+// and the NDJSON lines so the two response modes carry identical item bytes.
+// The echo is the body's own bytes, unless the array was laid out over
+// several lines: an item must stay one line (an NDJSON record, and what a
+// router splits a shard's answer by), so then the whitespace between its
+// tokens is dropped.
 func (bb *batchScratch) appendBatchItem(dst []byte, i int, perCtx int64) []byte {
 	dst = append(dst, `{"context":`...)
 	sp := bb.items[i].ctxSpan
-	dst = append(dst, bb.body[sp[0]:sp[1]]...)
+	if ctx := bb.body[sp[0]:sp[1]]; bytes.IndexByte(ctx, '\n') < 0 && bytes.IndexByte(ctx, '\r') < 0 {
+		dst = append(dst, ctx...)
+	} else {
+		dst = appendCompactContext(dst, ctx)
+	}
 	dst = append(dst, ',')
 	dst = bb.out[i].AppendSuggestionsJSON(dst)
 	dst = append(dst, `,"took_us":`...)
 	dst = strconv.AppendInt(dst, perCtx, 10)
 	dst = append(dst, '}')
+	return dst
+}
+
+// appendCompactContext appends a parsed context array without the whitespace
+// between its tokens. Its strings hold no raw CR or LF (parseContext), so
+// what is appended is one line.
+func appendCompactContext(dst, ctx []byte) []byte {
+	for i := 0; i < len(ctx); {
+		switch c := ctx[i]; c {
+		case ' ', '\t', '\n', '\r':
+			i++
+		case '"':
+			end, err := jsonspan.SkipString(ctx, i)
+			if err != nil { // parseContext walked this string to its end
+				return append(dst, ctx[i:]...)
+			}
+			dst = append(dst, ctx[i:end]...)
+			i = end
+		default:
+			dst = append(dst, c)
+			i++
+		}
+	}
 	return dst
 }
 
