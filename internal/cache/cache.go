@@ -15,10 +15,22 @@
 //     on swap only releases memory early.
 //   - Cached suggestion slices and wire bytes are shared across callers and
 //     must be treated as immutable.
-//   - An entry is one intrusive node (links, key, value) on its shard's
-//     recency ring. An insert allocates the node and the key string, and
-//     into a full shard only the key string: the evicted entry's node is
-//     recycled.
+//   - An entry is one intrusive node on its shard's recency ring: the ring
+//     links, the link to the next node of equal hash, the hash, the key
+//     bytes (owned by the node) and the value. A shard indexes its nodes by
+//     the 64-bit hash of the key, computed once per request and handed to
+//     the probe and the insert alike; every probe then compares the whole
+//     key, so a hash shared by two keys — two generations of one context —
+//     never lets one answer for the other.
+//   - An insert into a shard with room allocates the node and its key bytes.
+//     An insert into a full shard allocates nothing in this package: the
+//     evicted entry's node is recycled, key capacity included. What a
+//     SuggestCache miss still allocates is the suggestion slice the entry
+//     keeps. That one is not recycled with the node, and must not be: a hit
+//     returns the slice to callers that read it after the shard lock is
+//     released (the first hit's wire encode, a reranker, every Recommend*
+//     caller), so overwriting an evicted entry's array in place would race
+//     with a reader of the old answer.
 //   - A SuggestCache entry's wire form — the encoded `"suggestions":[...]`
 //     member — is filled lazily, on the entry's first hit, never on insert:
 //     a miss pays nothing for it, the first hit encodes once with
@@ -26,19 +38,20 @@
 //     copies them. Both forms live under one (slot, gen, n, ctx) key, so a
 //     reload invalidates them together and the stored bytes always equal the
 //     core encoder's output for the stored suggestions.
-//   - The hit path allocates nothing: GetBytes looks up by a pooled byte
-//     key without materialising a string, which is what keeps the cached
-//     /suggest path at 0 allocs/op.
+//   - The hit path allocates nothing: the key is built in a pooled buffer
+//     and compared as bytes, which is what keeps the cached /suggest path at
+//     0 allocs/op.
 //   - Shards are independently locked; concurrent readers of different
 //     contexts never contend on one mutex.
 //
 // Memory: capacity bounds the entry count, not bytes. One SuggestCache entry
-// holds an 80-byte node, its 16+4·len(ctx)-byte key, up to n suggestions
-// (16 B each; the query strings belong to the model's dictionary) and, once
+// holds a 104-byte node, its 16+4·len(ctx) key bytes, up to n suggestions
+// (24 B each; the query strings belong to the model's dictionary) and, once
 // hit, at most n × (query length + ~40 B) of wire bytes.
 package cache
 
 import (
+	"bytes"
 	"sync"
 	"sync/atomic"
 )
@@ -66,9 +79,10 @@ func (s Stats) HitRate() float64 {
 	return float64(s.Hits) / float64(total)
 }
 
-// Cache is a sharded LRU from string keys to values of type V. All methods
-// are safe for concurrent use. Values are returned as stored: callers that
-// cache slices or pointers must treat them as immutable.
+// Cache is a sharded LRU from byte-string keys to values of type V. All
+// methods are safe for concurrent use. Values are returned as stored: callers
+// that cache slices or pointers must treat them as immutable. Keys are copied
+// on insert and never retained.
 type Cache[V any] struct {
 	shards    [shardCount]shard[V]
 	capacity  int
@@ -77,24 +91,32 @@ type Cache[V any] struct {
 	evictions atomic.Uint64
 }
 
-// node is one cache entry and its place in the shard's recency order.
+// node is one cache entry: its place in the shard's recency order, its place
+// in the index (chain links the nodes whose keys share one hash), and the key
+// bytes it owns — a recycled node keeps their capacity.
 type node[V any] struct {
 	next, prev *node[V]
-	key        string
+	chain      *node[V]
+	hash       uint64
+	key        []byte
 	val        V
 }
 
-// shard is one lock stripe: the key index plus a ring of nodes through the
+// shard is one lock stripe: the hash index plus a ring of nodes through the
 // sentinel root, root.next the most and root.prev the least recently used.
+// items maps a key's 64-bit hash to the first node of its chain; n counts the
+// entries (a chain holds more than one only when two live keys collide).
 type shard[V any] struct {
 	mu    sync.Mutex
-	items map[string]*node[V]
+	items map[uint64]*node[V]
+	n     int
 	root  node[V]
 	cap   int
 }
 
 func (s *shard[V]) reset() {
-	s.items = make(map[string]*node[V])
+	s.items = make(map[uint64]*node[V])
+	s.n = 0
 	s.root.next, s.root.prev = &s.root, &s.root
 }
 
@@ -114,6 +136,35 @@ func (s *shard[V]) moveToFront(n *node[V]) {
 	}
 }
 
+// find returns the entry for key, whose hash is h. A matching hash alone
+// never answers: every probe compares the whole key, so two keys that share
+// a hash — a context under two model generations, say — stay two entries.
+func (s *shard[V]) find(h uint64, key []byte) *node[V] {
+	for n := s.items[h]; n != nil; n = n.chain {
+		if bytes.Equal(n.key, key) {
+			return n
+		}
+	}
+	return nil
+}
+
+// unindex removes n from the index, leaving the rest of its chain in place.
+func (s *shard[V]) unindex(n *node[V]) {
+	head := s.items[n.hash]
+	switch {
+	case head != n:
+		for head.chain != n {
+			head = head.chain
+		}
+		head.chain = n.chain
+	case n.chain != nil:
+		s.items[n.hash] = n.chain
+	default:
+		delete(s.items, n.hash)
+	}
+	n.chain = nil
+}
+
 // New returns a Cache holding at most capacity entries overall (rounded up
 // to a multiple of the shard count, minimum one entry per shard).
 func New[V any](capacity int) *Cache[V] {
@@ -129,72 +180,37 @@ func New[V any](capacity int) *Cache[V] {
 	return c
 }
 
-// fnv1a hashes the key to pick a shard. Inlined (rather than hash/fnv) to
-// keep the hot path allocation-free.
-func fnv1a(key string) uint64 {
+// hashKey is the 64-bit FNV-1a hash every operation identifies key by: its
+// low bits pick the shard, the whole of it indexes the shard. A caller that
+// probes and then inserts computes it once and passes it to both.
+func hashKey(key []byte) uint64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
 	)
 	h := uint64(offset64)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
+	for _, b := range key {
+		h ^= uint64(b)
 		h *= prime64
 	}
 	return h
 }
 
-// fnv1aBytes is fnv1a over a byte-slice key; kept as a separate copy so both
-// entry points stay inlinable (a generic or conversion-based version defeats
-// either inlining or the no-alloc guarantee).
-func fnv1aBytes(key []byte) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= prime64
-	}
-	return h
+func (c *Cache[V]) shard(h uint64) *shard[V] {
+	return &c.shards[h&(shardCount-1)]
 }
 
-func (c *Cache[V]) shard(key string) *shard[V] {
-	return &c.shards[fnv1a(key)&(shardCount-1)]
-}
+// GetBytes returns the cached value for key, promoting it to most recently
+// used. It neither allocates nor retains key, which is what makes cache hits
+// zero-allocation end to end.
+func (c *Cache[V]) GetBytes(key []byte) (V, bool) { return c.get(hashKey(key), key) }
 
-func (c *Cache[V]) shardBytes(key []byte) *shard[V] {
-	return &c.shards[fnv1aBytes(key)&(shardCount-1)]
-}
-
-// Get returns the cached value for key, promoting it to most recently used.
-func (c *Cache[V]) Get(key string) (V, bool) {
-	s := c.shard(key)
+// get is GetBytes for a caller that holds key's hash.
+func (c *Cache[V]) get(h uint64, key []byte) (V, bool) {
+	s := c.shard(h)
 	s.mu.Lock()
-	n, ok := s.items[key]
-	if !ok {
-		s.mu.Unlock()
-		c.misses.Add(1)
-		var zero V
-		return zero, false
-	}
-	s.moveToFront(n)
-	v := n.val
-	s.mu.Unlock()
-	c.hits.Add(1)
-	return v, true
-}
-
-// GetBytes is Get for a key held in a (typically pooled) byte slice. The
-// conversion to string happens inside the map index expression, which the
-// compiler compiles to an allocation-free lookup — this is what makes cache
-// hits zero-allocation end to end. The key is not retained.
-func (c *Cache[V]) GetBytes(key []byte) (V, bool) {
-	s := c.shardBytes(key)
-	s.mu.Lock()
-	n, ok := s.items[string(key)]
-	if !ok {
+	n := s.find(h, key)
+	if n == nil {
 		s.mu.Unlock()
 		c.misses.Add(1)
 		var zero V
@@ -211,44 +227,52 @@ func (c *Cache[V]) GetBytes(key []byte) (V, bool) {
 // whether it was: an entry evicted or purged since the caller looked it up
 // is not resurrected. It is not a lookup — neither the recency order nor the
 // counters move — and, like GetBytes, it neither allocates nor retains key.
-func (c *Cache[V]) ReplaceBytes(key []byte, v V) bool {
-	s := c.shardBytes(key)
+func (c *Cache[V]) ReplaceBytes(key []byte, v V) bool { return c.replace(hashKey(key), key, v) }
+
+// replace is ReplaceBytes for a caller that holds key's hash.
+func (c *Cache[V]) replace(h uint64, key []byte, v V) bool {
+	s := c.shard(h)
 	s.mu.Lock()
-	n, ok := s.items[string(key)]
-	if ok {
+	n := s.find(h, key)
+	if n != nil {
 		n.val = v
 	}
 	s.mu.Unlock()
-	return ok
+	return n != nil
 }
 
-// Put stores key -> v, evicting the shard's least recently used entry when
-// the shard is full. Storing an existing key updates its value and promotes
-// it.
-func (c *Cache[V]) Put(key string, v V) {
-	s := c.shard(key)
+// PutBytes stores key -> v, evicting the shard's least recently used entry
+// when the shard is full. Storing an existing key updates its value and
+// promotes it. The entry keeps its own copy of key.
+func (c *Cache[V]) PutBytes(key []byte, v V) { c.put(hashKey(key), key, v) }
+
+// put is PutBytes for a caller that holds key's hash.
+func (c *Cache[V]) put(h uint64, key []byte, v V) {
+	s := c.shard(h)
 	s.mu.Lock()
-	if n, ok := s.items[key]; ok {
+	if n := s.find(h, key); n != nil {
 		n.val = v
 		s.moveToFront(n)
 		s.mu.Unlock()
 		return
 	}
 	// A full shard recycles its least recently used node for the new entry
-	// (nothing outside the shard holds a node: lookups return values), so at
-	// steady state an insert allocates no node at all.
+	// (nothing outside the shard holds a node: lookups return values), key
+	// bytes included, so at steady state an insert allocates nothing here.
 	var n *node[V]
-	evicted := len(s.items) >= s.cap
+	evicted := s.n >= s.cap
 	if evicted {
 		n = s.root.prev
-		delete(s.items, n.key)
+		s.unindex(n)
 		s.unlink(n)
-		n.key, n.val = key, v
 	} else {
-		n = &node[V]{key: key, val: v}
+		n = &node[V]{}
+		s.n++
 	}
+	n.hash, n.key, n.val = h, append(n.key[:0], key...), v
+	n.chain = s.items[h]
+	s.items[h] = n
 	s.pushFront(n)
-	s.items[key] = n
 	s.mu.Unlock()
 	if evicted {
 		c.evictions.Add(1)
@@ -261,7 +285,7 @@ func (c *Cache[V]) Len() int {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		n += len(s.items)
+		n += s.n
 		s.mu.Unlock()
 	}
 	return n

@@ -11,16 +11,16 @@ import (
 
 func TestGetPutAndCounters(t *testing.T) {
 	c := New[int](64)
-	if _, ok := c.Get("a"); ok {
+	if _, ok := c.GetBytes([]byte("a")); ok {
 		t.Fatal("hit on empty cache")
 	}
-	c.Put("a", 1)
-	c.Put("b", 2)
-	if v, ok := c.Get("a"); !ok || v != 1 {
+	c.PutBytes([]byte("a"), 1)
+	c.PutBytes([]byte("b"), 2)
+	if v, ok := c.GetBytes([]byte("a")); !ok || v != 1 {
 		t.Fatalf("Get(a) = %v, %v", v, ok)
 	}
-	c.Put("a", 10) // update
-	if v, _ := c.Get("a"); v != 10 {
+	c.PutBytes([]byte("a"), 10) // update
+	if v, _ := c.GetBytes([]byte("a")); v != 10 {
 		t.Fatalf("updated Get(a) = %v", v)
 	}
 	st := c.Stats()
@@ -32,25 +32,30 @@ func TestGetPutAndCounters(t *testing.T) {
 	}
 }
 
+// sameShardKeys returns n distinct keys, "x" and then prefix0, prefix1, ...,
+// that all land in the shard of "x".
+func sameShardKeys[V any](c *Cache[V], prefix string, n int) [][]byte {
+	keys := [][]byte{[]byte("x")}
+	s := c.shard(hashKey(keys[0]))
+	for i := 0; len(keys) < n; i++ {
+		if k := fmt.Appendf(nil, "%s%d", prefix, i); c.shard(hashKey(k)) == s {
+			keys = append(keys, k)
+		}
+	}
+	return keys
+}
+
 func TestLRUEvictionOrder(t *testing.T) {
 	// A capacity of 1 entry per shard lets us exercise eviction
 	// deterministically by hammering keys that land in the same shard.
 	c := New[int](shardCount) // 1 per shard
-	s := c.shard("x")
-	// Find three keys that map to the same shard as "x".
-	keys := []string{"x"}
-	for i := 0; len(keys) < 3; i++ {
-		k := fmt.Sprintf("k%d", i)
-		if c.shard(k) == s {
-			keys = append(keys, k)
-		}
-	}
-	c.Put(keys[0], 0)
-	c.Put(keys[1], 1) // evicts keys[0]
-	if _, ok := c.Get(keys[0]); ok {
+	keys := sameShardKeys(c, "k", 3)
+	c.PutBytes(keys[0], 0)
+	c.PutBytes(keys[1], 1) // evicts keys[0]
+	if _, ok := c.GetBytes(keys[0]); ok {
 		t.Fatal("LRU entry not evicted")
 	}
-	if v, ok := c.Get(keys[1]); !ok || v != 1 {
+	if v, ok := c.GetBytes(keys[1]); !ok || v != 1 {
 		t.Fatal("fresh entry missing")
 	}
 	if c.Stats().Evictions == 0 {
@@ -60,30 +65,82 @@ func TestLRUEvictionOrder(t *testing.T) {
 
 func TestLRUPromotionOnGet(t *testing.T) {
 	c := New[int](shardCount * 2) // 2 per shard
-	s := c.shard("x")
-	keys := []string{"x"}
-	for i := 0; len(keys) < 3; i++ {
-		k := fmt.Sprintf("p%d", i)
-		if c.shard(k) == s {
-			keys = append(keys, k)
-		}
-	}
-	c.Put(keys[0], 0)
-	c.Put(keys[1], 1)
-	c.Get(keys[0])    // promote oldest
-	c.Put(keys[2], 2) // should evict keys[1], not keys[0]
-	if _, ok := c.Get(keys[0]); !ok {
+	keys := sameShardKeys(c, "p", 3)
+	c.PutBytes(keys[0], 0)
+	c.PutBytes(keys[1], 1)
+	c.GetBytes(keys[0])    // promote oldest
+	c.PutBytes(keys[2], 2) // should evict keys[1], not keys[0]
+	if _, ok := c.GetBytes(keys[0]); !ok {
 		t.Fatal("promoted entry was evicted")
 	}
-	if _, ok := c.Get(keys[1]); ok {
+	if _, ok := c.GetBytes(keys[1]); ok {
 		t.Fatal("unpromoted entry survived")
+	}
+}
+
+// TestHashCollision forces two keys onto one hash (the hashed entry points
+// take the hash from the caller) and checks that the index keeps them apart:
+// neither answers for the other, ReplaceBytes' primitive touches only its own
+// key, and evicting either one — the chain's head or its tail — leaves the
+// other reachable.
+func TestHashCollision(t *testing.T) {
+	const h = 0xfeed
+	a, b, other := []byte("generation 1"), []byte("generation 2"), []byte("someone else")
+	for _, evictHead := range []bool{false, true} {
+		c := New[string](shardCount * 2) // two per shard
+		if _, ok := c.get(h, a); ok {
+			t.Fatal("hit on an empty cache")
+		}
+		c.put(h, a, "A")
+		if v, ok := c.get(h, b); ok {
+			t.Fatalf("b, never stored, answered with a's hash: %q", v)
+		}
+		c.put(h, b, "B") // chained in front of a
+		if c.Len() != 2 {
+			t.Fatalf("two colliding keys make %d entries", c.Len())
+		}
+		if va, _ := c.get(h, a); va != "A" {
+			t.Fatalf("a = %q", va)
+		}
+		if vb, _ := c.get(h, b); vb != "B" {
+			t.Fatalf("b = %q", vb)
+		}
+		if c.replace(h, other, "X") {
+			t.Fatal("replace found a key that was never stored, by hash alone")
+		}
+		if !c.replace(h, a, "A2") {
+			t.Fatal("replace missed a")
+		}
+		va, _ := c.get(h, a)
+		vb, _ := c.get(h, b) // b is now the most recently used, a the least
+		if va != "A2" || vb != "B" {
+			t.Fatalf("after replacing a: a = %q, b = %q", va, vb)
+		}
+		gone, kept, keptVal := a, b, "B"
+		if evictHead {
+			c.get(h, a) // now b, the chain's head, is the least recently used
+			gone, kept, keptVal = b, a, "A2"
+		}
+		c.put(h+shardCount, other, "X") // same shard, its own hash: evicts
+		if _, ok := c.get(h, gone); ok {
+			t.Fatalf("evictHead=%v: the least recently used of the pair survived", evictHead)
+		}
+		if v, ok := c.get(h, kept); !ok || v != keptVal {
+			t.Fatalf("evictHead=%v: evicting one key of the pair lost the other: %q, %v", evictHead, v, ok)
+		}
+		if v, ok := c.get(h+shardCount, other); !ok || v != "X" {
+			t.Fatalf("evictHead=%v: the evicting entry = %q, %v", evictHead, v, ok)
+		}
+		if st := c.Stats(); st.Entries != 2 || st.Evictions != 1 {
+			t.Fatalf("evictHead=%v: %+v, want 2 entries after 1 eviction", evictHead, st)
+		}
 	}
 }
 
 func TestPurge(t *testing.T) {
 	c := New[string](128)
 	for i := 0; i < 50; i++ {
-		c.Put(fmt.Sprintf("k%d", i), "v")
+		c.PutBytes(fmt.Appendf(nil, "k%d", i), "v")
 	}
 	if c.Len() != 50 {
 		t.Fatalf("Len = %d", c.Len())
@@ -92,7 +149,7 @@ func TestPurge(t *testing.T) {
 	if c.Len() != 0 {
 		t.Fatalf("Len after purge = %d", c.Len())
 	}
-	if _, ok := c.Get("k0"); ok {
+	if _, ok := c.GetBytes([]byte("k0")); ok {
 		t.Fatal("entry survived purge")
 	}
 }
@@ -105,9 +162,9 @@ func TestConcurrentAccess(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				k := fmt.Sprintf("k%d", i%100)
-				c.Put(k, i)
-				if v, ok := c.Get(k); ok && v < 0 {
+				k := fmt.Appendf(nil, "k%d", i%100)
+				c.PutBytes(k, i)
+				if v, ok := c.GetBytes(k); ok && v < 0 {
 					t.Error("impossible value")
 				}
 				if i%50 == 0 && g == 0 {

@@ -66,9 +66,24 @@ var emptyWire = core.AppendSuggestionsJSON(nil, nil)
 
 type suggestBuf struct {
 	ctx     query.Seq
-	key     []byte
+	key     []byte   // the request's key; for a batch, its misses' keys back to back
 	wire    []byte   // encode scratch of a first hit; the entry keeps a copy
 	answers []Answer // RecommendBatch*'s view of a batch before Recs are copied out
+
+	// A batch's misses: what RecommendBatchIDs is asked (missCtx, missN) and,
+	// parallel to those, where each answer goes.
+	missCtx []query.Seq
+	missN   []int
+	miss    []batchMiss
+}
+
+// batchMiss is one missed item of a batch: its index in the batch, its key's
+// hash, and where its key ends in suggestBuf.key (it starts where the
+// previous miss's ends).
+type batchMiss struct {
+	item   int
+	keyEnd int
+	hash   uint64
 }
 
 // DefaultCapacity is the cache size used when callers pass a non-positive
@@ -92,8 +107,8 @@ func NewSuggestCache(capacity int) *SuggestCache {
 // Recommend answers context with up to n suggestions, consulting the cache
 // before delegating to core.RecommendIDs. gen is the serving layer's model
 // generation: bump it on every hot reload so stale entries can never match.
-// Hits are allocation-free: the key is built in a pooled buffer and probed
-// with the cache's byte-key lookup, never materialised as a string.
+// Hits are allocation-free: the key is built in a pooled buffer, which is
+// what the cache probes with.
 func (sc *SuggestCache) Recommend(gen uint64, rec core.Recommender, context []string, n int) []core.Suggestion {
 	buf := sc.bufs.Get().(*suggestBuf)
 	defer sc.putBuf(buf)
@@ -152,46 +167,51 @@ func (sc *SuggestCache) putBuf(buf *suggestBuf) {
 	buf.wire = buf.wire[:0]
 	clear(buf.answers) // do not retain cached slices in the pool
 	buf.answers = buf.answers[:0]
+	clear(buf.missCtx) // nor the caller's contexts
+	buf.missCtx = buf.missCtx[:0]
+	buf.missN = buf.missN[:0]
+	buf.miss = buf.miss[:0]
 	sc.bufs.Put(buf)
 }
 
 // answerKeyed runs the keyed lookup-or-compute, reporting whether the
-// answer came from the cache. The key string is only allocated on a miss,
-// where it is retained by the LRU. wire selects the Answer* behaviour (see
-// lookup).
+// answer came from the cache. The key is hashed once, for the probe and the
+// insert both; the entry copies the key bytes into storage it owns. wire
+// selects the Answer* behaviour (see lookup).
 func (sc *SuggestCache) answerKeyed(slot uint32, gen uint64, rec core.Recommender, buf *suggestBuf, ctx query.Seq, n int, wire bool) (Answer, bool) {
 	buf.key = appendSuggestKey(buf.key[:0], slot, gen, ctx, n)
-	if a, ok := sc.lookup(buf, wire); ok {
+	h := hashKey(buf.key)
+	if a, ok := sc.lookup(buf, h, buf.key, wire); ok {
 		return a, true
 	}
 	a := Answer{Recs: core.RecommendIDs(rec, ctx, n)}
-	sc.lru.Put(string(buf.key), a)
+	sc.lru.put(h, buf.key, a)
 	return a, false
 }
 
-// lookup probes the LRU for buf.key; with wire set, a hit on an entry that
-// has no wire form yet fills it.
-func (sc *SuggestCache) lookup(buf *suggestBuf, wire bool) (Answer, bool) {
-	a, ok := sc.lru.GetBytes(buf.key)
+// lookup probes the LRU for key, whose hash is h; with wire set, a hit on an
+// entry that has no wire form yet fills it.
+func (sc *SuggestCache) lookup(buf *suggestBuf, h uint64, key []byte, wire bool) (Answer, bool) {
+	a, ok := sc.lru.get(h, key)
 	if ok && wire && a.wire == nil {
-		a = sc.fillWire(buf, a)
+		a = sc.fillWire(buf, h, key, a)
 	}
 	return a, ok
 }
 
-// fillWire builds the wire form of a, the entry just found under buf.key,
-// and stores the pair back if the entry is still cached. The encode runs
-// outside the shard lock, into pooled scratch; the entry keeps an exact-size
-// copy. Racing first hits each store their own copy of the same bytes and
-// the last one stays.
-func (sc *SuggestCache) fillWire(buf *suggestBuf, a Answer) Answer {
+// fillWire builds the wire form of a, the entry just found under key, and
+// stores the pair back if the entry is still cached. The encode runs outside
+// the shard lock, into pooled scratch; the entry keeps an exact-size copy.
+// Racing first hits each store their own copy of the same bytes and the last
+// one stays.
+func (sc *SuggestCache) fillWire(buf *suggestBuf, h uint64, key []byte, a Answer) Answer {
 	if len(a.Recs) == 0 {
 		a.wire = emptyWire
 	} else {
 		buf.wire = core.AppendSuggestionsJSON(buf.wire[:0], a.Recs)
 		a.wire = bytes.Clone(buf.wire)
 	}
-	sc.lru.ReplaceBytes(buf.key, a)
+	sc.lru.replace(h, key, a)
 	return a
 }
 
@@ -217,8 +237,8 @@ func (sc *SuggestCache) RecommendBatch(gen uint64, rec core.Recommender, context
 // must be len(ctxs) long) inside one registry slot, for contexts that are
 // already interned. Hits come from the shared LRU under the slot's key
 // space; all misses are scored through one batched trie descent against rec
-// and inserted. ctxs entries may live in recycled buffers: the miss path
-// clones before retaining.
+// and inserted. ctxs entries may live in recycled buffers: nothing here or
+// behind core.Recommender keeps a context past the call.
 func (sc *SuggestCache) RecommendBatchSlot(slot uint32, gen uint64, rec core.Recommender, ctxs []query.Seq, ns []int, out [][]core.Suggestion) {
 	buf := sc.bufs.Get().(*suggestBuf)
 	defer sc.putBuf(buf)
@@ -241,36 +261,38 @@ func (sc *SuggestCache) AnswerBatchSlot(slot uint32, gen uint64, rec core.Recomm
 
 // answerBatch is the batch twin of answerKeyed: out[i] is resolved from the
 // cache where it can be, and every miss goes through one
-// rec.RecommendBatchIDs call and is inserted.
+// rec.RecommendBatchIDs call and is inserted. The misses' keys, hashes and
+// contexts wait in the pooled buffer meanwhile, so a miss costs the batch no
+// allocation beyond its suggestion slice.
 func (sc *SuggestCache) answerBatch(slot uint32, gen uint64, rec core.Recommender, buf *suggestBuf, ctxs []query.Seq, ns []int, out []Answer, wire bool) {
-	var (
-		missCtx []query.Seq
-		missKey []string
-		missN   []int
-		missIdx []int
-	)
+	buf.key = buf.key[:0]
 	for i, ctx := range ctxs {
 		out[i] = Answer{}
 		if len(ctx) == 0 {
 			continue
 		}
-		buf.key = appendSuggestKey(buf.key[:0], slot, gen, ctx, ns[i])
-		if a, ok := sc.lookup(buf, wire); ok {
+		start := len(buf.key)
+		buf.key = appendSuggestKey(buf.key, slot, gen, ctx, ns[i])
+		key := buf.key[start:]
+		h := hashKey(key)
+		if a, ok := sc.lookup(buf, h, key, wire); ok {
 			out[i] = a
+			buf.key = buf.key[:start]
 			continue
 		}
-		missCtx = append(missCtx, ctx.Clone())
-		missKey = append(missKey, string(buf.key))
-		missN = append(missN, ns[i])
-		missIdx = append(missIdx, i)
+		buf.missCtx = append(buf.missCtx, ctx)
+		buf.missN = append(buf.missN, ns[i])
+		buf.miss = append(buf.miss, batchMiss{item: i, keyEnd: len(buf.key), hash: h})
 	}
-	if len(missCtx) == 0 {
+	if len(buf.miss) == 0 {
 		return
 	}
-	res := rec.RecommendBatchIDs(missCtx, missN)
-	for j, i := range missIdx {
-		out[i] = Answer{Recs: res[j]}
-		sc.lru.Put(missKey[j], out[i])
+	res := rec.RecommendBatchIDs(buf.missCtx, buf.missN)
+	start := 0
+	for j, m := range buf.miss {
+		out[m.item] = Answer{Recs: res[j]}
+		sc.lru.put(m.hash, buf.key[start:m.keyEnd], out[m.item])
+		start = m.keyEnd
 	}
 }
 

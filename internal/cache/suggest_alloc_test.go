@@ -37,20 +37,11 @@ func TestSuggestCacheHitZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestSuggestCacheMissAllocs pins the miss path: one miss through a full
-// cache — descent, insert, eviction — allocates twice: the suggestion slice
-// the entry retains and the key string. The entry's node (links, key and
-// value in one object) is the evicted entry's, recycled. A third would be a
-// node or list element per insert, or a wire form built on insert.
-func TestSuggestCacheMissAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race-detector instrumentation allocates; counts are meaningless")
-	}
-	rec := testRecommender(t)
-	sc := NewSuggestCache(shardCount) // one entry per shard
+// missCycle returns a cycle of distinct covered contexts, many per shard, all
+// of one length: looked up in turn through a cache of one entry per shard,
+// every one misses, inserts and (once the shards are full) evicts.
+func missCycle(rec core.Recommender) []query.Seq {
 	base := core.InternContext(rec.Dict(), []string{"o2", "o2 mobile"})
-	// A cycle of distinct covered contexts, many per shard: every lookup
-	// misses, inserts and (once the shards are full) evicts.
 	var ctxs []query.Seq
 	for i := 0; i < 16*shardCount; i++ {
 		ctx := make(query.Seq, 9) // i in binary, spelled with two known queries
@@ -59,6 +50,23 @@ func TestSuggestCacheMissAllocs(t *testing.T) {
 		}
 		ctxs = append(ctxs, ctx)
 	}
+	return ctxs
+}
+
+// TestSuggestCacheMissAllocs pins the miss path: one miss through a full
+// cache — descent, insert, eviction — allocates once: the suggestion slice
+// the entry retains. The entry's node (links, key bytes and value) is the
+// evicted entry's, recycled, and the key is hashed and compared as bytes,
+// never made a string. A second allocation would be a key or node per
+// insert, or a wire form built on insert. (The slice itself cannot be
+// recycled with the node: see the package comment.)
+func TestSuggestCacheMissAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; counts are meaningless")
+	}
+	rec := testRecommender(t)
+	sc := NewSuggestCache(shardCount) // one entry per shard
+	ctxs := missCycle(rec)
 	next := 0
 	lookup := func() {
 		if _, hit := sc.AnswerSlot(0, 1, rec, ctxs[next%len(ctxs)], 5); hit {
@@ -75,8 +83,45 @@ func TestSuggestCacheMissAllocs(t *testing.T) {
 	if runs := after.Misses - before.Misses; after.Evictions-before.Evictions != runs {
 		t.Fatalf("%d misses evicted %d entries, want one each", runs, after.Evictions-before.Evictions)
 	}
-	if allocs != 2 {
-		t.Fatalf("miss + insert + evict allocates %.2f times, want 2", allocs)
+	if allocs != 1 {
+		t.Fatalf("miss + insert + evict allocates %.2f times, want 1", allocs)
+	}
+}
+
+// TestSuggestCacheBatchMissAllocs is the batch twin: a batch of misses
+// through a full cache allocates one suggestion slice per miss plus, per
+// batch, RecommendBatchIDs' result table and the closure it hands the batched
+// descent — no key string, no context clone, no bookkeeping slices.
+func TestSuggestCacheBatchMissAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; counts are meaningless")
+	}
+	const batch = 64
+	rec := testRecommender(t)
+	sc := NewSuggestCache(shardCount)
+	ctxs := missCycle(rec)
+	ns := make([]int, batch)
+	for i := range ns {
+		ns[i] = 5
+	}
+	out := make([]Answer, batch)
+	next := 0
+	lookup := func() {
+		lo := next % len(ctxs)
+		sc.AnswerBatchSlot(0, 1, rec, ctxs[lo:lo+batch], ns, out)
+		next += batch
+	}
+	for i := 0; i < 2*len(ctxs)/batch; i++ {
+		lookup()
+	}
+	before := sc.Stats()
+	allocs := testing.AllocsPerRun(len(ctxs)/batch, lookup)
+	after := sc.Stats()
+	if after.Hits != before.Hits || after.Evictions-before.Evictions != after.Misses-before.Misses {
+		t.Fatalf("the batches did not miss and evict throughout: %+v -> %+v", before, after)
+	}
+	if allocs != batch+2 {
+		t.Fatalf("a batch of %d misses allocates %.2f times, want %d (one per miss, the result table, the emit closure)", batch, allocs, batch+2)
 	}
 }
 

@@ -3,7 +3,6 @@ package cache
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"math"
 	"math/rand"
 	"sync"
@@ -219,29 +218,30 @@ func TestWireFillDoesNotResurrectEvicted(t *testing.T) {
 			t.Fatalf("%s: lookup hit=%v wire=%q", how, ok, a.wire)
 		}
 		// ... the entry goes away ...
-		shard := sc.lru.shardBytes(buf.key)
+		h := hashKey(buf.key)
+		shard := sc.lru.shard(h)
 		switch how {
 		case "evicted":
 			for n := 1; ; n++ { // another slot's keys, until one lands in the same one-entry shard
 				other := appendSuggestKey(nil, 7, 1, ctx, n)
-				sc.lru.Put(string(other), Answer{})
-				if sc.lru.shardBytes(other) == shard {
+				sc.lru.PutBytes(other, Answer{})
+				if sc.lru.shard(hashKey(other)) == shard {
 					break
 				}
 			}
 		case "purged":
 			sc.Purge()
 		}
-		if _, still := shard.items[string(buf.key)]; still {
+		if shard.find(h, buf.key) != nil {
 			t.Fatalf("%s: entry still cached", how)
 		}
 		entries := sc.Stats().Entries
 		// ... fill.
-		filled := sc.fillWire(buf, a)
+		filled := sc.fillWire(buf, h, buf.key, a)
 		if want := core.AppendSuggestionsJSON(nil, a.Recs); !bytes.Equal(filled.wire, want) {
 			t.Fatalf("%s: fill served %q, want %s", how, filled.wire, want)
 		}
-		if _, back := shard.items[string(buf.key)]; back || sc.Stats().Entries != entries {
+		if shard.find(h, buf.key) != nil || sc.Stats().Entries != entries {
 			t.Fatalf("%s: the fill resurrected the entry (entries %d -> %d)", how, entries, sc.Stats().Entries)
 		}
 		sc.putBuf(buf)
@@ -253,31 +253,25 @@ func TestWireFillDoesNotResurrectEvicted(t *testing.T) {
 // absent keys are not inserted.
 func TestReplaceBytes(t *testing.T) {
 	c := New[int](shardCount * 2) // two per shard
-	s := c.shard("x")
-	keys := []string{"x"}
-	for i := 0; len(keys) < 3; i++ {
-		if k := fmt.Sprintf("r%d", i); c.shard(k) == s {
-			keys = append(keys, k)
-		}
-	}
-	c.Put(keys[0], 0)
-	c.Put(keys[1], 1)
+	keys := sameShardKeys(c, "r", 3)
+	c.PutBytes(keys[0], 0)
+	c.PutBytes(keys[1], 1)
 	before := c.Stats()
-	if !c.ReplaceBytes([]byte(keys[0]), 10) {
+	if !c.ReplaceBytes(keys[0], 10) {
 		t.Fatal("ReplaceBytes missed a cached key")
 	}
-	if c.ReplaceBytes([]byte("absent"), 1) || c.ReplaceBytes([]byte(keys[2]), 2) {
+	if c.ReplaceBytes([]byte("absent"), 1) || c.ReplaceBytes(keys[2], 2) {
 		t.Fatal("ReplaceBytes reported an absent key present")
 	}
 	if after := c.Stats(); after != before {
 		t.Fatalf("ReplaceBytes moved the counters or the entry count: %+v -> %+v", before, after)
 	}
-	c.Put(keys[2], 2) // evicts the least recently used: still keys[0], replaced but not promoted
-	if _, ok := c.Get(keys[0]); ok {
+	c.PutBytes(keys[2], 2) // evicts the least recently used: still keys[0], replaced but not promoted
+	if _, ok := c.GetBytes(keys[0]); ok {
 		t.Fatal("ReplaceBytes promoted the entry")
 	}
-	if v, ok := c.Get(keys[1]); !ok || v != 1 {
-		t.Fatalf("Get(%q) = %v, %v", keys[1], v, ok)
+	if v, ok := c.GetBytes(keys[1]); !ok || v != 1 {
+		t.Fatalf("GetBytes(%q) = %v, %v", keys[1], v, ok)
 	}
 }
 

@@ -85,6 +85,9 @@ type Model struct {
 
 	sigma  []float64 // per-component Gaussian widths (Eq. 4)
 	maxLen []int     // per-component escape-window bound (0 / huge = unbounded)
+	// weights tabulates Eq. (4): weights[i*weightTableLen+d] is
+	// markov.Gaussian(d, sigma[i]), filled once at load (initServing).
+	weights []float64
 
 	// Trie in CSR form. Node 0 is the root (empty context); an edge carries
 	// the query ID that *prepends* the parent's suffix (descent consumes the
@@ -419,7 +422,7 @@ func (c *Model) layout(nodes map[string]*nodeInfo) {
 		c.appendFollowers(v, ids, counts)
 	}
 	c.folStart = append(c.folStart, int32(len(c.folIDSorted)))
-	c.initScratch()
+	c.initServing()
 }
 
 // parentID resolves a key's parent node (the key minus its oldest query).

@@ -334,7 +334,7 @@ func fromBytes(data []byte, mode ViewMode) (*Model, bool, error) {
 	if err := c.validateStructure(edges, fols); err != nil {
 		return nil, false, err
 	}
-	c.initScratch()
+	c.initServing()
 	return c, viewed, nil
 }
 

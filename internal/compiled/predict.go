@@ -40,7 +40,23 @@ type scratch struct {
 
 type scratchPool struct{ p sync.Pool }
 
-func (c *Model) initScratch() {
+// weightTableLen is how many Eq. (4) arguments are tabulated per component.
+// The argument is ctxLen minus the matched suffix length, a small integer on
+// any real session; the rare longer one is evaluated directly.
+const weightTableLen = 32
+
+// initServing derives what prediction needs beyond the decoded arrays: the
+// scratch pool and the Eq. (4) weight table. Every loader ends here. The
+// table's entries come from markov.Gaussian itself, the function match would
+// otherwise call per component per prediction, so tabulated and computed
+// weights are the same bits.
+func (c *Model) initServing() {
+	c.weights = make([]float64, c.k*weightTableLen)
+	for i, sigma := range c.sigma {
+		for d := 0; d < weightTableLen; d++ {
+			c.weights[i*weightTableLen+d] = markov.Gaussian(float64(d), sigma)
+		}
+	}
 	k, depth := c.k, c.depth
 	c.scratch.p.New = func() any {
 		return &scratch{
@@ -124,7 +140,12 @@ func (c *Model) match(s *scratch, ctxLen int) bool {
 		if s.matched[i] == 0 {
 			continue
 		}
-		s.w[i] = markov.Gaussian(float64(ctxLen-int(s.matched[i])), c.sigma[i])
+		// Eq. (4), unnormalised: tabulated for the distances sessions have.
+		if d := ctxLen - int(s.matched[i]); d < weightTableLen {
+			s.w[i] = c.weights[i*weightTableLen+d]
+		} else {
+			s.w[i] = markov.Gaussian(float64(d), c.sigma[i])
+		}
 		sum += s.w[i]
 	}
 	if sum <= 0 {

@@ -438,6 +438,6 @@ func fromBytes4(data []byte, mode ViewMode) (*Model, bool, error) {
 	if err := c.validateStructure(edges, fols); err != nil {
 		return nil, false, err
 	}
-	c.initScratch()
+	c.initServing()
 	return c, viewed, nil
 }

@@ -150,6 +150,6 @@ func Read(r io.Reader) (*Model, error) {
 	if err := sr.Close(); err != nil {
 		return nil, err
 	}
-	c.initScratch()
+	c.initServing()
 	return c, nil
 }

@@ -40,6 +40,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -95,7 +96,12 @@ type Suggestion struct {
 // cannot for mixtures built by this pipeline) the engine transparently
 // serves from the interpreted model instead.
 type Engine struct {
-	dict  *query.Dict
+	dict *query.Dict
+	// strs is dict's published string table, ID → query. Every Engine is
+	// made once training is over or the file is read, so the vocabulary is
+	// final: the dictionary is published there, and neither context interning
+	// nor suggestion strings take its lock from then on.
+	strs  []string
 	mix   *markov.MVMM
 	comp  *compiled.Model // nil ⇒ interpreted fallback
 	stats session.Stats
@@ -147,11 +153,35 @@ type LoadInfo struct {
 // LoadInfo reports the provenance of the serving model.
 func (r *Engine) LoadInfo() LoadInfo { return r.info }
 
-// predBufs pools prediction scratch for the zero-allocation serving path.
+// stackPreds is the largest suggestion count AppendSuggestions predicts into
+// an array on its own stack; predBufs pools the scratch of larger requests.
+const stackPreds = 16
+
 var predBufs = sync.Pool{New: func() any {
 	b := make([]model.Prediction, 0, 64)
 	return &b
 }}
+
+// queryAt is strs[id], "" for an ID outside the table (which only a corrupted
+// blob can predict).
+func queryAt(strs []string, id query.ID) string {
+	if int(id) >= len(strs) {
+		return ""
+	}
+	return strs[id]
+}
+
+// appendResolved appends preds to dst as suggestions, IDs resolved to strings.
+// A nil dst grows once, to exactly what preds needs, and stays nil when preds
+// is empty — which is how RecommendIDs gets a slice sized to the answer and
+// pays nothing for a context the model does not cover.
+func appendResolved(dst []Suggestion, strs []string, preds []model.Prediction) []Suggestion {
+	dst = slices.Grow(dst, len(preds))
+	for _, p := range preds {
+		dst = append(dst, Suggestion{Query: queryAt(strs, p.Query), Score: p.Score})
+	}
+	return dst
+}
 
 // TrainFromLog reads a raw search log (logfmt records), runs the full
 // pipeline and trains the MVMM.
@@ -182,7 +212,7 @@ func TrainFromAggregated(dict *query.Dict, agg []query.Session, cfg Config) *Eng
 		eps = markov.DefaultEpsilons()
 	}
 	mix := markov.NewMVMMFromEpsilons(agg, eps, dict.Len(), cfg.Mixture)
-	r := &Engine{dict: dict, mix: mix, stats: session.Collect(agg), cfg: cfg,
+	r := &Engine{dict: dict, strs: dict.Publish(), mix: mix, stats: session.Collect(agg), cfg: cfg,
 		info: LoadInfo{Mode: LoadModeTrained}}
 	r.comp, _ = compiled.Compile(mix)
 	return r
@@ -190,23 +220,23 @@ func TrainFromAggregated(dict *query.Dict, agg []query.Session, cfg Config) *Eng
 
 // AppendSuggestions appends up to n ranked suggestions for the interned
 // context to dst and returns the extended slice. With a recycled dst this is
-// the zero-allocation serving path: the compiled model predicts into pooled
-// scratch and suggestion strings are shared with the dictionary.
+// the zero-allocation serving path: the compiled model predicts into an
+// array on this frame (pooled scratch past stackPreds suggestions) and
+// suggestion strings are shared with the dictionary.
 func (r *Engine) AppendSuggestions(dst []Suggestion, ctx query.Seq, n int) []Suggestion {
 	if len(ctx) == 0 {
 		return dst
 	}
 	if r.comp == nil { // interpreted fallback
-		for _, p := range r.mix.Predict(ctx, n) {
-			dst = append(dst, Suggestion{Query: r.dict.String(p.Query), Score: p.Score})
-		}
-		return dst
+		return appendResolved(dst, r.strs, r.mix.Predict(ctx, n))
+	}
+	if n <= stackPreds {
+		var preds [stackPreds]model.Prediction
+		return appendResolved(dst, r.strs, r.comp.AppendPredictions(preds[:0], ctx, n))
 	}
 	buf := predBufs.Get().(*[]model.Prediction)
 	preds := r.comp.AppendPredictions((*buf)[:0], ctx, n)
-	for _, p := range preds {
-		dst = append(dst, Suggestion{Query: r.dict.String(p.Query), Score: p.Score})
-	}
+	dst = appendResolved(dst, r.strs, preds)
 	*buf = preds[:0]
 	predBufs.Put(buf)
 	return dst
@@ -232,11 +262,7 @@ func (r *Engine) RecommendBatchIDs(ctxs []query.Seq, ns []int) [][]Suggestion {
 		if len(preds) == 0 {
 			return
 		}
-		ss := make([]Suggestion, len(preds))
-		for j, p := range preds {
-			ss[j] = Suggestion{Query: r.dict.String(p.Query), Score: p.Score}
-		}
-		out[i] = ss
+		out[i] = appendResolved(make([]Suggestion, 0, len(preds)), r.strs, preds)
 	})
 	return out
 }
@@ -550,7 +576,7 @@ func load(rd io.Reader) (*Engine, LoadInfo, error) {
 	if err != nil {
 		return nil, info, fmt.Errorf("core: loading model: %w", err)
 	}
-	r := &Engine{dict: dict, mix: mix, cfg: DefaultConfig()}
+	r := &Engine{dict: dict, strs: dict.Publish(), mix: mix, cfg: DefaultConfig()}
 	switch version {
 	case saveMagicV2:
 		cs, n, err := section("compiled model")
@@ -752,7 +778,7 @@ func LoadPathWith(path string, opts LoadOptions) (*Engine, error) {
 		return nil, fmt.Errorf("core: loading compiled model: %w", err)
 	}
 
-	r := &Engine{dict: dict, comp: comp, cfg: DefaultConfig()}
+	r := &Engine{dict: dict, strs: dict.Publish(), comp: comp, cfg: DefaultConfig()}
 	r.mixLoad = func() (*markov.MVMM, error) {
 		defer f.Close() // runs at most once, under the Model() sync.Once
 		mix, err := markov.ReadMVMM(io.NewSectionReader(f, mixOff, int64(mixLen)))

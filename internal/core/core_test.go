@@ -298,7 +298,7 @@ func TestCompiledMatchesInterpretedThroughCore(t *testing.T) {
 		t.Fatal("no compiled model")
 	}
 	// Force the interpreted path on a clone sharing dict and mixture.
-	interp := &Engine{dict: rec.dict, mix: rec.mix, stats: rec.stats, cfg: rec.cfg}
+	interp := &Engine{dict: rec.dict, strs: rec.strs, mix: rec.mix, stats: rec.stats, cfg: rec.cfg}
 	for _, ctxs := range [][]string{
 		{"nokia n73"}, {"kidney stones"},
 		{"nokia n73", "nokia n73 themes"}, {"unknown", "nokia n73"},

@@ -67,14 +67,15 @@ func Recommend(r Recommender, context []string, n int) []Suggestion {
 // RecommendIDs is the allocation-lean shim over AppendSuggestions: it
 // accepts an already-interned context (see InternContext / AppendContext) so
 // serving layers that cache on context IDs intern exactly once per request.
-// The returned slice is freshly allocated (result caches retain it), nil
-// when there are no suggestions; use AppendSuggestions directly to recycle
-// the output buffer too.
+// The returned slice is freshly allocated (result caches retain it) and
+// sized to the answer, nil — and nothing allocated — when there are no
+// suggestions; use AppendSuggestions directly to recycle the output buffer
+// too.
 func RecommendIDs(r Recommender, ctx query.Seq, n int) []Suggestion {
 	if len(ctx) == 0 {
 		return nil
 	}
-	out := r.AppendSuggestions(make([]Suggestion, 0, n), ctx, n)
+	out := r.AppendSuggestions(nil, ctx, n)
 	if len(out) == 0 {
 		return nil
 	}
@@ -118,6 +119,7 @@ func AppendContextBytes(d *query.Dict, dst query.Seq, context [][]byte) query.Se
 // Predictor honours the zero-alloc contract serve allocation-free.
 type predictorRec struct {
 	dict *query.Dict
+	strs []string // dict's published string table
 	p    compiled.Predictor
 	info LoadInfo
 	bufs sync.Pool // *[]model.Prediction
@@ -126,9 +128,10 @@ type predictorRec struct {
 // FromPredictor wraps a model-family Predictor as a Recommender over dict.
 // The dictionary must be the one the model's query IDs were interned
 // against. info describes the model's provenance for /healthz and /v1/models
-// (zero value is fine for in-process construction).
+// (zero value is fine for in-process construction). The dictionary is
+// published here, as an Engine's is where it is made.
 func FromPredictor(dict *query.Dict, p compiled.Predictor, info LoadInfo) Recommender {
-	return &predictorRec{dict: dict, p: p, info: info}
+	return &predictorRec{dict: dict, strs: dict.Publish(), p: p, info: info}
 }
 
 func (a *predictorRec) Dict() *query.Dict             { return a.dict }
@@ -155,9 +158,7 @@ func (a *predictorRec) AppendSuggestions(dst []Suggestion, ctx query.Seq, n int)
 		buf = &b
 	}
 	preds := a.p.PredictInto((*buf)[:0], ctx, n)
-	for _, p := range preds {
-		dst = append(dst, Suggestion{Query: a.dict.String(p.Query), Score: p.Score})
-	}
+	dst = appendResolved(dst, a.strs, preds)
 	*buf = preds[:0]
 	a.bufs.Put(buf)
 	return dst

@@ -100,6 +100,27 @@ func TestBatchShardRefusalIsClientError(t *testing.T) {
 		t.Fatalf("buffered mixed batch answered %d, want 400", rr.Code)
 	}
 
+	// The refusal names the item by its place in the client's batch. Here
+	// the bad item is the client's second and the only one its shard sees
+	// (that shard's requests[0]): the buffered answer is what the single
+	// handler says of the whole batch, and the streamed error line says
+	// requests[1] as well.
+	moved := `{"requests":[{"context":["o2 mobile"]},{"context":["o2"],"n":100000}]}`
+	whole := postTo(serve.NewHandler(shardTestRec(t), 5), "/suggest/batch", moved)
+	if !strings.Contains(whole.Body.String(), "requests[1]: n must be in") {
+		t.Fatalf("single handler's refusal = %s", whole.Body)
+	}
+	if rr := postTo(router, "/suggest/batch", moved); rr.Code != http.StatusBadRequest || rr.Body.String() != whole.Body.String() {
+		t.Fatalf("routed refusal of client item 1 = %d %s\nsingle handler: %s", rr.Code, rr.Body, whole.Body)
+	}
+	lines = readRingNDJSON(t, postTo(router, "/suggest/batch?stream=1", moved).Body, 2)
+	if lines[1].Error == nil || json.Unmarshal(lines[1].Error, &e) != nil || !strings.Contains(e.Message, "requests[1]: n must be in") {
+		t.Fatalf("streamed refusal of client item 1 = %s, want requests[1]", lines[1].Error)
+	}
+	if lines[0].Error != nil {
+		t.Fatalf("the good item came back as an error: %s", lines[0].Error)
+	}
+
 	m := routerMetrics(t, router)
 	if breakerFailures(m) != 0 || m.Retries != 0 || m.Failovers != 0 {
 		t.Fatalf("refusals were held against the shards: retries %d, failovers %d, health %+v", m.Retries, m.Failovers, m.ShardHealth)
@@ -114,7 +135,7 @@ func TestBatchShardRefusalIsClientError(t *testing.T) {
 	for s := 0; s < 3; s++ {
 		calls += chaos.callCount(s)
 	}
-	if want := 2*fleet.DefaultFailThreshold + 2 + 2; calls != want {
+	if want := 2*fleet.DefaultFailThreshold + 2 + 2 + 2 + 2; calls != want {
 		t.Fatalf("%d shard exchanges, want %d (no retry of a refusal)", calls, want)
 	}
 
@@ -333,7 +354,9 @@ func TestBatchFormattedBodiesAnswerOneLinePerItem(t *testing.T) {
 // FuzzRoutedBatchNeverBlamesShard sends arbitrary bodies through a router
 // over healthy loopback shards. Whatever the client sends is the client's:
 // the answer is 200 or a 4xx, never a 502, a streamed answer holds no
-// bad_gateway line, and no breaker books a failure.
+// bad_gateway line, no breaker books a failure, and every 200 is JSON —
+// the body whole, or a streamed one line by line — whatever of the client's
+// bytes it echoes.
 func FuzzRoutedBatchNeverBlamesShard(f *testing.F) {
 	for _, body := range formattedBodies() {
 		f.Add(body, false)
@@ -345,6 +368,9 @@ func FuzzRoutedBatchNeverBlamesShard(f *testing.F) {
 	f.Add("{\"requests\":[{\"context\":[\"a\nb\"]},{\"context\":[\"o2\"]}]}", false)
 	f.Add("{\"requests\":[{\"context\":[\"a\\\n\"]},{\"context\":[\"o2\"]}]}", true)
 	f.Add(`{"requests":[{"context":[,"o2",]}{"context":["o2 mobile"]}]}`, true)
+	f.Add(`{"requests":[{"context":[,"o2",]}]}`, false)
+	f.Add(`{"requests":[{"context":["o2""o2 mobile"]},{"context":["a"]}]}`, true)
+	f.Add(`{"requests":[,{"context":["o2"]},{"context":["o2 mobile"],,"n":1},]}`, false)
 	f.Add(`{"requests":[{"context":["o2"],"n":{"x":[1]}},1,"x",[],{}]}`, false)
 	f.Add(`{"requests":[{"context":["}}\n{\"index\":1,\"result\":{"]},{"context":["o2"]}]}`, true)
 	f.Add(`{"requests":[{"context":[]},{"nope":1}],"requests":[]}`, false)
@@ -360,6 +386,17 @@ func FuzzRoutedBatchNeverBlamesShard(f *testing.F) {
 		}
 		if stream && bytes.Contains(rr.Body.Bytes(), []byte(`"bad_gateway"`)) {
 			t.Fatalf("streamed answer blames a shard for body %q: %s", body, rr.Body)
+		}
+		if rr.Code == http.StatusOK {
+			docs := [][]byte{rr.Body.Bytes()}
+			if stream {
+				docs = bytes.Split(bytes.TrimSuffix(rr.Body.Bytes(), []byte("\n")), []byte("\n"))
+			}
+			for _, doc := range docs {
+				if !json.Valid(doc) {
+					t.Fatalf("body %q answered 200 with something encoding/json cannot read: %s", body, doc)
+				}
+			}
 		}
 		if m := routerMetrics(t, router); breakerFailures(m) != 0 || m.Retries != 0 {
 			t.Fatalf("body %q moved a breaker: retries %d, health %+v", body, m.Retries, m.ShardHealth)

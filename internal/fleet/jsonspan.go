@@ -33,18 +33,15 @@ func hashJSONContext(item []byte) (uint64, error) {
 		return h, nil
 	}
 	i := v + 1
-	for {
-		i = jsonspan.SkipSpace(item, i)
-		if i >= len(item) {
-			return 0, fmt.Errorf("unterminated context array")
+	for first := true; ; first = false {
+		at, done, err := jsonspan.Next(item, i, ']', first)
+		if err != nil {
+			return 0, fmt.Errorf("context: %w", err)
 		}
-		if item[i] == ']' {
+		if done {
 			return h, nil
 		}
-		if item[i] == ',' {
-			i++
-			continue
-		}
+		i = at
 		if item[i] != '"' {
 			return h, nil // non-string element: shard's problem
 		}

@@ -1041,6 +1041,7 @@ func (s *ShardRouter) fanoutRound(ctx context.Context, sc *batchScratch, tr *obs
 				}
 			}
 		case call.outcome == attemptAnswered:
+			call.clientPositions()
 			if sc.refused == nil {
 				sc.refused = call
 			}
@@ -1127,10 +1128,35 @@ func (c *shardCall) failure() string {
 	return fmt.Sprintf("shard %d: status %d: %s", c.shard, c.status, bytes.TrimSpace(c.resp))
 }
 
+// clientPositions rewrites a refusal in place to speak of the client's batch:
+// the shard names the item it refused by its position in the sub-batch
+// ("requests[0]: n must be ..."), and items says which of the client's items
+// that was. Both relays of a refusal — the buffered batch's envelope and the
+// streamed one's error lines — read resp after this. Only the first
+// "requests[N]" is the position; anything later is quoted client input.
+func (c *shardCall) clientPositions() {
+	const tag = "requests["
+	lo := bytes.Index(c.resp, []byte(tag))
+	if lo < 0 {
+		return
+	}
+	lo += len(tag)
+	hi := lo
+	for hi < len(c.resp) && '0' <= c.resp[hi] && c.resp[hi] <= '9' {
+		hi++
+	}
+	j, err := strconv.Atoi(string(c.resp[lo:hi]))
+	if err != nil || j >= len(c.items) || hi == len(c.resp) || c.resp[hi] != ']' {
+		return
+	}
+	rest := bytes.Clone(c.resp[hi:])
+	c.resp = append(strconv.AppendInt(c.resp[:lo], int64(c.items[j]), 10), rest...)
+}
+
 // refusal reads the code and message out of the error envelope a shard
-// refused its sub-batch with, for the streamed batch's per-item error lines.
-// The message is the shard's own: an item position in it counts within the
-// sub-batch. An answer that is no envelope is quoted whole.
+// refused its sub-batch with (positions already the client's, see
+// clientPositions), for the streamed batch's per-item error lines. An answer
+// that is no envelope is quoted whole.
 func (c *shardCall) refusal() (code, msg string) {
 	var env struct {
 		Error struct {

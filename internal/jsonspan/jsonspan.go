@@ -7,7 +7,8 @@
 // one that holds a two-digit gate.
 //
 // The scanner validates only what span extraction needs (bracket and quote
-// balance); full validation happens where items are actually decoded.
+// balance, and the commas between the members it walks); full validation
+// happens where items are actually decoded.
 package jsonspan
 
 import (
@@ -91,6 +92,32 @@ func SkipValue(b []byte, i int) (int, error) {
 	}
 }
 
+// Next steps a scan over the comma-separated members of the array or object
+// that closer ends. i is just past the opening bracket (first) or just past a
+// member (!first). It returns where the next member starts, or done and the
+// index just past closer. The grammar is JSON's, member (',' member)*: a
+// leading, doubled or trailing comma, or two members with nothing between
+// them, is an error — callers echo and forward these bytes as JSON.
+func Next(b []byte, i int, closer byte, first bool) (at int, done bool, err error) {
+	i = SkipSpace(b, i)
+	if i < len(b) && b[i] == closer {
+		return i + 1, true, nil
+	}
+	if !first {
+		if i >= len(b) || b[i] != ',' {
+			return 0, false, fmt.Errorf("expected ',' or '%c' at offset %d", closer, i)
+		}
+		i = SkipSpace(b, i+1)
+	}
+	if i >= len(b) {
+		return 0, false, fmt.Errorf("missing closing '%c'", closer)
+	}
+	if b[i] == ',' || b[i] == closer {
+		return 0, false, fmt.Errorf("expected a value at offset %d", i)
+	}
+	return i, false, nil
+}
+
 // FindKey locates key's value inside the object whose '{' is at b[i] and
 // returns the index where the value starts, or -1 when the object has no
 // such top-level key. Keys with escapes cannot match (ours are plain ASCII).
@@ -100,18 +127,15 @@ func FindKey(b []byte, i int, key string) (int, error) {
 		return -1, fmt.Errorf("expected object at offset %d", i)
 	}
 	i++
-	for {
-		i = SkipSpace(b, i)
-		if i >= len(b) {
-			return -1, fmt.Errorf("unterminated object")
+	for first := true; ; first = false {
+		at, done, err := Next(b, i, '}', first)
+		if err != nil {
+			return -1, err
 		}
-		if b[i] == '}' {
+		if done {
 			return -1, nil
 		}
-		if b[i] == ',' {
-			i++
-			continue
-		}
+		i = at
 		if b[i] != '"' {
 			return -1, fmt.Errorf("expected object key at offset %d", i)
 		}
@@ -143,24 +167,18 @@ func AppendArraySpans(dst [][2]int, b []byte, i int) ([][2]int, error) {
 		return nil, fmt.Errorf("expected array at offset %d", i)
 	}
 	i++
-	for {
-		i = SkipSpace(b, i)
-		if i >= len(b) {
-			return nil, fmt.Errorf("unterminated array")
-		}
-		if b[i] == ']' {
-			return dst, nil
-		}
-		if b[i] == ',' {
-			i++
-			continue
-		}
-		end, err := SkipValue(b, i)
+	for first := true; ; first = false {
+		at, done, err := Next(b, i, ']', first)
 		if err != nil {
 			return nil, err
 		}
-		dst = append(dst, [2]int{i, end})
-		i = end
+		if done {
+			return dst, nil
+		}
+		if i, err = SkipValue(b, at); err != nil {
+			return nil, err
+		}
+		dst = append(dst, [2]int{at, i})
 	}
 }
 

@@ -105,6 +105,48 @@ func TestSkipValue(t *testing.T) {
 	}
 }
 
+func TestNext(t *testing.T) {
+	for _, tc := range []struct {
+		in    string
+		from  int
+		first bool
+		at    int // -1: done, -2: error
+		past  int // with done: the index past the closer
+	}{
+		{in: `[1]`, from: 1, first: true, at: 1},
+		{in: `[ 1]`, from: 1, first: true, at: 2},
+		{in: `[]`, from: 1, first: true, at: -1, past: 2},
+		{in: `[ ] `, from: 1, first: true, at: -1, past: 3},
+		{in: `[1 , 2]`, from: 2, at: 5},
+		{in: `[1]`, from: 2, at: -1, past: 3},
+		{in: `{"a":1}`, from: 6, at: -1, past: 7},
+		{in: `[,1]`, from: 1, first: true, at: -2},
+		{in: `[1,]`, from: 2, at: -2},
+		{in: `[1,,2]`, from: 2, at: -2},
+		{in: `[1 2]`, from: 2, at: -2},
+		{in: `[1}`, from: 2, at: -2}, // the other bracket is not the closer
+		{in: `[1,`, from: 2, at: -2},
+		{in: `[1`, from: 2, at: -2},
+		{in: `[`, from: 1, first: true, at: -2},
+	} {
+		at, done, err := Next([]byte(tc.in), tc.from, tc.in[0]+2, tc.first) // '[' + 2 == ']', '{' + 2 == '}'
+		switch {
+		case tc.at == -2:
+			if err == nil {
+				t.Errorf("Next(%q, %d, first=%v) = %d, %v, want an error", tc.in, tc.from, tc.first, at, done)
+			}
+		case err != nil:
+			t.Errorf("Next(%q, %d, first=%v): %v", tc.in, tc.from, tc.first, err)
+		case tc.at == -1:
+			if !done || at != tc.past {
+				t.Errorf("Next(%q, %d, first=%v) = %d, %v, want done past %d", tc.in, tc.from, tc.first, at, done, tc.past)
+			}
+		case done || at != tc.at:
+			t.Errorf("Next(%q, %d, first=%v) = %d, %v, want a member at %d", tc.in, tc.from, tc.first, at, done, tc.at)
+		}
+	}
+}
+
 func TestFindKey(t *testing.T) {
 	const (
 		absent = -1
@@ -127,15 +169,19 @@ func TestFindKey(t *testing.T) {
 		{in: `{"a":1}`, key: "", code: absent},
 		{in: `{"":5}`, key: "", want: `5`},
 		{in: ``, key: "requests", code: fails},
-		{in: `[1]`, key: "requests", code: fails},        // not an object
-		{in: `{"a":1`, key: "requests", code: fails},     // truncated after a value
-		{in: `{"a"`, key: "requests", code: fails},       // truncated before the colon
-		{in: `{"a" 1}`, key: "requests", code: fails},    // missing colon
-		{in: `{"a":}`, key: "requests", code: fails},     // missing value
-		{in: `{"a":[1,2}`, key: "requests", code: fails}, // unbalanced value on the way
-		{in: `{"a\`, key: "requests", code: fails},       // trailing backslash in a key
-		{in: `{a:1}`, key: "a", code: fails},             // bare key
-		{in: `{"requests":`, key: "requests", want: ``},  // found; the caller meets the truncation
+		{in: `[1]`, key: "requests", code: fails},             // not an object
+		{in: `{"a":1`, key: "requests", code: fails},          // truncated after a value
+		{in: `{"a"`, key: "requests", code: fails},            // truncated before the colon
+		{in: `{"a" 1}`, key: "requests", code: fails},         // missing colon
+		{in: `{"a":}`, key: "requests", code: fails},          // missing value
+		{in: `{"a":[1,2}`, key: "requests", code: fails},      // unbalanced value on the way
+		{in: `{"a\`, key: "requests", code: fails},            // trailing backslash in a key
+		{in: `{a:1}`, key: "a", code: fails},                  // bare key
+		{in: `{,"requests":1}`, key: "requests", code: fails}, // commas separate members, nothing else
+		{in: `{"a":1,,"requests":1}`, key: "requests", code: fails},
+		{in: `{"a":1 "requests":1}`, key: "requests", code: fails},
+		{in: `{"a":1,}`, key: "requests", code: fails},
+		{in: `{"requests":`, key: "requests", want: ``}, // found; the caller meets the truncation
 	} {
 		b := []byte(tc.in)
 		at, err := FindKey(b, 0, tc.key)
@@ -199,6 +245,12 @@ func TestAppendArraySpans(t *testing.T) {
 		{in: `[{"a":1]`}, // the element never balances
 		{in: `[}]`},      // a delimiter where an element must start
 		{in: `[1,}]`},
+		{in: `[,1]`}, // commas separate elements, nothing else
+		{in: `[1,]`},
+		{in: `[1,,2]`},
+		{in: `[1 2]`},
+		{in: `["a""b"]`},
+		{in: `[,]`},
 	} {
 		b := []byte(tc.in)
 		prefix := [][2]int{{-7, -7}} // appended to, not overwritten

@@ -296,7 +296,13 @@ func (t *Tracer) nextID() []string {
 // evicts) or returns it to the pool. The caller must not touch tr
 // afterwards.
 func (t *Tracer) Finish(tr *Trace, errored bool) {
-	tr.total = time.Since(tr.start).Microseconds()
+	t.FinishElapsed(tr, time.Since(tr.start), errored)
+}
+
+// FinishElapsed is Finish for a caller that has already read the clock at
+// the end of the request: elapsed is the time since tr.Start().
+func (t *Tracer) FinishElapsed(tr *Trace, elapsed time.Duration, errored bool) {
+	tr.total = elapsed.Microseconds()
 	if errored {
 		tr.err = true
 	}

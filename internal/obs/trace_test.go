@@ -219,6 +219,12 @@ func TestTailSamplingRetainsErroredAndSlow(t *testing.T) {
 	if !found {
 		t.Fatalf("forced trace not retained")
 	}
+	// A caller that read the clock itself hands the duration in: it is the
+	// trace's total, and what the slow threshold is compared with.
+	tr.FinishElapsed(tr.Start(), time.Second, false)
+	if views := tr.Snapshot(1_000_000, false, 0); len(views) != 1 || views[0].TotalMicros != 1_000_000 || views[0].Err {
+		t.Fatalf("slow trace finished with its elapsed time: %+v", views)
+	}
 }
 
 func TestSnapshotFilters(t *testing.T) {

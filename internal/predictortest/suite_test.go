@@ -35,6 +35,14 @@ func trainingData() (*query.Dict, []query.Session, []query.Seq) {
 		seq("kidney stones", "kidney stone symptoms"),
 		seq("query never trained"), // uncovered: must answer empty, not panic
 	}
+	// A context longer than the compiled trie's Eq. (4) weight table (32):
+	// the match is its last query, 39 queries short of the context.
+	long := make(query.Seq, 40)
+	for i := range long {
+		long[i] = ctxs[0][0]
+	}
+	long[len(long)-1] = ctxs[1][0]
+	ctxs = append(ctxs, long)
 	return d, sessions, ctxs
 }
 
@@ -48,6 +56,9 @@ func TestCompiledModelConformance(t *testing.T) {
 	cm := rec.CompiledModel()
 	if cm == nil {
 		t.Fatal("training produced no compiled model")
+	}
+	if long := ctxs[len(ctxs)-1]; len(long) <= 32 || len(cm.PredictInto(nil, long, 5)) == 0 {
+		t.Fatalf("the %d-query context is not answered: no stage runs past the weight table", len(long))
 	}
 	predictortest.Run(t, cm, ctxs)
 }

@@ -10,11 +10,7 @@ const magicDict = "QDIC"
 
 // WriteTo serializes the dictionary in ID order. It implements io.WriterTo.
 func (d *Dict) WriteTo(w io.Writer) (int64, error) {
-	d.mu.RLock()
-	strs := make([]string, len(d.strs))
-	copy(strs, d.strs)
-	d.mu.RUnlock()
-
+	strs := d.table()
 	sw := store.NewWriter(w)
 	sw.Magic(magicDict)
 	sw.Int(len(strs))

@@ -6,9 +6,12 @@ package query
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // ID is a compact interned identifier for a unique query string.
@@ -21,8 +24,23 @@ const Invalid ID = ^ID(0)
 
 // Dict is a bidirectional, concurrency-safe mapping between query strings and
 // dense IDs. The zero value is not usable; construct with NewDict.
+//
+// A dictionary that is being built is read and written under mu. Publish
+// turns the tables into an immutable snapshot, which Lookup, LookupBytes,
+// String and Len then read without taking mu — the state a served dictionary
+// stays in for good, since nothing interns into it after training. Interning
+// a new string into a published dictionary still works: it copies the tables
+// first and drops the snapshot, so a reader that is holding the snapshot keeps
+// seeing the tables exactly as they were published.
 type Dict struct {
 	mu   sync.RWMutex
+	ids  map[string]ID
+	strs []string
+	pub  atomic.Pointer[tables] // non-nil: ids and strs are shared with it and must not be written
+}
+
+// tables is a published, immutable view of a dictionary.
+type tables struct {
 	ids  map[string]ID
 	strs []string
 }
@@ -38,10 +56,7 @@ func NewDict() *Dict {
 // mirroring standard query-log canonicalisation.
 func (d *Dict) Intern(q string) ID {
 	q = Normalize(q)
-	d.mu.RLock()
-	id, ok := d.ids[q]
-	d.mu.RUnlock()
-	if ok {
+	if id, ok := d.lookup(q); ok {
 		return id
 	}
 	d.mu.Lock()
@@ -49,20 +64,48 @@ func (d *Dict) Intern(q string) ID {
 	if id, ok := d.ids[q]; ok {
 		return id
 	}
-	id = ID(len(d.strs))
+	if d.pub.Load() != nil {
+		// Copy on write: lock-free readers own the published tables.
+		d.ids, d.strs = maps.Clone(d.ids), slices.Clone(d.strs)
+		d.pub.Store(nil)
+	}
+	id := ID(len(d.strs))
 	d.ids[q] = id
 	d.strs = append(d.strs, q)
 	return id
 }
 
+// Publish makes the dictionary's current tables an immutable snapshot that
+// readers use without locking, and returns the snapshot's string table,
+// indexed by ID, which the caller must not modify. Serving code calls it once
+// the vocabulary is final; see Dict for what a later Intern does.
+func (d *Dict) Publish() []string {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	t := d.pub.Load()
+	if t == nil {
+		t = &tables{ids: d.ids, strs: d.strs}
+		d.pub.Store(t)
+	}
+	return t.strs
+}
+
+// lookup resolves an already normalised query string.
+func (d *Dict) lookup(q string) (ID, bool) {
+	if t := d.pub.Load(); t != nil {
+		id, ok := t.ids[q]
+		return id, ok
+	}
+	d.mu.RLock()
+	id, ok := d.ids[q]
+	d.mu.RUnlock()
+	return id, ok
+}
+
 // Lookup resolves a query string to its ID without interning.
 // The second return value reports whether the query was known.
 func (d *Dict) Lookup(q string) (ID, bool) {
-	q = Normalize(q)
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	id, ok := d.ids[q]
-	return id, ok
+	return d.lookup(Normalize(q))
 }
 
 // LookupBytes is Lookup for a query held in a byte slice. When the bytes are
@@ -74,8 +117,12 @@ func (d *Dict) LookupBytes(q []byte) (ID, bool) {
 	if !normalizedASCII(q) {
 		return d.Lookup(string(q))
 	}
+	if t := d.pub.Load(); t != nil {
+		id, ok := t.ids[string(q)] // conversion in the index expression: no alloc
+		return id, ok
+	}
 	d.mu.RLock()
-	id, ok := d.ids[string(q)] // conversion in the index expression: no alloc
+	id, ok := d.ids[string(q)]
 	d.mu.RUnlock()
 	return id, ok
 }
@@ -107,14 +154,12 @@ func normalizedASCII(q []byte) bool {
 // what the serving layer's reload compatibility check and the fleet router's
 // shared-context interning rely on.
 func (d *Dict) Hash() uint64 {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
 	)
 	h := uint64(offset64)
-	for _, s := range d.strs {
+	for _, s := range d.table() {
 		n := len(s)
 		for shift := 0; shift < 32; shift += 8 {
 			h ^= uint64(byte(n >> shift))
@@ -138,50 +183,36 @@ func (d *Dict) Extends(base *Dict) bool {
 	if d == base {
 		return true
 	}
-	// Snapshot base first; RLocks never exclude each other so the ordering is
-	// only about not holding both locks at once.
-	base.mu.RLock()
-	prefix := base.strs
-	n := len(prefix)
-	base.mu.RUnlock()
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	if len(d.strs) < n {
-		return false
-	}
-	for i := 0; i < n; i++ {
-		if d.strs[i] != prefix[i] {
-			return false
-		}
-	}
-	return true
+	prefix, strs := base.table(), d.table()
+	return len(strs) >= len(prefix) && slices.Equal(strs[:len(prefix)], prefix)
 }
 
 // String returns the query string for id, or "" if id is out of range.
 func (d *Dict) String(id ID) string {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	if int(id) >= len(d.strs) {
+	strs := d.table()
+	if int(id) >= len(strs) {
 		return ""
 	}
-	return d.strs[id]
+	return strs[id]
 }
 
 // Len reports the number of unique queries interned so far (|Q|).
-func (d *Dict) Len() int {
+func (d *Dict) Len() int { return len(d.table()) }
+
+// table returns the string table as of now: the published one, or the
+// current extent of the one under construction (whose elements below that
+// length are never rewritten, only appended after).
+func (d *Dict) table() []string {
+	if t := d.pub.Load(); t != nil {
+		return t.strs
+	}
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	return len(d.strs)
+	return d.strs
 }
 
 // Strings returns a copy of all interned query strings in ID order.
-func (d *Dict) Strings() []string {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	out := make([]string, len(d.strs))
-	copy(out, d.strs)
-	return out
-}
+func (d *Dict) Strings() []string { return slices.Clone(d.table()) }
 
 // Normalize canonicalises a raw query string: lower-case, trim, and collapse
 // internal whitespace runs to single spaces.

@@ -1,6 +1,10 @@
 package query
 
 import (
+	"bytes"
+	"fmt"
+	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -330,5 +334,128 @@ func TestDictHashExtends(t *testing.T) {
 	}
 	if a.Hash() == ext.Hash() {
 		t.Fatal("extension must still change the hash")
+	}
+}
+
+// TestPublishedDictConcurrentReadersAndIntern: readers hammer a published
+// dictionary through the lock-free paths while another goroutine interns new
+// strings into it, which copies the tables and drops the snapshot. A reader
+// sees every pre-existing query under its ID throughout, and a new one either
+// not at all or under the ID it was given — never a torn table. Meaningful
+// under -race.
+func TestPublishedDictConcurrentReadersAndIntern(t *testing.T) {
+	const old, fresh, readers = 200, 200, 4
+	d := NewDict()
+	oldQ, freshQ := make([][]byte, old), make([][]byte, fresh)
+	for i := range oldQ {
+		oldQ[i] = fmt.Appendf(nil, "old query %d", i)
+		d.Intern(string(oldQ[i]))
+	}
+	for i := range freshQ {
+		freshQ[i] = fmt.Appendf(nil, "fresh query %d", i)
+	}
+	table := d.Publish()
+	if len(table) != old || table[old-1] != string(oldQ[old-1]) {
+		t.Fatalf("published table holds %d strings, last %q", len(table), table[len(table)-1])
+	}
+
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for pass := 0; ; pass++ {
+				select {
+				case <-done:
+					if pass > 0 {
+						return
+					}
+				default:
+				}
+				for i, q := range oldQ {
+					if id, ok := d.LookupBytes(q); !ok || id != ID(i) || d.String(id) != string(q) {
+						t.Errorf("pre-existing %q resolved to (%d, %v) -> %q", q, id, ok, d.String(id))
+						return
+					}
+				}
+				for i, q := range freshQ {
+					id, ok := d.LookupBytes(q)
+					if ok && (id != ID(old+i) || d.String(id) != string(q) || d.Len() <= int(id)) {
+						t.Errorf("new %q resolved to %d -> %q with Len %d", q, id, d.String(id), d.Len())
+						return
+					}
+				}
+				if n := d.Len(); n < old || n > old+fresh {
+					t.Errorf("Len = %d", n)
+					return
+				}
+			}
+		}()
+	}
+	for i, q := range freshQ {
+		if id := d.Intern(string(q)); id != ID(old+i) {
+			t.Errorf("Intern(%q) = %d, want %d", q, id, old+i)
+		}
+	}
+	close(done)
+	wg.Wait()
+
+	if len(table) != old || table[0] != string(oldQ[0]) || table[old-1] != string(oldQ[old-1]) {
+		t.Fatal("interning wrote into the table a reader may still hold")
+	}
+	if again := d.Publish(); len(again) != old+fresh || again[old] != string(freshQ[0]) {
+		t.Fatalf("republished table holds %d strings", len(again))
+	}
+}
+
+// TestPublishIsInvisibleToTheRest: whether and when a dictionary was
+// published changes nothing about what it is — Hash, Extends, WriteTo,
+// Strings and every lookup agree with a dictionary built by the same Interns
+// and never published, before the copy-on-write and after it.
+func TestPublishIsInvisibleToTheRest(t *testing.T) {
+	plain, pub := NewDict(), NewDict()
+	same := func(stage string) {
+		t.Helper()
+		var a, b bytes.Buffer
+		if _, err := plain.WriteTo(&a); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := pub.WriteTo(&b); err != nil {
+			t.Fatal(err)
+		}
+		if plain.Hash() != pub.Hash() || !bytes.Equal(a.Bytes(), b.Bytes()) ||
+			!pub.Extends(plain) || !plain.Extends(pub) || plain.Len() != pub.Len() {
+			t.Fatalf("%s: the published dictionary differs from its never-published twin", stage)
+		}
+		for i, s := range plain.Strings() {
+			id, ok := pub.Lookup(" " + strings.ToUpper(s))
+			if !ok || id != ID(i) || pub.String(id) != s {
+				t.Fatalf("%s: %q resolves to (%d, %v) -> %q", stage, s, id, ok, pub.String(id))
+			}
+		}
+		if _, ok := pub.Lookup("never interned"); ok || pub.String(ID(pub.Len())) != "" {
+			t.Fatalf("%s: unknown query or out-of-range ID resolved", stage)
+		}
+	}
+	for _, q := range []string{"o2", "o2 mobile", "smtp"} {
+		plain.Intern(q)
+		pub.Intern(q)
+	}
+	same("before Publish")
+	base := pub.Publish()
+	same("published")
+	if id := pub.Intern("O2  Mobile"); id != 1 || &pub.Publish()[0] != &base[0] {
+		t.Fatal("interning a known query copied the tables")
+	}
+	for _, q := range []string{"pop3", "imap"} {
+		plain.Intern(q)
+		pub.Intern(q)
+	}
+	same("after the copy-on-write")
+	pub.Publish()
+	same("published again")
+	if len(base) != 3 {
+		t.Fatalf("the first snapshot grew to %d strings", len(base))
 	}
 }

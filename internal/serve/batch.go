@@ -105,18 +105,15 @@ func (bb *batchScratch) parseBatchBody() error {
 	}
 	i++
 	sawRequests := false
-	for {
-		i = jsonspan.SkipSpace(b, i)
-		if i >= len(b) {
-			return fmt.Errorf("unterminated object")
+	for first := true; ; first = false {
+		at, done, err := jsonspan.Next(b, i, '}', first)
+		if err != nil {
+			return err
 		}
-		if b[i] == '}' {
+		if done {
 			break
 		}
-		if b[i] == ',' {
-			i++
-			continue
-		}
+		i = at
 		if b[i] != '"' {
 			return fmt.Errorf("expected object key at offset %d", i)
 		}
@@ -153,20 +150,15 @@ func (bb *batchScratch) parseItems(i int) (int, error) {
 		return 0, fmt.Errorf(`"requests" must be an array`)
 	}
 	i++
-	for {
-		i = jsonspan.SkipSpace(b, i)
-		if i >= len(b) {
-			return 0, fmt.Errorf("unterminated requests array")
+	for first := true; ; first = false {
+		at, done, err := jsonspan.Next(b, i, ']', first)
+		if err != nil {
+			return 0, fmt.Errorf("requests: %w", err)
 		}
-		if b[i] == ']' {
-			return i + 1, nil
+		if done {
+			return at, nil
 		}
-		if b[i] == ',' {
-			i++
-			continue
-		}
-		var err error
-		if i, err = bb.parseItem(i); err != nil {
+		if i, err = bb.parseItem(at); err != nil {
 			return 0, fmt.Errorf("requests[%d]: %w", len(bb.items)-1, err)
 		}
 	}
@@ -184,18 +176,15 @@ func (bb *batchScratch) parseItem(i int) (int, error) {
 		return 0, fmt.Errorf("expected an object")
 	}
 	i++
-	for {
-		i = jsonspan.SkipSpace(b, i)
-		if i >= len(b) {
-			return 0, fmt.Errorf("unterminated item object")
+	for first := true; ; first = false {
+		at, done, err := jsonspan.Next(b, i, '}', first)
+		if err != nil {
+			return 0, err
 		}
-		if b[i] == '}' {
-			return i + 1, nil
+		if done {
+			return at, nil
 		}
-		if b[i] == ',' {
-			i++
-			continue
-		}
+		i = at
 		if b[i] != '"' {
 			return 0, fmt.Errorf("expected object key at offset %d", i)
 		}
@@ -235,27 +224,25 @@ func (bb *batchScratch) parseItem(i int) (int, error) {
 }
 
 // parseContext parses the item's context string array, unescaping each
-// element into flat and recording its token span. A raw control byte inside a
-// string is refused, as encoding/json refuses it: the array is echoed into the
-// response as it came, and a raw LF there would break an NDJSON line in two.
+// element into flat and recording its token span. The array is echoed into
+// the response as it came, so it has to be JSON as it stands: a stray comma is
+// refused (jsonspan.Next), and so is a raw control byte inside a string, as
+// encoding/json refuses it — a raw LF there would break an NDJSON line in two.
 func (bb *batchScratch) parseContext(i int, item *batchItemSpan) (int, error) {
 	b := bb.body
 	if i >= len(b) || b[i] != '[' {
 		return 0, fmt.Errorf("context must be an array of strings")
 	}
 	i++
-	for {
-		i = jsonspan.SkipSpace(b, i)
-		if i >= len(b) {
-			return 0, fmt.Errorf("unterminated context array")
+	for first := true; ; first = false {
+		at, done, err := jsonspan.Next(b, i, ']', first)
+		if err != nil {
+			return 0, fmt.Errorf("context: %w", err)
 		}
-		if b[i] == ']' {
-			return i + 1, nil
+		if done {
+			return at, nil
 		}
-		if b[i] == ',' {
-			i++
-			continue
-		}
+		i = at
 		if b[i] != '"' {
 			return 0, fmt.Errorf("context must be an array of strings")
 		}
@@ -273,22 +260,37 @@ func (bb *batchScratch) parseContext(i int, item *batchItemSpan) (int, error) {
 
 // skipContextString is jsonspan.SkipString for a context string: it advances
 // past the string whose opening quote is at b[i], and in the same pass refuses
-// a raw control byte inside it (see parseContext).
+// what encoding/json refuses inside one — a raw control byte, an escape that
+// is none of JSON's — because the string is echoed (see parseContext).
 func skipContextString(b []byte, i int) (int, error) {
-	escaped := false
 	for j := i + 1; j < len(b); j++ {
 		switch c := b[j]; {
-		case c < 0x20: // also right after a backslash
+		case c < 0x20:
 			return 0, fmt.Errorf("control character in string at offset %d", j)
-		case escaped:
-			escaped = false
-		case c == '\\':
-			escaped = true
 		case c == '"':
 			return j + 1, nil
+		case c == '\\':
+			j++
+			if j == len(b) {
+				continue // off the end: unterminated
+			}
+			switch b[j] {
+			case '"', '\\', '/', 'b', 'f', 'n', 'r', 't':
+			case 'u':
+				if j+4 >= len(b) || !isHex(b[j+1]) || !isHex(b[j+2]) || !isHex(b[j+3]) || !isHex(b[j+4]) {
+					return 0, fmt.Errorf("invalid \\u escape in string at offset %d", j-1)
+				}
+				j += 4
+			default:
+				return 0, fmt.Errorf("invalid escape in string at offset %d", j-1)
+			}
 		}
 	}
 	return 0, fmt.Errorf("unterminated string at offset %d", i)
+}
+
+func isHex(c byte) bool {
+	return '0' <= c && c <= '9' || 'a' <= c && c <= 'f' || 'A' <= c && c <= 'F'
 }
 
 // suggestBatch scores a whole batch through one shared-scratch batched trie

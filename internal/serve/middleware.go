@@ -23,9 +23,8 @@ type statusWriter struct {
 	h      *Handler
 	method string
 	path   string
-	start  time.Time
-	tr     *obs.Trace
-	rid    string // X-Request-Id: client-supplied, or the trace ID
+	tr     *obs.Trace // its Start is the request's: the one clock read on the way in
+	rid    string     // X-Request-Id: client-supplied, or the trace ID
 }
 
 var statusWriterPool = sync.Pool{New: func() any { return new(statusWriter) }}
@@ -76,7 +75,10 @@ func (w *statusWriter) finish() {
 		h.m.errors.Add(1)
 		errored = true
 	}
-	took := time.Since(w.start).Microseconds()
+	// The one clock read on the way out: histograms, log line and trace
+	// total all take this value.
+	elapsed := time.Since(w.tr.Start())
+	took := elapsed.Microseconds()
 	h.histHTTP.Record(took)
 	switch w.path {
 	case "/suggest":
@@ -89,9 +91,9 @@ func (w *statusWriter) finish() {
 	if h.opts.Logger != nil {
 		// Log before Finish: the trace must not be touched afterwards.
 		h.opts.Logger.Printf("%s %s -> %d (%s) rid=%s trace=%s",
-			w.method, w.path, w.status(), time.Since(w.start), w.rid, w.tr.ID())
+			w.method, w.path, w.status(), elapsed, w.rid, w.tr.ID())
 	}
-	h.tracer.Finish(w.tr, errored)
+	h.tracer.FinishElapsed(w.tr, elapsed, errored)
 	w.tr = nil
 	w.rid = ""
 	w.ResponseWriter = nil
@@ -111,7 +113,7 @@ func (h *Handler) instrument(next http.Handler) http.Handler {
 		sw := statusWriterPool.Get().(*statusWriter)
 		sw.ResponseWriter = w
 		sw.code, sw.wrote = 0, false
-		sw.h, sw.method, sw.path, sw.start = h, r.Method, r.URL.Path, time.Now()
+		sw.h, sw.method, sw.path = h, r.Method, r.URL.Path
 		tr := h.tracer.Start()
 		// Direct map index: the key is canonical, and Header.Get would
 		// canonicalise it again on every request.

@@ -132,6 +132,69 @@ func TestBatchValidation(t *testing.T) {
 	}
 }
 
+// TestBatchBodyGrammar is the regression table for the stray-comma bug: the
+// batch parser used to skip ',' like whitespace in the body object, the
+// requests array, an item and its context array, and the context array is
+// echoed into the answer as it came — so `[,"o2",]` was answered 200 with a
+// body encoding/json cannot read, and `["a""b"]` passed with no comma at all.
+// Members are value (',' value)*, and an echoed string holds only JSON's
+// escapes: what encoding/json reads is served, and answered in JSON;
+// everything else is a 400. Buffered and streamed alike.
+func TestBatchBodyGrammar(t *testing.T) {
+	h := NewHandler(testRecommender(t), 5)
+	for _, tc := range []struct {
+		body string
+		ok   bool
+	}{
+		{`{"requests":[{"context":["o2"]}]}`, true},
+		{` { "requests" : [ { "context" : [ "o2" , "o2 mobile" ] , "n" : 2 } , { "n" : 1 , "context" : [ "o2" ] } ] } `, true},
+		{`{"requests":[{"context":[,"o2",]}]}`, false}, // the reported body
+		{`{"requests":[{"context":[,"o2"]}]}`, false},
+		{`{"requests":[{"context":["o2",]}]}`, false},
+		{`{"requests":[{"context":["o2",,"o2 mobile"]}]}`, false},
+		{`{"requests":[{"context":["o2""o2 mobile"]}]}`, false},
+		{`{"requests":[{"context":["o2" "o2 mobile"]}]}`, false},
+		{`{"requests":[{"context":[,]}]}`, false},
+		{`{"requests":[{,"context":["o2"]}]}`, false},
+		{`{"requests":[{"context":["o2"],}]}`, false},
+		{`{"requests":[{"context":["o2"],,"n":1}]}`, false},
+		{`{"requests":[{"context":["o2"]"n":1}]}`, false},
+		{`{"requests":[,{"context":["o2"]}]}`, false},
+		{`{"requests":[{"context":["o2"]},]}`, false},
+		{`{"requests":[{"context":["o2"]},,{"context":["o2"]}]}`, false},
+		{`{"requests":[{"context":["o2"]}{"context":["o2"]}]}`, false},
+		{`{,"requests":[{"context":["o2"]}]}`, false},
+		{`{"requests":[{"context":["o2"]}],}`, false},
+		{`{"requests":[{"context":["\u00e9\"\\\/\b\f\n\r\t"]}]}`, true},
+		{`{"requests":[{"context":["o\2"]}]}`, false}, // found by FuzzRoutedBatchNeverBlamesShard
+		{`{"requests":[{"context":["\u12g4"]}]}`, false},
+		{`{"requests":[{"context":["\u12"]}]}`, false},
+	} {
+		for _, target := range []string{"/suggest/batch", "/suggest/batch?stream=1"} {
+			rr := httptest.NewRecorder()
+			h.ServeHTTP(rr, httptest.NewRequest(http.MethodPost, target, strings.NewReader(tc.body)))
+			if want := json.Valid([]byte(tc.body)); want != tc.ok {
+				t.Fatalf("table entry %s: encoding/json validity is %v", tc.body, want)
+			}
+			if !tc.ok {
+				if rr.Code != http.StatusBadRequest {
+					t.Errorf("%s %s: status %d, want 400: %s", target, tc.body, rr.Code, rr.Body)
+				}
+				continue
+			}
+			if rr.Code != http.StatusOK {
+				t.Errorf("%s %s: status %d: %s", target, tc.body, rr.Code, rr.Body)
+				continue
+			}
+			for _, line := range bytes.Split(bytes.TrimSpace(rr.Body.Bytes()), []byte("\n")) {
+				if !json.Valid(line) {
+					t.Errorf("%s %s: answer is not JSON: %s", target, tc.body, line)
+				}
+			}
+		}
+	}
+}
+
 // TestCacheHitEquivalence verifies the acceptance criterion that cached
 // results are byte-identical to uncached ones: the first request computes,
 // the second hits the LRU, and the serialized suggestions must match
