@@ -897,7 +897,7 @@ func BenchmarkShardFanout64R2(b *testing.B) {
 }
 
 // BenchmarkRouterGET measures one routed GET /suggest: the router hop (hash,
-// ring lookup, breaker, per-attempt context, spans, exchange) over three
+// ring lookup, breaker, attempt context, spans, exchange) over three
 // loopback shards at R=2 with a 2 s shard timeout and no hedge — cmd/serve's
 // default router — on warm shard caches. The shard path allocates nothing,
 // so allocs/op is the hop's own; CI gates it.

@@ -351,12 +351,97 @@ func TestBatchFormattedBodiesAnswerOneLinePerItem(t *testing.T) {
 	}
 }
 
+// TestRoutedBatchBodyGrammar is the routed twin of serve's
+// TestBatchBodyGrammar, and the regression table for the router reading no
+// further than the "requests" array: a foreign key beside it, a comma or
+// nothing where the body object should close, a second "requests" that is no
+// array were all refused by the single handler and served through the router.
+// The router walks the whole object as the single handler does: every body
+// gets the single handler's status, buffered and streamed, and a body refused
+// for its own grammar — before any item is looked at — the same answer byte
+// for byte, without a shard hearing of it.
+func TestRoutedBatchBodyGrammar(t *testing.T) {
+	rec := shardTestRec(t)
+	single := serve.NewHandler(rec, 5)
+	router, chaos := newChaosRing(t, 3, fleet.RouterOptions{Replicas: 2})
+	const item = `{"context":["o2"]}`
+	for _, tc := range []struct {
+		body   string
+		status int
+		same   bool // a refusal of the body's own grammar: the answers are the same bytes
+		shard  bool // a refusal only the shard can make: streamed, it is an error line under the committed 200
+	}{
+		{`{"requests":[` + item + `]}`, 200, false, false},
+		{` { "requests" : [ ` + item + ` , ` + item + ` ] } `, 200, false, false},
+		{`{"requests":[` + item + `],"bogus":1}`, 400, true, false}, // the reported bodies
+		{`{"bogus":1,"requests":[` + item + `]}`, 400, true, false},
+		{`{"requests":[` + item + `],"requests":5}`, 400, true, false},
+		{`{"requests":[` + item + `],}`, 400, true, false},
+		{`{"requests":[` + item + `]`, 400, true, false},
+		{`{"requests":[` + item + `] "requests":[]}`, 400, true, false},
+		{`{"requests":[` + item + `],"requests"}`, 400, true, false},
+		{`{"requests":[` + item + `],requests:[]}`, 400, true, false},
+		{`{,"requests":[` + item + `]}`, 400, true, false},
+		{`{"requests":[,` + item + `]}`, 400, true, false},
+		{`{"requests":[` + item + `,]}`, 400, true, false},
+		{`{"requests":[` + item + item + `]}`, 400, true, false},
+		{`{"requests":{"0":` + item + `}}`, 400, true, false},
+		{`[` + item + `]`, 400, true, false},
+		{`{}`, 400, true, false},
+		{``, 400, true, false},
+		{`{"requests":[]}`, 400, true, false},
+		{`{"requests":[],"requests":[]}`, 400, true, false},
+		// The single handler adds repeated "requests" arrays up and does not
+		// look past the closing brace; so does the router.
+		{`{"requests":[` + item + `],"requests":[{"context":["nokia n73"]}]}`, 200, false, false},
+		{`{"requests":[],"requests":[` + item + `]}`, 200, false, false},
+		{`{"requests":[` + item + `]}{"bogus":1}`, 200, false, false},
+		// Refused over an item: the status is the single handler's, the
+		// wording whoever looked at the item first.
+		{`{"requests":[` + item + `,{"context":["o2"],"n":100000}],"bogus":1}`, 400, true, false},
+		{`{"requests":[{"context":[,"o2",]}]}`, 400, false, false},
+		{`{"requests":[{"context":["o2"],"nope":1}]}`, 400, false, true},
+		{`{"requests":[` + item + `,{"context":["o2"],"n":100000}]}`, 400, false, true},
+		{`{"requests":[1]}`, 400, false, false},
+	} {
+		for _, target := range []string{"/suggest/batch", "/suggest/batch?stream=1"} {
+			calls := chaos.callCount(0) + chaos.callCount(1) + chaos.callCount(2)
+			want, got := postTo(single, target, tc.body), postTo(router, target, tc.body)
+			if want.Code != tc.status {
+				t.Fatalf("table entry %s: the single handler answers %d", tc.body, want.Code)
+			}
+			if tc.shard && target != "/suggest/batch" {
+				if got.Code != http.StatusOK || !bytes.Contains(got.Body.Bytes(), []byte(`"error":{"code":"bad_request"`)) {
+					t.Errorf("%s %s: routed answer %d without the shard's refusal as an error line: %s", target, tc.body, got.Code, got.Body)
+				}
+				continue
+			}
+			if got.Code != want.Code {
+				t.Errorf("%s %s: routed status %d, single handler %d: %s", target, tc.body, got.Code, want.Code, got.Body)
+				continue
+			}
+			if tc.same && got.Body.String() != want.Body.String() {
+				t.Errorf("%s %s: routed refusal differs from the single handler's\ngot:  %s\nwant: %s", target, tc.body, got.Body, want.Body)
+			}
+			if n := chaos.callCount(0) + chaos.callCount(1) + chaos.callCount(2) - calls; tc.same && n != 0 {
+				t.Errorf("%s %s: %d shard exchange(s) for a body refused for its grammar", target, tc.body, n)
+			}
+			if tc.status == http.StatusOK && target == "/suggest/batch" && stripTook(got.Body.Bytes()) != stripTook(want.Body.Bytes()) {
+				t.Errorf("%s: routed answer differs from the single handler's\ngot:  %s\nwant: %s", tc.body, got.Body, want.Body)
+			}
+		}
+	}
+}
+
 // FuzzRoutedBatchNeverBlamesShard sends arbitrary bodies through a router
 // over healthy loopback shards. Whatever the client sends is the client's:
 // the answer is 200 or a 4xx, never a 502, a streamed answer holds no
 // bad_gateway line, no breaker books a failure, and every 200 is JSON —
 // the body whole, or a streamed one line by line — whatever of the client's
-// bytes it echoes.
+// bytes it echoes. And the router is no laxer and no stricter than one
+// handler: a buffered batch gets the status the single handler gives the same
+// body; a streamed one too, except that what only a shard can refuse arrives
+// under the 200 already on the wire, as an error line.
 func FuzzRoutedBatchNeverBlamesShard(f *testing.F) {
 	for _, body := range formattedBodies() {
 		f.Add(body, false)
@@ -374,7 +459,11 @@ func FuzzRoutedBatchNeverBlamesShard(f *testing.F) {
 	f.Add(`{"requests":[{"context":["o2"],"n":{"x":[1]}},1,"x",[],{}]}`, false)
 	f.Add(`{"requests":[{"context":["}}\n{\"index\":1,\"result\":{"]},{"context":["o2"]}]}`, true)
 	f.Add(`{"requests":[{"context":[]},{"nope":1}],"requests":[]}`, false)
-	router := newLoopbackRing(f, shardTestRec(f), 3)
+	f.Add(`{"requests":[{"context":["o2"]}],"bogus":1}`, false)
+	f.Add(`{"requests":[{"context":["o2"]}],"requests":[{"context":["a"]}]} {}`, true)
+	f.Add(`{"requests":[{"context":["o2"]}],}`, true)
+	rec := shardTestRec(f)
+	router, single := newLoopbackRing(f, rec, 3), serve.NewHandler(rec, 5)
 	f.Fuzz(func(t *testing.T, body string, stream bool) {
 		target := "/suggest/batch"
 		if stream {
@@ -386,6 +475,12 @@ func FuzzRoutedBatchNeverBlamesShard(f *testing.F) {
 		}
 		if stream && bytes.Contains(rr.Body.Bytes(), []byte(`"bad_gateway"`)) {
 			t.Fatalf("streamed answer blames a shard for body %q: %s", body, rr.Body)
+		}
+		if want := postTo(single, target, body); rr.Code != want.Code {
+			shardRefused := stream && rr.Code == http.StatusOK && bytes.Contains(rr.Body.Bytes(), []byte(`,"error":{"code":"bad_request"`))
+			if !shardRefused {
+				t.Fatalf("body %q: routed status %d, single handler %d\nrouted: %s\nsingle: %s", body, rr.Code, want.Code, rr.Body, want.Body)
+			}
 		}
 		if rr.Code == http.StatusOK {
 			docs := [][]byte{rr.Body.Bytes()}

@@ -21,8 +21,9 @@ import (
 
 // chaosTransport wraps a fleet.Transport with fault injection: shards can be
 // killed outright (down), made to fail their next N exchanges (failN — the
-// "killed mid-batch" primitive), slowed (delay, cancellable via ctx so
-// hedged losers stop early), or made to answer their next exchange with a
+// "killed mid-batch" primitive), slowed (delay, cut short by ctx.Done() so
+// hedged losers stop early and by ctx.Deadline() so a ShardTimeout fires), or
+// made to answer their next exchange with a
 // damaged body (garble). Faults flip at runtime under the mutex, so a
 // test can kill a shard between a baseline run and a failover run, or
 // mid-stream from another goroutine.
@@ -101,9 +102,19 @@ func (c *chaosTransport) Exchange(ctx context.Context, shard int, method, path s
 		return 0, respBuf, fmt.Errorf("chaos: shard %d connection refused", shard)
 	}
 	if d > 0 {
+		// A transport that blocks arms its own timer against the attempt's
+		// deadline (the Transport.Exchange contract): the delay ends there
+		// with DeadlineExceeded when the deadline comes first.
+		var expired error
+		if dl, ok := ctx.Deadline(); ok && time.Until(dl) < d {
+			d, expired = time.Until(dl), context.DeadlineExceeded
+		}
 		t := time.NewTimer(d)
 		select {
 		case <-t.C:
+			if expired != nil {
+				return 0, respBuf, expired
+			}
 		case <-ctx.Done():
 			t.Stop()
 			return 0, respBuf, ctx.Err()

@@ -7,12 +7,79 @@ import (
 )
 
 // The batch fan-out never decodes batch items: it splits the client's
-// "requests" array into raw byte spans with internal/jsonspan and forwards
-// them verbatim (the shards' answers come back line-framed and are split by
+// "requests" array into raw byte spans (splitRequests) and forwards them
+// verbatim (the shards' answers come back line-framed and are split by
 // newline, see parseResults). The one semantic piece it needs — hashing each
 // item's context strings for ring lookup — streams the unescaped bytes
 // straight into the FNV state below, so routing a 64-item batch allocates
 // nothing.
+
+// splitRequests walks the whole top-level object of a batch body and appends
+// the span of every item of its "requests" array to spans. It keeps to the
+// single handler's grammar (serve's parseBatchBody), error text included, so a
+// body refused there is refused here with the same 400 and not routed: the
+// object holds nothing but "requests" keys — one as a rule; repeated, their
+// arrays add up, as they do there — each an array, members separated as JSON
+// separates them, and it is closed. Like the single handler it does not look
+// past the closing brace. Items are delimited, not parsed: what is wrong
+// inside one is for hashJSONContext or the shard to refuse.
+func splitRequests(spans [][2]int, b []byte) ([][2]int, error) {
+	i := jsonspan.SkipSpace(b, 0)
+	if i >= len(b) || b[i] != '{' {
+		return nil, fmt.Errorf("expected a JSON object")
+	}
+	i++
+	sawRequests := false
+	for first := true; ; first = false {
+		at, done, err := jsonspan.Next(b, i, '}', first)
+		if err != nil {
+			return nil, err
+		}
+		if done {
+			break
+		}
+		i = at
+		if b[i] != '"' {
+			return nil, fmt.Errorf("expected object key at offset %d", i)
+		}
+		keyEnd, err := jsonspan.SkipString(b, i)
+		if err != nil {
+			return nil, err
+		}
+		key := b[i+1 : keyEnd-1]
+		i = jsonspan.SkipSpace(b, keyEnd)
+		if i >= len(b) || b[i] != ':' {
+			return nil, fmt.Errorf("expected ':' at offset %d", i)
+		}
+		if string(key) != "requests" {
+			return nil, fmt.Errorf("unknown field %q", key)
+		}
+		sawRequests = true
+		i = jsonspan.SkipSpace(b, i+1)
+		if i >= len(b) || b[i] != '[' {
+			return nil, fmt.Errorf(`"requests" must be an array`)
+		}
+		i++
+		for first := true; ; first = false {
+			at, done, err := jsonspan.Next(b, i, ']', first)
+			if err != nil {
+				return nil, fmt.Errorf("requests: %w", err)
+			}
+			if done {
+				i = at
+				break
+			}
+			if i, err = jsonspan.SkipValue(b, at); err != nil {
+				return nil, fmt.Errorf("requests[%d]: %w", len(spans), err)
+			}
+			spans = append(spans, [2]int{at, i})
+		}
+	}
+	if !sawRequests {
+		return nil, fmt.Errorf(`missing "requests" array`)
+	}
+	return spans, nil
+}
 
 // hashJSONContext returns hashStringContext of the "context" array inside the
 // batch item span without decoding it. Items without a context hash as empty

@@ -17,7 +17,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/jsonspan"
 	"repro/internal/obs"
 )
 
@@ -25,13 +24,26 @@ import (
 // must be safe for concurrent use.
 type Transport interface {
 	// Exchange sends method + path (query string included) to the given
-	// shard under ctx — the deadline/cancellation carrier of the failover
-	// and hedging machinery. body may be nil (GETs). The response body is
-	// appended to respBuf (which may be a recycled pooled buffer, possibly
-	// nil) and returned; the caller owns it and the transport must not
-	// retain or reuse it after returning. The trace header ctx carries
-	// (obs.TraceHeaderFromContext) is immutable and may be held for as long
-	// as the transport needs it.
+	// shard. body may be nil (GETs). The response body is appended to
+	// respBuf (which may be a recycled pooled buffer, possibly nil) and
+	// returned; the caller owns it and the transport must not retain or
+	// reuse it after returning.
+	//
+	// ctx carries the attempt's terms as values; it is not a timer:
+	//   - ctx.Deadline() is the attempt's budget, min(the request's deadline,
+	//     start + RouterOptions.ShardTimeout), or none. Nothing fires when it
+	//     passes: a transport that can block arms its own timer against it
+	//     (context.WithDeadline(ctx, dl) does) and answers
+	//     context.DeadlineExceeded; one that cannot block ignores it.
+	//   - ctx.Done() closes when the client goes away or, for a hedged
+	//     attempt, when it has lost the race — and not on the deadline. A
+	//     context done on entry means the exchange must not run.
+	//   - obs.TraceHeaderFromContext(ctx) is the X-Trace-Id header value to
+	//     propagate, immutable, or nil.
+	// The router allocates ctx per attempt and never recycles it, so the
+	// transport, and any context it derives from it, may hold it for as long
+	// as it needs. A caller outside the router may pass any context, such as
+	// context.Background(): no deadline, no header.
 	Exchange(ctx context.Context, shard int, method, path string, body, respBuf []byte) (status int, resp []byte, err error)
 	// Shards returns the number of replicas the transport can reach.
 	Shards() int
@@ -75,9 +87,9 @@ func (nopCloseReader) Close() error { return nil }
 
 // Exchange implements Transport by synthesising an in-process request from a
 // pooled scratch. Loopback calls run the handler synchronously in the
-// calling goroutine; ctx deadlines are not enforced mid-handler (in-process
-// handlers are trusted not to hang), but a ctx already cancelled on entry
-// short-circuits so expired hedge losers never run.
+// calling goroutine and cannot block: the deadline is not looked at
+// (in-process handlers are trusted not to hang), but a ctx already cancelled
+// on entry short-circuits so hedge losers and departed clients never run.
 func (t *LoopbackTransport) Exchange(ctx context.Context, shard int, method, path string, body, respBuf []byte) (int, []byte, error) {
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
@@ -212,11 +224,20 @@ func NewHTTPTransport(bases []string, client *http.Client) (*HTTPTransport, erro
 // Shards implements Transport.
 func (t *HTTPTransport) Shards() int { return len(t.bases) }
 
-// Exchange implements Transport with one HTTP request to the shard under
-// ctx, reading the response into the caller's recycled buffer.
+// Exchange implements Transport with one HTTP request to the shard, reading
+// the response into the caller's recycled buffer. A socket can block, so the
+// attempt's deadline is armed here: the request runs under a
+// context.WithDeadline of ctx, which ends it — dial, write, header wait or
+// body read — with context.DeadlineExceeded.
 func (t *HTTPTransport) Exchange(ctx context.Context, shard int, method, path string, body, respBuf []byte) (int, []byte, error) {
 	if ctx == nil {
 		ctx = context.Background()
+	}
+	hv := obs.TraceHeaderFromContext(ctx) // before deriving: the child is no carrier, and Value would box the slice
+	if dl, ok := ctx.Deadline(); ok {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithDeadline(ctx, dl)
+		defer cancel()
 	}
 	var rd io.Reader
 	if body != nil {
@@ -229,7 +250,7 @@ func (t *HTTPTransport) Exchange(ctx context.Context, shard int, method, path st
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	if hv := obs.TraceHeaderFromContext(ctx); hv != nil {
+	if hv != nil {
 		req.Header["X-Trace-Id"] = hv
 	}
 	resp, err := t.client.Do(req)
@@ -556,13 +577,48 @@ func (s *ShardRouter) reload(w http.ResponseWriter, r *http.Request) {
 	_ = json.NewEncoder(w).Encode(resp)
 }
 
-// attemptContext derives the per-attempt context: a ShardTimeout deadline
-// when configured, always cancellable so hedge losers stop early.
-func (s *ShardRouter) attemptContext(parent context.Context) (context.Context, context.CancelFunc) {
+// attemptCtx is the context one shard attempt — a GET attempt, or the
+// sub-batches of one batch round — runs under: the request's context, with the
+// attempt's deadline and the request's X-Trace-Id header value as plain
+// fields. It carries values and arms nothing: Done and Err are the request's,
+// so nothing fires when the deadline passes (whoever can block arms the timer,
+// see Transport.Exchange), there is nothing to cancel, and an exchange of a
+// microsecond does not pay for a runtime timer set two seconds out. One is
+// allocated per attempt and never pooled: a transport, or a context derived
+// from this one, may still hold it after the exchange has returned.
+type attemptCtx struct {
+	context.Context           // the request's
+	deadline        time.Time // zero: no deadline
+	hv              []string  // obs.Trace.HeaderValue of the request: immutable
+}
+
+// newAttemptCtx builds the context of an attempt that starts at now: its
+// deadline is the earlier of the request's own and now + ShardTimeout.
+func (s *ShardRouter) newAttemptCtx(req context.Context, hv []string, now time.Time) *attemptCtx {
+	c := &attemptCtx{Context: req, hv: hv}
 	if s.opts.ShardTimeout > 0 {
-		return context.WithTimeout(parent, s.opts.ShardTimeout)
+		c.deadline = now.Add(s.opts.ShardTimeout)
 	}
-	return context.WithCancel(parent)
+	if dl, ok := req.Deadline(); ok && (c.deadline.IsZero() || dl.Before(c.deadline)) {
+		c.deadline = dl
+	}
+	return c
+}
+
+// Deadline implements context.Context with the attempt's deadline.
+func (c *attemptCtx) Deadline() (time.Time, bool) { return c.deadline, !c.deadline.IsZero() }
+
+// TraceHeader implements obs.TraceHeaderCarrier.
+func (c *attemptCtx) TraceHeader() []string { return c.hv }
+
+// Value implements context.Context. A context derived from this one (the
+// cancellable child of a raced attempt, HTTPTransport's deadline) is no
+// carrier itself and finds the trace header here.
+func (c *attemptCtx) Value(key any) any {
+	if _, ok := key.(obs.TraceHeaderKey); ok {
+		return c.hv
+	}
+	return c.Context.Value(key)
 }
 
 // backoffSleep sleeps the jittered failover backoff before retry attempt
@@ -615,8 +671,8 @@ func (o attemptOutcome) failedOver() bool { return o >= attemptError }
 // attempt fail with context.Canceled, and three of those would eject a
 // healthy shard), so it is not counted and the half-open probe claim the
 // attempt may have carried is handed back, or the breaker would strand at
-// "probing".
-func (s *ShardRouter) settleAttempt(parent context.Context, shard, status int, err error) attemptOutcome {
+// "probing". now is when the attempt ended.
+func (s *ShardRouter) settleAttempt(parent context.Context, shard, status int, err error, now time.Time) attemptOutcome {
 	switch {
 	case !retryable(status, err):
 		s.health[shard].recordSuccess()
@@ -625,7 +681,7 @@ func (s *ShardRouter) settleAttempt(parent context.Context, shard, status int, e
 		s.health[shard].releaseProbe()
 		return attemptCancelled
 	}
-	s.health[shard].recordFailure(s.hcfg, time.Now())
+	s.health[shard].recordFailure(s.hcfg, now)
 	if err != nil {
 		return attemptError
 	}
@@ -772,27 +828,21 @@ func (s *ShardRouter) batch(w http.ResponseWriter, r *http.Request) {
 	tr := s.tracer.Start()
 	tr.Adopt(r.Header["X-Trace-Id"])
 	w.Header()["X-Trace-Id"] = tr.HeaderValue()
-	ctx := obs.ContextWithTraceHeader(r.Context(), tr.HeaderValue())
+	ctx := r.Context()
 	// Assume the worst until a success path flips it; the deferred finish
 	// then tail-samples error traces without per-return bookkeeping.
 	errored := true
 	defer func() {
-		s.reqLat.Record(time.Since(tr.Start()).Microseconds())
-		s.tracer.Finish(tr, errored)
+		elapsed := time.Since(tr.Start())
+		s.reqLat.Record(elapsed.Microseconds())
+		s.tracer.FinishElapsed(tr, elapsed, errored)
 	}()
 	var err error
 	if sc.body, err = appendReadAll(sc.body, http.MaxBytesReader(w, r.Body, s.maxBodySize)); err != nil {
 		writeErrorJSON(w, http.StatusBadRequest, "bad_request", "reading body: "+err.Error())
 		return
 	}
-	arr, err := jsonspan.FindKey(sc.body, 0, "requests")
-	if err == nil && arr < 0 {
-		err = fmt.Errorf(`missing "requests" array`)
-	}
-	if err == nil {
-		sc.spans, err = jsonspan.AppendArraySpans(sc.spans[:0], sc.body, arr)
-	}
-	if err != nil {
+	if sc.spans, err = splitRequests(sc.spans[:0], sc.body); err != nil {
 		writeErrorJSON(w, http.StatusBadRequest, "bad_request", "invalid JSON body: "+err.Error())
 		return
 	}
@@ -925,8 +975,10 @@ func (s *ShardRouter) failoversOf(sc *batchScratch, R int) int {
 // pending list.
 //
 // The sub-batches of a round start together, so they share one attempt
-// context — one ShardTimeout deadline — cancelled once all are back. All but
-// the last run on goroutines of their own; the last runs here, on the
+// context (attemptCtx) — one ShardTimeout deadline, counted from the clock read
+// that opened the round — which, like an inline GET attempt's, is derived from
+// nothing and needs no cancel: the round waits for every call. All but the
+// last run on goroutines of their own; the last runs here, on the
 // request goroutine, which would otherwise only wait for the others. Each
 // completed call is recorded retroactively as a "shard-batch" span on tr
 // after the wait, on the request goroutine: whichever goroutine ran a call
@@ -1010,17 +1062,16 @@ func (s *ShardRouter) fanoutRound(ctx context.Context, sc *batchScratch, tr *obs
 	}
 	round := sc.calls[callsBefore:]
 	if len(round) > 0 {
-		actx, cancel := s.attemptContext(ctx)
+		actx := s.newAttemptCtx(ctx, tr.HeaderValue(), now)
 		for _, call := range round[:len(round)-1] {
 			sc.wg.Add(1)
 			go func(call *shardCall) {
 				defer sc.wg.Done()
-				s.exchangeSubBatch(ctx, actx, sc, call, out)
+				s.exchangeSubBatch(actx, sc, call, out)
 			}(call)
 		}
-		s.exchangeSubBatch(ctx, actx, sc, round[len(round)-1], out)
+		s.exchangeSubBatch(actx, sc, round[len(round)-1], out)
 		sc.wg.Wait()
-		cancel()
 	}
 
 	failMsg := ""
@@ -1073,14 +1124,15 @@ const subBatchPath = "/suggest/batch?stream=1"
 // against the shard's breaker, and in streamed mode write served lines the
 // moment they land, while slower shards are still descending. It touches
 // only its own call and, under its mutex, the stream.
-func (s *ShardRouter) exchangeSubBatch(ctx, actx context.Context, sc *batchScratch, call *shardCall, out *streamOut) {
+func (s *ShardRouter) exchangeSubBatch(actx context.Context, sc *batchScratch, call *shardCall, out *streamOut) {
 	call.start = time.Now()
 	call.status, call.resp, call.err = s.tr.Exchange(actx, call.shard, http.MethodPost, subBatchPath, call.sub, call.resp)
 	if call.err == nil && call.status == http.StatusOK {
 		call.err = call.parseResults()
 	}
-	call.durMicros = time.Since(call.start).Microseconds()
-	call.outcome = s.settleAttempt(ctx, call.shard, call.status, call.err)
+	end := time.Now()
+	call.durMicros = end.Sub(call.start).Microseconds()
+	call.outcome = s.settleAttempt(actx, call.shard, call.status, call.err, end)
 	if out != nil && call.served() {
 		out.writeCall(sc, call)
 	}

@@ -11,9 +11,10 @@ import (
 )
 
 // The GET /suggest hop. One request walks its preference list with one
-// attempt state machine (getWalk): pick the next replica, derive the
-// per-attempt context, open the attempt span, exchange, settle the outcome
-// against the breaker and the trace, then respond, fail over or give up.
+// attempt state machine (getWalk): pick the next replica, build the attempt's
+// context (attemptCtx: deadline and trace header as values), open the attempt
+// span, exchange, settle the outcome against the breaker and the trace, then
+// respond, fail over or give up.
 //
 // The machine runs in one of two modes. With no hedge armed — hedging off,
 // or fewer than two replicas to race — every attempt, sequential failover
@@ -23,6 +24,17 @@ import (
 // the timer and then against the hedge (race); whatever is left of the list
 // after that race is walked inline again. Both modes go through the same
 // pick/begin/exchangeGET/settle/respond steps.
+//
+// An inline attempt derives no context and arms no timer: it cannot outlive
+// the request, so there is nobody to cancel, and its deadline is the
+// transport's to enforce (Transport.Exchange). Only a raced attempt gets a
+// context.WithCancel of its own, so that the loser can be stopped.
+//
+// The walk reads the clock once when an attempt starts — that instant is the
+// breaker check's now, the base of the deadline, the span's start and the
+// attempt latency's start — once when it ends (span end, attempt latency) and
+// once in finish (request latency, trace total). With Tracer.Start's read that
+// is four a routed GET, and spans that share a read abut exactly.
 
 // statusClientClosedRequest answers a request whose client went away before
 // a replica did (nginx's 499; net/http has no name for it). The client never
@@ -37,7 +49,7 @@ type getAttempt struct {
 	pref   int // index into the preference list
 	span   int // the attempt's "shard" span on the request trace
 	hedge  bool
-	cancel context.CancelFunc
+	cancel context.CancelFunc // race only: stops the attempt when it loses
 }
 
 // getResult is what an attempt's exchange came back with. body is the pooled
@@ -48,6 +60,7 @@ type getResult struct {
 	status int
 	body   *[]byte
 	err    error
+	end    time.Time // when the exchange returned
 }
 
 // getWalk is the state of one GET's walk over its preference list. It lives
@@ -56,7 +69,7 @@ type getResult struct {
 type getWalk struct {
 	s   *ShardRouter
 	tr  *obs.Trace
-	ctx context.Context // request context + trace header: parent of every attempt
+	ctx context.Context // the request's: what every attempt's Done and Err are
 	uri string
 
 	// The preference list is prefs[:n]. It is kept as an array, not a slice
@@ -91,7 +104,12 @@ func (s *ShardRouter) suggest(w http.ResponseWriter, r *http.Request) {
 	tr := s.tracer.Start()
 	tr.Adopt(r.Header["X-Trace-Id"])
 	w.Header()["X-Trace-Id"] = tr.HeaderValue()
-	g := getWalk{s: s, tr: tr, uri: r.URL.RequestURI()}
+	// The path was matched as exactly /suggest: the query is all there is to
+	// forward, and LoopbackTransport splits the string again at the '?'.
+	g := getWalk{s: s, tr: tr, ctx: r.Context(), uri: "/suggest"}
+	if r.URL.RawQuery != "" {
+		g.uri = "/suggest?" + r.URL.RawQuery
+	}
 	g.n = len(s.ring.LookupN(hashRawQueryContext(r.URL.RawQuery), s.opts.Replicas, g.prefs[:0]))
 	s.perShard[g.prefs[0]].Add(1)
 
@@ -99,9 +117,6 @@ func (s *ShardRouter) suggest(w http.ResponseWriter, r *http.Request) {
 	if g.n < 2 {
 		hedge = 0
 	}
-	// The header value is immutable, so a hedge loser that still sits in a
-	// transport after this trace is finished reads the same ID.
-	g.ctx = obs.ContextWithTraceHeader(r.Context(), tr.HeaderValue())
 	if hedge > 0 && g.race(w, hedge) {
 		return
 	}
@@ -112,14 +127,16 @@ func (s *ShardRouter) suggest(w http.ResponseWriter, r *http.Request) {
 // inline, and answers the request: the first replica to answer is served,
 // each failure backs off and moves on, and an exhausted list is a 502.
 func (g *getWalk) walk(w http.ResponseWriter) {
-	for pref := g.pick(); pref >= 0; pref = g.pick() {
+	now := time.Now()
+	for pref := g.pick(now); pref >= 0; pref = g.pick(now) {
 		if g.launched > 0 {
 			g.s.retries.Add(1)
 			g.s.backoffSleep(g.launched)
+			now = time.Now()
 		}
-		at, actx := g.begin(pref, false)
-		res := g.s.exchangeGET(actx, g.prefs[pref], g.uri)
-		at.cancel()
+		at, actx := g.begin(pref, false, now)
+		res := g.s.exchangeGET(actx, g.prefs[pref], g.uri, now)
+		now = res.end
 		switch g.settle(&at, res) {
 		case attemptAnswered:
 			g.respond(w, &at, res)
@@ -140,7 +157,8 @@ func (g *getWalk) race(w http.ResponseWriter, delay time.Duration) bool {
 	s := g.s
 	var atts [2]getAttempt                   // primary, hedge
 	resCh := make(chan getResult, len(atts)) // one send per raced attempt
-	atts[0] = g.launch(g.pick(), false, 0, resCh)
+	now := time.Now()
+	atts[0] = g.launch(g.pick(now), false, 0, now, resCh)
 	inflight := 1
 	timer := time.NewTimer(delay)
 	defer timer.Stop()
@@ -151,11 +169,12 @@ func (g *getWalk) race(w http.ResponseWriter, delay time.Duration) bool {
 		case <-timer.C:
 			// Only the primary has been tried and the list holds at least
 			// two replicas, so pick cannot come back empty.
-			next := g.pick()
+			now = time.Now()
+			next := g.pick(now)
 			s.hedges.Add(1)
 			s.hedgeWait.Record(delay.Microseconds())
 			g.tr.Event("hedge-fire", g.prefs[next], "fired")
-			atts[1] = g.launch(next, true, 1, resCh)
+			atts[1] = g.launch(next, true, 1, now, resCh)
 			inflight++
 			continue
 		}
@@ -172,7 +191,7 @@ func (g *getWalk) race(w http.ResponseWriter, delay time.Duration) bool {
 			// goroutine; its result, when it lands, goes to the drain.
 			loser := &atts[1-res.slot]
 			loser.cancel()
-			g.tr.End(loser.span, "cancelled")
+			g.tr.EndAt(loser.span, res.end.Sub(g.tr.Start()), "cancelled")
 			go s.drainLoser(resCh)
 		}
 		if out == attemptAnswered {
@@ -186,13 +205,17 @@ func (g *getWalk) race(w http.ResponseWriter, delay time.Duration) bool {
 }
 
 // launch begins an attempt and runs its exchange on a goroutine of its own,
-// which reports to resCh. The goroutine is handed copies: it must not reach
-// the walk state, which stays on the request goroutine's stack.
-func (g *getWalk) launch(pref int, hedge bool, slot int, resCh chan<- getResult) getAttempt {
-	at, actx := g.begin(pref, hedge)
+// which reports to resCh. A raced attempt can lose, so — unlike an inline one —
+// it runs under a cancellable child of its attempt context. The goroutine is
+// handed copies: it must not reach the walk state, which stays on the request
+// goroutine's stack.
+func (g *getWalk) launch(pref int, hedge bool, slot int, now time.Time, resCh chan<- getResult) getAttempt {
+	at, actx := g.begin(pref, hedge, now)
+	cctx, cancel := context.WithCancel(actx)
+	at.cancel = cancel
 	s, shard, uri := g.s, g.prefs[pref], g.uri
 	go func() {
-		res := s.exchangeGET(actx, shard, uri)
+		res := s.exchangeGET(cctx, shard, uri, now)
 		res.slot = slot
 		resCh <- res
 	}()
@@ -221,8 +244,7 @@ func (s *ShardRouter) drainLoser(resCh <-chan getResult) {
 // been tried. A shard passed over because its breaker is open is annotated
 // once on the trace. Picking an open breaker past its cool-down claims its
 // half-open probe; the attempt that follows settles the claim.
-func (g *getWalk) pick() int {
-	now := time.Now()
+func (g *getWalk) pick(now time.Time) int {
 	for i, sh := range g.prefs[:g.n] {
 		if g.tried[i] {
 			continue
@@ -245,28 +267,28 @@ func (g *getWalk) pick() int {
 	return -1
 }
 
-// begin opens an attempt on preference pref: its context (ShardTimeout
-// deadline when configured, always cancellable) and its trace span.
-func (g *getWalk) begin(pref int, hedge bool) (getAttempt, context.Context) {
-	actx, cancel := g.s.attemptContext(g.ctx)
-	span := g.tr.Begin("shard")
+// begin opens an attempt that starts at now on preference pref: its context
+// (the deadline counted from now, the trace header) and its trace span.
+func (g *getWalk) begin(pref int, hedge bool, now time.Time) (getAttempt, *attemptCtx) {
+	span := g.tr.BeginAt("shard", now.Sub(g.tr.Start()))
 	g.tr.SetShard(span, g.prefs[pref])
 	g.launched++
-	return getAttempt{pref: pref, span: span, hedge: hedge, cancel: cancel}, actx
+	return getAttempt{pref: pref, span: span, hedge: hedge}, g.s.newAttemptCtx(g.ctx, g.tr.HeaderValue(), now)
 }
 
-// exchangeGET performs one attempt's exchange into a pooled buffer and
-// records the latency of an answer. It touches no request state, so it runs
-// on the request goroutine or on a raced attempt's own alike.
-func (s *ShardRouter) exchangeGET(ctx context.Context, shard int, uri string) getResult {
+// exchangeGET performs one attempt's exchange, begun at start, into a pooled
+// buffer, stamps when it returned and records the latency of an answer. It
+// touches no request state, so it runs on the request goroutine or on a raced
+// attempt's own alike.
+func (s *ShardRouter) exchangeGET(ctx context.Context, shard int, uri string, start time.Time) getResult {
 	buf := s.getBuf()
-	start := time.Now()
 	status, body, err := s.tr.Exchange(ctx, shard, http.MethodGet, uri, nil, *buf)
+	end := time.Now()
 	if !retryable(status, err) {
-		s.attemptLat.Record(time.Since(start).Microseconds())
+		s.attemptLat.Record(end.Sub(start).Microseconds())
 	}
 	*buf = body
-	return getResult{shard: shard, status: status, body: buf, err: err}
+	return getResult{shard: shard, status: status, body: buf, err: err, end: end}
 }
 
 // settle books a consumed attempt's outcome (settleAttempt) and records it on
@@ -275,20 +297,19 @@ func (s *ShardRouter) exchangeGET(ctx context.Context, shard int, uri string) ge
 // failure walks on.
 func (g *getWalk) settle(at *getAttempt, res getResult) attemptOutcome {
 	s := g.s
-	out := s.settleAttempt(g.ctx, res.shard, res.status, res.err)
+	out := s.settleAttempt(g.ctx, res.shard, res.status, res.err, res.end)
+	label := out.String()
+	if out == attemptAnswered && at.hedge {
+		label = "hedge-won"
+		s.hedgesWon.Add(1)
+	}
+	g.tr.EndAt(at.span, res.end.Sub(g.tr.Start()), label)
 	if out == attemptAnswered {
-		if at.hedge {
-			g.tr.End(at.span, "hedge-won")
-			s.hedgesWon.Add(1)
-		} else {
-			g.tr.End(at.span, out.String())
-		}
 		if at.pref > 0 {
 			s.failovers.Add(1)
 		}
 		return out
 	}
-	g.tr.End(at.span, out.String())
 	s.putBuf(res.body)
 	if out != attemptCancelled {
 		g.last = res
@@ -332,8 +353,9 @@ func (g *getWalk) fail(w http.ResponseWriter) {
 
 // finish records the request latency and hands the trace back.
 func (g *getWalk) finish(errored bool) {
-	g.s.reqLat.Record(time.Since(g.tr.Start()).Microseconds())
-	g.s.tracer.Finish(g.tr, errored)
+	elapsed := time.Since(g.tr.Start())
+	g.s.reqLat.Record(elapsed.Microseconds())
+	g.s.tracer.FinishElapsed(g.tr, elapsed, errored)
 }
 
 // getBuf leases a pooled GET-path response buffer, emptied. The pool holds

@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/fleet"
 	"repro/internal/obs"
+	"repro/internal/serve"
 )
 
 // goroutineID reads the calling goroutine's ID off its stack header
@@ -170,6 +171,44 @@ func TestSuggestUnhedgedFailoverR2(t *testing.T) {
 	}
 }
 
+// TestObsRoutedGETSpansNest: on a routed GET every attempt's "shard" span lies
+// inside [0, total] of its trace, and attempt k+1 starts no earlier than
+// attempt k ended. The walk stamps an attempt's end, the next one's start and
+// the trace's total from clock reads taken in that order, so this holds to the
+// microsecond — with a clock read of its own per span and per histogram it
+// held only approximately.
+func TestObsRoutedGETSpansNest(t *testing.T) {
+	router, chaos := newChaosRing(t, 3, fleet.RouterOptions{Replicas: 3, ShardTimeout: 2 * time.Second, FailThreshold: 1 << 20})
+	prefs := routeOf(t, router, "q=o2").Replicas
+	chaos.setDown(prefs[0], true)
+	chaos.setDelay(prefs[2], 200*time.Microsecond)
+	for i := 0; i < 50; i++ {
+		chaos.failNext(prefs[1], i%2) // every other request walks the whole list
+		rr := httptest.NewRecorder()
+		router.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/suggest?q=o2", nil))
+		if want := fmt.Sprint(2 + i%2); rr.Code != http.StatusOK || rr.Header().Get("X-Serve-Attempts") != want {
+			t.Fatalf("request %d: status %d after %s attempt(s), want %s", i, rr.Code, rr.Header().Get("X-Serve-Attempts"), want)
+		}
+	}
+	views := router.Tracer().Snapshot(0, false, 0)
+	if len(views) != 50 {
+		t.Fatalf("%d traces retained, want all 50", len(views))
+	}
+	for _, v := range views {
+		var prevEnd int64
+		for k, sp := range v.Spans {
+			if sp.Name != "shard" {
+				t.Fatalf("trace %s: unexpected span %+v", v.ID, sp)
+			}
+			if sp.StartMicros < prevEnd || sp.DurMicros < 0 || sp.StartMicros+sp.DurMicros > v.TotalMicros {
+				t.Fatalf("trace %s (total %dus): attempt %d spans [%d, %d]us, the one before ended at %dus: %+v",
+					v.ID, v.TotalMicros, k, sp.StartMicros, sp.StartMicros+sp.DurMicros, prevEnd, v.Spans)
+			}
+			prevEnd = sp.StartMicros + sp.DurMicros
+		}
+	}
+}
+
 // TestClientCancelDoesNotPoisonBreakers is the regression test for the
 // client-disconnect bug: requests whose own context is already cancelled make
 // every attempt fail with context.Canceled, which used to count against
@@ -252,29 +291,65 @@ func TestClientCancelDoesNotPoisonBreakers(t *testing.T) {
 	}
 }
 
-// TestSuggestUnhedgedAllocs is tier-1's allocation gate on the routed GET
-// (make bench-json gates BenchmarkRouterGET at the same figure): the inline
-// hop costs the per-attempt timeout context, the trace-header context and the
-// request URI — 7 allocations — and nothing per goroutine, channel or closure.
-func TestSuggestUnhedgedAllocs(t *testing.T) {
+// TestRouterGETAllocs is tier-1's allocation gate on the router hop, over
+// three loopback shards at R=2 with a 2 s ShardTimeout and no hedge (make
+// bench-json gates BenchmarkRouterGET at the same figure). A routed GET
+// allocates twice: its attempt context — deadline and trace header as plain
+// fields, no timer, no cancel — and the URI it forwards. A routed batch whose
+// items share a shard allocates its round's one attempt context and a body
+// limiter (http.MaxBytesReader) in the router and in the shard. One more on
+// either means a derived context, a goroutine, a channel or a closure crept
+// back onto the inline path.
+func TestRouterGETAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	router, _ := newChaosRing(t, 3, fleet.RouterOptions{Replicas: 2, ShardTimeout: 2 * time.Second})
-	req := httptest.NewRequest(http.MethodGet, "/suggest?q=o2&q=o2+mobile", nil)
-	rr := &discardResponse{header: make(http.Header, 8)}
-	// Warm past the 256-trace retention rings of the router and the shard:
-	// while a ring fills, every finish pins its pooled trace.
-	for i := 0; i < 600; i++ {
-		router.ServeHTTP(rr, req)
+	rec := shardTestRec(t)
+	handlers := make([]http.Handler, 3)
+	for i := range handlers {
+		handlers[i] = serve.NewHandler(rec, 5)
 	}
-	if rr.code != http.StatusOK {
-		t.Fatalf("status %d", rr.code)
+	router, err := fleet.NewShardRouterOpts(fleet.NewRing(3, 0), fleet.NewLoopbackTransport(handlers...),
+		fleet.RouterOptions{Replicas: 2, ShardTimeout: 2 * time.Second})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if allocs := testing.AllocsPerRun(500, func() { router.ServeHTTP(rr, req) }); allocs > 7 {
-		t.Fatalf("unhedged routed GET allocates %.0f times per request, want <= 7", allocs)
+	batchBody := []byte(`{"requests":[{"context":["o2","o2 mobile"]},{"context":["o2","o2 mobile"],"n":1}]}`)
+	body := &replayBody{}
+	get := httptest.NewRequest(http.MethodGet, "/suggest?q=o2&q=o2+mobile", nil)
+	batch := httptest.NewRequest(http.MethodPost, "/suggest/batch", nil)
+	batch.Body = body
+	for _, tc := range []struct {
+		name string
+		req  *http.Request
+		want float64
+	}{
+		{"get", get, 2},
+		{"batch", batch, 3},
+	} {
+		rr := &discardResponse{header: make(http.Header, 8)}
+		run := func() {
+			body.Reset(batchBody)
+			router.ServeHTTP(rr, tc.req)
+		}
+		// Warm past the 256-trace retention rings of the router and the
+		// shard: while a ring fills, every finish pins its pooled trace.
+		for i := 0; i < 600; i++ {
+			run()
+		}
+		if rr.code != http.StatusOK {
+			t.Fatalf("%s: status %d", tc.name, rr.code)
+		}
+		if allocs := testing.AllocsPerRun(500, run); allocs != tc.want {
+			t.Errorf("a routed %s allocates %.0f times per request, want %.0f", tc.name, allocs, tc.want)
+		}
 	}
 }
+
+// replayBody is a request body that can be rewound without allocating.
+type replayBody struct{ bytes.Reader }
+
+func (*replayBody) Close() error { return nil }
 
 // discardResponse is an allocation-free http.ResponseWriter.
 type discardResponse struct {
@@ -282,9 +357,14 @@ type discardResponse struct {
 	code   int
 }
 
-func (r *discardResponse) Header() http.Header         { return r.header }
-func (r *discardResponse) WriteHeader(code int)        { r.code = code }
-func (r *discardResponse) Write(p []byte) (int, error) { return len(p), nil }
+func (r *discardResponse) Header() http.Header  { return r.header }
+func (r *discardResponse) WriteHeader(code int) { r.code = code }
+func (r *discardResponse) Write(p []byte) (int, error) {
+	if r.code == 0 {
+		r.code = http.StatusOK
+	}
+	return len(p), nil
+}
 
 // TestRouterTraceHeaderSurvivesTraceRecycle: the router's X-Trace-Id response
 // header — GET and batch — is written after the handler returned and its

@@ -94,9 +94,9 @@ func (tr *Trace) ID() string { return tr.hv[0] }
 
 // HeaderValue returns a single-element header value slice carrying the
 // trace ID, suitable for direct assignment into an http.Header (or for
-// propagation via ContextWithTraceHeader) without allocating. Like ID it
-// stays valid, and unchanged, after the trace is finished; callers must not
-// write through it.
+// propagation through a TraceHeaderCarrier context) without allocating. Like
+// ID it stays valid, and unchanged, after the trace is finished; callers must
+// not write through it.
 func (tr *Trace) HeaderValue() []string { return tr.hv }
 
 // Adopt takes over an inbound trace ID — the request's X-Trace-Id header
@@ -117,7 +117,13 @@ func (tr *Trace) Start() time.Time { return tr.start }
 // Begin opens a span and returns its index for the matching End call.
 // It returns NoShard when the span array is full; End and SetShard accept
 // that sentinel and do nothing.
-func (tr *Trace) Begin(name string) int {
+func (tr *Trace) Begin(name string) int { return tr.BeginAt(name, time.Since(tr.start)) }
+
+// BeginAt is Begin for a caller that has already read the clock: elapsed is
+// the time since tr.Start() at which the span opens. A caller that feeds one
+// clock read to several spans (one attempt's end, the next one's start) gets
+// spans that abut exactly.
+func (tr *Trace) BeginAt(name string, elapsed time.Duration) int {
 	if tr.n >= MaxSpans {
 		tr.Dropped++
 		return NoShard
@@ -126,7 +132,7 @@ func (tr *Trace) Begin(name string) int {
 	tr.n++
 	tr.spans[i] = Span{
 		Name:        name,
-		StartMicros: time.Since(tr.start).Microseconds(),
+		StartMicros: elapsed.Microseconds(),
 		Shard:       NoShard,
 	}
 	return i
@@ -140,12 +146,16 @@ func (tr *Trace) SetShard(i, shard int) {
 }
 
 // End closes the span at index i with a static outcome label.
-func (tr *Trace) End(i int, outcome string) {
+func (tr *Trace) End(i int, outcome string) { tr.EndAt(i, time.Since(tr.start), outcome) }
+
+// EndAt is End for a caller that has already read the clock: elapsed is the
+// time since tr.Start() at which the span closes.
+func (tr *Trace) EndAt(i int, elapsed time.Duration, outcome string) {
 	if i < 0 || i >= tr.n {
 		return
 	}
 	sp := &tr.spans[i]
-	sp.DurMicros = time.Since(tr.start).Microseconds() - sp.StartMicros
+	sp.DurMicros = elapsed.Microseconds() - sp.StartMicros
 	sp.Outcome = outcome
 }
 
@@ -437,21 +447,28 @@ func TraceFromContext(ctx context.Context) *Trace {
 	return tr
 }
 
-// headerKey keys the context value carrying the X-Trace-Id header value to
-// propagate (see ContextWithTraceHeader).
-type headerKey struct{}
+// TraceHeaderKey is the context key under which the X-Trace-Id header value
+// to propagate is found. It is exported for contexts that answer it from a
+// field of their own (see TraceHeaderCarrier): their Value must still answer
+// it, or a stdlib context derived from one would lose the header.
+type TraceHeaderKey struct{}
 
-// ContextWithTraceHeader returns a context carrying hv, a single-element
-// X-Trace-Id header value, for transports to propagate. Trace.HeaderValue is
-// immutable, so it can be passed as is even when an attempt (a hedge loser, a
-// drained failover) may outlive the request and its trace.
-func ContextWithTraceHeader(ctx context.Context, hv []string) context.Context {
-	return context.WithValue(ctx, headerKey{}, hv)
+// TraceHeaderCarrier is a context that holds the single-element X-Trace-Id
+// header value to propagate as a plain field. Reading it through the method
+// boxes nothing; the carrier's Value answers TraceHeaderKey with the same
+// slice for contexts derived from it.
+type TraceHeaderCarrier interface {
+	TraceHeader() []string
 }
 
 // TraceHeaderFromContext returns the propagated X-Trace-Id header value, or
-// nil when the context carries none.
+// nil when the context carries none. Trace.HeaderValue is immutable, so a
+// transport may hold what it gets here even when its attempt (a hedge loser)
+// outlives the request and its trace.
 func TraceHeaderFromContext(ctx context.Context) []string {
-	hv, _ := ctx.Value(headerKey{}).([]string)
+	if c, ok := ctx.(TraceHeaderCarrier); ok {
+		return c.TraceHeader()
+	}
+	hv, _ := ctx.Value(TraceHeaderKey{}).([]string)
 	return hv
 }

@@ -181,6 +181,42 @@ func TestTraceSpanOverflowCounted(t *testing.T) {
 	}
 }
 
+// TestTraceBeginAtEndAt: the clock-free twins store exactly the offsets they
+// are given — so two spans fed one clock read abut — and otherwise behave as
+// Begin and End do: unattributed until SetShard, counted and refused with
+// NoShard once the span array is full, deaf to an index that is no span.
+func TestTraceBeginAtEndAt(t *testing.T) {
+	tr := NewTracer(16, nil)
+	x := tr.Start()
+	i := x.BeginAt("shard", 137*time.Microsecond)
+	x.EndAt(i, 1137*time.Microsecond+900*time.Nanosecond, "error")
+	j := x.BeginAt("shard", 1137*time.Microsecond+900*time.Nanosecond)
+	x.SetShard(j, 2)
+	x.EndAt(j, 1500*time.Microsecond, "ok")
+	x.EndAt(NoShard, time.Hour, "ignored")
+	x.EndAt(7, time.Hour, "ignored")
+	for k := 2; k < MaxSpans; k++ {
+		x.EndAt(x.BeginAt("fill", 0), 0, "ok")
+	}
+	if got := x.BeginAt("one too many", time.Second); got != NoShard || x.Dropped != 1 {
+		t.Fatalf("BeginAt on a full trace = %d with %d dropped, want NoShard and 1", got, x.Dropped)
+	}
+	tr.FinishElapsed(x, 2*time.Millisecond, false)
+	v := tr.Snapshot(0, false, 0)[0]
+	want := []SpanView{
+		{Name: "shard", StartMicros: 137, DurMicros: 1000, Shard: NoShard, Outcome: "error"},
+		{Name: "shard", StartMicros: 1137, DurMicros: 363, Shard: 2, Outcome: "ok"},
+	}
+	for k, w := range want {
+		if v.Spans[k] != w {
+			t.Fatalf("span %d = %+v, want %+v", k, v.Spans[k], w)
+		}
+	}
+	if len(v.Spans) != MaxSpans || v.Dropped != 1 || v.TotalMicros != 2000 {
+		t.Fatalf("%d spans, %d dropped, total %d", len(v.Spans), v.Dropped, v.TotalMicros)
+	}
+}
+
 func TestTailSamplingRetainsErroredAndSlow(t *testing.T) {
 	slow := &Histogram{}
 	tr := NewTracer(16, slow)
@@ -260,6 +296,43 @@ func TestContextPropagation(t *testing.T) {
 		t.Fatalf("empty context returned %v", got)
 	}
 	tr.Abandon(x)
+}
+
+// headerCtx is a TraceHeaderCarrier the way the router's attempt context is
+// one: the header value is a field, and Value answers TraceHeaderKey with it.
+type headerCtx struct {
+	context.Context
+	hv []string
+}
+
+func (c headerCtx) TraceHeader() []string { return c.hv }
+
+func (c headerCtx) Value(key any) any {
+	if _, ok := key.(TraceHeaderKey); ok {
+		return c.hv
+	}
+	return c.Context.Value(key)
+}
+
+// TestTraceHeaderFromContext: a carrier is read through its method, a stdlib
+// context derived from one still finds the header through Value, and a context
+// that carries none yields nil.
+func TestTraceHeaderFromContext(t *testing.T) {
+	hv := []string{"0123456789abcdef"}
+	var carrier context.Context = headerCtx{context.Background(), hv}
+	child, cancel := context.WithCancel(carrier)
+	defer cancel()
+	for name, ctx := range map[string]context.Context{"carrier": carrier, "derived": child} {
+		if got := TraceHeaderFromContext(ctx); len(got) != 1 || &got[0] != &hv[0] {
+			t.Fatalf("%s context: header %q is not the carried slice", name, got)
+		}
+	}
+	if got := TraceHeaderFromContext(context.Background()); got != nil {
+		t.Fatalf("empty context returned %q", got)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { TraceHeaderFromContext(carrier) }); allocs != 0 {
+		t.Fatalf("reading a carrier allocates %.0f times", allocs)
+	}
 }
 
 func TestTracerConcurrentFinishSnapshot(t *testing.T) {
