@@ -833,7 +833,7 @@ func (s *ShardRouter) batch(w http.ResponseWriter, r *http.Request) {
 	// then tail-samples error traces without per-return bookkeeping.
 	errored := true
 	defer func() {
-		elapsed := time.Since(tr.Start())
+		elapsed := tr.Elapsed()
 		s.reqLat.Record(elapsed.Microseconds())
 		s.tracer.FinishElapsed(tr, elapsed, errored)
 	}()
@@ -1082,7 +1082,7 @@ func (s *ShardRouter) fanoutRound(ctx context.Context, sc *batchScratch, tr *obs
 		}
 	}
 	for _, call := range round {
-		tr.Record("shard-batch", call.start.Sub(tr.Start()).Microseconds(), call.durMicros, call.shard, call.outcome.String())
+		tr.Record("shard-batch", tr.Offset(call.start).Microseconds(), call.durMicros, call.shard, call.outcome.String())
 		switch {
 		case call.served():
 			if out == nil {

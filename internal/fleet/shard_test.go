@@ -69,6 +69,26 @@ func newLoopbackRing(t testing.TB, rec core.Recommender, shards int) *fleet.Shar
 	return router
 }
 
+// TestLoopbackExchangeNilContext: a nil context carries no deadline, no
+// cancellation and no trace header — the loopback transport serves under one
+// as HTTPTransport does, where it used to hand it on to
+// obs.TraceHeaderFromContext and panic, and the shard generates its own ID.
+func TestLoopbackExchangeNilContext(t *testing.T) {
+	var seen []string
+	shard := serve.NewHandler(shardTestRec(t), 5)
+	tr := fleet.NewLoopbackTransport(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		seen = r.Header["X-Trace-Id"]
+		shard.ServeHTTP(w, r)
+	}))
+	status, body, err := tr.Exchange(nil, 0, http.MethodGet, "/suggest?q=o2", nil, nil)
+	if err != nil || status != http.StatusOK || !strings.Contains(string(body), `"suggestions"`) {
+		t.Fatalf("exchange under a nil context: status %d, err %v, body %s", status, err, body)
+	}
+	if seen != nil {
+		t.Fatalf("a nil context propagated X-Trace-Id %q", seen)
+	}
+}
+
 // TestLoopbackRingByteIdentical is the acceptance check for the shard ring:
 // a 3-shard loopback ring must answer /suggest with byte-identical bodies to
 // direct single-model serving (modulo the timing member), label each

@@ -191,7 +191,7 @@ func (g *getWalk) race(w http.ResponseWriter, delay time.Duration) bool {
 			// goroutine; its result, when it lands, goes to the drain.
 			loser := &atts[1-res.slot]
 			loser.cancel()
-			g.tr.EndAt(loser.span, res.end.Sub(g.tr.Start()), "cancelled")
+			g.tr.EndAt(loser.span, g.tr.Offset(res.end), "cancelled")
 			go s.drainLoser(resCh)
 		}
 		if out == attemptAnswered {
@@ -270,7 +270,7 @@ func (g *getWalk) pick(now time.Time) int {
 // begin opens an attempt that starts at now on preference pref: its context
 // (the deadline counted from now, the trace header) and its trace span.
 func (g *getWalk) begin(pref int, hedge bool, now time.Time) (getAttempt, *attemptCtx) {
-	span := g.tr.BeginAt("shard", now.Sub(g.tr.Start()))
+	span := g.tr.BeginAt("shard", g.tr.Offset(now))
 	g.tr.SetShard(span, g.prefs[pref])
 	g.launched++
 	return getAttempt{pref: pref, span: span, hedge: hedge}, g.s.newAttemptCtx(g.ctx, g.tr.HeaderValue(), now)
@@ -303,7 +303,7 @@ func (g *getWalk) settle(at *getAttempt, res getResult) attemptOutcome {
 		label = "hedge-won"
 		s.hedgesWon.Add(1)
 	}
-	g.tr.EndAt(at.span, res.end.Sub(g.tr.Start()), label)
+	g.tr.EndAt(at.span, g.tr.Offset(res.end), label)
 	if out == attemptAnswered {
 		if at.pref > 0 {
 			s.failovers.Add(1)
@@ -353,7 +353,7 @@ func (g *getWalk) fail(w http.ResponseWriter) {
 
 // finish records the request latency and hands the trace back.
 func (g *getWalk) finish(errored bool) {
-	elapsed := time.Since(g.tr.Start())
+	elapsed := g.tr.Elapsed()
 	g.s.reqLat.Record(elapsed.Microseconds())
 	g.s.tracer.FinishElapsed(g.tr, elapsed, errored)
 }

@@ -33,13 +33,14 @@ const (
 )
 
 // Histogram is a fixed-size, lock-free log-linear histogram of non-negative
-// int64 samples (the codebase records microseconds). Recording is a handful
-// of atomic adds — no locks, no allocation — and histograms with the same
-// layout merge by bucket-wise addition, which makes per-shard and per-arm
-// instances aggregable. Quantiles are exact for values below subCount and
-// over-report by at most 1/subCount above it.
+// int64 samples (the codebase records microseconds). Recording is two atomic
+// adds, the sample's bucket and the sum, and a load of the maximum — no locks,
+// no allocation — and histograms with the same layout merge by bucket-wise
+// addition, which makes per-shard and per-arm instances aggregable. The
+// sample count is not stored: it is the sum of the buckets, so a count and
+// the buckets it is read beside can never disagree. Quantiles are exact for
+// values below subCount and over-report by at most 1/subCount above it.
 type Histogram struct {
-	count   atomic.Uint64
 	sum     atomic.Int64
 	max     atomic.Int64
 	buckets [numBuckets]atomic.Uint64
@@ -74,9 +75,8 @@ func bucketUpper(idx int) int64 {
 func (h *Histogram) Record(v int64) { h.RecordN(v, 1) }
 
 // RecordN adds n samples of the same value v — a batch's per-context share,
-// say — in one update of the count, the sum, the maximum and v's bucket: what
-// n calls of Record(v) leave behind, at the cost of one. n <= 0 records
-// nothing.
+// say — in one update of the sum, the maximum and v's bucket: what n calls of
+// Record(v) leave behind, at the cost of one. n <= 0 records nothing.
 func (h *Histogram) RecordN(v int64, n int) {
 	if n <= 0 {
 		return
@@ -84,7 +84,6 @@ func (h *Histogram) RecordN(v int64, n int) {
 	if v < 0 {
 		v = 0
 	}
-	h.count.Add(uint64(n))
 	h.sum.Add(v * int64(n))
 	for {
 		cur := h.max.Load()
@@ -95,8 +94,24 @@ func (h *Histogram) RecordN(v int64, n int) {
 	h.buckets[bucketIndex(uint64(v))].Add(uint64(n))
 }
 
-// Count returns the number of recorded samples.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
+// live returns the buckets that can hold a sample: those up to the
+// maximum's. RecordN and Merge raise the maximum before they touch a bucket,
+// so a pass over live misses no sample that was complete when it began — and
+// a microsecond-latency histogram's pass is some hundred buckets, not 1888.
+func (h *Histogram) live() []atomic.Uint64 {
+	return h.buckets[:bucketIndex(uint64(h.max.Load()))+1]
+}
+
+// Count returns the number of recorded samples: a pass over the buckets, for
+// the metrics endpoints and tests that ask, so that recording need not count.
+func (h *Histogram) Count() uint64 { return sumBuckets(h.live()) }
+
+func sumBuckets(buckets []atomic.Uint64) (total uint64) {
+	for i := range buckets {
+		total += buckets[i].Load()
+	}
+	return total
+}
 
 // Sum returns the sum of all recorded samples (post-clamp).
 func (h *Histogram) Sum() int64 { return h.sum.Load() }
@@ -111,7 +126,8 @@ func (h *Histogram) Max() int64 { return h.max.Load() }
 // never under-reports — the truncation bias of index-into-sorted-samples
 // estimators cannot occur here.
 func (h *Histogram) Quantile(q float64) int64 {
-	total := h.count.Load()
+	live := h.live()
+	total := sumBuckets(live)
 	if total == 0 {
 		return 0
 	}
@@ -122,9 +138,11 @@ func (h *Histogram) Quantile(q float64) int64 {
 	if rank > total {
 		rank = total
 	}
+	// Buckets only grow, so this second pass over the same buckets counts at
+	// least total samples and reaches the rank.
 	var cum uint64
-	for i := range h.buckets {
-		cum += h.buckets[i].Load()
+	for i := range live {
+		cum += live[i].Load()
 		if cum >= rank {
 			return bucketUpper(i)
 		}
@@ -139,7 +157,6 @@ func (h *Histogram) Merge(other *Histogram) {
 	if other == nil {
 		return
 	}
-	h.count.Add(other.count.Load())
 	h.sum.Add(other.sum.Load())
 	om := other.max.Load()
 	for {

@@ -190,3 +190,50 @@ func TestHistogramConcurrentRecord(t *testing.T) {
 		t.Fatalf("bucket total = %d, want %d", cum, workers*per)
 	}
 }
+
+// TestHistogramMatchesSortedReference: with no stored count, Count is the
+// samples recorded — by Record, RecordN and Merge alike — and Quantile is
+// exactly the upper edge of the bucket that holds the ceil(q*n)-th smallest
+// of them, read from a sorted slice of the same samples.
+func TestHistogramMatchesSortedReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	var h, other Histogram
+	var samples []int64
+	for i := 0; i < 5000; i++ {
+		v := int64(rng.ExpFloat64() * 800)
+		if i%50 == 0 {
+			v = rng.Int63n(1 << 40) // the far tail: wide buckets
+		}
+		switch n := 1 + rng.Intn(64); i % 3 {
+		case 0:
+			h.Record(v)
+			samples = append(samples, v)
+		case 1:
+			h.RecordN(v, n)
+			for k := 0; k < n; k++ {
+				samples = append(samples, v)
+			}
+		default:
+			other.RecordN(v, n)
+			for k := 0; k < n; k++ {
+				samples = append(samples, v)
+			}
+		}
+	}
+	h.Merge(&other)
+	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
+	if got := h.Count(); got != uint64(len(samples)) {
+		t.Fatalf("Count() = %d, want the %d samples recorded", got, len(samples))
+	}
+	for _, q := range []float64{0, 0.001, 0.25, 0.5, 0.9, 0.99, 0.999, 0.9999, 1} {
+		rank := int(math.Ceil(q * float64(len(samples))))
+		if rank < 1 {
+			rank = 1
+		}
+		want := bucketUpper(bucketIndex(uint64(samples[rank-1])))
+		if got := h.Quantile(q); got != want {
+			t.Fatalf("Quantile(%v) = %d, want %d: the bucket of sample %d of %d (%d)",
+				q, got, want, rank, len(samples), samples[rank-1])
+		}
+	}
+}

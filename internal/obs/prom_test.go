@@ -5,6 +5,7 @@ import (
 	"math"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -132,5 +133,60 @@ func TestParsePrometheusRejectsGarbage(t *testing.T) {
 		if _, err := ParsePrometheus([]byte(c)); err == nil {
 			t.Fatalf("parse accepted %q", c)
 		}
+	}
+}
+
+// TestPrometheusScrapeConsistentUnderRecording: every scrape taken while
+// recorders run reports _count equal to its own +Inf bucket — both are the one
+// pass over the buckets, and no stored count can be read a moment apart from
+// them — and once the recorders are done, scrape and Count() agree on the
+// total. Run under -race by `make race`.
+func TestPrometheusScrapeConsistentUnderRecording(t *testing.T) {
+	r := NewRegistry()
+	h := r.Histogram("busy_us")
+	const workers, per = 4, 20000
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				h.RecordN(int64(i*(w+1)), 1+i%3)
+			}
+		}(w)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	scrape := func() (count, inf float64) {
+		fams, err := ParsePrometheus(r.AppendPrometheus(nil))
+		if err != nil {
+			t.Fatalf("parse: %v", err)
+		}
+		for _, s := range fams["busy_us"].Samples {
+			switch {
+			case s.Name == "busy_us_count":
+				count = s.Value
+			case s.Le == "+Inf":
+				inf = s.Value
+			}
+		}
+		return count, inf
+	}
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		if count, inf := scrape(); count != inf {
+			t.Fatalf("scrape: _count %v, +Inf bucket %v", count, inf)
+		}
+	}
+	var want uint64
+	for i := 0; i < per; i++ {
+		want += workers * uint64(1+i%3)
+	}
+	if count, _ := scrape(); uint64(count) != want || h.Count() != want {
+		t.Fatalf("after recording: scrape _count %v, Count() %d, want %d", count, h.Count(), want)
 	}
 }

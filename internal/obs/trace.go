@@ -21,6 +21,12 @@ const NoShard = -1
 // traceIDLen is the length of the hex trace ID carried in X-Trace-Id.
 const traceIDLen = 16
 
+// epoch is the process's time zero. A trace keeps its start as an offset from
+// it, so starting a trace and every later "how long since?" is one monotonic
+// clock read (time.Since of a time that carries a monotonic reading) where
+// time.Now would read the wall clock as well — a wall time nothing renders.
+var epoch = time.Now()
+
 // Span is one timed operation inside a Trace. All fields are offsets and
 // static strings so a retained trace holds no references into request
 // state.
@@ -50,7 +56,7 @@ type Span struct {
 // and unchanged — after the trace has been finished and recycled.
 type Trace struct {
 	tracer *Tracer
-	start  time.Time
+	start  time.Duration // since epoch
 	// hv is the one-element X-Trace-Id header value: a slot of an idBlock,
 	// or the inbound request's own header slice after Adopt. It is never
 	// written through.
@@ -111,18 +117,24 @@ func (tr *Trace) Adopt(hv []string) {
 	}
 }
 
-// Start returns the wall-clock instant the trace began.
-func (tr *Trace) Start() time.Time { return tr.start }
+// Elapsed reads the monotonic clock and returns the time since the trace
+// began.
+func (tr *Trace) Elapsed() time.Duration { return time.Since(epoch) - tr.start }
+
+// Offset converts an instant the caller read from the clock itself (a
+// breaker's or a deadline's time.Time) to the time since the trace began. It
+// reads no clock.
+func (tr *Trace) Offset(t time.Time) time.Duration { return t.Sub(epoch) - tr.start }
 
 // Begin opens a span and returns its index for the matching End call.
 // It returns NoShard when the span array is full; End and SetShard accept
 // that sentinel and do nothing.
-func (tr *Trace) Begin(name string) int { return tr.BeginAt(name, time.Since(tr.start)) }
+func (tr *Trace) Begin(name string) int { return tr.BeginAt(name, tr.Elapsed()) }
 
 // BeginAt is Begin for a caller that has already read the clock: elapsed is
-// the time since tr.Start() at which the span opens. A caller that feeds one
-// clock read to several spans (one attempt's end, the next one's start) gets
-// spans that abut exactly.
+// the time since the trace began (Elapsed, Offset) at which the span opens. A
+// caller that feeds one clock read to several spans (one attempt's end, the
+// next one's start) gets spans that abut exactly.
 func (tr *Trace) BeginAt(name string, elapsed time.Duration) int {
 	if tr.n >= MaxSpans {
 		tr.Dropped++
@@ -146,10 +158,10 @@ func (tr *Trace) SetShard(i, shard int) {
 }
 
 // End closes the span at index i with a static outcome label.
-func (tr *Trace) End(i int, outcome string) { tr.EndAt(i, time.Since(tr.start), outcome) }
+func (tr *Trace) End(i int, outcome string) { tr.EndAt(i, tr.Elapsed(), outcome) }
 
 // EndAt is End for a caller that has already read the clock: elapsed is the
-// time since tr.Start() at which the span closes.
+// time since the trace began at which the span closes.
 func (tr *Trace) EndAt(i int, elapsed time.Duration, outcome string) {
 	if i < 0 || i >= tr.n {
 		return
@@ -209,18 +221,18 @@ func (tr *Trace) Err() { tr.err = true }
 // Tracer hands out pooled Traces and tail-samples completed ones into a
 // fixed retention ring. Retention keeps every errored or forced trace and
 // every trace slower than the cached p99 of the slow-source histogram
-// (refreshed every 256 finishes so the hot path never scans buckets);
-// while the ring is not yet full every trace is retained, so fresh
-// processes are immediately inspectable.
+// (refreshed when an ID block is spent, every idBlockLen traces, so the hot
+// path never scans buckets and counts nothing of its own); while the ring is
+// not yet full every trace is retained, so fresh processes are immediately
+// inspectable.
 type Tracer struct {
 	pool sync.Pool
 	slow *Histogram
 
-	seq      atomic.Uint64 // trace sequence numbers, reserved a block at a time
-	seed     uint64
-	ids      atomic.Pointer[idBlock] // the block IDs are being carved from
-	finishes atomic.Uint64
-	thresh   atomic.Int64
+	seq    atomic.Uint64 // trace sequence numbers, reserved a block at a time
+	seed   uint64
+	ids    atomic.Pointer[idBlock] // the block IDs are being carved from
+	thresh atomic.Int64
 
 	mu   sync.Mutex
 	ring []*Trace
@@ -243,12 +255,20 @@ func NewTracer(capacity int, slow *Histogram) *Tracer {
 	t := &Tracer{
 		slow: slow,
 		ring: make([]*Trace, capacity),
-		seed: uint64(time.Now().UnixNano()),
+		// IDs are mix64(seed + n): seeded by the clock alone, two tracers built
+		// δ ns apart would replay each other's IDs δ traces later. Mixing the
+		// clock with the tracer's ordinal puts the sequences of one process's
+		// tracers — a router and its loopback shards — a 64-bit-random
+		// distance apart.
+		seed: mix64(uint64(time.Now().UnixNano()) ^ mix64(tracers.Add(1))),
 	}
 	t.thresh.Store(math.MaxInt64)
 	t.pool.New = func() any { return &Trace{tracer: t} }
 	return t
 }
+
+// tracers counts the tracers this process has built (see NewTracer's seed).
+var tracers atomic.Uint64
 
 // hexDigits encodes trace IDs.
 const hexDigits = "0123456789abcdef"
@@ -268,7 +288,7 @@ func mix64(x uint64) uint64 {
 // hand it back via Finish or Abandon.
 func (t *Tracer) Start() *Trace {
 	tr := t.pool.Get().(*Trace)
-	tr.start = time.Now()
+	tr.start = time.Since(epoch)
 	tr.n = 0
 	tr.Dropped = 0
 	tr.total = 0
@@ -296,8 +316,13 @@ func (t *Tracer) nextID() []string {
 			}
 		}
 		// Losing the swap wastes one block and its sequence range; IDs stay
-		// unique.
-		t.ids.CompareAndSwap(blk, &idBlock{base: t.seq.Add(idBlockLen)})
+		// unique. Winning it is the tracer's one periodic event: the slow
+		// threshold is re-read here.
+		if t.ids.CompareAndSwap(blk, &idBlock{base: t.seq.Add(idBlockLen)}) && t.slow != nil {
+			if p99 := t.slow.Quantile(0.99); p99 > 0 {
+				t.thresh.Store(p99)
+			}
+		}
 	}
 }
 
@@ -306,20 +331,15 @@ func (t *Tracer) nextID() []string {
 // evicts) or returns it to the pool. The caller must not touch tr
 // afterwards.
 func (t *Tracer) Finish(tr *Trace, errored bool) {
-	t.FinishElapsed(tr, time.Since(tr.start), errored)
+	t.FinishElapsed(tr, tr.Elapsed(), errored)
 }
 
 // FinishElapsed is Finish for a caller that has already read the clock at
-// the end of the request: elapsed is the time since tr.Start().
+// the end of the request: elapsed is the time since the trace began.
 func (t *Tracer) FinishElapsed(tr *Trace, elapsed time.Duration, errored bool) {
 	tr.total = elapsed.Microseconds()
 	if errored {
 		tr.err = true
-	}
-	if t.slow != nil && t.finishes.Add(1)&255 == 0 {
-		if p99 := t.slow.Quantile(0.99); p99 > 0 {
-			t.thresh.Store(p99)
-		}
 	}
 	keep := tr.err || tr.forced || tr.total >= t.thresh.Load()
 	if !keep && t.full.Load() {
@@ -462,10 +482,13 @@ type TraceHeaderCarrier interface {
 }
 
 // TraceHeaderFromContext returns the propagated X-Trace-Id header value, or
-// nil when the context carries none. Trace.HeaderValue is immutable, so a
-// transport may hold what it gets here even when its attempt (a hedge loser)
-// outlives the request and its trace.
+// nil when the context carries none, as a nil context does. Trace.HeaderValue
+// is immutable, so a transport may hold what it gets here even when its
+// attempt (a hedge loser) outlives the request and its trace.
 func TraceHeaderFromContext(ctx context.Context) []string {
+	if ctx == nil {
+		return nil
+	}
 	if c, ok := ctx.(TraceHeaderCarrier); ok {
 		return c.TraceHeader()
 	}

@@ -2,6 +2,8 @@ package obs
 
 import (
 	"context"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -316,7 +318,7 @@ func (c headerCtx) Value(key any) any {
 
 // TestTraceHeaderFromContext: a carrier is read through its method, a stdlib
 // context derived from one still finds the header through Value, and a context
-// that carries none yields nil.
+// that carries none — an empty one, a nil one — yields nil.
 func TestTraceHeaderFromContext(t *testing.T) {
 	hv := []string{"0123456789abcdef"}
 	var carrier context.Context = headerCtx{context.Background(), hv}
@@ -329,6 +331,9 @@ func TestTraceHeaderFromContext(t *testing.T) {
 	}
 	if got := TraceHeaderFromContext(context.Background()); got != nil {
 		t.Fatalf("empty context returned %q", got)
+	}
+	if got := TraceHeaderFromContext(nil); got != nil {
+		t.Fatalf("nil context returned %q", got)
 	}
 	if allocs := testing.AllocsPerRun(100, func() { TraceHeaderFromContext(carrier) }); allocs != 0 {
 		t.Fatalf("reading a carrier allocates %.0f times", allocs)
@@ -368,4 +373,33 @@ func TestTracerConcurrentFinishSnapshot(t *testing.T) {
 	producers.Wait()
 	close(stop)
 	readers.Wait()
+}
+
+// TestTracersShareNoIDs: tracers built back to back — a router process builds
+// four — hand out disjoint IDs. Seeded by the clock alone, a tracer built δ ns
+// after another replayed its sequence δ traces later.
+func TestTracersShareNoIDs(t *testing.T) {
+	const tracers, per = 3, 200_000
+	var trs [tracers]*Tracer
+	for i := range trs {
+		trs[i] = NewTracer(16, nil)
+	}
+	ids := make([]uint64, 0, tracers*per)
+	for _, tr := range trs {
+		for i := 0; i < per; i++ {
+			x := tr.Start()
+			id, err := strconv.ParseUint(x.ID(), 16, 64)
+			if err != nil {
+				t.Fatalf("id %q: %v", x.ID(), err)
+			}
+			ids = append(ids, id)
+			tr.Abandon(x)
+		}
+	}
+	slices.Sort(ids)
+	for i := 1; i < len(ids); i++ {
+		if ids[i] == ids[i-1] {
+			t.Fatalf("trace ID %016x was handed out twice across %d tracers", ids[i], tracers)
+		}
+	}
 }

@@ -8,7 +8,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 
 	"repro/internal/cache"
 	"repro/internal/core"
@@ -363,14 +362,15 @@ func (h *Handler) suggestBatch(w http.ResponseWriter, r *http.Request) {
 		bb.ctxs = append(bb.ctxs, bb.ids[bb.idOff[i]:bb.idOff[i+1]])
 		bb.out = append(bb.out, cache.Answer{})
 	}
-	batchStart := time.Now()
+	tr := traceOf(w)
+	batchStart := tr.Elapsed()
 	if h.fleet != nil {
 		h.recommendBatchFleet(bb)
 	} else {
 		h.cache.AnswerBatchSlot(0, st.gen, st.rec, bb.ctxs, bb.ns, bb.out)
 	}
-	elapsed := time.Since(batchStart).Microseconds()
-	h.recordStage(traceOf(w), h.histBatchDescent, stageBatch, batchStart, elapsed, "ok")
+	elapsed := (tr.Elapsed() - batchStart).Microseconds()
+	recordStage(tr, h.histBatchDescent, stageBatch, batchStart, elapsed, "ok")
 	perCtx := elapsed / int64(len(bb.items))
 	h.histServe.RecordN(perCtx, len(bb.items))
 	h.m.batches.Add(1)

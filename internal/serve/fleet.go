@@ -29,30 +29,30 @@ import (
 func (h *Handler) suggestFleet(w http.ResponseWriter, b *reqScratch, n int) {
 	rt := h.fleet
 	tr := traceOf(w)
-	start := time.Now()
-	h.recordQueue(tr, start)
 	b.ctx = rt.AppendContextBytes(b.ctx[:0], b.raw)
 	armIdx := rt.Route(b.ctx)
 	arm := rt.Arm(armIdx)
 	slot := arm.Slot()
 	st := slot.State()
 	ans, hit := h.cache.AnswerSlot(slot.ID(), st.Gen, st.Rec, b.ctx, n)
-	lookupTook := time.Since(start).Microseconds()
+	// As in suggest, the lookup stage opened with the trace; the rerank stage
+	// opens where it closed, on the same clock read.
+	end := tr.Elapsed()
 	if hit {
-		h.recordStage(tr, h.histCache, stageCache, start, lookupTook, "hit")
+		recordStage(tr, h.histCache, stageCache, 0, end.Microseconds(), "hit")
 	} else {
-		h.recordStage(tr, h.histDescent, stageDescent, start, lookupTook, "miss")
+		recordStage(tr, h.histDescent, stageDescent, 0, end.Microseconds(), "miss")
 	}
 	if rk := arm.Reranker(); rk != nil && len(ans.Recs) > 1 {
-		rerankStart := time.Now()
 		b.rerank = rk.Rerank(b.ctx, ans.Recs, b.rerank[:0])
 		// The stored wire form is the cached order's: the reranked copy is
 		// an answer of its own, encoded from its suggestions.
 		ans = cache.Answer{Recs: b.rerank}
-		h.recordStage(tr, h.histRerank, stageRerank, rerankStart,
-			time.Since(rerankStart).Microseconds(), "ok")
+		rerankStart := end
+		end = tr.Elapsed()
+		recordStage(tr, h.histRerank, stageRerank, rerankStart, (end - rerankStart).Microseconds(), "ok")
 	}
-	took := time.Since(start).Microseconds()
+	took := end.Microseconds()
 	h.m.suggests.Add(1)
 	h.histServe.Record(took)
 	rt.RecordServe(armIdx, took)

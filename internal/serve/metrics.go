@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"math"
 	"runtime"
 	"sync/atomic"
 
@@ -9,26 +8,6 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/obs"
 )
-
-// quantile reads the q-th quantile (0..1) from a sorted sample, 0 when
-// empty. The rank is ceil(q*n) (clamped), matching the histogram layer's
-// convention: the estimator can only err high, never low. The previous
-// int(q*(n-1)) form truncated toward the floor and under-reported high
-// quantiles — for a 100-sample window it read p99 from index 98, reporting
-// the 99th of 100 samples as if it were the worst-case tail.
-func quantile(sorted []int64, q float64) int64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := int(math.Ceil(q*float64(len(sorted)))) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(sorted) {
-		i = len(sorted) - 1
-	}
-	return sorted[i]
-}
 
 // metrics aggregates the handler's serving counters. Latency moved out of
 // the old 4096-sample mutex ring into lock-free obs.Histogram instruments
@@ -72,8 +51,8 @@ func readRuntimeStats() RuntimeStats {
 }
 
 // StageStats is one per-stage latency row in /v1/metrics: the latency of a
-// single serving stage (queue, cache lookup, predict descent, rerank) read
-// from its dedicated histogram.
+// single serving stage (cache lookup, predict descent, rerank, batch descent)
+// read from its dedicated histogram.
 type StageStats struct {
 	Count      uint64 `json:"count"`
 	P50Micros  int64  `json:"p50_us"`

@@ -4,7 +4,6 @@ import (
 	"net/http"
 	"runtime/debug"
 	"sync"
-	"time"
 
 	"repro/internal/obs"
 )
@@ -77,7 +76,7 @@ func (w *statusWriter) finish() {
 	}
 	// The one clock read on the way out: histograms, log line and trace
 	// total all take this value.
-	elapsed := time.Since(w.tr.Start())
+	elapsed := w.tr.Elapsed()
 	took := elapsed.Microseconds()
 	h.histHTTP.Record(took)
 	switch w.path {

@@ -17,7 +17,6 @@ import (
 // Stage and span names are package-level constants so every span carries a
 // static string (retained traces must not reference request state).
 const (
-	stageQueue   = "queue"
 	stageCache   = "cache"
 	stageDescent = "descent"
 	stageRerank  = "rerank"
@@ -38,7 +37,6 @@ func (h *Handler) initObs() {
 	h.histRouteSuggest = h.obs.Histogram("serve_route_suggest_us")
 	h.histRouteBatch = h.obs.Histogram("serve_route_batch_us")
 	h.histRouteAdmin = h.obs.Histogram("serve_route_admin_us")
-	h.histQueue = h.obs.Histogram("serve_stage_queue_us")
 	h.histCache = h.obs.Histogram("serve_stage_cache_us")
 	h.histDescent = h.obs.Histogram("serve_stage_descent_us")
 	h.histRerank = h.obs.Histogram("serve_stage_rerank_us")
@@ -61,12 +59,11 @@ func (h *Handler) initObs() {
 // omitting stages that have recorded nothing (rerank without a reranker,
 // descent on an all-hit workload).
 func (h *Handler) stageBreakdown() map[string]StageStats {
-	out := make(map[string]StageStats, 5)
+	out := make(map[string]StageStats, 4)
 	for _, s := range [...]struct {
 		name string
 		hist *obs.Histogram
 	}{
-		{stageQueue, h.histQueue},
 		{stageCache, h.histCache},
 		{stageDescent, h.histDescent},
 		{stageRerank, h.histRerank},
@@ -86,35 +83,16 @@ func (h *Handler) Obs() *obs.Registry { return h.obs }
 // Tracer returns the handler's request tracer.
 func (h *Handler) Tracer() *obs.Tracer { return h.tracer }
 
-// traceOf recovers the request's trace from the instrumented writer. It
-// returns nil for writers that did not pass through the middleware (direct
-// handler invocation in tests).
-func traceOf(w http.ResponseWriter) *obs.Trace {
-	if sw, ok := w.(*statusWriter); ok {
-		return sw.tr
-	}
-	return nil
-}
+// traceOf recovers the request's trace from the instrumented writer: route
+// is only ever reached through instrument, so every handler's writer is one.
+func traceOf(w http.ResponseWriter) *obs.Trace { return w.(*statusWriter).tr }
 
-// recordQueue attributes the time between request arrival (the middleware
-// timestamp, which under a loaded http.Server includes accept/read queueing)
-// and stage start to the queue stage.
-func (h *Handler) recordQueue(tr *obs.Trace, stageStart time.Time) {
-	if tr == nil {
-		return
-	}
-	qd := stageStart.Sub(tr.Start()).Microseconds()
-	tr.Record(stageQueue, 0, qd, obs.NoShard, "ok")
-	h.histQueue.Record(qd)
-}
-
-// recordStage records a completed serving stage into both the request trace
-// (when present) and the stage histogram.
-func (h *Handler) recordStage(tr *obs.Trace, hist *obs.Histogram, name string, start time.Time, durMicros int64, outcome string) {
+// recordStage records a completed serving stage, which opened start after
+// the trace did (a Trace.Elapsed read, or 0), into the request trace and the
+// stage histogram.
+func recordStage(tr *obs.Trace, hist *obs.Histogram, name string, start time.Duration, durMicros int64, outcome string) {
 	hist.Record(durMicros)
-	if tr != nil {
-		tr.Record(name, start.Sub(tr.Start()).Microseconds(), durMicros, obs.NoShard, outcome)
-	}
+	tr.Record(name, start.Microseconds(), durMicros, obs.NoShard, outcome)
 }
 
 // promContentType is the Prometheus text exposition content type.

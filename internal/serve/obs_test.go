@@ -6,9 +6,11 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -343,5 +345,179 @@ func TestTraceHeadersSurviveTraceRecycle(t *testing.T) {
 	}
 	if got := flush(adopted, "X-Trace-Id"); got != "feedfacecafebeef" {
 		t.Errorf("adopted X-Trace-Id read %q at flush", got)
+	}
+}
+
+// slowWriter is a client slow to take its answer: the handler's write, and
+// with it the request's total, lasts at least delay.
+type slowWriter struct {
+	*httptest.ResponseRecorder
+	delay time.Duration
+}
+
+func (w slowWriter) Write(p []byte) (int, error) {
+	time.Sleep(w.delay)
+	return w.ResponseRecorder.Write(p)
+}
+
+// TestSlowAndErroredTracesRetained pins what tail sampling keeps once the
+// ring is full, now that a GET records one span and not two: a slow GET's
+// trace holds exactly its stage span — cache/hit or descent/miss — opening
+// with the trace at offset 0 and closing inside the trace's total; an errored
+// request's trace is kept, with no stage (it was refused before one); a fast,
+// clean one is not.
+func TestSlowAndErroredTracesRetained(t *testing.T) {
+	// The tracer re-reads its slow threshold when it takes an ID block, the
+	// first one included: a histogram that already holds 50 ms samples forces
+	// the threshold there from the first request on.
+	var slow obs.Histogram
+	slow.RecordN(50_000, 100)
+	tracer := obs.NewTracer(16, &slow)
+	h := New(testRecommender(t), Options{Tracer: tracer})
+	get := func(target string, delay time.Duration) (id string, code int) {
+		w := slowWriter{httptest.NewRecorder(), delay}
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, target, nil))
+		return w.Header().Get("X-Trace-Id"), w.Code
+	}
+	retained := func(id string) *obs.TraceView {
+		for _, v := range tracer.Snapshot(0, false, 0) {
+			if v.ID == id {
+				return &v
+			}
+		}
+		return nil
+	}
+	for i := 0; i < 20; i++ { // fill the ring: until then everything is kept
+		get("/suggest?q=o2", 0)
+	}
+	if th := tracer.SlowThresholdMicros(); th < 50_000 || th > 52_000 {
+		t.Fatalf("slow threshold = %d us, want the histogram's 50 ms", th)
+	}
+	if id, _ := get("/suggest?q=o2", 0); retained(id) != nil {
+		t.Fatalf("a fast clean GET was retained with the ring full: %+v", retained(id))
+	}
+
+	for _, tc := range []struct{ target, stage, outcome string }{
+		{"/suggest?q=o2", stageCache, "hit"},
+		{"/suggest?q=o2+mobile", stageDescent, "miss"},
+	} {
+		id, code := get(tc.target, 60*time.Millisecond)
+		v := retained(id)
+		if code != http.StatusOK || v == nil || v.Err || v.TotalMicros < 60_000 {
+			t.Fatalf("slow %s: status %d, retained trace %+v", tc.target, code, v)
+		}
+		if len(v.Spans) != 1 {
+			t.Fatalf("slow %s: %d spans, want the one stage: %+v", tc.target, len(v.Spans), v.Spans)
+		}
+		sp := v.Spans[0]
+		if sp.Name != tc.stage || sp.Outcome != tc.outcome || sp.Shard != obs.NoShard {
+			t.Fatalf("slow %s: span %+v, want %s/%s", tc.target, sp, tc.stage, tc.outcome)
+		}
+		if sp.StartMicros != 0 || sp.DurMicros < 0 || sp.DurMicros > v.TotalMicros {
+			t.Fatalf("slow %s: span %+v does not open with the trace and fit its total %d", tc.target, sp, v.TotalMicros)
+		}
+	}
+
+	id, code := get("/suggest", 0) // no q: 400
+	if v := retained(id); code != http.StatusBadRequest || v == nil || !v.Err || len(v.Spans) != 0 {
+		t.Fatalf("errored GET: status %d, retained trace %+v", code, v)
+	}
+}
+
+// TestInstrumentCountsPinned counts what one request records, registry-wide:
+// a direct cached GET is 4 histogram samples (its stage, serve_latency_us,
+// serve_http_request_us, serve_route_suggest_us) and 1 span; a batch of 64 is
+// 67 samples (its stage, 64 per-context shares in one RecordN, the request
+// and route histograms) and 1 span. A fifth record or a second span on the
+// GET is the cost this pins out. The GET's three clock reads are not counted
+// here: they become countable once the clock is injected (ROADMAP item 3).
+func TestInstrumentCountsPinned(t *testing.T) {
+	h := NewHandler(testRecommender(t), 5)
+	samples := func() (total float64) {
+		fams, err := obs.ParsePrometheus(h.Obs().AppendPrometheus(nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, f := range fams {
+			for _, s := range f.Samples {
+				if f.Type == "histogram" && s.Name == name+"_count" {
+					total += s.Value
+				}
+			}
+		}
+		return total
+	}
+	var batch strings.Builder
+	batch.WriteString(`{"requests":[`)
+	for i := 0; i < 64; i++ {
+		if i > 0 {
+			batch.WriteByte(',')
+		}
+		batch.WriteString(`{"context":["o2"]}`)
+	}
+	batch.WriteString(`]}`)
+	serve := func(method, target, body string) (spans []obs.SpanView, recorded float64) {
+		before := samples()
+		rr := httptest.NewRecorder()
+		h.ServeHTTP(rr, httptest.NewRequest(method, target, strings.NewReader(body)))
+		if rr.Code != http.StatusOK {
+			t.Fatalf("%s %s: status %d: %s", method, target, rr.Code, rr.Body)
+		}
+		for _, v := range h.Tracer().Snapshot(0, false, 0) { // the ring is not full: every trace is there
+			if v.ID == rr.Header().Get("X-Trace-Id") {
+				return v.Spans, samples() - before
+			}
+		}
+		t.Fatalf("%s %s: trace not retained", method, target)
+		return nil, 0
+	}
+	serve(http.MethodGet, "/suggest?q=o2", "") // the miss that fills the cache
+	if spans, recorded := serve(http.MethodGet, "/suggest?q=o2", ""); recorded != 4 || len(spans) != 1 || spans[0].Name != stageCache {
+		t.Fatalf("cached GET recorded %v histogram samples and spans %+v, want 4 and the cache span", recorded, spans)
+	}
+	if spans, recorded := serve(http.MethodPost, "/suggest/batch", batch.String()); recorded != 67 || len(spans) != 1 || spans[0].Name != stageBatch {
+		t.Fatalf("batch-64 recorded %v histogram samples and spans %+v, want 67 and the batch-descent span", recorded, spans)
+	}
+}
+
+// TestStagesListedWithoutQueue: the queue stage is gone from both metrics
+// views, and the four stages that measure something are still there.
+func TestStagesListedWithoutQueue(t *testing.T) {
+	h := wireFleet(t, wireModelA(t), true)
+	for _, r := range []wireRequest{wireRequests[0], wireRequests[0], wireRequests[4]} { // a miss, a hit (both reranked), a batch
+		serveMasked(t, h, r)
+	}
+	rr := httptest.NewRecorder()
+	h.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/v1/metrics", nil))
+	var m MetricsResponse
+	if err := json.Unmarshal(rr.Body.Bytes(), &m); err != nil {
+		t.Fatal(err)
+	}
+	stages := make([]string, 0, len(m.Stages))
+	for name, st := range m.Stages {
+		if st.Count == 0 {
+			t.Fatalf("stage %q listed with no samples", name)
+		}
+		stages = append(stages, name)
+	}
+	slices.Sort(stages)
+	if want := []string{stageBatch, stageCache, stageDescent, stageRerank}; !slices.Equal(stages, want) {
+		t.Fatalf("/v1/metrics stages = %q, want %q", stages, want)
+	}
+
+	fams, err := obs.ParsePrometheus(h.Obs().AppendPrometheus(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var families []string
+	for name := range fams {
+		if strings.HasPrefix(name, "serve_stage_") {
+			families = append(families, name)
+		}
+	}
+	slices.Sort(families)
+	want := []string{"serve_stage_batch_descent_us", "serve_stage_cache_us", "serve_stage_descent_us", "serve_stage_rerank_us"}
+	if !slices.Equal(families, want) {
+		t.Fatalf("exposition stage families = %q, want %q", families, want)
 	}
 }

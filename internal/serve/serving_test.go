@@ -553,33 +553,3 @@ func TestHealthReportsBlobProvenance(t *testing.T) {
 		t.Fatalf("metrics blob provenance = %+v", mp)
 	}
 }
-
-func TestQuantileCeilRank(t *testing.T) {
-	// 100 sorted samples 1..100: the q-quantile is the ceil(q*100)-th
-	// smallest. The old int(q*(len-1)) form truncated down — p99 of 1..100
-	// read 99 instead of 100 (and p90 read 90 only by accident) — which
-	// systematically under-reported the tail.
-	s := make([]int64, 100)
-	for i := range s {
-		s[i] = int64(i + 1)
-	}
-	cases := []struct {
-		q    float64
-		want int64
-	}{
-		{0.50, 50}, {0.90, 90}, {0.99, 99}, {0.999, 100}, {1.0, 100},
-		{0.001, 1}, {0.0, 1},
-	}
-	for _, c := range cases {
-		if got := quantile(s, c.q); got != c.want {
-			t.Fatalf("quantile(1..100, %v) = %d, want %d", c.q, got, c.want)
-		}
-	}
-	// The regression case proper: two samples, p99 must report the worse one.
-	if got := quantile([]int64{10, 1000}, 0.99); got != 1000 {
-		t.Fatalf("p99 of {10,1000} = %d, want 1000 (truncation bias)", got)
-	}
-	if quantile(nil, 0.5) != 0 {
-		t.Fatal("empty quantile should be 0")
-	}
-}
