@@ -3,17 +3,17 @@
 
 GO ?= go
 
-# Serving-path benchmarks tracked across PRs in BENCH_serving.json.
-SERVING_BENCH = BenchmarkRecommendUncached|BenchmarkRecommendUncachedInterpreted|BenchmarkPredictCompiled|BenchmarkPredictQuantised|BenchmarkPredictCPS5|BenchmarkPredictHMM|BenchmarkRerankPairwise|BenchmarkProbCompiled|BenchmarkPredictMVMM|BenchmarkSuggestUncached|BenchmarkSuggestCached|BenchmarkServeHTTPCached|BenchmarkServeHTTPBatch|BenchmarkRouteAB|BenchmarkShardFanout64|BenchmarkShardFanout64R2|BenchmarkRouterGET|BenchmarkPredictBatch64|BenchmarkPredictBatch64Parallel|BenchmarkPredictSequential64|BenchmarkColdStartHeapV2|BenchmarkColdStartMmapV3|BenchmarkColdStartMmapV4|BenchmarkColdStartMmapV5|BenchmarkCompiledBlobSize|BenchmarkCompiledBlobSizeV5|BenchmarkIngestSegment|BenchmarkServeHTTPCachedTraced|BenchmarkHistogramRecord
-# Override for quick smoke runs: make bench-json BENCHTIME=10x
+# The benchmarks `make bench-gates` runs: exactly the ones BENCH_GATES names.
+SERVING_BENCH = ^(BenchmarkRecommendUncached|BenchmarkServeHTTPCached|BenchmarkRouteAB|BenchmarkServeHTTPCachedTraced|BenchmarkHistogramRecord|BenchmarkShardFanout64|BenchmarkRouterGET|BenchmarkShardFanout64R2|BenchmarkPredictCPS5|BenchmarkPredictHMM|BenchmarkRerankPairwise|BenchmarkCompiledBlobSize|BenchmarkIngestSegment)$$
+# Override for quick smoke runs: make bench-gates BENCHTIME=10x
 BENCHTIME ?= 1s
-# Regression gates applied by cmd/benchjson after recording: the cached HTTP
-# serving path, the fleet A/B routing path and the per-family predict paths
-# (quantised MVMM, HMM, pairwise rerank, compact-edge CPS5) must stay within
-# their allocation budgets, the quantised CPS4 blob must stay >= 40% smaller
-# than the exact CPS3 blob and the compact-edge CPS5 blob >= 20% smaller than
-# CPS4 on the benchmark model, and the 3-shard batch fan-out must hold the
-# pooled span-forwarding path: 20 allocs/batch at steady state (the
+# Regression gates checked by cmd/benchjson: the cached HTTP serving path, the
+# fleet A/B routing path and the per-family predict paths (the CPS5 descent a
+# model file serves, HMM, pairwise rerank) must stay within their allocation
+# budgets, the compact CPS5 blob must stay under 0.48 of the exact CPS3 blob
+# on the benchmark model (0.394 when the gate was set; 0.48 = the 0.6 × 0.8
+# the two-step CPS3 → quantised → compact gates allowed), and the 3-shard
+# batch fan-out must hold the pooled span-forwarding path: 20 allocs/batch at steady state (the
 # benchmark's own request 10, a body limiter per handler 4, the round's one
 # attempt context 1, its two call goroutines 5), 24 while the tracers'
 # retention rings fill, 26 on a cold first iteration. The 60 ceiling leaves
@@ -37,9 +37,9 @@ BENCHTIME ?= 1s
 # The uncached recommend path is gated at 0: Engine.AppendSuggestions predicts
 # into an array on its own stack, and one allocation there means that array
 # escaped.
-BENCH_GATES = -gate BenchmarkRecommendUncached=0 -gate BenchmarkServeHTTPCached=2 -gate BenchmarkRouteAB=0 -gate BenchmarkServeHTTPCachedTraced=0 -gate BenchmarkHistogramRecord=0 -gate BenchmarkShardFanout64=60 -gate BenchmarkRouterGET=2 -gate BenchmarkShardFanout64R2:fanout-r2-over-r1=1.5 -gate BenchmarkPredictQuantised=0 -gate BenchmarkPredictCPS5=0 -gate BenchmarkPredictHMM=0 -gate BenchmarkRerankPairwise=0 -gate BenchmarkCompiledBlobSize:cps4-over-cps3=0.6 -gate BenchmarkCompiledBlobSizeV5:cps5-over-cps4=0.8 -gate BenchmarkIngestSegment=6000
+BENCH_GATES = -gate BenchmarkRecommendUncached=0 -gate BenchmarkServeHTTPCached=2 -gate BenchmarkRouteAB=0 -gate BenchmarkServeHTTPCachedTraced=0 -gate BenchmarkHistogramRecord=0 -gate BenchmarkShardFanout64=60 -gate BenchmarkRouterGET=2 -gate BenchmarkShardFanout64R2:fanout-r2-over-r1=1.5 -gate BenchmarkPredictCPS5=0 -gate BenchmarkPredictHMM=0 -gate BenchmarkRerankPairwise=0 -gate BenchmarkCompiledBlobSize:cps5-over-cps3=0.48 -gate BenchmarkIngestSegment=6000
 
-.PHONY: all build test race race-repeat fuzz-smoke bench bench-json bench-e2e bench-pairs chaos ingest-test obs-test fmt fmt-check vet check-docs check-api ci serve loadgen clean
+.PHONY: all build test race race-repeat fuzz-smoke bench bench-gates bench-e2e bench-pairs chaos ingest-test obs-test fmt fmt-check vet check-docs check-api ci serve loadgen clean
 
 all: build test
 
@@ -65,14 +65,16 @@ race-repeat:
 # Fuzz smoke: every Fuzz* target in the module, one after the other (go test
 # takes one -fuzz target and one package at a time), FUZZTIME each. A local
 # target, not part of ci: `test` already runs every target over its seed
-# corpus, this looks for inputs nobody wrote down.
+# corpus, this looks for inputs nobody wrote down. The minimizer gets a second
+# per new input, not its default minute: on FuzzLoad's 8 KB model files it
+# would otherwise spend the whole smoke shrinking the first one.
 #   make fuzz-smoke FUZZTIME=10s
 FUZZTIME ?= 10s
 fuzz-smoke:
 	@for pkg in $$($(GO) list ./...); do \
 		for target in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz'); do \
 			echo "== $$pkg $$target"; \
-			$(GO) test -run=NONE -fuzz="^$$target\$$" -fuzztime=$(FUZZTIME) $$pkg || exit 1; \
+			$(GO) test -run=NONE -fuzz="^$$target\$$" -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s $$pkg || exit 1; \
 		done; \
 	done
 
@@ -107,15 +109,15 @@ bench:
 	GOMAXPROCS=1 $(GO) test -run=NONE -bench=. -benchtime=1x ./...
 	GOMAXPROCS=4 $(GO) test -run=NONE -bench=. -benchtime=1x ./...
 
-# Machine-readable serving benchmarks: appends a commit-stamped entry to the
-# BENCH_serving.json trajectory so perf history (ns/op, B/op, allocs/op) is
-# diffable across PRs, then applies the allocation regression gates. The
-# bench run lands in a temp file first so a mid-run benchmark failure fails
-# the target instead of vanishing into a pipe.
-bench-json:
-	$(GO) test -run=NONE -bench='$(SERVING_BENCH)' -benchmem -benchtime=$(BENCHTIME) . > BENCH_serving.tmp
-	$(GO) run ./cmd/benchjson -out BENCH_serving.json $(BENCH_GATES) < BENCH_serving.tmp
-	@rm -f BENCH_serving.tmp
+# The allocation and blob-size regression gates: runs the gated benchmarks
+# and checks BENCH_GATES against their output. Nothing is recorded — timings
+# are the end-to-end benchmark's (bench-e2e, bench-pairs). The bench run lands
+# in a temp file first so a mid-run benchmark failure fails the target
+# instead of vanishing into a pipe.
+bench-gates:
+	$(GO) test -run=NONE -bench='$(SERVING_BENCH)' -benchmem -benchtime=$(BENCHTIME) . > bench-gates.tmp
+	$(GO) run ./cmd/benchjson $(BENCH_GATES) < bench-gates.tmp
+	@rm -f bench-gates.tmp
 
 # The repository's end-to-end benchmark (BENCHMARK.json, bench/README.md): one
 # run of one workload — get_zipf, get_miss, batch_miss, ring_get or ring_batch —
@@ -176,5 +178,5 @@ loadgen:
 	$(GO) run ./cmd/loadgen -addr http://localhost:8080
 
 clean:
-	rm -f model.bin BENCH_serving.tmp
+	rm -f model.bin bench-gates.tmp
 	rm -rf .bench_build

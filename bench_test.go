@@ -458,44 +458,9 @@ func BenchmarkPredictCompiled(b *testing.B) {
 	}
 }
 
-// BenchmarkPredictQuantised measures the compiled descent on the quantised
-// CPS4 form of the benchmark model — the latency cost (if any) of serving
-// fixed-point probabilities instead of float64. allocs/op must stay 0.
-func BenchmarkPredictQuantised(b *testing.B) {
-	rec, _ := serveBenchSetup(b)
-	c, _ := benchSetup(b)
-	ctxs := c.TestContexts(2, 256)
-	if len(ctxs) == 0 {
-		b.Skip("no contexts")
-	}
-	cm := rec.CompiledModel()
-	if cm == nil {
-		b.Fatal("recommender did not compile")
-	}
-	blob, err := cm.AppendFlat4(nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	qm, err := compiled.FromBytes(blob, compiled.ViewAuto)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if !qm.Quantised() {
-		b.Fatal("CPS4 load is not quantised")
-	}
-	buf := make([]model.Prediction, 0, 8)
-	for _, ctx := range ctxs { // warm the scratch pool to steady state
-		buf = qm.AppendPredictions(buf[:0], ctx, 5)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf = qm.AppendPredictions(buf[:0], ctxs[i%len(ctxs)], 5)
-	}
-}
-
-// BenchmarkPredictCPS5 measures the compiled descent on the compact-edge
-// CPS5 form — varint-delta follower IDs decoded lazily per matched node.
-// allocs/op must stay 0 and ns/op must stay within 15% of the CPS4 descent.
+// BenchmarkPredictCPS5 measures the compiled descent on the compact CPS5
+// form a model file carries — fixed-point probabilities, varint-delta
+// follower IDs decoded lazily per matched node. allocs/op must stay 0.
 func BenchmarkPredictCPS5(b *testing.B) {
 	rec, _ := serveBenchSetup(b)
 	c, _ := benchSetup(b)
@@ -507,7 +472,7 @@ func BenchmarkPredictCPS5(b *testing.B) {
 	if cm == nil {
 		b.Fatal("recommender did not compile")
 	}
-	blob, err := cm.AppendFlat5(nil, false)
+	blob, err := cm.AppendFlat5(nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -584,54 +549,28 @@ func BenchmarkRerankPairwise(b *testing.B) {
 	}
 }
 
-// BenchmarkCompiledBlobSize re-encodes the benchmark model in both flat
-// layouts and reports their byte sizes plus the CPS4/CPS3 ratio — the
-// Table VII serving-footprint numbers, tracked in BENCH_serving.json and
-// gated (the quantised blob must stay >= 40% smaller, i.e. ratio <= 0.6).
+// BenchmarkCompiledBlobSize re-encodes the benchmark model in both blob
+// encodings and reports their byte sizes plus the CPS5/CPS3 ratio — the
+// Table VII serving-footprint numbers, gated by `make bench-gates` (the
+// compact blob must stay under 0.48 of the exact one).
 func BenchmarkCompiledBlobSize(b *testing.B) {
 	rec, _ := serveBenchSetup(b)
 	cm := rec.CompiledModel()
 	if cm == nil {
 		b.Fatal("recommender did not compile")
 	}
-	var cps3, cps4 int
+	var cps3, cps5 int
 	for i := 0; i < b.N; i++ {
 		blob3 := cm.AppendFlat(nil)
-		blob4, err := cm.AppendFlat4(nil)
+		blob5, err := cm.AppendFlat5(nil)
 		if err != nil {
 			b.Fatal(err)
 		}
-		cps3, cps4 = len(blob3), len(blob4)
+		cps3, cps5 = len(blob3), len(blob5)
 	}
 	b.ReportMetric(float64(cps3), "cps3-bytes")
-	b.ReportMetric(float64(cps4), "cps4-bytes")
-	b.ReportMetric(float64(cps4)/float64(cps3), "cps4-over-cps3")
-}
-
-// BenchmarkCompiledBlobSizeV5 extends the Table VII footprint tracking to the
-// compact-edge tier: CPS4 vs CPS5 bytes plus their ratio, gated so the
-// varint-delta encoding must stay >= 20% smaller (ratio <= 0.8).
-func BenchmarkCompiledBlobSizeV5(b *testing.B) {
-	rec, _ := serveBenchSetup(b)
-	cm := rec.CompiledModel()
-	if cm == nil {
-		b.Fatal("recommender did not compile")
-	}
-	var cps4, cps5 int
-	for i := 0; i < b.N; i++ {
-		blob4, err := cm.AppendFlat4(nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		blob5, err := cm.AppendFlat5(nil, false)
-		if err != nil {
-			b.Fatal(err)
-		}
-		cps4, cps5 = len(blob4), len(blob5)
-	}
-	b.ReportMetric(float64(cps4), "cps4-bytes")
 	b.ReportMetric(float64(cps5), "cps5-bytes")
-	b.ReportMetric(float64(cps5)/float64(cps4), "cps5-over-cps4")
+	b.ReportMetric(float64(cps5)/float64(cps3), "cps5-over-cps3")
 }
 
 // BenchmarkProbCompiled measures the allocation-free mixture probability.
@@ -1053,16 +992,13 @@ func BenchmarkPredictBatch64Parallel(b *testing.B) {
 // --- cold-start benchmarks ---------------------------------------------------
 
 var (
-	coldOnce                       sync.Once
-	coldV2, coldV3, coldV4, coldV5 string
-	coldErr                        error
+	coldOnce sync.Once
+	coldPath string
+	coldErr  error
 )
 
-// coldStartSetup persists the serving benchmark model once in all current
-// formats: V002 (varint compiled section, heap decode), V003 (exact flat
-// compiled section, mmap), V004 (quantised flat compiled section, mmap) and
-// V005 (compact-edge CPS5 section, mmap).
-func coldStartSetup(b *testing.B) (v2, v3, v4, v5 string) {
+// coldStartSetup saves the serving benchmark model once as a model file.
+func coldStartSetup(b *testing.B) string {
 	rec, _ := serveBenchSetup(b)
 	coldOnce.Do(func() {
 		dir, err := os.MkdirTemp("", "repro-coldstart")
@@ -1070,49 +1006,38 @@ func coldStartSetup(b *testing.B) (v2, v3, v4, v5 string) {
 			coldErr = err
 			return
 		}
-		write := func(path, version string) error {
-			f, err := os.Create(path)
-			if err != nil {
-				return err
-			}
-			if err := rec.(*core.Engine).SaveAs(f, version); err != nil {
-				f.Close()
-				return err
-			}
-			return f.Close()
-		}
-		coldV2 = filepath.Join(dir, "model-v2.bin")
-		coldV3 = filepath.Join(dir, "model-v3.bin")
-		coldV4 = filepath.Join(dir, "model-v4.bin")
-		coldV5 = filepath.Join(dir, "model-v5.bin")
-		if err := write(coldV2, "QRECV002"); err != nil {
+		coldPath = filepath.Join(dir, "model.bin")
+		f, err := os.Create(coldPath)
+		if err != nil {
 			coldErr = err
 			return
 		}
-		if err := write(coldV3, "QRECV003"); err != nil {
+		if err := rec.(*core.Engine).Save(f); err != nil {
+			f.Close()
 			coldErr = err
 			return
 		}
-		if err := write(coldV4, "QRECV004"); err != nil {
-			coldErr = err
-			return
-		}
-		coldErr = write(coldV5, "QRECV005")
+		coldErr = f.Close()
 	})
 	if coldErr != nil {
 		b.Fatal(coldErr)
 	}
-	return coldV2, coldV3, coldV4, coldV5
+	return coldPath
 }
 
-// BenchmarkColdStartHeapV2 is the before side of the mmap comparison: a full
-// V002 load — dictionary, interpreted mixture, varint-decoded compiled
-// section — into freshly allocated heap structures.
-func BenchmarkColdStartHeapV2(b *testing.B) {
-	v2, _, _, _ := coldStartSetup(b)
+// BenchmarkColdStartHeap is the before side of the mmap comparison: a stream
+// Load — dictionary decode, then the blob read, checksummed and decoded into
+// freshly allocated heap slices.
+func BenchmarkColdStartHeap(b *testing.B) {
+	path := coldStartSetup(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rec, err := core.LoadPath(v2)
+		f, err := os.Open(path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rec, err := core.Load(f)
+		f.Close()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -1122,71 +1047,26 @@ func BenchmarkColdStartHeapV2(b *testing.B) {
 	}
 }
 
-// BenchmarkColdStartMmapV3 is the after side: a V003 LoadPath — dictionary
-// decode plus an mmap of the compiled section; the mixture stays on disk
-// until first use and trie pages fault in lazily.
-func BenchmarkColdStartMmapV3(b *testing.B) {
-	_, v3, _, _ := coldStartSetup(b)
-	if _, err := core.LoadPath(v3); err != nil {
+// BenchmarkColdStartMmap is the after side: LoadPath — dictionary decode
+// plus an mmap of the blob, of which only the CSR offsets are varint-decoded
+// eagerly; follower edges stay packed until a descent touches their node and
+// trie pages fault in lazily.
+func BenchmarkColdStartMmap(b *testing.B) {
+	path := coldStartSetup(b)
+	if _, err := core.LoadPath(path); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rec, err := core.LoadPath(v3)
+		rec, err := core.LoadPath(path)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if rec.CompiledModel() == nil {
-			b.Fatal("no compiled model")
+		if cm := rec.CompiledModel(); cm == nil || !cm.Quantised() {
+			b.Fatal("no quantised compiled model")
 		}
 		// Release the mapping eagerly: thousands of live mappings would trip
 		// vm.max_map_count long before the GC ran any cleanups.
-		if err := rec.Close(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkColdStartMmapV4 is the quantised variant: a V004 LoadPath maps
-// the roughly-half-size CPS4 blob — same O(1) mapping work as V003, smaller
-// resident ceiling once pages fault in.
-func BenchmarkColdStartMmapV4(b *testing.B) {
-	_, _, v4, _ := coldStartSetup(b)
-	if _, err := core.LoadPath(v4); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rec, err := core.LoadPath(v4)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if cm := rec.CompiledModel(); cm == nil || !cm.Quantised() {
-			b.Fatal("no quantised compiled model")
-		}
-		if err := rec.Close(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkColdStartMmapV5 is the compact-edge variant: a V005 LoadPath maps
-// the CPS5 blob and eagerly varint-decodes only the CSR offsets; follower
-// edges stay encoded until a descent touches their node.
-func BenchmarkColdStartMmapV5(b *testing.B) {
-	_, _, _, v5 := coldStartSetup(b)
-	if _, err := core.LoadPath(v5); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rec, err := core.LoadPath(v5)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if cm := rec.CompiledModel(); cm == nil || !cm.Quantised() {
-			b.Fatal("no quantised compiled model")
-		}
 		if err := rec.Close(); err != nil {
 			b.Fatal(err)
 		}

@@ -1,76 +1,37 @@
-// Command benchjson converts `go test -bench` output on stdin into a
-// machine-readable JSON document, so the serving-path performance trajectory
-// (ns/op, B/op, allocs/op per benchmark) can be diffed across PRs instead of
-// living in prose. `make bench-json` maintains BENCH_serving.json with it
-// and CI runs the same target as a smoke check.
+// Command benchjson checks regression gates against `go test -bench` output
+// on stdin. It records nothing and writes no file: how fast the serving path
+// is, and how that moves from commit to commit, is the end-to-end benchmark's
+// to say (BENCHMARK.json, bench/README.md, `make bench-pairs`); what is
+// checked here are the counts a micro-benchmark reports exactly —
+// allocations per operation and blob-size ratios.
 //
-// The output file is a trajectory, not a snapshot: each run appends (or, for
-// the same commit, replaces) a stamped entry, so perf history survives
-// across PRs. Files written by the old single-snapshot format are upgraded
-// in place, keeping their numbers as the first entry.
-//
-// The -gate flag turns the run into a regression check: after recording,
-// `-gate BenchmarkServeHTTPCached=2` exits non-zero if that benchmark's
-// allocs/op exceeds the given ceiling, and
-// `-gate BenchmarkCompiledBlobSize:cps4-over-cps3=0.6` gates a
+// `-gate BenchmarkServeHTTPCached=2` fails the run when that benchmark's
+// allocs/op exceeds the ceiling, and
+// `-gate BenchmarkCompiledBlobSize:cps5-over-cps3=0.48` gates a
 // b.ReportMetric value instead (the part after the colon names the metric
-// unit). CI uses both to fail on serving-path allocation regressions and on
-// quantised-blob size regressions.
+// unit). A gated benchmark that is missing from the input fails too.
 //
-// Usage:
+// Usage (what `make bench-gates` runs):
 //
-//	go test -run=NONE -bench=. -benchmem . | benchjson -out BENCH_serving.json \
-//	    -gate BenchmarkServeHTTPCached=2 -gate BenchmarkCompiledBlobSize:cps4-over-cps3=0.6
+//	go test -run=NONE -bench='...' -benchmem . | benchjson \
+//	    -gate BenchmarkServeHTTPCached=2 -gate BenchmarkCompiledBlobSize:cps5-over-cps3=0.48
 package main
 
 import (
 	"bufio"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
 	"os"
-	"os/exec"
 	"strconv"
 	"strings"
 )
 
-// Result is one benchmark's parsed measurements. Standard -benchmem columns
-// get first-class fields; b.ReportMetric extras land in Metrics.
-type Result struct {
-	Iterations  int64              `json:"iterations"`
-	NsPerOp     float64            `json:"ns_per_op"`
-	BytesPerOp  *float64           `json:"b_per_op,omitempty"`
-	AllocsPerOp *float64           `json:"allocs_per_op,omitempty"`
-	Metrics     map[string]float64 `json:"metrics,omitempty"`
-}
-
-// Entry is one recorded run: environment header lines plus results keyed by
-// benchmark name (GOMAXPROCS suffix stripped), stamped with the git commit
-// it was measured at. Dirty marks a run against uncommitted changes; the
-// commit stamp itself stays the clean short hash so reruns after committing
-// replace the provisional entry instead of duplicating it.
-type Entry struct {
-	Commit     string            `json:"commit"`
-	Dirty      bool              `json:"dirty,omitempty"`
-	GOOS       string            `json:"goos,omitempty"`
-	GOARCH     string            `json:"goarch,omitempty"`
-	CPU        string            `json:"cpu,omitempty"`
-	Benchmarks map[string]Result `json:"benchmarks"`
-}
-
-// Output is the whole trajectory document, oldest entry first.
-type Output struct {
-	Entries []Entry `json:"entries"`
-}
-
-// legacyOutput is the pre-trajectory single-snapshot layout, still readable
-// so existing files upgrade in place.
-type legacyOutput struct {
-	GOOS       string            `json:"goos,omitempty"`
-	GOARCH     string            `json:"goarch,omitempty"`
-	CPU        string            `json:"cpu,omitempty"`
-	Benchmarks map[string]Result `json:"benchmarks"`
+// result is what one benchmark line reported: the allocs/op column when
+// -benchmem printed it, and every other (value, unit) pair under its unit.
+type result struct {
+	allocsPerOp *float64
+	metrics     map[string]float64
 }
 
 type gateList []string
@@ -81,144 +42,39 @@ func (g *gateList) Set(v string) error { *g = append(*g, v); return nil }
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("benchjson: ")
-	out := flag.String("out", "", "trajectory file to update (default: print the new entry to stdout)")
-	commit := flag.String("commit", "", "commit stamp for this entry (default: BENCH_COMMIT env, then git describe)")
 	var gates gateList
-	flag.Var(&gates, "gate", "Benchmark=maxAllocs regression gate, repeatable; exits 1 when exceeded")
+	flag.Var(&gates, "gate", "Benchmark=maxAllocs or Benchmark:metric=max ceiling, repeatable; exits 1 when exceeded")
 	flag.Parse()
 
-	stamp, dirty := resolveCommit(*commit)
-	entry := Entry{Commit: stamp, Dirty: dirty, Benchmarks: make(map[string]Result)}
+	results := make(map[string]result)
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
 		line := sc.Text()
-		switch {
-		case strings.HasPrefix(line, "goos:"):
-			entry.GOOS = strings.TrimSpace(strings.TrimPrefix(line, "goos:"))
-		case strings.HasPrefix(line, "goarch:"):
-			entry.GOARCH = strings.TrimSpace(strings.TrimPrefix(line, "goarch:"))
-		case strings.HasPrefix(line, "cpu:"):
-			entry.CPU = strings.TrimSpace(strings.TrimPrefix(line, "cpu:"))
-		case strings.HasPrefix(line, "Benchmark"):
-			name, res, err := parseBenchLine(line)
-			if err != nil {
-				log.Printf("skipping %q: %v", line, err)
-				continue
-			}
-			entry.Benchmarks[name] = res
+		if !strings.HasPrefix(line, "Benchmark") {
+			continue // goos/cpu headers, PASS/FAIL/ok lines and test noise
 		}
-		// PASS/FAIL/ok lines and test noise fall through silently.
+		name, res, err := parseBenchLine(line)
+		if err != nil {
+			log.Printf("skipping %q: %v", line, err)
+			continue
+		}
+		results[name] = res
 	}
 	if err := sc.Err(); err != nil {
 		log.Fatal(err)
 	}
-	if len(entry.Benchmarks) == 0 {
+	if len(results) == 0 {
 		log.Fatal("no benchmark lines found on stdin")
 	}
-
-	doc := readTrajectory(*out)
-	doc.upsert(entry)
-	enc, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
+	if err := applyGates(results, gates); err != nil {
 		log.Fatal(err)
 	}
-	enc = append(enc, '\n')
-	if *out == "" {
-		os.Stdout.Write(enc)
-	} else {
-		if err := os.WriteFile(*out, enc, 0o644); err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("recorded %d benchmarks at commit %s (%d entries in %s)",
-			len(entry.Benchmarks), entry.Commit, len(doc.Entries), *out)
-	}
-
-	// The entry is recorded either way; gate failures still fail the run.
-	if err := applyGates(entry, gates); err != nil {
-		log.Fatal(err)
-	}
-}
-
-// resolveCommit picks the entry stamp — explicit flag, BENCH_COMMIT (CI can
-// pass its SHA), then `git describe --always --dirty` — and splits any
-// "-dirty" marker into the separate dirty flag so the recorded commit is
-// always the clean hash.
-func resolveCommit(flagVal string) (string, bool) {
-	if flagVal != "" {
-		return splitDirty(flagVal)
-	}
-	if env := os.Getenv("BENCH_COMMIT"); env != "" {
-		return splitDirty(env)
-	}
-	out, err := exec.Command("git", "describe", "--always", "--dirty").Output()
-	if err == nil {
-		if s := strings.TrimSpace(string(out)); s != "" {
-			return splitDirty(s)
-		}
-	}
-	return "unknown", false
-}
-
-// splitDirty strips git describe's "-dirty" suffix, reporting it separately.
-func splitDirty(stamp string) (string, bool) {
-	if s, ok := strings.CutSuffix(stamp, "-dirty"); ok {
-		return s, true
-	}
-	return stamp, false
-}
-
-// readTrajectory loads the existing trajectory, upgrading legacy
-// single-snapshot files into a one-entry history.
-func readTrajectory(path string) *Output {
-	doc := &Output{}
-	if path == "" {
-		return doc
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		if !os.IsNotExist(err) {
-			log.Fatalf("reading %s: %v", path, err)
-		}
-		return doc
-	}
-	if err := json.Unmarshal(raw, doc); err == nil && len(doc.Entries) > 0 {
-		// Entries written before the dirty flag baked "-dirty" into the
-		// commit stamp; split it out so the history keys stay clean hashes.
-		for i := range doc.Entries {
-			if s, dirty := splitDirty(doc.Entries[i].Commit); dirty {
-				doc.Entries[i].Commit, doc.Entries[i].Dirty = s, true
-			}
-		}
-		return doc
-	}
-	var legacy legacyOutput
-	if err := json.Unmarshal(raw, &legacy); err == nil && len(legacy.Benchmarks) > 0 {
-		doc.Entries = []Entry{{
-			Commit: "(pre-trajectory)", GOOS: legacy.GOOS, GOARCH: legacy.GOARCH,
-			CPU: legacy.CPU, Benchmarks: legacy.Benchmarks,
-		}}
-		return doc
-	}
-	log.Fatalf("%s exists but is neither a trajectory nor a legacy snapshot; refusing to overwrite", path)
-	return nil
-}
-
-// upsert appends the entry, replacing an existing entry for the same commit
-// (reruns refine rather than duplicate).
-func (o *Output) upsert(e Entry) {
-	for i := range o.Entries {
-		if o.Entries[i].Commit == e.Commit {
-			o.Entries[i] = e
-			return
-		}
-	}
-	o.Entries = append(o.Entries, e)
 }
 
 // applyGates enforces `Benchmark=maxAllocs` and `Benchmark:metric=max`
-// ceilings against the new entry.
-func applyGates(e Entry, gates []string) error {
+// ceilings against the parsed run.
+func applyGates(results map[string]result, gates []string) error {
 	for _, g := range gates {
 		name, limitStr, ok := strings.Cut(g, "=")
 		if !ok {
@@ -229,12 +85,12 @@ func applyGates(e Entry, gates []string) error {
 			return fmt.Errorf("malformed -gate limit %q: %v", limitStr, err)
 		}
 		name, metric, isMetric := strings.Cut(name, ":")
-		res, ok := e.Benchmarks[name]
+		res, ok := results[name]
 		if !ok {
 			return fmt.Errorf("gate %s: benchmark missing from this run", name)
 		}
 		if isMetric {
-			val, ok := res.Metrics[metric]
+			val, ok := res.metrics[metric]
 			if !ok {
 				return fmt.Errorf("gate %s: metric %q missing (benchmark must b.ReportMetric it)", name, metric)
 			}
@@ -245,14 +101,14 @@ func applyGates(e Entry, gates []string) error {
 			log.Printf("gate %s: %s = %g <= %g ok", name, metric, val, limit)
 			continue
 		}
-		if res.AllocsPerOp == nil {
+		if res.allocsPerOp == nil {
 			return fmt.Errorf("gate %s: no allocs/op column (run with -benchmem)", name)
 		}
-		if *res.AllocsPerOp > limit {
+		if *res.allocsPerOp > limit {
 			return fmt.Errorf("gate %s: %.1f allocs/op exceeds the %.1f ceiling — serving-path allocation regression",
-				name, *res.AllocsPerOp, limit)
+				name, *res.allocsPerOp, limit)
 		}
-		log.Printf("gate %s: %.1f allocs/op <= %.1f ok", name, *res.AllocsPerOp, limit)
+		log.Printf("gate %s: %.1f allocs/op <= %.1f ok", name, *res.allocsPerOp, limit)
 	}
 	return nil
 }
@@ -260,10 +116,10 @@ func applyGates(e Entry, gates []string) error {
 // parseBenchLine decodes one result line of the standard bench format:
 //
 //	BenchmarkName-8   12345   678.9 ns/op   10 B/op   2 allocs/op   1.0 extra-metric
-func parseBenchLine(line string) (string, Result, error) {
+func parseBenchLine(line string) (string, result, error) {
 	fields := strings.Fields(line)
 	if len(fields) < 4 {
-		return "", Result{}, fmt.Errorf("want >= 4 fields, got %d", len(fields))
+		return "", result{}, fmt.Errorf("want >= 4 fields, got %d", len(fields))
 	}
 	name := fields[0]
 	if i := strings.LastIndexByte(name, '-'); i > 0 {
@@ -271,36 +127,23 @@ func parseBenchLine(line string) (string, Result, error) {
 			name = name[:i] // strip the GOMAXPROCS suffix
 		}
 	}
-	iters, err := strconv.ParseInt(fields[1], 10, 64)
-	if err != nil {
-		return "", Result{}, fmt.Errorf("iterations: %v", err)
+	if _, err := strconv.ParseInt(fields[1], 10, 64); err != nil {
+		return "", result{}, fmt.Errorf("iterations: %v", err)
 	}
-	res := Result{Iterations: iters}
-	seenNs := false
+	res := result{metrics: make(map[string]float64)}
 	for i := 2; i+1 < len(fields); i += 2 {
 		val, err := strconv.ParseFloat(fields[i], 64)
 		if err != nil {
-			return "", Result{}, fmt.Errorf("value %q: %v", fields[i], err)
+			return "", result{}, fmt.Errorf("value %q: %v", fields[i], err)
 		}
-		switch unit := fields[i+1]; unit {
-		case "ns/op":
-			res.NsPerOp = val
-			seenNs = true
-		case "B/op":
-			v := val
-			res.BytesPerOp = &v
-		case "allocs/op":
-			v := val
-			res.AllocsPerOp = &v
-		default:
-			if res.Metrics == nil {
-				res.Metrics = make(map[string]float64)
-			}
-			res.Metrics[unit] = val
+		if unit := fields[i+1]; unit == "allocs/op" {
+			res.allocsPerOp = &val
+		} else {
+			res.metrics[unit] = val
 		}
 	}
-	if !seenNs {
-		return "", Result{}, fmt.Errorf("no ns/op column")
+	if _, ok := res.metrics["ns/op"]; !ok {
+		return "", result{}, fmt.Errorf("no ns/op column")
 	}
 	return name, res, nil
 }

@@ -74,13 +74,8 @@ import (
 // loadOpts carries the flag-gated mmap paging hints into every model load.
 var loadOpts core.LoadOptions
 
-// batchWorkers carries -batch-workers into every model load (reloads
-// included): 0 fans batch descents across GOMAXPROCS goroutines, 1 keeps
-// them sequential. Answers are bit-identical either way.
-var batchWorkers int
-
-// loadModel loads through core.LoadAnyPath so every container format is
-// addressable by file path: V003/V004 MVMM files take the mmap fast path
+// loadModel loads through core.LoadAnyPath so both container formats are
+// addressable by file path: MVMM files take the mmap fast path
 // (the compiled serving form is mapped, not decoded, which makes cold starts
 // and SIGHUP reloads near-instant and shares trie pages across server
 // processes), and QRECF001 family containers (HMM, cluster, pairwise) load
@@ -89,9 +84,6 @@ func loadModel(path string) (core.Recommender, error) {
 	rec, err := core.LoadAnyPath(path, loadOpts)
 	if err != nil {
 		return nil, err
-	}
-	if bw, ok := rec.(interface{ SetBatchWorkers(int) }); ok {
-		bw.SetBatchWorkers(batchWorkers)
 	}
 	li := rec.LoadInfo()
 	advice := li.MapAdvice
@@ -125,7 +117,6 @@ func main() {
 		drain     = flag.Duration("drain", 10*time.Second, "graceful shutdown timeout")
 		willNeed  = flag.Bool("map-willneed", false, "madvise(WILLNEED) the mmapped compiled blob: asynchronous readahead instead of first-touch page faults")
 		mlock     = flag.Bool("mlock", false, "mlock(2) the mmapped compiled blob: pin trie pages against eviction (needs RLIMIT_MEMLOCK)")
-		batchW    = flag.Int("batch-workers", 0, "goroutines per batch descent (0 = GOMAXPROCS, 1 = sequential; answers are identical)")
 		pprofOn   = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ on the serving address (keep off on exposed listeners)")
 	)
 	var ingest ingestOpts
@@ -146,7 +137,6 @@ func main() {
 	flag.BoolVar(&ingest.rampPromote, "ramp-promote", false, "after the final ramp step's hold, swap the challenger into the champion slot and advance the interning base")
 	flag.Parse()
 	loadOpts = core.LoadOptions{MapWillNeed: *willNeed, MapLock: *mlock}
-	batchWorkers = *batchW
 
 	var handler http.Handler
 	var onHUP func()

@@ -29,20 +29,20 @@
 // within 1e-12. PredictBatch extends the same engine to whole batches,
 // sharing descent work across reversed-sorted sibling contexts.
 //
-// # Persistent formats
+// # The model file
 //
-// The compiled form has two mmap-able persistent encodings. CPS3 (inside
-// QRECV003 model files) stores every CSR array as exact fixed-width
-// little-endian values at aligned offsets, so core.LoadPath maps the file
-// and slices the arrays out of the page cache — no decoding, lazy page-in,
-// read-only sharing across processes. CPS4 (inside QRECV004, the Save
-// default) keeps that contract but quantises follower probabilities to
-// fixed-point uint16 against per-node float32 steps and narrows every node
-// array to its needed width, shrinking the serving blob by roughly half at
-// a bounded (≤ ~2e-5 absolute) probability error; Table VII reports both
-// blob sizes. Platforms without mmap or little-endian layout decode the
-// same blobs portably; V001–V003 files still load, and SaveAs still writes
-// the exact V002/V003 forms.
+// A model file is one container: the dictionary and the compiled blob at a
+// page-aligned offset, so core.LoadPath maps the file and slices the arrays
+// out of the page cache — no decoding, lazy page-in, read-only sharing
+// across processes. The blob has two encodings. CPS5, what Save writes,
+// quantises follower probabilities to fixed-point uint16 against per-node
+// float32 steps, narrows every node array to its needed width and
+// varint-packs the follower-ID lists and CSR offsets: about 40% of the
+// exact size at a bounded (≤ ~2e-5 absolute) probability error. CPS3 stores
+// every CSR array as exact fixed-width little-endian values; it is what a
+// model CPS5 cannot hold is saved as, and the oracle the parity tests
+// compare CPS5 against. Table VII reports both blob sizes. Platforms
+// without mmap or little-endian layout decode the same blobs portably.
 //
 // # Serving layer
 //
@@ -51,9 +51,9 @@
 // model with a sharded LRU keyed on interned context IDs; cmd/serve runs
 // the server with SIGHUP/POST-reload and graceful shutdown; cmd/loadgen
 // replays power-law synthetic traffic against it. The /suggest hot path is
-// allocation-free end to end and CI gates it (make bench-json; cmd/benchjson
-// enforces allocation and blob-size regression ceilings recorded in
-// BENCH_serving.json).
+// allocation-free end to end and CI gates it (make bench-gates;
+// cmd/benchjson checks the allocation and blob-size ceilings the Makefile
+// lists against the benchmarks' output).
 //
 // Entry points: internal/core for the end-to-end recommender API,
 // cmd/experiments for the full evaluation harness, and bench_test.go for

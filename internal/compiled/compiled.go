@@ -31,27 +31,24 @@
 // scoring sums are re-associated) and rank-identical on non-degenerate ties;
 // the parity property test in this package enforces both.
 //
-// The compiled form has three persistent encodings, all little-endian:
+// The compiled form has two persistent encodings, both little-endian and
+// mmap-able, told apart by the blob's leading magic (FromBytes, OpenMmap):
 //
-//   - CPS1 (WriteTo/Read): a varint stream, compact but decoded node by
-//     node into heap slices.
-//   - CPS3 (AppendFlat/FromBytes/OpenMmap): exact fixed-width arrays at
-//     8-byte-aligned offsets — mmap-able, aliased zero-copy on
-//     little-endian platforms, decoded portably (no unsafe) elsewhere.
-//   - CPS4 (AppendFlat4/FromBytes/OpenMmap): the quantised flat layout —
-//     follower probabilities as fixed-point uint16 against per-node
-//     float32 steps, ranked views as uint16 indices, node arrays narrowed
-//     to their needed width. Roughly half the CPS3 size at a bounded
-//     (≤ qstep/2 per node, ≤ ~2e-5 absolute) probability error. Models
-//     loaded from CPS4 report Quantised() == true and cannot be
-//     re-encoded to the exact forms (raw counts are not stored).
-//   - CPS5 (AppendFlat5/FromBytes/OpenMmap): the compact-edge tier below
-//     CPS4 — follower-ID lists delta-encoded and varint-packed per node,
-//     CSR offsets as varint count streams, child keys as first+deltas,
-//     plus an opt-in uint8 probability grade (refused via ErrUnquantisable
-//     when it would perturb ranked order beyond the CPS4 error bound).
+//   - CPS3 (AppendFlat): exact fixed-width arrays at 8-byte-aligned
+//     offsets, aliased zero-copy on little-endian platforms, decoded
+//     portably (no unsafe) elsewhere. The parity oracle, and the fallback
+//     for models CPS5 refuses.
+//   - CPS5 (AppendFlat5): the compact default — follower probabilities as
+//     fixed-point uint16 against per-node float32 steps, ranked views as
+//     uint16 indices, node arrays narrowed to their needed width,
+//     follower-ID lists delta-encoded and varint-packed per node, CSR
+//     offsets as varint count streams. About 40% of the CPS3 size at a
+//     bounded (≤ qstep/2 per node, ≤ ~2e-5 absolute) probability error.
 //     The packed follower-ID region is decoded per matched node at serve
 //     time into pooled scratch, so prediction stays allocation-free.
+//     Models loaded from CPS5 report Quantised() == true and cannot be
+//     re-encoded as CPS3 (raw counts are not stored); a model CPS5 cannot
+//     hold is refused with ErrUnquantisable.
 //
 // Serving invariants, whatever the source encoding: prediction is
 // allocation-free at steady state (pooled scratch, bounded top-N heap),
@@ -77,7 +74,7 @@ import (
 const maxComponents = 64
 
 // Model is the compiled single-PST form of an MVMM. It is immutable after
-// Compile/Read and safe for any number of concurrent predictors.
+// Compile or loading and safe for any number of concurrent predictors.
 type Model struct {
 	k     int // mixture components
 	vocab int // |Q| for the stage-(c) smoothing
@@ -100,30 +97,34 @@ type Model struct {
 
 	// Per-node payload, indexed by node ID. Exactly one representation is
 	// populated per array: the wide float64/uint64 slices for models built by
-	// Compile or loaded from CPS1/CPS3, or the narrow slices for models
-	// loaded from the quantised CPS4 layout (evidence16 when the component
-	// count fits 16 bits, occ32/startOcc32/floor32 always). The accessor
-	// methods (evidenceAt, occAt, startOccAt, floorAt) pick the live one.
+	// Compile or loaded from CPS3, or the narrow slices for models loaded
+	// from CPS5 (evidence16 when the component count fits 16 bits,
+	// occ32/startOcc32 when every count fits 32, floor32 always). The
+	// accessor methods (evidenceAt, occAt, startOccAt, floorAt) pick the
+	// live one.
 	evidence   []uint64  // bit i set ⇔ component i stores this state with followers
-	evidence16 []uint16  // CPS4 narrow form of evidence (k <= 16)
+	evidence16 []uint16  // CPS5 narrow form of evidence (k <= 16)
 	occ        []uint64  // Eq. (6) window occurrences |[·,s]| of the node's suffix
-	occ32      []uint32  // CPS4 narrow form of occ
+	occ32      []uint32  // CPS5 narrow form of occ
 	startOcc   []uint64  // session-start occurrences |[e,s]|
-	startOcc32 []uint32  // CPS4 narrow form of startOcc
+	startOcc32 []uint32  // CPS5 narrow form of startOcc
 	floor      []float64 // smoothed probability of an unobserved follower
-	floor32    []float32 // CPS4 narrow form of floor
+	floor32    []float32 // CPS5 narrow form of floor
 
 	// Followers, one CSR range per node. Ranked order is the frozen TopN
 	// ranking (count descending, ID ascending); sorted order is ID-ascending
 	// for binary-search probability lookups. folCount holds the raw counts in
 	// sorted order for serialisation and introspection.
 	//
-	// Exact models carry folIDRanked/folPRanked/folPSorted/folCount in
-	// float64/uint64. Quantised (CPS4-loaded) models instead carry folQSorted
-	// (fixed-point uint16 probabilities dequantised via the per-node qstep)
-	// and folRankIdx (the ranked view as uint16 indices into the node's
-	// ID-sorted range); raw counts are not preserved, so quantised models
-	// cannot be re-encoded to the exact CPS1/CPS3 layouts.
+	// Exact models (Compile, CPS3) carry folIDRanked/folPRanked/folIDSorted/
+	// folPSorted/folCount in uint32/float64/uint64. Quantised (CPS5-loaded)
+	// models carry none of those: folQSorted holds fixed-point uint16
+	// probabilities dequantised via the per-node qstep, folRankIdx the ranked
+	// view as uint16 indices into the node's ID-sorted range, and the
+	// follower IDs stay varint-packed in folIDVar (non-nil ⇔ quantised) —
+	// folOff[v]..folOff[v+1] bounds node v's packed group, decoded into
+	// pooled scratch per matched node at serve time. Raw counts are not
+	// preserved, so a quantised model cannot be re-encoded as CPS3.
 	folStart    []int32
 	folIDRanked []uint32
 	folPRanked  []float64
@@ -133,18 +134,10 @@ type Model struct {
 	folQSorted  []uint16
 	folRankIdx  []uint16
 	qstep       []float32 // per-node dequantisation step: p = qstep[v] * q
+	folIDVar    []byte
+	folOff      []int32
 
-	// CPS5-loaded models keep follower IDs varint-packed (folIDVar non-nil
-	// is the discriminator): folOff[v]..folOff[v+1] bounds node v's packed
-	// group, decoded into pooled scratch per matched node at serve time.
-	// folQ8 is the opt-in uint8 probability tier (nil ⇒ folQSorted's uint16
-	// tier); folIDSorted stays nil.
-	folIDVar []byte
-	folOff   []int32
-	folQ8    []uint8
-
-	nodes     int  // node count including the root (len of the per-node arrays)
-	quantised bool // true ⇔ loaded from CPS4/CPS5 (narrow arrays populated)
+	nodes int // node count including the root (len of the per-node arrays)
 
 	scratch scratchPool
 
@@ -441,8 +434,7 @@ func symbol(key string) uint32 {
 // appendFollowers installs node v's follower arrays from its ID-ascending
 // (ids, counts) pairs, reproducing Dist.SmoothedP's arithmetic exactly:
 // z = 1 + u/|Q| with u unobserved queries, observed probability c/total/z,
-// unobserved floor (1/|Q|)/z. Nodes must be appended in ID order; Read uses
-// the same path so compiled and reloaded models are bit-identical.
+// unobserved floor (1/|Q|)/z. Nodes must be appended in ID order.
 func (c *Model) appendFollowers(v int, ids []uint32, counts []uint64) {
 	if v != len(c.folStart) {
 		panic("compiled: followers appended out of node order")
@@ -510,16 +502,12 @@ func (c *Model) Nodes() int { return c.nodes - 1 }
 // Followers reports the total follower entries across all nodes.
 func (c *Model) Followers() int { return int(c.folStart[len(c.folStart)-1]) }
 
-// Exact reports whether the model carries the full float64 probabilities and
-// raw counts (models built by Compile or loaded from CPS1/CPS3). Only exact
-// models can be serialised to the CPS1 and CPS3 layouts; quantised models
-// must be re-encoded with AppendFlat4 or recompiled from the mixture.
-func (c *Model) Exact() bool { return !c.Quantised() }
-
-// Quantised reports whether follower probabilities are served from the
-// fixed-point CPS4 representation (bounded-error dequantisation) rather than
-// the exact float64 arrays.
-func (c *Model) Quantised() bool { return c.quantised }
+// Quantised reports whether the model was loaded from CPS5: follower
+// probabilities are served from the fixed-point representation
+// (bounded-error dequantisation) rather than the exact float64 arrays and
+// raw counts a model built by Compile or loaded from CPS3 carries. Only a
+// model that is not quantised can be written as CPS3.
+func (c *Model) Quantised() bool { return c.folIDVar != nil }
 
 // Per-node accessors bridging the exact (wide) and quantised (narrow) array
 // representations; the nil check resolves to the populated one. The branch

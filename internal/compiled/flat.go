@@ -14,12 +14,11 @@ import (
 	"repro/internal/store"
 )
 
-// Flat (CPS3) encoding — the mmap-able compiled-model layout.
+// Flat (CPS3) encoding — the exact mmap-able compiled-model layout.
 //
-// Unlike the varint CPS1 stream (WriteTo/Read), which must be decoded node
-// by node into freshly allocated slices, CPS3 stores every CSR array of the
-// Model as a contiguous run of fixed-width little-endian values at an
-// 8-byte-aligned offset. Loading is therefore not decoding at all: when the
+// CPS3 stores every CSR array of the Model as a contiguous run of
+// fixed-width little-endian values at an 8-byte-aligned offset. Loading is
+// therefore not decoding at all: when the
 // blob sits at a page-aligned file offset it is syscall.Mmap'd and the
 // arrays are aliased straight out of the mapping (zero copies, zero
 // allocations proportional to model size, pages shared read-only across
@@ -79,7 +78,7 @@ var flatElemSize = [flatArrayCount]int{8, 8, 4, 4, 8, 8, 8, 8, 4, 4, 8, 4, 8, 8}
 // files; callers fall back to heap decoding.
 var ErrMmapUnsupported = errors.New("compiled: mmap not supported on this platform")
 
-// ViewMode selects how FromBytes materialises the model from a CPS3 blob.
+// ViewMode selects how FromBytes materialises the model from a flat blob.
 type ViewMode int
 
 const (
@@ -123,14 +122,13 @@ func (c *Model) FlatSize() int64 {
 
 // AppendFlat appends the model's CPS3 encoding to dst and returns the
 // extended slice. Callers that persist it for mmap loading must place the
-// blob at a page-aligned file offset (core.Save's V003 layout pads for
-// this); FromBytes itself only needs 8-byte alignment. CPS3 stores exact
-// float64 probabilities and raw counts, so the model must be exact; callers
-// holding a quantised model recompile from the mixture first (core.SaveAs
-// does this automatically).
+// blob at a page-aligned file offset (core.Save pads for this); FromBytes
+// itself only needs 8-byte alignment. CPS3 stores exact float64
+// probabilities and raw counts, so the model must not be quantised: a model
+// loaded from CPS5 re-encodes with AppendFlat5.
 func (c *Model) AppendFlat(dst []byte) []byte {
 	if c.Quantised() {
-		panic("compiled: AppendFlat on a quantised model (CPS3 needs exact probabilities; recompile from the mixture)")
+		panic("compiled: AppendFlat on a quantised model (CPS3 needs exact probabilities; re-encode with AppendFlat5)")
 	}
 	counts := c.flatCounts()
 	offs, total := flatLayout(counts)
@@ -206,9 +204,9 @@ func flatCorrupt(format string, args ...any) error {
 }
 
 // FromBytes materialises a Model from a flat blob produced by AppendFlat
-// (CPS3, exact), AppendFlat4 (CPS4, quantised) or AppendFlat5 (CPS5,
-// compact); the leading magic selects the decoder. Corrupted or truncated
-// blobs fail with an error wrapping store.ErrCorrupt; they never panic.
+// (CPS3, exact) or AppendFlat5 (CPS5, compact); the leading magic selects
+// the decoder. Corrupted or truncated blobs fail with an error wrapping
+// store.ErrCorrupt; they never panic.
 func FromBytes(data []byte, mode ViewMode) (*Model, error) {
 	m, _, err := fromBytes(data, mode)
 	return m, err
@@ -217,46 +215,18 @@ func FromBytes(data []byte, mode ViewMode) (*Model, error) {
 // fromBytes additionally reports whether the returned model aliases data
 // (zero-copy view) rather than owning heap copies.
 func fromBytes(data []byte, mode ViewMode) (*Model, bool, error) {
-	if len(data) >= 4 && string(data[:4]) == quantMagic {
-		return fromBytes4(data, mode)
-	}
 	if len(data) >= 4 && string(data[:4]) == compactMagic {
 		return fromBytes5(data, mode)
 	}
-	if len(data) < flatArraysStart {
-		return nil, false, flatCorrupt("blob of %d bytes is shorter than the header", len(data))
-	}
-	if string(data[:4]) != flatMagic {
+	if len(data) >= 4 && string(data[:4]) != flatMagic {
 		return nil, false, flatCorrupt("magic %q, want %q", data[:4], flatMagic)
 	}
+	c, edges, fols, err := readFlatHeader(data, flatVersion, flatCorrupt)
+	if err != nil {
+		return nil, false, err
+	}
+	n := c.nodes
 	le := binary.LittleEndian
-	if v := le.Uint32(data[4:]); v != flatVersion {
-		return nil, false, flatCorrupt("unsupported layout version %d", v)
-	}
-	if bl := le.Uint64(data[8:]); bl != uint64(len(data)) {
-		return nil, false, flatCorrupt("header claims %d bytes, blob has %d (truncated?)", bl, len(data))
-	}
-	c := &Model{
-		k:     int(le.Uint32(data[16:])),
-		vocab: int(le.Uint32(data[20:])),
-		depth: int(le.Uint32(data[24:])),
-	}
-	n := int(le.Uint32(data[28:]))
-	edges := le.Uint64(data[32:])
-	fols := le.Uint64(data[40:])
-	if c.k <= 0 || c.k > maxComponents {
-		return nil, false, flatCorrupt("implausible component count %d", c.k)
-	}
-	if c.vocab <= 0 {
-		return nil, false, flatCorrupt("implausible vocab %d", c.vocab)
-	}
-	if n <= 0 || uint64(n-1) != edges {
-		return nil, false, flatCorrupt("%d edges for %d nodes", edges, n)
-	}
-	if fols > uint64(len(data)) { // each follower entry occupies >= 4 bytes
-		return nil, false, flatCorrupt("implausible follower count %d", fols)
-	}
-	c.nodes = n
 
 	want := [flatArrayCount]uint64{
 		uint64(c.k), uint64(c.k), uint64(n + 1), edges,
@@ -284,21 +254,8 @@ func fromBytes(data []byte, mode ViewMode) (*Model, bool, error) {
 		}
 	}
 
-	// The tiny per-component arrays are always decoded (their in-memory types
-	// are platform-dependent and they are read once per prediction anyway).
-	c.sigma = decodeF64(arr[faSigma])
-	c.maxLen = make([]int, c.k)
-	for i := range c.maxLen {
-		v := le.Uint64(arr[faMaxLen][8*i:])
-		if v > math.MaxInt32 {
-			return nil, false, flatCorrupt("component %d window bound %d overflows", i, v)
-		}
-		c.maxLen[i] = int(v)
-	}
-	for i, s := range c.sigma {
-		if math.IsNaN(s) || math.IsInf(s, 0) {
-			return nil, false, flatCorrupt("component %d sigma is not finite", i)
-		}
+	if err := c.decodeComponents(arr[faSigma], arr[faMaxLen], flatCorrupt); err != nil {
+		return nil, false, err
 	}
 
 	if viewed {
@@ -336,6 +293,70 @@ func fromBytes(data []byte, mode ViewMode) (*Model, bool, error) {
 	}
 	c.initServing()
 	return c, viewed, nil
+}
+
+// readFlatHeader checks the 64-byte header both flat encodings share (the
+// caller has matched the magic) and that the blob holds the array table
+// after it — 14 entries in either encoding — and returns a Model holding the
+// header's scalars, with the edge and follower counts it claims. Errors go
+// through corrupt, which names the encoding.
+func readFlatHeader(data []byte, version uint32, corrupt func(string, ...any) error) (c *Model, edges, fols uint64, err error) {
+	if len(data) < flatArraysStart {
+		return nil, 0, 0, corrupt("blob of %d bytes is shorter than the header", len(data))
+	}
+	le := binary.LittleEndian
+	if v := le.Uint32(data[4:]); v != version {
+		return nil, 0, 0, corrupt("unsupported layout version %d", v)
+	}
+	if bl := le.Uint64(data[8:]); bl != uint64(len(data)) {
+		return nil, 0, 0, corrupt("header claims %d bytes, blob has %d (truncated?)", bl, len(data))
+	}
+	c = &Model{
+		k:     int(le.Uint32(data[16:])),
+		vocab: int(le.Uint32(data[20:])),
+		depth: int(le.Uint32(data[24:])),
+		nodes: int(le.Uint32(data[28:])),
+	}
+	edges = le.Uint64(data[32:])
+	fols = le.Uint64(data[40:])
+	if c.k <= 0 || c.k > maxComponents {
+		return nil, 0, 0, corrupt("implausible component count %d", c.k)
+	}
+	if c.vocab <= 0 {
+		return nil, 0, 0, corrupt("implausible vocab %d", c.vocab)
+	}
+	if c.nodes <= 0 || uint64(c.nodes-1) != edges {
+		return nil, 0, 0, corrupt("%d edges for %d nodes", edges, c.nodes)
+	}
+	// The header is outside the CRC, and depth sizes every scratch's path.
+	if uint64(c.depth) > edges {
+		return nil, 0, 0, corrupt("depth %d over %d edges", c.depth, edges)
+	}
+	if fols > uint64(len(data)) { // each follower entry occupies >= 1 byte
+		return nil, 0, 0, corrupt("implausible follower count %d", fols)
+	}
+	return c, edges, fols, nil
+}
+
+// decodeComponents fills the tiny per-component arrays, which are always
+// decoded (their in-memory types are platform-dependent and they are read
+// once per prediction anyway).
+func (c *Model) decodeComponents(sigma, maxLen []byte, corrupt func(string, ...any) error) error {
+	c.sigma = decodeF64(sigma)
+	c.maxLen = make([]int, c.k)
+	for i := range c.maxLen {
+		v := binary.LittleEndian.Uint64(maxLen[8*i:])
+		if v > math.MaxInt32 {
+			return corrupt("component %d window bound %d overflows", i, v)
+		}
+		c.maxLen[i] = int(v)
+	}
+	for i, s := range c.sigma {
+		if math.IsNaN(s) || math.IsInf(s, 0) {
+			return corrupt("component %d sigma is not finite", i)
+		}
+	}
+	return nil
 }
 
 func (c *Model) validateStructure(edges, fols uint64) error {
@@ -428,9 +449,9 @@ type MapAdvice struct {
 	Lock bool
 }
 
-// OpenMmap memory-maps the flat compiled blob (CPS3, quantised CPS4 or
-// compact CPS5 — dispatched on the blob's own magic) stored at [offset, offset+length) of
-// the file at path and returns a Model whose arrays alias the mapping: the
+// OpenMmap memory-maps the flat compiled blob (CPS3 or CPS5 — dispatched on
+// the blob's own magic) stored at [offset, offset+length) of the file at
+// path and returns a Model whose arrays alias the mapping: the
 // zero-copy cold-start path. The mapping is released when the model is
 // garbage-collected, or eagerly via Release. Returns ErrMmapUnsupported on
 // platforms without mmap (callers fall back to heap decoding).

@@ -2,6 +2,7 @@ package compiled
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -11,22 +12,38 @@ import (
 	"repro/internal/store"
 )
 
-// Compact-edge flat (CPS5) encoding — the delta/varint tier below CPS4.
+// Compact flat (CPS5) encoding — the default serving blob: quantised
+// probabilities, width-narrowed node arrays and delta/varint-packed edges.
 //
-// CPS4 already narrowed every per-node array to its needed width; what it
-// still pays full price for are the two uint32 arrays that dominate the blob
-// on real models: the follower-ID lists and the fixed-width CSR offset
-// arrays. CPS5 attacks exactly those. Follower IDs within a node are already
-// stored in ascending order, and query IDs are assigned by training-log
-// frequency, so the gaps between consecutive IDs are small: CPS5 stores each
-// node's follower list as a varint first ID followed by varint deltas.
-// Likewise the childStart/folStart CSR offset arrays (strictly derivable
-// from per-node counts) become varint count streams, and the child edge keys
-// (symbol-sorted per node) become first-key + deltas. An opt-in uint8
-// probability tier halves the fixed-point array on top of CPS4's uint16 —
-// with the same per-node float32 step and exact IEEE dequantisation, refused
-// via ErrUnquantisable when collapsing to 256 levels would perturb a node's
-// ranked order by more than the CPS4 grid (see AppendFlat5).
+// The paper's Table VII argues the merged single-PST stays small enough to
+// deploy; CPS5 makes the serving blob itself small, in three steps over the
+// exact CPS3 layout:
+//
+//   - smoothed probabilities become fixed-point uint16 against a per-node
+//     step: p ≈ qstep[v]·q with q = round(p/qstep[v]) and qstep[v] =
+//     maxP(v)/65535 stored as float32. The dequantisation p̂ =
+//     float64(qstep)·float64(q) is exact IEEE arithmetic, so encode → decode
+//     → re-encode is byte-stable and every platform reads identical
+//     probabilities. The absolute error per node is bounded by qstep[v]/2
+//     (≤ 1/131070 ≈ 7.7e-6), and since mixture weights and escape chains
+//     multiply to ≤ 1, a candidate's final score is within that same bound of
+//     the float64 CPS3 score. Quantisation is monotone per node, so follower
+//     order within a node is preserved; only cross-candidate near-ties (scores
+//     within the bound) may swap rank — assertQuantParity in flat5_test.go
+//     enforces exactly that. Raw follower counts are not stored, so a model
+//     loaded from CPS5 cannot be re-encoded as CPS3;
+//   - per-node arrays shrink to the width the data needs: the ranked (TopN
+//     candidate-pool) view as uint16 indices into the node's ID-sorted
+//     follower range, unobserved-follower floors as float32, component
+//     presence bitmasks as uint16 when the mixture has <= 16 components (the
+//     paper's has 11), escape-window occurrence counts as uint32 when every
+//     count fits;
+//   - the two uint32 arrays that would still dominate the blob go varint.
+//     Follower IDs within a node are ascending, and query IDs are assigned by
+//     training-log frequency, so the gaps are small: each node's follower
+//     list is a varint first ID followed by varint deltas. The
+//     childStart/folStart CSR offset arrays become varint count streams, and
+//     the child edge keys (symbol-sorted per node) first-key + deltas.
 //
 // Varint data cannot be viewed zero-copy, so CPS5 splits the load:
 //
@@ -39,8 +56,8 @@ import (
 //     decoded per matched node at serve time into pooled scratch, keeping
 //     Predict/PredictInto at zero steady-state allocations;
 //   - the fixed-width payload arrays (steps, fixed-point probabilities,
-//     ranked views, evidence, occurrences, floors) keep CPS4's zero-copy
-//     view semantics.
+//     ranked views, evidence, occurrences, floors) are viewed zero-copy like
+//     CPS3's.
 //
 // Layout (all integers little-endian, varints in Go's binary.Uvarint form):
 //
@@ -53,13 +70,13 @@ import (
 //	 48  uint32 CRC-32 (IEEE) of blob[64:]
 //	 52  uint8 evidence element width (2 or 8)
 //	 53  uint8 occurrence element width (4 or 8)
-//	 54  uint8 probability element width (1 or 2)
+//	 54  uint8 probability element width (always 2; anything else is corrupt)
 //	 55  9 reserved zero bytes
 //	 64  array table: 14 x { uint64 byte offset, uint64 count }
 //	288  the arrays, each 8-byte aligned
 //
 // For fixed-width arrays the table count is the element count; for the five
-// varint regions it is the region's byte length. As with CPS3/CPS4, ViewCopy
+// varint regions it is the region's byte length. As with CPS3, ViewCopy
 // loads verify the CRC; zero-copy loads skip it and rely on structural
 // validation plus defensive clamping — a corrupted payload (including a
 // truncated varint stream, which the serve-time decoder pads) can misrank
@@ -69,6 +86,7 @@ const (
 	compactVersion     = 1
 	compactArrayCount  = 14
 	compactArraysStart = flatHeaderSize + compactArrayCount*16 // 288, 8-byte aligned
+	compactProbWidth   = 2
 )
 
 // Array-table indices of the CPS5 layout, in on-disk order. The *V entries
@@ -90,35 +108,41 @@ const (
 	f5FolIDV
 )
 
-// quant8Steps is the opt-in coarse fixed-point resolution: probabilities on
-// the grid {0, step, ..., 255·step} with step = maxP/quant8Steps.
-const quant8Steps = 255
+// quantSteps is the fixed-point resolution: probabilities are stored on the
+// grid {0, qstep, 2·qstep, ..., 65535·qstep} with qstep = maxP/quantSteps.
+const quantSteps = 65535
+
+// ErrUnquantisable reports a model whose statistics do not fit the CPS5
+// narrow layout (a node with more than 65535 followers, or a probability
+// too small for a float32 step). Callers keep the exact CPS3 encoding.
+var ErrUnquantisable = errors.New("compiled: model does not fit the CPS5 quantised layout")
 
 func compactCorrupt(format string, args ...any) error {
 	return fmt.Errorf("%w: CPS5 %s", store.ErrCorrupt, fmt.Sprintf(format, args...))
 }
 
-// compactProbW reports the on-disk probability width AppendFlat5 will use:
-// models already loaded from CPS5 re-emit their stored tier (byte-stable
-// round trips; the probs8 request cannot be honoured without the discarded
-// raw statistics), everything else encodes uint16 by default and uint8 on
-// request.
-func (c *Model) compactProbW(probs8 bool) int {
-	if c.folIDVar != nil {
-		if c.folQ8 != nil {
-			return 1
+// quantWidths picks the narrow-array element widths for this model's data:
+// evidence masks shrink to uint16 when the mixture fits, occurrence counts
+// to uint32 when every count fits. The choice is a pure function of the
+// model's statistics, which keeps re-encoding byte-stable.
+func (c *Model) quantWidths() (evW, occW int) {
+	evW = 8
+	if c.k <= 16 {
+		evW = 2
+	}
+	occW = 4
+	for v := int32(0); v < int32(c.nodes); v++ {
+		if c.occAt(v) > math.MaxUint32 || c.startOccAt(v) > math.MaxUint32 {
+			occW = 8
+			break
 		}
-		return 2
 	}
-	if probs8 {
-		return 1
-	}
-	return 2
+	return evW, occW
 }
 
 // compactRegions builds the five varint regions of the CPS5 layout. Models
-// loaded from CPS5 copy their follower-ID region verbatim; exact and
-// CPS4-loaded models delta-encode from the ID-sorted follower arrays.
+// loaded from CPS5 copy their follower-ID region verbatim; exact models
+// delta-encode from the ID-sorted follower array.
 func (c *Model) compactRegions() (childCnt, childKey, folCnt, folLen, folID []byte) {
 	n := c.nodes
 	for v := 0; v < n; v++ {
@@ -161,18 +185,17 @@ func (c *Model) compactRegions() (childCnt, childKey, folCnt, folLen, folID []by
 
 // compactCounts returns the table count and on-disk element width of every
 // CPS5 array (varint regions report their byte length with width 1).
-func (c *Model) compactCounts(probs8 bool, regions [5][]byte) (counts, sizes [compactArrayCount]int) {
+func (c *Model) compactCounts(regions [5][]byte) (counts, sizes [compactArrayCount]int) {
 	n := c.nodes
 	f := c.Followers()
 	evW, occW := c.quantWidths()
-	probW := c.compactProbW(probs8)
 	counts = [compactArrayCount]int{
 		c.k, c.k,
 		n, n, n, n, n,
 		f, f,
 		len(regions[0]), len(regions[1]), len(regions[2]), len(regions[3]), len(regions[4]),
 	}
-	sizes = [compactArrayCount]int{8, 8, evW, occW, occW, 4, 4, probW, 2, 1, 1, 1, 1, 1}
+	sizes = [compactArrayCount]int{8, 8, evW, occW, occW, 4, 4, compactProbWidth, 2, 1, 1, 1, 1, 1}
 	return counts, sizes
 }
 
@@ -188,38 +211,28 @@ func compactLayout(counts, sizes [compactArrayCount]int) (offs [compactArrayCoun
 	return offs, (off + 7) &^ 7
 }
 
-// Flat5Size returns the exact byte length of the model's CPS5 encoding with
-// the requested probability tier (uint8 when probs8, uint16 otherwise).
-func (c *Model) Flat5Size(probs8 bool) int64 {
+// Flat5Size returns the exact byte length of the model's CPS5 encoding.
+func (c *Model) Flat5Size() int64 {
 	childCnt, childKey, folCnt, folLen, folID := c.compactRegions()
-	counts, sizes := c.compactCounts(probs8, [5][]byte{childCnt, childKey, folCnt, folLen, folID})
+	counts, sizes := c.compactCounts([5][]byte{childCnt, childKey, folCnt, folLen, folID})
 	_, total := compactLayout(counts, sizes)
 	return int64(total)
 }
 
 // AppendFlat5 appends the model's CPS5 compact encoding to dst and returns
-// the extended slice. Exact models are quantised on the fly (on CPS4's
-// uint16 grid by default, so CPS5 probabilities dequantise to the exact
-// values a CPS4 encoding of the same model would serve); probs8 requests the
-// coarse uint8 tier instead. Already-quantised models re-emit their stored
-// fixed-point values — CPS4-loaded models on the uint16 tier (or re-graded
-// to uint8 on request), CPS5-loaded models on whichever tier they carry
-// (probs8 is ignored; the raw statistics needed to re-grade are gone) — so
-// load → save round trips are byte-identical.
+// the extended slice. Exact models are quantised on the fly; models loaded
+// from CPS5 re-emit their stored fixed-point values and packed IDs, so load
+// → save round trips are byte-identical.
 //
 // Fails with ErrUnquantisable when the statistics do not fit: a node with
-// more than 65535 followers, a float32 step underflow, or — uint8 tier
-// only — a node where collapsing to 256 levels would merge two ranked
-// followers whose probabilities differ by more than the CPS4 grid step
-// (maxP/65535), i.e. where the coarse tier would reorder beyond the error
-// bound CPS4 already promises. Callers then fall back to CPS4 (and from
-// there to exact CPS3).
-func (c *Model) AppendFlat5(dst []byte, probs8 bool) ([]byte, error) {
+// more than 65535 followers, or a float32 step underflow. Callers then fall
+// back to exact CPS3.
+func (c *Model) AppendFlat5(dst []byte) ([]byte, error) {
 	childCnt, childKeyV, folCnt, folLen, folID := c.compactRegions()
 	regions := [5][]byte{childCnt, childKeyV, folCnt, folLen, folID}
-	counts, sizes := c.compactCounts(probs8, regions)
+	counts, sizes := c.compactCounts(regions)
 	offs, total := compactLayout(counts, sizes)
-	evW, occW, probW := sizes[f5Evidence], sizes[f5Occ], sizes[f5FolQ]
+	evW, occW := sizes[f5Evidence], sizes[f5Occ]
 	base := len(dst)
 	dst = append(dst, make([]byte, total)...)
 	b := dst[base:]
@@ -236,7 +249,7 @@ func (c *Model) AppendFlat5(dst []byte, probs8 bool) ([]byte, error) {
 	le.PutUint64(b[40:], uint64(c.Followers()))
 	b[52] = byte(evW)
 	b[53] = byte(occW)
-	b[54] = byte(probW)
+	b[54] = compactProbWidth
 	for i := range offs {
 		le.PutUint64(b[flatHeaderSize+16*i:], offs[i])
 		le.PutUint64(b[flatHeaderSize+16*i+8:], uint64(counts[i]))
@@ -268,7 +281,7 @@ func (c *Model) AppendFlat5(dst []byte, probs8 bool) ([]byte, error) {
 	for i, r := range regions {
 		copy(b[offs[f5ChildCntV+i]:], r)
 	}
-	if err := c.putCompactQuantised(b, offs, probW); err != nil {
+	if err := c.putCompactQuantised(b, offs); err != nil {
 		return dst[:base], err
 	}
 
@@ -277,39 +290,21 @@ func (c *Model) AppendFlat5(dst []byte, probs8 bool) ([]byte, error) {
 }
 
 // putCompactQuantised fills the step, folQ and folRank arrays of a CPS5
-// blob: copied verbatim from an already-quantised model carrying the target
-// width, computed from the (exact or dequantised) probabilities otherwise.
-func (c *Model) putCompactQuantised(b []byte, offs [compactArrayCount]uint64, probW int) error {
+// blob: copied verbatim from a model loaded from CPS5, computed from the
+// float64 probabilities and the frozen ranked order of an exact one.
+func (c *Model) putCompactQuantised(b []byte, offs [compactArrayCount]uint64) error {
 	le := binary.LittleEndian
-	verbatim := c.quantised && ((probW == 2 && c.folQ8 == nil) || (probW == 1 && c.folQ8 != nil))
-	if verbatim {
+	if c.Quantised() {
 		for v := 0; v < c.nodes; v++ {
 			le.PutUint32(b[offs[f5Step]+4*uint64(v):], math.Float32bits(c.qstep[v]))
 		}
-		if probW == 2 {
-			for i, q := range c.folQSorted {
-				le.PutUint16(b[offs[f5FolQ]+2*uint64(i):], q)
-			}
-		} else {
-			copy(b[offs[f5FolQ]:], c.folQ8)
+		for i, q := range c.folQSorted {
+			le.PutUint16(b[offs[f5FolQ]+2*uint64(i):], q)
 		}
 		for i, r := range c.folRankIdx {
 			le.PutUint16(b[offs[f5FolRank]+2*uint64(i):], r)
 		}
 		return nil
-	}
-	// probAt reads the probability at sorted index j of node v from whichever
-	// representation the model carries: exact float64, or the stored
-	// fixed-point value dequantised exactly as serving would.
-	probAt := func(v int, j int32) float64 {
-		if c.folPSorted != nil {
-			return c.folPSorted[j]
-		}
-		return float64(c.qstep[v]) * float64(c.folQSorted[j])
-	}
-	steps := quantSteps
-	if probW == 1 {
-		steps = quant8Steps
 	}
 	for v := 0; v < c.nodes; v++ {
 		lo, hi := c.folStart[v], c.folStart[v+1]
@@ -321,89 +316,38 @@ func (c *Model) putCompactQuantised(b []byte, offs [compactArrayCount]uint64, pr
 			return fmt.Errorf("%w: node %d has %d followers, rank indices are 16-bit", ErrUnquantisable, v, support)
 		}
 		maxP := 0.0
-		for j := lo; j < hi; j++ {
-			if p := probAt(v, j); p > maxP {
+		for _, p := range c.folPSorted[lo:hi] {
+			if p > maxP {
 				maxP = p
 			}
 		}
-		step := float32(maxP / float64(steps))
+		step := float32(maxP / quantSteps)
 		if step == 0 && maxP > 0 {
 			return fmt.Errorf("%w: node %d max probability %g underflows the float32 step", ErrUnquantisable, v, maxP)
 		}
 		le.PutUint32(b[offs[f5Step]+4*uint64(v):], math.Float32bits(step))
 		for j := lo; j < hi; j++ {
-			q := math.Round(probAt(v, j) / float64(step))
-			if q > float64(steps) {
-				q = float64(steps)
+			q := math.Round(c.folPSorted[j] / float64(step))
+			if q > quantSteps {
+				q = quantSteps
 			}
-			if probW == 2 {
-				le.PutUint16(b[offs[f5FolQ]+2*uint64(j):], uint16(q))
-			} else {
-				b[offs[f5FolQ]+uint64(j)] = byte(q)
-			}
+			le.PutUint16(b[offs[f5FolQ]+2*uint64(j):], uint16(q))
 		}
-		// Ranked view as local indices into the node's ID-sorted range, and —
-		// uint8 tier only — the rank-agreement check: adjacent ranked
-		// followers that collapse to one coarse level must already have been
-		// within the CPS4 grid step of each other, otherwise the coarse tier
-		// would swap ranks beyond the promised error bound.
-		var ids []uint32
-		if c.folIDSorted != nil {
-			ids = c.folIDSorted[lo:hi]
-		} else {
-			ids = c.appendFollowerIDs(make([]uint32, 0, support), int32(v))
-		}
-		grid := maxP / quantSteps
+		// Ranked view as local indices: folIDRanked[lo+r] is the r-th best
+		// follower; find it in the node's ID-sorted range.
+		ids := c.folIDSorted[lo:hi]
 		for r := int32(0); r < int32(support); r++ {
-			var id uint32
-			if c.folIDRanked != nil {
-				id = c.folIDRanked[lo+r]
-			} else {
-				idx := lo + int32(c.folRankIdx[lo+r])
-				if idx >= hi {
-					idx = lo
-				}
-				id = ids[idx-lo]
-			}
+			id := c.folIDRanked[lo+r]
 			idx := sort.Search(support, func(i int) bool { return ids[i] >= id })
 			le.PutUint16(b[offs[f5FolRank]+2*uint64(lo+r):], uint16(idx))
-			if probW == 1 && r > 0 {
-				pPrev := probAt(v, lo+searchID(ids, c.rankedID(v, lo, r-1)))
-				p := probAt(v, lo+int32(idx))
-				qPrev := math.Round(pPrev / float64(step))
-				q := math.Round(p / float64(step))
-				if qPrev == q && pPrev-p > grid {
-					return fmt.Errorf("%w: node %d ranked followers %d and %d collapse to one uint8 level %g apart",
-						ErrUnquantisable, v, r-1, r, pPrev-p)
-				}
-			}
 		}
 	}
 	return nil
 }
 
-// rankedID resolves the r-th ranked follower ID of node v (lo is the node's
-// follower base), bridging the exact and quantised ranked representations.
-func (c *Model) rankedID(v int, lo, r int32) uint32 {
-	if c.folIDRanked != nil {
-		return c.folIDRanked[lo+r]
-	}
-	idx := lo + int32(c.folRankIdx[lo+r])
-	if idx >= c.folStart[v+1] {
-		idx = lo
-	}
-	return c.folIDSorted[idx]
-}
-
-// searchID returns the position of id in the ascending slice ids (which must
-// contain it — encoder-side use only).
-func searchID(ids []uint32, id uint32) int32 {
-	return int32(sort.Search(len(ids), func(i int) bool { return ids[i] >= id }))
-}
-
-// WriteFlat5 writes the CPS5 encoding (uint16 probability tier) to w.
+// WriteFlat5 writes the CPS5 encoding to w.
 func (c *Model) WriteFlat5(w io.Writer) (int64, error) {
-	blob, err := c.AppendFlat5(nil, false)
+	blob, err := c.AppendFlat5(nil)
 	if err != nil {
 		return 0, err
 	}
@@ -434,48 +378,22 @@ func decodeUvarints(dst []uint64, b []byte, count int, what string) ([]uint64, e
 // retained packed — aliased from data when viewing, copied otherwise — and
 // decoded per node at serve time.
 func fromBytes5(data []byte, mode ViewMode) (*Model, bool, error) {
-	if len(data) < compactArraysStart {
-		return nil, false, compactCorrupt("blob of %d bytes is shorter than the header", len(data))
+	c, edges, fols, err := readFlatHeader(data, compactVersion, compactCorrupt)
+	if err != nil {
+		return nil, false, err
 	}
+	n := c.nodes
 	le := binary.LittleEndian
-	if v := le.Uint32(data[4:]); v != compactVersion {
-		return nil, false, compactCorrupt("unsupported layout version %d", v)
-	}
-	if bl := le.Uint64(data[8:]); bl != uint64(len(data)) {
-		return nil, false, compactCorrupt("header claims %d bytes, blob has %d (truncated?)", bl, len(data))
-	}
-	c := &Model{
-		k:         int(le.Uint32(data[16:])),
-		vocab:     int(le.Uint32(data[20:])),
-		depth:     int(le.Uint32(data[24:])),
-		quantised: true,
-	}
-	n := int(le.Uint32(data[28:]))
-	edges := le.Uint64(data[32:])
-	fols := le.Uint64(data[40:])
 	evW, occW, probW := int(data[52]), int(data[53]), int(data[54])
-	if c.k <= 0 || c.k > maxComponents {
-		return nil, false, compactCorrupt("implausible component count %d", c.k)
-	}
-	if c.vocab <= 0 {
-		return nil, false, compactCorrupt("implausible vocab %d", c.vocab)
-	}
-	if n <= 0 || uint64(n-1) != edges {
-		return nil, false, compactCorrupt("%d edges for %d nodes", edges, n)
-	}
-	if fols > uint64(len(data)) { // each follower entry occupies >= 1 byte
-		return nil, false, compactCorrupt("implausible follower count %d", fols)
-	}
 	if (evW != 2 && evW != 8) || (evW == 2 && c.k > 16) {
 		return nil, false, compactCorrupt("evidence width %d for %d components", evW, c.k)
 	}
 	if occW != 4 && occW != 8 {
 		return nil, false, compactCorrupt("occurrence width %d", occW)
 	}
-	if probW != 1 && probW != 2 {
+	if probW != compactProbWidth {
 		return nil, false, compactCorrupt("probability width %d", probW)
 	}
-	c.nodes = n
 
 	// Fixed-width arrays have a known element count; varint regions carry
 	// their byte length in the table (bounded only by the blob).
@@ -507,19 +425,8 @@ func fromBytes5(data []byte, mode ViewMode) (*Model, bool, error) {
 		}
 	}
 
-	c.sigma = decodeF64(arr[f5Sigma])
-	c.maxLen = make([]int, c.k)
-	for i := range c.maxLen {
-		v := le.Uint64(arr[f5MaxLen][8*i:])
-		if v > math.MaxInt32 {
-			return nil, false, compactCorrupt("component %d window bound %d overflows", i, v)
-		}
-		c.maxLen[i] = int(v)
-	}
-	for i, s := range c.sigma {
-		if math.IsNaN(s) || math.IsInf(s, 0) {
-			return nil, false, compactCorrupt("component %d sigma is not finite", i)
-		}
+	if err := c.decodeComponents(arr[f5Sigma], arr[f5MaxLen], compactCorrupt); err != nil {
+		return nil, false, err
 	}
 
 	// CSR skeleton: counts to prefix sums, delta streams to absolute keys.
@@ -593,11 +500,7 @@ func fromBytes5(data []byte, mode ViewMode) (*Model, bool, error) {
 		c.qstep = viewF32(arr[f5Step])
 		c.folRankIdx = viewU16(arr[f5FolRank])
 		c.folIDVar = arr[f5FolIDV]
-		if probW == 2 {
-			c.folQSorted = viewU16(arr[f5FolQ])
-		} else {
-			c.folQ8 = arr[f5FolQ]
-		}
+		c.folQSorted = viewU16(arr[f5FolQ])
 		if evW == 2 {
 			c.evidence16 = viewU16(arr[f5Evidence])
 		} else {
@@ -615,11 +518,7 @@ func fromBytes5(data []byte, mode ViewMode) (*Model, bool, error) {
 		c.qstep = decodeF32(arr[f5Step])
 		c.folRankIdx = decodeU16(arr[f5FolRank])
 		c.folIDVar = append([]byte(nil), arr[f5FolIDV]...)
-		if probW == 2 {
-			c.folQSorted = decodeU16(arr[f5FolQ])
-		} else {
-			c.folQ8 = append([]byte(nil), arr[f5FolQ]...)
-		}
+		c.folQSorted = decodeU16(arr[f5FolQ])
 		if evW == 2 {
 			c.evidence16 = decodeU16(arr[f5Evidence])
 		} else {
@@ -634,7 +533,7 @@ func fromBytes5(data []byte, mode ViewMode) (*Model, bool, error) {
 		}
 	}
 	// An empty follower-ID region still needs a non-nil sentinel: folIDVar
-	// is the CPS5 discriminator throughout the serving path.
+	// is what tells a CPS5-loaded model from an exact one.
 	if c.folIDVar == nil {
 		c.folIDVar = make([]byte, 0)
 	}

@@ -2,6 +2,8 @@ package compiled
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -10,6 +12,7 @@ import (
 
 	"repro/internal/markov"
 	"repro/internal/query"
+	"repro/internal/store"
 )
 
 func flatTestModel(t testing.TB, seed int64) (*Model, []query.Session, int, *rand.Rand) {
@@ -48,6 +51,21 @@ func assertBitIdentical(t *testing.T, label string, want, got *Model, ctxs []que
 		q := query.ID(rng.Intn(vocab + 2))
 		if pa, pb := want.Prob(ctx, q), got.Prob(ctx, q); pa != pb {
 			t.Fatalf("%s: ctx %v q=%d: prob %v vs %v", label, ctx, q, pa, pb)
+		}
+	}
+}
+
+// assertForgedDepthRefused: depth sits in the blob header, outside the CRC,
+// and sizes the descent path of every pooled scratch — a value no trie of the
+// blob's node count can have must be refused, not allocated at the first
+// prediction (FuzzLoad's finding: 1<<30 cost 4 GiB).
+func assertForgedDepthRefused(t *testing.T, good []byte) {
+	t.Helper()
+	bad := append([]byte(nil), good...)
+	binary.LittleEndian.PutUint32(bad[24:], 1<<30)
+	for _, mode := range []ViewMode{ViewAuto, ViewCopy} {
+		if _, err := FromBytes(bad, mode); !errors.Is(err, store.ErrCorrupt) {
+			t.Fatalf("depth 1<<30 (mode %d): err = %v, want ErrCorrupt", mode, err)
 		}
 	}
 }
@@ -105,6 +123,8 @@ func TestFlatRejectsCorruption(t *testing.T) {
 		}
 	}
 
+	assertForgedDepthRefused(t, good)
+
 	// Every random single-byte flip must be caught by the ViewCopy CRC.
 	for trial := 0; trial < 200; trial++ {
 		bad := append([]byte(nil), good...)
@@ -134,21 +154,21 @@ func TestFlatRejectsCorruption(t *testing.T) {
 	}
 }
 
-// FuzzFromBytes drives the CPS3 and CPS4 decoders with arbitrary bytes: any
-// input must either decode or error — never panic.
+// FuzzFromBytes drives both decoders with arbitrary bytes: any input must
+// either decode or error — never panic.
 func FuzzFromBytes(f *testing.F) {
 	c, _, _, _ := flatTestModel(f, 71)
 	good := c.AppendFlat(nil)
 	f.Add(good)
 	f.Add(good[:len(good)/2])
 	f.Add([]byte("CPS3 but nonsense"))
-	good4, err := c.AppendFlat4(nil)
+	good5, err := c.AppendFlat5(nil)
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(good4)
-	f.Add(good4[:len(good4)/2])
-	f.Add([]byte("CPS4 but nonsense"))
+	f.Add(good5)
+	f.Add(good5[:len(good5)/2])
+	f.Add([]byte("CPS5 but nonsense"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, mode := range []ViewMode{ViewAuto, ViewCopy} {
 			m, err := FromBytes(data, mode)

@@ -1,7 +1,6 @@
 package compiled
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -180,78 +179,6 @@ func TestCompiledParityFixedSigma(t *testing.T) {
 		t.Fatalf("compile: %v", err)
 	}
 	assertParity(t, m, c, parityContexts(rng, sessions, vocab), vocab, rng)
-}
-
-// TestCompiledRoundTrip serializes and reloads a compiled model and checks
-// the reloaded form is bit-identical on predictions and probabilities (Read
-// rebuilds probabilities through the same arithmetic as Compile).
-func TestCompiledRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	vocab := 35
-	sessions := randomCorpus(rng, vocab, 900)
-	m := markov.NewMVMMFromEpsilons(sessions, []float64{0.0, 0.05, 0.1}, vocab,
-		markov.MVMMOptions{TrainSample: 150, NewtonIters: 6})
-	c, err := Compile(m)
-	if err != nil {
-		t.Fatalf("compile: %v", err)
-	}
-	var buf bytes.Buffer
-	if _, err := c.WriteTo(&buf); err != nil {
-		t.Fatalf("write: %v", err)
-	}
-	r, err := Read(&buf)
-	if err != nil {
-		t.Fatalf("read: %v", err)
-	}
-	if r.Nodes() != c.Nodes() || r.Followers() != c.Followers() || r.Depth() != c.Depth() ||
-		r.Components() != c.Components() || r.Vocab() != c.Vocab() {
-		t.Fatalf("reloaded shape differs: nodes %d/%d followers %d/%d depth %d/%d",
-			r.Nodes(), c.Nodes(), r.Followers(), c.Followers(), r.Depth(), c.Depth())
-	}
-	for _, ctx := range parityContexts(rng, sessions, vocab) {
-		a := c.Predict(ctx, 5)
-		b := r.Predict(ctx, 5)
-		if len(a) != len(b) {
-			t.Fatalf("ctx %v: %d vs %d predictions after reload", ctx, len(a), len(b))
-		}
-		for i := range a {
-			if a[i] != b[i] { // bit-exact, not approximate
-				t.Fatalf("ctx %v rank %d: %v vs %v after reload", ctx, i, a[i], b[i])
-			}
-		}
-		q := query.ID(rng.Intn(vocab))
-		if pa, pb := c.Prob(ctx, q), r.Prob(ctx, q); pa != pb {
-			t.Fatalf("ctx %v q=%d: prob %v vs %v after reload", ctx, q, pa, pb)
-		}
-	}
-}
-
-// TestCompiledReadRejectsCorruption flips bytes in a serialized model and
-// expects Read to fail loudly rather than serve garbage.
-func TestCompiledReadRejectsCorruption(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	sessions := randomCorpus(rng, 20, 300)
-	m := markov.NewMVMMFromEpsilons(sessions, []float64{0.0, 0.1}, 20,
-		markov.MVMMOptions{TrainSample: 50, NewtonIters: 3})
-	c, err := Compile(m)
-	if err != nil {
-		t.Fatalf("compile: %v", err)
-	}
-	var buf bytes.Buffer
-	if _, err := c.WriteTo(&buf); err != nil {
-		t.Fatalf("write: %v", err)
-	}
-	good := buf.Bytes()
-	for _, pos := range []int{0, 5, len(good) / 2, len(good) - 2} {
-		bad := append([]byte(nil), good...)
-		bad[pos] ^= 0x5a
-		if _, err := Read(bytes.NewReader(bad)); err == nil {
-			t.Fatalf("corruption at byte %d went undetected", pos)
-		}
-	}
-	if _, err := Read(bytes.NewReader(good[:len(good)/3])); err == nil {
-		t.Fatal("truncated stream went undetected")
-	}
 }
 
 // TestCompileRejectsVocabMismatch: components smoothing over different

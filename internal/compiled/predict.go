@@ -29,7 +29,7 @@ type scratch struct {
 	// CPS5 follower-ID decode arena: the varint-packed follower lists of
 	// the distinct matched nodes, decoded once per prediction. folDecOff is
 	// parallel to distNode (folDecOff[j]..folDecOff[j+1] bounds node j's
-	// IDs in folDec); both stay empty on non-CPS5 models.
+	// IDs in folDec); both stay empty on exact models.
 	folDec    []uint32
 	folDecOff []int32
 
@@ -236,11 +236,8 @@ func (c *Model) prepareMatched(s *scratch, ctxLen int) bool {
 	return true
 }
 
-// smoothedAt is Dist.SmoothedP on the compiled node: binary search the
+// smoothedAt is Dist.SmoothedP on an exact model's node: binary search the
 // ID-sorted followers, falling back to the node's precomputed uniform floor.
-// On quantised models the stored fixed-point value is dequantised through
-// the node's step — exact to the CPS4 encoding, within maxP(v)/65535 of the
-// float64 probability it encodes.
 func (c *Model) smoothedAt(v int32, q uint32) float64 {
 	lo, hi := c.folStart[v], c.folStart[v+1]
 	for lo < hi {
@@ -252,18 +249,16 @@ func (c *Model) smoothedAt(v int32, q uint32) float64 {
 		}
 	}
 	if lo < c.folStart[v+1] && c.folIDSorted[lo] == q {
-		if c.folPSorted != nil {
-			return c.folPSorted[lo]
-		}
-		return float64(c.qstep[v]) * float64(c.folQSorted[lo])
+		return c.folPSorted[lo]
 	}
 	return c.floorAt(v)
 }
 
 // smoothedDec is smoothedAt for CPS5 models: the binary search runs over
 // the decoded follower IDs of distinct-node j in the scratch arena, and the
-// fixed-point probability is read at the matching sorted offset (uint8 or
-// uint16 tier) and dequantised through the node's step.
+// fixed-point probability is read at the matching sorted offset and
+// dequantised through the node's step — exact to the encoding, within
+// maxP(v)/65535 of the float64 probability it encodes.
 func (c *Model) smoothedDec(s *scratch, j int, v int32, q uint32) float64 {
 	ids := s.folDec[s.folDecOff[j]:s.folDecOff[j+1]]
 	lo, hi := 0, len(ids)
@@ -276,11 +271,7 @@ func (c *Model) smoothedDec(s *scratch, j int, v int32, q uint32) float64 {
 		}
 	}
 	if lo < len(ids) && ids[lo] == q {
-		i := c.folStart[v] + int32(lo)
-		if c.folQ8 != nil {
-			return float64(c.qstep[v]) * float64(c.folQ8[i])
-		}
-		return float64(c.qstep[v]) * float64(c.folQSorted[i])
+		return float64(c.qstep[v]) * float64(c.folQSorted[c.folStart[v]+int32(lo)])
 	}
 	return c.floorAt(v)
 }
@@ -362,9 +353,10 @@ func (c *Model) appendRanked(s *scratch, dst []model.Prediction, ctxLen, topN in
 	// Candidate pool: the top 4·topN ranked followers of every distinct
 	// matched state (the interpreted Predict's TopN(topN*4) union), sorted
 	// and deduplicated in place. Exact models store the ranked IDs directly;
-	// quantised models store the ranked view as indices into the node's
-	// ID-sorted range (clamped defensively — a corrupted CPS4 payload loaded
-	// without a CRC check may misrank but must not index out of bounds).
+	// CPS5 models store the ranked view as local offsets into the node's
+	// decoded ID list in the scratch arena (clamped defensively — a corrupted
+	// payload loaded without a CRC check may misrank but must not index out
+	// of bounds).
 	s.cands = s.cands[:0]
 	lim := int32(4 * topN)
 	for dj, v := range s.distNode {
@@ -376,25 +368,13 @@ func (c *Model) appendRanked(s *scratch, dst []model.Prediction, ctxLen, topN in
 			s.cands = append(s.cands, c.folIDRanked[lo:hi]...)
 			continue
 		}
-		if c.folIDVar != nil {
-			// CPS5: rank indices are local offsets into the node's decoded
-			// ID list in the scratch arena (clamped like the CPS4 path).
-			ids := s.folDec[s.folDecOff[dj]:s.folDecOff[dj+1]]
-			for j := lo; j < hi; j++ {
-				idx := int(c.folRankIdx[j])
-				if idx >= len(ids) {
-					idx = 0
-				}
-				s.cands = append(s.cands, ids[idx])
-			}
-			continue
-		}
+		ids := s.folDec[s.folDecOff[dj]:s.folDecOff[dj+1]]
 		for j := lo; j < hi; j++ {
-			idx := c.folStart[v] + int32(c.folRankIdx[j])
-			if idx >= c.folStart[v+1] {
-				idx = lo
+			idx := int(c.folRankIdx[j])
+			if idx >= len(ids) {
+				idx = 0
 			}
-			s.cands = append(s.cands, c.folIDSorted[idx])
+			s.cands = append(s.cands, ids[idx])
 		}
 	}
 	if len(s.cands) == 0 {

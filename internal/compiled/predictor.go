@@ -37,7 +37,7 @@ type Shape struct {
 	// 0 means the model consumes the entire context (the HMM forward
 	// pass has no fixed horizon).
 	Depth int
-	// Quantised reports fixed-point (CPS4-style) probability storage.
+	// Quantised reports fixed-point (CPS5) probability storage.
 	Quantised bool
 	// ZeroAlloc reports that PredictInto performs no per-call heap
 	// allocations in steady state (scratch is pooled or caller-supplied).

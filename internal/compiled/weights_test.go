@@ -1,7 +1,6 @@
 package compiled
 
 import (
-	"bytes"
 	"math"
 	"os"
 	"path/filepath"
@@ -16,21 +15,13 @@ import (
 func loadedEveryWay(t *testing.T, c *Model) map[string]*Model {
 	t.Helper()
 	models := map[string]*Model{"Compile": c}
-	var cps1 bytes.Buffer
-	if _, err := c.WriteTo(&cps1); err != nil {
-		t.Fatal(err)
-	}
-	var err error
-	if models["CPS1 Read"], err = Read(&cps1); err != nil {
-		t.Fatal(err)
-	}
 	cps3 := c.AppendFlat(nil)
 	for name, mode := range map[string]ViewMode{"copy": ViewCopy, "view": ViewAuto} {
+		var err error
 		if models["CPS3 "+name], err = FromBytes(cps3, mode); err != nil {
 			t.Fatal(err)
 		}
-		models["CPS4 "+name] = mustQuantise(t, c, mode)
-		models["CPS5 "+name] = mustCompact(t, c, false, mode)
+		models["CPS5 "+name] = mustCompact(t, c, mode)
 	}
 	if mmapSupported {
 		path := filepath.Join(t.TempDir(), "model.cps3")
@@ -54,18 +45,11 @@ func loadedEveryWay(t *testing.T, c *Model) map[string]*Model {
 // longer than their descent, across the table's edge.
 func TestMatchWeightsAreGaussian(t *testing.T) {
 	c, sessions, _, _ := flatTestModel(t, 29)
-	models := loadedEveryWay(t, c)
-	p8, p8ctxs := probs8TestModel(t)
-	models["CPS5 probs8"] = mustCompact(t, p8, true, ViewCopy)
-	for name, m := range models {
-		var ctxs []query.Seq
-		if name == "CPS5 probs8" {
-			ctxs = p8ctxs
-		} else {
-			for _, s := range sessions[:40] {
-				ctxs = append(ctxs, s.Queries)
-			}
-		}
+	var ctxs []query.Seq
+	for _, s := range sessions[:40] {
+		ctxs = append(ctxs, s.Queries)
+	}
+	for name, m := range loadedEveryWay(t, c) {
 		s := m.scratch.p.Get().(*scratch)
 		compared := 0
 		for _, ctx := range ctxs {
@@ -138,7 +122,7 @@ func TestLongContextParity(t *testing.T) {
 	assertParity(t, m, c, long, vocab, rng)
 	for name, loaded := range loadedEveryWay(t, c) {
 		if loaded.Quantised() {
-			continue // parity with the exact model is quant_test's, within its tolerance
+			continue // parity with the exact model is flat5_test's, within its tolerance
 		}
 		assertBitIdentical(t, name, c, loaded, long, vocab, rng)
 	}

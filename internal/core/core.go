@@ -14,23 +14,21 @@
 // (HMM, cluster, pairwise fleet arms) implement the same seam, so cache,
 // fleet and serve hold a Recommender and never know which family answers.
 //
-// Persistence: Save writes the current QRECV005 container (dictionary,
-// interpreted mixture, and the compact quantised CPS5 compiled blob at a
-// page-aligned offset); SaveAs keeps the QRECV002/QRECV003/QRECV004
-// writers. Load reads every version back to QRECV001. LoadPath is the
-// production cold-start route: for V003/V004/V005 files it memory-maps the
-// compiled blob (no decoding, lazy page-in, cross-process page sharing) and
-// defers the interpreted-mixture decode until first Model() use; LoadInfo
-// reports the route taken, the blob encoding served and its byte length.
+// Persistence: a model file is one container — the dictionary and the
+// compiled blob at a page-aligned offset, nothing else. Save writes the blob
+// in the compact quantised CPS5 encoding, or in exact CPS3 when the model's
+// statistics do not fit it. Load reads a stream into the heap; LoadPath is
+// the production cold-start route and memory-maps the blob (no decoding,
+// lazy page-in, cross-process page sharing); LoadInfo reports the route
+// taken, the blob encoding served and its byte length. The interpreted
+// mixture is never written: a loaded Engine serves from the blob alone.
 //
 // Invariants: an Engine is immutable after training or loading — the
 // Recommender methods are safe for unbounded concurrent callers without
 // locking, and the Append* variants are allocation-free with recycled
-// buffers. Serving goes through the
-// compiled single-PST form whenever it exists (always, for mixtures built
-// by this pipeline); quantised (CPS4-loaded) models serve with a bounded
-// ≤ ~2e-5 absolute probability error, and SaveAs transparently recompiles
-// from the mixture when an exact format is requested from one.
+// buffers. Serving goes through the compiled single-PST form whenever it
+// exists (always, for mixtures built by this pipeline); a model loaded from
+// CPS5 serves with a bounded ≤ ~2e-5 absolute probability error.
 package core
 
 import (
@@ -42,7 +40,6 @@ import (
 	"os"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/compiled"
@@ -90,11 +87,11 @@ type Suggestion struct {
 // After training (or loading) the mixture is compiled into a flat single-PST
 // serving form (internal/compiled): AppendSuggestions and Probability run
 // one trie descent with zero steady-state allocations instead of walking the
-// K map-based component trees. The interpreted mixture is retained as the
-// build artifact — evaluation code reads it via Model, and it is what Save
-// persists alongside the compiled form. Should compilation ever fail (it
-// cannot for mixtures built by this pipeline) the engine transparently
-// serves from the interpreted model instead.
+// K map-based component trees. A trained engine keeps the interpreted
+// mixture as the build artifact — evaluation code reads it via Model — and
+// should compilation ever fail (it cannot for mixtures built by this
+// pipeline) transparently serves from it instead. A loaded engine has the
+// compiled form only.
 type Engine struct {
 	dict *query.Dict
 	// strs is dict's published string table, ID → query. Every Engine is
@@ -102,40 +99,17 @@ type Engine struct {
 	// final: the dictionary is published there, and neither context interning
 	// nor suggestion strings take its lock from then on.
 	strs  []string
-	mix   *markov.MVMM
-	comp  *compiled.Model // nil ⇒ interpreted fallback
+	mix   *markov.MVMM    // nil for a loaded engine
+	comp  *compiled.Model // nil ⇒ interpreted fallback (trained engines only)
 	stats session.Stats
-	cfg   Config
 	info  LoadInfo
-
-	// batchWorkers caps the parallel batch descent's fan-out (see
-	// SetBatchWorkers); 0 means GOMAXPROCS.
-	batchWorkers atomic.Int32
-
-	// V003 mmap loads defer decoding the interpreted mixture (serving only
-	// needs the compiled form): Model() triggers mixLoad exactly once.
-	mixOnce sync.Once
-	mixLoad func() (*markov.MVMM, error)
-	mixErr  error
-}
-
-// SetBatchWorkers caps the worker fan-out of the parallel batch descent
-// behind RecommendBatchIDs: n <= 0 restores the default (GOMAXPROCS), 1
-// forces the sequential path, anything else bounds the goroutines one batch
-// may spawn. Safe to call concurrently with serving — the knob is read per
-// batch. Results are bit-identical at any setting; only latency changes.
-func (r *Engine) SetBatchWorkers(n int) {
-	if n < 0 {
-		n = 0
-	}
-	r.batchWorkers.Store(int32(n))
 }
 
 // Model-provenance modes reported by LoadInfo.
 const (
 	LoadModeTrained = "trained" // built in-process by TrainFrom*
 	LoadModeHeap    = "heap"    // decoded from a model file into the heap
-	LoadModeMmap    = "mmap"    // compiled form memory-mapped from a V003/V004 file
+	LoadModeMmap    = "mmap"    // compiled form memory-mapped from a model file
 )
 
 // LoadInfo describes how the recommender's serving model materialised —
@@ -144,7 +118,7 @@ const (
 type LoadInfo struct {
 	Mode      string        // LoadModeTrained, LoadModeHeap or LoadModeMmap
 	Version   string        // save-format magic of the source file, "" if trained
-	Format    string        // compiled-blob encoding served ("CPS1", "CPS3", "CPS4", "CPS5"); "" if compiled in-process
+	Format    string        // compiled-blob encoding served ("CPS3" or "CPS5"); "" if compiled in-process
 	BlobBytes int64         // byte length of the compiled blob decoded or mapped; 0 if compiled in-process
 	MapAdvice string        // kernel paging hints applied to the mapping ("willneed", "mlock", …); "" when none
 	Duration  time.Duration // wall time of the Load/LoadPath call
@@ -212,7 +186,7 @@ func TrainFromAggregated(dict *query.Dict, agg []query.Session, cfg Config) *Eng
 		eps = markov.DefaultEpsilons()
 	}
 	mix := markov.NewMVMMFromEpsilons(agg, eps, dict.Len(), cfg.Mixture)
-	r := &Engine{dict: dict, strs: dict.Publish(), mix: mix, stats: session.Collect(agg), cfg: cfg,
+	r := &Engine{dict: dict, strs: dict.Publish(), mix: mix, stats: session.Collect(agg),
 		info: LoadInfo{Mode: LoadModeTrained}}
 	r.comp, _ = compiled.Compile(mix)
 	return r
@@ -243,13 +217,11 @@ func (r *Engine) AppendSuggestions(dst []Suggestion, ctx query.Seq, n int) []Sug
 }
 
 // RecommendBatchIDs scores many interned contexts through the shared-scratch
-// batched trie descent (compiled.PredictBatchParallel): contexts are grouped
-// by shared suffix so sibling lookups amortise cache-line loads, and large
-// batches are split across up to SetBatchWorkers goroutines (default
-// GOMAXPROCS; answers are bit-identical to the sequential walk), which is
-// what makes POST /suggest/batch cheaper than n single requests. Results
-// align 1:1 with ctxs; uncovered or empty contexts yield nil entries. Each
-// non-nil result slice is freshly allocated (callers cache them).
+// batched trie descent (compiled.PredictBatch): contexts are grouped by
+// shared suffix so sibling lookups amortise cache-line loads, which is what
+// makes POST /suggest/batch cheaper than n single requests. Results align
+// 1:1 with ctxs; uncovered or empty contexts yield nil entries. Each non-nil
+// result slice is freshly allocated (callers cache them).
 func (r *Engine) RecommendBatchIDs(ctxs []query.Seq, ns []int) [][]Suggestion {
 	out := make([][]Suggestion, len(ctxs))
 	if r.comp == nil { // interpreted fallback: no batched descent available
@@ -258,7 +230,7 @@ func (r *Engine) RecommendBatchIDs(ctxs []query.Seq, ns []int) [][]Suggestion {
 		}
 		return out
 	}
-	r.comp.PredictBatchParallel(ctxs, ns, int(r.batchWorkers.Load()), func(i int, preds []model.Prediction) {
+	r.comp.PredictBatch(ctxs, ns, func(i int, preds []model.Prediction) {
 		if len(preds) == 0 {
 			return
 		}
@@ -289,25 +261,11 @@ func (r *Engine) internContext(context []string) query.Seq {
 // Dict exposes the query dictionary.
 func (r *Engine) Dict() *query.Dict { return r.dict }
 
-// Model exposes the trained mixture (for evaluation and persistence). For
-// recommenders mmap-loaded through LoadPath the mixture is decoded lazily on
-// first call — cold starts that only serve never pay for it. Returns nil if
-// the deferred decode fails (the error surfaces through Save).
-func (r *Engine) Model() *markov.MVMM {
-	if r.mixLoad != nil {
-		r.mixOnce.Do(func() {
-			m, err := r.mixLoad()
-			if err != nil {
-				r.mixErr = err
-				return
-			}
-			r.mix = m
-		})
-	}
-	return r.mix
-}
+// Model exposes the interpreted mixture of an engine trained in this process
+// (for evaluation), nil for a loaded one: model files do not carry it.
+func (r *Engine) Model() *markov.MVMM { return r.mix }
 
-// Close releases resources tied to the serving model — for V003 files loaded
+// Close releases resources tied to the serving model — for an engine loaded
 // through LoadPath it unmaps the compiled form (otherwise it is a no-op; the
 // GC would reclaim the mapping eventually regardless). The recommender must
 // not be used after Close.
@@ -335,36 +293,31 @@ func (r *Engine) Predictor() compiled.Predictor {
 // Stats returns the training-collection statistics (Table IV shape).
 func (r *Engine) Stats() session.Stats { return r.stats }
 
-// Save-format magics. V001 files hold (dictionary, mixture); V002 appends a
-// third section with the varint-encoded (CPS1) compiled single-PST serving
-// form so cold starts skip recompilation; V003 stores the compiled form in
-// the mmap-able CPS3 flat layout at a page-aligned file offset so cold
-// starts skip decoding entirely (LoadPath maps it; the reader-based Load
-// decodes it into the heap); V004 keeps the V003 framing but stores the
-// compiled form in the quantised CPS4 layout — fixed-point uint16 follower
-// probabilities against per-node float32 steps and width-narrowed node
-// arrays — which shrinks the served blob by roughly half at a bounded
-// (≤ ~2e-5 absolute) probability error. V005 keeps the same framing with
-// the compact CPS5 layout — delta/varint-packed follower IDs and CSR
-// offsets on top of CPS4's quantisation, at the same error bound. Load and
-// LoadPath read all five; Save writes V005 (falling back blob-by-blob to
-// CPS4, then exact CPS3, when a model's statistics refuse a tier). SaveAs
-// keeps the V002/V003/V004 writers for deployments that need bit-exact
-// serving or pre-V005 readers.
-const (
-	saveMagicV1 = "QRECV001"
-	saveMagicV2 = "QRECV002"
-	saveMagicV3 = "QRECV003"
-	saveMagicV4 = "QRECV004"
-	saveMagicV5 = "QRECV005"
-)
+// saveMagic tags the one model-file container this package reads and writes
+// (all integers little-endian):
+//
+//	magic · uint64 dictionary length · dictionary ·
+//	uint64 pad length · pad · uint64 blob length · blob
+//
+// The pad is zero bytes sized so that the blob starts on a compiledAlign
+// boundary, the precondition for LoadPath's zero-copy mmap. The blob is the
+// compiled model in compiled.AppendFlat5's CPS5 encoding, or in AppendFlat's
+// exact CPS3 when the model's statistics do not fit CPS5
+// (compiled.ErrUnquantisable); loaders dispatch on the blob's own magic. A
+// file with any other magic, those of earlier revisions of this repository
+// included, is refused: retrain.
+const saveMagic = "QRECV006"
 
-// compiledAlign is the file alignment of the V003/V004 compiled blob. 4 KiB
-// covers every common page size; LoadPath additionally aligns the mapping
+// compiledAlign is the file alignment of the compiled blob. 4 KiB covers
+// every common page size; compiled.OpenMmap additionally aligns the mapping
 // down to the runtime page boundary, so larger-page systems still work.
 const compiledAlign = 4096
 
-// writeSection emits one length-prefixed section so Load can hand each
+// maxSectionBytes is the largest section length a file may claim. It only
+// rejects nonsense early: no allocation is ever sized by a length word.
+const maxSectionBytes = 1 << 40
+
+// writeSection emits one length-prefixed section so loaders can hand each
 // decoder a bounded reader (decoders buffer internally and would otherwise
 // read past their section).
 func writeSection(w io.Writer, name string, wt io.WriterTo) error {
@@ -383,273 +336,167 @@ func writeSection(w io.Writer, name string, wt io.WriterTo) error {
 	return err
 }
 
-// Save persists the recommender — dictionary, interpreted mixture (the build
-// artifact) and compiled serving form — in the current V005 layout (the
-// compact CPS5 compiled blob, falling back to CPS4/CPS3 when the model's
-// statistics refuse a tier). A recommender without a compiled model writes
-// an empty compiled section; Load recompiles.
+// readU64 reads one little-endian length word.
+func readU64(rd io.Reader, what string) (uint64, error) {
+	var b [8]byte
+	if _, err := io.ReadFull(rd, b[:]); err != nil {
+		return 0, fmt.Errorf("core: reading %s: %w", what, err)
+	}
+	return binary.LittleEndian.Uint64(b[:]), nil
+}
+
+// section reads the length prefix writeSection wrote and returns a reader
+// bounded to the section, with the length.
+func section(rd io.Reader, name string) (io.Reader, uint64, error) {
+	n, err := readU64(rd, name+" header")
+	if err != nil {
+		return nil, 0, err
+	}
+	if n > maxSectionBytes {
+		return nil, 0, fmt.Errorf("core: implausible %s section of %d bytes", name, n)
+	}
+	return io.LimitReader(rd, int64(n)), n, nil
+}
+
+// Save persists the recommender — dictionary and compiled serving form — as
+// one model file (see saveMagic for the layout). A loaded engine re-emits the
+// blob it serves. An engine without a compiled form has nothing a server
+// could load and is refused.
 func (r *Engine) Save(w io.Writer) error {
-	return r.SaveAs(w, saveMagicV5)
-}
-
-// exactComp returns a compiled model carrying exact float64 probabilities,
-// as the CPS1 (V002) and CPS3 (V003) writers require: the served model when
-// it is exact, a recompilation of the interpreted mixture when the served
-// model was loaded from a quantised CPS4 blob (whose raw counts are gone).
-// Returns nil when no compiled form can be produced — the caller then
-// writes an empty compiled section and Load recompiles.
-func (r *Engine) exactComp(mix *markov.MVMM) *compiled.Model {
-	if r.comp != nil && r.comp.Exact() {
-		return r.comp
+	if r.comp == nil {
+		return errors.New("core: engine has no compiled model to save")
 	}
-	comp, _ := compiled.Compile(mix)
-	return comp
-}
-
-// SaveAs persists the recommender in a specific save-format version:
-// "QRECV005" (the Save default, compact quantised mmap-able compiled
-// section), "QRECV004" (quantised mmap-able compiled section), "QRECV003"
-// (exact mmap-able compiled section) or "QRECV002" (varint compiled
-// section, for files older deployments must read). It exists for
-// compatibility tooling and for deployments that need the exact formats'
-// bit-identical serving.
-func (r *Engine) SaveAs(w io.Writer, version string) error {
-	mix := r.Model()
-	if mix == nil {
-		return fmt.Errorf("core: mixture unavailable for save: %w", r.mixErr)
+	blob, err := r.comp.AppendFlat5(nil)
+	if errors.Is(err, compiled.ErrUnquantisable) {
+		blob, err = r.comp.AppendFlat(nil), nil
 	}
-	switch version {
-	case saveMagicV2:
-		if _, err := io.WriteString(w, saveMagicV2); err != nil {
-			return err
-		}
-		if err := writeSection(w, "dictionary", r.dict); err != nil {
-			return err
-		}
-		if err := writeSection(w, "model", mix); err != nil {
-			return err
-		}
-		var comp io.WriterTo
-		if c := r.exactComp(mix); c != nil {
-			comp = c
-		}
-		return writeSection(w, "compiled model", comp)
-	case saveMagicV3, saveMagicV4, saveMagicV5:
-		return r.saveFlat(w, mix, version)
-	default:
-		return fmt.Errorf("core: unknown save version %q", version)
+	if err != nil {
+		return fmt.Errorf("core: encoding compiled model: %w", err)
 	}
-}
-
-// countWriter tracks the file offset so saveFlat can pad the compiled blob
-// to a page boundary.
-type countWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (cw *countWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	cw.n += int64(n)
-	return n, err
-}
-
-// saveFlat writes the shared V003/V004/V005 layout: magic, dictionary and
-// mixture sections as in V002, then the compiled model as a flat blob —
-// exact CPS3 under the V003 magic, quantised CPS4 under V004, compact CPS5
-// under V005 — padded to start on a compiledAlign boundary, the
-// precondition for LoadPath's zero-copy mmap. The blob is framed as (uint64
-// pad length, pad, uint64 blob length, blob). A save of a model whose
-// statistics do not fit the requested tier (see compiled.ErrUnquantisable)
-// falls back one tier at a time — V005 → CPS4 → exact CPS3 — in the same
-// container; LoadPath dispatches on the blob's own magic, so nothing
-// downstream cares.
-func (r *Engine) saveFlat(w io.Writer, mix *markov.MVMM, version string) error {
-	cw := &countWriter{w: w}
-	if _, err := io.WriteString(cw, version); err != nil {
+	var hdr bytes.Buffer
+	hdr.WriteString(saveMagic)
+	if err := writeSection(&hdr, "dictionary", r.dict); err != nil {
 		return err
 	}
-	if err := writeSection(cw, "dictionary", r.dict); err != nil {
+	le := binary.LittleEndian
+	pad := (compiledAlign - (hdr.Len()+16)%compiledAlign) % compiledAlign
+	hdr.Write(le.AppendUint64(nil, uint64(pad)))
+	hdr.Write(make([]byte, pad))
+	hdr.Write(le.AppendUint64(nil, uint64(len(blob))))
+	if _, err := w.Write(hdr.Bytes()); err != nil {
 		return err
 	}
-	if err := writeSection(cw, "model", mix); err != nil {
-		return err
-	}
-	var blob []byte
-	if version == saveMagicV5 && r.comp != nil {
-		b5, err := r.comp.AppendFlat5(nil, false)
-		if err != nil && !errors.Is(err, compiled.ErrUnquantisable) {
-			return fmt.Errorf("core: compacting compiled model: %w", err)
-		}
-		if err == nil {
-			blob = b5
-		}
-	}
-	if len(blob) == 0 && (version == saveMagicV4 || version == saveMagicV5) && r.comp != nil {
-		b4, err := r.comp.AppendFlat4(nil)
-		if err != nil && !errors.Is(err, compiled.ErrUnquantisable) {
-			return fmt.Errorf("core: quantising compiled model: %w", err)
-		}
-		if err == nil {
-			blob = b4
-		}
-	}
-	if len(blob) == 0 {
-		if c := r.exactComp(mix); c != nil {
-			blob = c.AppendFlat(nil)
-		}
-	}
-	pad := int((compiledAlign - (cw.n+16)%compiledAlign) % compiledAlign)
-	var hdr [8]byte
-	binary.LittleEndian.PutUint64(hdr[:], uint64(pad))
-	if _, err := cw.Write(hdr[:]); err != nil {
-		return err
-	}
-	if pad > 0 {
-		if _, err := cw.Write(make([]byte, pad)); err != nil {
-			return err
-		}
-	}
-	binary.LittleEndian.PutUint64(hdr[:], uint64(len(blob)))
-	if _, err := cw.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := cw.Write(blob)
+	_, err = w.Write(blob)
 	return err
 }
 
-// Load restores a recommender written by Save from a stream: the current
-// V005 layout (compact quantised compiled section decoded into the heap —
-// use LoadPath for the zero-copy mmap), the V004 layout, the V003 layout,
-// the V002 layout, or the legacy V001 layout (which lacks the compiled
-// section — the serving form is then compiled from the mixture on the
-// spot).
+// fileHeader is what a model file holds ahead of its blob.
+type fileHeader struct {
+	dict    *query.Dict
+	blobOff int64 // file offset of the blob's first byte
+	blobLen uint64
+}
+
+// readHeader parses a model file up to its blob and leaves rd on the blob's
+// first byte. Load and LoadPathWith both start here.
+func readHeader(rd io.Reader) (fileHeader, error) {
+	var h fileHeader
+	magic := make([]byte, len(saveMagic))
+	if _, err := io.ReadFull(rd, magic); err != nil {
+		return h, fmt.Errorf("core: reading header: %w", err)
+	}
+	if string(magic) != saveMagic {
+		return h, fmt.Errorf("core: unrecognised model file header %q (this build reads %s only): retrain", magic, saveMagic)
+	}
+	ds, dictLen, err := section(rd, "dictionary")
+	if err != nil {
+		return h, err
+	}
+	if h.dict, err = query.ReadDict(ds); err != nil {
+		return h, fmt.Errorf("core: loading dictionary: %w", err)
+	}
+	// The decoder's read-ahead may stop short of the section's end.
+	if _, err := io.Copy(io.Discard, ds); err != nil {
+		return h, fmt.Errorf("core: skipping to the end of the dictionary section: %w", err)
+	}
+	pad, err := readU64(rd, "padding length")
+	if err != nil {
+		return h, err
+	}
+	h.blobOff = int64(len(saveMagic)) + 8 + int64(dictLen) + 8 + int64(pad) + 8
+	if pad >= compiledAlign || h.blobOff%compiledAlign != 0 {
+		return h, fmt.Errorf("core: padding of %d bytes does not page-align the compiled blob", pad)
+	}
+	if _, err := io.CopyN(io.Discard, rd, int64(pad)); err != nil {
+		return h, fmt.Errorf("core: skipping padding: %w", err)
+	}
+	if h.blobLen, err = readU64(rd, "compiled-blob length"); err != nil {
+		return h, err
+	}
+	if h.blobLen == 0 || h.blobLen > maxSectionBytes {
+		return h, fmt.Errorf("core: implausible compiled blob of %d bytes", h.blobLen)
+	}
+	return h, nil
+}
+
+// readBlob reads the n-byte blob rd is positioned on into the heap. The
+// buffer grows as bytes arrive instead of being sized by n: n is the file's
+// word, and a forged one must cost no more memory than the stream holds.
+func readBlob(rd io.Reader, n uint64) ([]byte, error) {
+	var buf bytes.Buffer
+	got, err := io.Copy(&buf, io.LimitReader(rd, int64(n)))
+	if err == nil && uint64(got) != n {
+		err = io.ErrUnexpectedEOF
+	}
+	if err != nil {
+		return nil, fmt.Errorf("core: reading compiled blob (%d of %d bytes): %w", got, n, err)
+	}
+	return buf.Bytes(), nil
+}
+
+// loaded assembles the Engine a model file yields.
+func loaded(h fileHeader, comp *compiled.Model, mode string, start time.Time) *Engine {
+	format := "CPS3"
+	if comp.Quantised() {
+		format = "CPS5"
+	}
+	return &Engine{dict: h.dict, strs: h.dict.Publish(), comp: comp, info: LoadInfo{
+		Mode:      mode,
+		Version:   saveMagic,
+		Format:    format,
+		BlobBytes: int64(h.blobLen),
+		MapAdvice: comp.MapAdvice(),
+		Duration:  time.Since(start),
+	}}
+}
+
+// Load restores a recommender written by Save from a stream, decoding the
+// compiled blob into the heap and verifying its checksum — use LoadPath for
+// the zero-copy mmap.
 func Load(rd io.Reader) (*Engine, error) {
 	start := time.Now()
-	r, info, err := load(rd)
+	h, err := readHeader(rd)
 	if err != nil {
 		return nil, err
 	}
-	info.Mode = LoadModeHeap
-	info.Duration = time.Since(start)
-	r.info = info
-	return r, nil
+	blob, err := readBlob(rd, h.blobLen)
+	if err != nil {
+		return nil, err
+	}
+	comp, err := compiled.FromBytes(blob, compiled.ViewCopy)
+	if err != nil {
+		return nil, fmt.Errorf("core: loading compiled model: %w", err)
+	}
+	return loaded(h, comp, LoadModeHeap, start), nil
 }
 
-func load(rd io.Reader) (*Engine, LoadInfo, error) {
-	var info LoadInfo
-	magic := make([]byte, len(saveMagicV1))
-	if _, err := io.ReadFull(rd, magic); err != nil {
-		return nil, info, fmt.Errorf("core: reading header: %w", err)
-	}
-	version := string(magic)
-	info.Version = version
-	switch version {
-	case saveMagicV1, saveMagicV2, saveMagicV3, saveMagicV4, saveMagicV5:
-	default:
-		return nil, info, fmt.Errorf("core: unrecognised model file header %q", magic)
-	}
-	section := func(name string) (io.Reader, uint64, error) {
-		var hdr [8]byte
-		if _, err := io.ReadFull(rd, hdr[:]); err != nil {
-			return nil, 0, fmt.Errorf("core: reading %s header: %w", name, err)
-		}
-		n := binary.LittleEndian.Uint64(hdr[:])
-		if n > 1<<40 {
-			return nil, 0, fmt.Errorf("core: implausible %s section of %d bytes", name, n)
-		}
-		return io.LimitReader(rd, int64(n)), n, nil
-	}
-	ds, _, err := section("dictionary")
-	if err != nil {
-		return nil, info, err
-	}
-	dict, err := query.ReadDict(ds)
-	if err != nil {
-		return nil, info, fmt.Errorf("core: loading dictionary: %w", err)
-	}
-	ms, _, err := section("model")
-	if err != nil {
-		return nil, info, err
-	}
-	mix, err := markov.ReadMVMM(ms)
-	if err != nil {
-		return nil, info, fmt.Errorf("core: loading model: %w", err)
-	}
-	r := &Engine{dict: dict, strs: dict.Publish(), mix: mix, cfg: DefaultConfig()}
-	switch version {
-	case saveMagicV2:
-		cs, n, err := section("compiled model")
-		if err != nil {
-			return nil, info, err
-		}
-		if n > 0 {
-			comp, err := compiled.Read(cs)
-			if err != nil {
-				return nil, info, fmt.Errorf("core: loading compiled model: %w", err)
-			}
-			r.comp = comp
-			info.Format = "CPS1"
-			info.BlobBytes = int64(n)
-			return r, info, nil
-		}
-	case saveMagicV3, saveMagicV4, saveMagicV5:
-		var hdr [8]byte
-		if _, err := io.ReadFull(rd, hdr[:]); err != nil {
-			return nil, info, fmt.Errorf("core: reading compiled padding header: %w", err)
-		}
-		pad := binary.LittleEndian.Uint64(hdr[:])
-		if pad >= compiledAlign {
-			return nil, info, fmt.Errorf("core: implausible compiled-section padding of %d bytes", pad)
-		}
-		if _, err := io.CopyN(io.Discard, rd, int64(pad)); err != nil {
-			return nil, info, fmt.Errorf("core: skipping compiled padding: %w", err)
-		}
-		if _, err := io.ReadFull(rd, hdr[:]); err != nil {
-			return nil, info, fmt.Errorf("core: reading compiled-section header: %w", err)
-		}
-		blobLen := binary.LittleEndian.Uint64(hdr[:])
-		if blobLen > 1<<40 {
-			return nil, info, fmt.Errorf("core: implausible compiled section of %d bytes", blobLen)
-		}
-		if blobLen > 0 {
-			blob := make([]byte, blobLen)
-			if _, err := io.ReadFull(rd, blob); err != nil {
-				return nil, info, fmt.Errorf("core: reading compiled section: %w", err)
-			}
-			comp, err := compiled.FromBytes(blob, compiled.ViewCopy)
-			if err != nil {
-				return nil, info, fmt.Errorf("core: loading compiled model: %w", err)
-			}
-			r.comp = comp
-			info.Format = blobFormat(blob)
-			info.BlobBytes = int64(blobLen)
-			return r, info, nil
-		}
-	}
-	r.comp, _ = compiled.Compile(mix)
-	return r, info, nil
-}
-
-// blobFormat reports a flat compiled blob's encoding by its leading magic.
-func blobFormat(blob []byte) string {
-	if len(blob) < 4 {
-		return ""
-	}
-	return string(blob[:4])
-}
-
-// LoadPath restores a recommender from a model file on disk, taking the
-// fastest load path the file allows. For V003/V004/V005 files the compiled
-// serving form is memory-mapped in place — a cold start costs the
+// LoadPath restores a recommender from a model file on disk with the
+// compiled serving form memory-mapped in place: a cold start costs the
 // dictionary decode plus O(1) mapping work, the kernel faults trie pages in
-// lazily, and concurrent server processes share one page-cache copy — and
-// the interpreted mixture is decoded lazily on first Model() use, so a
-// process that only serves never pays for it. V001/V002 files (and
-// V003/V004/V005 files without a compiled section, or platforms without
-// mmap) fall back to the reader-based heap Load. LoadInfo reports which
-// path was taken, the blob encoding served (CPS3, quantised CPS4 or
-// compact CPS5) and its byte length.
+// lazily, and concurrent server processes share one page-cache copy. On
+// platforms without mmap the blob is decoded into the heap as Load does.
+// LoadInfo reports which path was taken, the blob encoding served (compact
+// CPS5 or exact CPS3) and its byte length.
 func LoadPath(path string) (*Engine, error) {
 	return LoadPathWith(path, LoadOptions{})
 }
@@ -676,125 +523,25 @@ func LoadPathWith(path string, opts LoadOptions) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The descriptor is retained (not closed) on the successful V003/V004
-	// path: the lazy mixture load below reads through it, which pins the
-	// inode the compiled form was mapped from — a deploy replacing the file
-	// at this path must not make Model() decode a different file's bytes.
-	keepOpen := false
-	defer func() {
-		if !keepOpen {
-			f.Close()
-		}
-	}()
-	magic := make([]byte, len(saveMagicV3))
-	if _, err := io.ReadFull(f, magic); err != nil {
-		return nil, fmt.Errorf("core: reading header: %w", err)
-	}
-	version := string(magic)
-	if version != saveMagicV3 && version != saveMagicV4 && version != saveMagicV5 {
-		if _, err := f.Seek(0, io.SeekStart); err != nil {
-			return nil, err
-		}
-		return Load(f)
-	}
-
-	readU64At := func(off int64, what string) (uint64, error) {
-		var hdr [8]byte
-		if _, err := f.ReadAt(hdr[:], off); err != nil {
-			return 0, fmt.Errorf("core: reading %s: %w", what, err)
-		}
-		return binary.LittleEndian.Uint64(hdr[:]), nil
-	}
-
-	off := int64(len(version))
-	dictLen, err := readU64At(off, "dictionary header")
+	defer f.Close()
+	h, err := readHeader(f)
 	if err != nil {
 		return nil, err
 	}
-	if dictLen > 1<<40 {
-		return nil, fmt.Errorf("core: implausible dictionary section of %d bytes", dictLen)
-	}
-	dict, err := query.ReadDict(io.NewSectionReader(f, off+8, int64(dictLen)))
-	if err != nil {
-		return nil, fmt.Errorf("core: loading dictionary: %w", err)
-	}
-	off += 8 + int64(dictLen)
-
-	mixLen, err := readU64At(off, "model header")
-	if err != nil {
-		return nil, err
-	}
-	if mixLen > 1<<40 {
-		return nil, fmt.Errorf("core: implausible model section of %d bytes", mixLen)
-	}
-	mixOff := off + 8
-	off += 8 + int64(mixLen)
-
-	pad, err := readU64At(off, "compiled padding header")
-	if err != nil {
-		return nil, err
-	}
-	if pad >= compiledAlign {
-		return nil, fmt.Errorf("core: implausible compiled-section padding of %d bytes", pad)
-	}
-	blobLen, err := readU64At(off+8+int64(pad), "compiled-section header")
-	if err != nil {
-		return nil, err
-	}
-	blobOff := off + 16 + int64(pad)
-	fi, err := f.Stat()
-	if err != nil {
-		return nil, err
-	}
-	if blobLen > 1<<40 || blobOff+int64(blobLen) > fi.Size() {
-		return nil, fmt.Errorf("core: compiled section of %d bytes at offset %d overruns the %d-byte file",
-			blobLen, blobOff, fi.Size())
-	}
-	if blobLen == 0 {
-		// No compiled section: recompiling needs the mixture — heap Load.
-		if _, err := f.Seek(0, io.SeekStart); err != nil {
-			return nil, err
-		}
-		return Load(f)
-	}
-
-	var blobMagic [4]byte
-	if _, err := f.ReadAt(blobMagic[:], blobOff); err != nil {
-		return nil, fmt.Errorf("core: reading compiled-blob magic: %w", err)
-	}
-
 	mode := LoadModeMmap
-	comp, err := compiled.OpenMmapAdvised(path, blobOff, int64(blobLen),
+	// OpenMmapAdvised refuses a window that overruns the file.
+	comp, err := compiled.OpenMmapAdvised(path, h.blobOff, int64(h.blobLen),
 		compiled.MapAdvice{WillNeed: opts.MapWillNeed, Lock: opts.MapLock})
 	if errors.Is(err, compiled.ErrMmapUnsupported) {
 		mode = LoadModeHeap
-		blob := make([]byte, blobLen)
-		if _, rerr := f.ReadAt(blob, blobOff); rerr != nil {
-			return nil, fmt.Errorf("core: reading compiled section: %w", rerr)
+		var blob []byte
+		if blob, err = readBlob(f, h.blobLen); err != nil {
+			return nil, err
 		}
 		comp, err = compiled.FromBytes(blob, compiled.ViewCopy)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("core: loading compiled model: %w", err)
 	}
-
-	r := &Engine{dict: dict, strs: dict.Publish(), comp: comp, cfg: DefaultConfig()}
-	r.mixLoad = func() (*markov.MVMM, error) {
-		defer f.Close() // runs at most once, under the Model() sync.Once
-		mix, err := markov.ReadMVMM(io.NewSectionReader(f, mixOff, int64(mixLen)))
-		if err != nil {
-			return nil, fmt.Errorf("core: lazily loading mixture: %w", err)
-		}
-		return mix, nil
-	}
-	keepOpen = true
-	r.info = LoadInfo{
-		Mode:      mode,
-		Version:   version,
-		Format:    blobFormat(blobMagic[:]),
-		BlobBytes: int64(blobLen),
-		MapAdvice: comp.MapAdvice(),
-		Duration:  time.Since(start),
-	}
-	return r, nil
+	return loaded(h, comp, mode, start), nil
 }

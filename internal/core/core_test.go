@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"strings"
 	"sync"
 	"testing"
@@ -13,7 +12,7 @@ import (
 
 // buildLog writes a tiny raw log with two machines and repeated refinement
 // sessions, repeated often enough to survive the default reduction.
-func buildLog(t *testing.T) string {
+func buildLog(t testing.TB) string {
 	t.Helper()
 	var sb strings.Builder
 	w := logfmt.NewWriter(&sb)
@@ -113,40 +112,6 @@ func TestProbability(t *testing.T) {
 	}
 }
 
-func TestSaveLoadRoundTrip(t *testing.T) {
-	rec, err := TrainFromLog(strings.NewReader(buildLog(t)), smallConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := rec.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := Recommend(rec, []string{"kidney stones"}, 3)
-	b := Recommend(loaded, []string{"kidney stones"}, 3)
-	if len(a) != len(b) {
-		t.Fatalf("recommendation counts differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i].Query != b[i].Query {
-			t.Fatalf("recommendation %d differs: %q vs %q", i, a[i].Query, b[i].Query)
-		}
-	}
-}
-
-func TestLoadRejectsGarbage(t *testing.T) {
-	if _, err := Load(strings.NewReader("this is not a model file")); err == nil {
-		t.Fatal("garbage accepted")
-	}
-	if _, err := Load(strings.NewReader("")); err == nil {
-		t.Fatal("empty stream accepted")
-	}
-}
-
 func TestTrainFromSessionsDirect(t *testing.T) {
 	d := query.NewDict()
 	a, b := d.Intern("smtp"), d.Intern("pop3")
@@ -203,92 +168,6 @@ func TestInternAndRecommendIDsEquivalence(t *testing.T) {
 	}
 }
 
-// writeV1 emits the legacy QRECV001 layout (dictionary + mixture, no
-// compiled section) — the format every pre-V002 model file on disk uses.
-func writeV1(t *testing.T, rec *Engine) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if _, err := buf.WriteString(saveMagicV1); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeSection(&buf, "dictionary", rec.Dict()); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeSection(&buf, "model", rec.Model()); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-func TestSaveAsWritesV2WithCompiledSection(t *testing.T) {
-	rec, err := TrainFromLog(strings.NewReader(buildLog(t)), smallConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.CompiledModel() == nil {
-		t.Fatal("training did not compile the mixture")
-	}
-	var buf bytes.Buffer
-	if err := rec.SaveAs(&buf, saveMagicV2); err != nil {
-		t.Fatal(err)
-	}
-	if got := buf.String()[:len(saveMagicV2)]; got != saveMagicV2 {
-		t.Fatalf("header = %q, want %q", got, saveMagicV2)
-	}
-	loaded, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.CompiledModel() == nil {
-		t.Fatal("V002 load did not restore the compiled model")
-	}
-	// The persisted compiled form must be the one served, bit-identical to
-	// the freshly compiled one.
-	if n, l := rec.CompiledModel().Nodes(), loaded.CompiledModel().Nodes(); n != l {
-		t.Fatalf("compiled trie resized across save/load: %d vs %d", n, l)
-	}
-	for _, ctxs := range [][]string{{"nokia n73"}, {"kidney stones"}, {"nokia n73", "nokia n73 themes"}} {
-		a, b := Recommend(rec, ctxs, 5), Recommend(loaded, ctxs, 5)
-		if len(a) != len(b) {
-			t.Fatalf("ctx %v: %d vs %d suggestions", ctxs, len(a), len(b))
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("ctx %v rank %d: %+v vs %+v", ctxs, i, a[i], b[i])
-			}
-		}
-	}
-}
-
-func TestLoadV1BackCompat(t *testing.T) {
-	rec, err := TrainFromLog(strings.NewReader(buildLog(t)), smallConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(bytes.NewReader(writeV1(t, rec)))
-	if err != nil {
-		t.Fatalf("loading V001 file: %v", err)
-	}
-	if loaded.CompiledModel() == nil {
-		t.Fatal("V001 load did not compile the mixture")
-	}
-	for _, ctxs := range [][]string{{"nokia n73"}, {"kidney stones"}} {
-		a, b := Recommend(rec, ctxs, 5), Recommend(loaded, ctxs, 5)
-		if len(a) == 0 || len(a) != len(b) {
-			t.Fatalf("ctx %v: %d vs %d suggestions", ctxs, len(a), len(b))
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("ctx %v rank %d: %+v vs %+v", ctxs, i, a[i], b[i])
-			}
-		}
-	}
-	p := loaded.Probability([]string{"nokia n73"}, "nokia n73 themes")
-	if p <= 0.5 {
-		t.Fatalf("V001-loaded P(themes | n73) = %v, want dominant", p)
-	}
-}
-
 func TestCompiledMatchesInterpretedThroughCore(t *testing.T) {
 	rec, err := TrainFromLog(strings.NewReader(buildLog(t)), smallConfig())
 	if err != nil {
@@ -298,7 +177,7 @@ func TestCompiledMatchesInterpretedThroughCore(t *testing.T) {
 		t.Fatal("no compiled model")
 	}
 	// Force the interpreted path on a clone sharing dict and mixture.
-	interp := &Engine{dict: rec.dict, strs: rec.strs, mix: rec.mix, stats: rec.stats, cfg: rec.cfg}
+	interp := &Engine{dict: rec.dict, strs: rec.strs, mix: rec.mix, stats: rec.stats}
 	for _, ctxs := range [][]string{
 		{"nokia n73"}, {"kidney stones"},
 		{"nokia n73", "nokia n73 themes"}, {"unknown", "nokia n73"},
@@ -360,4 +239,35 @@ func TestRecommendConcurrentReaders(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestRecommendBatchIDsMatchesSingle: the batched core API must agree with
+// per-context RecommendIDs, including nil results for uncovered contexts.
+func TestRecommendBatchIDsMatchesSingle(t *testing.T) {
+	rec, err := TrainFromLog(strings.NewReader(buildLog(t)), smallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctxs := []query.Seq{
+		InternContext(rec.Dict(), []string{"nokia n73"}),
+		InternContext(rec.Dict(), []string{"kidney stones"}),
+		nil, // empty context
+		InternContext(rec.Dict(), []string{"nokia n73", "nokia n73 themes"}),
+	}
+	ns := []int{5, 3, 5, 1}
+	got := rec.RecommendBatchIDs(ctxs, ns)
+	if len(got) != len(ctxs) {
+		t.Fatalf("batch returned %d results for %d contexts", len(got), len(ctxs))
+	}
+	for i := range ctxs {
+		want := RecommendIDs(rec, ctxs[i], ns[i])
+		if len(got[i]) != len(want) {
+			t.Fatalf("ctx %d: batch %d suggestions, single %d", i, len(got[i]), len(want))
+		}
+		for j := range want {
+			if got[i][j] != want[j] {
+				t.Fatalf("ctx %d rank %d: batch %+v, single %+v", i, j, got[i][j], want[j])
+			}
+		}
+	}
 }

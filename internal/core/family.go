@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
@@ -18,8 +17,9 @@ import (
 // saveMagicFamily tags the QRECF001 model-family container: a non-MVMM
 // paper model (HMM, cluster, pairwise adjacency/co-occurrence) packaged with
 // the dictionary it was trained against, loadable as a fleet arm. Layout:
-// magic, then the same 8-byte length-prefixed sections as the QRECV
-// containers — family identifier, dictionary, family payload.
+// magic, then three of the 8-byte length-prefixed sections the MVMM
+// container's dictionary is framed as — family identifier, dictionary,
+// family payload.
 const saveMagicFamily = "QRECF001"
 
 // SaveFamily writes a QRECF001 container: family is one of the
@@ -65,18 +65,7 @@ func LoadFamily(rd io.Reader) (Recommender, error) {
 	if string(magic) != saveMagicFamily {
 		return nil, fmt.Errorf("core: unrecognised family file header %q", magic)
 	}
-	section := func(name string) (io.Reader, uint64, error) {
-		var hdr [8]byte
-		if _, err := io.ReadFull(rd, hdr[:]); err != nil {
-			return nil, 0, fmt.Errorf("core: reading %s header: %w", name, err)
-		}
-		n := binary.LittleEndian.Uint64(hdr[:])
-		if n > 1<<40 {
-			return nil, 0, fmt.Errorf("core: implausible %s section of %d bytes", name, n)
-		}
-		return io.LimitReader(rd, int64(n)), n, nil
-	}
-	fs, n, err := section("family")
+	fs, n, err := section(rd, "family")
 	if err != nil {
 		return nil, err
 	}
@@ -85,7 +74,7 @@ func LoadFamily(rd io.Reader) (Recommender, error) {
 		return nil, fmt.Errorf("core: reading family identifier: %w", err)
 	}
 	family := fbuf.String()
-	ds, _, err := section("dictionary")
+	ds, _, err := section(rd, "dictionary")
 	if err != nil {
 		return nil, err
 	}
@@ -93,7 +82,7 @@ func LoadFamily(rd io.Reader) (Recommender, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: loading dictionary: %w", err)
 	}
-	ps, _, err := section("family payload")
+	ps, _, err := section(rd, "family payload")
 	if err != nil {
 		return nil, err
 	}
@@ -122,9 +111,9 @@ func LoadFamily(rd io.Reader) (Recommender, error) {
 	return FromPredictor(dict, p, info), nil
 }
 
-// LoadAnyPath restores a serving model of any container format from disk:
-// QRECF001 family containers through LoadFamily, QRECV001–004 MVMM
-// containers through LoadPathWith (which mmaps V003/V004 compiled blobs).
+// LoadAnyPath restores a serving model of either container format from disk:
+// QRECF001 family containers through LoadFamily, MVMM containers through
+// LoadPathWith (which mmaps the compiled blob).
 // This is what cmd/serve's -model and -arms loading goes through, so every
 // family is addressable by file path.
 func LoadAnyPath(path string, opts LoadOptions) (Recommender, error) {

@@ -110,8 +110,7 @@ func (inc *Incremental) Snapshot() *Engine {
 }
 
 // SnapshotTo trains a snapshot and atomically persists it at path (tmp file
-// + rename, so a reader never observes a torn model file). The save format
-// is the package default (currently V005/CPS5).
+// + rename, so a reader never observes a torn model file).
 func (inc *Incremental) SnapshotTo(path string) (*Engine, error) {
 	eng := inc.Snapshot()
 	tmp := path + ".tmp"

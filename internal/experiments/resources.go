@@ -18,14 +18,14 @@ import (
 // Sec. V.F.2. Interpreted models are measured as their serialized (CPS-free
 // varint) footprint; the MVMM is additionally measured in the two compiled
 // single-PST serving forms production actually maps: the exact CPS3 flat
-// blob and the quantised CPS4 blob, both byte-exact AppendFlat outputs.
+// blob and the compact quantised CPS5 blob, both byte-exact encoder outputs.
 type Table7Result struct {
 	Models    []string
 	Bytes     []int64
 	MVMMUnion int   // distinct nodes across all MVMM components
 	VMM00Size int   // the full tree's node count (paper: union == VMM(0.0))
-	CPS3Bytes int64 // exact compiled (CPS3) blob size — what a V003 file maps
-	CPS4Bytes int64 // quantised compiled (CPS4) blob size — what a V004 file maps; 0 when the model does not fit the quantised layout
+	CPS3Bytes int64 // exact compiled (CPS3) blob size — what a model file holds when the model does not fit CPS5
+	CPS5Bytes int64 // compact quantised compiled (CPS5) blob size — what a model file normally holds and a server maps; 0 when the model does not fit it
 }
 
 // Table7 measures footprints of every trained model, including the compiled
@@ -66,11 +66,11 @@ func Table7(m *Models) (Table7Result, error) {
 	res.CPS3Bytes = int64(len(comp.AppendFlat(nil)))
 	res.Models = append(res.Models, "MVMM (compiled CPS3)")
 	res.Bytes = append(res.Bytes, res.CPS3Bytes)
-	switch blob4, err := comp.AppendFlat4(nil); {
+	switch blob5, err := comp.AppendFlat5(nil); {
 	case err == nil:
-		res.CPS4Bytes = int64(len(blob4))
-		res.Models = append(res.Models, "MVMM (compiled CPS4, quantised)")
-		res.Bytes = append(res.Bytes, res.CPS4Bytes)
+		res.CPS5Bytes = int64(len(blob5))
+		res.Models = append(res.Models, "MVMM (compiled CPS5, quantised)")
+		res.Bytes = append(res.Bytes, res.CPS5Bytes)
 	case errors.Is(err, compiled.ErrUnquantisable):
 		// The model does not fit the quantised layout (matching the save
 		// path, which falls back to CPS3); render the table without the row.
@@ -92,9 +92,9 @@ func (r Table7Result) Render(w io.Writer) {
 	renderTable(w, []string{"Model", "Bytes", "MB"}, rows)
 	fmt.Fprintf(w, "  MVMM union-PST nodes: %d; VMM(0.0) nodes: %d (paper: union == full tree)\n",
 		r.MVMMUnion, r.VMM00Size)
-	if r.CPS3Bytes > 0 && r.CPS4Bytes > 0 {
-		fmt.Fprintf(w, "  compiled serving blob: CPS3 %d B -> quantised CPS4 %d B (%.1f%% smaller)\n",
-			r.CPS3Bytes, r.CPS4Bytes, 100*(1-float64(r.CPS4Bytes)/float64(r.CPS3Bytes)))
+	if r.CPS3Bytes > 0 && r.CPS5Bytes > 0 {
+		fmt.Fprintf(w, "  compiled serving blob: CPS3 %d B -> quantised CPS5 %d B (%.1f%% smaller)\n",
+			r.CPS3Bytes, r.CPS5Bytes, 100*(1-float64(r.CPS5Bytes)/float64(r.CPS3Bytes)))
 	}
 }
 

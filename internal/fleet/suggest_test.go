@@ -293,7 +293,7 @@ func TestClientCancelDoesNotPoisonBreakers(t *testing.T) {
 
 // TestRouterGETAllocs is tier-1's allocation gate on the router hop, over
 // three loopback shards at R=2 with a 2 s ShardTimeout and no hedge (make
-// bench-json gates BenchmarkRouterGET at the same figure). A routed GET
+// bench-gates gates BenchmarkRouterGET at the same figure). A routed GET
 // allocates twice: its attempt context — deadline and trace header as plain
 // fields, no timer, no cancel — and the URI it forwards. A routed batch whose
 // items share a shard allocates its round's one attempt context and a body

@@ -328,7 +328,7 @@ func (m *VMM) Config() VMMConfig { return m.cfg }
 
 // NumNodes returns the PST size excluding the root. Table VII
 // (internal/experiments) reports this interpreted tree's serialized bytes
-// alongside the compiled CPS3/CPS4 serving blobs the deployment actually
+// alongside the compiled CPS3/CPS5 serving blobs the deployment actually
 // maps; the node count is the Sec. V.F.2 size quote.
 func (m *VMM) NumNodes() int { return len(m.nodes) }
 

@@ -55,8 +55,7 @@ type Span struct {
 // block (see idBlock), so the ID string and its header slice stay valid —
 // and unchanged — after the trace has been finished and recycled.
 type Trace struct {
-	tracer *Tracer
-	start  time.Duration // since epoch
+	start time.Duration // since epoch
 	// hv is the one-element X-Trace-Id header value: a slot of an idBlock,
 	// or the inbound request's own header slice after Adopt. It is never
 	// written through.
@@ -263,7 +262,7 @@ func NewTracer(capacity int, slow *Histogram) *Tracer {
 		seed: mix64(uint64(time.Now().UnixNano()) ^ mix64(tracers.Add(1))),
 	}
 	t.thresh.Store(math.MaxInt64)
-	t.pool.New = func() any { return &Trace{tracer: t} }
+	t.pool.New = func() any { return new(Trace) }
 	return t
 }
 

@@ -47,7 +47,7 @@
 // handling never takes a lock: the recommender is immutable and swapped
 // behind one atomic pointer, and every request observes a consistent
 // (model, generation) pair. /healthz and /metrics additionally report the
-// served compiled blob's encoding (CPS3/CPS4), byte length and quantised
+// served compiled blob's encoding (CPS5, or CPS3), byte length and quantised
 // flag, so the memory/accuracy trade chosen at save time is observable.
 package serve
 
@@ -109,7 +109,7 @@ type BatchResponse struct {
 // Health is the /healthz payload. Compiled reports whether requests are
 // served from the flat single-PST form (the expected state; false means the
 // interpreted-mixture fallback), CompiledNodes its merged trie size, and
-// Quantised whether that form is the fixed-point CPS4 encoding (bounded
+// Quantised whether that form is the fixed-point CPS5 encoding (bounded
 // probability error) rather than exact float64. LoadMode ("trained", "heap"
 // or "mmap") and LoadMicros report how and how fast the current model
 // materialised, and BlobFormat/BlobBytes what is actually mapped or decoded

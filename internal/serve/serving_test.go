@@ -536,7 +536,7 @@ func TestHealthReportsBlobProvenance(t *testing.T) {
 	if !hp.Compiled || !hp.Quantised || hp.BlobFormat != "CPS5" || hp.BlobBytes <= 0 {
 		t.Fatalf("healthz blob provenance = %+v", hp)
 	}
-	if hp.LoadMode == "" || hp.LoadVersion != "QRECV005" {
+	if hp.LoadMode == "" || hp.LoadVersion != "QRECV006" {
 		t.Fatalf("healthz load provenance = %+v", hp)
 	}
 

@@ -1,7 +1,7 @@
 // Package store provides the low-level binary encoding used to persist
 // trained models (cmd/train writes them, cmd/recommend loads them) and the
 // serialized-size accounting behind Table VII's interpreted-model rows (the
-// compiled-model rows are measured directly as CPS3/CPS4 blob bytes in
+// compiled-model rows are measured directly as CPS3/CPS5 blob bytes in
 // internal/experiments). The format is a simple length-prefixed varint
 // encoding with a magic header and CRC32 trailer per section — stdlib only,
 // no gob, so the on-disk size is an honest proxy for the in-memory model
@@ -191,10 +191,20 @@ func (r *Reader) Bytes() []byte {
 		r.err = fmt.Errorf("%w: blob of %d bytes", ErrCorrupt, n)
 		return nil
 	}
-	p := make([]byte, n)
+	// The length is the stream's word: past bytesChunk the slice grows as the
+	// bytes arrive, so a forged one costs no more memory than the stream holds.
+	p := make([]byte, min(n, bytesChunk))
 	r.read(p)
+	for uint64(len(p)) < n && r.err == nil {
+		more := min(n-uint64(len(p)), uint64(len(p)))
+		p = append(p, make([]byte, more)...)
+		r.read(p[uint64(len(p))-more:])
+	}
 	return p
 }
+
+// bytesChunk is what Bytes allocates before it has seen any of the bytes.
+const bytesChunk = 1 << 16
 
 // String reads a length-prefixed string.
 func (r *Reader) String() string { return string(r.Bytes()) }

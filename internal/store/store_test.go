@@ -2,9 +2,11 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -175,3 +177,37 @@ func TestFootprintCountsBytes(t *testing.T) {
 type writerToFunc func(w io.Writer) (int64, error)
 
 func (f writerToFunc) WriteTo(w io.Writer) (int64, error) { return f(w) }
+
+// TestBytesGrowsWithTheStream: a slice longer than the first chunk comes back
+// whole with its checksum intact, and a length the stream cannot back is an
+// error that allocated about what the stream held, not what the length said.
+func TestBytesGrowsWithTheStream(t *testing.T) {
+	long := bytes.Repeat([]byte("0123456789abcdef"), 3*bytesChunk/16+1)
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	w.Bytes(long)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r := NewReader(bytes.NewReader(buf.Bytes()))
+	if got := r.Bytes(); !bytes.Equal(got, long) {
+		t.Fatalf("read back %d bytes, wrote %d", len(got), len(long))
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	forged := binary.AppendUvarint(nil, 1<<30)
+	forged = append(forged, long[:1000]...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	r = NewReader(bytes.NewReader(forged))
+	if r.Bytes(); !errors.Is(r.Err(), ErrCorrupt) {
+		t.Fatalf("err = %v, want ErrCorrupt", r.Err())
+	}
+	runtime.ReadMemStats(&after)
+	allocs := after.TotalAlloc - before.TotalAlloc
+	if allocs > 8*bytesChunk {
+		t.Fatalf("a forged 1 GiB length over a 1000-byte stream allocated %d bytes", allocs)
+	}
+}
