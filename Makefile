@@ -39,7 +39,7 @@ BENCHTIME ?= 1s
 # escaped.
 BENCH_GATES = -gate BenchmarkRecommendUncached=0 -gate BenchmarkServeHTTPCached=2 -gate BenchmarkRouteAB=0 -gate BenchmarkServeHTTPCachedTraced=0 -gate BenchmarkHistogramRecord=0 -gate BenchmarkShardFanout64=60 -gate BenchmarkRouterGET=2 -gate BenchmarkShardFanout64R2:fanout-r2-over-r1=1.5 -gate BenchmarkPredictCPS5=0 -gate BenchmarkPredictHMM=0 -gate BenchmarkRerankPairwise=0 -gate BenchmarkCompiledBlobSize:cps5-over-cps3=0.48 -gate BenchmarkIngestSegment=6000
 
-.PHONY: all build test race race-repeat fuzz-smoke bench bench-gates bench-e2e bench-pairs chaos ingest-test obs-test fmt fmt-check vet check-docs check-api ci serve loadgen clean
+.PHONY: all build test race race-repeat fuzz-smoke fuzz-grammar bench bench-gates bench-e2e bench-pairs chaos ingest-test obs-test fmt fmt-check vet check-docs check-api ci serve loadgen clean
 
 all: build test
 
@@ -64,10 +64,11 @@ race-repeat:
 
 # Fuzz smoke: every Fuzz* target in the module, one after the other (go test
 # takes one -fuzz target and one package at a time), FUZZTIME each. A local
-# target, not part of ci: `test` already runs every target over its seed
-# corpus, this looks for inputs nobody wrote down. The minimizer gets a second
-# per new input, not its default minute: on FuzzLoad's 8 KB model files it
-# would otherwise spend the whole smoke shrinking the first one.
+# target, not part of ci (which runs fuzz-grammar, below): `test` already runs
+# every target over its seed corpus, this looks for inputs nobody wrote down.
+# The minimizer gets a second per new input, not its default minute: on
+# FuzzLoad's 8 KB model files it would otherwise spend the whole smoke
+# shrinking the first one.
 #   make fuzz-smoke FUZZTIME=10s
 FUZZTIME ?= 10s
 fuzz-smoke:
@@ -76,6 +77,17 @@ fuzz-smoke:
 			echo "== $$pkg $$target"; \
 			$(GO) test -run=NONE -fuzz="^$$target\$$" -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s $$pkg || exit 1; \
 		done; \
+	done
+
+# The request grammar's fuzz targets, 5 s each, in ci: the two walkers against
+# their oracles (internal/jsonspan) and arbitrary bodies through a router and a
+# single handler side by side (internal/fleet). fuzz-smoke's loop over a fixed
+# list: six parser bugs in five PRs were each found by a differential test
+# somebody had to think of first.
+fuzz-grammar:
+	@for t in ./internal/jsonspan:FuzzBatchWalker ./internal/jsonspan:FuzzQueryWalker ./internal/fleet:FuzzRoutedBatchNeverBlamesShard; do \
+		echo "== $$t"; \
+		$(GO) test -run=NONE -fuzz="^$${t#*:}\$$" -fuzztime=5s -fuzzminimizetime=1s $${t%:*} || exit 1; \
 	done
 
 # chaos, ingest-test and obs-test are local shortcuts: each re-runs, by -run
@@ -152,9 +164,10 @@ vet:
 	$(GO) vet ./...
 
 # Documentation gate: every exported symbol in the serving-critical packages
-# must carry a doc comment (see cmd/doccheck).
+# must carry a doc comment, and ARCHITECTURE.md and README.md must not name a
+# function this repository retired (see cmd/doccheck).
 check-docs:
-	$(GO) run ./cmd/doccheck ./internal/compiled ./internal/core ./internal/fleet ./internal/obs ./internal/stream
+	$(GO) run ./cmd/doccheck ./internal/compiled ./internal/core ./internal/fleet ./internal/jsonspan ./internal/obs ./internal/stream
 
 # API-surface gate: vet plus the apilint rule that recommendation entry
 # points stay on core.Recommender (no new exported Recommend* outside
@@ -164,7 +177,7 @@ check-api: vet
 
 # test runs beside race because the allocation-count tests (the routed GET's
 # among them) skip themselves under the race detector.
-ci: check-api fmt-check check-docs build test race race-repeat bench
+ci: check-api fmt-check check-docs build test race race-repeat fuzz-grammar bench
 
 # Convenience: train a small model if absent, then serve it.
 model.bin:

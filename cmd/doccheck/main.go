@@ -4,6 +4,11 @@
 // allocation-free guarantees, format compatibility — in godoc, so an
 // undocumented exported symbol is a CI failure, not a style nit.
 //
+// It also fails when ARCHITECTURE.md or README.md, read from the directory it
+// runs in, still names a function the repository retired on purpose: a
+// walkthrough that sends the reader to a parser that no longer exists is
+// worse than none.
+//
 // Usage:
 //
 //	doccheck ./internal/compiled ./internal/core
@@ -23,8 +28,16 @@ import (
 	"log"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 )
+
+// retired matches the functions deleted when internal/jsonspan became the one
+// owner of the request grammar (CHANGES.md, PR 28): the per-package body
+// parsers, query decoders and envelope encoders it replaced.
+var retired = regexp.MustCompile(`\b(parseBatchBody|parseItems|parseItem|parseContext|skipContextString|isHex|` +
+	`splitRequests|hashJSONContext|hashJSONStringInto|hashRawQueryContext|hashStringContext|appendQueryUnescaped|` +
+	`UnescapeByte|appendErrorMember|appendReadAll|wantsNDJSONStream|AppendJSONString)\b`)
 
 func main() {
 	log.SetFlags(0)
@@ -45,6 +58,21 @@ func main() {
 	}
 	if bad > 0 {
 		log.Fatalf("%d exported symbols lack doc comments", bad)
+	}
+	for _, name := range []string{"ARCHITECTURE.md", "README.md"} {
+		prose, err := os.ReadFile(name)
+		if err != nil {
+			log.Fatal(err)
+		}
+		for i, line := range strings.Split(string(prose), "\n") {
+			if m := retired.FindString(line); m != "" {
+				fmt.Printf("%s:%d: names %s, which no longer exists\n", name, i+1, m)
+				bad++
+			}
+		}
+	}
+	if bad > 0 {
+		log.Fatalf("%d mentions of retired functions in the prose", bad)
 	}
 }
 

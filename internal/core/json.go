@@ -3,6 +3,8 @@ package core
 import (
 	"math"
 	"strconv"
+
+	"repro/internal/jsonspan"
 )
 
 // Append-style JSON encoding of []Suggestion — the one encoder of the
@@ -16,7 +18,7 @@ import (
 // AppendSuggestionsJSON appends the `"suggestions":[...]` object member for
 // recs to dst: one {"query":...,"score":...} object per suggestion, an empty
 // array for no suggestions. The bytes match what encoding/json produces for
-// the same values, HTML escaping aside (see AppendJSONString).
+// the same values, HTML escaping aside (see jsonspan.AppendString).
 func AppendSuggestionsJSON(dst []byte, recs []Suggestion) []byte {
 	dst = append(dst, `"suggestions":[`...)
 	for i, s := range recs {
@@ -24,53 +26,12 @@ func AppendSuggestionsJSON(dst []byte, recs []Suggestion) []byte {
 			dst = append(dst, ',')
 		}
 		dst = append(dst, `{"query":`...)
-		dst = AppendJSONString(dst, s.Query)
+		dst = jsonspan.AppendString(dst, s.Query)
 		dst = append(dst, `,"score":`...)
 		dst = AppendJSONFloat(dst, s.Score)
 		dst = append(dst, '}')
 	}
 	return append(dst, ']')
-}
-
-// AppendJSONString appends s — a string, or the raw bytes of one (the
-// /suggest context echo never materialises strings) — as a JSON string
-// literal. Quotes, backslashes and control characters are escaped; valid
-// UTF-8 passes through verbatim. (Unlike encoding/json it does not
-// HTML-escape <, >, & or sanitise invalid UTF-8 — both re-encode the same
-// JSON value, and query strings are data, not markup.)
-func AppendJSONString[S ~string | ~[]byte](dst []byte, s S) []byte {
-	dst = append(dst, '"')
-	start := 0
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if c != '"' && c != '\\' && c >= 0x20 {
-			continue
-		}
-		dst = append(dst, s[start:i]...)
-		dst = appendEscapedByte(dst, c)
-		start = i + 1
-	}
-	dst = append(dst, s[start:]...)
-	return append(dst, '"')
-}
-
-const hexDigits = "0123456789abcdef"
-
-func appendEscapedByte(dst []byte, c byte) []byte {
-	switch c {
-	case '"':
-		return append(dst, '\\', '"')
-	case '\\':
-		return append(dst, '\\', '\\')
-	case '\n':
-		return append(dst, '\\', 'n')
-	case '\r':
-		return append(dst, '\\', 'r')
-	case '\t':
-		return append(dst, '\\', 't')
-	default:
-		return append(dst, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xf])
-	}
 }
 
 // AppendJSONFloat appends f in encoding/json's float format (shortest

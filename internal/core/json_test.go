@@ -6,6 +6,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"repro/internal/jsonspan"
 )
 
 // nastyQueries stresses the string escaper: quotes, backslashes, every
@@ -92,8 +94,8 @@ func TestAppendSuggestionsJSONMatchesStdlib(t *testing.T) {
 // same literal, and it decodes back to the input.
 func TestAppendJSONStringBytesAndStringAgree(t *testing.T) {
 	for _, s := range append(nastyQueries, "bell\bfeed\f", "\u2028\u2029") {
-		fromString := AppendJSONString(nil, s)
-		fromBytes := AppendJSONString(nil, []byte(s))
+		fromString := jsonspan.AppendString(nil, s)
+		fromBytes := jsonspan.AppendString(nil, []byte(s))
 		if !bytes.Equal(fromString, fromBytes) {
 			t.Fatalf("%q: string form %s, bytes form %s", s, fromString, fromBytes)
 		}

@@ -356,10 +356,12 @@ func TestBatchFormattedBodiesAnswerOneLinePerItem(t *testing.T) {
 // further than the "requests" array: a foreign key beside it, a comma or
 // nothing where the body object should close, a second "requests" that is no
 // array were all refused by the single handler and served through the router.
-// The router walks the whole object as the single handler does: every body
-// gets the single handler's status, buffered and streamed, and a body refused
-// for its own grammar — before any item is looked at — the same answer byte
-// for byte, without a shard hearing of it.
+// Both consume one walker now (jsonspan.AppendBatch), which holds a body to
+// ARCHITECTURE §9's rule: every body gets the single handler's status,
+// buffered and streamed, and a body refused for its grammar — anywhere in it,
+// inside an item too — the same answer byte for byte, without a shard
+// hearing of it. Only what is no grammar (n's range, an empty context) is
+// still a shard's to refuse.
 func TestRoutedBatchBodyGrammar(t *testing.T) {
 	rec := shardTestRec(t)
 	single := serve.NewHandler(rec, 5)
@@ -391,24 +393,54 @@ func TestRoutedBatchBodyGrammar(t *testing.T) {
 		{``, 400, true, false},
 		{`{"requests":[]}`, 400, true, false},
 		{`{"requests":[],"requests":[]}`, 400, true, false},
-		// The single handler adds repeated "requests" arrays up and does not
-		// look past the closing brace; so does the router.
-		{`{"requests":[` + item + `],"requests":[{"context":["nokia n73"]}]}`, 200, false, false},
-		{`{"requests":[],"requests":[` + item + `]}`, 200, false, false},
-		{`{"requests":[` + item + `]}{"bogus":1}`, 200, false, false},
-		// Refused over an item: the status is the single handler's, the
-		// wording whoever looked at the item first.
+		// One "requests", and nothing after the object: these three were
+		// answered 200 when both handlers added repeated arrays up and neither
+		// looked past the closing brace.
+		{`{"requests":[` + item + `],"requests":[{"context":["nokia n73"]}]}`, 400, true, false},
+		{`{"requests":[],"requests":[` + item + `]}`, 400, true, false},
+		{`{"requests":[` + item + `]}{"bogus":1}`, 400, true, false},
+		{`{"requests":[` + item + `]} x`, 400, true, false},
+		{`{"requests":[` + item + `]}` + " \r\n\t", 200, false, false},
+		// A key at most once in an item: the single handler used to score
+		// ["o2","o2 mobile"] for the first body, echo ["o2 mobile"], and the
+		// router to hash ["o2"].
+		{`{"requests":[{"context":["o2"],"context":["o2 mobile"]}]}`, 400, true, false},
+		{`{"requests":[{"context":["o2"],"n":1,"n":3}]}`, 400, true, false},
+		// n is a JSON integer.
+		{`{"requests":[{"context":["o2"],"n":+2}]}`, 400, true, false},
+		{`{"requests":[{"context":["o2"],"n":02}]}`, 400, true, false},
+		{`{"requests":[{"context":["o2"],"n":1e0}]}`, 400, true, false},
+		{`{"requests":[{"context":["o2"],"n":-0}]}`, 200, false, false},
+		// The envelope has one encoder: what the refusal quotes of the body
+		// reads the same from both.
+		{`{"<b>&":1}`, 400, true, false},
+		{"{\"a\u2028b\":1}", 400, true, false},
+		// Refused inside an item, still for its grammar: the walker's, so the
+		// router's, whichever item it is.
 		{`{"requests":[` + item + `,{"context":["o2"],"n":100000}],"bogus":1}`, 400, true, false},
-		{`{"requests":[{"context":[,"o2",]}]}`, 400, false, false},
-		{`{"requests":[{"context":["o2"],"nope":1}]}`, 400, false, true},
+		{`{"requests":[{"context":[,"o2",]}]}`, 400, true, false},
+		{`{"requests":[{"context":["o2"],"nope":1}]}`, 400, true, false},
+		{`{"requests":[` + item + `,{"context":["o2"],"nope":1}]}`, 400, true, false},
+		{`{"requests":[1]}`, 400, true, false},
+		// Refused for what an item asks, not how it is written: the shard's.
 		{`{"requests":[` + item + `,{"context":["o2"],"n":100000}]}`, 400, false, true},
-		{`{"requests":[1]}`, 400, false, false},
+		{`{"requests":[` + item + `,{"context":[]}]}`, 400, false, true},
+		{`{"requests":[{}]}`, 400, false, true},
 	} {
 		for _, target := range []string{"/suggest/batch", "/suggest/batch?stream=1"} {
 			calls := chaos.callCount(0) + chaos.callCount(1) + chaos.callCount(2)
 			want, got := postTo(single, target, tc.body), postTo(router, target, tc.body)
 			if want.Code != tc.status {
-				t.Fatalf("table entry %s: the single handler answers %d", tc.body, want.Code)
+				t.Fatalf("table entry %s: the single handler answers %d: %s", tc.body, want.Code, want.Body)
+			}
+			for _, rr := range []*httptest.ResponseRecorder{want, got} {
+				var env serve.ErrorBody
+				if rr.Code == http.StatusOK {
+					continue
+				}
+				if err := json.Unmarshal(rr.Body.Bytes(), &env); err != nil || env.Error.Code != "bad_request" || env.Error.Message == "" {
+					t.Errorf("%s %s: refusal is no error envelope (%v): %s", target, tc.body, err, rr.Body)
+				}
 			}
 			if tc.shard && target != "/suggest/batch" {
 				if got.Code != http.StatusOK || !bytes.Contains(got.Body.Bytes(), []byte(`"error":{"code":"bad_request"`)) {

@@ -1,8 +1,10 @@
 package fleet
 
 import (
+	"encoding/json"
 	"errors"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -361,9 +363,27 @@ func TestRingDistributionAndStability(t *testing.T) {
 	}
 }
 
-// TestHashRawMatchesStringContext: the GET-path streaming percent-decoding
-// hash must agree with the batch path's hash of the decoded strings, so one
-// context always lands on one shard regardless of entry point or encoding.
+// hashStringContext hashes a decoded context held as strings. No serving path
+// holds one that way: it is the oracle the two ring-key hashes are held to.
+func hashStringContext(context []string) uint64 {
+	h := uint64(fnvOffset64)
+	for _, q := range context {
+		for i := 0; i < len(q); i++ {
+			h ^= uint64(q[i])
+			h *= fnvPrime64
+		}
+		h ^= 0xFF
+		h *= fnvPrime64
+	}
+	return h
+}
+
+// TestHashRawMatchesStringContext: the GET path's hash of the query string
+// must agree with the batch path's hash of the decoded strings, so one
+// context always lands on one shard regardless of entry point or encoding —
+// and a pair the shard's handler drops (an escape that does not decode, no
+// q key) must not be hashed, or the context would be served by a
+// different replica than the same context without the pair.
 func TestHashRawMatchesStringContext(t *testing.T) {
 	cases := []struct {
 		raw string
@@ -375,10 +395,33 @@ func TestHashRawMatchesStringContext(t *testing.T) {
 		{"n=3&q=a%2Bb", []string{"a+b"}},
 		{"q=", []string{""}},
 		{"q=%e4%b8%ad", []string{"中"}},
+		{"q=X&q=%zz", []string{"X"}}, // dropped pairs
+		{"q=X&q=%4", []string{"X"}},
+		{"q=%&q=X", []string{"X"}},
+		{"q=X&bogus", []string{"X"}},
+		{"q=X&q=a;b", []string{"X", "a;b"}}, // a raw ';' is data
+		{"q%zz=Y&q=X&&", []string{"X"}},
+		{"q=100%", nil},
+		{"%71=X", []string{"X"}}, // an escaped key is the key, as url.ParseQuery reads it
+		{"q=" + strings.Repeat("0123456789abcdef", 9), []string{strings.Repeat("0123456789abcdef", 9)}}, // outgrows the stack buffer
 	}
 	for _, c := range cases {
-		if got, want := hashRawQueryContext(c.raw), hashStringContext(c.ctx); got != want {
+		if got, want := hashQueryContext(c.raw), hashStringContext(c.ctx); got != want {
 			t.Errorf("hash(%q) = %x, hash(%v) = %x", c.raw, got, c.ctx, want)
+		}
+		// The batch path, over the same strings as JSON, escaped and not.
+		var body []byte
+		var toks [][2]int
+		for i, q := range c.ctx {
+			lit, _ := json.Marshal(q)
+			if i%2 == 1 {
+				lit = []byte(strings.ReplaceAll(string(lit), "o", `\u006f`))
+			}
+			toks = append(toks, [2]int{len(body) + 1, len(body) + len(lit) - 1})
+			body = append(body, lit...)
+		}
+		if got, want := hashBatchContext(body, toks), hashStringContext(c.ctx); got != want {
+			t.Errorf("batch hash of %s = %x, hash(%v) = %x", body, got, c.ctx, want)
 		}
 	}
 	// Boundary aliasing: ["ab"] vs ["a","b"] must differ.

@@ -1,146 +1,57 @@
 package fleet
 
 import (
-	"fmt"
+	"bytes"
 
 	"repro/internal/jsonspan"
 )
 
-// The batch fan-out never decodes batch items: it splits the client's
-// "requests" array into raw byte spans (splitRequests) and forwards them
-// verbatim (the shards' answers come back line-framed and are split by
-// newline, see parseResults). The one semantic piece it needs — hashing each
-// item's context strings for ring lookup — streams the unescaped bytes
-// straight into the FNV state below, so routing a 64-item batch allocates
-// nothing.
+// The ring key of a context is the FNV-1a of its query strings, each closed by
+// a 0xFF byte. The router never parses a request to get at them: the batch
+// fan-out hashes the token spans jsonspan.AppendBatch walked for it, the GET
+// hop the pairs jsonspan.Query yields — the walkers the shard's own handler
+// serves from — so a context is hashed as exactly the bytes it is served as,
+// whichever way it came in, and routing a 64-item batch allocates nothing.
 
-// splitRequests walks the whole top-level object of a batch body and appends
-// the span of every item of its "requests" array to spans. It keeps to the
-// single handler's grammar (serve's parseBatchBody), error text included, so a
-// body refused there is refused here with the same 400 and not routed: the
-// object holds nothing but "requests" keys — one as a rule; repeated, their
-// arrays add up, as they do there — each an array, members separated as JSON
-// separates them, and it is closed. Like the single handler it does not look
-// past the closing brace. Items are delimited, not parsed: what is wrong
-// inside one is for hashJSONContext or the shard to refuse.
-func splitRequests(spans [][2]int, b []byte) ([][2]int, error) {
-	i := jsonspan.SkipSpace(b, 0)
-	if i >= len(b) || b[i] != '{' {
-		return nil, fmt.Errorf("expected a JSON object")
-	}
-	i++
-	sawRequests := false
-	for first := true; ; first = false {
-		at, done, err := jsonspan.Next(b, i, '}', first)
-		if err != nil {
-			return nil, err
-		}
-		if done {
-			break
-		}
-		i = at
-		if b[i] != '"' {
-			return nil, fmt.Errorf("expected object key at offset %d", i)
-		}
-		keyEnd, err := jsonspan.SkipString(b, i)
-		if err != nil {
-			return nil, err
-		}
-		key := b[i+1 : keyEnd-1]
-		i = jsonspan.SkipSpace(b, keyEnd)
-		if i >= len(b) || b[i] != ':' {
-			return nil, fmt.Errorf("expected ':' at offset %d", i)
-		}
-		if string(key) != "requests" {
-			return nil, fmt.Errorf("unknown field %q", key)
-		}
-		sawRequests = true
-		i = jsonspan.SkipSpace(b, i+1)
-		if i >= len(b) || b[i] != '[' {
-			return nil, fmt.Errorf(`"requests" must be an array`)
-		}
-		i++
-		for first := true; ; first = false {
-			at, done, err := jsonspan.Next(b, i, ']', first)
-			if err != nil {
-				return nil, fmt.Errorf("requests: %w", err)
-			}
-			if done {
-				i = at
-				break
-			}
-			if i, err = jsonspan.SkipValue(b, at); err != nil {
-				return nil, fmt.Errorf("requests[%d]: %w", len(spans), err)
-			}
-			spans = append(spans, [2]int{at, i})
-		}
-	}
-	if !sawRequests {
-		return nil, fmt.Errorf(`missing "requests" array`)
-	}
-	return spans, nil
-}
-
-// hashJSONContext returns hashStringContext of the "context" array inside the
-// batch item span without decoding it. Items without a context hash as empty
-// (the shard will reject them with a proper 400 — routing just has to be
-// deterministic).
-func hashJSONContext(item []byte) (uint64, error) {
-	h := uint64(fnvOffset64)
-	v, err := jsonspan.FindKey(item, 0, "context")
-	if err != nil {
-		return 0, err
-	}
-	if v < 0 {
-		return h, nil
-	}
-	v = jsonspan.SkipSpace(item, v)
-	if v >= len(item) || item[v] != '[' {
-		// Non-array context: let the shard produce the real error.
-		return h, nil
-	}
-	i := v + 1
-	for first := true; ; first = false {
-		at, done, err := jsonspan.Next(item, i, ']', first)
-		if err != nil {
-			return 0, fmt.Errorf("context: %w", err)
-		}
-		if done {
-			return h, nil
-		}
-		i = at
-		if item[i] != '"' {
-			return h, nil // non-string element: shard's problem
-		}
-		end, err := jsonspan.SkipString(item, i)
-		if err != nil {
-			return 0, err
-		}
-		h = hashJSONStringInto(h, item[i+1:end-1])
-		h ^= 0xFF
-		h *= fnvPrime64
-		i = end
-	}
-}
-
-// hashJSONStringInto mixes the unescaped bytes of a JSON string body (the
-// token without its quotes) into the FNV state. The escape-free fast path
-// touches no memory but the token; escaped tokens are unescaped into a stack
-// buffer chunk by chunk.
-func hashJSONStringInto(h uint64, tok []byte) uint64 {
-	i := 0
-	for i < len(tok) && tok[i] != '\\' {
-		h ^= uint64(tok[i])
-		h *= fnvPrime64
-		i++
-	}
-	if i == len(tok) {
-		return h
-	}
-	var buf [64]byte
-	for _, c := range jsonspan.AppendUnescaped(buf[:0], tok[i:]) {
+// mixString mixes one decoded context string into the FNV-1a state and closes
+// it with 0xFF, which no UTF-8 string holds: ["ab"] and ["a","b"] differ.
+func mixString(h uint64, s []byte) uint64 {
+	for _, c := range s {
 		h ^= uint64(c)
 		h *= fnvPrime64
+	}
+	h ^= 0xFF
+	return h * fnvPrime64
+}
+
+// hashBatchContext is the ring key of a batch item: mixString over its context
+// strings, toks being their spans in body (jsonspan.Item). An escape-free
+// string touches no memory but its own; an escaped one is unescaped on the
+// stack.
+func hashBatchContext(body []byte, toks [][2]int) uint64 {
+	h := uint64(fnvOffset64)
+	for _, sp := range toks {
+		tok := body[sp[0]:sp[1]]
+		if bytes.IndexByte(tok, '\\') >= 0 {
+			var buf [64]byte
+			tok = jsonspan.AppendUnescaped(buf[:0], tok)
+		}
+		h = mixString(h, tok)
+	}
+	return h
+}
+
+// hashQueryContext is the ring key of a GET's context: mixString over the q
+// values of the raw query string, as the query walker decodes them — a pair it
+// drops is not hashed, as the shard will not serve it.
+func hashQueryContext(raw string) uint64 {
+	var buf [64]byte
+	h := uint64(fnvOffset64)
+	q := jsonspan.Query(raw)
+	for key, val, _, ok := q.Next(buf[:0]); ok; key, val, _, ok = q.Next(buf[:0]) {
+		if key == "q" {
+			h = mixString(h, val)
+		}
 	}
 	return h
 }

@@ -17,6 +17,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/jsonspan"
 	"repro/internal/obs"
 )
 
@@ -258,16 +259,16 @@ func (t *HTTPTransport) Exchange(ctx context.Context, shard int, method, path st
 		return 0, respBuf, err
 	}
 	defer resp.Body.Close()
-	raw, err := appendReadAll(respBuf, resp.Body)
+	raw, err := AppendReadAll(respBuf, resp.Body)
 	if err != nil {
 		return 0, raw, err
 	}
 	return resp.StatusCode, raw, nil
 }
 
-// appendReadAll reads rd to EOF, appending to buf — io.ReadAll with a
+// AppendReadAll reads rd to EOF, appending to buf — io.ReadAll with a
 // recycled destination.
-func appendReadAll(buf []byte, rd io.Reader) ([]byte, error) {
+func AppendReadAll(buf []byte, rd io.Reader) ([]byte, error) {
 	for {
 		if len(buf) == cap(buf) {
 			buf = append(buf, 0)[:len(buf)]
@@ -689,13 +690,17 @@ func (s *ShardRouter) settleAttempt(parent context.Context, shard, status int, e
 }
 
 // batchScratch is the pooled working state of one batch fan-out: the raw
-// body, the item spans, the per-item preference lists and attempt masks, the
+// body, the walked items, the per-item preference lists and attempt masks, the
 // per-round scatter targets and the merged response builder. Everything is
 // recycled, so a steady-state fan-out allocates only each round's attempt
 // context and call goroutines.
 type batchScratch struct {
-	body    []byte
-	spans   [][2]int // item spans within body
+	body []byte
+	// The walked body (jsonspan.AppendBatch): every item's span to forward
+	// and, in toks, its context strings to hash.
+	items []jsonspan.Item
+	toks  [][2]int
+
 	prefs   []int    // stride-R preference list per item (R = effective replicas)
 	tried   []uint8  // per-item bitmask over the preference list
 	target  []int    // this round's shard per pending item (-1 = none)
@@ -752,7 +757,8 @@ func (s *ShardRouter) getScratch() *batchScratch {
 		b.probes = make([]bool, n)
 	}
 	b.body = b.body[:0]
-	b.spans = b.spans[:0]
+	b.items = b.items[:0]
+	b.toks = b.toks[:0]
 	b.prefs = b.prefs[:0]
 	b.tried = b.tried[:0]
 	b.target = b.target[:0]
@@ -789,8 +795,10 @@ func (s *ShardRouter) putCalls(b *batchScratch) {
 }
 
 // batch splits a POST /suggest/batch body across shards and merges the
-// responses back into request order. Items travel as raw byte spans of the
-// request body — the router never decodes them — and shard results are
+// responses back into request order. The body is walked once, by the walker
+// the shards' own handler consumes (jsonspan.AppendBatch): what it refuses is
+// answered 400 here, as one handler would, and no shard hears of it. Items
+// travel as raw byte spans of the request body and shard results are
 // scattered into the merged response zero-copy from pooled per-shard
 // buffers. The whole fan-out recycles its working state, which is what holds
 // BenchmarkShardFanout64's alloc gate; per-item took_us values come from the
@@ -838,33 +846,29 @@ func (s *ShardRouter) batch(w http.ResponseWriter, r *http.Request) {
 		s.tracer.FinishElapsed(tr, elapsed, errored)
 	}()
 	var err error
-	if sc.body, err = appendReadAll(sc.body, http.MaxBytesReader(w, r.Body, s.maxBodySize)); err != nil {
+	if sc.body, err = AppendReadAll(sc.body, http.MaxBytesReader(w, r.Body, s.maxBodySize)); err != nil {
 		writeErrorJSON(w, http.StatusBadRequest, "bad_request", "reading body: "+err.Error())
 		return
 	}
-	if sc.spans, err = splitRequests(sc.spans[:0], sc.body); err != nil {
+	if sc.items, sc.toks, err = jsonspan.AppendBatch(sc.items, sc.toks, sc.body); err != nil {
 		writeErrorJSON(w, http.StatusBadRequest, "bad_request", "invalid JSON body: "+err.Error())
 		return
 	}
-	if len(sc.spans) == 0 {
+	if len(sc.items) == 0 {
 		writeErrorJSON(w, http.StatusBadRequest, "bad_request", "empty batch: requests must contain at least one context")
 		return
 	}
-	if len(sc.spans) > s.maxBatch {
+	if len(sc.items) > s.maxBatch {
 		writeErrorJSON(w, http.StatusBadRequest, "bad_request",
-			fmt.Sprintf("batch of %d exceeds limit %d", len(sc.spans), s.maxBatch))
+			fmt.Sprintf("batch of %d exceeds limit %d", len(sc.items), s.maxBatch))
 		return
 	}
 
 	// Assign each item its stride-R preference list by context hash; the
 	// primary feeds the per-shard distribution counters.
 	R := s.opts.Replicas
-	for i, sp := range sc.spans {
-		h, err := hashJSONContext(sc.body[sp[0]:sp[1]])
-		if err != nil {
-			writeErrorJSON(w, http.StatusBadRequest, "bad_request", fmt.Sprintf("requests[%d]: %v", i, err))
-			return
-		}
+	for i, it := range sc.items {
+		h := hashBatchContext(sc.body, sc.toks[it.TokLo:it.TokHi])
 		sc.prefs = s.ring.LookupN(h, R, sc.prefs)
 		s.perShard[sc.prefs[i*R]].Add(1)
 		sc.tried = append(sc.tried, 0)
@@ -872,17 +876,17 @@ func (s *ShardRouter) batch(w http.ResponseWriter, r *http.Request) {
 	}
 
 	var out *streamOut // nil: buffered
-	if wantsNDJSONStream(r) {
+	if WantsNDJSONStream(r) {
 		out = &streamOut{w: w}
 		out.flusher, _ = w.(http.Flusher)
-		w.Header()["Content-Type"] = ndjsonHeaderValue
+		w.Header()["Content-Type"] = NDJSONContentType
 		w.WriteHeader(http.StatusOK)
 	}
 
-	for len(sc.results) < len(sc.spans) {
+	for len(sc.results) < len(sc.items) {
 		sc.results = append(sc.results, nil)
 	}
-	sc.results = sc.results[:len(sc.spans)]
+	sc.results = sc.results[:len(sc.items)]
 
 	var failMsg string
 	for round := 0; len(sc.pending) > 0 && round < R && ctx.Err() == nil; round++ {
@@ -893,7 +897,7 @@ func (s *ShardRouter) batch(w http.ResponseWriter, r *http.Request) {
 		if sc.refused != nil && out == nil {
 			// No merged answer can come of this batch any more: pass the
 			// shard's verdict on, as the GET path passes a 4xx on.
-			w.Header()["Content-Type"] = jsonHeaderValue
+			w.Header()["Content-Type"] = JSONContentType
 			w.WriteHeader(sc.refused.status)
 			w.Write(sc.refused.resp)
 			return
@@ -943,7 +947,7 @@ func (s *ShardRouter) batch(w http.ResponseWriter, r *http.Request) {
 	if n := s.failoversOf(sc, R); n > 0 {
 		w.Header()["X-Serve-Failovers"] = []string{strconv.Itoa(n)}
 	}
-	w.Header()["Content-Type"] = jsonHeaderValue
+	w.Header()["Content-Type"] = JSONContentType
 	w.Write(sc.out)
 }
 
@@ -1054,7 +1058,7 @@ func (s *ShardRouter) fanoutRound(ctx context.Context, sc *batchScratch, tr *obs
 				call.sub = append(call.sub, ',')
 			}
 			first = false
-			sp := sc.spans[i]
+			sp := sc.items[i].Span
 			call.sub = append(call.sub, sc.body[sp[0]:sp[1]]...)
 		}
 		call.sub = append(call.sub, `]}`...)
@@ -1260,7 +1264,7 @@ func (o *streamOut) writeErrors(sc *batchScratch, items []int, code, msg string)
 	for _, i := range items {
 		sc.out = append(sc.out, `{"index":`...)
 		sc.out = strconv.AppendInt(sc.out, int64(i), 10)
-		sc.out = appendErrorMember(append(sc.out, ','), code, msg)
+		sc.out = jsonspan.AppendError(append(sc.out, ','), code, msg)
 	}
 	o.flush(sc.out)
 }
@@ -1273,34 +1277,30 @@ func (o *streamOut) flush(lines []byte) {
 	}
 }
 
-// wantsNDJSONStream reports whether a batch request opted into the
-// streaming NDJSON response: ?stream=1 in the query string or an Accept
-// header naming application/x-ndjson. The query string is scanned in place
-// (url.Query would allocate on the hot path for every buffered request
-// too).
-func wantsNDJSONStream(r *http.Request) bool {
-	raw := r.URL.RawQuery
-	for len(raw) > 0 {
-		var seg string
-		if i := strings.IndexByte(raw, '&'); i >= 0 {
-			seg, raw = raw[:i], raw[i+1:]
-		} else {
-			seg, raw = raw, ""
-		}
-		if seg == "stream=1" {
+// WantsNDJSONStream reports whether a batch request opted into the
+// streaming NDJSON response: a stream=1 pair in the query string or an Accept
+// header naming application/x-ndjson. The query string is read off the
+// request grammar's query walker (url.Query would allocate on the hot path
+// for every buffered request too). The single handler asks the same
+// question of its batches with this.
+func WantsNDJSONStream(r *http.Request) bool {
+	var buf [32]byte
+	q := jsonspan.Query(r.URL.RawQuery)
+	for key, val, _, ok := q.Next(buf[:0]); ok; key, val, _, ok = q.Next(buf[:0]) {
+		if key == "stream" && string(val) == "1" {
 			return true
 		}
 	}
 	return strings.Contains(r.Header.Get("Accept"), "application/x-ndjson")
 }
 
-// jsonHeaderValue is the shared Content-Type slice for allocation-free
-// header assignment.
-var jsonHeaderValue = []string{"application/json"}
-
-// ndjsonHeaderValue is its application/x-ndjson counterpart for streamed
-// batch responses.
-var ndjsonHeaderValue = []string{"application/x-ndjson"}
+// Content-Type header values, shared — by the router and by the handlers of
+// internal/serve — for allocation-free header assignment: never written to.
+var (
+	JSONContentType       = []string{"application/json"}
+	NDJSONContentType     = []string{"application/x-ndjson"}
+	PrometheusContentType = []string{"text/plain; version=0.0.4; charset=utf-8"}
+)
 
 // redirectV1 301s a legacy unversioned admin path to its /v1/ home.
 func redirectV1(w http.ResponseWriter, r *http.Request) {
@@ -1312,23 +1312,12 @@ func redirectV1(w http.ResponseWriter, r *http.Request) {
 }
 
 // writeErrorJSON answers a non-2xx with the consistent error envelope
-// {"error":{"code","message"}} every handler in the repository uses.
+// {"error":{"code","message"}} every handler in the repository uses, from the
+// one encoder of it.
 func writeErrorJSON(w http.ResponseWriter, status int, code, msg string) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = JSONContentType
 	w.WriteHeader(status)
-	var buf [256]byte
-	w.Write(appendErrorMember(append(buf[:0], '{'), code, msg))
-}
-
-// appendErrorMember appends the envelope's "error":{"code","message"} member
-// and closes the object and the line around it — the error envelope after
-// its '{', a streamed batch's error line after its index.
-func appendErrorMember(b []byte, code, msg string) []byte {
-	b = append(b, `"error":{"code":`...)
-	b = strconv.AppendQuote(b, code)
-	b = append(b, `,"message":`...)
-	b = strconv.AppendQuote(b, msg)
-	return append(b, "}}\n"...)
+	w.Write(jsonspan.AppendError([]byte{'{'}, code, msg))
 }
 
 // ShardRouterHealth is the shard router's /healthz payload: liveness plus
@@ -1446,7 +1435,7 @@ type RouteResponse struct {
 // route reports the shard assignment for the context in the query string —
 // the debugging endpoint for "which replicas own this context?".
 func (s *ShardRouter) route(w http.ResponseWriter, r *http.Request) {
-	h := hashRawQueryContext(r.URL.RawQuery)
+	h := hashQueryContext(r.URL.RawQuery)
 	prefs := s.ring.LookupN(h, s.opts.Replicas, nil)
 	resp := RouteResponse{Hash: fmt.Sprintf("%016x", h), Shard: prefs[0]}
 	if len(prefs) > 1 {
@@ -1466,13 +1455,9 @@ func wantsPrometheusFormat(r *http.Request) bool {
 	return strings.Contains(r.URL.RawQuery, "format=prometheus")
 }
 
-// routerPromContentType is the Prometheus text exposition content type,
-// shared for allocation-free header assignment.
-var routerPromContentType = []string{"text/plain; version=0.0.4; charset=utf-8"}
-
 // prometheus renders the router's registry in the Prometheus text format.
 func (s *ShardRouter) prometheus(w http.ResponseWriter) {
-	w.Header()["Content-Type"] = routerPromContentType
+	w.Header()["Content-Type"] = PrometheusContentType
 	_ = s.reg.WritePrometheus(w)
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"net/http"
-	"strings"
 	"time"
 
 	"repro/internal/obs"
@@ -84,8 +83,8 @@ type getWalk struct {
 
 // suggest forwards the GET to the owning shard, walking the preference list
 // on failure. The shard key is the FNV-1a hash of the percent-decoded q
-// values (decoded streaming, no buffer), so it agrees with the batch path's
-// hash of the same context strings. Responses carry X-Serve-Shard (the
+// values (hashQueryContext), so it agrees with the batch path's hash of the
+// same context strings. Responses carry X-Serve-Shard (the
 // replica that answered), X-Serve-Attempts, X-Serve-Hedge (won when a
 // hedged attempt's answer was served) and X-Trace-Id.
 //
@@ -110,7 +109,7 @@ func (s *ShardRouter) suggest(w http.ResponseWriter, r *http.Request) {
 	if r.URL.RawQuery != "" {
 		g.uri = "/suggest?" + r.URL.RawQuery
 	}
-	g.n = len(s.ring.LookupN(hashRawQueryContext(r.URL.RawQuery), s.opts.Replicas, g.prefs[:0]))
+	g.n = len(s.ring.LookupN(hashQueryContext(r.URL.RawQuery), s.opts.Replicas, g.prefs[:0]))
 	s.perShard[g.prefs[0]].Add(1)
 
 	hedge := s.hedgeDelay()
@@ -325,7 +324,7 @@ func (g *getWalk) respond(w http.ResponseWriter, at *getAttempt, res getResult) 
 	if at.hedge {
 		h["X-Serve-Hedge"] = hedgeWonHeaderValue
 	}
-	h["Content-Type"] = jsonHeaderValue
+	h["Content-Type"] = JSONContentType
 	w.WriteHeader(res.status)
 	w.Write(*res.body)
 	s.putBuf(res.body)
@@ -399,91 +398,4 @@ func (s *ShardRouter) hedgeDelay() time.Duration {
 	}
 	s.hedgeCache.Store(int64(d))
 	return d
-}
-
-// hashRawQueryContext hashes the q values of a raw query string: each value
-// is percent-decoded ('+' is space) streaming into the hash — no buffer —
-// and terminated with a 0xFF separator so value boundaries cannot alias.
-// Undecodable escapes hash the raw bytes instead (still deterministic).
-// The result matches hashStringContext of the decoded values, so GET and
-// batch traffic for the same context agree on the owning shard.
-func hashRawQueryContext(raw string) uint64 {
-	h := uint64(fnvOffset64)
-	mix := func(c byte) {
-		h ^= uint64(c)
-		h *= fnvPrime64
-	}
-	for len(raw) > 0 {
-		var seg string
-		if i := strings.IndexByte(raw, '&'); i >= 0 {
-			seg, raw = raw[:i], raw[i+1:]
-		} else {
-			seg, raw = raw, ""
-		}
-		key, val := seg, ""
-		if i := strings.IndexByte(seg, '='); i >= 0 {
-			key, val = seg[:i], seg[i+1:]
-		}
-		if key != "q" {
-			continue
-		}
-		for i := 0; i < len(val); i++ {
-			switch c := val[i]; c {
-			case '+':
-				mix(' ')
-			case '%':
-				if b, ok := UnescapeByte(val, i); ok {
-					mix(b)
-					i += 2
-				} else {
-					mix(c)
-				}
-			default:
-				mix(c)
-			}
-		}
-		mix(0xFF)
-	}
-	return h
-}
-
-// hashStringContext hashes a decoded context — the GET path's
-// hashRawQueryContext counterpart for contexts already held as strings.
-func hashStringContext(context []string) uint64 {
-	h := uint64(fnvOffset64)
-	for _, q := range context {
-		for i := 0; i < len(q); i++ {
-			h ^= uint64(q[i])
-			h *= fnvPrime64
-		}
-		h ^= 0xFF
-		h *= fnvPrime64
-	}
-	return h
-}
-
-// UnescapeByte decodes the percent escape at s[i:i+3] ("%XX", either hex
-// case), reporting false when it is truncated or not hex. It is the one
-// escape decoder in the repository: the router's streaming context hash and
-// the serving layer's query parser must accept exactly the same escapes, or
-// a context could be served by a shard other than the one it hashes to.
-func UnescapeByte(s string, i int) (byte, bool) {
-	if i+2 >= len(s) {
-		return 0, false
-	}
-	hi, okHi := unhex(s[i+1])
-	lo, okLo := unhex(s[i+2])
-	return hi<<4 | lo, okHi && okLo
-}
-
-func unhex(c byte) (byte, bool) {
-	switch {
-	case '0' <= c && c <= '9':
-		return c - '0', true
-	case 'a' <= c && c <= 'f':
-		return c - 'a' + 10, true
-	case 'A' <= c && c <= 'F':
-		return c - 'A' + 10, true
-	}
-	return 0, false
 }

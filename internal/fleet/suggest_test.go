@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -118,6 +119,41 @@ func spansOf(t *testing.T, router *fleet.ShardRouter, id string) []string {
 	}
 	t.Fatalf("trace %s not retained", id)
 	return nil
+}
+
+// TestRoutedGETHashesWhatTheShardServes is the regression test for the routed
+// GET's dropped pairs: the router used to hash a q value whose escape does not
+// decode by its raw bytes, while the shard's handler drops the pair — so
+// `q=X&q=%zz` was served as the context ["X"] by another replica than `q=X`
+// (28 of these 40 contexts), on a cold cache beside the warm one. Router and
+// handler read the query string off one walker (jsonspan.Query): a pair that
+// does not count for one does not count for the other, and /v1/route agrees.
+func TestRoutedGETHashesWhatTheShardServes(t *testing.T) {
+	router, _ := newChaosRing(t, 3, fleet.RouterOptions{Replicas: 1})
+	get := func(qs string) (body, shard string) {
+		rr := httptest.NewRecorder()
+		router.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/suggest?"+qs, nil))
+		if rr.Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", qs, rr.Code, rr.Body)
+		}
+		return stripTook(rr.Body.Bytes()), rr.Header().Get("X-Serve-Shard")
+	}
+	for i := 0; i < 40; i++ {
+		plain := fmt.Sprintf("q=context+%d", i)
+		wantBody, wantShard := get(plain)
+		if got := strconv.Itoa(routeOf(t, router, plain).Shard); got != wantShard {
+			t.Fatalf("%s: /v1/route says shard %s, shard %s answered", plain, got, wantShard)
+		}
+		for _, dropped := range []string{"&q=%zz", "&q=%4", "&bogus", "&q%zz=Y"} {
+			body, shard := get(plain + dropped)
+			if shard != wantShard || body != wantBody {
+				t.Errorf("%s: answered by shard %s with %s\n%s: by shard %s with %s", plain+dropped, shard, body, plain, wantShard, wantBody)
+			}
+			if got := strconv.Itoa(routeOf(t, router, plain+dropped).Shard); got != wantShard {
+				t.Errorf("%s: /v1/route says shard %s, %s is on shard %s", plain+dropped, got, plain, wantShard)
+			}
+		}
+	}
 }
 
 // TestSuggestUnhedgedFailoverR2 walks the inline failover at R=2 with the

@@ -1,14 +1,19 @@
-// Package jsonspan is the allocation-free slice of JSON handling the batch
-// serving paths share: splitting a JSON document into raw byte spans that can
-// be forwarded or echoed verbatim, and unescaping string tokens into recycled
-// buffers. The serving layer's batch endpoint and the fleet shard router both
-// parse with it instead of encoding/json, whose Unmarshal allocates for every
-// decoded item — the difference between a batch fan-out at ~1200 allocs and
-// one that holds a two-digit gate.
+// Package jsonspan owns the request grammar of the serving paths — the POST
+// /suggest/batch body (AppendBatch) and the URL query string (Query) — and the
+// error envelope that reports its refusals (AppendError). The single handler
+// (internal/serve) and the shard router (internal/fleet) consume the same two
+// walkers, so what one refuses, drops, hashes or serves, the other does too:
+// ARCHITECTURE §9 states the rule, request.go implements it.
 //
-// The scanner validates only what span extraction needs (bracket and quote
-// balance, and the commas between the members it walks); full validation
-// happens where items are actually decoded.
+// Everything here is allocation-free: a document is taken apart into byte
+// spans that are forwarded or echoed verbatim, and string tokens are unescaped
+// into the caller's recycled buffers, where encoding/json's Unmarshal would
+// allocate for every decoded item — the difference between a batch fan-out at
+// ~1200 allocs and one that holds a two-digit gate.
+//
+// This file is the scanner underneath. Its primitives validate only what span
+// extraction needs (bracket and quote balance, and the commas between the
+// members they walk); the walkers in request.go validate the rest.
 package jsonspan
 
 import (
@@ -121,6 +126,9 @@ func Next(b []byte, i int, closer byte, first bool) (at int, done bool, err erro
 // FindKey locates key's value inside the object whose '{' is at b[i] and
 // returns the index where the value starts, or -1 when the object has no
 // such top-level key. Keys with escapes cannot match (ours are plain ASCII).
+//
+// No serving path calls it any more (AppendBatch walks a body whole): it stays
+// only because bench/replay.go does, and goes when that moves (ROADMAP item 6).
 func FindKey(b []byte, i int, key string) (int, error) {
 	i = SkipSpace(b, i)
 	if i >= len(b) || b[i] != '{' {
@@ -161,6 +169,8 @@ func FindKey(b []byte, i int, key string) (int, error) {
 // AppendArraySpans appends the [start, end) byte span of every top-level
 // element of the array beginning at b[i] to dst and returns the extended
 // slice. Spans are whitespace-trimmed and reference b — zero copies.
+//
+// Like FindKey it is kept for bench/replay.go alone (ROADMAP item 6).
 func AppendArraySpans(dst [][2]int, b []byte, i int) ([][2]int, error) {
 	i = SkipSpace(b, i)
 	if i >= len(b) || b[i] != '[' {
@@ -237,22 +247,32 @@ func AppendUnescaped(dst, tok []byte) []byte {
 	return dst
 }
 
-// unhex4 decodes four hex digits.
+// unhex4 decodes the four hex digits b starts with.
 func unhex4(b []byte) (uint16, bool) {
+	if len(b) < 4 {
+		return 0, false
+	}
 	var v uint16
 	for _, c := range b[:4] {
-		var d byte
-		switch {
-		case '0' <= c && c <= '9':
-			d = c - '0'
-		case 'a' <= c && c <= 'f':
-			d = c - 'a' + 10
-		case 'A' <= c && c <= 'F':
-			d = c - 'A' + 10
-		default:
+		d, ok := unhex(c)
+		if !ok {
 			return 0, false
 		}
 		v = v<<4 | uint16(d)
 	}
 	return v, true
+}
+
+// unhex decodes one hex digit, either case: the one hex decoder under JSON's
+// \uXXXX and the query string's %XX.
+func unhex(c byte) (byte, bool) {
+	switch {
+	case '0' <= c && c <= '9':
+		return c - '0', true
+	case 'a' <= c && c <= 'f':
+		return c - 'a' + 10, true
+	case 'A' <= c && c <= 'F':
+		return c - 'A' + 10, true
+	}
+	return 0, false
 }

@@ -3,45 +3,36 @@ package serve
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 
 	"repro/internal/cache"
 	"repro/internal/core"
+	"repro/internal/fleet"
 	"repro/internal/jsonspan"
 	"repro/internal/query"
 )
 
 // POST /suggest/batch without encoding/json on the hot path: the body is
-// read into a pooled buffer, split into item spans with internal/jsonspan,
-// and each item's context strings are unescaped into pooled flat storage and
-// interned byte-wise — no Go string is ever materialised for a context. The
+// read into a pooled buffer and walked once by jsonspan.AppendBatch — the
+// request grammar's one walker, which the shard router consumes too — and each
+// item's context strings are unescaped into pooled flat storage and interned
+// byte-wise — no Go string is ever materialised for a context. The
 // response echoes each item's context array span verbatim from the request
 // body (zero-copy) around the pooled append-style suggestion encoder. The
 // shard fan-out drives 64-item batches through this path per sub-batch, so
 // its allocation discipline is what BenchmarkShardFanout64 gates.
 
-// batchItemSpan is one parsed batch item: where its context array lives in
-// the body (for the verbatim echo), which decoded tokens are its context
-// queries, and its requested n.
-type batchItemSpan struct {
-	ctxSpan      [2]int32 // raw "context" array value span in body
-	tokLo, tokHi int32    // token range in spans/raw
-	n            int
-}
-
 // batchScratch pools every per-batch buffer of suggestBatch.
 type batchScratch struct {
 	body  []byte
-	items []batchItemSpan
-	spans [][2]int32 // decoded token spans into flat
-	flat  []byte     // decoded context tokens, back to back
-	raw   [][]byte   // views into flat, one per token
-	ids   query.Seq  // interned IDs, back to back
-	idOff []int32    // per-item offsets into ids (len(items)+1)
+	items []jsonspan.Item // the walked items: context span for the echo, tokens, n
+	toks  [][2]int        // the items' context strings, as spans of body
+	flat  []byte          // decoded context tokens, back to back
+	raw   [][]byte        // views into flat, one per token
+	ids   query.Seq       // interned IDs, back to back
+	idOff []int32         // per-item offsets into ids (len(items)+1)
 	ctxs  []query.Seq
 	ns    []int
 	out   []cache.Answer
@@ -62,7 +53,7 @@ func putBatchScratch(bb *batchScratch) {
 	clear(bb.ctxs)
 	bb.body = bb.body[:0]
 	bb.items = bb.items[:0]
-	bb.spans = bb.spans[:0]
+	bb.toks = bb.toks[:0]
 	bb.flat = bb.flat[:0]
 	bb.raw = bb.raw[:0]
 	bb.ids = bb.ids[:0]
@@ -72,224 +63,6 @@ func putBatchScratch(bb *batchScratch) {
 	bb.out = bb.out[:0]
 	bb.resp = bb.resp[:0]
 	batchScratchPool.Put(bb)
-}
-
-// appendReadAll reads rd to EOF, appending to buf — io.ReadAll with a
-// recycled destination.
-func appendReadAll(buf []byte, rd io.Reader) ([]byte, error) {
-	for {
-		if len(buf) == cap(buf) {
-			buf = append(buf, 0)[:len(buf)]
-		}
-		n, err := rd.Read(buf[len(buf):cap(buf)])
-		buf = buf[:len(buf)+n]
-		if err == io.EOF {
-			return buf, nil
-		}
-		if err != nil {
-			return buf, err
-		}
-	}
-}
-
-// parseBatchBody splits the request body into batch item spans, rejecting
-// unknown fields like the previous encoding/json decoder did
-// (DisallowUnknownFields). Only spans and token positions are recorded; no
-// item bytes are copied except unescaped context tokens into flat.
-func (bb *batchScratch) parseBatchBody() error {
-	b := bb.body
-	i := jsonspan.SkipSpace(b, 0)
-	if i >= len(b) || b[i] != '{' {
-		return fmt.Errorf("expected a JSON object")
-	}
-	i++
-	sawRequests := false
-	for first := true; ; first = false {
-		at, done, err := jsonspan.Next(b, i, '}', first)
-		if err != nil {
-			return err
-		}
-		if done {
-			break
-		}
-		i = at
-		if b[i] != '"' {
-			return fmt.Errorf("expected object key at offset %d", i)
-		}
-		keyEnd, err := jsonspan.SkipString(b, i)
-		if err != nil {
-			return err
-		}
-		key := b[i+1 : keyEnd-1]
-		i = jsonspan.SkipSpace(b, keyEnd)
-		if i >= len(b) || b[i] != ':' {
-			return fmt.Errorf("expected ':' at offset %d", i)
-		}
-		i++
-		if string(key) != "requests" {
-			return fmt.Errorf("unknown field %q", key)
-		}
-		sawRequests = true
-		if i, err = bb.parseItems(i); err != nil {
-			return err
-		}
-	}
-	if !sawRequests {
-		return fmt.Errorf(`missing "requests" array`)
-	}
-	return nil
-}
-
-// parseItems parses the "requests" array starting at bb.body[i], returning
-// the index after it.
-func (bb *batchScratch) parseItems(i int) (int, error) {
-	b := bb.body
-	i = jsonspan.SkipSpace(b, i)
-	if i >= len(b) || b[i] != '[' {
-		return 0, fmt.Errorf(`"requests" must be an array`)
-	}
-	i++
-	for first := true; ; first = false {
-		at, done, err := jsonspan.Next(b, i, ']', first)
-		if err != nil {
-			return 0, fmt.Errorf("requests: %w", err)
-		}
-		if done {
-			return at, nil
-		}
-		if i, err = bb.parseItem(at); err != nil {
-			return 0, fmt.Errorf("requests[%d]: %w", len(bb.items)-1, err)
-		}
-	}
-}
-
-// parseItem parses one batch item object starting at bb.body[i]: its context
-// array span is recorded for the verbatim echo, each context string is
-// unescaped into flat, and n is parsed in place.
-func (bb *batchScratch) parseItem(i int) (int, error) {
-	bb.items = append(bb.items, batchItemSpan{tokLo: int32(len(bb.spans)), tokHi: int32(len(bb.spans))})
-	item := &bb.items[len(bb.items)-1]
-	b := bb.body
-	i = jsonspan.SkipSpace(b, i)
-	if i >= len(b) || b[i] != '{' {
-		return 0, fmt.Errorf("expected an object")
-	}
-	i++
-	for first := true; ; first = false {
-		at, done, err := jsonspan.Next(b, i, '}', first)
-		if err != nil {
-			return 0, err
-		}
-		if done {
-			return at, nil
-		}
-		i = at
-		if b[i] != '"' {
-			return 0, fmt.Errorf("expected object key at offset %d", i)
-		}
-		keyEnd, err := jsonspan.SkipString(b, i)
-		if err != nil {
-			return 0, err
-		}
-		key := b[i+1 : keyEnd-1]
-		i = jsonspan.SkipSpace(b, keyEnd)
-		if i >= len(b) || b[i] != ':' {
-			return 0, fmt.Errorf("expected ':' at offset %d", i)
-		}
-		i++
-		switch string(key) {
-		case "context":
-			i = jsonspan.SkipSpace(b, i)
-			start := i
-			if i, err = bb.parseContext(i, item); err != nil {
-				return 0, err
-			}
-			item.ctxSpan = [2]int32{int32(start), int32(i)}
-		case "n":
-			i = jsonspan.SkipSpace(b, i)
-			numStart := i
-			if i, err = jsonspan.SkipValue(b, i); err != nil {
-				return 0, err
-			}
-			v, err := strconv.Atoi(string(b[numStart:i]))
-			if err != nil {
-				return 0, fmt.Errorf("n must be an integer")
-			}
-			item.n = v
-		default:
-			return 0, fmt.Errorf("unknown field %q", key)
-		}
-	}
-}
-
-// parseContext parses the item's context string array, unescaping each
-// element into flat and recording its token span. The array is echoed into
-// the response as it came, so it has to be JSON as it stands: a stray comma is
-// refused (jsonspan.Next), and so is a raw control byte inside a string, as
-// encoding/json refuses it — a raw LF there would break an NDJSON line in two.
-func (bb *batchScratch) parseContext(i int, item *batchItemSpan) (int, error) {
-	b := bb.body
-	if i >= len(b) || b[i] != '[' {
-		return 0, fmt.Errorf("context must be an array of strings")
-	}
-	i++
-	for first := true; ; first = false {
-		at, done, err := jsonspan.Next(b, i, ']', first)
-		if err != nil {
-			return 0, fmt.Errorf("context: %w", err)
-		}
-		if done {
-			return at, nil
-		}
-		i = at
-		if b[i] != '"' {
-			return 0, fmt.Errorf("context must be an array of strings")
-		}
-		end, err := skipContextString(b, i)
-		if err != nil {
-			return 0, err
-		}
-		start := len(bb.flat)
-		bb.flat = jsonspan.AppendUnescaped(bb.flat, b[i+1:end-1])
-		bb.spans = append(bb.spans, [2]int32{int32(start), int32(len(bb.flat))})
-		item.tokHi = int32(len(bb.spans))
-		i = end
-	}
-}
-
-// skipContextString is jsonspan.SkipString for a context string: it advances
-// past the string whose opening quote is at b[i], and in the same pass refuses
-// what encoding/json refuses inside one — a raw control byte, an escape that
-// is none of JSON's — because the string is echoed (see parseContext).
-func skipContextString(b []byte, i int) (int, error) {
-	for j := i + 1; j < len(b); j++ {
-		switch c := b[j]; {
-		case c < 0x20:
-			return 0, fmt.Errorf("control character in string at offset %d", j)
-		case c == '"':
-			return j + 1, nil
-		case c == '\\':
-			j++
-			if j == len(b) {
-				continue // off the end: unterminated
-			}
-			switch b[j] {
-			case '"', '\\', '/', 'b', 'f', 'n', 'r', 't':
-			case 'u':
-				if j+4 >= len(b) || !isHex(b[j+1]) || !isHex(b[j+2]) || !isHex(b[j+3]) || !isHex(b[j+4]) {
-					return 0, fmt.Errorf("invalid \\u escape in string at offset %d", j-1)
-				}
-				j += 4
-			default:
-				return 0, fmt.Errorf("invalid escape in string at offset %d", j-1)
-			}
-		}
-	}
-	return 0, fmt.Errorf("unterminated string at offset %d", i)
-}
-
-func isHex(c byte) bool {
-	return '0' <= c && c <= '9' || 'a' <= c && c <= 'f' || 'A' <= c && c <= 'F'
 }
 
 // suggestBatch scores a whole batch through one shared-scratch batched trie
@@ -304,11 +77,11 @@ func (h *Handler) suggestBatch(w http.ResponseWriter, r *http.Request) {
 	bb := batchScratchPool.Get().(*batchScratch)
 	defer putBatchScratch(bb)
 	var err error
-	if bb.body, err = appendReadAll(bb.body, http.MaxBytesReader(w, r.Body, 1<<22)); err != nil {
+	if bb.body, err = fleet.AppendReadAll(bb.body, http.MaxBytesReader(w, r.Body, 1<<22)); err != nil {
 		writeError(w, http.StatusBadRequest, "bad_request", "reading body: "+err.Error())
 		return
 	}
-	if err := bb.parseBatchBody(); err != nil {
+	if bb.items, bb.toks, err = jsonspan.AppendBatch(bb.items, bb.toks, bb.body); err != nil {
 		writeError(w, http.StatusBadRequest, "bad_request", "invalid JSON body: "+err.Error())
 		return
 	}
@@ -323,25 +96,27 @@ func (h *Handler) suggestBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	for i := range bb.items {
 		item := &bb.items[i]
-		if item.tokHi == item.tokLo {
+		if item.TokHi == item.TokLo {
 			writeError(w, http.StatusBadRequest, "bad_request", fmt.Sprintf("requests[%d]: empty context", i))
 			return
 		}
-		if item.n < 0 || item.n > h.opts.MaxN {
+		if item.N < 0 || item.N > h.opts.MaxN {
 			writeError(w, http.StatusBadRequest, "bad_request",
 				fmt.Sprintf("requests[%d]: n must be in [1,%d] (or omitted)", i, h.opts.MaxN))
 			return
 		}
-		n := item.n
+		n := item.N
 		if n == 0 {
 			n = h.opts.DefaultN
 		}
 		bb.ns = append(bb.ns, n)
 	}
-	// Materialise token views only now: flat has stopped growing, so the
-	// subslices cannot dangle.
-	for _, sp := range bb.spans {
-		bb.raw = append(bb.raw, bb.flat[sp[0]:sp[1]])
+	// Unescape every context string into flat. A view cut before flat grows
+	// keeps the array it was cut from, whose bytes are final.
+	for _, sp := range bb.toks {
+		start := len(bb.flat)
+		bb.flat = jsonspan.AppendUnescaped(bb.flat, bb.body[sp[0]:sp[1]])
+		bb.raw = append(bb.raw, bb.flat[start:len(bb.flat):len(bb.flat)])
 	}
 	// Intern every context against the serving dictionary (the router's base
 	// dictionary in fleet mode), back to back; views follow once ids is
@@ -350,7 +125,7 @@ func (h *Handler) suggestBatch(w http.ResponseWriter, r *http.Request) {
 	bb.idOff = append(bb.idOff, 0)
 	for i := range bb.items {
 		item := &bb.items[i]
-		toks := bb.raw[item.tokLo:item.tokHi]
+		toks := bb.raw[item.TokLo:item.TokHi]
 		if h.fleet != nil {
 			bb.ids = h.fleet.AppendContextBytes(bb.ids, toks)
 		} else {
@@ -375,7 +150,7 @@ func (h *Handler) suggestBatch(w http.ResponseWriter, r *http.Request) {
 	h.histServe.RecordN(perCtx, len(bb.items))
 	h.m.batches.Add(1)
 	h.m.batchContexts.Add(uint64(len(bb.items)))
-	if wantsNDJSONStream(r) {
+	if fleet.WantsNDJSONStream(r) {
 		// NDJSON mode: one {"index":N,"result":{...}} line per item, the
 		// item object byte-identical to its buffered counterpart. A single
 		// handler scores the whole batch in one descent pass, so the lines
@@ -389,7 +164,7 @@ func (h *Handler) suggestBatch(w http.ResponseWriter, r *http.Request) {
 			bb.resp = bb.appendBatchItem(bb.resp, i, perCtx)
 			bb.resp = append(bb.resp, "}\n"...)
 		}
-		w.Header()["Content-Type"] = ndjsonHeaderValue
+		w.Header()["Content-Type"] = fleet.NDJSONContentType
 		w.Write(bb.resp)
 		if f, ok := w.(http.Flusher); ok {
 			f.Flush()
@@ -420,7 +195,7 @@ func (h *Handler) suggestBatch(w http.ResponseWriter, r *http.Request) {
 // tokens is dropped.
 func (bb *batchScratch) appendBatchItem(dst []byte, i int, perCtx int64) []byte {
 	dst = append(dst, `{"context":`...)
-	sp := bb.items[i].ctxSpan
+	sp := bb.items[i].Context
 	if ctx := bb.body[sp[0]:sp[1]]; bytes.IndexByte(ctx, '\n') < 0 && bytes.IndexByte(ctx, '\r') < 0 {
 		dst = append(dst, ctx...)
 	} else {
@@ -434,9 +209,9 @@ func (bb *batchScratch) appendBatchItem(dst []byte, i int, perCtx int64) []byte 
 	return dst
 }
 
-// appendCompactContext appends a parsed context array without the whitespace
-// between its tokens. Its strings hold no raw CR or LF (parseContext), so
-// what is appended is one line.
+// appendCompactContext appends a walked context array without the whitespace
+// between its tokens. Its strings hold no raw CR or LF (jsonspan.AppendBatch
+// refused them), so what is appended is one line.
 func appendCompactContext(dst, ctx []byte) []byte {
 	for i := 0; i < len(ctx); {
 		switch c := ctx[i]; c {
@@ -444,7 +219,7 @@ func appendCompactContext(dst, ctx []byte) []byte {
 			i++
 		case '"':
 			end, err := jsonspan.SkipString(ctx, i)
-			if err != nil { // parseContext walked this string to its end
+			if err != nil { // the walker went through this string to its end
 				return append(dst, ctx[i:]...)
 			}
 			dst = append(dst, ctx[i:end]...)
@@ -456,27 +231,3 @@ func appendCompactContext(dst, ctx []byte) []byte {
 	}
 	return dst
 }
-
-// wantsNDJSONStream reports whether the batch request opted into the
-// streaming NDJSON response shape: ?stream=1 in the query string or an
-// Accept header naming application/x-ndjson. The query string is scanned
-// in place to keep the buffered hot path free of url.Query allocations.
-func wantsNDJSONStream(r *http.Request) bool {
-	raw := r.URL.RawQuery
-	for len(raw) > 0 {
-		var seg string
-		if i := strings.IndexByte(raw, '&'); i >= 0 {
-			seg, raw = raw[:i], raw[i+1:]
-		} else {
-			seg, raw = raw, ""
-		}
-		if seg == "stream=1" {
-			return true
-		}
-	}
-	return strings.Contains(r.Header.Get("Accept"), "application/x-ndjson")
-}
-
-// ndjsonHeaderValue is the shared Content-Type slice for NDJSON batch
-// responses.
-var ndjsonHeaderValue = []string{"application/x-ndjson"}

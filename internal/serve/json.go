@@ -5,26 +5,26 @@ import (
 	"strconv"
 
 	"repro/internal/cache"
-	"repro/internal/core"
+	"repro/internal/fleet"
+	"repro/internal/jsonspan"
 )
 
 // Append-style JSON encoding for the hot serving paths. encoding/json's
 // Marshal walks reflection metadata and allocates its output buffer on every
 // call; the handlers instead append the response bytes directly into a
 // pooled buffer, so a cache-hit request performs no encoding allocations at
-// all. The suggestion and string encoders themselves live in internal/core
-// (AppendSuggestionsJSON, AppendJSONString), shared with the result cache;
-// this file holds the response envelope around them. Cold endpoints
+// all. The suggestion encoder lives in internal/core (AppendSuggestionsJSON),
+// shared with the result cache, the string encoder in internal/jsonspan
+// (AppendString); this file holds the response envelope around them. Cold endpoints
 // (/healthz, /metrics, /reload, errors) keep the stdlib encoder — clarity
 // wins where latency does not matter.
 
-// jsonContentType is assigned directly into the response header map.
-// (http.Header.Set allocates a fresh []string per call; sharing one slice
-// keeps the hot path clean. The key is already in canonical form.)
-var jsonContentType = []string{"application/json"}
-
+// setJSONContentType assigns the shared header value directly into the
+// response header map. (http.Header.Set allocates a fresh []string per call;
+// sharing one slice keeps the hot path clean. The key is already in canonical
+// form.)
 func setJSONContentType(w http.ResponseWriter) {
-	w.Header()["Content-Type"] = jsonContentType
+	w.Header()["Content-Type"] = fleet.JSONContentType
 }
 
 // appendSuggestResponse encodes a SuggestResponse whose context is held as
@@ -37,7 +37,7 @@ func appendSuggestResponse(dst []byte, context [][]byte, ans cache.Answer, tookM
 		if i > 0 {
 			dst = append(dst, ',')
 		}
-		dst = core.AppendJSONString(dst, q)
+		dst = jsonspan.AppendString(dst, q)
 	}
 	dst = append(dst, `],`...)
 	dst = ans.AppendSuggestionsJSON(dst)

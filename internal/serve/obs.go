@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"time"
 
+	"repro/internal/fleet"
 	"repro/internal/obs"
 )
 
@@ -95,9 +96,6 @@ func recordStage(tr *obs.Trace, hist *obs.Histogram, name string, start time.Dur
 	tr.Record(name, start.Microseconds(), durMicros, obs.NoShard, outcome)
 }
 
-// promContentType is the Prometheus text exposition content type.
-var promContentType = []string{"text/plain; version=0.0.4; charset=utf-8"}
-
 // prometheusHandler serves the text exposition of every registered
 // instrument (GET /metrics?format=prometheus and
 // /v1/metrics?format=prometheus).
@@ -106,7 +104,7 @@ func (h *Handler) prometheusHandler(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "use GET")
 		return
 	}
-	w.Header()["Content-Type"] = promContentType
+	w.Header()["Content-Type"] = fleet.PrometheusContentType
 	w.Write(h.obs.AppendPrometheus(nil))
 }
 

@@ -57,7 +57,6 @@ import (
 	"fmt"
 	"log"
 	"net/http"
-	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -67,6 +66,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/fleet"
+	"repro/internal/jsonspan"
 	"repro/internal/obs"
 	"repro/internal/query"
 )
@@ -392,9 +392,8 @@ func (h *Handler) Generation() uint64 { return h.state.Load().gen }
 // decoded q values (flat storage + per-value views), the interned context,
 // and the response body under construction.
 type reqScratch struct {
-	flat   []byte     // decoded q values, back to back
-	spans  [][2]int32 // [start, end) of each q value within flat
-	raw    [][]byte   // views into flat, one per q value
+	flat   []byte   // the query string's decoded pairs, back to back
+	raw    [][]byte // views into flat, one per q value
 	ctx    query.Seq
 	rerank []core.Suggestion // reranked copy of a cached answer (fleet mode)
 	body   []byte
@@ -402,17 +401,15 @@ type reqScratch struct {
 
 var reqScratchPool = sync.Pool{New: func() any {
 	return &reqScratch{
-		flat:  make([]byte, 0, 256),
-		spans: make([][2]int32, 0, 8),
-		raw:   make([][]byte, 0, 8),
-		ctx:   make(query.Seq, 0, 8),
-		body:  make([]byte, 0, 1024),
+		flat: make([]byte, 0, 256),
+		raw:  make([][]byte, 0, 8),
+		ctx:  make(query.Seq, 0, 8),
+		body: make([]byte, 0, 1024),
 	}
 }}
 
 func putReqScratch(b *reqScratch) {
 	b.flat = b.flat[:0]
-	b.spans = b.spans[:0]
 	b.raw = b.raw[:0]
 	b.ctx = b.ctx[:0]
 	clear(b.rerank) // do not retain suggestion strings in the pool
@@ -421,84 +418,35 @@ func putReqScratch(b *reqScratch) {
 	reqScratchPool.Put(b)
 }
 
-// parseSuggestQuery decodes the /suggest query string in place: q values are
-// percent-decoded into the pooled flat buffer (no strings are created) and n
-// is parsed from its raw substring. Malformed pairs are dropped, matching
-// url.ParseQuery, and badN reports an explicit out-of-range or non-numeric n
-// (a 400, as before).
+// parseSuggestQuery reads the /suggest query string off the query walker
+// (jsonspan.Query, which the shard router hashes the same pairs from): the q
+// values stay where the walker decoded them, in the pooled flat buffer (no
+// strings are created), and n is the first non-empty n. Pairs the walker drops
+// do not count, matching url.ParseQuery, and badN reports an explicit
+// out-of-range or non-numeric n (a 400).
 func (b *reqScratch) parseSuggestQuery(raw string, defaultN, maxN int) (n int, badN bool) {
 	n = defaultN
 	sawN := false
-	for len(raw) > 0 {
-		var seg string
-		if i := strings.IndexByte(raw, '&'); i >= 0 {
-			seg, raw = raw[:i], raw[i+1:]
-		} else {
-			seg, raw = raw, ""
-		}
-		key, val := seg, ""
-		if i := strings.IndexByte(seg, '='); i >= 0 {
-			key, val = seg[:i], seg[i+1:]
-		}
+	q := jsonspan.Query(raw)
+	key, val, flat, ok := q.Next(b.flat)
+	for ; ok; key, val, flat, ok = q.Next(flat) {
 		switch key {
 		case "q":
-			start := len(b.flat)
-			flat, ok := appendQueryUnescaped(b.flat, val)
-			if !ok {
-				continue // bad escape: drop the pair, like url.ParseQuery
-			}
-			b.flat = flat
-			b.spans = append(b.spans, [2]int32{int32(start), int32(len(b.flat))})
+			b.raw = append(b.raw, val)
 		case "n":
-			if sawN { // first n wins, like url.Values.Get
-				continue
-			}
-			dec := val
-			if strings.ContainsAny(val, "%+") {
-				d, err := url.QueryUnescape(val)
-				if err != nil {
-					continue
-				}
-				dec = d
-			}
-			if dec == "" {
+			if sawN || len(val) == 0 { // the first n that says something wins
 				continue
 			}
 			sawN = true
-			v, err := strconv.Atoi(dec)
+			v, err := strconv.Atoi(string(val))
 			if err != nil || v < 1 || v > maxN {
 				return 0, true
 			}
 			n = v
 		}
 	}
-	// Materialise the per-value views only now: appending to flat may have
-	// reallocated it, so earlier subslices would dangle.
-	for _, sp := range b.spans {
-		b.raw = append(b.raw, b.flat[sp[0]:sp[1]])
-	}
+	b.flat = flat
 	return n, false
-}
-
-// appendQueryUnescaped appends the query-component unescaping of s ('+' is
-// space, %XX is a byte) to dst, reporting false on an invalid escape.
-func appendQueryUnescaped(dst []byte, s string) ([]byte, bool) {
-	for i := 0; i < len(s); i++ {
-		switch c := s[i]; c {
-		case '+':
-			dst = append(dst, ' ')
-		case '%':
-			b, ok := fleet.UnescapeByte(s, i)
-			if !ok {
-				return dst, false
-			}
-			dst = append(dst, b)
-			i += 2
-		default:
-			dst = append(dst, c)
-		}
-	}
-	return dst, true
 }
 
 // suggest is the zero-allocation single-context path: pooled parse buffers,
@@ -697,8 +645,9 @@ func (h *Handler) reload(w http.ResponseWriter, r *http.Request) {
 
 // ErrorBody is the JSON error envelope every non-2xx response carries:
 // {"error":{"code","message",...}}. Code is a stable machine-readable slug;
-// Message is human-readable. Dictionary conflicts extend the envelope with
-// the structured DictConflict fields.
+// Message is human-readable. writeError encodes it without this type; the
+// type is what clients decode into, and what a dictionary conflict — the one
+// envelope with more than the two fields — is encoded from.
 type ErrorBody struct {
 	Error ErrorDetail `json:"error"`
 }
@@ -714,9 +663,12 @@ type ErrorDetail struct {
 	Hint        string `json:"hint,omitempty"`
 }
 
-// writeError answers a non-2xx with the consistent error envelope.
+// writeError answers a non-2xx with the consistent error envelope, from the
+// one encoder the shard router answers with too (jsonspan.AppendError).
 func writeError(w http.ResponseWriter, status int, code, msg string) {
-	writeJSON(w, status, ErrorBody{Error: ErrorDetail{Code: code, Message: msg}})
+	setJSONContentType(w)
+	w.WriteHeader(status)
+	w.Write(jsonspan.AppendError([]byte{'{'}, code, msg))
 }
 
 // writeReloadError maps reload failures to statuses: dictionary conflicts

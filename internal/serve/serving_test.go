@@ -138,42 +138,62 @@ func TestBatchValidation(t *testing.T) {
 // echoed into the answer as it came — so `[,"o2",]` was answered 200 with a
 // body encoding/json cannot read, and `["a""b"]` passed with no comma at all.
 // Members are value (',' value)*, and an echoed string holds only JSON's
-// escapes: what encoding/json reads is served, and answered in JSON;
-// everything else is a 400. Buffered and streamed alike.
+// escapes: the body is held to ARCHITECTURE §9's rule (jsonspan.AppendBatch),
+// which accepts nothing encoding/json does not read and, of what it reads,
+// refuses a key that repeats and anything after the object — a repeated
+// "context" used to be scored as both arrays and echoed as the second.
+// What is served is answered in JSON, and the context a result echoes is the
+// context that was scored; everything else is a 400. Buffered and streamed
+// alike.
 func TestBatchBodyGrammar(t *testing.T) {
 	h := NewHandler(testRecommender(t), 5)
 	for _, tc := range []struct {
-		body string
-		ok   bool
+		body   string
+		ok     bool
+		strict bool // refused though encoding/json reads it
 	}{
-		{`{"requests":[{"context":["o2"]}]}`, true},
-		{` { "requests" : [ { "context" : [ "o2" , "o2 mobile" ] , "n" : 2 } , { "n" : 1 , "context" : [ "o2" ] } ] } `, true},
-		{`{"requests":[{"context":[,"o2",]}]}`, false}, // the reported body
-		{`{"requests":[{"context":[,"o2"]}]}`, false},
-		{`{"requests":[{"context":["o2",]}]}`, false},
-		{`{"requests":[{"context":["o2",,"o2 mobile"]}]}`, false},
-		{`{"requests":[{"context":["o2""o2 mobile"]}]}`, false},
-		{`{"requests":[{"context":["o2" "o2 mobile"]}]}`, false},
-		{`{"requests":[{"context":[,]}]}`, false},
-		{`{"requests":[{,"context":["o2"]}]}`, false},
-		{`{"requests":[{"context":["o2"],}]}`, false},
-		{`{"requests":[{"context":["o2"],,"n":1}]}`, false},
-		{`{"requests":[{"context":["o2"]"n":1}]}`, false},
-		{`{"requests":[,{"context":["o2"]}]}`, false},
-		{`{"requests":[{"context":["o2"]},]}`, false},
-		{`{"requests":[{"context":["o2"]},,{"context":["o2"]}]}`, false},
-		{`{"requests":[{"context":["o2"]}{"context":["o2"]}]}`, false},
-		{`{,"requests":[{"context":["o2"]}]}`, false},
-		{`{"requests":[{"context":["o2"]}],}`, false},
-		{`{"requests":[{"context":["\u00e9\"\\\/\b\f\n\r\t"]}]}`, true},
-		{`{"requests":[{"context":["o\2"]}]}`, false}, // found by FuzzRoutedBatchNeverBlamesShard
-		{`{"requests":[{"context":["\u12g4"]}]}`, false},
-		{`{"requests":[{"context":["\u12"]}]}`, false},
+		{body: `{"requests":[{"context":["o2"]}]}`, ok: true},
+		{body: ` { "requests" : [ { "context" : [ "o2" , "o2 mobile" ] , "n" : 2 } , { "n" : 1 , "context" : [ "o2" ] } ] } `, ok: true},
+		{body: `{"requests":[{"context":[,"o2",]}]}`}, // the reported body
+		{body: `{"requests":[{"context":[,"o2"]}]}`},
+		{body: `{"requests":[{"context":["o2",]}]}`},
+		{body: `{"requests":[{"context":["o2",,"o2 mobile"]}]}`},
+		{body: `{"requests":[{"context":["o2""o2 mobile"]}]}`},
+		{body: `{"requests":[{"context":["o2" "o2 mobile"]}]}`},
+		{body: `{"requests":[{"context":[,]}]}`},
+		{body: `{"requests":[{,"context":["o2"]}]}`},
+		{body: `{"requests":[{"context":["o2"],}]}`},
+		{body: `{"requests":[{"context":["o2"],,"n":1}]}`},
+		{body: `{"requests":[{"context":["o2"]"n":1}]}`},
+		{body: `{"requests":[,{"context":["o2"]}]}`},
+		{body: `{"requests":[{"context":["o2"]},]}`},
+		{body: `{"requests":[{"context":["o2"]},,{"context":["o2"]}]}`},
+		{body: `{"requests":[{"context":["o2"]}{"context":["o2"]}]}`},
+		{body: `{,"requests":[{"context":["o2"]}]}`},
+		{body: `{"requests":[{"context":["o2"]}],}`},
+		{body: `{"requests":[{"context":["\u00e9\"\\\/\b\f\n\r\t"]}]}`, ok: true},
+		{body: `{"requests":[{"context":["o\2"]}]}`}, // found by FuzzRoutedBatchNeverBlamesShard
+		{body: `{"requests":[{"context":["\u12g4"]}]}`},
+		{body: `{"requests":[{"context":["\u12"]}]}`},
+		// A key at most once. The first body was answered 200 echoing
+		// ["o2 mobile"] with the suggestions of ["o2","o2 mobile"].
+		{body: `{"requests":[{"context":["o2"],"context":["o2 mobile"]}]}`, strict: true},
+		{body: `{"requests":[{"context":["o2"],"n":1,"n":3}]}`, strict: true},
+		{body: `{"requests":[{"context":["o2"]}],"requests":[{"context":["o2 mobile"]}]}`, strict: true},
+		{body: `{"requests":[],"requests":[{"context":["o2"]}]}`, strict: true},
+		// n is a JSON integer, and nothing follows the object.
+		{body: `{"requests":[{"context":["o2"],"n":+2}]}`},
+		{body: `{"requests":[{"context":["o2"],"n":02}]}`},
+		{body: `{"requests":[{"context":["o2"],"n":1e0}]}`, strict: true},
+		{body: `{"requests":[{"context":["o2"],"n":-0}]}`, ok: true},
+		{body: `{"requests":[{"context":["o2"]}]}{"bogus":1}`},
+		{body: `{"requests":[{"context":["o2"]}]}x`},
+		{body: `{"requests":[{"context":["o2"]}]}` + "\n", ok: true},
 	} {
 		for _, target := range []string{"/suggest/batch", "/suggest/batch?stream=1"} {
 			rr := httptest.NewRecorder()
 			h.ServeHTTP(rr, httptest.NewRequest(http.MethodPost, target, strings.NewReader(tc.body)))
-			if want := json.Valid([]byte(tc.body)); want != tc.ok {
+			if want := json.Valid([]byte(tc.body)); want != (tc.ok || tc.strict) {
 				t.Fatalf("table entry %s: encoding/json validity is %v", tc.body, want)
 			}
 			if !tc.ok {
@@ -191,6 +211,40 @@ func TestBatchBodyGrammar(t *testing.T) {
 					t.Errorf("%s %s: answer is not JSON: %s", target, tc.body, line)
 				}
 			}
+			if target == "/suggest/batch" {
+				assertEchoIsWhatWasScored(t, h, tc.body, rr.Body.Bytes())
+			}
+		}
+	}
+}
+
+// assertEchoIsWhatWasScored re-asks every context a buffered batch answer
+// echoes, as a fresh one-item batch with the item's n, and requires the same
+// suggestions byte for byte: the echo names the context that was scored.
+func assertEchoIsWhatWasScored(t *testing.T, h http.Handler, body string, answer []byte) {
+	t.Helper()
+	type result struct {
+		Context     json.RawMessage `json:"context"`
+		Suggestions json.RawMessage `json:"suggestions"`
+	}
+	var req BatchRequest
+	var got struct{ Results []result }
+	if err := json.Unmarshal([]byte(body), &req); err != nil {
+		t.Fatalf("%s: %v", body, err)
+	}
+	if err := json.Unmarshal(answer, &got); err != nil || len(got.Results) != len(req.Requests) {
+		t.Fatalf("%s: %d results for %d items (%v): %s", body, len(got.Results), len(req.Requests), err, answer)
+	}
+	for i, res := range got.Results {
+		rr := httptest.NewRecorder()
+		again := fmt.Sprintf(`{"requests":[{"context":%s,"n":%d}]}`, res.Context, req.Requests[i].N)
+		h.ServeHTTP(rr, httptest.NewRequest(http.MethodPost, "/suggest/batch", strings.NewReader(again)))
+		var fresh struct{ Results []result }
+		if err := json.Unmarshal(rr.Body.Bytes(), &fresh); err != nil || len(fresh.Results) != 1 {
+			t.Fatalf("%s: re-asking item %d as %s: %d %s", body, i, again, rr.Code, rr.Body)
+		}
+		if !bytes.Equal(fresh.Results[0].Suggestions, res.Suggestions) {
+			t.Errorf("%s: item %d echoes %s with suggestions %s, but that context scores %s", body, i, res.Context, res.Suggestions, fresh.Results[0].Suggestions)
 		}
 	}
 }
