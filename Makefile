@@ -164,10 +164,11 @@ vet:
 	$(GO) vet ./...
 
 # Documentation gate: every exported symbol in the serving-critical packages
-# must carry a doc comment, and ARCHITECTURE.md and README.md must not name a
-# function this repository retired (see cmd/doccheck).
+# must carry a doc comment, ARCHITECTURE.md and README.md must not name
+# anything this repository retired (cmd/doccheck/retired.txt), and README's
+# flag tables must not document a flag their command does not define.
 check-docs:
-	$(GO) run ./cmd/doccheck ./internal/compiled ./internal/core ./internal/fleet ./internal/jsonspan ./internal/obs ./internal/stream
+	$(GO) run ./cmd/doccheck ./internal/compiled ./internal/core ./internal/fleet ./internal/jsonspan ./internal/obs ./internal/serve ./internal/stream
 
 # API-surface gate: vet plus the apilint rule that recommendation entry
 # points stay on core.Recommender (no new exported Recommend* outside

@@ -645,7 +645,7 @@ func (r *benchRecorder) reset() {
 // overhead — the zero-allocation serving path's headline number.
 func BenchmarkServeHTTPCached(b *testing.B) {
 	rec, ctxs := serveBenchSetup(b)
-	h := serve.NewHandler(rec, 5)
+	h := serve.New(rec, serve.Options{})
 	target := "/suggest?q=" + url.QueryEscape(ctxs[0][0])
 	// Warm past the tracer's 256-trace retention ring: while it fills,
 	// every request's finish pins its pooled trace and the pool allocates a
@@ -738,9 +738,9 @@ func BenchmarkShardFanout64(b *testing.B) {
 	rec, ctxs := serveBenchSetup(b)
 	handlers := make([]http.Handler, 3)
 	for i := range handlers {
-		handlers[i] = serve.NewHandler(rec, 5)
+		handlers[i] = serve.New(rec, serve.Options{})
 	}
-	router, err := fleet.NewShardRouter(fleet.NewRing(3, 0), fleet.NewLoopbackTransport(handlers...))
+	router, err := fleet.NewShardRouterOpts(fleet.NewRing(3, 0), fleet.NewLoopbackTransport(handlers...), fleet.RouterOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -787,7 +787,7 @@ func BenchmarkShardFanout64R2(b *testing.B) {
 	rec, ctxs := serveBenchSetup(b)
 	handlers := make([]http.Handler, 3)
 	for i := range handlers {
-		handlers[i] = serve.NewHandler(rec, 5)
+		handlers[i] = serve.New(rec, serve.Options{})
 	}
 	build := func(r int) *fleet.ShardRouter {
 		router, err := fleet.NewShardRouterOpts(fleet.NewRing(3, 0), fleet.NewLoopbackTransport(handlers...),
@@ -844,7 +844,7 @@ func BenchmarkRouterGET(b *testing.B) {
 	rec, ctxs := serveBenchSetup(b)
 	handlers := make([]http.Handler, 3)
 	for i := range handlers {
-		handlers[i] = serve.NewHandler(rec, 5)
+		handlers[i] = serve.New(rec, serve.Options{})
 	}
 	router, err := fleet.NewShardRouterOpts(fleet.NewRing(3, 0), fleet.NewLoopbackTransport(handlers...),
 		fleet.RouterOptions{Replicas: 2, ShardTimeout: 2 * time.Second})
@@ -882,7 +882,7 @@ func BenchmarkRouterGET(b *testing.B) {
 // for the misses, append-encoded response. ns/op is per batch.
 func BenchmarkServeHTTPBatch(b *testing.B) {
 	rec, ctxs := serveBenchSetup(b)
-	h := serve.NewHandler(rec, 5)
+	h := serve.New(rec, serve.Options{})
 	req := serve.BatchRequest{Requests: make([]serve.BatchItem, 64)}
 	for i := range req.Requests {
 		req.Requests[i] = serve.BatchItem{Context: ctxs[(i*7)%len(ctxs)], N: 5}
@@ -1209,7 +1209,7 @@ func BenchmarkIngestSegment(b *testing.B) {
 // observability layer must be free on the hot path.
 func BenchmarkServeHTTPCachedTraced(b *testing.B) {
 	rec, ctxs := serveBenchSetup(b)
-	h := serve.NewHandler(rec, 5)
+	h := serve.New(rec, serve.Options{})
 	targets := make([]string, 0, 16)
 	for i := 0; i < 16 && i < len(ctxs); i++ {
 		targets = append(targets, "/suggest?q="+url.QueryEscape(ctxs[i][0]))

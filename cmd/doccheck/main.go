@@ -4,10 +4,11 @@
 // allocation-free guarantees, format compatibility — in godoc, so an
 // undocumented exported symbol is a CI failure, not a style nit.
 //
-// It also fails when ARCHITECTURE.md or README.md, read from the directory it
-// runs in, still names a function the repository retired on purpose: a
-// walkthrough that sends the reader to a parser that no longer exists is
-// worse than none.
+// It also reads ARCHITECTURE.md and README.md from the directory it runs in
+// (the repository root) and fails when either still names something the
+// repository retired on purpose (retired.txt), or when a README flag-table
+// row documents a -flag that its command — the `cmd/<name>` the table
+// follows — does not define.
 //
 // Usage:
 //
@@ -21,6 +22,7 @@
 package main
 
 import (
+	_ "embed"
 	"fmt"
 	"go/ast"
 	"go/parser"
@@ -32,12 +34,25 @@ import (
 	"strings"
 )
 
-// retired matches the functions deleted when internal/jsonspan became the one
-// owner of the request grammar (CHANGES.md, PR 28): the per-package body
-// parsers, query decoders and envelope encoders it replaced.
-var retired = regexp.MustCompile(`\b(parseBatchBody|parseItems|parseItem|parseContext|skipContextString|isHex|` +
-	`splitRequests|hashJSONContext|hashJSONStringInto|hashRawQueryContext|hashStringContext|appendQueryUnescaped|` +
-	`UnescapeByte|appendErrorMember|appendReadAll|wantsNDJSONStream|AppendJSONString)\b`)
+//go:embed retired.txt
+var retiredList string
+
+// retired matches, as a whole word, every name in retired.txt: what the
+// repository retired on purpose — PR 28's per-package request parsers, query
+// decoders and envelope encoders (internal/jsonspan owns the grammar now) and
+// PR 29's per-handler admin endpoints, legacy-path redirects, constructor
+// shims and second GET latency window (internal/obs owns the admin surface).
+var retired = regexp.MustCompile(`\b(` + strings.Join(strings.Fields(retiredList), "|") + `)\b`)
+
+var (
+	// cmdHeading is the line that introduces a command's flag table.
+	cmdHeading = regexp.MustCompile("^`cmd/(\\w+)`")
+	// flagRow is a flag-table row; it captures the flag's name.
+	flagRow = regexp.MustCompile("^\\| `-([\\w-]+)`")
+	// flagDef is a flag definition in a command's source, flag.String("name",
+	// …) or flag.StringVar(&v, "name", …); it captures the name.
+	flagDef = regexp.MustCompile(`flag\.\w+\((?:&[\w.]+, )?"([\w-]+)"`)
+)
 
 func main() {
 	log.SetFlags(0)
@@ -64,16 +79,45 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
+		var flags map[string]bool // those of the command whose table this is
 		for i, line := range strings.Split(string(prose), "\n") {
 			if m := retired.FindString(line); m != "" {
 				fmt.Printf("%s:%d: names %s, which no longer exists\n", name, i+1, m)
 				bad++
 			}
+			if m := cmdHeading.FindStringSubmatch(line); m != nil {
+				flags = cmdFlags(filepath.Join("cmd", m[1]))
+			} else if m := flagRow.FindStringSubmatch(line); m != nil && flags != nil && !flags[m[1]] {
+				fmt.Printf("%s:%d: documents -%s, which its command does not define\n", name, i+1, m[1])
+				bad++
+			}
 		}
 	}
 	if bad > 0 {
-		log.Fatalf("%d mentions of retired functions in the prose", bad)
+		log.Fatalf("%d stale mentions in the prose (retired names, undefined flags)", bad)
 	}
+}
+
+// cmdFlags returns the names of the flags the command in dir defines.
+func cmdFlags(dir string) map[string]bool {
+	files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil || len(files) == 0 {
+		log.Fatalf("no Go command in %s", dir)
+	}
+	flags := map[string]bool{}
+	for _, f := range files {
+		if strings.HasSuffix(f, "_test.go") {
+			continue
+		}
+		src, err := os.ReadFile(f)
+		if err != nil {
+			log.Fatal(err)
+		}
+		for _, m := range flagDef.FindAllSubmatch(src, -1) {
+			flags[string(m[1])] = true
+		}
+	}
+	return flags
 }
 
 // checkDir parses one package directory and returns a report line for every

@@ -25,16 +25,12 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
-	"math"
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
@@ -59,7 +55,7 @@ func main() {
 		threshold   = flag.Int("threshold", 2, "drop session patterns seen fewer times at recompile (-1 = keep all)")
 		poll        = flag.Duration("poll", 200*time.Millisecond, "tail poll interval when caught up with the log writer")
 		once        = flag.Bool("once", false, "drain the log, recompile once and exit (batch catch-up mode)")
-		metricsAddr = flag.String("metrics-addr", "", "optional listen address serving /v1/metrics (Prometheus text) and /v1/traces for the standalone loop (empty = no listener)")
+		metricsAddr = flag.String("metrics-addr", "", "optional listen address serving the standalone loop's admin surface: /metrics (Prometheus text), /v1/metrics, /v1/traces, /v1/ingest (empty = no listener)")
 	)
 	flag.Parse()
 
@@ -117,11 +113,11 @@ func main() {
 
 	if *metricsAddr != "" {
 		go func() {
-			if err := http.ListenAndServe(*metricsAddr, obsHandler(oreg, tracer, ing)); err != nil {
+			if err := http.ListenAndServe(*metricsAddr, adminHandler(oreg, tracer, ing.Status)); err != nil {
 				log.Printf("metrics listener %s: %v", *metricsAddr, err)
 			}
 		}()
-		log.Printf("metrics: /v1/metrics and /v1/traces on %s", *metricsAddr)
+		log.Printf("admin: /metrics, /v1/metrics, /v1/traces and /v1/ingest on %s", *metricsAddr)
 	}
 
 	if *once {
@@ -163,41 +159,18 @@ func main() {
 	log.Print("bye")
 }
 
-// obsHandler serves the standalone loop's observability surface: Prometheus
-// text on /metrics and /v1/metrics, retained ingest traces on /v1/traces
-// (same query parameters as the serving endpoints: min_us, error, limit)
-// and the loop Status on /v1/ingest.
-func obsHandler(reg *obs.Registry, tracer *obs.Tracer, ing *stream.Ingester) http.Handler {
-	mux := http.NewServeMux()
-	writeProm := func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = reg.WritePrometheus(w)
-	}
-	mux.HandleFunc("/metrics", writeProm)
-	mux.HandleFunc("/v1/metrics", writeProm)
-	mux.HandleFunc("/v1/ingest", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(ing.Status())
-	})
-	mux.HandleFunc("/v1/traces", func(w http.ResponseWriter, r *http.Request) {
-		q := r.URL.Query()
-		minMicros, _ := strconv.ParseInt(q.Get("min_us"), 10, 64)
-		onlyErrors := q.Get("error") == "1" || strings.EqualFold(q.Get("error"), "true")
-		limit := 0
-		if n, err := strconv.Atoi(q.Get("limit")); err == nil {
-			limit = n
+// adminHandler serves the standalone loop's admin surface by the one path
+// rule (obs.Admin): the loop Status as the JSON of health, of /v1/metrics and
+// of /v1/ingest, Prometheus text on /metrics, and retained ingest-step traces
+// on /v1/traces.
+func adminHandler(reg *obs.Registry, tracer *obs.Tracer, status func() stream.Status) http.Handler {
+	writeStatus := func(w http.ResponseWriter, r *http.Request) { obs.WriteJSON(w, http.StatusOK, status()) }
+	admin := &obs.Admin{Registry: reg, Tracer: tracer, Health: writeStatus, Metrics: writeStatus}
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/ingest" {
+			writeStatus(w, r)
+			return
 		}
-		views := tracer.Snapshot(minMicros, onlyErrors, limit)
-		resp := struct {
-			SlowThresholdMicros int64           `json:"slow_threshold_us,omitempty"`
-			Count               int             `json:"count"`
-			Traces              []obs.TraceView `json:"traces"`
-		}{Count: len(views), Traces: views}
-		if th := tracer.SlowThresholdMicros(); th < math.MaxInt64 {
-			resp.SlowThresholdMicros = th
-		}
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(resp)
+		admin.ServeHTTP(w, r)
 	})
-	return mux
 }

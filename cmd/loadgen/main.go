@@ -9,7 +9,7 @@
 // every /suggest response carries the serving arm in X-Serve-Arm, and the
 // report breaks request counts, traffic share and latency quantiles out per
 // arm — the client-side half of an online A/B comparison (the server's
-// /metrics holds the matching per-arm view).
+// /v1/metrics holds the matching per-arm view).
 //
 // Usage:
 //
@@ -395,9 +395,9 @@ func fetchHealth(client *http.Client, addr string) *serve.Health {
 	return &h
 }
 
-// fetchMetrics snapshots the server's /metrics, or nil when unreachable.
+// fetchMetrics snapshots the server's /v1/metrics, or nil when unreachable.
 func fetchMetrics(client *http.Client, addr string) *serve.MetricsResponse {
-	resp, err := client.Get(addr + "/metrics")
+	resp, err := client.Get(addr + "/v1/metrics")
 	if err != nil {
 		return nil
 	}
@@ -459,7 +459,7 @@ func printIngestStatus(client *http.Client, addr string) {
 func printServerMetrics(client *http.Client, addr string, before *serve.MetricsResponse, ctxServed int) {
 	m := fetchMetrics(client, addr)
 	if m == nil {
-		log.Printf("fetching /metrics failed")
+		log.Printf("fetching /v1/metrics failed")
 		return
 	}
 	fmt.Printf("server:      cache hit rate %.1f%% (%d hits / %d misses, %d evictions), "+

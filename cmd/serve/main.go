@@ -30,13 +30,13 @@
 //
 //	curl 'localhost:8080/suggest?q=nokia+n73&q=nokia+n73+themes'
 //	curl -X POST localhost:8080/suggest/batch -d '{"requests":[{"context":["nokia n73"]}]}'
-//	curl localhost:8080/metrics
-//	curl localhost:8080/models        # registry: models, roles, dict hashes, divergence
-//	curl 'localhost:8080/route?q=o2'  # which arm/shard owns this context
+//	curl localhost:8080/v1/metrics       # JSON; /metrics is the Prometheus exposition
+//	curl localhost:8080/v1/models        # registry: models, roles, dict hashes, divergence
+//	curl 'localhost:8080/v1/route?q=o2'  # which arm/shard owns this context
 //
 // Hot reload: retrain with cmd/train, overwrite the model file, then either
-// `kill -HUP <pid>` or `curl -X POST localhost:8080/reload` (fleet mode:
-// `/reload?model=<name>`). A replacement whose dictionary is not an
+// `kill -HUP <pid>` or `curl -X POST localhost:8080/v1/reload` (fleet mode:
+// `/v1/reload?model=<name>`). A replacement whose dictionary is not an
 // ID-preserving extension of the served one is refused with 409 — append
 // `&force=1` to replace the vocabulary deliberately. The new model is
 // swapped in behind an atomic pointer; in-flight requests finish on the old
@@ -158,7 +158,7 @@ func main() {
 		stopSweep := router.StartAntiEntropy(*syncEvery)
 		defer stopSweep()
 		handler = router
-		onHUP = func() { log.Print("SIGHUP ignored: POST /reload to the router (broadcast to all shards)") }
+		onHUP = func() { log.Print("SIGHUP ignored: POST /v1/reload to the router (broadcast to all shards)") }
 	default:
 		log.Fatalf("unknown -role %q (want serve, shard or router)", *role)
 	}
@@ -490,7 +490,7 @@ func buildRouterHandler(shards string, vnodes int, modelPath string, topN, cache
 			handlers[i] = serve.New(rec, serve.Options{
 				DefaultN:      topN,
 				CacheCapacity: perShardCache,
-				// POST /reload on the router broadcasts here, so a loopback
+				// POST /v1/reload on the router broadcasts here, so a loopback
 				// ring hot-reloads like any other deployment. Each partition
 				// remaps the file independently; pages stay shared.
 				ReloadFunc: func() (core.Recommender, error) { return loadModel(modelPath) },

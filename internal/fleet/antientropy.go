@@ -9,6 +9,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // Bayou-style anti-entropy for fleet admin state. Router replicas each hold
@@ -161,10 +163,10 @@ type FleetStateResponse struct {
 // fleetState serves GET /v1/fleet.
 func (s *ShardRouter) fleetState(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeErrorJSON(w, http.StatusMethodNotAllowed, "method_not_allowed", "use GET")
+		obs.WriteError(w, http.StatusMethodNotAllowed, "method_not_allowed", "use GET")
 		return
 	}
-	writeJSON(w, FleetStateResponse{
+	obs.WriteJSON(w, http.StatusOK, FleetStateResponse{
 		Role:    "router",
 		Entries: s.admin.Snapshot(),
 		Stats:   s.admin.Stats(),

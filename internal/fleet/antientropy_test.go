@@ -68,7 +68,7 @@ func TestAntiEntropyPeerPull(t *testing.T) {
 			ReloadFunc: func() (core.Recommender, error) { return shardTestRec(t), nil },
 		})
 	}
-	routerA, err := fleet.NewShardRouter(fleet.NewRing(2, 0), fleet.NewLoopbackTransport(handlers...))
+	routerA, err := fleet.NewShardRouterOpts(fleet.NewRing(2, 0), fleet.NewLoopbackTransport(handlers...), fleet.RouterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestAntiEntropyPeerPull(t *testing.T) {
 	deaf := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "admin disabled", http.StatusInternalServerError)
 	})
-	routerB, err := fleet.NewShardRouter(fleet.NewRing(2, 0), fleet.NewLoopbackTransport(deaf, deaf))
+	routerB, err := fleet.NewShardRouterOpts(fleet.NewRing(2, 0), fleet.NewLoopbackTransport(deaf, deaf), fleet.RouterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

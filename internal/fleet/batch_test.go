@@ -53,7 +53,7 @@ func breakerFailures(m fleet.ShardRouterMetrics) (n uint64) {
 func TestBatchShardRefusalIsClientError(t *testing.T) {
 	const bad = `{"requests":[{"context":["o2"],"n":100000}]}`
 	router, chaos := newChaosRing(t, 3, fleet.RouterOptions{Replicas: 2})
-	single := postTo(serve.NewHandler(shardTestRec(t), 5), "/suggest/batch", bad)
+	single := postTo(serve.New(shardTestRec(t), serve.Options{}), "/suggest/batch", bad)
 	if single.Code != http.StatusBadRequest {
 		t.Fatalf("single handler answered %d, want 400", single.Code)
 	}
@@ -106,7 +106,7 @@ func TestBatchShardRefusalIsClientError(t *testing.T) {
 	// handler says of the whole batch, and the streamed error line says
 	// requests[1] as well.
 	moved := `{"requests":[{"context":["o2 mobile"]},{"context":["o2"],"n":100000}]}`
-	whole := postTo(serve.NewHandler(shardTestRec(t), 5), "/suggest/batch", moved)
+	whole := postTo(serve.New(shardTestRec(t), serve.Options{}), "/suggest/batch", moved)
 	if !strings.Contains(whole.Body.String(), "requests[1]: n must be in") {
 		t.Fatalf("single handler's refusal = %s", whole.Body)
 	}
@@ -299,7 +299,7 @@ func TestBatchFormattedBodiesAnswerOneLinePerItem(t *testing.T) {
 	defer arms.Close()
 	bodies := formattedBodies()
 	for name, h := range map[string]http.Handler{
-		"single": serve.NewHandler(rec, 5),
+		"single": serve.New(rec, serve.Options{}),
 		"fleet":  serve.New(rec, serve.Options{DefaultN: 5, Fleet: arms}),
 		"router": newLoopbackRing(t, rec, 3),
 	} {
@@ -364,7 +364,7 @@ func TestBatchFormattedBodiesAnswerOneLinePerItem(t *testing.T) {
 // still a shard's to refuse.
 func TestRoutedBatchBodyGrammar(t *testing.T) {
 	rec := shardTestRec(t)
-	single := serve.NewHandler(rec, 5)
+	single := serve.New(rec, serve.Options{})
 	router, chaos := newChaosRing(t, 3, fleet.RouterOptions{Replicas: 2})
 	const item = `{"context":["o2"]}`
 	for _, tc := range []struct {
@@ -495,7 +495,7 @@ func FuzzRoutedBatchNeverBlamesShard(f *testing.F) {
 	f.Add(`{"requests":[{"context":["o2"]}],"requests":[{"context":["a"]}]} {}`, true)
 	f.Add(`{"requests":[{"context":["o2"]}],}`, true)
 	rec := shardTestRec(f)
-	router, single := newLoopbackRing(f, rec, 3), serve.NewHandler(rec, 5)
+	router, single := newLoopbackRing(f, rec, 3), serve.New(rec, serve.Options{})
 	f.Fuzz(func(t *testing.T, body string, stream bool) {
 		target := "/suggest/batch"
 		if stream {

@@ -134,7 +134,7 @@ func newChaosRing(t *testing.T, shards int, opts fleet.RouterOptions) (*fleet.Sh
 	rec := shardTestRec(t)
 	handlers := make([]http.Handler, shards)
 	for i := range handlers {
-		handlers[i] = serve.NewHandler(rec, 5)
+		handlers[i] = serve.New(rec, serve.Options{})
 	}
 	chaos := newChaosTransport(fleet.NewLoopbackTransport(handlers...))
 	if opts.RetryBackoff == 0 {

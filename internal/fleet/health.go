@@ -21,7 +21,7 @@ const (
 	healthHalfOpen               // one probe in flight
 )
 
-// healthStateNames maps breaker states to their /metrics strings.
+// healthStateNames maps breaker states to their /v1/metrics strings.
 var healthStateNames = [...]string{"healthy", "ejected", "probing"}
 
 // DefaultFailThreshold is the consecutive-failure count that ejects a shard

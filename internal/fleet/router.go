@@ -266,7 +266,7 @@ func (rt *Router) RefreshBase() error {
 	return nil
 }
 
-// BaseDictHash fingerprints the current interning base (see /models).
+// BaseDictHash fingerprints the current interning base (see /v1/models).
 func (rt *Router) BaseDictHash() uint64 { return rt.baseDict.Load().Hash() }
 
 // HashSeq returns the routing hash of an interned context: FNV-1a over the
@@ -368,7 +368,7 @@ func (rt *Router) Close() {
 	}
 }
 
-// ArmStats is one live arm's /metrics and /models slice. Latency quantiles
+// ArmStats is one live arm's /v1/metrics and /v1/models slice. Latency quantiles
 // come from the arm's full-history histogram (upper-bounded estimates, at
 // most 1/32 relative error, never under-reported).
 type ArmStats struct {

@@ -35,7 +35,7 @@ type shadowCounters struct {
 }
 
 // ShadowStats is one shadow slot's divergence snapshot, exposed through
-// /models and /metrics: how often the challenger's top suggestion differs
+// /v1/models and /v1/metrics: how often the challenger's top suggestion differs
 // from the champion's, and how much of the served top-N list the two models
 // share on average. Family names the challenger's model family (HMM,
 // cluster, pairwise, MVMM) and Coverage its answer rate, so the /v1/metrics

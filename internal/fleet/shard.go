@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"math/rand"
 	"net"
 	"net/http"
@@ -392,6 +391,7 @@ type ShardRouter struct {
 
 	reg        *obs.Registry
 	tracer     *obs.Tracer
+	adminHTTP  obs.Admin      // health, metrics, traces
 	attemptLat *obs.Histogram // successful attempt latencies, feeds auto hedge delay
 	hedgeWait  *obs.Histogram // delays waited before firing a hedge
 	reqLat     *obs.Histogram // end-to-end routed request latencies
@@ -405,13 +405,9 @@ type ShardRouter struct {
 	maxBodySize int64
 }
 
-// NewShardRouter builds the router over a ring and a transport of matching
-// size with the default (replication-off) failure policy.
-func NewShardRouter(ring *Ring, tr Transport) (*ShardRouter, error) {
-	return NewShardRouterOpts(ring, tr, RouterOptions{})
-}
-
-// NewShardRouterOpts builds the router with an explicit failure policy.
+// NewShardRouterOpts builds the router over a ring and a transport of
+// matching size with the given failure policy (the zero RouterOptions turns
+// replication off).
 func NewShardRouterOpts(ring *Ring, tr Transport, opts RouterOptions) (*ShardRouter, error) {
 	if ring.Shards() != tr.Shards() {
 		return nil, fmt.Errorf("fleet: ring has %d shards but transport %d", ring.Shards(), tr.Shards())
@@ -456,10 +452,11 @@ func NewShardRouterOpts(ring *Ring, tr Transport, opts RouterOptions) (*ShardRou
 	s.reg.CounterFunc("router_hedges_total", s.hedges.Load)
 	s.reg.CounterFunc("router_hedges_won_total", s.hedgesWon.Load)
 	s.reg.CounterFunc("router_client_cancelled_total", s.cancelled.Load)
+	s.adminHTTP = obs.Admin{Registry: s.reg, Tracer: s.tracer, Health: s.healthz, Metrics: s.metrics}
 	return s, nil
 }
 
-// Obs returns the router's metrics registry (rendered by
+// Obs returns the router's metrics registry (rendered by /metrics and
 // /v1/metrics?format=prometheus).
 func (s *ShardRouter) Obs() *obs.Registry { return s.reg }
 
@@ -478,50 +475,27 @@ func (s *ShardRouter) Replicas() int { return s.opts.Replicas }
 func (s *ShardRouter) Admin() *AdminState { return s.admin }
 
 // ServeHTTP implements http.Handler: suggestion traffic is routed by context
-// hash; /healthz, /metrics, /route and /fleet answer from the router itself.
-// Admin endpoints live under /v1/ with the legacy unversioned paths
-// redirecting, mirroring the serving layer's surface.
+// hash; /v1/route, /v1/reload and /v1/fleet answer from the router itself,
+// and health, metrics and traces from the admin surface every process mounts
+// (obs.Admin), which 404s the rest.
 func (s *ShardRouter) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	switch r.URL.Path {
 	case "/suggest":
 		s.suggest(w, r)
 	case "/suggest/batch", "/v1/suggest/batch":
 		s.batch(w, r)
-	case "/healthz":
-		s.healthz(w)
-	case "/v1/metrics":
-		if wantsPrometheusFormat(r) {
-			s.prometheus(w)
-			return
-		}
-		s.metrics(w)
-	case "/v1/traces":
-		s.traces(w, r)
 	case "/v1/route":
 		s.route(w, r)
 	case "/v1/reload":
 		s.reload(w, r)
 	case "/v1/fleet":
 		s.fleetState(w, r)
-	case "/metrics":
-		// Prometheus scrapers conventionally hit bare /metrics and do not
-		// follow redirects: serve the exposition directly in that case.
-		if wantsPrometheusFormat(r) {
-			s.prometheus(w)
-			return
-		}
-		redirectV1(w, r)
-	case "/route", "/fleet":
-		redirectV1(w, r)
-	case "/reload":
-		// POST cannot follow a 301 without changing semantics: alias it.
-		s.reload(w, r)
 	default:
-		writeErrorJSON(w, http.StatusNotFound, "not_found", "no such endpoint")
+		s.adminHTTP.ServeHTTP(w, r)
 	}
 }
 
-// ShardReloadResult is one shard's slice of the router's /reload broadcast.
+// ShardReloadResult is one shard's slice of the router's /v1/reload broadcast.
 type ShardReloadResult struct {
 	Shard    int             `json:"shard"`
 	Status   int             `json:"status"`
@@ -529,13 +503,13 @@ type ShardReloadResult struct {
 	Error    string          `json:"error,omitempty"`
 }
 
-// ShardReloadResponse is the router's POST /reload payload: the broadcast's
-// per-shard outcomes.
+// ShardReloadResponse is the router's POST /v1/reload payload: the
+// broadcast's per-shard outcomes.
 type ShardReloadResponse struct {
 	Shards []ShardReloadResult `json:"shards"`
 }
 
-// reload broadcasts POST /reload (query string included, so model= and
+// reload broadcasts POST /v1/reload (query string included, so model= and
 // force= pass through) to every shard and reports each outcome. The overall
 // status is 200 only when every shard answered 200; otherwise the worst
 // shard status (502 for transport failures) so automation notices partial
@@ -544,10 +518,10 @@ type ShardReloadResponse struct {
 // anti-entropy, on every peer router) immediately.
 func (s *ShardRouter) reload(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeErrorJSON(w, http.StatusMethodNotAllowed, "method_not_allowed", "use POST")
+		obs.WriteError(w, http.StatusMethodNotAllowed, "method_not_allowed", "use POST")
 		return
 	}
-	path := "/reload"
+	path := "/v1/reload"
 	if r.URL.RawQuery != "" {
 		path += "?" + r.URL.RawQuery
 	}
@@ -573,9 +547,7 @@ func (s *ShardRouter) reload(w http.ResponseWriter, r *http.Request) {
 		resp.Shards[shard] = res
 	}
 	s.RefreshAdmin(r.Context())
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(overall)
-	_ = json.NewEncoder(w).Encode(resp)
+	obs.WriteJSON(w, overall, resp)
 }
 
 // attemptCtx is the context one shard attempt — a GET attempt, or the
@@ -828,7 +800,7 @@ func (s *ShardRouter) putCalls(b *batchScratch) {
 // order; index is the item's position in the request.
 func (s *ShardRouter) batch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeErrorJSON(w, http.StatusMethodNotAllowed, "method_not_allowed", "use POST")
+		obs.WriteError(w, http.StatusMethodNotAllowed, "method_not_allowed", "use POST")
 		return
 	}
 	sc := s.getScratch()
@@ -847,19 +819,19 @@ func (s *ShardRouter) batch(w http.ResponseWriter, r *http.Request) {
 	}()
 	var err error
 	if sc.body, err = AppendReadAll(sc.body, http.MaxBytesReader(w, r.Body, s.maxBodySize)); err != nil {
-		writeErrorJSON(w, http.StatusBadRequest, "bad_request", "reading body: "+err.Error())
+		obs.WriteError(w, http.StatusBadRequest, "bad_request", "reading body: "+err.Error())
 		return
 	}
 	if sc.items, sc.toks, err = jsonspan.AppendBatch(sc.items, sc.toks, sc.body); err != nil {
-		writeErrorJSON(w, http.StatusBadRequest, "bad_request", "invalid JSON body: "+err.Error())
+		obs.WriteError(w, http.StatusBadRequest, "bad_request", "invalid JSON body: "+err.Error())
 		return
 	}
 	if len(sc.items) == 0 {
-		writeErrorJSON(w, http.StatusBadRequest, "bad_request", "empty batch: requests must contain at least one context")
+		obs.WriteError(w, http.StatusBadRequest, "bad_request", "empty batch: requests must contain at least one context")
 		return
 	}
 	if len(sc.items) > s.maxBatch {
-		writeErrorJSON(w, http.StatusBadRequest, "bad_request",
+		obs.WriteError(w, http.StatusBadRequest, "bad_request",
 			fmt.Sprintf("batch of %d exceeds limit %d", len(sc.items), s.maxBatch))
 		return
 	}
@@ -897,7 +869,7 @@ func (s *ShardRouter) batch(w http.ResponseWriter, r *http.Request) {
 		if sc.refused != nil && out == nil {
 			// No merged answer can come of this batch any more: pass the
 			// shard's verdict on, as the GET path passes a 4xx on.
-			w.Header()["Content-Type"] = JSONContentType
+			w.Header()["Content-Type"] = obs.JSONContentType
 			w.WriteHeader(sc.refused.status)
 			w.Write(sc.refused.resp)
 			return
@@ -909,7 +881,7 @@ func (s *ShardRouter) batch(w http.ResponseWriter, r *http.Request) {
 		s.cancelled.Add(1)
 		errored = false
 		if out == nil {
-			writeErrorJSON(w, statusClientClosedRequest, "client_closed_request", "client went away before the shards answered")
+			obs.WriteError(w, statusClientClosedRequest, "client_closed_request", "client went away before the shards answered")
 		}
 		return
 	}
@@ -929,7 +901,7 @@ func (s *ShardRouter) batch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if len(sc.failed) > 0 {
-		writeErrorJSON(w, http.StatusBadGateway, "bad_gateway",
+		obs.WriteError(w, http.StatusBadGateway, "bad_gateway",
 			fmt.Sprintf("%d item(s) failed on every replica: %s", len(sc.failed), failMsg))
 		return
 	}
@@ -947,7 +919,7 @@ func (s *ShardRouter) batch(w http.ResponseWriter, r *http.Request) {
 	if n := s.failoversOf(sc, R); n > 0 {
 		w.Header()["X-Serve-Failovers"] = []string{strconv.Itoa(n)}
 	}
-	w.Header()["Content-Type"] = JSONContentType
+	w.Header()["Content-Type"] = obs.JSONContentType
 	w.Write(sc.out)
 }
 
@@ -1294,31 +1266,10 @@ func WantsNDJSONStream(r *http.Request) bool {
 	return strings.Contains(r.Header.Get("Accept"), "application/x-ndjson")
 }
 
-// Content-Type header values, shared — by the router and by the handlers of
-// internal/serve — for allocation-free header assignment: never written to.
-var (
-	JSONContentType       = []string{"application/json"}
-	NDJSONContentType     = []string{"application/x-ndjson"}
-	PrometheusContentType = []string{"text/plain; version=0.0.4; charset=utf-8"}
-)
-
-// redirectV1 301s a legacy unversioned admin path to its /v1/ home.
-func redirectV1(w http.ResponseWriter, r *http.Request) {
-	target := "/v1" + r.URL.Path
-	if r.URL.RawQuery != "" {
-		target += "?" + r.URL.RawQuery
-	}
-	http.Redirect(w, r, target, http.StatusMovedPermanently)
-}
-
-// writeErrorJSON answers a non-2xx with the consistent error envelope
-// {"error":{"code","message"}} every handler in the repository uses, from the
-// one encoder of it.
-func writeErrorJSON(w http.ResponseWriter, status int, code, msg string) {
-	w.Header()["Content-Type"] = JSONContentType
-	w.WriteHeader(status)
-	w.Write(jsonspan.AppendError([]byte{'{'}, code, msg))
-}
+// NDJSONContentType is the streamed batch's Content-Type header value, shared
+// — by the router and by the handlers of internal/serve — for allocation-free
+// header assignment: never written to.
+var NDJSONContentType = []string{"application/x-ndjson"}
 
 // ShardRouterHealth is the shard router's /healthz payload: liveness plus
 // the replication factor and every shard breaker's live state.
@@ -1331,7 +1282,7 @@ type ShardRouterHealth struct {
 	ShardHealth   []ShardHealthStats `json:"shard_health"`
 }
 
-func (s *ShardRouter) healthz(w http.ResponseWriter) {
+func (s *ShardRouter) healthz(w http.ResponseWriter, _ *http.Request) {
 	resp := ShardRouterHealth{
 		Status:   "ok",
 		Role:     "router",
@@ -1348,10 +1299,10 @@ func (s *ShardRouter) healthz(w http.ResponseWriter) {
 	if resp.ShardsHealthy == 0 {
 		resp.Status = "degraded"
 	}
-	writeJSON(w, resp)
+	obs.WriteJSON(w, http.StatusOK, resp)
 }
 
-// ShardRouterMetrics is the shard router's /metrics payload: routed request
+// ShardRouterMetrics is the shard router's /v1/metrics payload: routed request
 // counters, the per-shard distribution (contexts routed to each replica —
 // near-even by construction of the ring), and the failure-policy counters:
 // retries (failed attempts moved to another replica), failovers (requests
@@ -1387,7 +1338,7 @@ type ShardRouterMetrics struct {
 	AntiEntropy       *AdminStateStats   `json:"anti_entropy,omitempty"`
 }
 
-func (s *ShardRouter) metrics(w http.ResponseWriter) {
+func (s *ShardRouter) metrics(w http.ResponseWriter, _ *http.Request) {
 	m := ShardRouterMetrics{
 		Role:          "router",
 		Shards:        s.ring.Shards(),
@@ -1421,10 +1372,10 @@ func (s *ShardRouter) metrics(w http.ResponseWriter) {
 	}
 	st := s.admin.Stats()
 	m.AntiEntropy = &st
-	writeJSON(w, m)
+	obs.WriteJSON(w, http.StatusOK, m)
 }
 
-// RouteResponse is the /route admin payload: where a context would go,
+// RouteResponse is the /v1/route admin payload: where a context would go,
 // without serving it — the whole preference list under replication.
 type RouteResponse struct {
 	Hash     string `json:"context_hash"`
@@ -1441,60 +1392,5 @@ func (s *ShardRouter) route(w http.ResponseWriter, r *http.Request) {
 	if len(prefs) > 1 {
 		resp.Replicas = prefs
 	}
-	writeJSON(w, resp)
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-// wantsPrometheusFormat reports whether the request asked for the
-// Prometheus text exposition via ?format=prometheus.
-func wantsPrometheusFormat(r *http.Request) bool {
-	return strings.Contains(r.URL.RawQuery, "format=prometheus")
-}
-
-// prometheus renders the router's registry in the Prometheus text format.
-func (s *ShardRouter) prometheus(w http.ResponseWriter) {
-	w.Header()["Content-Type"] = PrometheusContentType
-	_ = s.reg.WritePrometheus(w)
-}
-
-// traces serves GET /v1/traces: the router's tail-sampled retained traces,
-// newest first, filterable with ?min_us=N, ?error=1 and ?limit=N. Each
-// trace shows the request's failover story: per-attempt shard spans with
-// outcomes, breaker skips and hedge firings.
-func (s *ShardRouter) traces(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeErrorJSON(w, http.StatusMethodNotAllowed, "method_not_allowed", "use GET")
-		return
-	}
-	var minMicros int64
-	var onlyErrors bool
-	limit := 0
-	q := r.URL.Query()
-	if v := q.Get("min_us"); v != "" {
-		if n, err := strconv.ParseInt(v, 10, 64); err == nil {
-			minMicros = n
-		}
-	}
-	if v := q.Get("error"); v == "1" || v == "true" {
-		onlyErrors = true
-	}
-	if v := q.Get("limit"); v != "" {
-		if n, err := strconv.Atoi(v); err == nil {
-			limit = n
-		}
-	}
-	views := s.tracer.Snapshot(minMicros, onlyErrors, limit)
-	resp := struct {
-		SlowThresholdMicros int64           `json:"slow_threshold_us,omitempty"`
-		Count               int             `json:"count"`
-		Traces              []obs.TraceView `json:"traces"`
-	}{Count: len(views), Traces: views}
-	if th := s.tracer.SlowThresholdMicros(); th < math.MaxInt64 {
-		resp.SlowThresholdMicros = th
-	}
-	writeJSON(w, resp)
+	obs.WriteJSON(w, http.StatusOK, resp)
 }

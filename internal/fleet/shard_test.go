@@ -60,13 +60,34 @@ func newLoopbackRing(t testing.TB, rec core.Recommender, shards int) *fleet.Shar
 	t.Helper()
 	handlers := make([]http.Handler, shards)
 	for i := range handlers {
-		handlers[i] = serve.NewHandler(rec, 5)
+		handlers[i] = serve.New(rec, serve.Options{})
 	}
-	router, err := fleet.NewShardRouter(fleet.NewRing(shards, 0), fleet.NewLoopbackTransport(handlers...))
+	router, err := fleet.NewShardRouterOpts(fleet.NewRing(shards, 0), fleet.NewLoopbackTransport(handlers...), fleet.RouterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return router
+}
+
+// TestHealthzOnBothPaths: the router answers health on /healthz and
+// /v1/healthz as the single handler does — liveness probes do not follow
+// redirects, and README names /v1/healthz. The router used to 404 the
+// versioned path.
+func TestHealthzOnBothPaths(t *testing.T) {
+	rec := shardTestRec(t)
+	for name, h := range map[string]http.Handler{
+		"single": serve.New(rec, serve.Options{}),
+		"router": newLoopbackRing(t, rec, 2),
+	} {
+		for _, path := range []string{"/healthz", "/v1/healthz"} {
+			rr := httptest.NewRecorder()
+			h.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, path, nil))
+			var health struct{ Status string }
+			if err := json.Unmarshal(rr.Body.Bytes(), &health); rr.Code != http.StatusOK || err != nil || health.Status != "ok" {
+				t.Errorf("%s GET %s = %d: %s", name, path, rr.Code, rr.Body)
+			}
+		}
+	}
 }
 
 // TestLoopbackExchangeNilContext: a nil context carries no deadline, no
@@ -75,7 +96,7 @@ func newLoopbackRing(t testing.TB, rec core.Recommender, shards int) *fleet.Shar
 // obs.TraceHeaderFromContext and panic, and the shard generates its own ID.
 func TestLoopbackExchangeNilContext(t *testing.T) {
 	var seen []string
-	shard := serve.NewHandler(shardTestRec(t), 5)
+	shard := serve.New(shardTestRec(t), serve.Options{})
 	tr := fleet.NewLoopbackTransport(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		seen = r.Header["X-Trace-Id"]
 		shard.ServeHTTP(w, r)
@@ -93,10 +114,10 @@ func TestLoopbackExchangeNilContext(t *testing.T) {
 // a 3-shard loopback ring must answer /suggest with byte-identical bodies to
 // direct single-model serving (modulo the timing member), label each
 // response with its shard, and route each context to exactly one sticky
-// shard that /route agrees with.
+// shard that /v1/route agrees with.
 func TestLoopbackRingByteIdentical(t *testing.T) {
 	rec := shardTestRec(t)
-	direct := httptest.NewServer(serve.NewHandler(rec, 5))
+	direct := httptest.NewServer(serve.New(rec, serve.Options{}))
 	defer direct.Close()
 	router := newLoopbackRing(t, rec, 3)
 	ringSrv := httptest.NewServer(router)
@@ -123,20 +144,20 @@ func TestLoopbackRingByteIdentical(t *testing.T) {
 		}
 		shardsSeen[shard] = true
 
-		// Stickiness: replay must hit the same shard, and /route must agree.
+		// Stickiness: replay must hit the same shard, and /v1/route must agree.
 		for rep := 0; rep < 2; rep++ {
 			_, hdr2, _ := getBody(t, ringSrv.URL+"/suggest?"+qs)
 			if got := hdr2.Get("X-Serve-Shard"); got != shard {
 				t.Fatalf("%s flapped shards: %s then %s", qs, shard, got)
 			}
 		}
-		raw, _, _ := getBody(t, ringSrv.URL+"/route?"+qs)
+		raw, _, _ := getBody(t, ringSrv.URL+"/v1/route?"+qs)
 		var ri fleet.RouteResponse
 		if err := json.Unmarshal(raw, &ri); err != nil {
 			t.Fatal(err)
 		}
 		if fmt.Sprint(ri.Shard) != shard {
-			t.Fatalf("%s: /route says shard %d but %s served", qs, ri.Shard, shard)
+			t.Fatalf("%s: /v1/route says shard %d but %s served", qs, ri.Shard, shard)
 		}
 	}
 	if len(shardsSeen) < 2 {
@@ -149,7 +170,7 @@ func TestLoopbackRingByteIdentical(t *testing.T) {
 // produces.
 func TestRingBatchFanout(t *testing.T) {
 	rec := shardTestRec(t)
-	direct := httptest.NewServer(serve.NewHandler(rec, 5))
+	direct := httptest.NewServer(serve.New(rec, serve.Options{}))
 	defer direct.Close()
 	router := newLoopbackRing(t, rec, 3)
 	ringSrv := httptest.NewServer(router)
@@ -193,7 +214,7 @@ func TestRingBatchFanout(t *testing.T) {
 
 	// Router metrics: the batch counted, fan-outs happened, and shard
 	// counters sum to the routed contexts.
-	raw, _, _ := getBody(t, ringSrv.URL+"/metrics")
+	raw, _, _ := getBody(t, ringSrv.URL+"/v1/metrics")
 	var m fleet.ShardRouterMetrics
 	if err := json.Unmarshal(raw, &m); err != nil {
 		t.Fatal(err)
@@ -215,12 +236,12 @@ func TestRingBatchFanout(t *testing.T) {
 // against direct serving.
 func TestHTTPTransportFanout(t *testing.T) {
 	rec := shardTestRec(t)
-	direct := httptest.NewServer(serve.NewHandler(rec, 5))
+	direct := httptest.NewServer(serve.New(rec, serve.Options{}))
 	defer direct.Close()
 
 	var urls []string
 	for i := 0; i < 3; i++ {
-		s := httptest.NewServer(serve.NewHandler(rec, 5))
+		s := httptest.NewServer(serve.New(rec, serve.Options{}))
 		defer s.Close()
 		urls = append(urls, s.URL)
 	}
@@ -228,7 +249,7 @@ func TestHTTPTransportFanout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	router, err := fleet.NewShardRouter(fleet.NewRing(3, 0), tr)
+	router, err := fleet.NewShardRouterOpts(fleet.NewRing(3, 0), tr, fleet.RouterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +288,7 @@ func TestHTTPTransportFanout(t *testing.T) {
 	}
 }
 
-// TestRingReloadBroadcast: POST /reload on the router must fan out to every
+// TestRingReloadBroadcast: POST /v1/reload on the router must fan out to every
 // shard and report per-shard outcomes; the shard handlers' generations all
 // move.
 func TestRingReloadBroadcast(t *testing.T) {
@@ -281,14 +302,14 @@ func TestRingReloadBroadcast(t *testing.T) {
 		})
 		asHTTP[i] = handlers[i]
 	}
-	router, err := fleet.NewShardRouter(fleet.NewRing(3, 0), fleet.NewLoopbackTransport(asHTTP...))
+	router, err := fleet.NewShardRouterOpts(fleet.NewRing(3, 0), fleet.NewLoopbackTransport(asHTTP...), fleet.RouterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv := httptest.NewServer(router)
 	defer srv.Close()
 
-	resp, err := http.Post(srv.URL+"/reload", "", nil)
+	resp, err := http.Post(srv.URL+"/v1/reload", "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,15 +338,15 @@ func TestRingReloadBroadcast(t *testing.T) {
 	// A ring whose shards cannot reload must not answer a blanket 200.
 	bare := make([]http.Handler, 2)
 	for i := range bare {
-		bare[i] = serve.NewHandler(rec, 5)
+		bare[i] = serve.New(rec, serve.Options{})
 	}
-	router2, err := fleet.NewShardRouter(fleet.NewRing(2, 0), fleet.NewLoopbackTransport(bare...))
+	router2, err := fleet.NewShardRouterOpts(fleet.NewRing(2, 0), fleet.NewLoopbackTransport(bare...), fleet.RouterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv2 := httptest.NewServer(router2)
 	defer srv2.Close()
-	resp, err = http.Post(srv2.URL+"/reload", "", nil)
+	resp, err = http.Post(srv2.URL+"/v1/reload", "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

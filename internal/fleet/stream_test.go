@@ -104,7 +104,7 @@ func TestRingBatchStreamShardFailure(t *testing.T) {
 	boom := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "shard down", http.StatusInternalServerError)
 	})
-	router, err := fleet.NewShardRouter(fleet.NewRing(2, 0), fleet.NewLoopbackTransport(boom, boom))
+	router, err := fleet.NewShardRouterOpts(fleet.NewRing(2, 0), fleet.NewLoopbackTransport(boom, boom), fleet.RouterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestHTTPTransportStream(t *testing.T) {
 	rec := shardTestRec(t)
 	var urls []string
 	for i := 0; i < 2; i++ {
-		s := httptest.NewServer(serve.NewHandler(rec, 5))
+		s := httptest.NewServer(serve.New(rec, serve.Options{}))
 		defer s.Close()
 		urls = append(urls, s.URL)
 	}
@@ -163,7 +163,7 @@ func TestHTTPTransportStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	router, err := fleet.NewShardRouter(fleet.NewRing(2, 0), tr)
+	router, err := fleet.NewShardRouterOpts(fleet.NewRing(2, 0), tr, fleet.RouterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

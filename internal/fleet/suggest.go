@@ -96,7 +96,7 @@ type getWalk struct {
 // order, and why.
 func (s *ShardRouter) suggest(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeErrorJSON(w, http.StatusMethodNotAllowed, "method_not_allowed", "use GET")
+		obs.WriteError(w, http.StatusMethodNotAllowed, "method_not_allowed", "use GET")
 		return
 	}
 	s.requests.Add(1)
@@ -324,7 +324,7 @@ func (g *getWalk) respond(w http.ResponseWriter, at *getAttempt, res getResult) 
 	if at.hedge {
 		h["X-Serve-Hedge"] = hedgeWonHeaderValue
 	}
-	h["Content-Type"] = JSONContentType
+	h["Content-Type"] = obs.JSONContentType
 	w.WriteHeader(res.status)
 	w.Write(*res.body)
 	s.putBuf(res.body)
@@ -334,7 +334,7 @@ func (g *getWalk) respond(w http.ResponseWriter, at *getAttempt, res getResult) 
 // abandon ends a request whose client went away mid-walk.
 func (g *getWalk) abandon(w http.ResponseWriter) {
 	g.s.cancelled.Add(1)
-	writeErrorJSON(w, statusClientClosedRequest, "client_closed_request", "client went away before a replica answered")
+	obs.WriteError(w, statusClientClosedRequest, "client_closed_request", "client went away before a replica answered")
 	g.finish(false)
 }
 
@@ -346,7 +346,7 @@ func (g *getWalk) fail(w http.ResponseWriter) {
 	} else {
 		msg += fmt.Sprintf("status %d", g.last.status)
 	}
-	writeErrorJSON(w, http.StatusBadGateway, "bad_gateway", msg)
+	obs.WriteError(w, http.StatusBadGateway, "bad_gateway", msg)
 	g.finish(true)
 }
 

@@ -297,11 +297,8 @@ func TestClientCancelDoesNotPoisonBreakers(t *testing.T) {
 			if m.Cancelled != n || m.Retries != 0 {
 				t.Fatalf("client_cancelled = %d (want %d), retries = %d (want 0)", m.Cancelled, n, m.Retries)
 			}
-			var prom bytes.Buffer
-			if err := router.Obs().WritePrometheus(&prom); err != nil {
-				t.Fatal(err)
-			}
-			if want := fmt.Sprintf("router_client_cancelled_total %d\n", n); !strings.Contains(prom.String(), want) {
+			prom := router.Obs().AppendPrometheus(nil)
+			if want := fmt.Sprintf("router_client_cancelled_total %d\n", n); !strings.Contains(string(prom), want) {
 				t.Fatalf("Prometheus exposition lacks %q", want)
 			}
 
@@ -343,7 +340,7 @@ func TestRouterGETAllocs(t *testing.T) {
 	rec := shardTestRec(t)
 	handlers := make([]http.Handler, 3)
 	for i := range handlers {
-		handlers[i] = serve.NewHandler(rec, 5)
+		handlers[i] = serve.New(rec, serve.Options{})
 	}
 	router, err := fleet.NewShardRouterOpts(fleet.NewRing(3, 0), fleet.NewLoopbackTransport(handlers...),
 		fleet.RouterOptions{Replicas: 2, ShardTimeout: 2 * time.Second})

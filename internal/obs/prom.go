@@ -2,7 +2,6 @@ package obs
 
 import (
 	"fmt"
-	"io"
 	"strconv"
 	"strings"
 )
@@ -46,12 +45,6 @@ func (r *Registry) AppendPrometheus(dst []byte) []byte {
 		dst = appendPromHistogram(dst, name, hists[i])
 	}
 	return dst
-}
-
-// WritePrometheus renders the exposition to w in one write.
-func (r *Registry) WritePrometheus(w io.Writer) error {
-	_, err := w.Write(r.AppendPrometheus(nil))
-	return err
 }
 
 // appendPromHistogram renders one histogram family: cumulative _bucket

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"bytes"
 	"math"
 	"strconv"
 	"strings"
@@ -21,13 +20,10 @@ func TestPrometheusRoundTrip(t *testing.T) {
 	r.CounterFunc("test_errors_total", func() uint64 { return 7 })
 	r.GaugeFunc("test_weight", func() float64 { return 0.25 })
 
-	var buf bytes.Buffer
-	if err := r.WritePrometheus(&buf); err != nil {
-		t.Fatalf("write: %v", err)
-	}
-	fams, err := ParsePrometheus(buf.Bytes())
+	out := r.AppendPrometheus(nil)
+	fams, err := ParsePrometheus(out)
 	if err != nil {
-		t.Fatalf("parse: %v\n%s", err, buf.String())
+		t.Fatalf("parse: %v\n%s", err, out)
 	}
 
 	lat := fams["test_latency_us"]

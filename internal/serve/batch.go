@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fleet"
 	"repro/internal/jsonspan"
+	"repro/internal/obs"
 	"repro/internal/query"
 )
 
@@ -71,37 +72,37 @@ func putBatchScratch(bb *batchScratch) {
 // for the allocation discipline.
 func (h *Handler) suggestBatch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "use POST")
+		obs.WriteError(w, http.StatusMethodNotAllowed, "method_not_allowed", "use POST")
 		return
 	}
 	bb := batchScratchPool.Get().(*batchScratch)
 	defer putBatchScratch(bb)
 	var err error
 	if bb.body, err = fleet.AppendReadAll(bb.body, http.MaxBytesReader(w, r.Body, 1<<22)); err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", "reading body: "+err.Error())
+		obs.WriteError(w, http.StatusBadRequest, "bad_request", "reading body: "+err.Error())
 		return
 	}
 	if bb.items, bb.toks, err = jsonspan.AppendBatch(bb.items, bb.toks, bb.body); err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", "invalid JSON body: "+err.Error())
+		obs.WriteError(w, http.StatusBadRequest, "bad_request", "invalid JSON body: "+err.Error())
 		return
 	}
 	if len(bb.items) == 0 {
-		writeError(w, http.StatusBadRequest, "bad_request", "empty batch: requests must contain at least one context")
+		obs.WriteError(w, http.StatusBadRequest, "bad_request", "empty batch: requests must contain at least one context")
 		return
 	}
 	if len(bb.items) > h.opts.MaxBatch {
-		writeError(w, http.StatusBadRequest, "bad_request",
+		obs.WriteError(w, http.StatusBadRequest, "bad_request",
 			fmt.Sprintf("batch of %d exceeds limit %d", len(bb.items), h.opts.MaxBatch))
 		return
 	}
 	for i := range bb.items {
 		item := &bb.items[i]
 		if item.TokHi == item.TokLo {
-			writeError(w, http.StatusBadRequest, "bad_request", fmt.Sprintf("requests[%d]: empty context", i))
+			obs.WriteError(w, http.StatusBadRequest, "bad_request", fmt.Sprintf("requests[%d]: empty context", i))
 			return
 		}
 		if item.N < 0 || item.N > h.opts.MaxN {
-			writeError(w, http.StatusBadRequest, "bad_request",
+			obs.WriteError(w, http.StatusBadRequest, "bad_request",
 				fmt.Sprintf("requests[%d]: n must be in [1,%d] (or omitted)", i, h.opts.MaxN))
 			return
 		}
@@ -147,7 +148,6 @@ func (h *Handler) suggestBatch(w http.ResponseWriter, r *http.Request) {
 	elapsed := (tr.Elapsed() - batchStart).Microseconds()
 	recordStage(tr, h.histBatchDescent, stageBatch, batchStart, elapsed, "ok")
 	perCtx := elapsed / int64(len(bb.items))
-	h.histServe.RecordN(perCtx, len(bb.items))
 	h.m.batches.Add(1)
 	h.m.batchContexts.Add(uint64(len(bb.items)))
 	if fleet.WantsNDJSONStream(r) {

@@ -5,7 +5,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"testing"
 	"time"
 
@@ -187,96 +186,39 @@ func TestPairwiseRerankOnChampion(t *testing.T) {
 	}
 }
 
-// TestV1MigrationAndErrorEnvelope pins the /v1 mounting contract: legacy GET
-// admin paths 301 to their /v1 twins, legacy POST /reload keeps working as
-// an alias, and every non-2xx answer carries the JSON error envelope.
+// TestV1MigrationAndErrorEnvelope pins the /v1 mounting contract now that
+// the one release of legacy paths is over: the unversioned admin paths that
+// used to 301 (or, for POST /reload, alias) answer the 404 envelope like any
+// unknown path, /healthz and /v1/healthz both answer directly (probes do not
+// follow redirects), and every non-2xx answer carries the JSON error envelope.
 func TestV1MigrationAndErrorEnvelope(t *testing.T) {
-	h := New(testRecommender(t), Options{DefaultN: 5})
-	srv := httptest.NewServer(h)
-	defer srv.Close()
-	noRedirect := &http.Client{CheckRedirect: func(*http.Request, []*http.Request) error {
-		return http.ErrUseLastResponse
-	}}
-
-	for _, path := range []string{"/metrics", "/models", "/route?q=o2"} {
-		resp, err := noRedirect.Get(srv.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusMovedPermanently {
-			t.Fatalf("GET %s = %d, want 301", path, resp.StatusCode)
-		}
-		if loc := resp.Header.Get("Location"); !strings.HasPrefix(loc, "/v1/") {
-			t.Fatalf("GET %s redirects to %q, want /v1/ prefix", path, loc)
-		}
-	}
-	// The redirect must preserve the query string.
-	resp, err := noRedirect.Get(srv.URL + "/route?q=o2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if loc := resp.Header.Get("Location"); loc != "/v1/route?q=o2" {
-		t.Fatalf("legacy /route redirects to %q, want /v1/route?q=o2", loc)
-	}
-
-	// /healthz serves on both paths: liveness probes don't follow 301s.
+	h := New(testRecommender(t), Options{})
 	for _, path := range []string{"/healthz", "/v1/healthz"} {
-		resp, err := noRedirect.Get(srv.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s = %d, want 200 (first-class alias, not a redirect)", path, resp.StatusCode)
+		rr := httptest.NewRecorder()
+		h.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, path, nil))
+		if rr.Code != http.StatusOK {
+			t.Fatalf("GET %s = %d, want 200", path, rr.Code)
 		}
 	}
-
-	// Legacy POST /reload stays an alias (a 301 would downgrade the POST).
-	resp, err = http.Post(srv.URL+"/reload", "application/json", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusNotImplemented {
-		t.Fatalf("legacy POST /reload = %d, want 501 (no ReloadFunc configured)", resp.StatusCode)
-	}
-	var envelope ErrorBody
-	if err := json.NewDecoder(resp.Body).Decode(&envelope); err != nil {
-		t.Fatal(err)
-	}
-	if envelope.Error.Code == "" || envelope.Error.Message == "" {
-		t.Fatalf("non-2xx answer missing error envelope: %+v", envelope)
-	}
-
-	// Every 4xx shape carries the envelope.
 	for _, tc := range []struct {
 		method, path string
 		status       int
 	}{
+		{"GET", "/models", http.StatusNotFound},
+		{"GET", "/route?q=o2", http.StatusNotFound},
+		{"POST", "/reload", http.StatusNotFound},
 		{"GET", "/no-such-endpoint", http.StatusNotFound},
 		{"GET", "/suggest", http.StatusBadRequest},
 		{"POST", "/v1/metrics", http.StatusMethodNotAllowed},
+		{"POST", "/v1/reload", http.StatusNotImplemented}, // no ReloadFunc configured
 	} {
-		req, err := http.NewRequest(tc.method, srv.URL+tc.path, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := noRedirect.Do(req)
-		if err != nil {
-			t.Fatal(err)
+		rr := httptest.NewRecorder()
+		h.ServeHTTP(rr, httptest.NewRequest(tc.method, tc.path, nil))
+		if rr.Code != tc.status {
+			t.Fatalf("%s %s = %d, want %d", tc.method, tc.path, rr.Code, tc.status)
 		}
 		var env ErrorBody
-		err = json.NewDecoder(resp.Body).Decode(&env)
-		resp.Body.Close()
-		if resp.StatusCode != tc.status {
-			t.Fatalf("%s %s = %d, want %d", tc.method, tc.path, resp.StatusCode, tc.status)
-		}
-		if err != nil || env.Error.Code == "" || env.Error.Message == "" {
+		if err := json.Unmarshal(rr.Body.Bytes(), &env); err != nil || env.Error.Code == "" || env.Error.Message == "" {
 			t.Fatalf("%s %s: malformed error envelope (err=%v, env=%+v)", tc.method, tc.path, err, env)
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/fleet"
+	"repro/internal/obs"
 	"repro/internal/query"
 )
 
@@ -54,7 +55,6 @@ func (h *Handler) suggestFleet(w http.ResponseWriter, b *reqScratch, n int) {
 	}
 	took := end.Microseconds()
 	h.m.suggests.Add(1)
-	h.histServe.Record(took)
 	rt.RecordServe(armIdx, took)
 	// Shadow-score only champion-served requests: divergence metrics mean
 	// "challenger vs champion", and once a challenger ramps to live weight its
@@ -104,15 +104,15 @@ func (h *Handler) recommendBatchFleet(bb *batchScratch) {
 	}
 }
 
-// reloadFleet serves POST /reload?model=<name>[&force=1] in fleet mode.
+// reloadFleet serves POST /v1/reload?model=<name>[&force=1] in fleet mode.
 func (h *Handler) reloadFleet(w http.ResponseWriter, name string, force bool, start time.Time) {
 	if name == "" {
-		writeError(w, http.StatusBadRequest, "bad_request", "fleet serving reloads by name: POST /v1/reload?model=<name> (see /v1/models)")
+		obs.WriteError(w, http.StatusBadRequest, "bad_request", "fleet serving reloads by name: POST /v1/reload?model=<name> (see /v1/models)")
 		return
 	}
 	slot := h.fleet.Registry().Slot(name)
 	if slot == nil {
-		writeError(w, http.StatusNotFound, "not_found", fmt.Sprintf("unknown model %q (see /v1/models)", name))
+		obs.WriteError(w, http.StatusNotFound, "not_found", fmt.Sprintf("unknown model %q (see /v1/models)", name))
 		return
 	}
 	gen, err := slot.Reload(force)
@@ -126,7 +126,7 @@ func (h *Handler) reloadFleet(w http.ResponseWriter, name string, force bool, st
 	if err := h.fleet.RefreshBase(); err != nil && h.opts.Logger != nil {
 		h.opts.Logger.Printf("interning base not advanced after reload of %q: %v", name, err)
 	}
-	writeJSON(w, http.StatusOK, ReloadResponse{
+	obs.WriteJSON(w, http.StatusOK, ReloadResponse{
 		Model:        name,
 		Generation:   gen,
 		KnownQueries: slot.State().Rec.Dict().Len(),
@@ -157,7 +157,7 @@ type ModelInfo struct {
 	Reloadable    bool   `json:"reloadable"`
 }
 
-// ModelsResponse is the GET /models payload: every registered model with its
+// ModelsResponse is the GET /v1/models payload: every registered model with its
 // routing role, plus the live per-arm serving stats and shadow divergence.
 // BaseDictHash fingerprints the dictionary contexts are interned against
 // (advanced by champion reloads when every arm still extends it).
@@ -173,12 +173,12 @@ type ModelsResponse struct {
 // uniformly.
 func (h *Handler) models(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "use GET")
+		obs.WriteError(w, http.StatusMethodNotAllowed, "method_not_allowed", "use GET")
 		return
 	}
 	if h.fleet == nil {
 		st := h.state.Load()
-		writeJSON(w, http.StatusOK, ModelsResponse{Models: []ModelInfo{
+		obs.WriteJSON(w, http.StatusOK, ModelsResponse{Models: []ModelInfo{
 			modelInfo("default", "default", 1, st.gen, st.rec, h.opts.ReloadFunc != nil),
 		}})
 		return
@@ -223,7 +223,7 @@ func (h *Handler) models(w http.ResponseWriter, r *http.Request) {
 		mi.Rerank = reranks[slot.Name()]
 		resp.Models = append(resp.Models, mi)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	obs.WriteJSON(w, http.StatusOK, resp)
 }
 
 // modelInfo assembles one ModelInfo row.
@@ -253,7 +253,7 @@ func modelInfo(name, role string, weight uint32, gen uint64, rec core.Recommende
 	return info
 }
 
-// RouteInfo is the GET /route payload: where the given context would be
+// RouteInfo is the GET /v1/route payload: where the given context would be
 // served, without serving it.
 type RouteInfo struct {
 	Context     []string `json:"context"`
@@ -263,23 +263,23 @@ type RouteInfo struct {
 	Generation  uint64   `json:"model_generation"`
 }
 
-// routeInfo serves GET /route?q=...&q=... — the admin view of the sticky
+// routeInfo serves GET /v1/route?q=...&q=... — the admin view of the sticky
 // assignment: which arm owns this context, under which routing hash. In
 // single-model mode every context reports the one model.
 func (h *Handler) routeInfo(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "use GET")
+		obs.WriteError(w, http.StatusMethodNotAllowed, "method_not_allowed", "use GET")
 		return
 	}
 	context := r.URL.Query()["q"]
 	if len(context) == 0 {
-		writeError(w, http.StatusBadRequest, "bad_request", "missing q parameters (one per context query, oldest first)")
+		obs.WriteError(w, http.StatusBadRequest, "bad_request", "missing q parameters (one per context query, oldest first)")
 		return
 	}
 	if h.fleet == nil {
 		st := h.state.Load()
 		ctx := core.InternContext(st.rec.Dict(), context)
-		writeJSON(w, http.StatusOK, RouteInfo{
+		obs.WriteJSON(w, http.StatusOK, RouteInfo{
 			Context:     context,
 			InternedLen: len(ctx),
 			Hash:        fmt.Sprintf("%016x", fleet.HashSeq(ctx)),
@@ -291,7 +291,7 @@ func (h *Handler) routeInfo(w http.ResponseWriter, r *http.Request) {
 	rt := h.fleet
 	ctx := rt.AppendContext(make(query.Seq, 0, len(context)), context)
 	arm := rt.Arm(rt.Route(ctx))
-	writeJSON(w, http.StatusOK, RouteInfo{
+	obs.WriteJSON(w, http.StatusOK, RouteInfo{
 		Context:     context,
 		InternedLen: len(ctx),
 		Hash:        fmt.Sprintf("%016x", fleet.HashSeq(ctx)),

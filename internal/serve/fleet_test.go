@@ -56,7 +56,7 @@ func TestReloadDictIncompatible409(t *testing.T) {
 	srv := httptest.NewServer(h)
 	defer srv.Close()
 
-	resp, err := http.Post(srv.URL+"/reload", "", nil)
+	resp, err := http.Post(srv.URL+"/v1/reload", "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestReloadDictIncompatible409(t *testing.T) {
 		t.Fatalf("old model stopped answering after rejected reload: %+v", out)
 	}
 	// force=1 is the deliberate override.
-	resp, err = http.Post(srv.URL+"/reload?force=1", "", nil)
+	resp, err = http.Post(srv.URL+"/v1/reload?force=1", "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestReloadDictIncompatible409(t *testing.T) {
 // TestFleetABStickyAndLabelled: in fleet mode, every response must carry the
 // serving arm in X-Serve-Arm, repeated requests for one context must always
 // hit the same arm, both arms must see traffic under an even split, and
-// /route must agree with what actually served.
+// /v1/route must agree with what actually served.
 func TestFleetABStickyAndLabelled(t *testing.T) {
 	h, _ := newFleetHandler(t, 1, 1, false)
 	srv := httptest.NewServer(h)
@@ -141,8 +141,8 @@ func TestFleetABStickyAndLabelled(t *testing.T) {
 		}
 		seen[arm]++
 
-		// /route must report the same assignment that served.
-		rresp, err := http.Get(fmt.Sprintf("%s/route?q=o2&q=ctx%d", srv.URL, i))
+		// /v1/route must report the same assignment that served.
+		rresp, err := http.Get(fmt.Sprintf("%s/v1/route?q=o2&q=ctx%d", srv.URL, i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,7 +152,7 @@ func TestFleetABStickyAndLabelled(t *testing.T) {
 		}
 		rresp.Body.Close()
 		if ri.Arm != arm {
-			t.Fatalf("/route says %s but %s served context %d", ri.Arm, arm, i)
+			t.Fatalf("/v1/route says %s but %s served context %d", ri.Arm, arm, i)
 		}
 	}
 	// "ctx<i>" is unknown vocabulary, so every interned context is just
@@ -246,15 +246,15 @@ func TestFleetBatchMatchesSingle(t *testing.T) {
 	}
 }
 
-// TestFleetModelsReloadByName: /models lists every slot with roles and dict
-// hashes; /reload?model=... reloads exactly that slot (champion's loader
+// TestFleetModelsReloadByName: /v1/models lists every slot with roles and dict
+// hashes; /v1/reload?model=... reloads exactly that slot (champion's loader
 // returns a compatible extension here) and unknown/missing names error.
 func TestFleetModelsReloadByName(t *testing.T) {
 	h, rt := newFleetHandler(t, 1, 1, true)
 	srv := httptest.NewServer(h)
 	defer srv.Close()
 
-	resp, err := http.Get(srv.URL + "/models")
+	resp, err := http.Get(srv.URL + "/v1/models")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +285,7 @@ func TestFleetModelsReloadByName(t *testing.T) {
 	}
 
 	// Reload-by-name: champion's loader yields a dictionary extension.
-	resp, err = http.Post(srv.URL+"/reload?model=champion", "", nil)
+	resp, err = http.Post(srv.URL+"/v1/reload?model=champion", "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,9 +308,9 @@ func TestFleetModelsReloadByName(t *testing.T) {
 		path string
 		want int
 	}{
-		{"/reload", http.StatusBadRequest},                           // fleet mode needs a name
-		{"/reload?model=nope", http.StatusNotFound},                  // unknown slot
-		{"/reload?model=challenger", http.StatusInternalServerError}, // no loader
+		{"/v1/reload", http.StatusBadRequest},                           // fleet mode needs a name
+		{"/v1/reload?model=nope", http.StatusNotFound},                  // unknown slot
+		{"/v1/reload?model=challenger", http.StatusInternalServerError}, // no loader
 	} {
 		resp, err := http.Post(srv.URL+tc.path, "", nil)
 		if err != nil {
@@ -326,7 +326,7 @@ func TestFleetModelsReloadByName(t *testing.T) {
 
 // TestFleetShadowScoresWithoutServing: shadow arms must never serve but must
 // accumulate divergence samples from champion-served live traffic, visible in
-// /metrics. (Challenger-served requests are deliberately not shadow-scored:
+// /v1/metrics. (Challenger-served requests are deliberately not shadow-scored:
 // divergence always means "versus the champion".)
 func TestFleetShadowScoresWithoutServing(t *testing.T) {
 	h, rt := newFleetHandler(t, 1, 1, true)
@@ -359,7 +359,7 @@ func TestFleetShadowScoresWithoutServing(t *testing.T) {
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		resp, err := http.Get(srv.URL + "/metrics")
+		resp, err := http.Get(srv.URL + "/v1/metrics")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -388,9 +388,9 @@ func TestFleetShadowScoresWithoutServing(t *testing.T) {
 // TestModelsEndpointSingleMode: single-model deployments report one
 // "default" row so tooling sees a uniform shape.
 func TestModelsEndpointSingleMode(t *testing.T) {
-	srv := httptest.NewServer(NewHandler(testRecommender(t), 5))
+	srv := httptest.NewServer(New(testRecommender(t), Options{}))
 	defer srv.Close()
-	resp, err := http.Get(srv.URL + "/models")
+	resp, err := http.Get(srv.URL + "/v1/models")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -443,7 +443,7 @@ func TestFleetReloadAdvancesBase(t *testing.T) {
 		t.Fatalf("pre-reload out-of-base context answered %+v", out.Suggestions)
 	}
 
-	resp, err = http.Post(srv.URL+"/reload?model=champion", "", nil)
+	resp, err = http.Post(srv.URL+"/v1/reload?model=champion", "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,7 +64,7 @@ func TestIngestEndpoint(t *testing.T) {
 // TestIngestEndpointAbsent: no IngestStatus hook → 404 with the JSON error
 // envelope, and no "ingest" key in metrics.
 func TestIngestEndpointAbsent(t *testing.T) {
-	srv := httptest.NewServer(NewHandler(testRecommender(t), 5))
+	srv := httptest.NewServer(New(testRecommender(t), Options{}))
 	defer srv.Close()
 
 	resp, err := http.Get(srv.URL + "/v1/ingest")

@@ -5,8 +5,8 @@ import (
 	"strconv"
 
 	"repro/internal/cache"
-	"repro/internal/fleet"
 	"repro/internal/jsonspan"
+	"repro/internal/obs"
 )
 
 // Append-style JSON encoding for the hot serving paths. encoding/json's
@@ -16,7 +16,7 @@ import (
 // all. The suggestion encoder lives in internal/core (AppendSuggestionsJSON),
 // shared with the result cache, the string encoder in internal/jsonspan
 // (AppendString); this file holds the response envelope around them. Cold endpoints
-// (/healthz, /metrics, /reload, errors) keep the stdlib encoder — clarity
+// (/healthz, /v1/metrics, /v1/reload, errors) keep the stdlib encoder — clarity
 // wins where latency does not matter.
 
 // setJSONContentType assigns the shared header value directly into the
@@ -24,7 +24,7 @@ import (
 // sharing one slice keeps the hot path clean. The key is already in canonical
 // form.)
 func setJSONContentType(w http.ResponseWriter) {
-	w.Header()["Content-Type"] = fleet.JSONContentType
+	w.Header()["Content-Type"] = obs.JSONContentType
 }
 
 // appendSuggestResponse encodes a SuggestResponse whose context is held as

@@ -178,7 +178,7 @@ func TestServeHTTPCachedAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; counts are meaningless")
 	}
-	h := NewHandler(testRecommender(t), 5)
+	h := New(testRecommender(t), Options{})
 	req := httptest.NewRequest(http.MethodGet, "/suggest?q=o2&q=o2+mobile&n=5", nil)
 	rr := newReusableRecorder()
 	for i := 0; i < 8; i++ { // warm pools and the result cache

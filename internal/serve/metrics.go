@@ -22,7 +22,7 @@ type metrics struct {
 	reloads       atomic.Uint64 // successful model swaps
 }
 
-// RuntimeStats is the allocation and GC slice of /metrics. Load generators
+// RuntimeStats is the allocation and GC slice of /v1/metrics. Load generators
 // diff two snapshots to attribute allocation and pause cost to a traffic
 // window — the way serving-path allocation regressions surface in load tests
 // rather than only in microbenchmarks.
@@ -36,7 +36,7 @@ type RuntimeStats struct {
 }
 
 // readRuntimeStats snapshots the process allocator and GC counters. The
-// /metrics path is cold, so the brief ReadMemStats stop-the-world is fine.
+// /v1/metrics path is cold, so the brief ReadMemStats stop-the-world is fine.
 func readRuntimeStats() RuntimeStats {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
@@ -72,11 +72,10 @@ func stageStats(h *obs.Histogram) StageStats {
 	}
 }
 
-// MetricsResponse is the GET /metrics payload: request counters, cache
-// effectiveness, latency quantiles (suggest + per-batch-context, sourced
-// from the full-history histogram, so the legacy latency_* fields keep their
-// names while gaining p999/max headroom), per-stage latency breakdowns, and
-// process allocation/GC counters.
+// MetricsResponse is the GET /v1/metrics JSON payload: request counters, cache
+// effectiveness, /suggest latency quantiles (latency_*, read from the GET
+// route's full-history histogram serve_route_suggest_us), per-stage latency
+// breakdowns, and process allocation/GC counters.
 type MetricsResponse struct {
 	Requests        uint64                `json:"requests"`
 	SuggestRequests uint64                `json:"suggest_requests"`
@@ -106,7 +105,7 @@ type MetricsResponse struct {
 	Runtime         RuntimeStats          `json:"runtime"`
 }
 
-// FleetMetrics is the fleet-mode slice of /metrics: per-arm traffic share,
+// FleetMetrics is the fleet-mode slice of /v1/metrics: per-arm traffic share,
 // request counts and latency quantiles (the raw material for an offline
 // NDCG-style comparison of logged answers per arm), plus shadow divergence.
 type FleetMetrics struct {

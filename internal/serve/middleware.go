@@ -67,7 +67,7 @@ func (w *statusWriter) finish() {
 				w.method, w.path, w.rid, w.tr.ID(), err, debug.Stack())
 		}
 		if !w.wrote {
-			writeError(w, http.StatusInternalServerError, "internal", "internal server error")
+			obs.WriteError(w, http.StatusInternalServerError, "internal", "internal server error")
 		}
 	}
 	if w.status() >= 400 {

@@ -2,18 +2,16 @@ package serve
 
 import (
 	"net/http"
-	"strconv"
 	"time"
 
-	"repro/internal/fleet"
 	"repro/internal/obs"
 )
 
-// Observability wiring for the HTTP handler: histogram instruments, the
-// pooled request tracer, the Prometheus exposition and the tail-sampled
-// trace endpoint. The hot-path contract is unchanged — recording into any
-// of these is lock-free and allocation-free, gated by
-// BenchmarkServeHTTPCachedTraced.
+// Observability wiring for the HTTP handler: histogram instruments and the
+// pooled request tracer, which the admin surface (obs.Admin) exposes as the
+// Prometheus exposition and the tail-sampled trace endpoint. The hot-path
+// contract is unchanged — recording into any of these is lock-free and
+// allocation-free, gated by BenchmarkServeHTTPCachedTraced.
 
 // Stage and span names are package-level constants so every span carries a
 // static string (retained traces must not reference request state).
@@ -33,7 +31,6 @@ func (h *Handler) initObs() {
 	if h.obs == nil {
 		h.obs = obs.NewRegistry()
 	}
-	h.histServe = h.obs.Histogram("serve_latency_us")
 	h.histHTTP = h.obs.Histogram("serve_http_request_us")
 	h.histRouteSuggest = h.obs.Histogram("serve_route_suggest_us")
 	h.histRouteBatch = h.obs.Histogram("serve_route_batch_us")
@@ -54,6 +51,7 @@ func (h *Handler) initObs() {
 	h.obs.CounterFunc("serve_panics_total", h.m.panics.Load)
 	h.obs.CounterFunc("serve_reloads_total", h.m.reloads.Load)
 	h.obs.GaugeFunc("serve_cache_hit_rate", func() float64 { return h.cache.Stats().HitRate() })
+	h.admin = obs.Admin{Registry: h.obs, Tracer: h.tracer, Health: h.health, Metrics: h.metricsHandler}
 }
 
 // stageBreakdown assembles the per-stage latency map for /v1/metrics,
@@ -94,64 +92,4 @@ func traceOf(w http.ResponseWriter) *obs.Trace { return w.(*statusWriter).tr }
 func recordStage(tr *obs.Trace, hist *obs.Histogram, name string, start time.Duration, durMicros int64, outcome string) {
 	hist.Record(durMicros)
 	tr.Record(name, start.Microseconds(), durMicros, obs.NoShard, outcome)
-}
-
-// prometheusHandler serves the text exposition of every registered
-// instrument (GET /metrics?format=prometheus and
-// /v1/metrics?format=prometheus).
-func (h *Handler) prometheusHandler(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "use GET")
-		return
-	}
-	w.Header()["Content-Type"] = fleet.PrometheusContentType
-	w.Write(h.obs.AppendPrometheus(nil))
-}
-
-// TracesResponse is the GET /v1/traces payload: the tail-sampled retained
-// traces (newest first) and the live slow-retention threshold.
-type TracesResponse struct {
-	// SlowThresholdMicros is the current p99-based retention threshold;
-	// traces at least this slow are always kept.
-	SlowThresholdMicros int64 `json:"slow_threshold_us,omitempty"`
-	// Count is the number of traces returned after filtering.
-	Count int `json:"count"`
-	// Traces holds the retained traces, newest first.
-	Traces []obs.TraceView `json:"traces"`
-}
-
-// tracesHandler serves GET /v1/traces. Query parameters: min_us=<int>
-// filters to traces at least that slow, error=1 to errored traces only,
-// limit=<int> caps the result count.
-func (h *Handler) tracesHandler(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "use GET")
-		return
-	}
-	q := r.URL.Query()
-	minUS, err := parseOptInt(q.Get("min_us"))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", "min_us must be an integer")
-		return
-	}
-	limit, err := parseOptInt(q.Get("limit"))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", "limit must be an integer")
-		return
-	}
-	onlyErr := q.Get("error") == "1" || q.Get("error") == "true"
-	views := h.tracer.Snapshot(minUS, onlyErr, int(limit))
-	resp := TracesResponse{Count: len(views), Traces: views}
-	if th := h.tracer.SlowThresholdMicros(); th < int64(1)<<62 {
-		resp.SlowThresholdMicros = th
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// parseOptInt parses an optional integer query parameter ("" reads as 0).
-func parseOptInt(s string) (int64, error) {
-	if s == "" {
-		return 0, nil
-	}
-	return strconv.ParseInt(s, 10, 64)
 }

@@ -38,7 +38,7 @@ func getJSON(t *testing.T, client *http.Client, url string, out any) {
 // client-supplied X-Request-Id is echoed verbatim, an absent one is filled
 // with the generated trace ID, and every response carries an X-Trace-Id.
 func TestRequestIDPropagation(t *testing.T) {
-	srv := httptest.NewServer(NewHandler(testRecommender(t), 5))
+	srv := httptest.NewServer(New(testRecommender(t), Options{}))
 	defer srv.Close()
 
 	req, _ := http.NewRequest(http.MethodGet, srv.URL+"/suggest?q=o2", nil)
@@ -70,7 +70,7 @@ func TestRequestIDPropagation(t *testing.T) {
 // it back with obs.ParsePrometheus and cross-checks it against the JSON
 // /v1/metrics view of the same counters.
 func TestPrometheusRoundTripHTTP(t *testing.T) {
-	srv := httptest.NewServer(NewHandler(testRecommender(t), 5))
+	srv := httptest.NewServer(New(testRecommender(t), Options{}))
 	defer srv.Close()
 
 	const n = 7
@@ -84,8 +84,8 @@ func TestPrometheusRoundTripHTTP(t *testing.T) {
 	var m MetricsResponse
 	getJSON(t, http.DefaultClient, srv.URL+"/v1/metrics", &m)
 
-	for _, path := range []string{"/metrics", "/v1/metrics"} {
-		resp, err := http.Get(srv.URL + path + "?format=prometheus")
+	for _, path := range []string{"/metrics", "/v1/metrics?format=prometheus"} {
+		resp, err := http.Get(srv.URL + path)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -136,7 +136,7 @@ func TestPrometheusRoundTripHTTP(t *testing.T) {
 // asserts /v1/traces retains them with per-stage spans that stay inside the
 // recorded total — the invariant the ISSUE's acceptance criterion names.
 func TestTracesReturnStageSpans(t *testing.T) {
-	srv := httptest.NewServer(NewHandler(testRecommender(t), 5))
+	srv := httptest.NewServer(New(testRecommender(t), Options{}))
 	defer srv.Close()
 
 	for i := 0; i < 4; i++ {
@@ -146,7 +146,7 @@ func TestTracesReturnStageSpans(t *testing.T) {
 		}
 		resp.Body.Close()
 	}
-	var tr TracesResponse
+	var tr obs.TracesResponse
 	getJSON(t, http.DefaultClient, srv.URL+"/v1/traces", &tr)
 	if tr.Count == 0 || len(tr.Traces) != tr.Count {
 		t.Fatalf("traces = %+v, want retained traces with count matching", tr)
@@ -181,7 +181,7 @@ func TestTracesReturnStageSpans(t *testing.T) {
 
 	// min_us above every total filters everything out; the threshold field
 	// stays well-formed.
-	var none TracesResponse
+	var none obs.TracesResponse
 	getJSON(t, http.DefaultClient, srv.URL+"/v1/traces?min_us=999999999", &none)
 	if none.Count != 0 || len(none.Traces) != 0 {
 		t.Fatalf("min_us filter returned %d traces", none.Count)
@@ -270,7 +270,7 @@ func TestObsEndpointsUnderReloadStorm(t *testing.T) {
 		return err
 	})
 	run(func(i int) error { // trace readers
-		var tr TracesResponse
+		var tr obs.TracesResponse
 		resp, err := client.Get(srv.URL + "/v1/traces?limit=8")
 		if err != nil {
 			return err
@@ -425,14 +425,14 @@ func TestSlowAndErroredTracesRetained(t *testing.T) {
 }
 
 // TestInstrumentCountsPinned counts what one request records, registry-wide:
-// a direct cached GET is 4 histogram samples (its stage, serve_latency_us,
+// a direct cached GET is 3 histogram samples (its stage,
 // serve_http_request_us, serve_route_suggest_us) and 1 span; a batch of 64 is
-// 67 samples (its stage, 64 per-context shares in one RecordN, the request
-// and route histograms) and 1 span. A fifth record or a second span on the
-// GET is the cost this pins out. The GET's three clock reads are not counted
-// here: they become countable once the clock is injected (ROADMAP item 3).
+// 3 too (its stage, the request and route histograms) and 1 span — nothing
+// per context. A fourth record or a second span on the GET is the cost this
+// pins out. The GET's three clock reads are not counted here: they become
+// countable once the clock is injected (ROADMAP item 3).
 func TestInstrumentCountsPinned(t *testing.T) {
-	h := NewHandler(testRecommender(t), 5)
+	h := New(testRecommender(t), Options{})
 	samples := func() (total float64) {
 		fams, err := obs.ParsePrometheus(h.Obs().AppendPrometheus(nil))
 		if err != nil {
@@ -472,11 +472,11 @@ func TestInstrumentCountsPinned(t *testing.T) {
 		return nil, 0
 	}
 	serve(http.MethodGet, "/suggest?q=o2", "") // the miss that fills the cache
-	if spans, recorded := serve(http.MethodGet, "/suggest?q=o2", ""); recorded != 4 || len(spans) != 1 || spans[0].Name != stageCache {
-		t.Fatalf("cached GET recorded %v histogram samples and spans %+v, want 4 and the cache span", recorded, spans)
+	if spans, recorded := serve(http.MethodGet, "/suggest?q=o2", ""); recorded != 3 || len(spans) != 1 || spans[0].Name != stageCache {
+		t.Fatalf("cached GET recorded %v histogram samples and spans %+v, want 3 and the cache span", recorded, spans)
 	}
-	if spans, recorded := serve(http.MethodPost, "/suggest/batch", batch.String()); recorded != 67 || len(spans) != 1 || spans[0].Name != stageBatch {
-		t.Fatalf("batch-64 recorded %v histogram samples and spans %+v, want 67 and the batch-descent span", recorded, spans)
+	if spans, recorded := serve(http.MethodPost, "/suggest/batch", batch.String()); recorded != 3 || len(spans) != 1 || spans[0].Name != stageBatch {
+		t.Fatalf("batch-64 recorded %v histogram samples and spans %+v, want 3 and the batch-descent span", recorded, spans)
 	}
 }
 

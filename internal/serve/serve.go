@@ -13,10 +13,13 @@
 //	GET  /suggest?q=<query>&q=<query>...&n=5  ranked suggestions for a context
 //	POST /suggest/batch                       many contexts in one request
 //	GET  /v1/healthz                          liveness + model/blob provenance
-//	                                          (also unversioned: probes don't
+//	                                          (also /healthz: probes don't
 //	                                          follow redirects)
 //	GET  /v1/metrics                          serving counters, latency quantiles,
 //	                                          per-arm shadow divergence
+//	                                          (?format=prometheus, and /metrics:
+//	                                          the Prometheus exposition)
+//	GET  /v1/traces                           tail-sampled request traces
 //	POST /v1/reload                           hot-swap the model (?model=<name> in
 //	                                          fleet mode, &force=1 to override the
 //	                                          409 dictionary-compatibility check)
@@ -26,10 +29,10 @@
 //	GET  /v1/ingest                           streaming ingestion loop status
 //	                                          (tail offset, write-log, ramp)
 //
-// The admin endpoints moved under /v1/ in this release; the legacy
-// unversioned paths answer 301 (GETs) or serve as aliases (POST /reload,
-// which cannot survive a redirect) for one release. Every non-2xx response
-// carries the JSON error envelope {"error":{"code","message",...}}.
+// Health, metrics and traces are obs.Admin's, mounted by the shard router
+// and cmd/ingest too; every other admin endpoint lives only under /v1/.
+// Every non-2xx response carries the JSON error envelope
+// {"error":{"code","message",...}}.
 //
 // With Options.Fleet set the handler serves a multi-model fleet
 // (internal/fleet): suggestion traffic is split across registry slots by
@@ -46,19 +49,17 @@
 // encoding/json (CI gates the whole stack at <= 2 allocs/op). Request
 // handling never takes a lock: the recommender is immutable and swapped
 // behind one atomic pointer, and every request observes a consistent
-// (model, generation) pair. /healthz and /metrics additionally report the
+// (model, generation) pair. /healthz and /v1/metrics additionally report the
 // served compiled blob's encoding (CPS5, or CPS3), byte length and quantised
 // flag, so the memory/accuracy trade chosen at save time is observable.
 package serve
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -133,7 +134,7 @@ type Health struct {
 	LoadMicros    int64  `json:"model_load_us,omitempty"`
 }
 
-// ReloadResponse is the POST /reload payload. Model names the reloaded
+// ReloadResponse is the POST /v1/reload payload. Model names the reloaded
 // registry slot in fleet mode and is empty in single-model mode.
 type ReloadResponse struct {
 	Model        string `json:"model,omitempty"`
@@ -158,13 +159,13 @@ type Options struct {
 	// Logger receives request logs and recovered panics. nil disables
 	// request logging (panics are still recovered and counted).
 	Logger *log.Logger
-	// ReloadFunc, when set, enables POST /reload: it must return a freshly
+	// ReloadFunc, when set, enables POST /v1/reload: it must return a freshly
 	// loaded recommender. Handler serialises calls.
 	ReloadFunc func() (core.Recommender, error)
 	// Fleet, when set, routes every suggestion request through a multi-model
 	// router (A/B split, shadow scoring) instead of the single-model state:
 	// the handler serves from the router's registry slots and its shared
-	// slot-keyed cache, /models and /route become live, and /reload reloads
+	// slot-keyed cache, /v1/models and /v1/route become live, and /v1/reload reloads
 	// by model name. The rec passed to New still answers /healthz provenance
 	// until the champion slot swaps. See internal/fleet.
 	Fleet *fleet.Router
@@ -223,7 +224,7 @@ type Handler struct {
 	// construction so the hot path never touches the registry map.
 	obs              *obs.Registry
 	tracer           *obs.Tracer
-	histServe        *obs.Histogram // legacy latency window: suggest + per-batch-context
+	admin            obs.Admin
 	histHTTP         *obs.Histogram // every HTTP request, wall-clock
 	histRouteSuggest *obs.Histogram
 	histRouteBatch   *obs.Histogram
@@ -257,24 +258,14 @@ func New(rec core.Recommender, opts Options) *Handler {
 
 // route dispatches by exact path. A switch instead of http.ServeMux keeps
 // the hot path free of the mux's per-request pattern-matching allocations.
+// Paths it does not own go to the admin surface (health, metrics, traces),
+// which 404s the rest.
 func (h *Handler) route(w http.ResponseWriter, r *http.Request) {
 	switch r.URL.Path {
 	case "/suggest":
 		h.suggest(w, r)
 	case "/suggest/batch", "/v1/suggest/batch":
 		h.suggestBatch(w, r)
-	case "/healthz", "/v1/healthz":
-		// Both paths serve directly: liveness probes do not follow 301s,
-		// so the legacy path stays a first-class alias, not a redirect.
-		h.health(w, r)
-	case "/v1/metrics":
-		if wantsPrometheus(r) {
-			h.prometheusHandler(w, r)
-			return
-		}
-		h.metricsHandler(w, r)
-	case "/v1/traces":
-		h.tracesHandler(w, r)
 	case "/v1/reload":
 		h.reload(w, r)
 	case "/v1/models":
@@ -283,45 +274,9 @@ func (h *Handler) route(w http.ResponseWriter, r *http.Request) {
 		h.routeInfo(w, r)
 	case "/v1/ingest":
 		h.ingestStatus(w, r)
-	case "/metrics":
-		// The Prometheus exposition serves directly on the legacy path too:
-		// scrape configs are static and should not depend on redirect
-		// following.
-		if wantsPrometheus(r) {
-			h.prometheusHandler(w, r)
-			return
-		}
-		redirectV1(w, r)
-	case "/models", "/route":
-		// Legacy admin GETs answer a 301 to their /v1/ home for one release.
-		redirectV1(w, r)
-	case "/reload":
-		// POST bodies and semantics do not survive a 301: alias for one release.
-		h.reload(w, r)
 	default:
-		writeError(w, http.StatusNotFound, "not_found", "no such endpoint")
+		h.admin.ServeHTTP(w, r)
 	}
-}
-
-// wantsPrometheus reports whether the request selects the Prometheus text
-// exposition (?format=prometheus).
-func wantsPrometheus(r *http.Request) bool {
-	return strings.Contains(r.URL.RawQuery, "format=prometheus")
-}
-
-// redirectV1 301s a legacy unversioned admin path to its /v1/ home.
-func redirectV1(w http.ResponseWriter, r *http.Request) {
-	target := "/v1" + r.URL.Path
-	if r.URL.RawQuery != "" {
-		target += "?" + r.URL.RawQuery
-	}
-	http.Redirect(w, r, target, http.StatusMovedPermanently)
-}
-
-// NewHandler wraps a trained recommender with default options. defaultN is
-// the suggestion count when the request omits n (the paper's N = 5).
-func NewHandler(rec core.Recommender, defaultN int) *Handler {
-	return New(rec, Options{DefaultN: defaultN})
 }
 
 // ServeHTTP implements http.Handler.
@@ -353,11 +308,11 @@ func (h *Handler) swapLocked(rec core.Recommender) uint64 {
 }
 
 // Reload invokes the configured ReloadFunc and swaps the result in. It is
-// the shared implementation of POST /reload and cmd/serve's SIGHUP path.
+// the shared implementation of POST /v1/reload and cmd/serve's SIGHUP path.
 // The replacement model's dictionary must be an ID-preserving extension of
 // the served one (query.Dict.Extends) — a permuted or unrelated dictionary
 // would let ID-keyed state built against the old model silently misroute, so
-// it is rejected with fleet.ErrDictIncompatible (HTTP 409 on the /reload
+// it is rejected with fleet.ErrDictIncompatible (HTTP 409 on the /v1/reload
 // endpoint). ReloadForce(true) is the operator override for deliberate full
 // vocabulary replacements.
 func (h *Handler) Reload() (uint64, error) { return h.ReloadForce(false) }
@@ -456,18 +411,18 @@ func (b *reqScratch) parseSuggestQuery(raw string, defaultN, maxN int) (n int, b
 // nothing in the handler itself.
 func (h *Handler) suggest(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "use GET")
+		obs.WriteError(w, http.StatusMethodNotAllowed, "method_not_allowed", "use GET")
 		return
 	}
 	b := reqScratchPool.Get().(*reqScratch)
 	defer putReqScratch(b)
 	n, badN := b.parseSuggestQuery(r.URL.RawQuery, h.opts.DefaultN, h.opts.MaxN)
 	if badN {
-		writeError(w, http.StatusBadRequest, "bad_request", fmt.Sprintf("n must be an integer in [1,%d]", h.opts.MaxN))
+		obs.WriteError(w, http.StatusBadRequest, "bad_request", fmt.Sprintf("n must be an integer in [1,%d]", h.opts.MaxN))
 		return
 	}
 	if len(b.raw) == 0 {
-		writeError(w, http.StatusBadRequest, "bad_request", "missing q parameters (one per context query, oldest first)")
+		obs.WriteError(w, http.StatusBadRequest, "bad_request", "missing q parameters (one per context query, oldest first)")
 		return
 	}
 	if h.fleet != nil {
@@ -490,7 +445,6 @@ func (h *Handler) suggest(w http.ResponseWriter, r *http.Request) {
 		recordStage(tr, h.histDescent, stageDescent, 0, took, "miss")
 	}
 	h.m.suggests.Add(1)
-	h.histServe.Record(took)
 	b.body = appendSuggestResponse(b.body[:0], b.raw, ans, took)
 	setJSONContentType(w)
 	w.Write(b.body)
@@ -534,14 +488,12 @@ func (h *Handler) health(w http.ResponseWriter, r *http.Request) {
 	resp.BlobBytes = li.BlobBytes
 	resp.MapAdvice = li.MapAdvice
 	resp.LoadMicros = li.Duration.Microseconds()
-	writeJSON(w, http.StatusOK, resp)
+	obs.WriteJSON(w, http.StatusOK, resp)
 }
 
+// metricsHandler is the JSON view of /v1/metrics. Its latency_* fields read
+// the /suggest route's histogram: every GET, as the middleware times it.
 func (h *Handler) metricsHandler(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "use GET")
-		return
-	}
 	rec, gen := h.servingState()
 	cs := h.cache.Stats()
 	compiledNodes := 0
@@ -555,7 +507,8 @@ func (h *Handler) metricsHandler(w http.ResponseWriter, r *http.Request) {
 		fm = &FleetMetrics{Arms: h.fleet.ArmStats(), Shadows: h.fleet.ShadowStats()}
 	}
 	li := rec.LoadInfo()
-	writeJSON(w, http.StatusOK, MetricsResponse{
+	lat := h.histRouteSuggest
+	obs.WriteJSON(w, http.StatusOK, MetricsResponse{
 		Requests:        h.m.requests.Load(),
 		SuggestRequests: h.m.suggests.Load(),
 		BatchRequests:   h.m.batches.Load(),
@@ -565,12 +518,12 @@ func (h *Handler) metricsHandler(w http.ResponseWriter, r *http.Request) {
 		Reloads:         h.m.reloads.Load(),
 		Cache:           cs,
 		CacheHitRate:    cs.HitRate(),
-		LatencySamples:  int(h.histServe.Count()),
-		P50Micros:       h.histServe.Quantile(0.50),
-		P90Micros:       h.histServe.Quantile(0.90),
-		P99Micros:       h.histServe.Quantile(0.99),
-		P999Micros:      h.histServe.Quantile(0.999),
-		MaxMicros:       h.histServe.Max(),
+		LatencySamples:  int(lat.Count()),
+		P50Micros:       lat.Quantile(0.50),
+		P90Micros:       lat.Quantile(0.90),
+		P99Micros:       lat.Quantile(0.99),
+		P999Micros:      lat.Quantile(0.999),
+		MaxMicros:       lat.Max(),
 		Stages:          h.stageBreakdown(),
 		ModelGeneration: gen,
 		KnownQueries:    rec.Dict().Len(),
@@ -599,24 +552,24 @@ func (h *Handler) ingestSnapshot() any {
 // step and freeze reason. 404 when the process runs no ingestion loop.
 func (h *Handler) ingestStatus(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "use GET")
+		obs.WriteError(w, http.StatusMethodNotAllowed, "method_not_allowed", "use GET")
 		return
 	}
 	st := h.ingestSnapshot()
 	if st == nil {
-		writeError(w, http.StatusNotFound, "not_found", "no ingestion loop running in this process")
+		obs.WriteError(w, http.StatusNotFound, "not_found", "no ingestion loop running in this process")
 		return
 	}
-	writeJSON(w, http.StatusOK, st)
+	obs.WriteJSON(w, http.StatusOK, st)
 }
 
-// reload serves POST /reload. Query parameters: model=<name> selects a fleet
+// reload serves POST /v1/reload. Query parameters: model=<name> selects a fleet
 // registry slot (required in fleet mode), force=1 skips the dictionary
 // compatibility check. An incompatible dictionary answers 409 Conflict with
 // both dictionary hashes so the operator can decide whether to force.
 func (h *Handler) reload(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "use POST")
+		obs.WriteError(w, http.StatusMethodNotAllowed, "method_not_allowed", "use POST")
 		return
 	}
 	q := r.URL.Query()
@@ -627,7 +580,7 @@ func (h *Handler) reload(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if h.opts.ReloadFunc == nil {
-		writeError(w, http.StatusNotImplemented, "not_implemented", "reload not configured")
+		obs.WriteError(w, http.StatusNotImplemented, "not_implemented", "reload not configured")
 		return
 	}
 	gen, err := h.ReloadForce(force)
@@ -636,7 +589,7 @@ func (h *Handler) reload(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	st := h.state.Load()
-	writeJSON(w, http.StatusOK, ReloadResponse{
+	obs.WriteJSON(w, http.StatusOK, ReloadResponse{
 		Generation:   gen,
 		KnownQueries: st.rec.Dict().Len(),
 		TookMicros:   time.Since(start).Microseconds(),
@@ -645,7 +598,7 @@ func (h *Handler) reload(w http.ResponseWriter, r *http.Request) {
 
 // ErrorBody is the JSON error envelope every non-2xx response carries:
 // {"error":{"code","message",...}}. Code is a stable machine-readable slug;
-// Message is human-readable. writeError encodes it without this type; the
+// Message is human-readable. obs.WriteError encodes it without this type; the
 // type is what clients decode into, and what a dictionary conflict — the one
 // envelope with more than the two fields — is encoded from.
 type ErrorBody struct {
@@ -663,34 +616,20 @@ type ErrorDetail struct {
 	Hint        string `json:"hint,omitempty"`
 }
 
-// writeError answers a non-2xx with the consistent error envelope, from the
-// one encoder the shard router answers with too (jsonspan.AppendError).
-func writeError(w http.ResponseWriter, status int, code, msg string) {
-	setJSONContentType(w)
-	w.WriteHeader(status)
-	w.Write(jsonspan.AppendError([]byte{'{'}, code, msg))
-}
-
 // writeReloadError maps reload failures to statuses: dictionary conflicts
 // are 409 with both hashes in the envelope, everything else 500.
 func writeReloadError(w http.ResponseWriter, err error) {
 	var dictErr *fleet.ErrDictIncompatible
 	if errors.As(err, &dictErr) {
-		writeJSON(w, http.StatusConflict, ErrorBody{Error: ErrorDetail{
+		obs.WriteJSON(w, http.StatusConflict, ErrorBody{Error: ErrorDetail{
 			Code:        "dict_incompatible",
 			Message:     "incompatible dictionary: interned contexts would be misrouted",
 			Model:       dictErr.Slot,
 			OldDictHash: fmt.Sprintf("%016x", dictErr.OldHash),
 			NewDictHash: fmt.Sprintf("%016x", dictErr.NewHash),
-			Hint:        "retrain with the served dictionary as a prefix, or POST /reload?force=1 to replace the vocabulary deliberately",
+			Hint:        "retrain with the served dictionary as a prefix, or POST /v1/reload?force=1 to replace the vocabulary deliberately",
 		}})
 		return
 	}
-	writeError(w, http.StatusInternalServerError, "reload_failed", "reload failed: "+err.Error())
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
+	obs.WriteError(w, http.StatusInternalServerError, "reload_failed", "reload failed: "+err.Error())
 }

@@ -27,7 +27,7 @@ func testRecommender(t *testing.T) core.Recommender {
 }
 
 func TestSuggestEndpoint(t *testing.T) {
-	srv := httptest.NewServer(NewHandler(testRecommender(t), 5))
+	srv := httptest.NewServer(New(testRecommender(t), Options{}))
 	defer srv.Close()
 
 	resp, err := http.Get(srv.URL + "/suggest?q=o2")
@@ -54,7 +54,7 @@ func TestSuggestEndpoint(t *testing.T) {
 }
 
 func TestSuggestMultiQueryContext(t *testing.T) {
-	srv := httptest.NewServer(NewHandler(testRecommender(t), 5))
+	srv := httptest.NewServer(New(testRecommender(t), Options{}))
 	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/suggest?q=o2&q=o2+mobile&n=1")
 	if err != nil {
@@ -74,7 +74,7 @@ func TestSuggestMultiQueryContext(t *testing.T) {
 }
 
 func TestSuggestValidation(t *testing.T) {
-	srv := httptest.NewServer(NewHandler(testRecommender(t), 5))
+	srv := httptest.NewServer(New(testRecommender(t), Options{}))
 	defer srv.Close()
 	for _, path := range []string{"/suggest", "/suggest?q=o2&n=0", "/suggest?q=o2&n=abc", "/suggest?q=o2&n=1000"} {
 		resp, err := http.Get(srv.URL + path)
@@ -97,7 +97,7 @@ func TestSuggestValidation(t *testing.T) {
 }
 
 func TestSuggestUnknownContext(t *testing.T) {
-	srv := httptest.NewServer(NewHandler(testRecommender(t), 5))
+	srv := httptest.NewServer(New(testRecommender(t), Options{}))
 	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/suggest?q=never+seen+before")
 	if err != nil {
@@ -114,7 +114,7 @@ func TestSuggestUnknownContext(t *testing.T) {
 }
 
 func TestHealthEndpoint(t *testing.T) {
-	srv := httptest.NewServer(NewHandler(testRecommender(t), 5))
+	srv := httptest.NewServer(New(testRecommender(t), Options{}))
 	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/healthz")
 	if err != nil {

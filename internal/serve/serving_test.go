@@ -66,7 +66,7 @@ func postBatch(t *testing.T, url string, body string) *http.Response {
 }
 
 func TestBatchEndpoint(t *testing.T) {
-	srv := httptest.NewServer(NewHandler(testRecommender(t), 5))
+	srv := httptest.NewServer(New(testRecommender(t), Options{}))
 	defer srv.Close()
 
 	body := `{"requests":[{"context":["o2"]},{"context":["o2","o2 mobile"],"n":1},{"context":["never seen"]}]}`
@@ -146,7 +146,7 @@ func TestBatchValidation(t *testing.T) {
 // context that was scored; everything else is a 400. Buffered and streamed
 // alike.
 func TestBatchBodyGrammar(t *testing.T) {
-	h := NewHandler(testRecommender(t), 5)
+	h := New(testRecommender(t), Options{})
 	for _, tc := range []struct {
 		body   string
 		ok     bool
@@ -254,7 +254,7 @@ func assertEchoIsWhatWasScored(t *testing.T, h http.Handler, body string, answer
 // the second hits the LRU, and the serialized suggestions must match
 // exactly.
 func TestCacheHitEquivalence(t *testing.T) {
-	srv := httptest.NewServer(NewHandler(testRecommender(t), 5))
+	srv := httptest.NewServer(New(testRecommender(t), Options{}))
 	defer srv.Close()
 
 	fetch := func() []byte {
@@ -285,7 +285,7 @@ func TestCacheHitEquivalence(t *testing.T) {
 	}
 
 	var m MetricsResponse
-	resp, err := http.Get(srv.URL + "/metrics")
+	resp, err := http.Get(srv.URL + "/v1/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +299,7 @@ func TestCacheHitEquivalence(t *testing.T) {
 }
 
 func TestMetricsEndpoint(t *testing.T) {
-	srv := httptest.NewServer(NewHandler(testRecommender(t), 5))
+	srv := httptest.NewServer(New(testRecommender(t), Options{}))
 	defer srv.Close()
 
 	for i := 0; i < 3; i++ {
@@ -332,13 +332,13 @@ func TestMetricsEndpoint(t *testing.T) {
 	if m.Errors != 1 {
 		t.Fatalf("errors = %d, want 1", m.Errors)
 	}
-	if m.Requests != 6 { // 3 suggest + 1 batch + 1 bad + this /metrics... not yet counted? metrics GET runs after snapshot
-		// The /metrics request itself increments the counter before the
+	if m.Requests != 6 { // 3 suggest + 1 batch + 1 bad + this /v1/metrics
+		// The /v1/metrics request itself increments the counter before the
 		// handler snapshots, so 6 = 3 + 1 + 1 + 1.
 		t.Fatalf("requests = %d, want 6", m.Requests)
 	}
-	if m.LatencySamples != 5 { // 3 single + 2 batch contexts
-		t.Fatalf("latency samples = %d, want 5", m.LatencySamples)
+	if m.LatencySamples != 4 { // every GET /suggest: the 3 served + the 400
+		t.Fatalf("latency samples = %d, want 4", m.LatencySamples)
 	}
 	if m.P50Micros < 0 || m.P99Micros < m.P50Micros {
 		t.Fatalf("quantiles p50=%d p99=%d", m.P50Micros, m.P99Micros)
@@ -349,7 +349,7 @@ func TestMetricsEndpoint(t *testing.T) {
 }
 
 func TestConcurrentSuggest(t *testing.T) {
-	srv := httptest.NewServer(NewHandler(testRecommender(t), 5))
+	srv := httptest.NewServer(New(testRecommender(t), Options{}))
 	defer srv.Close()
 	client := srv.Client()
 
@@ -378,7 +378,7 @@ func TestConcurrentSuggest(t *testing.T) {
 }
 
 // TestReloadSwapsWithoutDroppingRequests hammers /suggest while the model
-// is hot-swapped via POST /reload; every request must succeed, and after
+// is hot-swapped via POST /v1/reload; every request must succeed, and after
 // the swap the new model's vocabulary must answer.
 func TestReloadSwapsWithoutDroppingRequests(t *testing.T) {
 	alt := altRecommender(t)
@@ -416,7 +416,7 @@ func TestReloadSwapsWithoutDroppingRequests(t *testing.T) {
 		}()
 	}
 
-	resp, err := client.Post(srv.URL+"/reload", "", nil)
+	resp, err := client.Post(srv.URL+"/v1/reload", "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -464,8 +464,8 @@ func TestReloadSwapsWithoutDroppingRequests(t *testing.T) {
 
 func TestReloadErrors(t *testing.T) {
 	// Not configured -> 501.
-	srv := httptest.NewServer(NewHandler(testRecommender(t), 5))
-	resp, err := http.Post(srv.URL+"/reload", "", nil)
+	srv := httptest.NewServer(New(testRecommender(t), Options{}))
+	resp, err := http.Post(srv.URL+"/v1/reload", "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -473,7 +473,7 @@ func TestReloadErrors(t *testing.T) {
 	if resp.StatusCode != http.StatusNotImplemented {
 		t.Fatalf("unconfigured reload status = %d, want 501", resp.StatusCode)
 	}
-	resp, err = http.Get(srv.URL + "/reload")
+	resp, err = http.Get(srv.URL + "/v1/reload")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -489,7 +489,7 @@ func TestReloadErrors(t *testing.T) {
 	})
 	srv = httptest.NewServer(h)
 	defer srv.Close()
-	resp, err = http.Post(srv.URL+"/reload", "", nil)
+	resp, err = http.Post(srv.URL+"/v1/reload", "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -513,7 +513,7 @@ func TestReloadErrors(t *testing.T) {
 // TestPanicRecovery drives the instrumentation middleware with a panicking
 // handler: the client must see a 500 and the panic counter must move.
 func TestPanicRecovery(t *testing.T) {
-	h := NewHandler(testRecommender(t), 5)
+	h := New(testRecommender(t), Options{})
 	boom := h.instrument(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		panic("kaboom")
 	}))
@@ -555,7 +555,7 @@ func TestHealthGeneration(t *testing.T) {
 
 // TestHealthReportsBlobProvenance: a handler serving a V004 LoadPath'd
 // model must surface the served blob's encoding, byte length and quantised
-// flag through /healthz and /metrics — the observability contract for the
+// flag through /healthz and /v1/metrics — the observability contract for the
 // quantised deployment.
 func TestHealthReportsBlobProvenance(t *testing.T) {
 	rec := testRecommender(t).(*core.Engine)
@@ -576,7 +576,7 @@ func TestHealthReportsBlobProvenance(t *testing.T) {
 	}
 	defer loaded.Close()
 
-	srv := httptest.NewServer(NewHandler(loaded, 5))
+	srv := httptest.NewServer(New(loaded, Options{}))
 	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/healthz")
 	if err != nil {
@@ -594,7 +594,7 @@ func TestHealthReportsBlobProvenance(t *testing.T) {
 		t.Fatalf("healthz load provenance = %+v", hp)
 	}
 
-	mresp, err := http.Get(srv.URL + "/metrics")
+	mresp, err := http.Get(srv.URL + "/v1/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}

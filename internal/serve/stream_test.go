@@ -64,7 +64,7 @@ func readNDJSON(t *testing.T, rd io.Reader, want int) []ndjsonLine {
 // took_us) to the corresponding element of the buffered results array, and
 // the Accept: application/x-ndjson header must select the same mode.
 func TestBatchStreamNDJSONParity(t *testing.T) {
-	srv := httptest.NewServer(NewHandler(testRecommender(t), 5))
+	srv := httptest.NewServer(New(testRecommender(t), Options{}))
 	defer srv.Close()
 
 	body := `{"requests":[{"context":["o2"]},{"context":["o2","o2 mobile"],"n":1},{"context":["never seen"]},{"context":["o2"]}]}`
@@ -121,7 +121,7 @@ func TestBatchStreamNDJSONParity(t *testing.T) {
 // TestBatchV1Alias: /v1/suggest/batch without stream=1 behaves exactly like
 // the unversioned path — buffered JSON.
 func TestBatchV1Alias(t *testing.T) {
-	srv := httptest.NewServer(NewHandler(testRecommender(t), 5))
+	srv := httptest.NewServer(New(testRecommender(t), Options{}))
 	defer srv.Close()
 	body := `{"requests":[{"context":["o2"]}]}`
 	resp, err := http.Post(srv.URL+"/v1/suggest/batch", "application/json", strings.NewReader(body))
