@@ -118,14 +118,14 @@ func (t *LoopbackTransport) Exchange(ctx context.Context, shard int, method, pat
 	s.resp.body = respBuf
 	clear(s.resp.header)
 	// Propagate the router's trace ID so the shard's own trace adopts it and
-	// a request can be followed across layers. The scratch header is pooled:
-	// the value must be removed again before the scratch is recycled, or a
-	// later un-traced exchange would replay a stale ID.
+	// a request can be followed across layers. The pooled scratch keeps the
+	// last (immutable) value: an exchange with none must delete it.
 	if hv := obs.TraceHeaderFromContext(ctx); hv != nil {
 		s.req.Header["X-Trace-Id"] = hv
+	} else {
+		delete(s.req.Header, "X-Trace-Id")
 	}
 	t.handlers[shard].ServeHTTP(&s.resp, &s.req)
-	delete(s.req.Header, "X-Trace-Id")
 	status, out := s.resp.status(), s.resp.body
 	s.resp.body = nil // caller owns the buffer now
 	t.scratch.Put(s)
@@ -805,8 +805,7 @@ func (s *ShardRouter) batch(w http.ResponseWriter, r *http.Request) {
 	}
 	sc := s.getScratch()
 	defer s.putScratch(sc)
-	tr := s.tracer.Start()
-	tr.Adopt(r.Header["X-Trace-Id"])
+	tr := s.tracer.StartFrom(r.Header["X-Trace-Id"])
 	w.Header()["X-Trace-Id"] = tr.HeaderValue()
 	ctx := r.Context()
 	// Assume the worst until a success path flips it; the deferred finish
@@ -964,7 +963,7 @@ func (s *ShardRouter) fanoutRound(ctx context.Context, sc *batchScratch, tr *obs
 	// Evaluate availability once per shard per round; remember half-open
 	// probe claims so unclaimed ones (no traffic grouped onto them) can be
 	// released instead of stranding the breaker.
-	now := time.Now()
+	now := obs.Now()
 	for sh := range s.health {
 		sc.avail[sh], sc.probes[sh] = false, false
 		st := s.health[sh].state.Load()
@@ -1101,12 +1100,12 @@ const subBatchPath = "/suggest/batch?stream=1"
 // moment they land, while slower shards are still descending. It touches
 // only its own call and, under its mutex, the stream.
 func (s *ShardRouter) exchangeSubBatch(actx context.Context, sc *batchScratch, call *shardCall, out *streamOut) {
-	call.start = time.Now()
+	call.start = obs.Now()
 	call.status, call.resp, call.err = s.tr.Exchange(actx, call.shard, http.MethodPost, subBatchPath, call.sub, call.resp)
 	if call.err == nil && call.status == http.StatusOK {
 		call.err = call.parseResults()
 	}
-	end := time.Now()
+	end := obs.Now()
 	call.durMicros = end.Sub(call.start).Microseconds()
 	call.outcome = s.settleAttempt(actx, call.shard, call.status, call.err, end)
 	if out != nil && call.served() {

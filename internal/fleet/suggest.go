@@ -29,11 +29,11 @@ import (
 // transport's to enforce (Transport.Exchange). Only a raced attempt gets a
 // context.WithCancel of its own, so that the loser can be stopped.
 //
-// The walk reads the clock once when an attempt starts — that instant is the
-// breaker check's now, the base of the deadline, the span's start and the
-// attempt latency's start — once when it ends (span end, attempt latency) and
-// once in finish (request latency, trace total). With Tracer.Start's read that
-// is four a routed GET, and spans that share a read abut exactly.
+// The walk's clock is obs.Now (monotonic only). An attempt's start is the
+// breaker check's now, the deadline's base, the span's and attempt latency's
+// start; the first attempt's is the trace's own start (Trace.Started, no read).
+// The walk reads when an attempt ends and once in finish: with StartFrom's,
+// three reads an unhedged GET, and spans that share a read abut exactly.
 
 // statusClientClosedRequest answers a request whose client went away before
 // a replica did (nginx's 499; net/http has no name for it). The client never
@@ -100,8 +100,7 @@ func (s *ShardRouter) suggest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.requests.Add(1)
-	tr := s.tracer.Start()
-	tr.Adopt(r.Header["X-Trace-Id"])
+	tr := s.tracer.StartFrom(r.Header["X-Trace-Id"])
 	w.Header()["X-Trace-Id"] = tr.HeaderValue()
 	// The path was matched as exactly /suggest: the query is all there is to
 	// forward, and LoopbackTransport splits the string again at the '?'.
@@ -126,12 +125,15 @@ func (s *ShardRouter) suggest(w http.ResponseWriter, r *http.Request) {
 // inline, and answers the request: the first replica to answer is served,
 // each failure backs off and moves on, and an exhausted list is a 502.
 func (g *getWalk) walk(w http.ResponseWriter) {
-	now := time.Now()
+	now := g.tr.Started()
+	if g.launched > 0 { // the rest of the list after a lost race
+		now = obs.Now()
+	}
 	for pref := g.pick(now); pref >= 0; pref = g.pick(now) {
 		if g.launched > 0 {
 			g.s.retries.Add(1)
 			g.s.backoffSleep(g.launched)
-			now = time.Now()
+			now = obs.Now()
 		}
 		at, actx := g.begin(pref, false, now)
 		res := g.s.exchangeGET(actx, g.prefs[pref], g.uri, now)
@@ -156,7 +158,7 @@ func (g *getWalk) race(w http.ResponseWriter, delay time.Duration) bool {
 	s := g.s
 	var atts [2]getAttempt                   // primary, hedge
 	resCh := make(chan getResult, len(atts)) // one send per raced attempt
-	now := time.Now()
+	now := g.tr.Started()
 	atts[0] = g.launch(g.pick(now), false, 0, now, resCh)
 	inflight := 1
 	timer := time.NewTimer(delay)
@@ -168,7 +170,7 @@ func (g *getWalk) race(w http.ResponseWriter, delay time.Duration) bool {
 		case <-timer.C:
 			// Only the primary has been tried and the list holds at least
 			// two replicas, so pick cannot come back empty.
-			now = time.Now()
+			now = obs.Now()
 			next := g.pick(now)
 			s.hedges.Add(1)
 			s.hedgeWait.Record(delay.Microseconds())
@@ -282,7 +284,7 @@ func (g *getWalk) begin(pref int, hedge bool, now time.Time) (getAttempt, *attem
 func (s *ShardRouter) exchangeGET(ctx context.Context, shard int, uri string, start time.Time) getResult {
 	buf := s.getBuf()
 	status, body, err := s.tr.Exchange(ctx, shard, http.MethodGet, uri, nil, *buf)
-	end := time.Now()
+	end := obs.Now()
 	if !retryable(status, err) {
 		s.attemptLat.Record(end.Sub(start).Microseconds())
 	}

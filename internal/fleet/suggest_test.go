@@ -5,12 +5,14 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -397,6 +399,89 @@ func (r *discardResponse) Write(p []byte) (int, error) {
 		r.code = http.StatusOK
 	}
 	return len(p), nil
+}
+
+// slowHandler delays every response write of the handler it wraps by delay
+// (0: none), inside that handler's own request trace.
+type slowHandler struct {
+	http.Handler
+	delay atomic.Int64 // time.Duration
+}
+
+func (h *slowHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if d := time.Duration(h.delay.Load()); d > 0 {
+		w = slowWriter{w, d}
+	}
+	h.Handler.ServeHTTP(w, r)
+}
+
+type slowWriter struct {
+	http.ResponseWriter
+	delay time.Duration
+}
+
+func (w slowWriter) Write(p []byte) (int, error) {
+	time.Sleep(w.delay)
+	return w.ResponseWriter.Write(p)
+}
+
+// TestShardBehindRouterTailSamplesSlow: a shard behind a router adopts the
+// router's trace ID on every request and so never carves one, yet it still
+// reads its slow threshold, and with its retention ring full it keeps the
+// trace of a slow answer — under the router's ID — and reports a finite
+// slow_threshold_us on /v1/traces. A shard that refreshed its threshold only
+// when it carved IDs never did either.
+func TestShardBehindRouterTailSamplesSlow(t *testing.T) {
+	rec := shardTestRec(t)
+	shards := make([]*serve.Handler, 3)
+	slow := make([]*slowHandler, 3)
+	handlers := make([]http.Handler, 3)
+	for i := range handlers {
+		shards[i] = serve.New(rec, serve.Options{})
+		slow[i] = &slowHandler{Handler: shards[i]}
+		handlers[i] = slow[i]
+	}
+	router, err := fleet.NewShardRouterOpts(fleet.NewRing(3, 0), fleet.NewLoopbackTransport(handlers...),
+		fleet.RouterOptions{Replicas: 2, ShardTimeout: 2 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	owner := routeOf(t, router, "q=o2").Shard
+	get := func() string {
+		rr := httptest.NewRecorder()
+		router.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/suggest?q=o2", nil))
+		if rr.Code != http.StatusOK || rr.Header().Get("X-Serve-Shard") != strconv.Itoa(owner) {
+			t.Fatalf("status %d from shard %s, want 200 from %d: %s", rr.Code, rr.Header().Get("X-Serve-Shard"), owner, rr.Body)
+		}
+		return rr.Header().Get("X-Trace-Id")
+	}
+	// Fill the owner's 256-trace ring with fast requests, and go on until it
+	// has read a threshold (a request that records 0 us sets none).
+	deadline := time.Now().Add(5 * time.Second)
+	for i := 0; i < 300 || shards[owner].Tracer().SlowThresholdMicros() == math.MaxInt64; i++ {
+		if time.Now().After(deadline) {
+			t.Fatalf("after %d requests the shard has not read its slow threshold", i)
+		}
+		get()
+	}
+
+	const delay = 20 * time.Millisecond
+	slow[owner].delay.Store(int64(delay))
+	id := get()
+	slow[owner].delay.Store(0)
+
+	rr := httptest.NewRecorder()
+	shards[owner].ServeHTTP(rr, httptest.NewRequest(http.MethodGet, fmt.Sprintf("/v1/traces?min_us=%d", delay.Microseconds()), nil))
+	var resp obs.TracesResponse
+	if err := json.Unmarshal(rr.Body.Bytes(), &resp); err != nil {
+		t.Fatalf("/v1/traces: %v: %s", err, rr.Body)
+	}
+	if th := resp.SlowThresholdMicros; th <= 0 || th >= delay.Microseconds() {
+		t.Fatalf("shard's slow_threshold_us = %d, want a fast request's p99", th)
+	}
+	if len(resp.Traces) != 1 || resp.Traces[0].ID != id {
+		t.Fatalf("the shard retained %+v for its slow answer, want one trace under the router's ID %s", resp.Traces, id)
+	}
 }
 
 // TestRouterTraceHeaderSurvivesTraceRecycle: the router's X-Trace-Id response

@@ -27,6 +27,11 @@ const traceIDLen = 16
 // time.Now would read the wall clock as well — a wall time nothing renders.
 var epoch = time.Now()
 
+// Now is the request path's clock: one monotonic read, and no wall-clock one.
+// The time.Time carries the reading, so Sub, Before, context.WithDeadline and
+// net.Conn deadlines treat it as they treat time.Now's.
+func Now() time.Time { return epoch.Add(time.Since(epoch)) }
+
 // Span is one timed operation inside a Trace. All fields are offsets and
 // static strings so a retained trace holds no references into request
 // state.
@@ -57,7 +62,7 @@ type Span struct {
 type Trace struct {
 	start time.Duration // since epoch
 	// hv is the one-element X-Trace-Id header value: a slot of an idBlock,
-	// or the inbound request's own header slice after Adopt. It is never
+	// or the inbound request's own header slice (StartFrom). It is never
 	// written through.
 	hv []string
 	// kept is the ID of a retained trace, copied out of hv on retention so a
@@ -104,21 +109,14 @@ func (tr *Trace) ID() string { return tr.hv[0] }
 // not write through it.
 func (tr *Trace) HeaderValue() []string { return tr.hv }
 
-// Adopt takes over an inbound trace ID — the request's X-Trace-Id header
-// values — so a shard's trace shares the router's ID. The trace keeps the
-// caller's slice instead of copying it, the way X-Request-Id is echoed: the
-// slice must not be rewritten while the ID can still be read, which holds
-// for a request's header. Anything but a leading 16-byte ID is ignored and
-// the generated ID is kept.
-func (tr *Trace) Adopt(hv []string) {
-	if len(hv) > 0 && len(hv[0]) == traceIDLen {
-		tr.hv = hv[:1]
-	}
-}
-
 // Elapsed reads the monotonic clock and returns the time since the trace
 // began.
 func (tr *Trace) Elapsed() time.Duration { return time.Since(epoch) - tr.start }
+
+// Started returns the instant the trace began, as Now would have returned it
+// then. It reads no clock: a caller whose first step follows the start by
+// less than a span's resolution opens on it instead of reading again.
+func (tr *Trace) Started() time.Time { return epoch.Add(tr.start) }
 
 // Offset converts an instant the caller read from the clock itself (a
 // breaker's or a deadline's time.Time) to the time since the trace began. It
@@ -220,18 +218,18 @@ func (tr *Trace) Err() { tr.err = true }
 // Tracer hands out pooled Traces and tail-samples completed ones into a
 // fixed retention ring. Retention keeps every errored or forced trace and
 // every trace slower than the cached p99 of the slow-source histogram
-// (refreshed when an ID block is spent, every idBlockLen traces, so the hot
-// path never scans buckets and counts nothing of its own); while the ring is
-// not yet full every trace is retained, so fresh processes are immediately
-// inspectable.
+// (re-read by FinishElapsed at most every refreshEvery, so the hot path never
+// scans buckets); while the ring is not yet full every trace is retained, so
+// fresh processes are immediately inspectable.
 type Tracer struct {
 	pool sync.Pool
 	slow *Histogram
 
-	seq    atomic.Uint64 // trace sequence numbers, reserved a block at a time
-	seed   uint64
-	ids    atomic.Pointer[idBlock] // the block IDs are being carved from
-	thresh atomic.Int64
+	seq       atomic.Uint64 // trace sequence numbers, reserved a block at a time
+	seed      uint64
+	ids       atomic.Pointer[idBlock] // the block IDs are being carved from
+	thresh    atomic.Int64
+	refreshAt atomic.Int64 // offset from epoch (ns) at which a finish re-reads thresh
 
 	mu   sync.Mutex
 	ring []*Trace
@@ -283,9 +281,15 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// Start returns a reset Trace with a fresh ID. The caller must eventually
-// hand it back via Finish or Abandon.
-func (t *Tracer) Start() *Trace {
+// Start returns a reset Trace with a fresh ID: StartFrom(nil).
+func (t *Tracer) Start() *Trace { return t.StartFrom(nil) }
+
+// StartFrom returns a reset Trace carrying the inbound X-Trace-Id header's ID
+// if it is one (validID), so a shard's trace shares the router's ID, and a
+// freshly carved one otherwise. An adopted ID is the caller's own slice, the
+// way X-Request-Id is echoed: it must not be rewritten while it can be read.
+// The caller must eventually hand the trace back via Finish or Abandon.
+func (t *Tracer) StartFrom(inbound []string) *Trace {
 	tr := t.pool.Get().(*Trace)
 	tr.start = time.Since(epoch)
 	tr.n = 0
@@ -293,8 +297,26 @@ func (t *Tracer) Start() *Trace {
 	tr.total = 0
 	tr.err = false
 	tr.forced = false
-	tr.hv = t.nextID()
+	if len(inbound) > 0 && validID(inbound[0]) {
+		tr.hv = inbound[:1]
+	} else {
+		tr.hv = t.nextID()
+	}
 	return tr
+}
+
+// validID reports whether s is a trace ID as this package writes them:
+// traceIDLen lowercase hex digits. It does not branch per byte: whether a
+// random ID's next digit is a letter is a coin flip to a branch predictor.
+func validID(s string) bool {
+	if len(s) != traceIDLen {
+		return false
+	}
+	var bad uint32 // bit 31 is set in c-'0'-10 for a digit, in c-'a'-6 for a-f
+	for i := 0; i < traceIDLen; i++ {
+		bad |= ^((uint32(s[i]-'0') - 10) | (uint32(s[i]-'a') - 6))
+	}
+	return bad>>31 == 0
 }
 
 // nextID carves the next trace ID out of the current block and returns its
@@ -314,16 +336,13 @@ func (t *Tracer) nextID() []string {
 				return blk.hv[i][:]
 			}
 		}
-		// Losing the swap wastes one block and its sequence range; IDs stay
-		// unique. Winning it is the tracer's one periodic event: the slow
-		// threshold is re-read here.
-		if t.ids.CompareAndSwap(blk, &idBlock{base: t.seq.Add(idBlockLen)}) && t.slow != nil {
-			if p99 := t.slow.Quantile(0.99); p99 > 0 {
-				t.thresh.Store(p99)
-			}
-		}
+		// Losing the swap wastes one block and its sequence range; IDs stay unique.
+		t.ids.CompareAndSwap(blk, &idBlock{base: t.seq.Add(idBlockLen)})
 	}
 }
+
+// refreshEvery is how often, in trace time, the slow threshold is re-read.
+const refreshEvery = time.Millisecond
 
 // Finish stamps the trace's total duration, applies the tail-sampling
 // decision and either retains the trace in the ring (recycling whatever it
@@ -334,13 +353,22 @@ func (t *Tracer) Finish(tr *Trace, errored bool) {
 }
 
 // FinishElapsed is Finish for a caller that has already read the clock at
-// the end of the request: elapsed is the time since the trace began.
+// the end of the request: elapsed is the time since the trace began. A trace
+// ending refreshEvery past the last refresh (its own end offset: no clock
+// read, and no ID need be carved) re-reads the slow threshold, after it has
+// been judged by the old one: its own sample does not raise the bar on it.
 func (t *Tracer) FinishElapsed(tr *Trace, elapsed time.Duration, errored bool) {
 	tr.total = elapsed.Microseconds()
 	if errored {
 		tr.err = true
 	}
 	keep := tr.err || tr.forced || tr.total >= t.thresh.Load()
+	end, at := int64(tr.start+elapsed), t.refreshAt.Load()
+	if t.slow != nil && end >= at && t.refreshAt.CompareAndSwap(at, end+int64(refreshEvery)) {
+		if p99 := t.slow.Quantile(0.99); p99 > 0 {
+			t.thresh.Store(p99)
+		}
+	}
 	if !keep && t.full.Load() {
 		t.pool.Put(tr)
 		return
@@ -446,24 +474,6 @@ func (t *Tracer) Snapshot(minMicros int64, onlyErrors bool, limit int) []TraceVi
 		}
 	}
 	return out
-}
-
-// traceKey keys the context value carrying a *Trace across layer
-// boundaries (router to transport).
-type traceKey struct{}
-
-// ContextWithTrace returns a context carrying tr so transports can
-// propagate its ID to downstream shards. This is the one deliberate
-// allocation on the fan-out path; the shard-local serving path never calls
-// it.
-func ContextWithTrace(ctx context.Context, tr *Trace) context.Context {
-	return context.WithValue(ctx, traceKey{}, tr)
-}
-
-// TraceFromContext returns the trace carried by ctx, or nil.
-func TraceFromContext(ctx context.Context) *Trace {
-	tr, _ := ctx.Value(traceKey{}).(*Trace)
-	return tr
 }
 
 // TraceHeaderKey is the context key under which the X-Trace-Id header value

@@ -37,25 +37,130 @@ func TestTraceIDsUniqueAndHex(t *testing.T) {
 
 func TestTraceSetIDAdoptsInbound(t *testing.T) {
 	tr := NewTracer(16, nil)
-	x := tr.Start()
 	inbound := []string{"0123456789abcdef", "second value ignored"}
-	x.Adopt(inbound)
+	x := tr.StartFrom(inbound)
 	if x.ID() != "0123456789abcdef" {
 		t.Fatalf("inbound ID not adopted: %q", x.ID())
 	}
 	if hv := x.HeaderValue(); len(hv) != 1 || &hv[0] != &inbound[0] {
 		t.Fatalf("adopted header value %q is not the inbound slice's first element", hv)
 	}
-	before := x.ID()
-	x.Adopt([]string{"short"}) // wrong length: ignored
-	x.Adopt(nil)
-	if x.ID() != before {
-		t.Fatalf("bad-length Adopt changed the id")
+	// Anything but lowercase hex of the right length gets a fresh ID.
+	for _, bad := range [][]string{nil, {}, {""}, {"short"}, {"0123456789ABCDEF"}, {"a b=c d=e f=g hi"}, {"0123456789abcdef0"}} {
+		y := tr.StartFrom(bad)
+		if len(bad) > 0 && y.ID() == bad[0] || !validID(y.ID()) {
+			t.Fatalf("StartFrom(%q) took ID %q", bad, y.ID())
+		}
+		tr.Abandon(y)
+	}
+	// validID's branch-free digit test against the plain one, every byte in
+	// every position.
+	for c := 0; c < 256; c++ {
+		for pos := 0; pos < traceIDLen; pos++ {
+			id := []byte("0123456789abcdef")
+			id[pos] = byte(c)
+			if want := c >= '0' && c <= '9' || c >= 'a' && c <= 'f'; validID(string(id)) != want {
+				t.Fatalf("validID(%q) = %v", id, !want)
+			}
+		}
 	}
 	// A retained adopted trace renders the adopted ID.
 	tr.Finish(x, true)
 	if views := tr.Snapshot(0, false, 0); len(views) != 1 || views[0].ID != "0123456789abcdef" {
 		t.Fatalf("snapshot of adopted trace: %+v", views)
+	}
+}
+
+// TestStartFromAdoptsWithoutCarving: a trace that adopts its ID takes nothing
+// from the ID block — no sequence number, no slot, no allocation amortised —
+// and carries the caller's own header slice.
+func TestStartFromAdoptsWithoutCarving(t *testing.T) {
+	tr := NewTracer(16, nil)
+	inbound := []string{"feedfacecafebeef"}
+	for i := 0; i < 1000; i++ {
+		x := tr.StartFrom(inbound)
+		if hv := x.HeaderValue(); len(hv) != 1 || &hv[0] != &inbound[0] {
+			t.Fatalf("trace %d: header value %q is not the inbound slice", i, hv)
+		}
+		tr.Finish(x, false)
+	}
+	if blk, seq := tr.ids.Load(), tr.seq.Load(); blk != nil || seq != 0 {
+		t.Fatalf("1000 adopted traces carved IDs: block %p, sequence %d", blk, seq)
+	}
+}
+
+// TestAdoptingTracerRefreshesThreshold: a tracer whose every trace is adopted
+// — a shard behind a router — carves no ID block, yet still picks up its slow
+// histogram's p99, and picks up a later one once a finish ends refreshEvery
+// past the last refresh. Driven by FinishElapsed offsets, no sleep.
+func TestAdoptingTracerRefreshesThreshold(t *testing.T) {
+	slow := &Histogram{}
+	tr := NewTracer(16, slow)
+	inbound := []string{"0123456789abcdef"}
+	// finish runs an adopted trace of the given total that ends at end (an
+	// offset from epoch; its start is set to match, so no clock decides
+	// anything) and reports whether it was retained.
+	finish := func(end, total time.Duration) bool {
+		x := tr.StartFrom(inbound)
+		x.start = end - total
+		tr.FinishElapsed(x, total, false)
+		v := tr.Snapshot(0, false, 1)
+		return len(v) == 1 && v[0].TotalMicros == total.Microseconds()
+	}
+	next := func() time.Duration { return time.Duration(tr.refreshAt.Load()) }
+	threshold := func(lo, hi int64) {
+		t.Helper()
+		if th := tr.SlowThresholdMicros(); th < lo || th > hi {
+			t.Fatalf("threshold = %d us, want [%d, %d]", th, lo, hi)
+		}
+	}
+	slow.RecordN(10, 100)
+	for i := 0; i < 16; i++ { // fill the ring; the first finish refreshes
+		finish(0, 0)
+		threshold(10, 11)
+	}
+	slow.RecordN(5000, 10_000)
+	finish(next()-time.Nanosecond, 0) // ends just short of the refresh point
+	threshold(10, 11)
+	// The finish that refreshes is judged by the threshold before it: 1 ms
+	// is over the old p99 and under the new one, and it is kept.
+	if !finish(next(), time.Millisecond) {
+		t.Fatal("the refreshing 1 ms trace was judged by the threshold it raised")
+	}
+	threshold(5000, 5200)
+	if finish(0, 4*time.Millisecond) {
+		t.Fatal("a 4 ms trace under a ~5 ms threshold was retained with the ring full")
+	}
+	if !finish(0, 6*time.Millisecond) {
+		t.Fatal("a 6 ms trace over a ~5 ms threshold was not retained")
+	}
+	if tr.ids.Load() != nil {
+		t.Fatal("an adopting tracer carved an ID block")
+	}
+}
+
+// TestNowIsMonotonic pins obs.Now's contract: it carries a monotonic reading,
+// agrees with time.Now on both clocks, and a deadline built on it fires no
+// earlier than asked.
+func TestNowIsMonotonic(t *testing.T) {
+	now := Now()
+	if now.Round(0) == now || !strings.Contains(now.String(), " m=") {
+		t.Fatalf("Now() = %v carries no monotonic reading", now)
+	}
+	ref := time.Now()
+	if d := Now().Sub(ref); d < -time.Millisecond || d > time.Millisecond {
+		t.Fatalf("Now() is %v off time.Now on the monotonic clock", d)
+	}
+	if d := Now().Round(0).Sub(ref.Round(0)); d < -time.Millisecond || d > time.Millisecond {
+		t.Fatalf("Now() is %v off time.Now on the wall clock", d)
+	}
+	const wait = 20 * time.Millisecond
+	start := time.Now()
+	ctx, cancel := context.WithDeadline(context.Background(), Now().Add(wait))
+	defer cancel()
+	<-ctx.Done()
+	if took := time.Since(start); took < wait {
+		t.Fatalf("a deadline %v after Now() fired after %v", wait, took)
 	}
 }
 
@@ -231,10 +336,9 @@ func TestTailSamplingRetainsErroredAndSlow(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		slow.Record(10)
 	}
-	// Drive threshold refresh past the 256-finish boundary.
-	for i := 0; i < 300; i++ {
-		tr.Finish(tr.Start(), false)
-	}
+	// Drive a threshold refresh: a finish that ends refreshEvery past the
+	// last one (the first of the fill above).
+	tr.FinishElapsed(tr.Start(), refreshEvery, false)
 	if th := tr.SlowThresholdMicros(); th <= 0 || th > 1000 {
 		t.Fatalf("threshold = %d, want small positive", th)
 	}
@@ -285,19 +389,6 @@ func TestSnapshotFilters(t *testing.T) {
 	if got := tr.Snapshot(0, false, 0); len(got) != 2 || !got[0].Err || got[1].Err {
 		t.Fatalf("ordering: %+v", got)
 	}
-}
-
-func TestContextPropagation(t *testing.T) {
-	tr := NewTracer(16, nil)
-	x := tr.Start()
-	ctx := ContextWithTrace(context.Background(), x)
-	if got := TraceFromContext(ctx); got != x {
-		t.Fatalf("trace not carried")
-	}
-	if got := TraceFromContext(context.Background()); got != nil {
-		t.Fatalf("empty context returned %v", got)
-	}
-	tr.Abandon(x)
 }
 
 // headerCtx is a TraceHeaderCarrier the way the router's attempt context is

@@ -113,10 +113,9 @@ func (h *Handler) instrument(next http.Handler) http.Handler {
 		sw.ResponseWriter = w
 		sw.code, sw.wrote = 0, false
 		sw.h, sw.method, sw.path = h, r.Method, r.URL.Path
-		tr := h.tracer.Start()
 		// Direct map index: the key is canonical, and Header.Get would
 		// canonicalise it again on every request.
-		tr.Adopt(r.Header["X-Trace-Id"])
+		tr := h.tracer.StartFrom(r.Header["X-Trace-Id"])
 		sw.tr = tr
 		// The header values outlive the pooled trace — net/http writes them
 		// after this handler has returned and the trace has been recycled —

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -63,6 +64,50 @@ func TestRequestIDPropagation(t *testing.T) {
 	rid, tid := resp2.Header.Get("X-Request-Id"), resp2.Header.Get("X-Trace-Id")
 	if rid == "" || rid != tid {
 		t.Fatalf("generated X-Request-Id = %q, want the trace ID %q", rid, tid)
+	}
+}
+
+// TestInboundTraceIDMustBeHex: an inbound X-Trace-Id is adopted only when it
+// is 16 lowercase hex digits, the form trace IDs are generated in. Anything
+// else — a value that would write fields of its own into the request log
+// line among them — is replaced by a fresh ID in the response headers, in
+// /v1/traces and in the log's trace= field alike.
+func TestInboundTraceIDMustBeHex(t *testing.T) {
+	var logBuf strings.Builder
+	h := New(testRecommender(t), Options{Logger: log.New(&logBuf, "", 0)})
+	for _, tc := range []struct {
+		name, inbound string
+		adopt         bool
+	}{
+		{"lowercase hex", "feedfacecafebeef", true},
+		{"uppercase", "FEEDFACECAFEBEEF", false},
+		{"spaces", "a b=c d=e f=g hi", false},
+		{"quote", `feedface"afebeef`, false},
+		{"non-ASCII", "feedfacecafebeé", false},
+		{"15 bytes", "feedfacecafebee", false},
+		{"17 bytes", "feedfacecafebeef0", false},
+		{"empty", "", false},
+	} {
+		logBuf.Reset()
+		req := httptest.NewRequest(http.MethodGet, "/suggest?q=o2", nil)
+		req.Header["X-Trace-Id"] = []string{tc.inbound}
+		rr := httptest.NewRecorder()
+		h.ServeHTTP(rr, req)
+		id := rr.Header().Get("X-Trace-Id")
+		if tc.adopt && id != tc.inbound || !tc.adopt && (id == tc.inbound || len(id) != 16 || strings.Trim(id, "0123456789abcdef") != "") {
+			t.Errorf("%s: inbound %q answered X-Trace-Id %q (adopt: %v)", tc.name, tc.inbound, id, tc.adopt)
+			continue
+		}
+		if rid := rr.Header().Get("X-Request-Id"); rid != id {
+			t.Errorf("%s: X-Request-Id %q, want the trace ID %q", tc.name, rid, id)
+		}
+		if views := h.Tracer().Snapshot(0, false, 1); len(views) != 1 || views[0].ID != id {
+			t.Errorf("%s: newest retained trace %+v, want ID %q", tc.name, views, id)
+		}
+		line := strings.TrimSuffix(logBuf.String(), "\n")
+		if _, field, _ := strings.Cut(line, " trace="); field != id {
+			t.Errorf("%s: log line %q carries trace=%q, want %q", tc.name, line, field, id)
+		}
 	}
 }
 
@@ -367,9 +412,9 @@ func (w slowWriter) Write(p []byte) (int, error) {
 // request's trace is kept, with no stage (it was refused before one); a fast,
 // clean one is not.
 func TestSlowAndErroredTracesRetained(t *testing.T) {
-	// The tracer re-reads its slow threshold when it takes an ID block, the
-	// first one included: a histogram that already holds 50 ms samples forces
-	// the threshold there from the first request on.
+	// The tracer re-reads its slow threshold on its first finish and then at
+	// most once a millisecond of trace time: a histogram that already holds
+	// 50 ms samples forces the threshold there from the first request on.
 	var slow obs.Histogram
 	slow.RecordN(50_000, 100)
 	tracer := obs.NewTracer(16, &slow)
