@@ -47,7 +47,7 @@ BENCHTIME ?= 1s
 INSTRUMENT_BENCH = ^(BenchmarkRequestInstrument|BenchmarkRoutedInstrument)$$
 BENCH_GATES = -gate BenchmarkRecommendUncached=0 -gate BenchmarkServeHTTPCached=2 -gate BenchmarkRouteAB=0 -gate BenchmarkServeHTTPCachedTraced=0 -gate BenchmarkHistogramRecord=0 -gate BenchmarkShardFanout64=60 -gate BenchmarkRouterGET=2 -gate BenchmarkShardFanout64R2:fanout-r2-over-r1=1.5 -gate BenchmarkPredictCPS5=0 -gate BenchmarkPredictHMM=0 -gate BenchmarkRerankPairwise=0 -gate BenchmarkCompiledBlobSize:cps5-over-cps3=0.48 -gate BenchmarkIngestSegment=6000 -gate BenchmarkRequestInstrument:clock-reads=6.0 -gate BenchmarkRoutedInstrument:clock-reads=6.0
 
-.PHONY: all build test race race-repeat fuzz-smoke fuzz-grammar bench bench-gates bench-e2e bench-pairs chaos ingest-test obs-test fmt fmt-check vet check-docs check-api ci serve loadgen clean
+.PHONY: all build test race race-repeat fuzz-smoke fuzz-grammar bench bench-gates bench-e2e bench-pairs chaos ingest-test obs-test fmt fmt-check vet check-docs check-api check-lines ci serve loadgen clean
 
 all: build test
 
@@ -185,9 +185,19 @@ check-docs:
 check-api: vet
 	$(GO) run ./cmd/apilint .
 
+# Line-count ratchet: the non-test Go lines outside bench/ and dot-directories
+# may not grow past LINES_CEILING. A PR that shrinks the code lowers the
+# ceiling to its new count; a PR that raises it says why in CHANGES.md.
+LINES_CEILING = 22442
+check-lines:
+	@n=$$(find . -path ./bench -prune -o -path './.*' -prune -o -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l); \
+	echo "non-test Go lines: $$n (ceiling $(LINES_CEILING))"; \
+	if [ $$n -gt $(LINES_CEILING) ]; then \
+		echo "over the ceiling: delete something, or raise LINES_CEILING and say why in CHANGES.md"; exit 1; fi
+
 # test runs beside race because the allocation-count tests (the routed GET's
 # among them) skip themselves under the race detector.
-ci: check-api fmt-check check-docs build test race race-repeat fuzz-grammar bench
+ci: check-api fmt-check check-docs check-lines build test race race-repeat fuzz-grammar bench
 
 # Convenience: train a small model if absent, then serve it.
 model.bin:

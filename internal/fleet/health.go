@@ -61,28 +61,29 @@ func (c healthConfig) withDefaults() healthConfig {
 }
 
 // available reports whether the preference walk may send this shard live
-// traffic right now. An open breaker whose cool-down has elapsed admits
-// exactly one caller (the half-open probe); everyone else keeps skipping the
-// shard until the probe reports back.
-func (h *shardHealth) available(cfg healthConfig, now time.Time) bool {
+// traffic right now, and whether saying so claimed the half-open probe. An
+// open breaker whose cool-down has elapsed admits exactly one caller (the
+// probe); everyone else keeps skipping the shard until the probe reports back.
+func (h *shardHealth) available(cfg healthConfig, now time.Time) (ok, claim bool) {
 	switch h.state.Load() {
 	case healthClosed:
-		return true
+		return true, false
 	case healthOpen:
 		if now.UnixNano()-h.openedAt.Load() < int64(cfg.probeAfter) {
-			return false
+			return false, false
 		}
 		// One winner flips open → half-open and carries the probe.
-		return h.state.CompareAndSwap(healthOpen, healthHalfOpen)
+		ok = h.state.CompareAndSwap(healthOpen, healthHalfOpen)
+		return ok, ok
 	default: // healthHalfOpen: a probe is already in flight
-		return false
+		return false, false
 	}
 }
 
-// releaseProbe hands back a half-open probe claim that ended up carrying no
-// traffic (the batch planner claims availability per round before it knows
-// whether any items group onto the shard). Without the release the breaker
-// would stay half-open forever, with every caller skipping the shard.
+// releaseProbe hands back a half-open probe claim whose holder learned
+// nothing: the claim carried no traffic, or its attempt was cancelled with
+// the client. Without the release the breaker would stay half-open forever,
+// with every caller skipping the shard.
 func (h *shardHealth) releaseProbe() {
 	h.state.CompareAndSwap(healthHalfOpen, healthOpen)
 }

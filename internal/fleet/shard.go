@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math/rand"
 	"net"
 	"net/http"
 	"net/url"
@@ -382,8 +381,8 @@ type ShardRouter struct {
 	requests  atomic.Uint64
 	batches   atomic.Uint64
 	fanouts   atomic.Uint64 // shard sub-requests issued by batch fan-out
-	retries   atomic.Uint64 // failed attempts that moved work to another replica
-	failovers atomic.Uint64 // requests/items answered by a non-primary replica
+	retries   atomic.Uint64 // picks that moved a failed attempt's work to another replica (per GET or item)
+	failovers atomic.Uint64 // GETs and batch items answered by a non-primary replica
 	hedges    atomic.Uint64 // hedge attempts fired
 	hedgesWon atomic.Uint64 // hedge attempts whose answer was served
 	cancelled atomic.Uint64 // requests abandoned because the client went away first
@@ -392,7 +391,7 @@ type ShardRouter struct {
 	reg        *obs.Registry
 	tracer     *obs.Tracer
 	adminHTTP  obs.Admin      // health, metrics, traces
-	attemptLat *obs.Histogram // successful attempt latencies, feeds auto hedge delay
+	attemptLat *obs.Histogram // answered GET attempt latencies: a metric, and the auto hedge delay's input
 	hedgeWait  *obs.Histogram // delays waited before firing a hedge
 	reqLat     *obs.Histogram // end-to-end routed request latencies
 	// hedgeCache is the cached auto hedge delay in nanoseconds, refreshed
@@ -594,76 +593,9 @@ func (c *attemptCtx) Value(key any) any {
 	return c.Context.Value(key)
 }
 
-// backoffSleep sleeps the jittered failover backoff before retry attempt
-// k >= 1: base doubling per attempt with ±50% jitter, so replicas of a
-// struggling ring do not retry in lockstep.
-func (s *ShardRouter) backoffSleep(k int) {
-	base := s.opts.RetryBackoff
-	if base <= 0 {
-		return
-	}
-	d := base << (k - 1)
-	d = d/2 + time.Duration(rand.Int63n(int64(d))) // [d/2, 3d/2)
-	time.Sleep(d)
-}
-
-// retryable reports whether an attempt outcome should fail over to the next
-// replica: transport errors and shard-side 5xx. Sub-5xx statuses are the
-// shard's deterministic answer (including 4xx) — retrying cannot change
-// them, and they must not poison the shard's health.
-func retryable(status int, err error) bool {
-	return err != nil || status >= http.StatusInternalServerError
-}
-
-// attemptOutcome is the verdict on one finished shard attempt, GET or
-// sub-batch alike: what it does to the shard's breaker, whether the walk moves
-// on to the next replica, and the outcome its trace span is closed with.
-type attemptOutcome uint8
-
-const (
-	attemptAnswered    attemptOutcome = iota // the shard answered, with any sub-5xx status: pass it on
-	attemptCancelled                         // failed after the client went away: nothing learned
-	attemptError                             // transport error or unusable answer: fail over
-	attemptUpstream5xx                       // shard-side 5xx: fail over
-)
-
-// attemptOutcomeNames maps outcomes to what their trace spans are closed with.
-var attemptOutcomeNames = [...]string{"ok", "cancelled", "error", "upstream-5xx"}
-
-// String names the outcome on the attempt's trace span.
-func (o attemptOutcome) String() string { return attemptOutcomeNames[o] }
-
-// failedOver reports a failure that counted against the shard: the walk moves
-// the work to the next replica.
-func (o attemptOutcome) failedOver() bool { return o >= attemptError }
-
-// settleAttempt classifies a finished attempt by the retryable rule and books
-// it against its shard's breaker. An answer closes the breaker. A failure
-// counts — unless the request's own context is done: a failure seen after
-// that says nothing about the shard (a disconnected client makes every
-// attempt fail with context.Canceled, and three of those would eject a
-// healthy shard), so it is not counted and the half-open probe claim the
-// attempt may have carried is handed back, or the breaker would strand at
-// "probing". now is when the attempt ended.
-func (s *ShardRouter) settleAttempt(parent context.Context, shard, status int, err error, now time.Time) attemptOutcome {
-	switch {
-	case !retryable(status, err):
-		s.health[shard].recordSuccess()
-		return attemptAnswered
-	case parent.Err() != nil:
-		s.health[shard].releaseProbe()
-		return attemptCancelled
-	}
-	s.health[shard].recordFailure(s.hcfg, now)
-	if err != nil {
-		return attemptError
-	}
-	return attemptUpstream5xx
-}
-
 // batchScratch is the pooled working state of one batch fan-out: the raw
-// body, the walked items, the per-item preference lists and attempt masks, the
-// per-round scatter targets and the merged response builder. Everything is
+// body, the walked items, the per-item preference walks, the per-round
+// breaker view and sub-batches, and the merged response builder. Everything is
 // recycled, so a steady-state fan-out allocates only each round's attempt
 // context and call goroutines.
 type batchScratch struct {
@@ -673,20 +605,18 @@ type batchScratch struct {
 	items []jsonspan.Item
 	toks  [][2]int
 
-	prefs   []int    // stride-R preference list per item (R = effective replicas)
-	tried   []uint8  // per-item bitmask over the preference list
-	target  []int    // this round's shard per pending item (-1 = none)
-	pending []int    // item indices awaiting service
-	next    []int    // pending list being built for the next round
-	failed  []int    // items that exhausted every replica
-	counts  []int    // items per shard, this round
-	avail   []bool   // per-shard availability, this round
-	probes  []bool   // per-shard: availability was a half-open probe claim
-	results [][]byte // per-item result bytes, aliasing the shardCall buffers
-	calls   []*shardCall
-	refused *shardCall // the first sub-batch a shard refused (see shardCall.served)
-	out     []byte     // merged response body
-	wg      sync.WaitGroup
+	walks     []prefWalk   // per item
+	pending   []int        // item indices awaiting service
+	next      []int        // pending list being built for the next round
+	failed    []int        // items that exhausted every replica
+	byShard   []*shardCall // this round's sub-batch per shard, or nil
+	marks     []viewMark   // this round's breaker view, one entry per shard
+	failovers int          // items answered by a non-primary replica
+	results   [][]byte     // per-item result bytes, aliasing the shardCall buffers
+	calls     []*shardCall
+	refused   *shardCall // the first sub-batch a shard refused (see shardCall.served)
+	out       []byte     // merged response body
+	wg        sync.WaitGroup
 }
 
 // shardCall is one pooled sub-batch exchange: the items it carries, the
@@ -698,6 +628,7 @@ type batchScratch struct {
 // span retroactively.
 type shardCall struct {
 	shard     int
+	claim     bool  // the call carries the shard's half-open probe claim
 	items     []int // item indices, request order
 	sub       []byte
 	resp      []byte
@@ -723,17 +654,15 @@ func (s *ShardRouter) getScratch() *batchScratch {
 		b = &batchScratch{body: make([]byte, 0, 4096)}
 	}
 	n := s.ring.Shards()
-	if len(b.counts) != n {
-		b.counts = make([]int, n)
-		b.avail = make([]bool, n)
-		b.probes = make([]bool, n)
+	if len(b.byShard) != n {
+		b.byShard = make([]*shardCall, n)
+		b.marks = make([]viewMark, n)
 	}
 	b.body = b.body[:0]
 	b.items = b.items[:0]
 	b.toks = b.toks[:0]
-	b.prefs = b.prefs[:0]
-	b.tried = b.tried[:0]
-	b.target = b.target[:0]
+	b.walks = b.walks[:0]
+	b.failovers = 0
 	b.pending = b.pending[:0]
 	b.next = b.next[:0]
 	b.failed = b.failed[:0]
@@ -776,10 +705,9 @@ func (s *ShardRouter) putCalls(b *batchScratch) {
 // BenchmarkShardFanout64's alloc gate; per-item took_us values come from the
 // shards and the top-level took_us stays 0 (clients sum per-result values).
 //
-// With replication (R > 1) the fan-out runs in rounds: round 0 groups items
-// by their first healthy preference and fans out concurrently; items whose
-// call failed re-group by their next untried replica for round 1, after a
-// jittered backoff; and so on until served or every replica was tried. Only
+// With replication (R > 1) the fan-out runs in rounds of the failover policy
+// (policy.go): items whose call failed re-group by their next untried
+// replica for the next round, after a jittered backoff. Only
 // items that exhaust the whole preference list fail the request (buffered:
 // 502) or degrade to error lines (streaming) — a single shard down at
 // R >= 2 is absorbed invisibly, with byte-identical results, because every
@@ -835,14 +763,13 @@ func (s *ShardRouter) batch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Assign each item its stride-R preference list by context hash; the
-	// primary feeds the per-shard distribution counters.
-	R := s.opts.Replicas
+	// Give each item its preference walk by context hash; the primary feeds
+	// the per-shard distribution counters.
 	for i, it := range sc.items {
-		h := hashBatchContext(sc.body, sc.toks[it.TokLo:it.TokHi])
-		sc.prefs = s.ring.LookupN(h, R, sc.prefs)
-		s.perShard[sc.prefs[i*R]].Add(1)
-		sc.tried = append(sc.tried, 0)
+		sc.walks = append(sc.walks, prefWalk{})
+		w := &sc.walks[i]
+		w.n = len(s.ring.LookupN(hashBatchContext(sc.body, sc.toks[it.TokLo:it.TokHi]), s.opts.Replicas, w.prefs[:0]))
+		s.perShard[w.prefs[0]].Add(1)
 		sc.pending = append(sc.pending, i)
 	}
 
@@ -860,11 +787,11 @@ func (s *ShardRouter) batch(w http.ResponseWriter, r *http.Request) {
 	sc.results = sc.results[:len(sc.items)]
 
 	var failMsg string
-	for round := 0; len(sc.pending) > 0 && round < R && ctx.Err() == nil; round++ {
+	for round := 0; len(sc.pending) > 0 && ctx.Err() == nil; round++ {
 		if round > 0 {
 			s.backoffSleep(round)
 		}
-		failMsg = s.fanoutRound(ctx, sc, tr, R, out)
+		failMsg = s.fanoutRound(ctx, sc, tr, out)
 		if sc.refused != nil && out == nil {
 			// No merged answer can come of this batch any more: pass the
 			// shard's verdict on, as the GET path passes a 4xx on.
@@ -874,7 +801,7 @@ func (s *ShardRouter) batch(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	if len(sc.pending) > 0 && ctx.Err() != nil {
+	if len(sc.pending)+len(sc.failed) > 0 && ctx.Err() != nil {
 		// The client went away with items unserved: nobody is left to read a
 		// 502 or error lines, and nothing was learned about the shards.
 		s.cancelled.Add(1)
@@ -883,10 +810,6 @@ func (s *ShardRouter) batch(w http.ResponseWriter, r *http.Request) {
 			obs.WriteError(w, statusClientClosedRequest, "client_closed_request", "client went away before the shards answered")
 		}
 		return
-	}
-	sc.failed = append(sc.failed, sc.pending...)
-	if len(sc.failed) > 0 && failMsg == "" {
-		failMsg = "all replicas failed"
 	}
 
 	if out != nil {
@@ -915,43 +838,23 @@ func (s *ShardRouter) batch(w http.ResponseWriter, r *http.Request) {
 		sc.out = append(sc.out, res...)
 	}
 	sc.out = append(sc.out, `],"took_us":0}`...)
-	if n := s.failoversOf(sc, R); n > 0 {
-		w.Header()["X-Serve-Failovers"] = []string{strconv.Itoa(n)}
+	if sc.failovers > 0 {
+		w.Header()["X-Serve-Failovers"] = []string{strconv.Itoa(sc.failovers)}
 	}
 	w.Header()["Content-Type"] = obs.JSONContentType
 	w.Write(sc.out)
 }
 
-// failoversOf counts the batch's items that were answered by a non-primary
-// replica (for the X-Serve-Failovers response header).
-func (s *ShardRouter) failoversOf(sc *batchScratch, R int) int {
-	if R < 2 {
-		return 0
-	}
-	n := 0
-	for _, c := range sc.calls {
-		if !c.served() {
-			continue
-		}
-		for _, i := range c.items {
-			if sc.prefs[i*R] != c.shard {
-				n++
-			}
-		}
-	}
-	return n
-}
-
-// fanoutRound serves one failover round: pending items are grouped by their
-// next untried preference (healthy shards first, failing open when none
-// are), the groups are exchanged concurrently, served calls scatter results
-// (or have streamed their lines), refused calls answer their items with the
-// shard's error, and failed calls push their items into the next round's
-// pending list.
+// fanoutRound serves one failover round: every pending item picks its next
+// replica under one view of the breakers (prefWalk.pick, roundView) and joins
+// that shard's sub-batch, the sub-batches are exchanged concurrently, served
+// calls scatter results (or have streamed their lines), refused calls answer
+// their items with the shard's error, and failed calls push their items into
+// the next round's pending list, or into failed once their walk is exhausted.
 //
 // The sub-batches of a round start together, so they share one attempt
-// context (attemptCtx) — one ShardTimeout deadline, counted from the clock read
-// that opened the round — which, like an inline GET attempt's, is derived from
+// context (attemptCtx) — one ShardTimeout deadline, counted from the round
+// view's clock read — which, like an inline GET attempt's, is derived from
 // nothing and needs no cancel: the round waits for every call. All but the
 // last run on goroutines of their own; the last runs here, on the
 // request goroutine, which would otherwise only wait for the others. Each
@@ -959,105 +862,58 @@ func (s *ShardRouter) failoversOf(sc *batchScratch, R int) int {
 // after the wait, on the request goroutine: whichever goroutine ran a call
 // only stamped timings and the outcome into its own shardCall. Returns the
 // last failed call's message, for the final error report.
-func (s *ShardRouter) fanoutRound(ctx context.Context, sc *batchScratch, tr *obs.Trace, R int, out *streamOut) string {
-	// Evaluate availability once per shard per round; remember half-open
-	// probe claims so unclaimed ones (no traffic grouped onto them) can be
-	// released instead of stranding the breaker.
-	now := obs.Now()
-	for sh := range s.health {
-		sc.avail[sh], sc.probes[sh] = false, false
-		st := s.health[sh].state.Load()
-		if s.health[sh].available(s.hcfg, now) {
-			sc.avail[sh] = true
-			sc.probes[sh] = st == healthOpen // claim happened via open → half-open
-		}
-	}
-	clear(sc.counts)
-	sc.target = sc.target[:0]
-	for _, i := range sc.pending {
-		t := -1
-		for k := 0; k < R; k++ {
-			if sc.tried[i]&(1<<k) == 0 && sc.avail[sc.prefs[i*R+k]] {
-				t = k
-				break
-			}
-		}
-		if t < 0 {
-			for k := 0; k < R; k++ {
-				if sc.tried[i]&(1<<k) == 0 {
-					t = k
-					break
-				}
-			}
-		}
-		if t < 0 {
-			sc.target = append(sc.target, -1)
-			continue
-		}
-		sc.tried[i] |= 1 << t
-		sh := sc.prefs[i*R+t]
-		sc.target = append(sc.target, sh)
-		sc.counts[sh]++
-	}
-	for sh, probe := range sc.probes {
-		if probe && sc.counts[sh] == 0 {
-			s.health[sh].releaseProbe()
-		}
-	}
-
-	// Build this round's calls; earlier rounds' calls stay in sc.calls, their
-	// buffers still backing scattered results.
+func (s *ShardRouter) fanoutRound(ctx context.Context, sc *batchScratch, tr *obs.Trace, out *streamOut) string {
+	// Earlier rounds' calls stay in sc.calls, their buffers still backing
+	// scattered results.
+	v := roundView{s: s, tr: tr, now: obs.Now(), marks: sc.marks}
+	clear(sc.byShard)
 	callsBefore := len(sc.calls)
-	for sh, count := range sc.counts {
-		if count == 0 {
-			continue
-		}
-		s.fanouts.Add(1)
-		call, _ := s.calls.Get().(*shardCall)
+	for _, i := range sc.pending {
+		w := &sc.walks[i]
+		sh := w.prefs[w.pick(&v)] // pending walks are never exhausted
+		call := sc.byShard[sh]
 		if call == nil {
-			call = &shardCall{}
-		}
-		call.shard = sh
-		call.sub = append(call.sub, `{"requests":[`...)
-		first := true
-		for j, i := range sc.pending {
-			if sc.target[j] != sh {
-				continue
+			if call, _ = s.calls.Get().(*shardCall); call == nil {
+				call = &shardCall{}
 			}
-			call.items = append(call.items, i)
-			if !first {
-				call.sub = append(call.sub, ',')
-			}
-			first = false
-			sp := sc.items[i].Span
-			call.sub = append(call.sub, sc.body[sp[0]:sp[1]]...)
+			call.shard = sh
+			call.sub = append(call.sub, `{"requests":[`...)
+			sc.byShard[sh] = call
+			sc.calls = append(sc.calls, call)
+		} else {
+			call.sub = append(call.sub, ',')
 		}
+		call.items = append(call.items, i)
+		sp := sc.items[i].Span
+		call.sub = append(call.sub, sc.body[sp[0]:sp[1]]...)
+	}
+	v.release()
+	round := sc.calls[callsBefore:] // never empty: something was pending
+	for _, call := range round {
+		s.fanouts.Add(1)
+		call.claim = v.mark(call.shard).claim
 		call.sub = append(call.sub, `]}`...)
-		sc.calls = append(sc.calls, call)
 	}
-	round := sc.calls[callsBefore:]
-	if len(round) > 0 {
-		actx := s.newAttemptCtx(ctx, tr.HeaderValue(), now)
-		for _, call := range round[:len(round)-1] {
-			sc.wg.Add(1)
-			go func(call *shardCall) {
-				defer sc.wg.Done()
-				s.exchangeSubBatch(actx, sc, call, out)
-			}(call)
-		}
-		s.exchangeSubBatch(actx, sc, round[len(round)-1], out)
-		sc.wg.Wait()
+	actx := s.newAttemptCtx(ctx, tr.HeaderValue(), v.now)
+	for _, call := range round[:len(round)-1] {
+		sc.wg.Add(1)
+		go func(call *shardCall) {
+			defer sc.wg.Done()
+			s.exchangeSubBatch(actx, sc, call, out)
+		}(call)
 	}
+	s.exchangeSubBatch(actx, sc, round[len(round)-1], out)
+	sc.wg.Wait()
 
 	failMsg := ""
 	sc.next = sc.next[:0]
-	for j, i := range sc.pending {
-		if sc.target[j] < 0 {
-			sc.next = append(sc.next, i) // exhausted; caller moves it to failed
-		}
-	}
 	for _, call := range round {
 		tr.Record("shard-batch", tr.Offset(call.start).Microseconds(), call.durMicros, call.shard, call.outcome.String())
+		if call.outcome == attemptAnswered {
+			for _, i := range call.items {
+				sc.failovers += s.answered(&sc.walks[i], call.shard)
+			}
+		}
 		switch {
 		case call.served():
 			if out == nil {
@@ -1076,16 +932,17 @@ func (s *ShardRouter) fanoutRound(ctx context.Context, sc *batchScratch, tr *obs
 				out.writeErrors(sc, call.items, code, msg)
 			}
 		default:
-			sc.next = append(sc.next, call.items...)
-			if call.outcome.failedOver() {
-				failMsg = call.failure()
-				s.retries.Add(uint64(len(call.items)))
+			failMsg = call.failure() // unread when the client went away
+			for _, i := range call.items {
+				if sc.walks[i].exhausted() {
+					sc.failed = append(sc.failed, i)
+				} else {
+					sc.next = append(sc.next, i)
+				}
 			}
 		}
 	}
 	sc.pending, sc.next = sc.next, sc.pending[:0]
-	// Exhausted items re-queued above will find no untried preference next
-	// round and fall through to failed; simpler than a second list here.
 	return failMsg
 }
 
@@ -1107,7 +964,7 @@ func (s *ShardRouter) exchangeSubBatch(actx context.Context, sc *batchScratch, c
 	}
 	end := obs.Now()
 	call.durMicros = end.Sub(call.start).Microseconds()
-	call.outcome = s.settleAttempt(actx, call.shard, call.status, call.err, end)
+	call.outcome = s.settleAttempt(actx, call.shard, call.claim, call.status, call.err, end)
 	if out != nil && call.served() {
 		out.writeCall(sc, call)
 	}
@@ -1303,10 +1160,12 @@ func (s *ShardRouter) healthz(w http.ResponseWriter, _ *http.Request) {
 
 // ShardRouterMetrics is the shard router's /v1/metrics payload: routed request
 // counters, the per-shard distribution (contexts routed to each replica —
-// near-even by construction of the ring), and the failure-policy counters:
-// retries (failed attempts moved to another replica), failovers (requests
-// answered by a non-primary), hedges fired/won, and each shard breaker's
-// state.
+// near-even by construction of the ring), and the failure-policy counters
+// (policy.go), GET and batch alike: retries (work a failed attempt left,
+// moved to another replica: one per GET or batch item moved, so a request
+// that fails at R=1 books none), failovers (GETs and batch items answered,
+// with any sub-5xx status, by a non-primary replica), hedges fired/won, and
+// each shard breaker's state.
 type ShardRouterMetrics struct {
 	Role          string `json:"role"`
 	Shards        int    `json:"shards"`

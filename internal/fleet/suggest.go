@@ -10,10 +10,10 @@ import (
 )
 
 // The GET /suggest hop. One request walks its preference list with one
-// attempt state machine (getWalk): pick the next replica, build the attempt's
-// context (attemptCtx: deadline and trace header as values), open the attempt
-// span, exchange, settle the outcome against the breaker and the trace, then
-// respond, fail over or give up.
+// attempt state machine (getWalk): pick the next replica (policy.go), build
+// the attempt's context (attemptCtx: deadline and trace header as values),
+// open the attempt span, exchange, settle the outcome against the breaker and
+// the trace, then respond, fail over or give up.
 //
 // The machine runs in one of two modes. With no hedge armed — hedging off,
 // or fewer than two replicas to race — every attempt, sequential failover
@@ -22,7 +22,7 @@ import (
 // is armed does the first attempt run on its own goroutine, raced against
 // the timer and then against the hedge (race); whatever is left of the list
 // after that race is walked inline again. Both modes go through the same
-// pick/begin/exchangeGET/settle/respond steps.
+// begin/exchangeGET/settle/respond steps; each attempt is a policy round.
 //
 // An inline attempt derives no context and arms no timer: it cannot outlive
 // the request, so there is nobody to cancel, and its deadline is the
@@ -48,6 +48,7 @@ type getAttempt struct {
 	pref   int // index into the preference list
 	span   int // the attempt's "shard" span on the request trace
 	hedge  bool
+	claim  bool               // the attempt carries its shard's half-open probe claim
 	cancel context.CancelFunc // race only: stops the attempt when it loses
 }
 
@@ -71,12 +72,8 @@ type getWalk struct {
 	ctx context.Context // the request's: what every attempt's Done and Err are
 	uri string
 
-	// The preference list is prefs[:n]. It is kept as an array, not a slice
-	// into one: a walk that pointed into itself would be moved to the heap.
-	prefs            [MaxReplicas]int
-	n                int
-	tried, skipNoted [MaxReplicas]bool
-	launched         int
+	prefWalk
+	launched int
 
 	last getResult // the last failed attempt, for the 502 message (its body is back in the pool)
 }
@@ -125,19 +122,14 @@ func (s *ShardRouter) suggest(w http.ResponseWriter, r *http.Request) {
 // inline, and answers the request: the first replica to answer is served,
 // each failure backs off and moves on, and an exhausted list is a 502.
 func (g *getWalk) walk(w http.ResponseWriter) {
-	now := g.tr.Started()
-	if g.launched > 0 { // the rest of the list after a lost race
-		now = obs.Now()
-	}
-	for pref := g.pick(now); pref >= 0; pref = g.pick(now) {
-		if g.launched > 0 {
-			g.s.retries.Add(1)
+	for !g.exhausted() {
+		now := g.tr.Started()
+		if g.launched > 0 { // a retry, or the rest of the list after a lost race
 			g.s.backoffSleep(g.launched)
 			now = obs.Now()
 		}
-		at, actx := g.begin(pref, false, now)
-		res := g.s.exchangeGET(actx, g.prefs[pref], g.uri, now)
-		now = res.end
+		at, actx := g.begin(false, now)
+		res := g.s.exchangeGET(actx, g.prefs[at.pref], g.uri, now)
 		switch g.settle(&at, res) {
 		case attemptAnswered:
 			g.respond(w, &at, res)
@@ -159,7 +151,7 @@ func (g *getWalk) race(w http.ResponseWriter, delay time.Duration) bool {
 	var atts [2]getAttempt                   // primary, hedge
 	resCh := make(chan getResult, len(atts)) // one send per raced attempt
 	now := g.tr.Started()
-	atts[0] = g.launch(g.pick(now), false, 0, now, resCh)
+	atts[0] = g.launch(false, 0, now, resCh)
 	inflight := 1
 	timer := time.NewTimer(delay)
 	defer timer.Stop()
@@ -169,13 +161,10 @@ func (g *getWalk) race(w http.ResponseWriter, delay time.Duration) bool {
 		case res = <-resCh:
 		case <-timer.C:
 			// Only the primary has been tried and the list holds at least
-			// two replicas, so pick cannot come back empty.
-			now = obs.Now()
-			next := g.pick(now)
+			// two replicas, so the hedge's pick cannot come back empty.
 			s.hedges.Add(1)
 			s.hedgeWait.Record(delay.Microseconds())
-			g.tr.Event("hedge-fire", g.prefs[next], "fired")
-			atts[1] = g.launch(next, true, 1, now, resCh)
+			atts[1] = g.launch(true, 1, obs.Now(), resCh)
 			inflight++
 			continue
 		}
@@ -193,7 +182,7 @@ func (g *getWalk) race(w http.ResponseWriter, delay time.Duration) bool {
 			loser := &atts[1-res.slot]
 			loser.cancel()
 			g.tr.EndAt(loser.span, g.tr.Offset(res.end), "cancelled")
-			go s.drainLoser(resCh)
+			go s.drainLoser(resCh, loser.claim)
 		}
 		if out == attemptAnswered {
 			g.respond(w, at, res)
@@ -210,11 +199,11 @@ func (g *getWalk) race(w http.ResponseWriter, delay time.Duration) bool {
 // it runs under a cancellable child of its attempt context. The goroutine is
 // handed copies: it must not reach the walk state, which stays on the request
 // goroutine's stack.
-func (g *getWalk) launch(pref int, hedge bool, slot int, now time.Time, resCh chan<- getResult) getAttempt {
-	at, actx := g.begin(pref, hedge, now)
+func (g *getWalk) launch(hedge bool, slot int, now time.Time, resCh chan<- getResult) getAttempt {
+	at, actx := g.begin(hedge, now)
 	cctx, cancel := context.WithCancel(actx)
 	at.cancel = cancel
-	s, shard, uri := g.s, g.prefs[pref], g.uri
+	s, shard, uri := g.s, g.prefs[at.pref], g.uri
 	go func() {
 		res := s.exchangeGET(cctx, shard, uri, now)
 		res.slot = slot
@@ -223,58 +212,23 @@ func (g *getWalk) launch(pref int, hedge bool, slot int, now time.Time, resCh ch
 	return at
 }
 
-// drainLoser consumes the raced result nobody is waiting for any more. A
-// loser that genuinely answered still closes its shard's breaker; a
-// cancelled or failed loser may be carrying the shard's half-open probe
-// claim, which must be handed back — otherwise the breaker strands in
-// "probing" and the shard never sees traffic again. It never touches the
-// trace: the loser's span was closed on the request goroutine.
-func (s *ShardRouter) drainLoser(resCh <-chan getResult) {
-	res := <-resCh
-	if !retryable(res.status, res.err) {
-		s.health[res.shard].recordSuccess()
-	} else {
-		s.health[res.shard].releaseProbe()
+// begin opens an attempt that starts at now: it picks the replica in a
+// policy round of its own, then builds the attempt's context (the deadline
+// counted from now, the trace header) and its trace span. The walk is never
+// exhausted here: walk checks, and a race starts with two untried replicas.
+func (g *getWalk) begin(hedge bool, now time.Time) (getAttempt, *attemptCtx) {
+	var marks [MaxReplicas]viewMark
+	v := roundView{s: g.s, tr: g.tr, now: now, hedge: hedge, marks: marks[:]}
+	k := g.pick(&v)
+	v.release()
+	sh := g.prefs[k]
+	if hedge {
+		g.tr.Event("hedge-fire", sh, "fired")
 	}
-	s.putBuf(res.body)
-}
-
-// pick chooses the next untried preference, healthy shards first and failing
-// open to ejected ones when nothing healthy remains (an answer from a sick
-// replica beats a guaranteed 502). It returns -1 when the whole list has
-// been tried. A shard passed over because its breaker is open is annotated
-// once on the trace. Picking an open breaker past its cool-down claims its
-// half-open probe; the attempt that follows settles the claim.
-func (g *getWalk) pick(now time.Time) int {
-	for i, sh := range g.prefs[:g.n] {
-		if g.tried[i] {
-			continue
-		}
-		if g.s.health[sh].available(g.s.hcfg, now) {
-			g.tried[i] = true
-			return i
-		}
-		if !g.skipNoted[i] {
-			g.skipNoted[i] = true
-			g.tr.Event("breaker-skip", sh, "skipped")
-		}
-	}
-	for i := range g.prefs[:g.n] {
-		if !g.tried[i] {
-			g.tried[i] = true
-			return i
-		}
-	}
-	return -1
-}
-
-// begin opens an attempt that starts at now on preference pref: its context
-// (the deadline counted from now, the trace header) and its trace span.
-func (g *getWalk) begin(pref int, hedge bool, now time.Time) (getAttempt, *attemptCtx) {
 	span := g.tr.BeginAt("shard", g.tr.Offset(now))
-	g.tr.SetShard(span, g.prefs[pref])
+	g.tr.SetShard(span, sh)
 	g.launched++
-	return getAttempt{pref: pref, span: span, hedge: hedge}, g.s.newAttemptCtx(g.ctx, g.tr.HeaderValue(), now)
+	return getAttempt{pref: k, span: span, hedge: hedge, claim: v.mark(sh).claim}, g.s.newAttemptCtx(g.ctx, g.tr.HeaderValue(), now)
 }
 
 // exchangeGET performs one attempt's exchange, begun at start, into a pooled
@@ -298,7 +252,7 @@ func (s *ShardRouter) exchangeGET(ctx context.Context, shard int, uri string, st
 // failure walks on.
 func (g *getWalk) settle(at *getAttempt, res getResult) attemptOutcome {
 	s := g.s
-	out := s.settleAttempt(g.ctx, res.shard, res.status, res.err, res.end)
+	out := s.settleAttempt(g.ctx, res.shard, at.claim, res.status, res.err, res.end)
 	label := out.String()
 	if out == attemptAnswered && at.hedge {
 		label = "hedge-won"
@@ -306,9 +260,7 @@ func (g *getWalk) settle(at *getAttempt, res getResult) attemptOutcome {
 	}
 	g.tr.EndAt(at.span, g.tr.Offset(res.end), label)
 	if out == attemptAnswered {
-		if at.pref > 0 {
-			s.failovers.Add(1)
-		}
+		s.answered(&g.prefWalk, res.shard)
 		return out
 	}
 	s.putBuf(res.body)

@@ -51,6 +51,19 @@ func (w *statusWriter) status() int {
 	return w.code
 }
 
+// maxLoggedRID bounds the request ID a log line prints.
+const maxLoggedRID = 64
+
+// loggedRID is the request ID as a log line prints it, with %q: the client
+// chooses it, so it is cut to maxLoggedRID bytes and quoted, and can never
+// write fields of its own into the line. The echoed header is not cut.
+func (w *statusWriter) loggedRID() string {
+	if len(w.rid) > maxLoggedRID {
+		return w.rid[:maxLoggedRID]
+	}
+	return w.rid
+}
+
 // finish runs deferred around every request: it recovers panics (a handler
 // bug answers 500 instead of killing the connection and, under http.Server,
 // the process's goroutine), counts errors, records the per-route latency
@@ -63,8 +76,8 @@ func (w *statusWriter) finish() {
 		h.m.panics.Add(1)
 		errored = true
 		if h.opts.Logger != nil {
-			h.opts.Logger.Printf("panic serving %s %s rid=%s trace=%s: %v\n%s",
-				w.method, w.path, w.rid, w.tr.ID(), err, debug.Stack())
+			h.opts.Logger.Printf("panic serving %s %s rid=%q trace=%s: %v\n%s",
+				w.method, w.path, w.loggedRID(), w.tr.ID(), err, debug.Stack())
 		}
 		if !w.wrote {
 			obs.WriteError(w, http.StatusInternalServerError, "internal", "internal server error")
@@ -89,8 +102,8 @@ func (w *statusWriter) finish() {
 	}
 	if h.opts.Logger != nil {
 		// Log before Finish: the trace must not be touched afterwards.
-		h.opts.Logger.Printf("%s %s -> %d (%s) rid=%s trace=%s",
-			w.method, w.path, w.status(), elapsed, w.rid, w.tr.ID())
+		h.opts.Logger.Printf("%s %s -> %d (%s) rid=%q trace=%s",
+			w.method, w.path, w.status(), elapsed, w.loggedRID(), w.tr.ID())
 	}
 	h.tracer.FinishElapsed(w.tr, elapsed, errored)
 	w.tr = nil

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -75,19 +76,7 @@ func TestRequestIDPropagation(t *testing.T) {
 func TestInboundTraceIDMustBeHex(t *testing.T) {
 	var logBuf strings.Builder
 	h := New(testRecommender(t), Options{Logger: log.New(&logBuf, "", 0)})
-	for _, tc := range []struct {
-		name, inbound string
-		adopt         bool
-	}{
-		{"lowercase hex", "feedfacecafebeef", true},
-		{"uppercase", "FEEDFACECAFEBEEF", false},
-		{"spaces", "a b=c d=e f=g hi", false},
-		{"quote", `feedface"afebeef`, false},
-		{"non-ASCII", "feedfacecafebeé", false},
-		{"15 bytes", "feedfacecafebee", false},
-		{"17 bytes", "feedfacecafebeef0", false},
-		{"empty", "", false},
-	} {
+	for _, tc := range inboundIDRows {
 		logBuf.Reset()
 		req := httptest.NewRequest(http.MethodGet, "/suggest?q=o2", nil)
 		req.Header["X-Trace-Id"] = []string{tc.inbound}
@@ -107,6 +96,60 @@ func TestInboundTraceIDMustBeHex(t *testing.T) {
 		line := strings.TrimSuffix(logBuf.String(), "\n")
 		if _, field, _ := strings.Cut(line, " trace="); field != id {
 			t.Errorf("%s: log line %q carries trace=%q, want %q", tc.name, line, field, id)
+		}
+	}
+}
+
+// inboundIDRows are client-chosen correlation IDs: whether each is adopted as
+// an X-Trace-Id, and what a log line must make of each as an X-Request-Id.
+var inboundIDRows = []struct {
+	name, inbound string
+	adopt         bool
+}{
+	{"lowercase hex", "feedfacecafebeef", true},
+	{"uppercase", "FEEDFACECAFEBEEF", false},
+	{"spaces", "a b=c d=e f=g hi", false},
+	{"quote", `feedface"afebeef`, false},
+	{"non-ASCII", "feedfacecafebeé", false},
+	{"15 bytes", "feedfacecafebee", false},
+	{"17 bytes", "feedfacecafebeef0", false},
+	{"empty", "", false},
+	{"80 bytes", strings.Repeat("é", 40), false},
+}
+
+// TestRequestIDLoggedQuoted: a client's X-Request-Id is echoed back as sent,
+// but the request log prints it quoted and cut to 64 bytes, so whatever it
+// holds stays one rid= field and the line's trace= field is still the
+// trace's. An empty one logs the trace ID.
+func TestRequestIDLoggedQuoted(t *testing.T) {
+	var logBuf strings.Builder
+	h := New(testRecommender(t), Options{Logger: log.New(&logBuf, "", 0)})
+	for _, tc := range inboundIDRows {
+		logBuf.Reset()
+		req := httptest.NewRequest(http.MethodGet, "/suggest?q=o2", nil)
+		req.Header["X-Request-Id"] = []string{tc.inbound}
+		rr := httptest.NewRecorder()
+		h.ServeHTTP(rr, req)
+		id := rr.Header().Get("X-Trace-Id")
+		want := tc.inbound
+		if want == "" {
+			want = id
+		}
+		if got := rr.Header().Get("X-Request-Id"); got != want {
+			t.Errorf("%s: X-Request-Id echoed as %q, want %q", tc.name, got, want)
+		}
+		if len(want) > 64 {
+			want = want[:64]
+		}
+		line := strings.TrimSuffix(logBuf.String(), "\n")
+		_, field, _ := strings.Cut(line, " rid=")
+		quoted, err := strconv.QuotedPrefix(field)
+		if err != nil {
+			t.Errorf("%s: log line %q: rid= is not quoted: %v", tc.name, line, err)
+			continue
+		}
+		if rid, _ := strconv.Unquote(quoted); rid != want || field[len(quoted):] != " trace="+id {
+			t.Errorf("%s: log line %q logs rid %q then %q, want %q then trace=%s", tc.name, line, rid, field[len(quoted):], want, id)
 		}
 	}
 }
