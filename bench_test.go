@@ -908,35 +908,40 @@ func BenchmarkServeHTTPBatch(b *testing.B) {
 
 // --- batched-descent benchmarks ---------------------------------------------
 
-// batchBenchInputs draws a 64-context batch from the test contexts with the
-// skew real batch traffic has (power-law head repetition — the same shape
-// cmd/loadgen replays), so the batch contains both near-duplicate and
-// distinct contexts.
-func batchBenchInputs(b *testing.B) (*compiled.Model, []query.Seq, []int) {
-	rec, _ := serveBenchSetup(b)
+// batchBenchDraw returns a draw of test contexts with the skew real batch
+// traffic has (power-law head repetition — the same shape cmd/loadgen
+// replays), so a batch of them holds both repeated and distinct contexts.
+func batchBenchDraw(b *testing.B) func() query.Seq {
 	c, _ := benchSetup(b)
 	ctxs := c.TestContexts(2, 256)
 	if len(ctxs) < 64 {
 		b.Skip("not enough contexts")
 	}
+	zipf := rand.NewZipf(rand.New(rand.NewSource(3)), 1.2, 8, uint64(len(ctxs)-1))
+	return func() query.Seq { return ctxs[zipf.Uint64()] }
+}
+
+// batchBenchInputs draws one 64-context batch, n = 5 each.
+func batchBenchInputs(b *testing.B) (*compiled.Model, []query.Seq, []int) {
+	rec, _ := serveBenchSetup(b)
 	cm := rec.CompiledModel()
 	if cm == nil {
 		b.Fatal("recommender did not compile")
 	}
-	rng := rand.New(rand.NewSource(3))
-	zipf := rand.NewZipf(rng, 1.2, 8, uint64(len(ctxs)-1))
+	draw := batchBenchDraw(b)
 	batch := make([]query.Seq, 64)
 	ns := make([]int, 64)
 	for i := range batch {
-		batch[i] = ctxs[zipf.Uint64()]
+		batch[i] = draw()
 		ns[i] = 5
 	}
 	return cm, batch, ns
 }
 
-// BenchmarkPredictBatch64 scores a 64-context batch through one shared-
-// scratch batched descent; compare ns/context with
-// BenchmarkPredictSequential64, the same work as 64 single calls.
+// BenchmarkPredictBatch64 scores a 64-context batch through
+// compiled.PredictBatch, one pooled scratch for the batch; compare
+// ns/context with BenchmarkPredictSequential64, the same work as 64 single
+// calls.
 func BenchmarkPredictBatch64(b *testing.B) {
 	cm, ctxs, ns := batchBenchInputs(b)
 	sink := 0
@@ -951,9 +956,73 @@ func BenchmarkPredictBatch64(b *testing.B) {
 	}
 }
 
-// BenchmarkPredictSequential64 is the before side of the batched-descent
+// BenchmarkBatchDuplicateMisses counts what scoring a batch's duplicates
+// once could save behind a result cache: the misses that repeat an earlier
+// miss of the same batch. It draws 256 batch-64s the way batchBenchInputs
+// does and serves them, twice, through a SuggestCache holding 1/4 of the
+// distinct contexts drawn; over the second pass (the first warms the cache)
+// it reports misses and duplicate misses per context. The counts, not
+// ns/op, are its result (ARCHITECTURE §4).
+func BenchmarkBatchDuplicateMisses(b *testing.B) {
+	rec, _ := serveBenchSetup(b)
+	draw := batchBenchDraw(b)
+	stream := make([]query.Seq, 256*64)
+	distinct := make(map[string]bool)
+	for i := range stream {
+		stream[i] = draw()
+		distinct[stream[i].Key()] = true
+	}
+	ns := make([]int, 64)
+	for i := range ns {
+		ns[i] = 5
+	}
+	out := make([][]core.Suggestion, 64)
+	var mc *missCounter
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		mc = &missCounter{Recommender: rec, seen: make(map[string]bool)}
+		sc := cache.NewSuggestCache(len(distinct) / 4)
+		for pass := 0; pass < 2; pass++ {
+			mc.counting = pass == 1
+			for lo := 0; lo < len(stream); lo += 64 {
+				sc.RecommendBatchSlot(0, 1, mc, stream[lo:lo+64], ns, out)
+			}
+		}
+	}
+	b.ReportMetric(float64(len(distinct)), "distinct-ctxs")
+	b.ReportMetric(float64(mc.misses)/float64(len(stream)), "misses/ctx")
+	b.ReportMetric(float64(mc.dups)/float64(len(stream)), "dup-misses/ctx")
+	b.ReportMetric(float64(mc.dups)/float64(max(mc.misses, 1)), "dup-misses/miss")
+}
+
+// missCounter is a Recommender that counts, while counting is set, the
+// contexts a SuggestCache sends it to score and, of those, the ones an
+// earlier context of the same call repeats. (Its callers ask for one n.)
+type missCounter struct {
+	core.Recommender
+	counting     bool
+	misses, dups int
+	seen         map[string]bool
+}
+
+func (m *missCounter) RecommendBatchIDs(ctxs []query.Seq, ns []int) [][]core.Suggestion {
+	if m.counting {
+		clear(m.seen)
+		for _, ctx := range ctxs {
+			k := ctx.Key()
+			if m.seen[k] {
+				m.dups++
+			}
+			m.seen[k] = true
+		}
+		m.misses += len(ctxs)
+	}
+	return m.Recommender.RecommendBatchIDs(ctxs, ns)
+}
+
+// BenchmarkPredictSequential64 is the other side of the PredictBatch64
 // comparison: the same 64 contexts predicted one AppendPredictions call at a
-// time.
+// time, each taking its own scratch from the pool.
 func BenchmarkPredictSequential64(b *testing.B) {
 	cm, ctxs, ns := batchBenchInputs(b)
 	buf := make([]model.Prediction, 0, 8)
@@ -971,10 +1040,12 @@ func BenchmarkPredictSequential64(b *testing.B) {
 	}
 }
 
-// BenchmarkPredictBatch64Parallel is the fanned-out side of the batched-
-// descent comparison: the same 64-context batch split across GOMAXPROCS
-// workers. Answers are bit-identical to BenchmarkPredictBatch64; at
-// GOMAXPROCS >= 4 the ns/context must beat the sequential batch.
+// BenchmarkPredictBatch64Parallel is the same 64-context batch cut into
+// contiguous chunks across GOMAXPROCS workers. Answers are bit-identical to
+// BenchmarkPredictBatch64. The fan-out has not paid at this size: the
+// end-to-end benchmark's compiled.batch_parallel_x (sequential ÷ parallel,
+// 2 workers) has read 0.83 — the parallel side slower — five times running,
+// so nothing serves through it (ROADMAP item 1).
 func BenchmarkPredictBatch64Parallel(b *testing.B) {
 	cm, ctxs, ns := batchBenchInputs(b)
 	var sink atomic.Int64

@@ -26,8 +26,9 @@
 // counts and precomputed smoothed probabilities. One trie descent per
 // request, zero steady-state allocations, and predictions a seeded property
 // test holds to the interpreted mixture's — identical IDs and order, scores
-// within 1e-12. PredictBatch extends the same engine to whole batches,
-// sharing descent work across reversed-sorted sibling contexts.
+// within 1e-12. PredictBatch serves a batch as that descent in a loop over
+// one pooled scratch: sharing descent prefixes between sorted contexts cost
+// more than it saved on the traffic the cache lets through.
 //
 // # The model file
 //

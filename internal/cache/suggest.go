@@ -217,8 +217,8 @@ func (sc *SuggestCache) fillWire(buf *suggestBuf, h uint64, key []byte, a Answer
 
 // RecommendBatch answers every (contexts[i], ns[i]) pair into out[i] (which
 // must be len(contexts) long). Hits and empty contexts are resolved from the
-// cache exactly like Recommend; all misses are then scored through one
-// shared-scratch batched trie descent (core.RecommendBatchIDs) and inserted.
+// cache exactly like Recommend; all misses are then scored in one
+// core.RecommendBatchIDs call and inserted.
 func (sc *SuggestCache) RecommendBatch(gen uint64, rec core.Recommender, contexts [][]string, ns []int, out [][]core.Suggestion) {
 	var ids query.Seq
 	off := make([]int, 1, len(contexts)+1)
@@ -236,8 +236,8 @@ func (sc *SuggestCache) RecommendBatch(gen uint64, rec core.Recommender, context
 // RecommendBatchSlot answers every (ctxs[i], ns[i]) pair into out[i] (which
 // must be len(ctxs) long) inside one registry slot, for contexts that are
 // already interned. Hits come from the shared LRU under the slot's key
-// space; all misses are scored through one batched trie descent against rec
-// and inserted. ctxs entries may live in recycled buffers: nothing here or
+// space; all misses are scored in one rec.RecommendBatchIDs call and
+// inserted. ctxs entries may live in recycled buffers: nothing here or
 // behind core.Recommender keeps a context past the call.
 func (sc *SuggestCache) RecommendBatchSlot(slot uint32, gen uint64, rec core.Recommender, ctxs []query.Seq, ns []int, out [][]core.Suggestion) {
 	buf := sc.bufs.Get().(*suggestBuf)

@@ -91,7 +91,7 @@ func TestSuggestCacheMissAllocs(t *testing.T) {
 // TestSuggestCacheBatchMissAllocs is the batch twin: a batch of misses
 // through a full cache allocates one suggestion slice per miss plus, per
 // batch, RecommendBatchIDs' result table — no key string, no context clone,
-// no bookkeeping slices, and the closure handed to the batched descent stays
+// no bookkeeping slices, and the closure handed to PredictBatch stays
 // on the stack now that no goroutine can capture it.
 func TestSuggestCacheBatchMissAllocs(t *testing.T) {
 	if raceEnabled {

@@ -260,7 +260,7 @@ func TestFlat5SizeReduction(t *testing.T) {
 	}
 }
 
-// TestFlat5BatchParity: batched descent over a CPS5 model — sequential and
+// TestFlat5BatchParity: PredictBatch over a CPS5 model — sequential and
 // parallel at several worker counts — must match per-context Predict calls
 // bit for bit, with exactly one emit per index.
 func TestFlat5BatchParity(t *testing.T) {

@@ -96,7 +96,7 @@ func assertParity(t *testing.T, m *markov.MVMM, c *Model, ctxs []query.Seq, voca
 	assertBatchParity(t, c, ctxs, rng)
 }
 
-// assertBatchParity checks that the batched descent is bit-identical to
+// assertBatchParity checks that PredictBatch is bit-identical to
 // per-context Predict calls, across varying per-context n.
 func assertBatchParity(t *testing.T, c *Model, ctxs []query.Seq, rng *rand.Rand) {
 	t.Helper()
@@ -249,9 +249,9 @@ func TestPredictZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestPredictBatchZeroAllocs: the batched descent itself must not allocate —
-// all per-batch state (ordering, descent path, candidate scoring, output
-// buffer) lives in the pooled scratch.
+// TestPredictBatchZeroAllocs: PredictBatch itself must not allocate — all
+// per-batch state (descent path, candidate scoring, output buffer) lives in
+// the pooled scratch.
 func TestPredictBatchZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; counts are meaningless")

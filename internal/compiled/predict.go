@@ -33,9 +33,7 @@ type scratch struct {
 	folDec    []uint32
 	folDecOff []int32
 
-	// Batch state (PredictBatch only).
-	sorter ctxSorter          // descent-order permutation of the batch
-	bpreds []model.Prediction // per-context output buffer, reused across emits
+	bpreds []model.Prediction // PredictBatch's per-context output buffer, reused across emits
 }
 
 type scratchPool struct{ p sync.Pool }
@@ -188,8 +186,7 @@ func (c *Model) prepare(s *scratch, ctx query.Seq) bool {
 	return c.prepareMatched(s, len(ctx))
 }
 
-// prepareMatched is prepare after the descent: PredictBatch descends
-// incrementally (sharing path prefixes across the batch) and enters here.
+// prepareMatched is prepare after the descent, entered from appendRanked.
 func (c *Model) prepareMatched(s *scratch, ctxLen int) bool {
 	if len(s.path) == 0 || !c.match(s, ctxLen) {
 		return false
@@ -343,8 +340,9 @@ func (c *Model) AppendPredictions(dst []model.Prediction, ctx query.Seq, topN in
 }
 
 // appendRanked is the back half of AppendPredictions, entered with the
-// descent path already in s.path (PredictBatch shares descents and calls in
-// here directly): match, score the pooled candidates, select the top N.
+// descent path already in s.path (PredictBatch calls in here directly, with
+// the one scratch it holds for the whole batch): match, score the pooled
+// candidates, select the top N.
 func (c *Model) appendRanked(s *scratch, dst []model.Prediction, ctxLen, topN int) []model.Prediction {
 	if !c.prepareMatched(s, ctxLen) {
 		return dst

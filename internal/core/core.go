@@ -216,12 +216,11 @@ func (r *Engine) AppendSuggestions(dst []Suggestion, ctx query.Seq, n int) []Sug
 	return dst
 }
 
-// RecommendBatchIDs scores many interned contexts through the shared-scratch
-// batched trie descent (compiled.PredictBatch): contexts are grouped by
-// shared suffix so sibling lookups amortise cache-line loads, which is what
-// makes POST /suggest/batch cheaper than n single requests. Results align
-// 1:1 with ctxs; uncovered or empty contexts yield nil entries. Each non-nil
-// result slice is freshly allocated (callers cache them).
+// RecommendBatchIDs scores many interned contexts through
+// compiled.PredictBatch: the single-context descent per context, in index
+// order, on one pooled scratch for the whole batch. Results align 1:1 with
+// ctxs; uncovered or empty contexts yield nil entries. Each non-nil result
+// slice is freshly allocated (callers cache them).
 func (r *Engine) RecommendBatchIDs(ctxs []query.Seq, ns []int) [][]Suggestion {
 	out := make([][]Suggestion, len(ctxs))
 	if r.comp == nil { // interpreted fallback: no batched descent available

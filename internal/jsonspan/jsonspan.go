@@ -17,6 +17,7 @@
 package jsonspan
 
 import (
+	"bytes"
 	"fmt"
 	"unicode/utf16"
 	"unicode/utf8"
@@ -193,17 +194,18 @@ func AppendArraySpans(dst [][2]int, b []byte, i int) ([][2]int, error) {
 }
 
 // AppendUnescaped appends the unescaped bytes of a JSON string body (the
-// token between, not including, its quotes) to dst. The escape-free fast
-// path is a straight append; escapes are decoded rune by rune (invalid
-// escapes decode to U+FFFD, like encoding/json).
+// token between, not including, its quotes) to dst. The bytes up to the next
+// backslash go in one append, so an escape-free token is one IndexByte and
+// one copy; escapes are decoded rune by rune (invalid escapes decode to
+// U+FFFD, like encoding/json).
 func AppendUnescaped(dst, tok []byte) []byte {
 	for i := 0; i < len(tok); i++ {
-		c := tok[i]
-		if c != '\\' {
-			dst = append(dst, c)
-			continue
+		k := bytes.IndexByte(tok[i:], '\\')
+		if k < 0 {
+			return append(dst, tok[i:]...)
 		}
-		i++
+		dst = append(dst, tok[i:i+k]...)
+		i += k + 1
 		if i >= len(tok) {
 			return append(dst, '\\')
 		}

@@ -297,6 +297,12 @@ func TestAppendUnescaped(t *testing.T) {
 		{`\u12`, "�12"},     // truncated escape
 		{`\uzzzz`, "�zzzz"}, // non-hex escape
 		{`\ud83d\u12`, "��12"},
+		// Where the bulk copies between escapes start and stop.
+		{`\nlead`, "\nlead"},   // escape at byte 0
+		{`trail\t`, "trail\t"}, // escape ending at the last byte
+		{`no escapes at all`, "no escapes at all"},
+		{`\"\\\/\b\f\n\r\t`, "\"\\/\b\f\n\r\t"}, // escapes only
+		{`\\`, `\`},
 	} {
 		prefix := []byte("dst:")
 		got := AppendUnescaped(prefix, []byte(tc.in))
@@ -311,6 +317,8 @@ func TestAppendUnescaped(t *testing.T) {
 var jsonStringBodies = []string{
 	``, `plain`, `a\"b\\c\/d`, `\b\f\n\r\t`, `\u0041\u00e9\u65e5\u0000`, `\ud83d\ude00`, `\ud83d`, `\ude00 tail`,
 	`\ud83d\u0041`, `\ud83d\ud83d\ude00`, `日本語`, `mixed é \u00e9 \\u00e9`, `{\"not\":\"parsed\"}`, `[1,2]`, `  spaced  `,
+	// An escape at byte 0, one ending at the last byte, none, nothing but escapes.
+	`\nlead`, `trail\t`, `no escapes at all`, `\"\\\/\b\f\n\r\t`, `\\`,
 }
 
 // stdlibUnescape decodes the JSON string with body tok using encoding/json,

@@ -245,23 +245,42 @@ func skipStrictString(b []byte, i int) (int, error) {
 	return 0, fmt.Errorf("unterminated string at offset %d", i)
 }
 
+var errNotInt = errors.New("n must be an integer")
+
+// maxExactDigits is how many decimal digits always fit an int: 18 where int
+// is 64 bits, 9 where it is 32.
+const maxExactDigits = 9 * strconv.IntSize / 32
+
 // walkInt reads the JSON integer at b[i], -?(0|[1-9][0-9]*) ended by
-// whitespace or a delimiter, and returns it and the index just past it.
+// whitespace or a delimiter, and returns it and the index just past it. The
+// digits are summed as they are scanned; only a longer number, which may not
+// fit an int, goes through strconv.Atoi.
 func walkInt(b []byte, i int) (v, next int, err error) {
 	j := i
-	if j < len(b) && b[j] == '-' {
+	neg := j < len(b) && b[j] == '-'
+	if neg {
 		j++
 	}
 	digits := j
-	for j < len(b) && '0' <= b[j] && b[j] <= '9' {
-		j++
+	for ; j < len(b) && '0' <= b[j] && b[j] <= '9'; j++ {
+		v = v*10 + int(b[j]-'0')
 	}
-	ended := j == len(b) || strings.IndexByte(", \t\r\n}", b[j]) >= 0
-	if j == digits || (b[digits] == '0' && j > digits+1) || !ended {
-		return 0, 0, errors.New("n must be an integer")
+	if j < len(b) {
+		switch b[j] {
+		case ',', ' ', '\t', '\r', '\n', '}':
+		default:
+			return 0, 0, errNotInt
+		}
 	}
-	if v, err = strconv.Atoi(string(b[i:j])); err != nil { // out of int's range
-		return 0, 0, errors.New("n must be an integer")
+	if j == digits || (b[digits] == '0' && j > digits+1) {
+		return 0, 0, errNotInt
+	}
+	if j-digits > maxExactDigits {
+		if v, err = strconv.Atoi(string(b[i:j])); err != nil { // out of int's range
+			return 0, 0, errNotInt
+		}
+	} else if neg {
+		v = -v
 	}
 	return v, j, nil
 }

@@ -224,7 +224,60 @@ func FuzzBatchWalker(f *testing.F) {
 	for _, body := range append(acceptedBodies, refusedBodies...) {
 		f.Add([]byte(body))
 	}
+	for _, row := range walkIntRows {
+		f.Add([]byte(`{"requests":[{"context":["o2"],"n":` + row.in + `}]}`))
+	}
 	f.Fuzz(func(t *testing.T, body []byte) { checkBatch(t, body) })
+}
+
+// walkIntRows are "n" values around what walkInt reads itself and what it
+// leaves to strconv.Atoi: the 18 digits it sums, int's edges past them, and
+// the shapes JSON or Atoi refuse.
+var walkIntRows = []struct {
+	in string
+	ok bool
+}{
+	{"0", true}, {"5", true}, {"-0", true}, {"01", false}, {"+5", false}, {"5x", false}, {"1e2", false},
+	{"-", false}, {"", false}, {"123456789012345678", true}, {"-999999999999999999", true},
+	{"9223372036854775807", true}, {"9223372036854775808", false},
+	{"-9223372036854775808", true}, {"-9223372036854775809", false},
+}
+
+// atoiWalkInt is the reference for walkInt: the same grammar check, with every
+// value read by strconv.Atoi.
+func atoiWalkInt(b []byte, i int) (v, next int, ok bool) {
+	j := i
+	if j < len(b) && b[j] == '-' {
+		j++
+	}
+	digits := j
+	for j < len(b) && '0' <= b[j] && b[j] <= '9' {
+		j++
+	}
+	ended := j == len(b) || strings.IndexByte(", \t\r\n}", b[j]) >= 0
+	if j == digits || (b[digits] == '0' && j > digits+1) || !ended {
+		return 0, 0, false
+	}
+	if v, err := strconv.Atoi(string(b[i:j])); err == nil {
+		return v, j, true
+	}
+	return 0, 0, false
+}
+
+func TestWalkIntMatchesAtoi(t *testing.T) {
+	for _, row := range walkIntRows {
+		for _, end := range []string{"", "}", ",", " ", "\t", "\r", "\n", "]", "x"} {
+			b := []byte(`"n":` + row.in + end)
+			v, next, err := walkInt(b, 4)
+			wantV, wantNext, ok := atoiWalkInt(b, 4)
+			if (err == nil) != ok || v != wantV || next != wantNext {
+				t.Errorf("walkInt(%q) = %d, %d, %v; strconv.Atoi reads %d, %d, %v", b, v, next, err, wantV, wantNext, ok)
+			}
+			if end == "}" && ok != row.ok {
+				t.Errorf("%q: accepted %v, want %v", b, ok, row.ok)
+			}
+		}
+	}
 }
 
 // queryStrings seeds the query walker's tests: serve's

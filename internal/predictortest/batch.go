@@ -10,8 +10,8 @@ import (
 )
 
 // batchPredictor is the optional batched entry point some families expose
-// (the compiled MVMM trie). emit is invoked exactly once per context index;
-// preds is only valid for the duration of the call.
+// (the compiled MVMM trie). emit is invoked exactly once per context index,
+// in index order; preds is only valid for the duration of the call.
 type batchPredictor interface {
 	PredictBatch(ctxs []query.Seq, ns []int, emit func(i int, preds []model.Prediction))
 }
@@ -25,13 +25,15 @@ type parallelBatchPredictor interface {
 // checkBatch verifies batched prediction against the one-context-at-a-time
 // baseline. Every family runs the replay check (a second sequential pass
 // over a batch-shaped workload matches the first); families exposing
-// PredictBatch / PredictBatchParallel must additionally emit exactly once
-// per index with answers bit-identical to PredictInto — under every worker
-// count, since parallel descent promises byte-for-byte the same results.
+// PredictBatch must additionally emit exactly once per index, in index
+// order, with answers bit-identical to PredictInto, and PredictBatchParallel
+// the same answers under every worker count (in any order: its workers emit
+// concurrently).
 func checkBatch(t *testing.T, p compiled.Predictor, ctxs []query.Seq) {
 	t.Helper()
 	// A batch large enough to clear the parallel fan-out's sequential
-	// fallback, with repeated contexts (the dedup path) and varied n.
+	// fallback, with repeated contexts, varied n, and the indices that answer
+	// nothing: an empty context, n <= 0, a query ID past the vocabulary.
 	var bctxs []query.Seq
 	var ns []int
 	for len(bctxs) < 48 {
@@ -40,24 +42,37 @@ func checkBatch(t *testing.T, p compiled.Predictor, ctxs []query.Seq) {
 			ns = append(ns, 1+(len(bctxs)+i)%5)
 		}
 	}
+	unknown := query.ID(p.Shape().Vocab)
+	uncovered := []query.Seq{{unknown}, {0, unknown}}
+	for _, ctx := range uncovered {
+		if got := p.PredictInto(nil, ctx, 5); len(got) != 0 {
+			t.Fatalf("the uncovered context %v answered %d predictions", ctx, len(got))
+		}
+	}
+	bctxs = append(bctxs, nil, query.Seq{}, ctxs[0], ctxs[0], uncovered[0], uncovered[1])
+	ns = append(ns, 5, 5, 0, -1, 5, 5)
 	want := make([][]model.Prediction, len(bctxs))
 	for i, ctx := range bctxs {
-		want[i] = p.PredictInto(nil, ctx, ns[i])
+		if ns[i] > 0 {
+			want[i] = p.PredictInto(nil, ctx, ns[i])
+		}
 	}
 
 	// Replay parity: batch-shaped sequential serving is deterministic.
 	for i, ctx := range bctxs {
-		again := p.PredictInto(nil, ctx, ns[i])
-		assertSamePreds(t, "replay", i, again, want[i])
+		if ns[i] > 0 {
+			assertSamePreds(t, "replay", i, p.PredictInto(nil, ctx, ns[i]), want[i])
+		}
 	}
 
-	collect := func(run func(emit func(i int, preds []model.Prediction))) [][]model.Prediction {
-		got := make([][]model.Prediction, len(bctxs))
+	collect := func(run func(emit func(i int, preds []model.Prediction))) (got [][]model.Prediction, order []int) {
+		got = make([][]model.Prediction, len(bctxs))
 		emitted := make([]int, len(bctxs))
 		var mu sync.Mutex
 		run(func(i int, preds []model.Prediction) {
 			mu.Lock()
 			emitted[i]++
+			order = append(order, i)
 			got[i] = append([]model.Prediction(nil), preds...)
 			mu.Unlock()
 		})
@@ -66,18 +81,23 @@ func checkBatch(t *testing.T, p compiled.Predictor, ctxs []query.Seq) {
 				t.Fatalf("index %d emitted %d times, want exactly once", i, n)
 			}
 		}
-		return got
+		return got, order
 	}
 
 	if bp, ok := p.(batchPredictor); ok {
-		got := collect(func(emit func(int, []model.Prediction)) { bp.PredictBatch(bctxs, ns, emit) })
+		got, order := collect(func(emit func(int, []model.Prediction)) { bp.PredictBatch(bctxs, ns, emit) })
+		for k, i := range order {
+			if i != k {
+				t.Fatalf("PredictBatch's emit number %d was for index %d, want index order", k, i)
+			}
+		}
 		for i := range want {
 			assertSamePreds(t, "PredictBatch", i, got[i], want[i])
 		}
 	}
 	if pp, ok := p.(parallelBatchPredictor); ok {
 		for _, workers := range []int{0, 1, 2, 3, 8} {
-			got := collect(func(emit func(int, []model.Prediction)) {
+			got, _ := collect(func(emit func(int, []model.Prediction)) {
 				pp.PredictBatchParallel(bctxs, ns, workers, emit)
 			})
 			for i := range want {

@@ -66,8 +66,8 @@ func putBatchScratch(bb *batchScratch) {
 	batchScratchPool.Put(bb)
 }
 
-// suggestBatch scores a whole batch through one shared-scratch batched trie
-// descent per arm (cache misses only; hits come straight from the LRU) and
+// suggestBatch scores a whole batch through one compiled.PredictBatch call
+// per arm (cache misses only; hits come straight from the LRU) and
 // encodes the response with the pooled append encoder. See the file comment
 // for the allocation discipline.
 func (h *Handler) suggestBatch(w http.ResponseWriter, r *http.Request) {
@@ -153,7 +153,7 @@ func (h *Handler) suggestBatch(w http.ResponseWriter, r *http.Request) {
 	if fleet.WantsNDJSONStream(r) {
 		// NDJSON mode: one {"index":N,"result":{...}} line per item, the
 		// item object byte-identical to its buffered counterpart. A single
-		// handler scores the whole batch in one descent pass, so the lines
+		// handler scores the whole batch in one pass, so the lines
 		// land together; the incremental flushing happens a layer up, where
 		// the shard router emits each sub-batch as it completes.
 		bb.resp = bb.resp[:0]

@@ -71,7 +71,7 @@ func (h *Handler) suggestFleet(w http.ResponseWriter, b *reqScratch, n int) {
 // recommendBatchFleet resolves a batch in fleet mode: the contexts were
 // already interned once against the router's base dictionary by the batch
 // parser; here each is routed to its sticky arm and the per-arm groups are
-// scored through the shared cache with one batched trie descent per arm.
+// scored through the shared cache with one PredictBatch call per arm.
 // Batch items are not shadow-scored or reranked (shadow divergence and
 // second-stage ranking sample the interactive path).
 func (h *Handler) recommendBatchFleet(bb *batchScratch) {

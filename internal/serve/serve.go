@@ -80,7 +80,7 @@ type Suggestion struct {
 
 // SuggestResponse is the /suggest payload and one element of the batch
 // response. In a batch response TookMicros is the context's amortised share
-// of the batched descent (the whole batch is scored in one pass).
+// of the batch's scoring (the whole batch is scored in one pass).
 type SuggestResponse struct {
 	Context     []string     `json:"context"`
 	Suggestions []Suggestion `json:"suggestions"`
