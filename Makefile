@@ -4,13 +4,13 @@
 GO ?= go
 
 # The benchmarks `make bench-gates` runs: exactly the ones BENCH_GATES names.
-SERVING_BENCH = ^(BenchmarkRecommendUncached|BenchmarkServeHTTPCached|BenchmarkRouteAB|BenchmarkServeHTTPCachedTraced|BenchmarkHistogramRecord|BenchmarkShardFanout64|BenchmarkRouterGET|BenchmarkShardFanout64R2|BenchmarkPredictCPS5|BenchmarkPredictHMM|BenchmarkRerankPairwise|BenchmarkCompiledBlobSize|BenchmarkIngestSegment)$$
+SERVING_BENCH = ^(BenchmarkRecommendUncached|BenchmarkServeHTTPCached|BenchmarkRouteAB|BenchmarkServeHTTPCachedTraced|BenchmarkHistogramRecord|BenchmarkShardFanout64|BenchmarkRouterGET|BenchmarkShardFanout64R2|BenchmarkPredictCPS5|BenchmarkPredictHMM|BenchmarkCompiledBlobSize|BenchmarkIngestSegment)$$
 # Override for quick smoke runs: make bench-gates BENCHTIME=10x
 BENCHTIME ?= 1s
 # Regression gates checked by cmd/benchjson: the cached HTTP serving path, the
-# fleet A/B routing path and the per-family predict paths (the CPS5 descent a
-# model file serves, HMM, pairwise rerank) must stay within their allocation
-# budgets, the compact CPS5 blob must stay under 0.48 of the exact CPS3 blob
+# fleet A/B routing path and the predict paths (the CPS5 descent a model file
+# serves, and the HMM baseline's pooled forward pass) must stay within their
+# allocation budgets, the compact CPS5 blob must stay under 0.48 of the exact CPS3 blob
 # on the benchmark model (0.394 when the gate was set; 0.48 = the 0.6 × 0.8
 # the two-step CPS3 → quantised → compact gates allowed), and the 3-shard
 # batch fan-out must hold the pooled span-forwarding path: 20 allocs/batch at steady state (the
@@ -45,7 +45,7 @@ BENCHTIME ?= 1s
 # monotonic) in place of obs.Now 5.9–6.5, so the 6.0 ceilings fail the first
 # always and the second in most host phases.
 INSTRUMENT_BENCH = ^(BenchmarkRequestInstrument|BenchmarkRoutedInstrument)$$
-BENCH_GATES = -gate BenchmarkRecommendUncached=0 -gate BenchmarkServeHTTPCached=2 -gate BenchmarkRouteAB=0 -gate BenchmarkServeHTTPCachedTraced=0 -gate BenchmarkHistogramRecord=0 -gate BenchmarkShardFanout64=60 -gate BenchmarkRouterGET=2 -gate BenchmarkShardFanout64R2:fanout-r2-over-r1=1.5 -gate BenchmarkPredictCPS5=0 -gate BenchmarkPredictHMM=0 -gate BenchmarkRerankPairwise=0 -gate BenchmarkCompiledBlobSize:cps5-over-cps3=0.48 -gate BenchmarkIngestSegment=6000 -gate BenchmarkRequestInstrument:clock-reads=6.0 -gate BenchmarkRoutedInstrument:clock-reads=6.0
+BENCH_GATES = -gate BenchmarkRecommendUncached=0 -gate BenchmarkServeHTTPCached=2 -gate BenchmarkRouteAB=0 -gate BenchmarkServeHTTPCachedTraced=0 -gate BenchmarkHistogramRecord=0 -gate BenchmarkShardFanout64=60 -gate BenchmarkRouterGET=2 -gate BenchmarkShardFanout64R2:fanout-r2-over-r1=1.5 -gate BenchmarkPredictCPS5=0 -gate BenchmarkPredictHMM=0 -gate BenchmarkCompiledBlobSize:cps5-over-cps3=0.48 -gate BenchmarkIngestSegment=6000 -gate BenchmarkRequestInstrument:clock-reads=6.0 -gate BenchmarkRoutedInstrument:clock-reads=6.0
 
 .PHONY: all build test race race-repeat fuzz-smoke fuzz-grammar bench bench-gates bench-e2e bench-pairs chaos ingest-test obs-test fmt fmt-check vet check-docs check-api check-lines ci serve loadgen clean
 
@@ -188,7 +188,7 @@ check-api: vet
 # Line-count ratchet: the non-test Go lines outside bench/ and dot-directories
 # may not grow past LINES_CEILING. A PR that shrinks the code lowers the
 # ceiling to its new count; a PR that raises it says why in CHANGES.md.
-LINES_CEILING = 22349
+LINES_CEILING = 21520
 check-lines:
 	@n=$$(find . -path ./bench -prune -o -path './.*' -prune -o -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l); \
 	echo "non-test Go lines: $$n (ceiling $(LINES_CEILING))"; \

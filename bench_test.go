@@ -493,10 +493,11 @@ func BenchmarkPredictCPS5(b *testing.B) {
 	}
 }
 
-// BenchmarkPredictHMM measures the HMM family arm's serving primitive — the
+// BenchmarkPredictHMM measures the HMM baseline's prediction primitive — the
 // pooled-scratch forward pass behind PredictInto — on the shared corpus.
-// allocs/op must stay 0: the Predictor contract every fleet arm advertises
-// through Shape().ZeroAlloc is benchmark-gated here.
+// allocs/op must stay 0: the zero-allocation Predictor contract it
+// advertises through Shape().ZeroAlloc is benchmark-gated here, beside the
+// served CPS5 descent's.
 func BenchmarkPredictHMM(b *testing.B) {
 	c, _ := benchSetup(b)
 	ctxs := c.TestContexts(2, 256)
@@ -517,35 +518,6 @@ func BenchmarkPredictHMM(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		buf = m.PredictInto(buf[:0], ctxs[i%len(ctxs)], 5)
-	}
-}
-
-// BenchmarkRerankPairwise measures the optional second-stage pairwise rerank
-// on a champion top-5 answer — the per-request cost of enabling -rerank on a
-// fleet arm. allocs/op must stay 0 (pooled blend scratch, recycled dst).
-func BenchmarkRerankPairwise(b *testing.B) {
-	rec, _ := serveBenchSetup(b)
-	c, _ := benchSetup(b)
-	ctxs := c.TestContexts(2, 256)
-	if len(ctxs) == 0 {
-		b.Skip("no contexts")
-	}
-	adj := pairwise.NewAdjacency(c.TrainAgg, c.Vocab())
-	rk, err := fleet.NewPairwiseReranker(adj, rec.Dict(), fleet.DefaultRerankLambda)
-	if err != nil {
-		b.Fatal(err)
-	}
-	// Pre-compute the champion answers being reranked (the rerank step's
-	// input is a cache-owned immutable slice on the serving path).
-	recs := make([][]core.Suggestion, len(ctxs))
-	for i, ctx := range ctxs {
-		recs[i] = core.RecommendIDs(rec, ctx, 5)
-	}
-	dst := make([]core.Suggestion, 0, 8)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		j := i % len(ctxs)
-		dst = rk.Rerank(ctxs[j], recs[j], dst[:0])
 	}
 }
 

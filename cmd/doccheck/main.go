@@ -41,7 +41,9 @@ var retiredList string
 // repository retired on purpose — PR 28's per-package request parsers, query
 // decoders and envelope encoders (internal/jsonspan owns the grammar now) and
 // PR 29's per-handler admin endpoints, legacy-path redirects, constructor
-// shims and second GET latency window (internal/obs owns the admin surface).
+// shims and second GET latency window (internal/obs owns the admin surface),
+// and the model-family container and second-stage reranker (one model family
+// is served).
 var retired = regexp.MustCompile(`\b(` + strings.Join(strings.Fields(retiredList), "|") + `)\b`)
 
 var (

@@ -75,7 +75,7 @@ func main() {
 		Tracer:            tracer,
 	}
 	if *baseFrom != "" {
-		base, err := core.LoadAnyPath(*baseFrom, core.LoadOptions{})
+		base, err := core.LoadPath(*baseFrom)
 		if err != nil {
 			log.Fatalf("-base-from %s: %v", *baseFrom, err)
 		}

@@ -66,7 +66,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/fleet"
 	"repro/internal/obs"
-	"repro/internal/pairwise"
 	"repro/internal/serve"
 	"repro/internal/stream"
 )
@@ -74,14 +73,12 @@ import (
 // loadOpts carries the flag-gated mmap paging hints into every model load.
 var loadOpts core.LoadOptions
 
-// loadModel loads through core.LoadAnyPath so both container formats are
-// addressable by file path: MVMM files take the mmap fast path
-// (the compiled serving form is mapped, not decoded, which makes cold starts
+// loadModel loads a model file from cmd/train through the mmap fast path:
+// the compiled serving form is mapped, not decoded, which makes cold starts
 // and SIGHUP reloads near-instant and shares trie pages across server
-// processes), and QRECF001 family containers (HMM, cluster, pairwise) load
-// as Predictor-backed arms.
+// processes. A file in any format but the current one is refused: retrain.
 func loadModel(path string) (core.Recommender, error) {
-	rec, err := core.LoadAnyPath(path, loadOpts)
+	rec, err := core.LoadPathWith(path, loadOpts)
 	if err != nil {
 		return nil, err
 	}
@@ -102,7 +99,6 @@ func main() {
 		role      = flag.String("role", "serve", "process role: serve, shard (replica behind a router) or router (consistent-hash fan-out)")
 		modelPath = flag.String("model", "model.bin", "model file from cmd/train (single-model serving, or the shared model of a loopback ring)")
 		arms      = flag.String("arms", "", "fleet arms 'name=path[:weight],...': first arm is the champion, weight 0 = shadow-scored only (default weight 1)")
-		rerank    = flag.String("rerank", "", "pairwise rerank 'path[:lambda]': blend the champion's top-N with an adjacency model (QRECF001, fleet mode only)")
 		shards    = flag.String("shards", "", "router backends: an integer N for an in-process loopback ring over -model, or comma-separated shard base URLs")
 		vnodes    = flag.Int("vnodes", 0, "virtual nodes per shard on the consistent-hash ring (0 = default)")
 		replicas  = flag.Int("replicas", 1, "router replication factor R: each key range maps to R distinct shards and fails over along the list (1 = off)")
@@ -142,7 +138,7 @@ func main() {
 	var onHUP func()
 	switch *role {
 	case "serve", "shard":
-		h := buildServeHandler(*modelPath, *arms, *rerank, *topN, *cacheCap, *quiet, ingest)
+		h := buildServeHandler(*modelPath, *arms, *topN, *cacheCap, *quiet, ingest)
 		handler = h
 		onHUP = h.reloadAll
 	case "router":
@@ -250,7 +246,7 @@ func (p *serveProcess) reloadAll() {
 
 // buildServeHandler assembles the serve/shard role: single-model serving, or
 // a fleet registry + router when -arms is given.
-func buildServeHandler(modelPath, arms, rerank string, topN, cacheCap int, quiet bool, ingest ingestOpts) *serveProcess {
+func buildServeHandler(modelPath, arms string, topN, cacheCap int, quiet bool, ingest ingestOpts) *serveProcess {
 	// One registry + tracer for the whole process: the HTTP handler, the
 	// embedded ingest loop and the auto-ramp all record into the same
 	// Prometheus exposition and the same tail-sampled trace ring. The tracer
@@ -262,9 +258,6 @@ func buildServeHandler(modelPath, arms, rerank string, topN, cacheCap int, quiet
 		opts.Logger = log.Default()
 	}
 	if arms == "" {
-		if rerank != "" {
-			log.Fatal("-rerank needs -arms (reranking is a fleet arm hook)")
-		}
 		if ingest.logPath != "" {
 			log.Fatal("-ingest-log needs -arms with a weight-0 challenger slot to push into (or run cmd/ingest standalone)")
 		}
@@ -310,17 +303,6 @@ func buildServeHandler(modelPath, arms, rerank string, topN, cacheCap int, quiet
 	}
 	for _, s := range rt.ShadowSlots() {
 		log.Printf("fleet shadow %q: scored asynchronously, serves no traffic", s.Name())
-	}
-	if rerank != "" {
-		rk, err := buildReranker(rerank, champion)
-		if err != nil {
-			log.Fatal(err)
-		}
-		championArm := rt.Arms()[0].Slot().Name()
-		if err := rt.SetRerank(championArm, rk); err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("fleet arm %q: second-stage rerank %s", championArm, rk.Name())
 	}
 	if ingest.logPath != "" {
 		opts.IngestStatus = startIngestLoop(rt, champion, ingest, oreg, tracer)
@@ -437,34 +419,6 @@ func startIngestLoop(rt *fleet.Router, champion core.Recommender, io ingestOpts,
 	}
 }
 
-// buildReranker decodes -rerank ('path[:lambda]') and loads the adjacency
-// model behind it. The adjacency model must have been trained against an
-// ID-preserving extension of the champion's dictionary, so the interned
-// context the fleet routes on is valid inside the adjacency matrix too.
-func buildReranker(spec string, champion core.Recommender) (fleet.Reranker, error) {
-	path, lambda := spec, 0.0
-	if p, l, ok := strings.Cut(spec, ":"); ok {
-		v, err := strconv.ParseFloat(l, 64)
-		if err != nil {
-			return nil, fmt.Errorf("malformed -rerank lambda in %q: %v", spec, err)
-		}
-		path, lambda = p, v
-	}
-	rec, err := loadModel(path)
-	if err != nil {
-		return nil, fmt.Errorf("-rerank %s: %v", path, err)
-	}
-	adj, ok := rec.Predictor().(*pairwise.Adjacency)
-	if !ok {
-		return nil, fmt.Errorf("-rerank %s: not a pairwise adjacency model (train with cmd/train -family adjacency)", path)
-	}
-	if !rec.Dict().Extends(champion.Dict()) {
-		return nil, fmt.Errorf("-rerank %s: adjacency dictionary (hash %x) does not extend the champion's (hash %x)",
-			path, rec.Dict().Hash(), champion.Dict().Hash())
-	}
-	return fleet.NewPairwiseReranker(adj, rec.Dict(), lambda)
-}
-
 // buildRouterHandler assembles the router role: a consistent-hash ring over
 // an in-process loopback (integer -shards, sharing one -model) or remote
 // shard URLs, replicated and failure-policied per ropts.
@@ -578,12 +532,6 @@ func logModelShape(name string, rec core.Recommender) {
 		}
 		log.Printf("model%s loaded: %d known queries, %s compiled PST with %d nodes / %d followers (depth %d, %d components)",
 			label, rec.Dict().Len(), form, cm.Nodes(), cm.Followers(), cm.Depth(), cm.Components())
-		return
-	}
-	if p := rec.Predictor(); p != nil {
-		shape := p.Shape()
-		log.Printf("model%s loaded: %d known queries, %s family model (%s, %d states, depth %d)",
-			label, rec.Dict().Len(), shape.Family, shape.Label, shape.States, shape.Depth)
 		return
 	}
 	log.Printf("model%s loaded: %d known queries, serving interpreted mixture (compile unavailable)",

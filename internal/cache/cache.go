@@ -28,9 +28,9 @@
 //     SuggestCache miss still allocates is the suggestion slice the entry
 //     keeps. That one is not recycled with the node, and must not be: a hit
 //     returns the slice to callers that read it after the shard lock is
-//     released (the first hit's wire encode, a reranker, every Recommend*
-//     caller), so overwriting an evicted entry's array in place would race
-//     with a reader of the old answer.
+//     released (the first hit's wire encode, the shadow scorer, every
+//     Recommend* caller), so overwriting an evicted entry's array in place
+//     would race with a reader of the old answer.
 //   - A SuggestCache entry's wire form — the encoded `"suggestions":[...]`
 //     member — is filled lazily, on the entry's first hit, never on insert:
 //     a miss pays nothing for it, the first hit encodes once with

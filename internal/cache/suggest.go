@@ -52,8 +52,8 @@ type Answer struct {
 
 // AppendSuggestionsJSON appends the answer's `"suggestions":[...]` member to
 // dst: a copy of the stored wire form when the answer has one, a fresh
-// core.AppendSuggestionsJSON of Recs otherwise (a miss, an answer built by
-// the caller from a reranked copy). The bytes are the same either way.
+// core.AppendSuggestionsJSON of Recs otherwise (a miss). The bytes are the
+// same either way.
 func (a Answer) AppendSuggestionsJSON(dst []byte) []byte {
 	if a.wire != nil {
 		return append(dst, a.wire...)

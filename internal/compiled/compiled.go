@@ -32,7 +32,8 @@
 // the parity property test in this package enforces both.
 //
 // The compiled form has two persistent encodings, both little-endian and
-// mmap-able, told apart by the blob's leading magic (FromBytes, OpenMmap):
+// mmap-able, told apart by the blob's leading magic (FromBytes,
+// OpenMmapAdvised):
 //
 //   - CPS3 (AppendFlat): exact fixed-width arrays at 8-byte-aligned
 //     offsets, aliased zero-copy on little-endian platforms, decoded
@@ -141,10 +142,10 @@ type Model struct {
 
 	scratch scratchPool
 
-	// Mmap backing (models returned by OpenMmap only): the full mapping the
-	// arrays alias, unmapped by Release or by the GC cleanup once the model
-	// becomes unreachable. mapAdvice records the kernel paging hints applied
-	// to the mapping (OpenMmapAdvised), "" when none were requested.
+	// Mmap backing (models returned by OpenMmapAdvised only): the full
+	// mapping the arrays alias, unmapped by Release or by the GC cleanup once
+	// the model becomes unreachable. mapAdvice records the kernel paging
+	// hints applied to the mapping, "" when none were requested.
 	release     []byte
 	cleanup     runtime.Cleanup
 	releaseOnce sync.Once

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"math"
 	"os"
 	"runtime"
@@ -114,12 +113,6 @@ func flatLayout(counts [flatArrayCount]int) (offs [flatArrayCount]uint64, total 
 	return offs, (off + 7) &^ 7
 }
 
-// FlatSize returns the exact byte length of the model's CPS3 encoding.
-func (c *Model) FlatSize() int64 {
-	_, total := flatLayout(c.flatCounts())
-	return int64(total)
-}
-
 // AppendFlat appends the model's CPS3 encoding to dst and returns the
 // extended slice. Callers that persist it for mmap loading must place the
 // blob at a page-aligned file offset (core.Save pads for this); FromBytes
@@ -190,13 +183,6 @@ func (c *Model) AppendFlat(dst []byte) []byte {
 
 	le.PutUint32(b[48:], crc32.ChecksumIEEE(b[flatHeaderSize:]))
 	return dst
-}
-
-// WriteFlat writes the CPS3 encoding to w.
-func (c *Model) WriteFlat(w io.Writer) (int64, error) {
-	blob := c.AppendFlat(nil)
-	n, err := w.Write(blob)
-	return int64(n), err
 }
 
 func flatCorrupt(format string, args ...any) error {
@@ -449,19 +435,14 @@ type MapAdvice struct {
 	Lock bool
 }
 
-// OpenMmap memory-maps the flat compiled blob (CPS3 or CPS5 — dispatched on
-// the blob's own magic) stored at [offset, offset+length) of the file at
-// path and returns a Model whose arrays alias the mapping: the
-// zero-copy cold-start path. The mapping is released when the model is
+// OpenMmapAdvised memory-maps the flat compiled blob (CPS3 or CPS5 —
+// dispatched on the blob's own magic) stored at [offset, offset+length) of
+// the file at path and returns a Model whose arrays alias the mapping: the
+// zero-copy cold-start path. Kernel paging hints adv are applied to the
+// mapping (none when adv is the zero value); the applied-hint summary is
+// readable via Model.MapAdvice. The mapping is released when the model is
 // garbage-collected, or eagerly via Release. Returns ErrMmapUnsupported on
 // platforms without mmap (callers fall back to heap decoding).
-func OpenMmap(path string, offset, length int64) (*Model, error) {
-	return OpenMmapAdvised(path, offset, length, MapAdvice{})
-}
-
-// OpenMmapAdvised is OpenMmap with kernel paging hints applied to the
-// resulting mapping (no-ops when adv is the zero value). The applied-hint
-// summary is readable via Model.MapAdvice.
 func OpenMmapAdvised(path string, offset, length int64, adv MapAdvice) (*Model, error) {
 	if !mmapSupported {
 		return nil, ErrMmapUnsupported
@@ -532,9 +513,9 @@ func applyMapAdvice(mapping []byte, adv MapAdvice) string {
 // carry the error after a colon.
 func (c *Model) MapAdvice() string { return c.mapAdvice }
 
-// Release eagerly unmaps the file backing of a model returned by OpenMmap
-// (a no-op for compiled or heap-decoded models). The model must not be used
-// afterwards.
+// Release eagerly unmaps the file backing of a model returned by
+// OpenMmapAdvised (a no-op for compiled or heap-decoded models). The model
+// must not be used afterwards.
 func (c *Model) Release() error {
 	c.releaseOnce.Do(func() {
 		if c.release == nil {

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"math"
 	"sort"
 
@@ -211,14 +210,6 @@ func compactLayout(counts, sizes [compactArrayCount]int) (offs [compactArrayCoun
 	return offs, (off + 7) &^ 7
 }
 
-// Flat5Size returns the exact byte length of the model's CPS5 encoding.
-func (c *Model) Flat5Size() int64 {
-	childCnt, childKey, folCnt, folLen, folID := c.compactRegions()
-	counts, sizes := c.compactCounts([5][]byte{childCnt, childKey, folCnt, folLen, folID})
-	_, total := compactLayout(counts, sizes)
-	return int64(total)
-}
-
 // AppendFlat5 appends the model's CPS5 compact encoding to dst and returns
 // the extended slice. Exact models are quantised on the fly; models loaded
 // from CPS5 re-emit their stored fixed-point values and packed IDs, so load
@@ -343,16 +334,6 @@ func (c *Model) putCompactQuantised(b []byte, offs [compactArrayCount]uint64) er
 		}
 	}
 	return nil
-}
-
-// WriteFlat5 writes the CPS5 encoding to w.
-func (c *Model) WriteFlat5(w io.Writer) (int64, error) {
-	blob, err := c.AppendFlat5(nil)
-	if err != nil {
-		return 0, err
-	}
-	n, err := w.Write(blob)
-	return int64(n), err
 }
 
 // decodeUvarints reads exactly count uvarints from b, appending them to dst.

@@ -1,7 +1,6 @@
 package compiled
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"math/rand"
@@ -76,9 +75,6 @@ func TestFlatRoundTrip(t *testing.T) {
 	for seed := int64(31); seed <= 33; seed++ {
 		c, sessions, vocab, rng := flatTestModel(t, seed)
 		blob := c.AppendFlat(nil)
-		if int64(len(blob)) != c.FlatSize() {
-			t.Fatalf("FlatSize = %d, blob is %d bytes", c.FlatSize(), len(blob))
-		}
 		ctxs := parityContexts(rng, sessions, vocab)
 		viewed, err := FromBytes(blob, ViewAuto)
 		if err != nil {
@@ -90,19 +86,6 @@ func TestFlatRoundTrip(t *testing.T) {
 			t.Fatalf("seed %d: ViewCopy: %v", seed, err)
 		}
 		assertBitIdentical(t, "copy", c, copied, ctxs, vocab, rng)
-	}
-}
-
-// TestFlatWriteFlatMatchesAppendFlat: the two writers must emit identical
-// bytes (core.Save streams through WriteFlat-equivalent framing).
-func TestFlatWriteFlatMatchesAppendFlat(t *testing.T) {
-	c, _, _, _ := flatTestModel(t, 41)
-	var buf bytes.Buffer
-	if _, err := c.WriteFlat(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), c.AppendFlat(nil)) {
-		t.Fatal("WriteFlat and AppendFlat diverge")
 	}
 }
 
@@ -195,7 +178,7 @@ func TestOpenMmap(t *testing.T) {
 	if err := os.WriteFile(path, file, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	m, err := OpenMmap(path, off, int64(len(blob)))
+	m, err := OpenMmapAdvised(path, off, int64(len(blob)), MapAdvice{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +191,7 @@ func TestOpenMmap(t *testing.T) {
 	}
 
 	// A window that overruns the file must fail cleanly, not SIGBUS later.
-	if _, err := OpenMmap(path, off, int64(len(blob))+4096); err == nil {
+	if _, err := OpenMmapAdvised(path, off, int64(len(blob))+4096, MapAdvice{}); err == nil {
 		t.Fatal("oversized mmap window went undetected")
 	}
 }
@@ -228,7 +211,7 @@ func TestOpenMmapUnalignedOffset(t *testing.T) {
 	if err := os.WriteFile(path, file, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	m, err := OpenMmap(path, off, int64(len(blob)))
+	m, err := OpenMmapAdvised(path, off, int64(len(blob)), MapAdvice{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,8 +220,8 @@ func TestOpenMmapUnalignedOffset(t *testing.T) {
 }
 
 // TestOpenMmapAdvised: paging hints must apply (or degrade, recorded) while
-// leaving predictions bit-identical, and plain OpenMmap must report no
-// advice.
+// leaving predictions bit-identical, and a mapping opened without hints must
+// report no advice.
 func TestOpenMmapAdvised(t *testing.T) {
 	if !mmapSupported {
 		t.Skip("no mmap on this platform")
@@ -250,7 +233,7 @@ func TestOpenMmapAdvised(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	plain, err := OpenMmap(path, 0, int64(len(blob)))
+	plain, err := OpenMmapAdvised(path, 0, int64(len(blob)), MapAdvice{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,10 +5,9 @@ import (
 	"repro/internal/query"
 )
 
-// Stable family identifiers reported by Shape.Family and used as the
-// `-arms family=path` syntax in cmd/serve, the `/v1/models` payload and the
-// X-Serve-Arm response header. They are part of the serving API: renaming
-// one is a breaking change for fleet operators.
+// Stable family identifiers reported by Shape.Family. The conformance suite
+// (internal/predictortest) accepts exactly these; only the MVMM is served,
+// the others are the paper's offline baselines.
 const (
 	FamilyMVMM         = "mvmm"         // compiled mixture-of-VMMs trie (this package)
 	FamilyHMM          = "hmm"          // hidden Markov model (internal/hmm)
@@ -17,10 +16,9 @@ const (
 	FamilyCooccurrence = "cooccurrence" // pairwise co-occurrence baseline (internal/pairwise)
 )
 
-// Shape describes a Predictor's serving-relevant geometry: which paper model
-// family it belongs to, how big it is, and whether its hot path honours the
-// zero-allocation contract. It is surfaced through /v1/models so operators
-// can see what each fleet arm actually is.
+// Shape describes a Predictor's geometry: which paper model family it
+// belongs to, how big it is, and whether its hot path honours the
+// zero-allocation contract.
 type Shape struct {
 	// Family is the stable family identifier (one of the Family* constants).
 	Family string
@@ -41,15 +39,16 @@ type Shape struct {
 	Quantised bool
 	// ZeroAlloc reports that PredictInto performs no per-call heap
 	// allocations in steady state (scratch is pooled or caller-supplied).
-	// Arms advertising it are benchmark-gated in CI.
+	// The conformance suite checks it, and CI gates the served CPS5 descent
+	// and the HMM at 0 allocations.
 	ZeroAlloc bool
 }
 
-// Predictor is the single serving seam every model family implements: one
+// Predictor is the seam every paper model family implements: one
 // ranked-prediction primitive, one probability query, one shape descriptor.
-// The serving stack (core.Recommender, cache, fleet, serve) is expressed
-// entirely over this interface, so wiring a new paper model into the fleet
-// means implementing these three methods and nothing else.
+// The compiled MVMM trie, the one family served, is the core.Engine's; the
+// HMM, cluster and pairwise baselines implement it too, and
+// internal/predictortest holds all five to one contract.
 //
 // Contract:
 //

@@ -28,7 +28,7 @@ func loadedEveryWay(t *testing.T, c *Model) map[string]*Model {
 		if err := os.WriteFile(path, cps3, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		m, err := OpenMmap(path, 0, int64(len(cps3)))
+		m, err := OpenMmapAdvised(path, 0, int64(len(cps3)), MapAdvice{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -9,10 +9,11 @@
 //	rec, err := core.TrainFromLog(logFile, core.DefaultConfig())
 //	suggestions := core.Recommend(rec, []string{"nokia n73", "nokia n73 themes"}, 5)
 //
-// Serving is expressed over the Recommender interface: Engine (the trained
-// MVMM pipeline) and FromPredictor adapters over any compiled.Predictor
-// (HMM, cluster, pairwise fleet arms) implement the same seam, so cache,
-// fleet and serve hold a Recommender and never know which family answers.
+// Serving is expressed over the Recommender interface, which Engine (the
+// trained or loaded MVMM) implements: cache, fleet and serve hold a
+// Recommender. The MVMM is the one model family served; the paper's
+// baselines (adjacency, co-occurrence, N-gram, HMM, clustering) are
+// evaluated offline in internal/experiments.
 //
 // Persistence: a model file is one container — the dictionary and the
 // compiled blob at a page-aligned offset, nothing else. Save writes the blob
@@ -279,16 +280,6 @@ func (r *Engine) Close() error {
 // back to the interpreted mixture.
 func (r *Engine) CompiledModel() *compiled.Model { return r.comp }
 
-// Predictor implements Recommender: the compiled trie, or nil when the
-// engine serves from the interpreted mixture (which predates the Predictor
-// seam and has no zero-allocation contract).
-func (r *Engine) Predictor() compiled.Predictor {
-	if r.comp == nil {
-		return nil
-	}
-	return r.comp
-}
-
 // Stats returns the training-collection statistics (Table IV shape).
 func (r *Engine) Stats() session.Stats { return r.stats }
 
@@ -308,8 +299,9 @@ func (r *Engine) Stats() session.Stats { return r.stats }
 const saveMagic = "QRECV006"
 
 // compiledAlign is the file alignment of the compiled blob. 4 KiB covers
-// every common page size; compiled.OpenMmap additionally aligns the mapping
-// down to the runtime page boundary, so larger-page systems still work.
+// every common page size; compiled.OpenMmapAdvised additionally aligns the
+// mapping down to the runtime page boundary, so larger-page systems still
+// work.
 const compiledAlign = 4096
 
 // maxSectionBytes is the largest section length a file may claim. It only
@@ -543,4 +535,15 @@ func LoadPathWith(path string, opts LoadOptions) (*Engine, error) {
 		return nil, fmt.Errorf("core: loading compiled model: %w", err)
 	}
 	return loaded(h, comp, mode, start), nil
+}
+
+// LoadAnyPath is LoadPathWith behind the Recommender interface: a nil
+// Recommender, not a nil *Engine, on error. It is kept because the
+// end-to-end benchmark (bench/) calls it.
+func LoadAnyPath(path string, opts LoadOptions) (Recommender, error) {
+	e, err := LoadPathWith(path, opts)
+	if err != nil {
+		return nil, err
+	}
+	return e, nil
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -14,6 +15,7 @@ import (
 	"testing"
 
 	"repro/internal/compiled"
+	"repro/internal/pairwise"
 	"repro/internal/query"
 )
 
@@ -71,6 +73,16 @@ func saveBytes(t testing.TB, rec *Engine) []byte {
 	return buf.Bytes()
 }
 
+// blobLen is the length of the compiled blob Save writes for rec: the CPS5
+// encoding, or the CPS3 one when the model does not fit CPS5.
+func blobLen(rec *Engine) int64 {
+	blob, err := rec.CompiledModel().AppendFlat5(nil)
+	if err != nil {
+		blob = rec.CompiledModel().AppendFlat(nil)
+	}
+	return int64(len(blob))
+}
+
 func writeTemp(t testing.TB, data []byte) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "model.bin")
@@ -82,7 +94,7 @@ func writeTemp(t testing.TB, data []byte) string {
 
 // wantMmapMode is the LoadInfo.Mode LoadPath reports on this platform.
 func wantMmapMode() string {
-	if _, err := compiled.OpenMmap("", 0, 0); errors.Is(err, compiled.ErrMmapUnsupported) {
+	if _, err := compiled.OpenMmapAdvised("", 0, 0, compiled.MapAdvice{}); errors.Is(err, compiled.ErrMmapUnsupported) {
 		return LoadModeHeap
 	}
 	return LoadModeMmap
@@ -124,7 +136,7 @@ func TestSaveWritesV5AndLoadRestores(t *testing.T) {
 		t.Fatalf("load did not restore a quantised compiled model (%v)", cm)
 	}
 	if li := loaded.LoadInfo(); li.Mode != LoadModeHeap || li.Version != saveMagic ||
-		li.Format != "CPS5" || li.BlobBytes != rec.CompiledModel().Flat5Size() {
+		li.Format != "CPS5" || li.BlobBytes != blobLen(rec) {
 		t.Fatalf("LoadInfo = %+v", li)
 	}
 	if rec.Model() == nil || loaded.Model() != nil {
@@ -148,7 +160,7 @@ func TestLoadPathMmapV5(t *testing.T) {
 	defer loaded.Close()
 	li := loaded.LoadInfo()
 	if li.Mode != wantMmapMode() || li.Version != saveMagic || li.Format != "CPS5" ||
-		li.BlobBytes != rec.CompiledModel().Flat5Size() || li.Duration <= 0 {
+		li.BlobBytes != blobLen(rec) || li.Duration <= 0 {
 		t.Fatalf("LoadInfo = %+v, want mode %q format CPS5", li, wantMmapMode())
 	}
 	if cm := loaded.CompiledModel(); cm == nil || !cm.Quantised() {
@@ -216,8 +228,8 @@ func TestSaveFallsBackToCPS3(t *testing.T) {
 		t.Fatal(err)
 	}
 	if li := loaded.LoadInfo(); li.Mode != LoadModeHeap || li.Version != saveMagic ||
-		li.Format != "CPS3" || li.BlobBytes != rec.CompiledModel().FlatSize() {
-		t.Fatalf("LoadInfo = %+v, want a CPS3 blob of %d bytes", li, rec.CompiledModel().FlatSize())
+		li.Format != "CPS3" || li.BlobBytes != blobLen(rec) {
+		t.Fatalf("LoadInfo = %+v, want a CPS3 blob of %d bytes", li, blobLen(rec))
 	}
 	if loaded.CompiledModel().Quantised() {
 		t.Fatal("CPS3 load is quantised")
@@ -238,7 +250,7 @@ func TestLoadPathMmap(t *testing.T) {
 	}
 	defer loaded.Close()
 	if li := loaded.LoadInfo(); li.Mode != wantMmapMode() || li.Version != saveMagic || li.Format != "CPS3" ||
-		li.BlobBytes != rec.CompiledModel().FlatSize() || li.MapAdvice != "" || li.Duration <= 0 {
+		li.BlobBytes != blobLen(rec) || li.MapAdvice != "" || li.Duration <= 0 {
 		t.Fatalf("LoadInfo = %+v, want mode %q format CPS3", li, wantMmapMode())
 	}
 	assertRecommendations(t, "mmap", rec, loaded, wideContexts, 0)
@@ -256,19 +268,49 @@ func TestSaveNeedsCompiledModel(t *testing.T) {
 }
 
 // TestLoadRefusesOldMagics: the containers of earlier revisions are not
-// read any more; each is refused, by both loaders, with an error that names
-// the magic it found.
+// read any more; each is refused, by every loader, with an error that names
+// the magic it found and says to retrain. The model-family container's row
+// is a whole file (family name, dictionary, adjacency payload) as the
+// retired writer framed it, not just a relabelled header.
 func TestLoadRefusesOldMagics(t *testing.T) {
-	file := saveBytes(t, trainSmall(t))
-	for _, old := range []string{"QRECV001", "QRECV002", "QRECV003", "QRECV004", "QRECV005"} {
-		bad := append([]byte(old), file[len(saveMagic):]...)
-		if _, err := Load(bytes.NewReader(bad)); err == nil || !strings.Contains(err.Error(), old) {
-			t.Fatalf("Load of a %s file: err = %v, want a refusal naming it", old, err)
-		}
-		if _, err := LoadAnyPath(writeTemp(t, bad), LoadOptions{}); err == nil || !strings.Contains(err.Error(), old) {
-			t.Fatalf("LoadAnyPath of a %s file: err = %v, want a refusal naming it", old, err)
+	rec := trainSmall(t)
+	file := saveBytes(t, rec)
+	const family = "QRECF001"
+	old := map[string][]byte{family: familyContainer(t, family, rec)}
+	for _, magic := range []string{"QRECV001", "QRECV002", "QRECV003", "QRECV004", "QRECV005"} {
+		old[magic] = append([]byte(magic), file[len(saveMagic):]...)
+	}
+	for magic, bad := range old {
+		path := writeTemp(t, bad)
+		for loader, load := range map[string]func() error{
+			"Load":        func() error { _, err := Load(bytes.NewReader(bad)); return err },
+			"LoadPath":    func() error { _, err := LoadPath(path); return err },
+			"LoadAnyPath": func() error { _, err := LoadAnyPath(path, LoadOptions{}); return err },
+		} {
+			if err := load(); err == nil || !strings.Contains(err.Error(), magic) || !strings.Contains(err.Error(), "retrain") {
+				t.Errorf("%s of a %s file: err = %v, want a refusal naming it and saying retrain", loader, magic, err)
+			}
 		}
 	}
+}
+
+// familyContainer frames a file the way the retired model-family writer did:
+// magic, then the family name, the dictionary and the family's payload, each
+// a writeSection.
+func familyContainer(t *testing.T, magic string, rec *Engine) []byte {
+	t.Helper()
+	adj := pairwise.NewAdjacency([]query.Session{{Queries: query.Seq{0, 1}, Count: 2}}, rec.Dict().Len())
+	var buf bytes.Buffer
+	buf.WriteString(magic)
+	for _, sec := range []struct {
+		name string
+		wt   io.WriterTo
+	}{{"family", bytes.NewBufferString("adjacency")}, {"dictionary", rec.Dict()}, {"family payload", adj}} {
+		if err := writeSection(&buf, sec.name, sec.wt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return buf.Bytes()
 }
 
 // fileLayout locates the length words of a saved file.

@@ -1,22 +1,18 @@
 package core
 
 import (
-	"io"
-	"sync"
-
 	"repro/internal/compiled"
-	"repro/internal/model"
 	"repro/internal/query"
 	"repro/internal/session"
 )
 
 // Recommender is the single serving seam of the repository: everything
 // upstream of a model — the suggestion cache, the fleet registry and router,
-// the HTTP handlers — recommends through exactly this interface and never
-// learns which model family answers. Engine (the trained MVMM pipeline)
-// implements it natively; FromPredictor lifts any compiled.Predictor (HMM,
-// cluster, pairwise adjacency/co-occurrence) into it, which is how the
-// paper's other model families become fleet arms.
+// the HTTP handlers — recommends through exactly this interface. Engine, the
+// trained or loaded MVMM, is its one implementation; the paper's baselines
+// are compared with it offline (internal/experiments), not served. The
+// interface stays so that the serving layers, and the end-to-end benchmark's
+// span-timing wrapper (bench/), name the seam rather than the concrete type.
 //
 // The historical Recommend/RecommendIDs/InternContext method sprawl lives on
 // as package-level shims (Recommend, RecommendIDs, AppendContext,
@@ -26,13 +22,10 @@ import (
 // Implementations must be immutable after construction: every method except
 // Close is safe for unbounded concurrent callers without locking, and
 // AppendSuggestions must be allocation-free with a recycled dst whenever the
-// underlying Predictor advertises Shape().ZeroAlloc.
+// model serves from its compiled form.
 type Recommender interface {
 	// Dict exposes the query dictionary contexts are interned against.
 	Dict() *query.Dict
-	// Predictor exposes the underlying prediction seam, or nil when the
-	// implementation serves from a pre-Predictor interpreted model.
-	Predictor() compiled.Predictor
 	// AppendSuggestions appends up to n ranked suggestions for the interned
 	// context to dst and returns the extended slice — the zero-allocation
 	// serving primitive.
@@ -43,13 +36,13 @@ type Recommender interface {
 	RecommendBatchIDs(ctxs []query.Seq, ns []int) [][]Suggestion
 	// Probability estimates P̂(q | context) for the log-loss analyses.
 	Probability(context []string, q string) float64
-	// Stats returns training-collection statistics (zero for loaded
-	// adapters that never saw the raw log).
+	// Stats returns training-collection statistics (zero for a loaded
+	// model, which never saw the raw log).
 	Stats() session.Stats
 	// LoadInfo reports how the serving model materialised.
 	LoadInfo() LoadInfo
-	// CompiledModel exposes the flat MVMM serving form when the
-	// implementation has one, nil otherwise (non-MVMM family arms).
+	// CompiledModel exposes the flat MVMM serving form, nil when the
+	// model serves from the interpreted mixture.
 	CompiledModel() *compiled.Model
 	// Close releases resources tied to the serving model (mmap regions);
 	// the recommender must not be used afterwards.
@@ -113,86 +106,4 @@ func AppendContextBytes(d *query.Dict, dst query.Seq, context [][]byte) query.Se
 	return dst
 }
 
-// predictorRec lifts a compiled.Predictor into the Recommender seam: one
-// shared implementation serves every non-MVMM model family. Prediction
-// scratch is pooled per adapter (the "per-arm scratch pool"), so arms whose
-// Predictor honours the zero-alloc contract serve allocation-free.
-type predictorRec struct {
-	dict *query.Dict
-	strs []string // dict's published string table
-	p    compiled.Predictor
-	info LoadInfo
-	bufs sync.Pool // *[]model.Prediction
-}
-
-// FromPredictor wraps a model-family Predictor as a Recommender over dict.
-// The dictionary must be the one the model's query IDs were interned
-// against. info describes the model's provenance for /healthz and /v1/models
-// (zero value is fine for in-process construction). The dictionary is
-// published here, as an Engine's is where it is made.
-func FromPredictor(dict *query.Dict, p compiled.Predictor, info LoadInfo) Recommender {
-	return &predictorRec{dict: dict, strs: dict.Publish(), p: p, info: info}
-}
-
-func (a *predictorRec) Dict() *query.Dict             { return a.dict }
-func (a *predictorRec) Predictor() compiled.Predictor { return a.p }
-func (a *predictorRec) LoadInfo() LoadInfo            { return a.info }
-func (a *predictorRec) Stats() session.Stats          { return session.Stats{} }
-
-// CompiledModel reports the trie when the wrapped Predictor is one (an
-// MVMM arm built through FromPredictor), nil for other families.
-func (a *predictorRec) CompiledModel() *compiled.Model {
-	if cm, ok := a.p.(*compiled.Model); ok {
-		return cm
-	}
-	return nil
-}
-
-func (a *predictorRec) AppendSuggestions(dst []Suggestion, ctx query.Seq, n int) []Suggestion {
-	if len(ctx) == 0 || n <= 0 {
-		return dst
-	}
-	buf, _ := a.bufs.Get().(*[]model.Prediction)
-	if buf == nil {
-		b := make([]model.Prediction, 0, 64)
-		buf = &b
-	}
-	preds := a.p.PredictInto((*buf)[:0], ctx, n)
-	dst = appendResolved(dst, a.strs, preds)
-	*buf = preds[:0]
-	a.bufs.Put(buf)
-	return dst
-}
-
-func (a *predictorRec) RecommendBatchIDs(ctxs []query.Seq, ns []int) [][]Suggestion {
-	out := make([][]Suggestion, len(ctxs))
-	for i, ctx := range ctxs {
-		out[i] = RecommendIDs(a, ctx, ns[i])
-	}
-	return out
-}
-
-func (a *predictorRec) Probability(context []string, q string) float64 {
-	id, ok := a.dict.Lookup(q)
-	if !ok {
-		return 0
-	}
-	return a.p.Prob(InternContext(a.dict, context), id)
-}
-
-// Close releases the wrapped Predictor's resources when it has any (the
-// compiled trie's mmap region via Release, or any io.Closer).
-func (a *predictorRec) Close() error {
-	switch c := a.p.(type) {
-	case interface{ Release() error }:
-		return c.Release()
-	case io.Closer:
-		return c.Close()
-	}
-	return nil
-}
-
-var (
-	_ Recommender = (*Engine)(nil)
-	_ Recommender = (*predictorRec)(nil)
-)
+var _ Recommender = (*Engine)(nil)

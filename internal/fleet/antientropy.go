@@ -136,10 +136,9 @@ func (a *AdminState) countSweep() {
 
 // adminModelRow is the canonical (order- and field-stable) projection of one
 // shard model used in admin entries: just the facts anti-entropy reconciles —
-// identity, generation, dict hash, routing weight, family.
+// identity, generation, dict hash, routing weight.
 type adminModelRow struct {
 	Name       string `json:"name"`
-	Family     string `json:"family,omitempty"`
 	Weight     uint32 `json:"weight"`
 	Generation uint64 `json:"generation"`
 	DictHash   string `json:"dict_hash"`

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"sort"
 	"strings"
 	"sync"
@@ -700,10 +701,22 @@ func TestChaosStrandedProbeRelease(t *testing.T) {
 	}
 
 	// Eject shard 0: with FailThreshold 1 a single refused connection opens
-	// the breaker, and the request still answers off the replica.
+	// the breaker, and the request still answers off the replica. The
+	// ejecting request is a one-item batch of the same context, not a GET:
+	// a batch is never hedged, so the refusal is booked before the replica
+	// answers. A GET's refused primary can lose the race to the 100µs hedge
+	// on a loaded host, and a loser's failure is never booked.
+	vals, err := url.ParseQuery(query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	item, err := json.Marshal(map[string][]string{"context": vals["q"]})
+	if err != nil {
+		t.Fatal(err)
+	}
 	chaos.setDown(0, true)
-	if _, _, code := getBody(t, srv.URL+"/suggest?"+query); code != http.StatusOK {
-		t.Fatalf("GET with primary down: status %d", code)
+	if rr := postTo(router, "/suggest/batch", `{"requests":[`+string(item)+`]}`); rr.Code != http.StatusOK {
+		t.Fatalf("batch with primary down: status %d: %s", rr.Code, rr.Body)
 	}
 	if st := healthOf(0); st.State != "ejected" {
 		t.Fatalf("shard 0 not ejected after failure: %+v", st)

@@ -34,10 +34,6 @@ type Arm struct {
 	// (same trick as the serving layer's content-type).
 	header []string
 
-	// rerank is the arm's optional second-stage ranking hook (nil = off, the
-	// default); set once at startup via Router.SetRerank.
-	rerank Reranker
-
 	requests atomic.Uint64
 	// lat is the arm's full-history latency histogram: lock-free recording,
 	// bounded-error p50/p99/p999, and mergeable across arms (the fleet-wide

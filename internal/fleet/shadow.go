@@ -36,15 +36,11 @@ type shadowCounters struct {
 
 // ShadowStats is one shadow slot's divergence snapshot, exposed through
 // /v1/models and /v1/metrics: how often the challenger's top suggestion differs
-// from the champion's, and how much of the served top-N list the two models
-// share on average. Family names the challenger's model family (HMM,
-// cluster, pairwise, MVMM) and Coverage its answer rate, so the /v1/metrics
-// shadow block reads as a live cross-family comparison table — the online
-// counterpart of the paper's offline ranking comparison, computable without
-// ever serving the challenger.
+// from the champion's, how much of the served top-N list the two models
+// share on average, and how often the challenger answers at all (Coverage) —
+// measured without ever serving the challenger.
 type ShadowStats struct {
 	Name             string  `json:"name"`
-	Family           string  `json:"family,omitempty"`
 	Samples          uint64  `json:"samples"`
 	Dropped          uint64  `json:"dropped"`
 	Coverage         float64 `json:"coverage"`
@@ -178,9 +174,6 @@ func (sh *shadower) statRow(i int) ShadowStats {
 	slot := sh.slots[i]
 	n := sh.div[i].samples.Load()
 	s := ShadowStats{Name: slot.name, Samples: n, Dropped: sh.dropped.Load()}
-	if p := slot.State().Rec.Predictor(); p != nil {
-		s.Family = p.Shape().Family
-	}
 	if n > 0 {
 		s.Coverage = float64(sh.div[i].covered.Load()) / float64(n)
 		s.Top1MismatchRate = float64(sh.div[i].top1Mismatches.Load()) / float64(n)

@@ -10,7 +10,7 @@ import (
 
 // predictScratch is the per-call working set of PredictInto: forward-pass
 // vectors, the candidate pool and its dedup index. Instances are recycled
-// through the model's scratch pool, so a serving arm performs no allocations
+// through the model's scratch pool, so PredictInto performs no allocations
 // in steady state (the map reuses its buckets across calls once grown).
 type predictScratch struct {
 	alpha, tmp, next []float64

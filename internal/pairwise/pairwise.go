@@ -46,8 +46,7 @@ func freeze(m map[query.ID]*markov.Dist) {
 }
 
 // Name implements model.Predictor. "Adjacency" is the stable display name
-// (table rows, /v1/models, X-Serve-Arm); the arm identifier is
-// compiled.FamilyAdjacency.
+// (table rows); the family identifier is compiled.FamilyAdjacency.
 func (m *Adjacency) Name() string { return "Adjacency" }
 
 func (m *Adjacency) dist(ctx query.Seq) *markov.Dist {
@@ -117,7 +116,7 @@ func NewCooccurrence(sessions []query.Session, vocab int) *Cooccurrence {
 }
 
 // Name implements model.Predictor. "Co-occurrence" is the stable display
-// name; the arm identifier is compiled.FamilyCooccurrence.
+// name; the family identifier is compiled.FamilyCooccurrence.
 func (m *Cooccurrence) Name() string { return "Co-occurrence" }
 
 func (m *Cooccurrence) dist(ctx query.Seq) *markov.Dist {

@@ -34,51 +34,13 @@ func writePairwise(w io.Writer, magic string, vocab int, m map[query.ID]*markov.
 	return sw.BytesWritten(), nil
 }
 
-func readPairwise(r io.Reader, magic string) (int, map[query.ID]*markov.Dist, error) {
-	sr := store.NewReader(r)
-	sr.Magic(magic)
-	vocab := sr.Int()
-	n := sr.Int()
-	m := make(map[query.ID]*markov.Dist, n)
-	for i := 0; i < n && sr.Err() == nil; i++ {
-		k := query.ID(sr.Uvarint())
-		m[k] = markov.ReadDist(sr)
-	}
-	if err := sr.Err(); err != nil {
-		return 0, nil, err
-	}
-	if err := sr.Close(); err != nil {
-		return 0, nil, err
-	}
-	return vocab, m, nil
-}
-
-// WriteTo serializes the Adjacency model.
+// WriteTo serializes the Adjacency model. Nothing reads the stream back:
+// it is the model's footprint in Table VII (internal/experiments).
 func (m *Adjacency) WriteTo(w io.Writer) (int64, error) {
 	return writePairwise(w, magicAdj, m.vocab, m.follow)
 }
 
-// ReadAdjacency decodes a model written by (*Adjacency).WriteTo.
-func ReadAdjacency(r io.Reader) (*Adjacency, error) {
-	vocab, follow, err := readPairwise(r, magicAdj)
-	if err != nil {
-		return nil, err
-	}
-	freeze(follow)
-	return &Adjacency{follow: follow, vocab: vocab}, nil
-}
-
-// WriteTo serializes the Co-occurrence model.
+// WriteTo serializes the Co-occurrence model, for Table VII's footprint.
 func (m *Cooccurrence) WriteTo(w io.Writer) (int64, error) {
 	return writePairwise(w, magicCo, m.vocab, m.with)
-}
-
-// ReadCooccurrence decodes a model written by (*Cooccurrence).WriteTo.
-func ReadCooccurrence(r io.Reader) (*Cooccurrence, error) {
-	vocab, with, err := readPairwise(r, magicCo)
-	if err != nil {
-		return nil, err
-	}
-	freeze(with)
-	return &Cooccurrence{with: with, vocab: vocab}, nil
 }

@@ -1,8 +1,8 @@
 // Package predictortest is the executable specification of the
-// compiled.Predictor contract. Every model family that plugs into the
-// serving stack — the compiled MVMM trie, the HMM, the cluster recommender,
-// the pairwise baselines — runs the same conformance suite, so "implements
-// Predictor" means one verified thing rather than four ad-hoc ones.
+// compiled.Predictor contract. Every model family — the served compiled
+// MVMM trie, and the HMM, cluster recommender and pairwise baselines the
+// paper compares it with — runs the same conformance suite, so "implements
+// Predictor" means one verified thing rather than five ad-hoc ones.
 //
 // Usage, from a family's own test file:
 //

@@ -103,34 +103,3 @@ func TestCooccurrenceConformance(t *testing.T) {
 	d, sessions, ctxs := trainingData()
 	predictortest.Run(t, pairwise.NewCooccurrence(sessions, d.Len()), ctxs)
 }
-
-// TestFamilyArmsServable is the acceptance check that every family predictor
-// lifts into the serving seam: FromPredictor over the shared dictionary must
-// answer through the same Recommender code path the HTTP layer uses.
-func TestFamilyArmsServable(t *testing.T) {
-	d, sessions, _ := trainingData()
-	m, err := hmm.Train(sessions, hmm.DefaultConfig(d.Len()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range []struct {
-		name string
-		rec  core.Recommender
-	}{
-		{"hmm", core.FromPredictor(d, m, core.LoadInfo{})},
-		{"adjacency", core.FromPredictor(d, pairwise.NewAdjacency(sessions, d.Len()), core.LoadInfo{})},
-		{"cooccurrence", core.FromPredictor(d, pairwise.NewCooccurrence(sessions, d.Len()), core.LoadInfo{})},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			got := core.Recommend(tc.rec, []string{"nokia n73"}, 5)
-			if len(got) == 0 {
-				t.Fatalf("family %s served no suggestions through the Recommender seam", tc.name)
-			}
-			for _, s := range got {
-				if s.Query == "" || s.Score <= 0 {
-					t.Fatalf("family %s served malformed suggestion %+v", tc.name, s)
-				}
-			}
-		})
-	}
-}

@@ -23,10 +23,6 @@ import (
 // BenchmarkRouteAB pins it there.
 
 // suggestFleet is the fleet twin of the single-model suggest fast path.
-// When the serving arm carries a reranker, the cached answer is copied into
-// the request scratch and reordered there — cache-owned slices are immutable
-// — before encoding; the shadow scorer sees the reranked list (it is what
-// the user was served).
 func (h *Handler) suggestFleet(w http.ResponseWriter, b *reqScratch, n int) {
 	rt := h.fleet
 	tr := traceOf(w)
@@ -36,24 +32,13 @@ func (h *Handler) suggestFleet(w http.ResponseWriter, b *reqScratch, n int) {
 	slot := arm.Slot()
 	st := slot.State()
 	ans, hit := h.cache.AnswerSlot(slot.ID(), st.Gen, st.Rec, b.ctx, n)
-	// As in suggest, the lookup stage opened with the trace; the rerank stage
-	// opens where it closed, on the same clock read.
-	end := tr.Elapsed()
+	// As in suggest, the lookup stage opened with the trace.
+	took := tr.Elapsed().Microseconds()
 	if hit {
-		recordStage(tr, h.histCache, stageCache, 0, end.Microseconds(), "hit")
+		recordStage(tr, h.histCache, stageCache, 0, took, "hit")
 	} else {
-		recordStage(tr, h.histDescent, stageDescent, 0, end.Microseconds(), "miss")
+		recordStage(tr, h.histDescent, stageDescent, 0, took, "miss")
 	}
-	if rk := arm.Reranker(); rk != nil && len(ans.Recs) > 1 {
-		b.rerank = rk.Rerank(b.ctx, ans.Recs, b.rerank[:0])
-		// The stored wire form is the cached order's: the reranked copy is
-		// an answer of its own, encoded from its suggestions.
-		ans = cache.Answer{Recs: b.rerank}
-		rerankStart := end
-		end = tr.Elapsed()
-		recordStage(tr, h.histRerank, stageRerank, rerankStart, (end - rerankStart).Microseconds(), "ok")
-	}
-	took := end.Microseconds()
 	h.m.suggests.Add(1)
 	rt.RecordServe(armIdx, took)
 	// Shadow-score only champion-served requests: divergence metrics mean
@@ -72,8 +57,8 @@ func (h *Handler) suggestFleet(w http.ResponseWriter, b *reqScratch, n int) {
 // already interned once against the router's base dictionary by the batch
 // parser; here each is routed to its sticky arm and the per-arm groups are
 // scored through the shared cache with one PredictBatch call per arm.
-// Batch items are not shadow-scored or reranked (shadow divergence and
-// second-stage ranking sample the interactive path).
+// Batch items are not shadow-scored (shadow divergence samples the
+// interactive path).
 func (h *Handler) recommendBatchFleet(bb *batchScratch) {
 	rt := h.fleet
 	arms := rt.Arms()
@@ -135,16 +120,9 @@ func (h *Handler) reloadFleet(w http.ResponseWriter, name string, force bool, st
 }
 
 // ModelInfo is one registry slot's row in the GET /v1/models payload.
-// Family identifies the model family serving the slot (one of the
-// compiled.Family* identifiers: "mvmm", "hmm", "cluster", "adjacency",
-// "cooccurrence") and Label its human-readable form; Rerank names the arm's
-// optional second-stage ranker ("" when off, the default).
 type ModelInfo struct {
 	Name          string `json:"name"`
 	Role          string `json:"role"` // "champion", "arm", "shadow" or "default"
-	Family        string `json:"family,omitempty"`
-	Label         string `json:"family_label,omitempty"`
-	Rerank        string `json:"rerank,omitempty"`
 	Weight        uint32 `json:"weight"`
 	Generation    uint64 `json:"generation"`
 	DictHash      string `json:"dict_hash"`
@@ -186,7 +164,6 @@ func (h *Handler) models(w http.ResponseWriter, r *http.Request) {
 	rt := h.fleet
 	roles := make(map[string]string)
 	weights := make(map[string]uint32)
-	reranks := make(map[string]string)
 	for i, a := range rt.Arms() {
 		// Roles follow the current (dynamic) weights: a declared-shadow arm
 		// that the ramp has walked to positive weight reads as a live arm.
@@ -199,9 +176,6 @@ func (h *Handler) models(w http.ResponseWriter, r *http.Request) {
 		}
 		roles[a.Slot().Name()] = role
 		weights[a.Slot().Name()] = a.Weight()
-		if rk := a.Reranker(); rk != nil {
-			reranks[a.Slot().Name()] = rk.Name()
-		}
 	}
 	for _, s := range rt.ShadowSlots() {
 		if _, routed := roles[s.Name()]; !routed {
@@ -219,9 +193,7 @@ func (h *Handler) models(w http.ResponseWriter, r *http.Request) {
 		if role == "" {
 			role = "unrouted"
 		}
-		mi := modelInfo(slot.Name(), role, weights[slot.Name()], st.Gen, st.Rec, true)
-		mi.Rerank = reranks[slot.Name()]
-		resp.Models = append(resp.Models, mi)
+		resp.Models = append(resp.Models, modelInfo(slot.Name(), role, weights[slot.Name()], st.Gen, st.Rec, true))
 	}
 	obs.WriteJSON(w, http.StatusOK, resp)
 }
@@ -236,11 +208,6 @@ func modelInfo(name, role string, weight uint32, gen uint64, rec core.Recommende
 		DictHash:     fmt.Sprintf("%016x", rec.Dict().Hash()),
 		KnownQueries: rec.Dict().Len(),
 		Reloadable:   reloadable,
-	}
-	if p := rec.Predictor(); p != nil {
-		shape := p.Shape()
-		info.Family = shape.Family
-		info.Label = shape.Label
 	}
 	if cm := rec.CompiledModel(); cm != nil {
 		info.Compiled = true

@@ -51,7 +51,7 @@ func readRuntimeStats() RuntimeStats {
 }
 
 // StageStats is one per-stage latency row in /v1/metrics: the latency of a
-// single serving stage (cache lookup, predict descent, rerank, batch descent)
+// single serving stage (cache lookup, predict descent, batch descent)
 // read from its dedicated histogram.
 type StageStats struct {
 	Count      uint64 `json:"count"`

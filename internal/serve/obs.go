@@ -18,7 +18,6 @@ import (
 const (
 	stageCache   = "cache"
 	stageDescent = "descent"
-	stageRerank  = "rerank"
 	stageBatch   = "batch-descent"
 	stageShadow  = "shadow"
 )
@@ -37,7 +36,6 @@ func (h *Handler) initObs() {
 	h.histRouteAdmin = h.obs.Histogram("serve_route_admin_us")
 	h.histCache = h.obs.Histogram("serve_stage_cache_us")
 	h.histDescent = h.obs.Histogram("serve_stage_descent_us")
-	h.histRerank = h.obs.Histogram("serve_stage_rerank_us")
 	h.histBatchDescent = h.obs.Histogram("serve_stage_batch_descent_us")
 	h.tracer = h.opts.Tracer
 	if h.tracer == nil {
@@ -55,17 +53,16 @@ func (h *Handler) initObs() {
 }
 
 // stageBreakdown assembles the per-stage latency map for /v1/metrics,
-// omitting stages that have recorded nothing (rerank without a reranker,
-// descent on an all-hit workload).
+// omitting stages that have recorded nothing (descent on an all-hit
+// workload).
 func (h *Handler) stageBreakdown() map[string]StageStats {
-	out := make(map[string]StageStats, 4)
+	out := make(map[string]StageStats, 3)
 	for _, s := range [...]struct {
 		name string
 		hist *obs.Histogram
 	}{
 		{stageCache, h.histCache},
 		{stageDescent, h.histDescent},
-		{stageRerank, h.histRerank},
 		{stageBatch, h.histBatchDescent},
 	} {
 		if s.hist.Count() > 0 {

@@ -254,7 +254,7 @@ func TestTracesReturnStageSpans(t *testing.T) {
 			if end := s.StartMicros + s.DurMicros; end > v.TotalMicros+2 {
 				t.Fatalf("span %+v ends at %dus, after trace total %dus", s, end, v.TotalMicros)
 			}
-			if s.Name == stageCache || s.Name == stageDescent || s.Name == stageRerank {
+			if s.Name == stageCache || s.Name == stageDescent {
 				sawStage = true
 				sum += s.DurMicros
 			}
@@ -264,7 +264,7 @@ func TestTracesReturnStageSpans(t *testing.T) {
 		}
 	}
 	if !sawStage {
-		t.Fatal("no cache/descent/rerank stage spans in any retained trace")
+		t.Fatal("no cache/descent stage spans in any retained trace")
 	}
 
 	// min_us above every total filters everything out; the threshold field
@@ -569,10 +569,10 @@ func TestInstrumentCountsPinned(t *testing.T) {
 }
 
 // TestStagesListedWithoutQueue: the queue stage is gone from both metrics
-// views, and the four stages that measure something are still there.
+// views, and the three stages that measure something are still there.
 func TestStagesListedWithoutQueue(t *testing.T) {
-	h := wireFleet(t, wireModelA(t), true)
-	for _, r := range []wireRequest{wireRequests[0], wireRequests[0], wireRequests[4]} { // a miss, a hit (both reranked), a batch
+	h := wireFleet(t, wireModelA(t))
+	for _, r := range []wireRequest{wireRequests[0], wireRequests[0], wireRequests[4]} { // a miss, a hit, a batch
 		serveMasked(t, h, r)
 	}
 	rr := httptest.NewRecorder()
@@ -589,7 +589,7 @@ func TestStagesListedWithoutQueue(t *testing.T) {
 		stages = append(stages, name)
 	}
 	slices.Sort(stages)
-	if want := []string{stageBatch, stageCache, stageDescent, stageRerank}; !slices.Equal(stages, want) {
+	if want := []string{stageBatch, stageCache, stageDescent}; !slices.Equal(stages, want) {
 		t.Fatalf("/v1/metrics stages = %q, want %q", stages, want)
 	}
 
@@ -604,7 +604,7 @@ func TestStagesListedWithoutQueue(t *testing.T) {
 		}
 	}
 	slices.Sort(families)
-	want := []string{"serve_stage_batch_descent_us", "serve_stage_cache_us", "serve_stage_descent_us", "serve_stage_rerank_us"}
+	want := []string{"serve_stage_batch_descent_us", "serve_stage_cache_us", "serve_stage_descent_us"}
 	if !slices.Equal(families, want) {
 		t.Fatalf("exposition stage families = %q, want %q", families, want)
 	}

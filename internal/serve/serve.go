@@ -23,8 +23,8 @@
 //	POST /v1/reload                           hot-swap the model (?model=<name> in
 //	                                          fleet mode, &force=1 to override the
 //	                                          409 dictionary-compatibility check)
-//	GET  /v1/models                           model registry, roles, families,
-//	                                          rerankers, divergence
+//	GET  /v1/models                           model registry, roles, dict hashes,
+//	                                          divergence
 //	GET  /v1/route                            which arm/shard owns a context
 //	GET  /v1/ingest                           streaming ingestion loop status
 //	                                          (tail offset, write-log, ramp)
@@ -231,7 +231,6 @@ type Handler struct {
 	histRouteAdmin   *obs.Histogram
 	histCache        *obs.Histogram
 	histDescent      *obs.Histogram
-	histRerank       *obs.Histogram
 	histBatchDescent *obs.Histogram
 }
 
@@ -347,11 +346,10 @@ func (h *Handler) Generation() uint64 { return h.state.Load().gen }
 // decoded q values (flat storage + per-value views), the interned context,
 // and the response body under construction.
 type reqScratch struct {
-	flat   []byte   // the query string's decoded pairs, back to back
-	raw    [][]byte // views into flat, one per q value
-	ctx    query.Seq
-	rerank []core.Suggestion // reranked copy of a cached answer (fleet mode)
-	body   []byte
+	flat []byte   // the query string's decoded pairs, back to back
+	raw  [][]byte // views into flat, one per q value
+	ctx  query.Seq
+	body []byte
 }
 
 var reqScratchPool = sync.Pool{New: func() any {
@@ -367,8 +365,6 @@ func putReqScratch(b *reqScratch) {
 	b.flat = b.flat[:0]
 	b.raw = b.raw[:0]
 	b.ctx = b.ctx[:0]
-	clear(b.rerank) // do not retain suggestion strings in the pool
-	b.rerank = b.rerank[:0]
 	b.body = b.body[:0]
 	reqScratchPool.Put(b)
 }

@@ -129,3 +129,41 @@ func TestHealthEndpoint(t *testing.T) {
 		t.Fatalf("health = %+v", h)
 	}
 }
+
+// TestV1MigrationAndErrorEnvelope pins the /v1 mounting contract now that
+// the one release of legacy paths is over: the unversioned admin paths that
+// used to 301 (or, for POST /reload, alias) answer the 404 envelope like any
+// unknown path, /healthz and /v1/healthz both answer directly (probes do not
+// follow redirects), and every non-2xx answer carries the JSON error envelope.
+func TestV1MigrationAndErrorEnvelope(t *testing.T) {
+	h := New(testRecommender(t), Options{})
+	for _, path := range []string{"/healthz", "/v1/healthz"} {
+		rr := httptest.NewRecorder()
+		h.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, path, nil))
+		if rr.Code != http.StatusOK {
+			t.Fatalf("GET %s = %d, want 200", path, rr.Code)
+		}
+	}
+	for _, tc := range []struct {
+		method, path string
+		status       int
+	}{
+		{"GET", "/models", http.StatusNotFound},
+		{"GET", "/route?q=o2", http.StatusNotFound},
+		{"POST", "/reload", http.StatusNotFound},
+		{"GET", "/no-such-endpoint", http.StatusNotFound},
+		{"GET", "/suggest", http.StatusBadRequest},
+		{"POST", "/v1/metrics", http.StatusMethodNotAllowed},
+		{"POST", "/v1/reload", http.StatusNotImplemented}, // no ReloadFunc configured
+	} {
+		rr := httptest.NewRecorder()
+		h.ServeHTTP(rr, httptest.NewRequest(tc.method, tc.path, nil))
+		if rr.Code != tc.status {
+			t.Fatalf("%s %s = %d, want %d", tc.method, tc.path, rr.Code, tc.status)
+		}
+		var env ErrorBody
+		if err := json.Unmarshal(rr.Body.Bytes(), &env); err != nil || env.Error.Code == "" || env.Error.Message == "" {
+			t.Fatalf("%s %s: malformed error envelope (err=%v, env=%+v)", tc.method, tc.path, err, env)
+		}
+	}
+}

@@ -1,12 +1,9 @@
 package serve
 
 import (
-	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
-	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -62,20 +59,8 @@ func wireModelB(t testing.TB) core.Recommender {
 	return wireModel(t, "nokia n73 themes", "o2 mobile phones")
 }
 
-// reverseReranker is a second stage whose order always differs from the
-// cached one.
-type reverseReranker struct{}
-
-func (reverseReranker) Name() string { return "reverse" }
-
-func (reverseReranker) Rerank(_ query.Seq, recs, dst []core.Suggestion) []core.Suggestion {
-	dst = append(dst, recs...)
-	slices.Reverse(dst)
-	return dst
-}
-
-// wireFleet serves rec as the one arm of a fleet, optionally reranked.
-func wireFleet(t *testing.T, rec core.Recommender, rerank bool) *Handler {
+// wireFleet serves rec as the one arm of a fleet.
+func wireFleet(t *testing.T, rec core.Recommender) *Handler {
 	t.Helper()
 	reg := fleet.NewRegistry(0)
 	if _, err := reg.Add("champion", rec, func() (core.Recommender, error) { return wireModelB(t), nil }); err != nil {
@@ -86,11 +71,6 @@ func wireFleet(t *testing.T, rec core.Recommender, rerank bool) *Handler {
 		t.Fatal(err)
 	}
 	t.Cleanup(rt.Close)
-	if rerank {
-		if err := rt.SetRerank("champion", reverseReranker{}); err != nil {
-			t.Fatal(err)
-		}
-	}
 	return New(rec, Options{Fleet: rt})
 }
 
@@ -123,11 +103,9 @@ func serveMasked(t *testing.T, h http.Handler, r wireRequest) string {
 }
 
 // TestWireFormMissFirstHitSecondHit: for GET, buffered batch and NDJSON
-// batch, in single-model mode, fleet mode and fleet mode with a reranker, the
-// miss, the first hit and the second hit answer byte-identical bodies
-// (took_us masked); the cache counters prove which was which. Single-model
-// and fleet bodies agree, and a reranked GET carries the reranked order — the
-// stored bytes of the cached order are not served for it.
+// batch, in single-model mode and fleet mode, the miss, the first hit and the
+// second hit answer byte-identical bodies (took_us masked); the cache
+// counters prove which was which. Single-model and fleet bodies agree.
 func TestWireFormMissFirstHitSecondHit(t *testing.T) {
 	rec := wireModelA(t)
 	for _, r := range wireRequests {
@@ -137,8 +115,7 @@ func TestWireFormMissFirstHitSecondHit(t *testing.T) {
 				h    *Handler
 			}{
 				{"single", New(rec, Options{})},
-				{"fleet", wireFleet(t, rec, false)},
-				{"fleet reranked", wireFleet(t, rec, true)},
+				{"fleet", wireFleet(t, rec)},
 			}
 			var bodies []string
 			for _, m := range modes {
@@ -156,30 +133,8 @@ func TestWireFormMissFirstHitSecondHit(t *testing.T) {
 				}
 				bodies = append(bodies, rounds[0])
 			}
-			single, fleetBody, reranked := bodies[0], bodies[1], bodies[2]
-			if fleetBody != single {
+			if single, fleetBody := bodies[0], bodies[1]; fleetBody != single {
 				t.Fatalf("fleet and single-model bodies differ\nsingle: %s\nfleet:  %s", single, fleetBody)
-			}
-			if r.method == http.MethodPost {
-				// Batch items are not reranked.
-				if reranked != single {
-					t.Fatalf("reranked fleet batch differs from the plain one\nplain:    %s\nreranked: %s", single, reranked)
-				}
-				return
-			}
-			var plain, rev SuggestResponse
-			if err := json.Unmarshal([]byte(strings.Replace(single, `"took_us":X`, `"took_us":0`, 1)), &plain); err != nil {
-				t.Fatalf("%s: %v", single, err)
-			}
-			if err := json.Unmarshal([]byte(strings.Replace(reranked, `"took_us":X`, `"took_us":0`, 1)), &rev); err != nil {
-				t.Fatalf("%s: %v", reranked, err)
-			}
-			slices.Reverse(rev.Suggestions)
-			if fmt.Sprint(rev.Suggestions) != fmt.Sprint(plain.Suggestions) {
-				t.Fatalf("reranked answer is not the cached answer reversed\nplain:    %s\nreranked: %s", single, reranked)
-			}
-			if len(plain.Suggestions) > 1 && reranked == single {
-				t.Fatalf("reranked body equals the cached order's: %s", reranked)
 			}
 		})
 	}
@@ -225,7 +180,7 @@ func TestReloadNeverServesOldGenerationBytes(t *testing.T) {
 			},
 			func(t *testing.T, h *Handler) { postReload(t, h, "/v1/reload") }},
 		{"fleet reload by name",
-			func(t *testing.T) *Handler { return wireFleet(t, wireModelA(t), false) },
+			func(t *testing.T) *Handler { return wireFleet(t, wireModelA(t)) },
 			func(t *testing.T, h *Handler) { postReload(t, h, "/v1/reload?model=champion") }},
 	}
 	for _, rl := range reloaders {

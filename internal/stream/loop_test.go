@@ -56,11 +56,11 @@ func TestLoopStreamToServing(t *testing.T) {
 
 	// ---- Fleet: champion serves all traffic; challenger is declared at
 	// weight 0 (shadow) and reloads from the path the ingester snapshots to.
-	champ, err := core.LoadAnyPath(seedPath, core.LoadOptions{})
+	champ, err := core.LoadPath(seedPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	chalSeed, err := core.LoadAnyPath(seedPath, core.LoadOptions{})
+	chalSeed, err := core.LoadPath(seedPath)
 	if err != nil {
 		t.Fatal(err)
 	}
