@@ -4,15 +4,12 @@
 GO ?= go
 
 # The benchmarks `make bench-gates` runs: exactly the ones BENCH_GATES names.
-SERVING_BENCH = ^(BenchmarkRecommendUncached|BenchmarkServeHTTPCached|BenchmarkRouteAB|BenchmarkServeHTTPCachedTraced|BenchmarkHistogramRecord|BenchmarkShardFanout64|BenchmarkRouterGET|BenchmarkShardFanout64R2|BenchmarkPredictCPS5|BenchmarkPredictHMM|BenchmarkCompiledBlobSize|BenchmarkIngestSegment)$$
+SERVING_BENCH = ^(BenchmarkRecommendUncached|BenchmarkServeHTTPCached|BenchmarkRouteAB|BenchmarkServeHTTPCachedTraced|BenchmarkHistogramRecord|BenchmarkShardFanout64|BenchmarkRouterGET|BenchmarkShardFanout64R2|BenchmarkPredictCPS5|BenchmarkIngestSegment)$$
 # Override for quick smoke runs: make bench-gates BENCHTIME=10x
 BENCHTIME ?= 1s
 # Regression gates checked by cmd/benchjson: the cached HTTP serving path, the
-# fleet A/B routing path and the predict paths (the CPS5 descent a model file
-# serves, and the HMM baseline's pooled forward pass) must stay within their
-# allocation budgets, the compact CPS5 blob must stay under 0.48 of the exact CPS3 blob
-# on the benchmark model (0.394 when the gate was set; 0.48 = the 0.6 × 0.8
-# the two-step CPS3 → quantised → compact gates allowed), and the 3-shard
+# fleet A/B routing path and the predict path (the CPS5 descent a model file
+# serves) must stay within their allocation budgets, and the 3-shard
 # batch fan-out must hold the pooled span-forwarding path: 20 allocs/batch at steady state (the
 # benchmark's own request 10, a body limiter per handler 4, the round's one
 # attempt context 1, its two call goroutines 5), 24 while the tracers'
@@ -45,9 +42,9 @@ BENCHTIME ?= 1s
 # monotonic) in place of obs.Now 5.9–6.5, so the 6.0 ceilings fail the first
 # always and the second in most host phases.
 INSTRUMENT_BENCH = ^(BenchmarkRequestInstrument|BenchmarkRoutedInstrument)$$
-BENCH_GATES = -gate BenchmarkRecommendUncached=0 -gate BenchmarkServeHTTPCached=2 -gate BenchmarkRouteAB=0 -gate BenchmarkServeHTTPCachedTraced=0 -gate BenchmarkHistogramRecord=0 -gate BenchmarkShardFanout64=60 -gate BenchmarkRouterGET=2 -gate BenchmarkShardFanout64R2:fanout-r2-over-r1=1.5 -gate BenchmarkPredictCPS5=0 -gate BenchmarkPredictHMM=0 -gate BenchmarkCompiledBlobSize:cps5-over-cps3=0.48 -gate BenchmarkIngestSegment=6000 -gate BenchmarkRequestInstrument:clock-reads=6.0 -gate BenchmarkRoutedInstrument:clock-reads=6.0
+BENCH_GATES = -gate BenchmarkRecommendUncached=0 -gate BenchmarkServeHTTPCached=2 -gate BenchmarkRouteAB=0 -gate BenchmarkServeHTTPCachedTraced=0 -gate BenchmarkHistogramRecord=0 -gate BenchmarkShardFanout64=60 -gate BenchmarkRouterGET=2 -gate BenchmarkShardFanout64R2:fanout-r2-over-r1=1.5 -gate BenchmarkPredictCPS5=0 -gate BenchmarkIngestSegment=6000 -gate BenchmarkRequestInstrument:clock-reads=6.0 -gate BenchmarkRoutedInstrument:clock-reads=6.0
 
-.PHONY: all build test race race-repeat fuzz-smoke fuzz-grammar bench bench-gates bench-e2e bench-pairs chaos ingest-test obs-test fmt fmt-check vet check-docs check-api check-lines ci serve loadgen clean
+.PHONY: all build test race race-repeat fuzz-smoke fuzz-grammar examples bench bench-gates bench-e2e bench-pairs chaos ingest-test obs-test fmt fmt-check vet check-docs check-api check-lines ci serve loadgen clean
 
 all: build test
 
@@ -129,8 +126,10 @@ bench:
 	GOMAXPROCS=1 $(GO) test -run=NONE -bench=. -benchtime=1x ./...
 	GOMAXPROCS=4 $(GO) test -run=NONE -bench=. -benchtime=1x ./...
 
-# The allocation and blob-size regression gates: runs the gated benchmarks
-# and checks BENCH_GATES against their output. Nothing is recorded — timings
+# The allocation and clock-read regression gates: runs the gated benchmarks
+# and checks BENCH_GATES against their output (the CPS5-over-CPS3 blob-size
+# ceiling is a tier-1 test, internal/experiments'
+# TestTable7CompiledRowsMatchBlobBytes). Nothing is recorded — timings
 # are the end-to-end benchmark's (bench-e2e, bench-pairs). The bench run lands
 # in a temp file first so a mid-run benchmark failure fails the target
 # instead of vanishing into a pipe.
@@ -188,16 +187,25 @@ check-api: vet
 # Line-count ratchet: the non-test Go lines outside bench/ and dot-directories
 # may not grow past LINES_CEILING. A PR that shrinks the code lowers the
 # ceiling to its new count; a PR that raises it says why in CHANGES.md.
-LINES_CEILING = 21520
+LINES_CEILING = 21212
 check-lines:
 	@n=$$(find . -path ./bench -prune -o -path './.*' -prune -o -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l); \
 	echo "non-test Go lines: $$n (ceiling $(LINES_CEILING))"; \
 	if [ $$n -gt $(LINES_CEILING) ]; then \
 		echo "over the ceiling: delete something, or raise LINES_CEILING and say why in CHANGES.md"; exit 1; fi
 
+# Every examples/ program, run to completion: go build only proves they
+# compile. Each trains on a small synthetic corpus in-process (under a
+# second apiece on a 2-core x86-64 VM); a non-zero exit fails the target.
+examples:
+	@for ex in $(wildcard examples/*); do \
+		echo "== $$ex"; \
+		$(GO) run ./$$ex || exit 1; \
+	done
+
 # test runs beside race because the allocation-count tests (the routed GET's
 # among them) skip themselves under the race detector.
-ci: check-api fmt-check check-docs check-lines build test race race-repeat fuzz-grammar bench
+ci: check-api fmt-check check-docs check-lines build test race race-repeat fuzz-grammar examples bench
 
 # Convenience: train a small model if absent, then serve it.
 model.bin:

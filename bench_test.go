@@ -51,7 +51,7 @@ func benchSetup(b *testing.B) (*experiments.Corpus, *experiments.Models) {
 	benchOnce.Do(func() {
 		benchCorpus, benchErr = experiments.BuildCorpus(experiments.SmallCorpusConfig())
 		if benchErr == nil {
-			benchModels = experiments.TrainModels(benchCorpus)
+			benchModels, benchErr = experiments.TrainModels(benchCorpus)
 		}
 	})
 	if benchErr != nil {
@@ -491,58 +491,6 @@ func BenchmarkPredictCPS5(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		buf = qm.AppendPredictions(buf[:0], ctxs[i%len(ctxs)], 5)
 	}
-}
-
-// BenchmarkPredictHMM measures the HMM baseline's prediction primitive — the
-// pooled-scratch forward pass behind PredictInto — on the shared corpus.
-// allocs/op must stay 0: the zero-allocation Predictor contract it
-// advertises through Shape().ZeroAlloc is benchmark-gated here, beside the
-// served CPS5 descent's.
-func BenchmarkPredictHMM(b *testing.B) {
-	c, _ := benchSetup(b)
-	ctxs := c.TestContexts(2, 256)
-	if len(ctxs) == 0 {
-		b.Skip("no contexts")
-	}
-	cfg := hmm.DefaultConfig(c.Vocab())
-	cfg.States = 8
-	cfg.Iterations = 4
-	m, err := hmm.Train(c.TrainAgg, cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	buf := make([]model.Prediction, 0, 8)
-	for _, ctx := range ctxs { // warm the scratch pool to steady state
-		buf = m.PredictInto(buf[:0], ctx, 5)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf = m.PredictInto(buf[:0], ctxs[i%len(ctxs)], 5)
-	}
-}
-
-// BenchmarkCompiledBlobSize re-encodes the benchmark model in both blob
-// encodings and reports their byte sizes plus the CPS5/CPS3 ratio — the
-// Table VII serving-footprint numbers, gated by `make bench-gates` (the
-// compact blob must stay under 0.48 of the exact one).
-func BenchmarkCompiledBlobSize(b *testing.B) {
-	rec, _ := serveBenchSetup(b)
-	cm := rec.CompiledModel()
-	if cm == nil {
-		b.Fatal("recommender did not compile")
-	}
-	var cps3, cps5 int
-	for i := 0; i < b.N; i++ {
-		blob3 := cm.AppendFlat(nil)
-		blob5, err := cm.AppendFlat5(nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		cps3, cps5 = len(blob3), len(blob5)
-	}
-	b.ReportMetric(float64(cps3), "cps3-bytes")
-	b.ReportMetric(float64(cps5), "cps5-bytes")
-	b.ReportMetric(float64(cps5)/float64(cps3), "cps5-over-cps3")
 }
 
 // BenchmarkProbCompiled measures the allocation-free mixture probability.

@@ -3,18 +3,19 @@
 // is, and how that moves from commit to commit, is the end-to-end benchmark's
 // to say (BENCHMARK.json, bench/README.md, `make bench-pairs`); what is
 // checked here are the counts a micro-benchmark reports exactly —
-// allocations per operation and blob-size ratios.
+// allocations per operation and ratios such as allocation or clock-read
+// multiples.
 //
 // `-gate BenchmarkServeHTTPCached=2` fails the run when that benchmark's
 // allocs/op exceeds the ceiling, and
-// `-gate BenchmarkCompiledBlobSize:cps5-over-cps3=0.48` gates a
+// `-gate BenchmarkShardFanout64R2:fanout-r2-over-r1=1.5` gates a
 // b.ReportMetric value instead (the part after the colon names the metric
 // unit). A gated benchmark that is missing from the input fails too.
 //
 // Usage (what `make bench-gates` runs):
 //
 //	go test -run=NONE -bench='...' -benchmem . | benchjson \
-//	    -gate BenchmarkServeHTTPCached=2 -gate BenchmarkCompiledBlobSize:cps5-over-cps3=0.48
+//	    -gate BenchmarkServeHTTPCached=2 -gate BenchmarkShardFanout64R2:fanout-r2-over-r1=1.5
 package main
 
 import (

@@ -42,8 +42,9 @@ var retiredList string
 // decoders and envelope encoders (internal/jsonspan owns the grammar now) and
 // PR 29's per-handler admin endpoints, legacy-path redirects, constructor
 // shims and second GET latency window (internal/obs owns the admin surface),
-// and the model-family container and second-stage reranker (one model family
-// is served).
+// the model-family container and second-stage reranker (one model family is
+// served), and the second prediction interface with the benchmarks that gated
+// it (model.Predictor is the one interface; the blob-size ceiling is a test).
 var retired = regexp.MustCompile(`\b(` + strings.Join(strings.Fields(retiredList), "|") + `)\b`)
 
 var (

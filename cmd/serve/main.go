@@ -519,21 +519,19 @@ func parseArms(s string) ([]armSpec, error) {
 }
 
 // logModelShape logs the loaded model's serving shape (the compiled-PST line
-// operators grep for).
+// operators grep for). Every model file holds a compiled blob —
+// core.Engine.Save refuses an engine without one — so every model loadModel
+// returns has a compiled form.
 func logModelShape(name string, rec core.Recommender) {
 	label := ""
 	if name != "" {
 		label = fmt.Sprintf(" %q", name)
 	}
-	if cm := rec.CompiledModel(); cm != nil {
-		form := "exact"
-		if cm.Quantised() {
-			form = "quantised"
-		}
-		log.Printf("model%s loaded: %d known queries, %s compiled PST with %d nodes / %d followers (depth %d, %d components)",
-			label, rec.Dict().Len(), form, cm.Nodes(), cm.Followers(), cm.Depth(), cm.Components())
-		return
+	cm := rec.CompiledModel()
+	form := "exact"
+	if cm.Quantised() {
+		form = "quantised"
 	}
-	log.Printf("model%s loaded: %d known queries, serving interpreted mixture (compile unavailable)",
-		label, rec.Dict().Len())
+	log.Printf("model%s loaded: %d known queries, %s compiled PST with %d nodes / %d followers (depth %d, %d components)",
+		label, rec.Dict().Len(), form, cm.Nodes(), cm.Followers(), cm.Depth(), cm.Components())
 }

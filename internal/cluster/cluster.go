@@ -193,8 +193,7 @@ func Build(g *ClickGraph, cfg Config) *Recommender {
 }
 
 // buildTotals caches each cluster's summed member popularity — the Predict
-// score denominator — so the serving path does not walk the member list
-// twice.
+// score denominator — so Predict does not walk the member list twice.
 func (r *Recommender) buildTotals() {
 	r.totals = make(map[int]uint64, len(r.members))
 	for ci, ms := range r.members {
@@ -231,11 +230,28 @@ func (r *Recommender) Covers(ctx query.Seq) bool {
 }
 
 // Predict implements model.Predictor: same-cluster queries by popularity,
-// excluding the query itself. It is PredictInto with a fresh output slice.
+// excluding the query itself. The member lists are popularity-ranked at build
+// time and cluster totals are cached, so the call is a map lookup plus one
+// pass over at most topN+1 members.
 func (r *Recommender) Predict(ctx query.Seq, topN int) []model.Prediction {
-	out := r.PredictInto(nil, ctx, topN)
-	if len(out) == 0 {
+	if topN <= 0 || !r.Covers(ctx) {
 		return nil
+	}
+	last := ctx.Last()
+	ci := r.cluster[last]
+	total := r.totals[ci]
+	if total == 0 {
+		return nil
+	}
+	var out []model.Prediction
+	for _, m := range r.members[ci] {
+		if m == last {
+			continue
+		}
+		out = append(out, model.Prediction{Query: m, Score: float64(r.popular[m]) / float64(total)})
+		if len(out) == topN {
+			break
+		}
 	}
 	return out
 }

@@ -53,7 +53,7 @@ import (
 //   - the follower-ID region — the bulk — stays varint-packed (aliased out
 //     of the mapping on little-endian platforms, copied otherwise) and is
 //     decoded per matched node at serve time into pooled scratch, keeping
-//     Predict/PredictInto at zero steady-state allocations;
+//     AppendPredictions at zero steady-state allocations;
 //   - the fixed-width payload arrays (steps, fixed-point probabilities,
 //     ranked views, evidence, occurrences, floors) are viewed zero-copy like
 //     CPS3's.

@@ -118,7 +118,7 @@ type CoverageByLenResult struct {
 
 // Fig11 measures coverage across context lengths for the sequence models.
 func Fig11(c *Corpus, m *Models) CoverageByLenResult {
-	set := []model.Predictor{m.NGram, m.VMM05, m.MVMM}
+	set := []model.Predictor{m.NGram, m.VMM05, m.MVMM, m.Served}
 	var res CoverageByLenResult
 	for l := 1; l <= MaxContextLen; l++ {
 		res.Lengths = append(res.Lengths, l)
@@ -158,7 +158,7 @@ func Table6(c *Corpus, m *Models) Table6Result {
 		isNGram bool
 	}
 	for _, e := range []entry{
-		{m.Cooc, false}, {m.Adj, false}, {m.VMM05, false}, {m.MVMM, false}, {m.NGram, true},
+		{m.Cooc, false}, {m.Adj, false}, {m.VMM05, false}, {m.MVMM, false}, {m.Served, false}, {m.NGram, true},
 	} {
 		res.Models = append(res.Models, e.p.Name())
 		res.Reasons = append(res.Reasons, eval.ReasonCounts(e.p, ts, ctxs, e.isNGram))

@@ -8,6 +8,7 @@ package experiments
 import (
 	"fmt"
 
+	"repro/internal/compiled"
 	"repro/internal/loggen"
 	"repro/internal/markov"
 	"repro/internal/model"
@@ -136,7 +137,8 @@ func (c *Corpus) CoverageContexts(length, limit int) []query.Seq {
 	return ctxs
 }
 
-// Models bundles every trained method under comparison.
+// Models bundles every trained method under comparison, plus the MVMM in the
+// form a server answers from.
 type Models struct {
 	Adj   *pairwise.Adjacency
 	Cooc  *pairwise.Cooccurrence
@@ -145,14 +147,19 @@ type Models struct {
 	VMM05 *markov.VMM
 	VMM10 *markov.VMM
 	MVMM  *markov.MVMM
+	// Served is MVMM compiled, encoded as the CPS5 blob a QRECV006 model
+	// file holds and loaded back from those bytes the way cmd/serve maps
+	// them — "MVMM (compiled, quantised)" in the figures.
+	Served *compiled.Model
 }
 
 // TrainModels trains all seven methods on the corpus's reduced training
-// sessions, matching the paper's Sec. V setup (MVMM = eleven ε values).
-func TrainModels(c *Corpus) *Models {
+// sessions, matching the paper's Sec. V setup (MVMM = eleven ε values), and
+// derives the served MVMM from the trained one.
+func TrainModels(c *Corpus) (*Models, error) {
 	vocab := c.Vocab()
 	train := c.TrainAgg
-	return &Models{
+	m := &Models{
 		Adj:   pairwise.NewAdjacency(train, vocab),
 		Cooc:  pairwise.NewCooccurrence(train, vocab),
 		NGram: markov.NewNGram(train, vocab),
@@ -162,21 +169,33 @@ func TrainModels(c *Corpus) *Models {
 		MVMM: markov.NewMVMMFromEpsilons(train, markov.DefaultEpsilons(), vocab,
 			markov.MVMMOptions{Parallel: true}),
 	}
+	comp, err := compiled.Compile(m.MVMM)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: compiling the served MVMM: %w", err)
+	}
+	blob, err := comp.AppendFlat5(nil)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: encoding the served MVMM as CPS5: %w", err)
+	}
+	if m.Served, err = compiled.FromBytes(blob, compiled.ViewAuto); err != nil {
+		return nil, fmt.Errorf("experiments: loading the served MVMM: %w", err)
+	}
+	return m, nil
 }
 
 // Fig8Set returns the models compared in Fig. 8 (pair-wise vs sequence).
 func (m *Models) Fig8Set() []model.Predictor {
-	return []model.Predictor{m.Adj, m.Cooc, m.NGram, m.MVMM}
+	return []model.Predictor{m.Adj, m.Cooc, m.NGram, m.MVMM, m.Served}
 }
 
 // Fig9Set returns the models compared in Fig. 9 (MVMM vs single VMMs).
 func (m *Models) Fig9Set() []model.Predictor {
-	return []model.Predictor{m.MVMM, m.VMM00, m.VMM05, m.VMM10}
+	return []model.Predictor{m.MVMM, m.Served, m.VMM00, m.VMM05, m.VMM10}
 }
 
 // AllSet returns every method, in the paper's usual presentation order.
 func (m *Models) AllSet() []model.Predictor {
-	return []model.Predictor{m.Cooc, m.Adj, m.NGram, m.VMM00, m.VMM05, m.VMM10, m.MVMM}
+	return []model.Predictor{m.Cooc, m.Adj, m.NGram, m.VMM00, m.VMM05, m.VMM10, m.MVMM, m.Served}
 }
 
 // StudySet returns the four methods of the Sec. V.H user study.

@@ -46,7 +46,10 @@ func RunAll(w io.Writer, opt RunOptions) (*Corpus, *Models, error) {
 
 	// Train all methods once.
 	tTrain := time.Now()
-	m := TrainModels(c)
+	m, err := TrainModels(c)
+	if err != nil {
+		return c, nil, err
+	}
 	fmt.Fprintf(w, "\nAll models trained in %.1fs\n", time.Since(tTrain).Seconds())
 
 	// Sec. V.D — accuracy.

@@ -17,7 +17,6 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"sync"
 
 	"repro/internal/model"
 	"repro/internal/query"
@@ -55,10 +54,6 @@ type Model struct {
 	// logLik records the per-iteration training log10-likelihood, for the
 	// EM monotonicity guarantee (and its test).
 	logLik []float64
-	// scratch pools PredictInto working sets (forward-pass vectors and the
-	// candidate pool) — the per-arm scratch pool behind the zero-allocation
-	// serving contract.
-	scratch sync.Pool
 }
 
 // Train fits an HMM by Baum-Welch over aggregated sessions.
@@ -392,16 +387,46 @@ func (m *Model) Covers(ctx query.Seq) bool {
 	return last < m.vocab && m.seen[last]
 }
 
+// minStateWeight prunes Predict's candidate pool to the next states carrying
+// at least this much posterior mass.
+const minStateWeight = 0.02
+
 // Predict implements model.Predictor: pool each probable next state's top
-// emissions and score them by the exact marginal Σ_z P(z|ctx)·b_z(q). It is
-// PredictInto with a fresh output slice (evaluation convenience; serving
-// goes through PredictInto and recycled buffers).
+// emissions and score them by the exact marginal Σ_z P(z|ctx)·b_z(q), ranked
+// by descending score, ascending ID.
 func (m *Model) Predict(ctx query.Seq, topN int) []model.Prediction {
-	out := m.PredictInto(nil, ctx, topN)
-	if len(out) == 0 {
+	if topN <= 0 || !m.Covers(ctx) {
 		return nil
 	}
-	return out
+	next := m.nextStateDist(ctx)
+	var cands []model.Prediction
+	seen := make(map[query.ID]bool)
+	for i, p := range next {
+		if p < minStateWeight {
+			continue
+		}
+		for _, q := range m.topEmit[i][:min(4*topN, len(m.topEmit[i]))] {
+			if seen[q] {
+				continue
+			}
+			seen[q] = true
+			var score float64
+			for j, w := range next {
+				score += w * m.emit[j][q]
+			}
+			cands = append(cands, model.Prediction{Query: q, Score: score})
+		}
+	}
+	sort.Slice(cands, func(a, b int) bool {
+		if cands[a].Score != cands[b].Score {
+			return cands[a].Score > cands[b].Score
+		}
+		return cands[a].Query < cands[b].Query
+	})
+	if len(cands) > topN {
+		cands = cands[:topN]
+	}
+	return cands
 }
 
 // Prob implements model.Predictor: the exact next-observation marginal.

@@ -127,28 +127,6 @@ func (d *Dist) TopN(n int) []model.Prediction {
 	return out
 }
 
-// AppendTopN appends the n most frequent next queries to dst and returns
-// the extended slice — the zero-allocation variant of TopN for frozen
-// distributions (serving arms freeze at load time; an unfrozen distribution
-// falls back to ranking on the fly). With a recycled dst of sufficient
-// capacity the frozen path performs no allocations.
-func (d *Dist) AppendTopN(dst []model.Prediction, n int) []model.Prediction {
-	if n <= 0 || d.total == 0 {
-		return dst
-	}
-	top := d.ranked
-	if top == nil {
-		top = d.computeRanked()
-	}
-	if len(top) > n {
-		top = top[:n]
-	}
-	for _, q := range top {
-		dst = append(dst, model.Prediction{Query: q, Score: float64(d.counts[q]) / float64(d.total)})
-	}
-	return dst
-}
-
 // Entropy returns the prediction entropy -Σ p log10 p of the distribution,
 // the measure behind the paper's Fig. 2 (e.g. (0.6, 0.4) -> 0.29).
 func (d *Dist) Entropy() float64 {

@@ -413,11 +413,9 @@ func (m *VMM) Predict(ctx query.Seq, topN int) []model.Prediction {
 }
 
 // Prob implements model.Predictor using the deepest matching state with
-// 1/|Q| smoothing. Uncovered contexts return 0.
+// 1/|Q| smoothing. Uncovered contexts, the empty one included, return 0; the
+// root prior is ProbEscape's.
 func (m *VMM) Prob(ctx query.Seq, q query.ID) float64 {
-	if len(ctx) == 0 {
-		return m.root.SmoothedP(q, m.cfg.Vocab)
-	}
 	_, d, ok := m.MatchState(ctx)
 	if !ok {
 		return 0

@@ -115,8 +115,12 @@ func TestVMMProbSmoothedAndNormalised(t *testing.T) {
 
 func TestVMMRootProbIsPrior(t *testing.T) {
 	m := NewVMM(vmmTrainingSessions(), VMMConfig{Epsilon: 0.01, Vocab: 10})
-	if p := m.Prob(nil, 2); p <= 0 {
+	if p := m.ProbEscape(nil, 2); p <= 0 {
 		t.Fatalf("root prior for query 2 = %v", p)
+	}
+	// Prob is model.Predictor's: the empty context is uncovered.
+	if p := m.Prob(nil, 2); p != 0 {
+		t.Fatalf("Prob(empty ctx) = %v, want 0", p)
 	}
 }
 

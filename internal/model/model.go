@@ -1,8 +1,10 @@
-// Package model defines the common interface implemented by every query
-// prediction approach in the repository — the two pair-wise baselines
-// (Adjacency, Co-occurrence) and the three sequential models (variable-length
-// N-gram, VMM, MVMM) — so the evaluation harness can benchmark them
-// uniformly.
+// Package model defines Predictor, the one interface every query prediction
+// model in the repository implements — the two pair-wise baselines
+// (Adjacency, Co-occurrence), the three sequential models (variable-length
+// N-gram, VMM, MVMM), the HMM and cluster extensions, and the compiled MVMM
+// trie a server answers from — so the evaluation harness scores them all,
+// the served bytes included, through one code path. internal/predictortest
+// is its executable specification.
 package model
 
 import "repro/internal/query"

@@ -46,7 +46,7 @@ func freeze(m map[query.ID]*markov.Dist) {
 }
 
 // Name implements model.Predictor. "Adjacency" is the stable display name
-// (table rows); the family identifier is compiled.FamilyAdjacency.
+// (table rows).
 func (m *Adjacency) Name() string { return "Adjacency" }
 
 func (m *Adjacency) dist(ctx query.Seq) *markov.Dist {
@@ -116,7 +116,7 @@ func NewCooccurrence(sessions []query.Session, vocab int) *Cooccurrence {
 }
 
 // Name implements model.Predictor. "Co-occurrence" is the stable display
-// name; the family identifier is compiled.FamilyCooccurrence.
+// name (table rows).
 func (m *Cooccurrence) Name() string { return "Co-occurrence" }
 
 func (m *Cooccurrence) dist(ctx query.Seq) *markov.Dist {

@@ -1,15 +1,15 @@
 package predictortest
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
-	"repro/internal/compiled"
 	"repro/internal/model"
 	"repro/internal/query"
 )
 
-// batchPredictor is the optional batched entry point some families expose
+// batchPredictor is the optional batched entry point some models expose
 // (the compiled MVMM trie). emit is invoked exactly once per context index,
 // in index order; preds is only valid for the duration of the call.
 type batchPredictor interface {
@@ -23,13 +23,13 @@ type parallelBatchPredictor interface {
 }
 
 // checkBatch verifies batched prediction against the one-context-at-a-time
-// baseline. Every family runs the replay check (a second sequential pass
-// over a batch-shaped workload matches the first); families exposing
+// baseline. Every model runs the replay check (a second sequential pass
+// over a batch-shaped workload matches the first); models exposing
 // PredictBatch must additionally emit exactly once per index, in index
-// order, with answers bit-identical to PredictInto, and PredictBatchParallel
+// order, with answers bit-identical to Predict, and PredictBatchParallel
 // the same answers under every worker count (in any order: its workers emit
 // concurrently).
-func checkBatch(t *testing.T, p compiled.Predictor, ctxs []query.Seq) {
+func checkBatch(t *testing.T, p model.Predictor, ctxs []query.Seq) {
 	t.Helper()
 	// A batch large enough to clear the parallel fan-out's sequential
 	// fallback, with repeated contexts, varied n, and the indices that answer
@@ -42,10 +42,9 @@ func checkBatch(t *testing.T, p compiled.Predictor, ctxs []query.Seq) {
 			ns = append(ns, 1+(len(bctxs)+i)%5)
 		}
 	}
-	unknown := query.ID(p.Shape().Vocab)
 	uncovered := []query.Seq{{unknown}, {0, unknown}}
 	for _, ctx := range uncovered {
-		if got := p.PredictInto(nil, ctx, 5); len(got) != 0 {
+		if got := p.Predict(ctx, 5); len(got) != 0 {
 			t.Fatalf("the uncovered context %v answered %d predictions", ctx, len(got))
 		}
 	}
@@ -54,14 +53,14 @@ func checkBatch(t *testing.T, p compiled.Predictor, ctxs []query.Seq) {
 	want := make([][]model.Prediction, len(bctxs))
 	for i, ctx := range bctxs {
 		if ns[i] > 0 {
-			want[i] = p.PredictInto(nil, ctx, ns[i])
+			want[i] = p.Predict(ctx, ns[i])
 		}
 	}
 
 	// Replay parity: batch-shaped sequential serving is deterministic.
 	for i, ctx := range bctxs {
 		if ns[i] > 0 {
-			assertSamePreds(t, "replay", i, p.PredictInto(nil, ctx, ns[i]), want[i])
+			assertSamePreds(t, fmt.Sprintf("replay: index %d", i), p.Predict(ctx, ns[i]), want[i])
 		}
 	}
 
@@ -92,7 +91,7 @@ func checkBatch(t *testing.T, p compiled.Predictor, ctxs []query.Seq) {
 			}
 		}
 		for i := range want {
-			assertSamePreds(t, "PredictBatch", i, got[i], want[i])
+			assertSamePreds(t, fmt.Sprintf("PredictBatch: index %d", i), got[i], want[i])
 		}
 	}
 	if pp, ok := p.(parallelBatchPredictor); ok {
@@ -101,22 +100,23 @@ func checkBatch(t *testing.T, p compiled.Predictor, ctxs []query.Seq) {
 				pp.PredictBatchParallel(bctxs, ns, workers, emit)
 			})
 			for i := range want {
-				assertSamePreds(t, "PredictBatchParallel", i, got[i], want[i])
+				assertSamePreds(t, fmt.Sprintf("PredictBatchParallel(%d workers): index %d", workers, i), got[i], want[i])
 			}
 		}
 	}
 }
 
-// assertSamePreds requires bit-identical predictions — batched serving may
-// not drift from the sequential answer by even an ulp.
-func assertSamePreds(t *testing.T, label string, i int, got, want []model.Prediction) {
+// assertSamePreds requires bit-identical predictions — a second call, a
+// recycled buffer or a batch may not drift from Predict's answer by even an
+// ulp.
+func assertSamePreds(t *testing.T, what string, got, want []model.Prediction) {
 	t.Helper()
 	if len(got) != len(want) {
-		t.Fatalf("%s: index %d answered %d predictions, want %d", label, i, len(got), len(want))
+		t.Fatalf("%s: answered %d predictions, want %d", what, len(got), len(want))
 	}
 	for j := range want {
 		if got[j] != want[j] {
-			t.Fatalf("%s: index %d rank %d: %+v, want %+v", label, i, j, got[j], want[j])
+			t.Fatalf("%s: rank %d: %+v, want %+v", what, j, got[j], want[j])
 		}
 	}
 }

@@ -1,43 +1,62 @@
 // Package predictortest is the executable specification of the
-// compiled.Predictor contract. Every model family — the served compiled
-// MVMM trie, and the HMM, cluster recommender and pairwise baselines the
-// paper compares it with — runs the same conformance suite, so "implements
-// Predictor" means one verified thing rather than five ad-hoc ones.
+// model.Predictor contract. Every model in the repository — the paper's
+// seven (Adjacency, Co-occurrence, N-gram, three VMMs, the MVMM), the HMM
+// and cluster extensions, and the compiled MVMM trie, exact and as the CPS5
+// bytes a model file holds — runs the same suite, so "implements
+// model.Predictor" means one verified thing rather than eleven ad-hoc ones.
 //
-// Usage, from a family's own test file:
+// Usage, from a model's own test file:
 //
 //	predictortest.Run(t, p, ctxs)
 //
-// where ctxs are contexts the model is expected to cover. The suite checks
-// determinism, ranking discipline (descending scores, no duplicate IDs,
-// topN respected, smaller topN is a prefix of larger), Prob consistency with
-// PredictInto, dst append semantics, and — when Shape advertises ZeroAlloc —
-// that PredictInto performs no steady-state allocations.
+// where ctxs holds at least one context the model covers. The suite checks
+// ranking discipline (topN respected, the topN=3 answer a prefix of the
+// topN=5 one, descending positive scores, no duplicate IDs), determinism,
+// that the caller owns every answer, Prob in (0, 1] for every predicted query
+// and 0 for an empty context, and that Covers(ctx) holds exactly when
+// Predict(ctx, 5) answers — on ctxs, on the empty context and on contexts
+// holding an ID past any vocabulary. Models with an appending or a batched
+// entry point (the compiled trie) must answer through it exactly as Predict
+// does.
 package predictortest
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
-	"repro/internal/compiled"
 	"repro/internal/model"
 	"repro/internal/query"
 )
 
-// Run exercises the full Predictor contract against p. ctxs must contain at
-// least one context the model covers (PredictInto returns predictions for
-// it); uncovered contexts are allowed and exercise the empty-answer path.
-func Run(t *testing.T, p compiled.Predictor, ctxs []query.Seq) {
+// unknown is a query ID past any vocabulary the repository trains, so the
+// suite needs no model to report its vocabulary size.
+const unknown = query.ID(math.MaxInt32)
+
+// Run exercises the model.Predictor contract against p. ctxs must contain at
+// least one context the model covers; uncovered contexts are allowed and
+// exercise the empty-answer path.
+func Run(t *testing.T, p model.Predictor, ctxs []query.Seq) {
 	t.Helper()
-	shape := p.Shape()
-	t.Run("shape", func(t *testing.T) { checkShape(t, shape) })
+	if p.Name() == "" {
+		t.Error("Name() is empty")
+	}
 	t.Run("empty-context", func(t *testing.T) {
-		if got := p.PredictInto(nil, nil, 5); len(got) != 0 {
-			t.Errorf("PredictInto(nil ctx) returned %d predictions, want 0", len(got))
+		for _, ctx := range []query.Seq{nil, {}} {
+			if got := p.Predict(ctx, 5); len(got) != 0 {
+				t.Errorf("Predict(%#v) returned %d predictions, want 0", ctx, len(got))
+			}
+			if p.Covers(ctx) {
+				t.Errorf("Covers(%#v) = true, want false", ctx)
+			}
+			if got := p.Prob(ctx, 0); got != 0 {
+				t.Errorf("Prob(%#v, 0) = %v, want 0", ctx, got)
+			}
 		}
 	})
 	covered := 0
 	for _, ctx := range ctxs {
-		if len(p.PredictInto(nil, ctx, 5)) > 0 {
+		if len(p.Predict(ctx, 5)) > 0 {
 			covered++
 		}
 	}
@@ -48,39 +67,18 @@ func Run(t *testing.T, p compiled.Predictor, ctxs []query.Seq) {
 	t.Run("determinism", func(t *testing.T) { checkDeterminism(t, p, ctxs) })
 	t.Run("append-semantics", func(t *testing.T) { checkAppend(t, p, ctxs) })
 	t.Run("prob", func(t *testing.T) { checkProb(t, p, ctxs) })
+	t.Run("covers", func(t *testing.T) { checkCovers(t, p, ctxs) })
 	t.Run("batch", func(t *testing.T) { checkBatch(t, p, ctxs) })
-	if shape.ZeroAlloc {
-		t.Run("zero-alloc", func(t *testing.T) { checkZeroAlloc(t, p, ctxs) })
-	}
-}
-
-func checkShape(t *testing.T, s compiled.Shape) {
-	t.Helper()
-	switch s.Family {
-	case compiled.FamilyMVMM, compiled.FamilyHMM, compiled.FamilyCluster,
-		compiled.FamilyAdjacency, compiled.FamilyCooccurrence:
-	default:
-		t.Errorf("Shape().Family = %q, not a stable family identifier", s.Family)
-	}
-	if s.Label == "" {
-		t.Error("Shape().Label is empty")
-	}
-	if s.Vocab <= 0 {
-		t.Errorf("Shape().Vocab = %d, want > 0", s.Vocab)
-	}
-	if s.States < 0 || s.Depth < 0 {
-		t.Errorf("negative geometry: states=%d depth=%d", s.States, s.Depth)
-	}
 }
 
 // checkRanking verifies the per-call ranking discipline on every context:
 // at most topN results, descending scores, no duplicate query IDs, every
-// score positive, and the topN=k answer a prefix of the topN=k+2 answer.
-func checkRanking(t *testing.T, p compiled.Predictor, ctxs []query.Seq) {
+// score positive, and the topN=3 answer a prefix of the topN=5 answer.
+func checkRanking(t *testing.T, p model.Predictor, ctxs []query.Seq) {
 	t.Helper()
 	for _, ctx := range ctxs {
-		small := p.PredictInto(nil, ctx, 3)
-		large := p.PredictInto(nil, ctx, 5)
+		small := p.Predict(ctx, 3)
+		large := p.Predict(ctx, 5)
 		if len(small) > 3 || len(large) > 5 {
 			t.Fatalf("ctx %v: more predictions than topN (%d > 3 or %d > 5)", ctx, len(small), len(large))
 		}
@@ -108,50 +106,55 @@ func checkRanking(t *testing.T, p compiled.Predictor, ctxs []query.Seq) {
 	}
 }
 
-func checkDeterminism(t *testing.T, p compiled.Predictor, ctxs []query.Seq) {
+func checkDeterminism(t *testing.T, p model.Predictor, ctxs []query.Seq) {
 	t.Helper()
 	for _, ctx := range ctxs {
-		a := p.PredictInto(nil, ctx, 5)
-		b := p.PredictInto(nil, ctx, 5)
-		if len(a) != len(b) {
-			t.Fatalf("ctx %v: non-deterministic answer length %d vs %d", ctx, len(a), len(b))
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("ctx %v: non-deterministic rank %d: %+v vs %+v", ctx, i, a[i], b[i])
-			}
-		}
+		assertSamePreds(t, fmt.Sprintf("ctx %v: a second Predict", ctx), p.Predict(ctx, 5), p.Predict(ctx, 5))
 	}
 }
 
-// checkAppend verifies PredictInto appends: pre-existing dst elements
-// survive, and a recycled dst produces the same answer as a nil one.
-func checkAppend(t *testing.T, p compiled.Predictor, ctxs []query.Seq) {
+// appender is the optional allocation-free entry point (the compiled trie's
+// AppendPredictions): it appends to dst and must not retain dst or ctx.
+type appender interface {
+	AppendPredictions(dst []model.Prediction, ctx query.Seq, topN int) []model.Prediction
+}
+
+// checkAppend verifies that the caller owns every answer: scribbling over
+// one Predict result changes no later one. Models with AppendPredictions
+// must also append — pre-existing dst elements survive, and a recycled dst
+// answers exactly as Predict does.
+func checkAppend(t *testing.T, p model.Predictor, ctxs []query.Seq) {
 	t.Helper()
-	sentinel := model.Prediction{Query: 1<<31 - 1, Score: -1}
+	sentinel := model.Prediction{Query: unknown, Score: -1}
+	for _, ctx := range ctxs {
+		want := p.Predict(ctx, 5)
+		scribbled := p.Predict(ctx, 5)
+		for i := range scribbled {
+			scribbled[i] = sentinel
+		}
+		assertSamePreds(t, fmt.Sprintf("ctx %v: Predict after scribbling over an earlier answer", ctx), p.Predict(ctx, 5), want)
+	}
+	ap, ok := p.(appender)
+	if !ok {
+		return
+	}
 	buf := make([]model.Prediction, 0, 64)
 	for _, ctx := range ctxs {
-		want := p.PredictInto(nil, ctx, 5)
-		got := p.PredictInto(append(buf[:0], sentinel), ctx, 5)
+		want := p.Predict(ctx, 5)
+		got := ap.AppendPredictions(append(buf[:0], sentinel), ctx, 5)
 		if len(got) != len(want)+1 || got[0] != sentinel {
-			t.Fatalf("ctx %v: PredictInto did not append (len %d, want %d; head %+v)", ctx, len(got), len(want)+1, got[0])
+			t.Fatalf("ctx %v: AppendPredictions did not append (len %d, want %d; head %+v)", ctx, len(got), len(want)+1, got[0])
 		}
-		for i, pr := range got[1:] {
-			if pr != want[i] {
-				t.Fatalf("ctx %v: recycled-dst answer diverges at rank %d: %+v vs %+v", ctx, i, pr, want[i])
-			}
-		}
+		assertSamePreds(t, fmt.Sprintf("ctx %v: AppendPredictions into a recycled dst", ctx), got[1:], want)
 	}
 }
 
-// checkProb verifies Prob agrees with PredictInto: every predicted query has
-// positive probability under the same context, and the top prediction's
-// probability is no smaller than the bottom one's.
-func checkProb(t *testing.T, p compiled.Predictor, ctxs []query.Seq) {
+// checkProb verifies Prob agrees with Predict: every predicted query has a
+// probability in (0, 1] under the same context.
+func checkProb(t *testing.T, p model.Predictor, ctxs []query.Seq) {
 	t.Helper()
 	for _, ctx := range ctxs {
-		preds := p.PredictInto(nil, ctx, 5)
-		for _, pr := range preds {
+		for _, pr := range p.Predict(ctx, 5) {
 			pb := p.Prob(ctx, pr.Query)
 			if pb <= 0 {
 				t.Fatalf("ctx %v: predicted query %d has Prob %v, want > 0", ctx, pr.Query, pb)
@@ -161,29 +164,20 @@ func checkProb(t *testing.T, p compiled.Predictor, ctxs []query.Seq) {
 			}
 		}
 	}
-	if got := p.Prob(nil, 0); got != 0 {
-		t.Errorf("Prob(empty ctx) = %v, want 0", got)
-	}
 }
 
-// checkZeroAlloc holds implementations to the advertised ZeroAlloc contract:
-// with a recycled, pre-sized dst, steady-state PredictInto allocates nothing.
-func checkZeroAlloc(t *testing.T, p compiled.Predictor, ctxs []query.Seq) {
+// checkCovers verifies that Covers(ctx) holds exactly when Predict(ctx, 5)
+// answers, over ctxs, the empty context, and contexts that start with, end
+// with or consist of an ID no model was trained on.
+func checkCovers(t *testing.T, p model.Predictor, ctxs []query.Seq) {
 	t.Helper()
-	if raceEnabled {
-		t.Skip("allocation counts are meaningless under the race detector")
-	}
-	dst := make([]model.Prediction, 0, 64)
-	// Warm pooled scratch before measuring.
+	probe := []query.Seq{nil, {}, {unknown}, {0, unknown}}
 	for _, ctx := range ctxs {
-		dst = p.PredictInto(dst[:0], ctx, 5)
+		probe = append(probe, ctx, append(ctx.Clone(), unknown), append(query.Seq{unknown}, ctx...))
 	}
-	allocs := testing.AllocsPerRun(100, func() {
-		for _, ctx := range ctxs {
-			dst = p.PredictInto(dst[:0], ctx, 5)
+	for _, ctx := range probe {
+		if covers, n := p.Covers(ctx), len(p.Predict(ctx, 5)); covers != (n > 0) {
+			t.Fatalf("ctx %v: Covers = %v but Predict answered %d predictions", ctx, covers, n)
 		}
-	})
-	if allocs != 0 {
-		t.Errorf("PredictInto allocates %.1f times per run despite Shape().ZeroAlloc", allocs)
 	}
 }

@@ -4,16 +4,18 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/compiled"
 	"repro/internal/core"
 	"repro/internal/hmm"
 	"repro/internal/logfmt"
+	"repro/internal/markov"
 	"repro/internal/pairwise"
 	"repro/internal/predictortest"
 	"repro/internal/query"
 )
 
 // trainingData builds a small shared corpus: two refinement chains with
-// enough repetition that every family produces confident answers.
+// enough repetition that every model produces confident answers.
 func trainingData() (*query.Dict, []query.Session, []query.Seq) {
 	d := query.NewDict()
 	seq := func(queries ...string) query.Seq {
@@ -46,21 +48,66 @@ func trainingData() (*query.Dict, []query.Session, []query.Seq) {
 	return d, sessions, ctxs
 }
 
-func TestCompiledModelConformance(t *testing.T) {
+// compiledModel compiles the MVMM core trains on the shared corpus.
+func compiledModel(t *testing.T) (*compiled.Model, []query.Seq) {
+	t.Helper()
 	d, sessions, ctxs := trainingData()
 	cfg := core.DefaultConfig()
 	cfg.Epsilons = []float64{0.0, 0.05}
 	cfg.Mixture.TrainSample = 50
 	cfg.Mixture.NewtonIters = 3
-	rec := core.TrainFromAggregated(d, sessions, cfg)
-	cm := rec.CompiledModel()
+	cm := core.TrainFromAggregated(d, sessions, cfg).CompiledModel()
 	if cm == nil {
 		t.Fatal("training produced no compiled model")
 	}
-	if long := ctxs[len(ctxs)-1]; len(long) <= 32 || len(cm.PredictInto(nil, long, 5)) == 0 {
+	return cm, ctxs
+}
+
+func TestCompiledModelConformance(t *testing.T) {
+	cm, ctxs := compiledModel(t)
+	if long := ctxs[len(ctxs)-1]; len(long) <= 32 || len(cm.Predict(long, 5)) == 0 {
 		t.Fatalf("the %d-query context is not answered: no stage runs past the weight table", len(long))
 	}
 	predictortest.Run(t, cm, ctxs)
+}
+
+// TestCompiledCPS5Conformance holds the trie a server maps — the CPS5 blob a
+// model file carries, loaded back zero-copy — to the same contract.
+func TestCompiledCPS5Conformance(t *testing.T) {
+	cm, ctxs := compiledModel(t)
+	blob, err := cm.AppendFlat5(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	served, err := compiled.FromBytes(blob, compiled.ViewAuto)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !served.Quantised() {
+		t.Fatal("the CPS5 load is not quantised")
+	}
+	predictortest.Run(t, served, ctxs)
+}
+
+func TestNGramConformance(t *testing.T) {
+	d, sessions, ctxs := trainingData()
+	predictortest.Run(t, markov.NewNGram(sessions, d.Len()), ctxs)
+}
+
+// TestVMMConformance runs the three single VMMs of the paper's Fig. 9.
+func TestVMMConformance(t *testing.T) {
+	d, sessions, ctxs := trainingData()
+	for _, eps := range []float64{0, 0.05, 0.1} {
+		m := markov.NewVMM(sessions, markov.VMMConfig{Epsilon: eps, Vocab: d.Len()})
+		t.Run(m.Name(), func(t *testing.T) { predictortest.Run(t, m, ctxs) })
+	}
+}
+
+func TestMVMMConformance(t *testing.T) {
+	d, sessions, ctxs := trainingData()
+	m := markov.NewMVMMFromEpsilons(sessions, markov.DefaultEpsilons(), d.Len(),
+		markov.MVMMOptions{TrainSample: 50, NewtonIters: 3})
+	predictortest.Run(t, m, ctxs)
 }
 
 func TestHMMConformance(t *testing.T) {

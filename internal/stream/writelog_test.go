@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -216,4 +217,91 @@ func TestWALCommitIsDurabilityBarrier(t *testing.T) {
 	if st.LastSeq != 1 || st.Truncated == 0 {
 		t.Fatalf("torn segment not truncated: %+v", st)
 	}
+}
+
+// FuzzOpenWAL feeds arbitrary bytes to the write-log decoder as an existing
+// log file. Whatever the bytes, OpenWAL must not panic; a refusal must be
+// ErrWALCorrupt or ErrWALMismatch; and an accepted log must be left as the
+// input minus exactly the torn tail it reports, which a second OpenWAL then
+// replays to the same state with nothing left to truncate.
+func FuzzOpenWAL(f *testing.F) {
+	dir := f.TempDir()
+	fresh := filepath.Join(dir, "fresh.wal")
+	w, _, err := OpenWAL(fresh, testHeader)
+	if err != nil {
+		f.Fatal(err)
+	}
+	w.Close()
+	headerOnly, err := os.ReadFile(fresh)
+	if err != nil {
+		f.Fatal(err)
+	}
+	full := filepath.Join(dir, "full.wal")
+	if w, _, err = OpenWAL(full, testHeader); err != nil {
+		f.Fatal(err)
+	}
+	for _, e := range []SegmentEntry{seg(1, 100, []string{"free mp3", "free music"}), seg(2, 250)} {
+		if err := w.AppendSegment(e); err != nil {
+			f.Fatal(err)
+		}
+	}
+	if err := w.AppendCommit(CommitEntry{Seq: 2, ModelPath: "model.bin", Sessions: 1}); err != nil {
+		f.Fatal(err)
+	}
+	if err := w.AppendSegment(seg(3, 400, []string{"napster"})); err != nil {
+		f.Fatal(err)
+	}
+	w.Close()
+	valid, err := os.ReadFile(full)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	f.Add([]byte{})
+	for _, cut := range []int{1, frameHead, len(headerOnly), len(headerOnly) + frameHead + 3, len(valid) - 1} {
+		f.Add(valid[:cut])
+	}
+	for _, at := range []int{0, 2, 6, frameHead + 2, len(headerOnly), len(headerOnly) + 1, len(headerOnly) + frameHead + 5, len(valid) - 2} {
+		flipped := bytes.Clone(valid)
+		flipped[at] ^= 0x40
+		f.Add(flipped)
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "fuzz.wal")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		w, st, err := OpenWAL(path, testHeader)
+		if err != nil {
+			if !errors.Is(err, ErrWALCorrupt) && !errors.Is(err, ErrWALMismatch) {
+				t.Fatalf("error wraps neither ErrWALCorrupt nor ErrWALMismatch: %v", err)
+			}
+			return
+		}
+		w.Close()
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := data[:int64(len(data))-st.Truncated]
+		if len(data) == 0 {
+			want = headerOnly // a fresh log starts with its header record
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("accepted log left %d bytes on disk, want the %d-byte input minus its %d torn bytes", len(got), len(data), st.Truncated)
+		}
+		w2, st2, err := OpenWAL(path, testHeader)
+		if err != nil {
+			t.Fatalf("reopening an accepted log: %v", err)
+		}
+		w2.Close()
+		if st2.Truncated != 0 {
+			t.Fatalf("reopen truncated %d more bytes", st2.Truncated)
+		}
+		st2.Truncated = st.Truncated
+		if !reflect.DeepEqual(st2, st) {
+			t.Fatalf("reopen replayed a different state:\n got %+v\nwant %+v", st2, st)
+		}
+	})
 }
