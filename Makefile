@@ -4,12 +4,14 @@
 GO ?= go
 
 # The benchmarks `make bench-gates` runs: exactly the ones BENCH_GATES names.
-SERVING_BENCH = ^(BenchmarkRecommendUncached|BenchmarkServeHTTPCached|BenchmarkRouteAB|BenchmarkServeHTTPCachedTraced|BenchmarkHistogramRecord|BenchmarkShardFanout64|BenchmarkRouterGET|BenchmarkShardFanout64R2|BenchmarkPredictCPS5|BenchmarkIngestSegment)$$
+SERVING_BENCH = ^(BenchmarkServeHTTPCached|BenchmarkRouteAB|BenchmarkServeHTTPCachedTraced|BenchmarkHistogramRecord|BenchmarkShardFanout64|BenchmarkRouterGET|BenchmarkShardFanout64R2|BenchmarkIngestSegment)$$
 # Override for quick smoke runs: make bench-gates BENCHTIME=10x
 BENCHTIME ?= 1s
-# Regression gates checked by cmd/benchjson: the cached HTTP serving path, the
-# fleet A/B routing path and the predict path (the CPS5 descent a model file
-# serves) must stay within their allocation budgets, and the 3-shard
+# Regression gates checked by cmd/benchjson: the cached HTTP serving path and
+# the fleet A/B routing path must stay within their allocation budgets (the
+# predict path's zero — the CPS5 descent a model file serves — is pinned in
+# `make test` by TestAppendSuggestionsZeroAllocs and TestFlat5ZeroAllocs),
+# and the 3-shard
 # batch fan-out must hold the pooled span-forwarding path: 20 allocs/batch at steady state (the
 # benchmark's own request 10, a body limiter per handler 4, the round's one
 # attempt context 1, its two call goroutines 5), 24 while the tracers'
@@ -31,9 +33,6 @@ BENCHTIME ?= 1s
 # forwarded URI; the shard path adds none): one more means a derived context,
 # a goroutine, a channel or a closure crept back onto the unhedged path.
 # TestRouterGETAllocs pins the same 2 in `make test`.
-# The uncached recommend path is gated at 0: Engine.AppendSuggestions predicts
-# into an array on its own stack, and one allocation there means that array
-# escaped.
 # The instruments are priced in clock reads timed in the same run
 # (internal/obs: INSTRUMENT_BENCH, clock-reads = the sequence's cost ÷ one
 # monotonic read's): the direct GET's and the routed hop's sequences — three
@@ -42,7 +41,7 @@ BENCHTIME ?= 1s
 # monotonic) in place of obs.Now 5.9–6.5, so the 6.0 ceilings fail the first
 # always and the second in most host phases.
 INSTRUMENT_BENCH = ^(BenchmarkRequestInstrument|BenchmarkRoutedInstrument)$$
-BENCH_GATES = -gate BenchmarkRecommendUncached=0 -gate BenchmarkServeHTTPCached=2 -gate BenchmarkRouteAB=0 -gate BenchmarkServeHTTPCachedTraced=0 -gate BenchmarkHistogramRecord=0 -gate BenchmarkShardFanout64=60 -gate BenchmarkRouterGET=2 -gate BenchmarkShardFanout64R2:fanout-r2-over-r1=1.5 -gate BenchmarkPredictCPS5=0 -gate BenchmarkIngestSegment=6000 -gate BenchmarkRequestInstrument:clock-reads=6.0 -gate BenchmarkRoutedInstrument:clock-reads=6.0
+BENCH_GATES = -gate BenchmarkServeHTTPCached=2 -gate BenchmarkRouteAB=0 -gate BenchmarkServeHTTPCachedTraced=0 -gate BenchmarkHistogramRecord=0 -gate BenchmarkShardFanout64=60 -gate BenchmarkRouterGET=2 -gate BenchmarkShardFanout64R2:fanout-r2-over-r1=1.5 -gate BenchmarkIngestSegment=6000 -gate BenchmarkRequestInstrument:clock-reads=6.0 -gate BenchmarkRoutedInstrument:clock-reads=6.0
 
 .PHONY: all build test race race-repeat fuzz-smoke fuzz-grammar examples bench bench-gates bench-e2e bench-pairs chaos ingest-test obs-test fmt fmt-check vet check-docs check-api check-lines ci serve loadgen clean
 
@@ -84,13 +83,15 @@ fuzz-smoke:
 		done; \
 	done
 
-# The request grammar's fuzz targets, 5 s each, in ci: the two walkers against
-# their oracles (internal/jsonspan) and arbitrary bodies through a router and a
-# single handler side by side (internal/fleet). fuzz-smoke's loop over a fixed
-# list: six parser bugs in five PRs were each found by a differential test
-# somebody had to think of first.
+# The untrusted-input fuzz targets, 5 s each, in ci: the two request walkers
+# against their oracles (internal/jsonspan), arbitrary bodies through a router
+# and a single handler side by side (internal/fleet), and arbitrary bytes
+# through the CPS5 model decoder, which runs at load on mapped bytes whose CRC
+# a zero-copy load does not check (internal/compiled). fuzz-smoke's loop over a
+# fixed list: six parser bugs in five PRs were each found by a differential
+# test somebody had to think of first.
 fuzz-grammar:
-	@for t in ./internal/jsonspan:FuzzBatchWalker ./internal/jsonspan:FuzzQueryWalker ./internal/fleet:FuzzRoutedBatchNeverBlamesShard; do \
+	@for t in ./internal/jsonspan:FuzzBatchWalker ./internal/jsonspan:FuzzQueryWalker ./internal/fleet:FuzzRoutedBatchNeverBlamesShard ./internal/compiled:FuzzFlat5Decode; do \
 		echo "== $$t"; \
 		$(GO) test -run=NONE -fuzz="^$${t#*:}\$$" -fuzztime=5s -fuzzminimizetime=1s $${t%:*} || exit 1; \
 	done
@@ -187,7 +188,7 @@ check-api: vet
 # Line-count ratchet: the non-test Go lines outside bench/ and dot-directories
 # may not grow past LINES_CEILING. A PR that shrinks the code lowers the
 # ceiling to its new count; a PR that raises it says why in CHANGES.md.
-LINES_CEILING = 21212
+LINES_CEILING = 21180
 check-lines:
 	@n=$$(find . -path ./bench -prune -o -path './.*' -prune -o -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l); \
 	echo "non-test Go lines: $$n (ceiling $(LINES_CEILING))"; \

@@ -393,10 +393,8 @@ func BenchmarkSuggestUncached(b *testing.B) {
 // BenchmarkRecommendUncached is the steady-state uncached predict path the
 // compiled PST was built for: contexts are pre-interned (as the cache front
 // does per request) and suggestions land in a recycled buffer, so ns/op is
-// pure model work and allocs/op must be zero — CI gates it there: the
-// prediction scratch is an array on AppendSuggestions' own stack, and an
-// allocation means it escaped. Serial and warmed so the count is the hot
-// path's own at any -benchtime and GOMAXPROCS.
+// pure model work. Its zero allocations are pinned by
+// TestAppendSuggestionsZeroAllocs (internal/core) on a mapped model file.
 func BenchmarkRecommendUncached(b *testing.B) {
 	rec, _ := serveBenchSetup(b)
 	c, _ := benchSetup(b)
@@ -455,41 +453,6 @@ func BenchmarkPredictCompiled(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		buf = cm.AppendPredictions(buf[:0], ctxs[i%len(ctxs)], 5)
-	}
-}
-
-// BenchmarkPredictCPS5 measures the compiled descent on the compact CPS5
-// form a model file carries — fixed-point probabilities, varint-delta
-// follower IDs decoded lazily per matched node. allocs/op must stay 0.
-func BenchmarkPredictCPS5(b *testing.B) {
-	rec, _ := serveBenchSetup(b)
-	c, _ := benchSetup(b)
-	ctxs := c.TestContexts(2, 256)
-	if len(ctxs) == 0 {
-		b.Skip("no contexts")
-	}
-	cm := rec.CompiledModel()
-	if cm == nil {
-		b.Fatal("recommender did not compile")
-	}
-	blob, err := cm.AppendFlat5(nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	qm, err := compiled.FromBytes(blob, compiled.ViewAuto)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if !qm.Quantised() {
-		b.Fatal("CPS5 load is not quantised")
-	}
-	buf := make([]model.Prediction, 0, 8)
-	for _, ctx := range ctxs { // warm the scratch pool to steady state
-		buf = qm.AppendPredictions(buf[:0], ctx, 5)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf = qm.AppendPredictions(buf[:0], ctxs[i%len(ctxs)], 5)
 	}
 }
 

@@ -16,13 +16,16 @@
 //     the whole escape chain of a context is read off the descent path,
 //   - followers precomputed twice per node: ranked (count-descending, the
 //     frozen TopN order) for candidate pooling and ID-sorted with smoothed
-//     probabilities for O(log f) score lookups.
+//     probabilities for O(log f) score lookups,
+//   - a root index that makes the descent's first, widest step one load.
 //
 // One trie descent then answers everything Predict needs — every component's
 // matched state (deepest path node with the component's bit), the Eq. (4)
-// mixture weights, the Eq. (5) escape-chain factors and the candidate
-// scores — with zero heap allocations: scratch comes from a sync.Pool and
-// top-N selection uses a bounded heap instead of sorting all candidates.
+// mixture weights, the Eq. (5) escape-chain factors (each path level's Eq. (6)
+// factor computed once and shared by every component's chain) and the
+// candidate scores — with zero heap allocations: scratch comes from a
+// sync.Pool and top-N selection uses a bounded heap instead of sorting all
+// candidates.
 //
 // The build phase (training, σ learning, KL pruning) keeps the mutable
 // map-based representation; Compile freezes it into this read-optimised form,
@@ -45,8 +48,9 @@
 //     follower-ID lists delta-encoded and varint-packed per node, CSR
 //     offsets as varint count streams. About 40% of the CPS3 size at a
 //     bounded (≤ qstep/2 per node, ≤ ~2e-5 absolute) probability error.
-//     The packed follower-ID region is decoded per matched node at serve
-//     time into pooled scratch, so prediction stays allocation-free.
+//     The packed follower-ID region is decoded once, at load, so CPS5 and
+//     exact models share one descent and differ only in where a follower's
+//     probability is read from.
 //     Models loaded from CPS5 report Quantised() == true and cannot be
 //     re-encoded as CPS3 (raw counts are not stored); a model CPS5 cannot
 //     hold is refused with ErrUnquantisable.
@@ -56,7 +60,8 @@
 // models are immutable and safe for unbounded concurrent readers, and a
 // corrupted flat blob loaded without its CRC check (the zero-copy path,
 // which must not fault every page in) can misrank but can never panic or
-// index out of bounds.
+// index out of bounds — nor make its load allocate by a header word or a
+// varint value rather than by the blob's own length.
 package compiled
 
 import (
@@ -95,6 +100,7 @@ type Model struct {
 	// no child-node array is needed.
 	childStart []int32
 	childKey   []uint32
+	rootChild  []int32 // root index: rootChild[sym] = the root's child over sym, or -1 (initServing)
 
 	// Per-node payload, indexed by node ID. Exactly one representation is
 	// populated per array: the wide float64/uint64 slices for models built by
@@ -117,15 +123,14 @@ type Model struct {
 	// for binary-search probability lookups. folCount holds the raw counts in
 	// sorted order for serialisation and introspection.
 	//
-	// Exact models (Compile, CPS3) carry folIDRanked/folPRanked/folIDSorted/
-	// folPSorted/folCount in uint32/float64/uint64. Quantised (CPS5-loaded)
-	// models carry none of those: folQSorted holds fixed-point uint16
-	// probabilities dequantised via the per-node qstep, folRankIdx the ranked
-	// view as uint16 indices into the node's ID-sorted range, and the
-	// follower IDs stay varint-packed in folIDVar (non-nil ⇔ quantised) —
-	// folOff[v]..folOff[v+1] bounds node v's packed group, decoded into
-	// pooled scratch per matched node at serve time. Raw counts are not
-	// preserved, so a quantised model cannot be re-encoded as CPS3.
+	// Every model carries folIDSorted. Exact models (Compile, CPS3) also
+	// carry folIDRanked/folPRanked/folPSorted/folCount in
+	// uint32/float64/uint64. Quantised (CPS5-loaded) models carry none of
+	// those: folQSorted holds fixed-point uint16 probabilities dequantised via
+	// the per-node qstep (non-nil ⇔ quantised), folRankIdx the ranked view as
+	// uint16 indices into the node's ID-sorted range, and folIDSorted is
+	// decoded from the blob's varint-packed region once, at load. Raw counts
+	// are not preserved, so a quantised model cannot be re-encoded as CPS3.
 	folStart    []int32
 	folIDRanked []uint32
 	folPRanked  []float64
@@ -135,8 +140,6 @@ type Model struct {
 	folQSorted  []uint16
 	folRankIdx  []uint16
 	qstep       []float32 // per-node dequantisation step: p = qstep[v] * q
-	folIDVar    []byte
-	folOff      []int32
 
 	nodes int // node count including the root (len of the per-node arrays)
 
@@ -416,7 +419,7 @@ func (c *Model) layout(nodes map[string]*nodeInfo) {
 		c.appendFollowers(v, ids, counts)
 	}
 	c.folStart = append(c.folStart, int32(len(c.folIDSorted)))
-	c.initServing()
+	c.initServing(c.vocab)
 }
 
 // parentID resolves a key's parent node (the key minus its oldest query).
@@ -508,7 +511,7 @@ func (c *Model) Followers() int { return int(c.folStart[len(c.folStart)-1]) }
 // (bounded-error dequantisation) rather than the exact float64 arrays and
 // raw counts a model built by Compile or loaded from CPS3 carries. Only a
 // model that is not quantised can be written as CPS3.
-func (c *Model) Quantised() bool { return c.folIDVar != nil }
+func (c *Model) Quantised() bool { return c.qstep != nil }
 
 // Per-node accessors bridging the exact (wide) and quantised (narrow) array
 // representations; the nil check resolves to the populated one. The branch

@@ -277,7 +277,7 @@ func fromBytes(data []byte, mode ViewMode) (*Model, bool, error) {
 	if err := c.validateStructure(edges, fols); err != nil {
 		return nil, false, err
 	}
-	c.initServing()
+	c.initServing(len(data))
 	return c, viewed, nil
 }
 

@@ -46,14 +46,11 @@ import (
 //
 // Varint data cannot be viewed zero-copy, so CPS5 splits the load:
 //
-//   - the CSR skeleton (child offsets, child keys, follower offsets, the
-//     per-node byte extents of the follower-ID groups) is decoded eagerly
-//     into heap slices — descent needs random access, and these streams are
-//     the small part of the blob;
-//   - the follower-ID region — the bulk — stays varint-packed (aliased out
-//     of the mapping on little-endian platforms, copied otherwise) and is
-//     decoded per matched node at serve time into pooled scratch, keeping
-//     AppendPredictions at zero steady-state allocations;
+//   - the varint regions (child offsets, child keys, follower offsets, the
+//     follower IDs) are decoded once, at load, into heap slices — descent
+//     needs random access, and these streams are the small part of the
+//     blob; the per-node byte extents of the follower-ID groups are read
+//     only to decode them;
 //   - the fixed-width payload arrays (steps, fixed-point probabilities,
 //     ranked views, evidence, occurrences, floors) are viewed zero-copy like
 //     CPS3's.
@@ -78,8 +75,8 @@ import (
 // varint regions it is the region's byte length. As with CPS3, ViewCopy
 // loads verify the CRC; zero-copy loads skip it and rely on structural
 // validation plus defensive clamping — a corrupted payload (including a
-// truncated varint stream, which the serve-time decoder pads) can misrank
-// but cannot panic or index out of bounds.
+// truncated follower-ID stream, which the load-time decoder pads) can
+// misrank but cannot panic or index out of bounds.
 const (
 	compactMagic       = "CPS5"
 	compactVersion     = 1
@@ -139,9 +136,8 @@ func (c *Model) quantWidths() (evW, occW int) {
 	return evW, occW
 }
 
-// compactRegions builds the five varint regions of the CPS5 layout. Models
-// loaded from CPS5 copy their follower-ID region verbatim; exact models
-// delta-encode from the ID-sorted follower array.
+// compactRegions builds the five varint regions of the CPS5 layout, the
+// follower IDs delta-encoded from the ID-sorted follower array.
 func (c *Model) compactRegions() (childCnt, childKey, folCnt, folLen, folID []byte) {
 	n := c.nodes
 	for v := 0; v < n; v++ {
@@ -157,13 +153,6 @@ func (c *Model) compactRegions() (childCnt, childKey, folCnt, folLen, folID []by
 			prev = key
 		}
 		folCnt = binary.AppendUvarint(folCnt, uint64(c.folStart[v+1]-c.folStart[v]))
-	}
-	if c.folIDVar != nil {
-		for v := 0; v < n; v++ {
-			folLen = binary.AppendUvarint(folLen, uint64(c.folOff[v+1]-c.folOff[v]))
-		}
-		folID = c.folIDVar
-		return
 	}
 	for v := 0; v < n; v++ {
 		before := len(folID)
@@ -212,8 +201,8 @@ func compactLayout(counts, sizes [compactArrayCount]int) (offs [compactArrayCoun
 
 // AppendFlat5 appends the model's CPS5 compact encoding to dst and returns
 // the extended slice. Exact models are quantised on the fly; models loaded
-// from CPS5 re-emit their stored fixed-point values and packed IDs, so load
-// → save round trips are byte-identical.
+// from CPS5 re-emit their stored fixed-point values and re-pack their
+// decoded IDs, so load → save round trips are byte-identical.
 //
 // Fails with ErrUnquantisable when the statistics do not fit: a node with
 // more than 65535 followers, or a float32 step underflow. Callers then fall
@@ -354,10 +343,9 @@ func decodeUvarints(dst []uint64, b []byte, count int, what string) ([]uint64, e
 }
 
 // fromBytes5 materialises a quantised Model from a CPS5 blob. The caller
-// (fromBytes) has already matched the magic. The CSR skeleton is decoded
-// eagerly (descent needs random access); the varint follower-ID region is
-// retained packed — aliased from data when viewing, copied otherwise — and
-// decoded per node at serve time.
+// (fromBytes) has already matched the magic. The varint regions are decoded
+// eagerly (descent needs random access), the follower IDs node by node
+// within their recorded byte extents.
 func fromBytes5(data []byte, mode ViewMode) (*Model, bool, error) {
 	c, edges, fols, err := readFlatHeader(data, compactVersion, compactCorrupt)
 	if err != nil {
@@ -463,24 +451,23 @@ func fromBytes5(data []byte, mode ViewMode) (*Model, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	c.folOff = make([]int32, n+1)
-	sum = 0
+	ids := arr[f5FolIDV]
+	c.folIDSorted = make([]uint32, 0, fols)
 	for v, l := range vals {
-		sum += l
-		if sum > uint64(len(arr[f5FolIDV])) {
+		if l > uint64(len(ids)) {
 			return nil, false, compactCorrupt("follower extents overflow the %d-byte ID region at node %d", len(arr[f5FolIDV]), v)
 		}
-		c.folOff[v+1] = int32(sum)
+		c.folIDSorted = appendFollowerIDs(c.folIDSorted, ids[:l], int(c.folStart[v+1]-c.folStart[v]))
+		ids = ids[l:]
 	}
-	if sum != uint64(len(arr[f5FolIDV])) {
-		return nil, false, compactCorrupt("follower extents cover %d of %d ID-region bytes", sum, len(arr[f5FolIDV]))
+	if len(ids) != 0 {
+		return nil, false, compactCorrupt("follower extents leave %d of %d ID-region bytes", len(ids), len(arr[f5FolIDV]))
 	}
 
 	if viewed {
 		c.floor32 = viewF32(arr[f5Floor])
 		c.qstep = viewF32(arr[f5Step])
 		c.folRankIdx = viewU16(arr[f5FolRank])
-		c.folIDVar = arr[f5FolIDV]
 		c.folQSorted = viewU16(arr[f5FolQ])
 		if evW == 2 {
 			c.evidence16 = viewU16(arr[f5Evidence])
@@ -498,7 +485,6 @@ func fromBytes5(data []byte, mode ViewMode) (*Model, bool, error) {
 		c.floor32 = decodeF32(arr[f5Floor])
 		c.qstep = decodeF32(arr[f5Step])
 		c.folRankIdx = decodeU16(arr[f5FolRank])
-		c.folIDVar = append([]byte(nil), arr[f5FolIDV]...)
 		c.folQSorted = decodeU16(arr[f5FolQ])
 		if evW == 2 {
 			c.evidence16 = decodeU16(arr[f5Evidence])
@@ -513,28 +499,20 @@ func fromBytes5(data []byte, mode ViewMode) (*Model, bool, error) {
 			c.startOcc = decodeU64(arr[f5StartOcc])
 		}
 	}
-	// An empty follower-ID region still needs a non-nil sentinel: folIDVar
-	// is what tells a CPS5-loaded model from an exact one.
-	if c.folIDVar == nil {
-		c.folIDVar = make([]byte, 0)
-	}
-
 	if err := c.validateStructure(edges, fols); err != nil {
 		return nil, false, err
 	}
-	c.initServing()
+	c.initServing(len(data))
 	return c, viewed, nil
 }
 
-// appendFollowerIDs decodes node v's varint-packed follower IDs (first ID,
-// then positive deltas) from the CPS5 region, appending them to dst. A
-// truncated or overlong stream — possible only in a corrupted blob loaded
+// appendFollowerIDs decodes one node's cnt varint-packed follower IDs
+// (first ID, then positive deltas) from its group b, appending them to dst.
+// A truncated or overlong stream — possible only in a corrupted blob loaded
 // without its CRC check — pads with the running ID: the node misranks, but
 // every access stays in bounds and the decoded length always matches the
 // node's follower count.
-func (c *Model) appendFollowerIDs(dst []uint32, v int32) []uint32 {
-	cnt := int(c.folStart[v+1] - c.folStart[v])
-	b := c.folIDVar[c.folOff[v]:c.folOff[v+1]]
+func appendFollowerIDs(dst []uint32, b []byte, cnt int) []uint32 {
 	var id uint32
 	for i := 0; i < cnt; i++ {
 		d, n := binary.Uvarint(b)

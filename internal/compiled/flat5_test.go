@@ -2,9 +2,14 @@ package compiled
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"runtime"
+	"sort"
 	"testing"
 
 	"repro/internal/markov"
@@ -364,6 +369,7 @@ func FuzzFlat5Decode(f *testing.F) {
 	f.Add(good)
 	f.Add(good[:len(good)/2])
 	f.Add(good[:compactArraysStart+7])
+	f.Add(truncatedFollowerIDs(good))
 	f.Add([]byte("CPS5 but nonsense"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, mode := range []ViewMode{ViewAuto, ViewCopy} {
@@ -378,8 +384,8 @@ func FuzzFlat5Decode(f *testing.F) {
 }
 
 // TestFlat5ZeroAllocs: steady-state prediction on a CPS5 model must remain
-// allocation-free — the lazy follower-ID decode reuses the pooled scratch
-// arena.
+// allocation-free, as on an exact one: every buffer comes from the pooled
+// scratch.
 func TestFlat5ZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; counts are meaningless")
@@ -402,5 +408,150 @@ func TestFlat5ZeroAllocs(t *testing.T) {
 	})
 	if allocs > 0.05 {
 		t.Fatalf("steady-state CPS5 predict allocates %.2f times per op, want 0", allocs)
+	}
+}
+
+// searchChild is child's binary search alone: the oracle the root index is
+// held to.
+func searchChild(c *Model, v int32, sym uint32) int32 {
+	keys := c.childKey[c.childStart[v]:c.childStart[v+1]]
+	j := sort.Search(len(keys), func(i int) bool { return keys[i] >= sym })
+	if j < len(keys) && keys[j] == sym {
+		return c.childStart[v] + int32(j) + 1
+	}
+	return -1
+}
+
+// TestRootIndexAgreesWithSearch: the root index answers every symbol as the
+// binary search over the root's children does — each ID in [0, vocab],
+// vocab+1 and the largest uint32 — on every kind of model: compiled, CPS3,
+// and CPS5 on the heap and mapped.
+func TestRootIndexAgreesWithSearch(t *testing.T) {
+	c, _, vocab, _ := flatTestModel(t, 613)
+	blob5, err := c.AppendFlat5(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	models := map[string]*Model{"compiled": c}
+	if models["cps3"], err = FromBytes(c.AppendFlat(nil), ViewCopy); err != nil {
+		t.Fatal(err)
+	}
+	if models["cps5 heap"], err = FromBytes(blob5, ViewCopy); err != nil {
+		t.Fatal(err)
+	}
+	if mmapSupported {
+		path := filepath.Join(t.TempDir(), "model.cps5")
+		if err := os.WriteFile(path, blob5, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		mapped, err := OpenMmapAdvised(path, 0, int64(len(blob5)), MapAdvice{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer mapped.Release()
+		models["cps5 mmap"] = mapped
+	}
+	syms := []uint32{uint32(vocab) + 1, math.MaxUint32}
+	for sym := uint32(0); sym <= uint32(vocab); sym++ {
+		syms = append(syms, sym)
+	}
+	for name, m := range models {
+		if len(m.rootChild) == 0 {
+			t.Fatalf("%s: no root index", name)
+		}
+		for _, sym := range syms {
+			if got, want := m.child(0, sym), searchChild(m, 0, sym); got != want {
+				t.Fatalf("%s: root child over %d is %d, the search finds %d", name, sym, got, want)
+			}
+		}
+	}
+}
+
+// TestFlat5ForgedRootKey: neither the header's vocab (any uint32) nor a root
+// key (a varint) sizes the root index. A blob claiming vocab 2^31-1, with
+// root keys 2^31-2 and 2^32-2 — an index of 2^31 entries, 8 GiB, if either
+// were trusted — and a good blob whose header alone claims that vocab each
+// load or are refused, in both view modes, for a small multiple of the
+// blob's own length; a model that loads predicts without panicking, the
+// forged keys included.
+func TestFlat5ForgedRootKey(t *testing.T) {
+	c, _, _, _ := flatTestModel(t, 617)
+	good, err := c.AppendFlat5(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	header := append([]byte(nil), good...)
+	binary.LittleEndian.PutUint32(header[20:], math.MaxInt32)
+
+	root := c.childKey[c.childStart[0]:c.childStart[1]]
+	if len(root) < 3 {
+		t.Fatalf("the root has %d children, want 3 or more", len(root))
+	}
+	c.vocab = math.MaxInt32
+	root[len(root)-2], root[len(root)-1] = math.MaxInt32-1, math.MaxUint32-1
+	keys, err := c.AppendFlat5(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctxs := []query.Seq{{math.MaxInt32 - 1}, {math.MaxUint32 - 1}, {query.ID(root[0])}, {1, query.ID(root[0])}}
+	for name, blob := range map[string][]byte{"header vocab": header, "root keys": keys} {
+		for _, mode := range []ViewMode{ViewAuto, ViewCopy} {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			m, err := FromBytes(blob, mode)
+			runtime.ReadMemStats(&after)
+			if got := after.TotalAlloc - before.TotalAlloc; got > 4*uint64(len(blob)) {
+				t.Fatalf("%s (mode %d): load allocated %d bytes for a %d-byte blob", name, mode, got, len(blob))
+			}
+			if err != nil {
+				continue
+			}
+			for _, ctx := range ctxs {
+				m.Predict(ctx, 5)
+				m.Prob(ctx, ctx[0])
+			}
+		}
+	}
+}
+
+// truncatedFollowerIDs returns good with every byte of its follower-ID
+// region a varint continuation byte, so each node's group ends mid-varint.
+// The CRC no longer matches; a zero-copy load does not check it.
+func truncatedFollowerIDs(good []byte) []byte {
+	bad := append([]byte(nil), good...)
+	le := binary.LittleEndian
+	off := le.Uint64(bad[flatHeaderSize+16*f5FolIDV:])
+	n := le.Uint64(bad[flatHeaderSize+16*f5FolIDV+8:])
+	for i := off; i < off+n; i++ {
+		bad[i] = 0x80
+	}
+	return bad
+}
+
+// TestFlat5TruncatedFollowerIDs: a follower-ID stream that ends mid-varint
+// reaches the load-time decoder of a zero-copy load, which pads each node
+// with its running ID; the model misranks but predicts without panicking.
+func TestFlat5TruncatedFollowerIDs(t *testing.T) {
+	c, sessions, vocab, rng := flatTestModel(t, 619)
+	good, err := c.AppendFlat5(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := truncatedFollowerIDs(good)
+	if _, err := FromBytes(bad, ViewCopy); err == nil {
+		t.Fatal("a truncated follower-ID stream passed the ViewCopy CRC")
+	}
+	m, err := FromBytes(bad, ViewAuto)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Followers() != c.Followers() {
+		t.Fatalf("decoded %d followers, the blob holds %d", m.Followers(), c.Followers())
+	}
+	for _, ctx := range parityContexts(rng, sessions, vocab) {
+		m.Predict(ctx, 5)
+		if len(ctx) > 0 {
+			m.Prob(ctx, ctx[0])
+		}
 	}
 }

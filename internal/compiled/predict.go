@@ -25,13 +25,7 @@ type scratch struct {
 	cands    []uint32  // pooled candidate IDs (sorted, deduplicated)
 	scores   []float64 // candidate scores, parallel to cands
 	heap     []int32   // bounded top-N selection heap (candidate indices)
-
-	// CPS5 follower-ID decode arena: the varint-packed follower lists of
-	// the distinct matched nodes, decoded once per prediction. folDecOff is
-	// parallel to distNode (folDecOff[j]..folDecOff[j+1] bounds node j's
-	// IDs in folDec); both stay empty on exact models.
-	folDec    []uint32
-	folDecOff []int32
+	esc      []float64 // per path level: esc[l-1] = Eq. (6) factor of escaping to the length-l suffix
 
 	bpreds []model.Prediction // PredictBatch's per-context output buffer, reused across emits
 }
@@ -44,34 +38,59 @@ type scratchPool struct{ p sync.Pool }
 const weightTableLen = 32
 
 // initServing derives what prediction needs beyond the decoded arrays: the
-// scratch pool and the Eq. (4) weight table. Every loader ends here. The
-// table's entries come from markov.Gaussian itself, the function match would
-// otherwise call per component per prediction, so tabulated and computed
-// weights are the same bits.
-func (c *Model) initServing() {
+// scratch pool, the Eq. (4) weight table and the root index. Every loader
+// ends here. The table's entries come from markov.Gaussian itself, the
+// function match would otherwise call per component per prediction, so
+// tabulated and computed weights are the same bits.
+//
+// The root index turns the descent's first step — a binary search over the
+// root's children, the widest fanout in the trie — into one load:
+// rootChild[sym] is the root's child over sym, or -1. It covers the symbols
+// up to the largest root key below vocab, and is not built when that many
+// entries would exceed limit (a loader passes its blob's byte length, so
+// neither a header word nor a varint key sizes the allocation); a symbol it
+// does not cover takes the binary search.
+func (c *Model) initServing(limit int) {
 	c.weights = make([]float64, c.k*weightTableLen)
 	for i, sigma := range c.sigma {
 		for d := 0; d < weightTableLen; d++ {
 			c.weights[i*weightTableLen+d] = markov.Gaussian(float64(d), sigma)
 		}
 	}
+	lo, hi := c.childStart[0], c.childStart[1]
+	n := 0
+	for _, key := range c.childKey[lo:hi] {
+		if uint64(key) < uint64(c.vocab) {
+			n = max(n, int(key)+1)
+		}
+	}
+	if n <= limit {
+		c.rootChild = make([]int32, n)
+		for i := range c.rootChild {
+			c.rootChild[i] = -1
+		}
+		for e := hi - 1; e >= lo; e-- { // descending, so the lowest edge of a repeated key wins, as in the search
+			if key := c.childKey[e]; int(key) < n {
+				c.rootChild[key] = e + 1
+			}
+		}
+	}
 	k, depth := c.k, c.depth
 	c.scratch.p.New = func() any {
 		return &scratch{
-			path:      make([]int32, 0, depth),
-			matched:   make([]int32, k),
-			w:         make([]float64, k),
-			chain:     make([]float64, k),
-			valIdx:    make([]int32, k),
-			distLen:   make([]int32, 0, k),
-			distNode:  make([]int32, 0, k),
-			vals:      make([]float64, k),
-			cands:     make([]uint32, 0, 256),
-			scores:    make([]float64, 0, 256),
-			heap:      make([]int32, 0, 64),
-			folDec:    make([]uint32, 0, 256),
-			folDecOff: make([]int32, 0, k+1),
-			bpreds:    make([]model.Prediction, 0, 16),
+			path:     make([]int32, 0, depth),
+			matched:  make([]int32, k),
+			w:        make([]float64, k),
+			chain:    make([]float64, k),
+			valIdx:   make([]int32, k),
+			distLen:  make([]int32, 0, k),
+			distNode: make([]int32, 0, k),
+			vals:     make([]float64, k),
+			cands:    make([]uint32, 0, 256),
+			scores:   make([]float64, 0, 256),
+			heap:     make([]int32, 0, 64),
+			esc:      make([]float64, 0, depth),
+			bpreds:   make([]model.Prediction, 0, 16),
 		}
 	}
 }
@@ -79,6 +98,9 @@ func (c *Model) initServing() {
 // child returns the node reached from v over edge symbol sym, or -1. Children
 // are symbol-sorted, and the BFS layout guarantees edge e leads to node e+1.
 func (c *Model) child(v int32, sym uint32) int32 {
+	if v == 0 && uint64(sym) < uint64(len(c.rootChild)) {
+		return c.rootChild[sym]
+	}
 	lo, hi := c.childStart[v], c.childStart[v+1]
 	for lo < hi {
 		mid := (lo + hi) / 2
@@ -155,17 +177,9 @@ func (c *Model) match(s *scratch, ctxLen int) bool {
 	return true
 }
 
-// escapeFactor is Eq. (6) for the length-l suffix of the context: the
-// probability of escaping from it to the length-(l-1) suffix, read off the
-// descent path. ml is the component's window-length bound — a bounded
-// component never counted windows longer than ml, so those lengths behave as
-// unobserved (occurrence zero ⇒ factor 1).
-func (c *Model) escapeFactor(s *scratch, l, ml int) float64 {
-	sl := l - 1 // the suffix being escaped to
-	if sl > len(s.path) || (ml > 0 && sl > ml) {
-		return 1
-	}
-	v := s.path[sl-1]
+// escapeFactor is Eq. (6) at path node v: the probability of escaping to
+// v's suffix from the one a query longer, read off the node's window counts.
+func (c *Model) escapeFactor(v int32) float64 {
 	occ := c.occAt(v)
 	if occ == 0 {
 		return 1
@@ -191,18 +205,30 @@ func (c *Model) prepareMatched(s *scratch, ctxLen int) bool {
 	if len(s.path) == 0 || !c.match(s, ctxLen) {
 		return false
 	}
+	// One escape factor per path level a chain can reach: suffixes shorter
+	// than the context. Levels past the path are unobserved (factor 1).
+	s.esc = s.esc[:0]
+	for _, v := range s.path[:min(len(s.path), ctxLen-1)] {
+		s.esc = append(s.esc, c.escapeFactor(v))
+	}
 	s.distLen = s.distLen[:0]
 	s.distNode = s.distNode[:0]
 	for i := 0; i < c.k; i++ {
 		if s.w[i] == 0 {
 			continue
 		}
-		// Escape chain: factors from just above the matched state up to the
-		// full context, multiplied innermost-first to mirror the interpreted
-		// recursion's association order.
+		// Escape chain: the factors of the levels from the matched state up
+		// to the full context, multiplied innermost-first to mirror the
+		// interpreted recursion's association order. A bounded component
+		// never counted windows longer than its maxLen, so those levels
+		// behave as unobserved (factor 1) and drop out.
+		top := len(s.esc)
+		if ml := c.maxLen[i]; ml > 0 && ml < top {
+			top = ml
+		}
 		prod := 1.0
-		for l := int(s.matched[i]) + 1; l <= ctxLen; l++ {
-			prod = c.escapeFactor(s, l, c.maxLen[i]) * prod
+		for l := int(s.matched[i]); l <= top; l++ {
+			prod = s.esc[l-1] * prod
 		}
 		s.chain[i] = prod
 		idx := int32(-1)
@@ -219,22 +245,14 @@ func (c *Model) prepareMatched(s *scratch, ctxLen int) bool {
 		}
 		s.valIdx[i] = idx
 	}
-	if c.folIDVar != nil {
-		// CPS5: decode each distinct matched node's varint-packed follower
-		// IDs once into the scratch arena; candidate pooling and every
-		// score lookup for this prediction then read the decoded forms.
-		s.folDec = s.folDec[:0]
-		s.folDecOff = append(s.folDecOff[:0], 0)
-		for _, v := range s.distNode {
-			s.folDec = c.appendFollowerIDs(s.folDec, v)
-			s.folDecOff = append(s.folDecOff, int32(len(s.folDec)))
-		}
-	}
 	return true
 }
 
-// smoothedAt is Dist.SmoothedP on an exact model's node: binary search the
-// ID-sorted followers, falling back to the node's precomputed uniform floor.
+// smoothedAt is Dist.SmoothedP at node v: binary search the ID-sorted
+// followers, falling back to the node's precomputed uniform floor. An exact
+// model reads the float64 probability; a CPS5 one dequantises the
+// fixed-point value through the node's step — exact to the encoding, within
+// maxP(v)/65535 of the float64 probability it encodes.
 func (c *Model) smoothedAt(v int32, q uint32) float64 {
 	lo, hi := c.folStart[v], c.folStart[v+1]
 	for lo < hi {
@@ -246,29 +264,10 @@ func (c *Model) smoothedAt(v int32, q uint32) float64 {
 		}
 	}
 	if lo < c.folStart[v+1] && c.folIDSorted[lo] == q {
-		return c.folPSorted[lo]
-	}
-	return c.floorAt(v)
-}
-
-// smoothedDec is smoothedAt for CPS5 models: the binary search runs over
-// the decoded follower IDs of distinct-node j in the scratch arena, and the
-// fixed-point probability is read at the matching sorted offset and
-// dequantised through the node's step — exact to the encoding, within
-// maxP(v)/65535 of the float64 probability it encodes.
-func (c *Model) smoothedDec(s *scratch, j int, v int32, q uint32) float64 {
-	ids := s.folDec[s.folDecOff[j]:s.folDecOff[j+1]]
-	lo, hi := 0, len(ids)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if ids[mid] < q {
-			lo = mid + 1
-		} else {
-			hi = mid
+		if c.qstep != nil {
+			return float64(c.qstep[v]) * float64(c.folQSorted[lo])
 		}
-	}
-	if lo < len(ids) && ids[lo] == q {
-		return float64(c.qstep[v]) * float64(c.folQSorted[c.folStart[v]+int32(lo)])
+		return c.folPSorted[lo]
 	}
 	return c.floorAt(v)
 }
@@ -277,14 +276,8 @@ func (c *Model) smoothedDec(s *scratch, j int, v int32, q uint32) float64 {
 // accumulating per component in index order (the interpreted summation
 // order) while sharing each distinct matched node's probability lookup.
 func (c *Model) score(s *scratch, q uint32) float64 {
-	if c.folIDVar != nil {
-		for j, v := range s.distNode {
-			s.vals[j] = c.smoothedDec(s, j, v, q)
-		}
-	} else {
-		for j, v := range s.distNode {
-			s.vals[j] = c.smoothedAt(v, q)
-		}
+	for j, v := range s.distNode {
+		s.vals[j] = c.smoothedAt(v, q)
 	}
 	var sum float64
 	for i := 0; i < c.k; i++ {
@@ -352,21 +345,20 @@ func (c *Model) appendRanked(s *scratch, dst []model.Prediction, ctxLen, topN in
 	// matched state (the interpreted Predict's TopN(topN*4) union), sorted
 	// and deduplicated in place. Exact models store the ranked IDs directly;
 	// CPS5 models store the ranked view as local offsets into the node's
-	// decoded ID list in the scratch arena (clamped defensively — a corrupted
-	// payload loaded without a CRC check may misrank but must not index out
-	// of bounds).
+	// ID-sorted range (clamped defensively — a corrupted payload loaded
+	// without a CRC check may misrank but must not index out of bounds).
 	s.cands = s.cands[:0]
 	lim := int32(4 * topN)
-	for dj, v := range s.distNode {
+	for _, v := range s.distNode {
 		lo, hi := c.folStart[v], c.folStart[v+1]
+		ids := c.folIDSorted[lo:hi]
 		if hi-lo > lim {
 			hi = lo + lim
 		}
-		if c.folIDRanked != nil {
+		if c.qstep == nil {
 			s.cands = append(s.cands, c.folIDRanked[lo:hi]...)
 			continue
 		}
-		ids := s.folDec[s.folDecOff[dj]:s.folDecOff[dj+1]]
 		for j := lo; j < hi; j++ {
 			idx := int(c.folRankIdx[j])
 			if idx >= len(ids) {

@@ -177,6 +177,44 @@ func TestLoadPathMmapV5(t *testing.T) {
 	}
 }
 
+// TestAppendSuggestionsZeroAllocs: the uncached recommend path of a model
+// file as a server maps it — Save, then LoadPath (CPS5, mmap), contexts
+// pre-interned as the cache front interns them, suggestions into a recycled
+// buffer — allocates nothing. The prediction scratch is an array on
+// AppendSuggestions' own stack, and an allocation means it escaped.
+func TestAppendSuggestionsZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; counts are meaningless")
+	}
+	loaded, err := LoadPath(writeTemp(t, saveBytes(t, trainSmall(t))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer loaded.Close()
+	if cm := loaded.CompiledModel(); cm == nil || !cm.Quantised() {
+		t.Fatal("LoadPath did not produce a quantised compiled model")
+	}
+	var ctxs []query.Seq
+	buf := make([]Suggestion, 0, 8)
+	for _, ctx := range persistContexts {
+		ids := loaded.internContext(ctx)
+		if buf = loaded.AppendSuggestions(buf[:0], ids, 5); len(buf) > 0 {
+			ctxs = append(ctxs, ids)
+		}
+	}
+	if len(ctxs) == 0 {
+		t.Fatal("no context is covered: the descent is not under test")
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(200, func() {
+		buf = loaded.AppendSuggestions(buf[:0], ctxs[i%len(ctxs)], 5)
+		i++
+	})
+	if allocs > 0.05 {
+		t.Fatalf("steady-state AppendSuggestions allocates %.2f times per op, want 0", allocs)
+	}
+}
+
 var (
 	wideOnce sync.Once
 	wideRec  *Engine

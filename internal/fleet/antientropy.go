@@ -161,8 +161,7 @@ type FleetStateResponse struct {
 
 // fleetState serves GET /v1/fleet.
 func (s *ShardRouter) fleetState(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		obs.WriteError(w, http.StatusMethodNotAllowed, "method_not_allowed", "use GET")
+	if !obs.AllowMethod(w, r, http.MethodGet) {
 		return
 	}
 	obs.WriteJSON(w, http.StatusOK, FleetStateResponse{

@@ -516,8 +516,7 @@ type ShardReloadResponse struct {
 // state, so the new generations are visible on /v1/fleet (and, via
 // anti-entropy, on every peer router) immediately.
 func (s *ShardRouter) reload(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		obs.WriteError(w, http.StatusMethodNotAllowed, "method_not_allowed", "use POST")
+	if !obs.AllowMethod(w, r, http.MethodPost) {
 		return
 	}
 	path := "/v1/reload"
@@ -727,8 +726,7 @@ func (s *ShardRouter) putCalls(b *batchScratch) {
 // of the fastest shard, not the slowest. Lines arrive in an arbitrary
 // order; index is the item's position in the request.
 func (s *ShardRouter) batch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		obs.WriteError(w, http.StatusMethodNotAllowed, "method_not_allowed", "use POST")
+	if !obs.AllowMethod(w, r, http.MethodPost) {
 		return
 	}
 	sc := s.getScratch()
@@ -1244,6 +1242,9 @@ type RouteResponse struct {
 // route reports the shard assignment for the context in the query string —
 // the debugging endpoint for "which replicas own this context?".
 func (s *ShardRouter) route(w http.ResponseWriter, r *http.Request) {
+	if !obs.AllowMethod(w, r, http.MethodGet) {
+		return
+	}
 	h := hashQueryContext(r.URL.RawQuery)
 	prefs := s.ring.LookupN(h, s.opts.Replicas, nil)
 	resp := RouteResponse{Hash: fmt.Sprintf("%016x", h), Shard: prefs[0]}

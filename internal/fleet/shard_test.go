@@ -404,3 +404,40 @@ func TestRingBatchLimitMatchesShards(t *testing.T) {
 		t.Fatalf("full-size ring batch status = %d, want 200", resp.StatusCode)
 	}
 }
+
+// TestMethodNotAllowedEverywhere: every endpoint of the single handler and of
+// the shard router answers a request with the wrong method 405, with the
+// Allow header RFC 9110 requires naming the one method it serves, and with
+// the same method_not_allowed envelope, byte for byte.
+func TestMethodNotAllowedEverywhere(t *testing.T) {
+	rec := shardTestRec(t)
+	single := serve.New(rec, serve.Options{})
+	router, err := fleet.NewShardRouterOpts(fleet.NewRing(2, 0),
+		fleet.NewLoopbackTransport(serve.New(rec, serve.Options{}), serve.New(rec, serve.Options{})),
+		fleet.RouterOptions{Replicas: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := []string{"/suggest", "/suggest/batch", "/v1/suggest/batch", "/v1/route", "/v1/reload", "/metrics", "/v1/metrics", "/v1/traces"}
+	for name, tc := range map[string]struct {
+		h     http.Handler
+		paths []string
+	}{
+		"single": {single, append(shared, "/v1/models", "/v1/ingest")},
+		"router": {router, append(shared, "/v1/fleet")},
+	} {
+		for _, path := range tc.paths {
+			allow, wrong := http.MethodGet, http.MethodPost
+			if strings.HasSuffix(path, "/batch") || path == "/v1/reload" {
+				allow, wrong = http.MethodPost, http.MethodGet
+			}
+			rr := httptest.NewRecorder()
+			tc.h.ServeHTTP(rr, httptest.NewRequest(wrong, path, nil))
+			want := `{"error":{"code":"method_not_allowed","message":"use ` + allow + `"}}` + "\n"
+			if rr.Code != http.StatusMethodNotAllowed || rr.Header().Get("Allow") != allow || rr.Body.String() != want {
+				t.Errorf("%s: %s %s = %d, Allow %q, body %q; want 405, Allow %q, body %q",
+					name, wrong, path, rr.Code, rr.Header().Get("Allow"), rr.Body.String(), allow, want)
+			}
+		}
+	}
+}

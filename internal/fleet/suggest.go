@@ -92,8 +92,7 @@ type getWalk struct {
 // reconstructs the whole failover story: which replicas were tried, in what
 // order, and why.
 func (s *ShardRouter) suggest(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		obs.WriteError(w, http.StatusMethodNotAllowed, "method_not_allowed", "use GET")
+	if !obs.AllowMethod(w, r, http.MethodGet) {
 		return
 	}
 	s.requests.Add(1)

@@ -38,20 +38,22 @@ func WriteError(w http.ResponseWriter, status int, code, msg string) {
 	w.Write(jsonspan.AppendError([]byte{'{'}, code, msg))
 }
 
-// allowGET answers 405 to anything but a GET and reports whether the request
-// may go on.
-func allowGET(w http.ResponseWriter, r *http.Request) bool {
-	if r.Method == http.MethodGet {
+// AllowMethod reports whether r uses method, the one its endpoint serves;
+// otherwise it answers 405 with the Allow header RFC 9110 §15.5.6 requires
+// and the method_not_allowed envelope, and the request must not go on.
+func AllowMethod(w http.ResponseWriter, r *http.Request, method string) bool {
+	if r.Method == method {
 		return true
 	}
-	WriteError(w, http.StatusMethodNotAllowed, "method_not_allowed", "use GET")
+	w.Header().Set("Allow", method)
+	WriteError(w, http.StatusMethodNotAllowed, "method_not_allowed", "use "+method)
 	return false
 }
 
 // ServeHTTP serves the Prometheus text exposition of every registered
 // instrument (AppendPrometheus).
 func (r *Registry) ServeHTTP(w http.ResponseWriter, req *http.Request) {
-	if !allowGET(w, req) {
+	if !AllowMethod(w, req, http.MethodGet) {
 		return
 	}
 	w.Header()["Content-Type"] = promContentType
@@ -76,7 +78,7 @@ type TracesResponse struct {
 // true) the errored ones only, limit=<int> caps the count. A malformed
 // integer is a 400.
 func (t *Tracer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if !allowGET(w, r) {
+	if !AllowMethod(w, r, http.MethodGet) {
 		return
 	}
 	q := r.URL.Query()
@@ -128,7 +130,7 @@ func (a *Admin) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		a.Health(w, r)
 	case "/v1/metrics":
 		if r.URL.Query().Get("format") != "prometheus" {
-			if allowGET(w, r) {
+			if AllowMethod(w, r, http.MethodGet) {
 				a.Metrics(w, r)
 			}
 			return

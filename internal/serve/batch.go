@@ -71,8 +71,7 @@ func putBatchScratch(bb *batchScratch) {
 // encodes the response with the pooled append encoder. See the file comment
 // for the allocation discipline.
 func (h *Handler) suggestBatch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		obs.WriteError(w, http.StatusMethodNotAllowed, "method_not_allowed", "use POST")
+	if !obs.AllowMethod(w, r, http.MethodPost) {
 		return
 	}
 	bb := batchScratchPool.Get().(*batchScratch)

@@ -150,8 +150,7 @@ type ModelsResponse struct {
 // model under the name "default", so tooling can treat every deployment
 // uniformly.
 func (h *Handler) models(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		obs.WriteError(w, http.StatusMethodNotAllowed, "method_not_allowed", "use GET")
+	if !obs.AllowMethod(w, r, http.MethodGet) {
 		return
 	}
 	if h.fleet == nil {
@@ -234,8 +233,7 @@ type RouteInfo struct {
 // assignment: which arm owns this context, under which routing hash. In
 // single-model mode every context reports the one model.
 func (h *Handler) routeInfo(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		obs.WriteError(w, http.StatusMethodNotAllowed, "method_not_allowed", "use GET")
+	if !obs.AllowMethod(w, r, http.MethodGet) {
 		return
 	}
 	context := r.URL.Query()["q"]

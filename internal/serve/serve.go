@@ -406,8 +406,7 @@ func (b *reqScratch) parseSuggestQuery(raw string, defaultN, maxN int) (n int, b
 // append-style JSON encoder for the rest. Steady-state cache hits allocate
 // nothing in the handler itself.
 func (h *Handler) suggest(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		obs.WriteError(w, http.StatusMethodNotAllowed, "method_not_allowed", "use GET")
+	if !obs.AllowMethod(w, r, http.MethodGet) {
 		return
 	}
 	b := reqScratchPool.Get().(*reqScratch)
@@ -547,8 +546,7 @@ func (h *Handler) ingestSnapshot() any {
 // tail offset, write-log position, sessions counted, last recompile, ramp
 // step and freeze reason. 404 when the process runs no ingestion loop.
 func (h *Handler) ingestStatus(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		obs.WriteError(w, http.StatusMethodNotAllowed, "method_not_allowed", "use GET")
+	if !obs.AllowMethod(w, r, http.MethodGet) {
 		return
 	}
 	st := h.ingestSnapshot()
@@ -564,8 +562,7 @@ func (h *Handler) ingestStatus(w http.ResponseWriter, r *http.Request) {
 // compatibility check. An incompatible dictionary answers 409 Conflict with
 // both dictionary hashes so the operator can decide whether to force.
 func (h *Handler) reload(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		obs.WriteError(w, http.StatusMethodNotAllowed, "method_not_allowed", "use POST")
+	if !obs.AllowMethod(w, r, http.MethodPost) {
 		return
 	}
 	q := r.URL.Query()
