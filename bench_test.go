@@ -12,31 +12,25 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"net/url"
 	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/cache"
 	"repro/internal/compiled"
 	"repro/internal/core"
 	"repro/internal/eval"
 	"repro/internal/experiments"
-	"repro/internal/fleet"
 	"repro/internal/hmm"
-	"repro/internal/logfmt"
 	"repro/internal/loggen"
 	"repro/internal/markov"
 	"repro/internal/model"
-	"repro/internal/obs"
 	"repro/internal/pairwise"
 	"repro/internal/query"
 	"repro/internal/serve"
 	"repro/internal/store"
-	"repro/internal/stream"
 )
 
 var (
@@ -496,8 +490,8 @@ func BenchmarkSuggestCached(b *testing.B) {
 	b.ReportMetric(sc.Stats().HitRate(), "hit-rate")
 }
 
-// benchRecorder is a minimal ResponseWriter with recyclable buffers, so the
-// serving benchmarks measure the handler stack rather than
+// benchRecorder is a minimal ResponseWriter with recyclable buffers, so
+// BenchmarkServeHTTPBatch measures the handler stack rather than
 // httptest.NewRecorder's per-request allocations.
 type benchRecorder struct {
 	code   int
@@ -521,243 +515,6 @@ func (r *benchRecorder) Write(p []byte) (int, error) {
 func (r *benchRecorder) reset() {
 	r.code = 0
 	r.body = r.body[:0]
-}
-
-// BenchmarkServeHTTPCached measures the full handler stack (routing,
-// middleware, cache, JSON encoding) on a hot context without network
-// overhead — the zero-allocation serving path's headline number.
-func BenchmarkServeHTTPCached(b *testing.B) {
-	rec, ctxs := serveBenchSetup(b)
-	h := serve.New(rec, serve.Options{})
-	target := "/suggest?q=" + url.QueryEscape(ctxs[0][0])
-	// Warm past the tracer's 256-trace retention ring: while it fills,
-	// every request's finish pins its pooled trace and the pool allocates a
-	// replacement, which would dominate allocs/op under CI's short
-	// -benchtime. At steady state retention is a pointer swap.
-	warmReq := httptest.NewRequest(http.MethodGet, target, nil)
-	warmRR := &benchRecorder{header: make(http.Header, 4)}
-	for i := 0; i < 300; i++ {
-		warmRR.reset()
-		h.ServeHTTP(warmRR, warmReq)
-	}
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		req := httptest.NewRequest(http.MethodGet, target, nil)
-		rr := &benchRecorder{header: make(http.Header, 4)}
-		for pb.Next() {
-			rr.reset()
-			h.ServeHTTP(rr, req)
-			if rr.code != http.StatusOK {
-				b.Fatalf("status %d", rr.code)
-			}
-		}
-	})
-}
-
-// BenchmarkRouteAB measures the fleet A/B serving path end to end: the full
-// handler stack of BenchmarkServeHTTPCached plus interning against the
-// router's base dictionary, the sticky weighted arm choice, per-arm metrics
-// and the X-Serve-Arm response label, over a pool of hot contexts that
-// exercises both arms. The A/B hot path must stay zero-allocation — CI gates
-// allocs/op at 0.
-func BenchmarkRouteAB(b *testing.B) {
-	rec, ctxs := serveBenchSetup(b)
-	reg := fleet.NewRegistry(0)
-	if _, err := reg.Add("champion", rec, nil); err != nil {
-		b.Fatal(err)
-	}
-	if _, err := reg.Add("challenger", rec, nil); err != nil {
-		b.Fatal(err)
-	}
-	rt, err := fleet.NewRouter(reg,
-		fleet.ArmSpec{Name: "champion", Weight: 9},
-		fleet.ArmSpec{Name: "challenger", Weight: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer rt.Close()
-	h := serve.New(rec, serve.Options{DefaultN: 5, Fleet: rt})
-
-	targets := make([]string, 0, 16)
-	for i := 0; i < 16 && i < len(ctxs); i++ {
-		targets = append(targets, "/suggest?q="+url.QueryEscape(ctxs[i][0]))
-	}
-	// Requests are built once and shared (the handler never mutates them),
-	// and every target is served enough times up front to fill the cache,
-	// the pools and the tracer's 256-trace retention ring, so the timed
-	// region starts at steady state even under CI's short -benchtime. The
-	// gate asserts the hot path, not first-touch fills.
-	reqs := make([]*http.Request, len(targets))
-	for i, target := range targets {
-		reqs[i] = httptest.NewRequest(http.MethodGet, target, nil)
-	}
-	warmRR := &benchRecorder{header: make(http.Header, 4)}
-	for rep := 0; rep < 300/len(reqs)+2; rep++ {
-		for _, req := range reqs {
-			warmRR.reset()
-			h.ServeHTTP(warmRR, req)
-		}
-	}
-	// Serial on purpose: with every buffer preallocated above, allocs/op is
-	// exactly the hot path's own count — 0 — independent of -benchtime and
-	// GOMAXPROCS, which is what lets CI gate it at zero.
-	rr := &benchRecorder{header: make(http.Header, 4)}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rr.reset()
-		h.ServeHTTP(rr, reqs[i%len(reqs)])
-		if rr.code != http.StatusOK {
-			b.Fatalf("status %d", rr.code)
-		}
-	}
-}
-
-// BenchmarkShardFanout64 measures the consistent-hash batch fan-out: a
-// 64-context POST /suggest/batch split across a 3-shard loopback ring
-// (partition by ring lookup, concurrent sub-batches, in-order merge),
-// ns/op is per batch. CI gates allocs/op against creep in the fan-out
-// machinery (the JSON split/merge dominates; the figure is per 64 contexts).
-func BenchmarkShardFanout64(b *testing.B) {
-	rec, ctxs := serveBenchSetup(b)
-	handlers := make([]http.Handler, 3)
-	for i := range handlers {
-		handlers[i] = serve.New(rec, serve.Options{})
-	}
-	router, err := fleet.NewShardRouterOpts(fleet.NewRing(3, 0), fleet.NewLoopbackTransport(handlers...), fleet.RouterOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	req := serve.BatchRequest{Requests: make([]serve.BatchItem, 64)}
-	for i := range req.Requests {
-		req.Requests[i] = serve.BatchItem{Context: ctxs[(i*7)%len(ctxs)], N: 5}
-	}
-	body, err := json.Marshal(req)
-	if err != nil {
-		b.Fatal(err)
-	}
-	// Warm the shard caches so the timed region measures the fan-out
-	// machinery, not 64 first-touch trie descents.
-	{
-		rr := &benchRecorder{header: make(http.Header, 4)}
-		for rep := 0; rep < 2; rep++ {
-			rr.reset()
-			router.ServeHTTP(rr, httptest.NewRequest(http.MethodPost, "/suggest/batch", bytes.NewReader(body)))
-			if rr.code != http.StatusOK {
-				b.Fatalf("warmup status %d: %s", rr.code, rr.body)
-			}
-		}
-	}
-	rr := &benchRecorder{header: make(http.Header, 4)}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		hr := httptest.NewRequest(http.MethodPost, "/suggest/batch", bytes.NewReader(body))
-		rr.reset()
-		router.ServeHTTP(rr, hr)
-		if rr.code != http.StatusOK {
-			b.Fatalf("status %d: %s", rr.code, rr.body)
-		}
-	}
-	b.ReportMetric(64, "contexts/op")
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*64), "ns/context")
-}
-
-// BenchmarkShardFanout64R2 measures the replicated fan-out against the
-// unreplicated one on the same ring: the preference-list planning, attempt
-// masks and failover rounds must not regress the pooled fan-out's allocation
-// discipline. CI gates the reported fanout-r2-over-r1 allocation ratio
-// (healthy path, no failovers) at 1.5; ns/op is one R=2 batch.
-func BenchmarkShardFanout64R2(b *testing.B) {
-	rec, ctxs := serveBenchSetup(b)
-	handlers := make([]http.Handler, 3)
-	for i := range handlers {
-		handlers[i] = serve.New(rec, serve.Options{})
-	}
-	build := func(r int) *fleet.ShardRouter {
-		router, err := fleet.NewShardRouterOpts(fleet.NewRing(3, 0), fleet.NewLoopbackTransport(handlers...),
-			fleet.RouterOptions{Replicas: r})
-		if err != nil {
-			b.Fatal(err)
-		}
-		return router
-	}
-	r1, r2 := build(1), build(2)
-	req := serve.BatchRequest{Requests: make([]serve.BatchItem, 64)}
-	for i := range req.Requests {
-		req.Requests[i] = serve.BatchItem{Context: ctxs[(i*7)%len(ctxs)], N: 5}
-	}
-	body, err := json.Marshal(req)
-	if err != nil {
-		b.Fatal(err)
-	}
-	run := func(router *fleet.ShardRouter, rr *benchRecorder) {
-		hr := httptest.NewRequest(http.MethodPost, "/suggest/batch", bytes.NewReader(body))
-		rr.reset()
-		router.ServeHTTP(rr, hr)
-		if rr.code != http.StatusOK {
-			b.Fatalf("status %d: %s", rr.code, rr.body)
-		}
-	}
-	// Steady-state allocation ratio: warm both routers' pools and shard
-	// caches, then compare averaged allocations per batch.
-	rr := &benchRecorder{header: make(http.Header, 4)}
-	for rep := 0; rep < 4; rep++ {
-		run(r1, rr)
-		run(r2, rr)
-	}
-	allocsR1 := testing.AllocsPerRun(50, func() { run(r1, rr) })
-	allocsR2 := testing.AllocsPerRun(50, func() { run(r2, rr) })
-	if allocsR1 < 1 {
-		allocsR1 = 1
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		run(r2, rr)
-	}
-	b.ReportMetric(64, "contexts/op")
-	b.ReportMetric(allocsR2, "r2-allocs/op")
-	b.ReportMetric(allocsR2/allocsR1, "fanout-r2-over-r1")
-}
-
-// BenchmarkRouterGET measures one routed GET /suggest: the router hop (hash,
-// ring lookup, breaker, attempt context, spans, exchange) over three
-// loopback shards at R=2 with a 2 s shard timeout and no hedge — cmd/serve's
-// default router — on warm shard caches. The shard path allocates nothing,
-// so allocs/op is the hop's own; CI gates it.
-func BenchmarkRouterGET(b *testing.B) {
-	rec, ctxs := serveBenchSetup(b)
-	handlers := make([]http.Handler, 3)
-	for i := range handlers {
-		handlers[i] = serve.New(rec, serve.Options{})
-	}
-	router, err := fleet.NewShardRouterOpts(fleet.NewRing(3, 0), fleet.NewLoopbackTransport(handlers...),
-		fleet.RouterOptions{Replicas: 2, ShardTimeout: 2 * time.Second})
-	if err != nil {
-		b.Fatal(err)
-	}
-	reqs := make([]*http.Request, 0, 16)
-	for i := 0; i < 16 && i < len(ctxs); i++ {
-		reqs = append(reqs, httptest.NewRequest(http.MethodGet, "/suggest?q="+url.QueryEscape(ctxs[i][0]), nil))
-	}
-	// Warm past every trace retention ring on the path (256 traces on the
-	// router and on each shard, see BenchmarkServeHTTPCached): 1024 requests
-	// put at least 300 through each shard however the ring splits 16 contexts.
-	rr := &benchRecorder{header: make(http.Header, 8)}
-	for i := 0; i < 1024*len(reqs); i++ {
-		rr.reset()
-		router.ServeHTTP(rr, reqs[i%len(reqs)])
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rr.reset()
-		router.ServeHTTP(rr, reqs[i%len(reqs)])
-		if rr.code != http.StatusOK {
-			b.Fatalf("status %d: %s", rr.code, rr.body)
-		}
-	}
-	if rr.Header().Get("X-Serve-Shard") == "" {
-		b.Fatal("request was not routed")
-	}
 }
 
 // BenchmarkServeHTTPBatch measures POST /suggest/batch end to end with
@@ -1079,131 +836,4 @@ func BenchmarkExtensionDrift(b *testing.B) {
 	}
 	last := r.Slices - 1
 	b.ReportMetric(r.RetrCov[last]-r.StaleCov[last], "retrain-coverage-gain")
-}
-
-// BenchmarkIngestSegment drives one full pass of the streaming ingestion
-// loop over a pre-written query log — tail read, session segmentation,
-// write-ahead segment logging and incremental count updates, recompiles
-// disabled — and reports sustained records/s. Each iteration starts from a
-// fresh write-log, so the op is a fixed unit of work and its allocs/op gate
-// in the Makefile pins the per-record allocation budget of the loop.
-func BenchmarkIngestSegment(b *testing.B) {
-	cfg := loggen.DefaultConfig()
-	cfg.Universe = loggen.UniverseConfig{
-		Topics: 16, RootsPerTopic: 4, ChainDepth: 2,
-		SynonymFrac: 0.3, Universals: 6, Generics: 4, Seed: 5,
-	}
-	cfg.Machines = 50
-	cfg.Seed = 5
-	g, err := loggen.New(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	dir := b.TempDir()
-	logPath := filepath.Join(dir, "queries.log")
-	f, err := os.Create(logPath)
-	if err != nil {
-		b.Fatal(err)
-	}
-	wr := logfmt.NewWriter(f)
-	records := 0
-	if _, err := g.GenerateRecords(300, func(r logfmt.Record) error {
-		records++
-		return wr.Write(r)
-	}); err != nil {
-		b.Fatal(err)
-	}
-	if err := wr.Flush(); err != nil {
-		b.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		b.Fatal(err)
-	}
-	walPath := filepath.Join(dir, "ingest.wal")
-
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ing, err := stream.NewIngester(stream.Config{
-			LogPath:           logPath,
-			WALPath:           walPath,
-			ModelPath:         filepath.Join(dir, "model.bin"),
-			Train:             core.Config{ReductionThreshold: 0, SessionGap: 30 * time.Minute},
-			SegmentRecords:    256,
-			RecompileSessions: 1 << 62, // count updates only: never recompile
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for {
-			progressed, err := ing.Step()
-			if err != nil {
-				b.Fatal(err)
-			}
-			if !progressed {
-				break
-			}
-		}
-		if err := ing.Close(); err != nil {
-			b.Fatal(err)
-		}
-		b.StopTimer()
-		if err := os.Remove(walPath); err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-	}
-	b.ReportMetric(float64(records)*float64(b.N)/b.Elapsed().Seconds(), "records/s")
-}
-
-// BenchmarkServeHTTPCachedTraced measures the instrumented serving hot path:
-// the full handler stack of BenchmarkServeHTTPCached with the request trace,
-// per-route and per-stage histograms and the X-Trace-Id/X-Request-Id
-// response headers all active. Serial with a warmed cache and a pre-filled
-// trace retention ring, so CI can gate allocs/op at exactly 0 — the
-// observability layer must be free on the hot path.
-func BenchmarkServeHTTPCachedTraced(b *testing.B) {
-	rec, ctxs := serveBenchSetup(b)
-	h := serve.New(rec, serve.Options{})
-	targets := make([]string, 0, 16)
-	for i := 0; i < 16 && i < len(ctxs); i++ {
-		targets = append(targets, "/suggest?q="+url.QueryEscape(ctxs[i][0]))
-	}
-	reqs := make([]*http.Request, len(targets))
-	for i, target := range targets {
-		reqs[i] = httptest.NewRequest(http.MethodGet, target, nil)
-	}
-	// Warm past the tracer's retention ring (256): while the ring is
-	// filling, every finish pins its pooled trace and the pool allocates a
-	// replacement. At steady state retention is a pointer swap.
-	rr := &benchRecorder{header: make(http.Header, 4)}
-	for rep := 0; rep < 300/len(reqs)+2; rep++ {
-		for _, req := range reqs {
-			rr.reset()
-			h.ServeHTTP(rr, req)
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rr.reset()
-		h.ServeHTTP(rr, reqs[i%len(reqs)])
-		if rr.code != http.StatusOK {
-			b.Fatalf("status %d", rr.code)
-		}
-	}
-	if rr.Header().Get("X-Trace-Id") == "" {
-		b.Fatal("tracing not active on the benched path")
-	}
-}
-
-// BenchmarkHistogramRecord measures one lock-free histogram record — the
-// primitive every request-path instrument rides on. CI gates allocs/op at 0.
-func BenchmarkHistogramRecord(b *testing.B) {
-	var h obs.Histogram
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h.Record(int64(i & 0xffff))
-	}
-	if h.Count() != uint64(b.N) {
-		b.Fatalf("count = %d, want %d", h.Count(), b.N)
-	}
 }

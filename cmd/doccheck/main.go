@@ -43,8 +43,8 @@ var retiredList string
 // PR 29's per-handler admin endpoints, legacy-path redirects, constructor
 // shims and second GET latency window (internal/obs owns the admin surface),
 // the model-family container and second-stage reranker (one model family is
-// served), and the second prediction interface with the benchmarks that gated
-// it (model.Predictor is the one interface; the blob-size ceiling is a test).
+// served), the second prediction interface, the benchmark gate tool and the
+// benchmarks they kept (model.Predictor is one interface; ceilings are tests).
 var retired = regexp.MustCompile(`\b(` + strings.Join(strings.Fields(retiredList), "|") + `)\b`)
 
 var (

@@ -52,9 +52,9 @@
 // model with a sharded LRU keyed on interned context IDs; cmd/serve runs
 // the server with SIGHUP/POST-reload and graceful shutdown; cmd/loadgen
 // replays power-law synthetic traffic against it. The /suggest hot path is
-// allocation-free end to end and CI gates it (make bench-gates;
-// cmd/benchjson checks the allocation and blob-size ceilings the Makefile
-// lists against the benchmarks' output).
+// allocation-free end to end, and go test ./... holds it there: every
+// allocation, clock-read and blob-size ceiling is a test beside the code it
+// pins (internal/serve's TestServeHTTPCachedAllocs among them).
 //
 // Entry points: internal/core for the end-to-end recommender API,
 // cmd/experiments for the full evaluation harness, and bench_test.go for

@@ -238,8 +238,9 @@ func TestFlat5RoundTripStable(t *testing.T) {
 
 // TestFlat5SizeReduction: the compact blob must be dramatically smaller
 // than the exact CPS3 blob — the reason it is the default. The benchmark
-// model's cps5-over-cps3 <= 0.48 gate lives in `make bench-gates`; the toy
-// corpora here, where the fixed headers weigh more, must already clear 0.6.
+// model's cps5-over-cps3 <= 0.48 ceiling is internal/experiments'
+// TestTable7CompiledRowsMatchBlobBytes; the toy corpora here, where the fixed
+// headers weigh more, must already clear 0.6.
 func TestFlat5SizeReduction(t *testing.T) {
 	for _, seed := range []int64{301, 302, 303, 541, 547, 557} {
 		c, _, _, _ := flatTestModel(t, seed)

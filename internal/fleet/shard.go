@@ -701,7 +701,7 @@ func (s *ShardRouter) putCalls(b *batchScratch) {
 // travel as raw byte spans of the request body and shard results are
 // scattered into the merged response zero-copy from pooled per-shard
 // buffers. The whole fan-out recycles its working state, which is what holds
-// BenchmarkShardFanout64's alloc gate; per-item took_us values come from the
+// TestShardFanoutAllocs' ceiling; per-item took_us values come from the
 // shards and the top-level took_us stays 0 (clients sum per-result values).
 //
 // With replication (R > 1) the fan-out runs in rounds of the failover policy

@@ -326,10 +326,9 @@ func TestClientCancelDoesNotPoisonBreakers(t *testing.T) {
 	}
 }
 
-// TestRouterGETAllocs is tier-1's allocation gate on the router hop, over
-// three loopback shards at R=2 with a 2 s ShardTimeout and no hedge (make
-// bench-gates gates BenchmarkRouterGET at the same figure). A routed GET
-// allocates twice: its attempt context — deadline and trace header as plain
+// TestRouterGETAllocs is the allocation gate on the router hop, over three
+// loopback shards at R=2 with a 2 s ShardTimeout and no hedge — cmd/serve's
+// default router. A routed GET allocates twice: its attempt context — deadline and trace header as plain
 // fields, no timer, no cancel — and the URI it forwards. A routed batch whose
 // items share a shard allocates its round's one attempt context and a body
 // limiter (http.MaxBytesReader) in the router and in the shard. One more on
@@ -378,6 +377,89 @@ func TestRouterGETAllocs(t *testing.T) {
 		if allocs := testing.AllocsPerRun(500, run); allocs != tc.want {
 			t.Errorf("a routed %s allocates %.0f times per request, want %.0f", tc.name, allocs, tc.want)
 		}
+	}
+}
+
+// TestShardFanoutAllocs gates the pooled batch fan-out: a 64-item POST
+// /suggest/batch split across three loopback shards on warm caches. It
+// allocates 9 times a batch (body limiters, the round's one attempt context,
+// its two call goroutines), more while the tracers' retention rings fill.
+// The ceiling of 60 leaves room for that spread and for some allocations that
+// come once per batch or per sub-batch (a derived context is 2-4, a goroutine
+// 2-3), so it will not notice one of those coming back — TestRouterGETAllocs
+// pins the round's single context exactly — and it leaves no room for a
+// per-item allocation, which costs 64. The replicated fan-out's preference
+// lists and attempt masks are pooled: R=2 on the same ring must stay within
+// 1.5x of R=1's allocations on the healthy path.
+func TestShardFanoutAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	rec := shardTestRec(t)
+	handlers := make([]http.Handler, 3)
+	for i := range handlers {
+		handlers[i] = serve.New(rec, serve.Options{})
+	}
+	router := func(r int) *fleet.ShardRouter {
+		router, err := fleet.NewShardRouterOpts(fleet.NewRing(3, 0), fleet.NewLoopbackTransport(handlers...),
+			fleet.RouterOptions{Replicas: r})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return router
+	}
+	r1, r2 := router(1), router(2)
+
+	// Every one- and two-query context over the test vocabulary, repeated
+	// to 64 items: enough distinct keys to reach all three shards.
+	vocab := []string{"o2", "o2 mobile", "o2 mobile phones", "nokia n73", "nokia n73 themes"}
+	var ctxs [][]string
+	for _, a := range vocab {
+		ctxs = append(ctxs, []string{a})
+		for _, b := range vocab {
+			ctxs = append(ctxs, []string{a, b})
+		}
+	}
+	shards := map[int]bool{}
+	req := serve.BatchRequest{Requests: make([]serve.BatchItem, 64)}
+	for i := range req.Requests {
+		ctx := ctxs[(i*7)%len(ctxs)]
+		req.Requests[i] = serve.BatchItem{Context: ctx, N: 5}
+		qs := strings.ReplaceAll("q="+strings.Join(ctx, "&q="), " ", "+")
+		shards[routeOf(t, r1, qs).Shard] = true
+	}
+	if len(shards) != 3 {
+		t.Fatalf("the batch reaches shards %v, want all three", shards)
+	}
+	batchBody, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := &replayBody{}
+	batch := httptest.NewRequest(http.MethodPost, "/suggest/batch", nil)
+	batch.Body = body
+	rr := &discardResponse{header: make(http.Header, 8)}
+	allocs := func(router *fleet.ShardRouter) float64 {
+		run := func() {
+			body.Reset(batchBody)
+			router.ServeHTTP(rr, batch)
+		}
+		// Warm the shard caches and past the 256-trace retention rings.
+		for i := 0; i < 300; i++ {
+			run()
+		}
+		if rr.code != http.StatusOK {
+			t.Fatalf("status %d", rr.code)
+		}
+		return testing.AllocsPerRun(50, run)
+	}
+	a1, a2 := allocs(r1), allocs(r2)
+	t.Logf("allocations per batch-64: %.0f at R=1, %.0f at R=2", a1, a2)
+	if a1 > 60 {
+		t.Errorf("a routed batch-64 allocates %.0f times at R=1, want <= 60", a1)
+	}
+	if ratio := a2 / max(a1, 1); ratio > 1.5 {
+		t.Errorf("R=2 allocates %.0f times a batch against R=1's %.0f (%.2fx), want <= 1.5x", a2, a1, ratio)
 	}
 }
 

@@ -138,6 +138,22 @@ func TestHistogramRecordN(t *testing.T) {
 	}
 }
 
+// TestHistogramRecordAllocs: one record — the primitive every request-path
+// instrument rides on — allocates nothing.
+func TestHistogramRecordAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	var h Histogram
+	v := int64(0)
+	if allocs := testing.AllocsPerRun(1000, func() {
+		h.Record(v & 0xffff)
+		v += 37
+	}); allocs != 0 {
+		t.Fatalf("Histogram.Record allocates %.2f times per call, want 0", allocs)
+	}
+}
+
 func TestHistogramMerge(t *testing.T) {
 	var a, b, both Histogram
 	for i := int64(0); i < 1000; i++ {

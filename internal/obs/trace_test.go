@@ -494,3 +494,103 @@ func TestTracersShareNoIDs(t *testing.T) {
 		}
 	}
 }
+
+// TestInstrumentClockReads prices the request path's instruments in
+// monotonic clock reads timed in the same rounds, and holds each sequence
+// under 6.0 of them. Direct GET: what the serve middleware and the GET
+// handler's one stage run for a cached GET — a pooled trace started, the
+// stage's clock read, its span and histogram record, the exit clock read, the
+// two request histograms, the trace finished: three reads, one span, three
+// records. Routed hop: what the shard router's instruments cost an unhedged
+// GET that its first replica answers — the trace started (a client sends no
+// ID, so one is carved), the attempt opened on the trace's start, the
+// exchange's end read by Now, the attempt span closed and its latency
+// recorded, the exit clock read, the request histogram, the trace finished:
+// three reads, one span, two records. Both read 5.2–5.5 on an idle 2-vCPU
+// x86-64 VM; a fourth clock read reads 6.4+.
+func TestInstrumentClockReads(t *testing.T) {
+	if testing.Short() {
+		t.Skip("timing test")
+	}
+	if raceEnabled {
+		t.Skip("timings are not meaningful under -race")
+	}
+	var direct [3]Histogram // stage, HTTP request, route
+	directTracer := NewTracer(16, &direct[1])
+	var routed [2]Histogram // attempt, request
+	routedTracer := NewTracer(16, &routed[1])
+	for _, tc := range []struct {
+		name string
+		seq  func()
+	}{
+		{"direct GET", func() {
+			tr := directTracer.Start()
+			took := tr.Elapsed().Microseconds()
+			direct[0].Record(took)
+			tr.Record("cache", 0, took, NoShard, "hit")
+			elapsed := tr.Elapsed()
+			direct[1].Record(elapsed.Microseconds())
+			direct[2].Record(elapsed.Microseconds())
+			directTracer.FinishElapsed(tr, elapsed, false)
+		}},
+		{"routed hop", func() {
+			tr := routedTracer.StartFrom(nil)
+			start := tr.Started()
+			span := tr.BeginAt("shard", tr.Offset(start))
+			tr.SetShard(span, 1)
+			end := Now()
+			routed[0].Record(end.Sub(start).Microseconds())
+			tr.EndAt(span, tr.Offset(end), "ok")
+			elapsed := tr.Elapsed()
+			routed[1].Record(elapsed.Microseconds())
+			routedTracer.FinishElapsed(tr, elapsed, false)
+		}},
+	} {
+		// A reading over the ceiling is taken again, up to five times, and
+		// the best is kept: a host busy with other work for a while inflates
+		// one reading, a fourth clock read inflates every one.
+		reads := clockReads(tc.seq)
+		for try := 1; try < 5 && reads > 6.0; try++ {
+			reads = min(reads, clockReads(tc.seq))
+		}
+		t.Logf("%s: %.2f clock reads", tc.name, reads)
+		if reads > 6.0 {
+			t.Errorf("the %s's instruments cost %.2f clock reads, want <= 6.0", tc.name, reads)
+		}
+	}
+}
+
+// clockSink keeps the compiler from dropping clockReads' bare reads.
+var clockSink time.Duration
+
+// clockReads returns what one run of seq costs in monotonic clock reads, as
+// Trace.Elapsed makes them. Batches of seq and of bare reads alternate and
+// the best batch of each is kept: the host's phase moves both alike. Short
+// batches, many rounds: a 1,000-run batch (~0.2 ms) mostly runs between two
+// preemptions even while other tests load the host, where the best of 21
+// rounds of 10,000 read over 6.0 in 7 of 20 runs on a 2-vCPU VM.
+func clockReads(seq func()) float64 {
+	for i := 0; i < 300; i++ { // fill the retention ring, settle the pool
+		seq()
+	}
+	const rounds, batch = 201, 1_000
+	var best [2]time.Duration // seq, clock read
+	for r := 0; r < rounds; r++ {
+		start := time.Now()
+		for i := 0; i < batch; i++ {
+			seq()
+		}
+		d := time.Since(start)
+		if r == 0 || d < best[0] {
+			best[0] = d
+		}
+		start = time.Now()
+		for i := 0; i < batch; i++ {
+			clockSink = time.Since(epoch)
+		}
+		if d = time.Since(start); r == 0 || d < best[1] {
+			best[1] = d
+		}
+	}
+	return float64(best[0]) / float64(best[1])
+}

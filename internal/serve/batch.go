@@ -23,7 +23,7 @@ import (
 // response echoes each item's context array span verbatim from the request
 // body (zero-copy) around the pooled append-style suggestion encoder. The
 // shard fan-out drives 64-item batches through this path per sub-batch, so
-// its allocation discipline is what BenchmarkShardFanout64 gates.
+// its allocation discipline is what fleet's TestShardFanoutAllocs gates.
 
 // batchScratch pools every per-batch buffer of suggestBatch.
 type batchScratch struct {

@@ -19,8 +19,8 @@ import (
 // shared slot-keyed cache fronts them all. The arm that served is echoed in
 // the X-Serve-Arm response header (pre-built slice: no allocation) so load
 // generators and log pipelines can attribute latency and answer quality per
-// arm. The whole path stays zero-allocation at steady state — the CI gate
-// BenchmarkRouteAB pins it there.
+// arm. The whole path stays zero-allocation at steady state —
+// TestRouteABAllocs pins it there.
 
 // suggestFleet is the fleet twin of the single-model suggest fast path.
 func (h *Handler) suggestFleet(w http.ResponseWriter, b *reqScratch, n int) {

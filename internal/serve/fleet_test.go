@@ -468,3 +468,47 @@ func TestFleetReloadAdvancesBase(t *testing.T) {
 		t.Fatalf("post-reload new vocabulary answered %+v", out.Suggestions)
 	}
 }
+
+// TestRouteABAllocs pins the fleet A/B serving path at zero allocations: the
+// cached GET plus interning against the router's base dictionary, the sticky
+// weighted arm choice, per-arm metrics and the X-Serve-Arm label, over 16 hot
+// contexts that both arms of a 9:1 split serve. Serial, with every context
+// served past the tracer's 256-trace retention ring first, so the count is
+// the hot path's own and not first-touch fills.
+func TestRouteABAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; counts are meaningless")
+	}
+	h, _ := newFleetHandler(t, 9, 1, false)
+	// 16 of the 27 three-query contexts over the base vocabulary.
+	qs := []string{"o2", "o2+mobile", "o2+mobile+phones"}
+	reqs := make([]*http.Request, 16)
+	for i := range reqs {
+		target := fmt.Sprintf("/suggest?q=%s&q=%s&q=%s", qs[i/9], qs[i/3%3], qs[i%3])
+		reqs[i] = httptest.NewRequest(http.MethodGet, target, nil)
+	}
+	rr := newReusableRecorder()
+	arms := map[string]bool{}
+	for rep := 0; rep < 300/len(reqs)+2; rep++ {
+		for _, req := range reqs {
+			rr.reset()
+			h.ServeHTTP(rr, req)
+			arms[rr.Header().Get("X-Serve-Arm")] = true
+		}
+	}
+	if !arms["champion"] || !arms["challenger"] {
+		t.Fatalf("arms served: %v, want both", arms)
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(20*len(reqs), func() {
+		rr.reset()
+		h.ServeHTTP(rr, reqs[i%len(reqs)])
+		i++
+		if rr.code != http.StatusOK {
+			t.Fatalf("status %d body %q", rr.code, rr.body)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("an A/B-routed cached /suggest allocates %.2f times per request, want 0", allocs)
+	}
+}

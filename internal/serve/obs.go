@@ -11,7 +11,7 @@ import (
 // pooled request tracer, which the admin surface (obs.Admin) exposes as the
 // Prometheus exposition and the tail-sampled trace endpoint. The hot-path
 // contract is unchanged — recording into any of these is lock-free and
-// allocation-free, gated by BenchmarkServeHTTPCachedTraced.
+// allocation-free, pinned by TestServeHTTPCachedAllocs.
 
 // Stage and span names are package-level constants so every span carries a
 // static string (retained traces must not reference request state).

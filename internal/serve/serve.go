@@ -38,8 +38,8 @@
 // (internal/fleet): suggestion traffic is split across registry slots by
 // sticky weighted hash of the interned context, shadow arms are scored off
 // the request path, and the serving arm is echoed in X-Serve-Arm. The fleet
-// hot path carries the same zero-allocation guarantee (CI gates
-// BenchmarkRouteAB at 0 allocs/op).
+// hot path carries the same zero-allocation guarantee (TestRouteABAllocs
+// pins it).
 //
 // Invariants: the GET /suggest hot path performs zero heap allocations at
 // steady state — the query string is percent-decoded into pooled buffers
