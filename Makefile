@@ -62,9 +62,10 @@ fuzz-grammar:
 #
 # Fault-injection harness: the replicated ring's chaos scenarios (shard
 # killed mid-batch, reload storm during fan-out, flapping shard, hedged
-# GETs) under the race detector — the availability claims, enforced.
+# GETs) and /v1/fleet over a restarted or unreachable shard, under the race
+# detector — the availability claims, enforced.
 chaos:
-	$(GO) test -race -count=1 -run 'TestChaos|TestAntiEntropy|TestAdminState|TestRingLookupN' ./internal/fleet
+	$(GO) test -race -count=1 -run 'TestChaos|TestFleetState|TestRingLookupN' ./internal/fleet
 
 # Closed-loop ingestion harness: the end-to-end stream → retrain → shadow →
 # auto-ramp → promote loop, the exhaustive crash-replay cut-point table and
@@ -135,7 +136,7 @@ check-api: vet
 # Line-count ratchet: the non-test Go lines outside bench/ and dot-directories
 # may not grow past LINES_CEILING. A PR that shrinks the code lowers the
 # ceiling to its new count; a PR that raises it says why in CHANGES.md.
-LINES_CEILING = 21030
+LINES_CEILING = 20719
 check-lines:
 	@n=$$(find . -path ./bench -prune -o -path './.*' -prune -o -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l); \
 	echo "non-test Go lines: $$n (ceiling $(LINES_CEILING))"; \

@@ -44,7 +44,8 @@ var retiredList string
 // shims and second GET latency window (internal/obs owns the admin surface),
 // the model-family container and second-stage reranker (one model family is
 // served), the second prediction interface, the benchmark gate tool and the
-// benchmarks they kept (model.Predictor is one interface; ceilings are tests).
+// benchmarks they kept (model.Predictor is one interface; ceilings are tests),
+// and the router's anti-entropy admin cache (/v1/fleet asks the shards).
 var retired = regexp.MustCompile(`\b(` + strings.Join(strings.Fields(retiredList), "|") + `)\b`)
 
 var (

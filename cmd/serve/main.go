@@ -100,12 +100,9 @@ func main() {
 		modelPath = flag.String("model", "model.bin", "model file from cmd/train (single-model serving, or the shared model of a loopback ring)")
 		arms      = flag.String("arms", "", "fleet arms 'name=path[:weight],...': first arm is the champion, weight 0 = shadow-scored only (default weight 1)")
 		shards    = flag.String("shards", "", "router backends: an integer N for an in-process loopback ring over -model, or comma-separated shard base URLs")
-		vnodes    = flag.Int("vnodes", 0, "virtual nodes per shard on the consistent-hash ring (0 = default)")
 		replicas  = flag.Int("replicas", 1, "router replication factor R: each key range maps to R distinct shards and fails over along the list (1 = off)")
 		shardTO   = flag.Duration("shard-timeout", 2*time.Second, "router per-attempt deadline before failing over to the next replica (0 = transport default only)")
 		hedge     = flag.Duration("hedge-after", 0, "router hedged GETs: fire the next replica after this delay and take the first success (0 = off, negative = auto from live p99)")
-		peers     = flag.String("peers", "", "comma-separated peer router base URLs for the anti-entropy sweep of fleet admin state")
-		syncEvery = flag.Duration("sync-every", 5*time.Second, "anti-entropy sweep interval (shards re-read + peers pulled)")
 		addr      = flag.String("addr", ":8080", "listen address")
 		topN      = flag.Int("n", 5, "default suggestion count")
 		cacheCap  = flag.Int("cache", 0, "result cache capacity (0 = default; loopback rings split it across shards)")
@@ -147,13 +144,7 @@ func main() {
 			ShardTimeout: *shardTO,
 			HedgeAfter:   *hedge,
 		}
-		router := buildRouterHandler(*shards, *vnodes, *modelPath, *topN, *cacheCap, ropts)
-		if *peers != "" {
-			router.SetPeers(strings.Split(*peers, ","), nil)
-		}
-		stopSweep := router.StartAntiEntropy(*syncEvery)
-		defer stopSweep()
-		handler = router
+		handler = buildRouterHandler(*shards, *modelPath, *topN, *cacheCap, ropts)
 		onHUP = func() { log.Print("SIGHUP ignored: POST /v1/reload to the router (broadcast to all shards)") }
 	default:
 		log.Fatalf("unknown -role %q (want serve, shard or router)", *role)
@@ -422,7 +413,7 @@ func startIngestLoop(rt *fleet.Router, champion core.Recommender, io ingestOpts,
 // buildRouterHandler assembles the router role: a consistent-hash ring over
 // an in-process loopback (integer -shards, sharing one -model) or remote
 // shard URLs, replicated and failure-policied per ropts.
-func buildRouterHandler(shards string, vnodes int, modelPath string, topN, cacheCap int, ropts fleet.RouterOptions) *fleet.ShardRouter {
+func buildRouterHandler(shards, modelPath string, topN, cacheCap int, ropts fleet.RouterOptions) *fleet.ShardRouter {
 	if shards == "" {
 		log.Fatal("-role router needs -shards (an integer for a loopback ring, or comma-separated shard URLs)")
 	}
@@ -450,12 +441,12 @@ func buildRouterHandler(shards string, vnodes int, modelPath string, topN, cache
 				ReloadFunc: func() (core.Recommender, error) { return loadModel(modelPath) },
 			})
 		}
-		router, err := fleet.NewShardRouterOpts(fleet.NewRing(n, vnodes), fleet.NewLoopbackTransport(handlers...), ropts)
+		router, err := fleet.NewShardRouterOpts(fleet.NewRing(n, 0), fleet.NewLoopbackTransport(handlers...), ropts)
 		if err != nil {
 			log.Fatal(err)
 		}
 		log.Printf("loopback ring: %d shards over one model, %d virtual nodes/shard, R=%d",
-			n, ringVnodes(vnodes), router.Replicas())
+			n, fleet.DefaultVirtualNodes, router.Replicas())
 		return router
 	}
 	urls := strings.Split(shards, ",")
@@ -465,20 +456,13 @@ func buildRouterHandler(shards string, vnodes int, modelPath string, topN, cache
 	if err != nil {
 		log.Fatal(err)
 	}
-	router, err := fleet.NewShardRouterOpts(fleet.NewRing(len(urls), vnodes), tr, ropts)
+	router, err := fleet.NewShardRouterOpts(fleet.NewRing(len(urls), 0), tr, ropts)
 	if err != nil {
 		log.Fatal(err)
 	}
 	log.Printf("HTTP ring: %d shards (%s), %d virtual nodes/shard, R=%d",
-		len(urls), shards, ringVnodes(vnodes), router.Replicas())
+		len(urls), shards, fleet.DefaultVirtualNodes, router.Replicas())
 	return router
-}
-
-func ringVnodes(vnodes int) int {
-	if vnodes <= 0 {
-		return fleet.DefaultVirtualNodes
-	}
-	return vnodes
 }
 
 // armSpec is one parsed -arms entry.

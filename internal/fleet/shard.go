@@ -363,11 +363,6 @@ type ShardRouter struct {
 	hcfg healthConfig
 
 	health []shardHealth
-	admin  *AdminState
-
-	peerMu     sync.Mutex
-	peers      []string
-	peerClient *http.Client
 
 	// shardHeader[i] is the pre-built X-Serve-Shard value for shard i;
 	// attemptHeader[k] the X-Serve-Attempts value for k+1 attempts.
@@ -417,7 +412,6 @@ func NewShardRouterOpts(ring *Ring, tr Transport, opts RouterOptions) (*ShardRou
 		opts:        opts.withDefaults(ring.Shards()),
 		hcfg:        healthConfig{failThreshold: int32(opts.FailThreshold), probeAfter: opts.ProbeAfter}.withDefaults(),
 		health:      make([]shardHealth, ring.Shards()),
-		admin:       NewAdminState(),
 		shardHeader: make([][]string, ring.Shards()),
 		perShard:    make([]atomic.Uint64, ring.Shards()),
 		// Matches the shard handlers' default MaxBatch: the router must never
@@ -469,14 +463,11 @@ func (s *ShardRouter) Ring() *Ring { return s.ring }
 // ring size).
 func (s *ShardRouter) Replicas() int { return s.opts.Replicas }
 
-// Admin returns the router's reconciled fleet admin state (see
-// antientropy.go).
-func (s *ShardRouter) Admin() *AdminState { return s.admin }
-
 // ServeHTTP implements http.Handler: suggestion traffic is routed by context
-// hash; /v1/route, /v1/reload and /v1/fleet answer from the router itself,
-// and health, metrics and traces from the admin surface every process mounts
-// (obs.Admin), which 404s the rest.
+// hash; /v1/route answers from the router's own ring, /v1/reload and
+// /v1/fleet by asking every shard (broadcast), and health, metrics and traces
+// from the admin surface every process mounts (obs.Admin), which 404s the
+// rest.
 func (s *ShardRouter) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	switch r.URL.Path {
 	case "/suggest":
@@ -486,55 +477,54 @@ func (s *ShardRouter) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	case "/v1/route":
 		s.route(w, r)
 	case "/v1/reload":
-		s.reload(w, r)
+		s.broadcast(w, r, http.MethodPost, "/v1/reload")
 	case "/v1/fleet":
-		s.fleetState(w, r)
+		s.broadcast(w, r, http.MethodGet, "/v1/models")
 	default:
 		s.adminHTTP.ServeHTTP(w, r)
 	}
 }
 
-// ShardReloadResult is one shard's slice of the router's /v1/reload broadcast.
-type ShardReloadResult struct {
+// ShardResult is one shard's answer to a router broadcast.
+type ShardResult struct {
 	Shard    int             `json:"shard"`
 	Status   int             `json:"status"`
 	Response json.RawMessage `json:"response,omitempty"`
 	Error    string          `json:"error,omitempty"`
 }
 
-// ShardReloadResponse is the router's POST /v1/reload payload: the
-// broadcast's per-shard outcomes.
-type ShardReloadResponse struct {
-	Shards []ShardReloadResult `json:"shards"`
+// BroadcastResponse is the payload of the router's broadcast endpoints,
+// POST /v1/reload and GET /v1/fleet: one result per shard, in shard order.
+type BroadcastResponse struct {
+	Shards []ShardResult `json:"shards"`
 }
 
-// reload broadcasts POST /v1/reload (query string included, so model= and
-// force= pass through) to every shard and reports each outcome. The overall
-// status is 200 only when every shard answered 200; otherwise the worst
-// shard status (502 for transport failures) so automation notices partial
-// rollouts. A successful broadcast refreshes the router's reconciled admin
-// state, so the new generations are visible on /v1/fleet (and, via
-// anti-entropy, on every peer router) immediately.
-func (s *ShardRouter) reload(w http.ResponseWriter, r *http.Request) {
-	if !obs.AllowMethod(w, r, http.MethodPost) {
+// broadcast sends method path to every shard, query string included (so a
+// reload's model= and force= pass through), and reports each shard's answer:
+// its JSON passed through, or the error. The overall status is 200 only when
+// every shard answered 200; otherwise the worst shard status (502 for a
+// transport failure), so automation notices a partial rollout or a shard it
+// cannot read. The router keeps no copy: what /v1/fleet reports is what the
+// shards said just now.
+func (s *ShardRouter) broadcast(w http.ResponseWriter, r *http.Request, method, path string) {
+	if !obs.AllowMethod(w, r, method) {
 		return
 	}
-	path := "/v1/reload"
 	if r.URL.RawQuery != "" {
 		path += "?" + r.URL.RawQuery
 	}
-	resp := ShardReloadResponse{Shards: make([]ShardReloadResult, s.ring.Shards())}
+	resp := BroadcastResponse{Shards: make([]ShardResult, s.ring.Shards())}
 	overall := http.StatusOK
 	for shard := range resp.Shards {
-		res := ShardReloadResult{Shard: shard}
-		status, body, err := s.tr.Exchange(r.Context(), shard, http.MethodPost, path, nil, nil)
+		res := ShardResult{Shard: shard}
+		status, body, err := s.tr.Exchange(r.Context(), shard, method, path, nil, nil)
 		if err != nil {
 			res.Status = http.StatusBadGateway
 			res.Error = err.Error()
 		} else {
 			res.Status = status
 			if json.Valid(body) {
-				res.Response = json.RawMessage(bytes.Clone(body))
+				res.Response = body
 			} else {
 				res.Error = string(bytes.TrimSpace(body))
 			}
@@ -544,7 +534,6 @@ func (s *ShardRouter) reload(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Shards[shard] = res
 	}
-	s.RefreshAdmin(r.Context())
 	obs.WriteJSON(w, overall, resp)
 }
 
@@ -1191,7 +1180,6 @@ type ShardRouterMetrics struct {
 	AttemptMaxMicros  int64              `json:"attempt_max_us"`
 	ContextsPerShard  []uint64           `json:"contexts_per_shard"`
 	ShardHealth       []ShardHealthStats `json:"shard_health"`
-	AntiEntropy       *AdminStateStats   `json:"anti_entropy,omitempty"`
 }
 
 func (s *ShardRouter) metrics(w http.ResponseWriter, _ *http.Request) {
@@ -1226,8 +1214,6 @@ func (s *ShardRouter) metrics(w http.ResponseWriter, _ *http.Request) {
 	for i := range s.health {
 		m.ShardHealth = append(m.ShardHealth, s.health[i].snapshot(i))
 	}
-	st := s.admin.Stats()
-	m.AntiEntropy = &st
 	obs.WriteJSON(w, http.StatusOK, m)
 }
 

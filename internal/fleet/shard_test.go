@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"regexp"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -289,8 +290,8 @@ func TestHTTPTransportFanout(t *testing.T) {
 }
 
 // TestRingReloadBroadcast: POST /v1/reload on the router must fan out to every
-// shard and report per-shard outcomes; the shard handlers' generations all
-// move.
+// shard, once each, and report per-shard outcomes; the shard handlers'
+// generations all move.
 func TestRingReloadBroadcast(t *testing.T) {
 	rec := shardTestRec(t)
 	handlers := make([]*serve.Handler, 3)
@@ -302,7 +303,8 @@ func TestRingReloadBroadcast(t *testing.T) {
 		})
 		asHTTP[i] = handlers[i]
 	}
-	router, err := fleet.NewShardRouterOpts(fleet.NewRing(3, 0), fleet.NewLoopbackTransport(asHTTP...), fleet.RouterOptions{})
+	tr := newChaosTransport(fleet.NewLoopbackTransport(asHTTP...))
+	router, err := fleet.NewShardRouterOpts(fleet.NewRing(3, 0), tr, fleet.RouterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +315,7 @@ func TestRingReloadBroadcast(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out fleet.ShardReloadResponse
+	var out fleet.BroadcastResponse
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		t.Fatal(err)
 	}
@@ -332,6 +334,9 @@ func TestRingReloadBroadcast(t *testing.T) {
 	for i, h := range handlers {
 		if got := h.Generation(); got != 2 {
 			t.Fatalf("shard %d generation = %d, want 2", i, got)
+		}
+		if got := tr.callCount(i); got != 1 {
+			t.Fatalf("one reload made %d exchanges with shard %d, want 1", got, i)
 		}
 	}
 
@@ -354,6 +359,146 @@ func TestRingReloadBroadcast(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotImplemented {
 		t.Fatalf("unreloadable ring broadcast status = %d, want 501", resp.StatusCode)
+	}
+}
+
+// shardModels is the slice of a shard's GET /v1/models answer the fleet
+// tests read.
+type shardModels struct {
+	Models []struct {
+		Generation uint64 `json:"generation"`
+		DictHash   string `json:"dict_hash"`
+	} `json:"models"`
+}
+
+// fleetState fetches the router's GET /v1/fleet and decodes each shard's
+// answer; a shard that did not answer 200 has no models.
+func fleetState(t *testing.T, url string) (int, fleet.BroadcastResponse, []shardModels) {
+	t.Helper()
+	raw, _, code := getBody(t, url+"/v1/fleet")
+	var out fleet.BroadcastResponse
+	if err := json.Unmarshal(raw, &out); err != nil {
+		t.Fatalf("/v1/fleet: %v: %s", err, raw)
+	}
+	models := make([]shardModels, len(out.Shards))
+	for i, res := range out.Shards {
+		if res.Status != http.StatusOK {
+			continue
+		}
+		if err := json.Unmarshal(res.Response, &models[i]); err != nil || len(models[i].Models) != 1 {
+			t.Fatalf("/v1/fleet shard %d: %v: %s", i, err, res.Response)
+		}
+	}
+	return code, out, models
+}
+
+// reloadThrough POSTs /v1/reload to the router at url and wants a 200.
+func reloadThrough(t *testing.T, url string) {
+	t.Helper()
+	resp, err := http.Post(url+"/v1/reload", "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("reload via %s: status %d", url, resp.StatusCode)
+	}
+}
+
+// TestFleetStateAfterShardRestart: /v1/fleet reports what the shards say now.
+// Shard 0 is reloaded to generation 3, then restarted on a model with another
+// dictionary; the router must report generation 1 and the new dict hash, not
+// the generation it saw before the restart.
+func TestFleetStateAfterShardRestart(t *testing.T) {
+	rec := shardTestRec(t)
+	reloadable := func(rec core.Recommender) *serve.Handler {
+		return serve.New(rec, serve.Options{
+			DefaultN:   5,
+			ReloadFunc: func() (core.Recommender, error) { return shardTestRec(t), nil },
+		})
+	}
+	var shard0 atomic.Pointer[serve.Handler]
+	shard0.Store(reloadable(rec))
+	front := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { shard0.Load().ServeHTTP(w, r) })
+	router, err := fleet.NewShardRouterOpts(fleet.NewRing(2, 0), fleet.NewLoopbackTransport(front, reloadable(rec)), fleet.RouterOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(router)
+	defer srv.Close()
+
+	reloadThrough(t, srv.URL)
+	reloadThrough(t, srv.URL)
+	oldHash := fmt.Sprintf("%016x", rec.Dict().Hash())
+	code, _, models := fleetState(t, srv.URL)
+	if m := models[0].Models[0]; code != http.StatusOK || m.Generation != 3 || m.DictHash != oldHash {
+		t.Fatalf("before the restart: status %d, shard 0 %+v; want 200, generation 3, dict %s", code, m, oldHash)
+	}
+
+	// The restart: a fresh process over a model with another vocabulary.
+	d := query.NewDict()
+	a, b := d.Intern("ipod"), d.Intern("ipod nano")
+	var sessions []query.Seq
+	for i := 0; i < 10; i++ {
+		sessions = append(sessions, query.Seq{a, b})
+	}
+	restarted := core.TrainFromSessions(d, sessions, core.DefaultConfig())
+	newHash := fmt.Sprintf("%016x", d.Hash())
+	if newHash == oldHash {
+		t.Fatal("the restarted model shares the old dictionary's hash")
+	}
+	shard0.Store(reloadable(restarted))
+
+	code, _, models = fleetState(t, srv.URL)
+	if m := models[0].Models[0]; code != http.StatusOK || m.Generation != 1 || m.DictHash != newHash {
+		t.Fatalf("after the restart: status %d, shard 0 %+v; want 200, generation 1, dict %s", code, m, newHash)
+	}
+	if m := models[1].Models[0]; m.Generation != 3 || m.DictHash != oldHash {
+		t.Fatalf("shard 1 = %+v, want generation 3, dict %s", m, oldHash)
+	}
+}
+
+// TestFleetStateNamesUnreachableShard: a router answers /v1/fleet from its
+// own shards, and says which one it cannot read. Two routers front the same
+// shards; B cannot reach shard 0. After a reload through A, B's /v1/fleet is
+// a 502 naming shard 0, and shows shard 1 at the new generation.
+func TestFleetStateNamesUnreachableShard(t *testing.T) {
+	rec := shardTestRec(t)
+	handlers := make([]http.Handler, 2)
+	for i := range handlers {
+		handlers[i] = serve.New(rec, serve.Options{
+			DefaultN:   5,
+			ReloadFunc: func() (core.Recommender, error) { return shardTestRec(t), nil },
+		})
+	}
+	routerA, err := fleet.NewShardRouterOpts(fleet.NewRing(2, 0), fleet.NewLoopbackTransport(handlers...), fleet.RouterOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	trB := newChaosTransport(fleet.NewLoopbackTransport(handlers...))
+	trB.setDown(0, true)
+	routerB, err := fleet.NewShardRouterOpts(fleet.NewRing(2, 0), trB, fleet.RouterOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srvA, srvB := httptest.NewServer(routerA), httptest.NewServer(routerB)
+	defer srvA.Close()
+	defer srvB.Close()
+
+	reloadThrough(t, srvA.URL)
+	code, out, models := fleetState(t, srvB.URL)
+	if code != http.StatusBadGateway {
+		t.Fatalf("B's /v1/fleet status %d, want 502: %+v", code, out)
+	}
+	if len(out.Shards) != 2 {
+		t.Fatalf("B's /v1/fleet covers %d of 2 shards", len(out.Shards))
+	}
+	if res := out.Shards[0]; res.Shard != 0 || res.Status != http.StatusBadGateway || res.Error == "" || res.Response != nil {
+		t.Fatalf("B's shard 0 = %+v, want status 502 with an error", res)
+	}
+	if res := out.Shards[1]; res.Shard != 1 || res.Status != http.StatusOK || models[1].Models[0].Generation != 2 {
+		t.Fatalf("B's shard 1 = %+v, want 200 at generation 2", res)
 	}
 }
 
