@@ -8,7 +8,8 @@
 // (the repository root) and fails when either still names something the
 // repository retired on purpose (retired.txt), or when a README flag-table
 // row documents a -flag that its command — the `cmd/<name>` the table
-// follows — does not define.
+// follows — does not define; and when a comment in any Go file under it
+// cites a *.md file, by its path from the root, that does not exist.
 //
 // Usage:
 //
@@ -26,7 +27,9 @@ import (
 	"fmt"
 	"go/ast"
 	"go/parser"
+	"go/scanner"
 	"go/token"
+	"io/fs"
 	"log"
 	"os"
 	"path/filepath"
@@ -45,7 +48,8 @@ var retiredList string
 // the model-family container and second-stage reranker (one model family is
 // served), the second prediction interface, the benchmark gate tool and the
 // benchmarks they kept (model.Predictor is one interface; ceilings are tests),
-// and the router's anti-entropy admin cache (/v1/fleet asks the shards).
+// the router's anti-entropy admin cache (/v1/fleet asks the shards), and
+// the exact CPS3 blob encoding (CPS5 is the one).
 var retired = regexp.MustCompile(`\b(` + strings.Join(strings.Fields(retiredList), "|") + `)\b`)
 
 var (
@@ -56,6 +60,8 @@ var (
 	// flagDef is a flag definition in a command's source, flag.String("name",
 	// …) or flag.StringVar(&v, "name", …); it captures the name.
 	flagDef = regexp.MustCompile(`flag\.\w+\((?:&[\w.]+, )?"([\w-]+)"`)
+	// mdCite is a Markdown file a comment cites.
+	mdCite = regexp.MustCompile(`[\w./-]+\.md\b`)
 )
 
 func main() {
@@ -97,9 +103,52 @@ func main() {
 			}
 		}
 	}
-	if bad > 0 {
-		log.Fatalf("%d stale mentions in the prose (retired names, undefined flags)", bad)
+	for _, m := range danglingCitations() {
+		fmt.Println(m)
+		bad++
 	}
+	if bad > 0 {
+		log.Fatalf("%d stale mentions in the prose (retired names, undefined flags, missing documents)", bad)
+	}
+}
+
+// danglingCitations returns a report line for every comment in a Go file
+// under the working directory (dot-directories skipped) that cites a *.md
+// file which does not exist there.
+func danglingCitations() []string {
+	var out []string
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && path != "." && strings.HasPrefix(d.Name(), "."):
+			return filepath.SkipDir
+		case d.IsDir() || !strings.HasSuffix(path, ".go"):
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		fset := token.NewFileSet()
+		var s scanner.Scanner
+		s.Init(fset.AddFile(path, -1, len(src)), src, nil, scanner.ScanComments)
+		for pos, tok, lit := s.Scan(); tok != token.EOF; pos, tok, lit = s.Scan() {
+			if tok != token.COMMENT {
+				continue
+			}
+			for _, doc := range mdCite.FindAllString(lit, -1) {
+				if _, err := os.Stat(doc); err != nil {
+					out = append(out, fmt.Sprintf("%s: cites %s, which does not exist", fset.Position(pos), doc))
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	return out
 }
 
 // cmdFlags returns the names of the flags the command in dir defines.

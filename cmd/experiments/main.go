@@ -1,7 +1,7 @@
 // Command experiments regenerates every table and figure of the paper's
 // evaluation section (Sec. V) on the synthetic log substrate and prints them
-// as text tables/charts. See EXPERIMENTS.md for the recorded output and the
-// paper-vs-measured comparison.
+// as text tables/charts. internal/experiments/testdata/quick.golden is the
+// recorded -quick output, which TestQuickGolden holds byte for byte.
 //
 // Usage:
 //

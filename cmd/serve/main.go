@@ -87,8 +87,8 @@ func loadModel(path string) (core.Recommender, error) {
 	if advice == "" {
 		advice = "none"
 	}
-	log.Printf("model load: path=%s mode=%s version=%s blob=%s/%dB advice=%s took=%s",
-		path, li.Mode, li.Version, li.Format, li.BlobBytes, advice, li.Duration.Round(time.Microsecond))
+	log.Printf("model load: path=%s mode=%s version=%s blob=%dB advice=%s took=%s",
+		path, li.Mode, li.Version, li.BlobBytes, advice, li.Duration.Round(time.Microsecond))
 	return rec, nil
 }
 
@@ -505,17 +505,13 @@ func parseArms(s string) ([]armSpec, error) {
 // logModelShape logs the loaded model's serving shape (the compiled-PST line
 // operators grep for). Every model file holds a compiled blob —
 // core.Engine.Save refuses an engine without one — so every model loadModel
-// returns has a compiled form.
+// returns has a compiled form, quantised: the blob is CPS5.
 func logModelShape(name string, rec core.Recommender) {
 	label := ""
 	if name != "" {
 		label = fmt.Sprintf(" %q", name)
 	}
 	cm := rec.CompiledModel()
-	form := "exact"
-	if cm.Quantised() {
-		form = "quantised"
-	}
-	log.Printf("model%s loaded: %d known queries, %s compiled PST with %d nodes / %d followers (depth %d, %d components)",
-		label, rec.Dict().Len(), form, cm.Nodes(), cm.Followers(), cm.Depth(), cm.Components())
+	log.Printf("model%s loaded: %d known queries, quantised compiled PST with %d nodes / %d followers (depth %d, %d components)",
+		label, rec.Dict().Len(), cm.Nodes(), cm.Followers(), cm.Depth(), cm.Components())
 }

@@ -35,15 +35,15 @@
 // A model file is one container: the dictionary and the compiled blob at a
 // page-aligned offset, so core.LoadPath maps the file and slices the arrays
 // out of the page cache — no decoding, lazy page-in, read-only sharing
-// across processes. The blob has two encodings. CPS5, what Save writes,
-// quantises follower probabilities to fixed-point uint16 against per-node
-// float32 steps, narrows every node array to its needed width and
-// varint-packs the follower-ID lists and CSR offsets: about 40% of the
-// exact size at a bounded (≤ ~2e-5 absolute) probability error. CPS3 stores
-// every CSR array as exact fixed-width little-endian values; it is what a
-// model CPS5 cannot hold is saved as, and the oracle the parity tests
-// compare CPS5 against. Table VII reports both blob sizes. Platforms
-// without mmap or little-endian layout decode the same blobs portably.
+// across processes. The blob has one encoding, CPS5: it quantises follower
+// probabilities to fixed-point uint16 against per-node float32 steps,
+// narrows every node array to its needed width and varint-packs the
+// follower-ID lists and CSR offsets — under half the bytes of the exact
+// arrays Compile holds in process, at a bounded (≤ ~2e-5 absolute)
+// probability error. The exact model is never written; it is the oracle the
+// parity tests compare CPS5 against, and Table VII reports both sizes.
+// Platforms without mmap or little-endian layout decode the same blob
+// portably.
 //
 // # Serving layer
 //

@@ -34,28 +34,20 @@
 // scoring sums are re-associated) and rank-identical on non-degenerate ties;
 // the parity property test in this package enforces both.
 //
-// The compiled form has two persistent encodings, both little-endian and
-// mmap-able, told apart by the blob's leading magic (FromBytes,
-// OpenMmapAdvised):
+// The compiled form has one persistent encoding, CPS5 (AppendFlat5,
+// FromBytes, OpenMmapAdvised): follower probabilities as fixed-point uint16
+// against per-node float32 steps, ranked views as uint16 indices (uint32 for
+// a node of more than 65535 followers), node arrays narrowed to their needed
+// width, follower-ID lists delta-encoded and varint-packed per node, CSR
+// offsets as varint count streams — at a bounded (≤ qstep/2 per node, ≤ ~2e-5
+// absolute) probability error. The fixed-width arrays are aliased zero-copy
+// on little-endian platforms and decoded portably (no unsafe) elsewhere; the
+// packed follower-ID region is decoded once, at load, so CPS5 and exact
+// models share one descent and differ only in where a follower's probability
+// is read from. Compile's exact model is never written: it stays in process
+// as the parity oracle. Models loaded from CPS5 report Quantised() == true.
 //
-//   - CPS3 (AppendFlat): exact fixed-width arrays at 8-byte-aligned
-//     offsets, aliased zero-copy on little-endian platforms, decoded
-//     portably (no unsafe) elsewhere. The parity oracle, and the fallback
-//     for models CPS5 refuses.
-//   - CPS5 (AppendFlat5): the compact default — follower probabilities as
-//     fixed-point uint16 against per-node float32 steps, ranked views as
-//     uint16 indices, node arrays narrowed to their needed width,
-//     follower-ID lists delta-encoded and varint-packed per node, CSR
-//     offsets as varint count streams. About 40% of the CPS3 size at a
-//     bounded (≤ qstep/2 per node, ≤ ~2e-5 absolute) probability error.
-//     The packed follower-ID region is decoded once, at load, so CPS5 and
-//     exact models share one descent and differ only in where a follower's
-//     probability is read from.
-//     Models loaded from CPS5 report Quantised() == true and cannot be
-//     re-encoded as CPS3 (raw counts are not stored); a model CPS5 cannot
-//     hold is refused with ErrUnquantisable.
-//
-// Serving invariants, whatever the source encoding: prediction is
+// Serving invariants, compiled or loaded: prediction is
 // allocation-free at steady state (pooled scratch, bounded top-N heap),
 // models are immutable and safe for unbounded concurrent readers, and a
 // corrupted flat blob loaded without its CRC check (the zero-copy path,
@@ -104,11 +96,10 @@ type Model struct {
 
 	// Per-node payload, indexed by node ID. Exactly one representation is
 	// populated per array: the wide float64/uint64 slices for models built by
-	// Compile or loaded from CPS3, or the narrow slices for models loaded
-	// from CPS5 (evidence16 when the component count fits 16 bits,
-	// occ32/startOcc32 when every count fits 32, floor32 always). The
-	// accessor methods (evidenceAt, occAt, startOccAt, floorAt) pick the
-	// live one.
+	// Compile, or the narrow slices for models loaded from CPS5 (evidence16
+	// when the component count fits 16 bits, occ32/startOcc32 when every
+	// count fits 32, floor32 always). The accessor methods (evidenceAt,
+	// occAt, startOccAt, floorAt) pick the live one.
 	evidence   []uint64  // bit i set ⇔ component i stores this state with followers
 	evidence16 []uint16  // CPS5 narrow form of evidence (k <= 16)
 	occ        []uint64  // Eq. (6) window occurrences |[·,s]| of the node's suffix
@@ -120,25 +111,23 @@ type Model struct {
 
 	// Followers, one CSR range per node. Ranked order is the frozen TopN
 	// ranking (count descending, ID ascending); sorted order is ID-ascending
-	// for binary-search probability lookups. folCount holds the raw counts in
-	// sorted order for serialisation and introspection.
+	// for binary-search probability lookups.
 	//
-	// Every model carries folIDSorted. Exact models (Compile, CPS3) also
-	// carry folIDRanked/folPRanked/folPSorted/folCount in
-	// uint32/float64/uint64. Quantised (CPS5-loaded) models carry none of
-	// those: folQSorted holds fixed-point uint16 probabilities dequantised via
-	// the per-node qstep (non-nil ⇔ quantised), folRankIdx the ranked view as
-	// uint16 indices into the node's ID-sorted range, and folIDSorted is
-	// decoded from the blob's varint-packed region once, at load. Raw counts
-	// are not preserved, so a quantised model cannot be re-encoded as CPS3.
+	// Every model carries folIDSorted. Exact models (Compile) also carry
+	// folIDRanked/folPSorted in uint32/float64. Quantised (CPS5-loaded)
+	// models carry neither: folQSorted holds fixed-point uint16 probabilities
+	// dequantised via the per-node qstep (non-nil ⇔ quantised), folRankIdx
+	// the ranked view as uint16 indices into the node's ID-sorted range —
+	// folRankWide as uint32 instead when some node has more than 65535
+	// followers — and folIDSorted is decoded from the blob's varint-packed
+	// region once, at load.
 	folStart    []int32
 	folIDRanked []uint32
-	folPRanked  []float64
 	folIDSorted []uint32
 	folPSorted  []float64
-	folCount    []uint64
 	folQSorted  []uint16
 	folRankIdx  []uint16
+	folRankWide []uint32
 	qstep       []float32 // per-node dequantisation step: p = qstep[v] * q
 
 	nodes int // node count including the root (len of the per-node arrays)
@@ -459,9 +448,7 @@ func (c *Model) appendFollowers(v int, ids []uint32, counts []uint64) {
 	z := 1 + float64(u)/float64(c.vocab)
 	c.floor[v] = 1 / float64(c.vocab) / z
 
-	base := len(c.folIDSorted)
 	c.folIDSorted = append(c.folIDSorted, ids...)
-	c.folCount = append(c.folCount, counts...)
 	for _, cnt := range counts {
 		c.folPSorted = append(c.folPSorted, float64(cnt)/float64(total)/z)
 	}
@@ -478,7 +465,6 @@ func (c *Model) appendFollowers(v int, ids []uint32, counts []uint64) {
 	})
 	for _, j := range perm {
 		c.folIDRanked = append(c.folIDRanked, ids[j])
-		c.folPRanked = append(c.folPRanked, c.folPSorted[base+j])
 	}
 }
 
@@ -506,11 +492,20 @@ func (c *Model) Nodes() int { return c.nodes - 1 }
 // Followers reports the total follower entries across all nodes.
 func (c *Model) Followers() int { return int(c.folStart[len(c.folStart)-1]) }
 
+// ExactBytes reports what the model's arrays take in the exact form Compile
+// builds and keeps in process: per-component σ and window bounds, the CSR
+// trie, the four per-node arrays and the three follower arrays (ranked IDs,
+// sorted IDs, float64 probabilities). Table VII sets the CPS5 blob against
+// it. What initServing derives (weight table, root index) is not counted.
+func (c *Model) ExactBytes() int64 {
+	n, f := int64(c.nodes), int64(c.Followers())
+	return 16*int64(c.k) + 4*(n+1) + 4*int64(len(c.childKey)) + 32*n + 4*(n+1) + 16*f
+}
+
 // Quantised reports whether the model was loaded from CPS5: follower
 // probabilities are served from the fixed-point representation
-// (bounded-error dequantisation) rather than the exact float64 arrays and
-// raw counts a model built by Compile or loaded from CPS3 carries. Only a
-// model that is not quantised can be written as CPS3.
+// (bounded-error dequantisation) rather than the exact float64 arrays a
+// model built by Compile carries.
 func (c *Model) Quantised() bool { return c.qstep != nil }
 
 // Per-node accessors bridging the exact (wide) and quantised (narrow) array

@@ -2,7 +2,6 @@ package compiled
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"math"
@@ -11,12 +10,12 @@ import (
 	"repro/internal/store"
 )
 
-// Compact flat (CPS5) encoding — the default serving blob: quantised
+// Compact flat (CPS5) encoding — the one blob encoding: quantised
 // probabilities, width-narrowed node arrays and delta/varint-packed edges.
 //
 // The paper's Table VII argues the merged single-PST stays small enough to
 // deploy; CPS5 makes the serving blob itself small, in three steps over the
-// exact CPS3 layout:
+// exact arrays Compile builds in process:
 //
 //   - smoothed probabilities become fixed-point uint16 against a per-node
 //     step: p ≈ qstep[v]·q with q = round(p/qstep[v]) and qstep[v] =
@@ -26,17 +25,16 @@ import (
 //     probabilities. The absolute error per node is bounded by qstep[v]/2
 //     (≤ 1/131070 ≈ 7.7e-6), and since mixture weights and escape chains
 //     multiply to ≤ 1, a candidate's final score is within that same bound of
-//     the float64 CPS3 score. Quantisation is monotone per node, so follower
-//     order within a node is preserved; only cross-candidate near-ties (scores
-//     within the bound) may swap rank — assertQuantParity in flat5_test.go
-//     enforces exactly that. Raw follower counts are not stored, so a model
-//     loaded from CPS5 cannot be re-encoded as CPS3;
+//     the exact model's float64 score. Quantisation is monotone per node, so
+//     follower order within a node is preserved; only cross-candidate
+//     near-ties (scores within the bound) may swap rank — assertQuantParity in
+//     flat5_test.go enforces exactly that. Raw follower counts are not stored;
 //   - per-node arrays shrink to the width the data needs: the ranked (TopN
 //     candidate-pool) view as uint16 indices into the node's ID-sorted
-//     follower range, unobserved-follower floors as float32, component
-//     presence bitmasks as uint16 when the mixture has <= 16 components (the
-//     paper's has 11), escape-window occurrence counts as uint32 when every
-//     count fits;
+//     follower range (uint32 when some node has more than 65535 followers),
+//     unobserved-follower floors as float32, component presence bitmasks as
+//     uint16 when the mixture has <= 16 components (the paper's has 11),
+//     escape-window occurrence counts as uint32 when every count fits;
 //   - the two uint32 arrays that would still dominate the blob go varint.
 //     Follower IDs within a node are ascending, and query IDs are assigned by
 //     training-log frequency, so the gaps are small: each node's follower
@@ -44,7 +42,7 @@ import (
 //     childStart/folStart CSR offset arrays become varint count streams, and
 //     the child edge keys (symbol-sorted per node) first-key + deltas.
 //
-// Varint data cannot be viewed zero-copy, so CPS5 splits the load:
+// Varint data cannot be viewed zero-copy, so the load splits:
 //
 //   - the varint regions (child offsets, child keys, follower offsets, the
 //     follower IDs) are decoded once, at load, into heap slices — descent
@@ -52,8 +50,10 @@ import (
 //     blob; the per-node byte extents of the follower-ID groups are read
 //     only to decode them;
 //   - the fixed-width payload arrays (steps, fixed-point probabilities,
-//     ranked views, evidence, occurrences, floors) are viewed zero-copy like
-//     CPS3's.
+//     ranked views, evidence, occurrences, floors) are aliased straight out
+//     of the blob on little-endian platforms (an mmap'd blob: zero copies,
+//     pages shared read-only across processes and faulted in lazily), and
+//     decoded portably — without unsafe — into heap slices elsewhere.
 //
 // Layout (all integers little-endian, varints in Go's binary.Uvarint form):
 //
@@ -72,14 +72,18 @@ import (
 //	288  the arrays, each 8-byte aligned
 //
 // For fixed-width arrays the table count is the element count; for the five
-// varint regions it is the region's byte length. As with CPS3, ViewCopy
-// loads verify the CRC; zero-copy loads skip it and rely on structural
-// validation plus defensive clamping — a corrupted payload (including a
-// truncated follower-ID stream, which the load-time decoder pads) can
-// misrank but cannot panic or index out of bounds.
+// varint regions it is the region's byte length. The ranked view's element
+// width is in no header byte: it is 4 when the follower-count region gives
+// some node more than 65535 followers, else 2 (rankWidth). ViewCopy loads
+// verify the CRC; zero-copy loads skip it — checksumming would fault in
+// every page — and rely on structural validation plus defensive clamping: a
+// corrupted payload (including a truncated follower-ID stream, which the
+// load-time decoder pads) can misrank but cannot panic or index out of
+// bounds.
 const (
 	compactMagic       = "CPS5"
 	compactVersion     = 1
+	flatHeaderSize     = 64
 	compactArrayCount  = 14
 	compactArraysStart = flatHeaderSize + compactArrayCount*16 // 288, 8-byte aligned
 	compactProbWidth   = 2
@@ -108,20 +112,16 @@ const (
 // grid {0, qstep, 2·qstep, ..., 65535·qstep} with qstep = maxP/quantSteps.
 const quantSteps = 65535
 
-// ErrUnquantisable reports a model whose statistics do not fit the CPS5
-// narrow layout (a node with more than 65535 followers, or a probability
-// too small for a float32 step). Callers keep the exact CPS3 encoding.
-var ErrUnquantisable = errors.New("compiled: model does not fit the CPS5 quantised layout")
-
 func compactCorrupt(format string, args ...any) error {
 	return fmt.Errorf("%w: CPS5 %s", store.ErrCorrupt, fmt.Sprintf(format, args...))
 }
 
 // quantWidths picks the narrow-array element widths for this model's data:
 // evidence masks shrink to uint16 when the mixture fits, occurrence counts
-// to uint32 when every count fits. The choice is a pure function of the
-// model's statistics, which keeps re-encoding byte-stable.
-func (c *Model) quantWidths() (evW, occW int) {
+// to uint32 when every count fits, ranked-view indices to uint16 unless some
+// node has more followers than that addresses. The choice is a pure function
+// of the model's statistics, which keeps re-encoding byte-stable.
+func (c *Model) quantWidths() (evW, occW, rankW int) {
 	evW = 8
 	if c.k <= 16 {
 		evW = 2
@@ -133,7 +133,20 @@ func (c *Model) quantWidths() (evW, occW int) {
 			break
 		}
 	}
-	return evW, occW
+	return evW, occW, rankWidth(c.folStart)
+}
+
+// rankWidth is the ranked view's element width for the follower offsets
+// folStart: 4 when some node has more than quantSteps followers, else 2.
+// The encoder and the decoder both derive it from the follower counts, so
+// no header byte carries it.
+func rankWidth(folStart []int32) int {
+	for v := 1; v < len(folStart); v++ {
+		if folStart[v]-folStart[v-1] > quantSteps {
+			return 4
+		}
+	}
+	return 2
 }
 
 // compactRegions builds the five varint regions of the CPS5 layout, the
@@ -176,14 +189,14 @@ func (c *Model) compactRegions() (childCnt, childKey, folCnt, folLen, folID []by
 func (c *Model) compactCounts(regions [5][]byte) (counts, sizes [compactArrayCount]int) {
 	n := c.nodes
 	f := c.Followers()
-	evW, occW := c.quantWidths()
+	evW, occW, rankW := c.quantWidths()
 	counts = [compactArrayCount]int{
 		c.k, c.k,
 		n, n, n, n, n,
 		f, f,
 		len(regions[0]), len(regions[1]), len(regions[2]), len(regions[3]), len(regions[4]),
 	}
-	sizes = [compactArrayCount]int{8, 8, evW, occW, occW, 4, 4, compactProbWidth, 2, 1, 1, 1, 1, 1}
+	sizes = [compactArrayCount]int{8, 8, evW, occW, occW, 4, 4, compactProbWidth, rankW, 1, 1, 1, 1, 1}
 	return counts, sizes
 }
 
@@ -204,15 +217,14 @@ func compactLayout(counts, sizes [compactArrayCount]int) (offs [compactArrayCoun
 // from CPS5 re-emit their stored fixed-point values and re-pack their
 // decoded IDs, so load → save round trips are byte-identical.
 //
-// Fails with ErrUnquantisable when the statistics do not fit: a node with
-// more than 65535 followers, or a float32 step underflow. Callers then fall
-// back to exact CPS3.
+// Fails, naming the node, only when a node's float32 step underflows, which
+// no model Compile builds can reach (putCompactQuantised has the proof).
 func (c *Model) AppendFlat5(dst []byte) ([]byte, error) {
 	childCnt, childKeyV, folCnt, folLen, folID := c.compactRegions()
 	regions := [5][]byte{childCnt, childKeyV, folCnt, folLen, folID}
 	counts, sizes := c.compactCounts(regions)
 	offs, total := compactLayout(counts, sizes)
-	evW, occW := sizes[f5Evidence], sizes[f5Occ]
+	evW, occW, rankW := sizes[f5Evidence], sizes[f5Occ], sizes[f5FolRank]
 	base := len(dst)
 	dst = append(dst, make([]byte, total)...)
 	b := dst[base:]
@@ -261,7 +273,7 @@ func (c *Model) AppendFlat5(dst []byte) ([]byte, error) {
 	for i, r := range regions {
 		copy(b[offs[f5ChildCntV+i]:], r)
 	}
-	if err := c.putCompactQuantised(b, offs); err != nil {
+	if err := c.putCompactQuantised(b, offs, rankW); err != nil {
 		return dst[:base], err
 	}
 
@@ -272,8 +284,15 @@ func (c *Model) AppendFlat5(dst []byte) ([]byte, error) {
 // putCompactQuantised fills the step, folQ and folRank arrays of a CPS5
 // blob: copied verbatim from a model loaded from CPS5, computed from the
 // float64 probabilities and the frozen ranked order of an exact one.
-func (c *Model) putCompactQuantised(b []byte, offs [compactArrayCount]uint64) error {
+func (c *Model) putCompactQuantised(b []byte, offs [compactArrayCount]uint64, rankW int) error {
 	le := binary.LittleEndian
+	putRank := func(j int32, idx int) {
+		if rankW == 4 {
+			le.PutUint32(b[offs[f5FolRank]+4*uint64(j):], uint32(idx))
+		} else {
+			le.PutUint16(b[offs[f5FolRank]+2*uint64(j):], uint16(idx))
+		}
+	}
 	if c.Quantised() {
 		for v := 0; v < c.nodes; v++ {
 			le.PutUint32(b[offs[f5Step]+4*uint64(v):], math.Float32bits(c.qstep[v]))
@@ -282,7 +301,10 @@ func (c *Model) putCompactQuantised(b []byte, offs [compactArrayCount]uint64) er
 			le.PutUint16(b[offs[f5FolQ]+2*uint64(i):], q)
 		}
 		for i, r := range c.folRankIdx {
-			le.PutUint16(b[offs[f5FolRank]+2*uint64(i):], r)
+			putRank(int32(i), int(r))
+		}
+		for i, r := range c.folRankWide {
+			putRank(int32(i), int(r))
 		}
 		return nil
 	}
@@ -292,9 +314,6 @@ func (c *Model) putCompactQuantised(b []byte, offs [compactArrayCount]uint64) er
 		if support == 0 {
 			continue // step stays 0.0
 		}
-		if support > quantSteps {
-			return fmt.Errorf("%w: node %d has %d followers, rank indices are 16-bit", ErrUnquantisable, v, support)
-		}
 		maxP := 0.0
 		for _, p := range c.folPSorted[lo:hi] {
 			if p > maxP {
@@ -302,8 +321,13 @@ func (c *Model) putCompactQuantised(b []byte, offs [compactArrayCount]uint64) er
 			}
 		}
 		step := float32(maxP / quantSteps)
+		// No model Compile builds reaches this: a node's observed
+		// probabilities are cnt/total/z with z = 1 + u/|Q| < 2 and counts
+		// summing to total, so maxP ≥ 1/(2·support); support < 2³¹ because
+		// folStart is int32, so the step maxP/65535 is at least about 2⁻⁴⁸,
+		// far above float32's smallest normal, 2⁻¹²⁶.
 		if step == 0 && maxP > 0 {
-			return fmt.Errorf("%w: node %d max probability %g underflows the float32 step", ErrUnquantisable, v, maxP)
+			return fmt.Errorf("compiled: node %d max probability %g underflows the float32 step", v, maxP)
 		}
 		le.PutUint32(b[offs[f5Step]+4*uint64(v):], math.Float32bits(step))
 		for j := lo; j < hi; j++ {
@@ -318,8 +342,7 @@ func (c *Model) putCompactQuantised(b []byte, offs [compactArrayCount]uint64) er
 		ids := c.folIDSorted[lo:hi]
 		for r := int32(0); r < int32(support); r++ {
 			id := c.folIDRanked[lo+r]
-			idx := sort.Search(support, func(i int) bool { return ids[i] >= id })
-			le.PutUint16(b[offs[f5FolRank]+2*uint64(lo+r):], uint16(idx))
+			putRank(lo+r, sort.Search(support, func(i int) bool { return ids[i] >= id }))
 		}
 	}
 	return nil
@@ -342,17 +365,53 @@ func decodeUvarints(dst []uint64, b []byte, count int, what string) ([]uint64, e
 	return dst, nil
 }
 
-// fromBytes5 materialises a quantised Model from a CPS5 blob. The caller
-// (fromBytes) has already matched the magic. The varint regions are decoded
-// eagerly (descent needs random access), the follower IDs node by node
-// within their recorded byte extents.
-func fromBytes5(data []byte, mode ViewMode) (*Model, bool, error) {
-	c, edges, fols, err := readFlatHeader(data, compactVersion, compactCorrupt)
-	if err != nil {
-		return nil, false, err
+// fromBytes materialises a quantised Model from a CPS5 blob and reports
+// whether the model aliases data (zero-copy view) rather than owning heap
+// copies. The varint regions are decoded eagerly (descent needs random
+// access), the follower IDs node by node within their recorded byte extents.
+// Nothing it allocates is sized by a header word or a varint value rather
+// than by the blob's own length.
+func fromBytes(data []byte, mode ViewMode) (*Model, bool, error) {
+	if len(data) < compactArraysStart {
+		return nil, false, compactCorrupt("blob of %d bytes is shorter than the header", len(data))
+	}
+	le := binary.LittleEndian
+	if string(data[:4]) != compactMagic {
+		return nil, false, compactCorrupt("magic %q, want %q", data[:4], compactMagic)
+	}
+	if v := le.Uint32(data[4:]); v != compactVersion {
+		return nil, false, compactCorrupt("unsupported layout version %d", v)
+	}
+	if bl := le.Uint64(data[8:]); bl != uint64(len(data)) {
+		return nil, false, compactCorrupt("header claims %d bytes, blob has %d (truncated?)", bl, len(data))
+	}
+	c := &Model{
+		k:     int(le.Uint32(data[16:])),
+		vocab: int(le.Uint32(data[20:])),
+		depth: int(le.Uint32(data[24:])),
+		nodes: int(le.Uint32(data[28:])),
+	}
+	edges, fols := le.Uint64(data[32:]), le.Uint64(data[40:])
+	if c.k <= 0 || c.k > maxComponents {
+		return nil, false, compactCorrupt("implausible component count %d", c.k)
+	}
+	if c.vocab <= 0 {
+		return nil, false, compactCorrupt("implausible vocab %d", c.vocab)
+	}
+	// The CSR offsets are int32: with these two bounds the prefix sums
+	// below are monotone and in range by construction.
+	if c.nodes <= 0 || c.nodes > math.MaxInt32 || uint64(c.nodes-1) != edges {
+		return nil, false, compactCorrupt("%d edges for %d nodes", edges, c.nodes)
+	}
+	// Each follower entry occupies >= 1 byte.
+	if fols > uint64(len(data)) || fols > math.MaxInt32 {
+		return nil, false, compactCorrupt("implausible follower count %d", fols)
+	}
+	// The header is outside the CRC, and depth sizes every scratch's path.
+	if uint64(c.depth) > edges {
+		return nil, false, compactCorrupt("depth %d over %d edges", c.depth, edges)
 	}
 	n := c.nodes
-	le := binary.LittleEndian
 	evW, occW, probW := int(data[52]), int(data[53]), int(data[54])
 	if (evW != 2 && evW != 8) || (evW == 2 && c.k > 16) {
 		return nil, false, compactCorrupt("evidence width %d for %d components", evW, c.k)
@@ -372,19 +431,29 @@ func fromBytes5(data []byte, mode ViewMode) (*Model, bool, error) {
 		fols, fols,
 		0, 0, 0, 0, 0,
 	}
-	sizes := [compactArrayCount]int{8, 8, evW, occW, occW, 4, 4, probW, 2, 1, 1, 1, 1, 1}
-	var arr [compactArrayCount][]byte
-	for i := 0; i < compactArrayCount; i++ {
+	// array returns table entry i as a window of data, elements w bytes wide.
+	array := func(i, w int) ([]byte, error) {
 		off := le.Uint64(data[flatHeaderSize+16*i:])
 		cnt := le.Uint64(data[flatHeaderSize+16*i+8:])
 		if i < f5ChildCntV && cnt != want[i] {
-			return nil, false, compactCorrupt("array %d holds %d elements, header implies %d", i, cnt, want[i])
+			return nil, compactCorrupt("array %d holds %d elements, header implies %d", i, cnt, want[i])
 		}
-		bytes := cnt * uint64(sizes[i])
+		bytes := cnt * uint64(w)
 		if off%8 != 0 || off < compactArraysStart || off > uint64(len(data)) || bytes > uint64(len(data))-off {
-			return nil, false, compactCorrupt("array %d at [%d, %d+%d) escapes the %d-byte blob", i, off, off, bytes, len(data))
+			return nil, compactCorrupt("array %d at [%d, %d+%d) escapes the %d-byte blob", i, off, off, bytes, len(data))
 		}
-		arr[i] = data[off : off+bytes]
+		return data[off : off+bytes], nil
+	}
+	sizes := [compactArrayCount]int{8, 8, evW, occW, occW, 4, 4, probW, 0, 1, 1, 1, 1, 1}
+	var arr [compactArrayCount][]byte
+	for i, w := range sizes {
+		if i == f5FolRank {
+			continue // its width follows from the follower counts, below
+		}
+		var err error
+		if arr[i], err = array(i, w); err != nil {
+			return nil, false, err
+		}
 	}
 
 	viewed := mode == ViewAuto && canZeroCopy(data)
@@ -394,7 +463,7 @@ func fromBytes5(data []byte, mode ViewMode) (*Model, bool, error) {
 		}
 	}
 
-	if err := c.decodeComponents(arr[f5Sigma], arr[f5MaxLen], compactCorrupt); err != nil {
+	if err := c.decodeComponents(arr[f5Sigma], arr[f5MaxLen]); err != nil {
 		return nil, false, err
 	}
 
@@ -406,10 +475,10 @@ func fromBytes5(data []byte, mode ViewMode) (*Model, bool, error) {
 	c.childStart = make([]int32, n+1)
 	var sum uint64
 	for v, cnt := range vals {
-		sum += cnt
-		if sum > edges {
+		if cnt > edges-sum { // not sum+cnt > edges, which a huge cnt wraps
 			return nil, false, compactCorrupt("child counts overflow %d edges at node %d", edges, v)
 		}
+		sum += cnt
 		c.childStart[v+1] = int32(sum)
 	}
 	if sum != edges {
@@ -438,10 +507,10 @@ func fromBytes5(data []byte, mode ViewMode) (*Model, bool, error) {
 	c.folStart = make([]int32, n+1)
 	sum = 0
 	for v, cnt := range vals {
-		sum += cnt
-		if sum > fols {
+		if cnt > fols-sum {
 			return nil, false, compactCorrupt("follower counts overflow %d entries at node %d", fols, v)
 		}
+		sum += cnt
 		c.folStart[v+1] = int32(sum)
 	}
 	if sum != fols {
@@ -463,11 +532,19 @@ func fromBytes5(data []byte, mode ViewMode) (*Model, bool, error) {
 	if len(ids) != 0 {
 		return nil, false, compactCorrupt("follower extents leave %d of %d ID-region bytes", len(ids), len(arr[f5FolIDV]))
 	}
+	rankW := rankWidth(c.folStart)
+	if arr[f5FolRank], err = array(f5FolRank, rankW); err != nil {
+		return nil, false, err
+	}
 
 	if viewed {
 		c.floor32 = viewF32(arr[f5Floor])
 		c.qstep = viewF32(arr[f5Step])
-		c.folRankIdx = viewU16(arr[f5FolRank])
+		if rankW == 2 {
+			c.folRankIdx = viewU16(arr[f5FolRank])
+		} else {
+			c.folRankWide = viewU32(arr[f5FolRank])
+		}
 		c.folQSorted = viewU16(arr[f5FolQ])
 		if evW == 2 {
 			c.evidence16 = viewU16(arr[f5Evidence])
@@ -484,7 +561,11 @@ func fromBytes5(data []byte, mode ViewMode) (*Model, bool, error) {
 	} else {
 		c.floor32 = decodeF32(arr[f5Floor])
 		c.qstep = decodeF32(arr[f5Step])
-		c.folRankIdx = decodeU16(arr[f5FolRank])
+		if rankW == 2 {
+			c.folRankIdx = decodeU16(arr[f5FolRank])
+		} else {
+			c.folRankWide = decodeU32(arr[f5FolRank])
+		}
 		c.folQSorted = decodeU16(arr[f5FolQ])
 		if evW == 2 {
 			c.evidence16 = decodeU16(arr[f5Evidence])
@@ -498,9 +579,6 @@ func fromBytes5(data []byte, mode ViewMode) (*Model, bool, error) {
 			c.occ = decodeU64(arr[f5Occ])
 			c.startOcc = decodeU64(arr[f5StartOcc])
 		}
-	}
-	if err := c.validateStructure(edges, fols); err != nil {
-		return nil, false, err
 	}
 	c.initServing(len(data))
 	return c, viewed, nil

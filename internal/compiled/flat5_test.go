@@ -6,8 +6,6 @@ import (
 	"errors"
 	"math"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"runtime"
 	"sort"
 	"testing"
@@ -135,7 +133,7 @@ func TestQuantWideWidths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if evW, _ := c.quantWidths(); evW != 8 {
+	if evW, _, _ := c.quantWidths(); evW != 8 {
 		t.Fatalf("evidence width %d for %d components, want 8", evW, c.Components())
 	}
 	q := mustCompact(t, c, ViewCopy)
@@ -152,57 +150,104 @@ func TestQuantWideWidths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, occW := cb.quantWidths(); occW != 8 {
+	if _, occW, _ := cb.quantWidths(); occW != 8 {
 		t.Fatalf("occurrence width %d for 2^34 counts, want 8", occW)
 	}
 	qb := mustCompact(t, cb, ViewCopy)
 	assertQuantParity(t, cb, qb, []query.Seq{{1}, {2}, {1, 2}, {3, 2, 1}, {4, 5}}, 6, rng)
 }
 
-// TestAppendFlat5Unquantisable: a node with more followers than a 16-bit
-// rank index can address must fail with ErrUnquantisable and leave dst
-// untouched (len 0 here) — core.Save keys its CPS3 fallback on that.
-func TestAppendFlat5Unquantisable(t *testing.T) {
-	const support = quantSteps + 1
+// wideModel is one context node, query 1, followed by support distinct
+// queries, each seen once but query 9 (seen twice, so the ranking does not
+// open on a tie), with Compile's arithmetic (appendFollowers).
+func wideModel(support int) *Model {
 	c := &Model{
 		k: 1, vocab: support + 10, depth: 1, nodes: 2,
 		sigma: []float64{1}, maxLen: []int{0},
 		childStart: []int32{0, 1, 1}, childKey: []uint32{1},
-		evidence: []uint64{0, 1}, occ: []uint64{0, 0}, startOcc: []uint64{0, 0},
-		floor:    []float64{0, 1e-6},
-		folStart: []int32{0, 0, support},
+		evidence: []uint64{0, 1}, occ: make([]uint64, 2), startOcc: make([]uint64, 2),
+		floor: make([]float64, 2), folStart: []int32{0},
 	}
-	c.folIDSorted = make([]uint32, support)
-	c.folIDRanked = make([]uint32, support)
-	c.folPSorted = make([]float64, support)
-	c.folCount = make([]uint64, support)
-	for i := range c.folIDSorted {
-		c.folIDSorted[i] = uint32(i)
-		c.folIDRanked[i] = uint32(i)
-		c.folPSorted[i] = 1.0 / support
-		c.folCount[i] = 1
+	ids, counts := make([]uint32, support), make([]uint64, support)
+	for i := range ids {
+		ids[i], counts[i] = uint32(i+2), 1
 	}
-	blob, err := c.AppendFlat5(nil)
-	if !errors.Is(err, ErrUnquantisable) {
-		t.Fatalf("err = %v, want ErrUnquantisable", err)
-	}
-	if len(blob) != 0 {
-		t.Fatalf("failed AppendFlat5 returned %d bytes, want the untouched dst", len(blob))
-	}
+	counts[7] = 2
+	c.appendFollowers(1, ids, counts)
+	c.folStart = append(c.folStart, int32(len(c.folIDSorted)))
+	c.initServing(c.vocab)
+	return c
 }
 
-// TestQuantisedCannotWriteExactForms: the exact CPS3 encoder must refuse a
-// quantised model loudly (its raw counts are gone) instead of writing
-// garbage.
-func TestQuantisedCannotWriteExactForms(t *testing.T) {
-	c, _, _, _ := flatTestModel(t, 419)
-	q := mustCompact(t, c, ViewCopy)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("AppendFlat on a quantised model did not panic")
+// rankBytes is the byte span the table gives the ranked view of a blob:
+// from its offset to the next array's.
+func rankBytes(blob []byte) uint64 {
+	le := binary.LittleEndian
+	entry := flatHeaderSize + 16*f5FolRank
+	return le.Uint64(blob[entry+16:]) - le.Uint64(blob[entry:])
+}
+
+// TestFlat5WideRankIndices: a node of 65,536 followers — one more than a
+// uint16 rank index addresses — is written with uint32 rank indices, its
+// 65,535-follower sibling with uint16 ones; the wide blob loads in both view
+// modes, ranks as the exact model does within quantTol and re-encodes byte
+// for byte. Forging the narrow blob's follower count for that node (and the
+// header and table counts that would have to agree with it) under ViewAuto,
+// which skips the CRC, is refused as corrupt or loads and predicts without
+// an out-of-bounds access.
+func TestFlat5WideRankIndices(t *testing.T) {
+	c := wideModel(quantSteps + 1)
+	blob := mustFlat5(t, c)
+	if got := rankBytes(blob); got != 4*(quantSteps+1) {
+		t.Fatalf("ranked view of %d followers spans %d bytes, want 4 each", quantSteps+1, got)
+	}
+	rng := rand.New(rand.NewSource(631))
+	ctxs := []query.Seq{{1}, {5, 1}, {3}, {1, 1}, {9}}
+	for _, mode := range []ViewMode{ViewAuto, ViewCopy} {
+		m, err := FromBytes(blob, mode)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}()
-	q.AppendFlat(nil)
+		if m.folRankWide == nil || m.folRankIdx != nil {
+			t.Fatalf("mode %d: the load did not decode uint32 rank indices", mode)
+		}
+		assertQuantParity(t, c, m, ctxs, c.vocab, rng)
+		if again := mustFlat5(t, m); !bytes.Equal(again, blob) {
+			t.Fatalf("mode %d: re-encoding the wide blob changed it (%d vs %d bytes)", mode, len(again), len(blob))
+		}
+	}
+
+	narrow := mustFlat5(t, wideModel(quantSteps))
+	if got := rankBytes(narrow); got != 2*quantSteps+2 { // + 2 bytes of 8-byte alignment
+		t.Fatalf("ranked view of %d followers spans %d bytes, want 2 each", quantSteps, got)
+	}
+	le := binary.LittleEndian
+	cnts := le.Uint64(narrow[flatHeaderSize+16*f5FolCntV:])
+	if !bytes.Equal(narrow[cnts:cnts+4], []byte{0, 0xff, 0xff, 0x03}) {
+		t.Fatalf("follower counts open % x, want the root's 0 and 65535", narrow[cnts:cnts+4])
+	}
+	bad := append([]byte(nil), narrow...)
+	copy(bad[cnts+1:], []byte{0x80, 0x80, 0x04}) // 65536, in as many bytes
+	forged := map[string][]byte{"follower count": append([]byte(nil), bad...)}
+	le.PutUint64(bad[40:], quantSteps+1)
+	forged["and header"] = append([]byte(nil), bad...)
+	for _, i := range []int{f5FolQ, f5FolRank} {
+		le.PutUint64(bad[flatHeaderSize+16*i+8:], quantSteps+1)
+	}
+	forged["and table"] = bad
+	for name, bad := range forged {
+		m, err := FromBytes(bad, ViewAuto)
+		if err != nil {
+			if !errors.Is(err, store.ErrCorrupt) {
+				t.Fatalf("%s: err = %v, want ErrCorrupt", name, err)
+			}
+			continue
+		}
+		for _, ctx := range ctxs {
+			m.Predict(ctx, 10)
+			m.Prob(ctx, 9)
+		}
+	}
 }
 
 // TestFlat5RoundTripStable: view and copy loads behave identically, and a
@@ -237,23 +282,19 @@ func TestFlat5RoundTripStable(t *testing.T) {
 }
 
 // TestFlat5SizeReduction: the compact blob must be dramatically smaller
-// than the exact CPS3 blob — the reason it is the default. The benchmark
-// model's cps5-over-cps3 <= 0.48 ceiling is internal/experiments'
-// TestTable7CompiledRowsMatchBlobBytes; the toy corpora here, where the fixed
-// headers weigh more, must already clear 0.6.
+// than the exact arrays Compile holds in process. The benchmark model's
+// cps5-over-exact <= 0.48 ceiling is internal/experiments'
+// TestTable7CompiledRowsMatchBlobBytes; the toy corpora here, where the
+// blob's fixed header weighs more, must already clear 0.6.
 func TestFlat5SizeReduction(t *testing.T) {
 	for _, seed := range []int64{301, 302, 303, 541, 547, 557} {
 		c, _, _, _ := flatTestModel(t, seed)
-		blob5, err := c.AppendFlat5(nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cps3, cps5 := len(c.AppendFlat(nil)), len(blob5)
-		ratio := float64(cps5) / float64(cps3)
+		exact, cps5 := c.ExactBytes(), int64(len(mustFlat5(t, c)))
+		ratio := float64(cps5) / float64(exact)
 		if ratio > 0.6 {
-			t.Fatalf("seed %d: CPS5 %d bytes is %.1f%% of CPS3 %d bytes, want <= 60%%", seed, cps5, 100*ratio, cps3)
+			t.Fatalf("seed %d: CPS5 %d bytes is %.1f%% of the exact %d bytes, want <= 60%%", seed, cps5, 100*ratio, exact)
 		}
-		t.Logf("seed %d: cps5/cps3 = %.3f (%d / %d bytes)", seed, ratio, cps5, cps3)
+		t.Logf("seed %d: cps5/exact = %.3f (%d / %d bytes)", seed, ratio, cps5, exact)
 	}
 }
 
@@ -301,7 +342,7 @@ func TestFlat5BatchParity(t *testing.T) {
 	}
 }
 
-// TestFlat5RejectsCorruption mirrors the CPS3 robustness table: truncations
+// TestFlat5RejectsCorruption is the format-robustness table: truncations
 // fail in both view modes, every byte flip fails the ViewCopy CRC, flips
 // that survive ViewAuto's structural validation must never panic when the
 // model is exercised (defensive clamping in pooling and descent), and — in
@@ -372,6 +413,8 @@ func FuzzFlat5Decode(f *testing.F) {
 	f.Add(good[:compactArraysStart+7])
 	f.Add(truncatedFollowerIDs(good))
 	f.Add([]byte("CPS5 but nonsense"))
+	f.Add([]byte("CPS3 but nonsense"))
+	f.Add(append([]byte("CPS3"), good[4:]...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, mode := range []ViewMode{ViewAuto, ViewCopy} {
 			m, err := FromBytes(data, mode)
@@ -425,38 +468,15 @@ func searchChild(c *Model, v int32, sym uint32) int32 {
 
 // TestRootIndexAgreesWithSearch: the root index answers every symbol as the
 // binary search over the root's children does — each ID in [0, vocab],
-// vocab+1 and the largest uint32 — on every kind of model: compiled, CPS3,
-// and CPS5 on the heap and mapped.
+// vocab+1 and the largest uint32 — on every kind of model: compiled, and
+// CPS5 copied, viewed and mapped.
 func TestRootIndexAgreesWithSearch(t *testing.T) {
 	c, _, vocab, _ := flatTestModel(t, 613)
-	blob5, err := c.AppendFlat5(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	models := map[string]*Model{"compiled": c}
-	if models["cps3"], err = FromBytes(c.AppendFlat(nil), ViewCopy); err != nil {
-		t.Fatal(err)
-	}
-	if models["cps5 heap"], err = FromBytes(blob5, ViewCopy); err != nil {
-		t.Fatal(err)
-	}
-	if mmapSupported {
-		path := filepath.Join(t.TempDir(), "model.cps5")
-		if err := os.WriteFile(path, blob5, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		mapped, err := OpenMmapAdvised(path, 0, int64(len(blob5)), MapAdvice{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer mapped.Release()
-		models["cps5 mmap"] = mapped
-	}
 	syms := []uint32{uint32(vocab) + 1, math.MaxUint32}
 	for sym := uint32(0); sym <= uint32(vocab); sym++ {
 		syms = append(syms, sym)
 	}
-	for name, m := range models {
+	for name, m := range loadedEveryWay(t, c) {
 		if len(m.rootChild) == 0 {
 			t.Fatalf("%s: no root index", name)
 		}

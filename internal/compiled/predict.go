@@ -345,7 +345,8 @@ func (c *Model) appendRanked(s *scratch, dst []model.Prediction, ctxLen, topN in
 	// matched state (the interpreted Predict's TopN(topN*4) union), sorted
 	// and deduplicated in place. Exact models store the ranked IDs directly;
 	// CPS5 models store the ranked view as local offsets into the node's
-	// ID-sorted range (clamped defensively — a corrupted payload loaded
+	// ID-sorted range, uint16 or — in a model with a node of more than 65535
+	// followers — uint32 (clamped defensively: a corrupted payload loaded
 	// without a CRC check may misrank but must not index out of bounds).
 	s.cands = s.cands[:0]
 	lim := int32(4 * topN)
@@ -357,6 +358,16 @@ func (c *Model) appendRanked(s *scratch, dst []model.Prediction, ctxLen, topN in
 		}
 		if c.qstep == nil {
 			s.cands = append(s.cands, c.folIDRanked[lo:hi]...)
+			continue
+		}
+		if c.folRankWide != nil {
+			for j := lo; j < hi; j++ {
+				idx := int(c.folRankWide[j])
+				if idx >= len(ids) {
+					idx = 0
+				}
+				s.cands = append(s.cands, ids[idx])
+			}
 			continue
 		}
 		for j := lo; j < hi; j++ {

@@ -1,8 +1,8 @@
 //go:build 386 || amd64 || arm || arm64 || loong64 || mips64le || mipsle || ppc64le || riscv64 || wasm
 
-// Zero-copy CPS3 array views for little-endian platforms: the on-disk and
-// in-memory representations coincide, so a flat blob's arrays are aliased
-// with unsafe.Slice instead of decoded. Big-endian (or otherwise excluded)
+// Zero-copy CPS5 array views for little-endian platforms: the on-disk and
+// in-memory representations of the blob's fixed-width arrays coincide, so
+// they are aliased with unsafe.Slice instead of decoded. Big-endian (or otherwise excluded)
 // platforms build view_portable.go and always take the decode-copy path.
 
 package compiled
@@ -30,13 +30,6 @@ func viewF32(b []byte) []float32 {
 	return unsafe.Slice((*float32)(unsafe.Pointer(unsafe.SliceData(b))), len(b)/4)
 }
 
-func viewI32(b []byte) []int32 {
-	if len(b) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*int32)(unsafe.Pointer(unsafe.SliceData(b))), len(b)/4)
-}
-
 func viewU32(b []byte) []uint32 {
 	if len(b) == 0 {
 		return nil
@@ -49,11 +42,4 @@ func viewU64(b []byte) []uint64 {
 		return nil
 	}
 	return unsafe.Slice((*uint64)(unsafe.Pointer(unsafe.SliceData(b))), len(b)/8)
-}
-
-func viewF64(b []byte) []float64 {
-	if len(b) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*float64)(unsafe.Pointer(unsafe.SliceData(b))), len(b)/8)
 }

@@ -2,8 +2,6 @@ package compiled
 
 import (
 	"math"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/markov"
@@ -11,29 +9,17 @@ import (
 )
 
 // loadedEveryWay returns c as every loader in the package hands it out: built
-// by Compile, and read back from each encoding through each view.
+// by Compile, and read back from its CPS5 blob through each view and mapped.
 func loadedEveryWay(t *testing.T, c *Model) map[string]*Model {
 	t.Helper()
 	models := map[string]*Model{"Compile": c}
-	cps3 := c.AppendFlat(nil)
 	for name, mode := range map[string]ViewMode{"copy": ViewCopy, "view": ViewAuto} {
-		var err error
-		if models["CPS3 "+name], err = FromBytes(cps3, mode); err != nil {
-			t.Fatal(err)
-		}
 		models["CPS5 "+name] = mustCompact(t, c, mode)
 	}
 	if mmapSupported {
-		path := filepath.Join(t.TempDir(), "model.cps3")
-		if err := os.WriteFile(path, cps3, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		m, err := OpenMmapAdvised(path, 0, int64(len(cps3)), MapAdvice{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		m, _ := mmapAt(t, mustFlat5(t, c), 0, MapAdvice{})
 		t.Cleanup(func() { m.Release() })
-		models["CPS3 mmap"] = m
+		models["CPS5 mmap"] = m
 	}
 	return models
 }
@@ -121,9 +107,8 @@ func TestLongContextParity(t *testing.T) {
 	}
 	assertParity(t, m, c, long, vocab, rng)
 	for name, loaded := range loadedEveryWay(t, c) {
-		if loaded.Quantised() {
-			continue // parity with the exact model is flat5_test's, within its tolerance
+		if loaded != c {
+			t.Run(name, func(t *testing.T) { assertQuantParity(t, c, loaded, long, vocab, rng) })
 		}
-		assertBitIdentical(t, name, c, loaded, long, vocab, rng)
 	}
 }

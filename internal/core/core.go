@@ -17,11 +17,10 @@
 //
 // Persistence: a model file is one container — the dictionary and the
 // compiled blob at a page-aligned offset, nothing else. Save writes the blob
-// in the compact quantised CPS5 encoding, or in exact CPS3 when the model's
-// statistics do not fit it. Load reads a stream into the heap; LoadPath is
-// the production cold-start route and memory-maps the blob (no decoding,
-// lazy page-in, cross-process page sharing); LoadInfo reports the route
-// taken, the blob encoding served and its byte length. The interpreted
+// in the compact quantised CPS5 encoding, the one blob encoding. Load reads a
+// stream into the heap; LoadPath is the production cold-start route and
+// memory-maps the blob (no decoding, lazy page-in, cross-process page
+// sharing); LoadInfo reports the route taken and the blob's byte length. The interpreted
 // mixture is never written: a loaded Engine serves from the blob alone.
 //
 // Invariants: an Engine is immutable after training or loading — the
@@ -119,7 +118,6 @@ const (
 type LoadInfo struct {
 	Mode      string        // LoadModeTrained, LoadModeHeap or LoadModeMmap
 	Version   string        // save-format magic of the source file, "" if trained
-	Format    string        // compiled-blob encoding served ("CPS3" or "CPS5"); "" if compiled in-process
 	BlobBytes int64         // byte length of the compiled blob decoded or mapped; 0 if compiled in-process
 	MapAdvice string        // kernel paging hints applied to the mapping ("willneed", "mlock", …); "" when none
 	Duration  time.Duration // wall time of the Load/LoadPath call
@@ -291,11 +289,9 @@ func (r *Engine) Stats() session.Stats { return r.stats }
 //
 // The pad is zero bytes sized so that the blob starts on a compiledAlign
 // boundary, the precondition for LoadPath's zero-copy mmap. The blob is the
-// compiled model in compiled.AppendFlat5's CPS5 encoding, or in AppendFlat's
-// exact CPS3 when the model's statistics do not fit CPS5
-// (compiled.ErrUnquantisable); loaders dispatch on the blob's own magic. A
-// file with any other magic, those of earlier revisions of this repository
-// included, is refused: retrain.
+// compiled model in compiled.AppendFlat5's CPS5 encoding. A file with any
+// other magic, those of earlier revisions of this repository included, is
+// refused: retrain.
 const saveMagic = "QRECV006"
 
 // compiledAlign is the file alignment of the compiled blob. 4 KiB covers
@@ -358,9 +354,6 @@ func (r *Engine) Save(w io.Writer) error {
 		return errors.New("core: engine has no compiled model to save")
 	}
 	blob, err := r.comp.AppendFlat5(nil)
-	if errors.Is(err, compiled.ErrUnquantisable) {
-		blob, err = r.comp.AppendFlat(nil), nil
-	}
 	if err != nil {
 		return fmt.Errorf("core: encoding compiled model: %w", err)
 	}
@@ -447,14 +440,9 @@ func readBlob(rd io.Reader, n uint64) ([]byte, error) {
 
 // loaded assembles the Engine a model file yields.
 func loaded(h fileHeader, comp *compiled.Model, mode string, start time.Time) *Engine {
-	format := "CPS3"
-	if comp.Quantised() {
-		format = "CPS5"
-	}
 	return &Engine{dict: h.dict, strs: h.dict.Publish(), comp: comp, info: LoadInfo{
 		Mode:      mode,
 		Version:   saveMagic,
-		Format:    format,
 		BlobBytes: int64(h.blobLen),
 		MapAdvice: comp.MapAdvice(),
 		Duration:  time.Since(start),
@@ -486,8 +474,7 @@ func Load(rd io.Reader) (*Engine, error) {
 // dictionary decode plus O(1) mapping work, the kernel faults trie pages in
 // lazily, and concurrent server processes share one page-cache copy. On
 // platforms without mmap the blob is decoded into the heap as Load does.
-// LoadInfo reports which path was taken, the blob encoding served (compact
-// CPS5 or exact CPS3) and its byte length.
+// LoadInfo reports which path was taken and the blob's byte length.
 func LoadPath(path string) (*Engine, error) {
 	return LoadPathWith(path, LoadOptions{})
 }

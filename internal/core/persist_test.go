@@ -73,12 +73,12 @@ func saveBytes(t testing.TB, rec *Engine) []byte {
 	return buf.Bytes()
 }
 
-// blobLen is the length of the compiled blob Save writes for rec: the CPS5
-// encoding, or the CPS3 one when the model does not fit CPS5.
-func blobLen(rec *Engine) int64 {
+// blobLen is the length of the CPS5 blob Save writes for rec.
+func blobLen(t testing.TB, rec *Engine) int64 {
+	t.Helper()
 	blob, err := rec.CompiledModel().AppendFlat5(nil)
 	if err != nil {
-		blob = rec.CompiledModel().AppendFlat(nil)
+		t.Fatal(err)
 	}
 	return int64(len(blob))
 }
@@ -135,8 +135,7 @@ func TestSaveWritesV5AndLoadRestores(t *testing.T) {
 	if cm := loaded.CompiledModel(); cm == nil || !cm.Quantised() {
 		t.Fatalf("load did not restore a quantised compiled model (%v)", cm)
 	}
-	if li := loaded.LoadInfo(); li.Mode != LoadModeHeap || li.Version != saveMagic ||
-		li.Format != "CPS5" || li.BlobBytes != blobLen(rec) {
+	if li := loaded.LoadInfo(); li.Mode != LoadModeHeap || li.Version != saveMagic || li.BlobBytes != blobLen(t, rec) {
 		t.Fatalf("LoadInfo = %+v", li)
 	}
 	if rec.Model() == nil || loaded.Model() != nil {
@@ -159,9 +158,8 @@ func TestLoadPathMmapV5(t *testing.T) {
 	}
 	defer loaded.Close()
 	li := loaded.LoadInfo()
-	if li.Mode != wantMmapMode() || li.Version != saveMagic || li.Format != "CPS5" ||
-		li.BlobBytes != blobLen(rec) || li.Duration <= 0 {
-		t.Fatalf("LoadInfo = %+v, want mode %q format CPS5", li, wantMmapMode())
+	if li.Mode != wantMmapMode() || li.Version != saveMagic || li.BlobBytes != blobLen(t, rec) || li.Duration <= 0 {
+		t.Fatalf("LoadInfo = %+v, want mode %q", li, wantMmapMode())
 	}
 	if cm := loaded.CompiledModel(); cm == nil || !cm.Quantised() {
 		t.Fatal("LoadPath did not produce a quantised compiled model")
@@ -221,14 +219,14 @@ var (
 )
 
 // wideFollowers is how many distinct queries follow wideContext in
-// wideEngine's log: one more than a CPS5 rank index can address.
+// wideEngine's log: one more than a uint16 CPS5 rank index can address.
 const (
 	wideFollowers = 1 << 16
 	wideContext   = "hub"
 )
 
-// wideEngine trains an engine CPS5 cannot hold: one context followed by
-// 65,536 distinct queries.
+// wideEngine trains an engine whose CPS5 blob needs uint32 rank indices: one
+// context followed by 65,536 distinct queries.
 func wideEngine(t *testing.T) *Engine {
 	t.Helper()
 	wideOnce.Do(func() {
@@ -250,48 +248,66 @@ func wideEngine(t *testing.T) *Engine {
 	return wideRec
 }
 
-var wideContexts = [][]string{{wideContext}, {"spoke 00007", wideContext}, {"spoke 00003"}}
+var wideContexts = [][]string{{wideContext}, {"spoke 00007", wideContext}, {"spoke 00003"}, {"spoke 00003", "nowhere"}}
 
-// TestSaveFallsBackToCPS3 is why the exact encoding is kept: a model whose
-// statistics CPS5 refuses is saved with a CPS3 blob in the same container,
-// and a stream Load serves it bit-identically to the engine that wrote it.
-func TestSaveFallsBackToCPS3(t *testing.T) {
+// TestSaveWideModel: a model with a node of more than 65,535 followers saves
+// as CPS5 like every other, and a stream Load serves it under the CPS5
+// contract — the engine's ranking, scores within quantScoreTol, Covers
+// exactly where there are suggestions — and re-saves it byte for byte.
+func TestSaveWideModel(t *testing.T) {
 	rec := wideEngine(t)
-	if _, err := rec.CompiledModel().AppendFlat5(nil); err == nil {
-		t.Fatal("the wide model fits CPS5: the fallback is not under test")
-	}
 	file := saveBytes(t, rec)
 	loaded, err := Load(bytes.NewReader(file))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if li := loaded.LoadInfo(); li.Mode != LoadModeHeap || li.Version != saveMagic ||
-		li.Format != "CPS3" || li.BlobBytes != blobLen(rec) {
-		t.Fatalf("LoadInfo = %+v, want a CPS3 blob of %d bytes", li, blobLen(rec))
+	if li := loaded.LoadInfo(); li.Mode != LoadModeHeap || li.Version != saveMagic || li.BlobBytes != blobLen(t, rec) {
+		t.Fatalf("LoadInfo = %+v, want a CPS5 blob of %d bytes", li, blobLen(t, rec))
 	}
-	if loaded.CompiledModel().Quantised() {
-		t.Fatal("CPS3 load is quantised")
+	if !loaded.CompiledModel().Quantised() {
+		t.Fatal("the wide model's load is not quantised")
 	}
-	assertRecommendations(t, "stream", rec, loaded, wideContexts, 0)
+	assertRecommendations(t, "stream", rec, loaded, wideContexts, quantScoreTol)
+	for _, ctx := range wideContexts {
+		ids := loaded.internContext(ctx)
+		if covers, n := loaded.CompiledModel().Covers(ids), len(Recommend(loaded, ctx, 5)); covers != (n > 0) {
+			t.Fatalf("ctx %v: Covers = %v with %d suggestions", ctx, covers, n)
+		}
+	}
 	if !bytes.Equal(saveBytes(t, loaded), file) {
-		t.Fatal("re-saving a CPS3-loaded engine changed the file")
+		t.Fatal("re-saving the loaded wide engine changed the file")
 	}
 }
 
-// TestLoadPathMmap: LoadPath maps an exact CPS3 blob as it maps a compact
-// one, and serves the same bits as the engine that wrote the file.
+// TestLoadPathMmap: LoadPath maps the wide model's CPS5 blob, with its
+// uint32 rank indices, as it maps any other: the engine's ranking within
+// quantScoreTol, the heap load's bits, and no allocation on the descent.
 func TestLoadPathMmap(t *testing.T) {
 	rec := wideEngine(t)
-	loaded, err := LoadPath(writeTemp(t, saveBytes(t, rec)))
+	file := saveBytes(t, rec)
+	loaded, err := LoadPath(writeTemp(t, file))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer loaded.Close()
-	if li := loaded.LoadInfo(); li.Mode != wantMmapMode() || li.Version != saveMagic || li.Format != "CPS3" ||
-		li.BlobBytes != blobLen(rec) || li.MapAdvice != "" || li.Duration <= 0 {
-		t.Fatalf("LoadInfo = %+v, want mode %q format CPS3", li, wantMmapMode())
+	if li := loaded.LoadInfo(); li.Mode != wantMmapMode() || li.Version != saveMagic ||
+		li.BlobBytes != blobLen(t, rec) || li.MapAdvice != "" || li.Duration <= 0 {
+		t.Fatalf("LoadInfo = %+v, want mode %q", li, wantMmapMode())
 	}
-	assertRecommendations(t, "mmap", rec, loaded, wideContexts, 0)
+	assertRecommendations(t, "mmap", rec, loaded, wideContexts, quantScoreTol)
+	heap, err := Load(bytes.NewReader(file))
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertRecommendations(t, "mmap-vs-heap", heap, loaded, wideContexts, 0)
+	if raceEnabled {
+		return // race-detector instrumentation allocates; counts are meaningless
+	}
+	ctx := loaded.internContext([]string{wideContext})
+	buf := make([]Suggestion, 0, 8)
+	if allocs := testing.AllocsPerRun(100, func() { buf = loaded.AppendSuggestions(buf[:0], ctx, 5) }); allocs > 0.05 || len(buf) != 5 {
+		t.Fatalf("the wide descent allocates %.2f times per op (%d suggestions), want 0", allocs, len(buf))
+	}
 }
 
 // TestSaveNeedsCompiledModel: an engine that fell back to the interpreted

@@ -8,7 +8,7 @@ import (
 
 // RelatednessOracle judges whether candidate is an appropriate
 // recommendation in the context of query a — the simulated stand-in for the
-// paper's 30 human labelers (see DESIGN.md §1). loggen.Universe implements
+// paper's 30 human labelers (see ARCHITECTURE.md §1). loggen.Universe implements
 // it via the generator's latent topic/relation graph.
 type RelatednessOracle interface {
 	Related(a, candidate string) bool

@@ -9,8 +9,8 @@ import (
 	"repro/internal/session"
 )
 
-// Ablations exercise the design choices DESIGN.md §5 calls out. Each returns
-// a small table of metric-vs-setting rows.
+// Ablations exercise the design choices ARCHITECTURE.md §1 lists beside the
+// paper's figures. Each returns a small table of metric-vs-setting rows.
 
 // EpsilonSweepRow is one setting of the PST growth threshold.
 type EpsilonSweepRow struct {

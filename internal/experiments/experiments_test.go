@@ -120,7 +120,8 @@ func TestFig8SequenceBeatsPairwise(t *testing.T) {
 	cooc := panel.NDCG[idx["Co-occurrence"]]
 	// Headline claim: sequence methods match or beat pair-wise at every
 	// length and win strictly once real context is available (length >= 2;
-	// at length 1 both see identical evidence and tie — see EXPERIMENTS.md).
+	// at length 1 both see identical evidence — the one query's followers —
+	// and tie).
 	// It holds for the interpreted mixture and for the served bytes alike.
 	for _, name := range []string{"MVMM", servedName} {
 		mvmm := panel.NDCG[idx[name]]
@@ -172,11 +173,14 @@ func TestFig9MVMMCompetitiveWithBestVMM(t *testing.T) {
 			}
 		}
 	}
-	// Paper: MVMM achieves comparable accuracy to the best single VMM.
+	// Paper: MVMM achieves comparable accuracy to the best single VMM. The
+	// worst gap measured on this corpus is −0.0048 (length 2: 0.8057 against
+	// VMM(0.1)'s 0.8106), for the mixture and its served row alike; the
+	// check allows 0.01.
 	for _, name := range mixtures {
 		mvmm := panel.NDCG[idx[name]]
 		for l := range panel.Lengths {
-			if mvmm[l] < 0.9*best[l] {
+			if mvmm[l] < best[l]-0.01 {
 				t.Errorf("length %d: %s %.4f far below best VMM %.4f", panel.Lengths[l], name, mvmm[l], best[l])
 			}
 		}
@@ -306,15 +310,19 @@ func TestTable7FootprintOrdering(t *testing.T) {
 	}
 }
 
-// maxCPS5OverCPS3 caps the compact blob's size as a share of the exact one:
-// 0.394 on this corpus when the ceiling was set, and 0.48 = the 0.6 × 0.8 the
-// two steps CPS3 → quantised → compact were each allowed.
-const maxCPS5OverCPS3 = 0.48
+// maxCPS5OverExact caps the compact blob's size as a share of the exact
+// compiled arrays. It was set at 0.48 = the 0.6 × 0.8 the two steps exact →
+// quantised → compact were each allowed, against the exact model's retired
+// file encoding (0.394 on this corpus); against the in-process arrays, which
+// carry no header and none of the two follower arrays only that file read,
+// it measures 0.4767.
+const maxCPS5OverExact = 0.48
 
 // TestTable7CompiledRowsMatchBlobBytes: Table VII's compiled rows must be
-// the exact byte lengths of the serving blobs production maps — the
-// AppendFlat/AppendFlat5 output — not an estimate, and the quantised row
-// must realise a substantial reduction over the exact flat form.
+// the exact model's in-process array bytes and the exact byte length of the
+// serving blob production maps — the AppendFlat5 output — not estimates,
+// and the quantised row must realise a substantial reduction over the exact
+// form.
 func TestTable7CompiledRowsMatchBlobBytes(t *testing.T) {
 	_, m := setup(t)
 	r, err := Table7(m)
@@ -329,8 +337,8 @@ func TestTable7CompiledRowsMatchBlobBytes(t *testing.T) {
 	for i, name := range r.Models {
 		size[name] = r.Bytes[i]
 	}
-	if want := int64(len(comp.AppendFlat(nil))); size["MVMM (compiled CPS3)"] != want || r.CPS3Bytes != want {
-		t.Errorf("CPS3 row %d (field %d) != len(AppendFlat) %d", size["MVMM (compiled CPS3)"], r.CPS3Bytes, want)
+	if want := comp.ExactBytes(); size["MVMM (compiled, exact arrays)"] != want || r.ExactBytes != want {
+		t.Errorf("exact row %d (field %d) != ExactBytes %d", size["MVMM (compiled, exact arrays)"], r.ExactBytes, want)
 	}
 	blob5, err := comp.AppendFlat5(nil)
 	if err != nil {
@@ -339,10 +347,12 @@ func TestTable7CompiledRowsMatchBlobBytes(t *testing.T) {
 	if want := int64(len(blob5)); size["MVMM (compiled CPS5, quantised)"] != want || r.CPS5Bytes != want {
 		t.Errorf("CPS5 row %d (field %d) != len(AppendFlat5) %d", size["MVMM (compiled CPS5, quantised)"], r.CPS5Bytes, want)
 	}
-	if ratio := float64(r.CPS5Bytes) / float64(r.CPS3Bytes); ratio > maxCPS5OverCPS3 {
-		t.Errorf("quantised CPS5 blob %d is %.4f of exact CPS3 blob %d, over the %.2f ceiling",
-			r.CPS5Bytes, ratio, r.CPS3Bytes, maxCPS5OverCPS3)
+	ratio := float64(r.CPS5Bytes) / float64(r.ExactBytes)
+	if ratio > maxCPS5OverExact {
+		t.Errorf("quantised CPS5 blob %d is %.4f of the exact arrays' %d bytes, over the %.2f ceiling",
+			r.CPS5Bytes, ratio, r.ExactBytes, maxCPS5OverExact)
 	}
+	t.Logf("cps5/exact = %d / %d = %.4f", r.CPS5Bytes, r.ExactBytes, ratio)
 	// The compiled serving blob must also undercut the serialized
 	// interpreted mixture it replaces — the deployment argument of Table VII.
 	if r.CPS5Bytes >= size["MVMM"] {

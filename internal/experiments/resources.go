@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"time"
@@ -16,16 +15,17 @@ import (
 // Table7Result reports each model's memory footprint in bytes — the paper's
 // Table VII comparison — plus the PST node counts the paper quotes in
 // Sec. V.F.2. Interpreted models are measured as their serialized (CPS-free
-// varint) footprint; the MVMM is additionally measured in the two compiled
-// single-PST serving forms production actually maps: the exact CPS3 flat
-// blob and the compact quantised CPS5 blob, both byte-exact encoder outputs.
+// varint) footprint; the MVMM is additionally measured in its two compiled
+// single-PST forms: the exact arrays Compile builds in process, and the
+// compact quantised CPS5 blob a model file holds and a server maps, as the
+// encoder's byte-exact output.
 type Table7Result struct {
-	Models    []string
-	Bytes     []int64
-	MVMMUnion int   // distinct nodes across all MVMM components
-	VMM00Size int   // the full tree's node count (paper: union == VMM(0.0))
-	CPS3Bytes int64 // exact compiled (CPS3) blob size — what a model file holds when the model does not fit CPS5
-	CPS5Bytes int64 // compact quantised compiled (CPS5) blob size — what a model file normally holds and a server maps; 0 when the model does not fit it
+	Models     []string
+	Bytes      []int64
+	MVMMUnion  int   // distinct nodes across all MVMM components
+	VMM00Size  int   // the full tree's node count (paper: union == VMM(0.0))
+	ExactBytes int64 // the exact compiled model's in-process arrays (compiled.Model.ExactBytes)
+	CPS5Bytes  int64 // compact quantised compiled (CPS5) blob size — what a model file holds and a server maps
 }
 
 // Table7 measures footprints of every trained model, including the compiled
@@ -63,20 +63,14 @@ func Table7(m *Models) (Table7Result, error) {
 	if err != nil {
 		return res, fmt.Errorf("experiments: compiling MVMM for Table VII: %w", err)
 	}
-	res.CPS3Bytes = int64(len(comp.AppendFlat(nil)))
-	res.Models = append(res.Models, "MVMM (compiled CPS3)")
-	res.Bytes = append(res.Bytes, res.CPS3Bytes)
-	switch blob5, err := comp.AppendFlat5(nil); {
-	case err == nil:
-		res.CPS5Bytes = int64(len(blob5))
-		res.Models = append(res.Models, "MVMM (compiled CPS5, quantised)")
-		res.Bytes = append(res.Bytes, res.CPS5Bytes)
-	case errors.Is(err, compiled.ErrUnquantisable):
-		// The model does not fit the quantised layout (matching the save
-		// path, which falls back to CPS3); render the table without the row.
-	default:
+	res.ExactBytes = comp.ExactBytes()
+	blob5, err := comp.AppendFlat5(nil)
+	if err != nil {
 		return res, fmt.Errorf("experiments: quantising MVMM for Table VII: %w", err)
 	}
+	res.CPS5Bytes = int64(len(blob5))
+	res.Models = append(res.Models, "MVMM (compiled, exact arrays)", "MVMM (compiled CPS5, quantised)")
+	res.Bytes = append(res.Bytes, res.ExactBytes, res.CPS5Bytes)
 	res.MVMMUnion = m.MVMM.UnionNodes()
 	res.VMM00Size = m.VMM00.NumNodes()
 	return res, nil
@@ -92,10 +86,8 @@ func (r Table7Result) Render(w io.Writer) {
 	renderTable(w, []string{"Model", "Bytes", "MB"}, rows)
 	fmt.Fprintf(w, "  MVMM union-PST nodes: %d; VMM(0.0) nodes: %d (paper: union == full tree)\n",
 		r.MVMMUnion, r.VMM00Size)
-	if r.CPS3Bytes > 0 && r.CPS5Bytes > 0 {
-		fmt.Fprintf(w, "  compiled serving blob: CPS3 %d B -> quantised CPS5 %d B (%.1f%% smaller)\n",
-			r.CPS3Bytes, r.CPS5Bytes, 100*(1-float64(r.CPS5Bytes)/float64(r.CPS3Bytes)))
-	}
+	fmt.Fprintf(w, "  compiled serving blob: exact arrays %d B -> quantised CPS5 %d B (%.1f%% smaller)\n",
+		r.ExactBytes, r.CPS5Bytes, 100*(1-float64(r.CPS5Bytes)/float64(r.ExactBytes)))
 }
 
 // Fig12Result holds training time versus data size for every method.

@@ -80,7 +80,7 @@ func RunAll(w io.Writer, opt RunOptions) (*Corpus, *Models, error) {
 	// Sec. V.H — user study.
 	UserStudy(c, m, opt.StudyPerLen).Render(w)
 
-	// DESIGN.md §5 ablations.
+	// Ablations beyond the paper (ARCHITECTURE.md §1).
 	if !opt.SkipAblation {
 		RenderEpsilonSweep(w, AblationEpsilon(c, []float64{0.0, 0.02, 0.05, 0.1, 0.2}))
 		RenderDBound(w, AblationDBound(c, []int{1, 2, 3, 4}))

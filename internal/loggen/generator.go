@@ -45,7 +45,7 @@ func (p Pattern) String() string {
 // DefaultPatternMix is the generator's default pattern distribution. Fig. 1
 // is only reported numerically via its order-sensitive total (spelling +
 // generalization + specialization = 34.34%); the remaining shares are read
-// off the figure approximately. See DESIGN.md §1.
+// off the figure approximately. See ARCHITECTURE.md §1.
 var DefaultPatternMix = [numPatterns]float64{
 	PatSpelling:       0.10,
 	PatParallel:       0.16,

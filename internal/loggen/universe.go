@@ -1,6 +1,6 @@
 // Package loggen simulates a commercial search engine's query log. The paper
 // evaluated on 150 days of proprietary logs; this package is the documented
-// substitution (see DESIGN.md §1): a generative model producing raw log
+// substitution (see ARCHITECTURE.md §1): a generative model producing raw log
 // records with the same distributional shape — Zipf query popularity,
 // topic-clustered vocabulary, the seven session-pattern types of Fig. 1,
 // short geometric session lengths, and inter-query gaps that exercise the

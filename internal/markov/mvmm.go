@@ -300,8 +300,8 @@ func (m *MVMM) Covers(ctx query.Seq) bool {
 // — the paper's single-tree deployment estimate for Table VII ("we can
 // actually combine all into a single PST"). internal/compiled realises that
 // estimate as the merged flat trie, and Table VII's compiled rows report
-// the resulting CPS3/CPS5 blob bytes exactly (a test pins them to
-// len(AppendFlat)); this count remains the node-level view.
+// its exact arrays' and CPS5 blob's bytes exactly (a test pins them to
+// ExactBytes and len(AppendFlat5)); this count remains the node-level view.
 func (m *MVMM) UnionNodes() int {
 	union := make(map[string]struct{})
 	for _, c := range m.comps {

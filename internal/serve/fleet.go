@@ -130,7 +130,6 @@ type ModelInfo struct {
 	Compiled      bool   `json:"compiled"`
 	CompiledNodes int    `json:"compiled_nodes,omitempty"`
 	Quantised     bool   `json:"compiled_quantised,omitempty"`
-	BlobFormat    string `json:"model_blob_format,omitempty"`
 	BlobBytes     int64  `json:"model_blob_bytes,omitempty"`
 	Reloadable    bool   `json:"reloadable"`
 }
@@ -214,7 +213,6 @@ func modelInfo(name, role string, weight uint32, gen uint64, rec core.Recommende
 		info.Quantised = cm.Quantised()
 	}
 	li := rec.LoadInfo()
-	info.BlobFormat = li.Format
 	info.BlobBytes = li.BlobBytes
 	return info
 }

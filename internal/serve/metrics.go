@@ -97,7 +97,6 @@ type MetricsResponse struct {
 	KnownQueries    int                   `json:"known_queries"`
 	CompiledNodes   int                   `json:"compiled_nodes"`
 	Quantised       bool                  `json:"compiled_quantised"`
-	BlobFormat      string                `json:"model_blob_format,omitempty"`
 	BlobBytes       int64                 `json:"model_blob_bytes,omitempty"`
 	Fleet           *FleetMetrics         `json:"fleet,omitempty"`
 	Ingest          any                   `json:"ingest,omitempty"`

@@ -50,8 +50,8 @@
 // handling never takes a lock: the recommender is immutable and swapped
 // behind one atomic pointer, and every request observes a consistent
 // (model, generation) pair. /healthz and /v1/metrics additionally report the
-// served compiled blob's encoding (CPS5, or CPS3), byte length and quantised
-// flag, so the memory/accuracy trade chosen at save time is observable.
+// served compiled blob's byte length and quantised flag, so the served
+// memory footprint is observable.
 package serve
 
 import (
@@ -113,9 +113,10 @@ type BatchResponse struct {
 // Quantised whether that form is the fixed-point CPS5 encoding (bounded
 // probability error) rather than exact float64. LoadMode ("trained", "heap"
 // or "mmap") and LoadMicros report how and how fast the current model
-// materialised, and BlobFormat/BlobBytes what is actually mapped or decoded
-// — the served memory footprint — so cold-start behaviour and memory cost
-// are observable in production.
+// materialised, LoadVersion the file's container magic (which names the
+// CPS5 blob encoding), and BlobBytes what is actually mapped or decoded — the
+// served memory footprint — so cold-start behaviour and memory cost are
+// observable in production.
 type Health struct {
 	Status        string `json:"status"`
 	KnownQueries  int    `json:"known_queries"`
@@ -128,7 +129,6 @@ type Health struct {
 	Quantised     bool   `json:"compiled_quantised,omitempty"`
 	LoadMode      string `json:"model_load_mode,omitempty"`
 	LoadVersion   string `json:"model_load_version,omitempty"`
-	BlobFormat    string `json:"model_blob_format,omitempty"`
 	BlobBytes     int64  `json:"model_blob_bytes,omitempty"`
 	MapAdvice     string `json:"model_map_advice,omitempty"`
 	LoadMicros    int64  `json:"model_load_us,omitempty"`
@@ -479,7 +479,6 @@ func (h *Handler) health(w http.ResponseWriter, r *http.Request) {
 	li := rec.LoadInfo()
 	resp.LoadMode = li.Mode
 	resp.LoadVersion = li.Version
-	resp.BlobFormat = li.Format
 	resp.BlobBytes = li.BlobBytes
 	resp.MapAdvice = li.MapAdvice
 	resp.LoadMicros = li.Duration.Microseconds()
@@ -524,7 +523,6 @@ func (h *Handler) metricsHandler(w http.ResponseWriter, r *http.Request) {
 		KnownQueries:    rec.Dict().Len(),
 		CompiledNodes:   compiledNodes,
 		Quantised:       quantised,
-		BlobFormat:      li.Format,
 		BlobBytes:       li.BlobBytes,
 		Fleet:           fm,
 		Ingest:          h.ingestSnapshot(),

@@ -553,10 +553,11 @@ func TestHealthGeneration(t *testing.T) {
 	}
 }
 
-// TestHealthReportsBlobProvenance: a handler serving a V004 LoadPath'd
-// model must surface the served blob's encoding, byte length and quantised
-// flag through /healthz and /v1/metrics — the observability contract for the
-// quantised deployment.
+// TestHealthReportsBlobProvenance: a handler serving a LoadPath'd model must
+// surface the file's container magic (which names the blob encoding), the
+// blob's byte length and its quantised flag through /healthz and /v1/metrics
+// — the observability contract for the quantised deployment — and no
+// separate blob-format field.
 func TestHealthReportsBlobProvenance(t *testing.T) {
 	rec := testRecommender(t).(*core.Engine)
 	path := filepath.Join(t.TempDir(), "model.bin")
@@ -583,11 +584,15 @@ func TestHealthReportsBlobProvenance(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var hp Health
-	if err := json.NewDecoder(resp.Body).Decode(&hp); err != nil {
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !hp.Compiled || !hp.Quantised || hp.BlobFormat != "CPS5" || hp.BlobBytes <= 0 {
+	var hp Health
+	if err := json.Unmarshal(body, &hp); err != nil {
+		t.Fatal(err)
+	}
+	if !hp.Compiled || !hp.Quantised || hp.BlobBytes <= 0 || bytes.Contains(body, []byte("model_blob_format")) {
 		t.Fatalf("healthz blob provenance = %+v", hp)
 	}
 	if hp.LoadMode == "" || hp.LoadVersion != "QRECV006" {
@@ -599,11 +604,14 @@ func TestHealthReportsBlobProvenance(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer mresp.Body.Close()
-	var mp MetricsResponse
-	if err := json.NewDecoder(mresp.Body).Decode(&mp); err != nil {
+	if body, err = io.ReadAll(mresp.Body); err != nil {
 		t.Fatal(err)
 	}
-	if !mp.Quantised || mp.BlobFormat != "CPS5" || mp.BlobBytes != hp.BlobBytes {
+	var mp MetricsResponse
+	if err := json.Unmarshal(body, &mp); err != nil {
+		t.Fatal(err)
+	}
+	if !mp.Quantised || mp.BlobBytes != hp.BlobBytes || bytes.Contains(body, []byte("model_blob_format")) {
 		t.Fatalf("metrics blob provenance = %+v", mp)
 	}
 }

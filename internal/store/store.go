@@ -1,8 +1,8 @@
 // Package store provides the low-level binary encoding used to persist
 // trained models (cmd/train writes them, cmd/recommend loads them) and the
 // serialized-size accounting behind Table VII's interpreted-model rows (the
-// compiled-model rows are measured directly as CPS3/CPS5 blob bytes in
-// internal/experiments). The format is a simple length-prefixed varint
+// compiled-model rows are measured directly, as exact array and CPS5 blob
+// bytes, in internal/experiments). The format is a simple length-prefixed varint
 // encoding with a magic header and CRC32 trailer per section — stdlib only,
 // no gob, so the on-disk size is an honest proxy for the in-memory model
 // size.
