@@ -6,6 +6,10 @@
 //
 //	train -log search.log -model model.bin [-threshold 5] [-epsilons 0,0.05,0.1]
 //
+// The model is published atomically (core.Publish): a server that mapped
+// the old file keeps serving it until it reloads, and a crash leaves the old
+// file or the new one, never a torn one.
+//
 // The paper's baselines (adjacency, co-occurrence, N-gram, and the HMM and
 // clustering extensions) are trained and compared offline by
 // cmd/experiments; none of them is written as a model file.
@@ -67,16 +71,10 @@ func main() {
 	fmt.Fprintf(os.Stderr, "train: %d sessions, %d searches, %d unique queries, mean length %.2f (%.1fs)\n",
 		st.Sessions, st.Searches, st.UniqueQueries, st.MeanLength(), time.Since(start).Seconds())
 
-	out, err := os.Create(*modelPath)
-	if err != nil {
+	if err := core.Publish(*modelPath, rec); err != nil {
 		log.Fatal(err)
 	}
-	defer out.Close()
-	if err := rec.Save(out); err != nil {
-		log.Fatal(err)
-	}
-	info, _ := out.Stat()
-	if info != nil {
-		fmt.Fprintf(os.Stderr, "train: model saved to %s (%d bytes)\n", *modelPath, info.Size())
+	if info, err := os.Stat(*modelPath); err == nil {
+		fmt.Fprintf(os.Stderr, "train: model published to %s (%d bytes)\n", *modelPath, info.Size())
 	}
 }

@@ -38,6 +38,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"slices"
 	"sync"
 	"time"
@@ -372,6 +373,49 @@ func (r *Engine) Save(w io.Writer) error {
 	}
 	_, err = w.Write(blob)
 	return err
+}
+
+// Publish atomically replaces the model file at path with eng: Save into a
+// temporary file beside it, fsync, rename over path, fsync the directory
+// (Pillai et al., OSDI 2014). A reader or a crash sees the old file or the
+// new one, and a server that mapped the old file keeps its pages until it
+// reloads, where truncating in place would change the bytes under its
+// mapping, or SIGBUS it.
+func Publish(path string, eng *Engine) (err error) {
+	dir := filepath.Dir(path)
+	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
+	if err != nil {
+		return fmt.Errorf("core: publish: %w", err)
+	}
+	defer func() {
+		if err != nil {
+			f.Close()
+			os.Remove(f.Name())
+			err = fmt.Errorf("core: publish %s: %w", path, err)
+		}
+	}()
+	// os.Create's mode under the usual umask, not CreateTemp's 0600.
+	if err = f.Chmod(0o644); err != nil {
+		return err
+	}
+	if err = eng.Save(f); err != nil {
+		return err
+	}
+	if err = f.Sync(); err != nil {
+		return err
+	}
+	if err = f.Close(); err != nil {
+		return err
+	}
+	if err = os.Rename(f.Name(), path); err != nil {
+		return err
+	}
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
 }
 
 // fileHeader is what a model file holds ahead of its blob.

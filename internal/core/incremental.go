@@ -11,7 +11,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"os"
 	"sort"
 	"strconv"
 	"sync"
@@ -109,27 +108,11 @@ func (inc *Incremental) Snapshot() *Engine {
 	return TrainFromAggregated(dict, agg, inc.cfg)
 }
 
-// SnapshotTo trains a snapshot and atomically persists it at path (tmp file
-// + rename, so a reader never observes a torn model file).
+// SnapshotTo trains a snapshot and publishes it at path (see Publish).
 func (inc *Incremental) SnapshotTo(path string) (*Engine, error) {
 	eng := inc.Snapshot()
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
+	if err := Publish(path, eng); err != nil {
 		return nil, fmt.Errorf("core: snapshot: %w", err)
-	}
-	if err := eng.Save(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return nil, fmt.Errorf("core: snapshot save: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return nil, fmt.Errorf("core: snapshot close: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return nil, fmt.Errorf("core: snapshot rename: %w", err)
 	}
 	return eng, nil
 }

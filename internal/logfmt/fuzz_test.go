@@ -6,7 +6,7 @@ import (
 	"time"
 )
 
-// FuzzLogfmtRoundTrip checks that any record Marshal accepts survives an
+// FuzzLogfmtRoundTrip checks that any record AppendRecord accepts survives an
 // Unmarshal round trip exactly, and that Unmarshal never panics on arbitrary
 // lines. Timestamps are built from unix seconds because the on-disk layout
 // (RFC3339) has second precision.
@@ -16,23 +16,23 @@ func FuzzLogfmtRoundTrip(f *testing.F) {
 	f.Add("x\ty", "tabbed", int64(1_700_000_000), uint8(1), "u\nrl")
 	f.Fuzz(func(t *testing.T, machine, q string, sec int64, nclicks uint8, url string) {
 		// Clamp to a non-negative range RFC3339 can encode (years stay < 2250);
-		// Marshal does not validate years, so out-of-range times are a
+		// AppendRecord does not validate years, so out-of-range times are a
 		// formatting limitation, not a round-trip bug.
 		sec = ((sec % (1 << 33)) + (1 << 33)) % (1 << 33)
 		r := Record{MachineID: machine, Query: q, Time: time.Unix(sec, 0).UTC()}
 		for i := 0; i < int(nclicks%5); i++ {
 			r.Clicks = append(r.Clicks, Click{URL: url, Time: r.Time.Add(time.Duration(i) * time.Second)})
 		}
-		line, err := Marshal(r)
+		line, err := marshal(r)
 		if err != nil {
-			// Marshal rejected it (empty machine, tab/newline in a field,
+			// AppendRecord rejected it (empty machine, tab/newline in a field,
 			// unencodable year, ...) — nothing to round-trip, but the raw
 			// fields must still never panic Unmarshal below.
 			line = machine + "\t" + q + "\t" + url
 		} else {
 			got, err := Unmarshal(line)
 			if err != nil {
-				t.Fatalf("Unmarshal(Marshal(r)) failed: %v\nline: %q", err, line)
+				t.Fatalf("Unmarshal(marshal(r)) failed: %v\nline: %q", err, line)
 			}
 			if got.MachineID != r.MachineID || got.Query != r.Query || !got.Time.Equal(r.Time) {
 				t.Fatalf("round trip mismatch: %+v vs %+v", got, r)

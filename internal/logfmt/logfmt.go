@@ -6,6 +6,7 @@ package logfmt
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -57,62 +58,71 @@ const MaxLineBytes = 1 << 20
 // paper's clock-only "00:08:41" rendering.
 const timeLayout = time.RFC3339
 
-// Marshal encodes r as a single TSV line (without trailing newline):
+// AppendRecord appends r to dst as a single TSV line (without trailing
+// newline) and returns the extended slice:
 //
 //	machineID \t query \t timestamp \t nClicks [\t clickTime \t clickURL]...
-func Marshal(r Record) (string, error) {
+//
+// On error it returns dst unextended.
+func AppendRecord(dst []byte, r Record) ([]byte, error) {
 	if r.MachineID == "" {
-		return "", fmt.Errorf("%w: empty machine ID", ErrMalformed)
+		return dst, fmt.Errorf("%w: empty machine ID", ErrMalformed)
 	}
 	if strings.ContainsAny(r.MachineID, "\t\n") || strings.ContainsAny(r.Query, "\t\n") {
-		return "", fmt.Errorf("%w: field contains tab or newline", ErrMalformed)
+		return dst, fmt.Errorf("%w: field contains tab or newline", ErrMalformed)
 	}
-	var b strings.Builder
-	b.WriteString(r.MachineID)
-	b.WriteByte('\t')
-	b.WriteString(r.Query)
-	b.WriteByte('\t')
-	b.WriteString(r.Time.Format(timeLayout))
-	b.WriteByte('\t')
-	b.WriteString(strconv.Itoa(len(r.Clicks)))
+	b := append(dst, r.MachineID...)
+	b = append(b, '\t')
+	b = append(b, r.Query...)
+	b = append(b, '\t')
+	b = r.Time.AppendFormat(b, timeLayout)
+	b = append(b, '\t')
+	b = strconv.AppendInt(b, int64(len(r.Clicks)), 10)
 	for _, c := range r.Clicks {
 		if strings.ContainsAny(c.URL, "\t\n") {
-			return "", fmt.Errorf("%w: click URL contains tab or newline", ErrMalformed)
+			return dst, fmt.Errorf("%w: click URL contains tab or newline", ErrMalformed)
 		}
-		b.WriteByte('\t')
-		b.WriteString(c.Time.Format(timeLayout))
-		b.WriteByte('\t')
-		b.WriteString(c.URL)
+		b = append(b, '\t')
+		b = c.Time.AppendFormat(b, timeLayout)
+		b = append(b, '\t')
+		b = append(b, c.URL...)
 	}
-	return b.String(), nil
+	return b, nil
 }
 
-// Unmarshal parses one TSV line produced by Marshal.
+// Unmarshal parses one TSV line produced by AppendRecord.
 func Unmarshal(line string) (Record, error) {
-	fields := strings.Split(line, "\t")
-	if len(fields) < 4 {
-		return Record{}, fmt.Errorf("%w: %d fields, need at least 4", ErrMalformed, len(fields))
+	nf := strings.Count(line, "\t") + 1
+	if nf < 4 {
+		return Record{}, fmt.Errorf("%w: %d fields, need at least 4", ErrMalformed, nf)
 	}
-	ts, err := time.Parse(timeLayout, fields[2])
+	machine, rest, _ := strings.Cut(line, "\t")
+	q, rest, _ := strings.Cut(rest, "\t")
+	tsField, rest, _ := strings.Cut(rest, "\t")
+	countField, rest, _ := strings.Cut(rest, "\t")
+	ts, err := time.Parse(timeLayout, tsField)
 	if err != nil {
-		return Record{}, fmt.Errorf("%w: bad timestamp %q: %v", ErrMalformed, fields[2], err)
+		return Record{}, fmt.Errorf("%w: bad timestamp %q: %v", ErrMalformed, tsField, err)
 	}
-	n, err := strconv.Atoi(fields[3])
+	n, err := strconv.Atoi(countField)
 	if err != nil || n < 0 {
-		return Record{}, fmt.Errorf("%w: bad click count %q", ErrMalformed, fields[3])
+		return Record{}, fmt.Errorf("%w: bad click count %q", ErrMalformed, countField)
 	}
-	if len(fields) != 4+2*n {
-		return Record{}, fmt.Errorf("%w: click count %d but %d trailing fields", ErrMalformed, n, len(fields)-4)
+	if nf != 4+2*n {
+		return Record{}, fmt.Errorf("%w: click count %d but %d trailing fields", ErrMalformed, n, nf-4)
 	}
-	r := Record{MachineID: fields[0], Query: fields[1], Time: ts}
+	r := Record{MachineID: machine, Query: q, Time: ts}
 	if n > 0 {
 		r.Clicks = make([]Click, n)
-		for i := 0; i < n; i++ {
-			ct, err := time.Parse(timeLayout, fields[4+2*i])
+		for i := range r.Clicks {
+			var ctField, url string
+			ctField, rest, _ = strings.Cut(rest, "\t")
+			url, rest, _ = strings.Cut(rest, "\t")
+			ct, err := time.Parse(timeLayout, ctField)
 			if err != nil {
-				return Record{}, fmt.Errorf("%w: bad click timestamp %q: %v", ErrMalformed, fields[4+2*i], err)
+				return Record{}, fmt.Errorf("%w: bad click timestamp %q: %v", ErrMalformed, ctField, err)
 			}
-			r.Clicks[i] = Click{Time: ct, URL: fields[5+2*i]}
+			r.Clicks[i] = Click{Time: ct, URL: url}
 		}
 	}
 	return r, nil
@@ -131,21 +141,18 @@ func NewWriter(w io.Writer) *Writer {
 }
 
 // Write appends one record. After the first error all subsequent writes fail
-// with the same error.
+// with the same error. The line is encoded straight into the buffer's free
+// space, so a record that fits costs no allocation.
 func (w *Writer) Write(r Record) error {
 	if w.err != nil {
 		return w.err
 	}
-	line, err := Marshal(r)
+	line, err := AppendRecord(w.bw.AvailableBuffer(), r)
 	if err != nil {
 		w.err = err
 		return err
 	}
-	if _, err := w.bw.WriteString(line); err != nil {
-		w.err = err
-		return err
-	}
-	if err := w.bw.WriteByte('\n'); err != nil {
+	if _, err := w.bw.Write(append(line, '\n')); err != nil {
 		w.err = err
 		return err
 	}
@@ -220,7 +227,7 @@ func (r *Reader) Read() (Record, error) {
 		}
 		r.line++
 		r.off += int64(len(r.pending))
-		line := strings.TrimRight(string(r.pending), "\r\n")
+		line := string(bytes.TrimRight(r.pending, "\r\n"))
 		r.pending = r.pending[:0]
 		if line == "" {
 			continue

@@ -11,6 +11,12 @@ import (
 
 var t0 = time.Date(2026, 1, 15, 0, 8, 41, 0, time.UTC)
 
+// marshal is AppendRecord as a string, the shape the tests compare.
+func marshal(r Record) (string, error) {
+	b, err := AppendRecord(nil, r)
+	return string(b), err
+}
+
 func sample() Record {
 	return Record{
 		MachineID: "xxx",
@@ -25,7 +31,7 @@ func sample() Record {
 
 func TestMarshalUnmarshalRoundTrip(t *testing.T) {
 	r := sample()
-	line, err := Marshal(r)
+	line, err := marshal(r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,14 +53,14 @@ func TestMarshalRejectsBadFields(t *testing.T) {
 		"tab in query":  {MachineID: "m", Query: "a\tb", Time: t0},
 		"tab in url":    {MachineID: "m", Query: "q", Time: t0, Clicks: []Click{{URL: "a\tb", Time: t0}}},
 	} {
-		if _, err := Marshal(r); !errors.Is(err, ErrMalformed) {
+		if _, err := marshal(r); !errors.Is(err, ErrMalformed) {
 			t.Errorf("%s: err = %v, want ErrMalformed", name, err)
 		}
 	}
 }
 
 func TestUnmarshalRejectsMalformed(t *testing.T) {
-	good, _ := Marshal(sample())
+	good, _ := marshal(sample())
 	cases := map[string]string{
 		"too few fields":     "a\tb\tc",
 		"bad timestamp":      "m\tq\tnot-a-time\t0",
@@ -73,7 +79,7 @@ func TestUnmarshalRejectsMalformed(t *testing.T) {
 
 func TestUnmarshalZeroClicks(t *testing.T) {
 	r := Record{MachineID: "m", Query: "no clicks", Time: t0}
-	line, err := Marshal(r)
+	line, err := marshal(r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +126,7 @@ func TestWriterReaderStream(t *testing.T) {
 }
 
 func TestReaderSkipsBlankLinesAndCRLF(t *testing.T) {
-	line, _ := Marshal(sample())
+	line, _ := marshal(sample())
 	input := "\n" + line + "\r\n\n" + line + "\n"
 	recs, err := NewReader(strings.NewReader(input)).ReadAll()
 	if err != nil {
@@ -132,7 +138,7 @@ func TestReaderSkipsBlankLinesAndCRLF(t *testing.T) {
 }
 
 func TestReaderReportsLineNumber(t *testing.T) {
-	line, _ := Marshal(sample())
+	line, _ := marshal(sample())
 	input := line + "\ngarbage line\n"
 	rd := NewReader(strings.NewReader(input))
 	if _, err := rd.Read(); err != nil {
@@ -176,7 +182,7 @@ func TestRoundTripProperty(t *testing.T) {
 		for i := 0; i < int(nclicks%4); i++ {
 			r.Clicks = append(r.Clicks, Click{URL: clean(url), Time: r.Time.Add(time.Duration(i) * time.Second)})
 		}
-		line, err := Marshal(r)
+		line, err := marshal(r)
 		if err != nil {
 			return false
 		}

@@ -15,7 +15,7 @@ import (
 // retryable ErrTornLine, not silently report EOF, and the reader must resume
 // mid-line once the missing bytes arrive.
 func TestReaderTornFinalLine(t *testing.T) {
-	line, err := Marshal(sample())
+	line, err := marshal(sample())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package markov
 
 import (
+	"slices"
 	"sort"
 	"sync"
 
@@ -143,8 +144,11 @@ func (m *MVMM) learnSigma(sessions []query.Session, opt MVMMOptions) []float64 {
 	// Sample: the most frequent multi-query sessions, whose empirical
 	// probabilities dominate the redundancy integral.
 	sample := make([]query.Session, 0, opt.TrainSample)
-	sorted := append([]query.Session(nil), sessions...)
-	query.SortSessions(sorted)
+	sorted := sessions
+	if !slices.IsSortedFunc(sorted, query.CompareSessions) {
+		sorted = slices.Clone(sessions)
+		query.SortSessions(sorted)
+	}
 	var mass uint64
 	for _, s := range sorted {
 		if len(s.Queries) < 2 {
@@ -161,20 +165,21 @@ func (m *MVMM) learnSigma(sessions []query.Session, opt MVMMOptions) []float64 {
 	}
 	obj := &mixObjective{
 		pT: make([]float64, len(sample)),
-		d:  make([][]float64, len(sample)),
+		d:  make([][]int, len(sample)),
 		pD: make([][]float64, len(sample)),
 	}
 	for t, s := range sample {
 		obj.pT[t] = float64(s.Count) / float64(mass)
-		obj.d[t] = make([]float64, k)
+		obj.d[t] = make([]int, k)
 		obj.pD[t] = make([]float64, k)
 		for i, c := range m.comps {
 			state, _, ok := c.MatchState(s.Queries)
 			if ok {
-				obj.d[t][i] = float64(textutil.SuffixDistance(s.Queries, state))
+				obj.d[t][i] = textutil.SuffixDistance(s.Queries, state)
 			} else {
-				obj.d[t][i] = float64(len(s.Queries))
+				obj.d[t][i] = len(s.Queries)
 			}
+			obj.maxD = max(obj.maxD, obj.d[t][i])
 			obj.pD[t][i] = c.GenProb(s.Queries)
 		}
 	}

@@ -200,9 +200,10 @@ func TestNewtonMaximizeImprovesObjective(t *testing.T) {
 	// Two components: sequences at distance 0 favour component 0 with
 	// small σ; sequences at distance 2 favour component 1 with larger σ.
 	obj := &mixObjective{
-		pT: []float64{0.5, 0.5},
-		d:  [][]float64{{0, 0}, {2, 2}},
-		pD: [][]float64{{0.9, 0.1}, {0.1, 0.9}},
+		pT:   []float64{0.5, 0.5},
+		d:    [][]int{{0, 0}, {2, 2}},
+		maxD: 2,
+		pD:   [][]float64{{0.9, 0.1}, {0.1, 0.9}},
 	}
 	init := []float64{1, 1}
 	f0 := obj.F(init)
@@ -219,9 +220,10 @@ func TestNewtonMaximizeImprovesObjective(t *testing.T) {
 
 func TestNewtonGradientMatchesNumeric(t *testing.T) {
 	obj := &mixObjective{
-		pT: []float64{0.3, 0.7},
-		d:  [][]float64{{0, 1}, {2, 0}},
-		pD: [][]float64{{0.5, 0.2}, {0.1, 0.8}},
+		pT:   []float64{0.3, 0.7},
+		d:    [][]int{{0, 1}, {2, 0}},
+		maxD: 2,
+		pD:   [][]float64{{0.5, 0.2}, {0.1, 0.8}},
 	}
 	sigma := []float64{0.8, 1.7}
 	grad := obj.Grad(sigma)

@@ -10,10 +10,16 @@ import "math"
 // probabilities P(X_T); d[T][D] the edit distance between sequence T and
 // component D's matched state; pD[T][D] the component's generative
 // probability of the sequence.
+//
+// Every distance is a small integer (a suffix distance or a sequence
+// length, at most maxD), so F and Grad evaluate Eq. (4) once per
+// (component, distance) into a table: the same function of the same
+// arguments, so every sum, and σ, keeps its bits.
 type mixObjective struct {
-	pT []float64
-	d  [][]float64
-	pD [][]float64
+	pT   []float64
+	d    [][]int
+	pD   [][]float64
+	maxD int
 }
 
 const (
@@ -32,13 +38,31 @@ func gaussian(d, sigma float64) float64 {
 // exact same function rather than a reimplementation.
 func Gaussian(d, sigma float64) float64 { return gaussian(d, sigma) }
 
+// tables returns Eq. (4)'s density N(d; σ_k) and its relative slope
+// ∂ln N/∂σ = d²/σ³ − 1/σ, each at [k*(maxD+1)+d].
+func (o *mixObjective) tables(sigma []float64) (g, slope []float64) {
+	w := o.maxD + 1
+	g = make([]float64, len(sigma)*w)
+	slope = make([]float64, len(sigma)*w)
+	for k, sg := range sigma {
+		for d := range w {
+			dd := float64(d)
+			g[k*w+d] = gaussian(dd, sg)
+			slope[k*w+d] = dd*dd/(sg*sg*sg) - 1/sg
+		}
+	}
+	return g, slope
+}
+
 // F evaluates the objective.
 func (o *mixObjective) F(sigma []float64) float64 {
+	gt, _ := o.tables(sigma)
+	w := o.maxD + 1
 	var f float64
 	for t := range o.pT {
 		var s float64
-		for k, sg := range sigma {
-			s += gaussian(o.d[t][k], sg) * o.pD[t][k]
+		for k := range sigma {
+			s += gt[k*w+o.d[t][k]] * o.pD[t][k]
 		}
 		if s < probEps {
 			s = probEps
@@ -53,21 +77,22 @@ func (o *mixObjective) F(sigma []float64) float64 {
 // p_T · g·P·(d²/σ³ − 1/σ) / S_T (up to the log10 constant, which scales the
 // whole gradient uniformly and is therefore irrelevant to the optimum).
 func (o *mixObjective) Grad(sigma []float64) []float64 {
+	gt, slope := o.tables(sigma)
+	w := o.maxD + 1
 	g := make([]float64, len(sigma))
+	terms := make([]float64, len(sigma))
 	ln10 := math.Ln10
 	for t := range o.pT {
 		var s float64
-		terms := make([]float64, len(sigma))
-		for k, sg := range sigma {
-			terms[k] = gaussian(o.d[t][k], sg) * o.pD[t][k]
+		for k := range sigma {
+			terms[k] = gt[k*w+o.d[t][k]] * o.pD[t][k]
 			s += terms[k]
 		}
 		if s < probEps {
 			s = probEps
 		}
-		for k, sg := range sigma {
-			dd := o.d[t][k]
-			g[k] += o.pT[t] * terms[k] * (dd*dd/(sg*sg*sg) - 1/sg) / (s * ln10)
+		for k := range sigma {
+			g[k] += o.pT[t] * terms[k] * slope[k*w+o.d[t][k]] / (s * ln10)
 		}
 	}
 	return g

@@ -5,10 +5,10 @@
 package query
 
 import (
+	"cmp"
 	"fmt"
 	"maps"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -362,13 +362,15 @@ type Session struct {
 	Count   uint64
 }
 
-// SortSessions orders sessions by descending count, breaking ties by the
-// lexicographic order of their encoded keys so output is deterministic.
-func SortSessions(ss []Session) {
-	sort.Slice(ss, func(i, j int) bool {
-		if ss[i].Count != ss[j].Count {
-			return ss[i].Count > ss[j].Count
-		}
-		return ss[i].Queries.Key() < ss[j].Queries.Key()
-	})
+// CompareSessions orders sessions by descending count, breaking ties by the
+// lexicographic order of their query IDs, which is also the order of their
+// encoded keys (Key is big-endian, so byte order is numeric order).
+func CompareSessions(a, b Session) int {
+	if a.Count != b.Count {
+		return cmp.Compare(b.Count, a.Count)
+	}
+	return slices.Compare(a.Queries, b.Queries)
 }
+
+// SortSessions sorts sessions by CompareSessions, so output is deterministic.
+func SortSessions(ss []Session) { slices.SortFunc(ss, CompareSessions) }
