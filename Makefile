@@ -20,8 +20,9 @@ race:
 # race between a request and whatever outlives it (the response header write
 # after the handler returned, a hedge loser) shows in a fraction of runs, so
 # one pass of `race` can miss it; ci repeats the two packages that serve
-# requests.
-PKG ?= ./internal/serve ./internal/fleet
+# requests and the cache whose shards (entries and admission ghost) every
+# request touches.
+PKG ?= ./internal/serve ./internal/fleet ./internal/cache
 N ?= 10
 race-repeat:
 	$(GO) test -race -count=$(N) $(PKG)
@@ -140,7 +141,7 @@ check-api: vet
 # Line-count ratchet: the non-test Go lines outside bench/ and dot-directories
 # may not grow past LINES_CEILING. A PR that shrinks the code lowers the
 # ceiling to its new count; a PR that raises it says why in CHANGES.md.
-LINES_CEILING = 20551
+LINES_CEILING = 20590
 check-lines:
 	@n=$$(find . -path ./bench -prune -o -path './.*' -prune -o -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l); \
 	echo "non-test Go lines: $$n (ceiling $(LINES_CEILING))"; \

@@ -475,15 +475,21 @@ func BenchmarkProbCompiled(b *testing.B) {
 func BenchmarkSuggestCached(b *testing.B) {
 	rec, ctxs := serveBenchSetup(b)
 	sc := cache.NewSuggestCache(0)
-	for _, ctx := range ctxs { // warm the cache once
-		sc.Recommend(1, rec, ctx, 5)
+	var ids query.Seq
+	for range 2 { // warm the cache: each context is stored on its second sight
+		for _, ctx := range ctxs {
+			ids = core.AppendContext(rec.Dict(), ids[:0], ctx)
+			sc.RecommendSlotHit(0, 1, rec, ids, 5)
+		}
 	}
 	var seq atomic.Int64
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		i := int(seq.Add(1)) * 31
+		var ids query.Seq
 		for pb.Next() {
-			sc.Recommend(1, rec, ctxs[i%len(ctxs)], 5)
+			ids = core.AppendContext(rec.Dict(), ids[:0], ctxs[i%len(ctxs)])
+			sc.RecommendSlotHit(0, 1, rec, ids, 5)
 			i++
 		}
 	})

@@ -462,9 +462,9 @@ func printServerMetrics(client *http.Client, addr string, before *serve.MetricsR
 		log.Printf("fetching /v1/metrics failed")
 		return
 	}
-	fmt.Printf("server:      cache hit rate %.1f%% (%d hits / %d misses, %d evictions), "+
+	fmt.Printf("server:      cache hit rate %.1f%% (%d hits / %d misses, %d evictions, %d refused), "+
 		"server-side p50 %dus p99 %dus p999 %dus max %dus, generation %d, compiled nodes %d\n",
-		100*m.CacheHitRate, m.Cache.Hits, m.Cache.Misses, m.Cache.Evictions,
+		100*m.CacheHitRate, m.Cache.Hits, m.Cache.Misses, m.Cache.Evictions, m.Cache.Refused,
 		m.P50Micros, m.P99Micros, m.P999Micros, m.MaxMicros, m.ModelGeneration, m.CompiledNodes)
 	if len(m.Stages) > 0 {
 		names := make([]string, 0, len(m.Stages))

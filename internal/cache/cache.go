@@ -2,11 +2,12 @@
 // mutex-striped LRU keyed on compact binary strings, sized for the
 // read-heavy, highly skewed traffic of online query recommendation (the
 // aggregated-session frequencies follow a power law — Fig. 6 — so a small
-// cache absorbs most of the head).
+// cache absorbs most of the head, if the tail's one-off contexts do not
+// evict it: see Admission below).
 //
 // The generic Cache[V] is the mechanism; SuggestCache is the policy that
-// fronts core.Recommender.Recommend with interned-context keys and keeps
-// each answer's wire form next to it.
+// fronts core.Recommender with interned-context keys and keeps each
+// answer's wire form next to it.
 //
 // Invariants the serving layer relies on:
 //
@@ -22,15 +23,22 @@
 //     the probe and the insert alike; every probe then compares the whole
 //     key, so a hash shared by two keys — two generations of one context —
 //     never lets one answer for the other.
-//   - An insert into a shard with room allocates the node and its key bytes.
-//     An insert into a full shard allocates nothing in this package: the
-//     evicted entry's node is recycled, key capacity included. What a
-//     SuggestCache miss still allocates is the suggestion slice the entry
-//     keeps. That one is not recycled with the node, and must not be: a hit
-//     returns the slice to callers that read it after the shard lock is
-//     released (the first hit's wire encode, the shadow scorer, every
-//     Recommend* caller), so overwriting an evicted entry's array in place
-//     would race with a reader of the old answer.
+//   - Admission, 2Q's ghost queue (Johnson & Shasha, VLDB 1994): a shard
+//     keeps the hashes of its last cap refused misses and evictions. A miss
+//     whose hash is there is admitted (stored, evicting the LRU tail into the
+//     ghost); any other is refused (remembered, answered, not stored), even
+//     while the shard has room, so a distinct cycle longer than the ghost
+//     never stores, evicts or hits. The verdict is taken under the probe's
+//     lock; Purge empties the ghost too.
+//   - A refused SuggestCache miss answered into a buffer the caller lends
+//     allocates nothing. An admitted miss into a shard with room allocates
+//     the node and its key bytes; into a full shard it recycles the evicted
+//     node, key capacity included, and allocates only the suggestion slice
+//     the entry keeps. That one is not recycled with the node, and must not
+//     be: a hit returns the slice to callers that read it after the shard
+//     lock is released (the first hit's wire encode, the shadow scorer,
+//     every Recommend* caller), so overwriting an evicted entry's array in
+//     place would race with a reader of the old answer.
 //   - A SuggestCache entry's wire form — the encoded `"suggestions":[...]`
 //     member — is filled lazily, on the entry's first hit, never on insert:
 //     a miss pays nothing for it, the first hit encodes once with
@@ -47,7 +55,8 @@
 // Memory: capacity bounds the entry count, not bytes. One SuggestCache entry
 // holds a 104-byte node, its 16+4·len(ctx) key bytes, up to n suggestions
 // (24 B each; the query strings belong to the model's dictionary) and, once
-// hit, at most n × (query length + ~40 B) of wire bytes.
+// hit, at most n × (query length + ~40 B) of wire bytes; the ghost, at most
+// capacity hashes, 8 B of ring and a map slot each.
 package cache
 
 import (
@@ -66,8 +75,10 @@ type Stats struct {
 	Hits      uint64 `json:"hits"`
 	Misses    uint64 `json:"misses"`
 	Evictions uint64 `json:"evictions"`
-	Entries   int    `json:"entries"`
-	Capacity  int    `json:"capacity"`
+	// Refused counts the misses admission turned away: answered, not stored.
+	Refused  uint64 `json:"refused"`
+	Entries  int    `json:"entries"`
+	Capacity int    `json:"capacity"`
 }
 
 // HitRate returns Hits / (Hits + Misses), 0 when no lookups happened.
@@ -89,6 +100,7 @@ type Cache[V any] struct {
 	hits      atomic.Uint64
 	misses    atomic.Uint64
 	evictions atomic.Uint64
+	refused   atomic.Uint64
 }
 
 // node is one cache entry: its place in the shard's recency order, its place
@@ -106,18 +118,52 @@ type node[V any] struct {
 // sentinel root, root.next the most and root.prev the least recently used.
 // items maps a key's 64-bit hash to the first node of its chain; n counts the
 // entries (a chain holds more than one only when two live keys collide).
+// The ghost is a ring of remembered hashes grown lazily to cap, the next
+// going to ghost[pushes%cap]; seen maps each hash in it to its latest push,
+// so an overwritten slot forgets its hash only if nothing claimed it since.
 type shard[V any] struct {
-	mu    sync.Mutex
-	items map[uint64]*node[V]
-	n     int
-	root  node[V]
-	cap   int
+	mu     sync.Mutex
+	items  map[uint64]*node[V]
+	n      int
+	root   node[V]
+	cap    int
+	ghost  []uint64
+	seen   map[uint64]uint64
+	pushes uint64
 }
 
 func (s *shard[V]) reset() {
 	s.items = make(map[uint64]*node[V])
 	s.n = 0
 	s.root.next, s.root.prev = &s.root, &s.root
+	s.ghost, s.seen, s.pushes = nil, make(map[uint64]uint64), 0
+}
+
+// remember pushes h into the ghost, forgetting the oldest hash once the
+// ghost holds cap of them.
+func (s *shard[V]) remember(h uint64) {
+	if len(s.ghost) < s.cap {
+		s.ghost = append(s.ghost, h)
+	} else {
+		i := s.pushes % uint64(s.cap)
+		if old := s.ghost[i]; s.seen[old] == s.pushes-uint64(s.cap) {
+			delete(s.seen, old)
+		}
+		s.ghost[i] = h
+	}
+	s.seen[h] = s.pushes
+	s.pushes++
+}
+
+// admit is the verdict on a miss of a key whose hash is h: a hash in the
+// ghost leaves it and is admitted, any other is remembered and refused.
+func (s *shard[V]) admit(h uint64) bool {
+	if _, ok := s.seen[h]; ok {
+		delete(s.seen, h)
+		return true
+	}
+	s.remember(h)
+	return false
 }
 
 func (s *shard[V]) unlink(n *node[V]) {
@@ -200,36 +246,36 @@ func (c *Cache[V]) shard(h uint64) *shard[V] {
 	return &c.shards[h&(shardCount-1)]
 }
 
-// GetBytes returns the cached value for key, promoting it to most recently
-// used. It neither allocates nor retains key, which is what makes cache hits
+// get returns the cached value for key, whose hash is h, promoting it to
+// most recently used. On a miss it takes the shard's admission verdict under
+// the same lock: admit reports whether the caller should put the answer. It
+// neither allocates nor retains key, which is what makes cache hits
 // zero-allocation end to end.
-func (c *Cache[V]) GetBytes(key []byte) (V, bool) { return c.get(hashKey(key), key) }
-
-// get is GetBytes for a caller that holds key's hash.
-func (c *Cache[V]) get(h uint64, key []byte) (V, bool) {
+func (c *Cache[V]) get(h uint64, key []byte) (v V, hit, admit bool) {
 	s := c.shard(h)
 	s.mu.Lock()
 	n := s.find(h, key)
 	if n == nil {
+		admit = s.admit(h)
 		s.mu.Unlock()
 		c.misses.Add(1)
-		var zero V
-		return zero, false
+		if !admit {
+			c.refused.Add(1)
+		}
+		return v, false, admit
 	}
 	s.moveToFront(n)
-	v := n.val
+	v = n.val
 	s.mu.Unlock()
 	c.hits.Add(1)
-	return v, true
+	return v, true, false
 }
 
-// ReplaceBytes stores v under key only if key is still cached, and reports
-// whether it was: an entry evicted or purged since the caller looked it up
-// is not resurrected. It is not a lookup — neither the recency order nor the
-// counters move — and, like GetBytes, it neither allocates nor retains key.
-func (c *Cache[V]) ReplaceBytes(key []byte, v V) bool { return c.replace(hashKey(key), key, v) }
-
-// replace is ReplaceBytes for a caller that holds key's hash.
+// replace stores v under key, whose hash is h, only if key is still cached,
+// and reports whether it was: an entry evicted or purged since the caller
+// looked it up is not resurrected. It is not a lookup — neither the recency
+// order nor the counters move — and, like get, it neither allocates nor
+// retains key.
 func (c *Cache[V]) replace(h uint64, key []byte, v V) bool {
 	s := c.shard(h)
 	s.mu.Lock()
@@ -241,12 +287,10 @@ func (c *Cache[V]) replace(h uint64, key []byte, v V) bool {
 	return n != nil
 }
 
-// PutBytes stores key -> v, evicting the shard's least recently used entry
-// when the shard is full. Storing an existing key updates its value and
-// promotes it. The entry keeps its own copy of key.
-func (c *Cache[V]) PutBytes(key []byte, v V) { c.put(hashKey(key), key, v) }
-
-// put is PutBytes for a caller that holds key's hash.
+// put stores key -> v, whose hash is h, whatever the admission verdict
+// (callers put what get admitted), evicting the shard's least recently used
+// entry into the ghost when the shard is full. Storing an existing key
+// updates its value and promotes it. The entry keeps its own copy of key.
 func (c *Cache[V]) put(h uint64, key []byte, v V) {
 	s := c.shard(h)
 	s.mu.Lock()
@@ -265,6 +309,7 @@ func (c *Cache[V]) put(h uint64, key []byte, v V) {
 		n = s.root.prev
 		s.unindex(n)
 		s.unlink(n)
+		s.remember(n.hash)
 	} else {
 		n = &node[V]{}
 		s.n++
@@ -291,8 +336,9 @@ func (c *Cache[V]) Len() int {
 	return n
 }
 
-// Purge drops every entry. Counters are preserved: a purge (e.g. on model
-// reload) is an operational event, not a statistics reset.
+// Purge drops every entry and empties the ghost. Counters are preserved: a
+// purge (e.g. on model reload) is an operational event, not a statistics
+// reset.
 func (c *Cache[V]) Purge() {
 	for i := range c.shards {
 		s := &c.shards[i]
@@ -308,6 +354,7 @@ func (c *Cache[V]) Stats() Stats {
 		Hits:      c.hits.Load(),
 		Misses:    c.misses.Load(),
 		Evictions: c.evictions.Load(),
+		Refused:   c.refused.Load(),
 		Entries:   c.Len(),
 		Capacity:  c.capacity,
 	}

@@ -9,18 +9,30 @@ import (
 	"repro/internal/query"
 )
 
+// getKey, putKey and replaceKey probe, store and replace by key alone,
+// hashing it the way every entry point does. putKey stores whatever the
+// admission verdict.
+func getKey[V any](c *Cache[V], key []byte) (V, bool) {
+	v, hit, _ := c.get(hashKey(key), key)
+	return v, hit
+}
+
+func putKey[V any](c *Cache[V], key []byte, v V) { c.put(hashKey(key), key, v) }
+
+func replaceKey[V any](c *Cache[V], key []byte, v V) bool { return c.replace(hashKey(key), key, v) }
+
 func TestGetPutAndCounters(t *testing.T) {
 	c := New[int](64)
-	if _, ok := c.GetBytes([]byte("a")); ok {
+	if _, ok := getKey(c, []byte("a")); ok {
 		t.Fatal("hit on empty cache")
 	}
-	c.PutBytes([]byte("a"), 1)
-	c.PutBytes([]byte("b"), 2)
-	if v, ok := c.GetBytes([]byte("a")); !ok || v != 1 {
+	putKey(c, []byte("a"), 1)
+	putKey(c, []byte("b"), 2)
+	if v, ok := getKey(c, []byte("a")); !ok || v != 1 {
 		t.Fatalf("Get(a) = %v, %v", v, ok)
 	}
-	c.PutBytes([]byte("a"), 10) // update
-	if v, _ := c.GetBytes([]byte("a")); v != 10 {
+	putKey(c, []byte("a"), 10) // update
+	if v, _ := getKey(c, []byte("a")); v != 10 {
 		t.Fatalf("updated Get(a) = %v", v)
 	}
 	st := c.Stats()
@@ -50,12 +62,12 @@ func TestLRUEvictionOrder(t *testing.T) {
 	// deterministically by hammering keys that land in the same shard.
 	c := New[int](shardCount) // 1 per shard
 	keys := sameShardKeys(c, "k", 3)
-	c.PutBytes(keys[0], 0)
-	c.PutBytes(keys[1], 1) // evicts keys[0]
-	if _, ok := c.GetBytes(keys[0]); ok {
+	putKey(c, keys[0], 0)
+	putKey(c, keys[1], 1) // evicts keys[0]
+	if _, ok := getKey(c, keys[0]); ok {
 		t.Fatal("LRU entry not evicted")
 	}
-	if v, ok := c.GetBytes(keys[1]); !ok || v != 1 {
+	if v, ok := getKey(c, keys[1]); !ok || v != 1 {
 		t.Fatal("fresh entry missing")
 	}
 	if c.Stats().Evictions == 0 {
@@ -66,21 +78,21 @@ func TestLRUEvictionOrder(t *testing.T) {
 func TestLRUPromotionOnGet(t *testing.T) {
 	c := New[int](shardCount * 2) // 2 per shard
 	keys := sameShardKeys(c, "p", 3)
-	c.PutBytes(keys[0], 0)
-	c.PutBytes(keys[1], 1)
-	c.GetBytes(keys[0])    // promote oldest
-	c.PutBytes(keys[2], 2) // should evict keys[1], not keys[0]
-	if _, ok := c.GetBytes(keys[0]); !ok {
+	putKey(c, keys[0], 0)
+	putKey(c, keys[1], 1)
+	getKey(c, keys[0])    // promote oldest
+	putKey(c, keys[2], 2) // should evict keys[1], not keys[0]
+	if _, ok := getKey(c, keys[0]); !ok {
 		t.Fatal("promoted entry was evicted")
 	}
-	if _, ok := c.GetBytes(keys[1]); ok {
+	if _, ok := getKey(c, keys[1]); ok {
 		t.Fatal("unpromoted entry survived")
 	}
 }
 
 // TestHashCollision forces two keys onto one hash (the hashed entry points
 // take the hash from the caller) and checks that the index keeps them apart:
-// neither answers for the other, ReplaceBytes' primitive touches only its own
+// neither answers for the other, replace touches only its own
 // key, and evicting either one — the chain's head or its tail — leaves the
 // other reachable.
 func TestHashCollision(t *testing.T) {
@@ -88,21 +100,21 @@ func TestHashCollision(t *testing.T) {
 	a, b, other := []byte("generation 1"), []byte("generation 2"), []byte("someone else")
 	for _, evictHead := range []bool{false, true} {
 		c := New[string](shardCount * 2) // two per shard
-		if _, ok := c.get(h, a); ok {
+		if _, ok, _ := c.get(h, a); ok {
 			t.Fatal("hit on an empty cache")
 		}
 		c.put(h, a, "A")
-		if v, ok := c.get(h, b); ok {
+		if v, ok, _ := c.get(h, b); ok {
 			t.Fatalf("b, never stored, answered with a's hash: %q", v)
 		}
 		c.put(h, b, "B") // chained in front of a
 		if c.Len() != 2 {
 			t.Fatalf("two colliding keys make %d entries", c.Len())
 		}
-		if va, _ := c.get(h, a); va != "A" {
+		if va, _, _ := c.get(h, a); va != "A" {
 			t.Fatalf("a = %q", va)
 		}
-		if vb, _ := c.get(h, b); vb != "B" {
+		if vb, _, _ := c.get(h, b); vb != "B" {
 			t.Fatalf("b = %q", vb)
 		}
 		if c.replace(h, other, "X") {
@@ -111,8 +123,8 @@ func TestHashCollision(t *testing.T) {
 		if !c.replace(h, a, "A2") {
 			t.Fatal("replace missed a")
 		}
-		va, _ := c.get(h, a)
-		vb, _ := c.get(h, b) // b is now the most recently used, a the least
+		va, _, _ := c.get(h, a)
+		vb, _, _ := c.get(h, b) // b is now the most recently used, a the least
 		if va != "A2" || vb != "B" {
 			t.Fatalf("after replacing a: a = %q, b = %q", va, vb)
 		}
@@ -122,13 +134,13 @@ func TestHashCollision(t *testing.T) {
 			gone, kept, keptVal = b, a, "A2"
 		}
 		c.put(h+shardCount, other, "X") // same shard, its own hash: evicts
-		if _, ok := c.get(h, gone); ok {
+		if _, ok, _ := c.get(h, gone); ok {
 			t.Fatalf("evictHead=%v: the least recently used of the pair survived", evictHead)
 		}
-		if v, ok := c.get(h, kept); !ok || v != keptVal {
+		if v, ok, _ := c.get(h, kept); !ok || v != keptVal {
 			t.Fatalf("evictHead=%v: evicting one key of the pair lost the other: %q, %v", evictHead, v, ok)
 		}
-		if v, ok := c.get(h+shardCount, other); !ok || v != "X" {
+		if v, ok, _ := c.get(h+shardCount, other); !ok || v != "X" {
 			t.Fatalf("evictHead=%v: the evicting entry = %q, %v", evictHead, v, ok)
 		}
 		if st := c.Stats(); st.Entries != 2 || st.Evictions != 1 {
@@ -140,7 +152,7 @@ func TestHashCollision(t *testing.T) {
 func TestPurge(t *testing.T) {
 	c := New[string](128)
 	for i := 0; i < 50; i++ {
-		c.PutBytes(fmt.Appendf(nil, "k%d", i), "v")
+		putKey(c, fmt.Appendf(nil, "k%d", i), "v")
 	}
 	if c.Len() != 50 {
 		t.Fatalf("Len = %d", c.Len())
@@ -149,8 +161,16 @@ func TestPurge(t *testing.T) {
 	if c.Len() != 0 {
 		t.Fatalf("Len after purge = %d", c.Len())
 	}
-	if _, ok := c.GetBytes([]byte("k0")); ok {
+	if _, ok := getKey(c, []byte("k0")); ok {
 		t.Fatal("entry survived purge")
+	}
+	// The ghost goes with the entries: a key seen before the purge is a
+	// first sighting after it.
+	k := []byte("seen once")
+	getKey(c, k)
+	c.Purge()
+	if _, hit, admit := c.get(hashKey(k), k); hit || admit {
+		t.Fatalf("after a purge the ghost still admitted %q (hit %v)", k, hit)
 	}
 }
 
@@ -163,8 +183,8 @@ func TestConcurrentAccess(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
 				k := fmt.Appendf(nil, "k%d", i%100)
-				c.PutBytes(k, i)
-				if v, ok := c.GetBytes(k); ok && v < 0 {
+				putKey(c, k, i)
+				if v, ok := getKey(c, k); ok && v < 0 {
 					t.Error("impossible value")
 				}
 				if i%50 == 0 && g == 0 {
@@ -193,17 +213,25 @@ func testRecommender(t testing.TB) core.Recommender {
 	return core.TrainFromSessions(d, sessions, cfg)
 }
 
+// recommend looks a string context up in slot 0, the single-model
+// handlers' key space.
+func recommend(sc *SuggestCache, gen uint64, rec core.Recommender, context []string, n int) []core.Suggestion {
+	out, _ := sc.RecommendSlotHit(0, gen, rec, core.InternContext(rec.Dict(), context), n)
+	return out
+}
+
 // TestSuggestCacheEquivalence: cached answers must be identical to what the
-// recommender computes directly, on hit and on miss.
+// recommender computes directly, on hit and on either kind of miss.
 func TestSuggestCacheEquivalence(t *testing.T) {
 	rec := testRecommender(t)
 	sc := NewSuggestCache(128)
 	ctx := []string{"o2"}
 	want := core.Recommend(rec, ctx, 5)
 
-	miss := sc.Recommend(1, rec, ctx, 5)
-	hit := sc.Recommend(1, rec, ctx, 5)
-	for name, got := range map[string][]core.Suggestion{"miss": miss, "hit": hit} {
+	refused := recommend(sc, 1, rec, ctx, 5)
+	stored := recommend(sc, 1, rec, ctx, 5)
+	hit := recommend(sc, 1, rec, ctx, 5)
+	for name, got := range map[string][]core.Suggestion{"refused miss": refused, "stored miss": stored, "hit": hit} {
 		if len(got) != len(want) {
 			t.Fatalf("%s: %d suggestions, want %d", name, len(got), len(want))
 		}
@@ -214,8 +242,8 @@ func TestSuggestCacheEquivalence(t *testing.T) {
 		}
 	}
 	st := sc.Stats()
-	if st.Hits != 1 || st.Misses != 1 {
-		t.Fatalf("stats = %+v, want 1 hit / 1 miss", st)
+	if st.Hits != 1 || st.Misses != 2 || st.Refused != 1 || st.Entries != 1 {
+		t.Fatalf("stats = %+v, want 1 hit / 2 misses, 1 refused, 1 entry", st)
 	}
 }
 
@@ -225,20 +253,21 @@ func TestSuggestCacheKeying(t *testing.T) {
 	rec := testRecommender(t)
 	sc := NewSuggestCache(128)
 
-	sc.Recommend(1, rec, []string{"o2"}, 5)
-	if got := sc.Recommend(1, rec, []string{"o2"}, 1); len(got) != 1 {
+	recommend(sc, 1, rec, []string{"o2"}, 5)
+	recommend(sc, 1, rec, []string{"o2"}, 5) // second sight: stored
+	if got := recommend(sc, 1, rec, []string{"o2"}, 1); len(got) != 1 {
 		t.Fatalf("n=1 after n=5 returned %d suggestions", len(got))
 	}
 	if h := sc.Stats().Hits; h != 0 {
 		t.Fatalf("different n produced a hit (%d)", h)
 	}
 	// Normalised duplicate context: same interned IDs, so it must hit.
-	sc.Recommend(1, rec, []string{"  O2 "}, 5)
+	recommend(sc, 1, rec, []string{"  O2 "}, 5)
 	if h := sc.Stats().Hits; h != 1 {
 		t.Fatalf("normalised duplicate missed (hits=%d)", h)
 	}
 	// New generation: same context must miss again.
-	sc.Recommend(2, rec, []string{"o2"}, 5)
+	recommend(sc, 2, rec, []string{"o2"}, 5)
 	if h := sc.Stats().Hits; h != 1 {
 		t.Fatalf("new generation produced a stale hit (hits=%d)", h)
 	}
@@ -247,10 +276,10 @@ func TestSuggestCacheKeying(t *testing.T) {
 func TestSuggestCacheEmptyContext(t *testing.T) {
 	rec := testRecommender(t)
 	sc := NewSuggestCache(16)
-	if got := sc.Recommend(1, rec, nil, 5); got != nil {
+	if got := recommend(sc, 1, rec, nil, 5); got != nil {
 		t.Fatalf("empty context = %v", got)
 	}
-	if got := sc.Recommend(1, rec, []string{"never seen"}, 5); got != nil {
+	if got := recommend(sc, 1, rec, []string{"never seen"}, 5); got != nil {
 		t.Fatalf("unknown context = %v", got)
 	}
 }
@@ -265,7 +294,7 @@ func TestSuggestCacheConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 300; i++ {
-				got := sc.Recommend(1, rec, []string{"o2"}, 5)
+				got := recommend(sc, 1, rec, []string{"o2"}, 5)
 				if len(got) != len(want) || got[0] != want[0] {
 					t.Error("concurrent cached recommendation diverged")
 					return
@@ -288,9 +317,10 @@ func TestSuggestCacheSlotIsolation(t *testing.T) {
 	sc := NewSuggestCache(128)
 	ctx := core.InternContext(rec.Dict(), []string{"o2"})
 
-	a := sc.RecommendSlot(1, 1, rec, ctx, 5)
+	sc.RecommendSlot(1, 1, rec, ctx, 5)
+	a := sc.RecommendSlot(1, 1, rec, ctx, 5) // second sight: stored
 	if h := sc.Stats().Hits; h != 0 {
-		t.Fatalf("first slot-1 lookup hit (%d)", h)
+		t.Fatalf("first slot-1 lookups hit (%d)", h)
 	}
 	// Same slot, same generation: hit, and the shared slice comes back.
 	b := sc.RecommendSlot(1, 1, rec, ctx, 5)
@@ -305,12 +335,15 @@ func TestSuggestCacheSlotIsolation(t *testing.T) {
 	if h := sc.Stats().Hits; h != 1 {
 		t.Fatalf("slot 2 hit slot 1's entry (hits=%d)", h)
 	}
-	// Slot 0 is the slot-less methods' key space: RecommendInterned must hit
-	// what RecommendSlot(0, ...) stored and vice versa.
+	// Slot 0, the single-model handlers' key space, keeps its entries like
+	// any other: RecommendSlotHit must hit what RecommendSlot(0, ...) stored.
 	sc.RecommendSlot(0, 1, rec, ctx, 5)
-	sc.RecommendInterned(1, rec, ctx, 5)
+	sc.RecommendSlot(0, 1, rec, ctx, 5)
+	if _, hit := sc.RecommendSlotHit(0, 1, rec, ctx, 5); !hit {
+		t.Fatal("slot 0 lookup missed slot 0's entry")
+	}
 	if h := sc.Stats().Hits; h != 2 {
-		t.Fatalf("slot-less lookup missed slot 0's entry (hits=%d)", h)
+		t.Fatalf("slot 0 lookups counted %d hits, want 2", h)
 	}
 	// Bumping only the slot's generation must invalidate only that slot.
 	sc.RecommendSlot(1, 2, rec, ctx, 5)
@@ -320,16 +353,23 @@ func TestSuggestCacheSlotIsolation(t *testing.T) {
 }
 
 // TestSuggestCacheBatchSlot: the pre-interned batch entry point must resolve
-// hits from the slot's key space and score only the misses.
+// hits from the slot's key space and score only the misses, storing those it
+// has seen before.
 func TestSuggestCacheBatchSlot(t *testing.T) {
 	rec := testRecommender(t)
 	sc := NewSuggestCache(128)
 	ctxA := core.InternContext(rec.Dict(), []string{"o2"})
 	ctxB := core.InternContext(rec.Dict(), []string{"o2", "o2 mobile"})
 
-	warm := sc.RecommendSlot(3, 1, rec, ctxA, 5)
+	sc.RecommendSlot(3, 1, rec, ctxA, 5)
+	warm := sc.RecommendSlot(3, 1, rec, ctxA, 5) // second sight: stored
 	out := make([][]core.Suggestion, 3)
-	sc.RecommendBatchSlot(3, 1, rec, []query.Seq{ctxA, ctxB, nil}, []int{5, 5, 5}, out)
+	batch := []query.Seq{ctxA, ctxB, nil}
+	sc.RecommendBatchSlot(3, 1, rec, batch, []int{5, 5, 5}, out)
+	if st := sc.Stats(); st.Entries != 1 {
+		t.Fatalf("the batch stored its first sight of ctxB: %+v", st)
+	}
+	sc.RecommendBatchSlot(3, 1, rec, batch, []int{5, 5, 5}, out) // ctxB's second sight
 	if len(out[0]) == 0 || &out[0][0] != &warm[0] {
 		t.Fatal("batch did not reuse the slot's cached entry")
 	}

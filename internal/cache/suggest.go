@@ -21,19 +21,20 @@ import (
 // counter, entries from different slots can never collide, and — because
 // sticky routing sends each context to one slot — LRU capacity is shared in
 // proportion to actual per-model traffic instead of being statically split.
-// Single-model callers use the slot-less methods, which serve slot 0.
+// Single-model callers serve slot 0.
 //
 // Two families of entry points share the entries. The Answer* forms serve
 // the HTTP handlers: they return an Answer, which carries the entry's wire
 // form once a hit has built it (see the package comment). The Recommend*
 // forms return the suggestions alone and never build a wire form — the
-// shadow scorer and the benchmark's probes have no use for one.
+// shadow scorer and the benchmark's probes have no use for one. Every entry
+// point stores a miss only on second sight (see the package comment).
 //
 // Cached suggestion slices are shared between callers and must be treated
 // as immutable.
 type SuggestCache struct {
 	lru *Cache[Answer]
-	// bufs pools the per-request context/key scratch so the hot (hit) path
+	// bufs pools the per-request key scratch so the hot (hit) path
 	// does not allocate.
 	bufs sync.Pool
 }
@@ -65,25 +66,25 @@ func (a Answer) AppendSuggestionsJSON(dst []byte) []byte {
 var emptyWire = core.AppendSuggestionsJSON(nil, nil)
 
 type suggestBuf struct {
-	ctx     query.Seq
 	key     []byte   // the request's key; for a batch, its misses' keys back to back
 	wire    []byte   // encode scratch of a first hit; the entry keeps a copy
-	answers []Answer // RecommendBatch*'s view of a batch before Recs are copied out
+	answers []Answer // RecommendBatchSlot's view of a batch before Recs are copied out
 
 	// A batch's misses: what RecommendBatchIDs is asked (missCtx, missN) and,
-	// parallel to those, where each answer goes.
+	// parallel to those, where each answer goes and whether it is stored.
 	missCtx []query.Seq
 	missN   []int
 	miss    []batchMiss
 }
 
 // batchMiss is one missed item of a batch: its index in the batch, its key's
-// hash, and where its key ends in suggestBuf.key (it starts where the
-// previous miss's ends).
+// hash, where its key ends in suggestBuf.key (it starts where the previous
+// miss's ends) and the admission verdict its probe took.
 type batchMiss struct {
 	item   int
 	keyEnd int
 	hash   uint64
+	admit  bool
 }
 
 // DefaultCapacity is the cache size used when callers pass a non-positive
@@ -99,36 +100,16 @@ func NewSuggestCache(capacity int) *SuggestCache {
 	return &SuggestCache{
 		lru: New[Answer](capacity),
 		bufs: sync.Pool{New: func() any {
-			return &suggestBuf{ctx: make(query.Seq, 0, 16), key: make([]byte, 0, 64)}
+			return &suggestBuf{key: make([]byte, 0, 64)}
 		}},
 	}
 }
 
-// Recommend answers context with up to n suggestions, consulting the cache
-// before delegating to core.RecommendIDs. gen is the serving layer's model
-// generation: bump it on every hot reload so stale entries can never match.
-// Hits are allocation-free: the key is built in a pooled buffer, which is
-// what the cache probes with.
-func (sc *SuggestCache) Recommend(gen uint64, rec core.Recommender, context []string, n int) []core.Suggestion {
-	buf := sc.bufs.Get().(*suggestBuf)
-	defer sc.putBuf(buf)
-	buf.ctx = core.AppendContext(rec.Dict(), buf.ctx[:0], context)
-	if len(buf.ctx) == 0 {
-		return nil
-	}
-	a, _ := sc.answerKeyed(0, gen, rec, buf, buf.ctx, n, false)
-	return a.Recs
-}
-
-// RecommendInterned is Recommend for an already-interned context.
-func (sc *SuggestCache) RecommendInterned(gen uint64, rec core.Recommender, ctx query.Seq, n int) []core.Suggestion {
-	out, _ := sc.RecommendSlotHit(0, gen, rec, ctx, n)
-	return out
-}
-
-// RecommendSlot is RecommendInterned inside a named registry slot: the slot
-// ID joins the cache key, so a fleet of models shares one LRU without any
-// cross-model key collisions. (gen is the slot's own generation counter.)
+// RecommendSlot answers the interned context ctx with up to n suggestions
+// from registry slot slot's model, whose generation gen (bumped on every
+// hot reload) joins the slot ID in the cache key, so neither a stale model
+// nor another slot can answer. A hit allocates nothing; a refused miss's
+// slice is fresh.
 func (sc *SuggestCache) RecommendSlot(slot uint32, gen uint64, rec core.Recommender, ctx query.Seq, n int) []core.Suggestion {
 	out, _ := sc.RecommendSlotHit(slot, gen, rec, ctx, n)
 	return out
@@ -137,7 +118,7 @@ func (sc *SuggestCache) RecommendSlot(slot uint32, gen uint64, rec core.Recommen
 // RecommendSlotHit is RecommendSlot plus a hit flag: whether the answer came
 // from the cache.
 func (sc *SuggestCache) RecommendSlotHit(slot uint32, gen uint64, rec core.Recommender, ctx query.Seq, n int) ([]core.Suggestion, bool) {
-	a, hit := sc.answerSlot(slot, gen, rec, ctx, n, false)
+	a, hit := sc.answerSlot(slot, gen, rec, ctx, n, false, nil)
 	return a.Recs, hit
 }
 
@@ -147,22 +128,23 @@ func (sc *SuggestCache) RecommendSlotHit(slot uint32, gen uint64, rec core.Recom
 // latency to the cache-lookup stage (hit) or the predict-descent stage
 // (miss) without a second key probe. A hit returns the entry's wire form
 // with the suggestions, building and storing it if this is the entry's first
-// hit; a miss returns the suggestions alone.
-func (sc *SuggestCache) AnswerSlot(slot uint32, gen uint64, rec core.Recommender, ctx query.Seq, n int) (Answer, bool) {
-	return sc.answerSlot(slot, gen, rec, ctx, n, true)
+// hit; a miss returns the suggestions alone. A refused miss appends them to
+// (*scratch)[:0], a buffer the request holds, and leaves the grown slice
+// there (a nil scratch gives it a fresh slice).
+func (sc *SuggestCache) AnswerSlot(slot uint32, gen uint64, rec core.Recommender, ctx query.Seq, n int, scratch *[]core.Suggestion) (Answer, bool) {
+	return sc.answerSlot(slot, gen, rec, ctx, n, true, scratch)
 }
 
-func (sc *SuggestCache) answerSlot(slot uint32, gen uint64, rec core.Recommender, ctx query.Seq, n int, wire bool) (Answer, bool) {
+func (sc *SuggestCache) answerSlot(slot uint32, gen uint64, rec core.Recommender, ctx query.Seq, n int, wire bool, scratch *[]core.Suggestion) (Answer, bool) {
 	if len(ctx) == 0 {
 		return Answer{}, false
 	}
 	buf := sc.bufs.Get().(*suggestBuf)
 	defer sc.putBuf(buf)
-	return sc.answerKeyed(slot, gen, rec, buf, ctx, n, wire)
+	return sc.answerKeyed(slot, gen, rec, buf, ctx, n, wire, scratch)
 }
 
 func (sc *SuggestCache) putBuf(buf *suggestBuf) {
-	buf.ctx = buf.ctx[:0]
 	buf.key = buf.key[:0]
 	buf.wire = buf.wire[:0]
 	clear(buf.answers) // do not retain cached slices in the pool
@@ -176,27 +158,39 @@ func (sc *SuggestCache) putBuf(buf *suggestBuf) {
 
 // answerKeyed runs the keyed lookup-or-compute, reporting whether the
 // answer came from the cache. The key is hashed once, for the probe and the
-// insert both; the entry copies the key bytes into storage it owns. wire
+// insert both; an admitted miss's entry copies the key bytes into storage it
+// owns, a refused miss is answered into scratch (see AnswerSlot). wire
 // selects the Answer* behaviour (see lookup).
-func (sc *SuggestCache) answerKeyed(slot uint32, gen uint64, rec core.Recommender, buf *suggestBuf, ctx query.Seq, n int, wire bool) (Answer, bool) {
+func (sc *SuggestCache) answerKeyed(slot uint32, gen uint64, rec core.Recommender, buf *suggestBuf, ctx query.Seq, n int, wire bool, scratch *[]core.Suggestion) (Answer, bool) {
 	buf.key = appendSuggestKey(buf.key[:0], slot, gen, ctx, n)
 	h := hashKey(buf.key)
-	if a, ok := sc.lookup(buf, h, buf.key, wire); ok {
+	a, hit, admit := sc.lookup(buf, h, buf.key, wire)
+	switch {
+	case hit:
 		return a, true
+	case admit:
+		a = Answer{Recs: core.RecommendIDs(rec, ctx, n)}
+		sc.lru.put(h, buf.key, a)
+	case scratch != nil:
+		*scratch = rec.AppendSuggestions((*scratch)[:0], ctx, n)
+		if len(*scratch) > 0 {
+			a = Answer{Recs: *scratch}
+		}
+	default:
+		a = Answer{Recs: core.RecommendIDs(rec, ctx, n)}
 	}
-	a := Answer{Recs: core.RecommendIDs(rec, ctx, n)}
-	sc.lru.put(h, buf.key, a)
 	return a, false
 }
 
-// lookup probes the LRU for key, whose hash is h; with wire set, a hit on an
-// entry that has no wire form yet fills it.
-func (sc *SuggestCache) lookup(buf *suggestBuf, h uint64, key []byte, wire bool) (Answer, bool) {
-	a, ok := sc.lru.get(h, key)
-	if ok && wire && a.wire == nil {
+// lookup probes the LRU for key, whose hash is h, and on a miss reports the
+// admission verdict; with wire set, a hit on an entry that has no wire form
+// yet fills it.
+func (sc *SuggestCache) lookup(buf *suggestBuf, h uint64, key []byte, wire bool) (a Answer, hit, admit bool) {
+	a, hit, admit = sc.lru.get(h, key)
+	if hit && wire && a.wire == nil {
 		a = sc.fillWire(buf, h, key, a)
 	}
-	return a, ok
+	return a, hit, admit
 }
 
 // fillWire builds the wire form of a, the entry just found under key, and
@@ -215,30 +209,12 @@ func (sc *SuggestCache) fillWire(buf *suggestBuf, h uint64, key []byte, a Answer
 	return a
 }
 
-// RecommendBatch answers every (contexts[i], ns[i]) pair into out[i] (which
-// must be len(contexts) long). Hits and empty contexts are resolved from the
-// cache exactly like Recommend; all misses are then scored in one
-// core.RecommendBatchIDs call and inserted.
-func (sc *SuggestCache) RecommendBatch(gen uint64, rec core.Recommender, contexts [][]string, ns []int, out [][]core.Suggestion) {
-	var ids query.Seq
-	off := make([]int, 1, len(contexts)+1)
-	for _, context := range contexts {
-		ids = core.AppendContext(rec.Dict(), ids, context)
-		off = append(off, len(ids))
-	}
-	ctxs := make([]query.Seq, len(contexts))
-	for i := range ctxs {
-		ctxs[i] = ids[off[i]:off[i+1]]
-	}
-	sc.RecommendBatchSlot(0, gen, rec, ctxs, ns, out)
-}
-
 // RecommendBatchSlot answers every (ctxs[i], ns[i]) pair into out[i] (which
 // must be len(ctxs) long) inside one registry slot, for contexts that are
 // already interned. Hits come from the shared LRU under the slot's key
-// space; all misses are scored in one rec.RecommendBatchIDs call and
-// inserted. ctxs entries may live in recycled buffers: nothing here or
-// behind core.Recommender keeps a context past the call.
+// space; all misses are scored in one rec.RecommendBatchIDs call and the
+// admitted ones inserted. ctxs entries may live in recycled buffers: nothing
+// here or behind core.Recommender keeps a context past the call.
 func (sc *SuggestCache) RecommendBatchSlot(slot uint32, gen uint64, rec core.Recommender, ctxs []query.Seq, ns []int, out [][]core.Suggestion) {
 	buf := sc.bufs.Get().(*suggestBuf)
 	defer sc.putBuf(buf)
@@ -260,10 +236,10 @@ func (sc *SuggestCache) AnswerBatchSlot(slot uint32, gen uint64, rec core.Recomm
 }
 
 // answerBatch is the batch twin of answerKeyed: out[i] is resolved from the
-// cache where it can be, and every miss goes through one
-// rec.RecommendBatchIDs call and is inserted. The misses' keys, hashes and
-// contexts wait in the pooled buffer meanwhile, so a miss costs the batch no
-// allocation beyond its suggestion slice.
+// cache where it can be, every miss goes through one rec.RecommendBatchIDs
+// call, and the misses their probes admitted are inserted. The misses' keys,
+// hashes and contexts wait in the pooled buffer meanwhile, so a miss costs
+// the batch no allocation beyond its suggestion slice.
 func (sc *SuggestCache) answerBatch(slot uint32, gen uint64, rec core.Recommender, buf *suggestBuf, ctxs []query.Seq, ns []int, out []Answer, wire bool) {
 	buf.key = buf.key[:0]
 	for i, ctx := range ctxs {
@@ -275,14 +251,15 @@ func (sc *SuggestCache) answerBatch(slot uint32, gen uint64, rec core.Recommende
 		buf.key = appendSuggestKey(buf.key, slot, gen, ctx, ns[i])
 		key := buf.key[start:]
 		h := hashKey(key)
-		if a, ok := sc.lookup(buf, h, key, wire); ok {
+		a, hit, admit := sc.lookup(buf, h, key, wire)
+		if hit {
 			out[i] = a
 			buf.key = buf.key[:start]
 			continue
 		}
 		buf.missCtx = append(buf.missCtx, ctx)
 		buf.missN = append(buf.missN, ns[i])
-		buf.miss = append(buf.miss, batchMiss{item: i, keyEnd: len(buf.key), hash: h})
+		buf.miss = append(buf.miss, batchMiss{item: i, keyEnd: len(buf.key), hash: h, admit: admit})
 	}
 	if len(buf.miss) == 0 {
 		return
@@ -291,7 +268,9 @@ func (sc *SuggestCache) answerBatch(slot uint32, gen uint64, rec core.Recommende
 	start := 0
 	for j, m := range buf.miss {
 		out[m.item] = Answer{Recs: res[j]}
-		sc.lru.put(m.hash, buf.key[start:m.keyEnd], out[m.item])
+		if m.admit {
+			sc.lru.put(m.hash, buf.key[start:m.keyEnd], out[m.item])
+		}
 		start = m.keyEnd
 	}
 }
@@ -316,5 +295,5 @@ func appendSuggestKey(dst []byte, slot uint32, gen uint64, ctx query.Seq, n int)
 // generation's memory; correctness does not depend on it).
 func (sc *SuggestCache) Purge() { sc.lru.Purge() }
 
-// Stats snapshots hit/miss/eviction counters.
+// Stats snapshots the hit, miss, eviction and refusal counters.
 func (sc *SuggestCache) Stats() Stats { return sc.lru.Stats() }

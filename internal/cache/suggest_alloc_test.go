@@ -8,17 +8,20 @@ import (
 )
 
 // TestSuggestCacheHitZeroAllocs pins the satellite property: a warm cache
-// hit — key build, shard probe, LRU promotion — allocates nothing at all.
+// hit — key build, shard probe, LRU promotion, and for the Answer form the
+// stored wire bytes — allocates nothing at all.
 func TestSuggestCacheHitZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; counts are meaningless")
 	}
 	rec := testRecommender(t)
 	sc := NewSuggestCache(128)
-	ctx := []string{"o2", "o2 mobile"}
-	sc.Recommend(1, rec, ctx, 5) // warm: populate entry + pool
+	ctx := core.InternContext(rec.Dict(), []string{"o2", "o2 mobile"})
+	for i := 0; i < 3; i++ { // warm: first sight, stored, first hit's wire form + pool
+		sc.AnswerSlot(0, 1, rec, ctx, 5, nil)
+	}
 	allocs := testing.AllocsPerRun(200, func() {
-		if got := sc.Recommend(1, rec, ctx, 5); len(got) == 0 {
+		if got, hit := sc.RecommendSlotHit(0, 1, rec, ctx, 5); !hit || len(got) == 0 {
 			t.Fatal("hit returned nothing")
 		}
 	})
@@ -26,20 +29,19 @@ func TestSuggestCacheHitZeroAllocs(t *testing.T) {
 		t.Fatalf("cache hit allocates %.2f times per op, want 0", allocs)
 	}
 
-	ictx := core.InternContext(rec.Dict(), ctx)
 	allocs = testing.AllocsPerRun(200, func() {
-		if got := sc.RecommendInterned(1, rec, ictx, 5); len(got) == 0 {
-			t.Fatal("interned hit returned nothing")
+		if a, hit := sc.AnswerSlot(0, 1, rec, ctx, 5, nil); !hit || a.wire == nil {
+			t.Fatal("Answer hit returned no wire form")
 		}
 	})
 	if allocs > 0.05 {
-		t.Fatalf("interned cache hit allocates %.2f times per op, want 0", allocs)
+		t.Fatalf("Answer cache hit allocates %.2f times per op, want 0", allocs)
 	}
 }
 
 // missCycle returns a cycle of distinct covered contexts, many per shard, all
-// of one length: looked up in turn through a cache of one entry per shard,
-// every one misses, inserts and (once the shards are full) evicts.
+// of one length: looked up in turn through a cache of one entry (and so one
+// ghost hash) per shard, every one misses and none is ever admitted.
 func missCycle(rec core.Recommender) []query.Seq {
 	base := core.InternContext(rec.Dict(), []string{"o2", "o2 mobile"})
 	var ctxs []query.Seq
@@ -53,45 +55,69 @@ func missCycle(rec core.Recommender) []query.Seq {
 	return ctxs
 }
 
-// TestSuggestCacheMissAllocs pins the miss path: one miss through a full
-// cache — descent, insert, eviction — allocates once: the suggestion slice
-// the entry retains. The entry's node (links, key bytes and value) is the
-// evicted entry's, recycled, and the key is hashed and compared as bytes,
-// never made a string. A second allocation would be a key or node per
-// insert, or a wire form built on insert. (The slice itself cannot be
-// recycled with the node: see the package comment.)
+// TestSuggestCacheMissAllocs pins the two miss paths. A first sight —
+// descent, ghost push, no insert — answered into the caller's buffer
+// allocates nothing. A second sight through a full cache — descent, insert,
+// eviction — allocates once: the suggestion slice the entry retains. The
+// entry's node (links, key bytes and value) is the evicted entry's,
+// recycled, and the key is hashed and compared as bytes, never made a
+// string. A second allocation would be a key or node per insert, or a wire
+// form built on insert. (The slice itself cannot be recycled with the node:
+// see the package comment.)
 func TestSuggestCacheMissAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; counts are meaningless")
 	}
 	rec := testRecommender(t)
-	sc := NewSuggestCache(shardCount) // one entry per shard
+	sc := NewSuggestCache(shardCount) // one entry per shard, one ghost hash per shard
 	ctxs := missCycle(rec)
+	scratch := make([]core.Suggestion, 0, 8)
 	next := 0
-	lookup := func() {
-		if _, hit := sc.AnswerSlot(0, 1, rec, ctxs[next%len(ctxs)], 5); hit {
+	firstSight := func() {
+		if a, hit := sc.AnswerSlot(0, 1, rec, ctxs[next%len(ctxs)], 5, &scratch); hit || len(a.Recs) == 0 {
+			t.Fatalf("the distinct cycle hit (%v) or went unanswered", hit)
+		}
+		next++
+	}
+	for i := 0; i < len(ctxs); i++ { // warm the pools and the ghosts
+		firstSight()
+	}
+	before := sc.Stats()
+	allocs := testing.AllocsPerRun(len(ctxs), firstSight)
+	after := sc.Stats()
+	if runs := after.Misses - before.Misses; after.Refused-before.Refused != runs || after.Entries != 0 || after.Evictions != 0 {
+		t.Fatalf("%d first sightings: %+v -> %+v, want every one refused and nothing stored", runs, before, after)
+	}
+	if allocs != 0 {
+		t.Fatalf("a refused miss allocates %.2f times, want 0", allocs)
+	}
+
+	secondSight := func() {
+		ctx := ctxs[next%len(ctxs)]
+		sc.AnswerSlot(0, 1, rec, ctx, 5, &scratch) // first sight: into the ghost
+		if _, hit := sc.AnswerSlot(0, 1, rec, ctx, 5, &scratch); hit {
 			t.Fatal("the distinct cycle hit")
 		}
 		next++
 	}
-	for i := 0; i < len(ctxs); i++ { // fill every shard, warm the pools
-		lookup()
+	for i := 0; i < len(ctxs); i++ { // fill every shard
+		secondSight()
 	}
-	before := sc.Stats()
-	allocs := testing.AllocsPerRun(len(ctxs), lookup)
-	after := sc.Stats()
-	if runs := after.Misses - before.Misses; after.Evictions-before.Evictions != runs {
-		t.Fatalf("%d misses evicted %d entries, want one each", runs, after.Evictions-before.Evictions)
+	before = sc.Stats()
+	allocs = testing.AllocsPerRun(len(ctxs), secondSight)
+	after = sc.Stats()
+	if runs := (after.Misses - before.Misses) / 2; after.Evictions-before.Evictions != runs || after.Refused-before.Refused != runs {
+		t.Fatalf("%d second sightings: %+v -> %+v, want one refusal and one eviction each", runs, before, after)
 	}
 	if allocs != 1 {
-		t.Fatalf("miss + insert + evict allocates %.2f times, want 1", allocs)
+		t.Fatalf("refused miss + stored miss (insert + evict) allocate %.2f times, want 1", allocs)
 	}
 }
 
-// TestSuggestCacheBatchMissAllocs is the batch twin: a batch of misses
-// through a full cache allocates one suggestion slice per miss plus, per
-// batch, RecommendBatchIDs' result table — no key string, no context clone,
-// no bookkeeping slices, and the closure handed to PredictBatch stays
+// TestSuggestCacheBatchMissAllocs is the batch twin: a batch of first
+// sightings allocates one suggestion slice per miss plus, per batch,
+// RecommendBatchIDs' result table — no key string, no context clone, no
+// node, no bookkeeping slices, and the closure handed to PredictBatch stays
 // on the stack now that no goroutine can capture it.
 func TestSuggestCacheBatchMissAllocs(t *testing.T) {
 	if raceEnabled {
@@ -118,8 +144,8 @@ func TestSuggestCacheBatchMissAllocs(t *testing.T) {
 	before := sc.Stats()
 	allocs := testing.AllocsPerRun(len(ctxs)/batch, lookup)
 	after := sc.Stats()
-	if after.Hits != before.Hits || after.Evictions-before.Evictions != after.Misses-before.Misses {
-		t.Fatalf("the batches did not miss and evict throughout: %+v -> %+v", before, after)
+	if after.Hits != before.Hits || after.Refused-before.Refused != after.Misses-before.Misses || after.Entries != 0 {
+		t.Fatalf("the batches did not miss and refuse throughout: %+v -> %+v", before, after)
 	}
 	if allocs != batch+1 {
 		t.Fatalf("a batch of %d misses allocates %.2f times, want %d (one per miss, the result table)", batch, allocs, batch+1)
@@ -140,8 +166,16 @@ func TestRecommendBatchEquivalence(t *testing.T) {
 		{"o2"}, // duplicate of [0] with a different n
 	}
 	ns := []int{5, 1, 5, 5, 2}
+	ctxs := make([]query.Seq, len(contexts))
+	for i, context := range contexts {
+		ctxs[i] = core.InternContext(rec.Dict(), context)
+	}
 	out := make([][]core.Suggestion, len(contexts))
-	sc.RecommendBatch(1, rec, contexts, ns, out)
+	sc.RecommendBatchSlot(0, 1, rec, ctxs, ns, out)
+	if st := sc.Stats(); st.Entries != 0 {
+		t.Fatalf("a batch of first sightings stored %d entries", st.Entries)
+	}
+	sc.RecommendBatchSlot(0, 1, rec, ctxs, ns, out) // second sight: stored
 	for i := range contexts {
 		want := core.RecommendIDs(rec, core.InternContext(rec.Dict(), contexts[i]), ns[i])
 		if len(out[i]) != len(want) {
@@ -153,16 +187,16 @@ func TestRecommendBatchEquivalence(t *testing.T) {
 			}
 		}
 	}
-	// The batch populated the cache: single lookups must now hit.
+	// The second batch populated the cache: single lookups must now hit.
 	st := sc.Stats()
-	sc.Recommend(1, rec, []string{"o2"}, 5)
+	recommend(sc, 1, rec, []string{"o2"}, 5)
 	if got := sc.Stats().Hits; got != st.Hits+1 {
 		t.Fatalf("single lookup after batch missed (hits %d -> %d)", st.Hits, got)
 	}
-	// And a second identical batch is all hits.
+	// And a third identical batch is all hits.
 	out2 := make([][]core.Suggestion, len(contexts))
 	before := sc.Stats().Misses
-	sc.RecommendBatch(1, rec, contexts, ns, out2)
+	sc.RecommendBatchSlot(0, 1, rec, ctxs, ns, out2)
 	if got := sc.Stats().Misses; got != before {
 		t.Fatalf("repeat batch missed (%d -> %d)", before, got)
 	}

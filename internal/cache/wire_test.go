@@ -101,7 +101,7 @@ func TestWireFormMatchesEncoder(t *testing.T) {
 	for i := range ctxs {
 		ctxs[i], ns[i] = query.Seq{query.ID(i)}, 10
 	}
-	batchRounds := make([][]Answer, 3) // miss, first hit, second hit
+	batchRounds := make([][]Answer, 4) // refused miss, stored miss, first hit, second hit
 	for r := range batchRounds {
 		batchRounds[r] = make([]Answer, len(ctxs))
 		batch.AnswerBatchSlot(0, 1, rec, ctxs, ns, batchRounds[r])
@@ -119,18 +119,24 @@ func TestWireFormMatchesEncoder(t *testing.T) {
 			}
 		}
 
-		miss, wasHit := single.AnswerSlot(0, 1, rec, ctxs[i], 10)
-		if wasHit || miss.wire != nil {
-			t.Fatalf("list %d: first lookup hit=%v wire=%q, want a miss without a wire form", i, wasHit, miss.wire)
+		var scratch []core.Suggestion
+		refused, wasHit := single.AnswerSlot(0, 1, rec, ctxs[i], 10, &scratch)
+		if wasHit || refused.wire != nil {
+			t.Fatalf("list %d: first lookup hit=%v wire=%q, want a miss without a wire form", i, wasHit, refused.wire)
 		}
-		first, hit1 := single.AnswerSlot(0, 1, rec, ctxs[i], 10)
-		second, hit2 := single.AnswerSlot(0, 1, rec, ctxs[i], 10)
+		miss, wasHit := single.AnswerSlot(0, 1, rec, ctxs[i], 10, nil)
+		if wasHit || miss.wire != nil {
+			t.Fatalf("list %d: second lookup hit=%v wire=%q, want a miss without a wire form", i, wasHit, miss.wire)
+		}
+		first, hit1 := single.AnswerSlot(0, 1, rec, ctxs[i], 10, nil)
+		second, hit2 := single.AnswerSlot(0, 1, rec, ctxs[i], 10, nil)
 		if !hit1 || !hit2 {
 			t.Fatalf("list %d: repeat lookups missed", i)
 		}
 		rounds := map[string]Answer{
-			"miss": miss, "first hit": first, "second hit": second,
-			"batch miss": batchRounds[0][i], "batch first hit": batchRounds[1][i], "batch second hit": batchRounds[2][i],
+			"refused miss": refused, "miss": miss, "first hit": first, "second hit": second,
+			"batch refused miss": batchRounds[0][i], "batch miss": batchRounds[1][i],
+			"batch first hit": batchRounds[2][i], "batch second hit": batchRounds[3][i],
 		}
 		for name, a := range rounds {
 			if got := a.AppendSuggestionsJSON([]byte("x")); !bytes.Equal(got[1:], want) || got[0] != 'x' {
@@ -166,10 +172,10 @@ func TestRecommendFormsNeverBuildWire(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		sc.RecommendSlotHit(0, 1, rec, ctx, 5)
 		sc.RecommendBatchSlot(0, 1, rec, []query.Seq{ctx}, []int{5}, out)
-		sc.Recommend(1, rec, []string{"o2"}, 5)
+		sc.RecommendSlot(0, 1, rec, ctx, 5)
 	}
 	key := appendSuggestKey(nil, 0, 1, ctx, 5)
-	if a, ok := sc.lru.GetBytes(key); !ok || a.wire != nil || len(a.Recs) == 0 {
+	if a, ok := getKey(sc.lru, key); !ok || a.wire != nil || len(a.Recs) == 0 {
 		t.Fatalf("entry after Recommend* hits: present=%v wire=%q recs=%d", ok, a.wire, len(a.Recs))
 	}
 }
@@ -183,15 +189,15 @@ func TestWireFormKeyedByGeneration(t *testing.T) {
 	ctx := query.Seq{0}
 	for _, purge := range []bool{false, true} {
 		sc := NewSuggestCache(64)
-		for i := 0; i < 3; i++ { // miss, first hit (fills the wire form), hit
-			sc.AnswerSlot(0, 1, oldModel, ctx, 5)
+		for i := 0; i < 4; i++ { // refused, stored, first hit (fills the wire form), hit
+			sc.AnswerSlot(0, 1, oldModel, ctx, 5, nil)
 		}
 		if purge {
 			sc.Purge()
 		}
 		want := core.AppendSuggestionsJSON(nil, newModel.lists[0])
 		for i := 0; i < 3; i++ {
-			a, _ := sc.AnswerSlot(0, 2, newModel, ctx, 5)
+			a, _ := sc.AnswerSlot(0, 2, newModel, ctx, 5, nil)
 			if got := a.AppendSuggestionsJSON(nil); !bytes.Equal(got, want) {
 				t.Fatalf("purge=%v lookup %d under generation 2 served %s, want %s", purge, i, got, want)
 			}
@@ -207,13 +213,14 @@ func TestWireFillDoesNotResurrectEvicted(t *testing.T) {
 	rec := testRecommender(t)
 	ctx := core.InternContext(rec.Dict(), []string{"o2"})
 	for _, how := range []string{"evicted", "purged"} {
-		sc := NewSuggestCache(shardCount) // one entry per shard
-		sc.AnswerSlot(0, 1, rec, ctx, 5)  // miss: inserted
+		sc := NewSuggestCache(shardCount)     // one entry per shard
+		sc.AnswerSlot(0, 1, rec, ctx, 5, nil) // first sight: refused
+		sc.AnswerSlot(0, 1, rec, ctx, 5, nil) // second sight: inserted
 
 		// The first hit, taken apart: lookup ...
 		buf := sc.bufs.Get().(*suggestBuf)
 		buf.key = appendSuggestKey(buf.key[:0], 0, 1, ctx, 5)
-		a, ok := sc.lru.GetBytes(buf.key)
+		a, ok := getKey(sc.lru, buf.key)
 		if !ok || a.wire != nil {
 			t.Fatalf("%s: lookup hit=%v wire=%q", how, ok, a.wire)
 		}
@@ -224,7 +231,7 @@ func TestWireFillDoesNotResurrectEvicted(t *testing.T) {
 		case "evicted":
 			for n := 1; ; n++ { // another slot's keys, until one lands in the same one-entry shard
 				other := appendSuggestKey(nil, 7, 1, ctx, n)
-				sc.lru.PutBytes(other, Answer{})
+				putKey(sc.lru, other, Answer{})
 				if sc.lru.shard(hashKey(other)) == shard {
 					break
 				}
@@ -254,24 +261,24 @@ func TestWireFillDoesNotResurrectEvicted(t *testing.T) {
 func TestReplaceBytes(t *testing.T) {
 	c := New[int](shardCount * 2) // two per shard
 	keys := sameShardKeys(c, "r", 3)
-	c.PutBytes(keys[0], 0)
-	c.PutBytes(keys[1], 1)
+	putKey(c, keys[0], 0)
+	putKey(c, keys[1], 1)
 	before := c.Stats()
-	if !c.ReplaceBytes(keys[0], 10) {
-		t.Fatal("ReplaceBytes missed a cached key")
+	if !replaceKey(c, keys[0], 10) {
+		t.Fatal("replace missed a cached key")
 	}
-	if c.ReplaceBytes([]byte("absent"), 1) || c.ReplaceBytes(keys[2], 2) {
-		t.Fatal("ReplaceBytes reported an absent key present")
+	if replaceKey(c, []byte("absent"), 1) || replaceKey(c, keys[2], 2) {
+		t.Fatal("replace reported an absent key present")
 	}
 	if after := c.Stats(); after != before {
-		t.Fatalf("ReplaceBytes moved the counters or the entry count: %+v -> %+v", before, after)
+		t.Fatalf("replace moved the counters or the entry count: %+v -> %+v", before, after)
 	}
-	c.PutBytes(keys[2], 2) // evicts the least recently used: still keys[0], replaced but not promoted
-	if _, ok := c.GetBytes(keys[0]); ok {
-		t.Fatal("ReplaceBytes promoted the entry")
+	putKey(c, keys[2], 2) // evicts the least recently used: still keys[0], replaced but not promoted
+	if _, ok := getKey(c, keys[0]); ok {
+		t.Fatal("replace promoted the entry")
 	}
-	if v, ok := c.GetBytes(keys[1]); !ok || v != 1 {
-		t.Fatalf("GetBytes(%q) = %v, %v", keys[1], v, ok)
+	if v, ok := getKey(c, keys[1]); !ok || v != 1 {
+		t.Fatalf("get(%q) = %v, %v", keys[1], v, ok)
 	}
 }
 
@@ -283,7 +290,9 @@ func TestWireFirstHitRace(t *testing.T) {
 	sc := NewSuggestCache(256)
 	want := make([][]byte, len(rec.lists))
 	for i, list := range rec.lists {
-		sc.AnswerSlot(0, 1, rec, query.Seq{query.ID(i)}, 10) // miss: insert without wire
+		for range 2 { // refused, then inserted without wire
+			sc.AnswerSlot(0, 1, rec, query.Seq{query.ID(i)}, 10, nil)
+		}
 		want[i] = core.AppendSuggestionsJSON(nil, list)
 	}
 	const workers = 8
@@ -300,7 +309,7 @@ func TestWireFirstHitRace(t *testing.T) {
 				ctx := query.Seq{query.ID(i)}
 				var a Answer
 				if (w+i)%2 == 0 {
-					a, _ = sc.AnswerSlot(0, 1, rec, ctx, 10)
+					a, _ = sc.AnswerSlot(0, 1, rec, ctx, 10, nil)
 				} else {
 					sc.AnswerBatchSlot(0, 1, rec, []query.Seq{ctx}, []int{10}, batchOut)
 					a = batchOut[0]
@@ -314,7 +323,7 @@ func TestWireFirstHitRace(t *testing.T) {
 	}
 	close(start)
 	wg.Wait()
-	if st := sc.Stats(); st.Misses != uint64(len(rec.lists)) {
+	if st := sc.Stats(); st.Misses != 2*uint64(len(rec.lists)) {
 		t.Fatalf("racing first hits missed: %+v", st)
 	}
 }

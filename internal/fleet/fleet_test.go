@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -268,6 +269,24 @@ func TestShadowNeverBlocks(t *testing.T) {
 	}
 	if got := sh.dropped.Load(); got != extra {
 		t.Fatalf("dropped = %d, want %d", got, extra)
+	}
+}
+
+// TestShadowCopiesChampion: the answer a request served may sit in that
+// request's pooled buffer (a miss the cache refused to store), which the
+// next request overwrites while the job still waits in the queue, so the job
+// keeps its own copy — as it does of the context.
+func TestShadowCopiesChampion(t *testing.T) {
+	sh := &shadower{jobs: make(chan *shadowJob, 1)}
+	sh.pool.New = func() any { return &shadowJob{} }
+	ctx := query.Seq{1, 2}
+	served := []core.Suggestion{{Query: "o2 mobile", Score: 0.5}, {Query: "o2", Score: 0.25}}
+	want := slices.Clone(served)
+	sh.enqueue(ctx, 5, served)
+	ctx[0], served[0] = 9, core.Suggestion{Query: "the next request's", Score: 1}
+	job := <-sh.jobs
+	if !slices.Equal(job.champion, want) || !slices.Equal(job.ctx, query.Seq{1, 2}) {
+		t.Fatalf("queued job holds champion %+v, ctx %v: the request's buffers, not copies", job.champion, job.ctx)
 	}
 }
 

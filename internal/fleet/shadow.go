@@ -15,9 +15,10 @@ import (
 const shadowQueueDepth = 1024
 
 // shadowJob carries one served request to the shadow worker. Jobs are pooled
-// and their context buffer recycled, so steady-state enqueueing does not
-// allocate. champion is the cache-owned immutable slice that answered the
-// live request.
+// and their context and champion buffers recycled, so steady-state
+// enqueueing does not allocate. champion is a copy of the answer the live
+// request served: that may sit in the request's own buffer, which is reused
+// once the request returns.
 type shadowJob struct {
 	ctx      query.Seq
 	n        int
@@ -78,13 +79,13 @@ func newShadower(reg *Registry, slots []*Slot) *shadower {
 
 // enqueue hands a served request to the worker without ever blocking: when
 // the queue is full the sample is dropped and counted. The context lives in
-// a pooled request buffer upstream, so it is copied into the job's own
-// recycled buffer first.
+// a pooled request buffer upstream, and so may the answer: both are copied
+// into the job's own recycled buffers first.
 func (sh *shadower) enqueue(ctx query.Seq, n int, champion []core.Suggestion) {
 	job := sh.pool.Get().(*shadowJob)
 	job.ctx = append(job.ctx[:0], ctx...)
 	job.n = n
-	job.champion = champion
+	job.champion = append(job.champion[:0], champion...)
 	select {
 	case sh.jobs <- job:
 	default:
@@ -94,7 +95,8 @@ func (sh *shadower) enqueue(ctx query.Seq, n int, champion []core.Suggestion) {
 }
 
 func (sh *shadower) release(job *shadowJob) {
-	job.champion = nil // do not retain result slices in the pool
+	clear(job.champion) // do not retain a model's strings in the pool
+	job.champion = job.champion[:0]
 	sh.pool.Put(job)
 }
 

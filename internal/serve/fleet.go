@@ -31,7 +31,7 @@ func (h *Handler) suggestFleet(w http.ResponseWriter, b *reqScratch, n int) {
 	arm := rt.Arm(armIdx)
 	slot := arm.Slot()
 	st := slot.State()
-	ans, hit := h.cache.AnswerSlot(slot.ID(), st.Gen, st.Rec, b.ctx, n)
+	ans, hit := h.cache.AnswerSlot(slot.ID(), st.Gen, st.Rec, b.ctx, n, &b.recs)
 	// As in suggest, the lookup stage opened with the trace.
 	took := tr.Elapsed().Microseconds()
 	if hit {

@@ -200,3 +200,44 @@ func TestServeHTTPCachedAllocs(t *testing.T) {
 		t.Fatalf("cached /suggest allocates %.2f times per request, want 0", allocs)
 	}
 }
+
+// TestServeHTTPRefusedMissAllocs pins the other zero-allocation GET: a miss
+// the cache refuses to store (a first sight) is answered into the request's
+// pooled buffer. A cycle of distinct contexts, 16 per shard through a cache of
+// one entry (and one ghost hash) per shard, is nothing but first sights.
+func TestServeHTTPRefusedMissAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; counts are meaningless")
+	}
+	h := New(testRecommender(t), Options{CacheCapacity: 32})
+	var reqs []*http.Request
+	for i := 0; i < 512; i++ { // i in binary, spelled with two known queries
+		target := "/suggest?n=5"
+		for bit := 0; bit < 9; bit++ {
+			target += [2]string{"&q=o2", "&q=o2+mobile"}[(i>>bit)&1]
+		}
+		reqs = append(reqs, httptest.NewRequest(http.MethodGet, target, nil))
+	}
+	rr := newReusableRecorder()
+	next := 0
+	get := func() {
+		rr.reset()
+		h.ServeHTTP(rr, reqs[next%len(reqs)])
+		next++
+		if rr.code != http.StatusOK || len(rr.body) == 0 {
+			t.Fatalf("status %d body %q", rr.code, rr.body)
+		}
+	}
+	for range 2 * len(reqs) { // warm pools, ghosts and the trace ring
+		get()
+	}
+	before := h.cache.Stats()
+	allocs := testing.AllocsPerRun(len(reqs), get)
+	after := h.cache.Stats()
+	if runs := after.Misses - before.Misses; after.Hits != before.Hits || after.Refused-before.Refused != runs || after.Entries != 0 {
+		t.Fatalf("the cycle was not all refused misses: %+v -> %+v", before, after)
+	}
+	if allocs != 0 {
+		t.Fatalf("a refused-miss /suggest allocates %.2f times per request, want 0", allocs)
+	}
+}

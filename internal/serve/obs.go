@@ -48,6 +48,10 @@ func (h *Handler) initObs() {
 	h.obs.CounterFunc("serve_errors_total", h.m.errors.Load)
 	h.obs.CounterFunc("serve_panics_total", h.m.panics.Load)
 	h.obs.CounterFunc("serve_reloads_total", h.m.reloads.Load)
+	h.obs.CounterFunc("serve_cache_hits_total", func() uint64 { return h.cache.Stats().Hits })
+	h.obs.CounterFunc("serve_cache_misses_total", func() uint64 { return h.cache.Stats().Misses })
+	h.obs.CounterFunc("serve_cache_evictions_total", func() uint64 { return h.cache.Stats().Evictions })
+	h.obs.CounterFunc("serve_cache_refused_total", func() uint64 { return h.cache.Stats().Refused })
 	h.obs.GaugeFunc("serve_cache_hit_rate", func() float64 { return h.cache.Stats().HitRate() })
 	h.admin = obs.Admin{Registry: h.obs, Tracer: h.tracer, Health: h.health, Metrics: h.metricsHandler}
 }

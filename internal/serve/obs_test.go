@@ -217,6 +217,21 @@ func TestPrometheusRoundTripHTTP(t *testing.T) {
 		if got := uint64(sugg.Samples[0].Value); got < m.SuggestRequests {
 			t.Fatalf("%s: suggest counter = %d, want >= JSON view %d", path, got, m.SuggestRequests)
 		}
+		// No lookup ran between the two views: the cache counters agree.
+		for name, want := range map[string]uint64{
+			"serve_cache_hits_total":      m.Cache.Hits,
+			"serve_cache_misses_total":    m.Cache.Misses,
+			"serve_cache_evictions_total": m.Cache.Evictions,
+			"serve_cache_refused_total":   m.Cache.Refused,
+		} {
+			f, ok := fams[name]
+			if !ok || f.Type != "counter" || len(f.Samples) != 1 || uint64(f.Samples[0].Value) != want {
+				t.Fatalf("%s: %s = %+v, want a counter reading the JSON view's %d", path, name, f, want)
+			}
+		}
+	}
+	if c := m.Cache; c.Hits != n-2 || c.Misses != 2 || c.Refused != 1 || c.Evictions != 0 {
+		t.Fatalf("%d GETs of one context: cache %+v, want a refused miss, a stored miss and %d hits", n, c, n-2)
 	}
 }
 
@@ -559,7 +574,8 @@ func TestInstrumentCountsPinned(t *testing.T) {
 		t.Fatalf("%s %s: trace not retained", method, target)
 		return nil, 0
 	}
-	serve(http.MethodGet, "/suggest?q=o2", "") // the miss that fills the cache
+	serve(http.MethodGet, "/suggest?q=o2", "") // first sight: a miss the cache refuses
+	serve(http.MethodGet, "/suggest?q=o2", "") // second sight: the miss that fills the cache
 	if spans, recorded := serve(http.MethodGet, "/suggest?q=o2", ""); recorded != 3 || len(spans) != 1 || spans[0].Name != stageCache {
 		t.Fatalf("cached GET recorded %v histogram samples and spans %+v, want 3 and the cache span", recorded, spans)
 	}
@@ -572,7 +588,7 @@ func TestInstrumentCountsPinned(t *testing.T) {
 // views, and the three stages that measure something are still there.
 func TestStagesListedWithoutQueue(t *testing.T) {
 	h := wireFleet(t, wireModelA(t))
-	for _, r := range []wireRequest{wireRequests[0], wireRequests[0], wireRequests[4]} { // a miss, a hit, a batch
+	for _, r := range []wireRequest{wireRequests[0], wireRequests[0], wireRequests[0], wireRequests[4]} { // two misses (refused, stored), a hit, a batch
 		serveMasked(t, h, r)
 	}
 	rr := httptest.NewRecorder()

@@ -4,7 +4,7 @@
 //
 // The handler is production-shaped: a sharded LRU result cache fronts the
 // model (power-law traffic makes the head of the context distribution very
-// hot — Fig. 6), every request is timed into a latency ring, panics are
+// hot — Fig. 6), every request is timed into latency histograms, panics are
 // recovered, and the model itself sits behind an atomic pointer so it can
 // be hot-reloaded without pausing traffic.
 //
@@ -44,9 +44,11 @@
 // Invariants: the GET /suggest hot path performs zero heap allocations at
 // steady state — the query string is percent-decoded into pooled buffers
 // (no url.Values), contexts are interned byte-wise against the dictionary,
-// cache hits are byte-key lookups, and responses are built by an
-// append-style JSON encoder property-tested byte-compatible with
-// encoding/json (CI gates the whole stack at <= 2 allocs/op). Request
+// cache hits are byte-key lookups, a miss the cache does not store is
+// answered into a pooled buffer, and responses are built by an append-style
+// JSON encoder property-tested byte-compatible with encoding/json
+// (TestServeHTTPCachedAllocs pins the cached request at 0 allocs/op; only a
+// miss the cache stores allocates, its entry's suggestions). Request
 // handling never takes a lock: the recommender is immutable and swapped
 // behind one atomic pointer, and every request observes a consistent
 // (model, generation) pair. /healthz and /v1/metrics additionally report the
@@ -344,11 +346,13 @@ func (h *Handler) Generation() uint64 { return h.state.Load().gen }
 
 // reqScratch pools every per-request buffer of the hot /suggest path:
 // decoded q values (flat storage + per-value views), the interned context,
-// and the response body under construction.
+// the suggestions of a miss the cache refused to store, and the response
+// body under construction.
 type reqScratch struct {
 	flat []byte   // the query string's decoded pairs, back to back
 	raw  [][]byte // views into flat, one per q value
 	ctx  query.Seq
+	recs []core.Suggestion // lent to AnswerSlot
 	body []byte
 }
 
@@ -357,6 +361,7 @@ var reqScratchPool = sync.Pool{New: func() any {
 		flat: make([]byte, 0, 256),
 		raw:  make([][]byte, 0, 8),
 		ctx:  make(query.Seq, 0, 8),
+		recs: make([]core.Suggestion, 0, 16),
 		body: make([]byte, 0, 1024),
 	}
 }}
@@ -365,6 +370,8 @@ func putReqScratch(b *reqScratch) {
 	b.flat = b.flat[:0]
 	b.raw = b.raw[:0]
 	b.ctx = b.ctx[:0]
+	clear(b.recs) // do not retain a model's strings in the pool
+	b.recs = b.recs[:0]
 	b.body = b.body[:0]
 	reqScratchPool.Put(b)
 }
@@ -427,7 +434,7 @@ func (h *Handler) suggest(w http.ResponseWriter, r *http.Request) {
 	st := h.state.Load()
 	tr := traceOf(w)
 	b.ctx = core.AppendContextBytes(st.rec.Dict(), b.ctx[:0], b.raw)
-	ans, hit := h.cache.AnswerSlot(0, st.gen, st.rec, b.ctx, n)
+	ans, hit := h.cache.AnswerSlot(0, st.gen, st.rec, b.ctx, n, &b.recs)
 	// The request's second clock read of three (the trace's start, this, the
 	// middleware's on the way out). The stage opened with the trace: it
 	// covers parsing + interning + lookup (+ descent on a miss); attribute it

@@ -278,10 +278,11 @@ func TestCacheHitEquivalence(t *testing.T) {
 		}
 		return raw
 	}
-	miss := fetch()
+	refused := fetch() // first sight: answered, not stored
+	miss := fetch()    // second sight: stored
 	hit := fetch()
-	if !bytes.Equal(miss, hit) {
-		t.Fatalf("cached response diverged:\nmiss: %s\nhit:  %s", miss, hit)
+	if !bytes.Equal(miss, hit) || !bytes.Equal(refused, hit) {
+		t.Fatalf("cached response diverged:\nrefused: %s\nmiss:    %s\nhit:     %s", refused, miss, hit)
 	}
 
 	var m MetricsResponse
@@ -293,8 +294,8 @@ func TestCacheHitEquivalence(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
 		t.Fatal(err)
 	}
-	if m.Cache.Hits != 1 || m.Cache.Misses != 1 {
-		t.Fatalf("cache stats = %+v, want exactly 1 hit / 1 miss", m.Cache)
+	if m.Cache.Hits != 1 || m.Cache.Misses != 2 || m.Cache.Refused != 1 {
+		t.Fatalf("cache stats = %+v, want exactly 1 hit / 2 misses, 1 refused", m.Cache)
 	}
 }
 

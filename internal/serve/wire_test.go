@@ -103,9 +103,10 @@ func serveMasked(t *testing.T, h http.Handler, r wireRequest) string {
 }
 
 // TestWireFormMissFirstHitSecondHit: for GET, buffered batch and NDJSON
-// batch, in single-model mode and fleet mode, the miss, the first hit and the
-// second hit answer byte-identical bodies (took_us masked); the cache
-// counters prove which was which. Single-model and fleet bodies agree.
+// batch, in single-model mode and fleet mode, the refused miss (first
+// sight), the stored miss, the first hit and the second hit answer
+// byte-identical bodies (took_us masked); the cache counters prove which was
+// which. Single-model and fleet bodies agree.
 func TestWireFormMissFirstHitSecondHit(t *testing.T) {
 	rec := wireModelA(t)
 	for _, r := range wireRequests {
@@ -119,17 +120,19 @@ func TestWireFormMissFirstHitSecondHit(t *testing.T) {
 			}
 			var bodies []string
 			for _, m := range modes {
-				var rounds [3]string
+				var rounds [4]string
 				for i := range rounds {
 					rounds[i] = serveMasked(t, m.h, r)
 					st := m.h.cache.Stats()
-					if want := uint64(r.lookups); st.Misses != want || st.Hits != uint64(i)*want {
-						t.Fatalf("%s, round %d: cache saw %d misses / %d hits, want %d / %d",
-							m.name, i, st.Misses, st.Hits, want, uint64(i)*want)
+					want := uint64(r.lookups)
+					misses, hits := uint64(min(i+1, 2))*want, uint64(max(i-1, 0))*want
+					if st.Misses != misses || st.Hits != hits || st.Refused != want {
+						t.Fatalf("%s, round %d: cache saw %d misses / %d hits / %d refused, want %d / %d / %d",
+							m.name, i, st.Misses, st.Hits, st.Refused, misses, hits, want)
 					}
 				}
-				if rounds[1] != rounds[0] || rounds[2] != rounds[0] {
-					t.Fatalf("%s: bodies differ\nmiss:       %s\nfirst hit:  %s\nsecond hit: %s", m.name, rounds[0], rounds[1], rounds[2])
+				if rounds[1] != rounds[0] || rounds[2] != rounds[0] || rounds[3] != rounds[0] {
+					t.Fatalf("%s: bodies differ\nrefused:    %s\nmiss:       %s\nfirst hit:  %s\nsecond hit: %s", m.name, rounds[0], rounds[1], rounds[2], rounds[3])
 				}
 				bodies = append(bodies, rounds[0])
 			}
