@@ -50,12 +50,13 @@ fuzz-smoke:
 # through the CPS5 model decoder, which runs at load on mapped bytes whose CRC
 # a zero-copy load does not check (internal/compiled), the search-log codec
 # cmd/ingest tails against the string-building one it replaced
-# (internal/logfmt), and the Prometheus exposition parser on arbitrary bytes
-# and on a registry's own output (internal/obs). fuzz-smoke's loop over a
+# (internal/logfmt), the Prometheus exposition parser on arbitrary bytes
+# and on a registry's own output (internal/obs), and the score formatter on
+# arbitrary float64 bits against encoding/json (internal/core). fuzz-smoke's loop over a
 # fixed list: six parser bugs in five PRs were each found by a differential
 # test somebody had to think of first.
 fuzz-grammar:
-	@for t in ./internal/jsonspan:FuzzBatchWalker ./internal/jsonspan:FuzzQueryWalker ./internal/fleet:FuzzRoutedBatchNeverBlamesShard ./internal/compiled:FuzzFlat5Decode ./internal/logfmt:FuzzCodecDifferential ./internal/obs:FuzzParsePrometheus; do \
+	@for t in ./internal/jsonspan:FuzzBatchWalker ./internal/jsonspan:FuzzQueryWalker ./internal/fleet:FuzzRoutedBatchNeverBlamesShard ./internal/compiled:FuzzFlat5Decode ./internal/logfmt:FuzzCodecDifferential ./internal/obs:FuzzParsePrometheus ./internal/core:FuzzAppendJSONFloat; do \
 		echo "== $$t"; \
 		$(GO) test -run=NONE -fuzz="^$${t#*:}\$$" -fuzztime=5s -fuzzminimizetime=1s $${t%:*} || exit 1; \
 	done
@@ -141,7 +142,7 @@ check-api: vet
 # Line-count ratchet: the non-test Go lines outside bench/ and dot-directories
 # may not grow past LINES_CEILING. A PR that shrinks the code lowers the
 # ceiling to its new count; a PR that raises it says why in CHANGES.md.
-LINES_CEILING = 20590
+LINES_CEILING = 20809
 check-lines:
 	@n=$$(find . -path ./bench -prune -o -path './.*' -prune -o -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l); \
 	echo "non-test Go lines: $$n (ceiling $(LINES_CEILING))"; \

@@ -651,7 +651,7 @@ type missCounter struct {
 	seen         map[string]bool
 }
 
-func (m *missCounter) RecommendBatchIDs(ctxs []query.Seq, ns []int) [][]core.Suggestion {
+func (m *missCounter) AppendBatchSuggestions(dst []core.Suggestion, ends []int, ctxs []query.Seq, ns []int) ([]core.Suggestion, []int) {
 	if m.counting {
 		clear(m.seen)
 		for _, ctx := range ctxs {
@@ -663,7 +663,7 @@ func (m *missCounter) RecommendBatchIDs(ctxs []query.Seq, ns []int) [][]core.Sug
 		}
 		m.misses += len(ctxs)
 	}
-	return m.Recommender.RecommendBatchIDs(ctxs, ns)
+	return m.Recommender.AppendBatchSuggestions(dst, ends, ctxs, ns)
 }
 
 // BenchmarkPredictSequential64 is the other side of the PredictBatch64

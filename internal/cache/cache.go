@@ -31,7 +31,11 @@
 //     never stores, evicts or hits. The verdict is taken under the probe's
 //     lock; Purge empties the ghost too.
 //   - A refused SuggestCache miss answered into a buffer the caller lends
-//     allocates nothing. An admitted miss into a shard with room allocates
+//     allocates nothing, and so does a batch of them: AnswerBatchSlot
+//     appends every miss's suggestions to the lent buffer in one
+//     core.Recommender.AppendBatchSuggestions call and answers each refused
+//     one with a view of its run that a later append cannot overwrite.
+//     An admitted miss into a shard with room allocates
 //     the node and its key bytes; into a full shard it recycles the evicted
 //     node, key capacity included, and allocates only the suggestion slice
 //     the entry keeps. That one is not recycled with the node, and must not

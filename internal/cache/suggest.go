@@ -2,6 +2,7 @@ package cache
 
 import (
 	"bytes"
+	"slices"
 	"sync"
 
 	"repro/internal/core"
@@ -66,14 +67,17 @@ func (a Answer) AppendSuggestionsJSON(dst []byte) []byte {
 var emptyWire = core.AppendSuggestionsJSON(nil, nil)
 
 type suggestBuf struct {
-	key     []byte   // the request's key; for a batch, its misses' keys back to back
-	wire    []byte   // encode scratch of a first hit; the entry keeps a copy
-	answers []Answer // RecommendBatchSlot's view of a batch before Recs are copied out
+	key     []byte            // the request's key; for a batch, its misses' keys back to back
+	wire    []byte            // encode scratch of a first hit; the entry keeps a copy
+	answers []Answer          // RecommendBatchSlot's view of a batch before Recs are copied out
+	recs    []core.Suggestion // a batch's suggestions when the caller lends no buffer
 
-	// A batch's misses: what RecommendBatchIDs is asked (missCtx, missN) and,
-	// parallel to those, where each answer goes and whether it is stored.
+	// A batch's misses: what AppendBatchSuggestions is asked (missCtx, missN)
+	// and, parallel to those, where each one's suggestions end (ends), where
+	// its answer goes and whether it is stored (miss).
 	missCtx []query.Seq
 	missN   []int
+	ends    []int
 	miss    []batchMiss
 }
 
@@ -149,9 +153,12 @@ func (sc *SuggestCache) putBuf(buf *suggestBuf) {
 	buf.wire = buf.wire[:0]
 	clear(buf.answers) // do not retain cached slices in the pool
 	buf.answers = buf.answers[:0]
+	clear(buf.recs) // nor a dictionary's strings
+	buf.recs = buf.recs[:0]
 	clear(buf.missCtx) // nor the caller's contexts
 	buf.missCtx = buf.missCtx[:0]
 	buf.missN = buf.missN[:0]
+	buf.ends = buf.ends[:0]
 	buf.miss = buf.miss[:0]
 	sc.bufs.Put(buf)
 }
@@ -212,14 +219,15 @@ func (sc *SuggestCache) fillWire(buf *suggestBuf, h uint64, key []byte, a Answer
 // RecommendBatchSlot answers every (ctxs[i], ns[i]) pair into out[i] (which
 // must be len(ctxs) long) inside one registry slot, for contexts that are
 // already interned. Hits come from the shared LRU under the slot's key
-// space; all misses are scored in one rec.RecommendBatchIDs call and the
-// admitted ones inserted. ctxs entries may live in recycled buffers: nothing
-// here or behind core.Recommender keeps a context past the call.
+// space; all misses are scored in one rec.AppendBatchSuggestions call and
+// the admitted ones inserted. Every miss's slice is its own copy, so a
+// covered miss allocates once. ctxs entries may live in recycled buffers:
+// nothing here or behind core.Recommender keeps a context past the call.
 func (sc *SuggestCache) RecommendBatchSlot(slot uint32, gen uint64, rec core.Recommender, ctxs []query.Seq, ns []int, out [][]core.Suggestion) {
 	buf := sc.bufs.Get().(*suggestBuf)
 	defer sc.putBuf(buf)
 	buf.answers = append(buf.answers, make([]Answer, len(ctxs))...)
-	sc.answerBatch(slot, gen, rec, buf, ctxs, ns, buf.answers, false)
+	sc.answerBatch(slot, gen, rec, buf, ctxs, ns, buf.answers, false, nil)
 	for i, a := range buf.answers {
 		out[i] = a.Recs
 	}
@@ -228,19 +236,27 @@ func (sc *SuggestCache) RecommendBatchSlot(slot uint32, gen uint64, rec core.Rec
 // AnswerBatchSlot is RecommendBatchSlot for the HTTP batch handlers — in
 // fleet mode the batch path interns once with the router's shared base
 // dictionary before routing each item to its arm. out[i] receives each
-// answer; hits carry their wire form as in AnswerSlot.
-func (sc *SuggestCache) AnswerBatchSlot(slot uint32, gen uint64, rec core.Recommender, ctxs []query.Seq, ns []int, out []Answer) {
+// answer; hits carry their wire form as in AnswerSlot. The misses'
+// suggestions are appended to *scratch, a buffer the request holds —
+// appended, not written over, so calls whose answers are all still in use
+// can share it. A refused miss's Recs is a view of its run that a later
+// append cannot overwrite, so a batch of refused misses allocates nothing;
+// an admitted miss's entry keeps its own copy. A nil scratch gives every
+// miss its own copy, as RecommendBatchSlot does.
+func (sc *SuggestCache) AnswerBatchSlot(slot uint32, gen uint64, rec core.Recommender, ctxs []query.Seq, ns []int, out []Answer, scratch *[]core.Suggestion) {
 	buf := sc.bufs.Get().(*suggestBuf)
 	defer sc.putBuf(buf)
-	sc.answerBatch(slot, gen, rec, buf, ctxs, ns, out, true)
+	sc.answerBatch(slot, gen, rec, buf, ctxs, ns, out, true, scratch)
 }
 
 // answerBatch is the batch twin of answerKeyed: out[i] is resolved from the
-// cache where it can be, every miss goes through one rec.RecommendBatchIDs
-// call, and the misses their probes admitted are inserted. The misses' keys,
+// cache where it can be, every miss goes through one
+// rec.AppendBatchSuggestions call into scratch (the pooled buffer's own when
+// nil), and the misses their probes admitted are inserted. The misses' keys,
 // hashes and contexts wait in the pooled buffer meanwhile, so a miss costs
-// the batch no allocation beyond its suggestion slice.
-func (sc *SuggestCache) answerBatch(slot uint32, gen uint64, rec core.Recommender, buf *suggestBuf, ctxs []query.Seq, ns []int, out []Answer, wire bool) {
+// the batch no allocation beyond the copy of its suggestions that an entry,
+// or a caller without a scratch, keeps.
+func (sc *SuggestCache) answerBatch(slot uint32, gen uint64, rec core.Recommender, buf *suggestBuf, ctxs []query.Seq, ns []int, out []Answer, wire bool, scratch *[]core.Suggestion) {
 	buf.key = buf.key[:0]
 	for i, ctx := range ctxs {
 		out[i] = Answer{}
@@ -264,14 +280,27 @@ func (sc *SuggestCache) answerBatch(slot uint32, gen uint64, rec core.Recommende
 	if len(buf.miss) == 0 {
 		return
 	}
-	res := rec.RecommendBatchIDs(buf.missCtx, buf.missN)
-	start := 0
+	recs := &buf.recs
+	if scratch != nil {
+		recs = scratch
+	}
+	lo := len(*recs)
+	*recs, buf.ends = rec.AppendBatchSuggestions(*recs, buf.ends[:0], buf.missCtx, buf.missN)
+	keyStart := 0
 	for j, m := range buf.miss {
-		out[m.item] = Answer{Recs: res[j]}
-		if m.admit {
-			sc.lru.put(m.hash, buf.key[start:m.keyEnd], out[m.item])
+		hi := buf.ends[j]
+		var a Answer
+		if hi > lo {
+			a.Recs = (*recs)[lo:hi:hi]
+			if m.admit || scratch == nil {
+				a.Recs = slices.Clone(a.Recs)
+			}
 		}
-		start = m.keyEnd
+		out[m.item] = a
+		if m.admit {
+			sc.lru.put(m.hash, buf.key[keyStart:m.keyEnd], a)
+		}
+		keyStart, lo = m.keyEnd, hi
 	}
 }
 

@@ -115,10 +115,11 @@ func TestSuggestCacheMissAllocs(t *testing.T) {
 }
 
 // TestSuggestCacheBatchMissAllocs is the batch twin: a batch of first
-// sightings allocates one suggestion slice per miss plus, per batch,
-// RecommendBatchIDs' result table — no key string, no context clone, no
-// node, no bookkeeping slices, and the closure handed to PredictBatch stays
-// on the stack now that no goroutine can capture it.
+// sightings answered into a buffer the caller lends allocates nothing — no
+// key string, no context clone, no node, no bookkeeping slices, no result
+// table, and the closure handed to PredictBatch stays on the stack now that
+// no goroutine can capture it. Without a lent buffer every covered miss gets
+// its own copy of its suggestions, one allocation each and nothing more.
 func TestSuggestCacheBatchMissAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; counts are meaningless")
@@ -132,23 +133,42 @@ func TestSuggestCacheBatchMissAllocs(t *testing.T) {
 		ns[i] = 5
 	}
 	out := make([]Answer, batch)
+	var scratch []core.Suggestion
+	lent := &scratch
 	next := 0
 	lookup := func() {
 		lo := next % len(ctxs)
-		sc.AnswerBatchSlot(0, 1, rec, ctxs[lo:lo+batch], ns, out)
+		scratch = scratch[:0]
+		sc.AnswerBatchSlot(0, 1, rec, ctxs[lo:lo+batch], ns, out, lent)
 		next += batch
 	}
 	for i := 0; i < 2*len(ctxs)/batch; i++ {
 		lookup()
 	}
-	before := sc.Stats()
-	allocs := testing.AllocsPerRun(len(ctxs)/batch, lookup)
-	after := sc.Stats()
-	if after.Hits != before.Hits || after.Refused-before.Refused != after.Misses-before.Misses || after.Entries != 0 {
-		t.Fatalf("the batches did not miss and refuse throughout: %+v -> %+v", before, after)
-	}
-	if allocs != batch+1 {
-		t.Fatalf("a batch of %d misses allocates %.2f times, want %d (one per miss, the result table)", batch, allocs, batch+1)
+	for _, want := range []struct {
+		name   string
+		lent   *[]core.Suggestion
+		allocs float64
+	}{
+		{"into a lent buffer", &scratch, 0},
+		{"without a lent buffer", nil, batch},
+	} {
+		lent = want.lent
+		lookup() // warm the pooled buffer
+		before := sc.Stats()
+		allocs := testing.AllocsPerRun(len(ctxs)/batch, lookup)
+		after := sc.Stats()
+		if after.Hits != before.Hits || after.Refused-before.Refused != after.Misses-before.Misses || after.Entries != 0 {
+			t.Fatalf("%s: the batches did not miss and refuse throughout: %+v -> %+v", want.name, before, after)
+		}
+		for i, a := range out {
+			if len(a.Recs) == 0 {
+				t.Fatalf("%s: item %d of the cycle went unanswered", want.name, i)
+			}
+		}
+		if allocs != want.allocs {
+			t.Fatalf("a batch of %d refused misses %s allocates %.2f times, want %.0f", batch, want.name, allocs, want.allocs)
+		}
 	}
 }
 

@@ -24,12 +24,12 @@ func (r listRec) AppendSuggestions(dst []core.Suggestion, ctx query.Seq, n int) 
 	return append(dst, r.lists[ctx[0]]...)
 }
 
-func (r listRec) RecommendBatchIDs(ctxs []query.Seq, ns []int) [][]core.Suggestion {
-	out := make([][]core.Suggestion, len(ctxs))
+func (r listRec) AppendBatchSuggestions(dst []core.Suggestion, ends []int, ctxs []query.Seq, ns []int) ([]core.Suggestion, []int) {
 	for i, ctx := range ctxs {
-		out[i] = core.RecommendIDs(r, ctx, ns[i])
+		dst = r.AppendSuggestions(dst, ctx, ns[i])
+		ends = append(ends, len(dst))
 	}
-	return out
+	return dst, ends
 }
 
 // randomLists draws suggestion lists that stress the encoder: quotes,
@@ -102,9 +102,10 @@ func TestWireFormMatchesEncoder(t *testing.T) {
 		ctxs[i], ns[i] = query.Seq{query.ID(i)}, 10
 	}
 	batchRounds := make([][]Answer, 4) // refused miss, stored miss, first hit, second hit
+	var batchRecs []core.Suggestion    // lent to every round: a later round's appends must not touch an earlier one's answers
 	for r := range batchRounds {
 		batchRounds[r] = make([]Answer, len(ctxs))
-		batch.AnswerBatchSlot(0, 1, rec, ctxs, ns, batchRounds[r])
+		batch.AnswerBatchSlot(0, 1, rec, ctxs, ns, batchRounds[r], &batchRecs)
 	}
 
 	for i, list := range rec.lists {
@@ -305,13 +306,15 @@ func TestWireFirstHitRace(t *testing.T) {
 			<-start
 			var dst []byte
 			batchOut := make([]Answer, 1)
+			var recs []core.Suggestion
 			for i := range rec.lists {
 				ctx := query.Seq{query.ID(i)}
 				var a Answer
 				if (w+i)%2 == 0 {
 					a, _ = sc.AnswerSlot(0, 1, rec, ctx, 10, nil)
 				} else {
-					sc.AnswerBatchSlot(0, 1, rec, []query.Seq{ctx}, []int{10}, batchOut)
+					recs = recs[:0]
+					sc.AnswerBatchSlot(0, 1, rec, []query.Seq{ctx}, []int{10}, batchOut, &recs)
 					a = batchOut[0]
 				}
 				if dst = a.AppendSuggestionsJSON(dst[:0]); !bytes.Equal(dst, want[i]) {

@@ -8,6 +8,8 @@ import (
 	"os"
 	"runtime"
 	"strings"
+
+	"repro/internal/markov"
 )
 
 // ErrMmapUnsupported reports that this platform cannot memory-map model
@@ -50,8 +52,11 @@ func (c *Model) decodeComponents(sigma, maxLen []byte) error {
 		c.maxLen[i] = int(v)
 	}
 	for i, s := range c.sigma {
-		if math.IsNaN(s) || math.IsInf(s, 0) {
-			return compactCorrupt("component %d sigma is not finite", i)
+		// Training clamps σ to at least 0.05. A σ whose Eq. (4) density at
+		// distance 0 is not finite (NaN once σ² underflows, +Inf once 1/σ
+		// overflows) would make every weight NaN.
+		if g := markov.Gaussian(0, s); !(s > 0) || math.IsInf(s, 1) || math.IsNaN(g) || math.IsInf(g, 1) {
+			return compactCorrupt("component %d sigma %v is not positive and finite", i, s)
 		}
 	}
 	return nil

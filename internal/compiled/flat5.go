@@ -76,10 +76,11 @@ import (
 // width is in no header byte: it is 4 when the follower-count region gives
 // some node more than 65535 followers, else 2 (rankWidth). ViewCopy loads
 // verify the CRC; zero-copy loads skip it — checksumming would fault in
-// every page — and rely on structural validation plus defensive clamping: a
-// corrupted payload (including a truncated follower-ID stream, which the
-// load-time decoder pads) can misrank but cannot panic or index out of
-// bounds.
+// every page — and rely on structural validation, a scan of the values a
+// score is made of (checkPayload), and defensive clamping: a corrupted
+// payload (including a truncated follower-ID stream, which the load-time
+// decoder pads) can misrank but cannot panic, index out of bounds or
+// predict a score that is not finite.
 const (
 	compactMagic       = "CPS5"
 	compactVersion     = 1
@@ -580,8 +581,29 @@ func fromBytes(data []byte, mode ViewMode) (*Model, bool, error) {
 			c.startOcc = decodeU64(arr[f5StartOcc])
 		}
 	}
+	if err := c.checkPayload(); err != nil {
+		return nil, false, err
+	}
 	c.initServing(len(data))
 	return c, viewed, nil
+}
+
+// checkPayload refuses per-node values no encoder writes and a score could
+// not survive: a floor or step that is NaN, infinite or negative, and more
+// session starts than occurrences (an escape factor above 1, whose chain
+// can overflow). With σ checked too (decodeComponents), every score a loaded
+// model predicts is finite, so no response can carry NaN.
+func (c *Model) checkPayload() error {
+	for v := range c.nodes {
+		fl, st := c.floor32[v], c.qstep[v]
+		if !(fl >= 0 && st >= 0) || math.IsInf(float64(fl), 1) || math.IsInf(float64(st), 1) {
+			return compactCorrupt("node %d floor %v or step %v is not finite and non-negative", v, fl, st)
+		}
+		if start, occ := c.startOccAt(int32(v)), c.occAt(int32(v)); start > occ {
+			return compactCorrupt("node %d starts %d sessions in %d occurrences", v, start, occ)
+		}
+	}
+	return nil
 }
 
 // appendFollowerIDs decodes one node's cnt varint-packed follower IDs

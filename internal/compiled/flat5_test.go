@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math"
 	"math/rand"
 	"runtime"
@@ -399,9 +400,64 @@ func TestFlat5RejectsCorruption(t *testing.T) {
 	}
 }
 
+// TestFlat5RejectsUnscorableValues is the table of values a blob can carry
+// but no encoder writes, one poisoned value per case, with the CRC
+// recomputed so that ViewCopy's checksum passes too. A zero-copy load used
+// to take a NaN step array and predict NaN scores, which a response writes
+// as invalid JSON; every case must be refused as corrupt in both view modes.
+func TestFlat5RejectsUnscorableValues(t *testing.T) {
+	c, _, _, _ := flatTestModel(t, 631)
+	good := mustFlat5(t, c)
+	le := binary.LittleEndian
+	// at is the byte offset of element j of array i, w bytes wide.
+	at := func(b []byte, i, j, w int) int { return int(le.Uint64(b[flatHeaderSize+16*i:])) + j*w }
+	sigma := func(x float64) func([]byte) {
+		return func(b []byte) { le.PutUint64(b[at(b, f5Sigma, 0, 8):], math.Float64bits(x)) }
+	}
+	node := func(i int, x float32) func([]byte) {
+		return func(b []byte) { le.PutUint32(b[at(b, i, 1, 4):], math.Float32bits(x)) }
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name   string
+		poison func([]byte)
+	}{
+		{"sigma 0", sigma(0)},
+		{"sigma -1", sigma(-1)},
+		{"sigma NaN", sigma(nan)},
+		{"sigma +Inf", sigma(inf)},
+		{"sigma 1e-200 (σ² underflows)", sigma(1e-200)},
+		{"sigma 5e-324 (1/σ overflows)", sigma(5e-324)},
+		{"step NaN", node(f5Step, float32(nan))},
+		{"step +Inf", node(f5Step, float32(inf))},
+		{"step -1", node(f5Step, -1)},
+		{"floor NaN", node(f5Floor, float32(nan))},
+		{"floor +Inf", node(f5Floor, float32(inf))},
+		{"floor -1", node(f5Floor, -1)},
+		{"more starts than occurrences", func(b []byte) {
+			if w := int(b[53]); w == 4 {
+				le.PutUint32(b[at(b, f5StartOcc, 1, w):], le.Uint32(b[at(b, f5Occ, 1, w):])+1)
+			} else {
+				le.PutUint64(b[at(b, f5StartOcc, 1, w):], le.Uint64(b[at(b, f5Occ, 1, w):])+1)
+			}
+		}},
+	}
+	for _, tc := range cases {
+		bad := append([]byte(nil), good...)
+		tc.poison(bad)
+		le.PutUint32(bad[48:], crc32.ChecksumIEEE(bad[flatHeaderSize:]))
+		for _, mode := range []ViewMode{ViewAuto, ViewCopy} {
+			if _, err := FromBytes(bad, mode); !errors.Is(err, store.ErrCorrupt) {
+				t.Errorf("%s (mode %d): err = %v, want ErrCorrupt", tc.name, mode, err)
+			}
+		}
+	}
+}
+
 // FuzzFlat5Decode: arbitrary bytes through the CPS5 decoder must error or
 // serve, never panic — in both view modes (the varint regions are the new
-// attack surface; truncated or over-long encodings must be caught).
+// attack surface; truncated or over-long encodings must be caught) — and a
+// blob that loads predicts only finite scores.
 func FuzzFlat5Decode(f *testing.F) {
 	c, _, _, _ := flatTestModel(f, 593)
 	good, err := c.AppendFlat5(nil)
@@ -421,8 +477,14 @@ func FuzzFlat5Decode(f *testing.F) {
 			if err != nil {
 				continue
 			}
-			m.Predict(query.Seq{1, 2}, 5)
-			m.Prob(query.Seq{2}, 1)
+			for _, p := range m.Predict(query.Seq{1, 2}, 5) {
+				if math.IsNaN(p.Score) || math.IsInf(p.Score, 0) {
+					t.Fatalf("mode %d: a loaded blob predicts score %v", mode, p.Score)
+				}
+			}
+			if p := m.Prob(query.Seq{2}, 1); math.IsNaN(p) || math.IsInf(p, 0) {
+				t.Fatalf("mode %d: a loaded blob gives probability %v", mode, p)
+			}
 		}
 	})
 }

@@ -216,25 +216,40 @@ func (r *Engine) AppendSuggestions(dst []Suggestion, ctx query.Seq, n int) []Sug
 	return dst
 }
 
-// RecommendBatchIDs scores many interned contexts through
-// compiled.PredictBatch: the single-context descent per context, in index
-// order, on one pooled scratch for the whole batch. Results align 1:1 with
-// ctxs; uncovered or empty contexts yield nil entries. Each non-nil result
-// slice is freshly allocated (callers cache them).
-func (r *Engine) RecommendBatchIDs(ctxs []query.Seq, ns []int) [][]Suggestion {
-	out := make([][]Suggestion, len(ctxs))
+// AppendBatchSuggestions appends up to ns[i] ranked suggestions for every
+// interned ctxs[i] to dst, back to back, and appends to ends where each
+// context's run stops: context i's suggestions are dst[ends[i-1]:ends[i]],
+// the first run starting at len(dst) on entry. An empty or uncovered context
+// has an empty run. The compiled model scores the whole batch in one
+// compiled.PredictBatch pass, on one pooled scratch; with recycled dst and
+// ends this allocates nothing.
+func (r *Engine) AppendBatchSuggestions(dst []Suggestion, ends []int, ctxs []query.Seq, ns []int) ([]Suggestion, []int) {
 	if r.comp == nil { // interpreted fallback: no batched descent available
 		for i, ctx := range ctxs {
-			out[i] = RecommendIDs(r, ctx, ns[i])
+			dst = r.AppendSuggestions(dst, ctx, ns[i])
+			ends = append(ends, len(dst))
 		}
-		return out
+		return dst, ends
 	}
-	r.comp.PredictBatch(ctxs, ns, func(i int, preds []model.Prediction) {
-		if len(preds) == 0 {
-			return
-		}
-		out[i] = appendResolved(make([]Suggestion, 0, len(preds)), r.strs, preds)
+	r.comp.PredictBatch(ctxs, ns, func(_ int, preds []model.Prediction) {
+		dst = appendResolved(dst, r.strs, preds)
+		ends = append(ends, len(dst))
 	})
+	return dst, ends
+}
+
+// RecommendBatchIDs is AppendBatchSuggestions cut into one slice per
+// context: results align 1:1 with ctxs, nil for an empty or uncovered one.
+func (r *Engine) RecommendBatchIDs(ctxs []query.Seq, ns []int) [][]Suggestion {
+	recs, ends := r.AppendBatchSuggestions(nil, make([]int, 0, len(ctxs)), ctxs, ns)
+	out := make([][]Suggestion, len(ctxs))
+	lo := 0
+	for i, hi := range ends {
+		if hi > lo {
+			out[i] = recs[lo:hi:hi]
+		}
+		lo = hi
+	}
 	return out
 }
 

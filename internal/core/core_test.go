@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -242,7 +243,9 @@ func TestRecommendConcurrentReaders(t *testing.T) {
 }
 
 // TestRecommendBatchIDsMatchesSingle: the batched core API must agree with
-// per-context RecommendIDs, including nil results for uncovered contexts.
+// per-context RecommendIDs, including nil results for uncovered contexts,
+// and AppendBatchSuggestions, compiled and interpreted, with per-context
+// AppendSuggestions: runs appended after what dst held, ends absolute.
 func TestRecommendBatchIDsMatchesSingle(t *testing.T) {
 	rec, err := TrainFromLog(strings.NewReader(buildLog(t)), smallConfig())
 	if err != nil {
@@ -268,6 +271,26 @@ func TestRecommendBatchIDsMatchesSingle(t *testing.T) {
 			if got[i][j] != want[j] {
 				t.Fatalf("ctx %d rank %d: batch %+v, single %+v", i, j, got[i][j], want[j])
 			}
+		}
+	}
+
+	interpreted := &Engine{dict: rec.dict, strs: rec.strs, mix: rec.mix}
+	for _, e := range []*Engine{rec, interpreted} {
+		prefix := []Suggestion{{Query: "kept", Score: 1}}
+		recs, ends := e.AppendBatchSuggestions(prefix, []int{-1}, ctxs, ns)
+		if recs[0] != prefix[0] || len(ends) != 1+len(ctxs) || ends[0] != -1 {
+			t.Fatalf("compiled=%v: dst or ends not appended to: %+v, %v", e.comp != nil, recs[0], ends)
+		}
+		lo := len(prefix)
+		for i, ctx := range ctxs {
+			want := e.AppendSuggestions(nil, ctx, ns[i])
+			if run := recs[lo:ends[1+i]]; !slices.Equal(run, want) {
+				t.Fatalf("compiled=%v, ctx %d: batch run %+v, single %+v", e.comp != nil, i, run, want)
+			}
+			lo = ends[1+i]
+		}
+		if lo != len(recs) {
+			t.Fatalf("compiled=%v: runs end at %d of %d suggestions", e.comp != nil, lo, len(recs))
 		}
 	}
 }

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"math/big"
 	"math/rand"
+	"strconv"
 	"testing"
 
 	"repro/internal/jsonspan"
@@ -123,4 +125,108 @@ func TestAppendJSONFloatMatchesStdlib(t *testing.T) {
 			t.Fatalf("float %v: got %s, stdlib %s", v, got, want)
 		}
 	}
+}
+
+// TestAppendJSONFloatShortestMatchesStrconv is the differential test of the
+// Schubfach formatter: over [1e-6, 1e21) it must print exactly what
+// strconv.AppendFloat(f, 'f', -1, 64) does — on every power of two in range
+// and its neighbours one ulp away (the narrower gap below a power of two),
+// both ends of the range, and 2 M seeded draws, half uniform over the
+// range's bit patterns, half uniform in [0, 1) as scores are, plus 100 k
+// integers below 2^53.
+func TestAppendJSONFloatShortestMatchesStrconv(t *testing.T) {
+	var got, want []byte
+	check := func(f float64) {
+		if !(f >= 1e-6 && f < 1e21) {
+			return
+		}
+		got = AppendJSONFloat(got[:0], f)
+		want = strconv.AppendFloat(want[:0], f, 'f', -1, 64)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%v (bits %#x): got %s, strconv %s", f, math.Float64bits(f), got, want)
+		}
+	}
+	neighbours := func(f float64) {
+		check(math.Nextafter(f, 0))
+		check(f)
+		check(math.Nextafter(f, math.Inf(1)))
+	}
+	for e := -20; e <= 70; e++ {
+		neighbours(math.Ldexp(1, e))
+	}
+	neighbours(1e-6)
+	neighbours(1e21)
+	for _, i := range []uint64{1, 9, 10, 99, 100, 123456789, 1e15, 1e15 + 1, 1<<53 - 2, 1<<53 - 1} {
+		neighbours(float64(i))
+	}
+	draws := 2_000_000
+	if raceEnabled || testing.Short() {
+		draws /= 20
+	}
+	rng := rand.New(rand.NewSource(44))
+	lo, hi := math.Float64bits(1e-6), math.Float64bits(1e21)
+	for i := 0; i < draws/2; i++ {
+		check(math.Float64frombits(lo + rng.Uint64()%(hi-lo)))
+		check(rng.Float64())
+	}
+	for i := 0; i < draws/20; i++ {
+		check(float64(rng.Int63n(1 << 53)))
+	}
+}
+
+// TestPow10InvTable recomputes the formatter's table with math/big: for each
+// k, g = ⌊10^-k·2^-r⌋ + 1 with r the one exponent that puts ⌊10^-k·2^-r⌋ in
+// [2^125, 2^126), and the shift shortestDecimal derives r from.
+func TestPow10InvTable(t *testing.T) {
+	ten := big.NewInt(10)
+	for i, g := range pow10Inv {
+		k := pow10InvMinK + i
+		// 10^-k·2^-r as num/den, with -r = 125 - ⌊-k·log2 10⌋.
+		num, den := big.NewInt(1), big.NewInt(1)
+		if k <= 0 {
+			num.Exp(ten, big.NewInt(int64(-k)), nil)
+		} else {
+			den.Exp(ten, big.NewInt(int64(k)), nil)
+		}
+		shift := 125 - int(int64(-k)*913124641741>>38)
+		if shift >= 0 {
+			num.Lsh(num, uint(shift))
+		} else {
+			den.Lsh(den, uint(-shift))
+		}
+		want := new(big.Int).Quo(num, den)
+		if want.BitLen() != 126 {
+			t.Fatalf("k=%d: ⌊10^-k·2^-r⌋ has %d bits, want 126", k, want.BitLen())
+		}
+		want.Add(want, big.NewInt(1))
+		have := new(big.Int).Lsh(new(big.Int).SetUint64(g[0]), 63)
+		have.Add(have, new(big.Int).SetUint64(g[1]))
+		if g[1] >= 1<<63 || have.Cmp(want) != 0 {
+			t.Fatalf("k=%d: table has %#x·2^63 + %#x, want %#x", k, g[0], g[1], want)
+		}
+	}
+	if got := pow10InvMinK + len(pow10Inv) - 1; got != 5 {
+		t.Fatalf("table ends at k=%d, want 5", got)
+	}
+}
+
+// FuzzAppendJSONFloat: for any finite float64, AppendJSONFloat writes what
+// encoding/json does.
+func FuzzAppendJSONFloat(f *testing.F) {
+	for _, v := range []float64{0, 1, 0.1, 1e-6, 1e21, 9.999999999999999e20, 0.0026143187066974595, 5e-324, math.MaxFloat64, -2.5} {
+		f.Add(math.Float64bits(v))
+	}
+	f.Fuzz(func(t *testing.T, b uint64) {
+		v := math.Float64frombits(b)
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return
+		}
+		want, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := AppendJSONFloat(nil, v); !bytes.Equal(got, want) {
+			t.Fatalf("%v (bits %#x): got %s, encoding/json %s", v, b, got, want)
+		}
+	})
 }

@@ -178,8 +178,9 @@ func TestLoadPathMmapV5(t *testing.T) {
 // TestAppendSuggestionsZeroAllocs: the uncached recommend path of a model
 // file as a server maps it — Save, then LoadPath (CPS5, mmap), contexts
 // pre-interned as the cache front interns them, suggestions into a recycled
-// buffer — allocates nothing. The prediction scratch is an array on
-// AppendSuggestions' own stack, and an allocation means it escaped.
+// buffer — allocates nothing, one context at a time or a batch at once. The
+// prediction scratch is an array on AppendSuggestions' own stack, and an
+// allocation means it escaped.
 func TestAppendSuggestionsZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; counts are meaningless")
@@ -210,6 +211,19 @@ func TestAppendSuggestionsZeroAllocs(t *testing.T) {
 	})
 	if allocs > 0.05 {
 		t.Fatalf("steady-state AppendSuggestions allocates %.2f times per op, want 0", allocs)
+	}
+
+	ns := make([]int, len(ctxs))
+	for j := range ns {
+		ns[j] = 5
+	}
+	var ends []int
+	buf, ends = loaded.AppendBatchSuggestions(buf[:0], ends, ctxs, ns)
+	allocs = testing.AllocsPerRun(200, func() {
+		buf, ends = loaded.AppendBatchSuggestions(buf[:0], ends[:0], ctxs, ns)
+	})
+	if allocs > 0.05 {
+		t.Fatalf("steady-state AppendBatchSuggestions allocates %.2f times per batch, want 0", allocs)
 	}
 }
 

@@ -21,8 +21,8 @@ import (
 //
 // Implementations must be immutable after construction: every method except
 // Close is safe for unbounded concurrent callers without locking, and
-// AppendSuggestions must be allocation-free with a recycled dst whenever the
-// model serves from its compiled form.
+// AppendSuggestions and AppendBatchSuggestions must be allocation-free with
+// recycled buffers whenever the model serves from its compiled form.
 type Recommender interface {
 	// Dict exposes the query dictionary contexts are interned against.
 	Dict() *query.Dict
@@ -30,9 +30,16 @@ type Recommender interface {
 	// context to dst and returns the extended slice — the zero-allocation
 	// serving primitive.
 	AppendSuggestions(dst []Suggestion, ctx query.Seq, n int) []Suggestion
-	// RecommendBatchIDs scores many interned contexts at once; results
-	// align 1:1 with ctxs, nil for uncovered contexts, and each non-nil
-	// slice is freshly allocated (result caches retain them).
+	// AppendBatchSuggestions scores many interned contexts at once,
+	// appending their suggestions to dst back to back and, to ends, where
+	// each context's run stops (the first starts at len(dst) on entry) —
+	// the batch twin of AppendSuggestions, allocation-free under the same
+	// conditions.
+	AppendBatchSuggestions(dst []Suggestion, ends []int, ctxs []query.Seq, ns []int) ([]Suggestion, []int)
+	// RecommendBatchIDs is AppendBatchSuggestions cut into one slice per
+	// context, nil for an uncovered one, all on one fresh array. Nothing in
+	// the serving path calls it; the end-to-end benchmark's span-timing
+	// wrapper (bench/) does.
 	RecommendBatchIDs(ctxs []query.Seq, ns []int) [][]Suggestion
 	// Probability estimates P̂(q | context) for the log-loss analyses.
 	Probability(context []string, q string) float64

@@ -21,9 +21,13 @@ import (
 // item's context strings are unescaped into pooled flat storage and interned
 // byte-wise — no Go string is ever materialised for a context. The
 // response echoes each item's context array span verbatim from the request
-// body (zero-copy) around the pooled append-style suggestion encoder. The
-// shard fan-out drives 64-item batches through this path per sub-batch, so
-// its allocation discipline is what fleet's TestShardFanoutAllocs gates.
+// body (zero-copy) around the pooled append-style suggestion encoder. Cache
+// misses are scored in one pass into the pooled recs buffer, and a refused
+// miss is answered with a view of its run there, so a batch of refused
+// misses allocates only its body's http.MaxBytesReader
+// (TestServeHTTPBatchMissAllocs). The shard fan-out drives 64-item batches
+// through this path per sub-batch, so its allocation discipline is also what
+// fleet's TestShardFanoutAllocs gates.
 
 // batchScratch pools every per-batch buffer of suggestBatch.
 type batchScratch struct {
@@ -37,6 +41,7 @@ type batchScratch struct {
 	ctxs  []query.Seq
 	ns    []int
 	out   []cache.Answer
+	recs  []core.Suggestion // the misses' suggestions, which out's refused misses view
 	resp  []byte
 }
 
@@ -52,6 +57,8 @@ func putBatchScratch(bb *batchScratch) {
 	clear(bb.raw) // do not retain body-derived views in the pool
 	clear(bb.out)
 	clear(bb.ctxs)
+	clear(bb.recs) // nor a dictionary's strings
+	bb.recs = bb.recs[:0]
 	bb.body = bb.body[:0]
 	bb.items = bb.items[:0]
 	bb.toks = bb.toks[:0]
@@ -142,7 +149,7 @@ func (h *Handler) suggestBatch(w http.ResponseWriter, r *http.Request) {
 	if h.fleet != nil {
 		h.recommendBatchFleet(bb)
 	} else {
-		h.cache.AnswerBatchSlot(0, st.gen, st.rec, bb.ctxs, bb.ns, bb.out)
+		h.cache.AnswerBatchSlot(0, st.gen, st.rec, bb.ctxs, bb.ns, bb.out, &bb.recs)
 	}
 	elapsed := (tr.Elapsed() - batchStart).Microseconds()
 	recordStage(tr, h.histBatchDescent, stageBatch, batchStart, elapsed, "ok")

@@ -56,7 +56,9 @@ func (h *Handler) suggestFleet(w http.ResponseWriter, b *reqScratch, n int) {
 // recommendBatchFleet resolves a batch in fleet mode: the contexts were
 // already interned once against the router's base dictionary by the batch
 // parser; here each is routed to its sticky arm and the per-arm groups are
-// scored through the shared cache with one PredictBatch call per arm.
+// scored through the shared cache with one PredictBatch call per arm. Every
+// arm appends its misses' suggestions to the one bb.recs, whose earlier
+// arms' runs stay untouched.
 // Batch items are not shadow-scored (shadow divergence samples the
 // interactive path).
 func (h *Handler) recommendBatchFleet(bb *batchScratch) {
@@ -82,7 +84,7 @@ func (h *Handler) recommendBatchFleet(bb *batchScratch) {
 		slot := arms[armIdx].Slot()
 		st := slot.State()
 		out := make([]cache.Answer, len(g.idx))
-		h.cache.AnswerBatchSlot(slot.ID(), st.Gen, st.Rec, g.ctxs, g.ns, out)
+		h.cache.AnswerBatchSlot(slot.ID(), st.Gen, st.Rec, g.ctxs, g.ns, out, &bb.recs)
 		for j, i := range g.idx {
 			bb.out[i] = out[j]
 		}

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -239,5 +240,63 @@ func TestServeHTTPRefusedMissAllocs(t *testing.T) {
 	}
 	if allocs != 0 {
 		t.Fatalf("a refused-miss /suggest allocates %.2f times per request, want 0", allocs)
+	}
+}
+
+// TestServeHTTPBatchMissAllocs is the batch twin: a POST /suggest/batch of
+// 64 refused misses allocates once, the http.MaxBytesReader around its body.
+// The misses are scored in one pass into the request's pooled buffer and
+// answered as views of it. The cycle is TestServeHTTPRefusedMissAllocs', cut
+// into batches.
+func TestServeHTTPBatchMissAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; counts are meaningless")
+	}
+	const batch = 64
+	h := New(testRecommender(t), Options{CacheCapacity: 32})
+	var bodies [][]byte
+	var body []byte
+	for i := 0; i < 512; i++ { // i in binary, spelled with two known queries
+		if i%batch == 0 {
+			body = append(body[:0], `{"requests":[`...)
+		} else {
+			body = append(body, ',')
+		}
+		body = append(body, `{"n":5,"context":[`...)
+		for bit := 0; bit < 9; bit++ {
+			if bit > 0 {
+				body = append(body, ',')
+			}
+			body = append(body, [2]string{`"o2"`, `"o2 mobile"`}[(i>>bit)&1]...)
+		}
+		body = append(body, "]}"...)
+		if i%batch == batch-1 {
+			bodies = append(bodies, append([]byte(nil), append(body, "]}"...)...))
+		}
+	}
+	rd := bytes.NewReader(nil)
+	req := httptest.NewRequest(http.MethodPost, "/suggest/batch", rd)
+	rr := newReusableRecorder()
+	next := 0
+	post := func() {
+		rd.Reset(bodies[next%len(bodies)])
+		rr.reset()
+		h.ServeHTTP(rr, req)
+		next++
+		if rr.code != http.StatusOK || !bytes.Contains(rr.body, []byte(`"score":`)) {
+			t.Fatalf("status %d body %q", rr.code, rr.body)
+		}
+	}
+	for range 512 { // warm pools and ghosts, and fill the 256-trace ring
+		post()
+	}
+	before := h.cache.Stats()
+	allocs := testing.AllocsPerRun(len(bodies), post)
+	after := h.cache.Stats()
+	if runs := after.Misses - before.Misses; after.Hits != before.Hits || after.Refused-before.Refused != runs || after.Entries != 0 {
+		t.Fatalf("the cycle was not all refused misses: %+v -> %+v", before, after)
+	}
+	if allocs != 1 {
+		t.Fatalf("a batch of %d refused misses allocates %.2f times per request, want 1 (the body's http.MaxBytesReader)", batch, allocs)
 	}
 }
