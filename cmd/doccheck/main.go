@@ -48,8 +48,10 @@ var retiredList string
 // the model-family container and second-stage reranker (one model family is
 // served), the second prediction interface, the benchmark gate tool and the
 // benchmarks they kept (model.Predictor is one interface; ceilings are tests),
-// the router's anti-entropy admin cache (/v1/fleet asks the shards), and
-// the exact CPS3 blob encoding (CPS5 is the one).
+// the router's anti-entropy admin cache (/v1/fleet asks the shards), the
+// exact CPS3 blob encoding (CPS5 is the one), and serve.Handler's
+// single-model serving mode with its own swap, reload and generation (a
+// single model is a one-arm fleet).
 var retired = regexp.MustCompile(`\b(` + strings.Join(strings.Fields(retiredList), "|") + `)\b`)
 
 var (

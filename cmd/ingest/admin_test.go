@@ -31,7 +31,7 @@ func adminTestRec(t *testing.T) core.Recommender {
 }
 
 // TestAdminSurfaceAgrees holds the four processes that mount obs.Admin — the
-// single-model handler, a fleet-mode handler, a 2-shard loopback router and
+// handler New builds for one model, one given a fleet, a 2-shard loopback router and
 // this command's listener — to one table: per admin path and method the same
 // status and Content-Type, an error envelope on every non-2xx, and a
 // Prometheus exposition obs.ParsePrometheus reads wherever one is served.

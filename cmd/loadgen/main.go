@@ -5,11 +5,11 @@
 // pipeline (internal/loggen), so their popularity follows the power law of
 // real logs (Fig. 6) and the server's cache sees realistic head/tail skew.
 //
-// Against a fleet-mode server (cmd/serve -arms) the replay is arm-aware:
-// every /suggest response carries the serving arm in X-Serve-Arm, and the
+// The replay is arm-aware: every cmd/serve /suggest response carries the
+// serving arm in X-Serve-Arm ("default" for a -model process), and the
 // report breaks request counts, traffic share and latency quantiles out per
-// arm — the client-side half of an online A/B comparison (the server's
-// /v1/metrics holds the matching per-arm view).
+// arm — the client-side half of an online A/B comparison under -arms (the
+// server's /v1/metrics holds the matching per-arm view).
 //
 // Usage:
 //
@@ -236,7 +236,7 @@ func buildContexts(n int, seed int64) [][]string {
 }
 
 // printArmReport breaks the replay out per serving arm when the server
-// labelled its responses (fleet mode): request share and latency quantiles
+// labelled its responses: request share and latency quantiles
 // side by side, the numbers an A/B rollout decision reads.
 func printArmReport(armLats map[string][]time.Duration, ok int) {
 	if len(armLats) == 0 || ok == 0 {
@@ -274,7 +274,7 @@ func doSingle(client *http.Client, addr string, context []string, n int, fstats 
 	if resp.StatusCode != http.StatusOK {
 		return 0, "", fmt.Errorf("status %d", resp.StatusCode)
 	}
-	// Fleet mode labels the serving arm; shard routers label the replica.
+	// A serving process labels the arm; shard routers label the replica.
 	arm := resp.Header.Get("X-Serve-Arm")
 	if arm == "" {
 		if shard := resp.Header.Get("X-Serve-Shard"); shard != "" {

@@ -6,11 +6,11 @@
 //
 // Roles:
 //
-//	serve (default)  single- or multi-model serving process
+//	serve (default)  a serving process over a fleet of one or more models
 //	shard            alias of serve for replicas behind a -role router
 //	router           consistent-hash fan-out over N shard replicas
 //
-// Single model:
+// Single model — the one arm of a fleet, as if -arms default=model.bin:
 //
 //	serve -model model.bin [-addr :8080] [-n 5] [-cache 16384] [-quiet]
 //
@@ -35,10 +35,11 @@
 //	curl 'localhost:8080/v1/route?q=o2'  # which arm/shard owns this context
 //
 // Hot reload: retrain with cmd/train, overwrite the model file, then either
-// `kill -HUP <pid>` or `curl -X POST localhost:8080/v1/reload` (fleet mode:
-// `/v1/reload?model=<name>`). A replacement whose dictionary is not an
-// ID-preserving extension of the served one is refused with 409 — append
-// `&force=1` to replace the vocabulary deliberately. The new model is
+// `kill -HUP <pid>` (every arm reloads from its file) or
+// `curl -X POST 'localhost:8080/v1/reload?model=<name>'` (one arm; a
+// single -model process may omit model=). A replacement whose dictionary is
+// not an ID-preserving extension of the served one is refused with 409 —
+// append `&force=1` to replace the vocabulary deliberately. The new model is
 // swapped in behind an atomic pointer; in-flight requests finish on the old
 // one and no traffic is dropped. SIGINT/SIGTERM drain connections before
 // exiting.
@@ -97,7 +98,7 @@ func main() {
 	log.SetPrefix("serve: ")
 	var (
 		role      = flag.String("role", "serve", "process role: serve, shard (replica behind a router) or router (consistent-hash fan-out)")
-		modelPath = flag.String("model", "model.bin", "model file from cmd/train (single-model serving, or the shared model of a loopback ring)")
+		modelPath = flag.String("model", "model.bin", "model file from cmd/train (served as the one arm \"default\" without -arms, or the shared model of a loopback ring)")
 		arms      = flag.String("arms", "", "fleet arms 'name=path[:weight],...': first arm is the champion, weight 0 = shadow-scored only (default weight 1)")
 		shards    = flag.String("shards", "", "router backends: an integer N for an in-process loopback ring over -model, or comma-separated shard base URLs")
 		replicas  = flag.Int("replicas", 1, "router replication factor R: each key range maps to R distinct shards and fails over along the list (1 = off)")
@@ -113,7 +114,7 @@ func main() {
 		pprofOn   = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ on the serving address (keep off on exposed listeners)")
 	)
 	var ingest ingestOpts
-	flag.StringVar(&ingest.logPath, "ingest-log", "", "embed the streaming ingestion loop: tail this query log, retrain and push into the -ingest-arm slot (fleet mode only; see cmd/ingest for the standalone loop)")
+	flag.StringVar(&ingest.logPath, "ingest-log", "", "embed the streaming ingestion loop: tail this query log, retrain and push into the -ingest-arm slot (declared in -arms; see cmd/ingest for the standalone loop)")
 	flag.StringVar(&ingest.walPath, "ingest-wal", "ingest.wal", "ingestion write-log path (crash-replayed on restart)")
 	flag.StringVar(&ingest.modelOut, "ingest-model", "challenger.bin", "recompiled snapshot output path")
 	flag.StringVar(&ingest.arm, "ingest-arm", "challenger", "fleet arm reloaded in-process on every recompile")
@@ -135,9 +136,9 @@ func main() {
 	var onHUP func()
 	switch *role {
 	case "serve", "shard":
-		h := buildServeHandler(*modelPath, *arms, *topN, *cacheCap, *quiet, ingest)
-		handler = h
-		onHUP = h.reloadAll
+		var rt *fleet.Router
+		handler, rt = buildServeHandler(*modelPath, *arms, *topN, *cacheCap, *quiet, ingest)
+		onHUP = func() { reloadAll(rt) }
 	case "router":
 		ropts := fleet.RouterOptions{
 			Replicas:     *replicas,
@@ -202,27 +203,15 @@ func main() {
 	log.Print("bye")
 }
 
-// serveProcess bundles the handler with what SIGHUP must reload.
-type serveProcess struct {
-	*serve.Handler
-	fleetRouter *fleet.Router
-}
-
-// reloadAll is the SIGHUP behaviour: reload the single model, or every fleet
-// slot that has a loader. Dictionary-incompatible replacements are refused
-// (the operator can force over HTTP); the old model keeps serving either
-// way.
-func (p *serveProcess) reloadAll() {
-	if p.fleetRouter == nil {
-		gen, err := p.Handler.Reload()
-		if err != nil {
-			log.Printf("SIGHUP reload failed (still serving old model): %v", err)
-			return
+// reloadAll is the SIGHUP behaviour: reload every slot that has a loader,
+// then advance the interning base. Dictionary-incompatible replacements are
+// refused (the operator can force over HTTP); the old model keeps serving
+// either way.
+func reloadAll(rt *fleet.Router) {
+	for _, slot := range rt.Registry().Slots() {
+		if !slot.Reloadable() {
+			continue
 		}
-		log.Printf("SIGHUP reload ok: now at model generation %d", gen)
-		return
-	}
-	for _, slot := range p.fleetRouter.Registry().Slots() {
 		gen, err := slot.Reload(false)
 		if err != nil {
 			log.Printf("SIGHUP reload of %q failed (still serving old model): %v", slot.Name(), err)
@@ -230,40 +219,30 @@ func (p *serveProcess) reloadAll() {
 		}
 		log.Printf("SIGHUP reload ok: model %q at generation %d", slot.Name(), gen)
 	}
-	if err := p.fleetRouter.RefreshBase(); err != nil {
+	if err := rt.RefreshBase(); err != nil {
 		log.Printf("interning base not advanced: %v", err)
 	}
 }
 
-// buildServeHandler assembles the serve/shard role: single-model serving, or
-// a fleet registry + router when -arms is given.
-func buildServeHandler(modelPath, arms string, topN, cacheCap int, quiet bool, ingest ingestOpts) *serveProcess {
+// buildServeHandler assembles the serve/shard role: a fleet registry and
+// router over -arms, or over the one arm "default" serving -model.
+func buildServeHandler(modelPath, arms string, topN, cacheCap int, quiet bool, ingest ingestOpts) (*serve.Handler, *fleet.Router) {
 	// One registry + tracer for the whole process: the HTTP handler, the
 	// embedded ingest loop and the auto-ramp all record into the same
 	// Prometheus exposition and the same tail-sampled trace ring. The tracer
 	// tail-samples against the handler's overall request-latency histogram.
 	oreg := obs.NewRegistry()
 	tracer := obs.NewTracer(512, oreg.Histogram("serve_http_request_us"))
-	opts := serve.Options{DefaultN: topN, CacheCapacity: cacheCap, Obs: oreg, Tracer: tracer}
+	opts := serve.Options{DefaultN: topN, Obs: oreg, Tracer: tracer}
 	if !quiet {
 		opts.Logger = log.Default()
 	}
-	if arms == "" {
-		if ingest.logPath != "" {
-			log.Fatal("-ingest-log needs -arms with a weight-0 challenger slot to push into (or run cmd/ingest standalone)")
-		}
-		rec, err := loadModel(modelPath)
-		if err != nil {
+	specs := []armSpec{{name: "default", path: modelPath, weight: 1}}
+	if arms != "" {
+		var err error
+		if specs, err = parseArms(arms); err != nil {
 			log.Fatal(err)
 		}
-		opts.ReloadFunc = func() (core.Recommender, error) { return loadModel(modelPath) }
-		logModelShape("", rec)
-		return &serveProcess{Handler: serve.New(rec, opts)}
-	}
-
-	specs, err := parseArms(arms)
-	if err != nil {
-		log.Fatal(err)
 	}
 	reg := fleet.NewRegistry(cacheCap)
 	var champion core.Recommender
@@ -299,7 +278,7 @@ func buildServeHandler(modelPath, arms string, topN, cacheCap int, quiet bool, i
 		opts.IngestStatus = startIngestLoop(rt, champion, ingest, oreg, tracer)
 	}
 	opts.Fleet = rt
-	return &serveProcess{Handler: serve.New(champion, opts), fleetRouter: rt}
+	return serve.New(champion, opts), rt
 }
 
 // ingestOpts carries the -ingest-* / -ramp-* flags into the embedded

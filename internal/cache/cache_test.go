@@ -213,8 +213,8 @@ func testRecommender(t testing.TB) core.Recommender {
 	return core.TrainFromSessions(d, sessions, cfg)
 }
 
-// recommend looks a string context up in slot 0, the single-model
-// handlers' key space.
+// recommend looks a string context up in slot 0, a one-model handler's key
+// space.
 func recommend(sc *SuggestCache, gen uint64, rec core.Recommender, context []string, n int) []core.Suggestion {
 	out, _ := sc.RecommendSlotHit(0, gen, rec, core.InternContext(rec.Dict(), context), n)
 	return out
@@ -335,7 +335,7 @@ func TestSuggestCacheSlotIsolation(t *testing.T) {
 	if h := sc.Stats().Hits; h != 1 {
 		t.Fatalf("slot 2 hit slot 1's entry (hits=%d)", h)
 	}
-	// Slot 0, the single-model handlers' key space, keeps its entries like
+	// Slot 0, a one-model handler's key space, keeps its entries like
 	// any other: RecommendSlotHit must hit what RecommendSlot(0, ...) stored.
 	sc.RecommendSlot(0, 1, rec, ctx, 5)
 	sc.RecommendSlot(0, 1, rec, ctx, 5)

@@ -22,7 +22,7 @@ import (
 // counter, entries from different slots can never collide, and — because
 // sticky routing sends each context to one slot — LRU capacity is shared in
 // proportion to actual per-model traffic instead of being statically split.
-// Single-model callers serve slot 0.
+// A one-model registry serves slot 0.
 //
 // Two families of entry points share the entries. The Answer* forms serve
 // the HTTP handlers: they return an Answer, which carries the entry's wire
@@ -233,9 +233,9 @@ func (sc *SuggestCache) RecommendBatchSlot(slot uint32, gen uint64, rec core.Rec
 	}
 }
 
-// AnswerBatchSlot is RecommendBatchSlot for the HTTP batch handlers — in
-// fleet mode the batch path interns once with the router's shared base
-// dictionary before routing each item to its arm. out[i] receives each
+// AnswerBatchSlot is RecommendBatchSlot for the HTTP batch handlers — the
+// batch path interns once against the router's base dictionary before
+// routing each item to its arm. out[i] receives each
 // answer; hits carry their wire form as in AnswerSlot. The misses'
 // suggestions are appended to *scratch, a buffer the request holds —
 // appended, not written over, so calls whose answers are all still in use

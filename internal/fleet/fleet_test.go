@@ -262,7 +262,7 @@ func TestShadowNeverBlocks(t *testing.T) {
 	const extra = 50
 	start := time.Now()
 	for i := 0; i < shadowQueueDepth+extra; i++ {
-		sh.enqueue(query.Seq{1, 2}, 5, nil)
+		sh.enqueue(nil, query.Seq{1, 2}, 5, nil)
 	}
 	if took := time.Since(start); took > 5*time.Second {
 		t.Fatalf("enqueue stalled for %s", took)
@@ -282,7 +282,7 @@ func TestShadowCopiesChampion(t *testing.T) {
 	ctx := query.Seq{1, 2}
 	served := []core.Suggestion{{Query: "o2 mobile", Score: 0.5}, {Query: "o2", Score: 0.25}}
 	want := slices.Clone(served)
-	sh.enqueue(ctx, 5, served)
+	sh.enqueue(nil, ctx, 5, served)
 	ctx[0], served[0] = 9, core.Suggestion{Query: "the next request's", Score: 1}
 	job := <-sh.jobs
 	if !slices.Equal(job.champion, want) || !slices.Equal(job.ctx, query.Seq{1, 2}) {
@@ -318,7 +318,7 @@ func TestShadowDivergence(t *testing.T) {
 	for i := 0; i < samples; i++ {
 		st := champ.State()
 		recs := reg.Cache().RecommendSlot(champ.ID(), st.Gen, st.Rec, ctx, 5)
-		rt.Shadow(ctx, 5, recs)
+		rt.Shadow(rt.Base(), ctx, 5, recs)
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	var stats []ShadowStats

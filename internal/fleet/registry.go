@@ -6,9 +6,10 @@
 // Three pieces compose:
 //
 //   - Registry: several named, versioned core.Recommender slots, each
-//     atomically hot-swappable (the same atomic-pointer discipline as
-//     single-model serving) with its own generation counter over one shared
-//     slot-keyed result cache (internal/cache).
+//     atomically hot-swappable behind one atomic pointer with its own
+//     generation counter over one shared slot-keyed result cache
+//     (internal/cache). A single-model deployment is a one-slot registry
+//     behind a one-arm router (serve.New builds it).
 //   - Router: deterministic A/B traffic splitting by FNV-1a hash of the
 //     interned context — sticky, weight-proportional assignment with per-arm
 //     serving metrics — plus shadow arms (weight 0) that are scored
@@ -27,7 +28,11 @@
 //     keys are model-independent, and the interned IDs remain valid in every
 //     arm. Slot swaps enforce the same relation (ErrDictIncompatible
 //     otherwise), which is what keeps in-flight interned contexts from being
-//     silently misrouted across a reload.
+//     silently misrouted across a reload. A forced swap may break it: the
+//     slot's state then says so (SlotState.Answers, one pointer compare), and
+//     the serving layer interns the context again against the model's own
+//     dictionary, so a request is only ever answered by a model whose
+//     dictionary extends the one its context was interned against.
 //   - Route is allocation-free and lock-free: arms are fixed at construction
 //     and model state is read through one atomic pointer per slot.
 //   - Shadow scoring never blocks the serving goroutine: jobs are handed to
@@ -43,6 +48,7 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/core"
+	"repro/internal/query"
 )
 
 // ErrDictIncompatible reports a slot swap whose replacement model's
@@ -69,7 +75,19 @@ func (e *ErrDictIncompatible) Error() string {
 type SlotState struct {
 	Rec core.Recommender
 	Gen uint64
+	// base is a dictionary Rec's dictionary is known to extend: its own at
+	// registration and after a forced swap to a vocabulary that does not
+	// extend the slot's, the router's interning base once the router has
+	// checked it (NewRouter, RefreshBase). A swap whose dictionary extends
+	// the slot's keeps it: extension is transitive.
+	base *query.Dict
 }
+
+// Answers reports whether the state may answer a context interned against
+// base: whether its model's dictionary is known to extend base. It costs one
+// pointer compare; false means the context must be interned again, against
+// Rec's own dictionary, before this state answers it.
+func (st *SlotState) Answers(base *query.Dict) bool { return st.base == base }
 
 // Slot is one named model in the registry. The served model sits behind an
 // atomic pointer (reads never lock); swaps serialise on a per-slot mutex.
@@ -95,25 +113,51 @@ func (s *Slot) State() *SlotState { return s.state.Load() }
 // Swap atomically replaces the slot's model and bumps its generation,
 // enforcing dictionary compatibility: the new model's dictionary must be an
 // ID-preserving extension of the current one (see ErrDictIncompatible). force
-// bypasses the check for operator-confirmed full replacements. The shared
-// cache is purged either way — stale entries could never answer (generation
-// keying) but their memory is released early. Returns the new generation.
+// bypasses the check for operator-confirmed full replacements; such a model
+// answers contexts interned against its own dictionary only (see Answers)
+// until the router's base catches up with it. The shared cache is purged
+// either way — stale entries could never answer (generation keying) but
+// their memory is released early. Returns the new generation.
 func (s *Slot) Swap(rec core.Recommender, force bool) (uint64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	old := s.state.Load()
-	if !force && !rec.Dict().Extends(old.Rec.Dict()) {
-		return 0, &ErrDictIncompatible{
-			Slot:    s.name,
-			OldHash: old.Rec.Dict().Hash(),
-			NewHash: rec.Dict().Hash(),
+	next := &SlotState{Rec: rec, Gen: old.Gen + 1, base: old.base}
+	if !rec.Dict().Extends(old.Rec.Dict()) {
+		if !force {
+			return 0, &ErrDictIncompatible{
+				Slot:    s.name,
+				OldHash: old.Rec.Dict().Hash(),
+				NewHash: rec.Dict().Hash(),
+			}
 		}
+		next.base = rec.Dict()
 	}
-	next := &SlotState{Rec: rec, Gen: old.Gen + 1}
 	s.state.Store(next)
 	s.reg.cache.Purge()
 	return next.Gen, nil
 }
+
+// rebase records that the slot's current model answers contexts interned
+// against base, when its dictionary extends base, and reports whether it
+// does.
+func (s *Slot) rebase(base *query.Dict) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	st := s.state.Load()
+	if st.base == base {
+		return true
+	}
+	if !st.Rec.Dict().Extends(base) {
+		return false
+	}
+	s.state.Store(&SlotState{Rec: st.Rec, Gen: st.Gen, base: base})
+	return true
+}
+
+// Reloadable reports whether the slot was registered with a loader, i.e.
+// whether Reload can do anything but fail.
+func (s *Slot) Reloadable() bool { return s.loader != nil }
 
 // Reload invokes the slot's configured loader and swaps the result in under
 // the compatibility rules of Swap. Returns an error when no loader was
@@ -162,7 +206,7 @@ func (g *Registry) Add(name string, rec core.Recommender, loader func() (core.Re
 		return nil, fmt.Errorf("fleet: duplicate slot name %q", name)
 	}
 	s := &Slot{name: name, id: uint32(len(g.slots)), loader: loader, reg: g}
-	s.state.Store(&SlotState{Rec: rec, Gen: 1})
+	s.state.Store(&SlotState{Rec: rec, Gen: 1, base: rec.Dict()})
 	g.slots = append(g.slots, s)
 	g.byName[name] = s
 	return s, nil

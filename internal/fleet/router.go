@@ -34,10 +34,9 @@ type Arm struct {
 	// (same trick as the serving layer's content-type).
 	header []string
 
-	requests atomic.Uint64
 	// lat is the arm's full-history latency histogram: lock-free recording,
-	// bounded-error p50/p99/p999, and mergeable across arms (the fleet-wide
-	// distribution is the bucket-wise sum — see Router.MergeLatency).
+	// bounded-error p50/p99/p999. Its count is the arm's request count: one
+	// record is all a served request costs the arm.
 	lat obs.Histogram
 }
 
@@ -79,8 +78,9 @@ type Router struct {
 	// baseDict is the interning base: initially the champion's dictionary at
 	// construction, advanced by RefreshBase after champion reloads (only when
 	// every arm still extends the candidate — the soundness condition for
-	// sharing one interning across arms).
+	// sharing one interning across arms). baseMu serialises the advances.
 	baseDict atomic.Pointer[query.Dict]
+	baseMu   sync.Mutex
 	shadows  *shadower // nil when no shadow arms
 }
 
@@ -91,7 +91,8 @@ type Router struct {
 // and routable later once SetWeight raises them. Every arm's dictionary
 // must extend the champion's (ErrDictIncompatible otherwise) — the property
 // that keeps one interned context valid, sticky and cache-consistent across
-// all arms.
+// all arms. A registry serves one router: the router records in each arm's
+// slot that its model answers contexts interned against the base.
 func NewRouter(reg *Registry, specs ...ArmSpec) (*Router, error) {
 	if len(specs) == 0 {
 		return nil, errors.New("fleet: router needs at least one arm")
@@ -119,7 +120,8 @@ func NewRouter(reg *Registry, specs ...ArmSpec) (*Router, error) {
 			return nil, fmt.Errorf("fleet: duplicate arm %q", spec.Name)
 		}
 		seen[spec.Name] = true
-		if d := slot.State().Rec.Dict(); !d.Extends(baseDict) {
+		if !slot.rebase(baseDict) {
+			d := slot.State().Rec.Dict()
 			return nil, &ErrDictIncompatible{Slot: spec.Name, OldHash: baseDict.Hash(), NewHash: d.Hash()}
 		}
 		a := &Arm{slot: slot, header: []string{spec.Name}}
@@ -201,62 +203,35 @@ func (rt *Router) ShadowSlots() []*Slot {
 	return rt.shadows.slots
 }
 
-// AppendContextBytes interns a context held as raw byte slices against the
-// router's base dictionary — the one interning a fleet request performs
-// (queries outside the base vocabulary are dropped, exactly like
-// single-model serving drops unknown queries). IDs are appended to dst (a
-// pooled buffer on the hot path).
-func (rt *Router) AppendContextBytes(dst query.Seq, context [][]byte) query.Seq {
-	d := rt.baseDict.Load()
-	for _, q := range context {
-		if id, ok := d.LookupBytes(q); ok {
-			dst = append(dst, id)
-		}
-	}
-	return dst
-}
-
-// AppendContext is AppendContextBytes for string contexts (the batch path).
-func (rt *Router) AppendContext(dst query.Seq, context []string) query.Seq {
-	d := rt.baseDict.Load()
-	for _, q := range context {
-		if id, ok := d.Lookup(q); ok {
-			dst = append(dst, id)
-		}
-	}
-	return dst
-}
+// Base returns the dictionary a request interns its context against — the
+// one interning a request performs (queries outside the base vocabulary are
+// dropped). The arm that serves the context checks it with
+// SlotState.Answers.
+func (rt *Router) Base() *query.Dict { return rt.baseDict.Load() }
 
 // RefreshBase advances the interning base to the champion slot's current
 // dictionary so vocabulary added by a champion reload becomes servable.
-// The advance happens only when every arm and shadow slot still extends the
-// candidate — the condition under which one interning stays valid in every
-// model; otherwise the router keeps interning against the old base (still
-// sound: every slot swap preserved its extension of it) and returns
-// ErrDictIncompatible naming the lagging slot. Callers invoke it after
-// reloading fleet slots; serving continues uninterrupted either way.
+// The advance happens only when every arm (shadow arms included) still
+// extends the candidate — the condition under which one interning stays
+// valid in every model; otherwise the router keeps interning against the
+// old base and returns ErrDictIncompatible naming the lagging slot. A slot
+// whose model does not extend the base in use (a forced swap) answers
+// contexts interned against its own dictionary meanwhile. Callers invoke it
+// after reloading slots; serving continues uninterrupted either way.
 func (rt *Router) RefreshBase() error {
+	rt.baseMu.Lock()
+	defer rt.baseMu.Unlock()
 	next := rt.arms[0].slot.State().Rec.Dict()
 	if next == rt.baseDict.Load() {
 		return nil
 	}
-	check := func(s *Slot) error {
-		if d := s.State().Rec.Dict(); !d.Extends(next) {
-			return &ErrDictIncompatible{Slot: s.name, OldHash: next.Hash(), NewHash: d.Hash()}
+	for _, a := range rt.arms {
+		if d := a.slot.State().Rec.Dict(); !d.Extends(next) {
+			return &ErrDictIncompatible{Slot: a.slot.name, OldHash: next.Hash(), NewHash: d.Hash()}
 		}
-		return nil
 	}
 	for _, a := range rt.arms {
-		if err := check(a.slot); err != nil {
-			return err
-		}
-	}
-	if rt.shadows != nil {
-		for _, s := range rt.shadows.slots {
-			if err := check(s); err != nil {
-				return err
-			}
-		}
+		a.slot.rebase(next) // false only if a forced swap raced this one
 	}
 	rt.baseDict.Store(next)
 	return nil
@@ -310,41 +285,19 @@ func (rt *Router) Arm(i int) *Arm { return rt.arms[i] }
 // and latency sample, the raw material for offline A/B comparison of the
 // arms' logged answer quality and latency.
 func (rt *Router) RecordServe(i int, tookMicros int64) {
-	a := rt.arms[i]
-	a.requests.Add(1)
-	a.lat.Record(tookMicros)
-}
-
-// MergeLatency merges every arm's latency histogram into dst — the
-// fleet-wide serving latency distribution, computed by bucket-wise addition
-// (the mergeable-histogram property; no sample window is lost).
-func (rt *Router) MergeLatency(dst *obs.Histogram) {
-	for _, a := range rt.arms {
-		dst.Merge(&a.lat)
-	}
-}
-
-// RegisterObs exposes the router's per-arm instruments through reg: each
-// arm's latency histogram and request counter appear in the Prometheus
-// exposition under fleet_arm_<name>_*.
-func (rt *Router) RegisterObs(reg *obs.Registry) {
-	for _, a := range rt.arms {
-		a := a
-		reg.RegisterHistogram("fleet_arm_"+a.header[0]+"_latency_us", &a.lat)
-		reg.CounterFunc("fleet_arm_"+a.header[0]+"_requests_total", a.requests.Load)
-	}
+	rt.arms[i].lat.Record(tookMicros)
 }
 
 // Shadow hands the served request to the shadow scorer, if any: every
 // configured shadow slot will asynchronously answer the same (context, n)
 // and record its divergence from the champion-side answer. Non-blocking; a
 // full queue drops the sample (counted). champion is the answer served to
-// the user — a cache-owned immutable slice.
-func (rt *Router) Shadow(ctx query.Seq, n int, champion []core.Suggestion) {
+// the user; base is the dictionary ctx was interned against (Base).
+func (rt *Router) Shadow(base *query.Dict, ctx query.Seq, n int, champion []core.Suggestion) {
 	if rt.shadows == nil {
 		return
 	}
-	rt.shadows.enqueue(ctx, n, champion)
+	rt.shadows.enqueue(base, ctx, n, champion)
 }
 
 // ShadowStats snapshots the divergence counters per shadow slot, nil when no
@@ -390,7 +343,7 @@ func (rt *Router) ArmStats() []ArmStats {
 			Name:       a.header[0],
 			Weight:     w,
 			Share:      float64(w) / float64(total),
-			Requests:   a.requests.Load(),
+			Requests:   a.lat.Count(),
 			P50Micros:  a.lat.Quantile(0.50),
 			P99Micros:  a.lat.Quantile(0.99),
 			P999Micros: a.lat.Quantile(0.999),

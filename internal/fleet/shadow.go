@@ -20,6 +20,7 @@ const shadowQueueDepth = 1024
 // request served: that may sit in the request's own buffer, which is reused
 // once the request returns.
 type shadowJob struct {
+	base     *query.Dict // the dictionary ctx was interned against
 	ctx      query.Seq
 	n        int
 	champion []core.Suggestion
@@ -81,8 +82,9 @@ func newShadower(reg *Registry, slots []*Slot) *shadower {
 // the queue is full the sample is dropped and counted. The context lives in
 // a pooled request buffer upstream, and so may the answer: both are copied
 // into the job's own recycled buffers first.
-func (sh *shadower) enqueue(ctx query.Seq, n int, champion []core.Suggestion) {
+func (sh *shadower) enqueue(base *query.Dict, ctx query.Seq, n int, champion []core.Suggestion) {
 	job := sh.pool.Get().(*shadowJob)
+	job.base = base
 	job.ctx = append(job.ctx[:0], ctx...)
 	job.n = n
 	job.champion = append(job.champion[:0], champion...)
@@ -97,6 +99,7 @@ func (sh *shadower) enqueue(ctx query.Seq, n int, champion []core.Suggestion) {
 func (sh *shadower) release(job *shadowJob) {
 	clear(job.champion) // do not retain a model's strings in the pool
 	job.champion = job.champion[:0]
+	job.base = nil
 	sh.pool.Put(job)
 }
 
@@ -115,6 +118,9 @@ func (sh *shadower) run() {
 		case job := <-sh.jobs:
 			for i, slot := range sh.slots {
 				st := slot.State()
+				if !st.Answers(job.base) {
+					continue // a forced swap: this model does not read the context's IDs
+				}
 				got := sh.reg.cache.RecommendSlot(slot.id, st.Gen, st.Rec, job.ctx, job.n)
 				sh.record(&sh.div[i], job.champion, got)
 			}

@@ -332,7 +332,13 @@ func TestRingReloadBroadcast(t *testing.T) {
 		}
 	}
 	for i, h := range handlers {
-		if got := h.Generation(); got != 2 {
+		rr := httptest.NewRecorder()
+		h.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/healthz", nil))
+		var hp serve.Health
+		if err := json.Unmarshal(rr.Body.Bytes(), &hp); err != nil {
+			t.Fatal(err)
+		}
+		if got := hp.Generation; got != 2 {
 			t.Fatalf("shard %d generation = %d, want 2", i, got)
 		}
 		if got := tr.callCount(i); got != 1 {

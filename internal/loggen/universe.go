@@ -359,14 +359,6 @@ func (u *Universe) IsUniversal(q string) bool { return u.universal[q] }
 // queries shared across topics.
 func (u *Universe) IsGeneric(q string) bool { return u.generic[q] }
 
-// TopicOf returns the topic index of q's concept, or -1 if q is unknown.
-func (u *Universe) TopicOf(q string) int {
-	if ref, ok := u.byQuery[q]; ok {
-		return ref.topic
-	}
-	return -1
-}
-
 // Relate classifies the semantic relation from query a to query b:
 // an explicit edge kind when one exists, RelTopic when they merely share a
 // topic, and RelNone otherwise. This powers the simulated user study.

@@ -30,13 +30,3 @@ type Predictor interface {
 	// Covers reports whether the model can make any prediction for ctx.
 	Covers(ctx query.Seq) bool
 }
-
-// TopQueries extracts just the query IDs from a prediction list, preserving
-// rank order.
-func TopQueries(ps []Prediction) []query.ID {
-	out := make([]query.ID, len(ps))
-	for i, p := range ps {
-		out[i] = p.Query
-	}
-	return out
-}

@@ -58,16 +58,6 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return h
 }
 
-// RegisterHistogram adopts an externally owned histogram under name so it
-// appears in the exposition (per-arm and per-shard histograms are embedded
-// in their owners' structs, not allocated by the registry). Re-registering
-// a name replaces the previous instrument.
-func (r *Registry) RegisterHistogram(name string, h *Histogram) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.hists[name] = h
-}
-
 // Counter returns the counter registered under name, creating it on first
 // use. The returned pointer is stable for the life of the Registry.
 func (r *Registry) Counter(name string) *Counter {

@@ -499,9 +499,10 @@ func TestTracersShareNoIDs(t *testing.T) {
 // monotonic clock reads timed in the same rounds, and holds each sequence
 // under 6.0 of them. Direct GET: what the serve middleware and the GET
 // handler's one stage run for a cached GET — a pooled trace started, the
-// stage's clock read, its span and histogram record, the exit clock read, the
-// two request histograms, the trace finished: three reads, one span, three
-// records. Routed hop: what the shard router's instruments cost an unhedged
+// stage's clock read, its span and histogram record, the serving arm's
+// latency record, the exit clock read, the two request
+// histograms, the trace finished: three reads, one span, four records.
+// Routed hop: what the shard router's instruments cost an unhedged
 // GET that its first replica answers — the trace started (a client sends no
 // ID, so one is carved), the attempt opened on the trace's start, the
 // exchange's end read by Now, the attempt span closed and its latency
@@ -515,7 +516,7 @@ func TestInstrumentClockReads(t *testing.T) {
 	if raceEnabled {
 		t.Skip("timings are not meaningful under -race")
 	}
-	var direct [3]Histogram // stage, HTTP request, route
+	var direct [4]Histogram // stage, HTTP request, route, serving arm
 	directTracer := NewTracer(16, &direct[1])
 	var routed [2]Histogram // attempt, request
 	routedTracer := NewTracer(16, &routed[1])
@@ -528,6 +529,7 @@ func TestInstrumentClockReads(t *testing.T) {
 			took := tr.Elapsed().Microseconds()
 			direct[0].Record(took)
 			tr.Record("cache", 0, took, NoShard, "hit")
+			direct[3].Record(took)
 			elapsed := tr.Elapsed()
 			direct[1].Record(elapsed.Microseconds())
 			direct[2].Record(elapsed.Microseconds())

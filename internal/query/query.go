@@ -228,9 +228,6 @@ func Normalize(q string) string {
 // A nil or empty Seq is the empty sequence e.
 type Seq []ID
 
-// Empty reports whether s is the empty sequence e.
-func (s Seq) Empty() bool { return len(s) == 0 }
-
 // Len returns |s|, the number of queries in the sequence.
 func (s Seq) Len() int { return len(s) }
 

@@ -21,11 +21,12 @@ import (
 // item's context strings are unescaped into pooled flat storage and interned
 // byte-wise — no Go string is ever materialised for a context. The
 // response echoes each item's context array span verbatim from the request
-// body (zero-copy) around the pooled append-style suggestion encoder. Cache
-// misses are scored in one pass into the pooled recs buffer, and a refused
-// miss is answered with a view of its run there, so a batch of refused
-// misses allocates only its body's http.MaxBytesReader
-// (TestServeHTTPBatchMissAllocs). The shard fan-out drives 64-item batches
+// body (zero-copy) around the pooled append-style suggestion encoder. Each
+// context is routed to its sticky arm and every arm's cache misses are
+// scored in one pass into the pooled recs buffer, and a refused miss is
+// answered with a view of its run there, so a batch of refused misses
+// allocates only its body's http.MaxBytesReader, over one arm or several
+// (TestServeHTTPBatchMissAllocs, TestRouteABBatchAllocs). The shard fan-out drives 64-item batches
 // through this path per sub-batch, so its allocation discipline is also what
 // fleet's TestShardFanoutAllocs gates.
 
@@ -43,6 +44,14 @@ type batchScratch struct {
 	out   []cache.Answer
 	recs  []core.Suggestion // the misses' suggestions, which out's refused misses view
 	resp  []byte
+
+	// One arm's share of the batch, gathered by recommendBatch: the
+	// items' indices, contexts, counts and answers.
+	arm   []int // each item's arm
+	gIdx  []int
+	gCtxs []query.Seq
+	gNs   []int
+	gOut  []cache.Answer
 }
 
 var batchScratchPool = sync.Pool{New: func() any {
@@ -57,6 +66,8 @@ func putBatchScratch(bb *batchScratch) {
 	clear(bb.raw) // do not retain body-derived views in the pool
 	clear(bb.out)
 	clear(bb.ctxs)
+	clear(bb.gOut)
+	clear(bb.gCtxs)
 	clear(bb.recs) // nor a dictionary's strings
 	bb.recs = bb.recs[:0]
 	bb.body = bb.body[:0]
@@ -70,6 +81,8 @@ func putBatchScratch(bb *batchScratch) {
 	bb.ns = bb.ns[:0]
 	bb.out = bb.out[:0]
 	bb.resp = bb.resp[:0]
+	bb.arm = bb.arm[:0]
+	bb.gIdx, bb.gCtxs, bb.gNs, bb.gOut = bb.gIdx[:0], bb.gCtxs[:0], bb.gNs[:0], bb.gOut[:0]
 	batchScratchPool.Put(bb)
 }
 
@@ -125,19 +138,13 @@ func (h *Handler) suggestBatch(w http.ResponseWriter, r *http.Request) {
 		bb.flat = jsonspan.AppendUnescaped(bb.flat, bb.body[sp[0]:sp[1]])
 		bb.raw = append(bb.raw, bb.flat[start:len(bb.flat):len(bb.flat)])
 	}
-	// Intern every context against the serving dictionary (the router's base
-	// dictionary in fleet mode), back to back; views follow once ids is
-	// stable.
-	st := h.state.Load()
+	// Intern every context against the router's base dictionary, back to
+	// back; views follow once ids is stable.
+	base := h.rt.Base()
 	bb.idOff = append(bb.idOff, 0)
 	for i := range bb.items {
 		item := &bb.items[i]
-		toks := bb.raw[item.TokLo:item.TokHi]
-		if h.fleet != nil {
-			bb.ids = h.fleet.AppendContextBytes(bb.ids, toks)
-		} else {
-			bb.ids = core.AppendContextBytes(st.rec.Dict(), bb.ids, toks)
-		}
+		bb.ids = core.AppendContextBytes(base, bb.ids, bb.raw[item.TokLo:item.TokHi])
 		bb.idOff = append(bb.idOff, int32(len(bb.ids)))
 	}
 	for i := range bb.items {
@@ -146,11 +153,7 @@ func (h *Handler) suggestBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	tr := traceOf(w)
 	batchStart := tr.Elapsed()
-	if h.fleet != nil {
-		h.recommendBatchFleet(bb)
-	} else {
-		h.cache.AnswerBatchSlot(0, st.gen, st.rec, bb.ctxs, bb.ns, bb.out, &bb.recs)
-	}
+	h.recommendBatch(bb, base)
 	elapsed := (tr.Elapsed() - batchStart).Microseconds()
 	recordStage(tr, h.histBatchDescent, stageBatch, batchStart, elapsed, "ok")
 	perCtx := elapsed / int64(len(bb.items))
@@ -189,6 +192,51 @@ func (h *Handler) suggestBatch(w http.ResponseWriter, r *http.Request) {
 	bb.resp = append(bb.resp, '}')
 	setJSONContentType(w)
 	w.Write(bb.resp)
+}
+
+// recommendBatch answers bb's contexts, interned against base: each is
+// routed to its sticky arm, and every arm's share is scored through the
+// shared cache with one PredictBatch call. Every arm appends its misses'
+// suggestions to the one bb.recs, whose earlier arms' runs stay untouched.
+// Batch items are not shadow-scored (shadow divergence samples the
+// interactive path).
+func (h *Handler) recommendBatch(bb *batchScratch, base *query.Dict) {
+	rt := h.rt
+	for _, ctx := range bb.ctxs {
+		bb.arm = append(bb.arm, rt.Route(ctx))
+	}
+	for armIdx, arm := range rt.Arms() {
+		bb.gIdx, bb.gCtxs, bb.gNs, bb.gOut = bb.gIdx[:0], bb.gCtxs[:0], bb.gNs[:0], bb.gOut[:0]
+		for i, a := range bb.arm {
+			if a == armIdx {
+				bb.gIdx = append(bb.gIdx, i)
+				bb.gCtxs = append(bb.gCtxs, bb.ctxs[i])
+				bb.gNs = append(bb.gNs, bb.ns[i])
+				bb.gOut = append(bb.gOut, cache.Answer{})
+			}
+		}
+		if len(bb.gIdx) == 0 {
+			continue
+		}
+		slot := arm.Slot()
+		st := slot.State()
+		if !st.Answers(base) {
+			// A forced swap put a model here whose dictionary does not
+			// extend the base: intern the share again, in its own IDs. A view
+			// cut before ids grows keeps the array it was cut from.
+			d := st.Rec.Dict()
+			for j, i := range bb.gIdx {
+				item := &bb.items[i]
+				lo := len(bb.ids)
+				bb.ids = core.AppendContextBytes(d, bb.ids, bb.raw[item.TokLo:item.TokHi])
+				bb.gCtxs[j] = bb.ids[lo:len(bb.ids):len(bb.ids)]
+			}
+		}
+		h.cache.AnswerBatchSlot(slot.ID(), st.Gen, st.Rec, bb.gCtxs, bb.gNs, bb.gOut, &bb.recs)
+		for j, i := range bb.gIdx {
+			bb.out[i] = bb.gOut[j]
+		}
+	}
 }
 
 // appendBatchItem encodes one batch result object — the context echoed from

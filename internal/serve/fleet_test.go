@@ -6,7 +6,9 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -15,13 +17,21 @@ import (
 )
 
 // newFleetHandler builds a two-arm A/B handler over the test models:
-// champion (base vocabulary) and challenger (altRecommender's extension),
-// split champW/chalW, plus optional shadow slots.
+// champion (base vocabulary, reloaded to altRecommender) and challenger
+// (altRecommender's extension, no loader), split champW/chalW, plus optional
+// shadow slots.
 func newFleetHandler(t *testing.T, champW, chalW uint32, shadow bool) (*Handler, *fleet.Router) {
 	t.Helper()
-	reg := fleet.NewRegistry(1 << 10)
+	return newTwoArm(t, 1<<10, func() (core.Recommender, error) { return altRecommender(t), nil }, champW, chalW, shadow)
+}
+
+// newTwoArm is newFleetHandler with the cache capacity and the champion's
+// loader chosen by the caller.
+func newTwoArm(t *testing.T, cacheCap int, champLoader func() (core.Recommender, error), champW, chalW uint32, shadow bool) (*Handler, *fleet.Router) {
+	t.Helper()
+	reg := fleet.NewRegistry(cacheCap)
 	champ := testRecommender(t)
-	if _, err := reg.Add("champion", champ, func() (core.Recommender, error) { return altRecommender(t), nil }); err != nil {
+	if _, err := reg.Add("champion", champ, champLoader); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := reg.Add("challenger", altRecommender(t), nil); err != nil {
@@ -75,8 +85,8 @@ func TestReloadDictIncompatible409(t *testing.T) {
 		conflict.Error.OldDictHash == conflict.Error.NewDictHash {
 		t.Fatalf("conflict must carry distinct dictionary hashes: %+v", conflict)
 	}
-	if h.Generation() != 1 {
-		t.Fatalf("generation moved on rejected reload: %d", h.Generation())
+	if gen := h.champion().Gen; gen != 1 {
+		t.Fatalf("generation moved on rejected reload: %d", gen)
 	}
 	// The old model must keep serving its vocabulary.
 	sresp, err := http.Get(srv.URL + "/suggest?q=o2")
@@ -101,12 +111,12 @@ func TestReloadDictIncompatible409(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("forced reload status = %d", resp.StatusCode)
 	}
-	if h.Generation() != 2 {
-		t.Fatalf("generation after forced reload = %d", h.Generation())
+	if gen := h.champion().Gen; gen != 2 {
+		t.Fatalf("generation after forced reload = %d", gen)
 	}
 }
 
-// TestFleetABStickyAndLabelled: in fleet mode, every response must carry the
+// TestFleetABStickyAndLabelled: over two arms, every response must carry the
 // serving arm in X-Serve-Arm, repeated requests for one context must always
 // hit the same arm, both arms must see traffic under an even split, and
 // /v1/route must agree with what actually served.
@@ -186,8 +196,8 @@ func TestFleetABStickyAndLabelled(t *testing.T) {
 	}
 }
 
-// TestFleetBatchMatchesSingle: fleet-mode batch answers must equal the
-// fleet-mode single answers for the same contexts (same sticky arm, same
+// TestFleetBatchMatchesSingle: two-arm batch answers must equal the
+// two-arm GET answers for the same contexts (same sticky arm, same
 // cache keyspace).
 func TestFleetBatchMatchesSingle(t *testing.T) {
 	h, _ := newFleetHandler(t, 3, 1, false)
@@ -240,7 +250,7 @@ func TestFleetBatchMatchesSingle(t *testing.T) {
 		}
 	}
 	// "smtp" is outside the champion's base dictionary (the router interns
-	// against it), so it must answer empty in fleet mode.
+	// against it), so it must answer empty.
 	if len(singles[2].Suggestions) != 0 {
 		t.Fatalf("out-of-base-vocabulary context answered %+v", singles[2].Suggestions)
 	}
@@ -279,6 +289,9 @@ func TestFleetModelsReloadByName(t *testing.T) {
 		if len(m.DictHash) != 16 {
 			t.Fatalf("model %s dict hash %q", m.Name, m.DictHash)
 		}
+		if m.Reloadable != (m.Name == "champion") { // only the champion has a loader
+			t.Fatalf("model %s reloadable = %v", m.Name, m.Reloadable)
+		}
 	}
 	if roles["champion"] != "champion" || roles["challenger"] != "arm" || roles["shadow"] != "shadow" {
 		t.Fatalf("roles = %v", roles)
@@ -308,9 +321,9 @@ func TestFleetModelsReloadByName(t *testing.T) {
 		path string
 		want int
 	}{
-		{"/v1/reload", http.StatusBadRequest},                           // fleet mode needs a name
-		{"/v1/reload?model=nope", http.StatusNotFound},                  // unknown slot
-		{"/v1/reload?model=challenger", http.StatusInternalServerError}, // no loader
+		{"/v1/reload", http.StatusBadRequest},                      // three slots: a name is needed
+		{"/v1/reload?model=nope", http.StatusNotFound},             // unknown slot
+		{"/v1/reload?model=challenger", http.StatusNotImplemented}, // no loader
 	} {
 		resp, err := http.Post(srv.URL+tc.path, "", nil)
 		if err != nil {
@@ -337,7 +350,7 @@ func TestFleetShadowScoresWithoutServing(t *testing.T) {
 	// champion-served requests feed the shadow scorer.
 	championQuery := ""
 	for _, q := range []string{"o2", "o2 mobile", "o2 mobile phones"} {
-		if ctx := rt.AppendContext(nil, []string{q}); len(ctx) > 0 && rt.Route(ctx) == 0 {
+		if ctx := core.InternContext(rt.Base(), []string{q}); len(ctx) > 0 && rt.Route(ctx) == 0 {
 			championQuery = q
 			break
 		}
@@ -385,25 +398,26 @@ func TestFleetShadowScoresWithoutServing(t *testing.T) {
 	}
 }
 
-// TestModelsEndpointSingleMode: single-model deployments report one
-// "default" row so tooling sees a uniform shape.
+// TestModelsEndpointSingleMode: a handler built without Options.Fleet
+// reports its one model as the champion "default" of a one-arm fleet, and
+// says whether it can reload.
 func TestModelsEndpointSingleMode(t *testing.T) {
-	srv := httptest.NewServer(New(testRecommender(t), Options{}))
-	defer srv.Close()
-	resp, err := http.Get(srv.URL + "/v1/models")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var models ModelsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&models); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if len(models.Models) != 1 || models.Models[0].Name != "default" || models.Models[0].Reloadable {
-		t.Fatalf("single-mode /models = %+v", models)
-	}
-	if models.Models[0].Generation != 1 || models.Models[0].KnownQueries != 3 {
-		t.Fatalf("single-mode /models row = %+v", models.Models[0])
+	for _, reloadable := range []bool{false, true} {
+		opts := Options{}
+		if reloadable {
+			opts.ReloadFunc = func() (core.Recommender, error) { return altRecommender(t), nil }
+		}
+		srv := httptest.NewServer(New(testRecommender(t), opts))
+		var models ModelsResponse
+		getJSON(t, srv.Client(), srv.URL+"/v1/models", &models)
+		srv.Close()
+		if len(models.Models) != 1 || len(models.Arms) != 1 || models.Models[0].Name != "default" ||
+			models.Models[0].Role != "champion" || models.Models[0].Reloadable != reloadable {
+			t.Fatalf("one-model /models with a loader %v = %+v", reloadable, models)
+		}
+		if models.Models[0].Generation != 1 || models.Models[0].KnownQueries != 3 {
+			t.Fatalf("one-model /models row = %+v", models.Models[0])
+		}
 	}
 }
 
@@ -510,5 +524,120 @@ func TestRouteABAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("an A/B-routed cached /suggest allocates %.2f times per request, want 0", allocs)
+	}
+}
+
+// suggestionsOf decodes GET target's suggestions through h, with the arm that
+// served them.
+func suggestionsOf(t *testing.T, h http.Handler, target string) ([]core.Suggestion, string) {
+	t.Helper()
+	rr := httptest.NewRecorder()
+	h.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, target, nil))
+	if rr.Code != http.StatusOK {
+		t.Fatalf("GET %s: status %d: %s", target, rr.Code, rr.Body)
+	}
+	var out SuggestResponse
+	if err := json.Unmarshal(rr.Body.Bytes(), &out); err != nil {
+		t.Fatal(err)
+	}
+	recs := make([]core.Suggestion, len(out.Suggestions))
+	for i, s := range out.Suggestions {
+		recs[i] = core.Suggestion{Query: s.Query, Score: s.Score}
+	}
+	return recs, rr.Header().Get("X-Serve-Arm")
+}
+
+// TestForcedChampionReloadAnswersInItsOwnWords: a forced champion reload to
+// a vocabulary that does not extend the old one, beside a weight-0
+// challenger that does not extend the new one, leaves the interning base
+// behind (the challenger lags). The champion must still answer every context
+// as the model it serves reads it — not the old base's IDs read in its own
+// dictionary ("o2"'s old ID is "smtp" there) — on GET and batch alike.
+func TestForcedChampionReloadAnswersInItsOwnWords(t *testing.T) {
+	h, rt := newTwoArm(t, 1<<10, func() (core.Recommender, error) { return incompatibleRecommender(t), nil }, 1, 0, false)
+	postReload(t, h, "/v1/reload?model=champion&force=1")
+	if err := rt.RefreshBase(); err == nil {
+		t.Fatal("the base advanced past a lagging challenger")
+	}
+	champ := rt.Registry().Slot("champion").State().Rec
+	contexts := [][]string{{"o2"}, {"smtp"}, {"o2", "smtp"}}
+	batch := BatchRequest{}
+	for _, ctx := range contexts {
+		batch.Requests = append(batch.Requests, BatchItem{Context: ctx})
+	}
+	body, _ := json.Marshal(batch)
+	rr := httptest.NewRecorder()
+	h.ServeHTTP(rr, httptest.NewRequest(http.MethodPost, "/suggest/batch", strings.NewReader(string(body))))
+	var br BatchResponse
+	if err := json.Unmarshal(rr.Body.Bytes(), &br); err != nil || len(br.Results) != len(contexts) {
+		t.Fatalf("batch: status %d, %v: %s", rr.Code, err, rr.Body)
+	}
+	for i, ctx := range contexts {
+		want := core.Recommend(champ, ctx, 5)
+		for round := 0; round < 3; round++ { // refused miss, stored miss, hit
+			got, arm := suggestionsOf(t, h, "/suggest?q="+strings.Join(ctx, "&q="))
+			if arm != "champion" || !slices.Equal(got, want) {
+				t.Fatalf("GET %v, round %d: %s answered %+v, want the served champion's %+v", ctx, round, arm, got, want)
+			}
+		}
+		var got []core.Suggestion
+		for _, s := range br.Results[i].Suggestions {
+			got = append(got, core.Suggestion{Query: s.Query, Score: s.Score})
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("batch %v answered %+v, want the served champion's %+v", ctx, got, want)
+		}
+	}
+	if got := core.Recommend(champ, []string{"smtp"}, 5); len(got) == 0 {
+		t.Fatal("the reloaded champion answers nothing: the test proves nothing")
+	}
+}
+
+// TestForcedReloadUnderTraffic: a one-arm handler force-reloads to an
+// unrelated vocabulary while GETs run (meaningful under -race). Every answer
+// is the old model's or the new model's for the request's strings, and once
+// the reload has returned, the new model's.
+func TestForcedReloadUnderTraffic(t *testing.T) {
+	oldRec, newRec := testRecommender(t), incompatibleRecommender(t)
+	h := New(oldRec, Options{ReloadFunc: func() (core.Recommender, error) { return newRec, nil }})
+	contexts := [][]string{{"o2"}, {"smtp"}, {"o2", "o2 mobile"}}
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := g; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				ctx := contexts[i%len(contexts)]
+				rr := httptest.NewRecorder()
+				h.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/suggest?q="+strings.ReplaceAll(strings.Join(ctx, "&q="), " ", "+"), nil))
+				var out SuggestResponse
+				if err := json.Unmarshal(rr.Body.Bytes(), &out); err != nil {
+					t.Error(err)
+					return
+				}
+				got := make([]core.Suggestion, len(out.Suggestions))
+				for j, s := range out.Suggestions {
+					got[j] = core.Suggestion{Query: s.Query, Score: s.Score}
+				}
+				if !slices.Equal(got, core.Recommend(oldRec, ctx, 5)) && !slices.Equal(got, core.Recommend(newRec, ctx, 5)) {
+					t.Errorf("%v answered %+v: neither model's answer", ctx, got)
+					return
+				}
+			}
+		}()
+	}
+	postReload(t, h, "/v1/reload?force=1")
+	close(stop)
+	wg.Wait()
+	for _, ctx := range contexts {
+		if got, _ := suggestionsOf(t, h, "/suggest?q="+strings.ReplaceAll(strings.Join(ctx, "&q="), " ", "+")); !slices.Equal(got, core.Recommend(newRec, ctx, 5)) {
+			t.Fatalf("%v after the reload answered %+v, want the new model's", ctx, got)
+		}
 	}
 }

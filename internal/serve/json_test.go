@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/core"
+	"repro/internal/query"
 )
 
 // TestAppendEncoderMatchesStdlib is the property behind the hand-rolled
@@ -252,8 +253,42 @@ func TestServeHTTPBatchMissAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; counts are meaningless")
 	}
+	assertBatchMissAllocs(t, New(testRecommender(t), Options{CacheCapacity: 32}))
+}
+
+// TestRouteABBatchAllocs: the same cycle through a 9:1 two-arm handler. The
+// batch is split by arm and each arm's share scored in one pass, in buffers
+// the request's pooled scratch holds, so the split adds no allocation.
+func TestRouteABBatchAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; counts are meaningless")
+	}
+	h, rt := newTwoArm(t, 32, nil, 9, 1, false)
+	arms := map[int]bool{}
+	for i := 0; i < 512; i++ {
+		arms[rt.Route(batchMissContext(rt.Base(), i))] = true
+	}
+	if !arms[0] || !arms[1] {
+		t.Fatalf("arms routed: %v, want both", arms)
+	}
+	assertBatchMissAllocs(t, h)
+}
+
+// batchMissContext is context i of the refused-miss cycle, interned: i in
+// binary, spelled with two known queries.
+func batchMissContext(d *query.Dict, i int) query.Seq {
+	var ctx []string
+	for bit := 0; bit < 9; bit++ {
+		ctx = append(ctx, [2]string{"o2", "o2 mobile"}[(i>>bit)&1])
+	}
+	return core.InternContext(d, ctx)
+}
+
+// assertBatchMissAllocs posts the refused-miss cycle to h in batches of 64
+// and fails unless a batch allocates exactly once.
+func assertBatchMissAllocs(t *testing.T, h *Handler) {
+	t.Helper()
 	const batch = 64
-	h := New(testRecommender(t), Options{CacheCapacity: 32})
 	var bodies [][]byte
 	var body []byte
 	for i := 0; i < 512; i++ { // i in binary, spelled with two known queries

@@ -19,7 +19,6 @@ type metrics struct {
 	batchContexts atomic.Uint64 // contexts answered across batch requests
 	errors        atomic.Uint64 // responses with status >= 400
 	panics        atomic.Uint64 // panics recovered by middleware
-	reloads       atomic.Uint64 // successful model swaps
 }
 
 // RuntimeStats is the allocation and GC slice of /v1/metrics. Load generators
@@ -83,7 +82,7 @@ type MetricsResponse struct {
 	BatchContexts   uint64                `json:"batch_contexts"`
 	Errors          uint64                `json:"errors"`
 	Panics          uint64                `json:"panics"`
-	Reloads         uint64                `json:"reloads"`
+	Reloads         uint64                `json:"reloads"` // successful model swaps, every slot's
 	Cache           cache.Stats           `json:"cache"`
 	CacheHitRate    float64               `json:"cache_hit_rate"`
 	LatencySamples  int                   `json:"latency_samples"`
@@ -104,7 +103,7 @@ type MetricsResponse struct {
 	Runtime         RuntimeStats          `json:"runtime"`
 }
 
-// FleetMetrics is the fleet-mode slice of /v1/metrics: per-arm traffic share,
+// FleetMetrics is the fleet slice of /v1/metrics: per-arm traffic share,
 // request counts and latency quantiles (the raw material for an offline
 // NDCG-style comparison of logged answers per arm), plus shadow divergence.
 type FleetMetrics struct {

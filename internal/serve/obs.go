@@ -47,7 +47,7 @@ func (h *Handler) initObs() {
 	h.obs.CounterFunc("serve_batch_contexts_total", h.m.batchContexts.Load)
 	h.obs.CounterFunc("serve_errors_total", h.m.errors.Load)
 	h.obs.CounterFunc("serve_panics_total", h.m.panics.Load)
-	h.obs.CounterFunc("serve_reloads_total", h.m.reloads.Load)
+	h.obs.CounterFunc("serve_reloads_total", h.swaps)
 	h.obs.CounterFunc("serve_cache_hits_total", func() uint64 { return h.cache.Stats().Hits })
 	h.obs.CounterFunc("serve_cache_misses_total", func() uint64 { return h.cache.Stats().Misses })
 	h.obs.CounterFunc("serve_cache_evictions_total", func() uint64 { return h.cache.Stats().Evictions })

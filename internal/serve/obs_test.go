@@ -531,8 +531,9 @@ func TestSlowAndErroredTracesRetained(t *testing.T) {
 // a direct cached GET is 3 histogram samples (its stage,
 // serve_http_request_us, serve_route_suggest_us) and 1 span; a batch of 64 is
 // 3 too (its stage, the request and route histograms) and 1 span — nothing
-// per context. A fourth record or a second span on the GET is the cost this
-// pins out. The GET's three clock reads are not counted here: they become
+// per context. A fourth registry record or a second span on the GET is the
+// cost this pins out. The serving arm's latency record lives outside the
+// registry (/v1/metrics fleet.arms); obs's TestInstrumentClockReads prices it. The GET's three clock reads are not counted here: they become
 // countable once the clock is injected (ROADMAP item 3).
 func TestInstrumentCountsPinned(t *testing.T) {
 	h := New(testRecommender(t), Options{})

@@ -5,8 +5,16 @@
 // The handler is production-shaped: a sharded LRU result cache fronts the
 // model (power-law traffic makes the head of the context distribution very
 // hot — Fig. 6), every request is timed into latency histograms, panics are
-// recovered, and the model itself sits behind an atomic pointer so it can
-// be hot-reloaded without pausing traffic.
+// recovered, and every model sits behind an atomic pointer so it can be
+// hot-reloaded without pausing traffic.
+//
+// There is one serving mode: every handler serves a fleet (internal/fleet).
+// A single model is a one-slot registry named "default" behind a one-arm
+// router; Options.Fleet supplies a multi-model one instead, whose suggestion
+// traffic is split across registry slots by sticky weighted hash of the
+// interned context, with shadow arms scored off the request path. Either way
+// the serving arm is echoed in X-Serve-Arm, and every request, reload and
+// admin view takes the same code.
 //
 // Endpoints:
 //
@@ -20,9 +28,10 @@
 //	                                          (?format=prometheus, and /metrics:
 //	                                          the Prometheus exposition)
 //	GET  /v1/traces                           tail-sampled request traces
-//	POST /v1/reload                           hot-swap the model (?model=<name> in
-//	                                          fleet mode, &force=1 to override the
-//	                                          409 dictionary-compatibility check)
+//	POST /v1/reload                           hot-swap a model (?model=<name>, which
+//	                                          a one-model registry may omit;
+//	                                          &force=1 overrides the 409
+//	                                          dictionary-compatibility check)
 //	GET  /v1/models                           model registry, roles, dict hashes,
 //	                                          divergence
 //	GET  /v1/route                            which arm/shard owns a context
@@ -34,26 +43,21 @@
 // Every non-2xx response carries the JSON error envelope
 // {"error":{"code","message",...}}.
 //
-// With Options.Fleet set the handler serves a multi-model fleet
-// (internal/fleet): suggestion traffic is split across registry slots by
-// sticky weighted hash of the interned context, shadow arms are scored off
-// the request path, and the serving arm is echoed in X-Serve-Arm. The fleet
-// hot path carries the same zero-allocation guarantee (TestRouteABAllocs
-// pins it).
-//
 // Invariants: the GET /suggest hot path performs zero heap allocations at
 // steady state — the query string is percent-decoded into pooled buffers
 // (no url.Values), contexts are interned byte-wise against the dictionary,
 // cache hits are byte-key lookups, a miss the cache does not store is
 // answered into a pooled buffer, and responses are built by an append-style
 // JSON encoder property-tested byte-compatible with encoding/json
-// (TestServeHTTPCachedAllocs pins the cached request at 0 allocs/op; only a
-// miss the cache stores allocates, its entry's suggestions). Request
-// handling never takes a lock: the recommender is immutable and swapped
-// behind one atomic pointer, and every request observes a consistent
-// (model, generation) pair. /healthz and /v1/metrics additionally report the
-// served compiled blob's byte length and quantised flag, so the served
-// memory footprint is observable.
+// (TestServeHTTPCachedAllocs pins the cached request at 0 allocs/op, and
+// TestRouteABAllocs the same over two arms; only a miss the cache stores
+// allocates, its entry's suggestions). Request handling never takes a lock:
+// every recommender is immutable and swapped behind its slot's atomic
+// pointer, and every request observes a consistent (model, generation) pair
+// whose dictionary extends the one its context was interned against.
+// /healthz and /v1/metrics additionally report the champion's compiled blob
+// byte length and quantised flag, so the served memory footprint is
+// observable.
 package serve
 
 import (
@@ -63,7 +67,6 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/cache"
@@ -137,7 +140,7 @@ type Health struct {
 }
 
 // ReloadResponse is the POST /v1/reload payload. Model names the reloaded
-// registry slot in fleet mode and is empty in single-model mode.
+// registry slot ("default" for a handler built without Options.Fleet).
 type ReloadResponse struct {
 	Model        string `json:"model,omitempty"`
 	Generation   uint64 `json:"model_generation"`
@@ -161,15 +164,15 @@ type Options struct {
 	// Logger receives request logs and recovered panics. nil disables
 	// request logging (panics are still recovered and counted).
 	Logger *log.Logger
-	// ReloadFunc, when set, enables POST /v1/reload: it must return a freshly
-	// loaded recommender. Handler serialises calls.
+	// ReloadFunc is the loader of the "default" slot New builds when Fleet
+	// is nil: POST /v1/reload calls it for a freshly loaded recommender. nil
+	// leaves the slot without a loader, which a reload answers 501.
 	ReloadFunc func() (core.Recommender, error)
-	// Fleet, when set, routes every suggestion request through a multi-model
-	// router (A/B split, shadow scoring) instead of the single-model state:
-	// the handler serves from the router's registry slots and its shared
-	// slot-keyed cache, /v1/models and /v1/route become live, and /v1/reload reloads
-	// by model name. The rec passed to New still answers /healthz provenance
-	// until the champion slot swaps. See internal/fleet.
+	// Fleet, when set, is the router the handler serves: an A/B split and
+	// shadow arms over its registry's slots and their shared slot-keyed
+	// cache. New's rec, ReloadFunc and CacheCapacity are then unused — the
+	// fleet's slots carry the models, their loaders and the cache. nil
+	// serves rec as the one arm of a fleet of its own. See internal/fleet.
 	Fleet *fleet.Router
 	// IngestStatus, when set, enables GET /v1/ingest: the returned value is
 	// serialised as the endpoint's JSON payload and embedded in /v1/metrics.
@@ -200,27 +203,16 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// modelState bundles the recommender with its generation so a request
-// observes one consistent (model, generation) pair: the generation is part
-// of every cache key, which keeps results computed against an old model
-// from answering for a new one across a hot reload.
-type modelState struct {
-	rec core.Recommender
-	gen uint64
-}
-
-// Handler routes recommendation traffic to a hot-swappable
-// core.Recommender. The recommender is immutable after training, so request
-// handling never locks; reloads swap an atomic pointer.
+// Handler routes recommendation traffic across a fleet's hot-swappable
+// core.Recommender slots. Recommenders are immutable after training, so
+// request handling never locks; reloads swap a slot's atomic pointer.
 type Handler struct {
-	opts     Options
-	state    atomic.Pointer[modelState]
-	cache    *cache.SuggestCache
-	fleet    *fleet.Router // nil in single-model mode
-	chain    http.Handler
-	m        metrics
-	reloadMu sync.Mutex
-	start    time.Time
+	opts  Options
+	rt    *fleet.Router
+	cache *cache.SuggestCache // the registry's
+	chain http.Handler
+	m     metrics
+	start time.Time
 
 	// Observability (see obs.go): instrument handles are resolved once at
 	// construction so the hot path never touches the registry map.
@@ -236,22 +228,24 @@ type Handler struct {
 	histBatchDescent *obs.Histogram
 }
 
-// New builds a Handler serving rec with the given options. With Options.Fleet
-// set, rec should be the router's champion model (it answers the single-model
-// accessors); suggestion traffic is then routed across the fleet's registry
-// slots and cached in the registry's shared slot-keyed cache.
+// New builds a Handler with the given options. Without Options.Fleet it
+// serves rec as the one arm of a fleet of its own: a one-slot registry named
+// "default", loaded by Options.ReloadFunc and caching Options.CacheCapacity
+// results, behind a one-arm router. With Options.Fleet it serves that
+// router's arms and rec is unused. It panics on a nil rec without a fleet.
 func New(rec core.Recommender, opts Options) *Handler {
-	h := &Handler{
-		opts:  opts.withDefaults(),
-		fleet: opts.Fleet,
-		start: time.Now(),
+	h := &Handler{opts: opts.withDefaults(), rt: opts.Fleet, start: time.Now()}
+	if h.rt == nil {
+		reg := fleet.NewRegistry(opts.CacheCapacity)
+		_, err := reg.Add("default", rec, opts.ReloadFunc)
+		if err == nil {
+			h.rt, err = fleet.NewRouter(reg, fleet.ArmSpec{Name: "default", Weight: 1})
+		}
+		if err != nil {
+			panic("serve: " + err.Error())
+		}
 	}
-	if h.fleet != nil {
-		h.cache = h.fleet.Registry().Cache()
-	} else {
-		h.cache = cache.NewSuggestCache(opts.CacheCapacity)
-	}
-	h.state.Store(&modelState{rec: rec, gen: 1})
+	h.cache = h.rt.Registry().Cache()
 	h.initObs()
 	h.chain = h.instrument(http.HandlerFunc(h.route))
 	return h
@@ -284,65 +278,6 @@ func (h *Handler) route(w http.ResponseWriter, r *http.Request) {
 func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	h.chain.ServeHTTP(w, r)
 }
-
-// Swap atomically replaces the served model, bumps the generation and purges
-// the result cache. In-flight requests finish against the model they loaded;
-// no traffic is dropped. Returns the new generation. Unlike Reload, Swap
-// performs no dictionary compatibility check: the caller owns the model and
-// has decided.
-func (h *Handler) Swap(rec core.Recommender) uint64 {
-	h.reloadMu.Lock()
-	defer h.reloadMu.Unlock()
-	return h.swapLocked(rec)
-}
-
-func (h *Handler) swapLocked(rec core.Recommender) uint64 {
-	old := h.state.Load()
-	next := &modelState{rec: rec, gen: old.gen + 1}
-	h.state.Store(next)
-	// Purge releases the old generation's entries; stale Puts that race the
-	// swap are keyed by the old generation and can never answer new-model
-	// lookups — they just age out of the LRU.
-	h.cache.Purge()
-	h.m.reloads.Add(1)
-	return next.gen
-}
-
-// Reload invokes the configured ReloadFunc and swaps the result in. It is
-// the shared implementation of POST /v1/reload and cmd/serve's SIGHUP path.
-// The replacement model's dictionary must be an ID-preserving extension of
-// the served one (query.Dict.Extends) — a permuted or unrelated dictionary
-// would let ID-keyed state built against the old model silently misroute, so
-// it is rejected with fleet.ErrDictIncompatible (HTTP 409 on the /v1/reload
-// endpoint). ReloadForce(true) is the operator override for deliberate full
-// vocabulary replacements.
-func (h *Handler) Reload() (uint64, error) { return h.ReloadForce(false) }
-
-// ReloadForce is Reload with an explicit escape hatch: force true skips the
-// dictionary compatibility check.
-func (h *Handler) ReloadForce(force bool) (uint64, error) {
-	if h.opts.ReloadFunc == nil {
-		return 0, errors.New("serve: no ReloadFunc configured")
-	}
-	h.reloadMu.Lock()
-	defer h.reloadMu.Unlock()
-	rec, err := h.opts.ReloadFunc()
-	if err != nil {
-		return 0, err
-	}
-	if old := h.state.Load(); !force && !rec.Dict().Extends(old.rec.Dict()) {
-		return 0, &fleet.ErrDictIncompatible{
-			Slot:    "default",
-			OldHash: old.rec.Dict().Hash(),
-			NewHash: rec.Dict().Hash(),
-		}
-	}
-	return h.swapLocked(rec), nil
-}
-
-// Generation returns the current model generation (1 for the initial
-// model, +1 per successful reload).
-func (h *Handler) Generation() uint64 { return h.state.Load().gen }
 
 // reqScratch pools every per-request buffer of the hot /suggest path:
 // decoded q values (flat storage + per-value views), the interned context,
@@ -408,10 +343,13 @@ func (b *reqScratch) parseSuggestQuery(raw string, defaultN, maxN int) (n int, b
 }
 
 // suggest is the zero-allocation single-context path: pooled parse buffers,
-// byte-level interning, an allocation-free cache hit whose suggestions are
-// copied into the pooled body as the bytes the cache stored, and an
-// append-style JSON encoder for the rest. Steady-state cache hits allocate
-// nothing in the handler itself.
+// one byte-level interning against the router's base dictionary (which
+// yields the sticky routing hash, the cache key and the prediction context
+// at once), an allocation-free cache hit whose suggestions are copied into
+// the pooled body as the bytes the cache stored, and an append-style JSON
+// encoder for the rest. The serving arm is echoed in X-Serve-Arm (a
+// pre-built slice: no allocation). Steady-state cache hits allocate nothing
+// in the handler itself.
 func (h *Handler) suggest(w http.ResponseWriter, r *http.Request) {
 	if !obs.AllowMethod(w, r, http.MethodGet) {
 		return
@@ -427,14 +365,25 @@ func (h *Handler) suggest(w http.ResponseWriter, r *http.Request) {
 		obs.WriteError(w, http.StatusBadRequest, "bad_request", "missing q parameters (one per context query, oldest first)")
 		return
 	}
-	if h.fleet != nil {
-		h.suggestFleet(w, b, n)
-		return
-	}
-	st := h.state.Load()
+	rt := h.rt
 	tr := traceOf(w)
-	b.ctx = core.AppendContextBytes(st.rec.Dict(), b.ctx[:0], b.raw)
-	ans, hit := h.cache.AnswerSlot(0, st.gen, st.rec, b.ctx, n, &b.recs)
+	base := rt.Base()
+	b.ctx = core.AppendContextBytes(base, b.ctx[:0], b.raw)
+	armIdx := rt.Route(b.ctx)
+	arm := rt.Arm(armIdx)
+	slot := arm.Slot()
+	st := slot.State()
+	// Shadow-score only champion-served requests: divergence metrics mean
+	// "challenger vs champion", and once a challenger ramps to live weight its
+	// own answers must not pollute its comparison baseline.
+	shadow := armIdx == 0
+	if !st.Answers(base) {
+		// A forced swap put a model here whose dictionary does not extend the
+		// base: it answers the context in its own IDs.
+		b.ctx = core.AppendContextBytes(st.Rec.Dict(), b.ctx[:0], b.raw)
+		shadow = false
+	}
+	ans, hit := h.cache.AnswerSlot(slot.ID(), st.Gen, st.Rec, b.ctx, n, &b.recs)
 	// The request's second clock read of three (the trace's start, this, the
 	// middleware's on the way out). The stage opened with the trace: it
 	// covers parsing + interning + lookup (+ descent on a miss); attribute it
@@ -447,36 +396,42 @@ func (h *Handler) suggest(w http.ResponseWriter, r *http.Request) {
 		recordStage(tr, h.histDescent, stageDescent, 0, took, "miss")
 	}
 	h.m.suggests.Add(1)
+	rt.RecordServe(armIdx, took)
+	if shadow && len(b.ctx) > 0 {
+		rt.Shadow(base, b.ctx, n, ans.Recs)
+	}
+	w.Header()["X-Serve-Arm"] = arm.HeaderValue()
 	b.body = appendSuggestResponse(b.body[:0], b.raw, ans, took)
 	setJSONContentType(w)
 	w.Write(b.body)
 }
 
-// servingState returns the request-path (model, generation) pair health and
-// metrics should describe: the champion slot in fleet mode, the single-model
-// state otherwise.
-func (h *Handler) servingState() (core.Recommender, uint64) {
-	if h.fleet != nil {
-		st := h.fleet.Arm(0).Slot().State()
-		return st.Rec, st.Gen
+// champion returns the champion slot's (model, generation) pair, which
+// health and metrics describe.
+func (h *Handler) champion() *fleet.SlotState { return h.rt.Arm(0).Slot().State() }
+
+// swaps counts the successful model swaps of every registry slot: each one
+// bumped its slot's generation by one.
+func (h *Handler) swaps() uint64 {
+	var n uint64
+	for _, slot := range h.rt.Registry().Slots() {
+		n += slot.State().Gen - 1
 	}
-	st := h.state.Load()
-	return st.rec, st.gen
+	return n
 }
 
 func (h *Handler) health(w http.ResponseWriter, r *http.Request) {
-	rec, gen := h.servingState()
+	st := h.champion()
+	rec := st.Rec
 	resp := Health{
 		Status:        "ok",
 		KnownQueries:  rec.Dict().Len(),
 		TrainSessions: rec.Stats().Sessions,
-		Generation:    gen,
-	}
-	if h.fleet != nil {
+		Generation:    st.Gen,
 		// Arms counts arms currently taking traffic: a challenger mid-ramp
 		// raises it, a freeze drops it back — liveness probes see the split.
-		resp.Arms = h.fleet.LiveArms()
-		resp.ShadowModels = len(h.fleet.ShadowSlots())
+		Arms:         h.rt.LiveArms(),
+		ShadowModels: len(h.rt.ShadowSlots()),
 	}
 	if cm := rec.CompiledModel(); cm != nil {
 		resp.Compiled = true
@@ -495,17 +450,14 @@ func (h *Handler) health(w http.ResponseWriter, r *http.Request) {
 // metricsHandler is the JSON view of /v1/metrics. Its latency_* fields read
 // the /suggest route's histogram: every GET, as the middleware times it.
 func (h *Handler) metricsHandler(w http.ResponseWriter, r *http.Request) {
-	rec, gen := h.servingState()
+	st := h.champion()
+	rec := st.Rec
 	cs := h.cache.Stats()
 	compiledNodes := 0
 	quantised := false
 	if cm := rec.CompiledModel(); cm != nil {
 		compiledNodes = cm.Nodes()
 		quantised = cm.Quantised()
-	}
-	var fm *FleetMetrics
-	if h.fleet != nil {
-		fm = &FleetMetrics{Arms: h.fleet.ArmStats(), Shadows: h.fleet.ShadowStats()}
 	}
 	li := rec.LoadInfo()
 	lat := h.histRouteSuggest
@@ -516,7 +468,7 @@ func (h *Handler) metricsHandler(w http.ResponseWriter, r *http.Request) {
 		BatchContexts:   h.m.batchContexts.Load(),
 		Errors:          h.m.errors.Load(),
 		Panics:          h.m.panics.Load(),
-		Reloads:         h.m.reloads.Load(),
+		Reloads:         h.swaps(),
 		Cache:           cs,
 		CacheHitRate:    cs.HitRate(),
 		LatencySamples:  int(lat.Count()),
@@ -526,12 +478,12 @@ func (h *Handler) metricsHandler(w http.ResponseWriter, r *http.Request) {
 		P999Micros:      lat.Quantile(0.999),
 		MaxMicros:       lat.Max(),
 		Stages:          h.stageBreakdown(),
-		ModelGeneration: gen,
+		ModelGeneration: st.Gen,
 		KnownQueries:    rec.Dict().Len(),
 		CompiledNodes:   compiledNodes,
 		Quantised:       quantised,
 		BlobBytes:       li.BlobBytes,
-		Fleet:           fm,
+		Fleet:           &FleetMetrics{Arms: h.rt.ArmStats(), Shadows: h.rt.ShadowStats()},
 		Ingest:          h.ingestSnapshot(),
 		UptimeSeconds:   time.Since(h.start).Seconds(),
 		Runtime:         readRuntimeStats(),
@@ -562,10 +514,11 @@ func (h *Handler) ingestStatus(w http.ResponseWriter, r *http.Request) {
 	obs.WriteJSON(w, http.StatusOK, st)
 }
 
-// reload serves POST /v1/reload. Query parameters: model=<name> selects a fleet
-// registry slot (required in fleet mode), force=1 skips the dictionary
-// compatibility check. An incompatible dictionary answers 409 Conflict with
-// both dictionary hashes so the operator can decide whether to force.
+// reload serves POST /v1/reload. Query parameters: model=<name> selects a
+// registry slot (a one-slot registry may omit it), force=1 skips the
+// dictionary compatibility check. An incompatible dictionary answers 409
+// Conflict with both dictionary hashes so the operator can decide whether to
+// force; a slot without a loader answers 501.
 func (h *Handler) reload(w http.ResponseWriter, r *http.Request) {
 	if !obs.AllowMethod(w, r, http.MethodPost) {
 		return
@@ -573,23 +526,38 @@ func (h *Handler) reload(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	force := q.Get("force") == "1" || q.Get("force") == "true"
 	start := time.Now()
-	if h.fleet != nil {
-		h.reloadFleet(w, q.Get("model"), force, start)
+	reg := h.rt.Registry()
+	name := q.Get("model")
+	if name == "" {
+		if len(reg.Slots()) != 1 {
+			obs.WriteError(w, http.StatusBadRequest, "bad_request", "this fleet reloads by name: POST /v1/reload?model=<name> (see /v1/models)")
+			return
+		}
+		name = reg.Slots()[0].Name()
+	}
+	slot := reg.Slot(name)
+	if slot == nil {
+		obs.WriteError(w, http.StatusNotFound, "not_found", fmt.Sprintf("unknown model %q (see /v1/models)", name))
 		return
 	}
-	if h.opts.ReloadFunc == nil {
-		obs.WriteError(w, http.StatusNotImplemented, "not_implemented", "reload not configured")
+	if !slot.Reloadable() {
+		obs.WriteError(w, http.StatusNotImplemented, "not_implemented", fmt.Sprintf("reload not configured: model %q has no loader", name))
 		return
 	}
-	gen, err := h.ReloadForce(force)
+	gen, err := slot.Reload(force)
 	if err != nil {
 		writeReloadError(w, err)
 		return
 	}
-	st := h.state.Load()
+	// Advance the interning base so vocabulary added by a champion reload
+	// becomes servable; a lagging arm keeps the old base.
+	if err := h.rt.RefreshBase(); err != nil && h.opts.Logger != nil {
+		h.opts.Logger.Printf("interning base not advanced after reload of %q: %v", name, err)
+	}
 	obs.WriteJSON(w, http.StatusOK, ReloadResponse{
+		Model:        name,
 		Generation:   gen,
-		KnownQueries: st.rec.Dict().Len(),
+		KnownQueries: slot.State().Rec.Dict().Len(),
 		TookMicros:   time.Since(start).Microseconds(),
 	})
 }

@@ -458,29 +458,35 @@ func TestReloadSwapsWithoutDroppingRequests(t *testing.T) {
 	if len(out.Suggestions) != 0 {
 		t.Fatalf("old vocabulary answered after reload: %+v", out.Suggestions)
 	}
-	if got := h.Generation(); got != 2 {
+	if got := h.champion().Gen; got != 2 {
 		t.Fatalf("generation = %d, want 2", got)
 	}
 }
 
+// TestReloadErrors: the one-slot handler New builds answers a reload with
+// no loader 501 (named or not) and an unknown model 404; a failing loader
+// answers 500 and leaves the old model serving, at its generation.
 func TestReloadErrors(t *testing.T) {
 	// Not configured -> 501.
 	srv := httptest.NewServer(New(testRecommender(t), Options{}))
-	resp, err := http.Post(srv.URL+"/v1/reload", "", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotImplemented {
-		t.Fatalf("unconfigured reload status = %d, want 501", resp.StatusCode)
-	}
-	resp, err = http.Get(srv.URL + "/v1/reload")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("GET reload status = %d, want 405", resp.StatusCode)
+	for _, tc := range []struct {
+		method, path string
+		want         int
+	}{
+		{http.MethodPost, "/v1/reload", http.StatusNotImplemented},
+		{http.MethodPost, "/v1/reload?model=default&force=1", http.StatusNotImplemented},
+		{http.MethodPost, "/v1/reload?model=nope", http.StatusNotFound},
+		{http.MethodGet, "/v1/reload", http.StatusMethodNotAllowed},
+	} {
+		req, _ := http.NewRequest(tc.method, srv.URL+tc.path, nil)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Fatalf("%s %s = %d, want %d", tc.method, tc.path, resp.StatusCode, tc.want)
+		}
 	}
 	srv.Close()
 
@@ -490,7 +496,7 @@ func TestReloadErrors(t *testing.T) {
 	})
 	srv = httptest.NewServer(h)
 	defer srv.Close()
-	resp, err = http.Post(srv.URL+"/v1/reload", "", nil)
+	resp, err := http.Post(srv.URL+"/v1/reload", "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -498,16 +504,16 @@ func TestReloadErrors(t *testing.T) {
 	if resp.StatusCode != http.StatusInternalServerError {
 		t.Fatalf("failed reload status = %d, want 500", resp.StatusCode)
 	}
-	if h.Generation() != 1 {
-		t.Fatalf("generation bumped on failed reload: %d", h.Generation())
+	if gen := h.champion().Gen; gen != 1 {
+		t.Fatalf("generation bumped on failed reload: %d", gen)
 	}
-	resp, err = http.Get(srv.URL + "/suggest?q=o2")
-	if err != nil {
-		t.Fatal(err)
+	var models ModelsResponse
+	getJSON(t, srv.Client(), srv.URL+"/v1/models", &models)
+	if len(models.Models) != 1 || !models.Models[0].Reloadable || models.Models[0].Generation != 1 {
+		t.Fatalf("/v1/models after a failed reload = %+v", models)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("old model stopped serving after failed reload: %d", resp.StatusCode)
+	if got, _ := suggestionsOf(t, h, "/suggest?q=o2"); len(got) == 0 || got[0].Query != "o2 mobile" {
+		t.Fatalf("old model stopped serving after failed reload: %+v", got)
 	}
 }
 
@@ -537,9 +543,7 @@ func TestHealthGeneration(t *testing.T) {
 	})
 	srv := httptest.NewServer(h)
 	defer srv.Close()
-	if _, err := h.Reload(); err != nil {
-		t.Fatal(err)
-	}
+	postReload(t, h, "/v1/reload")
 	resp, err := http.Get(srv.URL + "/healthz")
 	if err != nil {
 		t.Fatal(err)

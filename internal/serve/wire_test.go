@@ -103,10 +103,10 @@ func serveMasked(t *testing.T, h http.Handler, r wireRequest) string {
 }
 
 // TestWireFormMissFirstHitSecondHit: for GET, buffered batch and NDJSON
-// batch, in single-model mode and fleet mode, the refused miss (first
-// sight), the stored miss, the first hit and the second hit answer
-// byte-identical bodies (took_us masked); the cache counters prove which was
-// which. Single-model and fleet bodies agree.
+// batch, through the one-arm fleet New builds and through one passed in
+// Options.Fleet, the refused miss (first sight), the stored miss, the first
+// hit and the second hit answer byte-identical bodies (took_us masked); the
+// cache counters prove which was which. The two handlers' bodies agree.
 func TestWireFormMissFirstHitSecondHit(t *testing.T) {
 	rec := wireModelA(t)
 	for _, r := range wireRequests {
@@ -115,8 +115,8 @@ func TestWireFormMissFirstHitSecondHit(t *testing.T) {
 				name string
 				h    *Handler
 			}{
-				{"single", New(rec, Options{})},
-				{"fleet", wireFleet(t, rec)},
+				{"New's fleet", New(rec, Options{})},
+				{"Options.Fleet", wireFleet(t, rec)},
 			}
 			var bodies []string
 			for _, m := range modes {
@@ -137,7 +137,7 @@ func TestWireFormMissFirstHitSecondHit(t *testing.T) {
 				bodies = append(bodies, rounds[0])
 			}
 			if single, fleetBody := bodies[0], bodies[1]; fleetBody != single {
-				t.Fatalf("fleet and single-model bodies differ\nsingle: %s\nfleet:  %s", single, fleetBody)
+				t.Fatalf("the two handlers' bodies differ\nNew's fleet:   %s\nOptions.Fleet: %s", single, fleetBody)
 			}
 		})
 	}
@@ -163,8 +163,8 @@ func TestWireFormEqualsFreshEncode(t *testing.T) {
 	}
 }
 
-// TestReloadNeverServesOldGenerationBytes: once Swap, POST /v1/reload or a
-// fleet reload by name has returned, no request is answered with bytes built
+// TestReloadNeverServesOldGenerationBytes: once a slot swap, POST
+// /v1/reload or a reload by name has returned, no request is answered with bytes built
 // for the previous model — not on the new generation's miss, nor on its
 // hits — and requests racing the swap see one model's answer or the other's,
 // never a mixture.
@@ -176,7 +176,11 @@ func TestReloadNeverServesOldGenerationBytes(t *testing.T) {
 	}{
 		{"Swap",
 			func(t *testing.T) *Handler { return New(wireModelA(t), Options{}) },
-			func(t *testing.T, h *Handler) { h.Swap(wireModelB(t)) }},
+			func(t *testing.T, h *Handler) {
+				if _, err := h.rt.Arm(0).Slot().Swap(wireModelB(t), false); err != nil {
+					t.Error(err)
+				}
+			}},
 		{"POST /v1/reload",
 			func(t *testing.T) *Handler {
 				return New(wireModelA(t), Options{ReloadFunc: func() (core.Recommender, error) { return wireModelB(t), nil }})
