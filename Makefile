@@ -128,8 +128,9 @@ vet:
 # Documentation gate: every exported symbol in the serving-critical packages
 # must carry a doc comment, ARCHITECTURE.md and README.md must not name
 # anything this repository retired (cmd/doccheck/retired.txt), README's
-# flag tables must not document a flag their command does not define, and no
-# Go comment may cite a *.md file that does not exist.
+# flag tables must not document a flag their command does not define, no
+# Go comment may cite a *.md file that does not exist, and EXPERIMENTS.md
+# must have a row for every heading of the recorded -quick harness output.
 check-docs:
 	$(GO) run ./cmd/doccheck ./internal/compiled ./internal/core ./internal/fleet ./internal/jsonspan ./internal/obs ./internal/serve ./internal/stream
 
@@ -142,7 +143,7 @@ check-api: vet
 # Line-count ratchet: the non-test Go lines outside bench/ and dot-directories
 # may not grow past LINES_CEILING. A PR that shrinks the code lowers the
 # ceiling to its new count; a PR that raises it says why in CHANGES.md.
-LINES_CEILING = 20647
+LINES_CEILING = 19855
 check-lines:
 	@n=$$(find . -path ./bench -prune -o -path './.*' -prune -o -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l); \
 	echo "non-test Go lines: $$n (ceiling $(LINES_CEILING))"; \

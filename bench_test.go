@@ -23,7 +23,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/eval"
 	"repro/internal/experiments"
-	"repro/internal/hmm"
 	"repro/internal/loggen"
 	"repro/internal/markov"
 	"repro/internal/model"
@@ -790,43 +789,7 @@ func BenchmarkColdStartMmap(b *testing.B) {
 	}
 }
 
-// --- future-work extension benchmarks ---------------------------------------
-
-// BenchmarkExtensionHMM trains the hidden-intent HMM (the paper's Sec. VI
-// future-work model) and reports its final training log-likelihood.
-func BenchmarkExtensionHMM(b *testing.B) {
-	c, _ := benchSetup(b)
-	var last float64
-	for i := 0; i < b.N; i++ {
-		m, err := hmm.Train(c.TrainAgg, hmm.DefaultConfig(c.Vocab()))
-		if err != nil {
-			b.Fatal(err)
-		}
-		ll := m.LogLikelihoods()
-		last = ll[len(ll)-1]
-	}
-	b.ReportMetric(last, "final-log10-likelihood")
-}
-
-// BenchmarkExtensionComparison runs the HMM/cluster-vs-MVMM comparison and
-// reports the MVMM-over-cluster NDCG@5 margin (the paper's Sec. II
-// replacement-vs-next-query critique).
-func BenchmarkExtensionComparison(b *testing.B) {
-	c, m := benchSetup(b)
-	var r experiments.ExtensionResult
-	var err error
-	for i := 0; i < b.N; i++ {
-		r, err = experiments.Extensions(c, m)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	idx := map[string]int{}
-	for i, name := range r.Models {
-		idx[name] = i
-	}
-	b.ReportMetric(r.NDCG5[idx["MVMM"]]-r.NDCG5[idx["Cluster"]], "mvmm-minus-cluster-ndcg5")
-}
+// --- future-work extension benchmark ----------------------------------------
 
 // BenchmarkExtensionDrift measures the retraining-frequency analysis and
 // reports the final-slice coverage advantage of retraining.

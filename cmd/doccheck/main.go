@@ -8,8 +8,10 @@
 // (the repository root) and fails when either still names something the
 // repository retired on purpose (retired.txt), or when a README flag-table
 // row documents a -flag that its command — the `cmd/<name>` the table
-// follows — does not define; and when a comment in any Go file under it
-// cites a *.md file, by its path from the root, that does not exist.
+// follows — does not define; when a comment in any Go file under it cites a
+// *.md file, by its path from the root, that does not exist; and when a
+// heading of the recorded experiment output
+// (internal/experiments/testdata/quick.golden) has no row in EXPERIMENTS.md.
 //
 // Usage:
 //
@@ -49,9 +51,11 @@ var retiredList string
 // served), the second prediction interface, the benchmark gate tool and the
 // benchmarks they kept (model.Predictor is one interface; ceilings are tests),
 // the router's anti-entropy admin cache (/v1/fleet asks the shards), the
-// exact CPS3 blob encoding (CPS5 is the one), and serve.Handler's
+// exact CPS3 blob encoding (CPS5 is the one), serve.Handler's
 // single-model serving mode with its own swap, reload and generation (a
-// single model is a one-arm fleet).
+// single model is a one-arm fleet), and the HMM and click-graph cluster
+// models with the harness switches and benchmarks that ran them (they scored
+// below every baseline; EXPERIMENTS.md keeps their numbers).
 var retired = regexp.MustCompile(`\b(` + strings.Join(strings.Fields(retiredList), "|") + `)\b`)
 
 var (
@@ -64,6 +68,9 @@ var (
 	flagDef = regexp.MustCompile(`flag\.\w+\((?:&[\w.]+, )?"([\w-]+)"`)
 	// mdCite is a Markdown file a comment cites.
 	mdCite = regexp.MustCompile(`[\w./-]+\.md\b`)
+	// resultHeading is a heading of the experiment harness's output; it
+	// captures the heading's text.
+	resultHeading = regexp.MustCompile(`(?m)^== (.+) ==$`)
 )
 
 func main() {
@@ -105,13 +112,47 @@ func main() {
 			}
 		}
 	}
-	for _, m := range danglingCitations() {
+	for _, m := range append(danglingCitations(), unrecordedResults()...) {
 		fmt.Println(m)
 		bad++
 	}
 	if bad > 0 {
-		log.Fatalf("%d stale mentions in the prose (retired names, undefined flags, missing documents)", bad)
+		log.Fatalf("%d stale mentions in the prose (retired names, undefined flags, missing documents, unrecorded results)", bad)
 	}
+}
+
+// unrecordedResults returns a report line for every heading of the recorded
+// -quick harness output that no EXPERIMENTS.md table row covers. A row covers
+// a heading when its first cell and the heading agree on their title up to
+// " — ", e.g. "Fig. 8(a)".
+func unrecordedResults() []string {
+	const golden = "internal/experiments/testdata/quick.golden"
+	out, err := os.ReadFile(golden)
+	if err != nil {
+		log.Fatal(err)
+	}
+	doc, err := os.ReadFile("EXPERIMENTS.md")
+	if err != nil {
+		log.Fatal(err)
+	}
+	title := func(s string) string {
+		t, _, _ := strings.Cut(s, " — ")
+		return strings.TrimSpace(t)
+	}
+	rows := map[string]bool{}
+	for _, line := range strings.Split(string(doc), "\n") {
+		if cell, ok := strings.CutPrefix(line, "| "); ok {
+			cell, _, _ = strings.Cut(cell, "|")
+			rows[title(cell)] = true
+		}
+	}
+	var missing []string
+	for _, m := range resultHeading.FindAllStringSubmatch(string(out), -1) {
+		if !rows[title(m[1])] {
+			missing = append(missing, fmt.Sprintf("EXPERIMENTS.md: no row for %s, a heading of %s", title(m[1]), golden))
+		}
+	}
+	return missing
 }
 
 // danglingCitations returns a report line for every comment in a Go file

@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	experiments [-train 120000] [-test 30000] [-threshold 2] [-quick]
+//	experiments [-train 120000] [-test 30000] [-threshold 2] [-study 500] [-quick]
 package main
 
 import (
@@ -23,7 +23,7 @@ func main() {
 		train     = flag.Int("train", 120000, "training sessions to generate")
 		test      = flag.Int("test", 30000, "test sessions to generate")
 		threshold = flag.Uint64("threshold", 2, "data-reduction frequency threshold")
-		quick     = flag.Bool("quick", false, "skip the slow Fig. 12 timing sweep and ablations")
+		quick     = flag.Bool("quick", false, "skip the slow Fig. 12 timing sweep, the ablations and the drift table")
 		studyPer  = flag.Int("study", 500, "user-study contexts per context length")
 	)
 	flag.Parse()
@@ -32,9 +32,7 @@ func main() {
 	opt.Corpus.TrainSessions = *train
 	opt.Corpus.TestSessions = *test
 	opt.Corpus.ReductionThreshold = *threshold
-	opt.SkipFig12 = *quick
-	opt.SkipAblation = *quick
-	opt.SkipExtensions = *quick
+	opt.Quick = *quick
 	opt.StudyPerLen = *studyPer
 
 	if _, _, err := experiments.RunAll(os.Stdout, opt); err != nil {

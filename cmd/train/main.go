@@ -10,9 +10,9 @@
 // the old file keeps serving it until it reloads, and a crash leaves the old
 // file or the new one, never a torn one.
 //
-// The paper's baselines (adjacency, co-occurrence, N-gram, and the HMM and
-// clustering extensions) are trained and compared offline by
-// cmd/experiments; none of them is written as a model file.
+// The paper's baselines (adjacency, co-occurrence, N-gram) are trained and
+// compared offline by cmd/experiments; none of them is written as a model
+// file.
 package main
 
 import (

@@ -12,8 +12,8 @@
 // Serving is expressed over the Recommender interface, which Engine (the
 // trained or loaded MVMM) implements: cache, fleet and serve hold a
 // Recommender. The MVMM is the one model family served; the paper's
-// baselines (adjacency, co-occurrence, N-gram, HMM, clustering) are
-// evaluated offline in internal/experiments.
+// baselines (adjacency, co-occurrence, N-gram) are evaluated offline in
+// internal/experiments.
 //
 // Persistence: a model file is one container — the dictionary and the
 // compiled blob at a page-aligned offset, nothing else. Save writes the blob

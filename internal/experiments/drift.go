@@ -4,79 +4,17 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/cluster"
 	"repro/internal/eval"
-	"repro/internal/hmm"
 	"repro/internal/loggen"
 	"repro/internal/markov"
-	"repro/internal/model"
 	"repro/internal/query"
 	"repro/internal/session"
 )
 
-// The extension experiments cover the paper's future-work directions
-// (Sec. VI): the HMM with hidden intent states, the cluster-based
-// click-through family from related work (Sec. II), and the retraining
-// frequency analysis for adapting to new query trends.
-
-// ExtensionResult compares the extensions against MVMM on the standard
-// accuracy/coverage axes.
-type ExtensionResult struct {
-	Models   []string
-	NDCG5    []float64
-	Coverage []float64
-}
-
-// Extensions trains the HMM and the click-through clustering recommender on
-// the corpus and evaluates them beside MVMM and Adjacency.
-func Extensions(c *Corpus, m *Models) (ExtensionResult, error) {
-	var res ExtensionResult
-
-	hm, err := hmm.Train(c.TrainAgg, hmm.DefaultConfig(c.Vocab()))
-	if err != nil {
-		return res, fmt.Errorf("experiments: training HMM: %w", err)
-	}
-
-	// The click graph needs raw records; regenerate the (deterministic)
-	// training stream.
-	gen, err := loggen.New(c.Cfg.Gen)
-	if err != nil {
-		return res, err
-	}
-	graph := cluster.NewClickGraph(c.Dict)
-	for i := 0; i < c.Cfg.TrainSessions; i++ {
-		ls := gen.Session()
-		for _, rec := range gen.Records(ls) {
-			graph.Add(rec)
-		}
-	}
-	cl := cluster.Build(graph, cluster.DefaultConfig())
-
-	ctxs := c.TestContexts(0, 3000)
-	covCtxs := c.CoverageContexts(0, 0)
-	for _, p := range []model.Predictor{m.MVMM, m.Adj, hm, cl} {
-		res.Models = append(res.Models, p.Name())
-		res.NDCG5 = append(res.NDCG5, eval.MeanNDCG(p, c.GroundTruth, ctxs, 5).NDCG)
-		res.Coverage = append(res.Coverage, eval.Coverage(p, covCtxs))
-	}
-	return res, nil
-}
-
-// Render prints the extension comparison.
-func (r ExtensionResult) Render(w io.Writer) {
-	heading(w, "Extension — future-work models vs MVMM (Sec. VI / Sec. II)")
-	rows := [][]string{}
-	for i, name := range r.Models {
-		rows = append(rows, []string{name, f4(r.NDCG5[i]), f4(r.Coverage[i])})
-	}
-	renderTable(w, []string{"Model", "NDCG@5", "coverage"}, rows)
-	fmt.Fprintln(w, "  (paper's conjecture: hidden-state models might raise the bar; the cluster-")
-	fmt.Fprintln(w, "   based family suggests replacements, not next queries — see Sec. II)")
-}
-
 // DriftResult records model quality on successive post-training time slices
 // with and without retraining — the paper's "frequency of retraining"
-// future-work analysis.
+// future-work analysis (Sec. VI), which backs the ingest loop's premise that
+// a model never retrained falls behind new query trends.
 type DriftResult struct {
 	Slices    int
 	Stale     []float64 // NDCG@5 of the model trained once, per slice
@@ -102,13 +40,20 @@ func Drift(c *Corpus, slices, sessionsPerSlice int) (DriftResult, error) {
 	}
 	gen.EnterTestPhase()
 
-	vocab := c.Vocab()
-	stale := markov.NewVMM(c.TrainAgg, markov.VMMConfig{Epsilon: 0.05, Vocab: vocab})
+	stale := markov.NewVMM(c.TrainAgg, markov.VMMConfig{Epsilon: 0.05, Vocab: c.Vocab()})
 	seenSoFar := append([]query.Session(nil), c.TrainAgg...)
+
+	// The drifted traffic's new queries are interned into a copy of the
+	// corpus dictionary, with the same IDs, so the caller's corpus keeps its
+	// vocabulary.
+	dict := query.NewDict()
+	for _, q := range c.Dict.Strings() {
+		dict.Intern(q)
+	}
 
 	for s := 0; s < slices; s++ {
 		// One slice of fresh traffic.
-		seg := session.NewSegmenter(c.Dict, 0)
+		seg := session.NewSegmenter(dict, 0)
 		for i := 0; i < sessionsPerSlice; i++ {
 			ls := gen.Session()
 			for _, rec := range gen.Records(ls) {
@@ -123,7 +68,7 @@ func Drift(c *Corpus, slices, sessionsPerSlice int) (DriftResult, error) {
 			ctxs = ctxs[:2500]
 		}
 
-		retrained := markov.NewVMM(seenSoFar, markov.VMMConfig{Epsilon: 0.05, Vocab: c.Dict.Len()})
+		retrained := markov.NewVMM(seenSoFar, markov.VMMConfig{Epsilon: 0.05, Vocab: dict.Len()})
 		res.Stale = append(res.Stale, eval.MeanNDCG(stale, gt, ctxs, 5).NDCG)
 		res.Retrained = append(res.Retrained, eval.MeanNDCG(retrained, gt, ctxs, 5).NDCG)
 		res.StaleCov = append(res.StaleCov, eval.Coverage(stale, ctxs))

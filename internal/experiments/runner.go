@@ -8,11 +8,9 @@ import (
 
 // RunOptions selects what the full harness executes.
 type RunOptions struct {
-	Corpus         CorpusConfig
-	SkipFig12      bool // timing sweep retrains everything; slowest step
-	SkipAblation   bool
-	SkipExtensions bool // HMM/cluster/drift future-work experiments
-	StudyPerLen    int  // user-study contexts per length (paper: 500)
+	Corpus      CorpusConfig
+	Quick       bool // skip the Fig. 12 timing sweep, the ablations and the drift table
+	StudyPerLen int  // user-study contexts per length (paper: 500)
 }
 
 // DefaultRunOptions runs everything at the default corpus scale.
@@ -73,28 +71,20 @@ func RunAll(w io.Writer, opt RunOptions) (*Corpus, *Models, error) {
 	t7.Render(w)
 
 	// Sec. V.G — training time.
-	if !opt.SkipFig12 {
+	if !opt.Quick {
 		Fig12(c).Render(w)
 	}
 
 	// Sec. V.H — user study.
 	UserStudy(c, m, opt.StudyPerLen).Render(w)
 
-	// Ablations beyond the paper (ARCHITECTURE.md §1).
-	if !opt.SkipAblation {
+	// Ablations beyond the paper (ARCHITECTURE.md §1), then Sec. VI's
+	// retraining frequency.
+	if !opt.Quick {
 		RenderEpsilonSweep(w, AblationEpsilon(c, []float64{0.0, 0.02, 0.05, 0.1, 0.2}))
 		RenderDBound(w, AblationDBound(c, []int{1, 2, 3, 4}))
 		RenderReduction(w, AblationReduction(c, []uint64{0, 1, 2, 5, 10}))
 		RenderSigma(w, AblationSigma(c))
-	}
-
-	// Sec. VI future-work extensions.
-	if !opt.SkipExtensions {
-		ext, err := Extensions(c, m)
-		if err != nil {
-			return c, m, err
-		}
-		ext.Render(w)
 		drift, err := Drift(c, 3, opt.Corpus.TestSessions/3)
 		if err != nil {
 			return c, m, err

@@ -1,10 +1,9 @@
 // Package model defines Predictor, the one interface every query prediction
 // model in the repository implements — the two pair-wise baselines
 // (Adjacency, Co-occurrence), the three sequential models (variable-length
-// N-gram, VMM, MVMM), the HMM and cluster extensions, and the compiled MVMM
-// trie a server answers from — so the evaluation harness scores them all,
-// the served bytes included, through one code path. internal/predictortest
-// is its executable specification.
+// N-gram, VMM, MVMM) and the compiled MVMM trie a server answers from — so
+// the evaluation harness scores them all, the served bytes included, through
+// one code path. internal/predictortest is its executable specification.
 package model
 
 import "repro/internal/query"

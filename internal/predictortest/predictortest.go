@@ -1,9 +1,9 @@
 // Package predictortest is the executable specification of the
 // model.Predictor contract. Every model in the repository — the paper's
-// seven (Adjacency, Co-occurrence, N-gram, three VMMs, the MVMM), the HMM
-// and cluster extensions, and the compiled MVMM trie, exact and as the CPS5
-// bytes a model file holds — runs the same suite, so "implements
-// model.Predictor" means one verified thing rather than eleven ad-hoc ones.
+// seven (Adjacency, Co-occurrence, N-gram, three VMMs, the MVMM) and the
+// compiled MVMM trie, exact and as the CPS5 bytes a model file holds — runs
+// the same suite, so "implements model.Predictor" means one verified thing
+// rather than nine ad-hoc ones.
 //
 // Usage, from a model's own test file:
 //

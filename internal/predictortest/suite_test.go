@@ -3,11 +3,8 @@ package predictortest_test
 import (
 	"testing"
 
-	"repro/internal/cluster"
 	"repro/internal/compiled"
 	"repro/internal/core"
-	"repro/internal/hmm"
-	"repro/internal/logfmt"
 	"repro/internal/markov"
 	"repro/internal/pairwise"
 	"repro/internal/predictortest"
@@ -108,37 +105,6 @@ func TestMVMMConformance(t *testing.T) {
 	m := markov.NewMVMMFromEpsilons(sessions, markov.DefaultEpsilons(), d.Len(),
 		markov.MVMMOptions{TrainSample: 50, NewtonIters: 3})
 	predictortest.Run(t, m, ctxs)
-}
-
-func TestHMMConformance(t *testing.T) {
-	d, sessions, ctxs := trainingData()
-	cfg := hmm.DefaultConfig(d.Len())
-	cfg.States = 4
-	cfg.Iterations = 8
-	m, err := hmm.Train(sessions, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	predictortest.Run(t, m, ctxs)
-}
-
-func TestClusterConformance(t *testing.T) {
-	d, _, ctxs := trainingData()
-	g := cluster.NewClickGraph(d)
-	// Queries about the same phone share clicked URLs; so do the medical
-	// queries. Click counts exceed DefaultConfig's MinClicks.
-	add := func(q, url string, times int) {
-		for i := 0; i < times; i++ {
-			g.Add(logfmt.Record{Query: q, Clicks: []logfmt.Click{{URL: url}}})
-		}
-	}
-	add("nokia n73", "phones.example/n73", 8)
-	add("nokia n73 themes", "phones.example/n73", 6)
-	add("nokia n73 review", "phones.example/n73", 4)
-	add("kidney stones", "health.example/stones", 8)
-	add("kidney stone symptoms", "health.example/stones", 6)
-	add("kidney stone treatment", "health.example/stones", 4)
-	predictortest.Run(t, cluster.Build(g, cluster.DefaultConfig()), ctxs)
 }
 
 func TestAdjacencyConformance(t *testing.T) {
