@@ -55,7 +55,9 @@ var retiredList string
 // single-model serving mode with its own swap, reload and generation (a
 // single model is a one-arm fleet), and the HMM and click-graph cluster
 // models with the harness switches and benchmarks that ran them (they scored
-// below every baseline; EXPERIMENTS.md keeps their numbers).
+// below every baseline; EXPERIMENTS.md keeps their numbers), and the mixture's
+// per-ε growth, its merge in Compile and the model decoders nothing called
+// (the components are views of one tree).
 var retired = regexp.MustCompile(`\b(` + strings.Join(strings.Fields(retiredList), "|") + `)\b`)
 
 var (

@@ -2,13 +2,13 @@
 // Prediction Suffix Tree optimised for serving.
 //
 // The paper's deployment note (Table VII) observes that the mixture's K VMM
-// components "can actually combine all into a single PST": every component is
-// grown from the same candidate statistics, so whenever two components store
-// the same suffix state they store the *same* follower distribution — the
-// components differ only in which states they kept. Compile exploits that:
-// it merges all component trees and escape tables into one suffix trie whose
-// nodes live in flat slices (CSR child arrays indexed by dense node IDs, not
-// string map keys), with
+// components "can actually combine all into a single PST". Training already
+// does: markov grows one candidate tree and each component is the ε-view of
+// it that keeps the candidates whose inclusion threshold exceeds its ε, so
+// the components differ only in which states they keep. Compile reads that
+// one tree and its one escape table into a suffix trie whose nodes live in
+// flat slices (CSR child arrays indexed by dense node IDs, not string map
+// keys), with
 //
 //   - a per-node K-bit presence bitmask recording which components hold the
 //     node with prediction evidence,
@@ -64,7 +64,6 @@ import (
 	"sync"
 
 	"repro/internal/markov"
-	"repro/internal/query"
 )
 
 // maxComponents bounds the mixture size representable in the per-node
@@ -145,13 +144,13 @@ type Model struct {
 	mapAdvice   string
 }
 
-// Compile flattens a trained mixture into its serving form. It fails — and
-// the caller should keep serving the interpreted mixture — when the mixture
-// violates the shared-statistics invariants the flat form relies on: more
-// than 64 components, differing smoothing vocabularies, components whose
-// escape tables disagree, or a shared state stored with diverging follower
-// counts. Mixtures trained (or loaded) through this repository's pipeline
-// always compile.
+// Compile flattens a trained mixture into its serving form: the mixture's
+// one candidate tree and one escape table become the flat trie. Its nodes
+// are the escape windows — every context a query followed is a window, and
+// windows are closed under suffixes — and a node's presence mask is the set
+// of components whose view stores it with followers. Compile fails on a
+// mixture of no components or of more than 64, and on a non-positive
+// smoothing vocabulary.
 func Compile(m *markov.MVMM) (*Model, error) {
 	comps := m.Components()
 	k := len(comps)
@@ -162,170 +161,34 @@ func Compile(m *markov.MVMM) (*Model, error) {
 		return nil, fmt.Errorf("compiled: %d components exceed the %d-bit presence mask", k, maxComponents)
 	}
 	vocab := comps[0].Config().Vocab
-	for i, cmp := range comps {
-		if v := cmp.Config().Vocab; v != vocab {
-			return nil, fmt.Errorf("compiled: component %d smoothing vocab %d != %d", i, v, vocab)
-		}
-	}
 	if vocab <= 0 {
 		return nil, fmt.Errorf("compiled: non-positive smoothing vocab %d", vocab)
 	}
 
 	c := &Model{k: k, vocab: vocab, sigma: m.Sigmas(), maxLen: make([]int, k)}
-
-	merged, err := c.mergeEscapes(comps)
-	if err != nil {
-		return nil, err
+	esc := m.Escape()
+	for i := range c.maxLen {
+		c.maxLen[i] = esc.MaxLen()
 	}
-	nodes, err := unionNodes(comps, merged)
-	if err != nil {
-		return nil, err
-	}
+	nodes := make(map[string]*nodeInfo, esc.Len())
+	esc.ForEachWindow(func(key string, occ, start uint64) {
+		nodes[key] = &nodeInfo{occ: occ, start: start}
+	})
+	m.ForEachState(func(key string, d *markov.Dist, mask uint64) {
+		ni := nodes[key]
+		ni.dist, ni.mask = d, mask
+	})
 	c.layout(nodes)
 	return c, nil
 }
 
-// window is one merged escape-table entry.
-type window struct {
-	occ, start uint64
-}
-
-// mergeEscapes merges the per-component escape tables into one window map,
-// verifying that the tables are projections of the same statistics: shared
-// windows must carry identical counts, and each component's table must hold
-// exactly the merged windows within its length bound (a mismatch means the
-// components were not trained from the same sessions, and per-component
-// escape chains cannot be answered from one merged table).
-func (c *Model) mergeEscapes(comps []*markov.VMM) (map[string]window, error) {
-	merged := make(map[string]window)
-	seen := make(map[*markov.EscapeTable]bool, len(comps))
-	var conflict string
-	for i, cmp := range comps {
-		t := cmp.Escape()
-		c.maxLen[i] = t.MaxLen()
-		if seen[t] { // training shares one table across equal-D components
-			continue
-		}
-		seen[t] = true
-		t.ForEachWindow(func(key string, occ, start uint64) {
-			if w, ok := merged[key]; ok {
-				if w.occ != occ || w.start != start {
-					conflict = key
-				}
-				return
-			}
-			merged[key] = window{occ: occ, start: start}
-		})
-		if conflict != "" {
-			return nil, fmt.Errorf("compiled: component %d escape counts diverge on window %v",
-				i, query.SeqFromKey(conflict))
-		}
-	}
-	// Coverage: component i must contain every merged window of length
-	// <= maxLen[i] (and nothing else — the value check above covered those).
-	maxWin := 0
-	for key := range merged {
-		if l := len(key) / 4; l > maxWin {
-			maxWin = l
-		}
-	}
-	cum := make([]int, maxWin+1) // cum[l] = merged windows of length <= l
-	for key := range merged {
-		cum[len(key)/4]++
-	}
-	for l := 1; l <= maxWin; l++ {
-		cum[l] += cum[l-1]
-	}
-	for i, cmp := range comps {
-		want := len(merged)
-		if ml := c.maxLen[i]; ml > 0 && ml < maxWin {
-			want = cum[ml]
-		}
-		if got := cmp.Escape().Len(); got != want {
-			return nil, fmt.Errorf("compiled: component %d escape table holds %d windows, merged form implies %d",
-				i, got, want)
-		}
-	}
-	return merged, nil
-}
-
-// nodeInfo is the pre-layout view of one merged trie node.
+// nodeInfo is the pre-layout view of one trie node.
 type nodeInfo struct {
-	dist  *markov.Dist // canonical follower distribution (nil: escape-only node)
+	dist  *markov.Dist // follower distribution (nil: escape-only node)
 	mask  uint64       // components storing this state with evidence
 	occ   uint64
 	start uint64
 	id    int32 // assigned by layout
-}
-
-// unionNodes unions every component's evidence states with every escape
-// window and suffix-closes the result so the merged structure is a valid
-// trie. Components sharing a state must agree on its follower counts.
-func unionNodes(comps []*markov.VMM, merged map[string]window) (map[string]*nodeInfo, error) {
-	nodes := make(map[string]*nodeInfo, len(merged))
-	get := func(key string) *nodeInfo {
-		ni := nodes[key]
-		if ni == nil {
-			ni = &nodeInfo{}
-			nodes[key] = ni
-		}
-		return ni
-	}
-	for i, cmp := range comps {
-		var conflict string
-		cmp.ForEachNode(func(key string, d *markov.Dist) {
-			if d.Total() == 0 {
-				return // suffix-closure filler states carry no evidence
-			}
-			ni := get(key)
-			switch {
-			case ni.dist == nil:
-				ni.dist = d
-			case ni.dist != d && !distEqual(ni.dist, d):
-				conflict = key
-			}
-			ni.mask |= 1 << uint(i)
-		})
-		if conflict != "" {
-			return nil, fmt.Errorf("compiled: components disagree on followers of state %v",
-				query.SeqFromKey(conflict))
-		}
-	}
-	for key, w := range merged {
-		ni := get(key)
-		ni.occ, ni.start = w.occ, w.start
-	}
-	// Suffix closure: every trailing sub-sequence of a stored key must be a
-	// node so descent paths are connected.
-	keys := make([]string, 0, len(nodes))
-	for key := range nodes {
-		keys = append(keys, key)
-	}
-	for _, key := range keys {
-		for s := key[4:]; len(s) > 0; s = s[4:] {
-			if _, ok := nodes[s]; !ok {
-				nodes[s] = &nodeInfo{}
-			}
-		}
-	}
-	return nodes, nil
-}
-
-// distEqual reports whether two follower distributions carry identical
-// counts. Components trained from shared statistics reference the same Dist
-// (caught by the pointer check before this is called); deserialized mixtures
-// hold structurally equal copies.
-func distEqual(a, b *markov.Dist) bool {
-	if a.Total() != b.Total() || a.Support() != b.Support() {
-		return false
-	}
-	equal := true
-	b.ForEachCount(func(q query.ID, c uint64) {
-		if a.Count(q) != c {
-			equal = false
-		}
-	})
-	return equal
 }
 
 // layout assigns dense node IDs level by level — children of lower-ID
@@ -333,11 +196,17 @@ func distEqual(a, b *markov.Dist) bool {
 // globally parent-ordered so that edge e leads to node e+1, then fills every
 // flat array.
 func (c *Model) layout(nodes map[string]*nodeInfo) {
-	byLen := make(map[int][]string)
+	type edge struct {
+		key    string
+		ni     *nodeInfo
+		parent int32
+		sym    uint32
+	}
+	byLen := make(map[int][]edge)
 	maxDepth := 0
-	for key := range nodes {
+	for key, ni := range nodes {
 		l := len(key) / 4
-		byLen[l] = append(byLen[l], key)
+		byLen[l] = append(byLen[l], edge{key: key, ni: ni, sym: symbol(key)})
 		if l > maxDepth {
 			maxDepth = l
 		}
@@ -349,28 +218,27 @@ func (c *Model) layout(nodes map[string]*nodeInfo) {
 	edgeParent := make([]int32, 0, n-1)
 	order := make([]*nodeInfo, 1, n) // order[v] = info of node v (order[0] = nil root)
 
-	nextID := int32(1)
 	for l := 1; l <= maxDepth; l++ {
 		level := byLen[l]
 		// Parent IDs are already assigned (level l-1); sort by (parent, symbol).
+		for i := range level {
+			level[i].parent = parentID(nodes, level[i].key)
+		}
 		sort.Slice(level, func(i, j int) bool {
-			pi, pj := parentID(nodes, level[i]), parentID(nodes, level[j])
-			if pi != pj {
-				return pi < pj
+			if level[i].parent != level[j].parent {
+				return level[i].parent < level[j].parent
 			}
-			return symbol(level[i]) < symbol(level[j])
+			return level[i].sym < level[j].sym
 		})
-		for _, key := range level {
-			ni := nodes[key]
-			ni.id = nextID
-			nextID++
-			order = append(order, ni)
+		for _, e := range level {
+			e.ni.id = int32(len(order))
+			order = append(order, e.ni)
 			// Edges arrive in (parent, symbol) order across the whole build
 			// because every level-l parent ID is smaller than every
 			// level-(l+1) parent ID — that global ordering is what makes the
 			// "edge e leads to node e+1" layout invariant hold.
-			c.childKey = append(c.childKey, symbol(key))
-			edgeParent = append(edgeParent, parentID(nodes, key))
+			c.childKey = append(c.childKey, e.sym)
+			edgeParent = append(edgeParent, e.parent)
 		}
 	}
 	// CSR offsets: count edges per parent, then prefix-sum. Edges are
@@ -485,7 +353,7 @@ func (c *Model) Vocab() int { return c.vocab }
 // Depth reports the deepest stored suffix length.
 func (c *Model) Depth() int { return c.depth }
 
-// Nodes reports the merged trie size excluding the root — the realised
+// Nodes reports the trie size excluding the root — the realised
 // version of the paper's Table VII single-PST deployment estimate.
 func (c *Model) Nodes() int { return c.nodes - 1 }
 

@@ -13,7 +13,7 @@ import (
 // Compact flat (CPS5) encoding — the one blob encoding: quantised
 // probabilities, width-narrowed node arrays and delta/varint-packed edges.
 //
-// The paper's Table VII argues the merged single-PST stays small enough to
+// The paper's Table VII argues the single PST stays small enough to
 // deploy; CPS5 makes the serving blob itself small, in three steps over the
 // exact arrays Compile builds in process:
 //

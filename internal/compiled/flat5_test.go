@@ -91,7 +91,7 @@ func TestQuantParityRandomCorpora(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		vocab := 20 + rng.Intn(60)
 		sessions := randomCorpus(rng, vocab, 300+rng.Intn(1200))
-		m := markov.NewMVMMFromEpsilons(sessions, []float64{0.0, 0.01, 0.05, 0.1}, vocab,
+		m := markov.NewMVMM(sessions, []float64{0.0, 0.01, 0.05, 0.1}, vocab,
 			markov.MVMMOptions{TrainSample: 200, NewtonIters: 8})
 		c, err := Compile(m)
 		if err != nil {
@@ -128,7 +128,7 @@ func TestQuantWideWidths(t *testing.T) {
 	for i := range eps {
 		eps[i] = float64(i) * 0.005
 	}
-	m := markov.NewMVMMFromEpsilons(sessions, eps, vocab,
+	m := markov.NewMVMM(sessions, eps, vocab,
 		markov.MVMMOptions{TrainSample: 100, NewtonIters: 4})
 	c, err := Compile(m)
 	if err != nil {
@@ -146,7 +146,7 @@ func TestQuantWideWidths(t *testing.T) {
 		{Queries: query.Seq{1, 3}, Count: 7},
 		{Queries: query.Seq{2, 3, 4}, Count: 1 << 34},
 	}
-	mb := markov.NewMVMMFromEpsilons(big, []float64{0.0, 0.05}, 6, markov.MVMMOptions{NewtonIters: 3})
+	mb := markov.NewMVMM(big, []float64{0.0, 0.05}, 6, markov.MVMMOptions{NewtonIters: 3})
 	cb, err := Compile(mb)
 	if err != nil {
 		t.Fatal(err)

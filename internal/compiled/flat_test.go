@@ -19,7 +19,7 @@ func flatTestModel(t testing.TB, seed int64) (*Model, []query.Session, int, *ran
 	rng := rand.New(rand.NewSource(seed))
 	vocab := 25 + rng.Intn(30)
 	sessions := randomCorpus(rng, vocab, 500+rng.Intn(600))
-	m := markov.NewMVMMFromEpsilons(sessions, []float64{0.0, 0.02, 0.08}, vocab,
+	m := markov.NewMVMM(sessions, []float64{0.0, 0.02, 0.08}, vocab,
 		markov.MVMMOptions{TrainSample: 120, NewtonIters: 5})
 	c, err := Compile(m)
 	if err != nil {

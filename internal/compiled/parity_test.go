@@ -136,7 +136,7 @@ func TestCompiledParityRandomCorpora(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		vocab := 20 + rng.Intn(60)
 		sessions := randomCorpus(rng, vocab, 300+rng.Intn(1200))
-		m := markov.NewMVMMFromEpsilons(sessions, []float64{0.0, 0.01, 0.05, 0.1}, vocab,
+		m := markov.NewMVMM(sessions, []float64{0.0, 0.01, 0.05, 0.1}, vocab,
 			markov.MVMMOptions{TrainSample: 200, NewtonIters: 8})
 		c, err := Compile(m)
 		if err != nil {
@@ -146,33 +146,13 @@ func TestCompiledParityRandomCorpora(t *testing.T) {
 	}
 }
 
-// TestCompiledParityMixedBounds compiles a mixture whose components use
-// different context bounds D — separately built escape tables with different
-// window limits — exercising the per-component length gating of the merged
-// escape data.
-func TestCompiledParityMixedBounds(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	vocab := 30
-	sessions := randomCorpus(rng, vocab, 800)
-	m := markov.NewMVMM(sessions, []markov.VMMConfig{
-		{Epsilon: 0.0, D: 2, Vocab: vocab},
-		{Epsilon: 0.02, D: 3, Vocab: vocab},
-		{Epsilon: 0.05, Vocab: vocab}, // unbounded
-	}, markov.MVMMOptions{TrainSample: 200, NewtonIters: 8})
-	c, err := Compile(m)
-	if err != nil {
-		t.Fatalf("compile: %v", err)
-	}
-	assertParity(t, m, c, parityContexts(rng, sessions, vocab), vocab, rng)
-}
-
 // TestCompiledParityFixedSigma covers the ablation mixture (uniform Gaussian
 // widths instead of the learned Eq. 9 solution).
 func TestCompiledParityFixedSigma(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	vocab := 25
 	sessions := randomCorpus(rng, vocab, 600)
-	m := markov.NewMVMMFromEpsilons(sessions, []float64{0.0, 0.03, 0.08}, vocab,
+	m := markov.NewMVMM(sessions, []float64{0.0, 0.03, 0.08}, vocab,
 		markov.MVMMOptions{FixedSigma: 1.5})
 	c, err := Compile(m)
 	if err != nil {
@@ -181,27 +161,13 @@ func TestCompiledParityFixedSigma(t *testing.T) {
 	assertParity(t, m, c, parityContexts(rng, sessions, vocab), vocab, rng)
 }
 
-// TestCompileRejectsVocabMismatch: components smoothing over different
-// vocabularies cannot share one flat node payload.
-func TestCompileRejectsVocabMismatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	sessions := randomCorpus(rng, 20, 300)
-	m := markov.NewMVMM(sessions, []markov.VMMConfig{
-		{Epsilon: 0.0, Vocab: 20},
-		{Epsilon: 0.1, Vocab: 25},
-	}, markov.MVMMOptions{TrainSample: 50, NewtonIters: 3})
-	if _, err := Compile(m); err == nil {
-		t.Fatal("vocab mismatch compiled without error")
-	}
-}
-
-// TestCompiledNodesCoverUnion: the merged trie must hold at least the
-// union-PST node count the paper's Table VII estimates (escape windows and
-// closure fillers can only add to it).
+// TestCompiledNodesCoverUnion: the flat trie must hold at least the
+// union-PST node count the paper's Table VII estimates (escape windows can
+// only add to it).
 func TestCompiledNodesCoverUnion(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	sessions := randomCorpus(rng, 30, 700)
-	m := markov.NewMVMMFromEpsilons(sessions, []float64{0.0, 0.05, 0.1}, 30,
+	m := markov.NewMVMM(sessions, []float64{0.0, 0.05, 0.1}, 30,
 		markov.MVMMOptions{TrainSample: 100, NewtonIters: 5})
 	c, err := Compile(m)
 	if err != nil {
@@ -222,7 +188,7 @@ func TestPredictZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	vocab := 40
 	sessions := randomCorpus(rng, vocab, 1000)
-	m := markov.NewMVMMFromEpsilons(sessions, []float64{0.0, 0.01, 0.05, 0.1}, vocab,
+	m := markov.NewMVMM(sessions, []float64{0.0, 0.01, 0.05, 0.1}, vocab,
 		markov.MVMMOptions{TrainSample: 100, NewtonIters: 5})
 	c, err := Compile(m)
 	if err != nil {
@@ -259,7 +225,7 @@ func TestPredictBatchZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	vocab := 40
 	sessions := randomCorpus(rng, vocab, 1000)
-	m := markov.NewMVMMFromEpsilons(sessions, []float64{0.0, 0.01, 0.05, 0.1}, vocab,
+	m := markov.NewMVMM(sessions, []float64{0.0, 0.01, 0.05, 0.1}, vocab,
 		markov.MVMMOptions{TrainSample: 100, NewtonIters: 5})
 	c, err := Compile(m)
 	if err != nil {

@@ -118,7 +118,7 @@ func (c *Model) child(v int32, sym uint32) int32 {
 
 // descend walks ctx newest-to-oldest from the root, filling s.path with the
 // node of every stored suffix (path[l-1] = suffix of length l). The deepest
-// entry is the longest suffix of ctx present in the merged trie.
+// entry is the longest suffix of ctx present in the trie.
 func (c *Model) descend(s *scratch, ctx query.Seq) {
 	s.path = s.path[:0]
 	v := int32(0)

@@ -81,7 +81,7 @@ func TestMatchWeightsAreGaussian(t *testing.T) {
 // of 40 puts every component's Eq. (4) argument past the tabulated range.
 func TestLongContextParity(t *testing.T) {
 	c, sessions, vocab, rng := flatTestModel(t, 31)
-	m := markov.NewMVMMFromEpsilons(sessions, []float64{0.0, 0.02, 0.08}, vocab,
+	m := markov.NewMVMM(sessions, []float64{0.0, 0.02, 0.08}, vocab,
 		markov.MVMMOptions{TrainSample: 120, NewtonIters: 5})
 	var long []query.Seq
 	for _, ctx := range parityContexts(rng, sessions, vocab) {

@@ -62,7 +62,7 @@ type Config struct {
 	// Epsilons lists the mixture's VMM growth thresholds; nil uses the
 	// paper's eleven values {0.0, 0.01, ..., 0.1}.
 	Epsilons []float64
-	// Mixture tunes σ learning and parallel component training.
+	// Mixture tunes σ learning.
 	Mixture markov.MVMMOptions
 }
 
@@ -72,7 +72,6 @@ func DefaultConfig() Config {
 		SessionGap:         session.DefaultGap,
 		ReductionThreshold: 5,
 		Epsilons:           markov.DefaultEpsilons(),
-		Mixture:            markov.MVMMOptions{Parallel: true},
 	}
 }
 
@@ -185,7 +184,7 @@ func TrainFromAggregated(dict *query.Dict, agg []query.Session, cfg Config) *Eng
 	if len(eps) == 0 {
 		eps = markov.DefaultEpsilons()
 	}
-	mix := markov.NewMVMMFromEpsilons(agg, eps, dict.Len(), cfg.Mixture)
+	mix := markov.NewMVMM(agg, eps, dict.Len(), cfg.Mixture)
 	r := &Engine{dict: dict, strs: dict.Publish(), mix: mix, stats: session.Collect(agg),
 		info: LoadInfo{Mode: LoadModeTrained}}
 	r.comp, _ = compiled.Compile(mix)

@@ -151,7 +151,7 @@ func AblationSigma(c *Corpus) []SigmaRow {
 	}
 	rows := make([]SigmaRow, 0, len(configs))
 	for _, cf := range configs {
-		m := markov.NewMVMMFromEpsilons(c.TrainAgg, eps, c.Vocab(), cf.opt)
+		m := markov.NewMVMM(c.TrainAgg, eps, c.Vocab(), cf.opt)
 		rows = append(rows, SigmaRow{
 			Setting: cf.name,
 			NDCG5:   eval.MeanNDCG(m, c.GroundTruth, ctxs, 5).NDCG,

@@ -166,8 +166,7 @@ func TrainModels(c *Corpus) (*Models, error) {
 		VMM00: markov.NewVMM(train, markov.VMMConfig{Epsilon: 0.0, Vocab: vocab}),
 		VMM05: markov.NewVMM(train, markov.VMMConfig{Epsilon: 0.05, Vocab: vocab}),
 		VMM10: markov.NewVMM(train, markov.VMMConfig{Epsilon: 0.1, Vocab: vocab}),
-		MVMM: markov.NewMVMMFromEpsilons(train, markov.DefaultEpsilons(), vocab,
-			markov.MVMMOptions{Parallel: true}),
+		MVMM:  markov.NewMVMM(train, markov.DefaultEpsilons(), vocab, markov.MVMMOptions{}),
 	}
 	comp, err := compiled.Compile(m.MVMM)
 	if err != nil {

@@ -101,8 +101,8 @@ type Fig12Result struct {
 // Fig12 trains each method on growing prefixes of the training data
 // (25/50/75/100%) and times it. The sweep uses the full (unreduced)
 // aggregated sessions so the timings are dominated by real work rather than
-// noise, and the MVMM components are trained serially so the reported time
-// reflects the paper's K-fold training cost.
+// noise. The MVMM's time is one candidate tree, grown once, its K ε-views
+// and the σ learning.
 func Fig12(c *Corpus) Fig12Result {
 	full := c.TrainAggFull
 	var res Fig12Result
@@ -123,7 +123,7 @@ func Fig12(c *Corpus) Fig12Result {
 			markov.NewVMM(t, markov.VMMConfig{Epsilon: 0.05, Vocab: vocab})
 		}},
 		{"MVMM", func(t []query.Session) {
-			markov.NewMVMMFromEpsilons(t, markov.DefaultEpsilons(), vocab,
+			markov.NewMVMM(t, markov.DefaultEpsilons(), vocab,
 				markov.MVMMOptions{TrainSample: 500, NewtonIters: 10})
 		}},
 	}

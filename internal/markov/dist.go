@@ -161,15 +161,6 @@ func (d *Dist) KLFrom(other *Dist) float64 {
 	return kl
 }
 
-// ForEachCount visits every observed (query, count) pair in unspecified
-// order without allocating; used by the compiled-model builder to verify
-// that components agree on a shared node's follower counts.
-func (d *Dist) ForEachCount(f func(q query.ID, c uint64)) {
-	for q, c := range d.counts {
-		f(q, c)
-	}
-}
-
 // Queries returns the observed queries in deterministic (ascending ID)
 // order; used by serialisation.
 func (d *Dist) Queries() []query.ID {

@@ -99,8 +99,8 @@ func (t *EscapeTable) Len() int { return len(t.occ) }
 func (t *EscapeTable) MaxLen() int { return t.maxLen }
 
 // ForEachWindow visits every tracked window with its occurrence counts, in
-// unspecified order. Used by the compiled-model builder to merge the
-// per-component tables into the flat trie.
+// unspecified order. Used by the compiled-model builder to put the counts
+// on the flat trie's nodes.
 func (t *EscapeTable) ForEachWindow(f func(key string, occ, startOcc uint64)) {
 	for k, o := range t.occ {
 		f(k, o, t.startOcc[k])

@@ -3,7 +3,6 @@ package markov
 import (
 	"slices"
 	"sort"
-	"sync"
 
 	"repro/internal/model"
 	"repro/internal/query"
@@ -17,9 +16,6 @@ type MVMMOptions struct {
 	TrainSample int
 	// NewtonIters bounds the Eq. (10) iterations. 0 defaults to 30.
 	NewtonIters int
-	// Parallel trains the component VMMs concurrently (the paper notes the
-	// K models "can be independently trained in parallel").
-	Parallel bool
 	// FixedSigma, when positive, skips σ learning and gives every
 	// component the same Gaussian width — the ablation baseline for the
 	// learned Eq. (9) weights.
@@ -40,8 +36,10 @@ func (o MVMMOptions) withDefaults() MVMMOptions {
 // a linearly weighted combination of K VMM components with per-component
 // Gaussian weights over the edit distance between the online user context
 // and each component's best-matching state (Eq. 4), with the σ parameters
-// learned by minimising the KL redundancy (Eqs. 7–10).
+// learned by minimising the KL redundancy (Eqs. 7–10). The components are
+// ε-views of one candidate tree, grown once.
 type MVMM struct {
+	t     *pst
 	comps []*VMM
 	sigma []float64
 	vocab int
@@ -57,63 +55,21 @@ func DefaultEpsilons() []float64 {
 	return eps
 }
 
-// NewMVMM trains a mixture over one VMM per config, then learns the mixing
-// parameters from the training data itself. When every component shares the
-// same context bound D (the usual case — the paper varies ε only), the
-// stage-(a) candidate statistics and escape table are built once and shared
-// across all K components, which keeps the K-fold training cost linear in
-// the data.
-func NewMVMM(sessions []query.Session, configs []VMMConfig, opt MVMMOptions) *MVMM {
+// NewMVMM trains the paper's mixture: one unbounded VMM per ε value, every
+// one a view of a single candidate tree, then learns the mixing parameters
+// from the training data itself. vocab <= 0 counts the sessions' queries.
+func NewMVMM(sessions []query.Session, epsilons []float64, vocab int, opt MVMMOptions) *MVMM {
 	opt = opt.withDefaults()
-	comps := make([]*VMM, len(configs))
-
-	sharedD := len(configs) > 0
-	for i := 1; i < len(configs); i++ {
-		if configs[i].D != configs[0].D {
-			sharedD = false
-		}
+	if vocab <= 0 {
+		vocab = guessVocab(sessions)
 	}
-	train := func(i int, c *candidates) {
-		cfg := configs[i]
-		if cfg.Vocab <= 0 {
-			cfg.Vocab = guessVocab(sessions)
-		}
-		if c != nil {
-			comps[i] = growVMM(c, cfg)
-			comps[i].freeze()
-		} else {
-			comps[i] = NewVMM(sessions, cfg)
-		}
+	t := growPST(sessions, VMMConfig{Vocab: vocab})
+	m := &MVMM{t: t, comps: make([]*VMM, len(epsilons)), vocab: vocab}
+	for i, e := range epsilons {
+		m.comps[i] = t.view(e)
 	}
-	var shared *candidates
-	if sharedD {
-		shared = buildCandidates(sessions, configs[0].D)
-		shared.freezeAll() // safe concurrent growth from shared statistics
-	}
-	if opt.Parallel {
-		var wg sync.WaitGroup
-		for i := range configs {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				train(i, shared)
-			}(i)
-		}
-		wg.Wait()
-	} else {
-		for i := range configs {
-			train(i, shared)
-		}
-	}
-	vocab := 0
-	for _, c := range comps {
-		if c.cfg.Vocab > vocab {
-			vocab = c.cfg.Vocab
-		}
-	}
-	m := &MVMM{comps: comps, vocab: vocab}
 	if opt.FixedSigma > 0 {
-		m.sigma = make([]float64, len(comps))
+		m.sigma = make([]float64, len(m.comps))
 		for i := range m.sigma {
 			m.sigma[i] = opt.FixedSigma
 		}
@@ -121,16 +77,6 @@ func NewMVMM(sessions []query.Session, configs []VMMConfig, opt MVMMOptions) *MV
 		m.sigma = m.learnSigma(sessions, opt)
 	}
 	return m
-}
-
-// NewMVMMFromEpsilons is the convenience constructor matching the paper's
-// setup: one unbounded VMM per ε value.
-func NewMVMMFromEpsilons(sessions []query.Session, epsilons []float64, vocab int, opt MVMMOptions) *MVMM {
-	configs := make([]VMMConfig, len(epsilons))
-	for i, e := range epsilons {
-		configs[i] = VMMConfig{Epsilon: e, Vocab: vocab}
-	}
-	return NewMVMM(sessions, configs, opt)
 }
 
 // learnSigma builds the Eq. (9) objective from a sample of training
@@ -304,17 +250,47 @@ func (m *MVMM) Covers(ctx query.Seq) bool {
 // UnionNodes returns the number of distinct PST nodes across all components
 // — the paper's single-tree deployment estimate for Table VII ("we can
 // actually combine all into a single PST"). internal/compiled realises that
-// estimate as the merged flat trie, and Table VII's compiled rows report
-// its exact arrays' and CPS5 blob's bytes exactly (a test pins them to
-// ExactBytes and len(AppendFlat5)); this count remains the node-level view.
+// estimate as the flat trie, and Table VII's compiled rows report its exact
+// arrays' and CPS5 blob's bytes exactly (a test pins them to ExactBytes and
+// len(AppendFlat5)); this count remains the node-level view.
 func (m *MVMM) UnionNodes() int {
-	union := make(map[string]struct{})
-	for _, c := range m.comps {
-		for k := range c.nodeKeys() {
-			union[k] = struct{}{}
+	n := 0
+	for id := range m.t.keys {
+		if m.views(int32(id)) != 0 {
+			n++
 		}
 	}
-	return len(union)
+	return n
 }
+
+// views returns the set of components holding candidate id, bit i for
+// component i.
+func (m *MVMM) views(id int32) uint64 {
+	var mask uint64
+	for i, c := range m.comps {
+		if c.holds(id) {
+			mask |= 1 << uint(i)
+		}
+	}
+	return mask
+}
+
+// ForEachState visits every state some component stores with follower
+// evidence — its suffix key in the Seq.Key layout, its followers and the
+// set of those components, bit i for component i — in unspecified order.
+// Used by the compiled-model builder; the mask is meaningful for at most 64
+// components.
+func (m *MVMM) ForEachState(f func(key string, d *Dist, mask uint64)) {
+	for id, key := range m.t.keys {
+		if d := m.t.dists[id]; d.Total() > 0 {
+			if mask := m.views(int32(id)); mask != 0 {
+				f(key, d, mask)
+			}
+		}
+	}
+}
+
+// Escape returns the escape table every component's chain reads.
+func (m *MVMM) Escape() *EscapeTable { return m.t.esc }
 
 var _ model.Predictor = (*MVMM)(nil)

@@ -19,7 +19,7 @@ func mvmmSessions() []query.Session {
 
 func newTestMVMM(t *testing.T) *MVMM {
 	t.Helper()
-	return NewMVMMFromEpsilons(mvmmSessions(), []float64{0.0, 0.05, 0.1}, 10,
+	return NewMVMM(mvmmSessions(), []float64{0.0, 0.05, 0.1}, 10,
 		MVMMOptions{TrainSample: 100, NewtonIters: 10})
 }
 
@@ -137,27 +137,6 @@ func TestMVMMUnionNodesAtMostSum(t *testing.T) {
 	// Components are nested by ε, so the union equals the largest (ε=0).
 	if u != maxNodes {
 		t.Fatalf("union = %d, want %d (the ε=0 full tree)", u, maxNodes)
-	}
-}
-
-func TestMVMMParallelTrainingEquivalent(t *testing.T) {
-	seq := NewMVMMFromEpsilons(mvmmSessions(), []float64{0.0, 0.1}, 10,
-		MVMMOptions{TrainSample: 100, NewtonIters: 5})
-	par := NewMVMM(mvmmSessions(), []VMMConfig{
-		{Epsilon: 0.0, Vocab: 10},
-		{Epsilon: 0.1, Vocab: 10},
-	}, MVMMOptions{TrainSample: 100, NewtonIters: 5, Parallel: true})
-	for _, ctx := range []query.Seq{{1, 2}, {4, 2}, {2}} {
-		a := seq.Predict(ctx, 3)
-		b := par.Predict(ctx, 3)
-		if len(a) != len(b) {
-			t.Fatalf("parallel vs sequential differ on %v: %v vs %v", ctx, a, b)
-		}
-		for i := range a {
-			if a[i].Query != b[i].Query {
-				t.Fatalf("parallel vs sequential rank %d differ: %v vs %v", i, a, b)
-			}
-		}
 	}
 }
 

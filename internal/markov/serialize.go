@@ -1,7 +1,6 @@
 package markov
 
 import (
-	"fmt"
 	"io"
 	"sort"
 
@@ -70,28 +69,6 @@ func (m *NGram) WriteTo(w io.Writer) (int64, error) {
 	return sw.BytesWritten(), nil
 }
 
-// ReadNGram decodes a model written by (*NGram).WriteTo.
-func ReadNGram(r io.Reader) (*NGram, error) {
-	sr := store.NewReader(r)
-	sr.Magic(magicNGram)
-	m := &NGram{states: make(map[string]*Dist)}
-	m.vocab = sr.Int()
-	m.maxN = sr.Int()
-	n := sr.Int()
-	for i := 0; i < n && sr.Err() == nil; i++ {
-		k := sr.String()
-		m.states[k] = ReadDist(sr)
-	}
-	if err := sr.Err(); err != nil {
-		return nil, err
-	}
-	if err := sr.Close(); err != nil {
-		return nil, err
-	}
-	m.freeze()
-	return m, nil
-}
-
 func writeEscape(sw *store.Writer, t *EscapeTable) {
 	sw.Magic(magicEsc)
 	sw.Int(t.maxLen)
@@ -108,21 +85,6 @@ func writeEscape(sw *store.Writer, t *EscapeTable) {
 	}
 }
 
-func readEscape(sr *store.Reader) *EscapeTable {
-	sr.Magic(magicEsc)
-	t := &EscapeTable{occ: make(map[string]uint64), startOcc: make(map[string]uint64)}
-	t.maxLen = sr.Int()
-	n := sr.Int()
-	for i := 0; i < n && sr.Err() == nil; i++ {
-		k := sr.String()
-		t.occ[k] = sr.Uvarint()
-		if s := sr.Uvarint(); s > 0 {
-			t.startOcc[k] = s
-		}
-	}
-	return t
-}
-
 func (m *VMM) writeBody(sw *store.Writer) {
 	sw.Magic(magicVMM)
 	sw.Float64(m.cfg.Epsilon)
@@ -130,31 +92,20 @@ func (m *VMM) writeBody(sw *store.Writer) {
 	sw.Uvarint(m.cfg.MinSupport)
 	sw.Int(m.cfg.Vocab)
 	sw.Int(m.depth)
-	WriteDist(sw, m.root)
-	sw.Int(len(m.nodes))
-	for _, k := range sortedKeys(m.nodes) {
-		sw.String(k)
-		WriteDist(sw, m.nodes[k])
+	WriteDist(sw, m.t.root)
+	sw.Int(m.nodes)
+	ids := make([]int32, 0, m.nodes)
+	for id := range m.t.keys {
+		if m.holds(int32(id)) {
+			ids = append(ids, int32(id))
+		}
 	}
-	writeEscape(sw, m.esc)
-}
-
-func readVMMBody(sr *store.Reader) *VMM {
-	sr.Magic(magicVMM)
-	m := &VMM{nodes: make(map[string]*Dist)}
-	m.cfg.Epsilon = sr.Float64()
-	m.cfg.D = sr.Int()
-	m.cfg.MinSupport = sr.Uvarint()
-	m.cfg.Vocab = sr.Int()
-	m.depth = sr.Int()
-	m.root = ReadDist(sr)
-	n := sr.Int()
-	for i := 0; i < n && sr.Err() == nil; i++ {
-		k := sr.String()
-		m.nodes[k] = ReadDist(sr)
+	sort.Slice(ids, func(i, j int) bool { return m.t.keys[ids[i]] < m.t.keys[ids[j]] })
+	for _, id := range ids {
+		sw.String(m.t.keys[id])
+		WriteDist(sw, m.t.dists[id])
 	}
-	m.esc = readEscape(sr)
-	return m
+	writeEscape(sw, m.t.esc)
 }
 
 // WriteTo serializes the VMM (tree, root prior and escape table).
@@ -165,20 +116,6 @@ func (m *VMM) WriteTo(w io.Writer) (int64, error) {
 		return sw.BytesWritten(), err
 	}
 	return sw.BytesWritten(), nil
-}
-
-// ReadVMM decodes a model written by (*VMM).WriteTo.
-func ReadVMM(r io.Reader) (*VMM, error) {
-	sr := store.NewReader(r)
-	m := readVMMBody(sr)
-	if err := sr.Err(); err != nil {
-		return nil, err
-	}
-	if err := sr.Close(); err != nil {
-		return nil, err
-	}
-	m.freeze()
-	return m, nil
 }
 
 // WriteTo serializes the mixture: every component plus the learned sigmas.
@@ -197,35 +134,4 @@ func (m *MVMM) WriteTo(w io.Writer) (int64, error) {
 		return sw.BytesWritten(), err
 	}
 	return sw.BytesWritten(), nil
-}
-
-// ReadMVMM decodes a mixture written by (*MVMM).WriteTo.
-func ReadMVMM(r io.Reader) (*MVMM, error) {
-	sr := store.NewReader(r)
-	sr.Magic(magicMVMM)
-	k := sr.Int()
-	if sr.Err() != nil {
-		return nil, sr.Err()
-	}
-	if k > 1024 {
-		return nil, fmt.Errorf("store: implausible component count %d", k)
-	}
-	m := &MVMM{comps: make([]*VMM, k), sigma: make([]float64, k)}
-	for i := 0; i < k && sr.Err() == nil; i++ {
-		m.comps[i] = readVMMBody(sr)
-	}
-	for i := 0; i < k && sr.Err() == nil; i++ {
-		m.sigma[i] = sr.Float64()
-	}
-	m.vocab = sr.Int()
-	if err := sr.Err(); err != nil {
-		return nil, err
-	}
-	if err := sr.Close(); err != nil {
-		return nil, err
-	}
-	for _, c := range m.comps {
-		c.freeze()
-	}
-	return m, nil
 }

@@ -96,12 +96,13 @@ func TestPaperToyExampleTreeStates(t *testing.T) {
 	if m.NumNodes() != 3 {
 		t.Fatalf("PST has %d nodes, want 3 (q0, q1, q1q0)", m.NumNodes())
 	}
+	nodes := nodeSet(m)
 	for _, want := range []query.Seq{{q0}, {q1}, {q1, q0}} {
-		if _, ok := m.nodes[want.Key()]; !ok {
+		if _, ok := nodes[want.Key()]; !ok {
 			t.Fatalf("state %v missing from PST", want)
 		}
 	}
-	if _, ok := m.nodes[(query.Seq{q0, q1}).Key()]; ok {
+	if _, ok := nodes[(query.Seq{q0, q1}).Key()]; ok {
 		t.Fatal("state q0q1 should have been pruned at ε = 0.1")
 	}
 }

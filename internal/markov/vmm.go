@@ -3,7 +3,6 @@ package markov
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/model"
 	"repro/internal/query"
@@ -29,13 +28,15 @@ type VMMConfig struct {
 
 // VMM is a Variable Memory Markov model learned as a Prediction Suffix Tree.
 // States are suffix contexts; prediction walks to the deepest suffix of the
-// user context present in the tree (O(D) online, Sec. IV.B.2).
+// user context present in the tree (O(D) online, Sec. IV.B.2). A VMM is an
+// ε-view of a grown candidate tree: the candidates whose inclusion threshold
+// θ exceeds its ε (see pst). Mixture components are views of one tree.
 type VMM struct {
 	cfg   VMMConfig
-	nodes map[string]*Dist // suffix key -> follower distribution
-	root  *Dist            // the empty-context prior (node e)
-	esc   *EscapeTable
-	depth int // deepest stored node
+	t     *pst
+	lo    float64 // a candidate is stored iff θ > lo (or θ = +Inf); -Inf when ε <= 0
+	nodes int     // stored nodes, root excluded
+	depth int     // deepest stored node
 }
 
 // NewVMM learns a VMM from aggregated training sessions via the three-stage
@@ -51,30 +52,35 @@ func NewVMM(sessions []query.Session, cfg VMMConfig) *VMM {
 	if cfg.Vocab <= 0 {
 		cfg.Vocab = guessVocab(sessions)
 	}
-	c := buildCandidates(sessions, cfg.D)
-	m := growVMM(c, cfg)
-	m.freeze()
-	return m
+	return growPST(sessions, cfg).view(cfg.Epsilon)
 }
 
-// candidates is the shared output of PST stage (a): the conditional
-// follower counts of every suffix context, the root prior, the escape
-// table, and the depth-sorted candidate keys. Mixture training builds it
-// once and grows every component from it (the paper: the K models "can be
-// independently trained in parallel" — they share all sufficient
-// statistics).
-type candidates struct {
-	cand  map[string]*Dist
-	keys  []string // sorted by depth then key
-	root  *Dist
+// pst is the candidate tree of PST stages (a) and (b), grown once per
+// training run (the paper's Table VII: the K trees "can actually combine all
+// into a single PST"). Every candidate carries its inclusion threshold θ,
+// the larger of its own KL against its parent and the θ of every extension,
+// so the tree grown with threshold ε — the supported candidates that diverge
+// by more than ε, closed under suffixes — is exactly {k : θ(k) > ε}. This is
+// the growth rule of Ron, Singer & Tishby's prediction suffix trees ("The
+// Power of Amnesia", 1996) with the threshold test deferred to the view.
+type pst struct {
+	cfg   VMMConfig        // D, MinSupport and Vocab; Epsilon belongs to each view
+	index map[string]int32 // suffix key (Seq.Key layout) -> candidate
+	keys  []string         // by candidate, in first-seen order
+	dists []*Dist          // follower counts, by candidate
+	theta []float64        // inclusion threshold θ, by candidate
+	root  *Dist            // the empty-context prior (node e)
 	esc   *EscapeTable
-	plogp map[string]float64 // cached Σ p̃ log10 p̃ per parent
 }
 
-// buildCandidates runs stage (a) over the training sessions with context
-// bound D (0 = unbounded).
-func buildCandidates(sessions []query.Session, d int) *candidates {
-	c := &candidates{cand: make(map[string]*Dist), root: NewDist(), plogp: make(map[string]float64)}
+// growPST runs stage (a) over the training sessions with cfg's context bound
+// D (0 = unbounded), then gives every candidate its θ in one deepest-first
+// pass. A candidate under MinSupport seeds nothing (own θ -Inf) but is still
+// kept by closure when an extension is; a supported depth-1 candidate always
+// seeds (own θ +Inf).
+func growPST(sessions []query.Session, cfg VMMConfig) *pst {
+	t := &pst{cfg: cfg, index: make(map[string]int32), root: NewDist()}
+	d := cfg.D
 	maxSess := 0
 	for _, s := range sessions {
 		l := len(s.Queries)
@@ -83,125 +89,103 @@ func buildCandidates(sessions []query.Session, d int) *candidates {
 		}
 		for i := 1; i < l; i++ {
 			next := s.Queries[i]
-			c.root.Add(next, s.Count)
+			t.root.Add(next, s.Count)
 			limit := i
 			if d > 0 && limit > d {
 				limit = d
 			}
 			for k := 1; k <= limit; k++ {
 				key := s.Queries[i-k : i].Key()
-				dist := c.cand[key]
-				if dist == nil {
-					dist = NewDist()
-					c.cand[key] = dist
+				id, ok := t.index[key]
+				if !ok {
+					id = int32(len(t.dists))
+					t.index[key] = id
+					t.keys = append(t.keys, key)
+					t.dists = append(t.dists, NewDist())
 				}
-				dist.Add(next, s.Count)
+				t.dists[id].Add(next, s.Count)
 			}
 		}
 		// The root prior also counts first queries so that P(q|e) reflects
 		// the marginal query distribution (Fig. 3's node e).
 		if l > 0 {
-			c.root.Add(s.Queries[0], s.Count)
+			t.root.Add(s.Queries[0], s.Count)
 		}
 	}
-	c.keys = make([]string, 0, len(c.cand))
-	for k := range c.cand {
-		c.keys = append(c.keys, k)
-	}
-	sort.Slice(c.keys, func(i, j int) bool {
-		if len(c.keys[i]) != len(c.keys[j]) {
-			return len(c.keys[i]) < len(c.keys[j])
-		}
-		return c.keys[i] < c.keys[j]
-	})
 	escLen := d
 	if escLen <= 0 {
 		escLen = maxSess
 	}
-	c.esc = NewEscapeTable(sessions, escLen)
-	return c
-}
+	t.esc = NewEscapeTable(sessions, escLen)
 
-// freezeAll precomputes rankings and the per-parent Σ p̃ log10 p̃ cache so
-// multiple components can grow from the shared candidates concurrently
-// without mutating them.
-func (c *candidates) freezeAll() {
-	c.root.Freeze()
-	for k, d := range c.cand {
-		d.Freeze()
-		c.plogp[k] = sumPLogP(d)
+	t.root.Freeze()
+	plogp := make([]float64, len(t.keys)) // Σ p̃ log10 p̃ per parent, for klSmoothedFast
+	for i := range plogp {
+		plogp[i] = math.NaN()
 	}
-}
-
-func (c *candidates) parentStats(key string) (*Dist, float64) {
-	parent := c.cand[key]
-	if parent == nil {
-		return c.root, sumPLogP(c.root)
-	}
-	sum, ok := c.plogp[key]
-	if !ok {
-		// Sequential path: compute and cache lazily. The concurrent path
-		// pre-populates the cache via freezeAll.
-		sum = sumPLogP(parent)
-		c.plogp[key] = sum
-	}
-	return parent, sum
-}
-
-// growVMM runs stage (b) — depth-ordered ε growth with suffix closure —
-// over shared candidates. It does not freeze the result; NewVMM and
-// NewMVMM handle freezing.
-func growVMM(c *candidates, cfg VMMConfig) *VMM {
-	m := &VMM{cfg: cfg, nodes: make(map[string]*Dist), root: c.root, esc: c.esc}
-	for _, k := range c.keys {
-		d := c.cand[k]
-		if d.Total() < cfg.MinSupport {
-			continue
-		}
-		depth := len(k) / 4
-		if depth == 1 {
-			m.addNode(k, d, 1)
-			continue
-		}
-		if _, already := m.nodes[k]; already {
-			continue
-		}
-		grow := cfg.Epsilon <= 0 // ε = 0 grows the full tree; skip the KL
-		if !grow {
-			parent, sum := c.parentStats(k[4:]) // drop the oldest query
-			grow = klSmoothedFast(parent, d, cfg.Vocab, sum) > cfg.Epsilon
-		}
-		if grow {
-			// Suffix closure: add s and every suffix of s.
-			for sk := k; len(sk) > 0; sk = sk[4:] {
-				if _, ok := m.nodes[sk]; ok {
-					continue
-				}
-				sd := c.cand[sk]
-				if sd == nil {
-					sd = NewDist()
-				}
-				m.addNode(sk, sd, len(sk)/4)
+	t.theta = make([]float64, len(t.keys))
+	for id, key := range t.keys {
+		dist := t.dists[id]
+		dist.Freeze()
+		switch {
+		case dist.Total() < cfg.MinSupport:
+			t.theta[id] = math.Inf(-1)
+		case len(key) == 4:
+			t.theta[id] = math.Inf(1)
+		default:
+			p := t.index[key[4:]] // drop the oldest query
+			if math.IsNaN(plogp[p]) {
+				plogp[p] = sumPLogP(t.dists[p])
 			}
+			t.theta[id] = klSmoothedFast(t.dists[p], dist, cfg.Vocab, plogp[p])
+		}
+	}
+	// A suffix is always seen before its extensions, so every parent's ID is
+	// below its children's: walking IDs downward raises each θ to its
+	// extensions' before it is passed on.
+	for id := len(t.keys) - 1; id >= 0; id-- {
+		if key := t.keys[id]; len(key) > 4 {
+			p := t.index[key[4:]]
+			t.theta[p] = max(t.theta[p], t.theta[id])
+		}
+	}
+	return t
+}
+
+// view returns the tree grown with threshold eps: ε <= 0 keeps every
+// candidate a supported one extends (the full tree), ε = +Inf only the
+// depth-1 seeds (the Adjacency 2-gram).
+func (t *pst) view(eps float64) *VMM {
+	m := &VMM{cfg: t.cfg, t: t, lo: eps}
+	m.cfg.Epsilon = eps
+	if eps <= 0 {
+		m.lo = math.Inf(-1)
+	}
+	for id, key := range t.keys {
+		if m.holds(int32(id)) {
+			m.nodes++
+			m.depth = max(m.depth, len(key)/4)
 		}
 	}
 	return m
 }
 
-// freeze precomputes every node's TopN ranking so predictions are safe for
-// concurrent callers.
-func (m *VMM) freeze() {
-	m.root.Freeze()
-	for _, d := range m.nodes {
-		d.Freeze()
-	}
+// holds reports whether candidate id is a node of the view. A supported
+// depth-1 candidate (θ = +Inf) is one even at ε = +Inf.
+func (m *VMM) holds(id int32) bool {
+	th := m.t.theta[id]
+	return th > m.lo || th == math.Inf(1)
 }
 
-func (m *VMM) addNode(key string, d *Dist, depth int) {
-	m.nodes[key] = d
-	if depth > m.depth {
-		m.depth = depth
+// state returns the view's node for the key, when it holds one with
+// prediction evidence.
+func (m *VMM) state(key []byte) (*Dist, bool) {
+	id, ok := m.t.index[string(key)]
+	if !ok || !m.holds(id) {
+		return nil, false
 	}
+	d := m.t.dists[id]
+	return d, d.Total() > 0
 }
 
 func guessVocab(sessions []query.Session) int {
@@ -330,36 +314,13 @@ func (m *VMM) Config() VMMConfig { return m.cfg }
 // (internal/experiments) reports this interpreted tree's serialized bytes
 // alongside the compiled model's exact arrays and the CPS5 serving blob the
 // deployment actually maps; the node count is the Sec. V.F.2 size quote.
-func (m *VMM) NumNodes() int { return len(m.nodes) }
+func (m *VMM) NumNodes() int { return m.nodes }
 
 // Depth returns the deepest stored context length.
 func (m *VMM) Depth() int { return m.depth }
 
-// Escape exposes the escape table (shared with the MVMM mixture).
-func (m *VMM) Escape() *EscapeTable { return m.esc }
-
 // Root returns the empty-context prior distribution (node e).
-func (m *VMM) Root() *Dist { return m.root }
-
-// ForEachNode visits every stored PST node (suffix key in the Seq.Key
-// layout plus its follower distribution) in unspecified order. Used by the
-// compiled-model builder to merge components into a single flat trie.
-func (m *VMM) ForEachNode(f func(key string, d *Dist)) {
-	for k, d := range m.nodes {
-		f(k, d)
-	}
-}
-
-// nodeKeys returns all stored suffix keys; used by the union-PST node
-// accounting behind Table VII (the estimate internal/compiled realises as
-// the merged single tree).
-func (m *VMM) nodeKeys() map[string]struct{} {
-	out := make(map[string]struct{}, len(m.nodes))
-	for k := range m.nodes {
-		out[k] = struct{}{}
-	}
-	return out
-}
+func (m *VMM) Root() *Dist { return m.t.root }
 
 // matchKeyBuf is the stack-allocated scratch for suffix-key encoding on the
 // prediction hot path: contexts up to 64 queries deep walk the tree without
@@ -392,7 +353,7 @@ func (m *VMM) MatchState(ctx query.Seq) (query.Seq, *Dist, bool) {
 	var arr [matchKeyBuf]byte
 	b := appendSeqKey(arr[:0], ctx[len(ctx)-start:])
 	for k := start; k >= 1; k-- {
-		if d, ok := m.nodes[string(b[len(b)-4*k:])]; ok && d.Total() > 0 {
+		if d, ok := m.state(b[len(b)-4*k:]); ok {
 			return ctx[len(ctx)-k:], d, true
 		}
 	}
@@ -429,7 +390,7 @@ func (m *VMM) Prob(ctx query.Seq, q query.ID) float64 {
 // probability used inside the MVMM mixture.
 func (m *VMM) ProbEscape(ctx query.Seq, q query.ID) float64 {
 	if len(ctx) == 0 {
-		return m.root.SmoothedP(q, m.cfg.Vocab)
+		return m.t.root.SmoothedP(q, m.cfg.Vocab)
 	}
 	var arr [matchKeyBuf]byte
 	b := appendSeqKey(arr[:0], ctx)
@@ -441,12 +402,12 @@ func (m *VMM) ProbEscape(ctx query.Seq, q query.ID) float64 {
 // whole chain reuses one buffer and performs zero-copy map lookups.
 func (m *VMM) probEscapeKey(b []byte, q query.ID) float64 {
 	if len(b) == 0 {
-		return m.root.SmoothedP(q, m.cfg.Vocab)
+		return m.t.root.SmoothedP(q, m.cfg.Vocab)
 	}
-	if d, ok := m.nodes[string(b)]; ok && d.Total() > 0 {
+	if d, ok := m.state(b); ok {
 		return d.SmoothedP(q, m.cfg.Vocab)
 	}
-	return m.esc.escapeKey(b) * m.probEscapeKey(b[4:], q)
+	return m.t.esc.escapeKey(b) * m.probEscapeKey(b[4:], q)
 }
 
 // GenProb returns the escape-chain generative probability of an entire

@@ -54,7 +54,7 @@ func TestVMMDBoundCapsDepth(t *testing.T) {
 func TestVMMMinSupportFilters(t *testing.T) {
 	strict := NewVMM(vmmTrainingSessions(), VMMConfig{Epsilon: 0, MinSupport: 5, Vocab: 10})
 	// The contexts only supported by the frequency-4 session must be gone.
-	if _, ok := strict.nodes[(query.Seq{6, 1, 2}).Key()]; ok {
+	if _, ok := nodeSet(strict)[(query.Seq{6, 1, 2}).Key()]; ok {
 		t.Fatal("low-support context survived MinSupport filter")
 	}
 	loose := NewVMM(vmmTrainingSessions(), VMMConfig{Epsilon: 0, Vocab: 10})
@@ -66,9 +66,10 @@ func TestVMMMinSupportFilters(t *testing.T) {
 func TestVMMSuffixClosure(t *testing.T) {
 	m := NewVMM(vmmTrainingSessions(), VMMConfig{Epsilon: 0, Vocab: 10})
 	// PST invariant: if a context is in the tree, all its suffixes are too.
-	for k := range m.nodes {
+	nodes := nodeSet(m)
+	for k := range nodes {
 		for sk := k[4:]; len(sk) > 0; sk = sk[4:] {
-			if _, ok := m.nodes[sk]; !ok {
+			if _, ok := nodes[sk]; !ok {
 				t.Fatalf("suffix closure violated: %v present but suffix %v missing",
 					query.SeqFromKey(k), query.SeqFromKey(sk))
 			}

@@ -102,7 +102,7 @@ func TestVMMConformance(t *testing.T) {
 
 func TestMVMMConformance(t *testing.T) {
 	d, sessions, ctxs := trainingData()
-	m := markov.NewMVMMFromEpsilons(sessions, markov.DefaultEpsilons(), d.Len(),
+	m := markov.NewMVMM(sessions, markov.DefaultEpsilons(), d.Len(),
 		markov.MVMMOptions{TrainSample: 50, NewtonIters: 3})
 	predictortest.Run(t, m, ctxs)
 }
