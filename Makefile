@@ -20,9 +20,10 @@ race:
 # race between a request and whatever outlives it (the response header write
 # after the handler returned, a hedge loser) shows in a fraction of runs, so
 # one pass of `race` can miss it; ci repeats the two packages that serve
-# requests and the cache whose shards (entries and admission ghost) every
-# request touches.
-PKG ?= ./internal/serve ./internal/fleet ./internal/cache
+# requests, the cache whose shards (entries and admission ghost) every
+# request touches, and cmd/serve, whose lifecycle tests stop a process
+# mid-request with its ingestion loop and ramp running.
+PKG ?= ./internal/serve ./internal/fleet ./internal/cache ./cmd/serve
 N ?= 10
 race-repeat:
 	$(GO) test -race -count=$(N) $(PKG)
@@ -49,7 +50,7 @@ fuzz-smoke:
 # and a single handler side by side (internal/fleet), and arbitrary bytes
 # through the CPS5 model decoder, which runs at load on mapped bytes whose CRC
 # a zero-copy load does not check (internal/compiled), the search-log codec
-# cmd/ingest tails against the string-building one it replaced
+# the ingestion loop tails against the string-building one it replaced
 # (internal/logfmt), the Prometheus exposition parser on arbitrary bytes
 # and on a registry's own output (internal/obs), and the score formatter on
 # arbitrary float64 bits against encoding/json (internal/core). fuzz-smoke's loop over a
@@ -143,7 +144,7 @@ check-api: vet
 # Line-count ratchet: the non-test Go lines outside bench/ and dot-directories
 # may not grow past LINES_CEILING. A PR that shrinks the code lowers the
 # ceiling to its new count; a PR that raises it says why in CHANGES.md.
-LINES_CEILING = 19557
+LINES_CEILING = 19548
 check-lines:
 	@n=$$(find . -path ./bench -prune -o -path './.*' -prune -o -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l); \
 	echo "non-test Go lines: $$n (ceiling $(LINES_CEILING))"; \

@@ -6,9 +6,10 @@
 //
 // It also reads ARCHITECTURE.md and README.md from the directory it runs in
 // (the repository root) and fails when either still names something the
-// repository retired on purpose (retired.txt), or when a README flag-table
+// repository retired on purpose (retired.txt), when a README flag-table
 // row documents a -flag that its command — the `cmd/<name>` the table
-// follows — does not define; when a comment in any Go file under it cites a
+// follows — does not define, or when that command defines a flag its table
+// has no row for; when a comment in any Go file under it cites a
 // *.md file, by its path from the root, that does not exist; and when a
 // heading of the recorded experiment output
 // (internal/experiments/testdata/quick.golden) has no row in EXPERIMENTS.md.
@@ -55,9 +56,11 @@ var retiredList string
 // single-model serving mode with its own swap, reload and generation (a
 // single model is a one-arm fleet), and the HMM and click-graph cluster
 // models with the harness switches and benchmarks that ran them (they scored
-// below every baseline; EXPERIMENTS.md keeps their numbers), and the mixture's
+// below every baseline; EXPERIMENTS.md keeps their numbers), the mixture's
 // per-ε growth, its merge in Compile and the model decoders nothing called
-// (the components are views of one tree).
+// (the components are views of one tree), and the standalone ingest command
+// with its own flag names and the mmap paging hints no benchmark measured
+// (cmd/serve -role ingest runs the loop).
 var retired = regexp.MustCompile(`\b(` + strings.Join(strings.Fields(retiredList), "|") + `)\b`)
 
 var (
@@ -65,9 +68,10 @@ var (
 	cmdHeading = regexp.MustCompile("^`cmd/(\\w+)`")
 	// flagRow is a flag-table row; it captures the flag's name.
 	flagRow = regexp.MustCompile("^\\| `-([\\w-]+)`")
-	// flagDef is a flag definition in a command's source, flag.String("name",
-	// …) or flag.StringVar(&v, "name", …); it captures the name.
-	flagDef = regexp.MustCompile(`flag\.\w+\((?:&[\w.]+, )?"([\w-]+)"`)
+	// flagDef is a flag definition in a command's source on the flag package
+	// or on a *flag.FlagSet, flag.String("name", …) or fs.StringVar(&v,
+	// "name", …); it captures the name.
+	flagDef = regexp.MustCompile(`\b\w+\.(?:Bool|Duration|Float64|Func|Int|Int64|String|TextVar|Uint|Uint64)(?:Var|Func)?\((?:&[\w.]+, )?"([\w-]+)"`)
 	// mdCite is a Markdown file a comment cites.
 	mdCite = regexp.MustCompile(`[\w./-]+\.md\b`)
 	// resultHeading is a heading of the experiment harness's output; it
@@ -100,17 +104,33 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		var flags map[string]bool // those of the command whose table this is
+		var cmd string                       // the command whose table this is
+		var flags map[string]bool            // those it defines
+		rows := map[string]map[string]bool{} // per command, the flags its table documents
 		for i, line := range strings.Split(string(prose), "\n") {
 			if m := retired.FindString(line); m != "" {
 				fmt.Printf("%s:%d: names %s, which no longer exists\n", name, i+1, m)
 				bad++
 			}
 			if m := cmdHeading.FindStringSubmatch(line); m != nil {
-				flags = cmdFlags(filepath.Join("cmd", m[1]))
-			} else if m := flagRow.FindStringSubmatch(line); m != nil && flags != nil && !flags[m[1]] {
-				fmt.Printf("%s:%d: documents -%s, which its command does not define\n", name, i+1, m[1])
-				bad++
+				cmd, flags = m[1], cmdFlags(m[1])
+			} else if m := flagRow.FindStringSubmatch(line); m != nil && cmd != "" {
+				if !flags[m[1]] {
+					fmt.Printf("%s:%d: documents -%s, which its command does not define\n", name, i+1, m[1])
+					bad++
+				}
+				if rows[cmd] == nil {
+					rows[cmd] = map[string]bool{}
+				}
+				rows[cmd][m[1]] = true
+			}
+		}
+		for cmd, documented := range rows {
+			for flag := range cmdFlags(cmd) {
+				if !documented[flag] {
+					fmt.Printf("%s: cmd/%s defines -%s, which its flag table has no row for\n", name, cmd, flag)
+					bad++
+				}
 			}
 		}
 	}
@@ -196,8 +216,9 @@ func danglingCitations() []string {
 	return out
 }
 
-// cmdFlags returns the names of the flags the command in dir defines.
-func cmdFlags(dir string) map[string]bool {
+// cmdFlags returns the names of the flags the command cmd/<name> defines.
+func cmdFlags(name string) map[string]bool {
+	dir := filepath.Join("cmd", name)
 	files, err := filepath.Glob(filepath.Join(dir, "*.go"))
 	if err != nil || len(files) == 0 {
 		log.Fatalf("no Go command in %s", dir)

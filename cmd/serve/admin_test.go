@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/core"
@@ -11,7 +12,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/query"
 	"repro/internal/serve"
-	"repro/internal/stream"
 )
 
 // adminTestRec trains a tiny model for the serving mounts.
@@ -32,7 +32,7 @@ func adminTestRec(t *testing.T) core.Recommender {
 
 // TestAdminSurfaceAgrees holds the four processes that mount obs.Admin — the
 // handler New builds for one model, one given a fleet, a 2-shard loopback router and
-// this command's listener — to one table: per admin path and method the same
+// -role ingest's listener — to one table: per admin path and method the same
 // status and Content-Type, an error envelope on every non-2xx, and a
 // Prometheus exposition obs.ParsePrometheus reads wherever one is served.
 func TestAdminSurfaceAgrees(t *testing.T) {
@@ -51,12 +51,18 @@ func TestAdminSurfaceAgrees(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oreg := obs.NewRegistry()
+	dir := t.TempDir()
+	ingest, err := build(mustConfig(t, "-role", "ingest", "-model", "", "-addr", "",
+		"-ingest-log", filepath.Join(dir, "queries.log"), "-ingest-wal", filepath.Join(dir, "ingest.wal")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ingest.close() })
 	mounts := map[string]http.Handler{
 		"single": serve.New(rec, serve.Options{}),
 		"fleet":  serve.New(rec, serve.Options{Fleet: rt}),
 		"router": router,
-		"ingest": adminHandler(oreg, obs.NewTracer(16, oreg.Histogram("ingest_segment_us")), func() stream.Status { return stream.Status{} }),
+		"ingest": ingest.handler,
 	}
 
 	const (

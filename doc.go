@@ -50,7 +50,9 @@
 // internal/serve exposes single and batch suggestion endpoints with
 // metrics, panic recovery and hot model reload; internal/cache fronts the
 // model with a sharded LRU keyed on interned context IDs; cmd/serve runs
-// the server with SIGHUP/POST-reload and graceful shutdown; cmd/loadgen
+// the server with SIGHUP/POST-reload and graceful shutdown, and the
+// streaming ingestion loop (internal/stream) that retrains it as the log
+// grows, embedded (-ingest-log) or alone (-role ingest); cmd/loadgen
 // replays power-law synthetic traffic against it. The /suggest hot path is
 // allocation-free end to end, and go test ./... holds it there: every
 // allocation, clock-read and blob-size ceiling is a test beside the code it

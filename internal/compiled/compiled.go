@@ -35,7 +35,7 @@
 // the parity property test in this package enforces both.
 //
 // The compiled form has one persistent encoding, CPS5 (AppendFlat5,
-// FromBytes, OpenMmapAdvised): follower probabilities as fixed-point uint16
+// FromBytes, OpenMmap): follower probabilities as fixed-point uint16
 // against per-node float32 steps, ranked views as uint16 indices (uint32 for
 // a node of more than 65535 followers), node arrays narrowed to their needed
 // width, follower-ID lists delta-encoded and varint-packed per node, CSR
@@ -133,15 +133,13 @@ type Model struct {
 
 	scratch scratchPool
 
-	// Mmap backing (models returned by OpenMmapAdvised only): the full
-	// mapping the arrays alias, unmapped by Release or by the GC cleanup once
-	// the model becomes unreachable. mapAdvice records the kernel paging
-	// hints applied to the mapping, "" when none were requested.
+	// Mmap backing (models returned by OpenMmap only): the full mapping the
+	// arrays alias, unmapped by Release or by the GC cleanup once the model
+	// becomes unreachable.
 	release     []byte
 	cleanup     runtime.Cleanup
 	releaseOnce sync.Once
 	releaseErr  error
-	mapAdvice   string
 }
 
 // Compile flattens a trained mixture into its serving form: the mixture's

@@ -7,7 +7,6 @@ import (
 	"math"
 	"os"
 	"runtime"
-	"strings"
 
 	"repro/internal/markov"
 )
@@ -105,31 +104,13 @@ func decodeF64(b []byte) []float64 {
 	return out
 }
 
-// MapAdvice requests best-effort kernel paging hints for an OpenMmapAdvised
-// mapping. Hints are advisory by design: a kernel that refuses one (old
-// version, RLIMIT_MEMLOCK) degrades to plain demand paging, never to an
-// error — the outcome is recorded on the model (MapAdvice) so operators can
-// see what actually took effect.
-type MapAdvice struct {
-	// WillNeed issues madvise(MADV_WILLNEED): the kernel starts reading the
-	// whole blob ahead asynchronously, converting the lazy first-touch page
-	// faults of a fresh mmap into sequential readahead — the cold-start
-	// latency spike of the first few thousand requests disappears.
-	WillNeed bool
-	// Lock issues mlock(2) on the mapping: trie pages can never be evicted
-	// under memory pressure, bounding tail latency on loaded hosts. Requires
-	// RLIMIT_MEMLOCK headroom; failure is recorded, not fatal.
-	Lock bool
-}
-
-// OpenMmapAdvised memory-maps the CPS5 compiled blob stored at [offset,
+// OpenMmap memory-maps the CPS5 compiled blob stored at [offset,
 // offset+length) of the file at path and returns a Model whose fixed-width
-// arrays alias the mapping: the zero-copy cold-start path. Kernel paging hints adv are applied to the
-// mapping (none when adv is the zero value); the applied-hint summary is
-// readable via Model.MapAdvice. The mapping is released when the model is
-// garbage-collected, or eagerly via Release. Returns ErrMmapUnsupported on
-// platforms without mmap (callers fall back to heap decoding).
-func OpenMmapAdvised(path string, offset, length int64, adv MapAdvice) (*Model, error) {
+// arrays alias the mapping: the zero-copy cold-start path. The mapping is
+// released when the model is garbage-collected, or eagerly via Release.
+// Returns ErrMmapUnsupported on platforms without mmap (callers fall back to
+// heap decoding).
+func OpenMmap(path string, offset, length int64) (*Model, error) {
 	if !mmapSupported {
 		return nil, ErrMmapUnsupported
 	}
@@ -167,40 +148,11 @@ func OpenMmapAdvised(path string, offset, length int64, adv MapAdvice) (*Model, 
 	}
 	m.release = mapping
 	m.cleanup = runtime.AddCleanup(m, func(mp []byte) { _ = munmapRange(mp) }, mapping)
-	m.mapAdvice = applyMapAdvice(mapping, adv)
 	return m, nil
 }
 
-// applyMapAdvice issues the requested hints against the mapping and returns
-// a human-readable summary of what took effect (for LoadInfo / healthz),
-// e.g. "willneed,mlock" or "willneed,mlock:operation not permitted". Empty
-// when nothing was requested.
-func applyMapAdvice(mapping []byte, adv MapAdvice) string {
-	var parts []string
-	if adv.WillNeed {
-		if err := madviseWillNeed(mapping); err != nil {
-			parts = append(parts, "willneed:"+err.Error())
-		} else {
-			parts = append(parts, "willneed")
-		}
-	}
-	if adv.Lock {
-		if err := mlockRange(mapping); err != nil {
-			parts = append(parts, "mlock:"+err.Error())
-		} else {
-			parts = append(parts, "mlock")
-		}
-	}
-	return strings.Join(parts, ",")
-}
-
-// MapAdvice reports the kernel paging hints applied to this model's mapping
-// ("" for heap models or mappings opened without hints); hints that failed
-// carry the error after a colon.
-func (c *Model) MapAdvice() string { return c.mapAdvice }
-
 // Release eagerly unmaps the file backing of a model returned by
-// OpenMmapAdvised (a no-op for compiled or heap-decoded models). The model
+// OpenMmap (a no-op for compiled or heap-decoded models). The model
 // must not be used afterwards.
 func (c *Model) Release() error {
 	c.releaseOnce.Do(func() {

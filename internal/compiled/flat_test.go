@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"repro/internal/markov"
@@ -40,14 +39,14 @@ func mustFlat5(t testing.TB, c *Model) []byte {
 
 // mmapAt writes blob at byte offset off of a new file and maps it back; it
 // returns the model and the file's path.
-func mmapAt(t *testing.T, blob []byte, off int, adv MapAdvice) (*Model, string) {
+func mmapAt(t *testing.T, blob []byte, off int) (*Model, string) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "model.cps5")
 	file := make([]byte, off, off+len(blob))
 	if err := os.WriteFile(path, append(file, blob...), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	m, err := OpenMmapAdvised(path, int64(off), int64(len(blob)), adv)
+	m, err := OpenMmap(path, int64(off), int64(len(blob)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +104,7 @@ func TestOpenMmap(t *testing.T) {
 	c, sessions, vocab, rng := flatTestModel(t, 83)
 	blob := mustFlat5(t, c)
 	const off = 8192
-	m, path := mmapAt(t, blob, off, MapAdvice{})
+	m, path := mmapAt(t, blob, off)
 	assertBitIdentical(t, "mmap", mustCompact(t, c, ViewCopy), m, parityContexts(rng, sessions, vocab), vocab, rng)
 	if err := m.Release(); err != nil {
 		t.Fatal(err)
@@ -115,7 +114,7 @@ func TestOpenMmap(t *testing.T) {
 	}
 
 	// A window that overruns the file must fail cleanly, not SIGBUS later.
-	if _, err := OpenMmapAdvised(path, off, int64(len(blob))+4096, MapAdvice{}); err == nil {
+	if _, err := OpenMmap(path, off, int64(len(blob))+4096); err == nil {
 		t.Fatal("oversized mmap window went undetected")
 	}
 }
@@ -127,34 +126,7 @@ func TestOpenMmapUnalignedOffset(t *testing.T) {
 		t.Skip("no mmap on this platform")
 	}
 	c, sessions, vocab, rng := flatTestModel(t, 89)
-	m, _ := mmapAt(t, mustFlat5(t, c), 4096+512, MapAdvice{}) // 8-byte aligned, not page-aligned
+	m, _ := mmapAt(t, mustFlat5(t, c), 4096+512) // 8-byte aligned, not page-aligned
 	defer m.Release()
 	assertBitIdentical(t, "mmap-unaligned", mustCompact(t, c, ViewCopy), m, parityContexts(rng, sessions, vocab)[:50], vocab, rng)
-}
-
-// TestOpenMmapAdvised: paging hints must apply (or degrade, recorded) while
-// leaving predictions bit-identical, and a mapping opened without hints must
-// report no advice.
-func TestOpenMmapAdvised(t *testing.T) {
-	if !mmapSupported {
-		t.Skip("no mmap on this platform")
-	}
-	c, sessions, vocab, rng := flatTestModel(t, 97)
-	blob := mustFlat5(t, c)
-
-	plain, _ := mmapAt(t, blob, 0, MapAdvice{})
-	if got := plain.MapAdvice(); got != "" {
-		t.Fatalf("unadvised mapping reports %q", got)
-	}
-	plain.Release()
-
-	m, _ := mmapAt(t, blob, 0, MapAdvice{WillNeed: true, Lock: true})
-	defer m.Release()
-	advice := m.MapAdvice()
-	// Both hints must be accounted for — applied cleanly or recorded with
-	// their error — in request order.
-	if !strings.HasPrefix(advice, "willneed") || !strings.Contains(advice, "mlock") {
-		t.Fatalf("advice = %q, want willneed and mlock accounted for", advice)
-	}
-	assertBitIdentical(t, "mmap-advised", mustCompact(t, c, ViewCopy), m, parityContexts(rng, sessions, vocab)[:50], vocab, rng)
 }

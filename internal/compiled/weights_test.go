@@ -17,7 +17,7 @@ func loadedEveryWay(t *testing.T, c *Model) map[string]*Model {
 		models["CPS5 "+name] = mustCompact(t, c, mode)
 	}
 	if mmapSupported {
-		m, _ := mmapAt(t, mustFlat5(t, c), 0, MapAdvice{})
+		m, _ := mmapAt(t, mustFlat5(t, c), 0)
 		t.Cleanup(func() { m.Release() })
 		models["CPS5 mmap"] = m
 	}

@@ -119,7 +119,6 @@ type LoadInfo struct {
 	Mode      string        // LoadModeTrained, LoadModeHeap or LoadModeMmap
 	Version   string        // save-format magic of the source file, "" if trained
 	BlobBytes int64         // byte length of the compiled blob decoded or mapped; 0 if compiled in-process
-	MapAdvice string        // kernel paging hints applied to the mapping ("willneed", "mlock", …); "" when none
 	Duration  time.Duration // wall time of the Load/LoadPath call
 }
 
@@ -310,7 +309,7 @@ func (r *Engine) Stats() session.Stats { return r.stats }
 const saveMagic = "QRECV006"
 
 // compiledAlign is the file alignment of the compiled blob. 4 KiB covers
-// every common page size; compiled.OpenMmapAdvised additionally aligns the
+// every common page size; compiled.OpenMmap additionally aligns the
 // mapping down to the runtime page boundary, so larger-page systems still
 // work.
 const compiledAlign = 4096
@@ -440,7 +439,7 @@ type fileHeader struct {
 }
 
 // readHeader parses a model file up to its blob and leaves rd on the blob's
-// first byte. Load and LoadPathWith both start here.
+// first byte. Load and LoadPath both start here.
 func readHeader(rd io.Reader) (fileHeader, error) {
 	var h fileHeader
 	magic := make([]byte, len(saveMagic))
@@ -502,7 +501,6 @@ func loaded(h fileHeader, comp *compiled.Model, mode string, start time.Time) *E
 		Mode:      mode,
 		Version:   saveMagic,
 		BlobBytes: int64(h.blobLen),
-		MapAdvice: comp.MapAdvice(),
 		Duration:  time.Since(start),
 	}}
 }
@@ -534,26 +532,6 @@ func Load(rd io.Reader) (*Engine, error) {
 // platforms without mmap the blob is decoded into the heap as Load does.
 // LoadInfo reports which path was taken and the blob's byte length.
 func LoadPath(path string) (*Engine, error) {
-	return LoadPathWith(path, LoadOptions{})
-}
-
-// LoadOptions tunes LoadPathWith's mmap fast path. The zero value is
-// LoadPath's behaviour: plain demand paging.
-type LoadOptions struct {
-	// MapWillNeed requests madvise(MADV_WILLNEED) on the mapped compiled
-	// blob: asynchronous sequential readahead instead of per-page faults on
-	// first touch, removing the cold-start latency spike.
-	MapWillNeed bool
-	// MapLock requests mlock(2) on the mapping: trie pages become
-	// unevictable under memory pressure (needs RLIMIT_MEMLOCK headroom).
-	MapLock bool
-}
-
-// LoadPathWith is LoadPath with explicit load options. Paging hints are
-// best-effort: a refused hint degrades to demand paging and the outcome is
-// reported in LoadInfo.MapAdvice (and onward through /healthz), never as an
-// error.
-func LoadPathWith(path string, opts LoadOptions) (*Engine, error) {
 	start := time.Now()
 	f, err := os.Open(path)
 	if err != nil {
@@ -565,9 +543,8 @@ func LoadPathWith(path string, opts LoadOptions) (*Engine, error) {
 		return nil, err
 	}
 	mode := LoadModeMmap
-	// OpenMmapAdvised refuses a window that overruns the file.
-	comp, err := compiled.OpenMmapAdvised(path, h.blobOff, int64(h.blobLen),
-		compiled.MapAdvice{WillNeed: opts.MapWillNeed, Lock: opts.MapLock})
+	// OpenMmap refuses a window that overruns the file.
+	comp, err := compiled.OpenMmap(path, h.blobOff, int64(h.blobLen))
 	if errors.Is(err, compiled.ErrMmapUnsupported) {
 		mode = LoadModeHeap
 		var blob []byte
@@ -582,11 +559,15 @@ func LoadPathWith(path string, opts LoadOptions) (*Engine, error) {
 	return loaded(h, comp, mode, start), nil
 }
 
-// LoadAnyPath is LoadPathWith behind the Recommender interface: a nil
+// LoadOptions is LoadAnyPath's option set. It has no fields: it is kept
+// because the end-to-end benchmark (bench/) passes LoadOptions{}.
+type LoadOptions struct{}
+
+// LoadAnyPath is LoadPath behind the Recommender interface: a nil
 // Recommender, not a nil *Engine, on error. It is kept because the
 // end-to-end benchmark (bench/) calls it.
-func LoadAnyPath(path string, opts LoadOptions) (Recommender, error) {
-	e, err := LoadPathWith(path, opts)
+func LoadAnyPath(path string, _ LoadOptions) (Recommender, error) {
+	e, err := LoadPath(path)
 	if err != nil {
 		return nil, err
 	}

@@ -94,7 +94,7 @@ func writeTemp(t testing.TB, data []byte) string {
 
 // wantMmapMode is the LoadInfo.Mode LoadPath reports on this platform.
 func wantMmapMode() string {
-	if _, err := compiled.OpenMmapAdvised("", 0, 0, compiled.MapAdvice{}); errors.Is(err, compiled.ErrMmapUnsupported) {
+	if _, err := compiled.OpenMmap("", 0, 0); errors.Is(err, compiled.ErrMmapUnsupported) {
 		return LoadModeHeap
 	}
 	return LoadModeMmap
@@ -305,7 +305,7 @@ func TestLoadPathMmap(t *testing.T) {
 	}
 	defer loaded.Close()
 	if li := loaded.LoadInfo(); li.Mode != wantMmapMode() || li.Version != saveMagic ||
-		li.BlobBytes != blobLen(t, rec) || li.MapAdvice != "" || li.Duration <= 0 {
+		li.BlobBytes != blobLen(t, rec) || li.Duration <= 0 {
 		t.Fatalf("LoadInfo = %+v, want mode %q", li, wantMmapMode())
 	}
 	assertRecommendations(t, "mmap", rec, loaded, wideContexts, quantScoreTol)
@@ -466,37 +466,6 @@ func TestLoadRejectsTruncatedFlat(t *testing.T) {
 			t.Fatalf("path load of %d/%d bytes went undetected", n, len(good))
 		}
 	}
-}
-
-// TestLoadPathWithMapAdvice: paging hints requested through LoadOptions must
-// surface in LoadInfo (applied or recorded-degraded) on the mmap route, and
-// plain LoadPath must report none.
-func TestLoadPathWithMapAdvice(t *testing.T) {
-	rec := trainSmall(t)
-	path := writeTemp(t, saveBytes(t, rec))
-
-	plain, err := LoadPath(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := plain.LoadInfo().MapAdvice; got != "" {
-		t.Fatalf("plain LoadPath reports advice %q", got)
-	}
-	plain.Close()
-
-	loaded, err := LoadPathWith(path, LoadOptions{MapWillNeed: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer loaded.Close()
-	li := loaded.LoadInfo()
-	if li.Mode != LoadModeMmap {
-		t.Skipf("no mmap on this platform (mode %s)", li.Mode)
-	}
-	if !strings.HasPrefix(li.MapAdvice, "willneed") {
-		t.Fatalf("LoadInfo.MapAdvice = %q, want willneed accounted for", li.MapAdvice)
-	}
-	assertRecommendations(t, "advised", rec, loaded, persistContexts, quantScoreTol)
 }
 
 // FuzzLoad feeds arbitrary container bytes to Load: it must never panic,

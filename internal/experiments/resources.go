@@ -3,6 +3,8 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"math/rand"
+	"slices"
 	"time"
 
 	"repro/internal/compiled"
@@ -101,10 +103,13 @@ type Fig12Result struct {
 // Fig12 trains each method on growing prefixes of the training data
 // (25/50/75/100%) and times it. The sweep uses the full (unreduced)
 // aggregated sessions so the timings are dominated by real work rather than
-// noise. The MVMM's time is one candidate tree, grown once, its K ε-views
-// and the σ learning.
+// noise, in a seeded shuffle: the aggregated sessions are sorted by count,
+// so a prefix of them holds the frequent, short sessions and 4× the
+// sessions would be more than 4× the work. The MVMM's time is one candidate
+// tree, grown once, its K ε-views and the σ learning.
 func Fig12(c *Corpus) Fig12Result {
-	full := c.TrainAggFull
+	full := slices.Clone(c.TrainAggFull)
+	rand.New(rand.NewSource(12)).Shuffle(len(full), func(i, j int) { full[i], full[j] = full[j], full[i] })
 	var res Fig12Result
 	fractions := []float64{0.25, 0.5, 0.75, 1.0}
 	for _, f := range fractions {
@@ -147,13 +152,14 @@ func (r Fig12Result) Render(w io.Writer) {
 	for _, s := range r.Sizes {
 		headers = append(headers, fmt.Sprintf("%d", s))
 	}
+	headers = append(headers, "linearity")
 	rows := [][]string{}
 	for i, name := range r.Models {
 		row := []string{name}
 		for _, v := range r.Seconds[i] {
 			row = append(row, fmt.Sprintf("%.3f", v))
 		}
-		rows = append(rows, row)
+		rows = append(rows, append(row, fmt.Sprintf("%.2f", r.LinearityRatio(i))))
 	}
 	renderTable(w, headers, rows)
 }

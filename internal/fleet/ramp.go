@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -71,7 +72,7 @@ type RampStatus struct {
 // Ramp walks one challenger arm's weight up a RampPolicy schedule, driven by
 // the arm's live shadow divergence measurements. It is a deterministic state
 // machine over explicit timestamps: tests drive Tick directly, production
-// runs it from a ticker goroutine via Start.
+// runs it from a ticker via Run.
 //
 // Lifecycle per challenger generation: the ramp idles until the challenger
 // slot's generation changes (an ingestion push landed); it then resets the
@@ -107,15 +108,12 @@ type Ramp struct {
 	cSteps      *obs.Counter
 	cFreezes    *obs.Counter
 	cPromotions *obs.Counter
-
-	stopOnce sync.Once
-	stopCh   chan struct{}
 }
 
 // SetObservability wires the ramp's transition counters into reg
 // (ramp_steps_total, ramp_freezes_total, ramp_promotions_total) and retains
 // one forced trace per transition in tracer. Either argument may be nil.
-// Call before Start; the fields are not synchronised against a running
+// Call before Run; the fields are not synchronised against a running
 // ticker.
 func (r *Ramp) SetObservability(reg *obs.Registry, tracer *obs.Tracer) {
 	r.mu.Lock()
@@ -168,7 +166,6 @@ func NewRamp(rt *Router, arm string, pol RampPolicy) (*Ramp, error) {
 		statsFn: rt.ShadowStatsFor,
 		step:    -1,
 		lastGen: target.slot.State().Gen,
-		stopCh:  make(chan struct{}),
 	}, nil
 }
 
@@ -305,23 +302,18 @@ func (r *Ramp) statusLocked() RampStatus {
 	return st
 }
 
-// Start runs the ramp from a background ticker until Stop. Tick cadence
-// bounds how quickly the schedule can advance; Hold should be a multiple of
-// it.
-func (r *Ramp) Start(interval time.Duration) {
-	go func() {
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-r.stopCh:
-				return
-			case now := <-t.C:
-				r.Tick(now)
-			}
+// Run calls Tick once per period every until ctx ends, then returns ctx's
+// error. The period bounds how quickly the schedule can advance; Hold
+// should be a multiple of it.
+func (r *Ramp) Run(ctx context.Context, every time.Duration) error {
+	t := time.NewTicker(every)
+	defer t.Stop()
+	for {
+		select {
+		case <-ctx.Done():
+			return ctx.Err()
+		case now := <-t.C:
+			r.Tick(now)
 		}
-	}()
+	}
 }
-
-// Stop terminates the Start goroutine. Idempotent.
-func (r *Ramp) Stop() { r.stopOnce.Do(func() { close(r.stopCh) }) }

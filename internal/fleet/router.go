@@ -309,8 +309,9 @@ func (rt *Router) ShadowStats() []ShadowStats {
 	return rt.shadows.stats()
 }
 
-// Close stops the shadow worker, if any. The router must not be handed new
-// shadow work after Close; live routing keeps working.
+// Close stops the shadow worker, if any, and waits for it to return. The
+// router must not be handed new shadow work after Close; live routing keeps
+// working.
 func (rt *Router) Close() {
 	if rt.shadows != nil {
 		rt.shadows.close()

@@ -61,17 +61,19 @@ type shadower struct {
 	pool    sync.Pool
 	dropped atomic.Uint64
 	div     []shadowCounters // indexed like slots
-	done    chan struct{}
+	done    chan struct{}    // closed by close: the worker stops
+	exited  chan struct{}    // closed by the worker as it returns
 	once    sync.Once
 }
 
 func newShadower(reg *Registry, slots []*Slot) *shadower {
 	sh := &shadower{
-		reg:   reg,
-		slots: slots,
-		jobs:  make(chan *shadowJob, shadowQueueDepth),
-		div:   make([]shadowCounters, len(slots)),
-		done:  make(chan struct{}),
+		reg:    reg,
+		slots:  slots,
+		jobs:   make(chan *shadowJob, shadowQueueDepth),
+		div:    make([]shadowCounters, len(slots)),
+		done:   make(chan struct{}),
+		exited: make(chan struct{}),
 	}
 	sh.pool.New = func() any { return &shadowJob{ctx: make(query.Seq, 0, 16)} }
 	go sh.run()
@@ -103,14 +105,17 @@ func (sh *shadower) release(job *shadowJob) {
 	sh.pool.Put(job)
 }
 
+// close stops the worker and waits for it to return. Idempotent.
 func (sh *shadower) close() {
 	sh.once.Do(func() { close(sh.done) })
+	<-sh.exited
 }
 
 // run is the worker loop: score every queued request against every shadow
 // slot through the shared cache (which doubles as cache warming for the
 // challenger) and fold the divergence into the counters.
 func (sh *shadower) run() {
+	defer close(sh.exited)
 	for {
 		select {
 		case <-sh.done:

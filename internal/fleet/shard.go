@@ -223,6 +223,10 @@ func NewHTTPTransport(bases []string, client *http.Client) (*HTTPTransport, erro
 // Shards implements Transport.
 func (t *HTTPTransport) Shards() int { return len(t.bases) }
 
+// CloseIdleConnections closes the client's idle keep-alive connections, and
+// so the goroutines that serve them: a router that stops calls it last.
+func (t *HTTPTransport) CloseIdleConnections() { t.client.CloseIdleConnections() }
+
 // Exchange implements Transport with one HTTP request to the shard, reading
 // the response into the caller's recycled buffer. A socket can block, so the
 // attempt's deadline is armed here: the request runs under a

@@ -97,6 +97,15 @@ func (d *Dist) computeRanked() []query.ID {
 	return r
 }
 
+// order returns the observed queries in ranked order, a fixed one: the
+// frozen ranking, or a fresh one.
+func (d *Dist) order() []query.ID {
+	if d.ranked != nil {
+		return d.ranked
+	}
+	return d.computeRanked()
+}
+
 // Freeze precomputes the TopN ranking. Models call it once after training so
 // concurrent predictions never mutate shared state.
 func (d *Dist) Freeze() {

@@ -202,15 +202,18 @@ func guessVocab(sessions []query.Session) int {
 }
 
 // sumPLogP returns Σ_q p̃(q)·log10 p̃(q) over the MLE distribution — the
-// per-parent cache that makes klSmoothedFast O(child support).
+// per-parent cache that makes klSmoothedFast O(child support). It sums in
+// the distribution's ranked order, as klSmoothedFast does: a float sum in
+// map order gives other bits from call to call, and a KL that sits on an ε
+// would keep or drop its candidate at random.
 func sumPLogP(d *Dist) float64 {
 	if d.total == 0 {
 		return 0
 	}
 	var s float64
 	tot := float64(d.total)
-	for _, c := range d.counts {
-		p := float64(c) / tot
+	for _, q := range d.order() {
+		p := float64(d.counts[q]) / tot
 		s += p * math.Log10(p)
 	}
 	return s
@@ -237,8 +240,8 @@ func klSmoothedFast(parent, child *Dist, vocab int, sumPP float64) float64 {
 	overlapPLogP := 0.0 // Σ_{q∈C∩P} p̃ log10 p̃
 	overlapMass := 0.0  // Σ_{q∈C∩P} p̃
 	inParent := 0       // |C∩P|
-	for q, cc := range child.counts {
-		c := float64(cc) / ctot / zc
+	for _, q := range child.order() {
+		c := float64(child.counts[q]) / ctot / zc
 		if pc, ok := parent.counts[q]; ok {
 			pt := float64(pc) / ptot
 			p := pt / zp

@@ -291,3 +291,29 @@ func TestKLSmoothedFastMatchesReference(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestKLSumIsDeterministic: the growth test's KL of one (parent, child)
+// pair has one bit pattern, however often it is computed, so a candidate
+// whose KL sits within rounding of an ε is kept or dropped the same way in
+// every run.
+func TestKLSumIsDeterministic(t *testing.T) {
+	parent, child := NewDist(), NewDist()
+	for q := 0; q < 300; q++ {
+		parent.Add(query.ID(q), uint64(1+q*7919%97))
+		if q%3 != 0 {
+			child.Add(query.ID(q), uint64(1+q*104729%89))
+		}
+	}
+	child.Add(1000, 5)
+	const vocab = 5000
+	sumPP := sumPLogP(parent)
+	want := math.Float64bits(klSmoothedFast(parent, child, vocab, sumPP))
+	for i := 0; i < 1000; i++ {
+		if got := math.Float64bits(sumPLogP(parent)); got != math.Float64bits(sumPP) {
+			t.Fatalf("call %d: Σ p log p = %x, first call %x", i, got, math.Float64bits(sumPP))
+		}
+		if got := math.Float64bits(klSmoothedFast(parent, child, vocab, sumPP)); got != want {
+			t.Fatalf("call %d: KL = %x, first call %x", i, got, want)
+		}
+	}
+}

@@ -10,8 +10,8 @@ import (
 )
 
 // The HTTP side of the instruments: the one admin surface every process
-// mounts — the single handler, the shard router and cmd/ingest's listener —
-// and the two writers every handler answers with.
+// mounts — the single handler, the shard router and the listener of
+// cmd/serve -role ingest — and the two writers every handler answers with.
 
 // JSONContentType is the application/json Content-Type header value, shared —
 // by these writers and the hot paths of internal/serve and internal/fleet —

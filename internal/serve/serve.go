@@ -39,7 +39,8 @@
 //	                                          (tail offset, write-log, ramp)
 //
 // Health, metrics and traces are obs.Admin's, mounted by the shard router
-// and cmd/ingest too; every other admin endpoint lives only under /v1/.
+// and by cmd/serve -role ingest too; every other admin endpoint lives only
+// under /v1/.
 // Every non-2xx response carries the JSON error envelope
 // {"error":{"code","message",...}}.
 //
@@ -135,7 +136,6 @@ type Health struct {
 	LoadMode      string `json:"model_load_mode,omitempty"`
 	LoadVersion   string `json:"model_load_version,omitempty"`
 	BlobBytes     int64  `json:"model_blob_bytes,omitempty"`
-	MapAdvice     string `json:"model_map_advice,omitempty"`
 	LoadMicros    int64  `json:"model_load_us,omitempty"`
 }
 
@@ -442,7 +442,6 @@ func (h *Handler) health(w http.ResponseWriter, r *http.Request) {
 	resp.LoadMode = li.Mode
 	resp.LoadVersion = li.Version
 	resp.BlobBytes = li.BlobBytes
-	resp.MapAdvice = li.MapAdvice
 	resp.LoadMicros = li.Duration.Microseconds()
 	obs.WriteJSON(w, http.StatusOK, resp)
 }

@@ -40,7 +40,9 @@ type Config struct {
 	// sessions accumulated since the last one; <= 0 selects 64.
 	RecompileSessions uint64
 	// Push, when set, is invoked after each committed recompile with the
-	// snapshot path — cmd/ingest POSTs /v1/reload?model=<challenger> here.
+	// snapshot path — cmd/serve reloads its -ingest-arm slot here, in
+	// process when the loop is embedded in a fleet, by POST
+	// /v1/reload?model=<arm> at -ingest-push under -role ingest.
 	// A push failure is recorded and retried after the next recompile; it
 	// does not stop ingestion.
 	Push func(modelPath string) error
