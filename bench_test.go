@@ -352,7 +352,10 @@ func serveBenchSetup(b *testing.B) (core.Recommender, [][]string) {
 		cfg.Epsilons = markov.DefaultEpsilons()
 		cfg.Mixture.TrainSample = 500
 		cfg.Mixture.NewtonIters = 10
-		serveBenchRec = core.TrainFromAggregated(c.Dict, c.TrainAgg, cfg)
+		var err error
+		if serveBenchRec, err = core.TrainFromAggregated(c.Dict, c.TrainAgg, cfg); err != nil {
+			b.Fatal(err)
+		}
 		for _, ctx := range c.TestContexts(2, 256) {
 			qs := make([]string, len(ctx))
 			for i, id := range ctx {
@@ -687,10 +690,11 @@ func BenchmarkPredictSequential64(b *testing.B) {
 
 // BenchmarkPredictBatch64Parallel is the same 64-context batch cut into
 // contiguous chunks across GOMAXPROCS workers. Answers are bit-identical to
-// BenchmarkPredictBatch64. The fan-out has not paid at this size: the
-// end-to-end benchmark's compiled.batch_parallel_x (sequential ÷ parallel,
-// 2 workers) has read 0.83 — the parallel side slower — five times running,
-// so nothing serves through it (ROADMAP item 1).
+// BenchmarkPredictBatch64. The fan-out has not shown a steady gain at this
+// size: the end-to-end benchmark's compiled.batch_parallel_x (sequential ÷
+// parallel, 2 workers) has read 0.66, 1.22 and 1.06 on unchanged code, a
+// reading of the host rather than of the code, so nothing serves through it
+// (ROADMAP, "Benchmark-PR-only work").
 func BenchmarkPredictBatch64Parallel(b *testing.B) {
 	cm, ctxs, ns := batchBenchInputs(b)
 	var sink atomic.Int64

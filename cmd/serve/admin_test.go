@@ -27,7 +27,11 @@ func adminTestRec(t *testing.T) core.Recommender {
 	cfg.Epsilons = []float64{0.0, 0.05}
 	cfg.Mixture.TrainSample = 50
 	cfg.Mixture.NewtonIters = 3
-	return core.TrainFromSessions(d, sessions, cfg)
+	rec, err := core.TrainFromSessions(d, sessions, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rec
 }
 
 // TestAdminSurfaceAgrees holds the four processes that mount obs.Admin — the

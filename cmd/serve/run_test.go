@@ -115,7 +115,11 @@ func publishModel(t *testing.T, path string, vocab []string, sessions ...[]strin
 	cfg.Epsilons = []float64{0.0, 0.05}
 	cfg.Mixture.TrainSample = 50
 	cfg.Mixture.NewtonIters = 3
-	if err := core.Publish(path, core.TrainFromSessions(d, seqs, cfg)); err != nil {
+	rec, err := core.TrainFromSessions(d, seqs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := core.Publish(path, rec); err != nil {
 		t.Fatal(err)
 	}
 	eng, err := core.LoadPath(path)

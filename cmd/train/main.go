@@ -16,8 +16,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"strconv"
@@ -30,16 +32,27 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("train: ")
+	if err := run(os.Args[1:], os.Stderr); err != nil && !errors.Is(err, flag.ErrHelp) {
+		log.Fatal(err)
+	}
+}
+
+// run is main behind one error: parse args, train from -log and publish the
+// model at -model, reporting progress to stderr.
+func run(args []string, stderr io.Writer) error {
+	fs := flag.NewFlagSet("train", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		logPath   = flag.String("log", "", "raw search log (required)")
-		modelPath = flag.String("model", "model.bin", "output model file")
-		threshold = flag.Int("threshold", 5, "data-reduction frequency threshold (paper: 5; -1 disables)")
-		epsilons  = flag.String("epsilons", "", "comma-separated VMM growth thresholds (default: the paper's 0.0..0.1)")
+		logPath   = fs.String("log", "", "raw search log (required)")
+		modelPath = fs.String("model", "model.bin", "output model file")
+		threshold = fs.Int("threshold", 5, "data-reduction frequency threshold (paper: 5; -1 disables)")
+		epsilons  = fs.String("epsilons", "", "comma-separated VMM growth thresholds (default: the paper's 0.0..0.1)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	if *logPath == "" {
-		flag.Usage()
-		os.Exit(2)
+		return errors.New("-log is required")
 	}
 
 	cfg := core.DefaultConfig()
@@ -49,7 +62,7 @@ func main() {
 		for _, part := range strings.Split(*epsilons, ",") {
 			v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
 			if err != nil {
-				log.Fatalf("bad epsilon %q: %v", part, err)
+				return fmt.Errorf("bad epsilon %q: %v", part, err)
 			}
 			eps = append(eps, v)
 		}
@@ -58,23 +71,24 @@ func main() {
 
 	f, err := os.Open(*logPath)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer f.Close()
 
 	start := time.Now()
 	rec, err := core.TrainFromLog(f, cfg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	st := rec.Stats()
-	fmt.Fprintf(os.Stderr, "train: %d sessions, %d searches, %d unique queries, mean length %.2f (%.1fs)\n",
+	fmt.Fprintf(stderr, "train: %d sessions, %d searches, %d unique queries, mean length %.2f (%.1fs)\n",
 		st.Sessions, st.Searches, st.UniqueQueries, st.MeanLength(), time.Since(start).Seconds())
 
 	if err := core.Publish(*modelPath, rec); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if info, err := os.Stat(*modelPath); err == nil {
-		fmt.Fprintf(os.Stderr, "train: model published to %s (%d bytes)\n", *modelPath, info.Size())
+		fmt.Fprintf(stderr, "train: model published to %s (%d bytes)\n", *modelPath, info.Size())
 	}
+	return nil
 }

@@ -22,9 +22,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	rec := core.TrainFromAggregated(corpus.Dict, corpus.TrainAgg, core.Config{
+	rec, err := core.TrainFromAggregated(corpus.Dict, corpus.TrainAgg, core.Config{
 		Epsilons: []float64{0.0, 0.02, 0.05, 0.1},
 	})
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	// Replay unseen test sessions as live user streams.
 	var (

@@ -3,12 +3,12 @@
 //
 // The paper's deployment note (Table VII) observes that the mixture's K VMM
 // components "can actually combine all into a single PST". Training already
-// does: markov grows one candidate tree and each component is the ε-view of
+// does: markov builds one suffix trie and each component is the ε-view of
 // it that keeps the candidates whose inclusion threshold exceeds its ε, so
-// the components differ only in which states they keep. Compile reads that
-// one tree and its one escape table into a suffix trie whose nodes live in
-// flat slices (CSR child arrays indexed by dense node IDs, not string map
-// keys), with
+// the components differ only in which states they keep. Compile renumbers
+// that one integer trie, whose nodes carry their own escape-window counts,
+// breadth first into flat slices (CSR child arrays indexed by dense node
+// IDs), with
 //
 //   - a per-node K-bit presence bitmask recording which components hold the
 //     node with prediction evidence,
@@ -28,8 +28,9 @@
 // candidates.
 //
 // The build phase (training, σ learning, KL pruning) keeps the mutable
-// map-based representation; Compile freezes it into this read-optimised form,
-// the same build-vs-serve split log-structured systems use. Predictions are
+// representation, followers in maps; Compile freezes it into this
+// read-optimised form, the same build-vs-serve split log-structured systems
+// use. Predictions are
 // numerically within 1e-12 of the interpreted mixture (the escape-chain and
 // scoring sums are re-associated) and rank-identical on non-degenerate ties;
 // the parity property test in this package enforces both.
@@ -57,13 +58,16 @@
 package compiled
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
 	"repro/internal/markov"
+	"repro/internal/query"
 )
 
 // maxComponents bounds the mixture size representable in the per-node
@@ -143,8 +147,8 @@ type Model struct {
 }
 
 // Compile flattens a trained mixture into its serving form: the mixture's
-// one candidate tree and one escape table become the flat trie. Its nodes
-// are the escape windows — every context a query followed is a window, and
+// one trie becomes the flat trie, renumbered breadth first. Its nodes are
+// the escape windows — every context a query followed is a window, and
 // windows are closed under suffixes — and a node's presence mask is the set
 // of components whose view stores it with followers. Compile fails on a
 // mixture of no components or of more than 64, and on a non-positive
@@ -164,130 +168,92 @@ func Compile(m *markov.MVMM) (*Model, error) {
 	}
 
 	c := &Model{k: k, vocab: vocab, sigma: m.Sigmas(), maxLen: make([]int, k)}
-	esc := m.Escape()
 	for i := range c.maxLen {
-		c.maxLen[i] = esc.MaxLen()
+		c.maxLen[i] = m.WindowBound()
 	}
-	nodes := make(map[string]*nodeInfo, esc.Len())
-	esc.ForEachWindow(func(key string, occ, start uint64) {
-		nodes[key] = &nodeInfo{occ: occ, start: start}
+	// The trie's shape by markov ID; ID 0 is the root.
+	parent, sym := []int32{0}, []uint32{0}
+	m.ForEachNode(func(_, p int32, q query.ID, _, _ uint64, _ *markov.Dist, _ uint64) {
+		parent, sym = append(parent, p), append(sym, uint32(q))
 	})
-	m.ForEachState(func(key string, d *markov.Dist, mask uint64) {
-		ni := nodes[key]
-		ni.dist, ni.mask = d, mask
-	})
-	c.layout(nodes)
-	return c, nil
-}
-
-// nodeInfo is the pre-layout view of one trie node.
-type nodeInfo struct {
-	dist  *markov.Dist // follower distribution (nil: escape-only node)
-	mask  uint64       // components storing this state with evidence
-	occ   uint64
-	start uint64
-	id    int32 // assigned by layout
-}
-
-// layout assigns dense node IDs level by level — children of lower-ID
-// parents first, siblings sorted by edge symbol — which makes the edge list
-// globally parent-ordered so that edge e leads to node e+1, then fills every
-// flat array.
-func (c *Model) layout(nodes map[string]*nodeInfo) {
-	type edge struct {
-		key    string
-		ni     *nodeInfo
-		parent int32
-		sym    uint32
-	}
-	byLen := make(map[int][]edge)
-	maxDepth := 0
-	for key, ni := range nodes {
-		l := len(key) / 4
-		byLen[l] = append(byLen[l], edge{key: key, ni: ni, sym: symbol(key)})
-		if l > maxDepth {
-			maxDepth = l
-		}
-	}
-	c.depth = maxDepth
-
-	n := len(nodes) + 1 // + root
-	c.childKey = make([]uint32, 0, n-1)
-	edgeParent := make([]int32, 0, n-1)
-	order := make([]*nodeInfo, 1, n) // order[v] = info of node v (order[0] = nil root)
-
-	for l := 1; l <= maxDepth; l++ {
-		level := byLen[l]
-		// Parent IDs are already assigned (level l-1); sort by (parent, symbol).
-		for i := range level {
-			level[i].parent = parentID(nodes, level[i].key)
-		}
-		sort.Slice(level, func(i, j int) bool {
-			if level[i].parent != level[j].parent {
-				return level[i].parent < level[j].parent
-			}
-			return level[i].sym < level[j].sym
-		})
-		for _, e := range level {
-			e.ni.id = int32(len(order))
-			order = append(order, e.ni)
-			// Edges arrive in (parent, symbol) order across the whole build
-			// because every level-l parent ID is smaller than every
-			// level-(l+1) parent ID — that global ordering is what makes the
-			// "edge e leads to node e+1" layout invariant hold.
-			c.childKey = append(c.childKey, e.sym)
-			edgeParent = append(edgeParent, e.parent)
-		}
-	}
-	// CSR offsets: count edges per parent, then prefix-sum. Edges are
-	// parent-sorted, so each node's children form one contiguous range.
-	c.childStart = make([]int32, n+1)
-	for _, p := range edgeParent {
-		c.childStart[p+1]++
-	}
-	for v := 1; v <= n; v++ {
-		c.childStart[v] += c.childStart[v-1]
+	order := c.layout(parent, sym)
+	newID := make([]int32, len(order))
+	for v, id := range order {
+		newID[id] = int32(v)
 	}
 
-	c.nodes = n
+	n := c.nodes
 	c.evidence = make([]uint64, n)
 	c.occ = make([]uint64, n)
 	c.startOcc = make([]uint64, n)
 	c.floor = make([]float64, n)
+	dists := make([]*markov.Dist, n)
+	m.ForEachNode(func(id, _ int32, _ query.ID, occ, start uint64, d *markov.Dist, mask uint64) {
+		v := newID[id]
+		c.evidence[v], c.occ[v], c.startOcc[v], dists[v] = mask, occ, start, d
+	})
 	c.folStart = make([]int32, 1, n+1)
 	for v := 1; v < n; v++ {
-		ni := order[v]
-		c.evidence[v] = ni.mask
-		c.occ[v] = ni.occ
-		c.startOcc[v] = ni.start
 		var ids []uint32
 		var counts []uint64
-		if ni.dist != nil {
-			qs := ni.dist.Queries() // ascending ID
+		if d := dists[v]; d != nil {
+			qs := d.Queries() // ascending ID
 			ids = make([]uint32, len(qs))
 			counts = make([]uint64, len(qs))
 			for j, q := range qs {
 				ids[j] = uint32(q)
-				counts[j] = ni.dist.Count(q)
+				counts[j] = d.Count(q)
 			}
 		}
 		c.appendFollowers(v, ids, counts)
 	}
 	c.folStart = append(c.folStart, int32(len(c.folIDSorted)))
 	c.initServing(c.vocab)
+	return c, nil
 }
 
-// parentID resolves a key's parent node (the key minus its oldest query).
-func parentID(nodes map[string]*nodeInfo, key string) int32 {
-	if len(key) == 4 {
-		return 0
+// layout numbers the trie breadth first — by depth, then parent, then edge
+// symbol — so that the edge list is globally parent-ordered and edge e leads
+// to node e+1, and fills the CSR child arrays and depth. parent and sym
+// describe the trie by markov's node IDs, a parent's below its children's;
+// layout returns order, the markov ID of each new node.
+func (c *Model) layout(parent []int32, sym []uint32) []int32 {
+	n := len(parent)
+	// Children by markov ID, as CSR: first[p]..first[p+1] in kids, each
+	// run sorted by symbol.
+	first := make([]int32, n+1)
+	for id := 1; id < n; id++ {
+		first[parent[id]+1]++
 	}
-	return nodes[key[4:]].id
-}
-
-// symbol is the edge label: the key's oldest query ID (leading 4 bytes).
-func symbol(key string) uint32 {
-	return uint32(key[0])<<24 | uint32(key[1])<<16 | uint32(key[2])<<8 | uint32(key[3])
+	for p := 1; p <= n; p++ {
+		first[p] += first[p-1]
+	}
+	kids := make([]int32, n-1)
+	fill := slices.Clone(first[:n])
+	for id := 1; id < n; id++ {
+		p := parent[id]
+		kids[fill[p]] = int32(id)
+		fill[p]++
+	}
+	// Breadth first from the root; a node's children arrive in symbol order.
+	order := make([]int32, 1, n)
+	c.childKey = make([]uint32, 0, n-1)
+	c.childStart = make([]int32, n+1)
+	for v, levelEnd := 0, 1; v < len(order); v++ {
+		if v == levelEnd { // the first node one level deeper
+			c.depth++
+			levelEnd = len(order)
+		}
+		ks := kids[first[order[v]]:first[order[v]+1]]
+		slices.SortFunc(ks, func(a, b int32) int { return cmp.Compare(sym[a], sym[b]) })
+		order = append(order, ks...)
+		for _, id := range ks {
+			c.childKey = append(c.childKey, sym[id])
+		}
+		c.childStart[v+1] = c.childStart[v] + int32(len(ks))
+	}
+	c.nodes = n
+	return order
 }
 
 // appendFollowers installs node v's follower arrays from its ID-ascending

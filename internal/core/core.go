@@ -26,9 +26,8 @@
 // Invariants: an Engine is immutable after training or loading — the
 // Recommender methods are safe for unbounded concurrent callers without
 // locking, and the Append* variants are allocation-free with recycled
-// buffers. Serving goes through the compiled single-PST form whenever it
-// exists (always, for mixtures built by this pipeline); a model loaded from
-// CPS5 serves with a bounded ≤ ~2e-5 absolute probability error.
+// buffers. Serving goes through the compiled single-PST form alone; a model
+// loaded from CPS5 serves with a bounded ≤ ~2e-5 absolute probability error.
 package core
 
 import (
@@ -87,11 +86,10 @@ type Suggestion struct {
 // After training (or loading) the mixture is compiled into a flat single-PST
 // serving form (internal/compiled): AppendSuggestions and Probability run
 // one trie descent with zero steady-state allocations instead of walking the
-// K map-based component trees. A trained engine keeps the interpreted
-// mixture as the build artifact — evaluation code reads it via Model — and
-// should compilation ever fail (it cannot for mixtures built by this
-// pipeline) transparently serves from it instead. A loaded engine has the
-// compiled form only.
+// K component views. A trained engine keeps the interpreted mixture as the
+// build artifact — evaluation code reads it via Model — and serves from the
+// compiled form alone, as a loaded engine does; a mixture that does not
+// compile is a training error.
 type Engine struct {
 	dict *query.Dict
 	// strs is dict's published string table, ID → query. Every Engine is
@@ -100,7 +98,7 @@ type Engine struct {
 	// nor suggestion strings take its lock from then on.
 	strs  []string
 	mix   *markov.MVMM    // nil for a loaded engine
-	comp  *compiled.Model // nil ⇒ interpreted fallback (trained engines only)
+	comp  *compiled.Model // the serving form
 	stats session.Stats
 	info  LoadInfo
 }
@@ -163,12 +161,12 @@ func TrainFromLog(r io.Reader, cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: segmenting log: %w", err)
 	}
-	return TrainFromSessions(dict, sessions, cfg), nil
+	return TrainFromSessions(dict, sessions, cfg)
 }
 
 // TrainFromSessions trains from already-segmented sessions whose queries
 // were interned into dict.
-func TrainFromSessions(dict *query.Dict, sessions []query.Seq, cfg Config) *Engine {
+func TrainFromSessions(dict *query.Dict, sessions []query.Seq, cfg Config) (*Engine, error) {
 	agg := session.Aggregate(sessions)
 	if cfg.ReductionThreshold >= 0 {
 		agg, _ = session.Reduce(agg, uint64(cfg.ReductionThreshold))
@@ -177,17 +175,20 @@ func TrainFromSessions(dict *query.Dict, sessions []query.Seq, cfg Config) *Engi
 }
 
 // TrainFromAggregated trains from aggregated (sequence, frequency) sessions.
-// No further reduction is applied.
-func TrainFromAggregated(dict *query.Dict, agg []query.Session, cfg Config) *Engine {
+// No further reduction is applied. It fails when the mixture does not
+// compile: more than 64 ε values.
+func TrainFromAggregated(dict *query.Dict, agg []query.Session, cfg Config) (*Engine, error) {
 	eps := cfg.Epsilons
 	if len(eps) == 0 {
 		eps = markov.DefaultEpsilons()
 	}
 	mix := markov.NewMVMM(agg, eps, dict.Len(), cfg.Mixture)
-	r := &Engine{dict: dict, strs: dict.Publish(), mix: mix, stats: session.Collect(agg),
-		info: LoadInfo{Mode: LoadModeTrained}}
-	r.comp, _ = compiled.Compile(mix)
-	return r
+	comp, err := compiled.Compile(mix)
+	if err != nil {
+		return nil, fmt.Errorf("core: compiling the mixture: %w", err)
+	}
+	return &Engine{dict: dict, strs: dict.Publish(), mix: mix, comp: comp, stats: session.Collect(agg),
+		info: LoadInfo{Mode: LoadModeTrained}}, nil
 }
 
 // AppendSuggestions appends up to n ranked suggestions for the interned
@@ -198,9 +199,6 @@ func TrainFromAggregated(dict *query.Dict, agg []query.Session, cfg Config) *Eng
 func (r *Engine) AppendSuggestions(dst []Suggestion, ctx query.Seq, n int) []Suggestion {
 	if len(ctx) == 0 {
 		return dst
-	}
-	if r.comp == nil { // interpreted fallback
-		return appendResolved(dst, r.strs, r.mix.Predict(ctx, n))
 	}
 	if n <= stackPreds {
 		var preds [stackPreds]model.Prediction
@@ -222,13 +220,6 @@ func (r *Engine) AppendSuggestions(dst []Suggestion, ctx query.Seq, n int) []Sug
 // compiled.PredictBatch pass, on one pooled scratch; with recycled dst and
 // ends this allocates nothing.
 func (r *Engine) AppendBatchSuggestions(dst []Suggestion, ends []int, ctxs []query.Seq, ns []int) ([]Suggestion, []int) {
-	if r.comp == nil { // interpreted fallback: no batched descent available
-		for i, ctx := range ctxs {
-			dst = r.AppendSuggestions(dst, ctx, ns[i])
-			ends = append(ends, len(dst))
-		}
-		return dst, ends
-	}
 	r.comp.PredictBatch(ctxs, ns, func(_ int, preds []model.Prediction) {
 		dst = appendResolved(dst, r.strs, preds)
 		ends = append(ends, len(dst))
@@ -259,10 +250,7 @@ func (r *Engine) Probability(context []string, q string) float64 {
 	if !ok {
 		return 0
 	}
-	if r.comp != nil {
-		return r.comp.Prob(ctx, id)
-	}
-	return r.mix.Prob(ctx, id)
+	return r.comp.Prob(ctx, id)
 }
 
 // internContext resolves context strings to IDs, dropping unknown queries.
@@ -281,15 +269,9 @@ func (r *Engine) Model() *markov.MVMM { return r.mix }
 // through LoadPath it unmaps the compiled form (otherwise it is a no-op; the
 // GC would reclaim the mapping eventually regardless). The recommender must
 // not be used after Close.
-func (r *Engine) Close() error {
-	if r.comp != nil {
-		return r.comp.Release()
-	}
-	return nil
-}
+func (r *Engine) Close() error { return r.comp.Release() }
 
-// CompiledModel exposes the flat serving form, or nil when the engine fell
-// back to the interpreted mixture.
+// CompiledModel exposes the flat serving form.
 func (r *Engine) CompiledModel() *compiled.Model { return r.comp }
 
 // Stats returns the training-collection statistics (Table IV shape).
@@ -361,12 +343,8 @@ func section(rd io.Reader, name string) (io.Reader, uint64, error) {
 
 // Save persists the recommender — dictionary and compiled serving form — as
 // one model file (see saveMagic for the layout). A loaded engine re-emits the
-// blob it serves. An engine without a compiled form has nothing a server
-// could load and is refused.
+// blob it serves.
 func (r *Engine) Save(w io.Writer) error {
-	if r.comp == nil {
-		return errors.New("core: engine has no compiled model to save")
-	}
 	blob, err := r.comp.AppendFlat5(nil)
 	if err != nil {
 		return fmt.Errorf("core: encoding compiled model: %w", err)

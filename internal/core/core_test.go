@@ -113,6 +113,27 @@ func TestProbability(t *testing.T) {
 	}
 }
 
+// TestTrainRefusesTooManyEpsilons: a mixture of more than 64 components does
+// not fit the compiled model's presence mask, so training fails with an
+// error naming the limit and yields no engine.
+func TestTrainRefusesTooManyEpsilons(t *testing.T) {
+	d := query.NewDict()
+	a, b := d.Intern("smtp"), d.Intern("pop3")
+	sessions := make([]query.Seq, 10)
+	for i := range sessions {
+		sessions[i] = query.Seq{a, b}
+	}
+	cfg := smallConfig()
+	cfg.Epsilons = make([]float64, 65)
+	for i := range cfg.Epsilons {
+		cfg.Epsilons[i] = float64(i) * 0.01
+	}
+	rec, err := TrainFromSessions(d, sessions, cfg)
+	if err == nil || rec != nil || !strings.Contains(err.Error(), "64") {
+		t.Fatalf("65 ε values: engine %v, err = %v; want no engine and the 64-component limit named", rec, err)
+	}
+}
+
 func TestTrainFromSessionsDirect(t *testing.T) {
 	d := query.NewDict()
 	a, b := d.Intern("smtp"), d.Intern("pop3")
@@ -120,7 +141,10 @@ func TestTrainFromSessionsDirect(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		sessions = append(sessions, query.Seq{a, b})
 	}
-	rec := TrainFromSessions(d, sessions, smallConfig())
+	rec, err := TrainFromSessions(d, sessions, smallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
 	got := Recommend(rec, []string{"smtp"}, 1)
 	if len(got) != 1 || got[0].Query != "pop3" {
 		t.Fatalf("Recommend = %v", got)
@@ -174,16 +198,12 @@ func TestCompiledMatchesInterpretedThroughCore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.CompiledModel() == nil {
-		t.Fatal("no compiled model")
-	}
-	// Force the interpreted path on a clone sharing dict and mixture.
-	interp := &Engine{dict: rec.dict, strs: rec.strs, mix: rec.mix, stats: rec.stats}
 	for _, ctxs := range [][]string{
 		{"nokia n73"}, {"kidney stones"},
 		{"nokia n73", "nokia n73 themes"}, {"unknown", "nokia n73"},
 	} {
-		a, b := Recommend(rec, ctxs, 5), Recommend(interp, ctxs, 5)
+		a := Recommend(rec, ctxs, 5)
+		b := appendResolved(nil, rec.strs, rec.Model().Predict(InternContext(rec.Dict(), ctxs), 5))
 		if len(a) != len(b) {
 			t.Fatalf("ctx %v: compiled %d vs interpreted %d suggestions (%v vs %v)", ctxs, len(a), len(b), a, b)
 		}
@@ -274,23 +294,20 @@ func TestRecommendBatchIDsMatchesSingle(t *testing.T) {
 		}
 	}
 
-	interpreted := &Engine{dict: rec.dict, strs: rec.strs, mix: rec.mix}
-	for _, e := range []*Engine{rec, interpreted} {
-		prefix := []Suggestion{{Query: "kept", Score: 1}}
-		recs, ends := e.AppendBatchSuggestions(prefix, []int{-1}, ctxs, ns)
-		if recs[0] != prefix[0] || len(ends) != 1+len(ctxs) || ends[0] != -1 {
-			t.Fatalf("compiled=%v: dst or ends not appended to: %+v, %v", e.comp != nil, recs[0], ends)
+	prefix := []Suggestion{{Query: "kept", Score: 1}}
+	recs, ends := rec.AppendBatchSuggestions(prefix, []int{-1}, ctxs, ns)
+	if recs[0] != prefix[0] || len(ends) != 1+len(ctxs) || ends[0] != -1 {
+		t.Fatalf("dst or ends not appended to: %+v, %v", recs[0], ends)
+	}
+	lo := len(prefix)
+	for i, ctx := range ctxs {
+		want := rec.AppendSuggestions(nil, ctx, ns[i])
+		if run := recs[lo:ends[1+i]]; !slices.Equal(run, want) {
+			t.Fatalf("ctx %d: batch run %+v, single %+v", i, run, want)
 		}
-		lo := len(prefix)
-		for i, ctx := range ctxs {
-			want := e.AppendSuggestions(nil, ctx, ns[i])
-			if run := recs[lo:ends[1+i]]; !slices.Equal(run, want) {
-				t.Fatalf("compiled=%v, ctx %d: batch run %+v, single %+v", e.comp != nil, i, run, want)
-			}
-			lo = ends[1+i]
-		}
-		if lo != len(recs) {
-			t.Fatalf("compiled=%v: runs end at %d of %d suggestions", e.comp != nil, lo, len(recs))
-		}
+		lo = ends[1+i]
+	}
+	if lo != len(recs) {
+		t.Fatalf("runs end at %d of %d suggestions", lo, len(recs))
 	}
 }

@@ -34,7 +34,10 @@ func Example() {
 
 	cfg := core.DefaultConfig()
 	cfg.Epsilons = []float64{0.0, 0.05}
-	rec := core.TrainFromAggregated(dict, sessions, cfg)
+	rec, err := core.TrainFromAggregated(dict, sessions, cfg)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	// Persist (Save writes the dictionary and the quantised CPS5 compiled
 	// blob at a page-aligned offset).

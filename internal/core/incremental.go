@@ -99,8 +99,8 @@ func (inc *Incremental) clone() (*query.Dict, []query.Session) {
 // engine owns a cloned dictionary, so ingestion may continue concurrently;
 // the clone ID-preservingly extends both the base vocabulary and every
 // earlier snapshot's dictionary. Reduction follows cfg.ReductionThreshold
-// exactly as offline training does.
-func (inc *Incremental) Snapshot() *Engine {
+// exactly as offline training does, and so do its errors.
+func (inc *Incremental) Snapshot() (*Engine, error) {
 	dict, agg := inc.clone()
 	if inc.cfg.ReductionThreshold >= 0 {
 		agg, _ = session.Reduce(agg, uint64(inc.cfg.ReductionThreshold))
@@ -110,7 +110,10 @@ func (inc *Incremental) Snapshot() *Engine {
 
 // SnapshotTo trains a snapshot and publishes it at path (see Publish).
 func (inc *Incremental) SnapshotTo(path string) (*Engine, error) {
-	eng := inc.Snapshot()
+	eng, err := inc.Snapshot()
+	if err != nil {
+		return nil, fmt.Errorf("core: snapshot: %w", err)
+	}
 	if err := Publish(path, eng); err != nil {
 		return nil, fmt.Errorf("core: snapshot: %w", err)
 	}

@@ -39,9 +39,14 @@ func TestIncrementalMatchesBatchTraining(t *testing.T) {
 		}
 		seqs = append(seqs, seq)
 	}
-	want := TrainFromSessions(dict, seqs, incCfg())
-
-	got := inc.Snapshot()
+	want, err := TrainFromSessions(dict, seqs, incCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := inc.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if got.Dict().Hash() != want.Dict().Hash() {
 		t.Fatalf("dict hash mismatch: %x vs %x", got.Dict().Hash(), want.Dict().Hash())
 	}
@@ -80,12 +85,18 @@ func TestIncrementalSnapshotExtendsBase(t *testing.T) {
 		t.Fatalf("Sessions = %d, want %d", got, len(incSessions))
 	}
 
-	first := inc.Snapshot()
+	first, err := inc.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !first.Dict().Extends(baseDict) {
 		t.Fatal("first snapshot dict does not extend the base vocabulary")
 	}
 	inc.AddStrings([][]string{{"brand new topic", "another new one"}})
-	second := inc.Snapshot()
+	second, err := inc.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !second.Dict().Extends(first.Dict()) {
 		t.Fatal("second snapshot dict does not extend the first")
 	}

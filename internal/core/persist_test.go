@@ -254,10 +254,13 @@ func wideEngine(t *testing.T) *Engine {
 		sessions = append(sessions, sessions[7])
 		cfg := smallConfig()
 		cfg.ReductionThreshold = -1
-		wideRec = TrainFromSessions(d, sessions, cfg)
+		var err error
+		if wideRec, err = TrainFromSessions(d, sessions, cfg); err != nil {
+			t.Fatal(err)
+		}
 	})
-	if wideRec.CompiledModel() == nil {
-		t.Fatal("the wide model did not compile")
+	if wideRec == nil {
+		t.Fatal("the wide model did not train")
 	}
 	return wideRec
 }
@@ -321,17 +324,6 @@ func TestLoadPathMmap(t *testing.T) {
 	buf := make([]Suggestion, 0, 8)
 	if allocs := testing.AllocsPerRun(100, func() { buf = loaded.AppendSuggestions(buf[:0], ctx, 5) }); allocs > 0.05 || len(buf) != 5 {
 		t.Fatalf("the wide descent allocates %.2f times per op (%d suggestions), want 0", allocs, len(buf))
-	}
-}
-
-// TestSaveNeedsCompiledModel: an engine that fell back to the interpreted
-// mixture has nothing a server could load, so Save refuses and writes nothing.
-func TestSaveNeedsCompiledModel(t *testing.T) {
-	rec := trainSmall(t)
-	interp := &Engine{dict: rec.dict, strs: rec.strs, mix: rec.mix}
-	var buf bytes.Buffer
-	if err := interp.Save(&buf); err == nil || buf.Len() != 0 {
-		t.Fatalf("Save without a compiled model: err = %v, %d bytes written", err, buf.Len())
 	}
 }
 

@@ -109,18 +109,23 @@ func TestPublishKeepsMappedModel(t *testing.T) {
 	}
 }
 
-// TestPublishFailureLeavesPathAlone: an engine Save refuses publishes
-// nothing and leaves neither the old file nor a temporary behind changed.
+// TestPublishFailureLeavesPathAlone: a publish that fails — here its rename,
+// onto a directory in the model's place — leaves neither the old path nor a
+// temporary behind changed.
 func TestPublishFailureLeavesPathAlone(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "model.bin")
-	if err := os.WriteFile(path, []byte("old"), 0o644); err != nil {
+	old := filepath.Join(path, "old")
+	if err := os.Mkdir(path, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := Publish(path, &Engine{}); err == nil {
-		t.Fatal("publishing an engine without a compiled model succeeded")
+	if err := os.WriteFile(old, []byte("old"), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if got, err := os.ReadFile(path); err != nil || string(got) != "old" {
+	if err := Publish(path, trainSmall(t)); err == nil {
+		t.Fatal("publishing over a non-empty directory succeeded")
+	}
+	if got, err := os.ReadFile(old); err != nil || string(got) != "old" {
 		t.Fatalf("path holds %q (%v) after a failed publish, want the old bytes", got, err)
 	}
 	if entries, _ := os.ReadDir(dir); len(entries) != 1 {

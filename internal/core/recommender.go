@@ -48,8 +48,8 @@ type Recommender interface {
 	Stats() session.Stats
 	// LoadInfo reports how the serving model materialised.
 	LoadInfo() LoadInfo
-	// CompiledModel exposes the flat MVMM serving form, nil when the
-	// model serves from the interpreted mixture.
+	// CompiledModel exposes the flat MVMM serving form, which every
+	// recommender serves from.
 	CompiledModel() *compiled.Model
 	// Close releases resources tied to the serving model (mmap regions);
 	// the recommender must not be used afterwards.

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"slices"
 	"time"
@@ -105,8 +106,10 @@ type Fig12Result struct {
 // aggregated sessions so the timings are dominated by real work rather than
 // noise, in a seeded shuffle: the aggregated sessions are sorted by count,
 // so a prefix of them holds the frequent, short sessions and 4× the
-// sessions would be more than 4× the work. The MVMM's time is one candidate
-// tree, grown once, its K ε-views and the σ learning.
+// sessions would be more than 4× the work. The MVMM's time is one suffix
+// trie, built once, its K ε-views and the σ learning. Each cell is the best
+// of three runs: the cheap cells last tens of milliseconds, and one run's
+// scheduling noise moved their linearity by up to 2×.
 func Fig12(c *Corpus) Fig12Result {
 	full := slices.Clone(c.TrainAggFull)
 	rand.New(rand.NewSource(12)).Shuffle(len(full), func(i, j int) { full[i], full[j] = full[j], full[i] })
@@ -136,9 +139,13 @@ func Fig12(c *Corpus) Fig12Result {
 		res.Models = append(res.Models, tr.name)
 		row := make([]float64, 0, len(res.Sizes))
 		for _, n := range res.Sizes {
-			start := time.Now()
-			tr.fn(full[:n])
-			row = append(row, time.Since(start).Seconds())
+			best := math.Inf(1)
+			for range 3 {
+				start := time.Now()
+				tr.fn(full[:n])
+				best = min(best, time.Since(start).Seconds())
+			}
+			row = append(row, best)
 		}
 		res.Seconds = append(res.Seconds, row)
 	}

@@ -40,7 +40,11 @@ func trainRec(t testing.TB, extra ...string) core.Recommender {
 	cfg.Epsilons = []float64{0.0, 0.05}
 	cfg.Mixture.TrainSample = 50
 	cfg.Mixture.NewtonIters = 3
-	return core.TrainFromSessions(d, sessions, cfg)
+	rec, err := core.TrainFromSessions(d, sessions, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rec
 }
 
 // permutedRec trains a model whose dictionary assigns the base vocabulary
@@ -57,7 +61,11 @@ func permutedRec(t testing.TB) core.Recommender {
 	cfg.Epsilons = []float64{0.0, 0.05}
 	cfg.Mixture.TrainSample = 50
 	cfg.Mixture.NewtonIters = 3
-	return core.TrainFromSessions(d, sessions, cfg)
+	rec, err := core.TrainFromSessions(d, sessions, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rec
 }
 
 func newTestRouter(t testing.TB, wChamp, wChal uint32) (*Registry, *Router) {

@@ -30,7 +30,11 @@ func shardTestRec(t testing.TB) core.Recommender {
 	cfg.Epsilons = []float64{0.0, 0.05}
 	cfg.Mixture.TrainSample = 50
 	cfg.Mixture.NewtonIters = 3
-	return core.TrainFromSessions(d, sessions, cfg)
+	rec, err := core.TrainFromSessions(d, sessions, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rec
 }
 
 // tookRE strips the request-timing members, the only legitimately
@@ -449,7 +453,10 @@ func TestFleetStateAfterShardRestart(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		sessions = append(sessions, query.Seq{a, b})
 	}
-	restarted := core.TrainFromSessions(d, sessions, core.DefaultConfig())
+	restarted, err := core.TrainFromSessions(d, sessions, core.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
 	newHash := fmt.Sprintf("%016x", d.Hash())
 	if newHash == oldHash {
 		t.Fatal("the restarted model shares the old dictionary's hash")

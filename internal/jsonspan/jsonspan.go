@@ -129,7 +129,8 @@ func Next(b []byte, i int, closer byte, first bool) (at int, done bool, err erro
 // such top-level key. Keys with escapes cannot match (ours are plain ASCII).
 //
 // No serving path calls it any more (AppendBatch walks a body whole): it stays
-// only because bench/replay.go does, and goes when that moves (ROADMAP item 6).
+// only because bench/replay.go does, and goes when that moves (ROADMAP,
+// "Benchmark-PR-only work").
 func FindKey(b []byte, i int, key string) (int, error) {
 	i = SkipSpace(b, i)
 	if i >= len(b) || b[i] != '{' {
@@ -171,7 +172,8 @@ func FindKey(b []byte, i int, key string) (int, error) {
 // element of the array beginning at b[i] to dst and returns the extended
 // slice. Spans are whitespace-trimmed and reference b — zero copies.
 //
-// Like FindKey it is kept for bench/replay.go alone (ROADMAP item 6).
+// Like FindKey it is kept for bench/replay.go alone (ROADMAP,
+// "Benchmark-PR-only work").
 func AppendArraySpans(dst [][2]int, b []byte, i int) ([][2]int, error) {
 	i = SkipSpace(b, i)
 	if i >= len(b) || b[i] != '[' {

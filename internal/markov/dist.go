@@ -4,6 +4,14 @@
 // contribution, the Mixture Variable Memory Markov model (Sec. IV.C) with
 // its context-escape mechanism and Newton-learned Gaussian mixture weights.
 //
+// A training run builds one integer suffix trie (pst.go): its nodes are the
+// windows of the training sessions, each with its Eq. (6) escape counts, and
+// the nodes some query followed also carry their followers and their PST
+// inclusion threshold. Every VMM is an ε-view of that trie, the MVMM's
+// components included, and the compiled serving model is the same trie
+// renumbered. Contexts are trie nodes, not string keys; Seq.Key remains the
+// N-gram baseline's state key and the serialized streams' node order.
+//
 // All probabilities and entropies use log base 10, following the paper's
 // footnote 2.
 package markov

@@ -64,12 +64,33 @@ func grownNodes(sessions []query.Session, cfg VMMConfig) map[string]bool {
 // nodeSet lists a view's nodes with their follower distributions.
 func nodeSet(m *VMM) map[string]*Dist {
 	out := make(map[string]*Dist, m.NumNodes())
-	for id, key := range m.t.keys {
-		if m.holds(int32(id)) {
-			out[key] = m.t.dists[id]
+	keys, order := m.t.keyOrder()
+	for _, id := range order {
+		if m.holds(id) {
+			out[keys[id]] = m.t.nodes[id].dist
 		}
 	}
 	return out
+}
+
+// windowCounts is the reference for the trie's window counts: every window
+// of 1..maxLen queries (0 = unbounded) counted by brute force, anywhere and
+// at a session start, keyed in the Seq.Key layout.
+func windowCounts(sessions []query.Session, maxLen int) (occ, start map[string]uint64) {
+	occ, start = make(map[string]uint64), make(map[string]uint64)
+	for _, s := range sessions {
+		l := len(s.Queries)
+		for j := 0; j < l; j++ {
+			for k := 1; j+k <= l && (maxLen <= 0 || k <= maxLen); k++ {
+				key := s.Queries[j : j+k].Key()
+				occ[key] += s.Count
+				if j == 0 {
+					start[key] += s.Count
+				}
+			}
+		}
+	}
+	return occ, start
 }
 
 // oracleCorpus draws Zipf-skewed sessions of 1–6 queries with counts 1–20,
@@ -135,6 +156,52 @@ func TestViewsMatchPerEpsilonGrowth(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestTrieNodesAreWindows holds the trie to a brute-force window count: its
+// nodes are exactly the windows of the sessions up to D queries (every one
+// when D is 0), each with the occurrence and session-start counts of
+// Eq. (6), under its parent, the window minus its oldest query.
+// TestEscapeTableCounts and TestEscapeTableMaxLen pin the reference itself
+// to hand-counted corpora.
+func TestTrieNodesAreWindows(t *testing.T) {
+	type corpus struct {
+		sessions []query.Session
+		cfg      VMMConfig
+	}
+	var corpora []corpus
+	for seed := int64(1); seed <= 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		vocab := 20 + rng.Intn(60)
+		sessions := oracleCorpus(rng, vocab, 300+rng.Intn(1200))
+		for _, cfg := range []VMMConfig{{}, {D: 2}, {D: 3}, {MinSupport: 5}, {D: 3, MinSupport: 20}} {
+			cfg.Vocab = vocab
+			corpora = append(corpora, corpus{sessions: sessions, cfg: cfg})
+		}
+	}
+	for ci, c := range corpora {
+		tr := growPST(c.sessions, c.cfg)
+		occ, start := windowCounts(c.sessions, c.cfg.D)
+		if len(tr.nodes)-1 != len(occ) {
+			t.Fatalf("corpus %d, %+v: %d nodes, %d windows", ci, c.cfg, len(tr.nodes)-1, len(occ))
+		}
+		keys, _ := tr.keyOrder()
+		longest := 0
+		for id := 1; id < len(tr.nodes); id++ {
+			n, key := tr.nodes[id], keys[id]
+			if n.parent >= int32(id) || keys[n.parent] != key[4:] || int(n.depth) != len(key)/4 {
+				t.Fatalf("corpus %d: node %v under parent %d is no extension of it", ci, query.SeqFromKey(key), n.parent)
+			}
+			if n.occ != occ[key] || n.startOcc != start[key] {
+				t.Fatalf("corpus %d, %+v: window %v counts %d/%d, brute force %d/%d",
+					ci, c.cfg, query.SeqFromKey(key), n.occ, n.startOcc, occ[key], start[key])
+			}
+			longest = max(longest, len(key)/4)
+		}
+		if bound := c.cfg.D; bound > 0 && tr.maxLen != bound || bound <= 0 && tr.maxLen < longest {
+			t.Fatalf("corpus %d: window bound %d, D %d, longest window %d", ci, tr.maxLen, c.cfg.D, longest)
 		}
 	}
 }

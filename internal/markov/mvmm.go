@@ -37,7 +37,7 @@ func (o MVMMOptions) withDefaults() MVMMOptions {
 // Gaussian weights over the edit distance between the online user context
 // and each component's best-matching state (Eq. 4), with the σ parameters
 // learned by minimising the KL redundancy (Eqs. 7–10). The components are
-// ε-views of one candidate tree, grown once.
+// ε-views of one suffix trie, built once.
 type MVMM struct {
 	t     *pst
 	comps []*VMM
@@ -56,7 +56,7 @@ func DefaultEpsilons() []float64 {
 }
 
 // NewMVMM trains the paper's mixture: one unbounded VMM per ε value, every
-// one a view of a single candidate tree, then learns the mixing parameters
+// one a view of a single suffix trie, then learns the mixing parameters
 // from the training data itself. vocab <= 0 counts the sessions' queries.
 func NewMVMM(sessions []query.Session, epsilons []float64, vocab int, opt MVMMOptions) *MVMM {
 	opt = opt.withDefaults()
@@ -255,7 +255,7 @@ func (m *MVMM) Covers(ctx query.Seq) bool {
 // len(AppendFlat5)); this count remains the node-level view.
 func (m *MVMM) UnionNodes() int {
 	n := 0
-	for id := range m.t.keys {
+	for id := 1; id < len(m.t.nodes); id++ {
 		if m.views(int32(id)) != 0 {
 			n++
 		}
@@ -263,7 +263,7 @@ func (m *MVMM) UnionNodes() int {
 	return n
 }
 
-// views returns the set of components holding candidate id, bit i for
+// views returns the set of components holding node id, bit i for
 // component i.
 func (m *MVMM) views(id int32) uint64 {
 	var mask uint64
@@ -275,22 +275,31 @@ func (m *MVMM) views(id int32) uint64 {
 	return mask
 }
 
-// ForEachState visits every state some component stores with follower
-// evidence — its suffix key in the Seq.Key layout, its followers and the
-// set of those components, bit i for component i — in unspecified order.
-// Used by the compiled-model builder; the mask is meaningful for at most 64
-// components.
-func (m *MVMM) ForEachState(f func(key string, d *Dist, mask uint64)) {
-	for id, key := range m.t.keys {
-		if d := m.t.dists[id]; d.Total() > 0 {
-			if mask := m.views(int32(id)); mask != 0 {
-				f(key, d, mask)
-			}
+// ForEachNode visits every node of the mixture's one trie — every window
+// of the training sessions up to WindowBound queries long — in ID order,
+// the root (ID 0) excepted, so a parent is visited before its children. A
+// node is the query sym prepended to its parent's context, with the Eq. (6)
+// window counts occ and startOcc. Its followers d and the set mask of the
+// components that store it as a state with evidence, bit i for component
+// i, are nil and 0 unless some component does. compiled.Compile reads the
+// trie through it; the mask is meaningful for at most 64 components.
+func (m *MVMM) ForEachNode(f func(id, parent int32, sym query.ID, occ, startOcc uint64, d *Dist, mask uint64)) {
+	for id := 1; id < len(m.t.nodes); id++ {
+		n := &m.t.nodes[id]
+		var mask uint64
+		d := n.dist
+		if d != nil && d.Total() > 0 {
+			mask = m.views(int32(id))
 		}
+		if mask == 0 {
+			d = nil
+		}
+		f(int32(id), n.parent, n.sym, n.occ, n.startOcc, d, mask)
 	}
 }
 
-// Escape returns the escape table every component's chain reads.
-func (m *MVMM) Escape() *EscapeTable { return m.t.esc }
+// WindowBound is the longest window the trie counts: the context bound D,
+// or the longest training session when the trees are unbounded.
+func (m *MVMM) WindowBound() int { return m.t.maxLen }
 
 var _ model.Predictor = (*MVMM)(nil)

@@ -69,23 +69,29 @@ func (m *NGram) WriteTo(w io.Writer) (int64, error) {
 	return sw.BytesWritten(), nil
 }
 
-func writeEscape(sw *store.Writer, t *EscapeTable) {
-	sw.Magic(magicEsc)
-	sw.Int(t.maxLen)
-	keys := make([]string, 0, len(t.occ))
-	for k := range t.occ {
-		keys = append(keys, k)
+// keyOrder returns every node's context in the Seq.Key layout, by node ID,
+// and the node IDs, the root excepted, in the order of those keys: the
+// streams' canonical node order.
+func (t *pst) keyOrder() ([]string, []int32) {
+	keys := make([]string, len(t.nodes))
+	ids := make([]int32, len(t.nodes)-1)
+	var ctx query.Seq
+	for i := range ids {
+		id := int32(i + 1)
+		ctx = ctx[:0]
+		for v := id; v != 0; v = t.nodes[v].parent {
+			ctx = append(ctx, t.nodes[v].sym)
+		}
+		keys[id], ids[i] = ctx.Key(), id
 	}
-	sort.Strings(keys)
-	sw.Int(len(keys))
-	for _, k := range keys {
-		sw.String(k)
-		sw.Uvarint(t.occ[k])
-		sw.Uvarint(t.startOcc[k])
-	}
+	sort.Slice(ids, func(i, j int) bool { return keys[ids[i]] < keys[ids[j]] })
+	return keys, ids
 }
 
-func (m *VMM) writeBody(sw *store.Writer) {
+// writeBody writes the view: its configuration, the root prior, its nodes
+// with their followers, then every window of the trie with its Eq. (6)
+// counts, both in key order (keyOrder).
+func (m *VMM) writeBody(sw *store.Writer, keys []string, order []int32) {
 	sw.Magic(magicVMM)
 	sw.Float64(m.cfg.Epsilon)
 	sw.Int(m.cfg.D)
@@ -94,24 +100,27 @@ func (m *VMM) writeBody(sw *store.Writer) {
 	sw.Int(m.depth)
 	WriteDist(sw, m.t.root)
 	sw.Int(m.nodes)
-	ids := make([]int32, 0, m.nodes)
-	for id := range m.t.keys {
-		if m.holds(int32(id)) {
-			ids = append(ids, int32(id))
+	for _, id := range order {
+		if m.holds(id) {
+			sw.String(keys[id])
+			WriteDist(sw, m.t.nodes[id].dist)
 		}
 	}
-	sort.Slice(ids, func(i, j int) bool { return m.t.keys[ids[i]] < m.t.keys[ids[j]] })
-	for _, id := range ids {
-		sw.String(m.t.keys[id])
-		WriteDist(sw, m.t.dists[id])
+	sw.Magic(magicEsc)
+	sw.Int(m.t.maxLen)
+	sw.Int(len(order))
+	for _, id := range order {
+		sw.String(keys[id])
+		sw.Uvarint(m.t.nodes[id].occ)
+		sw.Uvarint(m.t.nodes[id].startOcc)
 	}
-	writeEscape(sw, m.t.esc)
 }
 
-// WriteTo serializes the VMM (tree, root prior and escape table).
+// WriteTo serializes the VMM (tree, root prior and escape windows).
 func (m *VMM) WriteTo(w io.Writer) (int64, error) {
 	sw := store.NewWriter(w)
-	m.writeBody(sw)
+	keys, order := m.t.keyOrder()
+	m.writeBody(sw, keys, order)
 	if err := sw.Close(); err != nil {
 		return sw.BytesWritten(), err
 	}
@@ -123,8 +132,9 @@ func (m *MVMM) WriteTo(w io.Writer) (int64, error) {
 	sw := store.NewWriter(w)
 	sw.Magic(magicMVMM)
 	sw.Int(len(m.comps))
+	keys, order := m.t.keyOrder()
 	for _, c := range m.comps {
-		c.writeBody(sw)
+		c.writeBody(sw, keys, order)
 	}
 	for _, s := range m.sigma {
 		sw.Float64(s)

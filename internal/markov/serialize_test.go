@@ -111,15 +111,16 @@ func checkBody(t *testing.T, m *VMM, b vmmBody) {
 	if !sameCounts(b.root, m.Root()) {
 		t.Fatal("root prior differs")
 	}
-	esc := m.t.esc
-	if b.maxLen != esc.MaxLen() || len(b.occ) != esc.Len() {
-		t.Fatalf("escape table: %d windows up to %d, model %d up to %d", len(b.occ), b.maxLen, esc.Len(), esc.MaxLen())
+	if b.maxLen != m.t.maxLen || len(b.occ) != len(m.t.nodes)-1 {
+		t.Fatalf("escape windows: %d up to %d, model %d up to %d", len(b.occ), b.maxLen, len(m.t.nodes)-1, m.t.maxLen)
 	}
-	esc.ForEachWindow(func(k string, occ, start uint64) {
-		if b.occ[k] != occ || b.startOcc[k] != start {
-			t.Fatalf("window %v decoded as %d/%d, want %d/%d", query.SeqFromKey(k), b.occ[k], b.startOcc[k], occ, start)
+	keys, _ := m.t.keyOrder()
+	for id := 1; id < len(m.t.nodes); id++ {
+		k, n := keys[id], m.t.nodes[id]
+		if b.occ[k] != n.occ || b.startOcc[k] != n.startOcc {
+			t.Fatalf("window %v decoded as %d/%d, want %d/%d", query.SeqFromKey(k), b.occ[k], b.startOcc[k], n.occ, n.startOcc)
 		}
-	})
+	}
 }
 
 func TestNGramSerializeRoundTrip(t *testing.T) {

@@ -29,8 +29,9 @@ type VMMConfig struct {
 // VMM is a Variable Memory Markov model learned as a Prediction Suffix Tree.
 // States are suffix contexts; prediction walks to the deepest suffix of the
 // user context present in the tree (O(D) online, Sec. IV.B.2). A VMM is an
-// ε-view of a grown candidate tree: the candidates whose inclusion threshold
-// θ exceeds its ε (see pst). Mixture components are views of one tree.
+// ε-view of the suffix trie a training run builds: the candidates whose
+// inclusion threshold θ exceeds its ε (see pst). Mixture components are
+// views of one trie.
 type VMM struct {
 	cfg   VMMConfig
 	t     *pst
@@ -55,103 +56,6 @@ func NewVMM(sessions []query.Session, cfg VMMConfig) *VMM {
 	return growPST(sessions, cfg).view(cfg.Epsilon)
 }
 
-// pst is the candidate tree of PST stages (a) and (b), grown once per
-// training run (the paper's Table VII: the K trees "can actually combine all
-// into a single PST"). Every candidate carries its inclusion threshold θ,
-// the larger of its own KL against its parent and the θ of every extension,
-// so the tree grown with threshold ε — the supported candidates that diverge
-// by more than ε, closed under suffixes — is exactly {k : θ(k) > ε}. This is
-// the growth rule of Ron, Singer & Tishby's prediction suffix trees ("The
-// Power of Amnesia", 1996) with the threshold test deferred to the view.
-type pst struct {
-	cfg   VMMConfig        // D, MinSupport and Vocab; Epsilon belongs to each view
-	index map[string]int32 // suffix key (Seq.Key layout) -> candidate
-	keys  []string         // by candidate, in first-seen order
-	dists []*Dist          // follower counts, by candidate
-	theta []float64        // inclusion threshold θ, by candidate
-	root  *Dist            // the empty-context prior (node e)
-	esc   *EscapeTable
-}
-
-// growPST runs stage (a) over the training sessions with cfg's context bound
-// D (0 = unbounded), then gives every candidate its θ in one deepest-first
-// pass. A candidate under MinSupport seeds nothing (own θ -Inf) but is still
-// kept by closure when an extension is; a supported depth-1 candidate always
-// seeds (own θ +Inf).
-func growPST(sessions []query.Session, cfg VMMConfig) *pst {
-	t := &pst{cfg: cfg, index: make(map[string]int32), root: NewDist()}
-	d := cfg.D
-	maxSess := 0
-	for _, s := range sessions {
-		l := len(s.Queries)
-		if l > maxSess {
-			maxSess = l
-		}
-		for i := 1; i < l; i++ {
-			next := s.Queries[i]
-			t.root.Add(next, s.Count)
-			limit := i
-			if d > 0 && limit > d {
-				limit = d
-			}
-			for k := 1; k <= limit; k++ {
-				key := s.Queries[i-k : i].Key()
-				id, ok := t.index[key]
-				if !ok {
-					id = int32(len(t.dists))
-					t.index[key] = id
-					t.keys = append(t.keys, key)
-					t.dists = append(t.dists, NewDist())
-				}
-				t.dists[id].Add(next, s.Count)
-			}
-		}
-		// The root prior also counts first queries so that P(q|e) reflects
-		// the marginal query distribution (Fig. 3's node e).
-		if l > 0 {
-			t.root.Add(s.Queries[0], s.Count)
-		}
-	}
-	escLen := d
-	if escLen <= 0 {
-		escLen = maxSess
-	}
-	t.esc = NewEscapeTable(sessions, escLen)
-
-	t.root.Freeze()
-	plogp := make([]float64, len(t.keys)) // Σ p̃ log10 p̃ per parent, for klSmoothedFast
-	for i := range plogp {
-		plogp[i] = math.NaN()
-	}
-	t.theta = make([]float64, len(t.keys))
-	for id, key := range t.keys {
-		dist := t.dists[id]
-		dist.Freeze()
-		switch {
-		case dist.Total() < cfg.MinSupport:
-			t.theta[id] = math.Inf(-1)
-		case len(key) == 4:
-			t.theta[id] = math.Inf(1)
-		default:
-			p := t.index[key[4:]] // drop the oldest query
-			if math.IsNaN(plogp[p]) {
-				plogp[p] = sumPLogP(t.dists[p])
-			}
-			t.theta[id] = klSmoothedFast(t.dists[p], dist, cfg.Vocab, plogp[p])
-		}
-	}
-	// A suffix is always seen before its extensions, so every parent's ID is
-	// below its children's: walking IDs downward raises each θ to its
-	// extensions' before it is passed on.
-	for id := len(t.keys) - 1; id >= 0; id-- {
-		if key := t.keys[id]; len(key) > 4 {
-			p := t.index[key[4:]]
-			t.theta[p] = max(t.theta[p], t.theta[id])
-		}
-	}
-	return t
-}
-
 // view returns the tree grown with threshold eps: ε <= 0 keeps every
 // candidate a supported one extends (the full tree), ε = +Inf only the
 // depth-1 seeds (the Adjacency 2-gram).
@@ -161,31 +65,33 @@ func (t *pst) view(eps float64) *VMM {
 	if eps <= 0 {
 		m.lo = math.Inf(-1)
 	}
-	for id, key := range t.keys {
+	for id := 1; id < len(t.nodes); id++ {
 		if m.holds(int32(id)) {
 			m.nodes++
-			m.depth = max(m.depth, len(key)/4)
+			m.depth = max(m.depth, int(t.nodes[id].depth))
 		}
 	}
 	return m
 }
 
-// holds reports whether candidate id is a node of the view. A supported
-// depth-1 candidate (θ = +Inf) is one even at ε = +Inf.
+// holds reports whether node id is a node of the view. A supported depth-1
+// candidate (θ = +Inf) is one even at ε = +Inf; a window that is no
+// candidate (θ = -Inf) is one of none.
 func (m *VMM) holds(id int32) bool {
-	th := m.t.theta[id]
+	th := m.t.nodes[id].theta
 	return th > m.lo || th == math.Inf(1)
 }
 
-// state returns the view's node for the key, when it holds one with
-// prediction evidence.
-func (m *VMM) state(key []byte) (*Dist, bool) {
-	id, ok := m.t.index[string(key)]
-	if !ok || !m.holds(id) {
-		return nil, false
+// state returns node id's followers when the view holds it as a state with
+// prediction evidence, nil otherwise.
+func (m *VMM) state(id int32) *Dist {
+	if !m.holds(id) {
+		return nil
 	}
-	d := m.t.dists[id]
-	return d, d.Total() > 0
+	if d := m.t.nodes[id].dist; d.Total() > 0 {
+		return d
+	}
+	return nil
 }
 
 func guessVocab(sessions []query.Session) int {
@@ -325,38 +231,19 @@ func (m *VMM) Depth() int { return m.depth }
 // Root returns the empty-context prior distribution (node e).
 func (m *VMM) Root() *Dist { return m.t.root }
 
-// matchKeyBuf is the stack-allocated scratch for suffix-key encoding on the
-// prediction hot path: contexts up to 64 queries deep walk the tree without
-// heap allocation (deeper ones fall back to a transient buffer).
-const matchKeyBuf = 64 * 4
-
-// appendSeqKey encodes s in the Seq.Key layout (4 bytes per ID, big-endian)
-// into dst without the string conversion, so suffix lookups can index the
-// node map via the zero-copy map[string(b)] idiom.
-func appendSeqKey(dst []byte, s query.Seq) []byte {
-	for _, q := range s {
-		dst = append(dst, byte(q>>24), byte(q>>16), byte(q>>8), byte(q))
-	}
-	return dst
-}
+// pathBuf is the depth up to which a context's descent path lives on the
+// caller's stack; a deeper match spills to the heap.
+const pathBuf = 64
 
 // MatchState returns the deepest suffix of ctx stored in the tree with
 // prediction evidence, and whether any such state exists. The empty state is
-// returned only when ctx itself is empty. The walk is allocation-free: the
-// tail of ctx is encoded once into a stack buffer and every suffix key is a
-// trailing slice of it.
+// returned only when ctx itself is empty. The walk is one allocation-free
+// descent of the trie over ctx's newest queries.
 func (m *VMM) MatchState(ctx query.Seq) (query.Seq, *Dist, bool) {
-	start := len(ctx)
-	if m.depth < start {
-		start = m.depth
-	}
-	if start == 0 {
-		return nil, nil, false
-	}
-	var arr [matchKeyBuf]byte
-	b := appendSeqKey(arr[:0], ctx[len(ctx)-start:])
-	for k := start; k >= 1; k-- {
-		if d, ok := m.state(b[len(b)-4*k:]); ok {
+	var buf [pathBuf]int32
+	path := m.t.descend(buf[:0], ctx[len(ctx)-min(len(ctx), m.depth):])
+	for k := len(path); k >= 1; k-- {
+		if d := m.state(path[k-1]); d != nil {
 			return ctx[len(ctx)-k:], d, true
 		}
 	}
@@ -390,27 +277,26 @@ func (m *VMM) Prob(ctx query.Seq, q query.ID) float64 {
 // ProbEscape estimates P̂(q | ctx) via the recursive context-escape chain of
 // Eq. (5): exact states answer directly; unobserved contexts pay the Eq. (6)
 // escape penalty and recurse on their suffix. This is the generative
-// probability used inside the MVMM mixture.
+// probability used inside the MVMM mixture. One descent of ctx yields the
+// matched state and every escape factor. The factors multiply in from the
+// matched state outward, the order of Eq. (5)'s recursion: the mixture's
+// learned σ depends on these products to the last bit.
 func (m *VMM) ProbEscape(ctx query.Seq, q query.ID) float64 {
-	if len(ctx) == 0 {
-		return m.t.root.SmoothedP(q, m.cfg.Vocab)
+	var buf [pathBuf]int32
+	path := m.t.descend(buf[:0], ctx)
+	k := len(path)
+	for k > 0 && m.state(path[k-1]) == nil {
+		k--
 	}
-	var arr [matchKeyBuf]byte
-	b := appendSeqKey(arr[:0], ctx)
-	return m.probEscapeKey(b, q)
-}
-
-// probEscapeKey is the escape-chain recursion over the pre-encoded context
-// key: each level drops the oldest query (the leading 4 key bytes), so the
-// whole chain reuses one buffer and performs zero-copy map lookups.
-func (m *VMM) probEscapeKey(b []byte, q query.ID) float64 {
-	if len(b) == 0 {
-		return m.t.root.SmoothedP(q, m.cfg.Vocab)
+	d := m.t.root
+	if k > 0 {
+		d = m.state(path[k-1])
 	}
-	if d, ok := m.state(b); ok {
-		return d.SmoothedP(q, m.cfg.Vocab)
+	p := d.SmoothedP(q, m.cfg.Vocab)
+	for j := k; j < len(ctx); j++ {
+		p = m.t.escape(path, j) * p
 	}
-	return m.t.esc.escapeKey(b) * m.probEscapeKey(b[4:], q)
+	return p
 }
 
 // GenProb returns the escape-chain generative probability of an entire

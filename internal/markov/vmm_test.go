@@ -125,59 +125,71 @@ func TestVMMRootProbIsPrior(t *testing.T) {
 	}
 }
 
+// checkWindow holds one window's occurrence and session-start counts, as
+// the trie keeps them and as the brute-force count finds them, to hand-counted
+// values (0, 0: not a window).
+func checkWindow(t *testing.T, sessions []query.Session, cfg VMMConfig, w query.Seq, wantOcc, wantStart uint64) {
+	t.Helper()
+	tr := growPST(sessions, cfg)
+	var occ, start uint64
+	if path := tr.descend(nil, w); len(path) == len(w) {
+		n := tr.nodes[path[len(path)-1]]
+		occ, start = n.occ, n.startOcc
+	}
+	bfOcc, bfStart := windowCounts(sessions, cfg.D)
+	if occ != wantOcc || start != wantStart || bfOcc[w.Key()] != wantOcc || bfStart[w.Key()] != wantStart {
+		t.Fatalf("window %v: trie counts %d/%d, brute force %d/%d, want %d/%d",
+			w, occ, start, bfOcc[w.Key()], bfStart[w.Key()], wantOcc, wantStart)
+	}
+}
+
 func TestEscapeTableCounts(t *testing.T) {
 	sessions := []query.Session{
 		{Queries: query.Seq{1, 2, 3}, Count: 4},
 		{Queries: query.Seq{2, 3}, Count: 6},
 	}
-	et := NewEscapeTable(sessions, 0)
 	// Window [2,3] occurs in both sessions: 4 + 6 = 10 occurrences,
 	// 6 of them at a session start.
-	if occ := et.Occurrences(query.Seq{2, 3}); occ != 10 {
-		t.Fatalf("occ([2,3]) = %d, want 10", occ)
-	}
-	if so := et.StartOccurrences(query.Seq{2, 3}); so != 6 {
-		t.Fatalf("startOcc([2,3]) = %d, want 6", so)
-	}
-	if occ := et.Occurrences(query.Seq{1}); occ != 4 {
-		t.Fatalf("occ([1]) = %d, want 4", occ)
-	}
+	checkWindow(t, sessions, VMMConfig{}, query.Seq{2, 3}, 10, 6)
+	checkWindow(t, sessions, VMMConfig{}, query.Seq{1}, 4, 4)
+	checkWindow(t, sessions, VMMConfig{}, query.Seq{1, 2, 3}, 4, 4)
 }
 
 func TestEscapeTableMaxLen(t *testing.T) {
 	sessions := []query.Session{{Queries: query.Seq{1, 2, 3, 4}, Count: 1}}
-	et := NewEscapeTable(sessions, 2)
-	if et.Occurrences(query.Seq{1, 2, 3}) != 0 {
-		t.Fatal("window longer than maxLen was counted")
-	}
-	if et.Occurrences(query.Seq{2, 3}) != 1 {
-		t.Fatal("window within maxLen missing")
-	}
+	cfg := VMMConfig{D: 2}
+	// A window longer than D is no node.
+	checkWindow(t, sessions, cfg, query.Seq{1, 2, 3}, 0, 0)
+	checkWindow(t, sessions, cfg, query.Seq{2, 3}, 1, 0)
+	checkWindow(t, sessions, cfg, query.Seq{1, 2}, 1, 1)
 }
 
+// TestEscapeProbabilityEq6 reads Eq. (6) off the trie: escaping from an
+// unmatched context costs its suffix's session-start share.
 func TestEscapeProbabilityEq6(t *testing.T) {
+	escape := func(tr *pst, s query.Seq) float64 { return tr.escape(tr.descend(nil, s), len(s)-1) }
 	sessions := []query.Session{
 		{Queries: query.Seq{1, 2, 3}, Count: 4}, // [2,3] preceded by 1
 		{Queries: query.Seq{2, 3}, Count: 6},    // [2,3] at start
 	}
-	et := NewEscapeTable(sessions, 0)
+	tr := growPST(sessions, VMMConfig{Vocab: 10})
 	// Escape from unobserved [9, 2, 3]: suffix [2, 3] occurred 10 times,
 	// 6 at a start. Eq. (6): 6/10.
-	if e := et.Escape(query.Seq{9, 2, 3}); math.Abs(e-0.6) > 1e-12 {
+	if e := escape(tr, query.Seq{9, 2, 3}); math.Abs(e-0.6) > 1e-12 {
 		t.Fatalf("escape = %v, want 0.6", e)
 	}
 	// Suffix never observed: escape 1 (no evidence to penalise with).
-	if e := et.Escape(query.Seq{9, 8, 7}); e != 1 {
+	if e := escape(tr, query.Seq{9, 8, 7}); e != 1 {
 		t.Fatalf("escape with unknown suffix = %v, want 1", e)
 	}
 	// Suffix observed but never at a start: floored, not zero.
-	et2 := NewEscapeTable([]query.Session{{Queries: query.Seq{1, 2, 3}, Count: 5}}, 0)
-	e := et2.Escape(query.Seq{9, 2, 3}) // suffix [2,3] occurs 5x, never at start
+	tr2 := growPST([]query.Session{{Queries: query.Seq{1, 2, 3}, Count: 5}}, VMMConfig{Vocab: 10})
+	e := escape(tr2, query.Seq{9, 2, 3}) // suffix [2,3] occurs 5x, never at start
 	if e <= 0 || e >= 1 {
 		t.Fatalf("floored escape = %v, want in (0,1)", e)
 	}
 	// Single-query escape: uninformative prior.
-	if e := et.Escape(query.Seq{42}); e != 0.5 {
+	if e := escape(tr, query.Seq{42}); e != 0.5 {
 		t.Fatalf("singleton escape = %v, want 0.5", e)
 	}
 }

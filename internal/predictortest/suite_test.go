@@ -53,11 +53,11 @@ func compiledModel(t *testing.T) (*compiled.Model, []query.Seq) {
 	cfg.Epsilons = []float64{0.0, 0.05}
 	cfg.Mixture.TrainSample = 50
 	cfg.Mixture.NewtonIters = 3
-	cm := core.TrainFromAggregated(d, sessions, cfg).CompiledModel()
-	if cm == nil {
-		t.Fatal("training produced no compiled model")
+	rec, err := core.TrainFromAggregated(d, sessions, cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return cm, ctxs
+	return rec.CompiledModel(), ctxs
 }
 
 func TestCompiledModelConformance(t *testing.T) {

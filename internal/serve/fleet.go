@@ -83,23 +83,20 @@ func (h *Handler) models(w http.ResponseWriter, r *http.Request) {
 
 // modelInfo assembles one ModelInfo row.
 func modelInfo(name, role string, weight uint32, gen uint64, rec core.Recommender, reloadable bool) ModelInfo {
-	info := ModelInfo{
-		Name:         name,
-		Role:         role,
-		Weight:       weight,
-		Generation:   gen,
-		DictHash:     fmt.Sprintf("%016x", rec.Dict().Hash()),
-		KnownQueries: rec.Dict().Len(),
-		Reloadable:   reloadable,
+	cm := rec.CompiledModel()
+	return ModelInfo{
+		Name:          name,
+		Role:          role,
+		Weight:        weight,
+		Generation:    gen,
+		DictHash:      fmt.Sprintf("%016x", rec.Dict().Hash()),
+		KnownQueries:  rec.Dict().Len(),
+		Compiled:      true,
+		CompiledNodes: cm.Nodes(),
+		Quantised:     cm.Quantised(),
+		BlobBytes:     rec.LoadInfo().BlobBytes,
+		Reloadable:    reloadable,
 	}
-	if cm := rec.CompiledModel(); cm != nil {
-		info.Compiled = true
-		info.CompiledNodes = cm.Nodes()
-		info.Quantised = cm.Quantised()
-	}
-	li := rec.LoadInfo()
-	info.BlobBytes = li.BlobBytes
-	return info
 }
 
 // RouteInfo is the GET /v1/route payload: where the given context would be

@@ -533,8 +533,10 @@ func TestSlowAndErroredTracesRetained(t *testing.T) {
 // 3 too (its stage, the request and route histograms) and 1 span — nothing
 // per context. A fourth registry record or a second span on the GET is the
 // cost this pins out. The serving arm's latency record lives outside the
-// registry (/v1/metrics fleet.arms); obs's TestInstrumentClockReads prices it. The GET's three clock reads are not counted here: they become
-// countable once the clock is injected (ROADMAP item 3).
+// registry (/v1/metrics fleet.arms); obs's TestInstrumentClockReads prices
+// it. The GET's three clock reads are not counted here: they become
+// countable once the clock is injected (ROADMAP, "One clock, one random
+// source, and no sleeps in tests").
 func TestInstrumentCountsPinned(t *testing.T) {
 	h := New(testRecommender(t), Options{})
 	samples := func() (total float64) {

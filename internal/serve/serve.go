@@ -113,9 +113,9 @@ type BatchResponse struct {
 	TookMicros int64             `json:"took_us"`
 }
 
-// Health is the /healthz payload. Compiled reports whether requests are
-// served from the flat single-PST form (the expected state; false means the
-// interpreted-mixture fallback), CompiledNodes its merged trie size, and
+// Health is the /healthz payload. Compiled reports that requests are served
+// from the flat single-PST form (always: there is no other), CompiledNodes
+// its merged trie size, and
 // Quantised whether that form is the fixed-point CPS5 encoding (bounded
 // probability error) rather than exact float64. LoadMode ("trained", "heap"
 // or "mmap") and LoadMicros report how and how fast the current model
@@ -423,27 +423,24 @@ func (h *Handler) swaps() uint64 {
 func (h *Handler) health(w http.ResponseWriter, r *http.Request) {
 	st := h.champion()
 	rec := st.Rec
-	resp := Health{
+	cm, li := rec.CompiledModel(), rec.LoadInfo()
+	obs.WriteJSON(w, http.StatusOK, Health{
 		Status:        "ok",
 		KnownQueries:  rec.Dict().Len(),
 		TrainSessions: rec.Stats().Sessions,
 		Generation:    st.Gen,
 		// Arms counts arms currently taking traffic: a challenger mid-ramp
 		// raises it, a freeze drops it back — liveness probes see the split.
-		Arms:         h.rt.LiveArms(),
-		ShadowModels: len(h.rt.ShadowSlots()),
-	}
-	if cm := rec.CompiledModel(); cm != nil {
-		resp.Compiled = true
-		resp.CompiledNodes = cm.Nodes()
-		resp.Quantised = cm.Quantised()
-	}
-	li := rec.LoadInfo()
-	resp.LoadMode = li.Mode
-	resp.LoadVersion = li.Version
-	resp.BlobBytes = li.BlobBytes
-	resp.LoadMicros = li.Duration.Microseconds()
-	obs.WriteJSON(w, http.StatusOK, resp)
+		Arms:          h.rt.LiveArms(),
+		ShadowModels:  len(h.rt.ShadowSlots()),
+		Compiled:      true,
+		CompiledNodes: cm.Nodes(),
+		Quantised:     cm.Quantised(),
+		LoadMode:      li.Mode,
+		LoadVersion:   li.Version,
+		BlobBytes:     li.BlobBytes,
+		LoadMicros:    li.Duration.Microseconds(),
+	})
 }
 
 // metricsHandler is the JSON view of /v1/metrics. Its latency_* fields read
@@ -452,12 +449,7 @@ func (h *Handler) metricsHandler(w http.ResponseWriter, r *http.Request) {
 	st := h.champion()
 	rec := st.Rec
 	cs := h.cache.Stats()
-	compiledNodes := 0
-	quantised := false
-	if cm := rec.CompiledModel(); cm != nil {
-		compiledNodes = cm.Nodes()
-		quantised = cm.Quantised()
-	}
+	cm := rec.CompiledModel()
 	li := rec.LoadInfo()
 	lat := h.histRouteSuggest
 	obs.WriteJSON(w, http.StatusOK, MetricsResponse{
@@ -479,8 +471,8 @@ func (h *Handler) metricsHandler(w http.ResponseWriter, r *http.Request) {
 		Stages:          h.stageBreakdown(),
 		ModelGeneration: st.Gen,
 		KnownQueries:    rec.Dict().Len(),
-		CompiledNodes:   compiledNodes,
-		Quantised:       quantised,
+		CompiledNodes:   cm.Nodes(),
+		Quantised:       cm.Quantised(),
 		BlobBytes:       li.BlobBytes,
 		Fleet:           &FleetMetrics{Arms: h.rt.ArmStats(), Shadows: h.rt.ShadowStats()},
 		Ingest:          h.ingestSnapshot(),

@@ -23,7 +23,11 @@ func testRecommender(t *testing.T) core.Recommender {
 	cfg.Epsilons = []float64{0.0, 0.05}
 	cfg.Mixture.TrainSample = 50
 	cfg.Mixture.NewtonIters = 3
-	return core.TrainFromSessions(d, sessions, cfg)
+	rec, err := core.TrainFromSessions(d, sessions, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rec
 }
 
 func TestSuggestEndpoint(t *testing.T) {

@@ -36,7 +36,11 @@ func altRecommender(t testing.TB) core.Recommender {
 	cfg.Epsilons = []float64{0.0, 0.05}
 	cfg.Mixture.TrainSample = 50
 	cfg.Mixture.NewtonIters = 3
-	return core.TrainFromSessions(d, sessions, cfg)
+	rec, err := core.TrainFromSessions(d, sessions, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rec
 }
 
 // incompatibleRecommender trains a model whose dictionary permutes the base
@@ -53,7 +57,11 @@ func incompatibleRecommender(t testing.TB) core.Recommender {
 	cfg.Epsilons = []float64{0.0, 0.05}
 	cfg.Mixture.TrainSample = 50
 	cfg.Mixture.NewtonIters = 3
-	return core.TrainFromSessions(d, sessions, cfg)
+	rec, err := core.TrainFromSessions(d, sessions, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rec
 }
 
 func postBatch(t *testing.T, url string, body string) *http.Response {

@@ -48,7 +48,11 @@ func wireModel(t testing.TB, next ...string) core.Recommender {
 	cfg.Epsilons = []float64{0.0, 0.05}
 	cfg.Mixture.TrainSample = 50
 	cfg.Mixture.NewtonIters = 3
-	return core.TrainFromSessions(d, sessions, cfg)
+	rec, err := core.TrainFromSessions(d, sessions, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rec
 }
 
 func wireModelA(t testing.TB) core.Recommender {

@@ -115,7 +115,10 @@ func TestCrashReplayEveryCutPoint(t *testing.T) {
 	}
 	drain(t, ref)
 	wantCounts := dumpCounts(t, ref.Incremental())
-	wantModel := ref.Incremental().Snapshot()
+	wantModel, err := ref.Incremental().Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
 	refStatus := ref.Status()
 	if err := ref.Close(); err != nil {
 		t.Fatal(err)
@@ -182,7 +185,11 @@ func TestCrashReplayEveryCutPoint(t *testing.T) {
 		// break the fleet's dict-extends push compatibility. Snapshotting
 		// trains a model, so sample every fourth cut plus the final one.
 		if i%4 == 0 || i == len(cuts)-1 {
-			if h1, h2 := ing.Incremental().Snapshot().Dict().Hash(), wantModel.Dict().Hash(); h1 != h2 {
+			got, err := ing.Incremental().Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if h1, h2 := got.Dict().Hash(), wantModel.Dict().Hash(); h1 != h2 {
 				t.Fatalf("cut %d (%s): trainer dictionary diverged: %016x != %016x", i, cut.name, h1, h2)
 			}
 		}
