@@ -52,12 +52,14 @@ fuzz-smoke:
 # a zero-copy load does not check (internal/compiled), the search-log codec
 # the ingestion loop tails against the string-building one it replaced
 # (internal/logfmt), the Prometheus exposition parser on arbitrary bytes
-# and on a registry's own output (internal/obs), and the score formatter on
-# arbitrary float64 bits against encoding/json (internal/core). fuzz-smoke's loop over a
+# and on a registry's own output (internal/obs), the score formatter on
+# arbitrary float64 bits against encoding/json (internal/core), and the query
+# normaliser every request context passes through against the four-scan one
+# it fronts (internal/query). fuzz-smoke's loop over a
 # fixed list: six parser bugs in five PRs were each found by a differential
 # test somebody had to think of first.
 fuzz-grammar:
-	@for t in ./internal/jsonspan:FuzzBatchWalker ./internal/jsonspan:FuzzQueryWalker ./internal/fleet:FuzzRoutedBatchNeverBlamesShard ./internal/compiled:FuzzFlat5Decode ./internal/logfmt:FuzzCodecDifferential ./internal/obs:FuzzParsePrometheus ./internal/core:FuzzAppendJSONFloat; do \
+	@for t in ./internal/jsonspan:FuzzBatchWalker ./internal/jsonspan:FuzzQueryWalker ./internal/fleet:FuzzRoutedBatchNeverBlamesShard ./internal/compiled:FuzzFlat5Decode ./internal/logfmt:FuzzCodecDifferential ./internal/obs:FuzzParsePrometheus ./internal/core:FuzzAppendJSONFloat ./internal/query:FuzzNormalize; do \
 		echo "== $$t"; \
 		$(GO) test -run=NONE -fuzz="^$${t#*:}\$$" -fuzztime=5s -fuzzminimizetime=1s $${t%:*} || exit 1; \
 	done
@@ -144,7 +146,7 @@ check-api: vet
 # Line-count ratchet: the non-test Go lines outside bench/ and dot-directories
 # may not grow past LINES_CEILING. A PR that shrinks the code lowers the
 # ceiling to its new count; a PR that raises it says why in CHANGES.md.
-LINES_CEILING = 19508
+LINES_CEILING = 19602
 check-lines:
 	@n=$$(find . -path ./bench -prune -o -path './.*' -prune -o -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l); \
 	echo "non-test Go lines: $$n (ceiling $(LINES_CEILING))"; \

@@ -68,7 +68,7 @@ func AppendRecord(dst []byte, r Record) ([]byte, error) {
 	if r.MachineID == "" {
 		return dst, fmt.Errorf("%w: empty machine ID", ErrMalformed)
 	}
-	if strings.ContainsAny(r.MachineID, "\t\n") || strings.ContainsAny(r.Query, "\t\n") {
+	if !clean(r.MachineID) || !clean(r.Query) {
 		return dst, fmt.Errorf("%w: field contains tab or newline", ErrMalformed)
 	}
 	b := append(dst, r.MachineID...)
@@ -79,7 +79,7 @@ func AppendRecord(dst []byte, r Record) ([]byte, error) {
 	b = append(b, '\t')
 	b = strconv.AppendInt(b, int64(len(r.Clicks)), 10)
 	for _, c := range r.Clicks {
-		if strings.ContainsAny(c.URL, "\t\n") {
+		if !clean(c.URL) {
 			return dst, fmt.Errorf("%w: click URL contains tab or newline", ErrMalformed)
 		}
 		b = append(b, '\t')
@@ -90,17 +90,22 @@ func AppendRecord(dst []byte, r Record) ([]byte, error) {
 	return b, nil
 }
 
-// Unmarshal parses one TSV line produced by AppendRecord.
+// clean reports whether s is free of the two bytes the layout reserves.
+func clean(s string) bool {
+	return strings.IndexByte(s, '\t') < 0 && strings.IndexByte(s, '\n') < 0
+}
+
+// Unmarshal parses one TSV line produced by AppendRecord. It walks the fields
+// once, and counts them only on an error path.
 func Unmarshal(line string) (Record, error) {
-	nf := strings.Count(line, "\t") + 1
-	if nf < 4 {
-		return Record{}, fmt.Errorf("%w: %d fields, need at least 4", ErrMalformed, nf)
+	machine, rest, ok1 := strings.Cut(line, "\t")
+	q, rest, ok2 := strings.Cut(rest, "\t")
+	tsField, rest, ok3 := strings.Cut(rest, "\t")
+	if !ok1 || !ok2 || !ok3 {
+		return Record{}, fmt.Errorf("%w: %d fields, need at least 4", ErrMalformed, fields(line))
 	}
-	machine, rest, _ := strings.Cut(line, "\t")
-	q, rest, _ := strings.Cut(rest, "\t")
-	tsField, rest, _ := strings.Cut(rest, "\t")
-	countField, rest, _ := strings.Cut(rest, "\t")
-	ts, err := time.Parse(timeLayout, tsField)
+	countField, rest, more := strings.Cut(rest, "\t")
+	ts, err := parseTime(tsField)
 	if err != nil {
 		return Record{}, fmt.Errorf("%w: bad timestamp %q: %v", ErrMalformed, tsField, err)
 	}
@@ -108,24 +113,79 @@ func Unmarshal(line string) (Record, error) {
 	if err != nil || n < 0 {
 		return Record{}, fmt.Errorf("%w: bad click count %q", ErrMalformed, countField)
 	}
-	if nf != 4+2*n {
-		return Record{}, fmt.Errorf("%w: click count %d but %d trailing fields", ErrMalformed, n, nf-4)
+	// A click is two fields, so n clicks need at least n bytes of rest.
+	if (n > 0) != more || n > len(rest) {
+		return Record{}, countMismatch(line, n)
 	}
 	r := Record{MachineID: machine, Query: q, Time: ts}
 	if n > 0 {
 		r.Clicks = make([]Click, n)
 		for i := range r.Clicks {
-			var ctField, url string
-			ctField, rest, _ = strings.Cut(rest, "\t")
-			url, rest, _ = strings.Cut(rest, "\t")
-			ct, err := time.Parse(timeLayout, ctField)
+			ctField, tail, ok := strings.Cut(rest, "\t")
+			var url string
+			url, rest, more = strings.Cut(tail, "\t")
+			if !ok || more != (i < n-1) {
+				return Record{}, countMismatch(line, n)
+			}
+			ct, err := parseTime(ctField)
 			if err != nil {
+				if fields(line) != 4+2*n {
+					return Record{}, countMismatch(line, n)
+				}
 				return Record{}, fmt.Errorf("%w: bad click timestamp %q: %v", ErrMalformed, ctField, err)
 			}
 			r.Clicks[i] = Click{Time: ct, URL: url}
 		}
 	}
 	return r, nil
+}
+
+// fields counts line's tab-separated fields.
+func fields(line string) int { return strings.Count(line, "\t") + 1 }
+
+// countMismatch is the error for a line whose click count disagrees with its
+// number of fields.
+func countMismatch(line string, n int) error {
+	return fmt.Errorf("%w: click count %d but %d trailing fields", ErrMalformed, n, fields(line)-4)
+}
+
+// parseTime parses a timestamp field. The form AppendRecord writes for a UTC
+// time, 2006-01-02T15:04:05Z, is decoded here, checked by range and by month
+// length; every other form, and every invalid field, goes through time.Parse,
+// which then decides the result and words the error.
+func parseTime(s string) (time.Time, error) {
+	if len(s) == len("2006-01-02T15:04:05Z") && s[4] == '-' && s[7] == '-' && s[10] == 'T' &&
+		s[13] == ':' && s[16] == ':' && s[19] == 'Z' {
+		year, month, day := digits(s[0:4]), digits(s[5:7]), digits(s[8:10])
+		hour, min, sec := digits(s[11:13]), digits(s[14:16]), digits(s[17:19])
+		if year >= 0 && month >= 1 && month <= 12 && day >= 1 && day <= daysIn(month, year) &&
+			hour >= 0 && hour <= 23 && min >= 0 && min <= 59 && sec >= 0 && sec <= 59 {
+			return time.Date(year, time.Month(month), day, hour, min, sec, 0, time.UTC), nil
+		}
+	}
+	return time.Parse(timeLayout, s)
+}
+
+// digits decodes an all-digit decimal field, or returns -1.
+func digits(s string) int {
+	x := 0
+	for _, c := range []byte(s) {
+		if c < '0' || c > '9' {
+			return -1
+		}
+		x = x*10 + int(c-'0')
+	}
+	return x
+}
+
+var monthDays = [12]int{31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31}
+
+// daysIn is the length of month (1-12) in year, by the Gregorian leap rule.
+func daysIn(month, year int) int {
+	if month == 2 && year%4 == 0 && (year%100 != 0 || year%400 == 0) {
+		return 29
+	}
+	return monthDays[month-1]
 }
 
 // Writer streams records to an underlying io.Writer, one TSV line each.

@@ -113,6 +113,11 @@ func FuzzCodecDifferential(f *testing.F) {
 	f.Add("m", "q", int64(-1<<40), int32(0), int32(60), uint8(3), "u", "m\tq\t2026-01-15T00:08:41+05:30\t1\t2026-01-15T00:08:41Z\tu")
 	f.Add("m", "q", int64(1_700_000_000), int32(5), int32(-7200), uint8(12), "u", "m\tq\t2026-01-15T00:08:41+05:30\t1\t2026-01-15T01:08:41-02:00\tu")
 	f.Add("m", "q", int64(1_700_000_000), int32(0), int32(0), uint8(2), "bad\turl", "")
+	for _, ts := range timestampEdges {
+		for _, line := range edgeLines(ts) {
+			f.Add("m", "q", int64(0), int32(0), int32(0), uint8(0), "", line)
+		}
+	}
 	f.Fuzz(func(t *testing.T, machine, q string, sec int64, nsec, zone int32, nclicks uint8, url, line string) {
 		ts := time.Unix(sec, int64(nsec)).In(time.FixedZone("", int(zone%(24*3600))))
 		r := Record{MachineID: machine, Query: q, Time: ts}
@@ -139,6 +144,28 @@ func FuzzCodecDifferential(f *testing.F) {
 		}
 		checkUnmarshal(t, line)
 	})
+}
+
+// timestampEdges are timestamps at the edges of Unmarshal's direct UTC
+// decoding: a leap day, days past their month's end, month 13, year 0, a leap
+// second, a fraction and lower-case separators. The last three, and every
+// invalid one, are time.Parse's to accept or refuse.
+var timestampEdges = []string{
+	"2024-02-29T23:59:59Z", "2026-02-29T00:00:00Z", "2026-04-31T00:00:00Z", "2026-13-01T00:00:00Z",
+	"0000-01-01T00:00:00Z", "2026-01-01T23:59:60Z", "2026-01-01T00:00:00.5Z", "2026-01-01t00:00:00z",
+}
+
+// edgeLines places ts as a record's query timestamp and as its click's.
+func edgeLines(ts string) []string {
+	return []string{"m\tq\t" + ts + "\t0", "m\tq\t2026-01-15T00:08:41Z\t1\t" + ts + "\tu"}
+}
+
+func TestCodecDifferentialTimestampEdges(t *testing.T) {
+	for _, ts := range timestampEdges {
+		for _, line := range edgeLines(ts) {
+			checkUnmarshal(t, line)
+		}
+	}
 }
 
 // TestCodecDifferentialClickCounts drives the click-count checks the fuzzer

@@ -3,6 +3,7 @@ package loggen
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 	"time"
 
 	"repro/internal/logfmt"
@@ -125,6 +126,7 @@ type Generator struct {
 	noiseZ    *rand.Zipf
 	patCDF    [numPatterns]float64
 	clock     []time.Time // per-machine current time
+	machines  []string    // per-machine ID, formatted on first use
 	testPhase bool
 }
 
@@ -163,6 +165,7 @@ func New(cfg Config) (*Generator, error) {
 		g.patCDF[i] = acc
 	}
 	g.clock = make([]time.Time, cfg.Machines)
+	g.machines = make([]string, cfg.Machines)
 	for i := range g.clock {
 		g.clock[i] = cfg.Start.Add(time.Duration(g.rng.Int63n(int64(24 * time.Hour))))
 	}
@@ -236,8 +239,11 @@ func (g *Generator) Session() LabeledSession {
 		gap = time.Duration(45+g.rng.Intn(600)) * time.Minute
 	}
 	g.clock[m] = g.clock[m].Add(gap)
+	if g.machines[m] == "" {
+		g.machines[m] = fmt.Sprintf("m%05d", m)
+	}
 	return LabeledSession{
-		Machine: fmt.Sprintf("m%05d", m),
+		Machine: g.machines[m],
 		Start:   g.clock[m],
 		Queries: qs,
 		Pattern: pat,
@@ -378,6 +384,16 @@ func deepest(topic *Topic, ri int) int {
 // intra-session think times and clicks.
 func (g *Generator) Records(ls LabeledSession) []logfmt.Record {
 	recs := make([]logfmt.Record, 0, len(ls.Queries))
+	g.eachRecord(ls, func(r logfmt.Record) error {
+		recs = append(recs, r)
+		return nil
+	})
+	return recs
+}
+
+// eachRecord draws ls's records in order, as Records returns them, and
+// passes each to emit, stopping at emit's first error.
+func (g *Generator) eachRecord(ls LabeledSession, emit func(logfmt.Record) error) error {
 	t := ls.Start
 	for i, q := range ls.Queries {
 		if i > 0 {
@@ -392,17 +408,19 @@ func (g *Generator) Records(ls LabeledSession) []logfmt.Record {
 		}
 		rec := logfmt.Record{MachineID: ls.Machine, Query: q, Time: t}
 		if g.rng.Float64() < g.cfg.ClickProb {
-			n := 1 + g.rng.Intn(2)
-			for c := 0; c < n; c++ {
-				rec.Clicks = append(rec.Clicks, logfmt.Click{
-					URL:  fmt.Sprintf("www.%s.example.com/r%d", firstWord(q), c),
+			rec.Clicks = make([]logfmt.Click, 1+g.rng.Intn(2))
+			for c := range rec.Clicks {
+				rec.Clicks[c] = logfmt.Click{
+					URL:  "www." + firstWord(q) + ".example.com/r" + strconv.Itoa(c),
 					Time: t.Add(time.Duration(10+g.rng.Intn(50)) * time.Second),
-				})
+				}
 			}
 		}
-		recs = append(recs, rec)
+		if err := emit(rec); err != nil {
+			return err
+		}
 	}
-	return recs
+	return nil
 }
 
 // GenerateSessions produces n labeled sessions.
@@ -422,10 +440,8 @@ func (g *Generator) GenerateRecords(n int, emit func(logfmt.Record) error) ([]La
 	for i := 0; i < n; i++ {
 		ls := g.Session()
 		sessions = append(sessions, ls)
-		for _, rec := range g.Records(ls) {
-			if err := emit(rec); err != nil {
-				return sessions, err
-			}
+		if err := g.eachRecord(ls, emit); err != nil {
+			return sessions, err
 		}
 	}
 	return sessions, nil

@@ -96,8 +96,13 @@ type conceptRef struct {
 type UniverseConfig struct {
 	Topics        int // number of latent topics
 	RootsPerTopic int // depth-0 concepts per topic
-	ChainDepth    int // specialisation depth below each root (>=0)
-	SynonymFrac   float64
+	// ChainDepth (>= 0) shapes the specialisations below each root: 0, 1
+	// or 2 grow a linear chain of up to that many refinements; any value
+	// >= 3 grows the same fixed depth-3 diamond (two refinements meeting on
+	// a shared query, then diverging again), so 3 and 6 give identical
+	// corpora.
+	ChainDepth  int
+	SynonymFrac float64
 	// Universals is the number of topic-less navigational noise queries.
 	Universals int
 	// Generics is the pool size of ambiguous generic refinement queries

@@ -30,7 +30,7 @@ func ReadDict(r io.Reader) (*Dict, error) {
 	n := sr.Int()
 	d := NewDict()
 	for i := 0; i < n && sr.Err() == nil; i++ {
-		d.Intern(sr.String())
+		d.add(Normalize(sr.String())) // a fresh string: no copy needed
 	}
 	if err := sr.Err(); err != nil {
 		return nil, err

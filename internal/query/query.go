@@ -59,6 +59,12 @@ func (d *Dict) Intern(q string) ID {
 	if id, ok := d.lookup(q); ok {
 		return id
 	}
+	// q may be a substring of a log line: store a copy of its bytes alone.
+	return d.add(strings.Clone(q))
+}
+
+// add interns the normalised q, which the dictionary may keep as it is.
+func (d *Dict) add(q string) ID {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if id, ok := d.ids[q]; ok {
@@ -132,7 +138,7 @@ func (d *Dict) LookupBytes(q []byte) (ID, bool) {
 // non-space whitespace (\t \n \v \f \r — everything TrimSpace and Fields
 // treat as space), and no leading/trailing/doubled spaces. Non-ASCII bytes
 // fail the test (they could be part of an upper-case rune).
-func normalizedASCII(q []byte) bool {
+func normalizedASCII[T string | []byte](q T) bool {
 	for i := 0; i < len(q); i++ {
 		c := q[i]
 		switch {
@@ -217,6 +223,9 @@ func (d *Dict) Strings() []string { return slices.Clone(d.table()) }
 // Normalize canonicalises a raw query string: lower-case, trim, and collapse
 // internal whitespace runs to single spaces.
 func Normalize(q string) string {
+	if normalizedASCII(q) {
+		return q
+	}
 	q = strings.ToLower(strings.TrimSpace(q))
 	if !strings.ContainsAny(q, "\t\n\r") && !strings.Contains(q, "  ") {
 		return q

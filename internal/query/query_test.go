@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestDictInternAssignsDenseIDs(t *testing.T) {
@@ -117,6 +118,24 @@ func TestNormalize(t *testing.T) {
 		if got := Normalize(c.in); got != c.want {
 			t.Errorf("Normalize(%q) = %q, want %q", c.in, got, c.want)
 		}
+	}
+}
+
+// TestInternClonesSubstring: a query interned from a substring of a larger
+// string — a field of a log line — is stored as a copy of its own, so the
+// dictionary does not keep the whole line alive.
+func TestInternClonesSubstring(t *testing.T) {
+	line := "m00042\tkidney stones\t2026-01-15T00:08:41Z\t0" + strings.Repeat("x", 4096)
+	q := line[7:20]
+	d := NewDict()
+	id := d.Intern(q)
+	stored := d.String(id)
+	if stored != "kidney stones" {
+		t.Fatalf("interned %q, want %q", stored, "kidney stones")
+	}
+	lo := uintptr(unsafe.Pointer(unsafe.StringData(line)))
+	if p := uintptr(unsafe.Pointer(unsafe.StringData(stored))); p >= lo && p < lo+uintptr(len(line)) {
+		t.Fatal("the dictionary stores a pointer into the interned string's backing line")
 	}
 }
 

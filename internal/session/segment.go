@@ -9,6 +9,7 @@ package session
 import (
 	"io"
 	"sort"
+	"strings"
 	"time"
 
 	"repro/internal/logfmt"
@@ -51,13 +52,16 @@ func NewSegmenter(dict *query.Dict, gap time.Duration) *Segmenter {
 func (s *Segmenter) Add(rec logfmt.Record) {
 	id := s.Dict.Intern(rec.Query)
 	cur := s.open[rec.MachineID]
-	if cur != nil && rec.Time.Sub(cur.last) > s.Gap {
-		s.done = append(s.done, cur.queries)
-		cur = nil
-	}
-	if cur == nil {
+	switch {
+	case cur == nil:
+		// Cloned: rec.MachineID may be a substring of a whole log line,
+		// which the map key would otherwise keep alive.
 		cur = &openSession{}
-		s.open[rec.MachineID] = cur
+		s.open[strings.Clone(rec.MachineID)] = cur
+	case rec.Time.Sub(cur.last) > s.Gap:
+		// The machine's record carries over to its next session.
+		s.done = append(s.done, cur.queries)
+		cur.queries = nil
 	}
 	cur.queries = append(cur.queries, id)
 	cur.last = rec.Time
