@@ -21,9 +21,11 @@ race:
 # after the handler returned, a hedge loser) shows in a fraction of runs, so
 # one pass of `race` can miss it; ci repeats the two packages that serve
 # requests, the cache whose shards (entries and admission ghost) every
-# request touches, and cmd/serve, whose lifecycle tests stop a process
-# mid-request with its ingestion loop and ramp running.
-PKG ?= ./internal/serve ./internal/fleet ./internal/cache ./cmd/serve
+# request touches, the tracer whose retention ring every request's finish
+# may copy into under its mutex while /v1/traces reads it, and cmd/serve,
+# whose lifecycle tests stop a process mid-request with its ingestion loop
+# and ramp running.
+PKG ?= ./internal/serve ./internal/fleet ./internal/cache ./internal/obs ./cmd/serve
 N ?= 10
 race-repeat:
 	$(GO) test -race -count=$(N) $(PKG)
@@ -146,7 +148,7 @@ check-api: vet
 # Line-count ratchet: the non-test Go lines outside bench/ and dot-directories
 # may not grow past LINES_CEILING. A PR that shrinks the code lowers the
 # ceiling to its new count; a PR that raises it says why in CHANGES.md.
-LINES_CEILING = 19602
+LINES_CEILING = 19607
 check-lines:
 	@n=$$(find . -path ./bench -prune -o -path './.*' -prune -o -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l); \
 	echo "non-test Go lines: $$n (ceiling $(LINES_CEILING))"; \

@@ -2,7 +2,9 @@
 // latency histograms with bounded-error quantiles, pooled zero-allocation
 // request traces with tail-sampled retention, and a Prometheus text
 // exposition over both. Every primitive is safe for concurrent use from the
-// serving hot path and allocates nothing per operation after warm-up.
+// serving hot path and allocates nothing per operation after warm-up; a
+// retention-ring slot, which copies a retained trace's spans into a slice it
+// reuses, is warm once it has held a trace as long as the next one it takes.
 package obs
 
 import (

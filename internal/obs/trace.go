@@ -65,9 +65,6 @@ type Trace struct {
 	// or the inbound request's own header slice (StartFrom). It is never
 	// written through.
 	hv []string
-	// kept is the ID of a retained trace, copied out of hv on retention so a
-	// trace sitting in the ring does not pin a whole block.
-	kept [traceIDLen]byte
 
 	spans [MaxSpans]Span
 	n     int
@@ -215,6 +212,17 @@ func (tr *Trace) Force() { tr.forced = true }
 // Err marks the trace as errored; Finish also accepts the flag directly.
 func (tr *Trace) Err() { tr.err = true }
 
+// retained is a finished trace as the retention ring holds it: its ID in
+// bytes of its own, so it pins no idBlock, and a copy of the spans it
+// recorded in a slice the slot reuses, not the recorder it ran on.
+type retained struct {
+	id      [traceIDLen]byte
+	total   int64
+	err     bool
+	dropped int
+	spans   []Span
+}
+
 // Tracer hands out pooled Traces and tail-samples completed ones into a
 // fixed retention ring. Retention keeps every errored or forced trace and
 // every trace slower than the cached p99 of the slow-source histogram
@@ -232,7 +240,7 @@ type Tracer struct {
 	refreshAt atomic.Int64 // offset from epoch (ns) at which a finish re-reads thresh
 
 	mu   sync.Mutex
-	ring []*Trace
+	ring []retained
 	next int
 	size int
 	// full is set once the ring has filled (it never empties again): from
@@ -251,7 +259,7 @@ func NewTracer(capacity int, slow *Histogram) *Tracer {
 	}
 	t := &Tracer{
 		slow: slow,
-		ring: make([]*Trace, capacity),
+		ring: make([]retained, capacity),
 		// IDs are mix64(seed + n): seeded by the clock alone, two tracers built
 		// δ ns apart would replay each other's IDs δ traces later. Mixing the
 		// clock with the tracer's ordinal puts the sequences of one process's
@@ -345,8 +353,8 @@ func (t *Tracer) nextID() []string {
 const refreshEvery = time.Millisecond
 
 // Finish stamps the trace's total duration, applies the tail-sampling
-// decision and either retains the trace in the ring (recycling whatever it
-// evicts) or returns it to the pool. The caller must not touch tr
+// decision, copies a retained trace into the ring over its oldest record,
+// and returns the recorder to the pool. The caller must not touch tr
 // afterwards.
 func (t *Tracer) Finish(tr *Trace, errored bool) {
 	t.FinishElapsed(tr, tr.Elapsed(), errored)
@@ -374,27 +382,22 @@ func (t *Tracer) FinishElapsed(tr *Trace, elapsed time.Duration, errored bool) {
 		return
 	}
 	t.mu.Lock()
-	if !keep && t.size == len(t.ring) {
-		t.mu.Unlock()
-		t.pool.Put(tr)
-		return
-	}
-	copy(tr.kept[:], tr.hv[0])
-	tr.hv = nil
-	evicted := t.ring[t.next]
-	t.ring[t.next] = tr
-	t.next++
-	if t.next == len(t.ring) {
-		t.next = 0
-	}
-	if t.size < len(t.ring) {
-		t.size++
-		t.full.Store(t.size == len(t.ring))
+	if keep || t.size < len(t.ring) {
+		r := &t.ring[t.next]
+		copy(r.id[:], tr.hv[0])
+		r.total, r.err, r.dropped = tr.total, tr.err, tr.Dropped
+		r.spans = append(r.spans[:0], tr.spans[:tr.n]...)
+		t.next++
+		if t.next == len(t.ring) {
+			t.next = 0
+		}
+		if t.size < len(t.ring) {
+			t.size++
+			t.full.Store(t.size == len(t.ring))
+		}
 	}
 	t.mu.Unlock()
-	if evicted != nil {
-		t.pool.Put(evicted)
-	}
+	t.pool.Put(tr)
 }
 
 // Abandon returns a started trace to the pool without retaining it (an
@@ -421,7 +424,7 @@ type SpanView struct {
 }
 
 // TraceView is a copied, immutable retained trace for rendering; it shares
-// no storage with the pooled Trace it was copied from.
+// no storage with the ring slot it was copied from.
 type TraceView struct {
 	// ID is the 16-hex-character trace ID.
 	ID string `json:"id"`
@@ -447,19 +450,19 @@ func (t *Tracer) Snapshot(minMicros int64, onlyErrors bool, limit int) []TraceVi
 		for idx < 0 {
 			idx += len(t.ring)
 		}
-		tr := t.ring[idx]
-		if tr == nil || tr.total < minMicros || (onlyErrors && !tr.err) {
+		r := &t.ring[idx]
+		if r.total < minMicros || (onlyErrors && !r.err) {
 			continue
 		}
 		tv := TraceView{
-			ID:          string(tr.kept[:]),
-			TotalMicros: tr.total,
-			Err:         tr.err,
-			Dropped:     tr.Dropped,
-			Spans:       make([]SpanView, tr.n),
+			ID:          string(r.id[:]),
+			TotalMicros: r.total,
+			Err:         r.err,
+			Dropped:     r.dropped,
+			Spans:       make([]SpanView, len(r.spans)),
 		}
-		for i := 0; i < tr.n; i++ {
-			sp := &tr.spans[i]
+		for i := range r.spans {
+			sp := &r.spans[i]
 			tv.Spans[i] = SpanView{
 				Name:        sp.Name,
 				StartMicros: sp.StartMicros,
