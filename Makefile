@@ -131,13 +131,14 @@ vet:
 	$(GO) vet ./...
 
 # Documentation gate: every exported symbol in the serving-critical packages
-# must carry a doc comment, ARCHITECTURE.md and README.md must not name
+# and in the model and evaluation ones (eval, markov, query, session) must
+# carry a doc comment, ARCHITECTURE.md and README.md must not name
 # anything this repository retired (cmd/doccheck/retired.txt), README's
 # flag tables must not document a flag their command does not define, no
 # Go comment may cite a *.md file that does not exist, and EXPERIMENTS.md
 # must have a row for every heading of the recorded -quick harness output.
 check-docs:
-	$(GO) run ./cmd/doccheck ./internal/compiled ./internal/core ./internal/fleet ./internal/jsonspan ./internal/obs ./internal/serve ./internal/stream
+	$(GO) run ./cmd/doccheck ./internal/compiled ./internal/core ./internal/eval ./internal/fleet ./internal/jsonspan ./internal/markov ./internal/obs ./internal/query ./internal/serve ./internal/session ./internal/stream
 
 # API-surface gate: vet plus the apilint rule that recommendation entry
 # points stay on core.Recommender (no new exported Recommend* outside
@@ -148,7 +149,7 @@ check-api: vet
 # Line-count ratchet: the non-test Go lines outside bench/ and dot-directories
 # may not grow past LINES_CEILING. A PR that shrinks the code lowers the
 # ceiling to its new count; a PR that raises it says why in CHANGES.md.
-LINES_CEILING = 19607
+LINES_CEILING = 19524
 check-lines:
 	@n=$$(find . -path ./bench -prune -o -path './.*' -prune -o -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l); \
 	echo "non-test Go lines: $$n (ceiling $(LINES_CEILING))"; \

@@ -60,7 +60,8 @@ var retiredList string
 // per-ε growth, its merge in Compile and the model decoders nothing called
 // (the components are views of one tree), and the standalone ingest command
 // with its own flag names and the mmap paging hints no benchmark measured
-// (cmd/serve -role ingest runs the loop).
+// (cmd/serve -role ingest runs the loop), and the training-context list and
+// the MLE KL only tests called (NGram's states are the contexts).
 var retired = regexp.MustCompile(`\b(` + strings.Join(strings.Fields(retiredList), "|") + `)\b`)
 
 var (

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/logfmt"
 	"repro/internal/loggen"
+	"repro/internal/markov"
 	"repro/internal/query"
 	"repro/internal/session"
 )
@@ -69,7 +70,10 @@ func main() {
 		}
 	}
 
-	// Training contexts that would feed the models (Sec. V.A.5).
-	ctxs := session.DeriveContexts(reduced)
-	fmt.Printf("\nderived %d distinct training contexts\n", len(ctxs))
+	// Distinct (prefix, next query) training contexts (Sec. V.A.5).
+	ctxs := 0
+	for _, d := range markov.NewNGram(reduced, 0).States(0) {
+		ctxs += d.Support()
+	}
+	fmt.Printf("\nderived %d distinct training contexts\n", ctxs)
 }

@@ -45,6 +45,8 @@ var ReasonNames = [numReasons]string{
 	"(4) context not a trained N-gram state",
 }
 
+// String returns the reason's Table VI label, or "unknown" outside the
+// taxonomy.
 func (r Reason) String() string {
 	if int(r) < len(ReasonNames) {
 		return ReasonNames[r]

@@ -10,7 +10,8 @@ import (
 // the entropy of the unconditional next-query distribution; for length
 // L >= 1 it is the frequency-weighted mean entropy of the follower
 // distribution of each distinct length-L context (session prefixes, per the
-// Sec. V.A.5 context derivation). Entropy is in log base 10.
+// Sec. V.A.5 context derivation: the N-gram's states). Entropy is in log
+// base 10, summed in a fixed order, so every call gives the same bits.
 func ContextEntropy(sessions []query.Session, maxLen int) []float64 {
 	out := make([]float64, maxLen+1)
 
@@ -23,23 +24,11 @@ func ContextEntropy(sessions []query.Session, maxLen int) []float64 {
 	}
 	out[0] = marginal.Entropy()
 
+	ng := markov.NewNGram(sessions, 0)
 	for l := 1; l <= maxLen; l++ {
-		dists := make(map[string]*markov.Dist)
-		for _, s := range sessions {
-			if len(s.Queries) <= l {
-				continue
-			}
-			k := s.Queries[:l].Key()
-			d := dists[k]
-			if d == nil {
-				d = markov.NewDist()
-				dists[k] = d
-			}
-			d.Add(s.Queries[l], s.Count)
-		}
 		var sum float64
 		var mass uint64
-		for _, d := range dists {
+		for _, d := range ng.States(l) {
 			sum += float64(d.Total()) * d.Entropy()
 			mass += d.Total()
 		}

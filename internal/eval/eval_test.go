@@ -2,6 +2,7 @@ package eval
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -10,7 +11,6 @@ import (
 	"repro/internal/model"
 	"repro/internal/pairwise"
 	"repro/internal/query"
-	"repro/internal/session"
 )
 
 func TestNDCGPerfectListScoresOne(t *testing.T) {
@@ -55,7 +55,84 @@ func TestNDCGAtCutoff(t *testing.T) {
 	}
 }
 
-func trainTest() ([]query.Session, *session.GroundTruth) {
+func TestGroundTruthRanking(t *testing.T) {
+	// Prefix [1] followed by 2 (x60), 3 (x40), 4 (x5).
+	agg := []query.Session{
+		{Queries: query.Seq{1, 2}, Count: 60},
+		{Queries: query.Seq{1, 3}, Count: 40},
+		{Queries: query.Seq{1, 4}, Count: 5},
+	}
+	gt := BuildGroundTruth(agg, 5)
+	got := gt.Lookup(query.Seq{1})
+	if len(got) != 3 || got[0] != 2 || got[1] != 3 || got[2] != 4 {
+		t.Fatalf("ground truth = %v", got)
+	}
+	if r := gt.Rating(query.Seq{1}, 2); r != 5 {
+		t.Fatalf("rating(top) = %d, want 5", r)
+	}
+	if r := gt.Rating(query.Seq{1}, 3); r != 4 {
+		t.Fatalf("rating(second) = %d, want 4", r)
+	}
+	if r := gt.Rating(query.Seq{1}, 99); r != 0 {
+		t.Fatalf("rating(absent) = %d, want 0", r)
+	}
+	if gt.Lookup(query.Seq{9}) != nil {
+		t.Fatal("unknown prefix returned ground truth")
+	}
+}
+
+func TestGroundTruthTruncatesToTopN(t *testing.T) {
+	var agg []query.Session
+	for q := query.ID(2); q < 12; q++ {
+		agg = append(agg, query.Session{Queries: query.Seq{1, q}, Count: uint64(20 - q)})
+	}
+	gt := BuildGroundTruth(agg, 5)
+	if got := gt.Lookup(query.Seq{1}); len(got) != 5 {
+		t.Fatalf("top list length = %d, want 5", len(got))
+	}
+}
+
+func TestGroundTruthContextsByLength(t *testing.T) {
+	agg := []query.Session{
+		{Queries: query.Seq{1, 2, 3}, Count: 10},
+		{Queries: query.Seq{4, 5}, Count: 10},
+	}
+	gt := BuildGroundTruth(agg, 5)
+	if n := len(gt.Contexts(0)); n != 3 { // [1], [1,2], [4]
+		t.Fatalf("all contexts = %d, want 3", n)
+	}
+	if n := len(gt.Contexts(1)); n != 2 {
+		t.Fatalf("length-1 contexts = %d, want 2", n)
+	}
+	if n := len(gt.Contexts(2)); n != 1 {
+		t.Fatalf("length-2 contexts = %d, want 1", n)
+	}
+	if gt.Len() != 3 {
+		t.Fatalf("Len = %d, want 3", gt.Len())
+	}
+}
+
+func TestGroundTruthLookupAppendLeavesRanking(t *testing.T) {
+	// Lookup hands out the first TopN entries of the N-gram's frozen
+	// ranking. An append to it must not write into the entries past TopN,
+	// which a larger TopN, or the N-gram itself, would read next.
+	var agg []query.Session
+	for q := query.ID(2); q < 9; q++ {
+		agg = append(agg, query.Session{Queries: query.Seq{1, q}, Count: uint64(20 - q)})
+	}
+	gt := BuildGroundTruth(agg, 5)
+	got := gt.Lookup(query.Seq{1})
+	if len(got) != 5 || cap(got) != 5 {
+		t.Fatalf("Lookup len %d cap %d, want 5 and 5", len(got), cap(got))
+	}
+	_ = append(got, 99)
+	gt.TopN = 7
+	if got := gt.Lookup(query.Seq{1}); !slices.Equal(got, []query.ID{2, 3, 4, 5, 6, 7, 8}) {
+		t.Fatalf("after an append, Lookup = %v, want [2 3 4 5 6 7 8]", got)
+	}
+}
+
+func trainTest() ([]query.Session, *GroundTruth) {
 	train := []query.Session{
 		{Queries: query.Seq{1, 2, 3}, Count: 20},
 		{Queries: query.Seq{1, 2, 4}, Count: 10},
@@ -65,7 +142,7 @@ func trainTest() ([]query.Session, *session.GroundTruth) {
 		{Queries: query.Seq{1, 2, 3}, Count: 9},
 		{Queries: query.Seq{1, 2, 4}, Count: 3},
 	}
-	return train, session.BuildGroundTruth(test, 5)
+	return train, BuildGroundTruth(test, 5)
 }
 
 func TestMeanNDCGRewardsCorrectModel(t *testing.T) {
@@ -268,7 +345,7 @@ func TestUserStudyGroundTruthApproves(t *testing.T) {
 	qa, qb := d.Intern("a"), d.Intern("b")
 	train := []query.Session{{Queries: query.Seq{qa, qb}, Count: 10}}
 	adj := pairwise.NewAdjacency(train, 2)
-	gt := session.BuildGroundTruth([]query.Session{{Queries: query.Seq{qa, qb}, Count: 4}}, 5)
+	gt := BuildGroundTruth([]query.Session{{Queries: query.Seq{qa, qb}, Count: 4}}, 5)
 	// Without an oracle, behavioural ground truth decides approval.
 	res := UserStudy([]model.Predictor{adj}, []query.Seq{{qa}}, d, nil, gt, 5)
 	if res.Methods[0].Approved != 1 {
@@ -305,7 +382,7 @@ func TestUserStudyPoolsAcrossMethods(t *testing.T) {
 }
 
 func TestIdealRatings(t *testing.T) {
-	gt := session.BuildGroundTruth([]query.Session{
+	gt := BuildGroundTruth([]query.Session{
 		{Queries: query.Seq{1, 2}, Count: 5},
 		{Queries: query.Seq{1, 3}, Count: 2},
 	}, 5)

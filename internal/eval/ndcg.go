@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/model"
 	"repro/internal/query"
-	"repro/internal/session"
 )
 
 // NDCG computes the Normalized Discounted Cumulative Gain at position n of
@@ -45,7 +44,7 @@ func dcgAt(ratings []int, n int) float64 {
 
 // IdealRatings returns the ground truth's own rating vector for a context:
 // topN, topN-1, ..., down to 1, truncated to the number of actual followers.
-func IdealRatings(gt *session.GroundTruth, ctx query.Seq) []int {
+func IdealRatings(gt *GroundTruth, ctx query.Seq) []int {
 	followers := gt.Lookup(ctx)
 	out := make([]int, len(followers))
 	for i := range followers {
@@ -65,7 +64,7 @@ type AccuracyResult struct {
 // truth, returning the mean NDCG@n over the contexts the model covers
 // (uncovered contexts are a coverage issue, measured separately — the paper
 // reports accuracy and coverage as independent axes).
-func MeanNDCG(p model.Predictor, gt *session.GroundTruth, contexts []query.Seq, n int) AccuracyResult {
+func MeanNDCG(p model.Predictor, gt *GroundTruth, contexts []query.Seq, n int) AccuracyResult {
 	res := AccuracyResult{Model: p.Name()}
 	var sum float64
 	for _, ctx := range contexts {

@@ -3,7 +3,6 @@ package eval
 import (
 	"repro/internal/model"
 	"repro/internal/query"
-	"repro/internal/session"
 )
 
 // RelatednessOracle judges whether candidate is an appropriate
@@ -66,7 +65,7 @@ func (r StudyResult) Recall(i int) float64 {
 // ground-truth follower; approved predictions pooled over all methods
 // (deduplicated per context) form the user-centric ground truth for recall.
 func UserStudy(methods []model.Predictor, contexts []query.Seq, dict *query.Dict,
-	oracle RelatednessOracle, gt *session.GroundTruth, topN int) StudyResult {
+	oracle RelatednessOracle, gt *GroundTruth, topN int) StudyResult {
 	res := StudyResult{Methods: make([]MethodStudy, len(methods))}
 	type pair struct {
 		ctx string

@@ -9,6 +9,7 @@ import (
 	"fmt"
 
 	"repro/internal/compiled"
+	"repro/internal/eval"
 	"repro/internal/loggen"
 	"repro/internal/markov"
 	"repro/internal/model"
@@ -66,13 +67,13 @@ type Corpus struct {
 	// GroundTruth ranks followers over the reduced test window and is used
 	// for accuracy (NDCG needs stable follower rankings, which one-off
 	// sessions cannot provide at laptop scale).
-	GroundTruth *session.GroundTruth
+	GroundTruth *eval.GroundTruth
 	// GroundTruthFull spans the unreduced test window and is used for
 	// coverage: at the paper's scale even rare sessions repeat past the
 	// reduction threshold, so their test set retains the long, never-seen
 	// contexts that expose the N-gram coverage collapse; at our scale the
 	// unreduced window is the faithful equivalent.
-	GroundTruthFull *session.GroundTruth
+	GroundTruthFull *eval.GroundTruth
 }
 
 // BuildCorpus generates the synthetic log, segments it with the 30-minute
@@ -109,8 +110,8 @@ func BuildCorpus(cfg CorpusConfig) (*Corpus, error) {
 	c.TrainAgg, c.RetainedMass = session.Reduce(c.TrainAggFull, cfg.ReductionThreshold)
 	c.TestAggFull = session.Aggregate(testRaw)
 	c.TestAgg, _ = session.Reduce(c.TestAggFull, cfg.ReductionThreshold)
-	c.GroundTruth = session.BuildGroundTruth(c.TestAgg, 5)
-	c.GroundTruthFull = session.BuildGroundTruth(c.TestAggFull, 5)
+	c.GroundTruth = eval.BuildGroundTruth(c.TestAgg, 5)
+	c.GroundTruthFull = eval.BuildGroundTruth(c.TestAggFull, 5)
 	return c, nil
 }
 

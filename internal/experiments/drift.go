@@ -62,7 +62,7 @@ func Drift(c *Corpus, slices, sessionsPerSlice int) (DriftResult, error) {
 		}
 		agg := session.Aggregate(seg.Flush())
 		reduced, _ := session.Reduce(agg, c.Cfg.ReductionThreshold)
-		gt := session.BuildGroundTruth(agg, 5)
+		gt := eval.BuildGroundTruth(agg, 5)
 		ctxs := gt.Contexts(0)
 		if len(ctxs) > 2500 {
 			ctxs = ctxs[:2500]

@@ -10,7 +10,9 @@
 // inclusion threshold. Every VMM is an ε-view of that trie, the MVMM's
 // components included, and the compiled serving model is the same trie
 // renumbered. Contexts are trie nodes, not string keys; Seq.Key remains the
-// N-gram baseline's state key and the serialized streams' node order.
+// N-gram baseline's state key and the serialized streams' node order. The
+// N-gram's states, every session prefix with its followers (Sec. V.A.5),
+// are also eval's ground truth (Sec. V.A.6) and Fig. 2's table.
 //
 // All probabilities and entropies use log base 10, following the paper's
 // footnote 2.
@@ -105,9 +107,10 @@ func (d *Dist) computeRanked() []query.ID {
 	return r
 }
 
-// order returns the observed queries in ranked order, a fixed one: the
-// frozen ranking, or a fresh one.
-func (d *Dist) order() []query.ID {
+// Ranked returns the observed queries in TopN's order, count descending
+// then ID: the frozen ranking, which callers must not modify, or else a
+// fresh one. Sums over d run in this order, so their bits never vary.
+func (d *Dist) Ranked() []query.ID {
 	if d.ranked != nil {
 		return d.ranked
 	}
@@ -130,10 +133,7 @@ func (d *Dist) TopN(n int) []model.Prediction {
 	if n <= 0 || d.total == 0 {
 		return nil
 	}
-	top := d.ranked
-	if top == nil {
-		top = d.computeRanked()
-	}
+	top := d.Ranked()
 	if len(top) > n {
 		top = top[:n]
 	}
@@ -144,38 +144,18 @@ func (d *Dist) TopN(n int) []model.Prediction {
 	return out
 }
 
-// Entropy returns the prediction entropy -Σ p log10 p of the distribution,
-// the measure behind the paper's Fig. 2 (e.g. (0.6, 0.4) -> 0.29).
+// Entropy returns the prediction entropy -Σ p log10 p, summed in ranked
+// order: the measure behind the paper's Fig. 2 (e.g. (0.6, 0.4) -> 0.29).
 func (d *Dist) Entropy() float64 {
 	if d.total == 0 {
 		return 0
 	}
 	var h float64
-	for _, c := range d.counts {
-		p := float64(c) / float64(d.total)
+	for _, q := range d.Ranked() {
+		p := float64(d.counts[q]) / float64(d.total)
 		h -= p * math.Log10(p)
 	}
 	return h
-}
-
-// KLFrom returns D_KL(d || other) in log base 10, treating both as MLE
-// distributions. Terms where d assigns zero probability contribute nothing;
-// terms where other assigns zero probability but d does not yield +Inf,
-// which callers treat as "always grow".
-func (d *Dist) KLFrom(other *Dist) float64 {
-	if d.total == 0 {
-		return 0
-	}
-	var kl float64
-	for q, c := range d.counts {
-		p := float64(c) / float64(d.total)
-		qp := other.P(q)
-		if qp == 0 {
-			return math.Inf(1)
-		}
-		kl += p * math.Log10(p/qp)
-	}
-	return kl
 }
 
 // Queries returns the observed queries in deterministic (ascending ID)

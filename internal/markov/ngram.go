@@ -1,6 +1,8 @@
 package markov
 
 import (
+	"iter"
+
 	"repro/internal/model"
 	"repro/internal/query"
 )
@@ -59,18 +61,35 @@ func (m *NGram) MaxOrder() int { return m.maxN }
 // NumStates returns the number of trained contexts across all orders.
 func (m *NGram) NumStates() int { return len(m.states) }
 
-// dist returns the follower distribution of the exact context, or nil.
-func (m *NGram) dist(ctx query.Seq) *Dist {
+// Followers returns the frozen, shared follower distribution of exactly ctx
+// (callers must not Add to it), or nil when ctx is no training prefix.
+func (m *NGram) Followers(ctx query.Seq) *Dist {
 	if len(ctx) == 0 {
 		return nil
 	}
 	return m.states[ctx.Key()]
 }
 
+// States yields the trained contexts of one length (0 = every length) with
+// their followers, in key order: for one length, by query ID, first query
+// first. eval reads its ground truth and Fig. 2's table through it.
+func (m *NGram) States(length int) iter.Seq2[query.Seq, *Dist] {
+	return func(yield func(query.Seq, *Dist) bool) {
+		for _, k := range sortedKeys(m.states) {
+			if length > 0 && len(k) != 4*length {
+				continue
+			}
+			if !yield(query.SeqFromKey(k), m.states[k]) {
+				return
+			}
+		}
+	}
+}
+
 // Predict implements model.Predictor. Only an exact match of the full
 // context yields predictions.
 func (m *NGram) Predict(ctx query.Seq, topN int) []model.Prediction {
-	d := m.dist(ctx)
+	d := m.Followers(ctx)
 	if d == nil {
 		return nil
 	}
@@ -80,7 +99,7 @@ func (m *NGram) Predict(ctx query.Seq, topN int) []model.Prediction {
 // Prob implements model.Predictor with the paper's 1/|Q| smoothing applied
 // within covered contexts.
 func (m *NGram) Prob(ctx query.Seq, q query.ID) float64 {
-	d := m.dist(ctx)
+	d := m.Followers(ctx)
 	if d == nil {
 		return 0
 	}
@@ -89,7 +108,7 @@ func (m *NGram) Prob(ctx query.Seq, q query.ID) float64 {
 
 // Covers implements model.Predictor.
 func (m *NGram) Covers(ctx query.Seq) bool {
-	return m.dist(ctx) != nil
+	return m.Followers(ctx) != nil
 }
 
 var _ model.Predictor = (*NGram)(nil)

@@ -3,6 +3,7 @@ package markov
 import (
 	"math"
 	"testing"
+	"testing/quick"
 
 	"repro/internal/query"
 )
@@ -59,7 +60,7 @@ func TestNGramPrefixFromSessionStart(t *testing.T) {
 			t.Fatalf("Prob([2]->3) = %v", p)
 		}
 	}
-	d := m.dist(query.Seq{2})
+	d := m.Followers(query.Seq{2})
 	if d.Total() != 8 {
 		t.Fatalf("prefix [2] support = %d, want 8 (session-start only)", d.Total())
 	}
@@ -92,8 +93,100 @@ func TestNGramSingletonSessionsIgnored(t *testing.T) {
 
 func TestNGramSupportWeighting(t *testing.T) {
 	m := NewNGram(ngramTrainingSessions(), 8)
-	d := m.dist(query.Seq{1})
+	d := m.Followers(query.Seq{1})
 	if d.Total() != 15 || d.Count(2) != 15 {
 		t.Fatalf("prefix [1]: total=%d count(2)=%d, want 15/15", d.Total(), d.Count(2))
+	}
+}
+
+func TestNGramStatesPaperExample(t *testing.T) {
+	// Sec. V.A.5: [q1..q5] with frequency 10 yields 4 contexts, each
+	// predicting the next query with support 10, in key order.
+	m := NewNGram([]query.Session{{Queries: query.Seq{1, 2, 3, 4, 5}, Count: 10}}, 5)
+	i := 0
+	for ctx, d := range m.States(0) {
+		if !ctx.Equal(query.Seq{1, 2, 3, 4, 5}[:i+1]) {
+			t.Fatalf("context %d = %v, want the length-%d prefix", i, ctx, i+1)
+		}
+		if d.Support() != 1 || d.Count(query.ID(i+2)) != 10 {
+			t.Fatalf("context %d followers: support %d, count(%d) = %d, want 1 and 10",
+				i, d.Support(), i+2, d.Count(query.ID(i+2)))
+		}
+		i++
+	}
+	if i != 4 {
+		t.Fatalf("contexts = %d, want 4", i)
+	}
+	for ctx := range m.States(2) {
+		if !ctx.Equal(query.Seq{1, 2}) {
+			t.Fatalf("States(2) yielded %v, want only [1 2]", ctx)
+		}
+	}
+	for range m.States(0) {
+		break // an iterator that ignored yield's false would panic here
+	}
+}
+
+func TestNGramStatesAggregateAcrossSessions(t *testing.T) {
+	m := NewNGram([]query.Session{
+		{Queries: query.Seq{1, 2}, Count: 3},
+		{Queries: query.Seq{1, 2, 9}, Count: 4},
+	}, 3)
+	for ctx, d := range m.States(1) {
+		if !ctx.Equal(query.Seq{1}) {
+			t.Fatalf("length-1 context %v, want only [1]", ctx)
+		}
+		if d.Count(2) != 7 {
+			t.Fatalf("support of [1]->2 = %d, want 7 (3+4)", d.Count(2))
+		}
+		return
+	}
+	t.Fatal("missing aggregated context [1]->2")
+}
+
+func TestNGramStatesSkipSingletons(t *testing.T) {
+	m := NewNGram([]query.Session{{Queries: query.Seq{42}, Count: 5}}, 1)
+	for ctx := range m.States(0) {
+		t.Fatalf("singleton session produced context %v", ctx)
+	}
+}
+
+func TestNGramStatesSupportConservation(t *testing.T) {
+	// Each session of length l contributes (l-1)·count total context
+	// support; the states must conserve it exactly.
+	f := func(raw [][4]uint8, counts []uint8) bool {
+		if len(raw) > 30 {
+			raw = raw[:30]
+		}
+		var agg []query.Session
+		var want uint64
+		seen := map[string]bool{}
+		for i, r := range raw {
+			l := int(r[0])%4 + 1
+			s := make(query.Seq, l)
+			for j := 0; j < l; j++ {
+				s[j] = query.ID(r[j] % 5)
+			}
+			if seen[s.Key()] {
+				continue // aggregated input must have unique sequences
+			}
+			seen[s.Key()] = true
+			c := uint64(1)
+			if i < len(counts) {
+				c = uint64(counts[i])%9 + 1
+			}
+			agg = append(agg, query.Session{Queries: s, Count: c})
+			if l >= 2 {
+				want += uint64(l-1) * c
+			}
+		}
+		var got uint64
+		for _, d := range NewNGram(agg, 5).States(0) {
+			got += d.Total()
+		}
+		return got == want
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
 	}
 }

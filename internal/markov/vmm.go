@@ -118,7 +118,7 @@ func sumPLogP(d *Dist) float64 {
 	}
 	var s float64
 	tot := float64(d.total)
-	for _, q := range d.order() {
+	for _, q := range d.Ranked() {
 		p := float64(d.counts[q]) / tot
 		s += p * math.Log10(p)
 	}
@@ -146,7 +146,7 @@ func klSmoothedFast(parent, child *Dist, vocab int, sumPP float64) float64 {
 	overlapPLogP := 0.0 // Σ_{q∈C∩P} p̃ log10 p̃
 	overlapMass := 0.0  // Σ_{q∈C∩P} p̃
 	inParent := 0       // |C∩P|
-	for _, q := range child.order() {
+	for _, q := range child.Ranked() {
 		c := float64(child.counts[q]) / ctot / zc
 		if pc, ok := parent.counts[q]; ok {
 			pt := float64(pc) / ptot

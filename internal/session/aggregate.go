@@ -1,10 +1,6 @@
 package session
 
-import (
-	"sort"
-
-	"repro/internal/query"
-)
+import "repro/internal/query"
 
 // Aggregate merges identical sessions from different users into
 // (sequence, frequency) pairs — Sec. V.A.3. Output is ordered by descending
@@ -42,141 +38,3 @@ func Reduce(agg []query.Session, threshold uint64) (kept []query.Session, retain
 	}
 	return kept, float64(retained) / float64(total)
 }
-
-// Context is one training example derived from an aggregated session: the
-// sequence of preceding queries, the next query to predict, and the support
-// (the aggregated session's frequency) — Sec. V.A.5.
-type Context struct {
-	Prefix  query.Seq
-	Next    query.ID
-	Support uint64
-}
-
-// DeriveContexts expands aggregated sessions into training contexts.
-// A session [q1..q5] with frequency 10 yields the four contexts
-// ([q1]→q2, [q1,q2]→q3, ...), each with support 10. Contexts identical in
-// (prefix, next) are aggregated across sessions.
-func DeriveContexts(sessions []query.Session) []Context {
-	type key struct {
-		prefix string
-		next   query.ID
-	}
-	acc := make(map[key]uint64)
-	for _, s := range sessions {
-		for i := 1; i < len(s.Queries); i++ {
-			k := key{prefix: s.Queries[:i].Key(), next: s.Queries[i]}
-			acc[k] += s.Count
-		}
-	}
-	out := make([]Context, 0, len(acc))
-	for k, c := range acc {
-		out = append(out, Context{Prefix: query.SeqFromKey(k.prefix), Next: k.next, Support: c})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		ki, kj := out[i].Prefix.Key(), out[j].Prefix.Key()
-		if ki != kj {
-			return ki < kj
-		}
-		return out[i].Next < out[j].Next
-	})
-	return out
-}
-
-// GroundTruth maps a test context prefix to the ranked list of queries that
-// actually followed it in the test window — Sec. V.A.6. Rank 0 is the most
-// frequent follower; at most TopN entries are kept.
-type GroundTruth struct {
-	TopN    int
-	follows map[string][]query.ID
-}
-
-// BuildGroundTruth constructs ground truth from aggregated test sessions.
-// For every prefix observed in the test data, followers are ranked by their
-// aggregated frequency (descending, ties broken by ID for determinism) and
-// truncated to topN (the paper uses n = 5).
-func BuildGroundTruth(testSessions []query.Session, topN int) *GroundTruth {
-	if topN <= 0 {
-		topN = 5
-	}
-	freq := make(map[string]map[query.ID]uint64)
-	for _, s := range testSessions {
-		for i := 1; i < len(s.Queries); i++ {
-			k := s.Queries[:i].Key()
-			m := freq[k]
-			if m == nil {
-				m = make(map[query.ID]uint64)
-				freq[k] = m
-			}
-			m[s.Queries[i]] += s.Count
-		}
-	}
-	gt := &GroundTruth{TopN: topN, follows: make(map[string][]query.ID, len(freq))}
-	for k, m := range freq {
-		type qc struct {
-			q query.ID
-			c uint64
-		}
-		list := make([]qc, 0, len(m))
-		for q, c := range m {
-			list = append(list, qc{q, c})
-		}
-		sort.Slice(list, func(i, j int) bool {
-			if list[i].c != list[j].c {
-				return list[i].c > list[j].c
-			}
-			return list[i].q < list[j].q
-		})
-		if len(list) > topN {
-			list = list[:topN]
-		}
-		ids := make([]query.ID, len(list))
-		for i, e := range list {
-			ids[i] = e.q
-		}
-		gt.follows[k] = ids
-	}
-	return gt
-}
-
-// Lookup returns the ranked ground-truth followers for a prefix, or nil when
-// the prefix never occurred in the test window.
-func (gt *GroundTruth) Lookup(prefix query.Seq) []query.ID {
-	return gt.follows[prefix.Key()]
-}
-
-// Rating returns the paper's NDCG rating of query q in the context prefix:
-// 5 for the top ground-truth follower, 4 for the second, ... 1 for the
-// fifth, and 0 beyond the top list or when unseen.
-func (gt *GroundTruth) Rating(prefix query.Seq, q query.ID) int {
-	for i, g := range gt.follows[prefix.Key()] {
-		if g == q {
-			r := gt.TopN - i
-			if r < 0 {
-				return 0
-			}
-			return r
-		}
-	}
-	return 0
-}
-
-// Contexts returns every ground-truth prefix, optionally filtered to a given
-// prefix length (0 = all), in deterministic order.
-func (gt *GroundTruth) Contexts(length int) []query.Seq {
-	keys := make([]string, 0, len(gt.follows))
-	for k := range gt.follows {
-		if length > 0 && len(k) != 4*length {
-			continue
-		}
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]query.Seq, len(keys))
-	for i, k := range keys {
-		out[i] = query.SeqFromKey(k)
-	}
-	return out
-}
-
-// Len reports the number of distinct ground-truth prefixes.
-func (gt *GroundTruth) Len() int { return len(gt.follows) }

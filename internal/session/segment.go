@@ -1,9 +1,9 @@
 // Package session implements the paper's data-preparation pipeline
 // (Sec. V.A): segmentation of raw logs into sessions by the 30-minute rule,
 // aggregation of identical sessions across users, frequency-threshold data
-// reduction, derivation of training contexts, ground-truth construction for
-// the test window, and the summary statistics behind Table IV and
-// Figs. 5–7.
+// reduction, and the summary statistics behind Table IV and Figs. 5–7. The
+// contexts a session derives (Sec. V.A.5) are markov.NGram's states, which
+// the models train on and eval's ground truth (Sec. V.A.6) reads.
 package session
 
 import (

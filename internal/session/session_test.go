@@ -143,111 +143,6 @@ func TestReduceEmpty(t *testing.T) {
 	}
 }
 
-func TestDeriveContextsPaperExample(t *testing.T) {
-	// Sec. V.A.5: [q1..q5] with frequency 10 yields 4 contexts each with
-	// support 10.
-	agg := []query.Session{{Queries: query.Seq{1, 2, 3, 4, 5}, Count: 10}}
-	ctxs := DeriveContexts(agg)
-	if len(ctxs) != 4 {
-		t.Fatalf("contexts = %d, want 4", len(ctxs))
-	}
-	for i, c := range ctxs {
-		if c.Support != 10 {
-			t.Fatalf("context %d support = %d, want 10", i, c.Support)
-		}
-		if c.Prefix.Len() != i+1 {
-			t.Fatalf("context %d prefix length = %d, want %d", i, c.Prefix.Len(), i+1)
-		}
-		if c.Next != query.ID(i+2) {
-			t.Fatalf("context %d next = %d, want %d", i, c.Next, i+2)
-		}
-	}
-}
-
-func TestDeriveContextsAggregatesAcrossSessions(t *testing.T) {
-	agg := []query.Session{
-		{Queries: query.Seq{1, 2}, Count: 3},
-		{Queries: query.Seq{1, 2, 9}, Count: 4},
-	}
-	ctxs := DeriveContexts(agg)
-	var found bool
-	for _, c := range ctxs {
-		if c.Prefix.Equal(query.Seq{1}) && c.Next == 2 {
-			found = true
-			if c.Support != 7 {
-				t.Fatalf("support = %d, want 7 (3+4)", c.Support)
-			}
-		}
-	}
-	if !found {
-		t.Fatal("missing aggregated context [1]->2")
-	}
-}
-
-func TestDeriveContextsSkipsSingletons(t *testing.T) {
-	ctxs := DeriveContexts([]query.Session{{Queries: query.Seq{42}, Count: 5}})
-	if len(ctxs) != 0 {
-		t.Fatalf("singleton session produced %d contexts", len(ctxs))
-	}
-}
-
-func TestGroundTruthRanking(t *testing.T) {
-	// Prefix [1] followed by 2 (x60), 3 (x40), 4 (x5).
-	agg := []query.Session{
-		{Queries: query.Seq{1, 2}, Count: 60},
-		{Queries: query.Seq{1, 3}, Count: 40},
-		{Queries: query.Seq{1, 4}, Count: 5},
-	}
-	gt := BuildGroundTruth(agg, 5)
-	got := gt.Lookup(query.Seq{1})
-	if len(got) != 3 || got[0] != 2 || got[1] != 3 || got[2] != 4 {
-		t.Fatalf("ground truth = %v", got)
-	}
-	if r := gt.Rating(query.Seq{1}, 2); r != 5 {
-		t.Fatalf("rating(top) = %d, want 5", r)
-	}
-	if r := gt.Rating(query.Seq{1}, 3); r != 4 {
-		t.Fatalf("rating(second) = %d, want 4", r)
-	}
-	if r := gt.Rating(query.Seq{1}, 99); r != 0 {
-		t.Fatalf("rating(absent) = %d, want 0", r)
-	}
-	if gt.Lookup(query.Seq{9}) != nil {
-		t.Fatal("unknown prefix returned ground truth")
-	}
-}
-
-func TestGroundTruthTruncatesToTopN(t *testing.T) {
-	var agg []query.Session
-	for q := query.ID(2); q < 12; q++ {
-		agg = append(agg, query.Session{Queries: query.Seq{1, q}, Count: uint64(20 - q)})
-	}
-	gt := BuildGroundTruth(agg, 5)
-	if got := gt.Lookup(query.Seq{1}); len(got) != 5 {
-		t.Fatalf("top list length = %d, want 5", len(got))
-	}
-}
-
-func TestGroundTruthContextsByLength(t *testing.T) {
-	agg := []query.Session{
-		{Queries: query.Seq{1, 2, 3}, Count: 10},
-		{Queries: query.Seq{4, 5}, Count: 10},
-	}
-	gt := BuildGroundTruth(agg, 5)
-	if n := len(gt.Contexts(0)); n != 3 { // [1], [1,2], [4]
-		t.Fatalf("all contexts = %d, want 3", n)
-	}
-	if n := len(gt.Contexts(1)); n != 2 {
-		t.Fatalf("length-1 contexts = %d, want 2", n)
-	}
-	if n := len(gt.Contexts(2)); n != 1 {
-		t.Fatalf("length-2 contexts = %d, want 1", n)
-	}
-	if gt.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", gt.Len())
-	}
-}
-
 func TestCollectStats(t *testing.T) {
 	agg := []query.Session{
 		{Queries: query.Seq{1, 2}, Count: 10},
@@ -337,46 +232,6 @@ func TestAggregateConservesMass(t *testing.T) {
 			mass += a.Count
 		}
 		return int(mass) == len(sessions)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestDeriveContextsSupportConservation(t *testing.T) {
-	// Each session of length l contributes (l-1)·count total context
-	// support; DeriveContexts must conserve it exactly.
-	f := func(raw [][4]uint8, counts []uint8) bool {
-		if len(raw) > 30 {
-			raw = raw[:30]
-		}
-		var agg []query.Session
-		var want uint64
-		seen := map[string]bool{}
-		for i, r := range raw {
-			l := int(r[0])%4 + 1
-			s := make(query.Seq, l)
-			for j := 0; j < l; j++ {
-				s[j] = query.ID(r[j] % 5)
-			}
-			if seen[s.Key()] {
-				continue // aggregated input must have unique sequences
-			}
-			seen[s.Key()] = true
-			c := uint64(1)
-			if i < len(counts) {
-				c = uint64(counts[i])%9 + 1
-			}
-			agg = append(agg, query.Session{Queries: s, Count: c})
-			if l >= 2 {
-				want += uint64(l-1) * c
-			}
-		}
-		var got uint64
-		for _, ctx := range DeriveContexts(agg) {
-			got += ctx.Support
-		}
-		return got == want
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
