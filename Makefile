@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race race-repeat fuzz-smoke fuzz-grammar examples bench bench-e2e bench-pairs chaos ingest-test obs-test fmt fmt-check vet check-docs check-api check-lines ci serve loadgen clean
+.PHONY: all build test race race-repeat fuzz-smoke fuzz-grammar examples bench bench-e2e bench-pairs chaos ingest-test obs-test fmt fmt-check vet check-docs check-api check-lines check-sleeps ci serve loadgen clean
 
 all: build test
 
@@ -156,6 +156,17 @@ check-lines:
 	if [ $$n -gt $(LINES_CEILING) ]; then \
 		echo "over the ceiling: delete something, or raise LINES_CEILING and say why in CHANGES.md"; exit 1; fi
 
+# Sleep ratchet: the time.Sleep calls in _test.go files outside bench/ and
+# dot-directories may not grow past SLEEPS_CEILING. A test that waits out a
+# shard router timer steps the router's virtual clock instead
+# (internal/fleet/export_test.go); a PR that removes sleeps lowers the ceiling.
+SLEEPS_CEILING = 14
+check-sleeps:
+	@n=$$(find . -path ./bench -prune -o -path './.*' -prune -o -name '*_test.go' -print | xargs cat | grep -o 'time\.Sleep' | wc -l); \
+	echo "time.Sleep in tests: $$n (ceiling $(SLEEPS_CEILING))"; \
+	if [ $$n -gt $(SLEEPS_CEILING) ]; then \
+		echo "over the ceiling: step a virtual clock or wait on an event instead of sleeping"; exit 1; fi
+
 # Every examples/ program, run to completion: go build only proves they
 # compile. Each trains on a small synthetic corpus in-process (under a
 # second apiece on a 2-core x86-64 VM); a non-zero exit fails the target.
@@ -168,7 +179,7 @@ examples:
 # test runs beside race because the allocation-count tests (the routed GET's
 # among them) and the instruments' clock-read test skip themselves under the
 # race detector.
-ci: check-api fmt-check check-docs check-lines build test race race-repeat fuzz-grammar examples bench
+ci: check-api fmt-check check-docs check-lines check-sleeps build test race race-repeat fuzz-grammar examples bench
 
 # Convenience: train a small model if absent, then serve it.
 model.bin:

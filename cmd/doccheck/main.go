@@ -60,8 +60,9 @@ var retiredList string
 // per-ε growth, its merge in Compile and the model decoders nothing called
 // (the components are views of one tree), and the standalone ingest command
 // with its own flag names and the mmap paging hints no benchmark measured
-// (cmd/serve -role ingest runs the loop), and the training-context list and
-// the MLE KL only tests called (NGram's states are the contexts).
+// (cmd/serve -role ingest runs the loop), the training-context list and the
+// MLE KL only tests called (NGram's states are the contexts), and the shard
+// router's test-only failure knobs (its breaker and backoff use constants).
 var retired = regexp.MustCompile(`\b(` + strings.Join(strings.Fields(retiredList), "|") + `)\b`)
 
 var (

@@ -58,7 +58,7 @@ func TestBatchShardRefusalIsClientError(t *testing.T) {
 		t.Fatalf("single handler answered %d, want 400", single.Code)
 	}
 
-	for i := 0; i < 2*fleet.DefaultFailThreshold; i++ {
+	for i := 0; i < 2*fleet.FailThreshold; i++ {
 		rr := postTo(router, "/suggest/batch", bad)
 		if rr.Code != http.StatusBadRequest {
 			t.Fatalf("request %d: routed batch answered %d, want the shard's 400: %s", i, rr.Code, rr.Body)
@@ -135,22 +135,24 @@ func TestBatchShardRefusalIsClientError(t *testing.T) {
 	for s := 0; s < 3; s++ {
 		calls += chaos.callCount(s)
 	}
-	if want := 2*fleet.DefaultFailThreshold + 2 + 2 + 2 + 2; calls != want {
+	if want := 2*fleet.FailThreshold + 2 + 2 + 2 + 2; calls != want {
 		t.Fatalf("%d shard exchanges, want %d (no retry of a refusal)", calls, want)
 	}
 
 	// A refusal answers a half-open probe: the shard is alive.
 	primary := routeOf(t, router, "q=o2").Shard
-	probing, chaosP := newChaosRing(t, 3, fleet.RouterOptions{Replicas: 2, FailThreshold: 1, ProbeAfter: time.Millisecond})
+	probing, chaosP := newChaosRing(t, 3, fleet.RouterOptions{Replicas: 2})
 	chaosP.setDown(primary, true)
-	if rr := postTo(probing, "/suggest/batch", `{"requests":[{"context":["o2"]}]}`); rr.Code != http.StatusOK {
-		t.Fatalf("batch with the primary down answered %d", rr.Code)
+	for i := 0; i < fleet.FailThreshold; i++ {
+		if rr := postTo(probing, "/suggest/batch", `{"requests":[{"context":["o2"]}]}`); rr.Code != http.StatusOK {
+			t.Fatalf("batch with the primary down answered %d", rr.Code)
+		}
 	}
 	if st := routerMetrics(t, probing).ShardHealth[primary].State; st != "ejected" {
-		t.Fatalf("primary is %s after a real failure, want ejected", st)
+		t.Fatalf("primary is %s after %d real failures, want ejected", st, fleet.FailThreshold)
 	}
 	chaosP.setDown(primary, false)
-	time.Sleep(2 * time.Millisecond)
+	fleet.ClockOf(probing).Advance(fleet.ProbeAfter)
 	if rr := postTo(probing, "/suggest/batch", bad); rr.Code != http.StatusBadRequest {
 		t.Fatalf("refused probe answered %d, want 400", rr.Code)
 	}
@@ -182,11 +184,7 @@ func TestBatchSpanOutcomes(t *testing.T) {
 	boom := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "shard on fire", http.StatusInternalServerError)
 	})
-	burning, err := fleet.NewShardRouterOpts(fleet.NewRing(2, 0), fleet.NewLoopbackTransport(boom, boom),
-		fleet.RouterOptions{Replicas: 2, RetryBackoff: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	burning := newVirtualRouter(t, fleet.NewLoopbackTransport(boom, boom), fleet.RouterOptions{Replicas: 2})
 	rr = postTo(burning, "/suggest/batch", body)
 	if rr.Code != http.StatusBadGateway || !strings.Contains(rr.Body.String(), "status 500: shard on fire") {
 		t.Fatalf("burning ring answered %d: %s", rr.Code, rr.Body)
@@ -228,12 +226,7 @@ func TestBatchRoundRunsOneSubBatchInline(t *testing.T) {
 	for _, target := range []string{"/suggest/batch", "/suggest/batch?stream=1"} {
 		_, chaos := newChaosRing(t, 3, fleet.RouterOptions{Replicas: 2})
 		tap := &roundTransport{Transport: chaos}
-		router, err := fleet.NewShardRouterOpts(fleet.NewRing(3, 0), tap, fleet.RouterOptions{
-			Replicas: 2, ShardTimeout: 2 * time.Second, RetryBackoff: -1,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+		router := newVirtualRouter(t, tap, fleet.RouterOptions{Replicas: 2, ShardTimeout: 2 * time.Second})
 		if rr := postTo(router, target, body); rr.Code != http.StatusOK {
 			t.Fatalf("%s: status %d: %s", target, rr.Code, rr.Body)
 		}

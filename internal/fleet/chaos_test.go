@@ -6,9 +6,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -128,8 +130,8 @@ func (c *chaosTransport) Exchange(ctx context.Context, shard int, method, path s
 	return status, resp, err
 }
 
-// newChaosRing builds an R-replicated loopback ring behind a chaos transport.
-// Backoff sleeps are disabled so failover rounds run at test speed.
+// newChaosRing builds an R-replicated loopback ring behind a chaos transport,
+// routed on a virtual clock (newVirtualRouter).
 func newChaosRing(t *testing.T, shards int, opts fleet.RouterOptions) (*fleet.ShardRouter, *chaosTransport) {
 	t.Helper()
 	rec := shardTestRec(t)
@@ -138,14 +140,48 @@ func newChaosRing(t *testing.T, shards int, opts fleet.RouterOptions) (*fleet.Sh
 		handlers[i] = serve.New(rec, serve.Options{})
 	}
 	chaos := newChaosTransport(fleet.NewLoopbackTransport(handlers...))
-	if opts.RetryBackoff == 0 {
-		opts.RetryBackoff = -1
-	}
-	router, err := fleet.NewShardRouterOpts(fleet.NewRing(shards, 0), chaos, opts)
+	return newVirtualRouter(t, chaos, opts), chaos
+}
+
+// newVirtualRouter builds a router over tr that runs on a virtual clock
+// (fleet.ClockOf) with a fixed jitter seed: a failover backoff steps the
+// clock instead of sleeping, a breaker's cool-down ends when the test
+// advances the clock past fleet.ProbeAfter, and a hedge fires when it steps
+// past the hedge delay.
+func newVirtualRouter(t *testing.T, tr fleet.Transport, opts fleet.RouterOptions) *fleet.ShardRouter {
+	t.Helper()
+	router, err := fleet.NewShardRouterOpts(fleet.NewRing(tr.Shards(), 0), tr, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return router, chaos
+	fleet.UseClock(router, fleet.NewVirtualClock(), 1)
+	return router
+}
+
+// stall is a chaos delay that never ends by itself: the exchange waits until
+// its attempt is cancelled or its deadline passes.
+const stall = time.Duration(math.MaxInt64)
+
+// serveAsync serves req on its own goroutine; the channel yields the answer.
+func serveAsync(h http.Handler, req *http.Request) <-chan *httptest.ResponseRecorder {
+	done := make(chan *httptest.ResponseRecorder, 1)
+	go func() {
+		rr := httptest.NewRecorder()
+		h.ServeHTTP(rr, req)
+		done <- rr
+	}()
+	return done
+}
+
+// hedgedGET serves a GET whose hedge is the clock's timer number n (counted
+// from 1 on the router's clock): it waits for the race to arm that timer,
+// steps the clock past the hedge delay and returns the answer.
+func hedgedGET(router *fleet.ShardRouter, target string, n int, delay time.Duration) *httptest.ResponseRecorder {
+	done := serveAsync(router, httptest.NewRequest(http.MethodGet, target, nil))
+	clk := fleet.ClockOf(router)
+	clk.AwaitTimers(n)
+	clk.Advance(delay)
+	return <-done
 }
 
 // TestRingLookupN pins the preference-list contract: the first element is
@@ -228,6 +264,10 @@ func TestChaosShardKillMidBatchR2(t *testing.T) {
 		t.Fatalf("healthy stream batch: status %d", code)
 	}
 	streamWant := readRingNDJSON(t, strings.NewReader(string(streamWantRaw)), 6)
+	// The healthy path, unhedged GET and batch alike, never calls the clock.
+	if n := fleet.ClockOf(router).Calls(); n != 0 {
+		t.Fatalf("healthy requests called the router's clock %d times, want 0", n)
+	}
 
 	// Kill one shard "mid-batch": its next exchange fails (the sub-batch in
 	// flight), then the shard stays down for everything after.
@@ -395,9 +435,11 @@ func TestChaosStreamFailoverByteIdentical(t *testing.T) {
 // boundary, without its final newline, lines reordered, repeated or foreign,
 // the buffered form instead of lines — at R=2: each time the replica's answer
 // is served, buffered and streamed, byte-identical to the healthy run, and
-// the failure is booked against the shard that sent the bad answer.
+// the failure is booked against the shard that sent the bad answer. Every
+// request first steps the clock past the cool-down, so the victim, ejected
+// from its third bad answer on, gets each sub-batch as its half-open probe.
 func TestChaosMalformedAnswerFailsOver(t *testing.T) {
-	router, chaos := newChaosRing(t, 3, fleet.RouterOptions{Replicas: 2, FailThreshold: 100})
+	router, chaos := newChaosRing(t, 3, fleet.RouterOptions{Replicas: 2})
 	bufWant := postTo(router, "/suggest/batch", chaosBatchBody)
 	streamWant := postTo(router, "/suggest/batch?stream=1", chaosBatchBody)
 	if bufWant.Code != http.StatusOK || streamWant.Code != http.StatusOK {
@@ -429,6 +471,7 @@ func TestChaosMalformedAnswerFailsOver(t *testing.T) {
 	}
 	for i, d := range damages {
 		for _, stream := range []bool{false, true} {
+			fleet.ClockOf(router).Advance(fleet.ProbeAfter)
 			chaos.garbleNext(victim, d.damage)
 			if !stream {
 				rr := postTo(router, "/suggest/batch", chaosBatchBody)
@@ -544,11 +587,7 @@ func TestChaosReloadStormDuringFanout(t *testing.T) {
 // around it), the cool-down admits a half-open probe, and a healthy probe
 // restores it to the walk ("healthy" again, serving traffic).
 func TestChaosFlappingShard(t *testing.T) {
-	router, chaos := newChaosRing(t, 3, fleet.RouterOptions{
-		Replicas:      2,
-		FailThreshold: 3,
-		ProbeAfter:    20 * time.Millisecond,
-	})
+	router, chaos := newChaosRing(t, 3, fleet.RouterOptions{Replicas: 2})
 	srv := httptest.NewServer(router)
 	defer srv.Close()
 
@@ -585,20 +624,17 @@ func TestChaosFlappingShard(t *testing.T) {
 		t.Fatalf("ejected shard still saw %d calls", got-before)
 	}
 
-	// Revive, wait out the cool-down: the next touch probes and recovers.
+	// Revive, step past the cool-down: the first query the victim is primary
+	// for claims the half-open probe, and its answer closes the breaker.
 	chaos.setDown(victim, false)
-	time.Sleep(25 * time.Millisecond)
-	deadline := time.Now().Add(2 * time.Second)
-	for healthOf(victim).State != "healthy" {
-		if time.Now().After(deadline) {
-			t.Fatalf("victim never recovered: %+v", healthOf(victim))
+	fleet.ClockOf(router).Advance(fleet.ProbeAfter)
+	for _, qs := range chaosGETQueries {
+		if _, _, code := getBody(t, srv.URL+"/suggest?"+qs); code != http.StatusOK {
+			t.Fatalf("GET %s during recovery: status %d", qs, code)
 		}
-		for _, qs := range chaosGETQueries {
-			if _, _, code := getBody(t, srv.URL+"/suggest?"+qs); code != http.StatusOK {
-				t.Fatalf("GET %s during recovery: status %d", qs, code)
-			}
-		}
-		time.Sleep(5 * time.Millisecond)
+	}
+	if st := healthOf(victim); st.State != "healthy" {
+		t.Fatalf("victim did not recover on its probe: %+v", st)
 	}
 	// Recovered: the shard serves again.
 	before = chaos.callCount(victim)
@@ -612,32 +648,29 @@ func TestChaosFlappingShard(t *testing.T) {
 	}
 }
 
-// TestChaosGETHedge slows one shard far past the hedge delay: a GET whose
-// primary is the slow shard must be answered by the hedged replica (first
-// success wins), flagged X-Serve-Hedge: won, and counted in hedges_won.
+// TestChaosGETHedge stalls one shard: a GET whose primary is the stalled
+// shard must be answered by the hedged replica once the clock passes the
+// hedge delay (first success wins), flagged X-Serve-Hedge: won, and counted
+// in hedges_won.
 func TestChaosGETHedge(t *testing.T) {
+	const hedgeAfter = 2 * time.Millisecond
 	router, chaos := newChaosRing(t, 3, fleet.RouterOptions{
 		Replicas:   2,
-		HedgeAfter: 2 * time.Millisecond,
+		HedgeAfter: hedgeAfter,
 	})
-	srv := httptest.NewServer(router)
-	defer srv.Close()
 
-	// Find a query whose primary we can slow down.
-	raw, _, _ := getBody(t, srv.URL+"/v1/route?q=o2")
-	var ri fleet.RouteResponse
-	if err := json.Unmarshal(raw, &ri); err != nil {
-		t.Fatal(err)
-	}
+	// Find a query whose primary we can stall.
+	ri := routeOf(t, router, "q=o2")
 	if len(ri.Replicas) != 2 {
 		t.Fatalf("route replicas = %v, want 2", ri.Replicas)
 	}
-	chaos.setDelay(ri.Shard, 250*time.Millisecond)
+	chaos.setDelay(ri.Shard, stall)
 
-	body, hdr, code := getBody(t, srv.URL+"/suggest?q=o2")
-	if code != http.StatusOK {
-		t.Fatalf("hedged GET status %d: %s", code, body)
+	rr := hedgedGET(router, "/suggest?q=o2", 1, hedgeAfter)
+	if rr.Code != http.StatusOK {
+		t.Fatalf("hedged GET status %d: %s", rr.Code, rr.Body)
 	}
+	hdr := rr.Header()
 	if got := hdr.Get("X-Serve-Shard"); got != fmt.Sprint(ri.Replicas[1]) {
 		t.Fatalf("hedged GET served by shard %s, want replica %d", got, ri.Replicas[1])
 	}
@@ -647,12 +680,7 @@ func TestChaosGETHedge(t *testing.T) {
 	if hdr.Get("X-Serve-Attempts") != "2" {
 		t.Fatalf("X-Serve-Attempts = %q, want 2", hdr.Get("X-Serve-Attempts"))
 	}
-	raw, _, _ = getBody(t, srv.URL+"/v1/metrics")
-	var m fleet.ShardRouterMetrics
-	if err := json.Unmarshal(raw, &m); err != nil {
-		t.Fatal(err)
-	}
-	if m.Hedges == 0 || m.HedgesWon == 0 {
+	if m := routerMetrics(t, router); m.Hedges == 0 || m.HedgesWon == 0 {
 		t.Fatalf("hedge counters not moving: %+v", m)
 	}
 }
@@ -664,34 +692,19 @@ func TestChaosGETHedge(t *testing.T) {
 // answered) — without the release the breaker sticks at "probing" forever,
 // every preference walk skips the shard, and it can never recover.
 func TestChaosStrandedProbeRelease(t *testing.T) {
+	const hedgeAfter = 100 * time.Microsecond
 	router, chaos := newChaosRing(t, 2, fleet.RouterOptions{
-		Replicas:      2,
-		FailThreshold: 1,
-		ProbeAfter:    5 * time.Millisecond,
-		HedgeAfter:    100 * time.Microsecond,
+		Replicas:   2,
+		HedgeAfter: hedgeAfter,
 	})
-	srv := httptest.NewServer(router)
-	defer srv.Close()
-
-	healthOf := func(shard int) fleet.ShardHealthStats {
-		raw, _, _ := getBody(t, srv.URL+"/healthz")
-		var h fleet.ShardRouterHealth
-		if err := json.Unmarshal(raw, &h); err != nil {
-			t.Fatal(err)
-		}
-		return h.ShardHealth[shard]
-	}
+	clk := fleet.ClockOf(router)
+	healthOf := func(shard int) fleet.ShardHealthStats { return routerMetrics(t, router).ShardHealth[shard] }
 
 	// Find a query whose primary is shard 0, so its half-open probes ride
-	// primary GET attempts that a fast hedge to shard 1 can beat.
+	// primary GET attempts that the hedge to shard 1 can beat.
 	query := ""
 	for _, qs := range chaosGETQueries {
-		raw, _, _ := getBody(t, srv.URL+"/v1/route?"+qs)
-		var ri fleet.RouteResponse
-		if err := json.Unmarshal(raw, &ri); err != nil {
-			t.Fatal(err)
-		}
-		if ri.Shard == 0 {
+		if routeOf(t, router, qs).Shard == 0 {
 			query = qs
 			break
 		}
@@ -700,12 +713,10 @@ func TestChaosStrandedProbeRelease(t *testing.T) {
 		t.Fatal("no chaos query routes to shard 0")
 	}
 
-	// Eject shard 0: with FailThreshold 1 a single refused connection opens
-	// the breaker, and the request still answers off the replica. The
-	// ejecting request is a one-item batch of the same context, not a GET:
-	// a batch is never hedged, so the refusal is booked before the replica
-	// answers. A GET's refused primary can lose the race to the 100µs hedge
-	// on a loaded host, and a loser's failure is never booked.
+	// Eject shard 0: FailThreshold refused connections in a row open the
+	// breaker, and every request still answers off the replica. The
+	// ejecting requests are one-item batches of the same context: a batch
+	// is never hedged, so it arms no timer on the clock.
 	vals, err := url.ParseQuery(query)
 	if err != nil {
 		t.Fatal(err)
@@ -715,46 +726,47 @@ func TestChaosStrandedProbeRelease(t *testing.T) {
 		t.Fatal(err)
 	}
 	chaos.setDown(0, true)
-	if rr := postTo(router, "/suggest/batch", `{"requests":[`+string(item)+`]}`); rr.Code != http.StatusOK {
-		t.Fatalf("batch with primary down: status %d: %s", rr.Code, rr.Body)
+	for i := 0; i < fleet.FailThreshold; i++ {
+		if rr := postTo(router, "/suggest/batch", `{"requests":[`+string(item)+`]}`); rr.Code != http.StatusOK {
+			t.Fatalf("batch with primary down: status %d: %s", rr.Code, rr.Body)
+		}
 	}
 	if st := healthOf(0); st.State != "ejected" {
-		t.Fatalf("shard 0 not ejected after failure: %+v", st)
+		t.Fatalf("shard 0 not ejected after %d failures: %+v", fleet.FailThreshold, st)
 	}
 
-	// Revive it slow. The next GET's preference walk claims the half-open
-	// probe and rides it on the primary attempt; the 100µs hedge to shard 1
-	// answers first and the probe-carrying loser is cancelled mid-delay.
-	// (callCount is no proof here: pick()'s fail-open second pass can still
-	// hedge onto a stranded shard, so the count grows either way.)
+	// Revive it stalled and step past the cool-down. Each GET's preference
+	// walk claims the half-open probe and rides it on the primary attempt,
+	// which stalls; the clock passes the hedge delay, the hedge to shard 1
+	// answers and the probe-carrying loser is cancelled. (callCount is no
+	// proof here: pick()'s fail-open second pass can still hedge onto a
+	// stranded shard, so the count grows either way.)
 	chaos.setDown(0, false)
-	chaos.setDelay(0, 50*time.Millisecond)
-	time.Sleep(6 * time.Millisecond) // past the ejection cool-down
-
-	for i := 0; i < 10; i++ {
-		if _, _, code := getBody(t, srv.URL+"/suggest?"+query); code != http.StatusOK {
-			t.Fatalf("GET during slow probing: status %d", code)
+	chaos.setDelay(0, stall)
+	clk.Advance(fleet.ProbeAfter)
+	for i := 1; i <= 10; i++ {
+		if rr := hedgedGET(router, "/suggest?"+query, i, hedgeAfter); rr.Code != http.StatusOK {
+			t.Fatalf("GET during stalled probing: status %d", rr.Code)
 		}
 	}
-	// Quiesce: cancelled losers return immediately (the chaos delay is
-	// ctx-cancellable) and the drain hands claims back within the sleep. A
-	// breaker still reading "probing" with no probe in flight is stranded —
-	// the released claim reads "ejected" (or "healthy" if a probe won).
-	time.Sleep(50 * time.Millisecond)
-	if st := healthOf(0); st.State == "probing" {
-		t.Fatalf("probe claim stranded after losers drained: %+v", st)
-	}
-
-	// Drop the delay: the next probe answers before the hedge and closes the
-	// breaker (or lands as a successful loser, which also closes it).
-	chaos.setDelay(0, 0)
-	deadline := time.Now().Add(2 * time.Second)
-	for healthOf(0).State != "healthy" {
+	// Each cancelled loser's drain hands its claim back on a goroutine of
+	// its own, after the request was answered: wait for the drains, not for
+	// any router timer. A breaker that reads "probing" with no probe in
+	// flight is stranded — the released claim reads "ejected".
+	for deadline := time.Now().Add(5 * time.Second); healthOf(0).State == "probing"; runtime.Gosched() {
 		if time.Now().After(deadline) {
-			t.Fatalf("shard 0 never recovered: %+v", healthOf(0))
+			t.Fatalf("probe claim stranded after losers drained: %+v", healthOf(0))
 		}
-		getBody(t, srv.URL+"/suggest?"+query)
-		time.Sleep(time.Millisecond)
+	}
+
+	// Lift the stall: the next GET claims the probe, the primary answers
+	// before the hedge could fire, and the answer closes the breaker.
+	chaos.setDelay(0, 0)
+	if rr := hedgedGET(router, "/suggest?"+query, 11, 0); rr.Code != http.StatusOK {
+		t.Fatalf("GET after the stall: status %d", rr.Code)
+	}
+	if st := healthOf(0); st.State != "healthy" {
+		t.Fatalf("shard 0 did not recover on its probe: %+v", st)
 	}
 }
 
@@ -804,40 +816,38 @@ func spanUnionMicros(spans []obs.SpanView) int64 {
 	return total
 }
 
-// TestChaosTraceHedgedFailover drives one hedged GET (slow primary, hedge
+// TestChaosTraceHedgedFailover drives one hedged GET (stalled primary, hedge
 // wins) and one failed-over GET (dead primary, second replica answers) and
 // asserts the router's /v1/traces shows both requests with per-attempt
 // "shard" child spans carrying the shard IDs and outcomes, plus the
 // hedge-fire annotation — and that the spans stay inside the recorded
 // total (as an interval union: hedged attempts overlap in time).
 func TestChaosTraceHedgedFailover(t *testing.T) {
+	const hedgeAfter = 2 * time.Millisecond
 	router, chaos := newChaosRing(t, 3, fleet.RouterOptions{
 		Replicas:   2,
-		HedgeAfter: 2 * time.Millisecond,
+		HedgeAfter: hedgeAfter,
 	})
 	srv := httptest.NewServer(router)
 	defer srv.Close()
 
-	raw, _, _ := getBody(t, srv.URL+"/v1/route?q=o2")
-	var ri fleet.RouteResponse
-	if err := json.Unmarshal(raw, &ri); err != nil {
-		t.Fatal(err)
-	}
+	ri := routeOf(t, router, "q=o2")
 	primary, backup := ri.Shard, ri.Replicas[1]
 
-	// Hedged: the primary is slow, the 2ms hedge to the backup wins, the
-	// primary attempt is cancelled on the way out.
-	chaos.setDelay(primary, 250*time.Millisecond)
-	body, hdr, code := getBody(t, srv.URL+"/suggest?q=o2")
-	if code != http.StatusOK {
-		t.Fatalf("hedged GET status %d: %s", code, body)
+	// Hedged: the primary stalls, the clock passes the 2ms hedge delay, the
+	// hedge to the backup wins and the primary attempt is cancelled on the
+	// way out.
+	chaos.setDelay(primary, stall)
+	rr := hedgedGET(router, "/suggest?q=o2", 1, hedgeAfter)
+	if rr.Code != http.StatusOK {
+		t.Fatalf("hedged GET status %d: %s", rr.Code, rr.Body)
 	}
-	hedgeID := hdr.Get("X-Trace-Id")
+	hedgeID := rr.Header().Get("X-Trace-Id")
 	chaos.setDelay(primary, 0)
 
 	// Failed-over: the primary refuses outright, the walk retries the backup.
 	chaos.setDown(primary, true)
-	body, hdr, code = getBody(t, srv.URL+"/suggest?q=o2")
+	body, hdr, code := getBody(t, srv.URL+"/suggest?q=o2")
 	if code != http.StatusOK {
 		t.Fatalf("failed-over GET status %d: %s", code, body)
 	}

@@ -55,12 +55,8 @@ func newTappedRing(t *testing.T, opts fleet.RouterOptions) (*fleet.ShardRouter, 
 	t.Helper()
 	_, chaos := newChaosRing(t, 3, fleet.RouterOptions{Replicas: 2})
 	tap := newCtxTap(chaos)
-	opts.Replicas, opts.RetryBackoff = 2, -1
-	router, err := fleet.NewShardRouterOpts(fleet.NewRing(3, 0), tap, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return router, chaos, tap
+	opts.Replicas = 2
+	return newVirtualRouter(t, tap, opts), chaos, tap
 }
 
 // TestShardTimeoutFailsOver lets ShardTimeout fire, on a GET and on a batch
@@ -70,7 +66,7 @@ func newTappedRing(t *testing.T, opts fleet.RouterOptions) (*fleet.ShardRouter, 
 // undisturbed one, with exactly one failure booked against the primary.
 func TestShardTimeoutFailsOver(t *testing.T) {
 	const timeout, delay, limit = 20 * time.Millisecond, 200 * time.Millisecond, 150 * time.Millisecond
-	opts := fleet.RouterOptions{Replicas: 2, ShardTimeout: timeout, FailThreshold: 100}
+	opts := fleet.RouterOptions{Replicas: 2, ShardTimeout: timeout}
 
 	t.Run("get", func(t *testing.T) {
 		router, chaos := newChaosRing(t, 3, opts)
@@ -319,21 +315,23 @@ func TestAttemptContextCancellation(t *testing.T) {
 	})
 
 	t.Run("hedged", func(t *testing.T) {
-		const delay = 500 * time.Millisecond
-		router, chaos, tap := newTappedRing(t, fleet.RouterOptions{ShardTimeout: 2 * time.Second, HedgeAfter: 2 * time.Millisecond})
+		const shardTimeout, hedgeAfter = 2 * time.Second, 2 * time.Millisecond
+		router, chaos, tap := newTappedRing(t, fleet.RouterOptions{ShardTimeout: shardTimeout, HedgeAfter: hedgeAfter})
 		primary := routeOf(t, router, "q=o2").Shard
-		chaos.setDelay(primary, delay)
+		chaos.setDelay(primary, stall)
 		client, cancel := context.WithCancel(context.Background())
 		defer cancel()
 		start := time.Now()
-		rr := httptest.NewRecorder()
-		router.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/suggest?q=o2", nil).WithContext(client))
+		done := serveAsync(router, httptest.NewRequest(http.MethodGet, "/suggest?q=o2", nil).WithContext(client))
+		fleet.ClockOf(router).AwaitTimers(1)
+		fleet.ClockOf(router).Advance(hedgeAfter)
+		rr := <-done
 		if rr.Code != http.StatusOK || rr.Header().Get("X-Serve-Hedge") != "won" {
 			t.Fatalf("status %d, X-Serve-Hedge %q: %s", rr.Code, rr.Header().Get("X-Serve-Hedge"), rr.Body)
 		}
 		winner, loser := <-tap.returned, <-tap.returned
-		if took := time.Since(start); took > delay/2 {
-			t.Fatalf("the loser came back after %v: it sat out its %v delay", took, delay)
+		if took := time.Since(start); took > shardTimeout/2 {
+			t.Fatalf("the loser came back after %v: it sat out its stall to the %v deadline", took, shardTimeout)
 		}
 		if winner.shard == primary || loser.shard != primary {
 			t.Fatalf("shard %d came back before shard %d, primary is %d", winner.shard, loser.shard, primary)
@@ -349,7 +347,7 @@ func TestAttemptContextCancellation(t *testing.T) {
 		if loser.ctx.Done() == client.Done() || client.Err() != nil {
 			t.Fatal("cancelling the loser reached the request's own context")
 		}
-		if dl, ok := loser.ctx.Deadline(); !ok || dl.Before(start.Add(2*time.Second)) {
+		if dl, ok := loser.ctx.Deadline(); !ok || dl.Before(start.Add(shardTimeout)) {
 			t.Fatalf("a raced attempt's deadline is %v (set %v), want ShardTimeout after its start", dl, ok)
 		}
 	})

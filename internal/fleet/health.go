@@ -11,7 +11,8 @@ import (
 // walk skips it, so traffic self-heals onto the replicas without any config
 // change. After ProbeAfter one request is allowed through as a half-open
 // probe — success closes the breaker and restores the shard to the walk,
-// failure re-opens it for another ProbeAfter window. All transitions are
+// failure re-opens it for another ProbeAfter window. Both are constants; the
+// cool-down runs on the router's clock (clock.go). Every transition is
 // lock-free: the serving path only ever reads three atomics per shard.
 
 // Health states of one shard breaker.
@@ -24,52 +25,35 @@ const (
 // healthStateNames maps breaker states to their /v1/metrics strings.
 var healthStateNames = [...]string{"healthy", "ejected", "probing"}
 
-// DefaultFailThreshold is the consecutive-failure count that ejects a shard
-// when RouterOptions.FailThreshold is zero.
-const DefaultFailThreshold = 3
+// FailThreshold is the consecutive-failure count that ejects a shard.
+const FailThreshold = 3
 
-// DefaultProbeAfter is the ejection cool-down before a half-open probe when
-// RouterOptions.ProbeAfter is zero.
-const DefaultProbeAfter = time.Second
+// ProbeAfter is the ejection cool-down before a half-open probe.
+const ProbeAfter = time.Second
 
 // shardHealth is one shard's breaker. The zero value is a closed (healthy)
 // breaker.
 type shardHealth struct {
 	state       atomic.Int32 // healthClosed / healthOpen / healthHalfOpen
 	consecFails atomic.Int32
-	openedAt    atomic.Int64 // unix nanos of the last ejection
+	openedAt    atomic.Int64 // the clock's UnixNano at the last ejection
 
 	successes atomic.Uint64
 	failures  atomic.Uint64
 	ejections atomic.Uint64
 }
 
-// healthConfig bundles the breaker thresholds shared by a router's shards.
-type healthConfig struct {
-	failThreshold int32
-	probeAfter    time.Duration
-}
-
-func (c healthConfig) withDefaults() healthConfig {
-	if c.failThreshold <= 0 {
-		c.failThreshold = DefaultFailThreshold
-	}
-	if c.probeAfter <= 0 {
-		c.probeAfter = DefaultProbeAfter
-	}
-	return c
-}
-
 // available reports whether the preference walk may send this shard live
 // traffic right now, and whether saying so claimed the half-open probe. An
 // open breaker whose cool-down has elapsed admits exactly one caller (the
-// probe); everyone else keeps skipping the shard until the probe reports back.
-func (h *shardHealth) available(cfg healthConfig, now time.Time) (ok, claim bool) {
+// probe); everyone else keeps skipping the shard until the probe reports
+// back. Only the open state reads the clock.
+func (h *shardHealth) available(c clock) (ok, claim bool) {
 	switch h.state.Load() {
 	case healthClosed:
 		return true, false
 	case healthOpen:
-		if now.UnixNano()-h.openedAt.Load() < int64(cfg.probeAfter) {
+		if c.Now().UnixNano()-h.openedAt.Load() < int64(ProbeAfter) {
 			return false, false
 		}
 		// One winner flips open → half-open and carries the probe.
@@ -100,17 +84,17 @@ func (h *shardHealth) recordSuccess() {
 
 // recordFailure counts one failed attempt and ejects the shard when the
 // consecutive-failure threshold is reached (or immediately when the failure
-// was the half-open probe).
-func (h *shardHealth) recordFailure(cfg healthConfig, now time.Time) {
+// was the half-open probe), stamping the ejection with the clock's now.
+func (h *shardHealth) recordFailure(c clock) {
 	h.failures.Add(1)
 	n := h.consecFails.Add(1)
 	if h.state.CompareAndSwap(healthHalfOpen, healthOpen) {
 		// Failed probe: back to ejected for another cool-down window.
-		h.openedAt.Store(now.UnixNano())
+		h.openedAt.Store(c.Now().UnixNano())
 		return
 	}
-	if n >= cfg.failThreshold && h.state.CompareAndSwap(healthClosed, healthOpen) {
-		h.openedAt.Store(now.UnixNano())
+	if n >= FailThreshold && h.state.CompareAndSwap(healthClosed, healthOpen) {
+		h.openedAt.Store(c.Now().UnixNano())
 		h.ejections.Add(1)
 	}
 }

@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"context"
-	"math/rand"
 	"net/http"
 	"time"
 
@@ -19,7 +18,7 @@ import (
 // breakers (roundView); settleAttempt books each outcome. A retry is counted
 // when a pick moves work a failed attempt left to another replica, a failover
 // for each request or item a non-primary preference answered. A driver backs
-// off before a retry round and reads the round's clock after the backoff.
+// off before a retry round and reads the attempts' start after the backoff.
 
 // prefWalk is one preference walk: the replicas prefs[:n] a GET or a batch
 // item may be served by, in ring order, and which of them have had an
@@ -67,7 +66,7 @@ func (w *prefWalk) pick(v *roundView) int {
 }
 
 // roundView is one round's view of the shard breakers: its picks ask each
-// shard's breaker at most once, at now, note each skip once on the trace and
+// shard's breaker at most once, note each skip once on the trace and
 // remember which answers claimed a half-open probe; release hands back the
 // claims that carried no traffic. marks is the caller's storage, one entry
 // per shard the round may ask about, written only element by element: a
@@ -75,8 +74,7 @@ func (w *prefWalk) pick(v *roundView) int {
 type roundView struct {
 	s     *ShardRouter
 	tr    *obs.Trace
-	now   time.Time // the round's clock: its breaker checks and its attempts' start
-	hedge bool      // the round adds an attempt beside one still in flight
+	hedge bool // the round adds an attempt beside one still in flight
 	marks []viewMark
 	n     int // marks[:n] are the shards asked about so far
 }
@@ -101,7 +99,7 @@ func (v *roundView) mark(shard int) *viewMark {
 	m := &v.marks[v.n]
 	v.n++
 	*m = viewMark{shard: shard}
-	m.avail, m.claim = v.s.health[shard].available(v.s.hcfg, v.now)
+	m.avail, m.claim = v.s.health[shard].available(v.s.clk)
 	if !m.avail {
 		v.tr.Event("breaker-skip", shard, "skipped")
 	}
@@ -128,17 +126,19 @@ func (s *ShardRouter) answered(w *prefWalk, shard int) int {
 	return 1
 }
 
-// backoffSleep sleeps the jittered failover backoff before retry round
-// k >= 1: base doubling per round with ±50% jitter, so replicas of a
-// struggling ring do not retry in lockstep.
+// backoffBase is the failover backoff before the first retry round.
+const backoffBase = 2 * time.Millisecond
+
+// backoffSleep sleeps the failover backoff before retry round k >= 1 on the
+// router's clock: backoffBase doubling per round with ±50% jitter, so the
+// replicas of a struggling ring do not retry in lockstep. The jitter is a
+// splitmix64 draw (Steele, Lea & Flood, OOPSLA 2014) on the router's state.
 func (s *ShardRouter) backoffSleep(k int) {
-	base := s.opts.RetryBackoff
-	if base <= 0 {
-		return
-	}
-	d := base << (k - 1)
-	d = d/2 + time.Duration(rand.Int63n(int64(d))) // [d/2, 3d/2)
-	time.Sleep(d)
+	d := backoffBase << (k - 1)
+	z := s.rng.Add(0x9e3779b97f4a7c15)
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	s.clk.Sleep(d/2 + time.Duration((z^z>>31)%uint64(d))) // [d/2, 3d/2)
 }
 
 // retryable reports whether an attempt outcome should fail over to the next
@@ -173,13 +173,12 @@ func (o attemptOutcome) failedOver() bool { return o >= attemptError }
 
 // settleAttempt classifies a finished attempt by the retryable rule and books
 // it against its shard's breaker. An answer closes the breaker. A failure
-// counts — unless the request's own context is done: a failure seen after
-// that says nothing about the shard (a disconnected client makes every
-// attempt fail with context.Canceled, and three of those would eject a
-// healthy shard), so it is not counted and the half-open probe claim the
-// attempt carried (claim), if any, is handed back, or the breaker would
-// strand at "probing". now is when the attempt ended.
-func (s *ShardRouter) settleAttempt(parent context.Context, shard int, claim bool, status int, err error, now time.Time) attemptOutcome {
+// counts — unless the request's own context is done: a failure seen after that
+// says nothing about the shard (a disconnected client makes every attempt fail
+// with context.Canceled, and three of those would eject a healthy shard), so
+// it is not counted and the half-open probe claim the attempt carried (claim),
+// if any, is handed back, or the breaker would strand at "probing".
+func (s *ShardRouter) settleAttempt(parent context.Context, shard int, claim bool, status int, err error) attemptOutcome {
 	switch {
 	case !retryable(status, err):
 		s.health[shard].recordSuccess()
@@ -190,7 +189,7 @@ func (s *ShardRouter) settleAttempt(parent context.Context, shard int, claim boo
 		}
 		return attemptCancelled
 	}
-	s.health[shard].recordFailure(s.hcfg, now)
+	s.health[shard].recordFailure(s.clk)
 	if err != nil {
 		return attemptError
 	}

@@ -82,20 +82,21 @@ func snapBreaker(h *shardHealth) breakerSnap {
 	return breakerSnap{h.state.Load(), h.consecFails.Load(), h.openedAt.Load(), h.successes.Load(), h.failures.Load(), h.ejections.Load()}
 }
 
-// setBreaker puts h in start state st.
+// setBreaker puts h in start state st. A healthy breaker is one failure
+// short of ejection, so a script's single failure ejects it.
 func setBreaker(h *shardHealth, st int, now time.Time) {
-	state, opened := healthClosed, int64(0)
+	state, opened, consec := healthClosed, int64(0), int32(FailThreshold-1)
 	switch st {
 	case startCooling:
-		state, opened = healthOpen, now.UnixNano()
+		state, opened, consec = healthOpen, now.UnixNano(), 0
 	case startElapsed:
-		state, opened = healthOpen, now.Add(-2*time.Hour).UnixNano()
+		state, opened, consec = healthOpen, now.Add(-2*ProbeAfter).UnixNano(), 0
 	case startProbing:
-		state, opened = healthHalfOpen, now.Add(-2*time.Hour).UnixNano()
+		state, opened, consec = healthHalfOpen, now.Add(-2*ProbeAfter).UnixNano(), 0
 	}
 	h.state.Store(state)
 	h.openedAt.Store(opened)
-	h.consecFails.Store(0)
+	h.consecFails.Store(consec)
 	h.successes.Store(0)
 	h.failures.Store(0)
 	h.ejections.Store(0)
@@ -140,11 +141,14 @@ var policyDrivers = [...]struct {
 	{"stream", http.MethodPost, "/suggest/batch?stream=1"},
 }
 
-// runPolicyCase resets the router's breakers to starts and serves one request
-// through driver d with the transport answering from script.
+// runPolicyCase resets the router's breakers to starts, its clock to a new
+// virtual one and its jitter to one seed, and serves one request through
+// driver d with the transport answering from script.
 func runPolicyCase(s *ShardRouter, tp *scriptTransport, starts [3]int, script []int, d int) policyRun {
 	var run policyRun
-	now := obs.Now()
+	clk := NewVirtualClock()
+	UseClock(s, clk, 1)
+	now := clk.Now()
 	for sh := range s.health {
 		setBreaker(&s.health[sh], starts[sh], now)
 		run.start[sh] = snapBreaker(&s.health[sh])
@@ -181,9 +185,7 @@ func TestPolicyExhaustive(t *testing.T) {
 	cases := 0
 	for R := 1; R <= 3; R++ {
 		tp := &scriptTransport{}
-		s, err := NewShardRouterOpts(NewRing(3, 0), tp, RouterOptions{
-			Replicas: R, RetryBackoff: -1, FailThreshold: 1, ProbeAfter: time.Hour,
-		})
+		s, err := NewShardRouterOpts(NewRing(3, 0), tp, RouterOptions{Replicas: R})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -233,21 +235,13 @@ func count(b bool) uint64 {
 	return 0
 }
 
-// agree compares two drivers' runs: shards tried, counters and breakers.
-// When a failure ejects a shard its new cool-down starts at the failure's
-// own clock read, so openedAt is compared only for having moved.
+// agree compares two drivers' runs: shards tried, counters and breakers,
+// ejection stamps included — each run starts on a new virtual clock under
+// one jitter seed, so the drivers' backoffs and failures fall at the same
+// instants.
 func agree(a, b policyRun) bool {
-	if !reflect.DeepEqual(a.called, b.called) || a.retries != b.retries || a.failovers != b.failovers || a.cancelled != b.cancelled {
-		return false
-	}
-	for sh := range a.breakers {
-		x, y := a.breakers[sh], b.breakers[sh]
-		x.openedAt, y.openedAt = 0, 0
-		if x != y {
-			return false
-		}
-	}
-	return true
+	return reflect.DeepEqual(a.called, b.called) && a.retries == b.retries && a.failovers == b.failovers &&
+		a.cancelled == b.cancelled && a.breakers == b.breakers
 }
 
 // checkPolicyRun asserts the policy's invariants on one request.
@@ -357,10 +351,11 @@ func TestPolicyBatchCounters(t *testing.T) {
 		{"R=2 primary down books the item's failover", 2, []int{scriptErr, scriptOK}, http.StatusOK, 1, 1, "1"},
 	} {
 		tp := &scriptTransport{script: tc.script, cancel: func() {}}
-		s, err := NewShardRouterOpts(NewRing(3, 0), tp, RouterOptions{Replicas: tc.replicas, RetryBackoff: -1})
+		s, err := NewShardRouterOpts(NewRing(3, 0), tp, RouterOptions{Replicas: tc.replicas})
 		if err != nil {
 			t.Fatal(err)
 		}
+		UseClock(s, NewVirtualClock(), 1)
 		rr := httptest.NewRecorder()
 		s.ServeHTTP(rr, httptest.NewRequest(http.MethodPost, "/suggest/batch", strings.NewReader(body)))
 		if rr.Code != tc.status {
@@ -382,5 +377,52 @@ func TestPolicyBatchCounters(t *testing.T) {
 		if got := rr.Header().Get("X-Serve-Failovers"); got != tc.header {
 			t.Errorf("%s: X-Serve-Failovers = %q, want %q", tc.name, got, tc.header)
 		}
+	}
+}
+
+// backoffTap counts, at each exchange, the backoffs the clock has slept.
+type backoffTap struct {
+	*scriptTransport
+	clk   *VirtualClock
+	slept []int
+}
+
+func (t *backoffTap) Exchange(ctx context.Context, shard int, method, path string, body, respBuf []byte) (int, []byte, error) {
+	t.slept = append(t.slept, len(t.clk.Sleeps()))
+	return t.scriptTransport.Exchange(ctx, shard, method, path, body, respBuf)
+}
+
+// TestBackoffBeforeEachRetryRound drives a GET and a one-item batch at R = 3
+// whose first two replicas fail, on a virtual clock: each sleeps one backoff
+// before each retry round and none before the first attempt, round k's lies
+// in [d/2, 3d/2) for d = backoffBase << (k-1), and under one seed the two
+// drivers sleep the same sequence.
+func TestBackoffBeforeEachRetryRound(t *testing.T) {
+	var seqs [2][]time.Duration
+	for d, drv := range policyDrivers[:2] {
+		clk := NewVirtualClock()
+		tp := &backoffTap{scriptTransport: &scriptTransport{script: []int{scriptErr, scriptErr, scriptOK}, cancel: func() {}}, clk: clk}
+		s, err := NewShardRouterOpts(NewRing(3, 0), tp, RouterOptions{Replicas: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		UseClock(s, clk, 7)
+		rr := httptest.NewRecorder()
+		s.ServeHTTP(rr, httptest.NewRequest(drv.method, drv.target, strings.NewReader(`{"requests":[{"context":["o2"]}]}`)))
+		if rr.Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", drv.name, rr.Code, rr.Body)
+		}
+		if !reflect.DeepEqual(tp.slept, []int{0, 1, 2}) {
+			t.Fatalf("%s: backoffs slept before each attempt = %v, want [0 1 2]", drv.name, tp.slept)
+		}
+		seqs[d] = clk.Sleeps()
+		for k, got := range seqs[d] {
+			if d := backoffBase << k; got < d/2 || got >= d+d/2 {
+				t.Errorf("%s: round %d backed off %v, want [%v, %v)", drv.name, k+1, got, d/2, d+d/2)
+			}
+		}
+	}
+	if !reflect.DeepEqual(seqs[0], seqs[1]) {
+		t.Fatalf("one seed, two backoff sequences: %s %v, %s %v", policyDrivers[0].name, seqs[0], policyDrivers[1].name, seqs[1])
 	}
 }

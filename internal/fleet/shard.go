@@ -308,16 +308,6 @@ type RouterOptions struct {
 	// derives the delay from the live attempt-latency p99 (clamped to
 	// [200µs, 50ms]).
 	HedgeAfter time.Duration
-	// RetryBackoff is the base jittered sleep before a failover retry
-	// (doubling per attempt, ±50% jitter). 0 selects 2ms; negative disables
-	// the sleep.
-	RetryBackoff time.Duration
-	// FailThreshold is the consecutive-failure count that ejects a shard
-	// from the preference walk (0 selects DefaultFailThreshold).
-	FailThreshold int
-	// ProbeAfter is the ejection cool-down before a half-open probe
-	// (0 selects DefaultProbeAfter).
-	ProbeAfter time.Duration
 	// Obs, when non-nil, is the metrics registry the router records into;
 	// nil gives the router a private registry. Sharing one registry with
 	// in-process shard handlers (loopback deployments) merges both layers
@@ -327,22 +317,6 @@ type RouterOptions struct {
 	// nil gives the router a private 256-trace tracer fed by its own
 	// request-latency histogram.
 	Tracer *obs.Tracer
-}
-
-func (o RouterOptions) withDefaults(shards int) RouterOptions {
-	if o.Replicas < 1 {
-		o.Replicas = 1
-	}
-	if o.Replicas > MaxReplicas {
-		o.Replicas = MaxReplicas
-	}
-	if o.Replicas > shards {
-		o.Replicas = shards
-	}
-	if o.RetryBackoff == 0 {
-		o.RetryBackoff = 2 * time.Millisecond
-	}
-	return o
 }
 
 // ShardRouter fans suggestion traffic out to N replicas of the same model by
@@ -364,7 +338,8 @@ type ShardRouter struct {
 	ring *Ring
 	tr   Transport
 	opts RouterOptions
-	hcfg healthConfig
+	clk  clock         // the backoff, the hedge timer and the breaker cool-down wait on it
+	rng  atomic.Uint64 // the backoff jitter's splitmix64 state (backoffSleep)
 
 	health []shardHealth
 
@@ -410,11 +385,12 @@ func NewShardRouterOpts(ring *Ring, tr Transport, opts RouterOptions) (*ShardRou
 	if ring.Shards() != tr.Shards() {
 		return nil, fmt.Errorf("fleet: ring has %d shards but transport %d", ring.Shards(), tr.Shards())
 	}
+	opts.Replicas = min(max(opts.Replicas, 1), MaxReplicas, ring.Shards())
 	s := &ShardRouter{
 		ring:        ring,
 		tr:          tr,
-		opts:        opts.withDefaults(ring.Shards()),
-		hcfg:        healthConfig{failThreshold: int32(opts.FailThreshold), probeAfter: opts.ProbeAfter}.withDefaults(),
+		opts:        opts,
+		clk:         realClock{},
 		health:      make([]shardHealth, ring.Shards()),
 		shardHeader: make([][]string, ring.Shards()),
 		perShard:    make([]atomic.Uint64, ring.Shards()),
@@ -424,6 +400,7 @@ func NewShardRouterOpts(ring *Ring, tr Transport, opts RouterOptions) (*ShardRou
 		maxBatch:    256,
 		maxBodySize: 1 << 22,
 	}
+	s.rng.Store(realClock{}.seed())
 	for i := range s.shardHeader {
 		s.shardHeader[i] = []string{strconv.Itoa(i)}
 	}
@@ -844,8 +821,8 @@ func (s *ShardRouter) batch(w http.ResponseWriter, r *http.Request) {
 // the next round's pending list, or into failed once their walk is exhausted.
 //
 // The sub-batches of a round start together, so they share one attempt
-// context (attemptCtx) — one ShardTimeout deadline, counted from the round
-// view's clock read — which, like an inline GET attempt's, is derived from
+// context (attemptCtx) — one ShardTimeout deadline, counted from one obs.Now
+// read after the picks — which, like an inline GET attempt's, is derived from
 // nothing and needs no cancel: the round waits for every call. All but the
 // last run on goroutines of their own; the last runs here, on the
 // request goroutine, which would otherwise only wait for the others. Each
@@ -856,7 +833,7 @@ func (s *ShardRouter) batch(w http.ResponseWriter, r *http.Request) {
 func (s *ShardRouter) fanoutRound(ctx context.Context, sc *batchScratch, tr *obs.Trace, out *streamOut) string {
 	// Earlier rounds' calls stay in sc.calls, their buffers still backing
 	// scattered results.
-	v := roundView{s: s, tr: tr, now: obs.Now(), marks: sc.marks}
+	v := roundView{s: s, tr: tr, marks: sc.marks}
 	clear(sc.byShard)
 	callsBefore := len(sc.calls)
 	for _, i := range sc.pending {
@@ -885,7 +862,7 @@ func (s *ShardRouter) fanoutRound(ctx context.Context, sc *batchScratch, tr *obs
 		call.claim = v.mark(call.shard).claim
 		call.sub = append(call.sub, `]}`...)
 	}
-	actx := s.newAttemptCtx(ctx, tr.HeaderValue(), v.now)
+	actx := s.newAttemptCtx(ctx, tr.HeaderValue(), obs.Now())
 	for _, call := range round[:len(round)-1] {
 		sc.wg.Add(1)
 		go func(call *shardCall) {
@@ -955,7 +932,7 @@ func (s *ShardRouter) exchangeSubBatch(actx context.Context, sc *batchScratch, c
 	}
 	end := obs.Now()
 	call.durMicros = end.Sub(call.start).Microseconds()
-	call.outcome = s.settleAttempt(actx, call.shard, call.claim, call.status, call.err, end)
+	call.outcome = s.settleAttempt(actx, call.shard, call.claim, call.status, call.err)
 	if out != nil && call.served() {
 		out.writeCall(sc, call)
 	}

@@ -29,9 +29,9 @@ import (
 // transport's to enforce (Transport.Exchange). Only a raced attempt gets a
 // context.WithCancel of its own, so that the loser can be stopped.
 //
-// The walk's clock is obs.Now (monotonic only). An attempt's start is the
-// breaker check's now, the deadline's base, the span's and attempt latency's
-// start; the first attempt's is the trace's own start (Trace.Started, no read).
+// The walk measures on obs.Now (monotonic only): an attempt's start is the
+// deadline's base, the span's and attempt latency's start; the first
+// attempt's is the trace's own start (Trace.Started, no read).
 // The walk reads when an attempt ends and once in finish: with StartFrom's,
 // three reads an unhedged GET, and spans that share a read abut exactly.
 
@@ -152,13 +152,13 @@ func (g *getWalk) race(w http.ResponseWriter, delay time.Duration) bool {
 	now := g.tr.Started()
 	atts[0] = g.launch(false, 0, now, resCh)
 	inflight := 1
-	timer := time.NewTimer(delay)
+	timer := s.clk.NewTimer(delay)
 	defer timer.Stop()
 	for inflight > 0 {
 		var res getResult
 		select {
 		case res = <-resCh:
-		case <-timer.C:
+		case <-timer.C():
 			// Only the primary has been tried and the list holds at least
 			// two replicas, so the hedge's pick cannot come back empty.
 			s.hedges.Add(1)
@@ -217,7 +217,7 @@ func (g *getWalk) launch(hedge bool, slot int, now time.Time, resCh chan<- getRe
 // exhausted here: walk checks, and a race starts with two untried replicas.
 func (g *getWalk) begin(hedge bool, now time.Time) (getAttempt, *attemptCtx) {
 	var marks [MaxReplicas]viewMark
-	v := roundView{s: g.s, tr: g.tr, now: now, hedge: hedge, marks: marks[:]}
+	v := roundView{s: g.s, tr: g.tr, hedge: hedge, marks: marks[:]}
 	k := g.pick(&v)
 	v.release()
 	sh := g.prefs[k]
@@ -251,7 +251,7 @@ func (s *ShardRouter) exchangeGET(ctx context.Context, shard int, uri string, st
 // failure walks on.
 func (g *getWalk) settle(at *getAttempt, res getResult) attemptOutcome {
 	s := g.s
-	out := s.settleAttempt(g.ctx, res.shard, at.claim, res.status, res.err, res.end)
+	out := s.settleAttempt(g.ctx, res.shard, at.claim, res.status, res.err)
 	label := out.String()
 	if out == attemptAnswered && at.hedge {
 		label = "hedge-won"

@@ -61,12 +61,9 @@ func TestSuggestUnhedgedRunsOnCallerGoroutine(t *testing.T) {
 			// test is built over a tap on it.
 			_, chaos := newChaosRing(t, 3, fleet.RouterOptions{Replicas: 2})
 			tap := &goidTransport{Transport: chaos}
-			router, err := fleet.NewShardRouterOpts(fleet.NewRing(3, 0), tap, fleet.RouterOptions{
-				Replicas: 2, ShardTimeout: 2 * time.Second, HedgeAfter: tc.hedgeAfter, RetryBackoff: -1,
+			router := newVirtualRouter(t, tap, fleet.RouterOptions{
+				Replicas: 2, ShardTimeout: 2 * time.Second, HedgeAfter: tc.hedgeAfter,
 			})
-			if err != nil {
-				t.Fatal(err)
-			}
 			serve := func() {
 				rr := httptest.NewRecorder()
 				router.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/suggest?q=o2", nil))
@@ -178,7 +175,7 @@ func TestSuggestUnhedgedFailoverR2(t *testing.T) {
 	primary, backup := ri.Shard, ri.Replicas[1]
 
 	chaos.setDown(primary, true)
-	for i := 0; i < fleet.DefaultFailThreshold; i++ {
+	for i := 0; i < fleet.FailThreshold; i++ {
 		rr := get()
 		if got := stripTook(rr.Body.Bytes()); got != want {
 			t.Fatalf("failed-over body changed:\ngot:  %s\nwant: %s", got, want)
@@ -214,13 +211,16 @@ func TestSuggestUnhedgedFailoverR2(t *testing.T) {
 // attempt k ended. The walk stamps an attempt's end, the next one's start and
 // the trace's total from clock reads taken in that order, so this holds to the
 // microsecond — with a clock read of its own per span and per histogram it
-// held only approximately.
+// held only approximately. Every request first steps the clock past the
+// cool-down, so the dead primary, ejected from its third failure on, is
+// tried each time as its half-open probe and no breaker-skip is noted.
 func TestObsRoutedGETSpansNest(t *testing.T) {
-	router, chaos := newChaosRing(t, 3, fleet.RouterOptions{Replicas: 3, ShardTimeout: 2 * time.Second, FailThreshold: 1 << 20})
+	router, chaos := newChaosRing(t, 3, fleet.RouterOptions{Replicas: 3, ShardTimeout: 2 * time.Second})
 	prefs := routeOf(t, router, "q=o2").Replicas
 	chaos.setDown(prefs[0], true)
 	chaos.setDelay(prefs[2], 200*time.Microsecond)
 	for i := 0; i < 50; i++ {
+		fleet.ClockOf(router).Advance(fleet.ProbeAfter)
 		chaos.failNext(prefs[1], i%2) // every other request walks the whole list
 		rr := httptest.NewRecorder()
 		router.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/suggest?q=o2", nil))
@@ -271,7 +271,6 @@ func TestClientCancelDoesNotPoisonBreakers(t *testing.T) {
 		{"batch", fleet.RouterOptions{Replicas: 2}, batch},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			tc.opts.FailThreshold, tc.opts.ProbeAfter = 1, time.Millisecond
 			router, chaos := newChaosRing(t, 3, tc.opts)
 			metrics := func() fleet.ShardRouterMetrics {
 				rr := httptest.NewRecorder()
@@ -282,7 +281,7 @@ func TestClientCancelDoesNotPoisonBreakers(t *testing.T) {
 				}
 				return m
 			}
-			const n = 2 * fleet.DefaultFailThreshold
+			const n = 2 * fleet.FailThreshold
 			for i := 0; i < n; i++ {
 				rr := httptest.NewRecorder()
 				router.ServeHTTP(rr, tc.req().WithContext(cancelled))
@@ -304,20 +303,22 @@ func TestClientCancelDoesNotPoisonBreakers(t *testing.T) {
 				t.Fatalf("Prometheus exposition lacks %q", want)
 			}
 
-			// Eject the primary for real, wait out its cool-down, then let a
+			// Eject the primary for real, step past its cool-down, then let a
 			// cancelled request claim the half-open probe: the claim must come
 			// back ("ejected"), not strand the breaker at "probing".
 			primary := routeOf(t, router, "q=o2").Shard
 			chaos.setDown(primary, true)
-			rr := httptest.NewRecorder()
-			router.ServeHTTP(rr, tc.req())
-			if rr.Code != http.StatusOK {
-				t.Fatalf("live request with the primary down: status %d: %s", rr.Code, rr.Body)
+			for i := 0; i < fleet.FailThreshold; i++ {
+				rr := httptest.NewRecorder()
+				router.ServeHTTP(rr, tc.req())
+				if rr.Code != http.StatusOK {
+					t.Fatalf("live request with the primary down: status %d: %s", rr.Code, rr.Body)
+				}
 			}
 			if st := metrics().ShardHealth[primary].State; st != "ejected" {
-				t.Fatalf("primary is %s after a real failure, want ejected", st)
+				t.Fatalf("primary is %s after %d real failures, want ejected", st, fleet.FailThreshold)
 			}
-			time.Sleep(2 * time.Millisecond)
+			fleet.ClockOf(router).Advance(fleet.ProbeAfter)
 			router.ServeHTTP(httptest.NewRecorder(), tc.req().WithContext(cancelled))
 			if st := metrics().ShardHealth[primary].State; st != "ejected" {
 				t.Fatalf("primary is %s after a cancelled probe, want ejected (claim released)", st)
@@ -573,13 +574,10 @@ func TestShardBehindRouterTailSamplesSlow(t *testing.T) {
 // it must still read this request's ID, generated or adopted.
 func TestRouterTraceHeaderSurvivesTraceRecycle(t *testing.T) {
 	_, chaos := newChaosRing(t, 3, fleet.RouterOptions{Replicas: 2})
-	router, err := fleet.NewShardRouterOpts(fleet.NewRing(3, 0), chaos, fleet.RouterOptions{
-		Replicas: 2, ShardTimeout: 2 * time.Second, RetryBackoff: -1,
+	router := newVirtualRouter(t, chaos, fleet.RouterOptions{
+		Replicas: 2, ShardTimeout: 2 * time.Second,
 		Tracer: obs.NewTracer(16, nil), // fills at once: every later trace is recycled on finish
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	do := func(method, target, body, inbound string) *discardResponse {
 		w := &discardResponse{header: make(http.Header)}
 		req := httptest.NewRequest(method, target, strings.NewReader(body))
