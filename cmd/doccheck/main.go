@@ -62,7 +62,8 @@ var retiredList string
 // with its own flag names and the mmap paging hints no benchmark measured
 // (cmd/serve -role ingest runs the loop), the training-context list and the
 // MLE KL only tests called (NGram's states are the contexts), and the shard
-// router's test-only failure knobs (its breaker and backoff use constants).
+// router's test-only failure knobs (its breaker and backoff use constants),
+// and the options no deployment set to a second value (ARCHITECTURE.md §10).
 var retired = regexp.MustCompile(`\b(` + strings.Join(strings.Fields(retiredList), "|") + `)\b`)
 
 var (

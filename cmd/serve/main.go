@@ -33,6 +33,8 @@ import (
 	"strings"
 	"syscall"
 	"time"
+
+	"repro/internal/stream"
 )
 
 // config is the parsed command line.
@@ -51,7 +53,7 @@ type config struct {
 // ingestOpts carries the -ingest-* and -ramp-* flags.
 type ingestOpts struct {
 	logPath, walPath, modelOut, arm, push string
-	gap, poll, rampHold, rampEvery        time.Duration
+	poll, rampHold, rampEvery             time.Duration
 	recompile, rampMinSamples             uint64
 	threshold                             int
 	once, rampPromote                     bool
@@ -93,8 +95,7 @@ func bindFlags(c *config) *flag.FlagSet {
 	fs.StringVar(&in.walPath, "ingest-wal", "ingest.wal", "ingestion write-log path (crash-replayed on restart)")
 	fs.StringVar(&in.modelOut, "ingest-model", "challenger.bin", "recompiled snapshot output path")
 	fs.StringVar(&in.arm, "ingest-arm", "challenger", "fleet arm a recompile reloads (-role ingest: POST /v1/reload?model=<arm>)")
-	fs.DurationVar(&in.gap, "ingest-gap", 30*time.Minute, "ingestion session gap")
-	fs.Uint64Var(&in.recompile, "ingest-recompile", 5000, "completed sessions between background recompiles")
+	fs.Uint64Var(&in.recompile, "ingest-recompile", stream.DefaultRecompileSessions, "completed sessions between background recompiles (0 = the default)")
 	fs.IntVar(&in.threshold, "ingest-threshold", 2, "drop session patterns seen fewer times at recompile (-1 = keep all)")
 	fs.DurationVar(&in.poll, "ingest-poll", 200*time.Millisecond, "tail poll interval when caught up")
 	fs.StringVar(&in.push, "ingest-push", "", "-role ingest: serving fleet base URL each recompile is pushed at (empty = recompile only)")

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -394,7 +395,7 @@ func (p *process) openIngester(in ingestOpts, base []string, push func(string) e
 		WALPath:           in.walPath,
 		ModelPath:         in.modelOut,
 		BaseVocab:         base,
-		Train:             core.Config{ReductionThreshold: in.threshold, SessionGap: in.gap},
+		Train:             core.Config{ReductionThreshold: in.threshold},
 		RecompileSessions: in.recompile,
 		Push:              push,
 		Obs:               reg,
@@ -409,7 +410,7 @@ func (p *process) openIngester(in ingestOpts, base []string, push func(string) e
 			st.Replayed, st.Sessions, st.TornTailBytes, st.LogOffset)
 	}
 	log.Printf("ingest: tailing %s (write-log %s, recompile every %d sessions into arm %q)",
-		in.logPath, in.walPath, in.recompile, in.arm)
+		in.logPath, in.walPath, cmp.Or(in.recompile, stream.DefaultRecompileSessions), in.arm)
 	return ing, nil
 }
 
@@ -461,9 +462,9 @@ func (p *process) buildRouter(cfg *config) error {
 	} else {
 		urls := strings.Split(cfg.shards, ",")
 		n = len(urls)
-		// nil client: NewHTTPTransport supplies dial/response timeouts and a
+		// The transport's client has its own dial/response timeouts and a
 		// sized connection pool; -shard-timeout bounds each attempt via ctx.
-		ht, err := fleet.NewHTTPTransport(urls, nil)
+		ht, err := fleet.NewHTTPTransport(urls)
 		if err != nil {
 			return err
 		}

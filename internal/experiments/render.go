@@ -4,18 +4,19 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"unicode/utf8"
 )
 
 // renderTable writes an aligned ASCII table.
 func renderTable(w io.Writer, headers []string, rows [][]string) {
 	widths := make([]int, len(headers))
 	for i, h := range headers {
-		widths[i] = len(h)
+		widths[i] = utf8.RuneCountInString(h)
 	}
 	for _, row := range rows {
 		for i, cell := range row {
-			if i < len(widths) && len(cell) > widths[i] {
-				widths[i] = len(cell)
+			if i < len(widths) {
+				widths[i] = max(widths[i], utf8.RuneCountInString(cell))
 			}
 		}
 	}
@@ -37,11 +38,9 @@ func renderTable(w io.Writer, headers []string, rows [][]string) {
 	}
 }
 
+// pad widens s to w columns, counting runes: a label may hold a σ.
 func pad(s string, w int) string {
-	if len(s) >= w {
-		return s
-	}
-	return s + strings.Repeat(" ", w-len(s))
+	return s + strings.Repeat(" ", max(w-utf8.RuneCountInString(s), 0))
 }
 
 // renderBar writes one row of a horizontal bar chart scaled to maxWidth

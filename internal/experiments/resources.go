@@ -107,9 +107,11 @@ type Fig12Result struct {
 // noise, in a seeded shuffle: the aggregated sessions are sorted by count,
 // so a prefix of them holds the frequent, short sessions and 4× the
 // sessions would be more than 4× the work. The MVMM's time is one suffix
-// trie, built once, its K ε-views and the σ learning. Each cell is the best
-// of three runs: the cheap cells last tens of milliseconds, and one run's
-// scheduling noise moved their linearity by up to 2×.
+// trie, built once, its K ε-views and the σ learning; the "MVMM (σ fixed)"
+// row skips σ learning (MVMMOptions.FixedSigma), so it times the trie and
+// its views alone. Each cell is the best of three runs: the cheap cells last tens of
+// milliseconds, and one run's scheduling noise moved their linearity by up
+// to 2×.
 func Fig12(c *Corpus) Fig12Result {
 	full := slices.Clone(c.TrainAggFull)
 	rand.New(rand.NewSource(12)).Shuffle(len(full), func(i, j int) { full[i], full[j] = full[j], full[i] })
@@ -133,6 +135,9 @@ func Fig12(c *Corpus) Fig12Result {
 		{"MVMM", func(t []query.Session) {
 			markov.NewMVMM(t, markov.DefaultEpsilons(), vocab,
 				markov.MVMMOptions{TrainSample: 500, NewtonIters: 10})
+		}},
+		{"MVMM (σ fixed)", func(t []query.Session) {
+			markov.NewMVMM(t, markov.DefaultEpsilons(), vocab, markov.MVMMOptions{FixedSigma: 1})
 		}},
 	}
 	for _, tr := range trainers {

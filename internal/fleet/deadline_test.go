@@ -190,8 +190,7 @@ func TestHTTPTransportArmsTheDeadline(t *testing.T) {
 		case <-release:
 		}
 	}))
-	client := &http.Client{}
-	tr, err := fleet.NewHTTPTransport([]string{srv.URL}, client)
+	tr, err := fleet.NewHTTPTransport([]string{srv.URL})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +215,7 @@ func TestHTTPTransportArmsTheDeadline(t *testing.T) {
 
 	close(release)
 	srv.Close()
-	client.CloseIdleConnections()
+	tr.CloseIdleConnections()
 	for wait := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > goroutines; time.Sleep(5 * time.Millisecond) {
 		if time.Now().After(wait) {
 			buf := make([]byte, 1<<16)

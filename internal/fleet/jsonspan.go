@@ -2,9 +2,39 @@ package fleet
 
 import (
 	"bytes"
+	"fmt"
+	"net/http"
 
 	"repro/internal/jsonspan"
+	"repro/internal/obs"
 )
+
+// ReadBatch reads a POST /suggest/batch body into body and walks it into items
+// and toks (jsonspan.AppendBatch), the shard router and the single handler
+// alike. A body past jsonspan.MaxBatchBytes, one outside the grammar, an empty
+// batch and one of more than jsonspan.MaxBatchItems items are answered 400
+// here, in the same words from either, and ok is false. The buffers come back
+// grown either way, for the caller's pool.
+func ReadBatch(w http.ResponseWriter, r *http.Request, body []byte, items []jsonspan.Item, toks [][2]int) (_ []byte, _ []jsonspan.Item, _ [][2]int, ok bool) {
+	body, err := AppendReadAll(body, http.MaxBytesReader(w, r.Body, jsonspan.MaxBatchBytes))
+	if err != nil {
+		obs.WriteError(w, http.StatusBadRequest, "bad_request", "reading body: "+err.Error())
+		return body, items, toks, false
+	}
+	items, toks, err = jsonspan.AppendBatch(items, toks, body)
+	switch {
+	case err != nil:
+		obs.WriteError(w, http.StatusBadRequest, "bad_request", "invalid JSON body: "+err.Error())
+	case len(items) == 0:
+		obs.WriteError(w, http.StatusBadRequest, "bad_request", "empty batch: requests must contain at least one context")
+	case len(items) > jsonspan.MaxBatchItems:
+		obs.WriteError(w, http.StatusBadRequest, "bad_request",
+			fmt.Sprintf("batch of %d exceeds limit %d", len(items), jsonspan.MaxBatchItems))
+	default:
+		return body, items, toks, true
+	}
+	return body, items, toks, false
+}
 
 // The ring key of a context is the FNV-1a of its query strings, each closed by
 // a 0xFF byte. The router never parses a request to get at them: the batch

@@ -29,7 +29,6 @@ type RampPolicy struct {
 	// disable the corresponding check.
 	MaxTop1Mismatch float64 // freeze when Top1MismatchRate exceeds this
 	MinRankOverlap  float64 // freeze when MeanRankOverlap falls below this
-	MinCoverage     float64 // freeze when Coverage falls below this
 	// Promote swaps the challenger's model into the champion slot after the
 	// final step's hold elapses, advancing the interning base so newly learned
 	// vocabulary becomes servable. Without it the ramp parks at the last step.
@@ -261,9 +260,6 @@ func (p RampPolicy) breach(s ShadowStats) string {
 	}
 	if p.MinRankOverlap > 0 && s.MeanRankOverlap < p.MinRankOverlap {
 		return fmt.Sprintf("rank overlap %.3f < %.3f", s.MeanRankOverlap, p.MinRankOverlap)
-	}
-	if p.MinCoverage > 0 && s.Coverage < p.MinCoverage {
-		return fmt.Sprintf("coverage %.3f < %.3f", s.Coverage, p.MinCoverage)
 	}
 	return ""
 }

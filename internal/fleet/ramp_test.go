@@ -128,7 +128,7 @@ func (h *rampHarness) push(t *testing.T) {
 func TestRampWalksScheduleAndPromotes(t *testing.T) {
 	pol := RampPolicy{
 		Steps: []uint32{1, 10}, Hold: 10 * time.Second, MinSamples: 5,
-		MaxTop1Mismatch: 0.5, MinRankOverlap: 0.3, MinCoverage: 0.2,
+		MaxTop1Mismatch: 0.5, MinRankOverlap: 0.3,
 		Promote: true,
 	}
 	h := newRampHarness(t, pol)

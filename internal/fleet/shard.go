@@ -170,16 +170,15 @@ type HTTPTransport struct {
 }
 
 // DefaultTransportTimeout bounds a whole shard exchange (dial, request,
-// response read) when NewHTTPTransport builds its own client. Per-attempt
-// deadlines from RouterOptions.ShardTimeout cut it shorter via ctx.
+// response read). Per-attempt deadlines from RouterOptions.ShardTimeout cut
+// it shorter via ctx.
 const DefaultTransportTimeout = 5 * time.Second
 
-// defaultHTTPClient is the client NewHTTPTransport uses when the caller
-// passes nil: bounded dial and response-header timeouts and a sized idle
-// connection pool, so a black-holed shard ties up a connection attempt for
-// seconds, not forever, and the fan-out reuses connections instead of
-// re-dialing per sub-batch.
-func defaultHTTPClient() *http.Client {
+// newHTTPClient is the client of every HTTPTransport: bounded dial and
+// response-header timeouts and a sized idle connection pool, so a black-holed
+// shard ties up a connection attempt for seconds, not forever, and the
+// fan-out reuses connections instead of re-dialing per sub-batch.
+func newHTTPClient() *http.Client {
 	return &http.Client{
 		Timeout: DefaultTransportTimeout,
 		Transport: &http.Transport{
@@ -196,17 +195,13 @@ func defaultHTTPClient() *http.Client {
 }
 
 // NewHTTPTransport builds an HTTP transport over shard base URLs (e.g.
-// "http://shard-0:8080"). client nil selects a default client with sane
-// dial/response timeouts and a sized connection pool (see
-// DefaultTransportTimeout); production routers may still pass their own.
-func NewHTTPTransport(bases []string, client *http.Client) (*HTTPTransport, error) {
+// "http://shard-0:8080"), on a client with bounded dial and response timeouts
+// and a sized connection pool (see DefaultTransportTimeout).
+func NewHTTPTransport(bases []string) (*HTTPTransport, error) {
 	if len(bases) == 0 {
 		return nil, fmt.Errorf("fleet: no shard URLs")
 	}
-	if client == nil {
-		client = defaultHTTPClient()
-	}
-	t := &HTTPTransport{client: client}
+	t := &HTTPTransport{client: newHTTPClient()}
 	for _, b := range bases {
 		u, err := url.Parse(strings.TrimSuffix(b, "/"))
 		if err != nil {
@@ -308,15 +303,6 @@ type RouterOptions struct {
 	// derives the delay from the live attempt-latency p99 (clamped to
 	// [200µs, 50ms]).
 	HedgeAfter time.Duration
-	// Obs, when non-nil, is the metrics registry the router records into;
-	// nil gives the router a private registry. Sharing one registry with
-	// in-process shard handlers (loopback deployments) merges both layers
-	// into a single Prometheus exposition.
-	Obs *obs.Registry
-	// Tracer, when non-nil, is the request tracer the router samples into;
-	// nil gives the router a private 256-trace tracer fed by its own
-	// request-latency histogram.
-	Tracer *obs.Tracer
 }
 
 // ShardRouter fans suggestion traffic out to N replicas of the same model by
@@ -373,9 +359,6 @@ type ShardRouter struct {
 	// the GET hot path never scans histogram buckets.
 	hedgeCache atomic.Int64
 	hedgeTick  atomic.Uint64
-
-	maxBatch    int
-	maxBodySize int64
 }
 
 // NewShardRouterOpts builds the router over a ring and a transport of
@@ -394,11 +377,7 @@ func NewShardRouterOpts(ring *Ring, tr Transport, opts RouterOptions) (*ShardRou
 		health:      make([]shardHealth, ring.Shards()),
 		shardHeader: make([][]string, ring.Shards()),
 		perShard:    make([]atomic.Uint64, ring.Shards()),
-		// Matches the shard handlers' default MaxBatch: the router must never
-		// advertise a batch size a sub-batch could exceed (in the worst case
-		// every item hashes to one shard), or valid requests turn into 502s.
-		maxBatch:    256,
-		maxBodySize: 1 << 22,
+		reg:         obs.NewRegistry(),
 	}
 	s.rng.Store(realClock{}.seed())
 	for i := range s.shardHeader {
@@ -407,17 +386,10 @@ func NewShardRouterOpts(ring *Ring, tr Transport, opts RouterOptions) (*ShardRou
 	for k := range s.attemptHeader {
 		s.attemptHeader[k] = []string{strconv.Itoa(k + 1)}
 	}
-	s.reg = opts.Obs
-	if s.reg == nil {
-		s.reg = obs.NewRegistry()
-	}
 	s.attemptLat = s.reg.Histogram("router_attempt_us")
 	s.hedgeWait = s.reg.Histogram("router_hedge_wait_us")
 	s.reqLat = s.reg.Histogram("router_request_us")
-	s.tracer = opts.Tracer
-	if s.tracer == nil {
-		s.tracer = obs.NewTracer(256, s.reqLat)
-	}
+	s.tracer = obs.NewTracer(256, s.reqLat)
 	s.reg.CounterFunc("router_requests_total", s.requests.Load)
 	s.reg.CounterFunc("router_batch_requests_total", s.batches.Load)
 	s.reg.CounterFunc("router_batch_fanouts_total", s.fanouts.Load)
@@ -712,22 +684,8 @@ func (s *ShardRouter) batch(w http.ResponseWriter, r *http.Request) {
 		s.reqLat.Record(elapsed.Microseconds())
 		s.tracer.FinishElapsed(tr, elapsed, errored)
 	}()
-	var err error
-	if sc.body, err = AppendReadAll(sc.body, http.MaxBytesReader(w, r.Body, s.maxBodySize)); err != nil {
-		obs.WriteError(w, http.StatusBadRequest, "bad_request", "reading body: "+err.Error())
-		return
-	}
-	if sc.items, sc.toks, err = jsonspan.AppendBatch(sc.items, sc.toks, sc.body); err != nil {
-		obs.WriteError(w, http.StatusBadRequest, "bad_request", "invalid JSON body: "+err.Error())
-		return
-	}
-	if len(sc.items) == 0 {
-		obs.WriteError(w, http.StatusBadRequest, "bad_request", "empty batch: requests must contain at least one context")
-		return
-	}
-	if len(sc.items) > s.maxBatch {
-		obs.WriteError(w, http.StatusBadRequest, "bad_request",
-			fmt.Sprintf("batch of %d exceeds limit %d", len(sc.items), s.maxBatch))
+	var ok bool
+	if sc.body, sc.items, sc.toks, ok = ReadBatch(w, r, sc.body, sc.items, sc.toks); !ok {
 		return
 	}
 

@@ -1,6 +1,7 @@
 package fleet_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -13,6 +14,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fleet"
+	"repro/internal/jsonspan"
 	"repro/internal/query"
 	"repro/internal/serve"
 )
@@ -250,7 +252,7 @@ func TestHTTPTransportFanout(t *testing.T) {
 		defer s.Close()
 		urls = append(urls, s.URL)
 	}
-	tr, err := fleet.NewHTTPTransport(urls, nil)
+	tr, err := fleet.NewHTTPTransport(urls)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -517,49 +519,43 @@ func TestFleetStateNamesUnreachableShard(t *testing.T) {
 
 // TestRingBatchLimitMatchesShards: the router must reject oversized batches
 // itself (400) rather than advertising a limit its shards would refuse and
-// answering 502.
+// answering 502, and its refusal must read as a single shard handler's, byte
+// for byte: both read jsonspan's one limit.
 func TestRingBatchLimitMatchesShards(t *testing.T) {
 	rec := shardTestRec(t)
 	router := newLoopbackRing(t, rec, 3)
 	srv := httptest.NewServer(router)
 	defer srv.Close()
+	single := httptest.NewServer(serve.New(rec, serve.Options{}))
+	defer single.Close()
 
-	var sb strings.Builder
-	sb.WriteString(`{"requests":[`)
-	for i := 0; i < 257; i++ {
-		if i > 0 {
-			sb.WriteByte(',')
+	batch := func(n int) string {
+		return `{"requests":[` + strings.Repeat(`{"context":["o2"]},`, n-1) + `{"context":["o2"]}]}`
+	}
+	post := func(url, body string) (int, []byte) {
+		t.Helper()
+		resp, err := http.Post(url+"/suggest/batch", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
 		}
-		sb.WriteString(`{"context":["o2"]}`)
-	}
-	sb.WriteString(`]}`)
-	resp, err := http.Post(srv.URL+"/suggest/batch", "application/json", strings.NewReader(sb.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("oversized ring batch status = %d, want 400", resp.StatusCode)
-	}
-	// A full-size (256-item) batch must succeed even if skewed to one shard.
-	sb.Reset()
-	sb.WriteString(`{"requests":[`)
-	for i := 0; i < 256; i++ {
-		if i > 0 {
-			sb.WriteByte(',')
+		defer resp.Body.Close()
+		got, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
 		}
-		sb.WriteString(`{"context":["o2"]}`)
+		return resp.StatusCode, got
 	}
-	sb.WriteString(`]}`)
-	resp, err = http.Post(srv.URL+"/suggest/batch", "application/json", strings.NewReader(sb.String()))
-	if err != nil {
-		t.Fatal(err)
+	over := batch(jsonspan.MaxBatchItems + 1)
+	code, routed := post(srv.URL, over)
+	if code != http.StatusBadRequest {
+		t.Fatalf("oversized ring batch status = %d, want 400", code)
 	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("full-size ring batch status = %d, want 200", resp.StatusCode)
+	if code, direct := post(single.URL, over); code != http.StatusBadRequest || !bytes.Equal(routed, direct) {
+		t.Fatalf("oversized batch: router answered 400 %s, a shard handler %d %s", routed, code, direct)
+	}
+	// A full-size batch must succeed even if skewed to one shard.
+	if code, body := post(srv.URL, batch(jsonspan.MaxBatchItems)); code != http.StatusOK {
+		t.Fatalf("full-size ring batch status = %d, want 200: %s", code, body)
 	}
 }
 

@@ -159,7 +159,7 @@ func TestHTTPTransportStream(t *testing.T) {
 		defer s.Close()
 		urls = append(urls, s.URL)
 	}
-	tr, err := fleet.NewHTTPTransport(urls, nil)
+	tr, err := fleet.NewHTTPTransport(urls)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -574,10 +574,7 @@ func TestShardBehindRouterTailSamplesSlow(t *testing.T) {
 // it must still read this request's ID, generated or adopted.
 func TestRouterTraceHeaderSurvivesTraceRecycle(t *testing.T) {
 	_, chaos := newChaosRing(t, 3, fleet.RouterOptions{Replicas: 2})
-	router := newVirtualRouter(t, chaos, fleet.RouterOptions{
-		Replicas: 2, ShardTimeout: 2 * time.Second,
-		Tracer: obs.NewTracer(16, nil), // fills at once: every later trace is recycled on finish
-	})
+	router := newVirtualRouter(t, chaos, fleet.RouterOptions{Replicas: 2, ShardTimeout: 2 * time.Second})
 	do := func(method, target, body, inbound string) *discardResponse {
 		w := &discardResponse{header: make(http.Header)}
 		req := httptest.NewRequest(method, target, strings.NewReader(body))
@@ -597,7 +594,7 @@ func TestRouterTraceHeaderSurvivesTraceRecycle(t *testing.T) {
 			do(http.MethodPost, "/suggest/batch", chaosBatchBody, "")
 		}
 	}
-	churn(16)
+	churn(128) // past the router's 256-trace retention ring: every later trace is recycled on finish
 	type held struct {
 		name string
 		w    *discardResponse

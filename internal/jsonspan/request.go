@@ -18,9 +18,17 @@ import (
 // and nothing else (either array may be empty, and so may an item).
 // AppendBatch is its one walker; the single handler and the shard router both
 // consume it, so neither can accept, refuse or read an item differently from
-// the other. What needs a handler option or is about the batch rather than its
-// syntax — batch size, n's range, an empty context — is the consumer's to
-// check.
+// the other. What is about the batch rather than its syntax — its size, n's
+// range, an empty context — is the consumer's to check.
+
+// The limits of a batch: the most items one body may hold and the most bytes
+// it may take. The single handler and the shard router both read these, so a
+// router never accepts a batch that a shard, which may be handed every item of
+// it, would refuse.
+const (
+	MaxBatchItems = 256
+	MaxBatchBytes = 1 << 22
+)
 
 // Item is one element of a batch body's "requests" array, as spans of the
 // body.

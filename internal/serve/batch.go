@@ -96,22 +96,8 @@ func (h *Handler) suggestBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	bb := batchScratchPool.Get().(*batchScratch)
 	defer putBatchScratch(bb)
-	var err error
-	if bb.body, err = fleet.AppendReadAll(bb.body, http.MaxBytesReader(w, r.Body, 1<<22)); err != nil {
-		obs.WriteError(w, http.StatusBadRequest, "bad_request", "reading body: "+err.Error())
-		return
-	}
-	if bb.items, bb.toks, err = jsonspan.AppendBatch(bb.items, bb.toks, bb.body); err != nil {
-		obs.WriteError(w, http.StatusBadRequest, "bad_request", "invalid JSON body: "+err.Error())
-		return
-	}
-	if len(bb.items) == 0 {
-		obs.WriteError(w, http.StatusBadRequest, "bad_request", "empty batch: requests must contain at least one context")
-		return
-	}
-	if len(bb.items) > h.opts.MaxBatch {
-		obs.WriteError(w, http.StatusBadRequest, "bad_request",
-			fmt.Sprintf("batch of %d exceeds limit %d", len(bb.items), h.opts.MaxBatch))
+	var ok bool
+	if bb.body, bb.items, bb.toks, ok = fleet.ReadBatch(w, r, bb.body, bb.items, bb.toks); !ok {
 		return
 	}
 	for i := range bb.items {
@@ -120,9 +106,9 @@ func (h *Handler) suggestBatch(w http.ResponseWriter, r *http.Request) {
 			obs.WriteError(w, http.StatusBadRequest, "bad_request", fmt.Sprintf("requests[%d]: empty context", i))
 			return
 		}
-		if item.N < 0 || item.N > h.opts.MaxN {
+		if item.N < 0 || item.N > maxN {
 			obs.WriteError(w, http.StatusBadRequest, "bad_request",
-				fmt.Sprintf("requests[%d]: n must be in [1,%d] (or omitted)", i, h.opts.MaxN))
+				fmt.Sprintf("requests[%d]: n must be in [1,%d] (or omitted)", i, maxN))
 			return
 		}
 		n := item.N

@@ -111,7 +111,7 @@ func TestParseSuggestQueryMatchesURLValues(t *testing.T) {
 	for _, raw := range cases {
 		vals, _ := url.ParseQuery(raw)
 		b := reqScratchPool.Get().(*reqScratch)
-		n, badN := b.parseSuggestQuery(raw, 5, 100)
+		n, badN := b.parseSuggestQuery(raw, 5)
 		if badN {
 			t.Fatalf("raw %q: unexpected badN", raw)
 		}
@@ -136,7 +136,7 @@ func TestParseSuggestQueryMatchesURLValues(t *testing.T) {
 	// Explicitly bad n values must flag badN.
 	for _, raw := range []string{"q=x&n=0", "q=x&n=-1", "q=x&n=abc", "q=x&n=1000"} {
 		b := reqScratchPool.Get().(*reqScratch)
-		if _, badN := b.parseSuggestQuery(raw, 5, 100); !badN {
+		if _, badN := b.parseSuggestQuery(raw, 5); !badN {
 			t.Fatalf("raw %q: badN not flagged", raw)
 		}
 		putReqScratch(b)

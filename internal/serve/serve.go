@@ -148,16 +148,15 @@ type ReloadResponse struct {
 	TookMicros   int64  `json:"took_us"`
 }
 
+// maxN bounds a request's n, on GET and in a batch alike. A batch's size is
+// bounded by jsonspan.MaxBatchItems, which the shard router reads too.
+const maxN = 100
+
 // Options configures a Handler.
 type Options struct {
 	// DefaultN is the suggestion count when a request omits n (the paper's
 	// N = 5). <= 0 selects 5.
 	DefaultN int
-	// MaxN bounds per-request n. <= 0 selects 100.
-	MaxN int
-	// MaxBatch bounds the number of contexts in one batch request. <= 0
-	// selects 256.
-	MaxBatch int
 	// CacheCapacity sizes the result LRU; <= 0 selects
 	// cache.DefaultCapacity.
 	CacheCapacity int
@@ -193,12 +192,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.DefaultN <= 0 {
 		o.DefaultN = 5
-	}
-	if o.MaxN <= 0 {
-		o.MaxN = 100
-	}
-	if o.MaxBatch <= 0 {
-		o.MaxBatch = 256
 	}
 	return o
 }
@@ -317,7 +310,7 @@ func putReqScratch(b *reqScratch) {
 // strings are created), and n is the first non-empty n. Pairs the walker drops
 // do not count, matching url.ParseQuery, and badN reports an explicit
 // out-of-range or non-numeric n (a 400).
-func (b *reqScratch) parseSuggestQuery(raw string, defaultN, maxN int) (n int, badN bool) {
+func (b *reqScratch) parseSuggestQuery(raw string, defaultN int) (n int, badN bool) {
 	n = defaultN
 	sawN := false
 	q := jsonspan.Query(raw)
@@ -356,9 +349,9 @@ func (h *Handler) suggest(w http.ResponseWriter, r *http.Request) {
 	}
 	b := reqScratchPool.Get().(*reqScratch)
 	defer putReqScratch(b)
-	n, badN := b.parseSuggestQuery(r.URL.RawQuery, h.opts.DefaultN, h.opts.MaxN)
+	n, badN := b.parseSuggestQuery(r.URL.RawQuery, h.opts.DefaultN)
 	if badN {
-		obs.WriteError(w, http.StatusBadRequest, "bad_request", fmt.Sprintf("n must be an integer in [1,%d]", h.opts.MaxN))
+		obs.WriteError(w, http.StatusBadRequest, "bad_request", fmt.Sprintf("n must be an integer in [1,%d]", maxN))
 		return
 	}
 	if len(b.raw) == 0 {

@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/jsonspan"
 	"repro/internal/query"
 )
 
@@ -106,7 +107,7 @@ func TestBatchEndpoint(t *testing.T) {
 }
 
 func TestBatchValidation(t *testing.T) {
-	srv := httptest.NewServer(New(testRecommender(t), Options{MaxBatch: 4}))
+	srv := httptest.NewServer(New(testRecommender(t), Options{}))
 	defer srv.Close()
 
 	cases := []struct {
@@ -120,7 +121,7 @@ func TestBatchValidation(t *testing.T) {
 		{"negative n", `{"requests":[{"context":["o2"],"n":-1}]}`},
 		{"oversized n", `{"requests":[{"context":["o2"],"n":1000}]}`},
 		{"unknown field", `{"requests":[{"context":["o2"]}],"bogus":1}`},
-		{"over MaxBatch", `{"requests":[{"context":["o2"]},{"context":["o2"]},{"context":["o2"]},{"context":["o2"]},{"context":["o2"]}]}`},
+		{"over MaxBatchItems", `{"requests":[` + strings.Repeat(`{"context":["o2"]},`, jsonspan.MaxBatchItems) + `{"context":["o2"]}]}`},
 	}
 	for _, tc := range cases {
 		resp := postBatch(t, srv.URL, tc.body)

@@ -84,7 +84,7 @@ func crashCfg(logPath, walPath, modelPath string) Config {
 		WALPath:           walPath,
 		ModelPath:         modelPath,
 		Train:             core.Config{ReductionThreshold: 0, SessionGap: 30 * time.Minute},
-		SegmentRecords:    16,
+		segmentRecords:    16,
 		RecompileSessions: 25,
 	}
 }
@@ -244,6 +244,42 @@ func TestCrashReplayReportsReplayedState(t *testing.T) {
 	drain(t, ing2)
 	if got, want := ing2.Status().Sessions, first.Sessions; got != want {
 		t.Fatalf("sessions after torn restart = %d, want %d", got, want)
+	}
+}
+
+// TestWALWithExplicitGapReopensUnderDefault: a write-log written by a config
+// that named the 30-minute gap explicitly reopens under one that leaves the
+// gap zero, and resumes where it stopped: the header records the gap the
+// segmenter ran, not how it was asked for.
+func TestWALWithExplicitGapReopensUnderDefault(t *testing.T) {
+	dir := t.TempDir()
+	logPath := writeTraffic(t, smallGen(t, 5), dir, 60)
+	cfg := crashCfg(logPath, filepath.Join(dir, "ingest.wal"), filepath.Join(dir, "model.bin"))
+	if cfg.Train.SessionGap != 30*time.Minute {
+		t.Fatalf("write config's gap = %v, want an explicit 30m", cfg.Train.SessionGap)
+	}
+	ing, err := NewIngester(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	drain(t, ing)
+	first := ing.Status()
+	if err := ing.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if first.Segments == 0 || first.Sessions == 0 {
+		t.Fatalf("first run ingested nothing: %+v", first)
+	}
+
+	cfg.Train.SessionGap = 0
+	ing2, err := NewIngester(cfg)
+	if err != nil {
+		t.Fatalf("reopening a 30m write-log with the gap left zero: %v", err)
+	}
+	defer ing2.Close()
+	st := ing2.Status()
+	if st.Replayed != first.Segments || st.Sessions != first.Sessions || st.LogOffset != first.LogOffset {
+		t.Fatalf("reopened status = %+v, want the first run's %+v replayed", st, first)
 	}
 }
 

@@ -30,14 +30,12 @@ type Config struct {
 	// (the fleet's reload-compatibility requirement). May be nil.
 	BaseVocab []string
 	// Train configures snapshot training. Train.SessionGap doubles as the
-	// segmentation gap (0 = the 30-minute rule).
+	// segmentation gap; leave it 0 for the paper's 30-minute rule
+	// (session.DefaultGap), which the champion model was segmented by.
 	Train core.Config
-	// SegmentRecords caps the records folded into one write-log segment
-	// entry; <= 0 selects 256. A smaller cap bounds replay-loss (the
-	// tentative window), a larger one amortises the append.
-	SegmentRecords int
 	// RecompileSessions triggers a background recompile once this many new
-	// sessions accumulated since the last one; <= 0 selects 64.
+	// sessions accumulated since the last one; 0 selects
+	// DefaultRecompileSessions.
 	RecompileSessions uint64
 	// Push, when set, is invoked after each committed recompile with the
 	// snapshot path — cmd/serve reloads its -ingest-arm slot here, in
@@ -54,14 +52,28 @@ type Config struct {
 	// steps are inspectable the same way slow requests are. Idle steps
 	// (no new records) are abandoned, not retained.
 	Tracer *obs.Tracer
+
+	// segmentRecords caps the records folded into one write-log segment
+	// entry; 0 selects defaultSegmentRecords. The package's tests shrink it
+	// so that a small log spans many segments.
+	segmentRecords int
 }
 
+// DefaultRecompileSessions is Config.RecompileSessions' zero value and
+// cmd/serve's -ingest-recompile default.
+const DefaultRecompileSessions = 5000
+
+// defaultSegmentRecords is Config.segmentRecords' zero value: a smaller cap
+// bounds replay-loss (the tentative window), a larger one amortises the
+// append.
+const defaultSegmentRecords = 256
+
 func (c Config) withDefaults() Config {
-	if c.SegmentRecords <= 0 {
-		c.SegmentRecords = 256
+	if c.segmentRecords <= 0 {
+		c.segmentRecords = defaultSegmentRecords
 	}
 	if c.RecompileSessions == 0 {
-		c.RecompileSessions = 64
+		c.RecompileSessions = DefaultRecompileSessions
 	}
 	if c.Train.SessionGap <= 0 {
 		c.Train.SessionGap = session.DefaultGap
@@ -228,7 +240,7 @@ func (ing *Ingester) setError(err error) {
 	ing.mu.Unlock()
 }
 
-// Step performs one bounded unit of work: read up to SegmentRecords records
+// Step performs one bounded unit of work: read up to a segment's cap of records
 // from the tail, close expired sessions, append one tentative segment entry
 // and fold it into the counts, then recompile/commit/push if the session
 // trigger fired. It returns progressed=false when the tail had no complete
@@ -246,7 +258,7 @@ func (ing *Ingester) Step() (progressed bool, err error) {
 	}
 	stepStart := time.Now()
 	read := 0
-	for read < ing.cfg.SegmentRecords {
+	for read < ing.cfg.segmentRecords {
 		rec, rerr := ing.rd.Read()
 		if rerr != nil {
 			if rerr == io.EOF || errors.Is(rerr, logfmt.ErrTornLine) {

@@ -46,7 +46,7 @@ func TestIngestDrainAllocs(t *testing.T) {
 			WALPath:           walPath,
 			ModelPath:         filepath.Join(dir, "model.bin"),
 			Train:             core.Config{ReductionThreshold: 0, SessionGap: 30 * time.Minute},
-			SegmentRecords:    256,
+			segmentRecords:    256,
 			RecompileSessions: 1 << 62, // count updates only: never recompile
 		})
 		if err != nil {

@@ -156,7 +156,7 @@ func TestLoopStreamToServing(t *testing.T) {
 		ModelPath:         modelPath,
 		BaseVocab:         champ.Dict().Strings(),
 		Train:             trainCfg,
-		SegmentRecords:    16,
+		segmentRecords:    16,
 		RecompileSessions: 30,
 		Push: func(path string) error {
 			resp, err := http.Post(srv.URL+"/v1/reload?model=challenger", "", nil)
