@@ -149,7 +149,7 @@ check-api: vet
 # Line-count ratchet: the non-test Go lines outside bench/ and dot-directories
 # may not grow past LINES_CEILING. A PR that shrinks the code lowers the
 # ceiling to its new count; a PR that raises it says why in CHANGES.md.
-LINES_CEILING = 19514
+LINES_CEILING = 19400
 check-lines:
 	@n=$$(find . -path ./bench -prune -o -path './.*' -prune -o -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l); \
 	echo "non-test Go lines: $$n (ceiling $(LINES_CEILING))"; \
@@ -172,7 +172,7 @@ check-sleeps:
 # second value (ARCHITECTURE.md §10); a PR that
 # removes flags lowers the ceiling, one that adds a flag raises it and says
 # why in CHANGES.md.
-FLAGS_CEILING = 29
+FLAGS_CEILING = 27
 check-flags:
 	@n=$$(grep -o 'fs\.[A-Za-z0-9]*Var(' cmd/serve/main.go | wc -l); \
 	echo "cmd/serve flags: $$n (ceiling $(FLAGS_CEILING))"; \

@@ -34,6 +34,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/stream"
 )
 
@@ -58,7 +59,6 @@ type ingestOpts struct {
 	threshold                             int
 	once, rampPromote                     bool
 	ramp                                  string
-	rampMaxMismatch, rampMinOverlap       float64
 }
 
 // parseFlags binds the command line onto a config and validates it.
@@ -96,7 +96,7 @@ func bindFlags(c *config) *flag.FlagSet {
 	fs.StringVar(&in.modelOut, "ingest-model", "challenger.bin", "recompiled snapshot output path")
 	fs.StringVar(&in.arm, "ingest-arm", "challenger", "fleet arm a recompile reloads (-role ingest: POST /v1/reload?model=<arm>)")
 	fs.Uint64Var(&in.recompile, "ingest-recompile", stream.DefaultRecompileSessions, "completed sessions between background recompiles (0 = the default)")
-	fs.IntVar(&in.threshold, "ingest-threshold", 2, "drop session patterns seen fewer times at recompile (-1 = keep all)")
+	fs.IntVar(&in.threshold, "ingest-threshold", core.DefaultConfig().ReductionThreshold, "drop session patterns seen at most this many times at recompile (-1 = keep all)")
 	fs.DurationVar(&in.poll, "ingest-poll", 200*time.Millisecond, "tail poll interval when caught up")
 	fs.StringVar(&in.push, "ingest-push", "", "-role ingest: serving fleet base URL each recompile is pushed at (empty = recompile only)")
 	fs.BoolVar(&in.once, "ingest-once", false, "-role ingest: drain the log and exit (batch catch-up)")
@@ -104,8 +104,6 @@ func bindFlags(c *config) *flag.FlagSet {
 	fs.DurationVar(&in.rampHold, "ramp-hold", 10*time.Minute, "minimum time at each ramp step before advancing")
 	fs.DurationVar(&in.rampEvery, "ramp-every", 15*time.Second, "ramp scheduler tick interval")
 	fs.Uint64Var(&in.rampMinSamples, "ramp-min-samples", 500, "shadow samples required before the challenger takes its first step")
-	fs.Float64Var(&in.rampMaxMismatch, "ramp-max-mismatch", 0, "freeze the ramp when the challenger's top-1 mismatch rate exceeds this (0 = off)")
-	fs.Float64Var(&in.rampMinOverlap, "ramp-min-overlap", 0, "freeze the ramp when mean rank overlap falls below this (0 = off)")
 	fs.BoolVar(&in.rampPromote, "ramp-promote", false, "after the final ramp step's hold, swap the challenger into the champion slot and advance the interning base")
 	return fs
 }

@@ -287,17 +287,14 @@ func (p *process) embedIngest(cfg *config, rt *fleet.Router, champion core.Recom
 	var ramp *fleet.Ramp
 	if cfg.rampSteps != nil {
 		ramp, err = fleet.NewRamp(rt, in.arm, fleet.RampPolicy{
-			Steps:           cfg.rampSteps,
-			Hold:            in.rampHold,
-			MinSamples:      in.rampMinSamples,
-			MaxTop1Mismatch: in.rampMaxMismatch,
-			MinRankOverlap:  in.rampMinOverlap,
-			Promote:         in.rampPromote,
-		})
+			Steps:      cfg.rampSteps,
+			Hold:       in.rampHold,
+			MinSamples: in.rampMinSamples,
+			Promote:    in.rampPromote,
+		}, reg, tracer)
 		if err != nil {
 			return nil, err
 		}
-		ramp.SetObservability(reg, tracer)
 		p.loops = append(p.loops, func(ctx context.Context) { ramp.Run(ctx, in.rampEvery) })
 		log.Printf("ramp: arm %q walks %v (hold %s, %d shadow samples to start, promote=%v)",
 			in.arm, cfg.rampSteps, in.rampHold, in.rampMinSamples, in.rampPromote)
@@ -409,8 +406,8 @@ func (p *process) openIngester(in ingestOpts, base []string, push func(string) e
 		log.Printf("ingest: write-log replayed %d entries (%d sessions), %d torn bytes discarded, resuming at offset %d",
 			st.Replayed, st.Sessions, st.TornTailBytes, st.LogOffset)
 	}
-	log.Printf("ingest: tailing %s (write-log %s, recompile every %d sessions into arm %q)",
-		in.logPath, in.walPath, cmp.Or(in.recompile, stream.DefaultRecompileSessions), in.arm)
+	log.Printf("ingest: tailing %s (write-log %s, recompile every %d sessions into arm %q, reduction threshold %d)",
+		in.logPath, in.walPath, cmp.Or(in.recompile, stream.DefaultRecompileSessions), in.arm, in.threshold)
 	return ing, nil
 }
 

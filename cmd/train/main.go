@@ -42,12 +42,13 @@ func main() {
 func run(args []string, stderr io.Writer) error {
 	fs := flag.NewFlagSet("train", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	cfg := core.DefaultConfig()
 	var (
 		logPath   = fs.String("log", "", "raw search log (required)")
 		modelPath = fs.String("model", "model.bin", "output model file")
-		threshold = fs.Int("threshold", 5, "data-reduction frequency threshold (paper: 5; -1 disables)")
 		epsilons  = fs.String("epsilons", "", "comma-separated VMM growth thresholds (default: the paper's 0.0..0.1)")
 	)
+	fs.IntVar(&cfg.ReductionThreshold, "threshold", cfg.ReductionThreshold, "drop session patterns seen at most this many times (paper: 5; -1 disables)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -55,8 +56,6 @@ func run(args []string, stderr io.Writer) error {
 		return errors.New("-log is required")
 	}
 
-	cfg := core.DefaultConfig()
-	cfg.ReductionThreshold = *threshold
 	if *epsilons != "" {
 		var eps []float64
 		for _, part := range strings.Split(*epsilons, ",") {

@@ -15,8 +15,8 @@ import (
 // never touched — so the worst a bad policy can do is park the challenger at
 // zero.
 type RampPolicy struct {
-	// Steps is the ascending weight schedule the challenger walks once its
-	// shadow measurements clear the guard, e.g. {1, 5, 25}.
+	// Steps is the ascending weight schedule the challenger walks once it
+	// has MinSamples shadow measurements, e.g. {1, 5, 25}.
 	Steps []uint32
 	// Hold is the minimum time spent at each step before advancing.
 	Hold time.Duration
@@ -24,11 +24,6 @@ type RampPolicy struct {
 	// scored at least this often (post generation reset) before taking
 	// traffic.
 	MinSamples uint64
-	// Divergence guard: the ramp freezes (weight back to zero) when the
-	// challenger's shadow stats cross any of these thresholds. Zero values
-	// disable the corresponding check.
-	MaxTop1Mismatch float64 // freeze when Top1MismatchRate exceeds this
-	MinRankOverlap  float64 // freeze when MeanRankOverlap falls below this
 	// Promote swaps the challenger's model into the champion slot after the
 	// final step's hold elapses, advancing the interning base so newly learned
 	// vocabulary becomes servable. Without it the ramp parks at the last step.
@@ -61,26 +56,25 @@ type RampStatus struct {
 	Step       int          `json:"step"`  // -1 = shadow-only (not yet taking traffic)
 	Weight     uint32       `json:"weight"`
 	Frozen     bool         `json:"frozen"`
-	Reason     string       `json:"reason,omitempty"` // why the ramp froze
+	Reason     string       `json:"reason,omitempty"` // why the promotion failed
 	Generation uint64       `json:"generation"`       // challenger slot generation being ramped
 	Promotions uint64       `json:"promotions"`
 	Shadow     *ShadowStats `json:"shadow,omitempty"`
 	StepSince  time.Time    `json:"step_since"`
 }
 
-// Ramp walks one challenger arm's weight up a RampPolicy schedule, driven by
-// the arm's live shadow divergence measurements. It is a deterministic state
+// Ramp walks one challenger arm's weight up a RampPolicy schedule once the
+// arm has been shadow-scored often enough. It is a deterministic state
 // machine over explicit timestamps: tests drive Tick directly, production
 // runs it from a ticker via Run.
 //
 // Lifecycle per challenger generation: the ramp idles until the challenger
 // slot's generation changes (an ingestion push landed); it then resets the
-// slot's shadow counters and waits for MinSamples clean measurements; walks
-// weight through Steps, holding each for Hold while re-checking the guard
-// every tick; and finally (with Promote) swaps the challenger into the
-// champion slot, returns its weight to zero and goes back to idle. A guard
-// violation at any point zeroes the weight and freezes the ramp until a new
-// generation arrives or an operator calls Unfreeze.
+// slot's shadow counters and waits for MinSamples measurements; walks weight
+// through Steps, holding each for Hold; and finally (with Promote) swaps the
+// challenger into the champion slot, returns its weight to zero and goes back
+// to idle. A failed promotion zeroes the weight and freezes the ramp until a
+// new generation arrives.
 type Ramp struct {
 	rt  *Router
 	arm string
@@ -99,41 +93,22 @@ type Ramp struct {
 	stepSince  time.Time
 	promotions uint64
 
-	// Observability (optional, via SetObservability): transition counters
-	// and a tracer into which each transition is force-retained, so ramp
-	// decisions — rare and always interesting — are inspectable on
-	// /v1/traces next to the request traces.
+	// Transition counters and a tracer into which each transition is
+	// force-retained, so ramp decisions — rare and always interesting — are
+	// inspectable on /v1/traces next to the request traces.
 	tracer      *obs.Tracer
 	cSteps      *obs.Counter
 	cFreezes    *obs.Counter
 	cPromotions *obs.Counter
 }
 
-// SetObservability wires the ramp's transition counters into reg
-// (ramp_steps_total, ramp_freezes_total, ramp_promotions_total) and retains
-// one forced trace per transition in tracer. Either argument may be nil.
-// Call before Run; the fields are not synchronised against a running
-// ticker.
-func (r *Ramp) SetObservability(reg *obs.Registry, tracer *obs.Tracer) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if reg != nil {
-		r.cSteps = reg.Counter("ramp_steps_total")
-		r.cFreezes = reg.Counter("ramp_freezes_total")
-		r.cPromotions = reg.Counter("ramp_promotions_total")
-	}
-	r.tracer = tracer
-}
-
-// noteTransition records one ramp state transition: a bump on c (when
-// wired) and a forced single-event trace attributing the transition to the
-// schedule step index. Callers hold r.mu.
+// noteTransition records one ramp state transition: a bump on c (nil for
+// the generation start, which has no counter) and a forced single-event
+// trace attributing the transition to the schedule step index. Callers hold
+// r.mu.
 func (r *Ramp) noteTransition(c *obs.Counter, outcome string, step int) {
 	if c != nil {
 		c.Inc()
-	}
-	if r.tracer == nil {
-		return
 	}
 	tr := r.tracer.Start()
 	tr.Event("ramp", step, outcome)
@@ -143,8 +118,10 @@ func (r *Ramp) noteTransition(c *obs.Counter, outcome string, step int) {
 
 // NewRamp builds a ramp for the named challenger arm (any declared arm except
 // the champion). The current slot generation is taken as already-handled:
-// ramping starts with the next push into the slot.
-func NewRamp(rt *Router, arm string, pol RampPolicy) (*Ramp, error) {
+// ramping starts with the next push into the slot. The transition counters
+// (ramp_steps_total, ramp_freezes_total, ramp_promotions_total) register in
+// reg, and tracer retains one forced trace per transition.
+func NewRamp(rt *Router, arm string, pol RampPolicy, reg *obs.Registry, tracer *obs.Tracer) (*Ramp, error) {
 	if err := pol.validate(); err != nil {
 		return nil, err
 	}
@@ -165,6 +142,11 @@ func NewRamp(rt *Router, arm string, pol RampPolicy) (*Ramp, error) {
 		statsFn: rt.ShadowStatsFor,
 		step:    -1,
 		lastGen: target.slot.State().Gen,
+
+		tracer:      tracer,
+		cSteps:      reg.Counter("ramp_steps_total"),
+		cFreezes:    reg.Counter("ramp_freezes_total"),
+		cPromotions: reg.Counter("ramp_promotions_total"),
 	}, nil
 }
 
@@ -205,22 +187,9 @@ func (r *Ramp) Tick(now time.Time) RampStatus {
 		return r.statusLocked()
 	}
 
-	stats, ok := r.statsFn(r.arm)
-	if ok && stats.Samples >= r.pol.MinSamples {
-		if why := r.pol.breach(stats); why != "" {
-			r.frozen = true
-			r.reason = why
-			frozeAt := r.step
-			r.step = -1
-			_ = r.rt.SetWeight(r.arm, 0)
-			r.noteTransition(r.cFreezes, "freeze", frozeAt)
-			return r.statusLocked()
-		}
-	}
-
 	switch {
 	case r.step == -1:
-		if ok && stats.Samples >= r.pol.MinSamples {
+		if stats, ok := r.statsFn(r.arm); ok && stats.Samples >= r.pol.MinSamples {
 			r.step = 0
 			r.stepSince = now
 			_ = r.rt.SetWeight(r.arm, r.pol.Steps[0])
@@ -251,26 +220,6 @@ func (r *Ramp) Tick(now time.Time) RampStatus {
 		}
 	}
 	return r.statusLocked()
-}
-
-// breach returns a human-readable reason when stats violate the guard, or "".
-func (p RampPolicy) breach(s ShadowStats) string {
-	if p.MaxTop1Mismatch > 0 && s.Top1MismatchRate > p.MaxTop1Mismatch {
-		return fmt.Sprintf("top1 mismatch %.3f > %.3f", s.Top1MismatchRate, p.MaxTop1Mismatch)
-	}
-	if p.MinRankOverlap > 0 && s.MeanRankOverlap < p.MinRankOverlap {
-		return fmt.Sprintf("rank overlap %.3f < %.3f", s.MeanRankOverlap, p.MinRankOverlap)
-	}
-	return ""
-}
-
-// Unfreeze clears a frozen verdict so the current generation may ramp again —
-// the operator override after investigating a divergence report.
-func (r *Ramp) Unfreeze() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.frozen = false
-	r.reason = ""
 }
 
 // Status reports the current ramp state without advancing it.

@@ -6,6 +6,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/query"
 )
 
@@ -89,25 +91,28 @@ func TestSetWeightActivatesDeclaredShadowArm(t *testing.T) {
 }
 
 // rampHarness wires a router with a weight-0 challenger, a ramp with a stub
-// stats feed, and a synthetic clock.
+// stats feed and its own registry and tracer, and a synthetic clock.
 type rampHarness struct {
-	reg   *Registry
-	rt    *Router
-	ramp  *Ramp
-	stats ShadowStats
-	ok    bool
-	now   time.Time
+	reg    *Registry
+	rt     *Router
+	ramp   *Ramp
+	obs    *obs.Registry
+	tracer *obs.Tracer
+	stats  ShadowStats
+	ok     bool
+	now    time.Time
 }
 
 func newRampHarness(t *testing.T, pol RampPolicy) *rampHarness {
 	t.Helper()
 	reg, rt := newTestRouter(t, 100, 0)
 	t.Cleanup(rt.Close)
-	ramp, err := NewRamp(rt, "challenger", pol)
+	oreg, tracer := obs.NewRegistry(), obs.NewTracer(16, nil)
+	ramp, err := NewRamp(rt, "challenger", pol, oreg, tracer)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := &rampHarness{reg: reg, rt: rt, ramp: ramp, now: time.Date(2026, 4, 1, 0, 0, 0, 0, time.UTC)}
+	h := &rampHarness{reg: reg, rt: rt, ramp: ramp, obs: oreg, tracer: tracer, now: time.Date(2026, 4, 1, 0, 0, 0, 0, time.UTC)}
 	ramp.statsFn = func(string) (ShadowStats, bool) { return h.stats, h.ok }
 	return h
 }
@@ -120,15 +125,22 @@ func (h *rampHarness) tick(d time.Duration) RampStatus {
 // push lands a new challenger generation, as an ingestion reload would.
 func (h *rampHarness) push(t *testing.T) {
 	t.Helper()
-	if _, err := h.rt.Arm(1).Slot().Swap(trainRec(t, "smtp", "pop3"), false); err != nil {
+	h.swap(t, trainRec(t, "smtp", "pop3"), false)
+}
+
+func (h *rampHarness) swap(t *testing.T, rec core.Recommender, force bool) {
+	t.Helper()
+	if _, err := h.rt.Arm(1).Slot().Swap(rec, force); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// counter reads one of the ramp's transition counters.
+func (h *rampHarness) counter(name string) uint64 { return h.obs.Counter(name).Value() }
+
 func TestRampWalksScheduleAndPromotes(t *testing.T) {
 	pol := RampPolicy{
 		Steps: []uint32{1, 10}, Hold: 10 * time.Second, MinSamples: 5,
-		MaxTop1Mismatch: 0.5, MinRankOverlap: 0.3,
 		Promote: true,
 	}
 	h := newRampHarness(t, pol)
@@ -184,61 +196,92 @@ func TestRampWalksScheduleAndPromotes(t *testing.T) {
 	if st := h.tick(time.Hour); st.Armed || st.Weight != 0 {
 		t.Fatalf("ramp restarted without a push: %+v", st)
 	}
+
+	// Every transition is counted in the registry and retained as a forced
+	// trace, oldest last: start, two advances, the promotion.
+	if n := h.counter("ramp_steps_total"); n != 2 {
+		t.Fatalf("ramp_steps_total = %d, want 2", n)
+	}
+	if n := h.counter("ramp_promotions_total"); n != 1 {
+		t.Fatalf("ramp_promotions_total = %d, want 1", n)
+	}
+	if n := h.counter("ramp_freezes_total"); n != 0 {
+		t.Fatalf("ramp_freezes_total = %d, want 0", n)
+	}
+	var got []string
+	for _, v := range h.tracer.Snapshot(0, false, 0) {
+		if len(v.Spans) != 1 || v.Spans[0].Name != "ramp" {
+			t.Fatalf("ramp trace spans = %+v, want one \"ramp\" event", v.Spans)
+		}
+		got = append(got, v.Spans[0].Outcome)
+	}
+	if want := []string{"promote", "advance", "advance", "start"}; strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("ramp traces, newest first = %q, want %q", got, want)
+	}
 }
 
-func TestRampFreezesOnDivergenceAndRecovers(t *testing.T) {
-	pol := RampPolicy{
-		Steps: []uint32{5}, Hold: time.Second, MinSamples: 5,
-		MaxTop1Mismatch: 0.3,
-	}
+// TestRampFreezesOnFailedPromotion lands a challenger whose dictionary is
+// not an extension of the champion's (forced in, as an operator's
+// ?force=1 reload would): the ramp walks it, the promotion is refused, and
+// the ramp freezes at weight zero until the next generation clears it.
+func TestRampFreezesOnFailedPromotion(t *testing.T) {
+	pol := RampPolicy{Steps: []uint32{5}, Hold: time.Second, MinSamples: 5, Promote: true}
 	h := newRampHarness(t, pol)
-	h.push(t)
+	h.swap(t, permutedRec(t), true)
 	h.tick(time.Second)
 
-	h.ok, h.stats = true, ShadowStats{Samples: 50, Top1MismatchRate: 0.8, Coverage: 1, MeanRankOverlap: 1}
-	st := h.tick(time.Second)
-	if !st.Frozen || st.Weight != 0 || !strings.Contains(st.Reason, "top1 mismatch") {
-		t.Fatalf("no freeze on divergence: %+v", st)
+	h.ok, h.stats = true, ShadowStats{Samples: 50, Coverage: 1, MeanRankOverlap: 1}
+	if st := h.tick(time.Second); st.Step != 0 || st.Weight != 5 {
+		t.Fatalf("first step: %+v", st)
 	}
-	// Frozen means frozen: healthy stats alone do not resume.
-	h.stats = ShadowStats{Samples: 100, Top1MismatchRate: 0.0, Coverage: 1, MeanRankOverlap: 1}
-	if st := h.tick(time.Minute); !st.Frozen || st.Weight != 0 {
+	champGen := h.rt.Arm(0).Slot().State().Gen
+	st := h.tick(time.Second)
+	if !st.Frozen || st.Weight != 0 || st.Promotions != 0 || !strings.Contains(st.Reason, "promote failed") {
+		t.Fatalf("no freeze on a refused promotion: %+v", st)
+	}
+	if gen := h.rt.Arm(0).Slot().State().Gen; gen != champGen {
+		t.Fatalf("champion generation moved %d -> %d on a refused promotion", champGen, gen)
+	}
+	if n := h.counter("ramp_freezes_total"); n != 1 {
+		t.Fatalf("ramp_freezes_total = %d, want 1", n)
+	}
+	// Frozen means frozen: healthy stats and elapsed holds do not resume.
+	if st := h.tick(time.Hour); !st.Frozen || st.Weight != 0 || st.Step != -1 {
 		t.Fatalf("frozen ramp resumed by itself: %+v", st)
 	}
 
-	// Operator override resumes the current generation.
-	h.ramp.Unfreeze()
-	if st := h.tick(time.Second); st.Frozen || st.Step != 0 || st.Weight != 5 {
-		t.Fatalf("after Unfreeze: %+v", st)
-	}
-
-	// A freeze followed by a new generation also resumes (fresh verdict).
-	h.stats = ShadowStats{Samples: 50, Top1MismatchRate: 0.9, Coverage: 1, MeanRankOverlap: 1}
-	if st := h.tick(time.Second); !st.Frozen {
-		t.Fatalf("no re-freeze: %+v", st)
-	}
-	h.push(t)
-	if st := h.tick(time.Second); st.Frozen || !st.Armed {
+	// A new generation is a fresh verdict: the freeze clears and a
+	// compatible challenger (forced back over the permuted one) walks and
+	// promotes.
+	h.swap(t, trainRec(t, "smtp", "pop3"), true)
+	if st := h.tick(time.Second); st.Frozen || !st.Armed || st.Reason != "" {
 		t.Fatalf("new generation did not clear freeze: %+v", st)
+	}
+	if st := h.tick(time.Second); st.Step != 0 || st.Weight != 5 {
+		t.Fatalf("first step after the freeze: %+v", st)
+	}
+	if st := h.tick(time.Second); st.Promotions != 1 || st.Frozen || st.Weight != 0 {
+		t.Fatalf("promotion after the freeze: %+v", st)
 	}
 }
 
 func TestRampPolicyValidation(t *testing.T) {
 	_, rt := newTestRouter(t, 1, 0)
 	defer rt.Close()
-	if _, err := NewRamp(rt, "challenger", RampPolicy{}); err == nil {
+	oreg, tracer := obs.NewRegistry(), obs.NewTracer(16, nil)
+	if _, err := NewRamp(rt, "challenger", RampPolicy{}, oreg, tracer); err == nil {
 		t.Fatal("accepted empty schedule")
 	}
-	if _, err := NewRamp(rt, "challenger", RampPolicy{Steps: []uint32{5, 1}}); err == nil {
+	if _, err := NewRamp(rt, "challenger", RampPolicy{Steps: []uint32{5, 1}}, oreg, tracer); err == nil {
 		t.Fatal("accepted decreasing schedule")
 	}
-	if _, err := NewRamp(rt, "challenger", RampPolicy{Steps: []uint32{0}}); err == nil {
+	if _, err := NewRamp(rt, "challenger", RampPolicy{Steps: []uint32{0}}, oreg, tracer); err == nil {
 		t.Fatal("accepted zero step")
 	}
-	if _, err := NewRamp(rt, "champion", RampPolicy{Steps: []uint32{1}}); err == nil {
+	if _, err := NewRamp(rt, "champion", RampPolicy{Steps: []uint32{1}}, oreg, tracer); err == nil {
 		t.Fatal("accepted champion as ramp target")
 	}
-	if _, err := NewRamp(rt, "ghost", RampPolicy{Steps: []uint32{1}}); err == nil {
+	if _, err := NewRamp(rt, "ghost", RampPolicy{Steps: []uint32{1}}, oreg, tracer); err == nil {
 		t.Fatal("accepted unknown arm")
 	}
 }

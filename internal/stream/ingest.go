@@ -44,13 +44,15 @@ type Config struct {
 	// A push failure is recorded and retried after the next recompile; it
 	// does not stop ingestion.
 	Push func(modelPath string) error
-	// Obs, when set, receives the loop's histograms (ingest_segment_us,
-	// ingest_recompile_us) and progress counters for Prometheus exposition.
+	// Obs receives the loop's histograms (ingest_segment_us,
+	// ingest_recompile_us) and progress counters for Prometheus exposition;
+	// nil builds a registry of the loop's own.
 	Obs *obs.Registry
-	// Tracer, when set, retains one forced trace per productive Step —
-	// fold / wal-append / recompile / push child spans — so slow ingest
-	// steps are inspectable the same way slow requests are. Idle steps
-	// (no new records) are abandoned, not retained.
+	// Tracer retains one forced trace per productive Step — read /
+	// wal-append / fold / recompile / push spans — so slow ingest steps are
+	// inspectable the same way slow requests are. Idle steps (no new
+	// records) are abandoned, not retained. nil builds a 128-trace tracer
+	// that tail-samples against ingest_segment_us.
 	Tracer *obs.Tracer
 
 	// segmentRecords caps the records folded into one write-log segment
@@ -77,6 +79,12 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Train.SessionGap <= 0 {
 		c.Train.SessionGap = session.DefaultGap
+	}
+	if c.Obs == nil {
+		c.Obs = obs.NewRegistry()
+	}
+	if c.Tracer == nil {
+		c.Tracer = obs.NewTracer(128, c.Obs.Histogram("ingest_segment_us"))
 	}
 	return c
 }
@@ -129,7 +137,7 @@ type Ingester struct {
 	sessionsSinceCompile uint64
 	baseOffset           int64 // source-log offset already consumed at startup
 
-	tracer        *obs.Tracer    // nil when tracing is off
+	tracer        *obs.Tracer
 	histSegment   *obs.Histogram // productive Step durations
 	histRecompile *obs.Histogram // recompile+commit durations
 
@@ -194,18 +202,16 @@ func NewIngester(cfg Config) (*Ingester, error) {
 	ing.rd = logfmt.NewReader(src)
 
 	ing.tracer = cfg.Tracer
-	if cfg.Obs != nil {
-		ing.histSegment = cfg.Obs.Histogram("ingest_segment_us")
-		ing.histRecompile = cfg.Obs.Histogram("ingest_recompile_us")
-		cfg.Obs.CounterFunc("ingest_segments_total", func() uint64 { return ing.Status().Segments })
-		cfg.Obs.CounterFunc("ingest_sessions_total", func() uint64 { return ing.Status().Sessions })
-		cfg.Obs.CounterFunc("ingest_recompiles_total", func() uint64 { return ing.Status().Recompiles })
-		cfg.Obs.CounterFunc("ingest_pushes_total", func() uint64 { return ing.Status().Pushes })
-		cfg.Obs.CounterFunc("ingest_push_errors_total", func() uint64 { return ing.Status().PushErrors })
-		cfg.Obs.GaugeFunc("ingest_vocab", func() float64 { return float64(ing.Status().Vocab) })
-		cfg.Obs.GaugeFunc("ingest_open_sessions", func() float64 { return float64(ing.Status().OpenSessions) })
-		cfg.Obs.GaugeFunc("ingest_log_offset_bytes", func() float64 { return float64(ing.Status().LogOffset) })
-	}
+	ing.histSegment = cfg.Obs.Histogram("ingest_segment_us")
+	ing.histRecompile = cfg.Obs.Histogram("ingest_recompile_us")
+	cfg.Obs.CounterFunc("ingest_segments_total", func() uint64 { return ing.Status().Segments })
+	cfg.Obs.CounterFunc("ingest_sessions_total", func() uint64 { return ing.Status().Sessions })
+	cfg.Obs.CounterFunc("ingest_recompiles_total", func() uint64 { return ing.Status().Recompiles })
+	cfg.Obs.CounterFunc("ingest_pushes_total", func() uint64 { return ing.Status().Pushes })
+	cfg.Obs.CounterFunc("ingest_push_errors_total", func() uint64 { return ing.Status().PushErrors })
+	cfg.Obs.GaugeFunc("ingest_vocab", func() float64 { return float64(ing.Status().Vocab) })
+	cfg.Obs.GaugeFunc("ingest_open_sessions", func() float64 { return float64(ing.Status().OpenSessions) })
+	cfg.Obs.GaugeFunc("ingest_log_offset_bytes", func() float64 { return float64(ing.Status().LogOffset) })
 
 	ing.mu.Lock()
 	ing.status = Status{
@@ -252,11 +258,8 @@ func (ing *Ingester) Step() (progressed bool, err error) {
 	// is mutated only here, satisfying the Trace goroutine contract. Idle
 	// polls are abandoned — retaining thousands of empty traces would flush
 	// the interesting ones out of the ring.
-	var tr *obs.Trace
-	if ing.tracer != nil {
-		tr = ing.tracer.Start()
-	}
-	stepStart := time.Now()
+	tr := ing.tracer.Start()
+	sp := tr.BeginAt("read", 0)
 	read := 0
 	for read < ing.cfg.segmentRecords {
 		rec, rerr := ing.rd.Read()
@@ -264,12 +267,8 @@ func (ing *Ingester) Step() (progressed bool, err error) {
 			if rerr == io.EOF || errors.Is(rerr, logfmt.ErrTornLine) {
 				break // caught up with the writer (possibly mid-line)
 			}
-			ing.setError(rerr)
-			if tr != nil {
-				tr.Force()
-				ing.tracer.Finish(tr, true)
-			}
-			return false, fmt.Errorf("stream: source log: %w", rerr)
+			tr.End(sp, "error")
+			return ing.finish(tr, false, fmt.Errorf("stream: source log: %w", rerr))
 		}
 		ing.seg.Add(rec)
 		if rec.Time.After(ing.latest) {
@@ -278,14 +277,10 @@ func (ing *Ingester) Step() (progressed bool, err error) {
 		read++
 	}
 	if read == 0 {
-		if tr != nil {
-			ing.tracer.Abandon(tr)
-		}
+		ing.tracer.Abandon(tr)
 		return false, nil
 	}
-	if tr != nil {
-		tr.Record("read", 0, time.Since(stepStart).Microseconds(), obs.NoShard, "ok")
-	}
+	tr.End(sp, "ok")
 
 	// Event-time expiry: sessions idle past the gap at the latest observed
 	// timestamp are complete. Deterministic on replay, unlike wall clock.
@@ -301,29 +296,17 @@ func (ing *Ingester) Step() (progressed bool, err error) {
 		Completed: completed,
 		Open:      ing.seg.OpenState(),
 	}
-	walStart := time.Now()
+	sp = tr.Begin("wal-append")
 	if err := ing.wal.AppendSegment(entry); err != nil {
 		ing.seq--
-		ing.setError(err)
-		if tr != nil {
-			tr.Record("wal-append", walStart.Sub(stepStart).Microseconds(),
-				time.Since(walStart).Microseconds(), obs.NoShard, "error")
-			tr.Force()
-			ing.tracer.Finish(tr, true)
-		}
-		return false, err
+		tr.End(sp, "error")
+		return ing.finish(tr, false, err)
 	}
-	if tr != nil {
-		tr.Record("wal-append", walStart.Sub(stepStart).Microseconds(),
-			time.Since(walStart).Microseconds(), obs.NoShard, "ok")
-	}
-	foldStart := time.Now()
+	tr.End(sp, "ok")
+	sp = tr.Begin("fold")
 	ing.inc.AddStrings(completed)
 	ing.sessionsSinceCompile += uint64(len(completed))
-	if tr != nil {
-		tr.Record("fold", foldStart.Sub(stepStart).Microseconds(),
-			time.Since(foldStart).Microseconds(), obs.NoShard, "ok")
-	}
+	tr.End(sp, "ok")
 
 	ing.mu.Lock()
 	ing.status.LogOffset = entry.LogOffset
@@ -334,26 +317,25 @@ func (ing *Ingester) Step() (progressed bool, err error) {
 	ing.mu.Unlock()
 
 	if ing.sessionsSinceCompile >= ing.cfg.RecompileSessions {
-		if err := ing.recompile(tr, stepStart); err != nil {
-			ing.setError(err)
-			if ing.histSegment != nil {
-				ing.histSegment.Record(time.Since(stepStart).Microseconds())
-			}
-			if tr != nil {
-				tr.Force()
-				ing.tracer.Finish(tr, true)
-			}
-			return true, err
-		}
+		err = ing.recompile(tr)
 	}
-	if ing.histSegment != nil {
-		ing.histSegment.Record(time.Since(stepStart).Microseconds())
+	return ing.finish(tr, true, err)
+}
+
+// finish ends a step that read records: a productive one's duration goes to
+// ingest_segment_us, err (if any) becomes Status.LastError, and the trace is
+// retained, as an errored one when err is set.
+func (ing *Ingester) finish(tr *obs.Trace, progressed bool, err error) (bool, error) {
+	elapsed := tr.Elapsed()
+	if progressed {
+		ing.histSegment.Record(elapsed.Microseconds())
 	}
-	if tr != nil {
-		tr.Force()
-		ing.tracer.Finish(tr, false)
+	if err != nil {
+		ing.setError(err)
 	}
-	return true, nil
+	tr.Force()
+	ing.tracer.FinishElapsed(tr, elapsed, err != nil)
+	return progressed, err
 }
 
 // takeCompletedStrings drains the segmenter's completed sessions, converting
@@ -379,32 +361,25 @@ func (ing *Ingester) takeCompletedStrings() [][]string {
 // record (marking every appended segment committed) and pushes the snapshot
 // at the fleet. Ordering matters for crash safety: model save, then commit
 // append (fsynced), then push — a crash between any two replays into the same
-// state or a benign re-push. tr (nil when tracing is off) receives
-// "recompile" and "push" child spans offset against stepStart, the
-// enclosing Step trace's origin.
-func (ing *Ingester) recompile(tr *obs.Trace, stepStart time.Time) error {
-	compileStart := time.Now()
-	record := func(name string, from time.Time, outcome string) {
-		if tr != nil {
-			tr.Record(name, from.Sub(stepStart).Microseconds(),
-				time.Since(from).Microseconds(), obs.NoShard, outcome)
-		}
-	}
+// state or a benign re-push. tr, the enclosing Step's trace, receives the
+// "recompile" and "push" spans.
+func (ing *Ingester) recompile(tr *obs.Trace) error {
+	start := tr.Elapsed()
+	sp := tr.BeginAt("recompile", start)
 	if _, err := ing.inc.SnapshotTo(ing.cfg.ModelPath); err != nil {
-		record("recompile", compileStart, "error")
+		tr.End(sp, "error")
 		return err
 	}
 	commit := CommitEntry{Seq: ing.seq, ModelPath: ing.cfg.ModelPath, Sessions: ing.inc.Sessions()}
 	if err := ing.wal.AppendCommit(commit); err != nil {
-		record("recompile", compileStart, "error")
+		tr.End(sp, "error")
 		return err
 	}
 	ing.committed = ing.seq
 	ing.sessionsSinceCompile = 0
-	record("recompile", compileStart, "ok")
-	if ing.histRecompile != nil {
-		ing.histRecompile.Record(time.Since(compileStart).Microseconds())
-	}
+	end := tr.Elapsed()
+	tr.EndAt(sp, end, "ok")
+	ing.histRecompile.Record((end - start).Microseconds())
 
 	ing.mu.Lock()
 	ing.status.CommittedSeq = ing.committed
@@ -413,16 +388,16 @@ func (ing *Ingester) recompile(tr *obs.Trace, stepStart time.Time) error {
 	ing.mu.Unlock()
 
 	if ing.cfg.Push != nil {
-		pushStart := time.Now()
+		sp := tr.Begin("push")
 		if err := ing.cfg.Push(ing.cfg.ModelPath); err != nil {
-			record("push", pushStart, "error")
+			tr.End(sp, "error")
 			ing.mu.Lock()
 			ing.status.PushErrors++
 			ing.status.LastError = "push: " + err.Error()
 			ing.mu.Unlock()
 			return nil // push failures are retried after the next recompile
 		}
-		record("push", pushStart, "ok")
+		tr.End(sp, "ok")
 		ing.mu.Lock()
 		ing.status.Pushes++
 		ing.mu.Unlock()

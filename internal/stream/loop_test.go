@@ -15,6 +15,7 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/logfmt"
 	"repro/internal/loggen"
+	"repro/internal/obs"
 	"repro/internal/serve"
 )
 
@@ -141,7 +142,7 @@ func TestLoopStreamToServing(t *testing.T) {
 		Hold:       time.Millisecond,
 		MinSamples: 8,
 		Promote:    true,
-	})
+	}, obs.NewRegistry(), obs.NewTracer(16, nil))
 	if err != nil {
 		t.Fatal(err)
 	}

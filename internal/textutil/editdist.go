@@ -1,41 +1,9 @@
-// Package textutil provides string and sequence distance utilities used by
-// the MVMM mixture weighting (edit distance between a user context and a
-// model's matched state) and by the log simulator (typo generation).
+// Package textutil provides the query-sequence distances of the MVMM mixture
+// weighting: the edit distance between a user context and a model's matched
+// state.
 package textutil
 
 import "repro/internal/query"
-
-// Levenshtein returns the edit distance between two strings, counting
-// insertions, deletions and substitutions at unit cost. It operates on bytes,
-// which is sufficient for the ASCII query universe of the simulator.
-func Levenshtein(a, b string) int {
-	if a == b {
-		return 0
-	}
-	if len(a) == 0 {
-		return len(b)
-	}
-	if len(b) == 0 {
-		return len(a)
-	}
-	prev := make([]int, len(b)+1)
-	cur := make([]int, len(b)+1)
-	for j := range prev {
-		prev[j] = j
-	}
-	for i := 1; i <= len(a); i++ {
-		cur[0] = i
-		for j := 1; j <= len(b); j++ {
-			cost := 1
-			if a[i-1] == b[j-1] {
-				cost = 0
-			}
-			cur[j] = min3(prev[j]+1, cur[j-1]+1, prev[j-1]+cost)
-		}
-		prev, cur = cur, prev
-	}
-	return prev[len(b)]
-}
 
 // SeqEditDistance returns the Levenshtein distance between two query
 // sequences, treating each query ID as an atomic symbol. This is the d(T)

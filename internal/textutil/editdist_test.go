@@ -7,87 +7,6 @@ import (
 	"repro/internal/query"
 )
 
-func TestLevenshteinBasics(t *testing.T) {
-	cases := []struct {
-		a, b string
-		want int
-	}{
-		{"", "", 0},
-		{"abc", "abc", 0},
-		{"", "abc", 3},
-		{"abc", "", 3},
-		{"goggle", "google", 1}, // the paper's spelling-change example
-		{"kitten", "sitting", 3},
-		{"smtp", "pop3", 4},
-		{"a", "b", 1},
-	}
-	for _, c := range cases {
-		if got := Levenshtein(c.a, c.b); got != c.want {
-			t.Errorf("Levenshtein(%q,%q) = %d, want %d", c.a, c.b, got, c.want)
-		}
-	}
-}
-
-func TestLevenshteinSymmetry(t *testing.T) {
-	f := func(a, b string) bool {
-		if len(a) > 64 {
-			a = a[:64]
-		}
-		if len(b) > 64 {
-			b = b[:64]
-		}
-		return Levenshtein(a, b) == Levenshtein(b, a)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestLevenshteinIdentityAndBounds(t *testing.T) {
-	f := func(a, b string) bool {
-		if len(a) > 64 {
-			a = a[:64]
-		}
-		if len(b) > 64 {
-			b = b[:64]
-		}
-		d := Levenshtein(a, b)
-		if (d == 0) != (a == b) {
-			return false
-		}
-		max := len(a)
-		if len(b) > max {
-			max = len(b)
-		}
-		diff := len(a) - len(b)
-		if diff < 0 {
-			diff = -diff
-		}
-		return d >= diff && d <= max
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestLevenshteinTriangleInequality(t *testing.T) {
-	f := func(a, b, c string) bool {
-		if len(a) > 32 {
-			a = a[:32]
-		}
-		if len(b) > 32 {
-			b = b[:32]
-		}
-		if len(c) > 32 {
-			c = c[:32]
-		}
-		return Levenshtein(a, c) <= Levenshtein(a, b)+Levenshtein(b, c)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func toSeq(raw []uint8) query.Seq {
 	s := make(query.Seq, len(raw))
 	for i, v := range raw {
