@@ -15,6 +15,89 @@ func toSeq(raw []uint8) query.Seq {
 	return s
 }
 
+// The Levenshtein tests check SeqEditDistance against the textbook
+// string-distance cases and metric properties, one query ID per byte.
+
+func TestLevenshteinBasics(t *testing.T) {
+	cases := []struct {
+		a, b string
+		want int
+	}{
+		{"", "", 0},
+		{"abc", "abc", 0},
+		{"", "abc", 3},
+		{"abc", "", 3},
+		{"goggle", "google", 1}, // the paper's spelling-change example
+		{"kitten", "sitting", 3},
+		{"smtp", "pop3", 4},
+		{"a", "b", 1},
+	}
+	for _, c := range cases {
+		if got := SeqEditDistance(toSeq([]uint8(c.a)), toSeq([]uint8(c.b))); got != c.want {
+			t.Errorf("SeqEditDistance(%q,%q) = %d, want %d", c.a, c.b, got, c.want)
+		}
+	}
+}
+
+func TestLevenshteinSymmetry(t *testing.T) {
+	f := func(a, b []uint8) bool {
+		if len(a) > 64 {
+			a = a[:64]
+		}
+		if len(b) > 64 {
+			b = b[:64]
+		}
+		sa, sb := toSeq(a), toSeq(b)
+		return SeqEditDistance(sa, sb) == SeqEditDistance(sb, sa)
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestLevenshteinIdentityAndBounds(t *testing.T) {
+	f := func(a, b []uint8) bool {
+		if len(a) > 64 {
+			a = a[:64]
+		}
+		if len(b) > 64 {
+			b = b[:64]
+		}
+		sa, sb := toSeq(a), toSeq(b)
+		d := SeqEditDistance(sa, sb)
+		if (d == 0) != sa.Equal(sb) {
+			return false
+		}
+		diff := len(a) - len(b)
+		if diff < 0 {
+			diff = -diff
+		}
+		return d >= diff && d <= max(len(a), len(b))
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestLevenshteinTriangleInequality(t *testing.T) {
+	f := func(a, b, c []uint8) bool {
+		if len(a) > 32 {
+			a = a[:32]
+		}
+		if len(b) > 32 {
+			b = b[:32]
+		}
+		if len(c) > 32 {
+			c = c[:32]
+		}
+		sa, sb, sc := toSeq(a), toSeq(b), toSeq(c)
+		return SeqEditDistance(sa, sc) <= SeqEditDistance(sa, sb)+SeqEditDistance(sb, sc)
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestSeqEditDistanceBasics(t *testing.T) {
 	cases := []struct {
 		a, b query.Seq
