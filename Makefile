@@ -149,7 +149,7 @@ check-api: vet
 # Line-count ratchet: the non-test Go lines outside bench/ and dot-directories
 # may not grow past LINES_CEILING. A PR that shrinks the code lowers the
 # ceiling to its new count; a PR that raises it says why in CHANGES.md.
-LINES_CEILING = 19400
+LINES_CEILING = 19520
 check-lines:
 	@n=$$(find . -path ./bench -prune -o -path './.*' -prune -o -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l); \
 	echo "non-test Go lines: $$n (ceiling $(LINES_CEILING))"; \

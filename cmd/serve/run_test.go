@@ -25,6 +25,7 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/logfmt"
 	"repro/internal/loggen"
+	"repro/internal/obs"
 	"repro/internal/query"
 	"repro/internal/serve"
 	"repro/internal/stream"
@@ -620,6 +621,14 @@ func TestHUPReloadsUnderTraffic(t *testing.T) {
 	wg.Wait()
 	if sawNew.Load() == 0 {
 		t.Fatal("no answer came from the new model")
+	}
+	// run builds the tracer on serve_http_request_us before the handler
+	// derives that family from its route histograms: the tracer must read
+	// their p99 all the same.
+	var traces obs.TracesResponse
+	getJSON(t, client, r.base+"/v1/traces?limit=1", &traces)
+	if traces.SlowThresholdMicros <= 0 {
+		t.Fatalf("slow threshold after %d requests = %d µs, want the request p99", answers.Load(), traces.SlowThresholdMicros)
 	}
 	if err := r.stop(); err != nil {
 		t.Fatalf("run = %v, want nil", err)

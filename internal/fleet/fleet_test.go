@@ -229,7 +229,7 @@ func TestConcurrentSwapAndRoute(t *testing.T) {
 				slot := rt.Arm(arm).Slot()
 				st := slot.State()
 				reg.Cache().RecommendSlot(slot.ID(), st.Gen, st.Rec, ctxs[idx], 5)
-				rt.RecordServe(arm, 1)
+				rt.RecordServe(arm, i%2 == 0, 1)
 			}
 		}(g)
 	}

@@ -95,8 +95,10 @@ type Ramp struct {
 
 	// Transition counters and a tracer into which each transition is
 	// force-retained, so ramp decisions — rare and always interesting — are
-	// inspectable on /v1/traces next to the request traces.
+	// inspectable on /v1/traces next to the request traces; tr is the
+	// recorder the transitions take turns on, under mu.
 	tracer      *obs.Tracer
+	tr          obs.Trace
 	cSteps      *obs.Counter
 	cFreezes    *obs.Counter
 	cPromotions *obs.Counter
@@ -110,10 +112,10 @@ func (r *Ramp) noteTransition(c *obs.Counter, outcome string, step int) {
 	if c != nil {
 		c.Inc()
 	}
-	tr := r.tracer.Start()
-	tr.Event("ramp", step, outcome)
-	tr.Force()
-	r.tracer.Finish(tr, false)
+	r.tracer.StartFrom(&r.tr, nil)
+	r.tr.Event("ramp", step, outcome)
+	r.tr.Force()
+	r.tracer.Finish(&r.tr, false)
 }
 
 // NewRamp builds a ramp for the named challenger arm (any declared arm except

@@ -34,10 +34,11 @@ type Arm struct {
 	// (same trick as the serving layer's content-type).
 	header []string
 
-	// lat is the arm's full-history latency histogram: lock-free recording,
-	// bounded-error p50/p99/p999. Its count is the arm's request count: one
-	// record is all a served request costs the arm.
-	lat obs.Histogram
+	// cache and descent hold the stage latency of the arm's hits and misses,
+	// a served GET's one stage record; lat, derived from the two, is the
+	// arm's latency, and its count the arm's request count.
+	cache, descent obs.Histogram
+	lat            obs.Histogram
 }
 
 // Slot returns the registry slot this arm serves from.
@@ -49,6 +50,9 @@ func (a *Arm) Weight() uint32 { return a.weight.Load() }
 // HeaderValue returns the shared pre-built header slice carrying the arm's
 // name, for allocation-free `w.Header()["X-Serve-Arm"] = ...` assignment.
 func (a *Arm) HeaderValue() []string { return a.header }
+
+// Stages returns the arm's hit and miss stage histograms, for derived views.
+func (a *Arm) Stages() (cache, descent *obs.Histogram) { return &a.cache, &a.descent }
 
 // routeTable is the immutable weight snapshot Route reads: cumulative bounds
 // over the arms that currently carry positive weight. Rebuilt by SetWeight
@@ -125,6 +129,7 @@ func NewRouter(reg *Registry, specs ...ArmSpec) (*Router, error) {
 			return nil, &ErrDictIncompatible{Slot: spec.Name, OldHash: baseDict.Hash(), NewHash: d.Hash()}
 		}
 		a := &Arm{slot: slot, header: []string{spec.Name}}
+		a.lat.Derive(&a.cache, &a.descent)
 		a.weight.Store(spec.Weight)
 		rt.arms = append(rt.arms, a)
 		if spec.Weight == 0 {
@@ -281,11 +286,15 @@ func (rt *Router) Route(ctx query.Seq) int {
 // Arm returns the live arm at index i (as returned by Route).
 func (rt *Router) Arm(i int) *Arm { return rt.arms[i] }
 
-// RecordServe attributes one served request to arm i: per-arm request count
-// and latency sample, the raw material for offline A/B comparison of the
-// arms' logged answer quality and latency.
-func (rt *Router) RecordServe(i int, tookMicros int64) {
-	rt.arms[i].lat.Record(tookMicros)
+// RecordServe attributes one served request to arm i: its stage latency, in
+// the arm's cache or descent histogram — the raw material for offline A/B
+// comparison of the arms' logged answer quality and latency.
+func (rt *Router) RecordServe(i int, hit bool, tookMicros int64) {
+	if a := rt.arms[i]; hit {
+		a.cache.Record(tookMicros)
+	} else {
+		a.descent.Record(tookMicros)
+	}
 }
 
 // Shadow hands the served request to the shadow scorer, if any: every

@@ -337,6 +337,7 @@ type ShardRouter struct {
 	scratch sync.Pool // *batchScratch
 	calls   sync.Pool // *shardCall
 	bufs    sync.Pool // *[]byte, GET-path response buffers
+	walks   sync.Pool // *getWalk
 
 	requests  atomic.Uint64
 	batches   atomic.Uint64
@@ -558,6 +559,7 @@ type batchScratch struct {
 	refused   *shardCall // the first sub-batch a shard refused (see shardCall.served)
 	out       []byte     // merged response body
 	wg        sync.WaitGroup
+	tr        obs.Trace // the request's trace recorder
 }
 
 // shardCall is one pooled sub-batch exchange: the items it carries, the
@@ -673,7 +675,8 @@ func (s *ShardRouter) batch(w http.ResponseWriter, r *http.Request) {
 	}
 	sc := s.getScratch()
 	defer s.putScratch(sc)
-	tr := s.tracer.StartFrom(r.Header["X-Trace-Id"])
+	tr := &sc.tr
+	s.tracer.StartFrom(tr, r.Header["X-Trace-Id"])
 	w.Header()["X-Trace-Id"] = tr.HeaderValue()
 	ctx := r.Context()
 	// Assume the worst until a success path flips it; the deferred finish

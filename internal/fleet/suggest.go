@@ -63,12 +63,13 @@ type getResult struct {
 	end    time.Time // when the exchange returned
 }
 
-// getWalk is the state of one GET's walk over its preference list. It lives
-// on the request goroutine's stack: nothing that runs on another goroutine
-// may hold a pointer to it.
+// getWalk is the state of one GET's walk over its preference list, the
+// request's trace recorder with it. It is pooled (getWalkOf) and used by the
+// request goroutine alone: nothing that runs on another goroutine may hold a
+// pointer to it.
 type getWalk struct {
 	s   *ShardRouter
-	tr  *obs.Trace
+	tr  obs.Trace
 	ctx context.Context // the request's: what every attempt's Done and Err are
 	uri string
 
@@ -96,11 +97,12 @@ func (s *ShardRouter) suggest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.requests.Add(1)
-	tr := s.tracer.StartFrom(r.Header["X-Trace-Id"])
-	w.Header()["X-Trace-Id"] = tr.HeaderValue()
 	// The path was matched as exactly /suggest: the query is all there is to
 	// forward, and LoopbackTransport splits the string again at the '?'.
-	g := getWalk{s: s, tr: tr, ctx: r.Context(), uri: "/suggest"}
+	g := s.getWalkOf(r.Context(), "/suggest")
+	defer s.putWalk(g)
+	s.tracer.StartFrom(&g.tr, r.Header["X-Trace-Id"])
+	w.Header()["X-Trace-Id"] = g.tr.HeaderValue()
 	if r.URL.RawQuery != "" {
 		g.uri = "/suggest?" + r.URL.RawQuery
 	}
@@ -217,7 +219,7 @@ func (g *getWalk) launch(hedge bool, slot int, now time.Time, resCh chan<- getRe
 // exhausted here: walk checks, and a race starts with two untried replicas.
 func (g *getWalk) begin(hedge bool, now time.Time) (getAttempt, *attemptCtx) {
 	var marks [MaxReplicas]viewMark
-	v := roundView{s: g.s, tr: g.tr, hedge: hedge, marks: marks[:]}
+	v := roundView{s: g.s, tr: &g.tr, hedge: hedge, marks: marks[:]}
 	k := g.pick(&v)
 	v.release()
 	sh := g.prefs[k]
@@ -307,7 +309,27 @@ func (g *getWalk) fail(w http.ResponseWriter) {
 func (g *getWalk) finish(errored bool) {
 	elapsed := g.tr.Elapsed()
 	g.s.reqLat.Record(elapsed.Microseconds())
-	g.s.tracer.FinishElapsed(g.tr, elapsed, errored)
+	g.s.tracer.FinishElapsed(&g.tr, elapsed, errored)
+}
+
+// getWalkOf leases a pooled GET walk for a request with context ctx to uri.
+// Only its fields are reset: its trace recorder is StartFrom's to reset, and
+// a 48-span recorder zeroed per request costs a routed GET more than the
+// pool round trip.
+func (s *ShardRouter) getWalkOf(ctx context.Context, uri string) *getWalk {
+	g, _ := s.walks.Get().(*getWalk)
+	if g == nil {
+		g = new(getWalk)
+	}
+	g.s, g.ctx, g.uri = s, ctx, uri
+	g.prefWalk, g.launched = prefWalk{}, 0
+	return g
+}
+
+// putWalk returns a GET walk to the pool, holding nothing of its request.
+func (s *ShardRouter) putWalk(g *getWalk) {
+	g.ctx, g.last = nil, getResult{}
+	s.walks.Put(g)
 }
 
 // getBuf leases a pooled GET-path response buffer, emptied. The pool holds

@@ -368,7 +368,7 @@ func TestRouterGETAllocs(t *testing.T) {
 			router.ServeHTTP(rr, tc.req)
 		}
 		// Warm past the 256-trace retention rings of the router and the
-		// shard: while a ring fills, every finish pins its pooled trace.
+		// shard: while a ring fills, every finish grows a slot's span copy.
 		for i := 0; i < 600; i++ {
 			run()
 		}
@@ -569,7 +569,7 @@ func TestShardBehindRouterTailSamplesSlow(t *testing.T) {
 
 // TestRouterTraceHeaderSurvivesTraceRecycle: the router's X-Trace-Id response
 // header — GET and batch — is written after the handler returned and its
-// pooled trace was restarted for later requests; held until then (the
+// trace recorder was restarted for later requests; held until then (the
 // recorder keeps the handler's header values by reference, as net/http does)
 // it must still read this request's ID, generated or adopted.
 func TestRouterTraceHeaderSurvivesTraceRecycle(t *testing.T) {

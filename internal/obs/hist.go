@@ -1,15 +1,18 @@
 // Package obs is the serving-grade observability layer: lock-free log-linear
-// latency histograms with bounded-error quantiles, pooled zero-allocation
-// request traces with tail-sampled retention, and a Prometheus text
-// exposition over both. Every primitive is safe for concurrent use from the
-// serving hot path and allocates nothing per operation after warm-up; a
-// retention-ring slot, which copies a retained trace's spans into a slice it
-// reuses, is warm once it has held a trace as long as the next one it takes.
+// latency histograms with bounded-error quantiles, caller-owned
+// zero-allocation request traces with tail-sampled retention, and a
+// Prometheus text exposition over both. Every primitive is safe for
+// concurrent use from the serving hot path and allocates nothing per
+// operation after warm-up (but Tracer.Start, which allocates the recorder its
+// caller does not keep); a retention-ring slot, which copies a retained
+// trace's spans into a slice it reuses, is warm once it has held a trace as
+// long as the next one it takes.
 package obs
 
 import (
 	"math"
 	"math/bits"
+	"slices"
 	"sync/atomic"
 )
 
@@ -42,10 +45,12 @@ const (
 // sample count is not stored: it is the sum of the buckets, so a count and
 // the buckets it is read beside can never disagree. Quantiles are exact for
 // values below subCount and over-report by at most 1/subCount above it.
+// A derived histogram (Derive) sums its parts when read.
 type Histogram struct {
 	sum     atomic.Int64
 	max     atomic.Int64
 	buckets [numBuckets]atomic.Uint64
+	parts   atomic.Pointer[[]*Histogram] // non-nil: derived, and the buckets above are not read
 }
 
 // bucketIndex maps a non-negative value to its bucket.
@@ -96,30 +101,78 @@ func (h *Histogram) RecordN(v int64, n int) {
 	h.buckets[bucketIndex(uint64(v))].Add(uint64(n))
 }
 
-// live returns the buckets that can hold a sample: those up to the
-// maximum's. RecordN and Merge raise the maximum before they touch a bucket,
-// so a pass over live misses no sample that was complete when it began — and
-// a microsecond-latency histogram's pass is some hundred buckets, not 1888.
-func (h *Histogram) live() []atomic.Uint64 {
-	return h.buckets[:bucketIndex(uint64(h.max.Load()))+1]
+// Derive makes h the bucket-wise sum of parts when read — a coarse view of
+// samples recorded once, in a finer partition, at the reader's cost. Deriving
+// again adds the parts h does not already sum. Record into the parts, not h.
+func (h *Histogram) Derive(parts ...*Histogram) {
+	for {
+		old := h.parts.Load()
+		var next []*Histogram
+		if old != nil {
+			next = slices.Clip(*old)
+		}
+		for _, p := range parts {
+			if !slices.Contains(next, p) {
+				next = append(next, p)
+			}
+		}
+		if h.parts.CompareAndSwap(old, &next) {
+			return
+		}
+	}
 }
+
+// sources returns the histograms h's reads sum: its parts, or h itself, which
+// the caller passes in self so that a plain read allocates nothing.
+func (h *Histogram) sources(self *[1]*Histogram) []*Histogram {
+	if parts := h.parts.Load(); parts != nil {
+		return *parts
+	}
+	self[0] = h
+	return self[:]
+}
+
+// bucketSum returns the count of bucket i summed over srcs.
+func bucketSum(srcs []*Histogram, i int) (n uint64) {
+	for _, p := range srcs {
+		n += p.buckets[i].Load()
+	}
+	return n
+}
+
+// top returns the index of the highest bucket that can hold a sample: the
+// maximum's. RecordN and Merge raise the maximum before they touch a bucket,
+// so a pass up to top misses no sample that was complete when it began — and
+// a microsecond-latency histogram's pass is some hundred buckets, not 1888.
+func (h *Histogram) top() int { return bucketIndex(uint64(h.Max())) }
 
 // Count returns the number of recorded samples: a pass over the buckets, for
 // the metrics endpoints and tests that ask, so that recording need not count.
-func (h *Histogram) Count() uint64 { return sumBuckets(h.live()) }
-
-func sumBuckets(buckets []atomic.Uint64) (total uint64) {
-	for i := range buckets {
-		total += buckets[i].Load()
+func (h *Histogram) Count() (n uint64) {
+	for _, p := range h.sources(new([1]*Histogram)) {
+		live := p.buckets[:p.top()+1]
+		for i := range live {
+			n += live[i].Load()
+		}
 	}
-	return total
+	return n
 }
 
 // Sum returns the sum of all recorded samples (post-clamp).
-func (h *Histogram) Sum() int64 { return h.sum.Load() }
+func (h *Histogram) Sum() (sum int64) {
+	for _, p := range h.sources(new([1]*Histogram)) {
+		sum += p.sum.Load()
+	}
+	return sum
+}
 
 // Max returns the largest recorded sample, exact (not bucket-rounded).
-func (h *Histogram) Max() int64 { return h.max.Load() }
+func (h *Histogram) Max() (m int64) {
+	for _, p := range h.sources(new([1]*Histogram)) {
+		m = max(m, p.max.Load())
+	}
+	return m
+}
 
 // Quantile returns an upper bound on the q-quantile (0 < q <= 1) of the
 // recorded samples: the upper edge of the bucket holding the ceil(q*count)-th
@@ -128,8 +181,7 @@ func (h *Histogram) Max() int64 { return h.max.Load() }
 // never under-reports — the truncation bias of index-into-sorted-samples
 // estimators cannot occur here.
 func (h *Histogram) Quantile(q float64) int64 {
-	live := h.live()
-	total := sumBuckets(live)
+	total := h.Count()
 	if total == 0 {
 		return 0
 	}
@@ -140,35 +192,38 @@ func (h *Histogram) Quantile(q float64) int64 {
 	if rank > total {
 		rank = total
 	}
-	// Buckets only grow, so this second pass over the same buckets counts at
-	// least total samples and reaches the rank.
+	// Buckets and the maximum only grow, so this second pass counts at least
+	// total samples and reaches the rank.
 	var cum uint64
-	for i := range live {
-		cum += live[i].Load()
+	srcs := h.sources(new([1]*Histogram))
+	for i, top := 0, h.top(); i <= top; i++ {
+		cum += bucketSum(srcs, i)
 		if cum >= rank {
 			return bucketUpper(i)
 		}
 	}
-	return h.max.Load()
+	return h.Max()
 }
 
-// Merge adds other's samples into h bucket-wise. Both histograms may be
-// concurrently recorded into during the merge; the result is a consistent
-// point-in-time superset of h plus some prefix of other's updates.
+// Merge adds other's samples into h bucket-wise (a derived other's: its
+// parts'). Both histograms may be concurrently recorded into during the
+// merge; the result is a consistent point-in-time superset of h plus some
+// prefix of other's updates.
 func (h *Histogram) Merge(other *Histogram) {
 	if other == nil {
 		return
 	}
-	h.sum.Add(other.sum.Load())
-	om := other.max.Load()
+	h.sum.Add(other.Sum())
+	om := other.Max()
 	for {
 		cur := h.max.Load()
 		if om <= cur || h.max.CompareAndSwap(cur, om) {
 			break
 		}
 	}
-	for i := range h.buckets {
-		if n := other.buckets[i].Load(); n != 0 {
+	srcs := other.sources(new([1]*Histogram))
+	for i, top := 0, bucketIndex(uint64(om)); i <= top; i++ {
+		if n := bucketSum(srcs, i); n != 0 {
 			h.buckets[i].Add(n)
 		}
 	}

@@ -253,3 +253,71 @@ func TestHistogramMatchesSortedReference(t *testing.T) {
 		}
 	}
 }
+
+// TestDerivedEqualsMerged is the derived view's property: for random parts,
+// a derived histogram's Count, Sum, Max, Quantile and exposition equal those
+// of a fresh histogram that Merged the same parts — after every record, so
+// the parts' later samples show through. Deriving again adds no part twice,
+// and merging a derived view merges its parts.
+func TestDerivedEqualsMerged(t *testing.T) {
+	rng := rand.New(rand.NewSource(59))
+	qs := []float64{0.001, 0.25, 0.5, 0.9, 0.99, 0.999, 1}
+	for trial := 0; trial < 40; trial++ {
+		parts := make([]*Histogram, 1+rng.Intn(4))
+		for i := range parts {
+			parts[i] = &Histogram{}
+		}
+		var derived Histogram
+		derived.Derive(parts...)
+		derived.Derive(parts[0]) // no part twice
+		for step := 0; step < 60; step++ {
+			p := parts[rng.Intn(len(parts))]
+			p.RecordN(int64(math.Exp(rng.Float64()*16)), 1+rng.Intn(3))
+			var merged Histogram
+			for _, p := range parts {
+				merged.Merge(p)
+			}
+			var viaDerived Histogram
+			viaDerived.Merge(&derived)
+			for _, h := range []*Histogram{&derived, &viaDerived} {
+				if h.Count() != merged.Count() || h.Sum() != merged.Sum() || h.Max() != merged.Max() {
+					t.Fatalf("trial %d step %d: count/sum/max %d/%d/%d, merged %d/%d/%d", trial, step,
+						h.Count(), h.Sum(), h.Max(), merged.Count(), merged.Sum(), merged.Max())
+				}
+				for _, q := range qs {
+					if got, want := h.Quantile(q), merged.Quantile(q); got != want {
+						t.Fatalf("trial %d step %d: Quantile(%v) = %d, merged %d", trial, step, q, got, want)
+					}
+				}
+				if got, want := appendPromHistogram(nil, "x", h), appendPromHistogram(nil, "x", &merged); string(got) != string(want) {
+					t.Fatalf("trial %d step %d: exposition\n%s\nmerged\n%s", trial, step, got, want)
+				}
+			}
+		}
+	}
+	var empty Histogram
+	empty.Derive()
+	if empty.Count() != 0 || empty.Quantile(0.99) != 0 || empty.Max() != 0 {
+		t.Fatalf("a derived view of no parts reads %d samples", empty.Count())
+	}
+}
+
+// TestRegistryDeriveInPlace: a pointer taken from Histogram(name) before
+// the registered histogram is derived reads the derived view — a tracer built on
+// serve_http_request_us before its handler derives it gets a threshold.
+func TestRegistryDeriveInPlace(t *testing.T) {
+	reg := NewRegistry()
+	early := reg.Histogram("request_us")
+	a, b := reg.Histogram("route_a_us"), reg.Histogram("route_b_us")
+	reg.Histogram("request_us").Derive(a, b)
+	a.RecordN(100, 3)
+	b.Record(5000)
+	if early.Count() != 4 || early.Max() != 5000 || early.Sum() != 5300 {
+		t.Fatalf("derived view read count %d, max %d, sum %d", early.Count(), early.Max(), early.Sum())
+	}
+	tr := NewTracer(16, early)
+	tr.Finish(tr.Start(), false)
+	if th := tr.SlowThresholdMicros(); th < 5000 || th > 5000*33/32 {
+		t.Fatalf("threshold from the derived view = %d us, want its p99, ~5000", th)
+	}
+}

@@ -54,8 +54,9 @@ func (r *Registry) AppendPrometheus(dst []byte) []byte {
 func appendPromHistogram(dst []byte, name string, h *Histogram) []byte {
 	var coarse [promBounds + 1]uint64 // last slot is +Inf
 	var total uint64
-	for i := 0; i < numBuckets; i++ {
-		n := h.buckets[i].Load()
+	srcs := h.sources(new([1]*Histogram))
+	for i, top := 0, h.top(); i <= top; i++ {
+		n := bucketSum(srcs, i)
 		if n == 0 {
 			continue
 		}

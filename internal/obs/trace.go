@@ -51,14 +51,15 @@ type Span struct {
 	Outcome string
 }
 
-// Trace is a pooled, fixed-size span recorder for one request (or one
-// ingest step / ramp transition). All mutating methods MUST be called from
-// a single goroutine — the request goroutine — which is what makes the
-// recorder lock-free; concurrent shard attempts report their outcomes back
-// over the request goroutine's result channel and are recorded there. The
-// trace ID is not part of the pooled storage: it is carved from an immutable
-// block (see idBlock), so the ID string and its header slice stay valid —
-// and unchanged — after the trace has been finished and recycled.
+// Trace is a fixed-size span recorder for one request (or one ingest step /
+// ramp transition), owned by its caller and reset by Tracer.StartFrom. All
+// mutating methods MUST be called from a single goroutine — the request
+// goroutine — which is what makes the recorder lock-free; concurrent shard
+// attempts report their outcomes back over the request goroutine's result
+// channel and are recorded there. The trace ID is not part of the recorder:
+// it is carved from an immutable block (see idBlock), so the ID string and
+// its header slice stay valid — and unchanged — after the trace has been
+// finished and its recorder restarted.
 type Trace struct {
 	start time.Duration // since epoch
 	// hv is the one-element X-Trace-Id header value: a slot of an idBlock,
@@ -84,10 +85,11 @@ const idBlockLen = 255
 // them. A slot is written exactly once, by the Start that claimed it, before
 // anything else can see it, and never again: net/http writes response
 // headers after the handler has returned (and a hedge loser may hold the
-// propagated value later than that), so an ID that lived in the pooled Trace
-// could be rewritten by the next request's Start while the previous response
-// was still being written. Carving slots from a block costs one allocation
-// per idBlockLen traces; the block is freed once no header references it.
+// propagated value later than that), so an ID that lived in the recorder
+// could be rewritten by the next request's StartFrom while the previous
+// response was still being written. Carving slots from a block costs one
+// allocation per idBlockLen traces; the block is freed once no header
+// references it.
 type idBlock struct {
 	base uint64        // sequence number of slot 0
 	next atomic.Uint32 // slots handed out; runs past idBlockLen once the block is spent
@@ -165,20 +167,9 @@ func (tr *Trace) EndAt(i int, elapsed time.Duration, outcome string) {
 	sp.Outcome = outcome
 }
 
-// Outcome returns the recorded outcome of span i, or "" if out of range.
-// It lets the request goroutine check whether an attempt span was already
-// closed without re-deriving attempt state.
-func (tr *Trace) Outcome(i int) string {
-	if i < 0 || i >= tr.n {
-		return ""
-	}
-	return tr.spans[i].Outcome
-}
-
 // Record appends a fully-formed closed span. It is the retroactive twin of
 // Begin/End, used when a stage's name or outcome is only known after the
-// timed interval completes (cache hit vs predict-descent miss share one
-// measurement).
+// timed interval completes.
 func (tr *Trace) Record(name string, startMicros, durMicros int64, shard int, outcome string) {
 	if tr.n >= MaxSpans {
 		tr.Dropped++
@@ -192,6 +183,17 @@ func (tr *Trace) Record(name string, startMicros, durMicros int64, shard int, ou
 		Outcome:     outcome,
 	}
 	tr.n++
+}
+
+// Chain appends a closed span from where the last span closed (0 for the
+// first) to endMicros: spans recorded this way partition the request exactly.
+func (tr *Trace) Chain(name string, endMicros int64, outcome string) {
+	var from int64
+	if tr.n > 0 {
+		last := &tr.spans[tr.n-1]
+		from = last.StartMicros + last.DurMicros
+	}
+	tr.Record(name, from, endMicros-from, NoShard, outcome)
 }
 
 // Event records a closed zero-duration span (a point annotation such as a
@@ -223,14 +225,13 @@ type retained struct {
 	spans   []Span
 }
 
-// Tracer hands out pooled Traces and tail-samples completed ones into a
-// fixed retention ring. Retention keeps every errored or forced trace and
-// every trace slower than the cached p99 of the slow-source histogram
+// Tracer starts Traces and tail-samples completed ones into a fixed
+// retention ring. Retention keeps every errored or forced trace and every
+// trace slower than the cached p99 of the slow-source histogram
 // (re-read by FinishElapsed at most every refreshEvery, so the hot path never
 // scans buckets); while the ring is not yet full every trace is retained, so
 // fresh processes are immediately inspectable.
 type Tracer struct {
-	pool sync.Pool
 	slow *Histogram
 
 	seq       atomic.Uint64 // trace sequence numbers, reserved a block at a time
@@ -245,7 +246,7 @@ type Tracer struct {
 	size int
 	// full is set once the ring has filled (it never empties again): from
 	// then on a trace that is neither errored, forced nor slow is certain
-	// not to be retained, and Finish recycles it without taking mu.
+	// not to be retained, and Finish returns without taking mu.
 	full atomic.Bool
 }
 
@@ -268,7 +269,6 @@ func NewTracer(capacity int, slow *Histogram) *Tracer {
 		seed: mix64(uint64(time.Now().UnixNano()) ^ mix64(tracers.Add(1))),
 	}
 	t.thresh.Store(math.MaxInt64)
-	t.pool.New = func() any { return new(Trace) }
 	return t
 }
 
@@ -289,16 +289,21 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// Start returns a reset Trace with a fresh ID: StartFrom(nil).
-func (t *Tracer) Start() *Trace { return t.StartFrom(nil) }
+// Start returns a new Trace with a fresh ID, for a caller that keeps no
+// recorder of its own: it allocates the recorder StartFrom would reset.
+func (t *Tracer) Start() *Trace {
+	tr := new(Trace)
+	t.StartFrom(tr, nil)
+	return tr
+}
 
-// StartFrom returns a reset Trace carrying the inbound X-Trace-Id header's ID
-// if it is one (validID), so a shard's trace shares the router's ID, and a
-// freshly carved one otherwise. An adopted ID is the caller's own slice, the
-// way X-Request-Id is echoed: it must not be rewritten while it can be read.
-// The caller must eventually hand the trace back via Finish or Abandon.
-func (t *Tracer) StartFrom(inbound []string) *Trace {
-	tr := t.pool.Get().(*Trace)
+// StartFrom resets the caller's recorder tr for a trace beginning now, with
+// the inbound X-Trace-Id header's ID if it is one (validID), so a shard's
+// trace shares the router's ID, and a freshly carved one otherwise. An
+// adopted ID is the caller's own slice, the way X-Request-Id is echoed: it
+// must not be rewritten while it can be read. A trace not worth keeping is
+// simply not handed to Finish.
+func (t *Tracer) StartFrom(tr *Trace, inbound []string) {
 	tr.start = time.Since(epoch)
 	tr.n = 0
 	tr.Dropped = 0
@@ -310,7 +315,6 @@ func (t *Tracer) StartFrom(inbound []string) *Trace {
 	} else {
 		tr.hv = t.nextID()
 	}
-	return tr
 }
 
 // validID reports whether s is a trace ID as this package writes them:
@@ -353,9 +357,8 @@ func (t *Tracer) nextID() []string {
 const refreshEvery = time.Millisecond
 
 // Finish stamps the trace's total duration, applies the tail-sampling
-// decision, copies a retained trace into the ring over its oldest record,
-// and returns the recorder to the pool. The caller must not touch tr
-// afterwards.
+// decision and copies a retained trace into the ring over its oldest record.
+// The ring keeps no reference to tr: its owner may start it again at once.
 func (t *Tracer) Finish(tr *Trace, errored bool) {
 	t.FinishElapsed(tr, tr.Elapsed(), errored)
 }
@@ -378,7 +381,6 @@ func (t *Tracer) FinishElapsed(tr *Trace, elapsed time.Duration, errored bool) {
 		}
 	}
 	if !keep && t.full.Load() {
-		t.pool.Put(tr)
 		return
 	}
 	t.mu.Lock()
@@ -397,13 +399,7 @@ func (t *Tracer) FinishElapsed(tr *Trace, elapsed time.Duration, errored bool) {
 		}
 	}
 	t.mu.Unlock()
-	t.pool.Put(tr)
 }
-
-// Abandon returns a started trace to the pool without retaining it (an
-// ingest step that read nothing, for example). The caller must not touch
-// tr afterwards.
-func (t *Tracer) Abandon(tr *Trace) { t.pool.Put(tr) }
 
 // SlowThresholdMicros returns the current tail-sampling latency threshold
 // (math.MaxInt64 until the slow-source histogram has enough data).

@@ -148,6 +148,7 @@ var (
 func runRetentionProgram(t *testing.T, prog []byte) {
 	t.Helper()
 	tr, or := NewTracer(16, nil), newOracleTracer(16)
+	x := new(Trace) // one recorder for every trace, as its owner keeps it
 	next := func() int {
 		if len(prog) == 0 {
 			return 0
@@ -157,7 +158,7 @@ func runRetentionProgram(t *testing.T, prog []byte) {
 		return int(b)
 	}
 	for traces := 0; len(prog) > 0; traces++ {
-		x := tr.StartFrom(progInbound[next()%len(progInbound)])
+		tr.StartFrom(x, progInbound[next()%len(progInbound)])
 		o := or.StartFrom(x.HeaderValue())
 		syncSpan := func(i int) {
 			if i >= 0 && i < x.n {
@@ -268,25 +269,22 @@ func FuzzTracerRetention(f *testing.F) {
 	f.Fuzz(runRetentionProgram)
 }
 
-// TestTracerRetainedRecordIsACopy: a retained trace's recorder goes back to
-// the pool at Finish, and whatever the next request writes into it — here a
-// full 48 spans — leaves the retained record as it was.
+// TestTracerRetainedRecordIsACopy: a retained trace's recorder is its
+// owner's again after Finish, and whatever the next request writes into it —
+// here a full 48 spans — leaves the retained record as it was.
 func TestTracerRetainedRecordIsACopy(t *testing.T) {
 	tr := NewTracer(16, nil)
 	x := tr.Start()
 	x.Record("cache", 0, 5, NoShard, "hit")
 	tr.FinishElapsed(x, 10*time.Microsecond, true)
 	want := tr.Snapshot(0, false, 0)
-	y := tr.Start() // x, unless the pool dropped it
-	for _, rec := range []*Trace{x, y} {
-		for rec.n < MaxSpans {
-			rec.Record("shard", 1, 2, 3, "error")
-		}
+	tr.StartFrom(x, nil) // the owner's next request
+	for x.n < MaxSpans {
+		x.Record("shard", 1, 2, 3, "error")
 	}
 	if got := tr.Snapshot(0, false, 0); !reflect.DeepEqual(got, want) {
-		t.Fatalf("writing the recycled recorder changed the retained trace:\n got %+v\nwant %+v", got, want)
+		t.Fatalf("writing the restarted recorder changed the retained trace:\n got %+v\nwant %+v", got, want)
 	}
-	tr.Abandon(y)
 }
 
 // TestTracerSlotTakesLongerTrace: a slot that held a one-span trace takes a

@@ -31,14 +31,20 @@ func TestTraceIDsUniqueAndHex(t *testing.T) {
 		if hv := x.HeaderValue(); len(hv) != 1 || hv[0] != id {
 			t.Fatalf("HeaderValue %q disagrees with ID %q", hv, id)
 		}
-		tr.Abandon(x)
 	}
+}
+
+// startFrom starts a new recorder on t, adopting inbound's ID if it is one.
+func startFrom(t *Tracer, inbound []string) *Trace {
+	x := new(Trace)
+	t.StartFrom(x, inbound)
+	return x
 }
 
 func TestTraceSetIDAdoptsInbound(t *testing.T) {
 	tr := NewTracer(16, nil)
 	inbound := []string{"0123456789abcdef", "second value ignored"}
-	x := tr.StartFrom(inbound)
+	x := startFrom(tr, inbound)
 	if x.ID() != "0123456789abcdef" {
 		t.Fatalf("inbound ID not adopted: %q", x.ID())
 	}
@@ -47,11 +53,10 @@ func TestTraceSetIDAdoptsInbound(t *testing.T) {
 	}
 	// Anything but lowercase hex of the right length gets a fresh ID.
 	for _, bad := range [][]string{nil, {}, {""}, {"short"}, {"0123456789ABCDEF"}, {"a b=c d=e f=g hi"}, {"0123456789abcdef0"}} {
-		y := tr.StartFrom(bad)
+		y := startFrom(tr, bad)
 		if len(bad) > 0 && y.ID() == bad[0] || !validID(y.ID()) {
 			t.Fatalf("StartFrom(%q) took ID %q", bad, y.ID())
 		}
-		tr.Abandon(y)
 	}
 	// validID's branch-free digit test against the plain one, every byte in
 	// every position.
@@ -78,7 +83,7 @@ func TestStartFromAdoptsWithoutCarving(t *testing.T) {
 	tr := NewTracer(16, nil)
 	inbound := []string{"feedfacecafebeef"}
 	for i := 0; i < 1000; i++ {
-		x := tr.StartFrom(inbound)
+		x := startFrom(tr, inbound)
 		if hv := x.HeaderValue(); len(hv) != 1 || &hv[0] != &inbound[0] {
 			t.Fatalf("trace %d: header value %q is not the inbound slice", i, hv)
 		}
@@ -101,7 +106,7 @@ func TestAdoptingTracerRefreshesThreshold(t *testing.T) {
 	// offset from epoch; its start is set to match, so no clock decides
 	// anything) and reports whether it was retained.
 	finish := func(end, total time.Duration) bool {
-		x := tr.StartFrom(inbound)
+		x := startFrom(tr, inbound)
 		x.start = end - total
 		tr.FinishElapsed(x, total, false)
 		v := tr.Snapshot(0, false, 1)
@@ -166,16 +171,17 @@ func TestNowIsMonotonic(t *testing.T) {
 
 // TestTraceIDSurvivesRecycle is the use-after-recycle regression: a header
 // value taken from a trace must read the same after the trace has been
-// finished and the pool has handed its storage to later requests — net/http
+// finished and its recorder started again for later requests — net/http
 // writes response headers only after the handler (and its Finish) returned.
-// IDs used to live in the pooled Trace and were rewritten by the next Start.
+// IDs used to live in the recorder and were rewritten by the next start.
 func TestTraceIDSurvivesRecycle(t *testing.T) {
 	tr := NewTracer(16, nil)
-	// Fill the retention ring first: until then every trace is retained and
-	// nothing goes back to the pool.
+	// Fill the retention ring first, so that the loop's traces are the
+	// ones a full ring drops.
 	for i := 0; i < 16; i++ {
 		tr.Finish(tr.Start(), false)
 	}
+	x := new(Trace) // one recorder, as a pooled request writer holds one
 	type held struct {
 		hv   []string
 		id   string // aliases the trace's storage, like a header value does
@@ -185,14 +191,14 @@ func TestTraceIDSurvivesRecycle(t *testing.T) {
 	seen := make(map[string]bool)
 	// More traces than one ID block holds, so the check spans a block change.
 	for i := 0; i < 3*idBlockLen; i++ {
-		x := tr.Start()
+		tr.StartFrom(x, nil)
 		h := held{hv: x.HeaderValue(), id: x.ID(), want: strings.Clone(x.ID())}
 		if seen[h.want] {
 			t.Fatalf("trace %d: duplicate id %q", i, h.want)
 		}
 		seen[h.want] = true
 		helds = append(helds, h)
-		tr.Finish(x, false) // recycled: the next Start reuses this Trace
+		tr.Finish(x, false) // the next StartFrom resets this recorder
 	}
 	for i, h := range helds {
 		if h.hv[0] != h.want || h.id != h.want {
@@ -476,15 +482,15 @@ func TestTracersShareNoIDs(t *testing.T) {
 		trs[i] = NewTracer(16, nil)
 	}
 	ids := make([]uint64, 0, tracers*per)
+	x := new(Trace)
 	for _, tr := range trs {
 		for i := 0; i < per; i++ {
-			x := tr.Start()
+			tr.StartFrom(x, nil)
 			id, err := strconv.ParseUint(x.ID(), 16, 64)
 			if err != nil {
 				t.Fatalf("id %q: %v", x.ID(), err)
 			}
 			ids = append(ids, id)
-			tr.Abandon(x)
 		}
 	}
 	slices.Sort(ids)
@@ -498,18 +504,19 @@ func TestTracersShareNoIDs(t *testing.T) {
 // TestInstrumentClockReads prices the request path's instruments in
 // monotonic clock reads timed in the same rounds, and holds each sequence
 // under 6.0 of them. Direct GET: what the serve middleware and the GET
-// handler's one stage run for a cached GET — a pooled trace started, the
-// stage's clock read, its span and histogram record, the serving arm's
-// latency record, the exit clock read, the two request
-// histograms, the trace finished: three reads, one span, four records.
-// Routed hop: what the shard router's instruments cost an unhedged
-// GET that its first replica answers — the trace started (a client sends no
-// ID, so one is carved), the attempt opened on the trace's start, the
-// exchange's end read by Now, the attempt span closed and its latency
-// recorded, the exit clock read, the request histogram, the trace finished:
-// three reads, one span, two records. They read 5.6–5.8 and 5.1–5.3 on a
-// 2-vCPU x86-64 VM, idle or running the rest of the suite; a fourth clock
-// read reads 6.6+.
+// handler's one stage run for a cached GET — the writer's trace started, the
+// stage's clock read, its span and its one record (the serving arm's cache
+// histogram), the exit clock read, the route histogram's record, the write
+// span, the trace finished against the request histogram derived from the
+// route's: three reads, two spans, two records. Routed hop: what the shard
+// router's instruments cost an unhedged GET that its first replica answers —
+// the trace started (a client sends no ID, so one is carved), the attempt
+// opened on the trace's start, the exchange's end read by Now, the attempt
+// span closed and its latency recorded, the exit clock read, the request
+// histogram, the trace finished: three reads, one span, two records. With
+// four records on the direct GET they read 5.6–5.8 and 5.1–5.3 on a 2-vCPU
+// x86-64 VM, idle or running the rest of the suite; a fourth clock read
+// reads 6.6+.
 func TestInstrumentClockReads(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test")
@@ -517,27 +524,31 @@ func TestInstrumentClockReads(t *testing.T) {
 	if raceEnabled {
 		t.Skip("timings are not meaningful under -race")
 	}
-	var direct [4]Histogram // stage, HTTP request, route, serving arm
-	directTracer := NewTracer(16, &direct[1])
+	var direct [2]Histogram // the serving arm's stage, the route
+	var request Histogram   // serve_http_request_us: derived, never recorded
+	request.Derive(&direct[1])
+	directTracer := NewTracer(16, &request)
 	var routed [2]Histogram // attempt, request
 	routedTracer := NewTracer(16, &routed[1])
+	var directRec, routedRec Trace
 	for _, tc := range []struct {
 		name string
 		seq  func()
 	}{
 		{"direct GET", func() {
-			tr := directTracer.Start()
+			tr := &directRec
+			directTracer.StartFrom(tr, nil)
 			took := tr.Elapsed().Microseconds()
 			direct[0].Record(took)
-			tr.Record("cache", 0, took, NoShard, "hit")
-			direct[3].Record(took)
+			tr.Chain("cache", took, "hit")
 			elapsed := tr.Elapsed()
 			direct[1].Record(elapsed.Microseconds())
-			direct[2].Record(elapsed.Microseconds())
+			tr.Chain("write", elapsed.Microseconds(), "ok")
 			directTracer.FinishElapsed(tr, elapsed, false)
 		}},
 		{"routed hop", func() {
-			tr := routedTracer.StartFrom(nil)
+			tr := &routedRec
+			routedTracer.StartFrom(tr, nil)
 			start := tr.Started()
 			span := tr.BeginAt("shard", tr.Offset(start))
 			tr.SetShard(span, 1)
@@ -576,7 +587,7 @@ var clockSink time.Duration
 // 5.7 idle on a 2-vCPU VM; the percentile read 5.7–5.8 in both. It skips
 // the rounds whose bare-read batch was preempted, which read far low.
 func clockReads(seq func()) float64 {
-	for i := 0; i < 300; i++ { // fill the retention ring, settle the pool
+	for i := 0; i < 300; i++ { // fill the retention ring
 		seq()
 	}
 	const rounds, batch = 201, 1_000

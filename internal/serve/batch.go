@@ -140,10 +140,12 @@ func (h *Handler) suggestBatch(w http.ResponseWriter, r *http.Request) {
 	tr := traceOf(w)
 	batchStart := tr.Elapsed()
 	h.recommendBatch(bb, base)
-	elapsed := (tr.Elapsed() - batchStart).Microseconds()
-	recordStage(tr, h.histBatchDescent, stageBatch, batchStart, elapsed, "ok")
+	batchEnd := tr.Elapsed()
+	elapsed := (batchEnd - batchStart).Microseconds()
+	h.histBatchDescent.Record(elapsed)
+	tr.Chain(stageParse, batchStart.Microseconds(), "ok")
+	tr.Chain(stageBatch, batchEnd.Microseconds(), "ok")
 	perCtx := elapsed / int64(len(bb.items))
-	h.m.batches.Add(1)
 	h.m.batchContexts.Add(uint64(len(bb.items)))
 	if fleet.WantsNDJSONStream(r) {
 		// NDJSON mode: one {"index":N,"result":{...}} line per item, the

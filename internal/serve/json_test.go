@@ -108,9 +108,9 @@ func TestParseSuggestQueryMatchesURLValues(t *testing.T) {
 		"",
 		"&&q=x&&",
 	}
+	b := new(reqScratch) // one, reset between queries as a pooled writer's is
 	for _, raw := range cases {
 		vals, _ := url.ParseQuery(raw)
-		b := reqScratchPool.Get().(*reqScratch)
 		n, badN := b.parseSuggestQuery(raw, 5)
 		if badN {
 			t.Fatalf("raw %q: unexpected badN", raw)
@@ -131,15 +131,14 @@ func TestParseSuggestQueryMatchesURLValues(t *testing.T) {
 		if n != wantN {
 			t.Fatalf("raw %q: n = %d, want %d", raw, n, wantN)
 		}
-		putReqScratch(b)
+		b.reset()
 	}
 	// Explicitly bad n values must flag badN.
 	for _, raw := range []string{"q=x&n=0", "q=x&n=-1", "q=x&n=abc", "q=x&n=1000"} {
-		b := reqScratchPool.Get().(*reqScratch)
 		if _, badN := b.parseSuggestQuery(raw, 5); !badN {
 			t.Fatalf("raw %q: badN not flagged", raw)
 		}
-		putReqScratch(b)
+		b.reset()
 	}
 }
 

@@ -14,8 +14,6 @@ import (
 // on the Handler (full-range, mergeable, p999-capable).
 type metrics struct {
 	requests      atomic.Uint64 // every HTTP request
-	suggests      atomic.Uint64 // GET /suggest requests served
-	batches       atomic.Uint64 // POST /suggest/batch requests served
 	batchContexts atomic.Uint64 // contexts answered across batch requests
 	errors        atomic.Uint64 // responses with status >= 400
 	panics        atomic.Uint64 // panics recovered by middleware

@@ -5,15 +5,17 @@ import (
 	"runtime/debug"
 	"sync"
 
+	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/query"
 )
 
 // statusWriter captures the response status so the instrumentation
 // middleware can count errors and log outcomes. Writers are pooled and carry
-// the per-request instrumentation state — including the request's pooled
-// trace and correlation ID — so a request adds no middleware allocations:
-// the deferred finish is a plain method call (open-coded by the compiler),
-// not a closure.
+// the per-request state — the request's trace recorder, its correlation ID
+// and the GET path's buffers — so a request takes one pool round trip and
+// adds no middleware allocations: the deferred finish is a plain method call
+// (open-coded by the compiler), not a closure.
 type statusWriter struct {
 	http.ResponseWriter
 	code  int
@@ -22,11 +24,24 @@ type statusWriter struct {
 	h      *Handler
 	method string
 	path   string
-	tr     *obs.Trace // its Start is the request's: the one clock read on the way in
 	rid    string     // X-Request-Id: client-supplied, or the trace ID
+	tr     obs.Trace  // its start is the request's: the one clock read on the way in
+	get    reqScratch // GET /suggest's buffers, emptied by finish
 }
 
-var statusWriterPool = sync.Pool{New: func() any { return new(statusWriter) }}
+var statusWriterPool = sync.Pool{New: func() any {
+	return &statusWriter{get: reqScratch{
+		flat: make([]byte, 0, 256),
+		raw:  make([][]byte, 0, 8),
+		ctx:  make(query.Seq, 0, 8),
+		recs: make([]core.Suggestion, 0, 16),
+		body: make([]byte, 0, 1024),
+	}}
+}}
+
+// traceOf recovers the request's trace from the instrumented writer: route
+// is only ever reached through instrument, so every handler's writer is one.
+func traceOf(w http.ResponseWriter) *obs.Trace { return &w.(*statusWriter).tr }
 
 func (w *statusWriter) WriteHeader(code int) {
 	if !w.wrote {
@@ -66,9 +81,9 @@ func (w *statusWriter) loggedRID() string {
 
 // finish runs deferred around every request: it recovers panics (a handler
 // bug answers 500 instead of killing the connection and, under http.Server,
-// the process's goroutine), counts errors, records the per-route latency
-// histograms, hands the trace to the tail-sampling tracer, logs with the
-// request ID, and recycles the writer.
+// the process's goroutine), counts errors, records the route's latency
+// histogram and the write span, hands the trace to the tail-sampling tracer,
+// logs with the request ID, and recycles the writer.
 func (w *statusWriter) finish() {
 	h := w.h
 	errored := false
@@ -87,30 +102,38 @@ func (w *statusWriter) finish() {
 		h.m.errors.Add(1)
 		errored = true
 	}
-	// The one clock read on the way out: histograms, log line and trace
-	// total all take this value.
+	// The one clock read on the way out: histogram, write span, log line and
+	// trace total all take this value.
 	elapsed := w.tr.Elapsed()
 	took := elapsed.Microseconds()
-	h.histHTTP.Record(took)
-	switch w.path {
-	case "/suggest":
-		h.histRouteSuggest.Record(took)
-	case "/suggest/batch", "/v1/suggest/batch":
-		h.histRouteBatch.Record(took)
-	default:
-		h.histRouteAdmin.Record(took)
+	h.routeHistogram(w.path).Record(took)
+	outcome := "ok"
+	if errored {
+		outcome = "error"
 	}
+	w.tr.Chain(stageWrite, took, outcome)
 	if h.opts.Logger != nil {
 		// Log before Finish: the trace must not be touched afterwards.
 		h.opts.Logger.Printf("%s %s -> %d (%s) rid=%q trace=%s",
 			w.method, w.path, w.status(), elapsed, w.loggedRID(), w.tr.ID())
 	}
-	h.tracer.FinishElapsed(w.tr, elapsed, errored)
-	w.tr = nil
+	h.tracer.FinishElapsed(&w.tr, elapsed, errored)
+	w.get.reset()
 	w.rid = ""
 	w.ResponseWriter = nil
 	w.h = nil
 	statusWriterPool.Put(w)
+}
+
+// routeHistogram returns the histogram a request to path records into.
+func (h *Handler) routeHistogram(path string) *obs.Histogram {
+	switch path {
+	case "/suggest":
+		return h.histRouteSuggest
+	case "/suggest/batch", "/v1/suggest/batch":
+		return h.histRouteBatch
+	}
+	return h.histRouteAdmin
 }
 
 // instrument wraps next with the serving middleware: request counting, trace
@@ -128,11 +151,12 @@ func (h *Handler) instrument(next http.Handler) http.Handler {
 		sw.h, sw.method, sw.path = h, r.Method, r.URL.Path
 		// Direct map index: the key is canonical, and Header.Get would
 		// canonicalise it again on every request.
-		tr := h.tracer.StartFrom(r.Header["X-Trace-Id"])
-		sw.tr = tr
-		// The header values outlive the pooled trace — net/http writes them
-		// after this handler has returned and the trace has been recycled —
-		// which is safe because HeaderValue is immutable (obs.Trace).
+		tr := &sw.tr
+		h.tracer.StartFrom(tr, r.Header["X-Trace-Id"])
+		// The header values outlive the request's use of the recorder —
+		// net/http writes them after this handler has returned and the writer
+		// has gone back to the pool — which is safe because HeaderValue is
+		// immutable (obs.Trace).
 		hdr := w.Header()
 		hdr["X-Trace-Id"] = tr.HeaderValue()
 		if rid := r.Header["X-Request-Id"]; len(rid) > 0 && rid[0] != "" {

@@ -404,13 +404,13 @@ func TestObsEndpointsUnderReloadStorm(t *testing.T) {
 // TestTraceHeadersSurviveTraceRecycle is the deterministic form of the race
 // TestObsEndpointsUnderReloadStorm used to lose one run in two under -race:
 // the X-Trace-Id / X-Request-Id response headers are written after the
-// handler returned, by which time its pooled trace has been finished and
-// restarted for other requests. Held until then (reusableRecorder keeps the
+// handler returned, by which time its pooled writer's trace has been
+// finished and restarted for other requests. Held until then (reusableRecorder keeps the
 // handler's header values by reference, as net/http does), they must still
 // carry this request's ID, not a later request's.
 func TestTraceHeadersSurviveTraceRecycle(t *testing.T) {
-	// A 16-trace ring fills at once; from then on every finished trace goes
-	// straight back to the pool and the next request restarts it.
+	// A 16-trace ring fills at once; from then on no finished trace is
+	// retained and the next request restarts the pooled writer's recorder.
 	h := New(testRecommender(t), Options{Tracer: obs.NewTracer(16, nil)})
 	get := func(hdr http.Header) http.Header {
 		w := newReusableRecorder()
@@ -433,7 +433,7 @@ func TestTraceHeadersSurviveTraceRecycle(t *testing.T) {
 	}
 	adopted := get(http.Header{"X-Trace-Id": {"feedfacecafebeef"}})
 	seen := map[string]bool{wantID: true}
-	for i := 0; i < 64; i++ { // finish and restart the pooled trace, many times over
+	for i := 0; i < 64; i++ { // finish and restart the pooled writer's trace, many times over
 		id := strings.Clone(flush(get(nil), "X-Trace-Id"))
 		if seen[id] {
 			t.Fatalf("request %d reuses trace ID %q", i, id)
@@ -464,11 +464,11 @@ func (w slowWriter) Write(p []byte) (int, error) {
 }
 
 // TestSlowAndErroredTracesRetained pins what tail sampling keeps once the
-// ring is full, now that a GET records one span and not two: a slow GET's
-// trace holds exactly its stage span — cache/hit or descent/miss — opening
-// with the trace at offset 0 and closing inside the trace's total; an errored
-// request's trace is kept, with no stage (it was refused before one); a fast,
-// clean one is not.
+// ring is full: a slow GET's trace holds exactly its stage span — cache/hit
+// or descent/miss — opening with the trace at offset 0, and the write span
+// from the stage's end to the trace's total, where a slow client's time
+// shows; an errored request's trace is kept, with no stage (it was refused
+// before one) and an errored write span; a fast, clean one is not.
 func TestSlowAndErroredTracesRetained(t *testing.T) {
 	// The tracer re-reads its slow threshold on its first finish and then at
 	// most once a millisecond of trace time: a histogram that already holds
@@ -509,37 +509,45 @@ func TestSlowAndErroredTracesRetained(t *testing.T) {
 		if code != http.StatusOK || v == nil || v.Err || v.TotalMicros < 60_000 {
 			t.Fatalf("slow %s: status %d, retained trace %+v", tc.target, code, v)
 		}
-		if len(v.Spans) != 1 {
-			t.Fatalf("slow %s: %d spans, want the one stage: %+v", tc.target, len(v.Spans), v.Spans)
+		if len(v.Spans) != 2 {
+			t.Fatalf("slow %s: %d spans, want the stage and the write: %+v", tc.target, len(v.Spans), v.Spans)
 		}
-		sp := v.Spans[0]
+		sp, write := v.Spans[0], v.Spans[1]
 		if sp.Name != tc.stage || sp.Outcome != tc.outcome || sp.Shard != obs.NoShard {
 			t.Fatalf("slow %s: span %+v, want %s/%s", tc.target, sp, tc.stage, tc.outcome)
 		}
 		if sp.StartMicros != 0 || sp.DurMicros < 0 || sp.DurMicros > v.TotalMicros {
 			t.Fatalf("slow %s: span %+v does not open with the trace and fit its total %d", tc.target, sp, v.TotalMicros)
 		}
+		if write.Name != stageWrite || write.Outcome != "ok" || write.StartMicros != sp.DurMicros ||
+			write.StartMicros+write.DurMicros != v.TotalMicros || write.DurMicros < 60_000 {
+			t.Fatalf("slow %s: write span %+v does not hold the slow write up to the total %d", tc.target, write, v.TotalMicros)
+		}
 	}
 
 	id, code := get("/suggest", 0) // no q: 400
-	if v := retained(id); code != http.StatusBadRequest || v == nil || !v.Err || len(v.Spans) != 0 {
+	if v := retained(id); code != http.StatusBadRequest || v == nil || !v.Err || len(v.Spans) != 1 ||
+		v.Spans[0].Name != stageWrite || v.Spans[0].Outcome != "error" {
 		t.Fatalf("errored GET: status %d, retained trace %+v", code, v)
 	}
 }
 
-// TestInstrumentCountsPinned counts what one request records, registry-wide:
-// a direct cached GET is 3 histogram samples (its stage,
-// serve_http_request_us, serve_route_suggest_us) and 1 span; a batch of 64 is
-// 3 too (its stage, the request and route histograms) and 1 span — nothing
-// per context. A fourth registry record or a second span on the GET is the
-// cost this pins out. The serving arm's latency record lives outside the
-// registry (/v1/metrics fleet.arms); obs's TestInstrumentClockReads prices
-// it. The GET's three clock reads are not counted here: they become
-// countable once the clock is injected (ROADMAP, "One clock, one random
-// source, and no sleeps in tests").
+// TestInstrumentCountsPinned counts what one request records, registry-wide.
+// Exposed: a direct cached GET shows 3 histogram samples (its stage,
+// serve_http_request_us, serve_route_suggest_us); a batch of 64 shows 3 too
+// (its stage, the request and route histograms) — nothing per context.
+// Recorded: 2 each, because serve_http_request_us and the GET stage families
+// are derived when read: the GET records its stage in the serving arm's
+// histogram and its latency in its route's; the batch, its stage and its
+// route. Spans: the GET's stage and write, the batch's parse, batch-descent
+// and write. A third record, or a span more, is the cost this pins out. The
+// GET's three clock reads are not counted here: they become countable once
+// the clock is injected (ROADMAP, "One clock, one random source, and no
+// sleeps in tests"); obs's TestInstrumentClockReads prices them.
 func TestInstrumentCountsPinned(t *testing.T) {
 	h := New(testRecommender(t), Options{})
-	samples := func() (total float64) {
+	derived := map[string]bool{"serve_http_request_us": true, "serve_stage_cache_us": true, "serve_stage_descent_us": true}
+	samples := func() (exposed, recorded float64) {
 		fams, err := obs.ParsePrometheus(h.Obs().AppendPrometheus(nil))
 		if err != nil {
 			t.Fatal(err)
@@ -547,23 +555,21 @@ func TestInstrumentCountsPinned(t *testing.T) {
 		for name, f := range fams {
 			for _, s := range f.Samples {
 				if f.Type == "histogram" && s.Name == name+"_count" {
-					total += s.Value
+					exposed += s.Value
+					if !derived[name] {
+						recorded += s.Value
+					}
 				}
 			}
 		}
-		return total
-	}
-	var batch strings.Builder
-	batch.WriteString(`{"requests":[`)
-	for i := 0; i < 64; i++ {
-		if i > 0 {
-			batch.WriteByte(',')
+		for _, arm := range h.rt.Arms() { // the derived stage families' parts
+			c, d := arm.Stages()
+			recorded += float64(c.Count() + d.Count())
 		}
-		batch.WriteString(`{"context":["o2"]}`)
+		return exposed, recorded
 	}
-	batch.WriteString(`]}`)
-	serve := func(method, target, body string) (spans []obs.SpanView, recorded float64) {
-		before := samples()
+	serve := func(method, target, body string) (spans []string, exposed, recorded float64) {
+		exposed0, recorded0 := samples()
 		rr := httptest.NewRecorder()
 		h.ServeHTTP(rr, httptest.NewRequest(method, target, strings.NewReader(body)))
 		if rr.Code != http.StatusOK {
@@ -571,19 +577,25 @@ func TestInstrumentCountsPinned(t *testing.T) {
 		}
 		for _, v := range h.Tracer().Snapshot(0, false, 0) { // the ring is not full: every trace is there
 			if v.ID == rr.Header().Get("X-Trace-Id") {
-				return v.Spans, samples() - before
+				for _, sp := range v.Spans {
+					spans = append(spans, sp.Name)
+				}
+				exposed1, recorded1 := samples()
+				return spans, exposed1 - exposed0, recorded1 - recorded0
 			}
 		}
 		t.Fatalf("%s %s: trace not retained", method, target)
-		return nil, 0
+		return nil, 0, 0
 	}
 	serve(http.MethodGet, "/suggest?q=o2", "") // first sight: a miss the cache refuses
 	serve(http.MethodGet, "/suggest?q=o2", "") // second sight: the miss that fills the cache
-	if spans, recorded := serve(http.MethodGet, "/suggest?q=o2", ""); recorded != 3 || len(spans) != 1 || spans[0].Name != stageCache {
-		t.Fatalf("cached GET recorded %v histogram samples and spans %+v, want 3 and the cache span", recorded, spans)
+	if spans, exposed, recorded := serve(http.MethodGet, "/suggest?q=o2", ""); exposed != 3 || recorded != 2 ||
+		!slices.Equal(spans, []string{stageCache, stageWrite}) {
+		t.Fatalf("cached GET exposed %v and recorded %v histogram samples, spans %q; want 3, 2 and the cache and write spans", exposed, recorded, spans)
 	}
-	if spans, recorded := serve(http.MethodPost, "/suggest/batch", batch.String()); recorded != 3 || len(spans) != 1 || spans[0].Name != stageBatch {
-		t.Fatalf("batch-64 recorded %v histogram samples and spans %+v, want 3 and the batch-descent span", recorded, spans)
+	if spans, exposed, recorded := serve(http.MethodPost, "/suggest/batch", batchBody("o2", 64)); exposed != 3 || recorded != 2 ||
+		!slices.Equal(spans, []string{stageParse, stageBatch, stageWrite}) {
+		t.Fatalf("batch-64 exposed %v and recorded %v histogram samples, spans %q; want 3, 2 and the parse, batch-descent and write spans", exposed, recorded, spans)
 	}
 }
 

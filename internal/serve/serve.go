@@ -67,7 +67,6 @@ import (
 	"log"
 	"net/http"
 	"strconv"
-	"sync"
 	"time"
 
 	"repro/internal/cache"
@@ -212,12 +211,11 @@ type Handler struct {
 	obs              *obs.Registry
 	tracer           *obs.Tracer
 	admin            obs.Admin
-	histHTTP         *obs.Histogram // every HTTP request, wall-clock
 	histRouteSuggest *obs.Histogram
 	histRouteBatch   *obs.Histogram
 	histRouteAdmin   *obs.Histogram
-	histCache        *obs.Histogram
-	histDescent      *obs.Histogram
+	histCache        *obs.Histogram // derived: the arms' cache stages
+	histDescent      *obs.Histogram // derived: the arms' descent stages
 	histBatchDescent *obs.Histogram
 }
 
@@ -272,10 +270,10 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	h.chain.ServeHTTP(w, r)
 }
 
-// reqScratch pools every per-request buffer of the hot /suggest path:
-// decoded q values (flat storage + per-value views), the interned context,
-// the suggestions of a miss the cache refused to store, and the response
-// body under construction.
+// reqScratch holds every per-request buffer of the hot /suggest path, in the
+// request's pooled writer: decoded q values (flat storage + per-value views),
+// the interned context, the suggestions of a miss the cache refused to store,
+// and the response body under construction.
 type reqScratch struct {
 	flat []byte   // the query string's decoded pairs, back to back
 	raw  [][]byte // views into flat, one per q value
@@ -284,24 +282,14 @@ type reqScratch struct {
 	body []byte
 }
 
-var reqScratchPool = sync.Pool{New: func() any {
-	return &reqScratch{
-		flat: make([]byte, 0, 256),
-		raw:  make([][]byte, 0, 8),
-		ctx:  make(query.Seq, 0, 8),
-		recs: make([]core.Suggestion, 0, 16),
-		body: make([]byte, 0, 1024),
-	}
-}}
-
-func putReqScratch(b *reqScratch) {
+// reset empties the buffers for the writer's next request.
+func (b *reqScratch) reset() {
 	b.flat = b.flat[:0]
 	b.raw = b.raw[:0]
 	b.ctx = b.ctx[:0]
 	clear(b.recs) // do not retain a model's strings in the pool
 	b.recs = b.recs[:0]
 	b.body = b.body[:0]
-	reqScratchPool.Put(b)
 }
 
 // parseSuggestQuery reads the /suggest query string off the query walker
@@ -347,8 +335,8 @@ func (h *Handler) suggest(w http.ResponseWriter, r *http.Request) {
 	if !obs.AllowMethod(w, r, http.MethodGet) {
 		return
 	}
-	b := reqScratchPool.Get().(*reqScratch)
-	defer putReqScratch(b)
+	sw := w.(*statusWriter) // route is only ever reached through instrument
+	b, tr := &sw.get, &sw.tr
 	n, badN := b.parseSuggestQuery(r.URL.RawQuery, h.opts.DefaultN)
 	if badN {
 		obs.WriteError(w, http.StatusBadRequest, "bad_request", fmt.Sprintf("n must be an integer in [1,%d]", maxN))
@@ -359,7 +347,6 @@ func (h *Handler) suggest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rt := h.rt
-	tr := traceOf(w)
 	base := rt.Base()
 	b.ctx = core.AppendContextBytes(base, b.ctx[:0], b.raw)
 	armIdx := rt.Route(b.ctx)
@@ -381,15 +368,15 @@ func (h *Handler) suggest(w http.ResponseWriter, r *http.Request) {
 	// middleware's on the way out). The stage opened with the trace: it
 	// covers parsing + interning + lookup (+ descent on a miss); attribute it
 	// to the cache stage on a hit and the descent stage on a miss — the
-	// failed probe's share of a miss is negligible.
+	// failed probe's share of a miss is negligible. Its one record is the
+	// serving arm's, which the stage families and the arm's latency sum.
 	took := tr.Elapsed().Microseconds()
 	if hit {
-		recordStage(tr, h.histCache, stageCache, 0, took, "hit")
+		tr.Chain(stageCache, took, "hit")
 	} else {
-		recordStage(tr, h.histDescent, stageDescent, 0, took, "miss")
+		tr.Chain(stageDescent, took, "miss")
 	}
-	h.m.suggests.Add(1)
-	rt.RecordServe(armIdx, took)
+	rt.RecordServe(armIdx, hit, took)
 	if shadow && len(b.ctx) > 0 {
 		rt.Shadow(base, b.ctx, n, ans.Recs)
 	}
@@ -447,8 +434,8 @@ func (h *Handler) metricsHandler(w http.ResponseWriter, r *http.Request) {
 	lat := h.histRouteSuggest
 	obs.WriteJSON(w, http.StatusOK, MetricsResponse{
 		Requests:        h.m.requests.Load(),
-		SuggestRequests: h.m.suggests.Load(),
-		BatchRequests:   h.m.batches.Load(),
+		SuggestRequests: h.suggestRequests(),
+		BatchRequests:   h.histBatchDescent.Count(),
 		BatchContexts:   h.m.batchContexts.Load(),
 		Errors:          h.m.errors.Load(),
 		Panics:          h.m.panics.Load(),

@@ -51,7 +51,7 @@ type Config struct {
 	// Tracer retains one forced trace per productive Step — read /
 	// wal-append / fold / recompile / push spans — so slow ingest steps are
 	// inspectable the same way slow requests are. Idle steps (no new
-	// records) are abandoned, not retained. nil builds a 128-trace tracer
+	// records) are not retained. nil builds a 128-trace tracer
 	// that tail-samples against ingest_segment_us.
 	Tracer *obs.Tracer
 
@@ -137,7 +137,13 @@ type Ingester struct {
 	sessionsSinceCompile uint64
 	baseOffset           int64 // source-log offset already consumed at startup
 
+	// unlogged holds the completed sessions of a segment whose write-log
+	// append failed: they are out of the segmenter and the reader is past
+	// their records, so the next entry carries them, ahead of its own.
+	unlogged [][]string
+
 	tracer        *obs.Tracer
+	tr            obs.Trace      // the recorder each Step's trace runs on
 	histSegment   *obs.Histogram // productive Step durations
 	histRecompile *obs.Histogram // recompile+commit durations
 
@@ -256,9 +262,10 @@ func (ing *Ingester) setError(err error) {
 func (ing *Ingester) Step() (progressed bool, err error) {
 	// A trace per productive step: the loop is single-threaded, so the trace
 	// is mutated only here, satisfying the Trace goroutine contract. Idle
-	// polls are abandoned — retaining thousands of empty traces would flush
-	// the interesting ones out of the ring.
-	tr := ing.tracer.Start()
+	// polls are not finished — retaining thousands of empty traces would
+	// flush the interesting ones out of the ring.
+	tr := &ing.tr
+	ing.tracer.StartFrom(tr, nil)
 	sp := tr.BeginAt("read", 0)
 	read := 0
 	for read < ing.cfg.segmentRecords {
@@ -277,7 +284,6 @@ func (ing *Ingester) Step() (progressed bool, err error) {
 		read++
 	}
 	if read == 0 {
-		ing.tracer.Abandon(tr)
 		return false, nil
 	}
 	tr.End(sp, "ok")
@@ -286,6 +292,9 @@ func (ing *Ingester) Step() (progressed bool, err error) {
 	// timestamp are complete. Deterministic on replay, unlike wall clock.
 	ing.seg.Expire(ing.latest)
 	completed := ing.takeCompletedStrings()
+	if ing.unlogged != nil {
+		completed = append(ing.unlogged, completed...)
+	}
 
 	// Write-ahead: the segment entry is durable before the counts move.
 	ing.seq++
@@ -299,9 +308,11 @@ func (ing *Ingester) Step() (progressed bool, err error) {
 	sp = tr.Begin("wal-append")
 	if err := ing.wal.AppendSegment(entry); err != nil {
 		ing.seq--
+		ing.unlogged = completed
 		tr.End(sp, "error")
 		return ing.finish(tr, false, err)
 	}
+	ing.unlogged = nil
 	tr.End(sp, "ok")
 	sp = tr.Begin("fold")
 	ing.inc.AddStrings(completed)

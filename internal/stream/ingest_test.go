@@ -198,3 +198,81 @@ func TestIngestStepInstruments(t *testing.T) {
 		t.Fatalf("ingest_segment_us counted %d steps after a failed one, want %d", n, steps)
 	}
 }
+
+// TestIngestAppendFailureLosesNoSession: a segment whose write-log append
+// fails has already taken its completed sessions out of the segmenter, and
+// the reader is past their records; the next entry must carry them. One
+// append fails (the write-log's file is swapped for a read-only handle for one
+// step), and the loop goes on as Run does after a transient error. The counts
+// must equal an uninterrupted run's, byte for byte, after the retry and after
+// a restart that replays the write-log — and after a restart straight from
+// the failure, which re-reads the unlogged records from the source log.
+func TestIngestAppendFailureLosesNoSession(t *testing.T) {
+	dir := t.TempDir()
+	logPath := writeTraffic(t, smallGen(t, 7), dir, 120)
+	open := func(name string) *Ingester {
+		t.Helper()
+		ing, err := NewIngester(crashCfg(logPath, filepath.Join(dir, name+".wal"), filepath.Join(dir, name+".bin")))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ing
+	}
+	ref := open("ref")
+	drain(t, ref)
+	want, wantCounts := ref.Status().Sessions, dumpCounts(t, ref.Incremental())
+	ref.Close()
+
+	// failOnce runs Steps until one has completed sessions to log, and fails
+	// that step's append.
+	failOnce := func(ing *Ingester) {
+		t.Helper()
+		for {
+			healthy := ing.wal.f
+			ro, err := os.Open(ing.wal.Path())
+			if err != nil {
+				t.Fatal(err)
+			}
+			ing.wal.f = ro // writes fail
+			progressed, err := ing.Step()
+			ing.wal.f = healthy
+			ro.Close()
+			if progressed || err == nil {
+				t.Fatalf("Step over a read-only write-log = %v, %v; want an error", progressed, err)
+			}
+			if len(ing.unlogged) > 0 {
+				return
+			}
+			// Nothing completed in that segment: let it go through, and try the next.
+			if _, err := ing.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	check := func(what string, ing *Ingester) {
+		t.Helper()
+		if got := ing.Status().Sessions; got != want {
+			t.Fatalf("%s: %d sessions, want the uninterrupted %d", what, got, want)
+		}
+		if got := dumpCounts(t, ing.Incremental()); !bytes.Equal(got, wantCounts) {
+			t.Fatalf("%s: counts differ from the uninterrupted run's", what)
+		}
+	}
+
+	ing := open("retry")
+	failOnce(ing)
+	drain(t, ing)
+	check("after the retry", ing)
+	ing.Close()
+	ing = open("retry")
+	check("after a restart", ing)
+	ing.Close()
+
+	ing = open("crash")
+	failOnce(ing)
+	ing.Close()
+	ing = open("crash")
+	drain(t, ing)
+	check("after a restart from the failure", ing)
+	ing.Close()
+}

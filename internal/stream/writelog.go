@@ -238,7 +238,14 @@ func (w *WAL) append(typ byte, v any) error {
 	w.buf = binary.LittleEndian.AppendUint32(w.buf, uint32(len(payload)))
 	w.buf = binary.LittleEndian.AppendUint32(w.buf, crc32.ChecksumIEEE(payload))
 	w.buf = append(w.buf, payload...)
-	if _, err := w.f.Write(w.buf); err != nil {
+	if n, err := w.f.Write(w.buf); err != nil {
+		if n > 0 {
+			// Take the partial frame back, so that a later append does not
+			// land behind a torn record that replay would stop at.
+			if pos, serr := w.f.Seek(-int64(n), io.SeekCurrent); serr == nil {
+				w.f.Truncate(pos)
+			}
+		}
 		return fmt.Errorf("stream: appending write-log record: %w", err)
 	}
 	return nil
