@@ -7,12 +7,15 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/fleet"
+	"repro/internal/obs"
 	"repro/internal/serve"
 )
 
@@ -69,8 +72,8 @@ func TestBatchShardRefusalIsClientError(t *testing.T) {
 		if ct := rr.Header().Get("Content-Type"); ct != "application/json" {
 			t.Fatalf("refusal Content-Type = %q", ct)
 		}
-		want := fmt.Sprintf("shard-batch:%d:ok", routeOf(t, router, "q=o2").Shard)
-		if got := spansOf(t, router, rr.Header().Get("X-Trace-Id")); len(got) != 1 || got[0] != want {
+		want := fmt.Sprintf("split:-1:ok shard-batch:%d:ok write:-1:error", routeOf(t, router, "q=o2").Shard)
+		if got := spansOf(t, router, rr.Header().Get("X-Trace-Id")); strings.Join(got, " ") != want {
 			t.Fatalf("refused batch spans = %v, want [%s]", got, want)
 		}
 	}
@@ -173,7 +176,8 @@ func TestBatchSpanOutcomes(t *testing.T) {
 	if rr.Code != http.StatusOK {
 		t.Fatalf("failed-over batch answered %d: %s", rr.Code, rr.Body)
 	}
-	want := []string{fmt.Sprintf("shard-batch:%d:error", primary.Shard), fmt.Sprintf("shard-batch:%d:ok", primary.Replicas[1])}
+	want := []string{"split:-1:ok", fmt.Sprintf("shard-batch:%d:error", primary.Shard), "backoff:-1:ok",
+		fmt.Sprintf("shard-batch:%d:ok", primary.Replicas[1]), "write:-1:ok"}
 	if got := spansOf(t, router, rr.Header().Get("X-Trace-Id")); strings.Join(got, " ") != strings.Join(want, " ") {
 		t.Fatalf("failed-over batch spans = %v, want %v", got, want)
 	}
@@ -190,8 +194,8 @@ func TestBatchSpanOutcomes(t *testing.T) {
 		t.Fatalf("burning ring answered %d: %s", rr.Code, rr.Body)
 	}
 	got := spansOf(t, burning, rr.Header().Get("X-Trace-Id"))
-	if len(got) != 2 || !strings.HasSuffix(got[0], ":upstream-5xx") || !strings.HasSuffix(got[1], ":upstream-5xx") {
-		t.Fatalf("burning ring spans = %v, want two upstream-5xx", got)
+	if len(got) != 5 || !strings.HasSuffix(got[1], ":upstream-5xx") || !strings.HasSuffix(got[3], ":upstream-5xx") || got[4] != "write:-1:error" {
+		t.Fatalf("burning ring spans = %v, want two upstream-5xx sub-batches and an errored write", got)
 	}
 	if m := routerMetrics(t, burning); breakerFailures(m) != 2 {
 		t.Fatalf("5xx answers not booked: %+v", m.ShardHealth)
@@ -218,11 +222,13 @@ func (t *roundTransport) Exchange(ctx context.Context, shard int, method, path s
 }
 
 // TestBatchRoundRunsOneSubBatchInline pins the shape of a fan-out round,
-// buffered and streamed: of the round's sub-batches exactly one — the last —
-// runs on the goroutine that called ServeHTTP, the others on goroutines of
-// their own, and all share one attempt context (one ShardTimeout deadline).
+// buffered and streamed: over a transport that can block, of the round's
+// sub-batches exactly one — the last — runs on the goroutine that called
+// ServeHTTP, the others on goroutines of their own, and all share one attempt
+// context (one ShardTimeout deadline); over a LoopbackTransport every one
+// runs on the goroutine that called ServeHTTP.
 func TestBatchRoundRunsOneSubBatchInline(t *testing.T) {
-	const body = `{"requests":[{"context":["o2"]},{"context":["o2 mobile"]},{"context":["a"]},{"context":["nokia n73"]}]}`
+	const body = ringSpanningBody
 	for _, target := range []string{"/suggest/batch", "/suggest/batch?stream=1"} {
 		_, chaos := newChaosRing(t, 3, fleet.RouterOptions{Replicas: 2})
 		tap := &roundTransport{Transport: chaos}
@@ -244,6 +250,25 @@ func TestBatchRoundRunsOneSubBatchInline(t *testing.T) {
 		}
 		if inline != 1 {
 			t.Errorf("%s: %d of 3 sub-batches ran on the request goroutine, want 1 (goroutines %v, caller %s)", target, inline, tap.goids, self)
+		}
+
+		var mu sync.Mutex
+		var goids []string // the shard handlers run on the exchange's goroutine
+		handlers, _ := failingShards(t, 3)
+		for i, h := range handlers {
+			handlers[i] = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				mu.Lock()
+				goids = append(goids, goroutineID())
+				mu.Unlock()
+				h.ServeHTTP(w, r)
+			})
+		}
+		loopback := newVirtualRouter(t, fleet.NewLoopbackTransport(handlers...), fleet.RouterOptions{Replicas: 2})
+		if rr := postTo(loopback, target, body); rr.Code != http.StatusOK {
+			t.Fatalf("%s over loopback: status %d: %s", target, rr.Code, rr.Body)
+		}
+		if len(goids) != 3 || goids[0] != self || goids[1] != self || goids[2] != self {
+			t.Errorf("%s over loopback: sub-batches ran on goroutines %v, want all 3 on the caller's, %s", target, goids, self)
 		}
 	}
 }
@@ -522,4 +547,285 @@ func FuzzRoutedBatchNeverBlamesShard(f *testing.F) {
 			t.Fatalf("body %q moved a breaker: retries %d, health %+v", body, m.Retries, m.ShardHealth)
 		}
 	})
+}
+
+// ringSpanningBody is a four-item batch whose items reach all three shards
+// of a three-shard ring (TestBatchRoundRunsOneSubBatchInline checks it).
+const ringSpanningBody = `{"requests":[{"context":["o2"]},{"context":["o2 mobile"]},{"context":["a"]},{"context":["nokia n73"]}]}`
+
+// overlapWait bounds how long overlapTransport's first sub-batch waits for a
+// second one: only a router that runs sub-batches one after another waits it
+// out.
+const overlapWait = 5 * time.Second
+
+// overlapTransport passes every exchange through to the transport it wraps,
+// so the router cannot tell that it never blocks and fans each round out
+// concurrently. After arm, the first sub-batch it is handed waits until a
+// second one has begun, or for overlapWait, which it then reports.
+type overlapTransport struct {
+	fleet.Transport
+	mu       sync.Mutex
+	begun    int
+	second   chan struct{} // closed when the second sub-batch since arm begins
+	timedOut bool
+}
+
+// arm resets the transport for the next request.
+func (t *overlapTransport) arm() {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.begun, t.second, t.timedOut = 0, make(chan struct{}), false
+}
+
+func (t *overlapTransport) Exchange(ctx context.Context, shard int, method, path string, body, respBuf []byte) (int, []byte, error) {
+	t.mu.Lock()
+	t.begun++
+	n, second := t.begun, t.second
+	t.mu.Unlock()
+	switch {
+	case second == nil:
+	case n == 1:
+		select {
+		case <-second:
+		case <-time.After(overlapWait):
+			t.mu.Lock()
+			t.timedOut = true
+			t.mu.Unlock()
+		}
+	case n == 2:
+		close(second)
+	}
+	return t.Transport.Exchange(ctx, shard, method, path, body, respBuf)
+}
+
+// failingHandler answers every request 500 while down is set, and passes it
+// to the handler it wraps otherwise.
+type failingHandler struct {
+	http.Handler
+	down atomic.Bool
+}
+
+func (h *failingHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if h.down.Load() {
+		http.Error(w, "shard down", http.StatusInternalServerError)
+		return
+	}
+	h.Handler.ServeHTTP(w, r)
+}
+
+// failingShards builds n serving handlers over the test model, each behind a
+// failingHandler.
+func failingShards(t *testing.T, n int) ([]http.Handler, []*failingHandler) {
+	t.Helper()
+	rec := shardTestRec(t)
+	handlers := make([]http.Handler, n)
+	fails := make([]*failingHandler, n)
+	for i := range handlers {
+		fails[i] = &failingHandler{Handler: serve.New(rec, serve.Options{})}
+		handlers[i] = fails[i]
+	}
+	return handlers, fails
+}
+
+// TestBlockingTransportFansOutConcurrently: a transport the router cannot
+// prove non-blocking still has a round's sub-batches overlap, buffered and
+// streamed — the first one to begin is still running when the second
+// begins. Only a LoopbackTransport runs them one after another.
+func TestBlockingTransportFansOutConcurrently(t *testing.T) {
+	handlers, _ := failingShards(t, 3)
+	tp := &overlapTransport{Transport: fleet.NewLoopbackTransport(handlers...)}
+	router := newVirtualRouter(t, tp, fleet.RouterOptions{Replicas: 2})
+	for _, target := range []string{"/suggest/batch", "/suggest/batch?stream=1"} {
+		tp.arm()
+		if rr := postTo(router, target, ringSpanningBody); rr.Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", target, rr.Code, rr.Body)
+		}
+		tp.mu.Lock()
+		begun, timedOut := tp.begun, tp.timedOut
+		tp.mu.Unlock()
+		if begun != 3 || timedOut {
+			t.Fatalf("%s: %d sub-batches, and the first waited %v for a second one (timed out: %v): want 3, overlapping",
+				target, begun, overlapWait, timedOut)
+		}
+	}
+}
+
+// TestInlineAndConcurrentFanoutAnswerAlike: the same batch answers the same
+// through a LoopbackTransport, whose rounds run inline, and through a
+// pass-through wrapper of it, whose rounds fan out on goroutines — healthy
+// and with one shard down at R=2. Buffered bodies are byte-identical modulo
+// took_us; streamed ones carry the same set of lines, whose order over the
+// wrapper is arbitrary.
+func TestInlineAndConcurrentFanoutAnswerAlike(t *testing.T) {
+	handlers, fails := failingShards(t, 3)
+	opts := fleet.RouterOptions{Replicas: 2}
+	inline := newVirtualRouter(t, fleet.NewLoopbackTransport(handlers...), opts)
+	concurrent := newVirtualRouter(t, &overlapTransport{Transport: fleet.NewLoopbackTransport(handlers...)}, opts)
+	sortedLines := func(body []byte) []string {
+		lines := strings.Split(strings.TrimSuffix(stripTook(body), "\n"), "\n")
+		slices.Sort(lines)
+		return lines
+	}
+	for _, down := range []bool{false, true} {
+		fails[1].down.Store(down)
+		for _, target := range []string{"/suggest/batch", "/suggest/batch?stream=1"} {
+			a, b := postTo(inline, target, ringSpanningBody), postTo(concurrent, target, ringSpanningBody)
+			if a.Code != http.StatusOK || b.Code != http.StatusOK {
+				t.Fatalf("shard 1 down %v, %s: status %d inline, %d concurrent", down, target, a.Code, b.Code)
+			}
+			stream := strings.Contains(target, "stream")
+			// A streamed answer's headers are out before any replica answers.
+			if fo := a.Header().Get("X-Serve-Failovers"); fo != b.Header().Get("X-Serve-Failovers") || (fo != "") != (down && !stream) {
+				t.Fatalf("shard 1 down %v, %s: X-Serve-Failovers %q inline, %q concurrent", down, target, fo, b.Header().Get("X-Serve-Failovers"))
+			}
+			if stream {
+				if la, lb := sortedLines(a.Body.Bytes()), sortedLines(b.Body.Bytes()); !slices.Equal(la, lb) || len(la) != 4 {
+					t.Fatalf("shard 1 down %v: streamed lines differ:\ninline:     %q\nconcurrent: %q", down, la, lb)
+				}
+			} else if sa, sb := stripTook(a.Body.Bytes()), stripTook(b.Body.Bytes()); sa != sb {
+				t.Fatalf("shard 1 down %v: buffered bodies differ:\ninline:     %s\nconcurrent: %s", down, sa, sb)
+			}
+		}
+	}
+}
+
+// TestInlineFanoutStopsWhenClientLeaves: over a LoopbackTransport a client
+// that goes away while the round's first sub-batch is being served leaves
+// the round's later sub-batches unrun — each exchange short-circuits on the
+// done context — and nothing is held against a shard: no breaker moves, no
+// work is retried, and router_client_cancelled_total counts the one request.
+func TestInlineFanoutStopsWhenClientLeaves(t *testing.T) {
+	for _, target := range []string{"/suggest/batch", "/suggest/batch?stream=1"} {
+		var mu sync.Mutex
+		var served []int // the shards whose handler ran
+		var cancel context.CancelFunc
+		rec := shardTestRec(t)
+		handlers := make([]http.Handler, 3)
+		for i := range handlers {
+			h := serve.New(rec, serve.Options{})
+			handlers[i] = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				mu.Lock()
+				served = append(served, i)
+				mu.Unlock()
+				cancel() // the client leaves while this sub-batch is served
+				h.ServeHTTP(w, r)
+			})
+		}
+		router := newVirtualRouter(t, fleet.NewLoopbackTransport(handlers...), fleet.RouterOptions{Replicas: 2})
+		ctx, c := context.WithCancel(context.Background())
+		cancel = c
+		rr := httptest.NewRecorder()
+		router.ServeHTTP(rr, httptest.NewRequest(http.MethodPost, target, strings.NewReader(ringSpanningBody)).WithContext(ctx))
+		// The round's first sub-batch goes to the first item's primary.
+		if first := routeOf(t, router, "q=o2").Shard; len(served) != 1 || served[0] != first {
+			t.Fatalf("%s: shards %v served, want only the round's first, %d", target, served, first)
+		}
+		if stream := strings.Contains(target, "stream"); (rr.Code == 499) == stream {
+			t.Fatalf("%s: status %d", target, rr.Code)
+		}
+		m := routerMetrics(t, router)
+		for _, h := range m.ShardHealth {
+			if h.State != "healthy" || h.Failures != 0 {
+				t.Fatalf("%s: a departed client moved a breaker: %+v", target, m.ShardHealth)
+			}
+		}
+		if m.Cancelled != 1 || m.Retries != 0 {
+			t.Fatalf("%s: client_cancelled = %d, retries = %d, want 1 and 0", target, m.Cancelled, m.Retries)
+		}
+		if prom := string(router.Obs().AppendPrometheus(nil)); !strings.Contains(prom, "router_client_cancelled_total 1\n") {
+			t.Fatalf("%s: Prometheus exposition lacks router_client_cancelled_total 1", target)
+		}
+	}
+}
+
+// traceView returns the router's retained trace with the given ID.
+func traceView(t *testing.T, router *fleet.ShardRouter, id string) obs.TraceView {
+	t.Helper()
+	for _, v := range router.Tracer().Snapshot(0, false, 0) {
+		if v.ID == id {
+			return v
+		}
+	}
+	t.Fatalf("trace %s not retained", id)
+	return obs.TraceView{}
+}
+
+// TestRouterBatchSpansChain is the router's twin of serve's
+// TestSpansChainFromZeroToTotal: a routed batch's trace chains from 0 to its
+// total — "split" up to the reading that opens the first round, the round's
+// "shard-batch" spans, "backoff" up to the reading that opens each later
+// round, then "write" to the total — buffered and streamed, in one round, in
+// a two-round failover, and in one round beside a breaker-skip event, which
+// marks an instant and takes no part in the chain. Over a LoopbackTransport
+// each shard-batch opens where the one before it closed; over a transport
+// that can block they may overlap, but lie between their round's opening and
+// the next chained span.
+func TestRouterBatchSpansChain(t *testing.T) {
+	handlers, fails := failingShards(t, 3)
+	defer fails[1].down.Store(false)
+	for _, tc := range []struct {
+		name   string
+		inline bool
+		tr     fleet.Transport
+	}{
+		{"loopback", true, fleet.NewLoopbackTransport(handlers...)},
+		{"pass-through", false, &overlapTransport{Transport: fleet.NewLoopbackTransport(handlers...)}},
+	} {
+		for _, sc := range []struct {
+			name        string
+			down        bool
+			before      int // batches served first, with shard 1 down: FailThreshold ejects it
+			stages      string
+			breakerSkip bool
+		}{
+			{"healthy", false, 0, "split shard-batch write", false},
+			{"failover", true, 0, "split shard-batch backoff shard-batch write", false},
+			{"ejected", true, fleet.FailThreshold, "split shard-batch write", true},
+		} {
+			fails[1].down.Store(sc.down)
+			for _, target := range []string{"/suggest/batch", "/suggest/batch?stream=1"} {
+				name := tc.name + " " + sc.name + " " + target
+				router := newVirtualRouter(t, tc.tr, fleet.RouterOptions{Replicas: 2})
+				for range sc.before {
+					postTo(router, "/suggest/batch", ringSpanningBody)
+				}
+				rr := postTo(router, target, ringSpanningBody)
+				if rr.Code != http.StatusOK {
+					t.Fatalf("%s: status %d: %s", name, rr.Code, rr.Body)
+				}
+				v := traceView(t, router, rr.Header().Get("X-Trace-Id"))
+				var stages []string
+				reach, opened, skipped := int64(0), int64(0), false
+				for _, sp := range v.Spans {
+					switch {
+					case sp.DurMicros < 0:
+						t.Fatalf("%s: negative span %+v", name, sp)
+					case sp.Name == "breaker-skip":
+						skipped = true
+					case sp.Name == "shard-batch":
+						if sp.StartMicros < opened || (tc.inline && sp.StartMicros != reach) || sp.Shard == obs.NoShard {
+							t.Fatalf("%s: %+v opens outside its round (opened at %d µs, chain at %d): %+v", name, sp, opened, reach, v.Spans)
+						}
+						reach = max(reach, sp.StartMicros+sp.DurMicros)
+						if stages[len(stages)-1] != sp.Name {
+							stages = append(stages, sp.Name)
+						}
+					default:
+						if sp.StartMicros != reach || sp.Shard != obs.NoShard || sp.Outcome != "ok" {
+							t.Fatalf("%s: %+v does not open at %d µs, where the chain stands: %+v", name, sp, reach, v.Spans)
+						}
+						reach = sp.StartMicros + sp.DurMicros
+						opened = reach
+						stages = append(stages, sp.Name)
+					}
+				}
+				if reach != v.TotalMicros {
+					t.Fatalf("%s: the chain ends at %d µs, the trace at %d: %+v", name, reach, v.TotalMicros, v.Spans)
+				}
+				if got := strings.Join(stages, " "); got != sc.stages || skipped != sc.breakerSkip {
+					t.Fatalf("%s: stages %q, breaker skip %v, want %q, %v", name, got, skipped, sc.stages, sc.breakerSkip)
+				}
+			}
+		}
+	}
 }

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -20,7 +21,8 @@ import (
 )
 
 // Transport carries a routed request to a shard replica. Implementations
-// must be safe for concurrent use.
+// must be safe for concurrent use. Whoever can block arms the timer, and only
+// whoever can block gets a goroutine (a LoopbackTransport cannot block).
 type Transport interface {
 	// Exchange sends method + path (query string included) to the given
 	// shard. body may be nil (GETs). The response body is appended to
@@ -50,10 +52,10 @@ type Transport interface {
 
 // LoopbackTransport routes to in-process shard handlers — N serving handlers
 // (typically sharing one mmapped model) behind one router in a single
-// process. It is the zero-infrastructure deployment of the ring: the routing
-// behaviour, stickiness and cache partitioning are identical to the HTTP
-// transport, so a single process can validate a sharding plan before it is
-// distributed.
+// process, routing, sticking and partitioning caches as the HTTP transport
+// does, so one process can validate a sharding plan before it is distributed.
+// It cannot block, so it arms no timer and gets no goroutine: a batch round's
+// sub-batches run one after another on the request goroutine.
 type LoopbackTransport struct {
 	handlers []http.Handler
 	scratch  sync.Pool // *loopbackScratch
@@ -79,21 +81,14 @@ type loopbackScratch struct {
 	resp bufferedResponse
 }
 
-// nopCloseReader adapts the scratch body reader to http.Request.Body.
-type nopCloseReader struct{ *bytes.Reader }
-
-func (nopCloseReader) Close() error { return nil }
-
 // Exchange implements Transport by synthesising an in-process request from a
 // pooled scratch. Loopback calls run the handler synchronously in the
 // calling goroutine and cannot block: the deadline is not looked at
 // (in-process handlers are trusted not to hang), but a ctx already cancelled
 // on entry short-circuits so hedge losers and departed clients never run.
 func (t *LoopbackTransport) Exchange(ctx context.Context, shard int, method, path string, body, respBuf []byte) (int, []byte, error) {
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return 0, respBuf, err
-		}
+	if ctx != nil && ctx.Err() != nil {
+		return 0, respBuf, ctx.Err()
 	}
 	s, _ := t.scratch.Get().(*loopbackScratch)
 	if s == nil {
@@ -102,7 +97,7 @@ func (t *LoopbackTransport) Exchange(ctx context.Context, shard int, method, pat
 		s.req.ProtoMajor, s.req.ProtoMinor = 1, 1
 		s.req.Header = http.Header{"Content-Type": {"application/json"}}
 		s.req.URL = &s.url
-		s.req.Body = nopCloseReader{&s.rd}
+		s.req.Body = io.NopCloser(&s.rd)
 		s.resp.header = make(http.Header, 4)
 	}
 	s.req.Method = method
@@ -125,7 +120,7 @@ func (t *LoopbackTransport) Exchange(ctx context.Context, shard int, method, pat
 		delete(s.req.Header, "X-Trace-Id")
 	}
 	t.handlers[shard].ServeHTTP(&s.resp, &s.req)
-	status, out := s.resp.status(), s.resp.body
+	status, out := cmp.Or(s.resp.code, http.StatusOK), s.resp.body
 	s.resp.body = nil // caller owns the buffer now
 	t.scratch.Put(s)
 	return status, out, nil
@@ -153,13 +148,6 @@ func (r *bufferedResponse) Write(p []byte) (int, error) {
 	}
 	r.body = append(r.body, p...)
 	return len(p), nil
-}
-
-func (r *bufferedResponse) status() int {
-	if r.code == 0 {
-		return http.StatusOK
-	}
-	return r.code
 }
 
 // HTTPTransport routes to shard replicas over HTTP — the distributed
@@ -308,7 +296,7 @@ type RouterOptions struct {
 // ShardRouter fans suggestion traffic out to N replicas of the same model by
 // consistent hash of the request context: GET /suggest forwards whole to one
 // shard, POST /suggest/batch splits the batch by shard, forwards the
-// sub-batches concurrently and reassembles the results in request order.
+// sub-batches and reassembles the results in request order.
 // Every replica serves the identical model, so routing choices never change
 // answers — they partition the context keyspace so each replica's result
 // cache and faulted-in trie pages cover only its arc.
@@ -321,11 +309,12 @@ type RouterOptions struct {
 // and unhealthy shards are skipped in the walk, so the ring self-heals with
 // no config change and one shard down costs zero availability at R >= 2.
 type ShardRouter struct {
-	ring *Ring
-	tr   Transport
-	opts RouterOptions
-	clk  clock         // the backoff, the hedge timer and the breaker cool-down wait on it
-	rng  atomic.Uint64 // the backoff jitter's splitmix64 state (backoffSleep)
+	ring   *Ring
+	tr     Transport
+	opts   RouterOptions
+	clk    clock         // the backoff, the hedge timer and the breaker cool-down wait on it
+	rng    atomic.Uint64 // the backoff jitter's splitmix64 state (backoffSleep)
+	inline bool          // tr cannot block (*LoopbackTransport): batch rounds run on the request goroutine
 
 	health []shardHealth
 
@@ -381,6 +370,7 @@ func NewShardRouterOpts(ring *Ring, tr Transport, opts RouterOptions) (*ShardRou
 		reg:         obs.NewRegistry(),
 	}
 	s.rng.Store(realClock{}.seed())
+	_, s.inline = tr.(*LoopbackTransport)
 	for i := range s.shardHeader {
 		s.shardHeader[i] = []string{strconv.Itoa(i)}
 	}
@@ -539,7 +529,7 @@ func (c *attemptCtx) Value(key any) any {
 // body, the walked items, the per-item preference walks, the per-round
 // breaker view and sub-batches, and the merged response builder. Everything is
 // recycled, so a steady-state fan-out allocates only each round's attempt
-// context and call goroutines.
+// context, and over a transport that can block its call goroutines.
 type batchScratch struct {
 	body []byte
 	// The walked body (jsonspan.AppendBatch): every item's span to forward
@@ -565,22 +555,21 @@ type batchScratch struct {
 // shardCall is one pooled sub-batch exchange: the items it carries, the
 // sub-body sent to a shard, the shard's status and raw answer, and the
 // answer's result spans. The response buffer stays alive until the merge
-// completes — results are scattered zero-copy. start, durMicros and outcome
-// are written by the goroutine that runs the call (exchangeSubBatch) and read
+// completes — results are scattered zero-copy. start, end and outcome are
+// written by the goroutine that runs the call (exchangeSubBatch) and read
 // after the round's wait on the request goroutine, which records the trace
 // span retroactively.
 type shardCall struct {
-	shard     int
-	claim     bool  // the call carries the shard's half-open probe claim
-	items     []int // item indices, request order
-	sub       []byte
-	resp      []byte
-	spans     [][2]int
-	status    int
-	err       error
-	outcome   attemptOutcome
-	start     time.Time
-	durMicros int64
+	shard      int
+	claim      bool  // the call carries the shard's half-open probe claim
+	items      []int // item indices, request order
+	sub        []byte
+	resp       []byte
+	spans      [][2]int
+	status     int
+	err        error
+	outcome    attemptOutcome
+	start, end time.Time
 }
 
 // served reports that the shard answered the sub-batch with results. The
@@ -667,8 +656,9 @@ func (s *ShardRouter) putCalls(b *batchScratch) {
 // line per item — {"index":N,"result":{...}} with the item bytes exactly as
 // the buffered merge would have carried them — and the connection is
 // flushed per sub-batch, so a client sees its first results at the latency
-// of the fastest shard, not the slowest. Lines arrive in an arbitrary
-// order; index is the item's position in the request.
+// of the fastest shard, not the slowest. Lines arrive in round order over a
+// LoopbackTransport, in an arbitrary order otherwise; index is the item's
+// position in the request.
 func (s *ShardRouter) batch(w http.ResponseWriter, r *http.Request) {
 	if !obs.AllowMethod(w, r, http.MethodPost) {
 		return
@@ -685,6 +675,7 @@ func (s *ShardRouter) batch(w http.ResponseWriter, r *http.Request) {
 	defer func() {
 		elapsed := tr.Elapsed()
 		s.reqLat.Record(elapsed.Microseconds())
+		tr.Chain("write", elapsed.Microseconds(), obs.Outcome(errored))
 		s.tracer.FinishElapsed(tr, elapsed, errored)
 	}()
 	var ok bool
@@ -716,11 +707,13 @@ func (s *ShardRouter) batch(w http.ResponseWriter, r *http.Request) {
 	sc.results = sc.results[:len(sc.items)]
 
 	var failMsg string
+	stage := "split" // the span a round's first clock read closes
 	for round := 0; len(sc.pending) > 0 && ctx.Err() == nil; round++ {
 		if round > 0 {
 			s.backoffSleep(round)
+			stage = "backoff"
 		}
-		failMsg = s.fanoutRound(ctx, sc, tr, out)
+		failMsg = s.fanoutRound(ctx, sc, tr, out, stage)
 		if sc.refused != nil && out == nil {
 			// No merged answer can come of this batch any more: pass the
 			// shard's verdict on, as the GET path passes a 4xx on.
@@ -776,22 +769,21 @@ func (s *ShardRouter) batch(w http.ResponseWriter, r *http.Request) {
 
 // fanoutRound serves one failover round: every pending item picks its next
 // replica under one view of the breakers (prefWalk.pick, roundView) and joins
-// that shard's sub-batch, the sub-batches are exchanged concurrently, served
-// calls scatter results (or have streamed their lines), refused calls answer
-// their items with the shard's error, and failed calls push their items into
-// the next round's pending list, or into failed once their walk is exhausted.
+// that shard's sub-batch, the sub-batches are exchanged, served calls scatter
+// results (or have streamed their lines), refused calls answer their items
+// with the shard's error, and failed calls push their items into the next
+// round's pending list, or into failed once their walk is exhausted.
 //
 // The sub-batches of a round start together, so they share one attempt
-// context (attemptCtx) — one ShardTimeout deadline, counted from one obs.Now
-// read after the picks — which, like an inline GET attempt's, is derived from
-// nothing and needs no cancel: the round waits for every call. All but the
-// last run on goroutines of their own; the last runs here, on the
-// request goroutine, which would otherwise only wait for the others. Each
-// completed call is recorded retroactively as a "shard-batch" span on tr
-// after the wait, on the request goroutine: whichever goroutine ran a call
-// only stamped timings and the outcome into its own shardCall. Returns the
-// last failed call's message, for the final error report.
-func (s *ShardRouter) fanoutRound(ctx context.Context, sc *batchScratch, tr *obs.Trace, out *streamOut) string {
+// context (attemptCtx): one ShardTimeout deadline, counted from the obs.Now
+// read after the picks that closes the stage span, derived from nothing and
+// with no cancel, since the round waits for every call. Inline unless the
+// transport can block: over a LoopbackTransport the calls run here one after
+// another, each opening on the reading that closed the one before; over any
+// other all but the last run on goroutines of their own. After the wait each
+// call is recorded as a "shard-batch" span from the timings and outcome its
+// goroutine stamped. Returns the last failed call's message.
+func (s *ShardRouter) fanoutRound(ctx context.Context, sc *batchScratch, tr *obs.Trace, out *streamOut, stage string) string {
 	// Earlier rounds' calls stay in sc.calls, their buffers still backing
 	// scattered results.
 	v := roundView{s: s, tr: tr, marks: sc.marks}
@@ -823,21 +815,27 @@ func (s *ShardRouter) fanoutRound(ctx context.Context, sc *batchScratch, tr *obs
 		call.claim = v.mark(call.shard).claim
 		call.sub = append(call.sub, `]}`...)
 	}
-	actx := s.newAttemptCtx(ctx, tr.HeaderValue(), obs.Now())
-	for _, call := range round[:len(round)-1] {
+	at := obs.Now()
+	tr.Chain(stage, tr.Offset(at).Microseconds(), "ok")
+	actx := s.newAttemptCtx(ctx, tr.HeaderValue(), at)
+	for j, call := range round {
+		if s.inline || j == len(round)-1 {
+			at = s.exchangeSubBatch(actx, sc, call, out, at)
+			continue
+		}
 		sc.wg.Add(1)
 		go func(call *shardCall) {
 			defer sc.wg.Done()
-			s.exchangeSubBatch(actx, sc, call, out)
+			s.exchangeSubBatch(actx, sc, call, out, obs.Now())
 		}(call)
 	}
-	s.exchangeSubBatch(actx, sc, round[len(round)-1], out)
 	sc.wg.Wait()
 
 	failMsg := ""
 	sc.next = sc.next[:0]
 	for _, call := range round {
-		tr.Record("shard-batch", tr.Offset(call.start).Microseconds(), call.durMicros, call.shard, call.outcome.String())
+		from := tr.Offset(call.start).Microseconds()
+		tr.Record("shard-batch", from, tr.Offset(call.end).Microseconds()-from, call.shard, call.outcome.String())
 		if call.outcome == attemptAnswered {
 			for _, i := range call.items {
 				sc.failovers += s.answered(&sc.walks[i], call.shard)
@@ -879,24 +877,24 @@ func (s *ShardRouter) fanoutRound(ctx context.Context, sc *batchScratch, tr *obs
 // NDJSON form, whose one line per item parseResults takes apart by newline.
 const subBatchPath = "/suggest/batch?stream=1"
 
-// exchangeSubBatch runs one sub-batch to its verdict on the calling
-// goroutine: post it under the round's attempt context, split a 200 into
-// result spans (all into the call's recycled buffers), settle the outcome
-// against the shard's breaker, and in streamed mode write served lines the
-// moment they land, while slower shards are still descending. It touches
-// only its own call and, under its mutex, the stream.
-func (s *ShardRouter) exchangeSubBatch(actx context.Context, sc *batchScratch, call *shardCall, out *streamOut) {
-	call.start = obs.Now()
+// exchangeSubBatch runs one sub-batch, from the caller's reading start, to its
+// verdict on the calling goroutine: post it under the round's attempt context,
+// split a 200 into result spans (all into the call's recycled buffers), settle
+// the outcome against the shard's breaker, and in streamed mode write served
+// lines the moment they land. It touches only its own call and, under its
+// mutex, the stream, and returns the reading that closed the call.
+func (s *ShardRouter) exchangeSubBatch(actx context.Context, sc *batchScratch, call *shardCall, out *streamOut, start time.Time) time.Time {
+	call.start = start
 	call.status, call.resp, call.err = s.tr.Exchange(actx, call.shard, http.MethodPost, subBatchPath, call.sub, call.resp)
 	if call.err == nil && call.status == http.StatusOK {
 		call.err = call.parseResults()
 	}
-	end := obs.Now()
-	call.durMicros = end.Sub(call.start).Microseconds()
+	call.end = obs.Now()
 	call.outcome = s.settleAttempt(actx, call.shard, call.claim, call.status, call.err)
 	if out != nil && call.served() {
 		out.writeCall(sc, call)
 	}
+	return call.end
 }
 
 // parseResults takes the shard's line-framed answer apart into the call's
@@ -983,7 +981,7 @@ func (c *shardCall) refusal() (code, msg string) {
 	return "shard_refused", c.failure()
 }
 
-// streamOut is the client side of a streamed (NDJSON) batch. Sub-batches
+// streamOut is the client side of a streamed (NDJSON) batch. Sub-batches may
 // complete on different goroutines; mu serialises their writes and guards
 // the scratch's line builder (sc.out), which the writers share.
 type streamOut struct {
@@ -1126,29 +1124,25 @@ type ShardRouterMetrics struct {
 
 func (s *ShardRouter) metrics(w http.ResponseWriter, _ *http.Request) {
 	m := ShardRouterMetrics{
-		Role:          "router",
-		Shards:        s.ring.Shards(),
-		Replicas:      s.opts.Replicas,
-		Requests:      s.requests.Load(),
-		BatchRequests: s.batches.Load(),
-		BatchFanouts:  s.fanouts.Load(),
-		Retries:       s.retries.Load(),
-		Failovers:     s.failovers.Load(),
-		Hedges:        s.hedges.Load(),
-		HedgesWon:     s.hedgesWon.Load(),
-		Cancelled:     s.cancelled.Load(),
-	}
-	if s.reqLat.Count() > 0 {
-		m.RequestP50Micros = s.reqLat.Quantile(0.50)
-		m.RequestP99Micros = s.reqLat.Quantile(0.99)
-		m.RequestP999Micros = s.reqLat.Quantile(0.999)
-		m.RequestMaxMicros = s.reqLat.Max()
-	}
-	if s.attemptLat.Count() > 0 {
-		m.AttemptP50Micros = s.attemptLat.Quantile(0.50)
-		m.AttemptP99Micros = s.attemptLat.Quantile(0.99)
-		m.AttemptP999Micros = s.attemptLat.Quantile(0.999)
-		m.AttemptMaxMicros = s.attemptLat.Max()
+		Role:              "router",
+		Shards:            s.ring.Shards(),
+		Replicas:          s.opts.Replicas,
+		Requests:          s.requests.Load(),
+		BatchRequests:     s.batches.Load(),
+		BatchFanouts:      s.fanouts.Load(),
+		Retries:           s.retries.Load(),
+		Failovers:         s.failovers.Load(),
+		Hedges:            s.hedges.Load(),
+		HedgesWon:         s.hedgesWon.Load(),
+		Cancelled:         s.cancelled.Load(),
+		RequestP50Micros:  s.reqLat.Quantile(0.50),
+		RequestP99Micros:  s.reqLat.Quantile(0.99),
+		RequestP999Micros: s.reqLat.Quantile(0.999),
+		RequestMaxMicros:  s.reqLat.Max(),
+		AttemptP50Micros:  s.attemptLat.Quantile(0.50),
+		AttemptP99Micros:  s.attemptLat.Quantile(0.99),
+		AttemptP999Micros: s.attemptLat.Quantile(0.999),
+		AttemptMaxMicros:  s.attemptLat.Max(),
 	}
 	for i := range s.perShard {
 		m.ContextsPerShard = append(m.ContextsPerShard, s.perShard[i].Load())

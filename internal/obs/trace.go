@@ -185,15 +185,25 @@ func (tr *Trace) Record(name string, startMicros, durMicros int64, shard int, ou
 	tr.n++
 }
 
-// Chain appends a closed span from where the last span closed (0 for the
-// first) to endMicros: spans recorded this way partition the request exactly.
+// Chain appends a closed span from the furthest close of the spans before it
+// (0 for none; zero-length ones, such as events, do not count) to endMicros:
+// chained spans partition the request exactly, after overlapping ones too.
 func (tr *Trace) Chain(name string, endMicros int64, outcome string) {
 	var from int64
-	if tr.n > 0 {
-		last := &tr.spans[tr.n-1]
-		from = last.StartMicros + last.DurMicros
+	for i := range tr.spans[:tr.n] {
+		if sp := &tr.spans[i]; sp.DurMicros > 0 {
+			from = max(from, sp.StartMicros+sp.DurMicros)
+		}
 	}
 	tr.Record(name, from, endMicros-from, NoShard, outcome)
+}
+
+// Outcome labels a request's closing span: "error" if it errored, else "ok".
+func Outcome(errored bool) string {
+	if errored {
+		return "error"
+	}
+	return "ok"
 }
 
 // Event records a closed zero-duration span (a point annotation such as a

@@ -237,6 +237,31 @@ func TestTracerConcurrentStartUniqueIDs(t *testing.T) {
 	}
 }
 
+// TestChainOpensWhereRecordedSpansClose: Chain opens where the spans
+// recorded before it close furthest — after overlapping spans, where the
+// last of them to close closed, whatever their order — and an event, which
+// has no length, does not move it; a restarted recorder chains from 0 again.
+func TestChainOpensWhereRecordedSpansClose(t *testing.T) {
+	tracer := NewTracer(16, nil)
+	tr := tracer.Start()
+	for range 2 {
+		tr.Chain("split", 10, "ok")
+		tr.Record("shard-batch", 10, 50, 0, "ok")
+		tr.Record("shard-batch", 12, 20, 1, "ok")
+		tr.Record("breaker-skip", 100, 0, 2, "skipped")
+		tr.Event("breaker-skip", 2, "skipped")
+		tr.Chain("write", 70, "ok")
+		if sp := tr.spans[tr.n-1]; sp.StartMicros != 60 || sp.DurMicros != 10 {
+			t.Fatalf("write span %+v, want it to open at 60 µs, where the later-closing span closed", sp)
+		}
+		tracer.StartFrom(tr, nil)
+		if tr.Chain("split", 5, "ok"); tr.spans[0].StartMicros != 0 {
+			t.Fatalf("a restarted recorder chained from %d µs, want 0", tr.spans[0].StartMicros)
+		}
+		tracer.StartFrom(tr, nil)
+	}
+}
+
 func TestTraceSpansAndSnapshot(t *testing.T) {
 	tr := NewTracer(16, nil)
 	x := tr.Start()

@@ -107,11 +107,7 @@ func (w *statusWriter) finish() {
 	elapsed := w.tr.Elapsed()
 	took := elapsed.Microseconds()
 	h.routeHistogram(w.path).Record(took)
-	outcome := "ok"
-	if errored {
-		outcome = "error"
-	}
-	w.tr.Chain(stageWrite, took, outcome)
+	w.tr.Chain(stageWrite, took, obs.Outcome(errored))
 	if h.opts.Logger != nil {
 		// Log before Finish: the trace must not be touched afterwards.
 		h.opts.Logger.Printf("%s %s -> %d (%s) rid=%q trace=%s",
