@@ -75,7 +75,7 @@ fuzz-grammar:
 # GETs) and /v1/fleet over a restarted or unreachable shard, under the race
 # detector — the availability claims, enforced.
 chaos:
-	$(GO) test -race -count=1 -run 'TestChaos|TestFleetState|TestRingLookupN' ./internal/fleet
+	$(GO) test -race -count=1 -run 'TestChaos|TestFleetState|TestRingLookupN|TestPolicy' ./internal/fleet
 
 # Closed-loop ingestion harness: the end-to-end stream → retrain → shadow →
 # auto-ramp → promote loop, the exhaustive crash-replay cut-point table and
@@ -149,7 +149,7 @@ check-api: vet
 # Line-count ratchet: the non-test Go lines outside bench/ and dot-directories
 # may not grow past LINES_CEILING. A PR that shrinks the code lowers the
 # ceiling to its new count; a PR that raises it says why in CHANGES.md.
-LINES_CEILING = 19520
+LINES_CEILING = 19691
 check-lines:
 	@n=$$(find . -path ./bench -prune -o -path './.*' -prune -o -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l); \
 	echo "non-test Go lines: $$n (ceiling $(LINES_CEILING))"; \
@@ -160,7 +160,7 @@ check-lines:
 # dot-directories may not grow past SLEEPS_CEILING. A test that waits out a
 # shard router timer steps the router's virtual clock instead
 # (internal/fleet/export_test.go); a PR that removes sleeps lowers the ceiling.
-SLEEPS_CEILING = 14
+SLEEPS_CEILING = 13
 check-sleeps:
 	@n=$$(find . -path ./bench -prune -o -path './.*' -prune -o -name '*_test.go' -print | xargs cat | grep -o 'time\.Sleep' | wc -l); \
 	echo "time.Sleep in tests: $$n (ceiling $(SLEEPS_CEILING))"; \

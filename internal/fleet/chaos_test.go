@@ -24,7 +24,8 @@ import (
 
 // chaosTransport wraps a fleet.Transport with fault injection: shards can be
 // killed outright (down), made to fail their next N exchanges (failN — the
-// "killed mid-batch" primitive), slowed (delay, cut short by ctx.Done() so
+// "killed mid-batch" primitive) or every nth of their first exchanges
+// (failEvery, a schedule counted in the shard's own exchanges), slowed (delay, cut short by ctx.Done() so
 // hedged losers stop early and by ctx.Deadline() so a ShardTimeout fires), or
 // made to answer their next exchange with a
 // damaged body (garble). Faults flip at runtime under the mutex, so a
@@ -36,6 +37,7 @@ type chaosTransport struct {
 	mu     sync.Mutex
 	down   map[int]bool
 	failN  map[int]int
+	every  map[int][2]int // shard: fail every [0]th of its first [1] exchanges
 	delay  map[int]time.Duration
 	garble map[int]func(body []byte) []byte
 	calls  map[int]int
@@ -46,6 +48,7 @@ func newChaosTransport(inner fleet.Transport) *chaosTransport {
 		inner:  inner,
 		down:   make(map[int]bool),
 		failN:  make(map[int]int),
+		every:  make(map[int][2]int),
 		delay:  make(map[int]time.Duration),
 		garble: make(map[int]func([]byte) []byte),
 		calls:  make(map[int]int),
@@ -65,6 +68,13 @@ func (c *chaosTransport) setDown(shard int, down bool) {
 func (c *chaosTransport) failNext(shard, n int) {
 	c.mu.Lock()
 	c.failN[shard] = n
+	c.mu.Unlock()
+}
+
+// failEvery makes every nth of the shard's first upTo exchanges fail.
+func (c *chaosTransport) failEvery(shard, n, upTo int) {
+	c.mu.Lock()
+	c.every[shard] = [2]int{n, upTo}
 	c.mu.Unlock()
 }
 
@@ -95,6 +105,9 @@ func (c *chaosTransport) Exchange(ctx context.Context, shard int, method, path s
 	fail := false
 	if c.failN[shard] > 0 {
 		c.failN[shard]--
+		fail = true
+	}
+	if ev := c.every[shard]; ev[0] > 0 && c.calls[shard] <= ev[1] && c.calls[shard]%ev[0] == 0 {
 		fail = true
 	}
 	d := c.delay[shard]
@@ -539,14 +552,11 @@ func TestChaosReloadStormDuringFanout(t *testing.T) {
 	// Transient faults on a single shard only: at R=2 every item always has
 	// one clean replica, so zero 5xx is a real invariant (faulting two shards
 	// at once could legitimately exhaust an item's whole preference list).
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 20; i++ {
-			chaos.failNext(0, 1)
-			time.Sleep(time.Millisecond)
-		}
-	}()
+	// The schedule counts shard 0's own exchanges, so every storm injects
+	// the same 20 faults whatever the goroutines' interleaving: the 40
+	// reload broadcasts alone give shard 0 the 40 exchanges it spans.
+	const faults, every = 20, 2
+	chaos.failEvery(0, every, faults*every)
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func() {
@@ -579,6 +589,9 @@ func TestChaosReloadStormDuringFanout(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+	if n := chaos.callCount(0); n < faults*every {
+		t.Errorf("shard 0 saw %d exchanges: fewer than the %d faults scheduled were injected", n, faults)
 	}
 }
 

@@ -18,6 +18,9 @@ type VirtualClock struct {
 	nmade  int             // timers made so far
 	sleeps []time.Duration
 	calls  int
+	// onSleep, when set, runs after every Sleep, outside the clock's lock:
+	// a test's hook for what happens while the router backs off.
+	onSleep func()
 }
 
 // NewVirtualClock returns a virtual clock standing at a fixed instant.
@@ -46,10 +49,13 @@ func (c *VirtualClock) Now() time.Time {
 
 func (c *VirtualClock) Sleep(d time.Duration) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.calls++
 	c.sleeps = append(c.sleeps, d)
 	c.advance(d)
+	c.mu.Unlock()
+	if c.onSleep != nil {
+		c.onSleep()
+	}
 }
 
 func (c *VirtualClock) NewTimer(d time.Duration) timer {

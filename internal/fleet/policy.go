@@ -2,45 +2,133 @@ package fleet
 
 import (
 	"context"
+	"math/bits"
 	"net/http"
 	"time"
 
 	"repro/internal/obs"
 )
 
-// The failover policy: which replica an attempt goes to, what its outcome
-// does to the shard's breaker, and what it counts. It is written once, here,
-// and driven three ways — the inline GET walk (getWalk.walk), the hedged GET
-// race (getWalk.race) and the batch's failover rounds (fanoutRound) — none of
-// which decides anything itself. A GET holds one preference walk (prefWalk),
-// a batch one per item; the attempts that start together — a GET attempt or
-// hedge alone, every sub-batch of a batch round — pick under one view of the
-// breakers (roundView); settleAttempt books each outcome. A retry is counted
-// when a pick moves work a failed attempt left to another replica, a failover
-// for each request or item a non-primary preference answered. A driver backs
-// off before a retry round and reads the attempts' start after the backoff.
+// The failover policy, written once as a pure step on a preference walk
+// (prefWalk.step): an event — a round may start (the request began, or its
+// backoff ended), an attempt settled, the hedge timer fired — in; one action
+// — try a replica (as a retry or a hedge), back off, respond, abandon (499),
+// give up (502) or wait — out, with the settled attempt's breaker booking
+// and the counters as data. The step reads no clock, trace, counter or
+// transport; the breakers reach it only through the round's view
+// (roundView). The drivers — the GET walk (getWalk.run), hedged race
+// included, and the batch rounds (fanoutRound) — carry its actions out, and
+// carry and ready apply what it returns. A GET holds one walk, a batch one
+// per item; a GET attempt or its hedge alone, or every sub-batch of a batch
+// round, pick under one view of the breakers.
 
 // prefWalk is one preference walk: the replicas prefs[:n] a GET or a batch
-// item may be served by, in ring order, and which of them have had an
-// attempt. It holds arrays, not slices, so a GET keeps one on its stack and a
-// batch one per item in its pooled scratch.
+// item may be served by, in ring order, which of them have had an attempt,
+// how many attempts are in flight and whether the walk is over. It holds
+// arrays, not slices, so a GET keeps one on its stack and a batch one per
+// item in its pooled scratch, and a hedge race's loser settles on a copy.
 type prefWalk struct {
-	prefs [MaxReplicas]int
-	n     int
-	tried uint8 // bit k: prefs[k] has had an attempt
+	prefs  [MaxReplicas]int
+	n      int
+	tried  uint8 // bit k: prefs[k] has had an attempt
+	flying uint8 // attempts sent and not yet settled
+	over   bool  // the walk responded, abandoned or gave up: what settles now is a hedge loser
 }
 
-// exhausted reports that every preference has had an attempt: a failure now
-// is final.
-func (w *prefWalk) exhausted() bool { return int(w.tried) == 1<<w.n-1 }
+// attempts is how many attempts the walk has sent.
+func (w *prefWalk) attempts() int { return bits.OnesCount8(w.tried) }
 
-// pick chooses the walk's next preference under round v, marks it tried and
-// returns its index: the first untried preference v finds available, failing
-// that the first untried one (fail open: a sick replica's answer beats a
-// guaranteed 502), or -1 when the walk is exhausted. A pick by a walk that
-// has tried a replica before is a retry — unless the round is a hedge, whose
-// earlier attempt is still in flight.
-func (w *prefWalk) pick(v *roundView) int {
+// eventKind is what happened to a walk.
+type eventKind uint8
+
+const (
+	evReady   eventKind = iota // a round may start: the request began, or a backoff ended
+	evGone                     // a round could start, but the client has left
+	evSettled                  // an attempt finished
+	evHedge                    // the hedge timer fired
+)
+
+// event is what a driver tells the step.
+type event struct {
+	kind  eventKind
+	out   attemptOutcome // evSettled: how the attempt ended
+	shard int            // evSettled: where it went
+	claim bool           // evSettled: it carried its shard's half-open probe claim
+}
+
+// actionKind is what a driver does next.
+type actionKind uint8
+
+const (
+	actWait    actionKind = iota // nothing until the next event
+	actTry                       // send an attempt to shard
+	actBackoff                   // sleep the backoff before retry round k
+	actRespond                   // pass on the answer the settled attempt brought
+	actAbandon                   // the client left: 499, or nothing more on a stream
+	actGiveUp                    // every preference failed: 502
+)
+
+// action is the step's verdict: what to do next, what the settled attempt
+// books on its shard (shard), and the counters the action moves. Event and
+// action keep to four fields each, so the compiler holds them in registers:
+// the batch asks the step twice per item, and an eight-field action, copied
+// through memory at every return, made an in-process routed batch-64 about
+// 10 % slower (2-vCPU x86-64 VM).
+type action struct {
+	kind  actionKind
+	shard int      // actTry: where to send the attempt; with a booking: the shard booked
+	k     int      // actBackoff: the retry round
+	flags actFlags // the booking, the probe claim and the counters
+}
+
+// actFlags are an action's booking (at most one book* bit), its probe claim
+// and the counters it moves.
+type actFlags uint8
+
+const (
+	bookSuccess  actFlags = 1 << iota // the shard answered: close the breaker
+	bookFailure                       // count a failure against the shard
+	bookRelease                       // nothing learned: hand back the probe claim the attempt carried
+	flagClaim                         // actTry: the attempt carries its shard's half-open probe claim
+	flagRetry                         // actTry: the attempt moves work a failed attempt left
+	flagHedge                         // actTry: the attempt runs beside the one still in flight
+	flagFailover                      // actRespond: a non-primary preference answered
+
+	bookMask = bookSuccess | bookFailure | bookRelease
+)
+
+// step advances the walk by event e and returns the action it calls for. v is
+// the round's view of the breakers, asked only by a pick (evReady, evHedge).
+// A round starts only on evReady: a client that has left (evGone) gets no
+// attempt, and a round after the first comes only after the backoff that a
+// failure with nothing else in flight asked for. Only a first attempt alone
+// in flight is hedged, so at most two attempts fly at once.
+func (w *prefWalk) step(v *roundView, e event) action {
+	switch {
+	case e.kind == evSettled:
+		return w.settle(e)
+	case w.over:
+		return action{}
+	case e.kind == evHedge:
+		if w.flying != 1 || w.attempts() != 1 {
+			return action{}
+		}
+		return w.pick(v, true)
+	case w.flying != 0:
+		return action{}
+	case e.kind == evGone:
+		w.over = true
+		return action{kind: actAbandon}
+	}
+	return w.pick(v, false)
+}
+
+// pick chooses the walk's next preference under round v and sends an attempt
+// there: the first untried preference v finds available, failing that the
+// first untried one (fail open: a sick replica's answer beats a guaranteed
+// 502). A pick by a walk that has tried a replica before is a retry — unless
+// it is a hedge, whose earlier attempt is still in flight.
+func (w *prefWalk) pick(v *roundView, hedge bool) action {
 	k := -1
 	for i, sh := range w.prefs[:w.n] {
 		if w.tried&(1<<i) != 0 {
@@ -55,14 +143,65 @@ func (w *prefWalk) pick(v *roundView) int {
 		}
 	}
 	if k < 0 {
-		return -1
+		return action{}
 	}
-	if w.tried != 0 && !v.hedge {
-		v.s.retries.Add(1)
+	a := action{kind: actTry, shard: w.prefs[k]}
+	switch {
+	case hedge:
+		a.flags = flagHedge
+	case w.tried != 0:
+		a.flags = flagRetry
+	}
+	m := v.mark(a.shard)
+	m.used = true
+	if m.claim {
+		a.flags |= flagClaim
 	}
 	w.tried |= 1 << k
-	v.mark(w.prefs[k]).used = true
-	return k
+	w.flying++
+	return a
+}
+
+// settle books a settled attempt and decides what follows it. An answer —
+// any sub-5xx status — closes the breaker and is passed on. A failure seen
+// after the client left, or by a hedge loser after the walk is over, says
+// nothing about the shard: it books no failure and only hands back the probe
+// claim the attempt carried, if any, or the breaker would strand at
+// "probing". Any other failure counts against the shard and moves the work
+// on: after a backoff to the next untried preference, once nothing else is in
+// flight; to a 502 once every preference has had an attempt.
+func (w *prefWalk) settle(e event) action {
+	w.flying--
+	a := action{shard: e.shard, flags: bookFailure}
+	switch {
+	case e.out == attemptAnswered:
+		a.flags = bookSuccess
+	case e.out == attemptCancelled || w.over:
+		a.flags = 0
+		if e.claim {
+			a.flags = bookRelease
+		}
+	}
+	switch {
+	case w.over:
+		return a
+	case e.out == attemptAnswered:
+		a.kind = actRespond
+		if e.shard != w.prefs[0] {
+			a.flags |= flagFailover
+		}
+	case e.out == attemptCancelled:
+		a.kind = actAbandon
+	case w.flying != 0:
+		return a // the other raced attempt may still answer
+	case int(w.tried) != 1<<w.n-1:
+		a.kind, a.k = actBackoff, w.attempts()
+		return a
+	default:
+		a.kind = actGiveUp
+	}
+	w.over = true
+	return a
 }
 
 // roundView is one round's view of the shard breakers: its picks ask each
@@ -70,11 +209,11 @@ func (w *prefWalk) pick(v *roundView) int {
 // remember which answers claimed a half-open probe; release hands back the
 // claims that carried no traffic. marks is the caller's storage, one entry
 // per shard the round may ask about, written only element by element: a
-// GET's lives on its stack.
+// GET's lives on its stack. A view whose marks[:n] are filled in advance asks
+// no breaker about those shards: that is how a test feeds the step a table.
 type roundView struct {
 	s     *ShardRouter
 	tr    *obs.Trace
-	hedge bool // the round adds an attempt beside one still in flight
 	marks []viewMark
 	n     int // marks[:n] are the shards asked about so far
 }
@@ -116,18 +255,53 @@ func (v *roundView) release() {
 	}
 }
 
-// answered books an answer — any sub-5xx status — that shard gave walk w: a
-// failover when shard is not the primary. It returns the failovers booked.
-func (s *ShardRouter) answered(w *prefWalk, shard int) int {
-	if shard == w.prefs[0] {
-		return 0
-	}
-	s.failovers.Add(1)
-	return 1
-}
-
 // backoffBase is the failover backoff before the first retry round.
 const backoffBase = 2 * time.Millisecond
+
+// carry applies a step's bookings and counters: the settled attempt's booking
+// on its shard's breaker, a retry, a hedge, a failover. Most actions carry
+// none, and the test for that is what is inlined into the drivers.
+func (s *ShardRouter) carry(a action) {
+	if a.flags != 0 {
+		s.apply(a)
+	}
+}
+
+// apply is carry's out-of-line half: the only place a step's booking reaches
+// a breaker and its counters reach the router's.
+func (s *ShardRouter) apply(a action) {
+	switch a.flags & bookMask {
+	case bookSuccess:
+		s.health[a.shard].recordSuccess()
+	case bookFailure:
+		s.health[a.shard].recordFailure(s.clk)
+	case bookRelease:
+		s.health[a.shard].releaseProbe()
+	}
+	if a.flags&flagRetry != 0 {
+		s.retries.Add(1)
+	}
+	if a.flags&flagHedge != 0 {
+		s.hedges.Add(1)
+	}
+	if a.flags&flagFailover != 0 {
+		s.failovers.Add(1)
+	}
+}
+
+// ready carries out a backoff action, if a is one, and returns the event
+// that ends it: the next round may start (evReady), unless the client of the
+// request under ctx has left meanwhile (evGone). A request begins with ready
+// too, on no action.
+func (s *ShardRouter) ready(ctx context.Context, a action) event {
+	if a.kind == actBackoff {
+		s.backoffSleep(a.k)
+	}
+	if ctx.Err() != nil {
+		return event{kind: evGone}
+	}
+	return event{kind: evReady}
+}
 
 // backoffSleep sleeps the failover backoff before retry round k >= 1 on the
 // router's clock: backoffBase doubling per round with ±50% jitter, so the
@@ -141,17 +315,9 @@ func (s *ShardRouter) backoffSleep(k int) {
 	s.clk.Sleep(d/2 + time.Duration((z^z>>31)%uint64(d))) // [d/2, 3d/2)
 }
 
-// retryable reports whether an attempt outcome should fail over to the next
-// replica: transport errors and shard-side 5xx. Sub-5xx statuses are the
-// shard's deterministic answer (including 4xx) — retrying cannot change
-// them, and they must not poison the shard's health.
-func retryable(status int, err error) bool {
-	return err != nil || status >= http.StatusInternalServerError
-}
-
-// attemptOutcome is the verdict on one finished shard attempt, GET or
-// sub-batch alike: what it does to the shard's breaker, whether the walk moves
-// on to the next replica, and the outcome its trace span is closed with.
+// attemptOutcome is how one finished shard attempt ended, GET or sub-batch
+// alike: what the step is told, and the outcome its trace span is closed
+// with.
 type attemptOutcome uint8
 
 const (
@@ -167,47 +333,31 @@ var attemptOutcomeNames = [...]string{"ok", "cancelled", "error", "upstream-5xx"
 // String names the outcome on the attempt's trace span.
 func (o attemptOutcome) String() string { return attemptOutcomeNames[o] }
 
-// failedOver reports a failure that counted against the shard: the walk moves
-// the work to the next replica.
-func (o attemptOutcome) failedOver() bool { return o >= attemptError }
-
-// settleAttempt classifies a finished attempt by the retryable rule and books
-// it against its shard's breaker. An answer closes the breaker. A failure
-// counts — unless the request's own context is done: a failure seen after that
-// says nothing about the shard (a disconnected client makes every attempt fail
-// with context.Canceled, and three of those would eject a healthy shard), so
-// it is not counted and the half-open probe claim the attempt carried (claim),
-// if any, is handed back, or the breaker would strand at "probing".
-func (s *ShardRouter) settleAttempt(parent context.Context, shard int, claim bool, status int, err error) attemptOutcome {
-	switch {
-	case !retryable(status, err):
-		s.health[shard].recordSuccess()
+// outcomeOf classifies an attempt that ended with status and err under
+// context ctx. Any sub-5xx status (4xx included) is the shard's
+// deterministic answer: retrying cannot change it, and it must not poison
+// the shard's health. The answer's test is all that is inlined into the
+// exchanges; failures are failed's to classify.
+func outcomeOf(ctx context.Context, status int, err error) attemptOutcome {
+	if err == nil && status < http.StatusInternalServerError {
 		return attemptAnswered
-	case parent.Err() != nil:
-		if claim {
-			s.health[shard].releaseProbe()
-		}
-		return attemptCancelled
 	}
-	s.health[shard].recordFailure(s.clk)
-	if err != nil {
+	return failed(ctx, err)
+}
+
+// failed classifies a failed attempt: a transport error or a shard-side 5xx
+// fails over, but a failure seen once ctx is done is cancelled, not an
+// error — a disconnected client makes every attempt fail with
+// context.Canceled, and three of those must not eject a healthy shard. Kept
+// out of line, so that outcomeOf stays small enough to inline.
+//
+//go:noinline
+func failed(ctx context.Context, err error) attemptOutcome {
+	switch {
+	case ctx.Err() != nil:
+		return attemptCancelled
+	case err != nil:
 		return attemptError
 	}
 	return attemptUpstream5xx
-}
-
-// drainLoser consumes and books a hedge race's loser after the request has
-// moved on. A genuine answer still closes the breaker; any other result
-// proves nothing about the shard (the loser was cancelled), so only the probe
-// claim the loser carried, if any, is handed back — or the breaker would
-// strand at "probing". It never touches the trace: the loser's span was
-// closed on the request goroutine.
-func (s *ShardRouter) drainLoser(resCh <-chan getResult, claim bool) {
-	res := <-resCh
-	if !retryable(res.status, res.err) {
-		s.health[res.shard].recordSuccess()
-	} else if claim {
-		s.health[res.shard].releaseProbe()
-	}
-	s.putBuf(res.body)
 }

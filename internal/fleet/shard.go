@@ -543,6 +543,8 @@ type batchScratch struct {
 	failed    []int        // items that exhausted every replica
 	byShard   []*shardCall // this round's sub-batch per shard, or nil
 	marks     []viewMark   // this round's breaker view, one entry per shard
+	backoff   action       // the backoff the pending items' walks asked for
+	abandoned bool         // an item's walk abandoned: the client left
 	failovers int          // items answered by a non-primary replica
 	results   [][]byte     // per-item result bytes, aliasing the shardCall buffers
 	calls     []*shardCall
@@ -594,7 +596,7 @@ func (s *ShardRouter) getScratch() *batchScratch {
 	b.items = b.items[:0]
 	b.toks = b.toks[:0]
 	b.walks = b.walks[:0]
-	b.failovers = 0
+	b.backoff, b.abandoned, b.failovers = action{}, false, 0
 	b.pending = b.pending[:0]
 	b.next = b.next[:0]
 	b.failed = b.failed[:0]
@@ -638,15 +640,16 @@ func (s *ShardRouter) putCalls(b *batchScratch) {
 // shards and the top-level took_us stays 0 (clients sum per-result values).
 //
 // With replication (R > 1) the fan-out runs in rounds of the failover policy
-// (policy.go): items whose call failed re-group by their next untried
-// replica for the next round, after a jittered backoff. Only
+// (policy.go), whose step each item's walk is asked: items whose call failed
+// re-group by their next untried replica for the next round, after a
+// jittered backoff, and a client that left stops the rounds. Only
 // items that exhaust the whole preference list fail the request (buffered:
 // 502) or degrade to error lines (streaming) — a single shard down at
 // R >= 2 is absorbed invisibly, with byte-identical results, because every
 // replica serves the same compiled blob.
 //
 // A sub-batch a shard refuses with a sub-5xx status is the client's error,
-// exactly as on the GET path (retryable): it is not retried and counts
+// exactly as on the GET path (outcomeOf): it is not retried and counts
 // against no breaker. The buffered batch answers the shard's status and
 // error envelope; the streamed one turns it into error lines for the
 // sub-batch's items.
@@ -707,12 +710,7 @@ func (s *ShardRouter) batch(w http.ResponseWriter, r *http.Request) {
 	sc.results = sc.results[:len(sc.items)]
 
 	var failMsg string
-	stage := "split" // the span a round's first clock read closes
-	for round := 0; len(sc.pending) > 0 && ctx.Err() == nil; round++ {
-		if round > 0 {
-			s.backoffSleep(round)
-			stage = "backoff"
-		}
+	for stage := "split"; len(sc.pending) > 0 && !sc.abandoned; stage = "backoff" {
 		failMsg = s.fanoutRound(ctx, sc, tr, out, stage)
 		if sc.refused != nil && out == nil {
 			// No merged answer can come of this batch any more: pass the
@@ -723,7 +721,7 @@ func (s *ShardRouter) batch(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	if len(sc.pending)+len(sc.failed) > 0 && ctx.Err() != nil {
+	if sc.abandoned {
 		// The client went away with items unserved: nobody is left to read a
 		// 502 or error lines, and nothing was learned about the shards.
 		s.cancelled.Add(1)
@@ -767,12 +765,15 @@ func (s *ShardRouter) batch(w http.ResponseWriter, r *http.Request) {
 	w.Write(sc.out)
 }
 
-// fanoutRound serves one failover round: every pending item picks its next
-// replica under one view of the breakers (prefWalk.pick, roundView) and joins
-// that shard's sub-batch, the sub-batches are exchanged, served calls scatter
-// results (or have streamed their lines), refused calls answer their items
-// with the shard's error, and failed calls push their items into the next
-// round's pending list, or into failed once their walk is exhausted.
+// fanoutRound serves one failover round, carrying out the policy step's
+// actions for every pending item: after the backoff the last round asked
+// for, each item's walk picks its next replica under one view of the
+// breakers (roundView) and joins that shard's sub-batch, or abandons when the
+// client has left; the sub-batches are exchanged; then each item's walk
+// settles its call's outcome. Served calls scatter results (or have streamed
+// their lines), refused calls answer their items with the shard's error, and
+// failed calls push their items into the next round's pending list, or into
+// failed once their walk gives up.
 //
 // The sub-batches of a round start together, so they share one attempt
 // context (attemptCtx): one ShardTimeout deadline, counted from the obs.Now
@@ -786,20 +787,25 @@ func (s *ShardRouter) batch(w http.ResponseWriter, r *http.Request) {
 func (s *ShardRouter) fanoutRound(ctx context.Context, sc *batchScratch, tr *obs.Trace, out *streamOut, stage string) string {
 	// Earlier rounds' calls stay in sc.calls, their buffers still backing
 	// scattered results.
+	e := s.ready(ctx, sc.backoff)
 	v := roundView{s: s, tr: tr, marks: sc.marks}
 	clear(sc.byShard)
 	callsBefore := len(sc.calls)
 	for _, i := range sc.pending {
-		w := &sc.walks[i]
-		sh := w.prefs[w.pick(&v)] // pending walks are never exhausted
-		call := sc.byShard[sh]
+		a := sc.walks[i].step(&v, e)
+		s.carry(a)
+		if a.kind == actAbandon {
+			sc.abandoned = true
+			continue
+		}
+		call := sc.byShard[a.shard]
 		if call == nil {
 			if call, _ = s.calls.Get().(*shardCall); call == nil {
 				call = &shardCall{}
 			}
-			call.shard = sh
+			call.shard, call.claim = a.shard, a.flags&flagClaim != 0
 			call.sub = append(call.sub, `{"requests":[`...)
-			sc.byShard[sh] = call
+			sc.byShard[a.shard] = call
 			sc.calls = append(sc.calls, call)
 		} else {
 			call.sub = append(call.sub, ',')
@@ -809,10 +815,12 @@ func (s *ShardRouter) fanoutRound(ctx context.Context, sc *batchScratch, tr *obs
 		call.sub = append(call.sub, sc.body[sp[0]:sp[1]]...)
 	}
 	v.release()
-	round := sc.calls[callsBefore:] // never empty: something was pending
+	round := sc.calls[callsBefore:]
+	if len(round) == 0 { // every item abandoned
+		return ""
+	}
 	for _, call := range round {
 		s.fanouts.Add(1)
-		call.claim = v.mark(call.shard).claim
 		call.sub = append(call.sub, `]}`...)
 	}
 	at := obs.Now()
@@ -836,9 +844,24 @@ func (s *ShardRouter) fanoutRound(ctx context.Context, sc *batchScratch, tr *obs
 	for _, call := range round {
 		from := tr.Offset(call.start).Microseconds()
 		tr.Record("shard-batch", from, tr.Offset(call.end).Microseconds()-from, call.shard, call.outcome.String())
-		if call.outcome == attemptAnswered {
-			for _, i := range call.items {
-				sc.failovers += s.answered(&sc.walks[i], call.shard)
+		e := event{kind: evSettled, out: call.outcome, shard: call.shard, claim: call.claim}
+		for j, i := range call.items {
+			a := sc.walks[i].step(nil, e)
+			if j > 0 {
+				a.flags &^= bookMask // one sub-batch is one attempt, booked once
+			}
+			s.carry(a)
+			if a.flags&flagFailover != 0 {
+				sc.failovers++
+			}
+			switch a.kind {
+			case actBackoff:
+				sc.next = append(sc.next, i)
+				sc.backoff = a
+			case actGiveUp:
+				sc.failed = append(sc.failed, i)
+			case actAbandon:
+				sc.abandoned = true
 			}
 		}
 		switch {
@@ -860,13 +883,6 @@ func (s *ShardRouter) fanoutRound(ctx context.Context, sc *batchScratch, tr *obs
 			}
 		default:
 			failMsg = call.failure() // unread when the client went away
-			for _, i := range call.items {
-				if sc.walks[i].exhausted() {
-					sc.failed = append(sc.failed, i)
-				} else {
-					sc.next = append(sc.next, i)
-				}
-			}
 		}
 	}
 	sc.pending, sc.next = sc.next, sc.pending[:0]
@@ -878,10 +894,10 @@ func (s *ShardRouter) fanoutRound(ctx context.Context, sc *batchScratch, tr *obs
 const subBatchPath = "/suggest/batch?stream=1"
 
 // exchangeSubBatch runs one sub-batch, from the caller's reading start, to its
-// verdict on the calling goroutine: post it under the round's attempt context,
-// split a 200 into result spans (all into the call's recycled buffers), settle
-// the outcome against the shard's breaker, and in streamed mode write served
-// lines the moment they land. It touches only its own call and, under its
+// outcome on the calling goroutine: post it under the round's attempt context,
+// split a 200 into result spans (all into the call's recycled buffers),
+// classify how it ended, and in streamed mode write served lines the moment
+// they land. It touches only its own call and, under its
 // mutex, the stream, and returns the reading that closed the call.
 func (s *ShardRouter) exchangeSubBatch(actx context.Context, sc *batchScratch, call *shardCall, out *streamOut, start time.Time) time.Time {
 	call.start = start
@@ -890,7 +906,7 @@ func (s *ShardRouter) exchangeSubBatch(actx context.Context, sc *batchScratch, c
 		call.err = call.parseResults()
 	}
 	call.end = obs.Now()
-	call.outcome = s.settleAttempt(actx, call.shard, call.claim, call.status, call.err)
+	call.outcome = outcomeOf(actx, call.status, call.err)
 	if out != nil && call.served() {
 		out.writeCall(sc, call)
 	}

@@ -9,25 +9,21 @@ import (
 	"repro/internal/obs"
 )
 
-// The GET /suggest hop. One request walks its preference list with one
-// attempt state machine (getWalk): pick the next replica (policy.go), build
-// the attempt's context (attemptCtx: deadline and trace header as values),
-// open the attempt span, exchange, settle the outcome against the breaker and
-// the trace, then respond, fail over or give up.
+// The GET /suggest hop. One request walks its preference list (getWalk.run)
+// by the failover policy's actions (policy.go): for each attempt the step
+// picks, build the attempt's context (attemptCtx: deadline and trace header
+// as values), open the attempt span and exchange; settle the outcome through
+// the step, and back off, respond, abandon or give up as it says.
 //
-// The machine runs in one of two modes. With no hedge armed — hedging off,
-// or fewer than two replicas to race — every attempt, sequential failover
-// included, runs inline on the request goroutine: no attempt can outlive the
-// request, so there is no goroutine and no channel. Only when a hedge timer
-// is armed does the first attempt run on its own goroutine, raced against
-// the timer and then against the hedge (race); whatever is left of the list
-// after that race is walked inline again. Both modes go through the same
-// begin/exchangeGET/settle/respond steps; each attempt is a policy round.
-//
-// An inline attempt derives no context and arms no timer: it cannot outlive
-// the request, so there is nobody to cancel, and its deadline is the
-// transport's to enforce (Transport.Exchange). Only a raced attempt gets a
-// context.WithCancel of its own, so that the loser can be stopped.
+// Attempts run inline on the request goroutine unless a hedge is armed —
+// hedging on, and at least two replicas to race: then the first attempt runs
+// on its own goroutine, raced against the hedge timer and then against the
+// hedge; whatever is left of the list after that race runs inline again. The
+// goroutine, the channel, the timer and the context.WithCancel that can stop
+// a loser are made only then: an inline attempt cannot outlive the request,
+// so it derives no context and arms no timer, and its deadline is the
+// transport's to enforce (Transport.Exchange). A race's loser settles
+// through the step like any other attempt, on a copy of the walk.
 //
 // The walk measures on obs.Now (monotonic only): an attempt's start is the
 // deadline's base, the span's and attempt latency's start; the first
@@ -43,23 +39,23 @@ const statusClientClosedRequest = 499
 // hedgeWonHeaderValue is the shared X-Serve-Hedge slice.
 var hedgeWonHeaderValue = []string{"won"}
 
-// getAttempt is one launched GET attempt, as the request goroutine tracks it.
+// getAttempt is one sent GET attempt, as the request goroutine tracks it:
+// the step's try action, its span and, raced, the cancel that stops it.
 type getAttempt struct {
-	pref   int // index into the preference list
-	span   int // the attempt's "shard" span on the request trace
-	hedge  bool
-	claim  bool               // the attempt carries its shard's half-open probe claim
-	cancel context.CancelFunc // race only: stops the attempt when it loses
+	action
+	span   int
+	cancel context.CancelFunc
 }
 
 // getResult is what an attempt's exchange came back with. body is the pooled
 // response buffer (see getBuf); whoever consumes the result returns it.
 type getResult struct {
-	slot   int // race only: which of the two raced attempts this is
+	slot   int // raced only: which of the two raced attempts this is
 	shard  int
 	status int
 	body   *[]byte
 	err    error
+	out    attemptOutcome
 	end    time.Time // when the exchange returned
 }
 
@@ -74,9 +70,9 @@ type getWalk struct {
 	uri string
 
 	prefWalk
-	launched int
+	hedgeWon bool // the answer came from the hedge
 
-	last getResult // the last failed attempt, for the 502 message (its body is back in the pool)
+	last getResult // the answer, or the last failed attempt for the 502 message (its body is back in the pool)
 }
 
 // suggest forwards the GET to the owning shard, walking the preference list
@@ -113,170 +109,186 @@ func (s *ShardRouter) suggest(w http.ResponseWriter, r *http.Request) {
 	if g.n < 2 {
 		hedge = 0
 	}
-	if hedge > 0 && g.race(w, hedge) {
-		return
-	}
-	g.walk(w)
+	g.run(w, hedge)
 }
 
-// walk runs the untried rest of the preference list one attempt at a time,
-// inline, and answers the request: the first replica to answer is served,
-// each failure backs off and moves on, and an exhausted list is a 502.
-func (g *getWalk) walk(w http.ResponseWriter) {
-	for !g.exhausted() {
-		now := g.tr.Started()
-		if g.launched > 0 { // a retry, or the rest of the list after a lost race
-			g.s.backoffSleep(g.launched)
-			now = obs.Now()
-		}
-		at, actx := g.begin(false, now)
-		res := g.s.exchangeGET(actx, g.prefs[at.pref], g.uri, now)
-		switch g.settle(&at, res) {
-		case attemptAnswered:
-			g.respond(w, &at, res)
-			return
-		case attemptCancelled:
-			g.abandon(w)
-			return
-		}
-	}
-	g.fail(w)
-}
-
-// race runs the primary attempt against the hedge timer: if the primary has
-// not answered after delay, the next replica is fired too and the first
-// success wins. It reports whether the request was answered; false means
-// every raced attempt failed and was settled, and the caller walks on.
-func (g *getWalk) race(w http.ResponseWriter, delay time.Duration) bool {
+// run walks the preference list by the policy step's actions and answers
+// the request. With a hedge armed (hedge > 0) the first attempt is raced:
+// it runs on a goroutine of its own, the hedge timer fires the step's hedge
+// beside it, and results come back on a channel; once nothing of the race
+// is in flight, or the walk is over, the rest runs inline. A loser still in
+// flight when the walk ends is cancelled, its span closed here, and its
+// result settled on a drain goroutine, through the step on a copy of the
+// walk.
+func (g *getWalk) run(w http.ResponseWriter, hedge time.Duration) {
 	s := g.s
-	var atts [2]getAttempt                   // primary, hedge
-	resCh := make(chan getResult, len(atts)) // one send per raced attempt
+	var (
+		race  [2]getAttempt    // the raced attempts, by slot: the first and its hedge
+		resCh chan getResult   // the race's results; nil while attempts run inline
+		tm    timer            // the hedge timer
+		fire  <-chan time.Time // tm's channel, until it fires
+	)
 	now := g.tr.Started()
-	atts[0] = g.launch(false, 0, now, resCh)
-	inflight := 1
-	timer := s.clk.NewTimer(delay)
-	defer timer.Stop()
-	for inflight > 0 {
-		var res getResult
-		select {
-		case res = <-resCh:
-		case <-timer.C():
-			// Only the primary has been tried and the list holds at least
-			// two replicas, so the hedge's pick cannot come back empty.
-			s.hedges.Add(1)
-			s.hedgeWait.Record(delay.Microseconds())
-			atts[1] = g.launch(true, 1, obs.Now(), resCh)
-			inflight++
-			continue
-		}
-		inflight--
-		at := &atts[res.slot]
-		at.cancel()
-		out := g.settle(at, res)
-		if out.failedOver() {
-			continue
-		}
-		if inflight > 0 {
-			// Answered or abandoned with the other raced attempt still out:
-			// it is cancelled and its span closed here, on the request
-			// goroutine; its result, when it lands, goes to the drain.
-			loser := &atts[1-res.slot]
-			loser.cancel()
-			g.tr.EndAt(loser.span, g.tr.Offset(res.end), "cancelled")
-			go s.drainLoser(resCh, loser.claim)
-		}
-		if out == attemptAnswered {
-			g.respond(w, at, res)
-		} else {
+	a := g.next(s.ready(g.ctx, action{}))
+	for {
+		switch a.kind {
+		case actBackoff:
+			a = g.next(s.ready(g.ctx, a))
+			now = obs.Now()
+		case actTry:
+			at, actx := g.begin(a, now)
+			if hedge == 0 {
+				a = g.settle(&at, s.exchangeGET(actx, at.shard, g.uri, now))
+				continue
+			}
+			if resCh == nil {
+				resCh = make(chan getResult, len(race)) // one send per raced attempt
+				tm = s.clk.NewTimer(hedge)
+				fire = tm.C()
+			}
+			slot := 0
+			if at.flags&flagHedge != 0 {
+				slot = 1
+				s.hedgeWait.Record(hedge.Microseconds())
+			}
+			race[slot] = g.launch(at, actx, slot, now, resCh)
+			a = action{}
+		case actWait:
+			var res getResult
+			select {
+			case res = <-resCh:
+			case <-fire:
+				fire, now = nil, obs.Now()
+				a = g.next(event{kind: evHedge})
+				continue
+			}
+			at := &race[res.slot]
+			at.cancel()
+			if a = g.settle(at, res); a.kind == actWait {
+				continue // the other raced attempt is still out
+			}
+			if g.flying > 0 {
+				// The walk is over with the other raced attempt still out: it
+				// is cancelled and its span closed here, on the request
+				// goroutine; its result, when it lands, settles on a drain.
+				loser := race[1-res.slot]
+				loser.cancel()
+				g.tr.EndAt(loser.span, g.tr.Offset(res.end), "cancelled")
+				go s.drainLoser(g.prefWalk, loser.flags&flagClaim != 0, resCh)
+			}
+			tm.Stop()
+			hedge = 0 // what is left of the list runs inline
+		case actRespond:
+			g.respond(w)
+			return
+		case actAbandon:
 			g.abandon(w)
+			return
+		default:
+			g.fail(w)
+			return
 		}
-		return true
 	}
-	return false
 }
 
-// launch begins an attempt and runs its exchange on a goroutine of its own,
-// which reports to resCh. A raced attempt can lose, so — unlike an inline one —
-// it runs under a cancellable child of its attempt context. The goroutine is
+// drainLoser settles a race's loser after the walk is over, through the step
+// on w, a copy of the walk — the walk itself goes back to the pool with the
+// request. It never touches the trace: the loser's span was closed on the
+// request goroutine.
+func (s *ShardRouter) drainLoser(w prefWalk, claim bool, resCh <-chan getResult) {
+	res := <-resCh
+	s.carry(w.step(nil, event{kind: evSettled, out: res.out, shard: res.shard, claim: claim}))
+	s.putBuf(res.body)
+}
+
+// next asks the step what event e calls for under a round view of the
+// breakers of its own — a GET attempt, or its hedge, is a round alone — hands
+// back the probe claims its pick did not use and carries the counters.
+func (g *getWalk) next(e event) action {
+	var marks [MaxReplicas]viewMark
+	v := roundView{s: g.s, tr: &g.tr, marks: marks[:]}
+	a := g.step(&v, e)
+	v.release()
+	g.s.carry(a)
+	return a
+}
+
+// launch runs a begun attempt's exchange on a goroutine of its own, which
+// reports to resCh. A raced attempt can lose, so — unlike an inline one — it
+// runs under a cancellable child of its attempt context. The goroutine is
 // handed copies: it must not reach the walk state, which stays on the request
 // goroutine's stack.
-func (g *getWalk) launch(hedge bool, slot int, now time.Time, resCh chan<- getResult) getAttempt {
-	at, actx := g.begin(hedge, now)
+func (g *getWalk) launch(at getAttempt, actx *attemptCtx, slot int, now time.Time, resCh chan<- getResult) getAttempt {
 	cctx, cancel := context.WithCancel(actx)
 	at.cancel = cancel
-	s, shard, uri := g.s, g.prefs[at.pref], g.uri
+	s, uri := g.s, g.uri
 	go func() {
-		res := s.exchangeGET(cctx, shard, uri, now)
+		res := s.exchangeGET(cctx, at.shard, uri, now)
 		res.slot = slot
 		resCh <- res
 	}()
 	return at
 }
 
-// begin opens an attempt that starts at now: it picks the replica in a
-// policy round of its own, then builds the attempt's context (the deadline
-// counted from now, the trace header) and its trace span. The walk is never
-// exhausted here: walk checks, and a race starts with two untried replicas.
-func (g *getWalk) begin(hedge bool, now time.Time) (getAttempt, *attemptCtx) {
-	var marks [MaxReplicas]viewMark
-	v := roundView{s: g.s, tr: &g.tr, hedge: hedge, marks: marks[:]}
-	k := g.pick(&v)
-	v.release()
-	sh := g.prefs[k]
-	if hedge {
-		g.tr.Event("hedge-fire", sh, "fired")
+// begin opens the attempt the step picked (a), starting at now: the
+// attempt's context (the deadline counted from now, the trace header) and
+// its trace span.
+func (g *getWalk) begin(a action, now time.Time) (getAttempt, *attemptCtx) {
+	if a.flags&flagHedge != 0 {
+		g.tr.Event("hedge-fire", a.shard, "fired")
 	}
 	span := g.tr.BeginAt("shard", g.tr.Offset(now))
-	g.tr.SetShard(span, sh)
-	g.launched++
-	return getAttempt{pref: k, span: span, hedge: hedge, claim: v.mark(sh).claim}, g.s.newAttemptCtx(g.ctx, g.tr.HeaderValue(), now)
+	g.tr.SetShard(span, a.shard)
+	return getAttempt{action: a, span: span}, g.s.newAttemptCtx(g.ctx, g.tr.HeaderValue(), now)
 }
 
 // exchangeGET performs one attempt's exchange, begun at start, into a pooled
-// buffer, stamps when it returned and records the latency of an answer. It
-// touches no request state, so it runs on the request goroutine or on a raced
-// attempt's own alike.
+// buffer, stamps when it returned, classifies the outcome under the
+// attempt's context — a raced attempt's is cancelled only with the client,
+// or once the walk no longer needs it — and records the latency of an
+// answer. It touches no request state, so it runs on the request goroutine
+// or on a raced attempt's own alike.
 func (s *ShardRouter) exchangeGET(ctx context.Context, shard int, uri string, start time.Time) getResult {
 	buf := s.getBuf()
 	status, body, err := s.tr.Exchange(ctx, shard, http.MethodGet, uri, nil, *buf)
 	end := obs.Now()
-	if !retryable(status, err) {
+	out := outcomeOf(ctx, status, err)
+	if out == attemptAnswered {
 		s.attemptLat.Record(end.Sub(start).Microseconds())
 	}
 	*buf = body
-	return getResult{shard: shard, status: status, body: buf, err: err, end: end}
+	return getResult{shard: shard, status: status, body: buf, err: err, out: out, end: end}
 }
 
-// settle books a consumed attempt's outcome (settleAttempt) and records it on
-// the trace and the counters, on the request goroutine. An answer is served,
-// a failure the client's departure explains stops the walk, any other
-// failure walks on.
-func (g *getWalk) settle(at *getAttempt, res getResult) attemptOutcome {
-	s := g.s
-	out := s.settleAttempt(g.ctx, res.shard, at.claim, res.status, res.err)
+// settle tells the step how a consumed attempt ended, carries the booking
+// and counters, and records the outcome on the trace, on the request
+// goroutine. It keeps an answer for respond and the last failure for fail.
+func (g *getWalk) settle(at *getAttempt, res getResult) action {
+	s, out := g.s, res.out
+	a := g.step(nil, event{kind: evSettled, out: out, shard: res.shard, claim: at.flags&flagClaim != 0})
+	s.carry(a)
 	label := out.String()
-	if out == attemptAnswered && at.hedge {
+	if out == attemptAnswered && at.flags&flagHedge != 0 {
 		label = "hedge-won"
 		s.hedgesWon.Add(1)
+		g.hedgeWon = true
 	}
 	g.tr.EndAt(at.span, g.tr.Offset(res.end), label)
-	if out == attemptAnswered {
-		s.answered(&g.prefWalk, res.shard)
-		return out
-	}
-	s.putBuf(res.body)
 	if out != attemptCancelled {
 		g.last = res
 	}
-	return out
+	if a.kind != actRespond {
+		s.putBuf(res.body)
+	}
+	return a
 }
 
-// respond writes the winning attempt's answer.
-func (g *getWalk) respond(w http.ResponseWriter, at *getAttempt, res getResult) {
-	s, h := g.s, w.Header()
+// respond writes the answer.
+func (g *getWalk) respond(w http.ResponseWriter) {
+	s, h, res := g.s, w.Header(), g.last
 	h["X-Serve-Shard"] = s.shardHeader[res.shard]
-	h["X-Serve-Attempts"] = s.attemptHeader[g.launched-1]
-	if at.hedge {
+	h["X-Serve-Attempts"] = s.attemptHeader[g.attempts()-1]
+	if g.hedgeWon {
 		h["X-Serve-Hedge"] = hedgeWonHeaderValue
 	}
 	h["Content-Type"] = obs.JSONContentType
@@ -295,7 +307,7 @@ func (g *getWalk) abandon(w http.ResponseWriter) {
 
 // fail answers 502 once every replica has been tried and failed.
 func (g *getWalk) fail(w http.ResponseWriter) {
-	msg := fmt.Sprintf("all %d replica(s) failed; shard %d last: ", g.launched, g.last.shard)
+	msg := fmt.Sprintf("all %d replica(s) failed; shard %d last: ", g.attempts(), g.last.shard)
 	if g.last.err != nil {
 		msg += g.last.err.Error()
 	} else {
@@ -322,7 +334,7 @@ func (s *ShardRouter) getWalkOf(ctx context.Context, uri string) *getWalk {
 		g = new(getWalk)
 	}
 	g.s, g.ctx, g.uri = s, ctx, uri
-	g.prefWalk, g.launched = prefWalk{}, 0
+	g.prefWalk, g.hedgeWon = prefWalk{}, false
 	return g
 }
 
@@ -363,14 +375,7 @@ func (s *ShardRouter) hedgeDelay() time.Duration {
 	if cached := s.hedgeCache.Load(); cached != 0 && s.hedgeTick.Add(1)%hedgeRefreshEvery != 0 {
 		return time.Duration(cached)
 	}
-	d := time.Duration(s.attemptLat.Quantile(0.99)) * time.Microsecond
-	const lo, hi = 200 * time.Microsecond, 50 * time.Millisecond
-	if d < lo {
-		d = lo
-	}
-	if d > hi {
-		d = hi
-	}
+	d := min(max(time.Duration(s.attemptLat.Quantile(0.99))*time.Microsecond, 200*time.Microsecond), 50*time.Millisecond)
 	s.hedgeCache.Store(int64(d))
 	return d
 }
